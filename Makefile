@@ -10,8 +10,10 @@ test:
 bench:
 	cargo bench --workspace 2>&1 | tee bench_output.txt
 
+# Markdown summary of the e01-e21 benches. The gated benchmark is tdbench
+# (BENCHMARK.json; bash crates/bench/src/bin/tdbench/run.sh), not this.
 summary: bench_output.txt
-	cargo run -p td-bench --bin bench_report -- --json BENCH_PR2.json < bench_output.txt > BENCH_SUMMARY.md
+	cargo run -p td-bench --bin bench_report < bench_output.txt > BENCH_SUMMARY.md
 
 doc:
 	cargo doc --workspace --no-deps

@@ -49,7 +49,7 @@ fn balance_of(db: &Database, i: usize) -> i64 {
     let name = Value::sym(&format!("acct{i}"));
     db.relation(pred())
         .unwrap()
-        .to_sorted_vec()
+        .to_vec()
         .iter()
         .find_map(|t| {
             (t.values()[0] == name).then(|| match t.values()[1] {

@@ -3,9 +3,13 @@
 //!
 //! ```sh
 //! cargo bench --workspace 2>&1 | tee bench_output.txt
-//! cargo run -p td-bench --bin bench_report -- --json BENCH_PR2.json \
+//! cargo run -p td-bench --bin bench_report -- --json bench.json \
 //!     < bench_output.txt > BENCH_SUMMARY.md
 //! ```
+//!
+//! This summarizes the criterion-style `e01`–`e21` benches only. The
+//! benchmark that gates changes is `tdbench` (`BENCHMARK.json` at the root,
+//! sources in `src/bin/tdbench/`), which writes its own JSON.
 //!
 //! With `--run-report PATH` it instead reads a `td --report` JSON document,
 //! validates it against the `td-run-report/v1` schema, and prints a markdown

@@ -44,7 +44,7 @@ fn balance_of(db: &Database, i: usize) -> i64 {
     let name = Value::sym(&format!("acct{i}"));
     db.relation(pred())
         .unwrap()
-        .to_sorted_vec()
+        .to_vec()
         .iter()
         .find_map(|t| match t.values() {
             [n, Value::Int(b)] if *n == name => Some(*b),

@@ -79,7 +79,7 @@ fn genesis(disjoint: bool) -> Database {
 fn read_phase(snap: &Database, p: Pred) -> usize {
     let mut n = 0;
     for _ in 0..SCANS {
-        n = std::hint::black_box(snap.relation(p).map_or(0, |r| r.to_sorted_vec().len()));
+        n = std::hint::black_box(snap.relation(p).map_or(0, |r| r.to_vec().len()));
         std::thread::yield_now();
     }
     n

@@ -749,7 +749,7 @@ fn init_delta(schema: &Database, parsed: &td_parser::ParsedProgram) -> td_store:
     let mut delta = Delta::new();
     for p in with_init.preds() {
         if let Some(rel) = with_init.relation(p) {
-            for t in rel.to_sorted_vec() {
+            for t in rel.to_vec() {
                 delta.push(DeltaOp::Ins(p, t));
             }
         }

@@ -50,7 +50,7 @@ impl Hash for Symbol {
         // between processes (and between threads racing to intern). Interning
         // dedups, so id equality and text equality coincide — hashing the
         // text keeps `Hash`/`Eq` consistent while making every derived hash
-        // (HAMT placement, relation digests, the persisted store digests)
+        // (treap priorities, relation digests, the persisted store digests)
         // a pure function of content.
         self.text.hash(state);
     }

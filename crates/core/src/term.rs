@@ -63,7 +63,7 @@ impl Ord for Value {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Int(_), Value::Sym(_)) => Ordering::Less,
             (Value::Sym(_), Value::Int(_)) => Ordering::Greater,
-            (Value::Sym(a), Value::Sym(b)) => a.as_str().cmp(b.as_str()),
+            (Value::Sym(a), Value::Sym(b)) => a.cmp(b),
         }
     }
 }
@@ -211,6 +211,31 @@ mod tests {
         let z = Value::sym("zzz_order_test");
         let a = Value::sym("aaa_order_test");
         assert!(a < z);
+    }
+
+    #[test]
+    fn value_order_agrees_with_the_text_reference_on_every_pair() {
+        // The symbol arm short-cuts on interned ids; the order it yields must
+        // still be (ints numerically) < (symbols by text), with equal
+        // symbols — interned twice — comparing Equal.
+        let vals = [
+            Value::Int(i64::MIN),
+            Value::Int(5),
+            Value::sym("pair_b"),
+            Value::sym("pair_a"),
+            Value::sym("pair_ab"),
+            Value::sym("pair_a"),
+            Value::sym(""),
+        ];
+        let key = |v: &Value| match v {
+            Value::Int(i) => (0, *i, ""),
+            Value::Sym(s) => (1, 0, s.as_str()),
+        };
+        for a in &vals {
+            for b in &vals {
+                assert_eq!(a.cmp(b), key(a).cmp(&key(b)), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

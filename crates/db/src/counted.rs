@@ -8,40 +8,17 @@
 //! are the 0 ↔ positive transitions, which propagate further through the
 //! circuit.
 //!
-//! The store is a treap keyed by tuple and carrying the count, with
-//! hash-derived priorities and path-copying updates exactly like
-//! [`crate::ord::OrdSet`]: snapshots are O(1) clones sharing structure, so
-//! keeping one materialized state per database version costs O(Δ log n)
-//! per version, not a copy of the whole relation. Because tuples order
-//! lexicographically, [`CountedRelation::select`] supports the same three
-//! probe regimes as [`crate::Relation::select`] and returns sorted tuples.
+//! The store is the same persistent ordered map as [`crate::Relation`]'s,
+//! carrying the count as its value: snapshots are O(1) clones sharing
+//! structure, so keeping one materialized state per database version costs
+//! O(Δ log n) per version, not a copy of the whole relation, and
+//! [`CountedRelation::select`] is [`crate::Relation::select`] restricted to
+//! entries with a positive count.
 
+use crate::ord::OrdMap;
+use crate::relation;
 use crate::tuple::Tuple;
-use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use td_core::Value;
-
-fn priority_of(t: &Tuple) -> u64 {
-    let mut h = DefaultHasher::new();
-    // Fixed tweak so priorities differ from both the HAMT's and the
-    // OrdSet index's hash streams.
-    0x7c31_u16.hash(&mut h);
-    t.hash(&mut h);
-    h.finish()
-}
-
-#[derive(Debug)]
-struct Node {
-    tuple: Tuple,
-    count: i64,
-    prio: u64,
-    left: Link,
-    right: Link,
-}
-
-type Link = Option<Arc<Node>>;
 
 /// How a count update moved a tuple across the membership boundary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,9 +39,8 @@ pub enum Transition {
 #[derive(Clone, Debug)]
 pub struct CountedRelation {
     arity: usize,
-    root: Link,
-    /// Entries stored (count ≠ 0).
-    len: usize,
+    /// Entries with a non-zero count.
+    counts: OrdMap<Tuple, i64>,
 }
 
 impl CountedRelation {
@@ -72,8 +48,7 @@ impl CountedRelation {
     pub fn new(arity: usize) -> CountedRelation {
         CountedRelation {
             arity,
-            root: None,
-            len: 0,
+            counts: OrdMap::new(),
         }
     }
 
@@ -84,26 +59,18 @@ impl CountedRelation {
 
     /// Number of entries with a non-zero count.
     pub fn len(&self) -> usize {
-        self.len
+        self.counts.len()
     }
 
     /// True if no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.counts.is_empty()
     }
 
     /// The stored count (0 when absent).
     pub fn count(&self, t: &Tuple) -> i64 {
         debug_assert_eq!(t.arity(), self.arity);
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            match t.cmp(&n.tuple) {
-                Ordering::Less => cur = n.left.as_deref(),
-                Ordering::Greater => cur = n.right.as_deref(),
-                Ordering::Equal => return n.count,
-            }
-        }
-        0
+        self.counts.get(t).copied().unwrap_or(0)
     }
 
     /// Membership: positive count.
@@ -115,15 +82,12 @@ impl CountedRelation {
     /// membership transition. An entry reaching count 0 is removed.
     pub fn add(&self, t: &Tuple, delta: i64) -> (CountedRelation, Transition) {
         debug_assert_eq!(t.arity(), self.arity);
-        if delta == 0 {
-            return (self.clone(), Transition::Unchanged);
-        }
-        let (root, old, new) = add_node(&self.root, t, delta);
-        let len = match (old != 0, new != 0) {
-            (false, true) => self.len + 1,
-            (true, false) => self.len - 1,
-            _ => self.len,
-        };
+        let (mut old, mut new) = (0, 0);
+        let counts = self.counts.alter(t, |c| {
+            old = c.copied().unwrap_or(0);
+            new = old + delta;
+            (new != 0).then_some(new)
+        });
         let transition = match (old > 0, new > 0) {
             (false, true) => Transition::Appeared,
             (true, false) => Transition::Disappeared,
@@ -132,8 +96,7 @@ impl CountedRelation {
         (
             CountedRelation {
                 arity: self.arity,
-                root,
-                len,
+                counts,
             },
             transition,
         )
@@ -144,50 +107,17 @@ impl CountedRelation {
     /// three probe regimes as [`crate::Relation::select`].
     pub fn select(&self, pattern: &[Option<Value>]) -> Vec<Tuple> {
         debug_assert_eq!(pattern.len(), self.arity);
-        if pattern.iter().all(Option::is_some) {
-            let t = Tuple::new(pattern.iter().map(|v| v.expect("all bound")).collect());
-            return if self.contains(&t) {
-                vec![t]
-            } else {
-                Vec::new()
-            };
-        }
-        let prefix_len = pattern.iter().take_while(|v| v.is_some()).count();
-        let mut out = Vec::new();
-        if prefix_len > 0 {
-            let prefix: Vec<Value> = pattern[..prefix_len]
-                .iter()
-                .map(|v| v.expect("prefix is bound"))
-                .collect();
-            let fully_covered = pattern[prefix_len..].iter().all(Option::is_none);
-            range_visit(
-                &self.root,
-                &|t| compare_prefix(t.values(), &prefix),
-                &mut |t, c| {
-                    if c > 0 && (fully_covered || t.matches(pattern)) {
-                        out.push(t.clone());
-                    }
-                },
-            );
-            return out;
-        }
-        let fully_free = pattern.iter().all(Option::is_none);
-        in_order(&self.root, &mut |t, c| {
-            if c > 0 && (fully_free || t.matches(pattern)) {
-                out.push(t.clone());
-            }
-        });
-        out
+        relation::select(&self.counts, pattern, |c| *c > 0)
     }
 
     /// Visit every entry in sorted order with its count.
     pub fn for_each(&self, mut f: impl FnMut(&Tuple, i64)) {
-        in_order(&self.root, &mut f);
+        self.counts.for_each(|t, c| f(t, *c));
     }
 
     /// All member tuples (count > 0) in sorted order.
     pub fn to_vec(&self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         self.for_each(|t, c| {
             if c > 0 {
                 out.push(t.clone());
@@ -195,151 +125,6 @@ impl CountedRelation {
         });
         out
     }
-}
-
-fn leaf(tuple: Tuple, count: i64, prio: u64, left: Link, right: Link) -> Link {
-    Some(Arc::new(Node {
-        tuple,
-        count,
-        prio,
-        left,
-        right,
-    }))
-}
-
-/// Path-copying count update; returns `(new link, old count, new count)`.
-fn add_node(link: &Link, t: &Tuple, delta: i64) -> (Link, i64, i64) {
-    let Some(n) = link else {
-        return (leaf(t.clone(), delta, priority_of(t), None, None), 0, delta);
-    };
-    match t.cmp(&n.tuple) {
-        Ordering::Equal => {
-            let new = n.count + delta;
-            if new == 0 {
-                (merge(&n.left, &n.right), n.count, 0)
-            } else {
-                (
-                    leaf(
-                        n.tuple.clone(),
-                        new,
-                        n.prio,
-                        n.left.clone(),
-                        n.right.clone(),
-                    ),
-                    n.count,
-                    new,
-                )
-            }
-        }
-        Ordering::Less => {
-            let (new_left, old, new) = add_node(&n.left, t, delta);
-            // A fresh insert may violate the heap property; rotate up.
-            match &new_left {
-                Some(l) if l.prio > n.prio => {
-                    let rotated = leaf(
-                        n.tuple.clone(),
-                        n.count,
-                        n.prio,
-                        l.right.clone(),
-                        n.right.clone(),
-                    );
-                    (
-                        leaf(l.tuple.clone(), l.count, l.prio, l.left.clone(), rotated),
-                        old,
-                        new,
-                    )
-                }
-                _ => (
-                    leaf(n.tuple.clone(), n.count, n.prio, new_left, n.right.clone()),
-                    old,
-                    new,
-                ),
-            }
-        }
-        Ordering::Greater => {
-            let (new_right, old, new) = add_node(&n.right, t, delta);
-            match &new_right {
-                Some(r) if r.prio > n.prio => {
-                    let rotated = leaf(
-                        n.tuple.clone(),
-                        n.count,
-                        n.prio,
-                        n.left.clone(),
-                        r.left.clone(),
-                    );
-                    (
-                        leaf(r.tuple.clone(), r.count, r.prio, rotated, r.right.clone()),
-                        old,
-                        new,
-                    )
-                }
-                _ => (
-                    leaf(n.tuple.clone(), n.count, n.prio, n.left.clone(), new_right),
-                    old,
-                    new,
-                ),
-            }
-        }
-    }
-}
-
-/// Merge two treaps where every tuple of `a` precedes every tuple of `b`.
-fn merge(a: &Link, b: &Link) -> Link {
-    match (a, b) {
-        (None, _) => b.clone(),
-        (_, None) => a.clone(),
-        (Some(x), Some(y)) => {
-            if x.prio >= y.prio {
-                leaf(
-                    x.tuple.clone(),
-                    x.count,
-                    x.prio,
-                    x.left.clone(),
-                    merge(&x.right, b),
-                )
-            } else {
-                leaf(
-                    y.tuple.clone(),
-                    y.count,
-                    y.prio,
-                    merge(a, &y.left),
-                    y.right.clone(),
-                )
-            }
-        }
-    }
-}
-
-fn in_order(link: &Link, f: &mut impl FnMut(&Tuple, i64)) {
-    if let Some(n) = link {
-        in_order(&n.left, f);
-        f(&n.tuple, n.count);
-        in_order(&n.right, f);
-    }
-}
-
-fn range_visit(link: &Link, cmp: &impl Fn(&Tuple) -> Ordering, f: &mut impl FnMut(&Tuple, i64)) {
-    if let Some(n) = link {
-        match cmp(&n.tuple) {
-            Ordering::Less => range_visit(&n.right, cmp, f),
-            Ordering::Greater => range_visit(&n.left, cmp, f),
-            Ordering::Equal => {
-                range_visit(&n.left, cmp, f);
-                f(&n.tuple, n.count);
-                range_visit(&n.right, cmp, f);
-            }
-        }
-    }
-}
-
-fn compare_prefix(values: &[Value], prefix: &[Value]) -> Ordering {
-    for (v, p) in values.iter().zip(prefix.iter()) {
-        match v.cmp(p) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    Ordering::Equal
 }
 
 #[cfg(test)]
@@ -386,27 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_isolated() {
-        let base: CountedRelation = {
-            let mut r = CountedRelation::new(1);
-            for i in 0..50i64 {
-                r = r.add(&tuple!(i), 1).0;
-            }
-            r
-        };
-        let snapshot = base.clone();
-        let mut working = base;
-        for i in 0..50i64 {
-            working = working.add(&tuple!(i), -1).0;
-            working = working.add(&tuple!(i + 50), 1).0;
-        }
-        assert_eq!(snapshot.len(), 50);
-        assert!(snapshot.contains(&tuple!(0)));
-        assert!(!working.contains(&tuple!(0)));
-        assert!(working.contains(&tuple!(99)));
-    }
-
-    #[test]
     fn select_matches_relation_regimes() {
         let mut r = CountedRelation::new(2);
         for (s, i) in [("w1", 1i64), ("w1", 2), ("w2", 1)] {
@@ -422,48 +186,5 @@ mod tests {
         let exact = r.select(&[Some(Value::sym("w2")), Some(Value::Int(1))]);
         assert_eq!(exact, vec![tuple!("w2", 1)]);
         assert!(r.select(&[Some(Value::sym("w3")), None]).is_empty());
-    }
-
-    #[test]
-    fn behaves_like_btreemap_under_random_ops() {
-        use std::collections::BTreeMap;
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut model: BTreeMap<i64, i64> = BTreeMap::new();
-        let mut r = CountedRelation::new(1);
-        for _ in 0..2000 {
-            let k = (next() % 40) as i64;
-            let d = (next() % 5) as i64 - 2;
-            let old = model.get(&k).copied().unwrap_or(0);
-            let new = old + d;
-            if new == 0 {
-                model.remove(&k);
-            } else if d != 0 {
-                model.insert(k, new);
-            }
-            let (nr, tr) = r.add(&tuple!(k), d);
-            let expect = match (old > 0, new > 0) {
-                (false, true) => Transition::Appeared,
-                (true, false) => Transition::Disappeared,
-                _ => Transition::Unchanged,
-            };
-            assert_eq!(tr, expect);
-            r = nr;
-            assert_eq!(r.len(), model.len());
-        }
-        let members: Vec<Tuple> = model
-            .iter()
-            .filter(|(_, c)| **c > 0)
-            .map(|(k, _)| tuple!(*k))
-            .collect();
-        assert_eq!(r.to_vec(), members);
-        for (k, c) in &model {
-            assert_eq!(r.count(&tuple!(*k)), *c);
-        }
     }
 }

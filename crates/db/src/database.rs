@@ -69,22 +69,26 @@ impl Eq for Database {}
 /// empty relations don't affect content identity), otherwise a 128-bit hash
 /// of the predicate, the relation's commutative tuple digest, and its size.
 fn contribution(pred: Pred, rel: &Relation) -> u128 {
+    contribution_of(pred, rel.digest(), rel.len())
+}
+
+/// [`contribution`] from a relation's tuple digest `d` and size.
+fn contribution_of(pred: Pred, d: u128, len: usize) -> u128 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
-    if rel.is_empty() {
+    if len == 0 {
         return 0;
     }
-    let d = rel.digest();
     let mut lo = DefaultHasher::new();
     pred.hash(&mut lo);
     d.hash(&mut lo);
-    rel.len().hash(&mut lo);
+    len.hash(&mut lo);
     // Independent high lane: same fields under a distinct seed.
     let mut hi = DefaultHasher::new();
     0x85eb_ca6b_27d4_eb4fu64.hash(&mut hi);
     pred.hash(&mut hi);
     d.hash(&mut hi);
-    rel.len().hash(&mut hi);
+    len.hash(&mut hi);
     ((hi.finish() as u128) << 64) | lo.finish() as u128
 }
 
@@ -221,13 +225,15 @@ impl Database {
             .map_or(0, |rel| contribution(pred, rel))
     }
 
-    /// Recompute the digest by walking every relation. Always equal to
-    /// [`Database::digest`]; exists as the test oracle for the incremental
+    /// Recompute the digest by walking every tuple of every relation,
+    /// trusting neither this database's maintained digest nor the
+    /// relations' (see [`Relation::digest_from_scratch`]). Always equal to
+    /// [`Database::digest`]; exists as the oracle for the incremental
     /// maintenance.
     pub fn digest_from_scratch(&self) -> u128 {
-        self.rels
-            .iter()
-            .fold(0u128, |acc, (p, r)| acc ^ contribution(*p, r))
+        self.rels.iter().fold(0u128, |acc, (p, r)| {
+            acc ^ contribution_of(*p, r.digest_from_scratch(), r.len())
+        })
     }
 
     /// The active domain: every value occurring in some stored tuple.
@@ -269,9 +275,7 @@ impl fmt::Display for Database {
         let mut first = true;
         write!(f, "{{")?;
         for (p, r) in &self.rels {
-            let mut tuples = r.to_vec();
-            tuples.sort();
-            for t in tuples {
+            for t in r.to_vec() {
                 if !first {
                     write!(f, ", ")?;
                 }

@@ -8,8 +8,9 @@
 //! * [`Database`] — an immutable **snapshot** database: updates return new
 //!   versions; old versions stay valid. The engine's choicepoints and
 //!   isolation blocks are therefore O(1) to establish and to roll back.
-//! * [`Relation`] — a persistent tuple set (hash array mapped trie,
-//!   [`hamt`]), with structural sharing across versions.
+//! * [`Relation`] — a persistent sorted tuple set with structural sharing
+//!   across versions, and [`CountedRelation`], the same with a derivation
+//!   count per tuple. Both sit on one structure, the treap in [`ord`].
 //! * [`Tuple`] — immutable ground tuples (see also the [`tuple!`] macro).
 //! * [`Delta`] — ordered update logs for monitoring and replay.
 //!
@@ -20,7 +21,6 @@
 pub mod counted;
 pub mod database;
 pub mod delta;
-pub mod hamt;
 pub mod ord;
 pub mod read_set;
 pub mod relation;
@@ -45,6 +45,5 @@ fn _assert_storage_is_send_sync() {
     assert_send_sync::<Tuple>();
     assert_send_sync::<Delta>();
     assert_send_sync::<ReadSet>();
-    assert_send_sync::<hamt::Set<Tuple>>();
-    assert_send_sync::<ord::OrdSet<Tuple>>();
+    assert_send_sync::<ord::OrdMap<Tuple, i64>>();
 }

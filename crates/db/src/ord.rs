@@ -1,17 +1,20 @@
-//! A persistent ordered set (treap) used as the sorted secondary index on
-//! relations.
+//! The one persistent structure of this crate: an ordered map (treap) with
+//! structural sharing between versions.
 //!
-//! [`crate::hamt::Set`] answers membership in O(log n) but can only *scan*
-//! for pattern matches. Selection with a bound prefix of columns — the
-//! engine's per-step hot path when resolving atoms against base relations —
-//! wants a *range probe*: tuples sort lexicographically, so all tuples
-//! sharing a bound prefix are contiguous in sorted order. This treap provides
-//! that probe persistently: insert/remove are O(log n) path-copying
-//! operations sharing structure between versions, exactly like the HAMT, so
-//! database snapshots stay O(1).
+//! The TD engine backtracks over database states constantly: every
+//! choicepoint snapshots the database, and isolation blocks roll whole
+//! sub-executions back. So a version must be a pointer copy and an update
+//! must leave every older version valid: [`OrdMap::alter`] copies the
+//! O(log n) nodes on the path to the key and shares the rest.
 //!
-//! Priorities are derived by hashing the item, not drawn from an RNG, so a
-//! given set of items always produces one canonical tree shape regardless of
+//! Keys are kept in order because the engine's hot path is selection with a
+//! bound prefix of columns: tuples sort lexicographically, so all tuples
+//! sharing a prefix are contiguous, and [`OrdMap::for_each_in_range`] reaches
+//! them by binary descent instead of a scan. Both walks are plain recursion:
+//! they allocate nothing.
+//!
+//! Priorities are derived by hashing the key, not drawn from an RNG, so a
+//! given key set always produces one canonical tree shape regardless of
 //! insertion order. That keeps the structure deterministic across engine
 //! strategies and across threads of the parallel search backend.
 
@@ -20,237 +23,223 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-fn priority_of<T: Hash>(item: &T) -> u64 {
+fn priority_of<K: Hash>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
-    // Fixed tweak so treap priorities differ from the HAMT's hash stream.
-    0x7d5f_u16.hash(&mut h);
-    item.hash(&mut h);
+    key.hash(&mut h);
     h.finish()
 }
 
 #[derive(Debug)]
-struct Node<T> {
-    item: T,
+struct Node<K, V> {
+    key: K,
+    value: V,
     prio: u64,
-    left: Option<Arc<Node<T>>>,
-    right: Option<Arc<Node<T>>>,
+    left: Link<K, V>,
+    right: Link<K, V>,
 }
 
-type Link<T> = Option<Arc<Node<T>>>;
+type Link<K, V> = Option<Arc<Node<K, V>>>;
 
-/// A persistent sorted set with structural sharing between versions.
+/// A persistent sorted map. `clone()` is O(1); [`OrdMap::alter`] returns a
+/// new version sharing all untouched structure with the original.
 #[derive(Clone, Debug)]
-pub struct OrdSet<T> {
-    root: Link<T>,
+pub struct OrdMap<K, V> {
+    root: Link<K, V>,
     len: usize,
 }
 
-impl<T> Default for OrdSet<T> {
-    fn default() -> OrdSet<T> {
-        OrdSet { root: None, len: 0 }
+impl<K, V> Default for OrdMap<K, V> {
+    fn default() -> OrdMap<K, V> {
+        OrdMap { root: None, len: 0 }
     }
 }
 
-impl<T: Clone + Ord + Hash> OrdSet<T> {
-    /// Empty set.
-    pub fn new() -> OrdSet<T> {
-        OrdSet::default()
+impl<K: Clone + Ord + Hash, V: Clone + PartialEq> OrdMap<K, V> {
+    /// The empty map.
+    pub fn new() -> OrdMap<K, V> {
+        OrdMap::default()
     }
 
-    /// Number of items.
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True if no items.
+    /// True if no entries.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Membership test.
-    pub fn contains(&self, item: &T) -> bool {
+    /// The value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
         let mut cur = self.root.as_deref();
         while let Some(n) = cur {
-            match item.cmp(&n.item) {
+            match key.cmp(&n.key) {
                 Ordering::Less => cur = n.left.as_deref(),
                 Ordering::Greater => cur = n.right.as_deref(),
-                Ordering::Equal => return true,
+                Ordering::Equal => return Some(&n.value),
             }
         }
-        false
+        None
     }
 
-    /// Insert; returns the new set and whether it grew.
-    pub fn insert(&self, item: &T) -> (OrdSet<T>, bool) {
-        let (root, grew) = insert_node(&self.root, item);
-        (
-            OrdSet {
+    /// Set the entry for `key` to `f(current)`, where `None` stands for "no
+    /// entry" on both sides: `|_| Some(v)` inserts or overwrites, `|_| None`
+    /// removes, and a closure that looks at its argument updates in one
+    /// descent. When `f` returns what is already there, the result shares
+    /// the whole tree with `self` and nothing is allocated.
+    pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V> {
+        let (mut had, mut has) = (false, false);
+        let root = alter_node(&self.root, key, |old| {
+            let new = f(old);
+            (had, has) = (old.is_some(), new.is_some());
+            new
+        });
+        match root {
+            None => self.clone(),
+            Some(root) => OrdMap {
                 root,
-                len: self.len + usize::from(grew),
+                len: self.len + usize::from(has) - usize::from(had),
             },
-            grew,
-        )
+        }
     }
 
-    /// Remove; returns the new set and whether it shrank.
-    pub fn remove(&self, item: &T) -> (OrdSet<T>, bool) {
-        let (root, shrank) = remove_node(&self.root, item);
-        (
-            OrdSet {
-                root,
-                len: self.len - usize::from(shrank),
-            },
-            shrank,
-        )
-    }
-
-    /// Visit, in sorted order, every item the comparator maps to
-    /// [`Ordering::Equal`]. The comparator must be monotone over the set's
-    /// order — `Less` for items below the range, `Equal` inside it,
-    /// `Greater` above it — which makes this a two-sided binary descent:
+    /// Visit, in key order, every entry whose key the comparator maps to
+    /// [`Ordering::Equal`]. The comparator must be monotone over the key
+    /// order — `Less` for keys below the range, `Equal` inside it, `Greater`
+    /// above it — which makes this a two-sided binary descent:
     /// O(log n + matches) rather than a scan.
-    pub fn for_each_in_range(&self, cmp: impl Fn(&T) -> Ordering, mut f: impl FnMut(&T)) {
+    pub fn for_each_in_range(&self, cmp: impl Fn(&K) -> Ordering, mut f: impl FnMut(&K, &V)) {
         range_visit(&self.root, &cmp, &mut f);
     }
 
-    /// Visit every item in sorted order.
-    pub fn for_each(&self, mut f: impl FnMut(&T)) {
+    /// Visit every entry in key order.
+    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         in_order(&self.root, &mut f);
     }
-
-    /// All items in sorted order.
-    pub fn to_vec(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len);
-        self.for_each(|t| out.push(t.clone()));
-        out
-    }
 }
 
-impl<T: Clone + Ord + Hash> FromIterator<T> for OrdSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> OrdSet<T> {
-        let mut s = OrdSet::new();
-        for item in iter {
-            s = s.insert(&item).0;
+/// Content equality. Versions that share their root are equal without a
+/// walk; otherwise, sizes being equal, every entry of one is looked up in the
+/// other (tree shape is not consulted, so a priority tie cannot forge a
+/// difference).
+impl<K: Clone + Ord + Hash, V: Clone + PartialEq> PartialEq for OrdMap<K, V> {
+    fn eq(&self, other: &OrdMap<K, V>) -> bool {
+        if self.len != other.len {
+            return false;
         }
-        s
+        match (&self.root, &other.root) {
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => true,
+            _ => {
+                let mut equal = true;
+                self.for_each(|k, v| equal = equal && other.get(k) == Some(v));
+                equal
+            }
+        }
     }
 }
 
-fn leaf<T>(item: T, prio: u64, left: Link<T>, right: Link<T>) -> Link<T> {
+impl<K: Clone + Ord + Hash, V: Clone + Eq> Eq for OrdMap<K, V> {}
+
+fn node<K, V>(key: K, value: V, prio: u64, left: Link<K, V>, right: Link<K, V>) -> Link<K, V> {
     Some(Arc::new(Node {
-        item,
+        key,
+        value,
         prio,
         left,
         right,
     }))
 }
 
-fn insert_node<T: Clone + Ord + Hash>(link: &Link<T>, item: &T) -> (Link<T>, bool) {
+/// A copy of `n` with other children.
+fn with_children<K: Clone, V: Clone>(
+    n: &Node<K, V>,
+    left: Link<K, V>,
+    right: Link<K, V>,
+) -> Link<K, V> {
+    node(n.key.clone(), n.value.clone(), n.prio, left, right)
+}
+
+/// Path-copying edit of one entry; `None` when `f` left the entry as it was.
+fn alter_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
+    link: &Link<K, V>,
+    key: &K,
+    f: impl FnOnce(Option<&V>) -> Option<V>,
+) -> Option<Link<K, V>> {
     let Some(n) = link else {
-        return (leaf(item.clone(), priority_of(item), None, None), true);
+        let value = f(None)?;
+        return Some(node(key.clone(), value, priority_of(key), None, None));
     };
-    match item.cmp(&n.item) {
-        Ordering::Equal => (link.clone(), false),
+    match key.cmp(&n.key) {
+        Ordering::Equal => match f(Some(&n.value)) {
+            None => Some(merge(&n.left, &n.right)),
+            Some(value) if value == n.value => None,
+            Some(value) => Some(node(
+                n.key.clone(),
+                value,
+                n.prio,
+                n.left.clone(),
+                n.right.clone(),
+            )),
+        },
         Ordering::Less => {
-            let (new_left, grew) = insert_node(&n.left, item);
-            if !grew {
-                return (link.clone(), false);
-            }
-            // Restore the heap property: a higher-priority child rotates up.
-            let l = new_left.as_ref().expect("insert returns a node");
-            if l.prio > n.prio {
-                // Right rotation: left child becomes the root.
-                let rotated = leaf(n.item.clone(), n.prio, l.right.clone(), n.right.clone());
-                (leaf(l.item.clone(), l.prio, l.left.clone(), rotated), true)
-            } else {
-                (
-                    leaf(n.item.clone(), n.prio, new_left, n.right.clone()),
-                    true,
-                )
-            }
+            let new_left = alter_node(&n.left, key, f)?;
+            // Restore the heap property: a fresh leaf with a higher priority
+            // rotates up (right rotation: the left child becomes the root).
+            Some(match &new_left {
+                Some(l) if l.prio > n.prio => {
+                    let below = with_children(n, l.right.clone(), n.right.clone());
+                    with_children(l, l.left.clone(), below)
+                }
+                _ => with_children(n, new_left, n.right.clone()),
+            })
         }
         Ordering::Greater => {
-            let (new_right, grew) = insert_node(&n.right, item);
-            if !grew {
-                return (link.clone(), false);
-            }
-            let r = new_right.as_ref().expect("insert returns a node");
-            if r.prio > n.prio {
-                // Left rotation: right child becomes the root.
-                let rotated = leaf(n.item.clone(), n.prio, n.left.clone(), r.left.clone());
-                (leaf(r.item.clone(), r.prio, rotated, r.right.clone()), true)
-            } else {
-                (
-                    leaf(n.item.clone(), n.prio, n.left.clone(), new_right),
-                    true,
-                )
-            }
+            let new_right = alter_node(&n.right, key, f)?;
+            Some(match &new_right {
+                Some(r) if r.prio > n.prio => {
+                    let below = with_children(n, n.left.clone(), r.left.clone());
+                    with_children(r, below, r.right.clone())
+                }
+                _ => with_children(n, n.left.clone(), new_right),
+            })
         }
     }
 }
 
-/// Merge two treaps where every item of `a` precedes every item of `b`.
-fn merge<T: Clone + Ord + Hash>(a: &Link<T>, b: &Link<T>) -> Link<T> {
+/// Merge two treaps where every key of `a` precedes every key of `b`.
+fn merge<K: Clone, V: Clone>(a: &Link<K, V>, b: &Link<K, V>) -> Link<K, V> {
     match (a, b) {
         (None, _) => b.clone(),
         (_, None) => a.clone(),
         (Some(x), Some(y)) => {
             if x.prio >= y.prio {
-                leaf(x.item.clone(), x.prio, x.left.clone(), merge(&x.right, b))
+                with_children(x, x.left.clone(), merge(&x.right, b))
             } else {
-                leaf(y.item.clone(), y.prio, merge(a, &y.left), y.right.clone())
+                with_children(y, merge(a, &y.left), y.right.clone())
             }
         }
     }
 }
 
-fn remove_node<T: Clone + Ord + Hash>(link: &Link<T>, item: &T) -> (Link<T>, bool) {
-    let Some(n) = link else {
-        return (None, false);
-    };
-    match item.cmp(&n.item) {
-        Ordering::Equal => (merge(&n.left, &n.right), true),
-        Ordering::Less => {
-            let (new_left, shrank) = remove_node(&n.left, item);
-            if !shrank {
-                return (link.clone(), false);
-            }
-            (
-                leaf(n.item.clone(), n.prio, new_left, n.right.clone()),
-                true,
-            )
-        }
-        Ordering::Greater => {
-            let (new_right, shrank) = remove_node(&n.right, item);
-            if !shrank {
-                return (link.clone(), false);
-            }
-            (
-                leaf(n.item.clone(), n.prio, n.left.clone(), new_right),
-                true,
-            )
-        }
-    }
-}
-
-fn in_order<T>(link: &Link<T>, f: &mut impl FnMut(&T)) {
+fn in_order<K, V>(link: &Link<K, V>, f: &mut impl FnMut(&K, &V)) {
     if let Some(n) = link {
         in_order(&n.left, f);
-        f(&n.item);
+        f(&n.key, &n.value);
         in_order(&n.right, f);
     }
 }
 
-fn range_visit<T>(link: &Link<T>, cmp: &impl Fn(&T) -> Ordering, f: &mut impl FnMut(&T)) {
+fn range_visit<K, V>(link: &Link<K, V>, cmp: &impl Fn(&K) -> Ordering, f: &mut impl FnMut(&K, &V)) {
     if let Some(n) = link {
-        match cmp(&n.item) {
+        match cmp(&n.key) {
             // Node below the range: everything left of it is below too.
             Ordering::Less => range_visit(&n.right, cmp, f),
             // Node above the range: prune the right subtree.
             Ordering::Greater => range_visit(&n.left, cmp, f),
             Ordering::Equal => {
                 range_visit(&n.left, cmp, f);
-                f(&n.item);
+                f(&n.key, &n.value);
                 range_visit(&n.right, cmp, f);
             }
         }
@@ -261,104 +250,83 @@ fn range_visit<T>(link: &Link<T>, cmp: &impl Fn(&T) -> Ordering, f: &mut impl Fn
 mod tests {
     use super::*;
 
-    #[test]
-    fn insert_contains_remove() {
-        let s: OrdSet<u64> = OrdSet::new();
-        let (s, grew) = s.insert(&5);
-        assert!(grew);
-        let (s, grew) = s.insert(&5);
-        assert!(!grew);
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(&5));
-        let (s, shrank) = s.remove(&5);
-        assert!(shrank);
-        assert!(s.is_empty());
-        let (_, shrank) = s.remove(&5);
-        assert!(!shrank);
+    fn set_of(keys: impl IntoIterator<Item = u64>) -> OrdMap<u64, ()> {
+        keys.into_iter()
+            .fold(OrdMap::new(), |m, k| m.alter(&k, |_| Some(())))
     }
 
     #[test]
-    fn iterates_in_sorted_order() {
-        let items = [9u64, 3, 7, 1, 8, 2, 6, 0, 5, 4];
-        let s: OrdSet<u64> = items.iter().copied().collect();
-        assert_eq!(s.to_vec(), (0..10).collect::<Vec<_>>());
+    fn alter_inserts_overwrites_and_removes() {
+        let m: OrdMap<u64, i64> = OrdMap::new();
+        let m = m.alter(&5, |old| {
+            assert_eq!(old, None);
+            Some(1)
+        });
+        assert_eq!((m.len(), m.get(&5)), (1, Some(&1)));
+        let m = m.alter(&5, |old| old.map(|c| c + 2));
+        assert_eq!((m.len(), m.get(&5)), (1, Some(&3)));
+        let m = m.alter(&5, |_| None);
+        assert!(m.is_empty() && m.get(&5).is_none());
+        assert!(m.alter(&5, |_| None).is_empty(), "removing the absent");
     }
 
     #[test]
-    fn shape_is_canonical_regardless_of_insertion_order() {
-        let a: OrdSet<u64> = (0..200).collect();
-        let b: OrdSet<u64> = (0..200).rev().collect();
-        // Same canonical shape means identical in-order AND identical
-        // pre-order traversals.
-        fn pre_order(link: &Link<u64>, out: &mut Vec<u64>) {
+    fn an_edit_that_changes_nothing_shares_the_whole_tree() {
+        let m = set_of(0..100);
+        for same in [m.alter(&7, |_| Some(())), m.alter(&1000, |_| None)] {
+            assert_eq!(same.len(), 100);
+            assert!(Arc::ptr_eq(
+                same.root.as_ref().unwrap(),
+                m.root.as_ref().unwrap()
+            ));
+        }
+    }
+
+    #[test]
+    fn shape_is_canonical_regardless_of_history() {
+        fn pre_order(link: &Link<u64, ()>, out: &mut Vec<u64>) {
             if let Some(n) = link {
-                out.push(n.item);
+                out.push(n.key);
                 pre_order(&n.left, out);
                 pre_order(&n.right, out);
+                // The heap property, checked on the way.
+                for child in [&n.left, &n.right].into_iter().flatten() {
+                    assert!(child.prio <= n.prio);
+                }
             }
         }
-        let (mut pa, mut pb) = (Vec::new(), Vec::new());
-        pre_order(&a.root, &mut pa);
-        pre_order(&b.root, &mut pb);
-        assert_eq!(pa, pb);
+        let evens = || (0..200u64).map(|k| 2 * k);
+        let a = set_of(evens());
+        let b = set_of(evens().rev());
+        // A detour through the odd keys in between and their removal.
+        let c = evens().fold(set_of(0..400), |m, k| m.alter(&(k + 1), |_| None));
+        let shapes: Vec<Vec<u64>> = [&a, &b, &c]
+            .iter()
+            .map(|m| {
+                let mut out = Vec::new();
+                pre_order(&m.root, &mut out);
+                out
+            })
+            .collect();
+        assert_eq!(shapes[0], shapes[1]);
+        assert_eq!(shapes[0], shapes[2]);
+        let mut in_order = Vec::new();
+        a.for_each(|k, ()| in_order.push(*k));
+        assert_eq!(in_order, evens().collect::<Vec<_>>());
+        assert!(a == b && a == c);
+        assert!(a != a.alter(&0, |_| None).alter(&1000, |_| Some(())));
     }
 
     #[test]
-    fn snapshots_are_isolated() {
-        let base: OrdSet<u64> = (0..50).collect();
-        let snapshot = base.clone();
-        let mut working = base;
-        for v in 50..100 {
-            working = working.insert(&v).0;
-            working = working.remove(&(v - 50)).0;
-        }
-        assert_eq!(snapshot.len(), 50);
-        assert_eq!(snapshot.to_vec(), (0..50).collect::<Vec<_>>());
-        assert_eq!(working.to_vec(), (50..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_probe_visits_exactly_the_range() {
-        let s: OrdSet<(u64, u64)> = (0..10).flat_map(|a| (0..10).map(move |b| (a, b))).collect();
+    fn range_probe_visits_exactly_the_range_in_order() {
+        let m = (0..10u64)
+            .flat_map(|a| (0..10u64).map(move |b| (a, b)))
+            .fold(OrdMap::new(), |m, k| m.alter(&k, |_| Some(k.0 * k.1)));
         let mut seen = Vec::new();
-        s.for_each_in_range(|&(a, _)| a.cmp(&4), |t| seen.push(*t));
-        assert_eq!(seen, (0..10).map(|b| (4, b)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_probe_on_empty_range_is_empty() {
-        let s: OrdSet<u64> = (0..10).map(|v| v * 2).collect();
-        let mut seen = Vec::new();
-        s.for_each_in_range(|v| v.cmp(&7), |t| seen.push(*t));
-        assert!(seen.is_empty());
-    }
-
-    #[test]
-    fn behaves_like_btreeset_under_random_ops() {
-        use std::collections::BTreeSet;
-        // Deterministic pseudo-random op stream.
-        let mut state = 0x1234_5678_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut model: BTreeSet<u64> = BTreeSet::new();
-        let mut s: OrdSet<u64> = OrdSet::new();
-        for _ in 0..2000 {
-            let v = next() % 100;
-            if next() % 2 == 0 {
-                let (ns, grew) = s.insert(&v);
-                assert_eq!(grew, model.insert(v));
-                s = ns;
-            } else {
-                let (ns, shrank) = s.remove(&v);
-                assert_eq!(shrank, model.remove(&v));
-                s = ns;
-            }
-            assert_eq!(s.len(), model.len());
-        }
-        assert_eq!(s.to_vec(), model.iter().copied().collect::<Vec<_>>());
+        m.for_each_in_range(|&(a, _)| a.cmp(&4), |k, v| seen.push((*k, *v)));
+        assert_eq!(seen, (0..10).map(|b| ((4, b), 4 * b)).collect::<Vec<_>>());
+        seen.clear();
+        m.for_each_in_range(|&(a, _)| a.cmp(&10), |k, v| seen.push((*k, *v)));
+        assert!(seen.is_empty(), "a range between or past the keys is empty");
     }
 }

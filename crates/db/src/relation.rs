@@ -1,33 +1,52 @@
 //! A single stored relation: a persistent set of tuples of fixed arity.
 
-use crate::hamt;
-use crate::ord::OrdSet;
+use crate::ord::OrdMap;
 use crate::tuple::Tuple;
 use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use td_core::Value;
+
+/// Seed separating the high digest lane from the low one.
+const DIGEST_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// 128-bit member hash for the commutative set digest: the plain hash in the
+/// low lane, an independently seeded hash in the high lane. 64 bits is not
+/// enough once digests key long-lived memo tables — a silent collision there
+/// would merge distinct database states. Persisted (WAL records, snapshot
+/// headers), so the seeds and lane layout are frozen; `tests/digest_golden.rs`
+/// pins them.
+fn hash128_of(t: &Tuple) -> u128 {
+    let mut lo = DefaultHasher::new();
+    t.hash(&mut lo);
+    let mut hi = DefaultHasher::new();
+    DIGEST_SEED.hash(&mut hi);
+    t.hash(&mut hi);
+    ((hi.finish() as u128) << 64) | lo.finish() as u128
+}
 
 /// A persistent relation. Like [`crate::Database`], relations are immutable
 /// values: `insert`/`remove` return new versions sharing structure.
 ///
-/// Two structures are maintained per relation, both persistent:
-/// - a HAMT ([`hamt::Set`]) carrying membership, the commutative digest, and
-///   unordered iteration;
-/// - a sorted treap ([`OrdSet`]) over the same tuples, the *binding-pattern
-///   index*: tuples order lexicographically, so every pattern that binds a
-///   contiguous prefix of columns selects a contiguous sorted range, and
-///   [`Relation::select`] answers it with a range probe instead of a scan.
+/// The tuples live in one sorted persistent map ([`OrdMap`]), which serves
+/// membership, ordered iteration and the *binding-pattern index* alike:
+/// tuples order lexicographically, so every pattern that binds a contiguous
+/// prefix of columns selects a contiguous sorted range, and
+/// [`Relation::select`] answers it with a range probe instead of a scan.
 #[derive(Clone, Debug)]
 pub struct Relation {
     arity: usize,
-    tuples: hamt::Set<Tuple>,
-    index: OrdSet<Tuple>,
+    tuples: OrdMap<Tuple, ()>,
+    /// Commutative (xor) fold of all 128-bit member hashes; lets two
+    /// versions be compared or hashed in O(1).
+    sethash: u128,
 }
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
-        // The index is derived data over the same tuple set; comparing it
-        // would be redundant work.
-        self.arity == other.arity && self.tuples == other.tuples
+        // Unequal digests prove unequal contents; equal ones are verified
+        // structurally (a 2⁻¹²⁸ collision must not forge equality).
+        self.arity == other.arity && self.sethash == other.sethash && self.tuples == other.tuples
     }
 }
 
@@ -38,8 +57,8 @@ impl Relation {
     pub fn new(arity: usize) -> Relation {
         Relation {
             arity,
-            tuples: hamt::Set::new(),
-            index: OrdSet::new(),
+            tuples: OrdMap::new(),
+            sethash: 0,
         }
     }
 
@@ -58,55 +77,59 @@ impl Relation {
         self.tuples.is_empty()
     }
 
-    /// Commutative digest of the tuple set (see [`hamt::Set::digest`]).
+    /// Commutative digest of the tuple set, maintained incrementally. Equal
+    /// sets have equal digests; unequal sets collide with probability
+    /// ~2⁻¹²⁸ per comparison.
     pub fn digest(&self) -> u128 {
-        self.tuples.digest()
+        self.sethash
     }
 
-    /// Membership test.
+    /// Recompute the digest by re-hashing every stored tuple. Always equal
+    /// to [`Relation::digest`]; exists as the oracle for the incremental
+    /// maintenance (`Store::verify` cross-checks the two).
+    pub fn digest_from_scratch(&self) -> u128 {
+        let mut digest = 0;
+        self.tuples.for_each(|t, ()| digest ^= hash128_of(t));
+        digest
+    }
+
+    /// Membership test, O(log n).
     ///
     /// # Panics
     /// Debug-asserts the tuple arity.
     pub fn contains(&self, t: &Tuple) -> bool {
         debug_assert_eq!(t.arity(), self.arity);
-        self.tuples.contains(t)
+        self.tuples.get(t).is_some()
     }
 
     /// Insert; returns the new relation and whether it grew.
     pub fn insert(&self, t: &Tuple) -> (Relation, bool) {
         debug_assert_eq!(t.arity(), self.arity);
-        let (tuples, grew) = self.tuples.insert(t);
-        let index = if grew {
-            self.index.insert(t).0
-        } else {
-            self.index.clone()
-        };
-        (
-            Relation {
-                arity: self.arity,
-                tuples,
-                index,
-            },
-            grew,
-        )
+        self.with_tuples(self.tuples.alter(t, |_| Some(())), t)
     }
 
     /// Remove; returns the new relation and whether it shrank.
     pub fn remove(&self, t: &Tuple) -> (Relation, bool) {
         debug_assert_eq!(t.arity(), self.arity);
-        let (tuples, shrank) = self.tuples.remove(t);
-        let index = if shrank {
-            self.index.remove(t).0
+        self.with_tuples(self.tuples.alter(t, |_| None), t)
+    }
+
+    /// The version holding `tuples`, which differs from `self.tuples` by at
+    /// most the membership of `t`; the flag says whether it does.
+    fn with_tuples(&self, tuples: OrdMap<Tuple, ()>, t: &Tuple) -> (Relation, bool) {
+        let changed = tuples.len() != self.tuples.len();
+        let sethash = if changed {
+            self.sethash ^ hash128_of(t)
         } else {
-            self.index.clone()
+            self.sethash
         };
         (
             Relation {
                 arity: self.arity,
                 tuples,
-                index,
+                sethash,
             },
-            shrank,
+            changed,
         )
     }
 
@@ -114,86 +137,71 @@ impl Relation {
     ///
     /// Three regimes, fastest applicable first:
     /// - fully bound: a membership test, O(log n);
-    /// - a bound contiguous prefix of ≥ 1 column: a sorted-range probe on
-    ///   the index, O(log n + candidates), with any bound columns *after*
-    ///   the first free one filtered per candidate;
-    /// - otherwise (first column free): an in-order walk of the index.
+    /// - a bound contiguous prefix of ≥ 1 column: a sorted-range probe,
+    ///   O(log n + candidates), with any bound columns *after* the first
+    ///   free one filtered per candidate;
+    /// - otherwise (first column free): an in-order walk.
     ///
     /// Every regime returns tuples in sorted (lexicographic) order — the
     /// engine's canonical expansion order — so callers never re-sort.
     pub fn select(&self, pattern: &[Option<Value>]) -> Vec<Tuple> {
         debug_assert_eq!(pattern.len(), self.arity);
-        if pattern.iter().all(Option::is_some) {
-            let t = Tuple::new(pattern.iter().map(|v| v.expect("all bound")).collect());
-            return if self.tuples.contains(&t) {
-                vec![t]
-            } else {
-                Vec::new()
-            };
-        }
-        let prefix_len = pattern.iter().take_while(|v| v.is_some()).count();
-        if prefix_len > 0 {
-            return self.select_by_prefix(pattern, prefix_len);
-        }
-        let fully_free = pattern.iter().all(Option::is_none);
-        let mut out = Vec::new();
-        self.index.for_each(|t| {
-            if fully_free || t.matches(pattern) {
-                out.push(t.clone());
-            }
-        });
-        out
+        select(&self.tuples, pattern, |()| true)
     }
 
-    /// Range probe: tuples sort lexicographically, so tuples whose first
-    /// `prefix_len` fields equal the bound prefix are contiguous.
-    fn select_by_prefix(&self, pattern: &[Option<Value>], prefix_len: usize) -> Vec<Tuple> {
-        let prefix: Vec<Value> = pattern[..prefix_len]
-            .iter()
-            .map(|v| v.expect("prefix is bound"))
-            .collect();
-        // Whether any bound column remains after the free gap; if not, every
-        // tuple in the range matches and the per-candidate filter is skipped.
-        let fully_covered = pattern[prefix_len..].iter().all(Option::is_none);
-        let mut out = Vec::new();
-        self.index.for_each_in_range(
-            |t| compare_prefix(t.values(), &prefix),
-            |t| {
-                if fully_covered || t.matches(pattern) {
-                    out.push(t.clone());
-                }
-            },
-        );
-        out
+    /// Visit every tuple in sorted order.
+    pub fn for_each(&self, mut f: impl FnMut(&Tuple)) {
+        self.tuples.for_each(|t, ()| f(t));
     }
 
-    /// Visit every tuple.
-    pub fn for_each(&self, f: impl FnMut(&Tuple)) {
-        self.tuples.for_each(f);
-    }
-
-    /// All tuples (unspecified order).
+    /// All tuples in sorted (lexicographic) order.
     pub fn to_vec(&self) -> Vec<Tuple> {
-        self.tuples.to_vec()
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each(|t| out.push(t.clone()));
+        out
     }
+}
 
-    /// All tuples in sorted (lexicographic) order, via the index.
-    pub fn to_sorted_vec(&self) -> Vec<Tuple> {
-        self.index.to_vec()
+/// The three-regime selection behind [`Relation::select`] and
+/// [`crate::CountedRelation::select`]: the keys of `map` matching `pattern`
+/// whose value `is_member` accepts, in sorted order.
+pub(crate) fn select<V: Clone + PartialEq>(
+    map: &OrdMap<Tuple, V>,
+    pattern: &[Option<Value>],
+    is_member: impl Fn(&V) -> bool,
+) -> Vec<Tuple> {
+    let prefix: Vec<Value> = pattern.iter().map_while(|v| *v).collect();
+    if prefix.len() == pattern.len() {
+        let t = Tuple::new(prefix);
+        return match map.get(&t) {
+            Some(v) if is_member(v) => vec![t],
+            _ => Vec::new(),
+        };
     }
+    // Whether any bound column remains after the first free one; if not,
+    // every tuple visited matches and the per-candidate filter is skipped.
+    let fully_covered = pattern[prefix.len()..].iter().all(Option::is_none);
+    let mut out = Vec::new();
+    let keep = |t: &Tuple, v: &V| {
+        if is_member(v) && (fully_covered || t.matches(pattern)) {
+            out.push(t.clone());
+        }
+    };
+    if prefix.is_empty() {
+        map.for_each(keep);
+    } else {
+        // Tuples sort lexicographically, so those whose leading fields equal
+        // the bound prefix are contiguous.
+        map.for_each_in_range(|t| compare_prefix(t.values(), &prefix), keep);
+    }
+    out
 }
 
 /// Compare a tuple's leading fields against a bound prefix, as the range
 /// comparator for the index probe: `Less`/`Greater` when the tuple sorts
 /// before/after every tuple carrying the prefix, `Equal` when it carries it.
 fn compare_prefix(values: &[Value], prefix: &[Value]) -> Ordering {
-    for (v, p) in values.iter().zip(prefix.iter()) {
-        match v.cmp(p) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    Ordering::Equal
+    values[..prefix.len()].cmp(prefix)
 }
 
 #[cfg(test)]
@@ -255,97 +263,19 @@ mod tests {
     }
 
     #[test]
-    fn prefix_probe_agrees_with_scan_on_every_pattern_shape() {
-        let mut r = Relation::new(3);
-        for a in 0..4i64 {
-            for b in 0..4i64 {
-                for c in 0..4i64 {
-                    if (a + b + c) % 2 == 0 {
-                        r = r.insert(&tuple!(a, b, c)).0;
-                    }
-                }
-            }
-        }
-        let vals: Vec<Option<Value>> = vec![None, Some(Value::Int(2))];
-        for p0 in &vals {
-            for p1 in &vals {
-                for p2 in &vals {
-                    let pattern = [*p0, *p1, *p2];
-                    let mut got = r.select(&pattern);
-                    got.sort();
-                    let mut expected: Vec<Tuple> = Vec::new();
-                    r.for_each(|t| {
-                        if t.matches(&pattern) {
-                            expected.push(t.clone());
-                        }
-                    });
-                    expected.sort();
-                    assert_eq!(got, expected, "pattern {pattern:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_probe_returns_sorted_tuples() {
+    fn from_scratch_digest_catches_a_drifted_sethash() {
         let mut r = Relation::new(2);
-        for i in [5i64, 1, 4, 2, 3] {
-            r = r.insert(&tuple!("k", i)).0;
-            r = r.insert(&tuple!("other", i)).0;
-        }
-        let got = r.select(&[Some(Value::sym("k")), None]);
-        let keys: Vec<i64> = got
-            .iter()
-            .map(|t| match t.values()[1] {
-                Value::Int(i) => i,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(keys, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn scan_regime_returns_sorted_tuples() {
-        let mut r = Relation::new(2);
-        for (s, i) in [("c", 2), ("a", 9), ("b", 1), ("a", 3), ("c", 1)] {
+        for (s, i) in [("w1", 1), ("w1", 2), ("w2", 1)] {
             r = r.insert(&tuple!(s, i)).0;
         }
-        // First column free → scan regime; must still come back sorted.
-        let all = r.select(&[None, None]);
-        let mut expected = all.clone();
-        expected.sort();
-        assert_eq!(all, expected);
-        let gap = r.select(&[None, Some(Value::Int(1))]);
-        let mut expected = gap.clone();
-        expected.sort();
-        assert_eq!(gap, expected);
-        assert_eq!(gap.len(), 2);
-    }
-
-    #[test]
-    fn index_survives_removal() {
-        let mut r = Relation::new(2);
-        for i in 0..10i64 {
-            r = r.insert(&tuple!("a", i)).0;
-        }
-        for i in (0..10i64).step_by(2) {
-            r = r.remove(&tuple!("a", i)).0;
-        }
-        let got = r.select(&[Some(Value::sym("a")), None]);
-        assert_eq!(got.len(), 5);
-        assert!(got
-            .iter()
-            .all(|t| matches!(t.values()[1], Value::Int(i) if i % 2 == 1)));
-    }
-
-    #[test]
-    fn gap_pattern_filters_trailing_bound_columns() {
-        let mut r = Relation::new(3);
-        for b in 0..5i64 {
-            r = r.insert(&tuple!("x", b, b % 2)).0;
-        }
-        // Bound prefix "x", free middle, bound tail 0.
-        let got = r.select(&[Some(Value::sym("x")), None, Some(Value::Int(0))]);
-        assert_eq!(got.len(), 3); // b ∈ {0, 2, 4}
+        r = r.remove(&tuple!("w1", 2)).0;
+        assert_eq!(r.digest(), r.digest_from_scratch());
+        // A relation whose maintained digest missed the removal.
+        let drifted = Relation {
+            sethash: r.sethash ^ hash128_of(&tuple!("w1", 2)),
+            ..r.clone()
+        };
+        assert_ne!(drifted.digest(), drifted.digest_from_scratch());
+        assert_eq!(drifted.digest_from_scratch(), r.digest());
     }
 }

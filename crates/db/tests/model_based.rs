@@ -1,12 +1,17 @@
 //! Model-based property tests: the persistent [`Database`] against a plain
-//! `BTreeMap<Pred, BTreeSet<Tuple>>` reference model, including snapshot
-//! semantics (old versions must never observe later edits — the property
-//! the engine's backtracking depends on).
+//! `BTreeMap<Pred, BTreeSet<Tuple>>` reference model, [`Relation`] against a
+//! `BTreeSet<Tuple>` and [`CountedRelation`] against a `BTreeMap<Tuple, i64>`,
+//! including snapshot semantics (old versions must never observe later
+//! edits — the property the engine's backtracking depends on).
+//!
+//! All three sit on the one persistent map in `td_db::ord`, so this is also
+//! that structure's model suite: insert, overwrite, remove, ordered walk and
+//! range probe, under sharing between versions.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use td_core::{Pred, Value};
-use td_db::{Database, Tuple};
+use td_db::{CountedRelation, Database, Relation, Transition, Tuple};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -32,6 +37,57 @@ fn tuple(vals: &[i64]) -> Tuple {
 }
 
 type Model = BTreeMap<Pred, BTreeSet<Tuple>>;
+
+/// A small mixed domain, so orderings cross the int/symbol boundary and
+/// compare symbols by text.
+fn mixed(code: u8) -> Value {
+    match code {
+        0 => Value::Int(-1),
+        1 => Value::Int(3),
+        2 => Value::sym("a"),
+        _ => Value::sym("ab"),
+    }
+}
+
+fn mixed_tuple(codes: &[u8]) -> Tuple {
+    Tuple::new(codes.iter().map(|c| mixed(*c)).collect())
+}
+
+/// Every binding pattern that takes its bound columns from `probe`: one per
+/// subset of the columns, so every bound/free shape is covered.
+fn patterns_from(probe: &Tuple) -> Vec<Vec<Option<Value>>> {
+    let vals = probe.values();
+    (0..1u32 << vals.len())
+        .map(|mask| {
+            let bound = |(i, v): (usize, &Value)| (mask >> i & 1 == 1).then_some(*v);
+            vals.iter().enumerate().map(bound).collect()
+        })
+        .collect()
+}
+
+type CountModel = BTreeMap<Tuple, i64>;
+
+fn assert_counts_match_model(r: &CountedRelation, model: &CountModel, probe: &Tuple) {
+    assert_eq!(r.len(), model.len());
+    let mut entries = Vec::new();
+    r.for_each(|t, c| entries.push((t.clone(), c)));
+    let expected: Vec<(Tuple, i64)> = model.iter().map(|(t, c)| (t.clone(), *c)).collect();
+    assert_eq!(entries, expected, "entries, in order, with their counts");
+    let members: Vec<Tuple> = model
+        .iter()
+        .filter(|(_, c)| **c > 0)
+        .map(|(t, _)| t.clone())
+        .collect();
+    assert_eq!(r.to_vec(), members);
+    for pattern in patterns_from(probe) {
+        let expected: Vec<Tuple> = members
+            .iter()
+            .filter(|t| t.matches(&pattern))
+            .cloned()
+            .collect();
+        assert_eq!(r.select(&pattern), expected, "pattern {pattern:?}");
+    }
+}
 
 fn assert_matches_model(db: &Database, model: &Model) {
     for i in 0..3u8 {
@@ -174,5 +230,87 @@ proptest! {
         prop_assert!(back.same_content(&d0));
         let forward = delta.replay(&d0).unwrap();
         prop_assert!(forward.same_content(&db));
+    }
+
+    /// `select` under every bound/free pattern shape over arity 3 returns
+    /// exactly the model's matching tuples, in the model's (sorted) order —
+    /// whichever of the three probe regimes serves the shape — and the
+    /// walks, the size and the digest agree with the model too.
+    #[test]
+    fn relation_select_matches_model_on_every_pattern_shape(
+        ops in proptest::collection::vec((any::<bool>(), proptest::collection::vec(0u8..4, 3)), 0..150),
+        probe in proptest::collection::vec(0u8..4, 3),
+    ) {
+        let mut rel = Relation::new(3);
+        let mut model: BTreeSet<Tuple> = BTreeSet::new();
+        for (is_insert, codes) in &ops {
+            let t = mixed_tuple(codes);
+            let (next, changed) = if *is_insert { rel.insert(&t) } else { rel.remove(&t) };
+            let model_changed = if *is_insert { model.insert(t) } else { model.remove(&t) };
+            prop_assert_eq!(changed, model_changed);
+            rel = next;
+        }
+        let sorted: Vec<Tuple> = model.iter().cloned().collect();
+        prop_assert_eq!(rel.len(), model.len());
+        prop_assert_eq!(rel.to_vec(), sorted.clone());
+        let mut walked = Vec::new();
+        rel.for_each(|t| walked.push(t.clone()));
+        prop_assert_eq!(walked, sorted.clone());
+        for pattern in patterns_from(&mixed_tuple(&probe)) {
+            let expected: Vec<Tuple> =
+                sorted.iter().filter(|t| t.matches(&pattern)).cloned().collect();
+            prop_assert_eq!(rel.select(&pattern), expected, "pattern {:?}", pattern);
+        }
+        // Content identity is history-independent: the same set built in
+        // sorted order, with no removals, is equal and digests equally.
+        let rebuilt = sorted.iter().fold(Relation::new(3), |r, t| r.insert(t).0);
+        prop_assert_eq!(rel.digest(), rebuilt.digest());
+        prop_assert_eq!(rel.digest(), rel.digest_from_scratch());
+        prop_assert!(rel == rebuilt);
+        if let Some(t) = sorted.first() {
+            prop_assert!(rel != rebuilt.remove(t).0);
+        }
+    }
+
+    /// `CountedRelation` against a `BTreeMap<Tuple, i64>` under random
+    /// `add(±k)`: counts, membership transitions, `select`, `len`, and
+    /// snapshots that never observe later edits.
+    #[test]
+    fn counted_relation_behaves_like_model(
+        // (tuple, delta, take a snapshot first when 0)
+        ops in proptest::collection::vec((proptest::collection::vec(0u8..4, 2), -3i64..4, 0u8..5), 0..150),
+        probe in proptest::collection::vec(0u8..4, 2),
+    ) {
+        let probe = mixed_tuple(&probe);
+        let mut rel = CountedRelation::new(2);
+        let mut model: CountModel = BTreeMap::new();
+        let mut snapshots: Vec<(CountedRelation, CountModel)> = Vec::new();
+        for (codes, delta, snapshot) in ops {
+            if snapshot == 0 {
+                snapshots.push((rel.clone(), model.clone()));
+            }
+            let t = mixed_tuple(&codes);
+            let old = model.get(&t).copied().unwrap_or(0);
+            let new = old + delta;
+            if new == 0 {
+                model.remove(&t);
+            } else {
+                model.insert(t.clone(), new);
+            }
+            let expected = match (old > 0, new > 0) {
+                (false, true) => Transition::Appeared,
+                (true, false) => Transition::Disappeared,
+                _ => Transition::Unchanged,
+            };
+            let (next, transition) = rel.add(&t, delta);
+            prop_assert_eq!(transition, expected);
+            prop_assert_eq!(next.count(&t), new);
+            prop_assert_eq!(next.contains(&t), new > 0);
+            rel = next;
+        }
+        assert_counts_match_model(&rel, &model, &probe);
+        for (snap, snap_model) in &snapshots {
+            assert_counts_match_model(snap, snap_model, &probe);
+        }
     }
 }

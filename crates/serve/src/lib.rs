@@ -365,7 +365,7 @@ pub fn open_or_init_store(dir: &Path, parsed: &ParsedProgram) -> td_store::Resul
     let mut genesis = td_db::Delta::new();
     for p in with_init.preds() {
         if let Some(rel) = with_init.relation(p) {
-            for t in rel.to_sorted_vec() {
+            for t in rel.to_vec() {
                 genesis.push(td_db::DeltaOp::Ins(p, t));
             }
         }

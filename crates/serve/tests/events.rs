@@ -252,7 +252,7 @@ fn concurrent_ingestion_fires_each_match_exactly_once() {
         .db()
         .relation(td_core::Pred::new("handled", 2))
         .unwrap()
-        .to_sorted_vec()
+        .to_vec()
         .len();
     assert_eq!(handled as u64, total);
     std::fs::remove_dir_all(&dir).unwrap();

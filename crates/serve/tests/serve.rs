@@ -168,7 +168,7 @@ fn concurrent_conflicting_transfers_conserve_balance() {
         .iter()
         .map(|acct| {
             let rel = db.relation(td_core::Pred::new("balance", 2)).unwrap();
-            rel.to_sorted_vec()
+            rel.to_vec()
                 .iter()
                 .find(|t| t.values()[0].to_string() == *acct)
                 .map(|t| t.values()[1].to_string().parse().unwrap())

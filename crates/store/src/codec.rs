@@ -364,7 +364,7 @@ pub fn put_database(enc: &mut Enc, db: &Database) {
         let rel = db.relation(p).expect("preds() yields declared relations");
         put_pred(enc, p);
         enc.put_varint(rel.len() as u64);
-        for t in rel.to_sorted_vec() {
+        for t in rel.to_vec() {
             put_tuple(enc, &t);
         }
     }

@@ -46,7 +46,7 @@ fn committed_corpus_store(dir: &Path) -> Vec<u128> {
     let mut genesis = td_db::Delta::new();
     for p in with_init.preds() {
         if let Some(rel) = with_init.relation(p) {
-            for t in rel.to_sorted_vec() {
+            for t in rel.to_vec() {
                 genesis.push(td_db::DeltaOp::Ins(p, t));
             }
         }

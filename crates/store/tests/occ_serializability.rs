@@ -60,7 +60,7 @@ fn genesis(accounts: usize) -> Database {
 fn balance_of(db: &Database, i: usize) -> i64 {
     let rel = db.relation(pred()).expect("declared");
     let name = acct(i);
-    rel.to_sorted_vec()
+    rel.to_vec()
         .iter()
         .find_map(|t| {
             let v = t.values();

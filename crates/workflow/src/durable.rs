@@ -112,7 +112,7 @@ fn open_for(scenario: &Scenario, dir: &Path) -> Result<Store, StoreError> {
     let mut genesis = Delta::new();
     for p in scenario.db.preds() {
         if let Some(rel) = scenario.db.relation(p) {
-            for t in rel.to_sorted_vec() {
+            for t in rel.to_vec() {
                 genesis.push(DeltaOp::Ins(p, t));
             }
         }

@@ -95,7 +95,7 @@ fn run_durably(source: &str, dir: &std::path::Path, backend: SearchBackend) -> u
     let mut genesis = Delta::new();
     for p in with_init.preds() {
         if let Some(rel) = with_init.relation(p) {
-            for t in rel.to_sorted_vec() {
+            for t in rel.to_vec() {
                 genesis.push(DeltaOp::Ins(p, t));
             }
         }
