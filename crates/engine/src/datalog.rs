@@ -1,10 +1,13 @@
-//! Classical bottom-up Datalog evaluation (semi-naive).
+//! Classical bottom-up Datalog evaluation.
 //!
 //! §6 of the paper observes that the update-free core of TD *is* classical
 //! Datalog — queries with a least-fixpoint semantics — "so well-known
 //! optimization techniques (such as magic sets or tabling) can be applied".
-//! This module provides that classical engine: a semi-naive bottom-up
-//! evaluator over the same `td-core` rule representation, used
+//! This module is the front of that classical engine: it decides which
+//! rules are Datalog ([`is_datalog`]), flattens them to the literal form
+//! the engine's one evaluator compiles (`crate::incremental::circuit`), and
+//! answers one-shot questions by running that circuit from scratch
+//! ([`evaluate`], [`query`]). It serves
 //!
 //! * as the baseline in experiment E11 (TD top-down execution vs. bottom-up
 //!   evaluation on reachability workloads), and
@@ -15,13 +18,12 @@
 //! (`not p(t̄)`) — no updates, no `|`, no `iso`, no `or`. Negation needs no
 //! stratification here because the language restricts `not` to *base*
 //! relations (extensional data), which no rule can derive into.
-//! [`is_datalog`] checks this.
 
-use std::collections::{HashMap, HashSet};
+use crate::incremental::circuit::{Circuit, MatState};
+use std::collections::HashMap;
 use td_core::goal::Builtin;
-use td_core::unify::unify_terms;
-use td_core::{Atom, Bindings, Goal, Pred, Program, Rule, Term, Value};
-use td_db::{Database, Tuple};
+use td_core::{Atom, Goal, Pred, Program, Rule, Term, Value};
+use td_db::{CountedRelation, Database, Tuple};
 
 /// Why a program is not Datalog-evaluable.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -37,9 +39,8 @@ impl std::fmt::Display for NotDatalog {
 
 impl std::error::Error for NotDatalog {}
 
-/// One body literal of a flattened Datalog rule. Shared with the
-/// incremental materialization circuit (`crate::incremental`), which
-/// compiles the same flattened form into delta-join plans.
+/// One body literal of a flattened Datalog rule, the form the circuit
+/// (`crate::incremental::circuit`) joins over.
 #[derive(Clone, Debug)]
 pub(crate) enum Lit {
     Atom(Atom),
@@ -105,33 +106,41 @@ fn flatten_goal(goal: &Goal, out: &mut Vec<Lit>) -> Result<(), NotDatalog> {
 /// The least fixpoint: every derivable fact of every derived predicate.
 #[derive(Clone, Debug, Default)]
 pub struct Fixpoint {
-    facts: HashMap<Pred, HashSet<Tuple>>,
-    /// Semi-naive iterations until convergence.
+    facts: MatState,
+    /// Semi-naive rounds until convergence, summed over the program's
+    /// strongly-connected components.
     pub iterations: usize,
     /// Facts derived (including duplicates suppressed).
     pub derivations: u64,
 }
 
 impl Fixpoint {
-    /// All facts of `pred`.
-    pub fn facts_of(&self, pred: Pred) -> impl Iterator<Item = &Tuple> {
-        self.facts.get(&pred).into_iter().flatten()
+    /// All facts of `pred`, sorted.
+    pub fn facts_of(&self, pred: Pred) -> Vec<Tuple> {
+        self.facts
+            .get(&pred)
+            .map(CountedRelation::to_vec)
+            .unwrap_or_default()
+    }
+
+    /// The facts matching a (possibly non-ground) atom, sorted: an indexed
+    /// probe of the atom's relation.
+    pub(crate) fn matching(&self, atom: &Atom) -> Vec<Tuple> {
+        let pattern: Vec<Option<Value>> = atom.args.iter().map(|t| t.as_value()).collect();
+        self.facts
+            .get(&atom.pred)
+            .map(|r| r.select(&pattern))
+            .unwrap_or_default()
     }
 
     /// Does the ground atom hold in the fixpoint?
     pub fn holds(&self, atom: &Atom) -> bool {
-        match atom.ground_args() {
-            Some(vals) => self
-                .facts
-                .get(&atom.pred)
-                .is_some_and(|s| s.contains(&Tuple::new(vals))),
-            None => false,
-        }
+        atom.is_ground() && !self.matching(atom).is_empty()
     }
 
     /// Total number of derived facts.
     pub fn len(&self) -> usize {
-        self.facts.values().map(HashSet::len).sum()
+        self.facts.values().map(CountedRelation::len).sum()
     }
 
     /// True if no derived facts exist.
@@ -140,259 +149,38 @@ impl Fixpoint {
     }
 }
 
-/// Compute the least fixpoint of `program` over `db` by semi-naive
-/// iteration.
+/// Compute the least fixpoint of `program` over `db`: compile every rule
+/// into the incremental circuit and run it once from an empty derived
+/// state. Rule bodies are evaluated left to right (a `not` or builtin whose
+/// inputs no earlier literal binds matches nothing). The result is not
+/// retained anywhere; [`crate::Materializer`] is the stateful counterpart.
 pub fn evaluate(program: &Program, db: &Database) -> Result<Fixpoint, NotDatalog> {
-    let rules: Vec<FlatRule> = program
-        .rules()
-        .iter()
-        .map(flatten_rule)
-        .collect::<Result<_, _>>()?;
-
-    let mut fix = Fixpoint::default();
-    // delta = facts new in the previous round.
-    let mut delta: HashMap<Pred, HashSet<Tuple>>;
-
-    // Round 0: rules evaluated with all derived atoms ranging over the
-    // (empty) total — only rules whose derived prefix is empty fire.
-    let mut first = eval_round(&rules, program, db, &fix.facts, None, &mut fix.derivations);
-    loop {
-        fix.iterations += 1;
-        let mut new_delta: HashMap<Pred, HashSet<Tuple>> = HashMap::new();
-        for (pred, tuples) in first.drain() {
-            for t in tuples {
-                let entry = fix.facts.entry(pred).or_default();
-                if entry.insert(t.clone()) {
-                    new_delta.entry(pred).or_default().insert(t);
-                }
-            }
-        }
-        if new_delta.is_empty() {
-            break;
-        }
-        delta = new_delta;
-        first = eval_round(
-            &rules,
-            program,
-            db,
-            &fix.facts,
-            Some(&delta),
-            &mut fix.derivations,
-        );
+    let mut flat: HashMap<Pred, Vec<FlatRule>> = HashMap::new();
+    for rule in program.rules() {
+        flat.entry(rule.head.pred)
+            .or_default()
+            .push(flatten_rule(rule)?);
     }
-    Ok(fix)
+    let (facts, stats) = Circuit::new(flat).run(db);
+    Ok(Fixpoint {
+        facts,
+        iterations: stats.rounds,
+        derivations: stats.derivations,
+    })
 }
 
-/// All answers to a (possibly non-ground) atom: tuples of the predicate
-/// matching the atom's bound positions, drawn from the fixpoint for derived
-/// predicates or the database for base predicates.
+/// All answers to a (possibly non-ground) atom, sorted: tuples of the
+/// predicate matching the atom's bound positions, drawn from the fixpoint
+/// for derived predicates or the database for base predicates.
 pub fn query(program: &Program, db: &Database, atom: &Atom) -> Result<Vec<Tuple>, NotDatalog> {
-    let pattern: Vec<Option<Value>> = atom.args.iter().map(|t| t.as_value()).collect();
     if program.is_base(atom.pred) {
-        let mut out = db
+        let pattern: Vec<Option<Value>> = atom.args.iter().map(|t| t.as_value()).collect();
+        return Ok(db
             .relation(atom.pred)
             .map(|r| r.select(&pattern))
-            .unwrap_or_default();
-        out.sort();
-        return Ok(out);
+            .unwrap_or_default());
     }
-    let fix = evaluate(program, db)?;
-    let mut out: Vec<Tuple> = fix
-        .facts_of(atom.pred)
-        .filter(|t| t.matches(&pattern))
-        .cloned()
-        .collect();
-    out.sort();
-    Ok(out)
-}
-
-/// Evaluate every rule once. With `delta`, semi-naive: at least one derived
-/// body atom must come from `delta`.
-fn eval_round(
-    rules: &[FlatRule],
-    program: &Program,
-    db: &Database,
-    total: &HashMap<Pred, HashSet<Tuple>>,
-    delta: Option<&HashMap<Pred, HashSet<Tuple>>>,
-    derivations: &mut u64,
-) -> HashMap<Pred, HashSet<Tuple>> {
-    let mut out: HashMap<Pred, HashSet<Tuple>> = HashMap::new();
-    for rule in rules {
-        let derived_positions: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| match l {
-                Lit::Atom(a) if program.is_derived(a.pred) => Some(i),
-                _ => None,
-            })
-            .collect();
-        match delta {
-            None => {
-                eval_rule(rule, program, db, total, None, &mut out, derivations);
-            }
-            Some(d) => {
-                if derived_positions.is_empty() {
-                    // Already produced in round 0; nothing new can arise.
-                    continue;
-                }
-                for &pos in &derived_positions {
-                    eval_rule(
-                        rule,
-                        program,
-                        db,
-                        total,
-                        Some((pos, d)),
-                        &mut out,
-                        derivations,
-                    );
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Nested-loop join over the body, in order; `delta_at` forces one position
-/// to range over the delta.
-fn eval_rule(
-    rule: &FlatRule,
-    program: &Program,
-    db: &Database,
-    total: &HashMap<Pred, HashSet<Tuple>>,
-    delta_at: Option<(usize, &HashMap<Pred, HashSet<Tuple>>)>,
-    out: &mut HashMap<Pred, HashSet<Tuple>>,
-    derivations: &mut u64,
-) {
-    let mut bindings = Bindings::new();
-    bindings.alloc(rule.num_vars);
-    join(
-        rule,
-        0,
-        program,
-        db,
-        total,
-        delta_at,
-        &mut bindings,
-        out,
-        derivations,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn join(
-    rule: &FlatRule,
-    idx: usize,
-    program: &Program,
-    db: &Database,
-    total: &HashMap<Pred, HashSet<Tuple>>,
-    delta_at: Option<(usize, &HashMap<Pred, HashSet<Tuple>>)>,
-    bindings: &mut Bindings,
-    out: &mut HashMap<Pred, HashSet<Tuple>>,
-    derivations: &mut u64,
-) {
-    if idx == rule.body.len() {
-        // Emit the head fact.
-        let values: Option<Vec<Value>> = rule
-            .head
-            .args
-            .iter()
-            .map(|t| bindings.value_of(*t))
-            .collect();
-        if let Some(values) = values {
-            *derivations += 1;
-            out.entry(rule.head.pred)
-                .or_default()
-                .insert(Tuple::new(values));
-        }
-        // Unbound head vars: the rule is range-restricted, so this only
-        // happens when a builtin failed to bind; skip silently.
-        return;
-    }
-    match &rule.body[idx] {
-        Lit::Atom(atom) => {
-            let resolved: Vec<Term> = atom.args.iter().map(|t| bindings.resolve(*t)).collect();
-            let candidates: Vec<Tuple> = if program.is_base(atom.pred) {
-                let pattern: Vec<Option<Value>> = resolved.iter().map(|t| t.as_value()).collect();
-                db.relation(atom.pred)
-                    .map(|r| r.select(&pattern))
-                    .unwrap_or_default()
-            } else {
-                let source = match delta_at {
-                    Some((pos, d)) if pos == idx => d.get(&atom.pred),
-                    _ => total.get(&atom.pred),
-                };
-                source
-                    .map(|s| s.iter().cloned().collect())
-                    .unwrap_or_default()
-            };
-            for t in candidates {
-                let mark = bindings.mark();
-                let ok = resolved
-                    .iter()
-                    .zip(t.values())
-                    .all(|(a, v)| unify_terms(bindings, *a, Term::Val(*v)));
-                if ok {
-                    join(
-                        rule,
-                        idx + 1,
-                        program,
-                        db,
-                        total,
-                        delta_at,
-                        bindings,
-                        out,
-                        derivations,
-                    );
-                }
-                bindings.undo_to(mark);
-            }
-        }
-        Lit::NegAtom(atom) => {
-            // All args must be bound here (left-to-right safety); an
-            // unresolved variable means the rule is not evaluable in this
-            // order — treat as no match, like a failing filter.
-            let values: Option<Vec<Value>> =
-                atom.args.iter().map(|t| bindings.value_of(*t)).collect();
-            if let Some(values) = values {
-                let absent = !db.contains(atom.pred, &Tuple::new(values));
-                if absent {
-                    join(
-                        rule,
-                        idx + 1,
-                        program,
-                        db,
-                        total,
-                        delta_at,
-                        bindings,
-                        out,
-                        derivations,
-                    );
-                }
-            }
-        }
-        Lit::Builtin(op, terms) => {
-            let mark = bindings.mark();
-            // Builtins in the bottom-up setting are filters/functions; an
-            // instantiation fault means the rule isn't evaluable in this
-            // order — treat as no match (it would be rejected top-down too).
-            let ok = matches!(crate::kernel::eval_builtin(bindings, *op, terms), Ok(true));
-            if ok {
-                join(
-                    rule,
-                    idx + 1,
-                    program,
-                    db,
-                    total,
-                    delta_at,
-                    bindings,
-                    out,
-                    derivations,
-                );
-            }
-            bindings.undo_to(mark);
-        }
-    }
+    Ok(evaluate(program, db)?.matching(atom))
 }
 
 #[cfg(test)]
@@ -420,7 +208,7 @@ mod tests {
         let fix = evaluate(&p, &db).unwrap();
         let path = Pred::new("path", 2);
         assert!(fix.holds(&Atom::new("path", vec![Term::sym("a"), Term::sym("d")])));
-        assert_eq!(fix.facts_of(path).count(), 6);
+        assert_eq!(fix.facts_of(path).len(), 6);
     }
 
     #[test]
@@ -451,9 +239,8 @@ mod tests {
              double(Y) <- n(X) * Y is X + X.",
         );
         let fix = evaluate(&p, &db).unwrap();
-        assert_eq!(fix.facts_of(Pred::new("big", 1)).count(), 2);
-        let mut doubles: Vec<Tuple> = fix.facts_of(Pred::new("double", 1)).cloned().collect();
-        doubles.sort();
+        assert_eq!(fix.facts_of(Pred::new("big", 1)).len(), 2);
+        let doubles = fix.facts_of(Pred::new("double", 1));
         assert_eq!(doubles, vec![tuple!(2), tuple!(4), tuple!(6)]);
     }
 
@@ -540,11 +327,11 @@ mod negation_tests {
              healthy(X) <- node(X) * not broken(X).",
         );
         let fix = evaluate(&p, &db).unwrap();
-        let mut names: Vec<String> = fix
+        let names: Vec<String> = fix
             .facts_of(Pred::new("healthy", 1))
+            .iter()
             .map(|t| t.to_string())
             .collect();
-        names.sort();
         assert_eq!(names, vec!["(a)", "(c)"]);
     }
 
@@ -568,7 +355,27 @@ mod negation_tests {
     }
 
     #[test]
-    fn tabled_and_bottom_up_agree_with_negation() {
+    fn rules_the_materializer_rejects_still_evaluate_left_to_right() {
+        // None of these is delta-safe (`Materializer::compile` rejects all
+        // three), so they pin the from-scratch run to body order: `X = Y`
+        // before `n(Y)` binds nothing until `n` does, and `not b(X)` with X
+        // unbound matches nothing.
+        let (p, db) = setup(
+            "base n/1. base b/1. base e/2.
+             init n(1). init n(2). init b(2). init e(1, 1). init e(2, 2).
+             r(X) <- X = Y * n(Y) * not b(X).
+             odd(X) <- not b(X) * e(X, X).
+             s(X) <- n(X) * r(X).",
+        );
+        assert!(crate::Materializer::compile(&p).is_err());
+        let fix = evaluate(&p, &db).unwrap();
+        assert_eq!(fix.facts_of(Pred::new("r", 1)), vec![td_db::tuple!(1)]);
+        assert!(fix.facts_of(Pred::new("odd", 1)).is_empty());
+        assert_eq!(fix.facts_of(Pred::new("s", 1)), vec![td_db::tuple!(1)]);
+    }
+
+    #[test]
+    fn magic_and_bottom_up_agree_with_negation() {
         let src = "base e/2. base blocked/1.
              init e(a, b). init e(b, c). init e(b, a).
              init blocked(c).
@@ -577,8 +384,6 @@ mod negation_tests {
         let (p, db) = setup(src);
         let q = Atom::new("reach", vec![Term::var(0)]);
         let naive = query(&p, &db, &q).unwrap();
-        let (tabled, _) = crate::tabling::query_tabled(&p, &db, &q).unwrap();
-        assert_eq!(naive, tabled);
         let (magic, _) = crate::magic::answer(&p, &db, &q).unwrap();
         assert_eq!(naive, magic);
     }

@@ -1,20 +1,24 @@
-//! Incremental materialization of the Datalog fragment.
+//! The engine's one Datalog evaluator, and incremental materialization of
+//! the Datalog fragment on top of it.
 //!
 //! §6 of the paper observes that the update-free core of TD *is* classical
-//! Datalog, so classical optimization applies. The
-//! [`SubgoalCache`](crate::cache::SubgoalCache) already
+//! Datalog, so classical optimization applies. `circuit` compiles
+//! flattened rules into strongly-connected components and owns the only
+//! body join and the only semi-naive loop in the crate; a one-shot
+//! `datalog::evaluate` (or `magic::answer`) is that circuit run once from an
+//! empty derived state. The [`SubgoalCache`](crate::cache::SubgoalCache)
 //! reuses answers, but any database-digest change invalidates it wholesale:
-//! one `ins` re-derives every derived relation from scratch. This module
-//! turns "digest changed → recompute" into "delta applied → O(|Δ|)
-//! maintenance":
+//! one `ins` re-derives every derived relation from scratch. The
+//! [`Materializer`] turns "digest changed → recompute" into "delta applied →
+//! O(|Δ|) maintenance":
 //!
-//! * [`Materializer::compile`] classifies the Datalog-evaluable derived
-//!   predicates (reusing `datalog::flatten_rule`), partitions their
-//!   dependency graph into strongly-connected components, and fixes a
-//!   topological evaluation order over the SCCs.
+//! * [`Materializer::compile`] selects the derived predicates whose rules
+//!   flatten to Datalog (`datalog::flatten_rule`) and are delta-safe, and
+//!   compiles them into a circuit.
 //! * For each database version (keyed by its O(1) content digest), a
 //!   *materialized state* maps every such predicate to a
 //!   [`CountedRelation`]: tuple → number of supporting rule instantiations.
+//!   A version's first probe builds it with the from-scratch run.
 //! * [`Materializer::apply_ops`] pushes a committed base delta through the
 //!   circuit: per delta-rule semi-naive joins (one per affected body
 //!   position, prefix-new/suffix-old, index-backed via the sorted treap
@@ -35,13 +39,15 @@
 //! retained state for that digest (the delta-log inverse is subsumed by
 //! digest keying — see `docs/INCREMENTAL.md`).
 
+pub(crate) mod circuit;
+
 use crate::datalog::{flatten_rule, FlatRule, Lit};
+use circuit::{join, saturate, Circuit, Driver, MatState, Scc, Views};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use td_core::goal::Builtin;
-use td_core::unify::unify_terms;
-use td_core::{Atom, Bindings, Pred, Program, Term, Value};
+use td_core::{Atom, Pred, Program, Term};
 use td_db::{CountedRelation, Database, DeltaOp, Transition, Tuple};
 
 /// Why a program has no materializable fragment.
@@ -57,23 +63,6 @@ impl std::fmt::Display for NotMaterializable {
 }
 
 impl std::error::Error for NotMaterializable {}
-
-/// One component of the circuit: a strongly-connected set of derived
-/// predicates plus every rule defining them, evaluated together.
-struct SccPlan {
-    preds: Vec<Pred>,
-    /// Mutual or self recursion: maintained by DRed over set semantics
-    /// instead of exact counting.
-    recursive: bool,
-    rules: Vec<FlatRule>,
-    /// Every predicate (base or derived) read by this component's rules —
-    /// a component is skipped when no delta touches its inputs.
-    deps: HashSet<Pred>,
-}
-
-/// Materialized state for one database version: predicate → counted
-/// relation.
-type MatState = HashMap<Pred, CountedRelation>;
 
 /// Membership events produced while one base delta cascades: per predicate,
 /// `(tuple, +1)` for appeared and `(tuple, -1)` for disappeared.
@@ -94,13 +83,11 @@ const MAX_STATES: usize = 4096;
 /// share across backends and worker threads behind an `Arc`; all counters
 /// are process-wide lifetime totals.
 pub struct Materializer {
-    base: HashSet<Pred>,
     mat: HashSet<Pred>,
     /// Base predicates read by some materialized rule; deltas on any other
     /// base predicate leave every materialized relation unchanged.
     relevant_base: HashSet<Pred>,
-    /// Components in dependency-first (topological) order.
-    sccs: Vec<SccPlan>,
+    circuit: Circuit,
     store: Mutex<Store>,
     probes: AtomicU64,
     state_hits: AtomicU64,
@@ -114,7 +101,7 @@ impl std::fmt::Debug for Materializer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Materializer")
             .field("preds", &self.mat.len())
-            .field("sccs", &self.sccs.len())
+            .field("sccs", &self.circuit.sccs.len())
             .finish()
     }
 }
@@ -129,117 +116,61 @@ impl Materializer {
     /// evaluation). Errs when the set is empty.
     pub fn compile(program: &Program) -> Result<Materializer, NotMaterializable> {
         let base: HashSet<Pred> = program.base_preds().collect();
-        let mut derived: Vec<Pred> = program.derived_preds().collect();
-        derived.sort();
-        derived.dedup();
-        if derived.is_empty() {
+        if program.derived_preds().next().is_none() {
             return Err(NotMaterializable {
                 reason: "the program has no derived predicates".into(),
             });
         }
         let mut flat: HashMap<Pred, Vec<FlatRule>> = HashMap::new();
-        let mut mat: HashSet<Pred> = HashSet::new();
-        for &p in &derived {
+        for p in program.derived_preds() {
             let rules: Result<Vec<FlatRule>, _> = program
                 .rules_for(p)
                 .iter()
                 .map(|rid| flatten_rule(program.rule(*rid)))
                 .collect();
-            match rules {
-                Ok(rs) if rs.iter().all(delta_safe) => {
-                    flat.insert(p, rs);
-                    mat.insert(p);
-                }
-                _ => {}
+            if let Some(rs) = rules.ok().filter(|rs| rs.iter().all(delta_safe)) {
+                flat.insert(p, rs);
             }
         }
         // Greatest fixpoint: a predicate whose rules read a non-materializable
         // derived predicate (or negate a derived predicate) drops out too.
         loop {
-            let drop: Vec<Pred> = mat
+            let unreadable = |l: &Lit| match l {
+                Lit::Atom(a) => !base.contains(&a.pred) && !flat.contains_key(&a.pred),
+                Lit::NegAtom(a) => !base.contains(&a.pred),
+                Lit::Builtin(..) => false,
+            };
+            let drop: Vec<Pred> = flat
                 .iter()
-                .copied()
-                .filter(|p| {
-                    flat[p].iter().any(|r| {
-                        r.body.iter().any(|l| match l {
-                            Lit::Atom(a) => !base.contains(&a.pred) && !mat.contains(&a.pred),
-                            Lit::NegAtom(a) => !base.contains(&a.pred),
-                            Lit::Builtin(..) => false,
-                        })
-                    })
-                })
+                .filter(|(_, rs)| rs.iter().any(|r| r.body.iter().any(unreadable)))
+                .map(|(p, _)| *p)
                 .collect();
             if drop.is_empty() {
                 break;
             }
             for p in drop {
-                mat.remove(&p);
+                flat.remove(&p);
             }
         }
-        if mat.is_empty() {
+        if flat.is_empty() {
             return Err(NotMaterializable {
                 reason: "no derived predicate is Datalog-evaluable".into(),
             });
         }
 
-        // SCC decomposition of the materialized dependency graph. Tarjan
-        // emits components callees-first, which is exactly the evaluation
-        // order the circuit needs.
-        let mut nodes: Vec<Pred> = mat.iter().copied().collect();
-        nodes.sort();
-        let index: HashMap<Pred, usize> = nodes.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        let adj: Vec<Vec<usize>> = nodes
-            .iter()
-            .map(|p| {
-                let mut out: Vec<usize> = flat[p]
-                    .iter()
-                    .flat_map(|r| r.body.iter())
-                    .filter_map(|l| match l {
-                        Lit::Atom(a) => index.get(&a.pred).copied(),
-                        _ => None,
-                    })
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            })
-            .collect();
-        let comps = tarjan(&adj);
-        let sccs: Vec<SccPlan> = comps
-            .into_iter()
-            .map(|mut comp| {
-                comp.sort_unstable();
-                let preds: Vec<Pred> = comp.iter().map(|&i| nodes[i]).collect();
-                let recursive = comp.len() > 1 || adj[comp[0]].contains(&comp[0]);
-                let rules: Vec<FlatRule> =
-                    preds.iter().flat_map(|p| flat[p].iter().cloned()).collect();
-                let deps: HashSet<Pred> = rules
-                    .iter()
-                    .flat_map(|r| r.body.iter())
-                    .filter_map(|l| match l {
-                        Lit::Atom(a) | Lit::NegAtom(a) => Some(a.pred),
-                        Lit::Builtin(..) => None,
-                    })
-                    .collect();
-                SccPlan {
-                    preds,
-                    recursive,
-                    rules,
-                    deps,
-                }
-            })
-            .collect();
-        let relevant_base: HashSet<Pred> = sccs
+        let mat: HashSet<Pred> = flat.keys().copied().collect();
+        let circuit = Circuit::new(flat);
+        let relevant_base: HashSet<Pred> = circuit
+            .sccs
             .iter()
             .flat_map(|s| s.deps.iter())
             .copied()
             .filter(|p| base.contains(p))
             .collect();
         Ok(Materializer {
-            base,
             mat,
             relevant_base,
-            sccs,
+            circuit,
             store: Mutex::new(Store::default()),
             probes: AtomicU64::new(0),
             state_hits: AtomicU64::new(0),
@@ -315,7 +246,7 @@ impl Materializer {
             return st.clone();
         }
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        let st = Arc::new(self.build(db));
+        let st = Arc::new(self.circuit.run(db).0);
         self.store_state(digest, st.clone());
         st
     }
@@ -387,89 +318,6 @@ impl Materializer {
     }
 
     // ------------------------------------------------------------------
-    // Full build (first probe of a database version)
-    // ------------------------------------------------------------------
-
-    fn build(&self, db: &Database) -> MatState {
-        let mut state: MatState = self
-            .mat
-            .iter()
-            .map(|p| (*p, CountedRelation::new(p.arity as usize)))
-            .collect();
-        for scc in &self.sccs {
-            if scc.recursive {
-                self.build_recursive(scc, db, &mut state);
-            } else {
-                self.build_counting(scc, db, &mut state);
-            }
-        }
-        state
-    }
-
-    /// Non-recursive component: one pass, counting every rule
-    /// instantiation.
-    fn build_counting(&self, scc: &SccPlan, db: &Database, state: &mut MatState) {
-        let q = scc.preds[0];
-        let mut counts: HashMap<Tuple, i64> = HashMap::new();
-        {
-            let v = Views { db, state: &*state };
-            for rule in &scc.rules {
-                self.join_rule(rule, None, None, v, v, &mut |t| {
-                    *counts.entry(t).or_insert(0) += 1;
-                });
-            }
-        }
-        let mut rel = state[&q].clone();
-        for (t, c) in counts {
-            rel = rel.add(&t, c).0;
-        }
-        state.insert(q, rel);
-    }
-
-    /// Recursive component: semi-naive set-semantics fixpoint (every member
-    /// carries count 1).
-    fn build_recursive(&self, scc: &SccPlan, db: &Database, state: &mut MatState) {
-        let internal: HashSet<Pred> = scc.preds.iter().copied().collect();
-        let mut delta: Vec<(Pred, Tuple)> = Vec::new();
-        let mut pending: Vec<(Pred, Tuple)> = Vec::new();
-        {
-            let v = Views { db, state: &*state };
-            for rule in &scc.rules {
-                let hp = rule.head.pred;
-                self.join_rule(rule, None, None, v, v, &mut |t| pending.push((hp, t)));
-            }
-        }
-        loop {
-            for (p, t) in pending.drain(..) {
-                if !state[&p].contains(&t) {
-                    let rel = state[&p].add(&t, 1).0;
-                    state.insert(p, rel);
-                    delta.push((p, t));
-                }
-            }
-            if delta.is_empty() {
-                break;
-            }
-            let drained: Vec<(Pred, Tuple)> = std::mem::take(&mut delta);
-            let v = Views { db, state: &*state };
-            for (dp, dt) in &drained {
-                for rule in &scc.rules {
-                    let hp = rule.head.pred;
-                    for (pos, lit) in rule.body.iter().enumerate() {
-                        if let Lit::Atom(a) = lit {
-                            if a.pred == *dp && internal.contains(dp) {
-                                self.join_rule(rule, Some((pos, dt)), None, v, v, &mut |t| {
-                                    pending.push((hp, t));
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Incremental maintenance
     // ------------------------------------------------------------------
 
@@ -485,16 +333,20 @@ impl Materializer {
         state: &mut MatState,
     ) {
         let old_state = state.clone();
+        let old_v = Views {
+            db: old_db,
+            state: &old_state,
+        };
         let mut events: Events = HashMap::new();
         events.insert(pred, vec![(tuple, sign)]);
-        for scc in &self.sccs {
+        for scc in &self.circuit.sccs {
             if !scc.deps.iter().any(|p| events.contains_key(p)) {
                 continue;
             }
             if scc.recursive {
-                self.maintain_recursive(scc, old_db, new_db, &old_state, state, &mut events);
+                self.maintain_recursive(scc, old_v, new_db, state, &mut events);
             } else {
-                self.maintain_counting(scc, old_db, new_db, &old_state, state, &mut events);
+                self.maintain_counting(scc, old_v, new_db, state, &mut events);
             }
         }
     }
@@ -505,43 +357,18 @@ impl Materializer {
     /// change. A `not` literal flips the delta's sign.
     fn maintain_counting(
         &self,
-        scc: &SccPlan,
-        old_db: &Database,
+        scc: &Scc,
+        old_v: Views<'_>,
         new_db: &Database,
-        old_state: &MatState,
         state: &mut MatState,
         events: &mut Events,
     ) {
         let q = scc.preds[0];
         let mut net: HashMap<Tuple, i64> = HashMap::new();
-        {
-            let new_v = Views {
-                db: new_db,
-                state: &*state,
-            };
-            let old_v = Views {
-                db: old_db,
-                state: old_state,
-            };
-            for rule in &scc.rules {
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    let (lp, neg) = match lit {
-                        Lit::Atom(a) => (a.pred, false),
-                        Lit::NegAtom(a) => (a.pred, true),
-                        Lit::Builtin(..) => continue,
-                    };
-                    let Some(evts) = events.get(&lp) else {
-                        continue;
-                    };
-                    for (t, s) in evts {
-                        let sign = if neg { -s } else { *s };
-                        self.join_rule(rule, Some((pos, t)), None, new_v, old_v, &mut |h| {
-                            *net.entry(h).or_insert(0) += sign;
-                        });
-                    }
-                }
-            }
-        }
+        let new_v = Views { db: new_db, state };
+        join_events(scc, events, |_| true, new_v, old_v, &mut |_, h, sign| {
+            *net.entry(h).or_insert(0) += sign;
+        });
         let mut rel = state[&q].clone();
         let mut evs: Vec<(Tuple, i64)> = Vec::new();
         for (t, d) in net {
@@ -570,49 +397,19 @@ impl Materializer {
     /// positive events.
     fn maintain_recursive(
         &self,
-        scc: &SccPlan,
-        old_db: &Database,
+        scc: &Scc,
+        old_v: Views<'_>,
         new_db: &Database,
-        old_state: &MatState,
         state: &mut MatState,
         events: &mut Events,
     ) {
-        let internal: HashSet<Pred> = scc.preds.iter().copied().collect();
+        // Phase 1: overdeletion, entirely against the old views.
         let mut deleted: HashSet<(Pred, Tuple)> = HashSet::new();
-        let mut inserted: HashSet<(Pred, Tuple)> = HashSet::new();
         let mut wl: VecDeque<(Pred, Tuple)> = VecDeque::new();
         let mut cand: Vec<(Pred, Tuple)> = Vec::new();
-
-        // Phase 1: overdeletion, entirely against the old views.
-        {
-            let old_v = Views {
-                db: old_db,
-                state: old_state,
-            };
-            for rule in &scc.rules {
-                let hp = rule.head.pred;
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    let (lp, neg) = match lit {
-                        Lit::Atom(a) => (a.pred, false),
-                        Lit::NegAtom(a) => (a.pred, true),
-                        Lit::Builtin(..) => continue,
-                    };
-                    if internal.contains(&lp) {
-                        continue;
-                    }
-                    let Some(evts) = events.get(&lp) else {
-                        continue;
-                    };
-                    for (t, s) in evts {
-                        if (if neg { -s } else { *s }) < 0 {
-                            self.join_rule(rule, Some((pos, t)), None, old_v, old_v, &mut |h| {
-                                cand.push((hp, h));
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        join_events(scc, events, |s| s < 0, old_v, old_v, &mut |p, h, _| {
+            cand.push((p, h));
+        });
         loop {
             for (p, h) in cand.drain(..) {
                 if state[&p].contains(&h) && deleted.insert((p, h.clone())) {
@@ -624,269 +421,65 @@ impl Materializer {
             let Some((dp, dt)) = wl.pop_front() else {
                 break;
             };
-            let old_v = Views {
-                db: old_db,
-                state: old_state,
-            };
+            let delta = singleton(&dt);
             for rule in &scc.rules {
-                let hp = rule.head.pred;
                 for (pos, lit) in rule.body.iter().enumerate() {
-                    if let Lit::Atom(a) = lit {
-                        if a.pred == dp {
-                            self.join_rule(rule, Some((pos, &dt)), None, old_v, old_v, &mut |h| {
-                                cand.push((hp, h));
-                            });
-                        }
+                    if matches!(lit, Lit::Atom(a) if a.pred == dp) {
+                        let driver = Driver {
+                            pos,
+                            delta: &delta,
+                            first: true,
+                        };
+                        join(rule, Some(driver), None, old_v, old_v, &mut |h| {
+                            cand.push((rule.head.pred, h));
+                        });
                     }
                 }
             }
         }
 
-        // Phase 2: rederivation from the new external state and the reduced
-        // component state. Tuples whose alternative support runs through
-        // other rederived tuples are recovered by the insertion phase.
+        // Phase 2: rederivation in one step from the new external state and
+        // the reduced component state. Tuples whose alternative support
+        // runs through other rederived tuples are recovered by phase 3.
+        let v = Views { db: new_db, state };
         for (p, t) in &deleted {
             let mut found = false;
-            {
-                let v = Views {
-                    db: new_db,
-                    state: &*state,
-                };
-                for rule in &scc.rules {
-                    if rule.head.pred != *p || found {
-                        continue;
-                    }
-                    self.join_rule(rule, None, Some(t), v, v, &mut |_| {
-                        found = true;
-                    });
+            for rule in scc.rules.iter().filter(|r| r.head.pred == *p) {
+                if !found {
+                    join(rule, None, Some(t), v, v, &mut |_| found = true);
                 }
             }
             if found {
-                let rel = state[p].add(t, 1).0;
-                state.insert(*p, rel);
-                inserted.insert((*p, t.clone()));
-                wl.push_back((*p, t.clone()));
+                cand.push((*p, t.clone()));
             }
         }
 
-        // Phase 3: semi-naive insertion for positive events, against the
-        // new views and the growing component state.
-        {
-            let v = Views {
-                db: new_db,
-                state: &*state,
-            };
-            for rule in &scc.rules {
-                let hp = rule.head.pred;
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    let (lp, neg) = match lit {
-                        Lit::Atom(a) => (a.pred, false),
-                        Lit::NegAtom(a) => (a.pred, true),
-                        Lit::Builtin(..) => continue,
-                    };
-                    if internal.contains(&lp) {
-                        continue;
-                    }
-                    let Some(evts) = events.get(&lp) else {
-                        continue;
-                    };
-                    for (t, s) in evts {
-                        if (if neg { -s } else { *s }) > 0 {
-                            self.join_rule(rule, Some((pos, t)), None, v, v, &mut |h| {
-                                cand.push((hp, h));
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        loop {
-            for (p, h) in cand.drain(..) {
-                if !state[&p].contains(&h) {
-                    let rel = state[&p].add(&h, 1 - state[&p].count(&h)).0;
-                    state.insert(p, rel);
-                    inserted.insert((p, h.clone()));
-                    wl.push_back((p, h));
-                }
-            }
-            let Some((dp, dt)) = wl.pop_front() else {
-                break;
-            };
-            let v = Views {
-                db: new_db,
-                state: &*state,
-            };
-            for rule in &scc.rules {
-                let hp = rule.head.pred;
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    if let Lit::Atom(a) = lit {
-                        if a.pred == dp {
-                            self.join_rule(rule, Some((pos, &dt)), None, v, v, &mut |h| {
-                                cand.push((hp, h));
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        // Phase 3: semi-naive insertion of the rederived tuples and of what
+        // positive events derive, against the new views and the growing
+        // component state.
+        join_events(scc, events, |s| s > 0, v, v, &mut |p, h, _| {
+            cand.push((p, h));
+        });
+        let mut inserted: HashSet<(Pred, Tuple)> = HashSet::new();
+        saturate(scc, new_db, state, cand, true, &mut |p, t| {
+            inserted.insert((p, t.clone()));
+        });
 
-        // Net membership events for downstream components.
-        let mut per_pred: HashMap<Pred, Vec<(Tuple, i64)>> = HashMap::new();
+        // Net membership events for downstream components. A pair both
+        // deleted and inserted nets to none, so no event repeats.
+        let mut per_pred: Events = HashMap::new();
         for (p, t) in deleted.iter().chain(inserted.iter()) {
-            let was = old_state[p].contains(t);
-            let is = state[p].contains(t);
-            let ev = match (was, is) {
-                (false, true) => Some(1),
-                (true, false) => Some(-1),
-                _ => None,
+            let sign = match (old_v.state[p].contains(t), state[p].contains(t)) {
+                (false, true) => 1,
+                (true, false) => -1,
+                _ => continue,
             };
-            if let Some(s) = ev {
-                let entry = per_pred.entry(*p).or_default();
-                if !entry.iter().any(|(et, es)| et == t && *es == s) {
-                    entry.push((t.clone(), s));
-                }
-            }
+            per_pred.entry(*p).or_default().push((t.clone(), sign));
         }
         for (p, evs) in per_pred {
             self.delta_tuples
                 .fetch_add(evs.len() as u64, Ordering::Relaxed);
             events.insert(p, evs);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Join plans
-    // ------------------------------------------------------------------
-
-    /// Enumerate rule-body instantiations left to right, mirroring the
-    /// bottom-up evaluator's semantics exactly (unbound `not` arguments and
-    /// builtin faults are silent no-matches). With a `driver`, that
-    /// position is pre-bound to the delta tuple, positions before it read
-    /// `new_v` and positions after it read `old_v` — the semi-naive
-    /// prefix-new/suffix-old split. With `head_bound`, the head is unified
-    /// first (rederivation checks).
-    fn join_rule(
-        &self,
-        rule: &FlatRule,
-        driver: Option<(usize, &Tuple)>,
-        head_bound: Option<&Tuple>,
-        new_v: Views<'_>,
-        old_v: Views<'_>,
-        emit: &mut dyn FnMut(Tuple),
-    ) {
-        let mut b = Bindings::new();
-        b.alloc(rule.num_vars);
-        if let Some(t) = head_bound {
-            if rule.head.args.len() != t.arity() {
-                return;
-            }
-            let ok = rule
-                .head
-                .args
-                .iter()
-                .zip(t.values())
-                .all(|(a, v)| unify_terms(&mut b, *a, Term::Val(*v)));
-            if !ok {
-                return;
-            }
-        }
-        if let Some((pos, t)) = driver {
-            let args = match &rule.body[pos] {
-                Lit::Atom(a) | Lit::NegAtom(a) => &a.args,
-                Lit::Builtin(..) => return,
-            };
-            if args.len() != t.arity() {
-                return;
-            }
-            let ok = args
-                .iter()
-                .zip(t.values())
-                .all(|(a, v)| unify_terms(&mut b, *a, Term::Val(*v)));
-            if !ok {
-                return;
-            }
-        }
-        self.join_from(rule, 0, driver.map(|(p, _)| p), new_v, old_v, &mut b, emit);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn join_from(
-        &self,
-        rule: &FlatRule,
-        idx: usize,
-        driver_pos: Option<usize>,
-        new_v: Views<'_>,
-        old_v: Views<'_>,
-        b: &mut Bindings,
-        emit: &mut dyn FnMut(Tuple),
-    ) {
-        if idx == rule.body.len() {
-            let values: Option<Vec<Value>> =
-                rule.head.args.iter().map(|t| b.value_of(*t)).collect();
-            if let Some(values) = values {
-                emit(Tuple::new(values));
-            }
-            return;
-        }
-        if driver_pos == Some(idx) {
-            return self.join_from(rule, idx + 1, driver_pos, new_v, old_v, b, emit);
-        }
-        let v = match driver_pos {
-            Some(p) if idx > p => old_v,
-            _ => new_v,
-        };
-        match &rule.body[idx] {
-            Lit::Atom(atom) => {
-                let resolved: Vec<Term> = atom.args.iter().map(|t| b.resolve(*t)).collect();
-                let pattern: Vec<Option<Value>> = resolved.iter().map(|t| t.as_value()).collect();
-                for t in self.view_select(v, atom.pred, &pattern) {
-                    let mark = b.mark();
-                    let ok = resolved
-                        .iter()
-                        .zip(t.values())
-                        .all(|(a, vv)| unify_terms(b, *a, Term::Val(*vv)));
-                    if ok {
-                        self.join_from(rule, idx + 1, driver_pos, new_v, old_v, b, emit);
-                    }
-                    b.undo_to(mark);
-                }
-            }
-            Lit::NegAtom(atom) => {
-                let values: Option<Vec<Value>> = atom.args.iter().map(|t| b.value_of(*t)).collect();
-                if let Some(values) = values {
-                    if !self.view_contains(v, atom.pred, &Tuple::new(values)) {
-                        self.join_from(rule, idx + 1, driver_pos, new_v, old_v, b, emit);
-                    }
-                }
-            }
-            Lit::Builtin(op, terms) => {
-                let mark = b.mark();
-                if matches!(crate::kernel::eval_builtin(b, *op, terms), Ok(true)) {
-                    self.join_from(rule, idx + 1, driver_pos, new_v, old_v, b, emit);
-                }
-                b.undo_to(mark);
-            }
-        }
-    }
-
-    fn view_select(&self, v: Views<'_>, pred: Pred, pattern: &[Option<Value>]) -> Vec<Tuple> {
-        if self.base.contains(&pred) {
-            v.db.relation(pred)
-                .map(|r| r.select(pattern))
-                .unwrap_or_default()
-        } else {
-            v.state
-                .get(&pred)
-                .map(|r| r.select(pattern))
-                .unwrap_or_default()
-        }
-    }
-
-    fn view_contains(&self, v: Views<'_>, pred: Pred, t: &Tuple) -> bool {
-        if self.base.contains(&pred) {
-            v.db.contains(pred, t)
-        } else {
-            v.state.get(&pred).is_some_and(|r| r.contains(t))
         }
     }
 
@@ -932,12 +525,47 @@ impl Materializer {
     }
 }
 
-/// Read view for one side of a delta-join: base relations from a database
-/// version, derived relations from a materialized state.
-#[derive(Clone, Copy)]
-struct Views<'a> {
-    db: &'a Database,
-    state: &'a MatState,
+/// The one-tuple delta of a single membership event.
+fn singleton(t: &Tuple) -> CountedRelation {
+    CountedRelation::new(t.arity()).add(t, 1).0
+}
+
+/// Join every rule of a component through each membership event on a
+/// predicate it reads, the event's position first, for the events whose
+/// effective sign (a `not` literal flips it) `keep` accepts. Positions
+/// before the event's read `new_v`, positions after it `old_v`. Events on
+/// the component's own predicates do not exist yet: it publishes them when
+/// its maintenance ends.
+fn join_events(
+    scc: &Scc,
+    events: &Events,
+    keep: impl Fn(i64) -> bool,
+    new_v: Views<'_>,
+    old_v: Views<'_>,
+    emit: &mut dyn FnMut(Pred, Tuple, i64),
+) {
+    for rule in &scc.rules {
+        for (pos, lit) in rule.body.iter().enumerate() {
+            let (pred, flip) = match lit {
+                Lit::Atom(a) => (a.pred, 1),
+                Lit::NegAtom(a) => (a.pred, -1),
+                Lit::Builtin(..) => continue,
+            };
+            for (t, s) in events.get(&pred).into_iter().flatten() {
+                let sign = s * flip;
+                if keep(sign) {
+                    let driver = Driver {
+                        pos,
+                        delta: &singleton(t),
+                        first: true,
+                    };
+                    join(rule, Some(driver), None, new_v, old_v, &mut |h| {
+                        emit(rule.head.pred, h, sign);
+                    });
+                }
+            }
+        }
+    }
 }
 
 /// Delta-join safety: every variable read by a `not` literal or a
@@ -992,72 +620,11 @@ fn delta_safe(rule: &FlatRule) -> bool {
     true
 }
 
-/// Tarjan's SCC algorithm; components are emitted callees-first, i.e. in a
-/// valid bottom-up evaluation order.
-fn tarjan(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    struct T<'a> {
-        adj: &'a [Vec<usize>],
-        index: Vec<Option<usize>>,
-        low: Vec<usize>,
-        on_stack: Vec<bool>,
-        stack: Vec<usize>,
-        next: usize,
-        out: Vec<Vec<usize>>,
-    }
-    fn visit(t: &mut T<'_>, v: usize) {
-        t.index[v] = Some(t.next);
-        t.low[v] = t.next;
-        t.next += 1;
-        t.stack.push(v);
-        t.on_stack[v] = true;
-        for i in 0..t.adj[v].len() {
-            let w = t.adj[v][i];
-            match t.index[w] {
-                None => {
-                    visit(t, w);
-                    t.low[v] = t.low[v].min(t.low[w]);
-                }
-                Some(wi) if t.on_stack[w] => {
-                    t.low[v] = t.low[v].min(wi);
-                }
-                _ => {}
-            }
-        }
-        if t.low[v] == t.index[v].expect("visited") {
-            let mut comp = Vec::new();
-            loop {
-                let w = t.stack.pop().expect("stack non-empty");
-                t.on_stack[w] = false;
-                comp.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            t.out.push(comp);
-        }
-    }
-    let n = adj.len();
-    let mut t = T {
-        adj,
-        index: vec![None; n],
-        low: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next: 0,
-        out: Vec::new(),
-    };
-    for v in 0..n {
-        if t.index[v].is_none() {
-            visit(&mut t, v);
-        }
-    }
-    t.out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::load_init;
+    use td_core::Value;
     use td_db::tuple;
     use td_parser::parse_program;
 
@@ -1068,15 +635,50 @@ mod tests {
         (parsed.program, db)
     }
 
-    /// Oracle: the materialized facts of every circuit predicate must equal
-    /// the bottom-up fixpoint restricted to it.
+    /// Maintained vs rebuilt: the materialized facts of every circuit
+    /// predicate must equal a from-scratch run over the same database. Both
+    /// sides share the circuit's join, so this is not a second opinion; the
+    /// independent oracles are `closure_model` below and the top-down kernel
+    /// in `tests/incremental_equivalence.rs`.
     fn assert_matches_fixpoint(m: &Materializer, program: &Program, db: &Database) {
         let fix = crate::datalog::evaluate(program, db).expect("datalog-evaluable");
         for p in m.materialized_preds() {
-            let mut expect: Vec<Tuple> = fix.facts_of(p).cloned().collect();
-            expect.sort();
-            assert_eq!(m.facts(db, p), expect, "{p} at digest {:x}", db.digest());
+            assert_eq!(m.facts(db, p), fix.facts_of(p), "{p} at {:x}", db.digest());
         }
+    }
+
+    const NODES: [&str; 5] = ["n0", "n1", "n2", "n3", "n4"];
+
+    /// An oracle that shares no code with the circuit: Warshall's closure
+    /// over the five nodes, read off the stored `e` and `blocked` tuples.
+    /// Returns `path` (the closure of `e`) and `reach` (the nodes a walk from
+    /// `n0` gets to without stepping on a blocked one), both sorted.
+    fn closure_model(db: &Database) -> (Vec<Tuple>, Vec<Tuple>) {
+        let node = |i: usize| Value::sym(NODES[i]);
+        let blocked = |j: usize| db.contains(Pred::new("blocked", 1), &Tuple::new(vec![node(j)]));
+        let close = |enter: &dyn Fn(usize) -> bool| {
+            let mut c = [[false; 5]; 5];
+            for (i, j) in (0..25).map(|x| (x / 5, x % 5)) {
+                let edge = Tuple::new(vec![node(i), node(j)]);
+                c[i][j] = enter(j) && db.contains(Pred::new("e", 2), &edge);
+            }
+            for (k, i, j) in (0..125).map(|x| (x / 25, x / 5 % 5, x % 5)) {
+                c[i][j] |= c[i][k] && c[k][j];
+            }
+            c
+        };
+        let (all, open) = (close(&|_| true), close(&|j| !blocked(j)));
+        let mut path: Vec<Tuple> = (0..25)
+            .filter(|x| all[x / 5][x % 5])
+            .map(|x| Tuple::new(vec![node(x / 5), node(x % 5)]))
+            .collect();
+        let mut reach: Vec<Tuple> = (0..5)
+            .filter(|&j| open[0][j])
+            .map(|j| Tuple::new(vec![node(j)]))
+            .collect();
+        path.sort();
+        reach.sort();
+        (path, reach)
     }
 
     /// Apply one op both to the db and through the circuit.
@@ -1100,19 +702,24 @@ mod tests {
         assert!(m.is_materialized(Pred::new("path", 2)));
         assert!(m.is_materialized(Pred::new("top", 1)));
         let path_scc = m
+            .circuit
             .sccs
             .iter()
             .find(|s| s.preds.contains(&Pred::new("path", 2)))
             .unwrap();
         assert!(path_scc.recursive);
         let top_scc = m
+            .circuit
             .sccs
             .iter()
             .find(|s| s.preds.contains(&Pred::new("top", 1)))
             .unwrap();
         assert!(!top_scc.recursive);
         // `top` depends on both others, so its component must come last.
-        assert_eq!(m.sccs.last().unwrap().preds, vec![Pred::new("top", 1)]);
+        assert_eq!(
+            m.circuit.sccs.last().unwrap().preds,
+            vec![Pred::new("top", 1)]
+        );
     }
 
     #[test]
@@ -1271,7 +878,8 @@ mod tests {
              reach(Y) <- reach(X) * e(X, Y) * not blocked(Y).",
         );
         let m = Materializer::compile(&p).unwrap();
-        let names = ["n0", "n1", "n2", "n3", "n4"];
+        let names = NODES;
+        let from_n1 = Atom::new("path", vec![Term::sym("n1"), Term::var(0)]);
         let mut db = db0;
         let mut x: u64 = 0x2545F4914F6CDD1D;
         let mut rng = move || {
@@ -1301,7 +909,16 @@ mod tests {
                 }
             };
             db = step(&m, &db, op);
-            assert_matches_fixpoint(&m, &p, &db);
+            let (path, reach) = closure_model(&db);
+            assert_eq!(m.facts(&db, Pred::new("reach", 1)), reach);
+            let below_n1: Vec<Tuple> = path
+                .iter()
+                .filter(|t| t.values()[0] == Value::sym("n1"))
+                .cloned()
+                .collect();
+            assert_eq!(crate::datalog::query(&p, &db, &from_n1).unwrap(), below_n1);
+            assert_eq!(crate::magic::answer(&p, &db, &from_n1).unwrap().0, below_n1);
+            assert_eq!(m.facts(&db, Pred::new("path", 2)), path);
         }
         assert_eq!(m.rebuilds(), 1, "churn maintained incrementally");
     }

@@ -82,8 +82,8 @@ pub(crate) fn apply_update(
 
 /// Evaluate a builtin on the machine's shared trail. `Ok(true)` = succeeds
 /// (possibly binding), `Ok(false)` = fails, `Err` = fatal
-/// (instantiation/type/overflow). Also serves the bottom-up Datalog and
-/// tabling evaluators, which share the interpreter's builtin semantics.
+/// (instantiation/type/overflow). Also serves the Datalog circuit's join,
+/// which shares the interpreter's builtin semantics.
 pub(crate) fn eval_builtin(
     bindings: &mut Bindings,
     op: Builtin,

@@ -12,15 +12,19 @@
 //!   space is finite and this procedure decides executability outright,
 //!   reporting the number of configurations explored — the quantity whose
 //!   growth the complexity theorems describe.
-//! * [`datalog`] — a classical bottom-up (semi-naive) Datalog evaluator,
-//!   used as the paper's "plain Datalog" baseline (§6 remarks that
-//!   insert-free TD queries are ordinary Datalog, where tabling/magic-set
-//!   techniques apply).
-//! * [`magic`] — the magic-sets query rewriting the paper's §6 mentions,
-//!   layered on the bottom-up evaluator;
-//! * [`tabling`] — §6's other named technique: call-pattern tabled
-//!   resolution, which terminates on cyclic data where plain top-down
-//!   resolution loops;
+//! * [`datalog`] — classical bottom-up Datalog evaluation, used as the
+//!   paper's "plain Datalog" baseline (§6 remarks that insert-free TD
+//!   queries are ordinary Datalog, where tabling/magic-set techniques
+//!   apply). It has no evaluator of its own: a one-shot fixpoint is the
+//!   [`incremental`] circuit run once from an empty derived state.
+//! * [`magic`] — the magic-sets query rewriting the paper's §6 mentions, a
+//!   pure program rewrite in front of [`datalog::evaluate`];
+//! * [`incremental`] — the engine's one Datalog evaluator: rules compiled
+//!   into a circuit of strongly-connected components with one body join
+//!   and one semi-naive loop, run from scratch for one-shot questions and
+//!   maintained across committed deltas (counting / delete-rederive) by
+//!   [`Materializer`]. §6's other named technique, tabling, is the
+//!   [`SubgoalCache`] — the crate's one memo mechanism;
 //! * [`entail`] — an executional-entailment checker: does
 //!   `P, D₀ … Dₙ ⊨ φ` hold for an explicit state sequence? Used by the
 //!   test suite to pin the semantics of `⊗`, `|`, and `⊙` independently of
@@ -38,7 +42,6 @@ mod machine;
 pub mod magic;
 pub mod obs;
 mod parallel;
-pub mod tabling;
 pub mod trace;
 pub mod tree;
 

@@ -3,26 +3,30 @@
 //! §6 of the paper notes that insert-free TD "is essentially classical
 //! Datalog … As such, well-known optimization techniques (such as magic
 //! sets or tabling) can be applied." This module supplies the magic-sets
-//! side of that remark: given a Datalog-evaluable program (see
-//! [`crate::datalog::is_datalog`]) and a query atom with some arguments
-//! bound, it produces a rewritten program whose bottom-up evaluation only
-//! derives facts *relevant* to the query.
+//! side of that remark as a pure program rewrite: given a Datalog-evaluable
+//! program (see [`crate::datalog::is_datalog`]) and a query atom with some
+//! arguments bound, [`rewrite`] produces a program whose bottom-up
+//! evaluation only derives facts *relevant* to the query. It has no
+//! evaluator of its own — [`answer`] hands the rewritten program to
+//! [`crate::datalog::evaluate`].
 //!
 //! The rewriting is the textbook one with left-to-right sideways
 //! information passing:
 //!
-//! * predicates are *adorned* with a bound/free pattern (`path_bf`);
-//! * each adorned rule is guarded by a `m_path_bf(..)` magic atom over its
-//!   bound head arguments;
+//! * predicates are *adorned* with a bound/free pattern (`path@bf`);
+//! * each adorned rule is guarded by a `magic@path@bf(..)` magic atom over
+//!   its bound head arguments;
 //! * each derived body atom contributes a magic rule that passes the
 //!   bindings available to its left;
-//! * the query seeds `m_path_bf(..)` with its bound constants.
+//! * the query seeds `magic@path@bf(..)` with its bound constants.
 //!
-//! [`answer`] runs the whole pipeline and returns the same tuples as
-//! [`crate::datalog::query`], usually after far fewer derivations (the
-//! benchmark E11 measures the difference).
+//! The generated names contain `@`, which the lexer rejects, so they cannot
+//! collide with a predicate of the source program.
+//!
+//! [`answer`] returns the same tuples as [`crate::datalog::query`], usually
+//! after far fewer derivations (the benchmark E11 measures the difference).
 
-use crate::datalog::{self, NotDatalog};
+use crate::datalog::{self, Lit, NotDatalog};
 use std::collections::{HashSet, VecDeque};
 use td_core::{Atom, Goal, Pred, Program, Rule, Term, Var};
 use td_db::{Database, Tuple};
@@ -60,11 +64,11 @@ pub struct MagicProgram {
 }
 
 fn adorned_name(pred: Pred, ad: &Adornment) -> String {
-    format!("{}_{}", pred.name, ad.suffix())
+    format!("{}@{}", pred.name, ad.suffix())
 }
 
 fn magic_name(pred: Pred, ad: &Adornment) -> String {
-    format!("m_{}_{}", pred.name, ad.suffix())
+    format!("magic@{}@{}", pred.name, ad.suffix())
 }
 
 fn bound_args(atom: &Atom, ad: &Adornment) -> Vec<Term> {
@@ -103,11 +107,6 @@ pub fn rewrite(program: &Program, query: &Atom) -> Result<MagicProgram, NotDatal
         let adorned_pred_name = adorned_name(pred, &ad);
         for &rid in program.rules_for(pred) {
             let rule = program.rule(rid);
-            // Flatten the body into literals (is_datalog guaranteed this
-            // shape).
-            let mut lits: Vec<Goal> = Vec::new();
-            flatten(&rule.body, &mut lits);
-
             // Bound head variables seed the sideways information passing.
             let mut bound: HashSet<Var> = rule
                 .head
@@ -118,52 +117,34 @@ pub fn rewrite(program: &Program, query: &Atom) -> Result<MagicProgram, NotDatal
                 .filter_map(|(t, _)| t.as_var())
                 .collect();
 
-            let magic_guard = Goal::Atom(Atom::new(&magic_pred_name, bound_args(&rule.head, &ad)));
-            let mut new_body: Vec<Goal> = vec![magic_guard.clone()];
-            // Prefix of processed literals (for magic rule bodies).
-            let mut prefix: Vec<Goal> = vec![magic_guard];
-
-            for lit in &lits {
-                match lit {
-                    Goal::Atom(a) if program.is_derived(a.pred) => {
-                        let sub_ad = Adornment::of_atom(a, &bound);
+            let guard = Atom::new(&magic_pred_name, bound_args(&rule.head, &ad));
+            let mut new_body: Vec<Goal> = vec![Goal::Atom(guard)];
+            for lit in datalog::flatten_rule(rule)?.body {
+                new_body.push(match lit {
+                    Lit::Atom(a) if program.is_derived(a.pred) => {
+                        let sub_ad = Adornment::of_atom(&a, &bound);
                         if seen.insert((a.pred, sub_ad.clone())) {
                             queue.push_back((a.pred, sub_ad.clone()));
                         }
-                        // Magic rule: m_q^ad(bound args of a) <- prefix.
+                        // Magic rule: m_q^ad(bound args of a) <- the body so far.
                         let m_head =
-                            Atom::new(&magic_name(a.pred, &sub_ad), bound_args(a, &sub_ad));
-                        builder = builder.rule(Rule::new(m_head, Goal::seq(prefix.clone())));
+                            Atom::new(&magic_name(a.pred, &sub_ad), bound_args(&a, &sub_ad));
+                        builder = builder.rule(Rule::new(m_head, Goal::seq(new_body.clone())));
+                        bound.extend(a.vars());
                         // Rewritten occurrence: the adorned predicate.
-                        let adorned =
-                            Goal::Atom(Atom::new(&adorned_name(a.pred, &sub_ad), a.args.clone()));
-                        new_body.push(adorned.clone());
-                        prefix.push(adorned);
-                        for v in a.vars() {
-                            bound.insert(v);
-                        }
+                        Goal::Atom(Atom::new(&adorned_name(a.pred, &sub_ad), a.args))
                     }
-                    Goal::Atom(a) => {
-                        new_body.push(lit.clone());
-                        prefix.push(lit.clone());
-                        for v in a.vars() {
-                            bound.insert(v);
-                        }
+                    Lit::Atom(a) => {
+                        bound.extend(a.vars());
+                        Goal::Atom(a)
                     }
-                    Goal::NotAtom(_) => {
-                        // Absence test: a filter; binds nothing.
-                        new_body.push(lit.clone());
-                        prefix.push(lit.clone());
+                    // Absence test: a filter; binds nothing.
+                    Lit::NegAtom(a) => Goal::NotAtom(a),
+                    Lit::Builtin(op, ts) => {
+                        bound.extend(ts.iter().filter_map(Term::as_var));
+                        Goal::Builtin(op, ts)
                     }
-                    Goal::Builtin(_, ts) => {
-                        new_body.push(lit.clone());
-                        prefix.push(lit.clone());
-                        for v in ts.iter().filter_map(Term::as_var) {
-                            bound.insert(v);
-                        }
-                    }
-                    other => unreachable!("non-datalog literal {other} after is_datalog"),
-                }
+                });
             }
 
             let new_head = Atom::new(&adorned_pred_name, rule.head.args.clone());
@@ -187,18 +168,6 @@ pub fn rewrite(program: &Program, query: &Atom) -> Result<MagicProgram, NotDatal
     })
 }
 
-fn flatten(goal: &Goal, out: &mut Vec<Goal>) {
-    match goal {
-        Goal::True => {}
-        Goal::Seq(gs) => {
-            for g in gs {
-                flatten(g, out);
-            }
-        }
-        other => out.push(other.clone()),
-    }
-}
-
 /// Statistics of a magic evaluation, for comparison against the naive
 /// fixpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -218,16 +187,12 @@ pub fn answer(
 ) -> Result<(Vec<Tuple>, MagicStats), NotDatalog> {
     let magic = rewrite(program, query)?;
     let fix = datalog::evaluate(&magic.program, db)?;
-    let pattern: Vec<Option<td_core::Value>> = query.args.iter().map(|t| t.as_value()).collect();
-    let mut out: Vec<Tuple> = fix
-        .facts_of(magic.answer_pred)
-        .filter(|t| t.matches(&pattern))
-        .cloned()
-        .collect();
-    out.sort();
-    out.dedup();
+    let answers = fix.matching(&Atom {
+        pred: magic.answer_pred,
+        args: query.args.clone(),
+    });
     Ok((
-        out,
+        answers,
         MagicStats {
             derivations: fix.derivations,
             facts: fix.len(),
@@ -334,6 +299,24 @@ mod tests {
         let (magic, _) = answer(&p, &db, &query).unwrap();
         assert_eq!(naive, magic);
         assert_eq!(magic.len(), 2);
+    }
+
+    #[test]
+    fn adorned_names_cannot_collide_with_source_predicates() {
+        // `path_bf` and `m_path_bf` are names a source program may use; the
+        // rewritten program must not read their stored tuples as answers.
+        let src = "
+            base e/2. base path_bf/2. base m_path_bf/1.
+            init e(a, b). init e(b, c). init path_bf(a, zzz). init m_path_bf(c).
+            path(X, Y) <- e(X, Y).
+            path(X, Z) <- e(X, Y) * path(Y, Z).
+        ";
+        let (p, db) = setup(src);
+        let query = Atom::new("path", vec![Term::sym("a"), Term::var(0)]);
+        let naive = datalog::query(&p, &db, &query).unwrap();
+        let (magic, _) = answer(&p, &db, &query).unwrap();
+        assert_eq!(naive.len(), 2, "a reaches b and c");
+        assert_eq!(naive, magic);
     }
 
     #[test]

@@ -134,16 +134,6 @@ impl Manager {
     /// the results are discarded — but may be expensive for updateful
     /// predicates).
     pub fn query(&self, atom: &Atom) -> Result<Vec<Tuple>, EngineError> {
-        if self.program().is_base(atom.pred) {
-            let pattern: Vec<Option<Value>> = atom.args.iter().map(|t| t.as_value()).collect();
-            let mut out = self
-                .db
-                .relation(atom.pred)
-                .map(|r| r.select(&pattern))
-                .unwrap_or_default();
-            out.sort();
-            return Ok(out);
-        }
         match datalog::query(self.program(), &self.db, atom) {
             Ok(t) => Ok(t),
             Err(_) => {
