@@ -24,29 +24,27 @@
 //! (second-chance) eviction, and shared across branches of the sequential
 //! search and across workers of the parallel search.
 
-use crate::decider::canonical_goal;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use td_core::{Goal, Term, Var};
-use td_db::{Database, Delta};
+use td_db::Delta;
 
-/// Canonical configuration key: α-renamed goal + 128-bit database content
-/// digest. Shared by the decider's visited set, the machine's failure memo,
-/// the parallel claim table, and the subgoal cache, so all four agree on
-/// what "the same state" means.
+/// The answer cache's key: α-renamed subgoal + 128-bit database content
+/// digest. The goal is kept in full because a miss enumerates its answers;
+/// the drivers' configuration memos (failure memo, visited set, claim
+/// table) only need identity and use `kernel::fingerprint` instead.
 pub type StateKey = (Goal, u128);
 
-/// The one way a `(goal, database)` pair becomes a [`StateKey`]: variables
-/// renamed densely in first-occurrence order, database keyed by its O(1)
-/// incremental content digest.
-pub fn state_key(goal: &Goal, db: &Database) -> StateKey {
-    (canonical_goal(goal), db.digest())
+/// Rename variables densely in first-occurrence order, making α-equivalent
+/// goals structurally equal.
+pub fn canonical_goal(goal: &Goal) -> Goal {
+    canonicalize_with_map(goal).0
 }
 
-/// Like [`canonical_goal`], but also returns the original variables in
-/// first-occurrence order, so cached answers (indexed by canonical variable
-/// id) can be translated back into the caller's variable space.
+/// [`canonical_goal`] plus the original variables in first-occurrence
+/// order, so cached answers (indexed by canonical variable id) can be
+/// translated back into the caller's variable space.
 pub(crate) fn canonicalize_with_map(goal: &Goal) -> (Goal, Vec<Var>) {
     let mut map: Vec<Var> = Vec::new();
     let canon = goal.map_terms(&mut |t| match t {
@@ -350,10 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn state_key_is_alpha_invariant() {
-        let db = Database::new();
-        let g1 = Goal::atom("p", vec![Term::var(3)]);
-        let g2 = Goal::atom("p", vec![Term::var(11)]);
-        assert_eq!(state_key(&g1, &db), state_key(&g2, &db));
+    fn canonical_goal_identifies_alpha_equivalent() {
+        let g1 = Goal::atom("p", vec![Term::var(3), Term::var(7), Term::var(3)]);
+        let g2 = Goal::atom("p", vec![Term::var(9), Term::var(2), Term::var(9)]);
+        assert_eq!(canonical_goal(&g1), canonical_goal(&g2));
+        let g3 = Goal::atom("p", vec![Term::var(1), Term::var(2), Term::var(2)]);
+        assert_ne!(canonical_goal(&g1), canonical_goal(&g3));
     }
 }

@@ -14,12 +14,13 @@
 //! bound, and the benchmark harness reports it for each fragment
 //! (EXPERIMENTS.md, E7–E9).
 //!
-//! Configurations are canonicalized up to variable renaming: free variables
-//! are renumbered densely in first-occurrence order, so α-equivalent
-//! process states memoize together. Databases are keyed by content digest
-//! (128-bit, maintained incrementally — see `td_db::Database::digest`;
-//! collisions are possible in principle but have probability ~2⁻¹²⁸ per
-//! pair).
+//! Configurations are identified up to variable renaming by a 128-bit
+//! fingerprint (`kernel::fingerprint`): one pass over the process tree
+//! that numbers free variables densely in first-occurrence order, so
+//! α-equivalent process states memoize together, finished with the
+//! database's content digest (128-bit, maintained incrementally — see
+//! `td_db::Database::digest`). Collisions are possible in principle but
+//! have probability ~2⁻¹²⁸ per pair.
 //!
 //! With a [`SubgoalCache`] attached ([`decide_with_cache`] /
 //! [`final_states_with_cache`]), isolated blocks and sole-frontier ground
@@ -27,16 +28,15 @@
 //! are replayed as direct successors instead of being re-explored, which
 //! collapses the configuration chains inside contiguous subtransactions.
 
-use crate::cache::{state_key, StateKey, SubgoalCache};
+use crate::cache::SubgoalCache;
 use crate::config::{EngineError, Stats};
 use crate::incremental::Materializer;
-use crate::kernel::{Config as StepConfig, Hooks, Kernel};
+use crate::kernel::{fingerprint, Config as StepConfig, FpSet, Hooks, Kernel};
 use crate::obs::{LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{make_node, to_goal, PTree};
-use std::collections::HashSet;
+use crate::tree::{make_node, PTree};
 use std::sync::Arc;
-use td_core::{Goal, Program, Term, Var};
+use td_core::{Goal, Program, Var};
 use td_db::Database;
 
 /// Limits for a decision run.
@@ -150,7 +150,8 @@ pub fn decide_materialized(
             mat,
         },
         config,
-        visited: HashSet::new(),
+        visited: FpSet::default(),
+        key_vars: Vec::new(),
         truncated: false,
         local: LocalMetrics::new(obs.is_some()),
         reads: td_db::ReadSet::new(),
@@ -221,7 +222,8 @@ pub fn final_states_materialized(
             mat,
         },
         config,
-        visited: HashSet::new(),
+        visited: FpSet::default(),
+        key_vars: Vec::new(),
         truncated: false,
         local: LocalMetrics::new(false),
         reads: td_db::ReadSet::new(),
@@ -253,7 +255,8 @@ pub fn shortest_execution(
             mat: None,
         },
         config,
-        visited: HashSet::new(),
+        visited: FpSet::default(),
+        key_vars: Vec::new(),
         truncated: false,
         local: LocalMetrics::new(false),
         reads: td_db::ReadSet::new(),
@@ -286,7 +289,10 @@ struct Search<'p> {
     /// the decider only schedules which configuration to expand next.
     kernel: Kernel<'p>,
     config: DeciderConfig,
-    visited: HashSet<StateKey>,
+    /// Visited configurations, by [`fingerprint`].
+    visited: FpSet,
+    /// Variable-numbering scratch of [`Search::mark_visited`].
+    key_vars: Vec<Var>,
     truncated: bool,
     /// Per-run metric batch (rule expansions, cache tallies), absorbed by
     /// [`decide_observed`] when the run ends.
@@ -358,7 +364,9 @@ impl<'p> Search<'p> {
     }
 
     fn mark_visited(&mut self, tree: &Arc<PTree>, db: &Database) -> bool {
-        self.visited.insert(state_key(&to_goal(tree), db))
+        // Ground driver: substitutions are already applied to the tree.
+        self.visited
+            .insert(fingerprint(tree, |t| t, db, &mut self.key_vars))
     }
 
     /// Every configuration reachable in one elementary (or cache macro-)
@@ -392,26 +400,6 @@ impl<'p> Search<'p> {
             })
             .collect())
     }
-}
-
-/// Rename variables densely in first-occurrence order, making α-equivalent
-/// goals structurally equal.
-pub fn canonical_goal(goal: &Goal) -> Goal {
-    let mut map: Vec<(Var, u32)> = Vec::new();
-    goal.map_terms(&mut |t| match t {
-        Term::Var(v) => {
-            let id = match map.iter().find(|(w, _)| *w == v) {
-                Some((_, id)) => *id,
-                None => {
-                    let id = u32::try_from(map.len()).expect("var count overflow");
-                    map.push((v, id));
-                    id
-                }
-            };
-            Term::var(id)
-        }
-        other => other,
-    })
 }
 
 #[cfg(test)]
@@ -557,15 +545,6 @@ mod tests {
         );
         let finals = final_states(&p, &goals[0], &db, DeciderConfig::default()).unwrap();
         assert_eq!(finals.len(), 2);
-    }
-
-    #[test]
-    fn canonical_goal_identifies_alpha_equivalent() {
-        let g1 = Goal::atom("p", vec![Term::var(3), Term::var(7), Term::var(3)]);
-        let g2 = Goal::atom("p", vec![Term::var(9), Term::var(2), Term::var(9)]);
-        assert_eq!(canonical_goal(&g1), canonical_goal(&g2));
-        let g3 = Goal::atom("p", vec![Term::var(1), Term::var(2), Term::var(2)]);
-        assert_ne!(canonical_goal(&g1), canonical_goal(&g3));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! the interpreter commits some path; `entails` re-judges the goal against
 //! it.
 
+use crate::cache::canonical_goal;
 use crate::config::EngineError;
-use crate::decider::canonical_goal;
 use crate::kernel::{
     apply_unification, apply_unification_n, apply_update, check_absent, eval_ground_builtin,
     matching_tuples, subst_tree, BuiltinOut,

@@ -11,7 +11,7 @@
 //! * [`crate::machine`] — strategy-ordered depth-first search with a
 //!   choicepoint stack and a shared trail (lazy bindings);
 //! * [`crate::decider`] — memoized explicit-state search, one visit per
-//!   digest-keyed configuration (ground bindings, applied structurally);
+//!   fingerprinted configuration (ground bindings, applied structurally);
 //! * [`crate::parallel`] — work-stealing exploration of the same ground
 //!   configuration graph across threads.
 //!
@@ -27,6 +27,10 @@
 //! [`probe_subgoal`] + [`bind_answer`]/[`replay_answer`]) under its own
 //! choicepoint discipline.
 //!
+//! All three identify a configuration the same way — [`fingerprint`], one
+//! pass over the tree under the driver's bindings plus the database
+//! digest — so they agree on which configurations are "the same".
+//!
 //! Accounting is uniform: every kernel entry point takes [`Hooks`], and
 //! charges unfolds, database ops, isolation entries and cache hit/miss
 //! counters there, emitting per-probe observability events only when the
@@ -38,6 +42,7 @@
 
 mod cache;
 mod elem;
+mod fingerprint;
 mod ground;
 mod subst;
 mod unfold;
@@ -47,6 +52,7 @@ pub(crate) use elem::{
     apply_update, bind_tuple, check_absent, eval_builtin, eval_ground_builtin, matching_tuples,
     resolve_atom, BuiltinOut,
 };
+pub(crate) use fingerprint::{fingerprint, FpMap, FpSet};
 pub(crate) use ground::{Config, Kernel};
 pub(crate) use subst::{
     apply_unification, apply_unification_n, num_vars_in_tree, subst_tree, unify_project,

@@ -21,17 +21,16 @@
 //! discipline and owns only the search (strategies, backtracking, budgets,
 //! failure memoization).
 
-use crate::cache::{CachedAnswer, StateKey, SubgoalCache};
+use crate::cache::{CachedAnswer, SubgoalCache};
 use crate::config::{EngineConfig, EngineError, Stats, Strategy};
 use crate::incremental::Materializer;
-use crate::kernel::{self, Hooks, Probe};
+use crate::kernel::{self, FpSet, Hooks, Probe};
 use crate::obs::{subgoal_label, LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{frontier, leaf_at, make_node, rewrite, to_goal, PTree, Path};
+use crate::tree::{frontier, leaf_at, make_node, rewrite, PTree, Path};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::sync::Arc;
 use td_core::subst::TrailMark;
 use td_core::{Atom, Bindings, Goal, Program, RuleId, Var};
@@ -53,10 +52,12 @@ pub(crate) struct Ctx<'p> {
     pub reads: td_db::ReadSet,
     /// Committed-path trace events (only populated when `config.trace`).
     pub trace: Vec<TraceEvent>,
-    /// Refuted configurations: (canonical resolved process tree, db digest).
-    /// Only populated/consulted under complete strategies (see
+    /// Refuted configurations, by [`kernel::fingerprint`] under the current
+    /// bindings. Only populated/consulted under complete strategies (see
     /// `EngineConfig::memo_failures`).
-    failed: HashSet<StateKey>,
+    failed: FpSet,
+    /// Variable-numbering scratch of [`Ctx::config_key`].
+    key_vars: Vec<Var>,
     /// Shared subtransaction answer cache; `None` when disabled or the
     /// configuration is incompatible (see [`Ctx::new`]'s gate).
     cache: Option<Arc<SubgoalCache>>,
@@ -103,7 +104,8 @@ impl<'p> Ctx<'p> {
             delta: Vec::new(),
             reads: td_db::ReadSet::new(),
             trace: Vec::new(),
-            failed: HashSet::new(),
+            failed: FpSet::default(),
+            key_vars: Vec::new(),
             cache,
             mat,
             obs,
@@ -135,10 +137,10 @@ impl<'p> Ctx<'p> {
         self.config.memo_failures && self.config.strategy.backtracks_schedule()
     }
 
-    /// Canonical key of a configuration under the current bindings.
-    fn config_key(&self, tree: &Arc<PTree>, db: &Database) -> StateKey {
-        let resolved = to_goal(tree).map_terms(&mut |t| self.bindings.resolve(t));
-        crate::cache::state_key(&resolved, db)
+    /// Fingerprint of a configuration under the current bindings.
+    fn config_key(&mut self, tree: &Arc<PTree>, db: &Database) -> u128 {
+        let bindings = &self.bindings;
+        kernel::fingerprint(tree, |t| bindings.resolve(t), db, &mut self.key_vars)
     }
 
     /// Unfold `rule_id` for `atom` on the shared trail (a kernel
@@ -246,7 +248,7 @@ struct Choicepoint {
     /// success was yielded through this subtree in the meantime (see
     /// `successes_at_push`), in which case exhaustion only means "no more
     /// solutions".
-    state_key: Option<StateKey>,
+    step_key: Option<u128>,
     /// `Solver::successes` at push time; compared at pop to decide whether
     /// the subtree was success-free (refuted) or merely drained.
     successes_at_push: u64,
@@ -272,7 +274,7 @@ pub(crate) struct Solver {
     stack: Vec<Choicepoint>,
     /// Key of the configuration the in-flight step started from; consumed
     /// by the first choicepoint that step pushes.
-    pending_key: Option<StateKey>,
+    pending_key: Option<u128>,
     /// Number of solutions this solver has yielded. Used to distinguish
     /// refuted choicepoint subtrees from drained ones.
     successes: u64,
@@ -329,7 +331,7 @@ impl Solver {
                 depth: self.stack.len(),
             }));
         }
-        cp.state_key = self.pending_key.take();
+        cp.step_key = self.pending_key.take();
         cp.successes_at_push = self.successes;
         self.stack.push(cp);
         ctx.stats.choicepoints += 1;
@@ -356,7 +358,7 @@ impl Solver {
             self.push_cp(
                 ctx,
                 Choicepoint {
-                    state_key: None,
+                    step_key: None,
                     successes_at_push: 0,
                     tree: tree.clone(),
                     db: self.db.clone(),
@@ -370,8 +372,9 @@ impl Solver {
                 },
             )?;
         }
+        let sole = paths.len() == 1;
         let path = paths.swap_remove(0);
-        let result = self.execute(ctx, &tree, path);
+        let result = self.execute(ctx, &tree, path, sole);
         if matches!(result, Err(StepErr::Fail)) && self.stack.len() == stack_before {
             // The step failed with no alternatives: the configuration is
             // refuted outright.
@@ -383,21 +386,21 @@ impl Solver {
         result
     }
 
-    /// Execute the action leaf at `path` in `tree`.
-    fn execute(&mut self, ctx: &mut Ctx, tree: &Arc<PTree>, path: Path) -> StepResult {
-        let goal = leaf_at(tree, &path).clone();
-        match goal {
+    /// Execute the action leaf at `path` in `tree`; `sole` says it is the
+    /// only frontier action.
+    fn execute(&mut self, ctx: &mut Ctx, tree: &Arc<PTree>, path: Path, sole: bool) -> StepResult {
+        match leaf_at(tree, &path) {
             Goal::Fail => Err(StepErr::Fail),
             Goal::Atom(atom) => {
-                let resolved = kernel::resolve_atom(&ctx.bindings, &atom);
+                let resolved = kernel::resolve_atom(&ctx.bindings, atom);
                 if ctx.program.is_base(resolved.pred) {
                     self.exec_query(ctx, tree, path, resolved)
                 } else {
-                    self.exec_call(ctx, tree, path, resolved)
+                    self.exec_call(ctx, tree, path, resolved, sole)
                 }
             }
             Goal::NotAtom(atom) => {
-                let resolved = kernel::resolve_atom(&ctx.bindings, &atom);
+                let resolved = kernel::resolve_atom(&ctx.bindings, atom);
                 ctx.reads.record(resolved.pred);
                 match kernel::check_absent(&self.db, &resolved) {
                     Err(e) => Err(fatal(e)),
@@ -411,10 +414,10 @@ impl Solver {
             }
             Goal::Ins(atom) => self.exec_update(ctx, tree, path, atom, true),
             Goal::Del(atom) => self.exec_update(ctx, tree, path, atom, false),
-            Goal::Builtin(op, terms) => match kernel::eval_builtin(&mut ctx.bindings, op, &terms) {
+            Goal::Builtin(op, terms) => match kernel::eval_builtin(&mut ctx.bindings, *op, terms) {
                 Ok(true) => {
                     ctx.record(|| TraceEvent::Builtin {
-                        rendered: Goal::Builtin(op, terms.clone()).to_string(),
+                        rendered: Goal::Builtin(*op, terms.clone()).to_string(),
                     });
                     self.state = rewrite(tree, &path, None);
                     Ok(())
@@ -430,7 +433,7 @@ impl Solver {
                     self.push_cp(
                         ctx,
                         Choicepoint {
-                            state_key: None,
+                            step_key: None,
                             successes_at_push: 0,
                             tree: tree.clone(),
                             db: self.db.clone(),
@@ -469,7 +472,7 @@ impl Solver {
                     phase: SpanPhase::Isolation,
                     detail: String::new(),
                 });
-                let mut solver = Box::new(Solver::new(make_node(&inner), self.db.clone()));
+                let mut solver = Box::new(Solver::new(make_node(inner), self.db.clone()));
                 match solver.run(ctx) {
                     Ok(true) => {
                         ctx.record(|| TraceEvent::IsoExit);
@@ -485,7 +488,7 @@ impl Solver {
                         self.push_cp(
                             ctx,
                             Choicepoint {
-                                state_key: None,
+                                step_key: None,
                                 successes_at_push: 0,
                                 tree: tree.clone(),
                                 db: pre_db,
@@ -539,7 +542,7 @@ impl Solver {
             self.push_cp(
                 ctx,
                 Choicepoint {
-                    state_key: None,
+                    step_key: None,
                     successes_at_push: 0,
                     tree: tree.clone(),
                     db: self.db.clone(),
@@ -572,13 +575,14 @@ impl Solver {
         tree: &Arc<PTree>,
         path: Path,
         atom: Atom,
+        sole: bool,
     ) -> StepResult {
         // A ground call that is the *sole* frontier action executes as a
         // contiguous block (nothing else is schedulable until it finishes),
         // so its answer set is cacheable exactly like an isolated block.
         // The same condition is applied in the decider and the parallel
         // backend, so all three make identical caching decisions.
-        if ctx.mat.is_some() && atom.is_ground() && frontier(tree).len() == 1 {
+        if ctx.mat.is_some() && sole && atom.is_ground() {
             // A materialized probe is a pure-query macro-step: it beats both
             // the cache and rule unfolding, succeeding (leaf erased, no
             // bindings, no delta) or failing outright.
@@ -603,7 +607,7 @@ impl Solver {
                 };
             }
         }
-        if ctx.cache.is_some() && atom.is_ground() && frontier(tree).len() == 1 {
+        if ctx.cache.is_some() && sole && atom.is_ground() {
             let subgoal = Goal::Atom(atom.clone());
             if let Some(result) = self.try_cached_subgoal(ctx, tree, &path, &subgoal) {
                 return result;
@@ -617,7 +621,7 @@ impl Solver {
             self.push_cp(
                 ctx,
                 Choicepoint {
-                    state_key: None,
+                    step_key: None,
                     successes_at_push: 0,
                     tree: tree.clone(),
                     db: self.db.clone(),
@@ -647,10 +651,10 @@ impl Solver {
         ctx: &mut Ctx,
         tree: &Arc<PTree>,
         path: Path,
-        atom: Atom,
+        atom: &Atom,
         is_ins: bool,
     ) -> StepResult {
-        let resolved = kernel::resolve_atom(&ctx.bindings, &atom);
+        let resolved = kernel::resolve_atom(&ctx.bindings, atom);
         match kernel::apply_update(&self.db, &resolved, is_ins) {
             Err(e) => Err(fatal(e)),
             Ok((db, changed, op)) => {
@@ -736,7 +740,7 @@ impl Solver {
             self.push_cp(
                 ctx,
                 Choicepoint {
-                    state_key: None,
+                    step_key: None,
                     successes_at_push: 0,
                     tree: tree.clone(),
                     db: self.db.clone(),
@@ -967,7 +971,7 @@ impl Solver {
             match decision {
                 Decision::Exhausted => {
                     if let Some(cp) = self.stack.pop() {
-                        if let Some(key) = cp.state_key {
+                        if let Some(key) = cp.step_key {
                             if cp.successes_at_push == self.successes {
                                 ctx.failed.insert(key);
                             }
@@ -976,7 +980,9 @@ impl Solver {
                     continue;
                 }
                 Decision::Retry { tree, path, action } => match action {
-                    Retry::Sched => match self.execute(ctx, &tree, path) {
+                    // A scheduling choicepoint exists only over a frontier
+                    // of several actions.
+                    Retry::Sched => match self.execute(ctx, &tree, path, false) {
                         Ok(()) => return Ok(true),
                         Err(StepErr::Fail) => continue,
                         Err(StepErr::Fatal(e)) => return Err(e),
@@ -1008,7 +1014,7 @@ impl Solver {
                     }
                     Retry::IsoDead => {
                         if let Some(cp) = self.stack.pop() {
-                            if let Some(key) = cp.state_key {
+                            if let Some(key) = cp.step_key {
                                 if cp.successes_at_push == self.successes {
                                     ctx.failed.insert(key);
                                 }

@@ -12,12 +12,13 @@
 //!   steals from the *front* of a victim's deque (breadth-first, so thieves
 //!   take old, large subtrees). Termination is detected with a global
 //!   in-flight counter; no worker exits while work may still be generated.
-//! * **Shared memo** — a sharded, mutex-per-shard claim table keyed by
-//!   `(canonical process tree, database digest)`, replacing the sequential
-//!   engine's private refuted-configuration memo. Claiming is sound for
-//!   executability because equal keys have identical reachable
-//!   configurations: whichever worker claims a key explores its whole
-//!   subtree, so no success can be lost to a claim.
+//! * **Shared memo** — a sharded, mutex-per-shard claim table keyed by the
+//!   128-bit configuration fingerprint (`kernel::fingerprint`: the process
+//!   tree up to variable renaming, finished with the database digest),
+//!   replacing the sequential engine's private refuted-configuration memo.
+//!   Claiming is sound for executability because equal keys have identical
+//!   reachable configurations: whichever worker claims a key explores its
+//!   whole subtree, so no success can be lost to a claim.
 //! * **Cancellation** — an atomic stop flag set on first success (in the
 //!   default mode), on a fatal error, or on step-budget exhaustion.
 //! * **Deterministic mode** — every configuration carries the *path label*
@@ -37,20 +38,19 @@
 //! sequential engine's elementary step, so budgets are comparable but not
 //! identical across backends.
 
-use crate::cache::{state_key, StateKey, SubgoalCache};
+use crate::cache::SubgoalCache;
 use crate::config::{EngineConfig, EngineError, Stats};
 use crate::engine::{goal_num_vars, Outcome, Solution};
 use crate::incremental::Materializer;
-use crate::kernel::{Config as StepConfig, Hooks, Kernel};
+use crate::kernel::{fingerprint, Config as StepConfig, FpMap, FpSet, Hooks, Kernel};
 use crate::obs::{LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{leaf_count, make_node, to_goal};
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use crate::tree::{leaf_count, make_node};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use td_core::{Goal, Program, Term};
+use td_core::{Goal, Program, Term, Var};
 use td_db::{Database, Delta, DeltaOp};
 
 /// A persistent (shared-tail) update log: configurations fork at every
@@ -106,12 +106,11 @@ struct Witness {
     label: Option<Vec<u32>>,
 }
 
-type MemoKey = StateKey;
-
 const MEMO_SHARDS: usize = 64;
 
-/// Sharded claim table. Lock-light: each key maps to one of
-/// [`MEMO_SHARDS`] independent mutexes, so workers rarely contend.
+/// Sharded claim table over configuration fingerprints. Lock-light: each
+/// key maps to one of [`MEMO_SHARDS`] independent mutexes, so workers
+/// rarely contend.
 struct Memo {
     shards: Vec<Mutex<MemoShard>>,
 }
@@ -119,9 +118,9 @@ struct Memo {
 #[derive(Default)]
 struct MemoShard {
     /// Fast mode: claimed keys.
-    claimed: HashSet<MemoKey>,
+    claimed: FpSet,
     /// Deterministic mode: minimal label seen per key.
-    labeled: HashMap<MemoKey, Vec<u32>>,
+    labeled: FpMap<Vec<u32>>,
 }
 
 impl Memo {
@@ -131,23 +130,24 @@ impl Memo {
         }
     }
 
-    fn shard_for(&self, key: &MemoKey) -> &Mutex<MemoShard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % MEMO_SHARDS]
+    /// The shard comes from the fingerprint's high lane; the shard's own
+    /// tables hash by the low lane, so one shard's keys still spread over
+    /// all of its buckets.
+    fn shard_for(&self, key: u128) -> &Mutex<MemoShard> {
+        &self.shards[(key >> 64) as usize % MEMO_SHARDS]
     }
 
     /// Claim a key outright; false means some worker already owns it.
-    fn claim(&self, key: MemoKey) -> bool {
-        let mut shard = self.shard_for(&key).lock().expect("memo poisoned");
+    fn claim(&self, key: u128) -> bool {
+        let mut shard = self.shard_for(key).lock().expect("memo poisoned");
         shard.claimed.insert(key)
     }
 
     /// Claim a key at a label; succeeds only for a strictly smaller label
     /// than any seen before, so the lexicographically minimal path through
     /// every configuration is always explored.
-    fn claim_labeled(&self, key: MemoKey, label: &[u32]) -> bool {
-        let mut shard = self.shard_for(&key).lock().expect("memo poisoned");
+    fn claim_labeled(&self, key: u128, label: &[u32]) -> bool {
+        let mut shard = self.shard_for(key).lock().expect("memo poisoned");
         match shard.labeled.entry(key) {
             Entry::Occupied(mut e) => {
                 if e.get().as_slice() <= label {
@@ -214,6 +214,8 @@ struct WorkerOut {
     claimed: u64,
     /// Tasks this worker stole from other workers' queues.
     stolen: u64,
+    /// Variable-numbering scratch of this worker's fingerprint calls.
+    key_vars: Vec<Var>,
 }
 
 impl WorkerOut {
@@ -224,6 +226,7 @@ impl WorkerOut {
             reads: td_db::ReadSet::new(),
             claimed: 0,
             stolen: 0,
+            key_vars: Vec::new(),
         }
     }
 }
@@ -522,7 +525,8 @@ fn process(shared: &Shared<'_>, wid: usize, task: Task, w: &mut WorkerOut) {
     if shared.pruned_by_bound(&task) {
         return;
     }
-    let key = state_key(&to_goal(&tree), &task.cfg.db);
+    // Ground driver: substitutions are already applied to the tree.
+    let key = fingerprint(&tree, |t| t, &task.cfg.db, &mut w.key_vars);
     let claimed = match &task.label {
         Some(l) => shared.memo.claim_labeled(key, l),
         None => shared.memo.claim(key),
