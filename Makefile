@@ -1,19 +1,15 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: all test bench doc examples lint summary
+.PHONY: all test bench doc examples lint
 
 all: test
 
 test:
 	cargo test --workspace
 
+# tdbench, the one benchmark (BENCHMARK.json): every workload, default length.
 bench:
-	cargo bench --workspace 2>&1 | tee bench_output.txt
-
-# Markdown summary of the e01-e21 benches. The gated benchmark is tdbench
-# (BENCHMARK.json; bash crates/bench/src/bin/tdbench/run.sh), not this.
-summary: bench_output.txt
-	cargo run -p td-bench --bin bench_report < bench_output.txt > BENCH_SUMMARY.md
+	bash crates/bench/src/bin/tdbench/run.sh
 
 doc:
 	cargo doc --workspace --no-deps

@@ -1,13 +1,17 @@
 //! End-to-end smoke test for `td --report` / `--log-json`: runs the binary
 //! on a corpus program, validates the emitted JSON against the
-//! `td-run-report/v1` schema (via the td-bench validator CI also uses), and
-//! checks that the sequential and deterministic-parallel backends agree on
-//! the logical outcome counters.
+//! `td-run-report/v1` schema, and checks that the sequential and
+//! deterministic-parallel backends agree on the logical outcome counters,
+//! that a second durable run reports its recovery, and that a materialized
+//! run reports the materializer's counters.
+
+#[path = "support/json.rs"]
+mod json;
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use td_bench::json::{validate_run_report, Value};
+use json::{validate_run_report, Value};
 
 fn corpus(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -26,11 +30,15 @@ fn td() -> Command {
 }
 
 fn run_with_report(args: &[&str], report: &PathBuf) -> Value {
+    run_file_with_report("iterated_protocol.td", args, report)
+}
+
+fn run_file_with_report(file: &str, args: &[&str], report: &PathBuf) -> Value {
     let out = td()
         .args(args)
         .arg(format!("--report={}", report.display()))
         .arg("run")
-        .arg(corpus("iterated_protocol.td"))
+        .arg(corpus(file))
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -107,6 +115,53 @@ fn deterministic_parallel_report_matches_sequential_logical_counters() {
 }
 
 #[test]
+fn second_durable_run_reports_recovery() {
+    let db = temp("durable.tdb");
+    let _ = std::fs::remove_dir_all(&db);
+    let flag = format!("--db={}", db.display());
+    let first = run_with_report(&[&flag], &temp("durable1.json"));
+    assert_eq!(
+        first.path("store.recovery").and_then(Value::as_str),
+        Some("fresh")
+    );
+    let second = run_with_report(&[&flag], &temp("durable2.json"));
+    assert_eq!(
+        second.path("store.recovery").and_then(Value::as_str),
+        Some("recovered")
+    );
+    // The second run replayed what the first committed.
+    assert_eq!(
+        second.path("store.replayed").and_then(Value::as_f64),
+        first.path("store.committed").and_then(Value::as_f64)
+    );
+}
+
+#[test]
+fn materialized_run_reports_materializer_counters() {
+    let doc = run_file_with_report(
+        "reachability_maintenance.td",
+        &["--materialize"],
+        &temp("materialized.json"),
+    );
+    assert_eq!(
+        doc.path("config.effective.materialize")
+            .and_then(Value::as_bool),
+        Some(true)
+    );
+    for counter in ["probes", "state_hits", "maintained_ops"] {
+        let n = doc
+            .path(&format!("materializer.{counter}"))
+            .and_then(Value::as_f64);
+        assert!(n > Some(0.0), "materializer.{counter} = {n:?}");
+    }
+    assert_eq!(
+        doc.path("materializer.probes").and_then(Value::as_f64),
+        doc.path("metrics.counters.mat_probes")
+            .and_then(Value::as_f64)
+    );
+}
+
+#[test]
 fn log_json_emits_span_events() {
     let log = temp("events.jsonl");
     let out = td()
@@ -121,7 +176,7 @@ fn log_json_emits_span_events() {
     assert!(!lines.is_empty());
     // Every line is a self-contained JSON object with a seq and an event.
     for line in &lines {
-        let ev = td_bench::json::parse(line).expect("JSONL line must parse");
+        let ev = json::parse(line).expect("JSONL line must parse");
         assert!(ev.get("seq").is_some(), "{line}");
         assert!(ev.get("event").and_then(Value::as_str).is_some(), "{line}");
     }

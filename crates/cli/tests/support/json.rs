@@ -1,10 +1,11 @@
 //! Minimal JSON reader used to validate `td --report` documents.
 //!
 //! The workspace deliberately carries no JSON dependency; the engine
-//! hand-renders its reports and this module hand-parses them back. It is a
-//! plain recursive-descent parser over the full JSON grammar (objects,
-//! arrays, strings with escapes, numbers, booleans, null) — small, strict,
-//! and sufficient for schema checks in tests and CI.
+//! hand-renders its reports and this test-support module hand-parses them
+//! back. It is a plain recursive-descent parser over the full JSON grammar
+//! (objects, arrays, strings with escapes, numbers, booleans, null) —
+//! small, strict, and sufficient for the schema checks of
+//! `report_smoke.rs`, which compiles it in with `#[path]`.
 
 use std::collections::BTreeMap;
 

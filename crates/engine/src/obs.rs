@@ -22,11 +22,11 @@
 //!   runs emit aggregate span events). Serialized as JSON Lines.
 //! * [`RunReport`] — a single machine-readable JSON document per CLI run:
 //!   outcome, wall time, registry snapshot, requested *and* effective
-//!   config echo, and a digest of the final state. `bench_report` consumes
-//!   this instead of re-parsing stdout.
+//!   config echo, and a digest of the final state. Tools read this
+//!   instead of re-parsing stdout; `td-cli`'s `report_smoke` test validates
+//!   its schema on live runs.
 //!
-//! No external JSON dependency: the writers here are hand-rolled, like
-//! `td-bench`'s.
+//! No external JSON dependency: the writers here are hand-rolled.
 
 use crate::config::{EngineConfig, SearchBackend, Stats, Strategy};
 use crate::trace::{ProbeOutcome, TraceEvent};
@@ -840,7 +840,7 @@ pub fn config_json(c: &EngineConfig) -> String {
     )
 }
 
-/// Minimal JSON string escaping (same escapes as `td-bench`'s writer).
+/// Minimal JSON string escaping.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -56,8 +56,11 @@ fn start_server(
         parsed,
         EngineConfig::default(),
         &dir.join("db"),
+        // Every trigger bumps the one `fired/1` row: under the burst gate
+        // that is 150 transactions contending for it, so the retry budget
+        // is sized for a slow runner, not for the common case.
         TxOptions {
-            max_attempts: 64,
+            max_attempts: 1_000,
             backoff: Duration::from_micros(20),
             ..TxOptions::default()
         },
@@ -90,7 +93,7 @@ fn counter(stats: &str, name: &str) -> u64 {
 /// Triggers run on a background scheduler; poll the stats line until the
 /// fired counter catches up (or fail after a generous deadline).
 fn wait_for_fired(c: &mut Client, want: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = c.stats().unwrap();
         if counter(&stats, "triggers_fired") >= want {
@@ -205,16 +208,13 @@ fn triggered_and_direct_execution_agree() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Exactly-once under load: concurrent clients stream disjoint
-/// sample/result pairs; every pair must fire its trigger exactly once, and
-/// the `fired/1` counter (read-modify-write, so any double or lost
-/// execution skews it) must equal the number of matches.
-#[test]
-fn concurrent_ingestion_fires_each_match_exactly_once() {
-    let dir = temp_dir("exactly_once");
+/// `clients` concurrent connections each stream `per` disjoint
+/// sample/result pairs. Every pair must fire its trigger exactly once: the
+/// `fired/1` counter is read-modify-write, so any double or lost execution
+/// skews it, and it must equal the number of matches.
+fn ingest_pairs_exactly_once(name: &str, clients: usize, per: usize) -> ServeSummary {
+    let dir = temp_dir(name);
     let (socket, handle) = start_server(&dir, LAB);
-    let clients = 4;
-    let per = 5;
     let workers: Vec<_> = (0..clients)
         .map(|i| {
             let socket = socket.clone();
@@ -256,4 +256,34 @@ fn concurrent_ingestion_fires_each_match_exactly_once() {
         .len();
     assert_eq!(handled as u64, total);
     std::fs::remove_dir_all(&dir).unwrap();
+    summary
+}
+
+#[test]
+fn concurrent_ingestion_fires_each_match_exactly_once() {
+    ingest_pairs_exactly_once("exactly_once", 4, 5);
+}
+
+/// EXPERIMENTS.md E20: event appends ride the same group-commit path as
+/// client transactions, so sustained concurrent ingestion must retire more
+/// than one WAL record per fsync — that amortization is the point of
+/// acknowledging events only after durability. The ratio is structural,
+/// not a wall-clock threshold; it still needs a release build, because
+/// debug-build CPU keeps clients from ever queueing behind the leader's
+/// fsync, which is the regime being asserted.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "load gate: run with --release")]
+fn burst_ingestion_batches_fsyncs() {
+    let summary = ingest_pairs_exactly_once("burst", 6, 25);
+    let stats = summary.stats;
+    assert!(
+        stats.grouped_records > stats.groups,
+        "burst ingestion must batch: {} records over {} fsyncs",
+        stats.grouped_records,
+        stats.groups
+    );
+    // One trigger-latency sample per firing, and a sane histogram of them.
+    let ev = summary.events;
+    assert_eq!(ev.latency_buckets.iter().sum::<u64>(), ev.fired);
+    assert!(ev.p50_us > 0 && ev.p99_us >= ev.p50_us);
 }

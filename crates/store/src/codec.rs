@@ -14,8 +14,8 @@
 //!    mismatch reports a *torn frame* rather than an error — the write was
 //!    cut mid-flight and everything from that offset on is discarded.
 //!
-//! No external serialization dependency: like `td-bench`'s JSON writer, the
-//! codec is hand-rolled and versioned by [`FORMAT_TAG`].
+//! No external serialization dependency: like `td_engine::obs`'s JSON
+//! writers, the codec is hand-rolled and versioned by [`FORMAT_TAG`].
 
 use std::fmt;
 use td_core::{Pred, Value};

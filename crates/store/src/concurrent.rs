@@ -33,9 +33,9 @@
 //!
 //! ## Group commit
 //!
-//! The fsync on the WAL append (~0.2 ms, `e16_store`) would serialize
-//! commits at the device; instead commits are batched with the classic
-//! leader/follower scheme. A validated transaction appends its delta to a
+//! The fsync on the WAL append (~0.2 ms, tdbench `store.commit_us`) would
+//! serialize commits at the device; instead commits are batched with the
+//! classic leader/follower scheme. A validated transaction appends its delta to a
 //! pending batch under the state mutex and then either (a) finds the
 //! [`Store`] token free, takes it, and **becomes the leader**: it drains
 //! the whole pending batch and writes it as one fsync'd WAL group record

@@ -230,8 +230,8 @@ proptest! {
 /// Clients over **disjoint** relations: with per-relation validation their
 /// commits cannot invalidate each other, so every transaction lands on its
 /// first attempt — zero conflicts, zero retries. (Under whole-db
-/// validation this same workload conflicts constantly; `e21_occ` measures
-/// that gap, this test pins the zero.)
+/// validation this same workload conflicts constantly; `commit_gates.rs`
+/// gates that gap, this test pins the zero.)
 #[test]
 fn disjoint_relation_clients_commit_without_retries() {
     let clients = 4;

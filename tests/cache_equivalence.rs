@@ -157,7 +157,8 @@ fn cache_skips_probes_on_materialized_predicates() {
 /// Every corpus goal: the cached sequential engine and the cached
 /// deterministic-parallel engine reproduce the uncached sequential witness
 /// exactly. Goals run in file sequence against the committed state, like
-/// `td run`; each file keeps one warm cache across its goals.
+/// `td run`; each file keeps one warm cache across its goals, and the warm
+/// solve of the iterated protocol must actually hit it (EXPERIMENTS.md E15).
 #[test]
 fn corpus_cached_matches_uncached() {
     for path in corpus_files() {
@@ -173,14 +174,17 @@ fn corpus_cached_matches_uncached() {
             let plain = plain_engine
                 .solve(&g.goal, &db)
                 .unwrap_or_else(|e| panic!("{} goal {i}: {e}", path.display()));
-            let seq = cached_engine
-                .solve(&g.goal, &db)
-                .unwrap_or_else(|e| panic!("{} goal {i} (cached): {e}", path.display()));
-            assert_same_witness(
-                &plain,
-                &seq,
-                &format!("{} goal {i} (cached seq)", path.display()),
-            );
+            // The cold run populates the cache; the warm run replays from it.
+            for run in ["cold", "warm"] {
+                let seq = cached_engine
+                    .solve(&g.goal, &db)
+                    .unwrap_or_else(|e| panic!("{} goal {i} (cached): {e}", path.display()));
+                assert_same_witness(
+                    &plain,
+                    &seq,
+                    &format!("{} goal {i} (cached seq, {run})", path.display()),
+                );
+            }
             let par = par_engine
                 .solve(&g.goal, &db)
                 .unwrap_or_else(|e| panic!("{} goal {i} (cached par): {e}", path.display()));
@@ -192,6 +196,18 @@ fn corpus_cached_matches_uncached() {
             if let Some(sol) = plain.solution() {
                 db = sol.db.clone();
             }
+        }
+        // The regression guard for the tabling machinery: wrong keys,
+        // over-strict gating or broken digests leave every witness intact
+        // and silently stop producing hits.
+        if path.ends_with("iterated_protocol.td") {
+            let cache = cached_engine.subgoal_cache().expect("cache is on");
+            assert!(
+                cache.hits() > 0,
+                "zero cache hits on a warm iterated_protocol.td (misses={}, entries={})",
+                cache.misses(),
+                cache.len()
+            );
         }
     }
 }

@@ -12,6 +12,8 @@
 #![allow(dead_code)]
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use transaction_datalog::prelude::{
     parse_program, Atom, Database, Engine, EngineConfig, Goal, Outcome, Program, SearchBackend,
@@ -70,6 +72,27 @@ pub fn parallel_det(threads: usize) -> SearchBackend {
         threads,
         deterministic: true,
     }
+}
+
+/// Transitive closure `path/2` over the chain `n0 → … → n(nodes-1)` plus
+/// `shortcuts` random forward edges (fixed seed). Acyclic, so the untabled
+/// top-down engine terminates on it.
+pub fn chain_closure(nodes: usize, shortcuts: usize) -> (Program, Database) {
+    let mut src = String::from("base e/2.\n");
+    for i in 0..nodes - 1 {
+        src.push_str(&format!("init e(n{i}, n{}).\n", i + 1));
+    }
+    let mut rng = StdRng::seed_from_u64(9);
+    for _ in 0..shortcuts {
+        let a = rng.random_range(0..nodes - 1);
+        let b = rng.random_range(a + 1..nodes);
+        src.push_str(&format!("init e(n{a}, n{b}).\n"));
+    }
+    src.push_str("path(X, Y) <- e(X, Y).\npath(X, Z) <- e(X, Y) * path(Y, Z).\n");
+    let parsed = parse_program(&src).expect("chain program parses");
+    let db = Database::with_schema_of(&parsed.program);
+    let db = td_engine::load_init(&db, &parsed.init).expect("chain edges load");
+    (parsed.program, db)
 }
 
 /// The sorted `.td` files under `corpus/`.

@@ -23,7 +23,7 @@
 
 mod common;
 
-use common::{assert_same_witness, corpus_files};
+use common::{assert_same_witness, chain_closure, corpus_files};
 use proptest::prelude::*;
 use std::sync::Arc;
 use transaction_datalog::prelude::{
@@ -280,4 +280,80 @@ fn corpus_materialized_matches_plain() {
             }
         }
     }
+}
+
+/// Total wall time of `k` solves of `goal` on `db`.
+fn time_solves(engine: &Engine, goal: &Goal, db: &Database, k: usize) -> std::time::Duration {
+    let start = std::time::Instant::now();
+    for _ in 0..k {
+        assert!(engine.executable(goal, db).unwrap());
+    }
+    start.elapsed()
+}
+
+/// EXPERIMENTS.md E18 fixture: a 256-node chain whose closure views were
+/// seeded on the initial state and then maintained through a small base
+/// delta pushed through the engine — not rebuilt on the post state — with
+/// one warm lap of the ground end-to-end reachability query on each engine.
+/// Returns `(plain, materialized, query, post-delta db)`.
+fn warm_chain() -> (Engine, Engine, Goal, Database) {
+    const NODES: usize = 256;
+    let (program, db) = chain_closure(NODES, 0);
+    let query = Goal::atom(
+        "path",
+        vec![Term::sym("n0"), Term::sym(&format!("n{}", NODES - 1))],
+    );
+    let plain = Engine::new(program.clone());
+    let mat = Engine::with_config(program, EngineConfig::default().with_materialize());
+
+    assert!(mat.executable(&query, &db).unwrap());
+    let churn = Goal::seq(vec![
+        Goal::ins("e", vec![Term::sym("n0"), Term::sym("n2")]),
+        query.clone(),
+    ]);
+    let sol = mat.solve(&churn, &db).unwrap();
+    let db = sol.solution().expect("churn goal succeeds").db.clone();
+    let m = mat.materializer().expect("chain program materializes");
+    assert!(m.maintained_ops() > 0, "the delta must be maintained");
+
+    assert!(mat.executable(&query, &db).unwrap());
+    assert!(plain.executable(&query, &db).unwrap());
+    (plain, mat, query, db)
+}
+
+/// E18, structural half: warm re-queries are state-hit probes — the views
+/// are neither cold nor rebuilt.
+#[test]
+fn warm_materialized_requery_is_a_state_hit() {
+    let (_, mat, query, db) = warm_chain();
+    let m = mat.materializer().unwrap();
+    let (probes, state_hits, rebuilds) = (m.probes(), m.state_hits(), m.rebuilds());
+    time_solves(&mat, &query, &db, 200);
+    assert!(
+        m.probes() > probes && m.state_hits() > state_hits && m.rebuilds() == rebuilds,
+        "warm re-queries must be answered by state-hit probes \
+         (probes={}, state_hits={}, rebuilds={})",
+        m.probes(),
+        m.state_hits(),
+        m.rebuilds()
+    );
+}
+
+/// E18, timing half: those probes are at least 5x faster than the uncached
+/// top-down search. The margin is wide by construction (an index lookup
+/// against a walk of the whole chain; ~500x measured), so a failure means
+/// the probe path regressed — wrong gating, cold states on every query,
+/// maintenance falling back to rebuilds — not noise. Still a wall-clock
+/// ratio, so like the other load gates it runs in release builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "load gate: run with --release")]
+fn warm_materialized_requery_beats_topdown() {
+    let (plain, mat, query, db) = warm_chain();
+    let t_mat = time_solves(&mat, &query, &db, 200);
+    let t_plain = time_solves(&plain, &query, &db, 200);
+    assert!(
+        t_mat * 5 <= t_plain,
+        "materialized warm re-query must be >= 5x faster than uncached \
+         top-down: materialized {t_mat:?}, top-down {t_plain:?}"
+    );
 }
