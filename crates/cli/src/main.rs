@@ -69,15 +69,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use td_core::{FragmentReport, Goal, Program};
-use td_db::{Database, Delta, DeltaOp};
-use td_engine::obs::{
-    stats_counters, CacheReport, GoalReport, MatReport, RunReport, ServeReport, StoreReport,
-};
+use td_db::Database;
 use td_engine::{
-    decider, load_init, Engine, EngineConfig, Materializer, Observer, Outcome, SearchBackend,
-    Strategy, SubgoalCache,
+    decider::DeciderConfig, load_init, Engine, EngineConfig, GoalReport, JsonObject, Materializer,
+    Observer, Outcome, RunReport, SearchBackend, Solution, Strategy,
 };
-use td_parser::{parse_goal, parse_program};
+use td_parser::{parse_goal, parse_program, ParsedGoal, ParsedProgram};
 use td_store::{Store, WalTail};
 
 /// Everything the command line resolved to: the engine configuration plus
@@ -460,7 +457,7 @@ fn main() -> ExitCode {
     // record); a recovered store keeps its accumulated state and the
     // program's init facts are *not* re-applied.
     let mut store = match &opts.db {
-        Some(dir) => match open_or_init_store(Path::new(dir), &parsed) {
+        Some(dir) => match open_store(Path::new(dir), &parsed) {
             Ok(s) => {
                 let r = s.recovery();
                 println!(
@@ -514,7 +511,7 @@ fn main() -> ExitCode {
 /// multi-client transaction server until a client sends `stop`. The file's
 /// rules define the available transactions; state lives in the store (a
 /// fresh store is seeded with the file's `init` facts, like `td run --db`).
-fn serve_command(parsed: td_parser::ParsedProgram, opts: &CliOptions, file: &str) -> ExitCode {
+fn serve_command(parsed: ParsedProgram, opts: &CliOptions, file: &str) -> ExitCode {
     let dir = opts.db.as_deref().expect("checked by the caller");
     let socket = opts
         .socket
@@ -543,124 +540,30 @@ fn serve_command(parsed: td_parser::ParsedProgram, opts: &CliOptions, file: &str
             return ExitCode::FAILURE;
         }
     };
-    let stats = summary.stats;
-    println!(
-        "serve: {} connections, {} requests; {} commits in {} groups \
-         (mean group {:.2}, max {}), {} conflicts, {} read-only, {} aborts \
-         [occ={}]",
-        summary.counters.connections,
-        summary.counters.requests,
-        stats.commits,
-        stats.groups,
-        stats.mean_group(),
-        stats.max_group,
-        stats.conflicts,
-        stats.read_only,
-        stats.aborts,
-        summary.occ,
-    );
-    if !summary.conflict_relations.is_empty() || summary.counters.retries_exhausted > 0 {
-        let attribution = summary
-            .conflict_relations
-            .iter()
-            .map(|(p, n)| format!("{p}:{n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        println!(
-            "serve: conflicts by relation: {} ({} transactions exhausted \
-             their retry budget)",
-            if attribution.is_empty() {
-                "-".to_owned()
-            } else {
-                attribution
-            },
-            summary.counters.retries_exhausted,
-        );
-    }
-    let ev = &summary.events;
-    if ev.ingested > 0 || ev.matched > 0 {
-        println!(
-            "serve: {} events ingested, {} matches, {} triggers fired \
-             ({} conflicts retried, latency p50 {}us p99 {}us)",
-            ev.ingested, ev.matched, ev.fired, ev.conflicted, ev.p50_us, ev.p99_us,
-        );
+    for line in summary.lines() {
+        println!("{line}");
     }
     let mut ok = true;
     if let Some(path) = &opts.report {
-        let registry = td_engine::MetricsRegistry::new();
-        for (name, v) in [
-            ("serve.connections", summary.counters.connections),
-            ("serve.requests", summary.counters.requests),
-            ("serve.errors", summary.counters.errors),
-            ("serve.commits", stats.commits),
-            ("serve.read_only", stats.read_only),
-            ("serve.aborts", stats.aborts),
-            ("serve.conflicts", stats.conflicts),
-            ("serve.conflict_failures", stats.conflict_failures),
-            (
-                "serve.retries_exhausted",
-                summary.counters.retries_exhausted,
-            ),
-            ("serve.groups", stats.groups),
-            ("serve.grouped_records", stats.grouped_records),
-            ("serve.interned_symbols", summary.interned_symbols),
-            ("serve.interned_bytes", summary.interned_bytes),
-            ("events.ingested", ev.ingested),
-            ("triggers.matched", ev.matched),
-            ("triggers.fired", ev.fired),
-            ("triggers.conflicted", ev.conflicted),
-        ] {
-            registry.add_counter(name, v);
-        }
-        let report = RunReport {
-            command: "serve".to_owned(),
-            file: file.to_owned(),
-            requested: opts.config.clone(),
-            effective: opts.config.effective(),
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            goals: Vec::new(),
-            final_digest: Some(summary.store.db().digest()),
-            final_tuples: Some(summary.store.db().total_tuples() as u64),
-            cache: None,
-            mat: None,
-            store: Some(store_report(&summary.store)),
-            serve: Some(ServeReport {
-                socket: socket.clone(),
-                connections: summary.counters.connections,
-                requests: summary.counters.requests,
-                errors: summary.counters.errors,
-                commits: stats.commits,
-                read_only: stats.read_only,
-                aborts: stats.aborts,
-                conflicts: stats.conflicts,
-                occ: summary.occ.to_string(),
-                retries_exhausted: summary.counters.retries_exhausted,
-                conflict_relations: summary.conflict_relations.clone(),
-                groups: stats.groups,
-                grouped_records: stats.grouped_records,
-                max_group: stats.max_group,
-                interned_symbols: summary.interned_symbols,
-                interned_bytes: summary.interned_bytes,
-                events_ingested: ev.ingested,
-                triggers_matched: ev.matched,
-                triggers_fired: ev.fired,
-                triggers_conflicted: ev.conflicted,
-                trigger_latency: ev.latency_buckets.clone(),
-                trigger_p50_us: ev.p50_us,
-                trigger_p99_us: ev.p99_us,
-            }),
-            metrics: registry.snapshot(),
-        };
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("td: cannot write report `{path}`: {e}");
-            ok = false;
-        }
+        let db = summary.store.db();
+        let mut sections = vec![("cache", None), ("materializer", None)];
+        sections.push(("store", Some(store_section(&summary.store))));
+        sections.push(("serve", Some(summary.report_section(&socket))));
+        ok = write_report(
+            path,
+            &RunReport {
+                command: "serve".to_owned(),
+                file: file.to_owned(),
+                config: opts.config.clone(),
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                goals: Vec::new(),
+                final_state: Some((db.digest(), db.total_tuples() as u64)),
+                sections,
+                metrics: summary.metrics,
+            },
+        );
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit_code(ok)
 }
 
 /// `td client <request...> --socket=PATH` — send one protocol request to a
@@ -726,35 +629,13 @@ fn client_command(args: &[&String], opts: &CliOptions) -> ExitCode {
     }
 }
 
-/// Open `dir` with crash recovery, or initialize it: schema snapshot, then
-/// the program's init facts committed as the genesis WAL record (so even a
-/// crash before the first goal leaves a replayable, digest-verified state).
-fn open_or_init_store(dir: &Path, parsed: &td_parser::ParsedProgram) -> td_store::Result<Store> {
-    if Store::is_initialized(dir) {
-        return Store::open(dir);
-    }
+/// Open `dir` with crash recovery, or initialize it seeded with the
+/// program's schema and init facts (see [`Store::open_or_seed`]).
+fn open_store(dir: &Path, parsed: &ParsedProgram) -> td_store::Result<Store> {
     let schema = Database::with_schema_of(&parsed.program);
-    let mut store = Store::init(dir, &schema)?;
-    let genesis = init_delta(&schema, parsed)?;
-    if !genesis.is_empty() {
-        store.commit(&genesis)?;
-    }
-    Ok(store)
-}
-
-/// The program's init facts as one insertion delta against `schema`.
-fn init_delta(schema: &Database, parsed: &td_parser::ParsedProgram) -> td_store::Result<Delta> {
-    let with_init =
-        load_init(schema, &parsed.init).map_err(|e| td_store::StoreError::Db(e.to_string()))?;
-    let mut delta = Delta::new();
-    for p in with_init.preds() {
-        if let Some(rel) = with_init.relation(p) {
-            for t in rel.to_vec() {
-                delta.push(DeltaOp::Ins(p, t));
-            }
-        }
-    }
-    Ok(delta)
+    let seeded =
+        load_init(&schema, &parsed.init).map_err(|e| td_store::StoreError::Db(e.to_string()))?;
+    Store::open_or_seed(dir, &schema, &seeded)
 }
 
 /// `td db <init|snapshot|verify|log> <DIR> [file.td]` — store maintenance
@@ -792,7 +673,7 @@ fn db_command(args: &[&String]) -> ExitCode {
                         }
                     };
                     match parse_program(&src) {
-                        Ok(parsed) => open_or_init_store(dir_path, &parsed),
+                        Ok(parsed) => open_store(dir_path, &parsed),
                         Err(errs) => {
                             eprintln!("{}", errs.render(&src));
                             return ExitCode::FAILURE;
@@ -905,159 +786,7 @@ fn db_command(args: &[&String]) -> ExitCode {
     }
 }
 
-/// The observability sink the output options call for: an event log only
-/// when `--log-json` wants one, nothing at all when neither flag is given.
-fn observer_for(opts: &CliOptions) -> Option<Arc<Observer>> {
-    if opts.log_json.is_some() {
-        Some(Arc::new(Observer::with_event_log()))
-    } else if opts.report.is_some() {
-        Some(Arc::new(Observer::new()))
-    } else {
-        None
-    }
-}
-
-/// Write the `--report` and `--log-json` artifacts (no-op for flags not
-/// given). Returns false if a file could not be written.
-#[allow(clippy::too_many_arguments)]
-fn write_outputs(
-    opts: &CliOptions,
-    obs: Option<&Arc<Observer>>,
-    command: &str,
-    file: &str,
-    requested: &EngineConfig,
-    started: Instant,
-    goals: Vec<GoalReport>,
-    final_db: Option<&Database>,
-    cache: Option<&SubgoalCache>,
-    mat: Option<&Materializer>,
-    store: Option<StoreReport>,
-) -> bool {
-    let mut ok = true;
-    if let (Some(path), Some(obs)) = (&opts.log_json, obs) {
-        let lines = obs
-            .event_log()
-            .map(|l| l.to_json_lines())
-            .unwrap_or_default();
-        if let Err(e) = std::fs::write(path, lines) {
-            eprintln!("td: cannot write event log `{path}`: {e}");
-            ok = false;
-        }
-    }
-    if let Some(path) = &opts.report {
-        let report = RunReport {
-            command: command.to_owned(),
-            file: file.to_owned(),
-            requested: requested.clone(),
-            effective: requested.effective(),
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            goals,
-            final_digest: final_db.map(|d| d.digest()),
-            final_tuples: final_db.map(|d| d.total_tuples() as u64),
-            cache: cache.map(|c| CacheReport {
-                hits: c.hits(),
-                misses: c.misses(),
-                unsuitable: c.unsuitable(),
-                evictions: c.evictions(),
-                entries: c.len() as u64,
-            }),
-            mat: mat.map(|m| MatReport {
-                probes: m.probes(),
-                state_hits: m.state_hits(),
-                rebuilds: m.rebuilds(),
-                maintained_ops: m.maintained_ops(),
-                delta_tuples: m.delta_tuples(),
-                maintain_us: m.maintain_ns() / 1000,
-                states: m.states() as u64,
-            }),
-            store,
-            serve: None,
-            metrics: obs
-                .map(|o| o.registry.snapshot())
-                .unwrap_or_else(|| td_engine::MetricsRegistry::new().snapshot()),
-        };
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("td: cannot write report `{path}`: {e}");
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// The `"store"` section of a run report, read off an open store handle.
-fn store_report(store: &Store) -> StoreReport {
-    StoreReport {
-        path: store.dir().display().to_string(),
-        recovery: store.recovery().outcome.as_str().to_owned(),
-        replayed: store.recovery().replayed,
-        torn_bytes: store.recovery().torn_bytes,
-        committed: store.committed_this_session(),
-        snapshot_age: store.wal_records(),
-    }
-}
-
-fn trace(
-    parsed: &td_parser::ParsedProgram,
-    mut db: Database,
-    opts: &CliOptions,
-    file: &str,
-) -> ExitCode {
-    if parsed.goals.is_empty() {
-        eprintln!("td: no ?- goals in file");
-        return ExitCode::FAILURE;
-    }
-    let started = Instant::now();
-    let requested = opts.config.clone().with_trace();
-    let obs = observer_for(opts);
-    let mut engine = Engine::with_config(parsed.program.clone(), requested.clone());
-    if let Some(o) = &obs {
-        engine = engine.with_observer(o.clone());
-    }
-    let mut ok = true;
-    let mut reports = Vec::new();
-    for g in &parsed.goals {
-        let rendered = td_core::rule::render_goal_with_names(&g.goal, &g.var_names);
-        println!("?- {rendered}");
-        let mut report = GoalReport {
-            goal: rendered,
-            ok: false,
-            error: None,
-            counters: Vec::new(),
-        };
-        match engine.solve(&g.goal, &db) {
-            Ok(Outcome::Success(sol)) => {
-                print!("{}", sol.trace);
-                println!("  yes  ({})", sol.stats);
-                db = sol.db.clone();
-                report.ok = true;
-                report.counters = stats_counters(&sol.stats);
-            }
-            Ok(Outcome::Failure { stats }) => {
-                println!("  no   ({stats})");
-                report.counters = stats_counters(&stats);
-                ok = false;
-            }
-            Err(e) => {
-                println!("  error: {e}");
-                report.error = Some(e.to_string());
-                ok = false;
-            }
-        }
-        reports.push(report);
-    }
-    ok &= write_outputs(
-        opts,
-        obs.as_ref(),
-        "trace",
-        file,
-        &requested,
-        started,
-        reports,
-        Some(&db),
-        None,
-        None,
-        None,
-    );
+fn exit_code(ok: bool) -> ExitCode {
     if ok {
         ExitCode::SUCCESS
     } else {
@@ -1065,97 +794,220 @@ fn trace(
     }
 }
 
+/// Write a `--report` document; false (and a diagnostic) if it cannot be.
+fn write_report(path: &str, report: &RunReport) -> bool {
+    std::fs::write(path, report.to_json())
+        .map_err(|e| eprintln!("td: cannot write report `{path}`: {e}"))
+        .is_ok()
+}
+
+/// The `store` section of a run report — the CLI opened the store, so it
+/// renders what opening and committing did: the recovery outcome label
+/// (`fresh`, `recovered`, `recovered-torn-tail`, `recovered-stale-wal`),
+/// what recovery replayed and cut, the transactions this run committed, and
+/// the snapshot's age in WAL records at the end of the run.
+fn store_section(store: &Store) -> String {
+    let recovery = store.recovery();
+    JsonObject::new()
+        .string("path", store.dir().display())
+        .string("recovery", recovery.outcome.as_str())
+        .field("replayed", recovery.replayed)
+        .field("torn_bytes", recovery.torn_bytes)
+        .field("committed", store.committed_this_session())
+        .field("snapshot_age", store.wal_records())
+        .finish()
+}
+
+/// `name: k=v k=v …` — a layer's lifetime counters as one stdout line.
+fn counter_line(name: &str, rows: &[(&'static str, u64)]) -> String {
+    let rows: Vec<String> = rows.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    format!("{name}: {}", rows.join(" "))
+}
+
+/// One `run`/`trace`/`decide` invocation: the engine (carrying the observer
+/// the output flags call for), the per-goal report rows, and the status
+/// that becomes the exit code.
+struct Session<'a> {
+    opts: &'a CliOptions,
+    command: &'static str,
+    file: &'a str,
+    started: Instant,
+    engine: Engine,
+    goals: Vec<GoalReport>,
+    ok: bool,
+}
+
+impl<'a> Session<'a> {
+    /// An engine over the file's program under `config`, observed only as
+    /// far as the output flags need: an event log when `--log-json` wants
+    /// one, a bare registry for `--report`, nothing at all otherwise.
+    fn start(
+        parsed: &ParsedProgram,
+        opts: &'a CliOptions,
+        command: &'static str,
+        file: &'a str,
+        config: EngineConfig,
+    ) -> Result<Session<'a>, ExitCode> {
+        if parsed.goals.is_empty() {
+            eprintln!("td: no ?- goals in file");
+            return Err(ExitCode::FAILURE);
+        }
+        let mut engine = Engine::with_config(parsed.program.clone(), config);
+        if opts.log_json.is_some() {
+            engine = engine.with_observer(Arc::new(Observer::with_event_log()));
+        } else if opts.report.is_some() {
+            engine = engine.with_observer(Arc::new(Observer::new()));
+        }
+        Ok(Session {
+            opts,
+            command,
+            file,
+            started: Instant::now(),
+            engine,
+            goals: Vec::new(),
+            ok: true,
+        })
+    }
+
+    /// Record one goal's report row; a goal that did not succeed, or that
+    /// faulted, fails the command.
+    fn record(
+        &mut self,
+        goal: String,
+        ok: bool,
+        counters: Vec<(&'static str, u64)>,
+        error: Option<String>,
+    ) {
+        self.ok &= ok && error.is_none();
+        self.goals.push(GoalReport {
+            goal,
+            ok,
+            error,
+            counters,
+        });
+    }
+
+    /// Announce and solve one `?-` goal. A failure or a fault is printed and
+    /// recorded here; a success is handed back for the command to print,
+    /// commit and record its own way.
+    fn solve(&mut self, g: &ParsedGoal, db: &Database) -> Option<(String, Box<Solution>)> {
+        let goal = td_core::rule::render_goal_with_names(&g.goal, &g.var_names);
+        println!("?- {goal}");
+        match self.engine.solve(&g.goal, db) {
+            Ok(Outcome::Success(sol)) => return Some((goal, sol)),
+            Ok(Outcome::Failure { stats }) => {
+                println!("  no   ({stats})");
+                self.record(goal, false, GoalReport::stats_rows(&stats), None);
+            }
+            Err(e) => {
+                println!("  error: {e}");
+                self.record(goal, false, Vec::new(), Some(e.to_string()));
+            }
+        }
+        None
+    }
+
+    /// Write the `--log-json` and `--report` artifacts (whichever were
+    /// asked for) and turn the accumulated status into the exit code.
+    fn finish(mut self, final_db: Option<&Database>, store: Option<&Store>) -> ExitCode {
+        let obs = self.engine.observer();
+        if let (Some(path), Some(log)) = (&self.opts.log_json, obs.and_then(|o| o.event_log())) {
+            if let Err(e) = std::fs::write(path, log.to_json_lines()) {
+                eprintln!("td: cannot write event log `{path}`: {e}");
+                self.ok = false;
+            }
+        }
+        if let Some(path) = &self.opts.report {
+            let mut sections = self.engine.report_sections();
+            sections.push(("store", store.map(store_section)));
+            sections.push(("serve", None));
+            let report = RunReport {
+                command: self.command.to_owned(),
+                file: self.file.to_owned(),
+                config: self.engine.config().clone(),
+                wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
+                goals: self.goals,
+                final_state: final_db.map(|d| (d.digest(), d.total_tuples() as u64)),
+                sections,
+                metrics: obs.map(|o| o.registry.snapshot()).unwrap_or_default(),
+            };
+            self.ok &= write_report(path, &report);
+        }
+        exit_code(self.ok)
+    }
+}
+
+fn trace(parsed: &ParsedProgram, mut db: Database, opts: &CliOptions, file: &str) -> ExitCode {
+    let config = opts.config.clone().with_trace();
+    let mut session = match Session::start(parsed, opts, "trace", file, config) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
+    for g in &parsed.goals {
+        let Some((goal, sol)) = session.solve(g, &db) else {
+            continue;
+        };
+        print!("{}", sol.trace);
+        println!("  yes  ({})", sol.stats);
+        session.record(goal, true, GoalReport::stats_rows(&sol.stats), None);
+        db = sol.db;
+    }
+    session.finish(Some(&db), None)
+}
+
 fn run(
-    parsed: &td_parser::ParsedProgram,
+    parsed: &ParsedProgram,
     mut db: Database,
     opts: &CliOptions,
     file: &str,
     mut store: Option<&mut Store>,
 ) -> ExitCode {
-    if parsed.goals.is_empty() {
-        eprintln!("td: no ?- goals in file");
-        return ExitCode::FAILURE;
-    }
-    let started = Instant::now();
-    let obs = observer_for(opts);
-    let mut engine = Engine::with_config(parsed.program.clone(), opts.config.clone());
-    if let Some(o) = &obs {
-        engine = engine.with_observer(o.clone());
-    }
-    let mut ok = true;
-    let mut reports = Vec::new();
+    let mut session = match Session::start(parsed, opts, "run", file, opts.config.clone()) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
     for g in &parsed.goals {
-        let rendered = td_core::rule::render_goal_with_names(&g.goal, &g.var_names);
-        println!("?- {rendered}");
-        let mut report = GoalReport {
-            goal: rendered,
-            ok: false,
-            error: None,
-            counters: Vec::new(),
+        let Some((goal, sol)) = session.solve(g, &db) else {
+            continue;
         };
-        match engine.solve(&g.goal, &db) {
-            Ok(Outcome::Success(sol)) => {
-                for (i, name) in g.var_names.iter().enumerate() {
-                    println!("  {name} = {}", sol.answer[i]);
+        for (i, name) in g.var_names.iter().enumerate() {
+            println!("  {name} = {}", sol.answer[i]);
+        }
+        println!("  yes  ({})", sol.stats);
+        println!("  db = {}", sol.db);
+        let mut counters = GoalReport::stats_rows(&sol.stats);
+        counters.push(("committed_updates", sol.delta.len() as u64));
+        // Durable commit: one fsync'd WAL record per successful goal with a
+        // state change (read-only goals leave no record — there is nothing
+        // to recover).
+        let mut failure = None;
+        if let Some(s) = store.as_deref_mut().filter(|_| !sol.delta.is_empty()) {
+            match s.commit(&sol.delta) {
+                Ok(seq) => {
+                    debug_assert_eq!(s.db().digest(), sol.db.digest());
+                    println!("  committed wal record #{seq}");
                 }
-                println!("  yes  ({})", sol.stats);
-                println!("  db = {}", sol.db);
-                db = sol.db.clone(); // goals run in sequence, like the prototype
-                report.ok = true;
-                report.counters = stats_counters(&sol.stats);
-                report
-                    .counters
-                    .push(("committed_updates".to_owned(), sol.delta.len() as u64));
-                // Durable commit: one fsync'd WAL record per successful
-                // goal with a state change (read-only goals leave no
-                // record — there is nothing to recover).
-                if let Some(s) = store.as_deref_mut() {
-                    if !sol.delta.is_empty() {
-                        match s.commit(&sol.delta) {
-                            Ok(seq) => {
-                                debug_assert_eq!(s.db().digest(), sol.db.digest());
-                                println!("  committed wal record #{seq}");
-                            }
-                            Err(e) => {
-                                // The in-memory run and the store have
-                                // diverged; committing further goals would
-                                // persist a state recovery can't verify.
-                                eprintln!("td: wal commit failed: {e}");
-                                report.error = Some(format!("wal commit failed: {e}"));
-                                ok = false;
-                                reports.push(report);
-                                break;
-                            }
-                        }
-                    }
+                Err(e) => {
+                    eprintln!("td: wal commit failed: {e}");
+                    failure = Some(format!("wal commit failed: {e}"));
                 }
-            }
-            Ok(Outcome::Failure { stats }) => {
-                println!("  no   ({stats})");
-                report.counters = stats_counters(&stats);
-                ok = false;
-            }
-            Err(e) => {
-                println!("  error: {e}");
-                report.error = Some(e.to_string());
-                ok = false;
             }
         }
-        reports.push(report);
+        let diverged = failure.is_some();
+        session.record(goal, true, counters, failure);
+        db = sol.db; // goals run in sequence, like the prototype
+        if diverged {
+            // The in-memory run and the store have diverged; committing
+            // further goals would persist a state recovery can't verify.
+            break;
+        }
     }
-    let cache = engine.subgoal_cache().cloned();
-    let mat = engine.materializer().cloned();
-    if let Some(m) = &mat {
-        println!(
-            "materializer: probes={} state_hits={} rebuilds={} maintained_ops={} \
-             delta_tuples={} states={}",
-            m.probes(),
-            m.state_hits(),
-            m.rebuilds(),
-            m.maintained_ops(),
-            m.delta_tuples(),
-            m.states()
-        );
+    if let Some(m) = session.engine.materializer() {
+        // `maintain_us` is a timing: it stays out of stdout, which is
+        // otherwise a pure function of the program.
+        let mut rows = m.counters();
+        rows.retain(|(k, _)| *k != "maintain_us");
+        println!("{}", counter_line("materializer", &rows));
     }
     if let Some(s) = store.as_deref() {
         println!(
@@ -1164,27 +1016,10 @@ fn run(
             s.wal_records()
         );
     }
-    ok &= write_outputs(
-        opts,
-        obs.as_ref(),
-        "run",
-        file,
-        &opts.config,
-        started,
-        reports,
-        Some(&db),
-        cache.as_deref(),
-        mat.as_deref(),
-        store.as_deref().map(store_report),
-    );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    session.finish(Some(&db), store.as_deref())
 }
 
-fn fragment(parsed: &td_parser::ParsedProgram, config: &EngineConfig) -> ExitCode {
+fn fragment(parsed: &ParsedProgram, config: &EngineConfig) -> ExitCode {
     let goal = parsed
         .goals
         .first()
@@ -1209,48 +1044,24 @@ fn fragment(parsed: &td_parser::ParsedProgram, config: &EngineConfig) -> ExitCod
 }
 
 fn decide(
-    parsed: &td_parser::ParsedProgram,
+    parsed: &ParsedProgram,
     db: Database,
     opts: &CliOptions,
     file: &str,
     store: Option<&Store>,
 ) -> ExitCode {
-    if parsed.goals.is_empty() {
-        eprintln!("td: no ?- goals in file");
-        return ExitCode::FAILURE;
-    }
-    let started = Instant::now();
-    let config = &opts.config;
-    let obs = observer_for(opts);
-    // One cache across all the file's goals: repeated subprotocols warm it.
-    let cache = config
-        .subgoal_cache
-        .then(|| Arc::new(SubgoalCache::new(config.cache_capacity)));
-    // Likewise one materializer: its digest-keyed states stay warm across
-    // goals (main() already rejected the flag if compilation cannot succeed).
-    let mat = config
-        .materialize
-        .then(|| Materializer::compile(&parsed.program).ok().map(Arc::new))
-        .flatten();
-    let mut ok = true;
-    let mut reports = Vec::new();
+    // One engine — so one cache and one materializer — across all the
+    // file's goals: repeated subprotocols warm them.
+    let mut session = match Session::start(parsed, opts, "decide", file, opts.config.clone()) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
     for g in &parsed.goals {
-        let rendered = td_core::rule::render_goal_with_names(&g.goal, &g.var_names);
-        let mut report = GoalReport {
-            goal: rendered,
-            ok: false,
-            error: None,
-            counters: Vec::new(),
-        };
-        match decider::decide_materialized(
-            &parsed.program,
-            &g.goal,
-            &db,
-            decider::DeciderConfig::default(),
-            cache.clone(),
-            mat.clone(),
-            obs.clone(),
-        ) {
+        let goal = td_core::rule::render_goal_with_names(&g.goal, &g.var_names);
+        match session
+            .engine
+            .decide(&g.goal, &db, DeciderConfig::default())
+        {
             Ok(d) => {
                 println!(
                     "executable: {}{}  (configurations: {})",
@@ -1258,53 +1069,26 @@ fn decide(
                     if d.truncated { " (truncated)" } else { "" },
                     d.configs
                 );
-                ok &= d.executable;
-                report.ok = d.executable;
-                report.counters = vec![
-                    ("configs".to_owned(), d.configs as u64),
-                    ("truncated".to_owned(), u64::from(d.truncated)),
+                let counters = vec![
+                    ("configs", d.configs as u64),
+                    ("truncated", u64::from(d.truncated)),
                 ];
+                session.record(goal, d.executable, counters, None);
             }
             Err(e) => {
                 println!("error: {e}");
-                report.error = Some(e.to_string());
-                ok = false;
+                session.record(goal, false, Vec::new(), Some(e.to_string()));
             }
         }
-        reports.push(report);
     }
-    if let Some(c) = &cache {
-        println!(
-            "subgoal cache: hits={} misses={} unsuitable={} evictions={} entries={}",
-            c.hits(),
-            c.misses(),
-            c.unsuitable(),
-            c.evictions(),
-            c.len()
-        );
+    if let Some(c) = session.engine.subgoal_cache() {
+        println!("{}", counter_line("subgoal cache", &c.counters()));
     }
-    ok &= write_outputs(
-        opts,
-        obs.as_ref(),
-        "decide",
-        file,
-        config,
-        started,
-        reports,
-        None,
-        cache.as_deref(),
-        mat.as_deref(),
-        store.map(store_report),
-    );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    session.finish(None, store)
 }
 
 fn repl(
-    parsed: &td_parser::ParsedProgram,
+    parsed: &ParsedProgram,
     mut db: Database,
     config: EngineConfig,
     mut store: Option<&mut Store>,

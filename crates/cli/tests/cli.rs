@@ -1,5 +1,11 @@
 //! Integration tests for the `td` binary.
 
+// Only the parser and `Value` are used here; `report_smoke.rs` uses the rest.
+#[allow(dead_code)]
+#[path = "support/json.rs"]
+mod json;
+
+use json::Value;
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 
@@ -394,6 +400,67 @@ fn serve_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The key set of the JSON object at `path` (sorted — objects parse into a
+/// `BTreeMap`), space-joined.
+fn key_set(doc: &Value, path: &str) -> String {
+    match doc.path(path) {
+        Some(Value::Obj(m)) => m.keys().map(String::as_str).collect::<Vec<_>>().join(" "),
+        other => panic!("`{path}` is not an object: {other:?}"),
+    }
+}
+
+fn num(doc: &Value, path: &str) -> f64 {
+    doc.path(path)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no number at `{path}`"))
+}
+
+/// A counter of the report's registry snapshot (names contain dots, so
+/// `Value::path` cannot address them).
+fn metric(doc: &Value, name: &str) -> f64 {
+    doc.path("metrics.counters")
+        .and_then(|c| c.get(name))
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no counter `{name}`"))
+}
+
+/// Parse a `td serve --report` document and pin its published shape: the
+/// key sets of `serve`, `serve.events` and `metrics.counters`, and the
+/// 32-bucket trigger-latency histogram. Returns the document and the
+/// number of latency samples.
+fn read_serve_report(path: &std::path::Path) -> (Value, f64) {
+    let doc = json::parse(&std::fs::read_to_string(path).unwrap()).expect("report parses");
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some("td-run-report/v1")
+    );
+    assert_eq!(doc.get("command").and_then(Value::as_str), Some("serve"));
+    assert_eq!(
+        key_set(&doc, "serve"),
+        "aborts commits conflict_relations conflicts connections errors events \
+         grouped_records groups interned_bytes interned_symbols max_group occ read_only \
+         requests retries_exhausted socket"
+    );
+    assert_eq!(
+        key_set(&doc, "serve.events"),
+        "conflicted fired ingested latency_buckets matched p50_us p99_us"
+    );
+    assert_eq!(
+        key_set(&doc, "metrics.counters"),
+        "events.ingested serve.aborts serve.commits serve.conflict_failures serve.conflicts \
+         serve.connections serve.errors serve.grouped_records serve.groups \
+         serve.interned_bytes serve.interned_symbols serve.read_only serve.requests \
+         serve.retries_exhausted triggers.conflicted triggers.fired triggers.matched"
+    );
+    let buckets = doc
+        .path("serve.events.latency_buckets")
+        .and_then(Value::as_arr)
+        .expect("latency_buckets is an array");
+    assert_eq!(buckets.len(), 32);
+    let samples = buckets.iter().map(|b| b.as_f64().unwrap()).sum();
+    (doc, samples)
+}
+
 /// The serve flag fail-fast matrix: every incompatible combination exits 2
 /// with a diagnostic naming the flag, before any socket is bound.
 #[test]
@@ -561,13 +628,16 @@ fn serve_and_client_round_trip_over_the_binary() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("1 commits"), "{stdout}");
-    let json = std::fs::read_to_string(&report).unwrap();
-    assert!(json.contains("\"command\": \"serve\""), "{json}");
-    assert!(json.contains("\"commits\": 1"), "{json}");
-    assert!(json.contains("\"serve.commits\": 1"), "{json}");
-    assert!(json.contains("\"occ\": \"read-set\""), "{json}");
-    assert!(json.contains("\"retries_exhausted\": 0"), "{json}");
-    assert!(json.contains("\"conflict_relations\": {}"), "{json}");
+    let (doc, latency_samples) = read_serve_report(&report);
+    assert_eq!(num(&doc, "serve.commits"), 1.0);
+    assert_eq!(metric(&doc, "serve.commits"), 1.0);
+    assert_eq!(
+        doc.path("serve.occ").and_then(Value::as_str),
+        Some("read-set")
+    );
+    assert_eq!(num(&doc, "serve.retries_exhausted"), 0.0);
+    assert_eq!(key_set(&doc, "serve.conflict_relations"), "");
+    assert_eq!(latency_samples, 0.0, "no trigger ever ran");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -760,10 +830,12 @@ fn reactive_serve_over_the_binary() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("2 events ingested"), "{stdout}");
     assert!(stdout.contains("1 triggers fired"), "{stdout}");
-    let json = std::fs::read_to_string(&report).unwrap();
-    assert!(json.contains("\"events\": {\"ingested\": 2"), "{json}");
-    assert!(json.contains("\"fired\": 1"), "{json}");
-    assert!(json.contains("\"events.ingested\": 2"), "{json}");
-    assert!(json.contains("\"triggers.fired\": 1"), "{json}");
+    let (doc, latency_samples) = read_serve_report(&report);
+    assert_eq!(num(&doc, "serve.events.ingested"), 2.0);
+    assert_eq!(num(&doc, "serve.events.fired"), 1.0);
+    assert_eq!(metric(&doc, "events.ingested"), 2.0);
+    assert_eq!(metric(&doc, "triggers.fired"), 1.0);
+    // `run_trigger` records one sample per job, fired or not.
+    assert_eq!(latency_samples, 1.0, "one trigger execution");
     std::fs::remove_dir_all(&dir).unwrap();
 }

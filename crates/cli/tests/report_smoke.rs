@@ -138,27 +138,34 @@ fn second_durable_run_reports_recovery() {
 
 #[test]
 fn materialized_run_reports_materializer_counters() {
-    let doc = run_file_with_report(
-        "reachability_maintenance.td",
-        &["--materialize"],
-        &temp("materialized.json"),
-    );
-    assert_eq!(
-        doc.path("config.effective.materialize")
-            .and_then(Value::as_bool),
-        Some(true)
-    );
-    for counter in ["probes", "state_hits", "maintained_ops"] {
-        let n = doc
-            .path(&format!("materializer.{counter}"))
-            .and_then(Value::as_f64);
-        assert!(n > Some(0.0), "materializer.{counter} = {n:?}");
+    // Sequential and parallel: the per-run `mat_probes` counter is merged
+    // across workers and must still equal the materializer's own tally.
+    for (args, name) in [
+        (&["--materialize"][..], "materialized.json"),
+        (
+            &["--materialize", "--threads=4"][..],
+            "materialized_par.json",
+        ),
+    ] {
+        let doc = run_file_with_report("reachability_maintenance.td", args, &temp(name));
+        assert_eq!(
+            doc.path("config.effective.materialize")
+                .and_then(Value::as_bool),
+            Some(true)
+        );
+        for counter in ["probes", "state_hits", "maintained_ops"] {
+            let n = doc
+                .path(&format!("materializer.{counter}"))
+                .and_then(Value::as_f64);
+            assert!(n > Some(0.0), "{args:?}: materializer.{counter} = {n:?}");
+        }
+        assert_eq!(
+            doc.path("materializer.probes").and_then(Value::as_f64),
+            doc.path("metrics.counters.mat_probes")
+                .and_then(Value::as_f64),
+            "{args:?}"
+        );
     }
-    assert_eq!(
-        doc.path("materializer.probes").and_then(Value::as_f64),
-        doc.path("metrics.counters.mat_probes")
-            .and_then(Value::as_f64)
-    );
 }
 
 #[test]

@@ -243,6 +243,18 @@ impl SubgoalCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The lifetime counters as named rows — the `cache` section of a run
+    /// report, in its key order.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("hits", self.hits()),
+            ("misses", self.misses()),
+            ("unsuitable", self.unsuitable()),
+            ("evictions", self.evictions()),
+            ("entries", self.len() as u64),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -261,35 +261,74 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Counters for one execution/search.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct Stats {
+/// How a [`Stats`] field combines across searches: summed, or kept as a
+/// high-water mark.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Fold {
+    /// A monotone count; totals add.
+    Sum,
+    /// A maximum; totals keep the larger.
+    Max,
+}
+
+/// Declares [`Stats`] from its one field list, so that the struct, the
+/// named rows the registry and the per-goal report read ([`Stats::rows`])
+/// and the cross-worker fold ([`Stats::merge`]) cannot drift apart.
+macro_rules! stats {
+    ($($(#[$doc:meta])* $fold:ident $name:ident: $ty:ty,)*) => {
+        /// Counters for one execution/search.
+        #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+        pub struct Stats {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl Stats {
+            /// Every field as `(name, value, fold)`, in declaration order —
+            /// the order of a report's per-goal `counters`.
+            #[allow(clippy::unnecessary_cast)]
+            pub(crate) fn rows(&self) -> impl Iterator<Item = (&'static str, u64, Fold)> {
+                [$((stringify!($name), self.$name as u64, Fold::$fold),)*].into_iter()
+            }
+
+            /// Fold another search's (or parallel worker's) counters into
+            /// this one: counts add, high-water marks keep the larger.
+            pub fn merge(&mut self, other: &Stats) {
+                $(self.$name = match Fold::$fold {
+                    Fold::Sum => self.$name + other.$name,
+                    Fold::Max => self.$name.max(other.$name),
+                };)*
+            }
+        }
+    };
+}
+
+stats! {
     /// Elementary steps taken (including backtracked ones).
-    pub steps: u64,
+    Sum steps: u64,
     /// Backtracks performed.
-    pub backtracks: u64,
+    Sum backtracks: u64,
     /// Choicepoints pushed.
-    pub choicepoints: u64,
+    Sum choicepoints: u64,
     /// Rule unfoldings.
-    pub unfolds: u64,
+    Sum unfolds: u64,
     /// Database updates applied (including backtracked ones).
-    pub db_ops: u64,
+    Sum db_ops: u64,
     /// Maximum choicepoint stack depth observed.
-    pub max_stack: usize,
+    Max max_stack: usize,
     /// Isolation blocks entered.
-    pub iso_enters: u64,
+    Sum iso_enters: u64,
     /// Steps avoided because the configuration was already refuted.
-    pub memo_hits: u64,
+    Sum memo_hits: u64,
     /// Peak number of concurrently schedulable actions (the paper's
     /// "number of processes": Example 3.2 grows this at runtime).
-    pub peak_processes: usize,
+    Max peak_processes: usize,
     /// Subgoal-cache lookups that replayed a stored answer set.
-    pub cache_hits: u64,
+    Sum cache_hits: u64,
     /// Subgoal-cache lookups that found nothing (and enumerated).
-    pub cache_misses: u64,
+    Sum cache_misses: u64,
     /// Ground derived-predicate calls answered by a materialized-relation
     /// probe instead of rule unfolding.
-    pub mat_probes: u64,
+    Sum mat_probes: u64,
 }
 
 impl fmt::Display for Stats {
@@ -341,6 +380,33 @@ mod tests {
         assert_eq!(c.max_steps, 500);
         assert_eq!(c.strategy, Strategy::RoundRobin);
         assert!(c.trace);
+    }
+
+    #[test]
+    fn stats_merge_sums_counts_and_keeps_high_water_marks() {
+        let mut a = Stats {
+            steps: 3,
+            max_stack: 9,
+            mat_probes: 1,
+            ..Stats::default()
+        };
+        let b = Stats {
+            steps: 4,
+            max_stack: 2,
+            peak_processes: 5,
+            mat_probes: 6,
+            ..Stats::default()
+        };
+        a.merge(&b);
+        assert_eq!(
+            (a.steps, a.max_stack, a.peak_processes, a.mat_probes),
+            (7, 9, 5, 7)
+        );
+        let rows: Vec<_> = a.rows().collect();
+        assert_eq!(rows.len(), 12);
+        assert_eq!(rows[0], ("steps", 7, Fold::Sum));
+        assert_eq!(rows[5], ("max_stack", 9, Fold::Max));
+        assert_eq!(rows[11], ("mat_probes", 7, Fold::Sum));
     }
 
     #[test]

@@ -22,11 +22,14 @@
 //! `td_db::Database::digest`). Collisions are possible in principle but
 //! have probability ~2⁻¹²⁸ per pair.
 //!
-//! With a [`SubgoalCache`] attached ([`decide_with_cache`] /
-//! [`final_states_with_cache`]), isolated blocks and sole-frontier ground
-//! calls become *macro-steps*: their cached `(bindings, delta)` answer sets
-//! are replayed as direct successors instead of being re-explored, which
-//! collapses the configuration chains inside contiguous subtransactions.
+//! Through [`crate::Engine::decide`] / [`crate::Engine::final_states`] the
+//! search runs with the engine's [`SubgoalCache`], [`Materializer`] and
+//! [`Observer`]: isolated blocks and sole-frontier ground calls become
+//! *macro-steps* — their cached `(bindings, delta)` answer sets are replayed
+//! as direct successors instead of being re-explored, which collapses the
+//! configuration chains inside contiguous subtransactions — and ground calls
+//! on materialized predicates become indexed probes. The free functions
+//! here are the plain elementary-step search.
 
 use crate::cache::SubgoalCache;
 use crate::config::{EngineError, Stats};
@@ -91,92 +94,7 @@ pub fn decide(
     db: &Database,
     config: DeciderConfig,
 ) -> Result<Decision, EngineError> {
-    decide_with_cache(program, goal, db, config, None)
-}
-
-/// [`decide`] with a shared subtransaction answer cache: isolated blocks
-/// and sole-frontier ground calls are resolved by replaying cached
-/// `(bindings, state delta)` answer sets (hit/miss/eviction counts are on
-/// the cache itself). Pass `None` for the plain elementary-step search.
-pub fn decide_with_cache(
-    program: &Program,
-    goal: &Goal,
-    db: &Database,
-    config: DeciderConfig,
-    cache: Option<Arc<SubgoalCache>>,
-) -> Result<Decision, EngineError> {
-    decide_observed(program, goal, db, config, cache, None)
-}
-
-/// [`decide_with_cache`] with an observability sink attached: per-rule
-/// expansion counts and per-subgoal cache tallies land in `obs.registry`
-/// (under the `decider_configs` counter for the visited-configuration
-/// count), and — when the observer carries an event log — the decision run
-/// is bracketed by `solve` span events.
-pub fn decide_observed(
-    program: &Program,
-    goal: &Goal,
-    db: &Database,
-    config: DeciderConfig,
-    cache: Option<Arc<SubgoalCache>>,
-    obs: Option<Arc<Observer>>,
-) -> Result<Decision, EngineError> {
-    decide_materialized(program, goal, db, config, cache, None, obs)
-}
-
-/// [`decide_observed`] with an incremental materializer attached: ground
-/// sole-frontier calls on materialized derived predicates are answered by an
-/// indexed probe, and every update action maintains the materialized state
-/// from the committed delta (see `docs/INCREMENTAL.md`).
-pub fn decide_materialized(
-    program: &Program,
-    goal: &Goal,
-    db: &Database,
-    config: DeciderConfig,
-    cache: Option<Arc<SubgoalCache>>,
-    mat: Option<Arc<Materializer>>,
-    obs: Option<Arc<Observer>>,
-) -> Result<Decision, EngineError> {
-    if let Some(o) = &obs {
-        o.emit(None, || TraceEvent::SpanEnter {
-            phase: SpanPhase::Solve,
-            detail: format!("decide {goal}"),
-        });
-    }
-    let mut search = Search {
-        kernel: Kernel {
-            program,
-            cache,
-            mat,
-        },
-        config,
-        visited: FpSet::default(),
-        key_vars: Vec::new(),
-        truncated: false,
-        local: LocalMetrics::new(obs.is_some()),
-        reads: td_db::ReadSet::new(),
-        obs: obs.clone(),
-    };
-    let executable = search.explore(make_node(goal), db.clone())?;
-    let decision = Decision {
-        executable,
-        configs: search.visited.len(),
-        truncated: search.truncated,
-    };
-    if let Some(o) = &obs {
-        o.registry
-            .absorb(program, &crate::config::Stats::default(), &search.local);
-        o.registry
-            .add_counter("decider_configs", decision.configs as u64);
-        o.emit(None, || TraceEvent::SpanExit {
-            phase: SpanPhase::Solve,
-            detail: format!(
-                "decide executable={} configs={}",
-                decision.executable, decision.configs
-            ),
-        });
-    }
-    Ok(decision)
+    Search::new(program, config, None, None, None).decide(goal, db)
 }
 
 /// All final databases reachable by complete executions of `goal` on `db`
@@ -188,50 +106,7 @@ pub fn final_states(
     db: &Database,
     config: DeciderConfig,
 ) -> Result<Vec<Database>, EngineError> {
-    final_states_with_cache(program, goal, db, config, None)
-}
-
-/// [`final_states`] with a shared subtransaction answer cache (see
-/// [`decide_with_cache`]). The set of final databases is unchanged by
-/// caching — only the number of intermediate configurations explored.
-pub fn final_states_with_cache(
-    program: &Program,
-    goal: &Goal,
-    db: &Database,
-    config: DeciderConfig,
-    cache: Option<Arc<SubgoalCache>>,
-) -> Result<Vec<Database>, EngineError> {
-    final_states_materialized(program, goal, db, config, cache, None)
-}
-
-/// [`final_states_with_cache`] with an incremental materializer (see
-/// [`decide_materialized`]). The set of final databases is unchanged —
-/// materialized probes are pure-query macro-steps.
-pub fn final_states_materialized(
-    program: &Program,
-    goal: &Goal,
-    db: &Database,
-    config: DeciderConfig,
-    cache: Option<Arc<SubgoalCache>>,
-    mat: Option<Arc<Materializer>>,
-) -> Result<Vec<Database>, EngineError> {
-    let mut search = Search {
-        kernel: Kernel {
-            program,
-            cache,
-            mat,
-        },
-        config,
-        visited: FpSet::default(),
-        key_vars: Vec::new(),
-        truncated: false,
-        local: LocalMetrics::new(false),
-        reads: td_db::ReadSet::new(),
-        obs: None,
-    };
-    let mut finals = Vec::new();
-    search.collect_finals(make_node(goal), db.clone(), &mut finals)?;
-    Ok(finals)
+    Search::new(program, config, None, None, None).final_states(goal, db)
 }
 
 /// The minimum number of elementary steps in any successful execution of
@@ -248,20 +123,7 @@ pub fn shortest_execution(
     // Uncached and unmaterialized on purpose: a cached answer replay or a
     // materialized probe is a macro-step, which would corrupt the BFS
     // elementary-step count this function measures.
-    let mut search = Search {
-        kernel: Kernel {
-            program,
-            cache: None,
-            mat: None,
-        },
-        config,
-        visited: FpSet::default(),
-        key_vars: Vec::new(),
-        truncated: false,
-        local: LocalMetrics::new(false),
-        reads: td_db::ReadSet::new(),
-        obs: None,
-    };
+    let mut search = Search::new(program, config, None, None, None);
     let mut frontier: Vec<(Option<Arc<PTree>>, Database)> = vec![(make_node(goal), db.clone())];
     let mut depth = 0usize;
     while !frontier.is_empty() {
@@ -284,9 +146,10 @@ pub fn shortest_execution(
     Ok(None)
 }
 
-struct Search<'p> {
-    /// The shared transition kernel (program + optional subgoal cache);
-    /// the decider only schedules which configuration to expand next.
+pub(crate) struct Search<'p> {
+    /// The shared transition kernel (program + optional subgoal cache and
+    /// materializer); the decider only schedules which configuration to
+    /// expand next.
     kernel: Kernel<'p>,
     config: DeciderConfig,
     /// Visited configurations, by [`fingerprint`].
@@ -294,8 +157,8 @@ struct Search<'p> {
     /// Variable-numbering scratch of [`Search::mark_visited`].
     key_vars: Vec<Var>,
     truncated: bool,
-    /// Per-run metric batch (rule expansions, cache tallies), absorbed by
-    /// [`decide_observed`] when the run ends.
+    /// Per-run metric batch (rule expansions, cache tallies), absorbed
+    /// into the observer's registry when the run ends.
     local: LocalMetrics,
     /// Relations the exploration read, charged uniformly through the
     /// kernel hooks like every other driver. The decision problem has no
@@ -309,6 +172,85 @@ struct Search<'p> {
 type Config = (Option<Arc<PTree>>, Database);
 
 impl<'p> Search<'p> {
+    /// A search over `program`, plain (`None`s) or with an engine's cache,
+    /// materializer and observability sink attached.
+    pub(crate) fn new(
+        program: &'p Program,
+        config: DeciderConfig,
+        cache: Option<Arc<SubgoalCache>>,
+        mat: Option<Arc<Materializer>>,
+        obs: Option<Arc<Observer>>,
+    ) -> Search<'p> {
+        Search {
+            kernel: Kernel {
+                program,
+                cache,
+                mat,
+            },
+            config,
+            visited: FpSet::default(),
+            key_vars: Vec::new(),
+            truncated: false,
+            local: LocalMetrics::new(obs.is_some()),
+            reads: td_db::ReadSet::new(),
+            obs,
+        }
+    }
+
+    /// Decide executability. With an observer, per-rule expansion counts
+    /// and per-subgoal cache tallies land in its registry (the
+    /// visited-configuration count under `decider_configs`), and — when it
+    /// carries an event log — the run is bracketed by `solve` span events.
+    pub(crate) fn decide(mut self, goal: &Goal, db: &Database) -> Result<Decision, EngineError> {
+        if let Some(o) = &self.obs {
+            o.emit(None, || TraceEvent::SpanEnter {
+                phase: SpanPhase::Solve,
+                detail: format!("decide {goal}"),
+            });
+        }
+        let executable = self.explore(make_node(goal), db.clone())?;
+        let decision = Decision {
+            executable,
+            configs: self.visited.len(),
+            truncated: self.truncated,
+        };
+        self.absorb();
+        if let Some(o) = &self.obs {
+            o.emit(None, || TraceEvent::SpanExit {
+                phase: SpanPhase::Solve,
+                detail: format!(
+                    "decide executable={} configs={}",
+                    decision.executable, decision.configs
+                ),
+            });
+        }
+        Ok(decision)
+    }
+
+    /// Every distinct final database. Caching and materialization leave
+    /// the set unchanged — only the number of intermediate configurations
+    /// explored (materialized probes are pure-query macro-steps).
+    pub(crate) fn final_states(
+        mut self,
+        goal: &Goal,
+        db: &Database,
+    ) -> Result<Vec<Database>, EngineError> {
+        let mut finals = Vec::new();
+        self.collect_finals(make_node(goal), db.clone(), &mut finals)?;
+        self.absorb();
+        Ok(finals)
+    }
+
+    /// Hand the run's metric batch and configuration count to the observer.
+    fn absorb(&self) {
+        if let Some(o) = &self.obs {
+            o.registry
+                .absorb(self.kernel.program, &Stats::default(), &self.local);
+            o.registry
+                .add_counter("decider_configs", self.visited.len() as u64);
+        }
+    }
+
     /// DFS for any complete execution. Returns true as soon as one is found
     /// (unless `exhaustive`).
     fn explore(&mut self, tree: Option<Arc<PTree>>, db: Database) -> Result<bool, EngineError> {
@@ -377,8 +319,7 @@ impl<'p> Search<'p> {
         // The kernel charges flat semantic counters (unfolds, db ops, …)
         // through its hooks; the decider's result reports configuration
         // counts only, so those go to a scratch pad. Per-rule and
-        // per-subgoal tallies still accumulate in `local` for
-        // [`decide_observed`].
+        // per-subgoal tallies still accumulate in `local` for the observer.
         let mut scratch = Stats::default();
         let (actions, err) = self.kernel.actions(
             &StepConfig::ground(tree.clone(), db.clone()),

@@ -2,9 +2,10 @@
 
 use crate::cache::SubgoalCache;
 use crate::config::{EngineConfig, EngineError, SearchBackend, Stats, Strategy};
+use crate::decider::{DeciderConfig, Decision, Search};
 use crate::incremental::Materializer;
 use crate::machine::{Ctx, Solver};
-use crate::obs::Observer;
+use crate::obs::{json_object, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
 use crate::tree::make_node;
 use std::sync::Arc;
@@ -170,6 +171,49 @@ impl Engine {
     /// maintenance counters for reporting.
     pub fn materializer(&self) -> Option<&Arc<Materializer>> {
         self.mat.as_ref()
+    }
+
+    /// The engine's own sections of a [`crate::RunReport`] — the lifetime
+    /// counters of its subgoal cache and its materializer, `None` (rendered
+    /// `null`) for whichever is not attached.
+    pub fn report_sections(&self) -> Vec<(&'static str, Option<String>)> {
+        let cache = self.cache.as_ref().map(|c| json_object(c.counters()));
+        let mat = self.mat.as_ref().map(|m| json_object(m.counters()));
+        vec![("cache", cache), ("materializer", mat)]
+    }
+
+    /// Decide executability of `goal` on `db` with the explicit-state
+    /// [`crate::decider`], using this engine's subgoal cache, materializer
+    /// and observer (strategy and backend do not apply: the decider visits
+    /// every schedule, sequentially).
+    pub fn decide(
+        &self,
+        goal: &Goal,
+        db: &Database,
+        config: DeciderConfig,
+    ) -> Result<Decision, EngineError> {
+        self.decider(config).decide(goal, db)
+    }
+
+    /// [`crate::decider::final_states`] with this engine's subgoal cache,
+    /// materializer and observer.
+    pub fn final_states(
+        &self,
+        goal: &Goal,
+        db: &Database,
+        config: DeciderConfig,
+    ) -> Result<Vec<Database>, EngineError> {
+        self.decider(config).final_states(goal, db)
+    }
+
+    fn decider(&self, config: DeciderConfig) -> Search<'_> {
+        Search::new(
+            &self.program,
+            config,
+            self.cache.clone(),
+            self.mat.clone(),
+            self.obs.clone(),
+        )
     }
 
     /// Execute `goal` against `db`, returning the first successful

@@ -508,12 +508,6 @@ impl Materializer {
         self.maintained_ops.load(Ordering::Relaxed)
     }
 
-    /// Derived membership events produced by maintenance (the circuit's
-    /// total delta volume).
-    pub fn delta_tuples(&self) -> u64 {
-        self.delta_tuples.load(Ordering::Relaxed)
-    }
-
     /// Nanoseconds spent in incremental maintenance.
     pub fn maintain_ns(&self) -> u64 {
         self.maintain_ns.load(Ordering::Relaxed)
@@ -522,6 +516,23 @@ impl Materializer {
     /// Database versions currently holding a materialized state.
     pub fn states(&self) -> usize {
         self.store.lock().expect("mat store poisoned").map.len()
+    }
+
+    /// The lifetime counters as named rows — the `materializer` section of
+    /// a run report, in its key order. `probes` against a run's `unfolds`
+    /// shows how many derived calls the circuit absorbed, `maintain_us`
+    /// over `maintained_ops` what O(|Δ|) maintenance cost, and
+    /// `delta_tuples` the derived membership events it produced.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("probes", self.probes()),
+            ("state_hits", self.state_hits()),
+            ("rebuilds", self.rebuilds()),
+            ("maintained_ops", self.maintained_ops()),
+            ("delta_tuples", self.delta_tuples.load(Ordering::Relaxed)),
+            ("maintain_us", self.maintain_ns() / 1000),
+            ("states", self.states() as u64),
+        ]
     }
 }
 

@@ -50,8 +50,8 @@ pub use config::{EngineConfig, EngineError, SearchBackend, Stats, Strategy};
 pub use engine::{goal_num_vars, load_init, Engine, Outcome, Solution, Solutions};
 pub use incremental::{Materializer, NotMaterializable};
 pub use obs::{
-    CacheTally, EventLog, GoalReport, LocalMetrics, MetricsRegistry, MetricsSnapshot, Observer,
-    RunReport, ServeReport, StoreReport,
+    CacheTally, EventLog, GoalReport, JsonObject, LocalMetrics, Log2Hist, MetricsRegistry,
+    MetricsSnapshot, Observer, RunReport,
 };
 pub use trace::{ProbeOutcome, SpanPhase, Trace, TraceEvent};
 

@@ -3,18 +3,20 @@
 //!
 //! The paper's §3 workflow story is explicitly about "monitoring, tracking
 //! and querying the status of workflow activities". This module is the
-//! machinery side of that story for the *search* itself, shared by all
-//! three backends (sequential machine, work-stealing parallel search,
-//! explicit-state decider):
+//! machinery side of that story, shared by all three search backends
+//! (sequential machine, work-stealing parallel search, explicit-state
+//! decider) and by the layers above the engine:
 //!
-//! * [`MetricsRegistry`] — a lock-cheap counter/gauge/histogram registry.
-//!   The hot path touches no locks at all: each run (and each parallel
-//!   worker) accumulates into a private [`LocalMetrics`] and the whole
-//!   batch is absorbed under one short lock when the run ends. On top of
-//!   the flat [`crate::Stats`] counters it keeps per-rule expansion
+//! * [`MetricsRegistry`] — the one home of every published number: named
+//!   counters, max-folded gauges and [`Log2Hist`] histograms behind one
+//!   mutex. The search hot path touches no lock at all: each run (and each
+//!   parallel worker) accumulates into a private [`LocalMetrics`] and the
+//!   whole batch is absorbed under one short lock when the run ends. On top
+//!   of the flat [`crate::Stats`] counters it keeps per-rule expansion
 //!   counts, a log₂-bucketed backtrack-depth distribution, and per-subgoal
 //!   cache hit/miss/unsuitable tallies (the accounting Fodor's tabling
-//!   work calls for when tuning a subgoal cache).
+//!   work calls for when tuning a subgoal cache). A server counts its
+//!   requests, events and trigger latency into a registry of its own.
 //! * [`EventLog`] — a thread-safe structured event stream built from
 //!   [`TraceEvent`], including the span-like phase events
 //!   ([`TraceEvent::SpanEnter`]/[`TraceEvent::SpanExit`]) that work even
@@ -22,29 +24,74 @@
 //!   runs emit aggregate span events). Serialized as JSON Lines.
 //! * [`RunReport`] — a single machine-readable JSON document per CLI run:
 //!   outcome, wall time, registry snapshot, requested *and* effective
-//!   config echo, and a digest of the final state. Tools read this
-//!   instead of re-parsing stdout; `td-cli`'s `report_smoke` test validates
-//!   its schema on live runs.
+//!   config echo, and a digest of the final state. The report owns its
+//!   frame only: every layer's section (subgoal cache, materializer, and
+//!   whatever the store, CLI and server layers add) is rendered by the
+//!   layer that owns the numbers and handed over as JSON text.
 //!
-//! No external JSON dependency: the writers here are hand-rolled.
+//! No external JSON dependency: everything is written through
+//! [`JsonObject`].
 
-use crate::config::{EngineConfig, SearchBackend, Stats, Strategy};
+use crate::config::{EngineConfig, Fold, SearchBackend, Stats, Strategy};
 use crate::trace::{ProbeOutcome, TraceEvent};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::sync::Mutex;
 use td_core::{Goal, Program, RuleId};
 
-/// Number of log₂ buckets in the backtrack-depth histogram (bucket 0 is
-/// depth 0, bucket *k* covers depths `[2^(k-1), 2^k)`).
-pub const DEPTH_BUCKETS: usize = 32;
+/// The one histogram: log₂ buckets over non-negative integers. Bucket 0
+/// counts zeros, bucket *k* ≥ 1 counts values in `[2^(k-1), 2^k)`, and the
+/// last bucket absorbs everything above (2³¹ µs ≈ 36 minutes when the unit
+/// is a microsecond latency).
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct Log2Hist {
+    buckets: [u64; Log2Hist::BUCKETS],
+}
 
-fn depth_bucket(depth: usize) -> usize {
-    if depth == 0 {
-        0
-    } else {
-        (usize::BITS - depth.leading_zeros()) as usize
+impl Log2Hist {
+    /// Number of buckets.
+    pub const BUCKETS: usize = 32;
+
+    fn bucket(v: u64) -> usize {
+        ((u64::BITS - v.leading_zeros()) as usize).min(Self::BUCKETS - 1)
     }
-    .min(DEPTH_BUCKETS - 1)
+
+    /// Count one observation.
+    pub fn record(&mut self, v: u64) {
+        self.buckets[Self::bucket(v)] += 1;
+    }
+
+    /// Fold another histogram into this one.
+    pub fn merge(&mut self, other: &Log2Hist) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
+            *mine += theirs;
+        }
+    }
+
+    /// Observations per bucket.
+    pub fn buckets(&self) -> &[u64; Self::BUCKETS] {
+        &self.buckets
+    }
+
+    /// The exclusive upper bound of the bucket holding the `p`-th
+    /// percentile observation (0 for the zero bucket) — a conservative
+    /// log₂-resolution percentile. Returns 0 for an empty histogram.
+    pub fn percentile(&self, p: f64) -> u64 {
+        let total: u64 = self.buckets.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let target = ((total as f64) * p).ceil().max(1.0) as u64;
+        let mut cum = 0u64;
+        let holder = self.buckets.iter().position(|c| {
+            cum += c;
+            cum >= target
+        });
+        match holder.unwrap_or(Self::BUCKETS - 1) {
+            0 => 0,
+            i => 1u64 << i,
+        }
+    }
 }
 
 /// Hit/miss/unsuitable tallies for one subgoal shape.
@@ -73,7 +120,7 @@ impl CacheTally {
 pub struct LocalMetrics {
     enabled: bool,
     rule_unfolds: BTreeMap<RuleId, u64>,
-    backtrack_depths: [u64; DEPTH_BUCKETS],
+    backtrack_depths: Log2Hist,
     cache_subgoals: BTreeMap<String, CacheTally>,
 }
 
@@ -84,7 +131,7 @@ impl LocalMetrics {
         LocalMetrics {
             enabled,
             rule_unfolds: BTreeMap::new(),
-            backtrack_depths: [0; DEPTH_BUCKETS],
+            backtrack_depths: Log2Hist::default(),
             cache_subgoals: BTreeMap::new(),
         }
     }
@@ -104,7 +151,7 @@ impl LocalMetrics {
     /// Count one backtrack at choicepoint-stack depth `depth`.
     pub fn observe_backtrack(&mut self, depth: usize) {
         if self.enabled {
-            self.backtrack_depths[depth_bucket(depth)] += 1;
+            self.backtrack_depths.record(depth as u64);
         }
     }
 
@@ -126,9 +173,7 @@ impl LocalMetrics {
         for (r, n) in &other.rule_unfolds {
             *self.rule_unfolds.entry(*r).or_default() += n;
         }
-        for (i, n) in other.backtrack_depths.iter().enumerate() {
-            self.backtrack_depths[i] += n;
-        }
+        self.backtrack_depths.merge(&other.backtrack_depths);
         for (l, t) in &other.cache_subgoals {
             self.cache_subgoals.entry(l.clone()).or_default().merge(t);
         }
@@ -145,26 +190,45 @@ pub fn subgoal_label(goal: &Goal) -> String {
     }
 }
 
-#[derive(Default, Debug)]
-struct RegistryInner {
+/// Registry name of the backtrack-depth histogram.
+const BACKTRACK_DEPTHS: &str = "backtrack_depths";
+
+/// Everything a [`MetricsRegistry`] holds, and what its
+/// [`snapshot`](MetricsRegistry::snapshot) hands out: a point-in-time copy.
+#[derive(Clone, Default, Debug, PartialEq, Eq)]
+pub struct MetricsSnapshot {
     /// Runs (or searches) absorbed.
-    runs: u64,
+    pub runs: u64,
     /// Monotone sums (`steps`, `backtracks`, `cache_hits`, …).
-    counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<String, u64>,
     /// Maxima (`max_stack`, `peak_processes`).
-    gauges: BTreeMap<String, u64>,
+    pub gauges: BTreeMap<String, u64>,
     /// Expansions per rule, keyed by `head/arity#id`.
-    rule_unfolds: BTreeMap<String, u64>,
-    backtrack_depths: [u64; DEPTH_BUCKETS],
-    cache_subgoals: BTreeMap<String, CacheTally>,
+    pub rule_unfolds: BTreeMap<String, u64>,
+    /// Named histograms: `backtrack_depths` (backtracks per log₂
+    /// choicepoint-stack depth) from the search backends, plus whatever a
+    /// layer records with [`MetricsRegistry::record`].
+    pub histograms: BTreeMap<String, Log2Hist>,
+    /// Per-subgoal cache tallies.
+    pub cache_subgoals: BTreeMap<String, CacheTally>,
 }
 
-/// The shared metrics registry. Aggregates [`Stats`] and [`LocalMetrics`]
-/// batches across runs and across parallel workers; locked only at batch
-/// boundaries, never per-event.
+/// The entry `name` of `map`, created at its default if missing (the key
+/// is allocated only then — a live counter is bumped without allocating).
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("present or just inserted")
+}
+
+/// The shared metrics registry: aggregates [`Stats`] and [`LocalMetrics`]
+/// batches across runs and across parallel workers (locked only at batch
+/// boundaries, never per search step), and takes the named counters and
+/// histogram samples of coarser-grained layers one short lock at a time.
 #[derive(Default, Debug)]
 pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
+    inner: Mutex<MetricsSnapshot>,
 }
 
 impl MetricsRegistry {
@@ -173,90 +237,54 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsSnapshot> {
+        self.inner.lock().expect("metrics registry poisoned")
+    }
+
     /// Absorb one run's (or one worker's) statistics and local metrics.
     /// Sum-like [`Stats`] fields accumulate into counters, maxima into
     /// gauges; rule ids are resolved to `head/arity#id` labels against
     /// `program`.
     pub fn absorb(&self, program: &Program, stats: &Stats, local: &LocalMetrics) {
-        let mut g = self.inner.lock().expect("metrics registry poisoned");
+        let mut g = self.lock();
         g.runs += 1;
-        for (name, v) in [
-            ("steps", stats.steps),
-            ("backtracks", stats.backtracks),
-            ("choicepoints", stats.choicepoints),
-            ("unfolds", stats.unfolds),
-            ("db_ops", stats.db_ops),
-            ("iso_enters", stats.iso_enters),
-            ("memo_hits", stats.memo_hits),
-            ("cache_hits", stats.cache_hits),
-            ("cache_misses", stats.cache_misses),
-            ("mat_probes", stats.mat_probes),
-        ] {
-            *g.counters.entry(name.to_owned()).or_default() += v;
-        }
-        for (name, v) in [
-            ("max_stack", stats.max_stack as u64),
-            ("peak_processes", stats.peak_processes as u64),
-        ] {
-            let e = g.gauges.entry(name.to_owned()).or_default();
-            *e = (*e).max(v);
+        for (name, v, fold) in stats.rows() {
+            match fold {
+                Fold::Sum => *slot(&mut g.counters, name) += v,
+                Fold::Max => {
+                    let high = slot(&mut g.gauges, name);
+                    *high = (*high).max(v);
+                }
+            }
         }
         for (rid, n) in &local.rule_unfolds {
             let rule = program.rule(*rid);
             let label = format!("{}/{}#{}", rule.head.pred.name, rule.head.pred.arity, rid.0);
             *g.rule_unfolds.entry(label).or_default() += n;
         }
-        for (i, n) in local.backtrack_depths.iter().enumerate() {
-            g.backtrack_depths[i] += n;
-        }
+        slot(&mut g.histograms, BACKTRACK_DEPTHS).merge(&local.backtrack_depths);
         for (l, t) in &local.cache_subgoals {
             g.cache_subgoals.entry(l.clone()).or_default().merge(t);
         }
     }
 
     /// Add `v` to the named counter (for counters outside [`Stats`], e.g.
-    /// the decider's configuration count or committed-path totals).
+    /// the decider's configuration count or a server's request count).
+    /// Adding 0 registers the name, so it is published before its first
+    /// increment.
     pub fn add_counter(&self, name: &str, v: u64) {
-        let mut g = self.inner.lock().expect("metrics registry poisoned");
-        *g.counters.entry(name.to_owned()).or_default() += v;
+        *slot(&mut self.lock().counters, name) += v;
     }
 
-    /// Raise the named gauge to at least `v`.
-    pub fn set_gauge_max(&self, name: &str, v: u64) {
-        let mut g = self.inner.lock().expect("metrics registry poisoned");
-        let e = g.gauges.entry(name.to_owned()).or_default();
-        *e = (*e).max(v);
+    /// Count one observation in the named histogram.
+    pub fn record(&self, name: &str, v: u64) {
+        slot(&mut self.lock().histograms, name).record(v);
     }
 
     /// A consistent copy of everything absorbed so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.inner.lock().expect("metrics registry poisoned");
-        MetricsSnapshot {
-            runs: g.runs,
-            counters: g.counters.clone(),
-            gauges: g.gauges.clone(),
-            rule_unfolds: g.rule_unfolds.clone(),
-            backtrack_depths: g.backtrack_depths,
-            cache_subgoals: g.cache_subgoals.clone(),
-        }
+        self.lock().clone()
     }
-}
-
-/// A point-in-time copy of a [`MetricsRegistry`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Runs absorbed.
-    pub runs: u64,
-    /// Monotone counters.
-    pub counters: BTreeMap<String, u64>,
-    /// Maxima gauges.
-    pub gauges: BTreeMap<String, u64>,
-    /// Expansion counts per rule (`head/arity#id`).
-    pub rule_unfolds: BTreeMap<String, u64>,
-    /// Backtrack counts per log₂ depth bucket.
-    pub backtrack_depths: [u64; DEPTH_BUCKETS],
-    /// Per-subgoal cache tallies.
-    pub cache_subgoals: BTreeMap<String, CacheTally>,
 }
 
 impl MetricsSnapshot {
@@ -265,58 +293,43 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Render as a JSON object.
+    /// A named histogram (empty when never touched).
+    pub fn histogram(&self, name: &str) -> Log2Hist {
+        self.histograms.get(name).copied().unwrap_or_default()
+    }
+
+    /// Render as the `metrics` object of a run report. Of the histograms
+    /// only `backtrack_depths` is part of that published shape; a layer
+    /// that records others renders them in its own section.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"runs\": {}", self.runs));
-        for (section, map) in [
-            ("counters", &self.counters),
-            ("gauges", &self.gauges),
-            ("rule_unfolds", &self.rule_unfolds),
-        ] {
-            out.push_str(&format!(", \"{section}\": {{"));
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", json_escape(k), v));
-            }
-            out.push('}');
-        }
-        out.push_str(", \"backtrack_depths\": [");
-        let mut first = true;
-        for (i, n) in self.backtrack_depths.iter().enumerate() {
-            if *n == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let (lo, hi) = if i == 0 {
-                (0u64, 0u64)
-            } else {
-                (1u64 << (i - 1), (1u64 << i) - 1)
+        let depths = self.histogram(BACKTRACK_DEPTHS);
+        let depth_rows = depths.buckets().iter().enumerate().filter(|(_, n)| **n > 0);
+        let depth_rows = depth_rows.map(|(i, n)| {
+            let (lo, hi) = match i {
+                0 => (0u64, 0u64),
+                _ => (1u64 << (i - 1), (1u64 << i) - 1),
             };
-            out.push_str(&format!(
-                "{{\"depth_lo\": {lo}, \"depth_hi\": {hi}, \"count\": {n}}}"
-            ));
-        }
-        out.push_str("], \"cache_subgoals\": {");
-        for (i, (l, t)) in self.cache_subgoals.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}\": {{\"hits\": {}, \"misses\": {}, \"unsuitable\": {}}}",
-                json_escape(l),
-                t.hits,
-                t.misses,
-                t.unsuitable
-            ));
-        }
-        out.push_str("}}");
-        out
+            JsonObject::new()
+                .field("depth_lo", lo)
+                .field("depth_hi", hi)
+                .field("count", n)
+                .finish()
+        });
+        let tallies = self.cache_subgoals.iter().map(|(l, t)| {
+            let tally = JsonObject::new()
+                .field("hits", t.hits)
+                .field("misses", t.misses)
+                .field("unsuitable", t.unsuitable);
+            (l, tally.finish())
+        });
+        JsonObject::new()
+            .field("runs", self.runs)
+            .field("counters", json_object(&self.counters))
+            .field("gauges", json_object(&self.gauges))
+            .field("rule_unfolds", json_object(&self.rule_unfolds))
+            .field("backtrack_depths", json_array(depth_rows))
+            .field("cache_subgoals", json_object(tallies))
+            .finish()
     }
 }
 
@@ -373,75 +386,57 @@ impl EventLog {
 
 /// One event as a JSON object (no trailing newline).
 pub fn event_json(seq: usize, worker: Option<u32>, ev: &TraceEvent) -> String {
-    let mut out = format!("{{\"seq\": {seq}");
+    let mut o = JsonObject::new().field("seq", seq);
     if let Some(w) = worker {
-        out.push_str(&format!(", \"worker\": {w}"));
+        o = o.field("worker", w);
     }
-    let body = match ev {
-        TraceEvent::Unfold { call, rule } => {
-            format!(
-                "\"event\": \"unfold\", \"call\": \"{}\", \"rule\": {}",
-                json_escape(&call.to_string()),
-                rule.0
-            )
-        }
-        TraceEvent::Match { query, tuple } => format!(
-            "\"event\": \"match\", \"query\": \"{}\", \"tuple\": \"{}\"",
-            json_escape(&query.to_string()),
-            json_escape(&tuple.to_string())
-        ),
-        TraceEvent::Absent { query } => format!(
-            "\"event\": \"absent\", \"query\": \"{}\"",
-            json_escape(&query.to_string())
-        ),
+    let update = |o: JsonObject, kind, pred: &td_core::Pred, tuple, changed| {
+        o.string("event", kind)
+            .string("pred", pred.name)
+            .string("tuple", tuple)
+            .field("changed", changed)
+    };
+    let span = |o: JsonObject, kind, phase: &crate::trace::SpanPhase, detail| {
+        o.string("event", kind)
+            .string("phase", phase.as_str())
+            .string("detail", detail)
+    };
+    match ev {
+        TraceEvent::Unfold { call, rule } => o
+            .string("event", "unfold")
+            .string("call", call)
+            .field("rule", rule.0),
+        TraceEvent::Match { query, tuple } => o
+            .string("event", "match")
+            .string("query", query)
+            .string("tuple", tuple),
+        TraceEvent::Absent { query } => o.string("event", "absent").string("query", query),
         TraceEvent::Ins {
             pred,
             tuple,
             changed,
-        } => format!(
-            "\"event\": \"ins\", \"pred\": \"{}\", \"tuple\": \"{}\", \"changed\": {changed}",
-            json_escape(&pred.name.to_string()),
-            json_escape(&tuple.to_string())
-        ),
+        } => update(o, "ins", pred, tuple, changed),
         TraceEvent::Del {
             pred,
             tuple,
             changed,
-        } => format!(
-            "\"event\": \"del\", \"pred\": \"{}\", \"tuple\": \"{}\", \"changed\": {changed}",
-            json_escape(&pred.name.to_string()),
-            json_escape(&tuple.to_string())
-        ),
-        TraceEvent::Builtin { rendered } => format!(
-            "\"event\": \"builtin\", \"check\": \"{}\"",
-            json_escape(rendered)
-        ),
-        TraceEvent::Choice { index } => format!("\"event\": \"choice\", \"index\": {index}"),
-        TraceEvent::IsoEnter => "\"event\": \"iso_enter\"".to_owned(),
-        TraceEvent::IsoExit => "\"event\": \"iso_exit\"".to_owned(),
-        TraceEvent::SpanEnter { phase, detail } => format!(
-            "\"event\": \"span_enter\", \"phase\": \"{}\", \"detail\": \"{}\"",
-            phase.as_str(),
-            json_escape(detail)
-        ),
-        TraceEvent::SpanExit { phase, detail } => format!(
-            "\"event\": \"span_exit\", \"phase\": \"{}\", \"detail\": \"{}\"",
-            phase.as_str(),
-            json_escape(detail)
-        ),
-        TraceEvent::CacheProbe { subgoal, outcome } => format!(
-            "\"event\": \"cache_probe\", \"subgoal\": \"{}\", \"outcome\": \"{}\"",
-            json_escape(subgoal),
-            outcome.as_str()
-        ),
-        TraceEvent::WorkerSteal { thief, victim } => {
-            format!("\"event\": \"worker_steal\", \"thief\": {thief}, \"victim\": {victim}")
-        }
-    };
-    out.push_str(", ");
-    out.push_str(&body);
-    out.push('}');
-    out
+        } => update(o, "del", pred, tuple, changed),
+        TraceEvent::Builtin { rendered } => o.string("event", "builtin").string("check", rendered),
+        TraceEvent::Choice { index } => o.string("event", "choice").field("index", index),
+        TraceEvent::IsoEnter => o.string("event", "iso_enter"),
+        TraceEvent::IsoExit => o.string("event", "iso_exit"),
+        TraceEvent::SpanEnter { phase, detail } => span(o, "span_enter", phase, detail),
+        TraceEvent::SpanExit { phase, detail } => span(o, "span_exit", phase, detail),
+        TraceEvent::CacheProbe { subgoal, outcome } => o
+            .string("event", "cache_probe")
+            .string("subgoal", subgoal)
+            .string("outcome", outcome.as_str()),
+        TraceEvent::WorkerSteal { thief, victim } => o
+            .string("event", "worker_steal")
+            .field("thief", thief)
+            .field("victim", victim),
+    }
+    .finish()
 }
 
 /// The observability handle the engine carries: always a registry,
@@ -491,156 +486,39 @@ pub struct GoalReport {
     /// Fatal error rendering, if the goal faulted.
     pub error: Option<String>,
     /// Flat counters for this goal (search stats, decider configs, …).
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(&'static str, u64)>,
 }
 
-/// Lifetime counters of a subgoal cache, echoed into the report.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheReport {
-    /// Lookups that replayed a stored answer set.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Lookups that found a negative `Unsuitable` entry.
-    pub unsuitable: u64,
-    /// Entries discarded by the CLOCK policy.
-    pub evictions: u64,
-    /// Entries currently stored.
-    pub entries: u64,
+impl GoalReport {
+    /// A search's [`Stats`] as per-goal counter rows.
+    pub fn stats_rows(stats: &Stats) -> Vec<(&'static str, u64)> {
+        stats.rows().map(|(name, v, _)| (name, v)).collect()
+    }
 }
 
-/// Lifetime counters of an incremental materializer, echoed into the
-/// report: the `probes`-vs-`unfolds` ratio shows how many derived calls the
-/// circuit absorbed, `maintain_us`/`maintained_ops` how much time the O(|Δ|)
-/// maintenance cost, and `delta_tuples` the circuit's total delta volume.
-#[derive(Clone, Copy, Debug)]
-pub struct MatReport {
-    /// Ground derived-predicate calls answered from a materialized relation.
-    pub probes: u64,
-    /// Probes (or maintenance passes) that found the version's state
-    /// resident.
-    pub state_hits: u64,
-    /// Full from-scratch builds (first probe of a version, or after
-    /// eviction).
-    pub rebuilds: u64,
-    /// Delta ops fed through incremental maintenance.
-    pub maintained_ops: u64,
-    /// Derived membership events produced by maintenance.
-    pub delta_tuples: u64,
-    /// Microseconds spent in incremental maintenance.
-    pub maintain_us: u64,
-    /// Database versions currently holding a materialized state.
-    pub states: u64,
-}
-
-/// Durable-store section of a [`RunReport`] (present when the run was
-/// backed by `--db=PATH`). Plain data — the engine does not depend on the
-/// store crate; the CLI fills this in from the store's recovery info.
-#[derive(Clone, Debug)]
-pub struct StoreReport {
-    /// Store directory backing the run.
-    pub path: String,
-    /// How opening went: `fresh`, `recovered`, `recovered-torn-tail` or
-    /// `recovered-stale-wal`.
-    pub recovery: String,
-    /// WAL records replayed during recovery at open time.
-    pub replayed: u64,
-    /// Bytes cut from a torn WAL tail (0 on clean recovery).
-    pub torn_bytes: u64,
-    /// Transactions committed through the WAL by this run.
-    pub committed: u64,
-    /// Snapshot age in committed transactions (WAL records on disk at the
-    /// end of the run).
-    pub snapshot_age: u64,
-}
-
-/// Server section of a [`RunReport`] (present for `td serve` runs). Plain
-/// data, like [`StoreReport`]: the serve layer fills it in at shutdown.
-#[derive(Clone, Debug, Default)]
-pub struct ServeReport {
-    /// Socket path the server listened on.
-    pub socket: String,
-    /// Client connections accepted.
-    pub connections: u64,
-    /// Requests served (all verbs).
-    pub requests: u64,
-    /// Requests answered with `err`.
-    pub errors: u64,
-    /// Transactions committed through the WAL.
-    pub commits: u64,
-    /// Transactions that finished read-only.
-    pub read_only: u64,
-    /// Transactions that aborted logically (goal not executable).
-    pub aborts: u64,
-    /// OCC validation conflicts (each caused one retry).
-    pub conflicts: u64,
-    /// The commit-validation rule the store ran under (`read-set` or
-    /// `whole-db`).
-    pub occ: String,
-    /// Transactions (or trigger executions) that exhausted their retry
-    /// budget.
-    pub retries_exhausted: u64,
-    /// Per-relation conflict attribution: `(pred, failures)` sorted by
-    /// predicate.
-    pub conflict_relations: Vec<(String, u64)>,
-    /// Group frames fsync'd on the commit path.
-    pub groups: u64,
-    /// Commit records inside those groups (`/ groups` = the group-commit
-    /// amortization factor).
-    pub grouped_records: u64,
-    /// Largest single commit group.
-    pub max_group: u64,
-    /// Symbol-interner footprint at shutdown — the documented leak of the
-    /// long-running server, surfaced rather than hidden.
-    pub interned_symbols: u64,
-    pub interned_bytes: u64,
-    /// Event occurrences ingested over the `event` verb.
-    pub events_ingested: u64,
-    /// Complex-event pattern matches completed.
-    pub triggers_matched: u64,
-    /// Trigger transactions executed to success (commit or read-only).
-    pub triggers_fired: u64,
-    /// OCC conflicts hit while executing trigger transactions.
-    pub triggers_conflicted: u64,
-    /// End-to-end trigger latency (event request start to trigger
-    /// completion), log2-bucketed: `trigger_latency[i]` counts latencies in
-    /// `[2^(i-1), 2^i)` microseconds.
-    pub trigger_latency: Vec<u64>,
-    /// Percentile upper bounds read off the histogram, microseconds.
-    pub trigger_p50_us: u64,
-    pub trigger_p99_us: u64,
-}
-
-/// The single JSON document `td run/decide --report=PATH` writes.
+/// The single JSON document `td run/decide/serve --report=PATH` writes.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// CLI command (`run`, `trace`, `decide`).
+    /// CLI command (`run`, `trace`, `decide`, `serve`).
     pub command: String,
     /// Program file executed.
     pub file: String,
-    /// Configuration as requested on the command line.
-    pub requested: EngineConfig,
-    /// Configuration that actually ran (gating rules applied — see
+    /// Configuration as requested on the command line; the report echoes
+    /// it beside the one that actually ran (gating rules applied — see
     /// [`EngineConfig::effective`]).
-    pub effective: EngineConfig,
+    pub config: EngineConfig,
     /// Wall-clock time of the whole command, milliseconds.
     pub wall_ms: f64,
     /// One row per `?-` goal, in file order.
     pub goals: Vec<GoalReport>,
-    /// Content digest of the database after the last goal (`None` when no
-    /// goal committed a state, e.g. `decide`).
-    pub final_digest: Option<u128>,
-    /// Tuples in the final database.
-    pub final_tuples: Option<u64>,
-    /// Subgoal-cache lifetime counters (when a cache was attached).
-    pub cache: Option<CacheReport>,
-    /// Incremental-materialization lifetime counters (when `--materialize`
-    /// compiled a circuit).
-    pub mat: Option<MatReport>,
-    /// Durable-store recovery and commit summary (when `--db` was given).
-    pub store: Option<StoreReport>,
-    /// Server counters (when the command was `serve`).
-    pub serve: Option<ServeReport>,
+    /// Content digest and tuple count of the database after the last goal
+    /// (`None` when no goal committed a state, e.g. `decide`).
+    pub final_state: Option<(u128, u64)>,
+    /// The sections between `final_state` and `metrics`, in document
+    /// order: `(key, JSON)`, each rendered by the layer that owns the
+    /// numbers — [`crate::Engine::report_sections`] for the engine's own,
+    /// then whatever the layers above it publish; `None` renders `null`.
+    pub sections: Vec<(&'static str, Option<String>)>,
     /// Registry snapshot at the end of the run.
     pub metrics: MetricsSnapshot,
 }
@@ -649,162 +527,65 @@ pub struct RunReport {
 pub const RUN_REPORT_SCHEMA: &str = "td-run-report/v1";
 
 impl RunReport {
-    /// Render the full report as one JSON document.
+    /// Render the full report as one JSON document, one top-level member
+    /// per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{RUN_REPORT_SCHEMA}\",\n"));
-        out.push_str(&format!(
-            "  \"command\": \"{}\",\n",
-            json_escape(&self.command)
-        ));
-        out.push_str(&format!("  \"file\": \"{}\",\n", json_escape(&self.file)));
-        out.push_str(&format!("  \"wall_ms\": {:.3},\n", self.wall_ms));
-        out.push_str(&format!(
-            "  \"config\": {{\"requested\": {}, \"effective\": {}}},\n",
-            config_json(&self.requested),
-            config_json(&self.effective)
-        ));
         let failed = self.goals.iter().filter(|g| !g.ok).count();
-        out.push_str(&format!(
-            "  \"outcome\": {{\"ok\": {}, \"goals\": {}, \"failed\": {}}},\n",
-            failed == 0,
-            self.goals.len(),
-            failed
-        ));
-        out.push_str("  \"goals\": [\n");
-        for (i, g) in self.goals.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"goal\": \"{}\", \"ok\": {}, \"error\": {}, \"counters\": {{",
-                json_escape(&g.goal),
-                g.ok,
-                match &g.error {
-                    Some(e) => format!("\"{}\"", json_escape(e)),
-                    None => "null".to_owned(),
-                }
-            ));
-            for (j, (k, v)) in g.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", json_escape(k), v));
-            }
-            out.push_str("}}");
-            out.push_str(if i + 1 < self.goals.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        let goals: String = self
+            .goals
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                let row = JsonObject::new()
+                    .string("goal", &g.goal)
+                    .field("ok", g.ok)
+                    .field("error", json_opt(g.error.as_deref().map(json_string)))
+                    .field("counters", json_object(g.counters.iter().copied()));
+                let sep = if i + 1 < self.goals.len() { "," } else { "" };
+                format!("    {}{sep}\n", row.finish())
+            })
+            .collect();
+        let mut members = vec![
+            ("schema", json_string(RUN_REPORT_SCHEMA)),
+            ("command", json_string(&self.command)),
+            ("file", json_string(&self.file)),
+            ("wall_ms", format!("{:.3}", self.wall_ms)),
+            (
+                "config",
+                JsonObject::new()
+                    .field("requested", config_json(&self.config))
+                    .field("effective", config_json(&self.config.effective()))
+                    .finish(),
+            ),
+            (
+                "outcome",
+                JsonObject::new()
+                    .field("ok", failed == 0)
+                    .field("goals", self.goals.len())
+                    .field("failed", failed)
+                    .finish(),
+            ),
+            ("goals", format!("[\n{goals}  ]")),
+            (
+                "final_state",
+                json_opt(self.final_state.map(|(digest, tuples)| {
+                    JsonObject::new()
+                        .string("digest", format_args!("0x{digest:032x}"))
+                        .field("tuples", tuples)
+                        .finish()
+                })),
+            ),
+        ];
+        for (key, section) in &self.sections {
+            members.push((key, json_opt(section.as_deref())));
         }
-        out.push_str("  ],\n");
-        match (self.final_digest, self.final_tuples) {
-            (Some(d), Some(t)) => out.push_str(&format!(
-                "  \"final_state\": {{\"digest\": \"0x{d:032x}\", \"tuples\": {t}}},\n"
-            )),
-            _ => out.push_str("  \"final_state\": null,\n"),
-        }
-        match &self.cache {
-            Some(c) => out.push_str(&format!(
-                "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"unsuitable\": {}, \
-                 \"evictions\": {}, \"entries\": {}}},\n",
-                c.hits, c.misses, c.unsuitable, c.evictions, c.entries
-            )),
-            None => out.push_str("  \"cache\": null,\n"),
-        }
-        match &self.mat {
-            Some(m) => out.push_str(&format!(
-                "  \"materializer\": {{\"probes\": {}, \"state_hits\": {}, \"rebuilds\": {}, \
-                 \"maintained_ops\": {}, \"delta_tuples\": {}, \"maintain_us\": {}, \
-                 \"states\": {}}},\n",
-                m.probes,
-                m.state_hits,
-                m.rebuilds,
-                m.maintained_ops,
-                m.delta_tuples,
-                m.maintain_us,
-                m.states
-            )),
-            None => out.push_str("  \"materializer\": null,\n"),
-        }
-        match &self.store {
-            Some(s) => out.push_str(&format!(
-                "  \"store\": {{\"path\": \"{}\", \"recovery\": \"{}\", \"replayed\": {}, \
-                 \"torn_bytes\": {}, \"committed\": {}, \"snapshot_age\": {}}},\n",
-                json_escape(&s.path),
-                json_escape(&s.recovery),
-                s.replayed,
-                s.torn_bytes,
-                s.committed,
-                s.snapshot_age
-            )),
-            None => out.push_str("  \"store\": null,\n"),
-        }
-        match &self.serve {
-            Some(s) => out.push_str(&format!(
-                "  \"serve\": {{\"socket\": \"{}\", \"connections\": {}, \"requests\": {}, \
-                 \"errors\": {}, \"commits\": {}, \"read_only\": {}, \"aborts\": {}, \
-                 \"conflicts\": {}, \"occ\": \"{}\", \"retries_exhausted\": {}, \
-                 \"conflict_relations\": {{{}}}, \
-                 \"groups\": {}, \"grouped_records\": {}, \
-                 \"max_group\": {}, \"interned_symbols\": {}, \"interned_bytes\": {}, \
-                 \"events\": {{\"ingested\": {}, \"matched\": {}, \"fired\": {}, \
-                 \"conflicted\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"latency_buckets\": [{}]}}}},\n",
-                json_escape(&s.socket),
-                s.connections,
-                s.requests,
-                s.errors,
-                s.commits,
-                s.read_only,
-                s.aborts,
-                s.conflicts,
-                json_escape(&s.occ),
-                s.retries_exhausted,
-                s.conflict_relations
-                    .iter()
-                    .map(|(p, n)| format!("\"{}\": {n}", json_escape(p)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                s.groups,
-                s.grouped_records,
-                s.max_group,
-                s.interned_symbols,
-                s.interned_bytes,
-                s.events_ingested,
-                s.triggers_matched,
-                s.triggers_fired,
-                s.triggers_conflicted,
-                s.trigger_p50_us,
-                s.trigger_p99_us,
-                s.trigger_latency
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )),
-            None => out.push_str("  \"serve\": null,\n"),
-        }
-        out.push_str(&format!("  \"metrics\": {}\n", self.metrics.to_json()));
-        out.push_str("}\n");
-        out
+        members.push(("metrics", self.metrics.to_json()));
+        let lines: Vec<String> = members
+            .iter()
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        format!("{{\n{}\n}}\n", lines.join(",\n"))
     }
-}
-
-/// Flat counter rows for one [`Stats`] (the per-goal report shape).
-pub fn stats_counters(stats: &Stats) -> Vec<(String, u64)> {
-    vec![
-        ("steps".to_owned(), stats.steps),
-        ("backtracks".to_owned(), stats.backtracks),
-        ("choicepoints".to_owned(), stats.choicepoints),
-        ("unfolds".to_owned(), stats.unfolds),
-        ("db_ops".to_owned(), stats.db_ops),
-        ("max_stack".to_owned(), stats.max_stack as u64),
-        ("iso_enters".to_owned(), stats.iso_enters),
-        ("memo_hits".to_owned(), stats.memo_hits),
-        ("peak_processes".to_owned(), stats.peak_processes as u64),
-        ("cache_hits".to_owned(), stats.cache_hits),
-        ("cache_misses".to_owned(), stats.cache_misses),
-        ("mat_probes".to_owned(), stats.mat_probes),
-    ]
 }
 
 /// An [`EngineConfig`] as a JSON object (used for both the requested and
@@ -817,27 +598,88 @@ pub fn config_json(c: &EngineConfig) -> String {
         Strategy::Leftmost => ("leftmost", None),
     };
     let backend = match c.backend {
-        SearchBackend::Sequential => "{\"kind\": \"sequential\"}".to_owned(),
+        SearchBackend::Sequential => JsonObject::new().string("kind", "sequential"),
         SearchBackend::Parallel {
             threads,
             deterministic,
-        } => format!(
-            "{{\"kind\": \"parallel\", \"threads\": {threads}, \"deterministic\": {deterministic}}}"
-        ),
+        } => JsonObject::new()
+            .string("kind", "parallel")
+            .field("threads", threads)
+            .field("deterministic", deterministic),
     };
-    format!(
-        "{{\"strategy\": \"{strategy}\", \"seed\": {}, \"max_steps\": {}, \"max_stack\": {}, \
-         \"trace\": {}, \"memo_failures\": {}, \"backend\": {backend}, \
-         \"subgoal_cache\": {}, \"cache_capacity\": {}, \"materialize\": {}}}",
-        seed.map(|s| s.to_string()).unwrap_or_else(|| "null".into()),
-        c.max_steps,
-        c.max_stack,
-        c.trace,
-        c.memo_failures,
-        c.subgoal_cache,
-        c.cache_capacity,
-        c.materialize
-    )
+    JsonObject::new()
+        .string("strategy", strategy)
+        .field("seed", json_opt(seed))
+        .field("max_steps", c.max_steps)
+        .field("max_stack", c.max_stack)
+        .field("trace", c.trace)
+        .field("memo_failures", c.memo_failures)
+        .field("backend", backend.finish())
+        .field("subgoal_cache", c.subgoal_cache)
+        .field("cache_capacity", c.cache_capacity)
+        .field("materialize", c.materialize)
+        .finish()
+}
+
+/// The one JSON writer: an object rendered member by member, in call
+/// order, as `{"k": v, "s": "text"}`. Every report section — the engine's
+/// own and the ones the layers above render for [`RunReport::sections`] —
+/// and every event-stream line goes through it.
+#[derive(Default, Debug)]
+pub struct JsonObject {
+    members: String,
+}
+
+impl JsonObject {
+    /// An empty object.
+    pub fn new() -> JsonObject {
+        JsonObject::default()
+    }
+
+    /// A member whose value is already JSON: a number, a boolean, `null`,
+    /// or a rendered object or array.
+    pub fn field(mut self, key: &str, value: impl Display) -> JsonObject {
+        if !self.members.is_empty() {
+            self.members.push_str(", ");
+        }
+        self.members
+            .push_str(&format!("\"{}\": {value}", json_escape(key)));
+        self
+    }
+
+    /// A string member (the rendering of `value`, escaped and quoted).
+    pub fn string(self, key: &str, value: impl Display) -> JsonObject {
+        self.field(key, json_string(&value.to_string()))
+    }
+
+    /// The rendered object.
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.members)
+    }
+}
+
+/// A JSON object of `(key, already-rendered value)` rows, in their order.
+pub fn json_object<K: AsRef<str>>(rows: impl IntoIterator<Item = (K, impl Display)>) -> String {
+    let object = JsonObject::new();
+    rows.into_iter()
+        .fold(object, |o, (k, v)| o.field(k.as_ref(), v))
+        .finish()
+}
+
+/// A JSON array of already-rendered values.
+pub fn json_array(items: impl IntoIterator<Item = impl Display>) -> String {
+    let items: Vec<String> = items.into_iter().map(|v| v.to_string()).collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// `null` for `None`, the rendered value otherwise.
+fn json_opt(value: Option<impl Display>) -> String {
+    value.map_or_else(|| "null".to_owned(), |v| v.to_string())
+}
+
+/// A quoted, escaped JSON string.
+fn json_string(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
 }
 
 /// Minimal JSON string escaping.
@@ -862,13 +704,39 @@ mod tests {
     use crate::trace::SpanPhase;
 
     #[test]
-    fn depth_buckets_are_log2() {
-        assert_eq!(depth_bucket(0), 0);
-        assert_eq!(depth_bucket(1), 1);
-        assert_eq!(depth_bucket(2), 2);
-        assert_eq!(depth_bucket(3), 2);
-        assert_eq!(depth_bucket(4), 3);
-        assert_eq!(depth_bucket(usize::MAX), DEPTH_BUCKETS - 1);
+    fn log2_hist_bucket_edges() {
+        let edges = [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (u64::MAX, 31)];
+        let mut h = Log2Hist::default();
+        for (v, bucket) in edges {
+            assert_eq!(Log2Hist::bucket(v), bucket, "value {v}");
+            h.record(v);
+        }
+        assert_eq!(h.buckets()[2], 2, "2 and 3 share [2, 4)");
+        assert_eq!(h.buckets().iter().sum::<u64>(), edges.len() as u64);
+        let mut sum = h;
+        sum.merge(&h);
+        assert_eq!(sum.buckets()[2], 4);
+        assert_eq!(sum.buckets()[31], 2);
+    }
+
+    #[test]
+    fn log2_hist_percentiles_are_bucket_upper_bounds() {
+        let mut h = Log2Hist::default();
+        assert_eq!((h.percentile(0.50), h.percentile(0.99)), (0, 0), "empty");
+        h.record(0);
+        assert_eq!(h.percentile(0.99), 0, "the zero bucket's bound is 0");
+        let mut h = Log2Hist::default();
+        h.record(5);
+        assert_eq!((h.percentile(0.50), h.percentile(0.99)), (8, 8), "one");
+        // 98 fast observations and 2 slow ones: p50 sits with the fast,
+        // p99 (the 99th of 100) with the slow.
+        for _ in 0..97 {
+            h.record(5);
+        }
+        h.record(1000);
+        h.record(1000);
+        assert_eq!((h.percentile(0.50), h.percentile(0.99)), (8, 1024));
+        assert_eq!(h.percentile(0.0), 8, "p0 is the first observation");
     }
 
     #[test]
@@ -879,7 +747,7 @@ mod tests {
         m.observe_cache("p/1", ProbeOutcome::Hit);
         assert!(m.rule_unfolds.is_empty());
         assert!(m.cache_subgoals.is_empty());
-        assert_eq!(m.backtrack_depths.iter().sum::<u64>(), 0);
+        assert_eq!(m.backtrack_depths, Log2Hist::default());
     }
 
     #[test]
@@ -910,17 +778,26 @@ mod tests {
         reg.absorb(&program, &stats, &a);
         reg.absorb(&program, &stats, &LocalMetrics::new(true));
         reg.add_counter("solutions", 1);
+        reg.add_counter("registered", 0);
+        reg.record("latency_us", 700);
         let snap = reg.snapshot();
         assert_eq!(snap.runs, 2);
         assert_eq!(snap.counter("steps"), 20);
         assert_eq!(snap.counter("solutions"), 1);
+        assert_eq!(snap.counters.get("registered"), Some(&0));
         assert_eq!(snap.gauges.get("max_stack"), Some(&4));
         assert_eq!(snap.rule_unfolds.get("p/0#0"), Some(&2));
+        assert_eq!(snap.histogram("latency_us").percentile(0.5), 1024);
+        assert_eq!(snap.histogram("never"), Log2Hist::default());
         let iso = snap.cache_subgoals.get("iso").unwrap();
         assert_eq!((iso.hits, iso.misses, iso.unsuitable), (1, 1, 0));
         let json = snap.to_json();
         assert!(json.contains("\"steps\": 20"), "{json}");
-        assert!(json.contains("\"depth_lo\": 2"), "{json}");
+        assert!(
+            json.contains("[{\"depth_lo\": 2, \"depth_hi\": 3, \"count\": 1}]"),
+            "{json}"
+        );
+        assert!(!json.contains("latency_us"), "{json}");
     }
 
     #[test]
@@ -942,12 +819,17 @@ mod tests {
         );
         let lines = log.to_json_lines();
         let mut it = lines.lines();
-        let first = it.next().unwrap();
-        assert!(first.contains("\"event\": \"span_enter\""), "{first}");
-        assert!(first.contains("\"phase\": \"solve\""), "{first}");
-        let second = it.next().unwrap();
-        assert!(second.contains("\"worker\": 2"), "{second}");
-        assert!(second.contains("\"victim\": 0"), "{second}");
+        assert_eq!(
+            it.next(),
+            Some(
+                "{\"seq\": 0, \"event\": \"span_enter\", \"phase\": \"solve\", \
+                 \"detail\": \"?- p\"}"
+            )
+        );
+        assert_eq!(
+            it.next(),
+            Some("{\"seq\": 1, \"worker\": 2, \"event\": \"worker_steal\", \"thief\": 2, \"victim\": 0}")
+        );
         assert_eq!(it.next(), None);
         assert_eq!(log.len(), 2);
     }
@@ -967,66 +849,37 @@ mod tests {
         let report = RunReport {
             command: "run".into(),
             file: "x.td".into(),
-            requested: EngineConfig::default().with_subgoal_cache(),
-            effective: EngineConfig::default().with_subgoal_cache(),
+            config: EngineConfig::default().with_subgoal_cache(),
             wall_ms: 1.25,
             goals: vec![GoalReport {
                 goal: "p(X)".into(),
                 ok: true,
                 error: None,
-                counters: vec![("steps".into(), 7)],
+                counters: vec![("steps", 7)],
             }],
-            final_digest: Some(0xabcd),
-            final_tuples: Some(3),
-            cache: Some(CacheReport {
-                hits: 1,
-                misses: 2,
-                unsuitable: 0,
-                evictions: 0,
-                entries: 2,
-            }),
-            mat: Some(MatReport {
-                probes: 5,
-                state_hits: 4,
-                rebuilds: 1,
-                maintained_ops: 3,
-                delta_tuples: 2,
-                maintain_us: 10,
-                states: 2,
-            }),
-            store: Some(StoreReport {
-                path: "state.tdb".into(),
-                recovery: "recovered".into(),
-                replayed: 4,
-                torn_bytes: 0,
-                committed: 2,
-                snapshot_age: 6,
-            }),
-            serve: Some(ServeReport {
-                socket: "td.sock".into(),
-                connections: 3,
-                requests: 9,
-                commits: 4,
-                groups: 2,
-                grouped_records: 4,
-                max_group: 3,
-                ..ServeReport::default()
-            }),
-            metrics: MetricsRegistry::new().snapshot(),
+            final_state: Some((0xabcd, 3)),
+            sections: vec![
+                (
+                    "above",
+                    Some(JsonObject::new().string("path", "a\"b").finish()),
+                ),
+                ("absent", None),
+            ],
+            metrics: MetricsSnapshot::default(),
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"td-run-report/v1\""), "{json}");
-        assert!(json.contains("\"recovery\": \"recovered\""), "{json}");
-        assert!(json.contains("\"snapshot_age\": 6"), "{json}");
-        assert!(json.contains("\"socket\": \"td.sock\""), "{json}");
-        assert!(json.contains("\"grouped_records\": 4"), "{json}");
+        assert!(json.starts_with("{\n  \"schema\": \"td-run-report/v1\",\n"));
+        assert!(json.contains("\n  \"above\": {\"path\": \"a\\\"b\"},\n  \"absent\": null,\n"));
         assert!(json.contains("\"effective\""), "{json}");
-        assert!(json.contains("\"steps\": 7"), "{json}");
+        assert!(json.contains(
+            "  \"goals\": [\n    {\"goal\": \"p(X)\", \"ok\": true, \"error\": null, \
+             \"counters\": {\"steps\": 7}}\n  ],\n"
+        ));
         assert!(
-            json.contains("0x000000000000000000000000000000000000abcd")
-                || json.contains("0x0000000000000000000000000000abcd"),
+            json.contains("{\"digest\": \"0x0000000000000000000000000000abcd\", \"tuples\": 3}"),
             "{json}"
         );
+        assert!(json.ends_with("\"cache_subgoals\": {}}\n}\n"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -383,15 +383,7 @@ pub(crate) fn solve(
     let (mut claimed, mut stolen) = (0u64, 0u64);
     for w in &worker_outs {
         reads.merge(&w.reads);
-        stats.steps += w.stats.steps;
-        stats.choicepoints += w.stats.choicepoints;
-        stats.unfolds += w.stats.unfolds;
-        stats.db_ops += w.stats.db_ops;
-        stats.iso_enters += w.stats.iso_enters;
-        stats.memo_hits += w.stats.memo_hits;
-        stats.cache_hits += w.stats.cache_hits;
-        stats.cache_misses += w.stats.cache_misses;
-        stats.peak_processes = stats.peak_processes.max(w.stats.peak_processes);
+        stats.merge(&w.stats);
         merged.merge(&w.local);
         claimed += w.claimed;
         stolen += w.stolen;

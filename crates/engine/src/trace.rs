@@ -25,12 +25,8 @@ use td_db::Tuple;
 pub enum SpanPhase {
     /// A whole top-level search (one `?-` goal or one `solve` call).
     Solve,
-    /// Configuration expansion (the decider/parallel frontier loop).
-    Expansion,
     /// An isolated block `iso { … }` executing under the ⊙ semantics.
     Isolation,
-    /// A subgoal-cache probe (lookup + possible enumeration).
-    CacheProbe,
     /// Replay of a cached answer set as macro-steps.
     CacheReplay,
     /// One parallel worker's lifetime (aggregate span: the exit detail
@@ -43,9 +39,7 @@ impl SpanPhase {
     pub fn as_str(self) -> &'static str {
         match self {
             SpanPhase::Solve => "solve",
-            SpanPhase::Expansion => "expansion",
             SpanPhase::Isolation => "isolation",
-            SpanPhase::CacheProbe => "cache_probe",
             SpanPhase::CacheReplay => "cache_replay",
             SpanPhase::Worker => "worker",
         }

@@ -55,110 +55,71 @@ pub use client::{Client, Reply};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 use td_core::{Symbol, Value};
-use td_db::{Delta, DeltaOp, Tuple};
-use td_engine::{Engine, EngineConfig, Outcome};
+use td_db::{Database, Delta, DeltaOp, Tuple};
+use td_engine::obs::{json_array, json_object};
+use td_engine::{Engine, EngineConfig, JsonObject, MetricsRegistry, MetricsSnapshot, Outcome};
 use td_events::Reactor;
 use td_parser::ParsedProgram;
 use td_store::{ConcurrentStats, ConcurrentStore, Store, TxDecision, TxError, TxOptions};
 
-/// Number of log2 latency buckets: bucket `i` counts trigger executions
-/// whose ingest-to-durable latency was in `[2^(i-1), 2^i)` microseconds
-/// (bucket 0: zero). 2^31 µs ≈ 36 minutes, ample headroom.
-pub const LATENCY_BUCKETS: usize = 32;
+/// The counters the server itself increments, by registry name. They are
+/// registered at zero when the server starts, so every one is published
+/// from the first `stats` reply on; the commit-path counters are the
+/// store's ([`ConcurrentStats`]) and join them in [`read`].
+const COUNTERS: [&str; 8] = [
+    "serve.connections",
+    "serve.requests",
+    "serve.errors",
+    // Requests and trigger executions that exhausted their OCC retry budget
+    // — the starvation signal the jittered backoff exists to keep at zero.
+    "serve.retries_exhausted",
+    "events.ingested",
+    "triggers.matched",
+    "triggers.fired",
+    "triggers.conflicted",
+];
 
-/// A log2-bucketed latency histogram, safely shared across threads.
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-}
+/// Registry name of the trigger-latency histogram: microseconds from the
+/// arrival of the event request that completed a match to the end of its
+/// trigger's execution, one sample per execution (fired or not).
+const TRIGGER_LATENCY: &str = "triggers.latency_us";
 
-impl LatencyHistogram {
-    fn new() -> LatencyHistogram {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+/// One reading of everything the server publishes: the registry's snapshot
+/// with the store's commit-path counters and the interner's footprint (the
+/// documented leak of a long-running server, made observable) folded in
+/// under the names the report's `metrics` section carries, beside the
+/// store's own stats. The `stats` reply, the shutdown summary and both
+/// report sections all render from one such reading.
+fn read(metrics: &MetricsRegistry, cs: &ConcurrentStore) -> (MetricsSnapshot, ConcurrentStats) {
+    let stats = cs.stats();
+    let mut snapshot = metrics.snapshot();
+    for (name, v) in [
+        ("serve.commits", stats.commits),
+        ("serve.read_only", stats.read_only),
+        ("serve.aborts", stats.aborts),
+        ("serve.conflicts", stats.conflicts),
+        ("serve.conflict_failures", stats.conflict_failures),
+        ("serve.groups", stats.groups),
+        ("serve.grouped_records", stats.grouped_records),
+        ("serve.interned_symbols", Symbol::interned_count()),
+        ("serve.interned_bytes", Symbol::interned_bytes()),
+    ] {
+        snapshot.counters.insert(name.to_owned(), v);
     }
-
-    /// Record one latency observation, in microseconds.
-    pub fn record(&self, us: u64) {
-        let b = if us == 0 {
-            0
-        } else {
-            (64 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
-        };
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current bucket counts.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
-/// The upper bound (µs) of the bucket holding the `p`-th percentile
-/// observation — a conservative log2-resolution percentile. Returns 0 for
-/// an empty histogram.
-pub fn latency_percentile(buckets: &[u64], p: f64) -> u64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let target = ((total as f64) * p).ceil().max(1.0) as u64;
-    let mut cum = 0u64;
-    for (i, c) in buckets.iter().enumerate() {
-        cum += c;
-        if cum >= target {
-            return if i == 0 { 0 } else { 1u64 << i };
-        }
-    }
-    1u64 << (buckets.len() - 1)
-}
-
-/// Counters the server accumulates on top of the store's
-/// [`ConcurrentStats`]; everything lands in the `stats` protocol reply and
-/// the run report.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServeCounters {
-    /// Connections accepted over the server's lifetime.
-    pub connections: u64,
-    /// Requests served (all verbs).
-    pub requests: u64,
-    /// Requests answered with `err`.
-    pub errors: u64,
-    /// Requests (and trigger executions) that exhausted their OCC retry
-    /// budget and were answered `err conflict` — the starvation signal the
-    /// jittered backoff exists to keep at zero.
-    pub retries_exhausted: u64,
-}
-
-/// Event/trigger counters and latency as observed at shutdown.
-#[derive(Clone, Debug, Default)]
-pub struct EventsSummary {
-    /// Events ingested durably (the `events.ingested` counter).
-    pub ingested: u64,
-    /// Completed complex-event matches (`triggers.matched`).
-    pub matched: u64,
-    /// Trigger transactions executed successfully (`triggers.fired`).
-    pub fired: u64,
-    /// OCC conflicts hit while executing triggers (`triggers.conflicted`).
-    pub conflicted: u64,
-    /// Ingest-to-trigger-done latency, p50/p99 upper bounds in µs.
-    pub p50_us: u64,
-    pub p99_us: u64,
-    /// The raw log2 histogram buckets (see [`LATENCY_BUCKETS`]).
-    pub latency_buckets: Vec<u64>,
+    (snapshot, stats)
 }
 
 /// What [`Server::serve`] hands back after a clean shutdown.
 pub struct ServeSummary {
-    /// Server-level counters.
-    pub counters: ServeCounters,
+    /// The final reading of the server's registry (see docs/OBSERVABILITY.md
+    /// for the names): `serve.*`, `events.*` and `triggers.*` counters and
+    /// the `triggers.latency_us` histogram. This is the report's `metrics`
+    /// section.
+    pub metrics: MetricsSnapshot,
     /// Store-level OCC/group-commit counters.
     pub stats: ConcurrentStats,
     /// The commit-validation rule the store ran under.
@@ -166,57 +127,98 @@ pub struct ServeSummary {
     /// Per-relation conflict attribution, sorted by predicate: which
     /// relations caused validation failures, and how often.
     pub conflict_relations: Vec<(String, u64)>,
-    /// Event-ingestion and trigger-execution counters.
-    pub events: EventsSummary,
-    /// Interner footprint at shutdown ([`Symbol::interned_count`],
-    /// [`Symbol::interned_bytes`]) — the documented leak, made observable.
-    pub interned_symbols: u64,
-    pub interned_bytes: u64,
     /// The underlying store, drained and durable (e.g. for a final
     /// `rotate` or a closing report).
     pub store: Store,
 }
 
-struct Shared {
-    shutdown: AtomicBool,
-    connections: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    retries_exhausted: AtomicU64,
-    events_ingested: AtomicU64,
-    triggers_matched: AtomicU64,
-    triggers_fired: AtomicU64,
-    triggers_conflicted: AtomicU64,
-    latency: LatencyHistogram,
-}
-
-impl Shared {
-    fn new() -> Shared {
-        Shared {
-            shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            retries_exhausted: AtomicU64::new(0),
-            events_ingested: AtomicU64::new(0),
-            triggers_matched: AtomicU64::new(0),
-            triggers_fired: AtomicU64::new(0),
-            triggers_conflicted: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
+impl ServeSummary {
+    /// The shutdown summary, one `serve: …` line each: traffic and commit
+    /// totals, then conflict attribution and event/trigger totals when
+    /// there is anything to say.
+    pub fn lines(&self) -> Vec<String> {
+        let c = |name: &str| self.metrics.counter(name);
+        let mut lines = vec![format!(
+            "serve: {} connections, {} requests; {} commits in {} groups \
+             (mean group {:.2}, max {}), {} conflicts, {} read-only, {} aborts \
+             [occ={}]",
+            c("serve.connections"),
+            c("serve.requests"),
+            c("serve.commits"),
+            c("serve.groups"),
+            self.stats.mean_group(),
+            self.stats.max_group,
+            c("serve.conflicts"),
+            c("serve.read_only"),
+            c("serve.aborts"),
+            self.occ,
+        )];
+        if !self.conflict_relations.is_empty() || c("serve.retries_exhausted") > 0 {
+            let attribution: Vec<String> = self
+                .conflict_relations
+                .iter()
+                .map(|(p, n)| format!("{p}:{n}"))
+                .collect();
+            lines.push(format!(
+                "serve: conflicts by relation: {} ({} transactions exhausted \
+                 their retry budget)",
+                if attribution.is_empty() {
+                    "-".to_owned()
+                } else {
+                    attribution.join(", ")
+                },
+                c("serve.retries_exhausted"),
+            ));
         }
+        if c("events.ingested") > 0 || c("triggers.matched") > 0 {
+            let latency = self.metrics.histogram(TRIGGER_LATENCY);
+            lines.push(format!(
+                "serve: {} events ingested, {} matches, {} triggers fired \
+                 ({} conflicts retried, latency p50 {}us p99 {}us)",
+                c("events.ingested"),
+                c("triggers.matched"),
+                c("triggers.fired"),
+                c("triggers.conflicted"),
+                latency.percentile(0.50),
+                latency.percentile(0.99),
+            ));
+        }
+        lines
     }
 
-    fn events_summary(&self) -> EventsSummary {
-        let buckets = self.latency.snapshot();
-        EventsSummary {
-            ingested: self.events_ingested.load(Ordering::Relaxed),
-            matched: self.triggers_matched.load(Ordering::Relaxed),
-            fired: self.triggers_fired.load(Ordering::Relaxed),
-            conflicted: self.triggers_conflicted.load(Ordering::Relaxed),
-            p50_us: latency_percentile(&buckets, 0.50),
-            p99_us: latency_percentile(&buckets, 0.99),
-            latency_buckets: buckets,
-        }
+    /// The `serve` section of a run report, for a server that listened on
+    /// `socket`.
+    pub fn report_section(&self, socket: &str) -> String {
+        let c = |name: &str| self.metrics.counter(name);
+        let latency = self.metrics.histogram(TRIGGER_LATENCY);
+        let events = JsonObject::new()
+            .field("ingested", c("events.ingested"))
+            .field("matched", c("triggers.matched"))
+            .field("fired", c("triggers.fired"))
+            .field("conflicted", c("triggers.conflicted"))
+            .field("p50_us", latency.percentile(0.50))
+            .field("p99_us", latency.percentile(0.99))
+            .field("latency_buckets", json_array(latency.buckets()));
+        let conflicts = self.conflict_relations.iter().map(|(p, n)| (p, n));
+        JsonObject::new()
+            .string("socket", socket)
+            .field("connections", c("serve.connections"))
+            .field("requests", c("serve.requests"))
+            .field("errors", c("serve.errors"))
+            .field("commits", c("serve.commits"))
+            .field("read_only", c("serve.read_only"))
+            .field("aborts", c("serve.aborts"))
+            .field("conflicts", c("serve.conflicts"))
+            .string("occ", self.occ)
+            .field("retries_exhausted", c("serve.retries_exhausted"))
+            .field("conflict_relations", json_object(conflicts))
+            .field("groups", c("serve.groups"))
+            .field("grouped_records", c("serve.grouped_records"))
+            .field("max_group", self.stats.max_group)
+            .field("interned_symbols", c("serve.interned_symbols"))
+            .field("interned_bytes", c("serve.interned_bytes"))
+            .field("events", events.finish())
+            .finish()
     }
 }
 
@@ -226,7 +228,10 @@ struct ConnCtx {
     program: ParsedProgram,
     config: EngineConfig,
     cs: ConcurrentStore,
-    shared: Shared,
+    /// The server's one registry: every counter in [`COUNTERS`] and the
+    /// [`TRIGGER_LATENCY`] histogram live here and nowhere else.
+    metrics: MetricsRegistry,
+    shutdown: AtomicBool,
     socket: PathBuf,
     reactor: Mutex<Reactor>,
 }
@@ -258,15 +263,19 @@ impl Server {
         }
     }
 
-    /// Convenience: open (or initialize, seeding `init` facts) the store
-    /// directory and build the server.
+    /// Convenience: open the store directory — or initialize it with the
+    /// same seeding rule as `td run --db`: the program's schema, then its
+    /// `init` facts as WAL record 0 — and build the server.
     pub fn open(
         program: ParsedProgram,
         config: EngineConfig,
         dir: &Path,
         tx: TxOptions,
     ) -> td_store::Result<Server> {
-        let store = open_or_init_store(dir, &program)?;
+        let schema = Database::with_schema_of(&program.program);
+        let seeded = td_engine::load_init(&schema, &program.init)
+            .map_err(|e| td_store::StoreError::Db(e.to_string()))?;
+        let store = Store::open_or_seed(dir, &schema, &seeded)?;
         Ok(Server::new(
             program,
             config,
@@ -282,11 +291,16 @@ impl Server {
     pub fn serve(self, socket: &Path) -> std::io::Result<ServeSummary> {
         let listener = bind_socket(socket)?;
         let reactor = Reactor::new(&self.program.program, &self.program.triggers);
+        let metrics = MetricsRegistry::new();
+        for name in COUNTERS {
+            metrics.add_counter(name, 0);
+        }
         let ctx = Arc::new(ConnCtx {
             program: self.program,
             config: self.config,
             cs: self.store.clone(),
-            shared: Shared::new(),
+            metrics,
+            shutdown: AtomicBool::new(false),
             socket: socket.to_path_buf(),
             reactor: Mutex::new(reactor),
         });
@@ -297,14 +311,14 @@ impl Server {
         };
         let mut handlers = Vec::new();
         for stream in listener.incoming() {
-            if ctx.shared.shutdown.load(Ordering::SeqCst) {
+            if ctx.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let stream = match stream {
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            ctx.shared.connections.fetch_add(1, Ordering::Relaxed);
+            ctx.metrics.add_counter("serve.connections", 1);
             let ctx = ctx.clone();
             let jobs = jobs.clone();
             handlers.push(std::thread::spawn(move || {
@@ -319,14 +333,7 @@ impl Server {
         drop(jobs);
         let _ = scheduler.join();
         let _ = std::fs::remove_file(socket);
-        let counters = ServeCounters {
-            connections: ctx.shared.connections.load(Ordering::Relaxed),
-            requests: ctx.shared.requests.load(Ordering::Relaxed),
-            errors: ctx.shared.errors.load(Ordering::Relaxed),
-            retries_exhausted: ctx.shared.retries_exhausted.load(Ordering::Relaxed),
-        };
-        let events = ctx.shared.events_summary();
-        let stats = self.store.stats();
+        let (metrics, stats) = read(&ctx.metrics, &self.store);
         let occ = self.store.options().validation;
         let conflict_relations = self
             .store
@@ -339,41 +346,13 @@ impl Server {
             .close()
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         Ok(ServeSummary {
-            counters,
+            metrics,
             stats,
             occ,
             conflict_relations,
-            events,
-            interned_symbols: Symbol::interned_count(),
-            interned_bytes: Symbol::interned_bytes(),
             store,
         })
     }
-}
-
-/// Open-or-init with the same seeding rule as `td run --db`: a fresh store
-/// starts from the program's schema and commits the `init` facts as WAL
-/// record 0.
-pub fn open_or_init_store(dir: &Path, parsed: &ParsedProgram) -> td_store::Result<Store> {
-    if Store::is_initialized(dir) {
-        return Store::open(dir);
-    }
-    let schema = td_db::Database::with_schema_of(&parsed.program);
-    let mut store = Store::init(dir, &schema)?;
-    let with_init = td_engine::load_init(&schema, &parsed.init)
-        .map_err(|e| td_store::StoreError::Db(e.to_string()))?;
-    let mut genesis = td_db::Delta::new();
-    for p in with_init.preds() {
-        if let Some(rel) = with_init.relation(p) {
-            for t in rel.to_vec() {
-                genesis.push(td_db::DeltaOp::Ins(p, t));
-            }
-        }
-    }
-    if !genesis.is_empty() {
-        store.commit(&genesis)?;
-    }
-    Ok(store)
 }
 
 /// Bind the listener, clearing a stale socket file left by a crashed
@@ -414,16 +393,16 @@ fn handle_connection(stream: UnixStream, ctx: &ConnCtx, jobs: &mpsc::Sender<Trig
         if request.is_empty() {
             continue;
         }
-        ctx.shared.requests.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics.add_counter("serve.requests", 1);
         let (reply, stop) = dispatch(request, &engine, ctx, jobs);
         if reply.starts_with("err ") {
-            ctx.shared.errors.fetch_add(1, Ordering::Relaxed);
+            ctx.metrics.add_counter("serve.errors", 1);
         }
         if writeln!(writer, "{}", sanitize(&reply)).is_err() {
             break;
         }
         if stop {
-            ctx.shared.shutdown.store(true, Ordering::SeqCst);
+            ctx.shutdown.store(true, Ordering::SeqCst);
             // Unblock the accept loop so it observes the flag.
             let _ = UnixStream::connect(&ctx.socket);
             break;
@@ -501,15 +480,13 @@ fn ingest_event(src: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> St
     });
     match result {
         Ok(receipt) => {
-            ctx.shared.events_ingested.fetch_add(1, Ordering::Relaxed);
+            ctx.metrics.add_counter("events.ingested", 1);
             let fires = {
                 let mut reactor = ctx.reactor.lock().expect("reactor poisoned by panic");
                 reactor.ingest(stored.name, &args, ts)
             };
             let matched = fires.len();
-            ctx.shared
-                .triggers_matched
-                .fetch_add(matched as u64, Ordering::Relaxed);
+            ctx.metrics.add_counter("triggers.matched", matched as u64);
             for fired in fires {
                 // Send can only fail after shutdown joined the scheduler,
                 // which cannot happen while this connection is live.
@@ -524,7 +501,7 @@ fn ingest_event(src: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> St
             )
         }
         Err(TxError::Conflict { attempts }) => {
-            ctx.shared.retries_exhausted.fetch_add(1, Ordering::Relaxed);
+            ctx.metrics.add_counter("serve.retries_exhausted", 1);
             format!("err conflict: gave up after {attempts} attempts")
         }
         Err(TxError::Store(e)) => format!("err store: {}", first_line(&e.to_string())),
@@ -562,28 +539,25 @@ fn run_trigger(engine: &Engine, ctx: &ConnCtx, job: &TriggerJob) {
             Ok(Outcome::Failure { .. }) => Ok(TxDecision::Abort(false)),
             Err(e) => Err(e.to_string()),
         });
-    let shared = &ctx.shared;
     match result {
         Ok(receipt) => {
             if receipt.attempts > 1 {
-                shared
-                    .triggers_conflicted
-                    .fetch_add(u64::from(receipt.attempts - 1), Ordering::Relaxed);
+                let retried = u64::from(receipt.attempts - 1);
+                ctx.metrics.add_counter("triggers.conflicted", retried);
             }
             if receipt.value {
-                shared.triggers_fired.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.add_counter("triggers.fired", 1);
             }
         }
         Err(TxError::Conflict { attempts }) => {
-            shared
-                .triggers_conflicted
-                .fetch_add(u64::from(attempts), Ordering::Relaxed);
-            shared.retries_exhausted.fetch_add(1, Ordering::Relaxed);
+            ctx.metrics
+                .add_counter("triggers.conflicted", u64::from(attempts));
+            ctx.metrics.add_counter("serve.retries_exhausted", 1);
         }
         Err(_) => {}
     }
     let us = u64::try_from(job.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    shared.latency.record(us);
+    ctx.metrics.record(TRIGGER_LATENCY, us);
 }
 
 fn now_ms() -> u64 {
@@ -638,7 +612,7 @@ fn run_goal(engine: &Engine, ctx: &ConnCtx, src: &str) -> String {
             }
         }
         Err(TxError::Conflict { attempts }) => {
-            ctx.shared.retries_exhausted.fetch_add(1, Ordering::Relaxed);
+            ctx.metrics.add_counter("serve.retries_exhausted", 1);
             format!("err conflict: gave up after {attempts} attempts")
         }
         Err(TxError::Store(e)) => format!("err store: {}", first_line(&e.to_string())),
@@ -647,9 +621,9 @@ fn run_goal(engine: &Engine, ctx: &ConnCtx, src: &str) -> String {
 }
 
 fn stats_line(ctx: &ConnCtx) -> String {
-    let s = ctx.cs.stats();
-    let shared = &ctx.shared;
-    let ev = shared.events_summary();
+    let (m, s) = read(&ctx.metrics, &ctx.cs);
+    let c = |name: &str| m.counter(name);
+    let latency = m.histogram(TRIGGER_LATENCY);
     format!(
         "ok occ={} commits={} read_only={} aborts={} conflicts={} conflict_failures={} \
          retries_exhausted={} conflict_preds={} \
@@ -658,29 +632,29 @@ fn stats_line(ctx: &ConnCtx) -> String {
          events_ingested={} triggers_matched={} triggers_fired={} \
          triggers_conflicted={} trigger_p50_us={} trigger_p99_us={}",
         ctx.cs.options().validation,
-        s.commits,
-        s.read_only,
-        s.aborts,
-        s.conflicts,
-        s.conflict_failures,
-        shared.retries_exhausted.load(Ordering::Relaxed),
+        c("serve.commits"),
+        c("serve.read_only"),
+        c("serve.aborts"),
+        c("serve.conflicts"),
+        c("serve.conflict_failures"),
+        c("serve.retries_exhausted"),
         conflict_preds_field(&ctx.cs),
-        s.groups,
-        s.grouped_records,
+        c("serve.groups"),
+        c("serve.grouped_records"),
         s.max_group,
         s.mean_group(),
         ctx.cs.durable_records(),
-        shared.connections.load(Ordering::Relaxed),
-        shared.requests.load(Ordering::Relaxed),
-        shared.errors.load(Ordering::Relaxed),
-        Symbol::interned_count(),
-        Symbol::interned_bytes(),
-        ev.ingested,
-        ev.matched,
-        ev.fired,
-        ev.conflicted,
-        ev.p50_us,
-        ev.p99_us,
+        c("serve.connections"),
+        c("serve.requests"),
+        c("serve.errors"),
+        c("serve.interned_symbols"),
+        c("serve.interned_bytes"),
+        c("events.ingested"),
+        c("triggers.matched"),
+        c("triggers.fired"),
+        c("triggers.conflicted"),
+        latency.percentile(0.50),
+        latency.percentile(0.99),
     )
 }
 

@@ -151,13 +151,15 @@ fn event_round_trip_fires_trigger_and_counts() {
     c.stop().unwrap();
 
     let summary = handle.join().unwrap().unwrap();
-    assert_eq!(summary.events.ingested, 3);
-    assert_eq!(summary.events.matched, 1);
-    assert_eq!(summary.events.fired, 1);
-    assert!(summary.events.p50_us > 0);
-    assert!(summary.events.p99_us >= summary.events.p50_us);
+    let m = &summary.metrics;
+    assert_eq!(m.counter("events.ingested"), 3);
+    assert_eq!(m.counter("triggers.matched"), 1);
+    assert_eq!(m.counter("triggers.fired"), 1);
+    let latency = m.histogram("triggers.latency_us");
+    assert!(latency.percentile(0.50) > 0);
+    assert!(latency.percentile(0.99) >= latency.percentile(0.50));
     assert_eq!(
-        summary.events.latency_buckets.iter().sum::<u64>(),
+        latency.buckets().iter().sum::<u64>(),
         1,
         "one trigger, one latency sample"
     );
@@ -182,7 +184,7 @@ fn triggered_and_direct_execution_agree() {
     // serve() drains the trigger scheduler before returning, so the
     // summary's store already contains the trigger's effects.
     let reactive = handle.join().unwrap().unwrap();
-    assert_eq!(reactive.events.fired, 1);
+    assert_eq!(reactive.metrics.counter("triggers.fired"), 1);
     let reactive_digest = reactive.store.db().digest();
     drop(reactive);
 
@@ -198,7 +200,7 @@ fn triggered_and_direct_execution_agree() {
     ));
     c.stop().unwrap();
     let direct = handle.join().unwrap().unwrap();
-    assert_eq!(direct.events.fired, 0);
+    assert_eq!(direct.metrics.counter("triggers.fired"), 0);
 
     assert_eq!(
         reactive_digest,
@@ -242,9 +244,9 @@ fn ingest_pairs_exactly_once(name: &str, clients: usize, per: usize) -> ServeSum
     c.stop().unwrap();
 
     let summary = handle.join().unwrap().unwrap();
-    assert_eq!(summary.events.ingested, 2 * total);
-    assert_eq!(summary.events.matched, total);
-    assert_eq!(summary.events.fired, total);
+    assert_eq!(summary.metrics.counter("events.ingested"), 2 * total);
+    assert_eq!(summary.metrics.counter("triggers.matched"), total);
+    assert_eq!(summary.metrics.counter("triggers.fired"), total);
     // Every handled pair landed, none twice (set semantics would hide a
     // duplicate ins, but the fired counter above already rules that out).
     let handled = summary
@@ -283,7 +285,10 @@ fn burst_ingestion_batches_fsyncs() {
         stats.groups
     );
     // One trigger-latency sample per firing, and a sane histogram of them.
-    let ev = summary.events;
-    assert_eq!(ev.latency_buckets.iter().sum::<u64>(), ev.fired);
-    assert!(ev.p50_us > 0 && ev.p99_us >= ev.p50_us);
+    let latency = summary.metrics.histogram("triggers.latency_us");
+    assert_eq!(
+        latency.buckets().iter().sum::<u64>(),
+        summary.metrics.counter("triggers.fired")
+    );
+    assert!(latency.percentile(0.50) > 0 && latency.percentile(0.99) >= latency.percentile(0.50));
 }

@@ -104,6 +104,21 @@ fn ping_run_stats_stop_round_trip() {
     assert!(matches!(c.run("transfer(").unwrap(), Reply::Err(_)));
     assert!(c.request("frobnicate now").unwrap().starts_with("err "));
     let stats = c.stats().unwrap();
+    // The reply's key sequence is a published format (tdbench and operators
+    // read fields off it by name and position): pinned exactly.
+    let keys: Vec<&str> = stats
+        .strip_prefix("ok ")
+        .expect("stats answers ok")
+        .split_whitespace()
+        .map(|f| f.split_once('=').expect("key=value").0)
+        .collect();
+    assert_eq!(
+        keys.join(" "),
+        "occ commits read_only aborts conflicts conflict_failures retries_exhausted \
+         conflict_preds groups grouped_records max_group mean_group durable connections \
+         requests errors interned_syms interned_bytes events_ingested triggers_matched \
+         triggers_fired triggers_conflicted trigger_p50_us trigger_p99_us"
+    );
     assert_eq!(counter(&stats, "commits"), 1);
     assert_eq!(counter(&stats, "read_only"), 1);
     assert_eq!(counter(&stats, "aborts"), 1);
@@ -112,7 +127,7 @@ fn ping_run_stats_stop_round_trip() {
     c.stop().unwrap();
     let summary = handle.join().unwrap().unwrap();
     assert_eq!(summary.stats.commits, 1);
-    assert_eq!(summary.counters.errors, 2);
+    assert_eq!(summary.metrics.counter("serve.errors"), 2);
     // The store came back durable: recover it and check the balances.
     let db = summary.store.db().clone();
     drop(summary);

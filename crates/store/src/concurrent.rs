@@ -588,33 +588,6 @@ fn jittered(d: Duration, attempt: u32) -> Duration {
     Duration::from_nanos(nanos - h.finish() % (half + 1))
 }
 
-impl Store {
-    /// Run one transaction through a single-owner store handle — the same
-    /// closure surface as [`ConcurrentStore::transaction`] without the OCC
-    /// machinery (one owner means no conflicts: the closure runs once and
-    /// its read set is irrelevant).
-    pub fn transaction<T, E>(
-        &mut self,
-        f: impl FnOnce(&Database) -> std::result::Result<TxDecision<T>, E>,
-    ) -> std::result::Result<Committed<T>, TxError<E>> {
-        match f(self.db()).map_err(TxError::App)? {
-            TxDecision::ReadOnly(value) | TxDecision::Abort(value) => Ok(Committed {
-                value,
-                seq: None,
-                attempts: 1,
-            }),
-            TxDecision::Commit { delta, value, .. } => {
-                let seq = self.commit(&delta).map_err(TxError::Store)?;
-                Ok(Committed {
-                    value,
-                    seq: Some(seq),
-                    attempts: 1,
-                })
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

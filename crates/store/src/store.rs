@@ -24,7 +24,7 @@ use crate::wal::{read_wal, Wal, WalContents, WalRecord, WalTail, WAL_FILE};
 use crate::{io_err, Result, StoreError};
 use std::fs;
 use std::path::{Path, PathBuf};
-use td_db::{Database, Delta};
+use td_db::{Database, Delta, DeltaOp};
 
 /// File name of the advisory lock inside a store directory.
 pub const LOCK_FILE: &str = "lock";
@@ -230,6 +230,30 @@ impl Store {
         } else {
             Store::init(dir, initial)
         }
+    }
+
+    /// Open `dir` if it is a store; otherwise initialize it *seeded*: a
+    /// snapshot of `schema` (the program's relations, empty), then every
+    /// tuple of `seeded` (the same schema plus the program's init facts)
+    /// committed as the genesis WAL record — so even a crash before the
+    /// first transaction leaves a replayable, digest-verified state. An
+    /// existing store keeps its accumulated state; `seeded` is not
+    /// re-applied.
+    pub fn open_or_seed(dir: &Path, schema: &Database, seeded: &Database) -> Result<Store> {
+        if Store::is_initialized(dir) {
+            return Store::open(dir);
+        }
+        let mut store = Store::init(dir, schema)?;
+        let mut genesis = Delta::new();
+        for p in seeded.preds() {
+            for t in seeded.relation(p).map(|r| r.to_vec()).unwrap_or_default() {
+                genesis.push(DeltaOp::Ins(p, t));
+            }
+        }
+        if !genesis.is_empty() {
+            store.commit(&genesis)?;
+        }
+        Ok(store)
     }
 
     /// The store directory.

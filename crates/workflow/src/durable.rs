@@ -21,7 +21,6 @@
 use crate::scenario::Scenario;
 use std::fmt;
 use std::path::Path;
-use td_db::{Delta, DeltaOp};
 use td_engine::{EngineConfig, EngineError, Outcome};
 use td_store::{RecoveryInfo, Store, StoreError};
 
@@ -80,7 +79,8 @@ pub fn run_durable(
     dir: &Path,
     config: EngineConfig,
 ) -> Result<DurableRun, DurableError> {
-    let mut store = open_for(scenario, dir)?;
+    let schema = td_db::Database::with_schema_of(&scenario.program);
+    let mut store = Store::open_or_seed(dir, &schema, &scenario.db)?;
     let engine = td_engine::Engine::with_config(scenario.program.clone(), config);
     let outcome = engine.solve(&scenario.goal, store.db())?;
     let mut committed = false;
@@ -98,29 +98,6 @@ pub fn run_durable(
         wal_records: store.wal_records(),
         digest: store.db().digest(),
     })
-}
-
-/// Open `dir` with crash recovery, or initialize it from the scenario: a
-/// schema-only snapshot, then the init facts committed as the genesis WAL
-/// record.
-fn open_for(scenario: &Scenario, dir: &Path) -> Result<Store, StoreError> {
-    if Store::is_initialized(dir) {
-        return Store::open(dir);
-    }
-    let schema = td_db::Database::with_schema_of(&scenario.program);
-    let mut store = Store::init(dir, &schema)?;
-    let mut genesis = Delta::new();
-    for p in scenario.db.preds() {
-        if let Some(rel) = scenario.db.relation(p) {
-            for t in rel.to_vec() {
-                genesis.push(DeltaOp::Ins(p, t));
-            }
-        }
-    }
-    if !genesis.is_empty() {
-        store.commit(&genesis)?;
-    }
-    Ok(store)
 }
 
 impl Scenario {

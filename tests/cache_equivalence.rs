@@ -23,7 +23,6 @@ mod common;
 
 use common::{arb_goal, assert_same_witness, corpus_files, flag_program};
 use proptest::prelude::*;
-use std::sync::Arc;
 use transaction_datalog::prelude::parse_program;
 use transaction_datalog::prelude::{
     Database, Engine, EngineConfig, Goal, Program, SearchBackend, Term,
@@ -95,9 +94,8 @@ proptest! {
         let db = Database::with_schema_of(&p);
         let cfg = td_engine::decider::DeciderConfig::default();
         let plain = td_engine::decider::final_states(&p, &g, &db, cfg).unwrap();
-        let cache = Some(Arc::new(td_engine::SubgoalCache::new(1024)));
-        let tabled =
-            td_engine::decider::final_states_with_cache(&p, &g, &db, cfg, cache.clone()).unwrap();
+        let engine = cached(&p, 1024);
+        let tabled = engine.final_states(&g, &db, cfg).unwrap();
         for d in &plain {
             prop_assert!(
                 tabled.iter().any(|t| t.same_content(d)),
@@ -113,7 +111,7 @@ proptest! {
         // Executability must agree too (decide uses the same machinery but
         // stops early).
         let pd = td_engine::decider::decide(&p, &g, &db, cfg).unwrap();
-        let cd = td_engine::decider::decide_with_cache(&p, &g, &db, cfg, cache).unwrap();
+        let cd = engine.decide(&g, &db, cfg).unwrap();
         prop_assert_eq!(pd.executable, cd.executable);
     }
 }

@@ -25,7 +25,6 @@ mod common;
 
 use common::{assert_same_witness, chain_closure, corpus_files};
 use proptest::prelude::*;
-use std::sync::Arc;
 use transaction_datalog::prelude::{
     parse_program, Atom, Database, Engine, EngineConfig, Goal, Program, SearchBackend, Term,
 };
@@ -135,13 +134,9 @@ proptest! {
         let (p, db) = fixture();
         let cfg = td_engine::decider::DeciderConfig::default();
         let bare = td_engine::decider::final_states(&p, &g, &db, cfg).unwrap();
-        let mat = Some(Arc::new(
-            td_engine::Materializer::compile(&p).expect("fixture must compile"),
-        ));
-        let viewed = td_engine::decider::final_states_materialized(
-            &p, &g, &db, cfg, None, mat.clone(),
-        )
-        .unwrap();
+        let engine = materialized(&p);
+        prop_assert!(engine.materializer().is_some(), "fixture must compile");
+        let viewed = engine.final_states(&g, &db, cfg).unwrap();
         for d in &bare {
             prop_assert!(
                 viewed.iter().any(|t| t.same_content(d)),
@@ -155,8 +150,7 @@ proptest! {
             );
         }
         let pd = td_engine::decider::decide(&p, &g, &db, cfg).unwrap();
-        let md = td_engine::decider::decide_materialized(&p, &g, &db, cfg, None, mat, None)
-            .unwrap();
+        let md = engine.decide(&g, &db, cfg).unwrap();
         prop_assert_eq!(pd.executable, md.executable);
     }
 }
