@@ -240,6 +240,9 @@ fn validate_db_path(v: &str) -> Result<String, String> {
     Ok(v.to_owned())
 }
 
+/// The commands that take a program file, checked before the file is read.
+const COMMANDS: &[&str] = &["run", "trace", "fragment", "decide", "repl", "serve"];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (opts, positional) = match parse_options(&args) {
@@ -250,6 +253,15 @@ fn main() -> ExitCode {
         }
     };
     if positional.first().map(|s| s.as_str()) == Some("db") {
+        // The store commands take no options; one given here would be
+        // accepted and dropped.
+        if let Some(flag) = opts.seen.first() {
+            eprintln!(
+                "td: {flag} does not apply to `db`: the store commands take no \
+                 options (see docs/PERSISTENCE.md); drop the flag"
+            );
+            return ExitCode::from(2);
+        }
         return db_command(&positional[1..]);
     }
     if positional.first().map(|s| s.as_str()) == Some("client") {
@@ -271,7 +283,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: td [--strategy=S] [--seed=N] [--max-steps=N] [--threads=N] \
-       [--deterministic] [--subgoal-cache] [--cache-capacity=N] \
+       [--deterministic] [--subgoal-cache] [--cache-capacity=N] [--materialize] \
        [--report=PATH] [--log-json=PATH] [--db=DIR] \
        <run|trace|fragment|decide|repl> <file.td>\n\
        td serve <file.td> --db=DIR [--socket=PATH] [--occ=read-set|whole-db] [--report=PATH]\n\
@@ -281,6 +293,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if !COMMANDS.contains(&cmd) {
+        eprintln!("td: unknown command `{cmd}`");
+        return ExitCode::from(2);
+    }
     // `serve` admits concurrent clients over one store; most per-run flags
     // are meaningless or misleading there, and the PR-3/PR-5 precedent is
     // to refuse loudly rather than silently ignore. The full matrix:
@@ -500,10 +516,7 @@ fn main() -> ExitCode {
         "fragment" => fragment(&parsed, &opts.config),
         "decide" => decide(&parsed, db, &opts, file, store.as_ref()),
         "repl" => repl(&parsed, db, opts.config, store.as_mut()),
-        other => {
-            eprintln!("td: unknown command `{other}`");
-            ExitCode::from(2)
-        }
+        other => unreachable!("`{other}` is in COMMANDS and `serve` dispatched above"),
     }
 }
 

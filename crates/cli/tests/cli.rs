@@ -121,9 +121,26 @@ fn missing_file_and_bad_usage_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = td().output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    // The usage text names every option the parser accepts (each one
+    // registers itself with `seen.push("--name")`).
+    let usage = String::from_utf8(out.stderr).unwrap();
+    let options: Vec<&str> = include_str!("../src/main.rs")
+        .split("seen.push(\"")
+        .skip(1)
+        .map(|rest| rest.split('"').next().unwrap())
+        .collect();
+    assert!(options.contains(&"--materialize"), "{options:?}");
+    for option in options {
+        assert!(usage.contains(option), "usage lacks {option}: {usage}");
+    }
+    // An unknown command is named before its file is read, let alone run.
     let f = write_temp("ok.td", "base t/0.");
-    let out = td().args(["bogus"]).arg(&f).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    for file in [f.to_str().unwrap(), "/nonexistent/x.td"] {
+        let out = td().args(["bogus", file]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("unknown command `bogus`"), "{stderr}");
+    }
 }
 
 #[test]
@@ -276,6 +293,21 @@ fn store_misuse_exits_2() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let out = td().args(["db"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // The store commands take no option: each is refused by name instead of
+    // being accepted and dropped.
+    for (flag, sub) in [
+        ("--report=r.json", "verify"),
+        ("--occ=whole-db", "log"),
+        ("--max-steps=5", "verify"),
+        ("--materialize", "snapshot"),
+        ("--socket=/x", "verify"),
+    ] {
+        let out = td().args([flag, "db", sub]).arg(&dir).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let name = flag.split('=').next().unwrap();
+        assert!(stderr.contains(name) && stderr.contains("`db`"), "{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

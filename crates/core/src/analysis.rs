@@ -108,84 +108,21 @@ impl DepGraph {
         nodes.sort(); // determinism
         let index_of: HashMap<Pred, usize> =
             nodes.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        let n = nodes.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, p) in nodes.iter().enumerate() {
-            let mut cs: Vec<usize> = self
-                .callees(*p)
-                .filter_map(|q| index_of.get(&q).copied())
-                .collect();
-            cs.sort_unstable();
-            adj[i] = cs;
-        }
-
-        // Iterative Tarjan.
-        #[derive(Clone, Copy)]
-        struct NodeState {
-            index: i64,
-            lowlink: i64,
-            on_stack: bool,
-        }
-        let mut st = vec![
-            NodeState {
-                index: -1,
-                lowlink: -1,
-                on_stack: false
-            };
-            n
-        ];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut sccs: Vec<Vec<Pred>> = Vec::new();
-        let mut counter: i64 = 0;
-
-        for start in 0..n {
-            if st[start].index != -1 {
-                continue;
-            }
-            // Explicit DFS stack: (node, next-child-index).
-            let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
-            st[start].index = counter;
-            st[start].lowlink = counter;
-            counter += 1;
-            st[start].on_stack = true;
-            stack.push(start);
-
-            while let Some(&mut (v, ref mut ci)) = dfs.last_mut() {
-                if *ci < adj[v].len() {
-                    let w = adj[v][*ci];
-                    *ci += 1;
-                    if st[w].index == -1 {
-                        st[w].index = counter;
-                        st[w].lowlink = counter;
-                        counter += 1;
-                        st[w].on_stack = true;
-                        stack.push(w);
-                        dfs.push((w, 0));
-                    } else if st[w].on_stack {
-                        st[v].lowlink = st[v].lowlink.min(st[w].index);
-                    }
-                } else {
-                    dfs.pop();
-                    if let Some(&mut (parent, _)) = dfs.last_mut() {
-                        st[parent].lowlink = st[parent].lowlink.min(st[v].lowlink);
-                    }
-                    if st[v].lowlink == st[v].index {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack invariant");
-                            st[w].on_stack = false;
-                            comp.push(nodes[w]);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort();
-                        sccs.push(comp);
-                    }
-                }
-            }
-        }
-        sccs
+        let adj: Vec<Vec<usize>> = nodes
+            .iter()
+            .map(|p| {
+                let mut cs: Vec<usize> = self
+                    .callees(*p)
+                    .filter_map(|q| index_of.get(&q).copied())
+                    .collect();
+                cs.sort_unstable();
+                cs
+            })
+            .collect();
+        sccs(&adj)
+            .into_iter()
+            .map(|comp| comp.into_iter().map(|i| nodes[i]).collect())
+            .collect()
     }
 
     /// The set of *recursive* predicates: members of a non-trivial SCC, or
@@ -204,6 +141,81 @@ impl DepGraph {
         }
         out
     }
+}
+
+/// Tarjan's strongly connected components of the graph `adj` (node `v`'s
+/// successors are `adj[v]`), each sorted, emitted successors-first — for a
+/// call graph, a valid bottom-up evaluation order. The depth-first walk
+/// keeps its own stack, so a dependency chain of any length costs heap,
+/// not thread stack.
+pub fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    #[derive(Clone, Copy)]
+    struct NodeState {
+        index: i64,
+        lowlink: i64,
+        on_stack: bool,
+    }
+    let n = adj.len();
+    let mut st = vec![
+        NodeState {
+            index: -1,
+            lowlink: -1,
+            on_stack: false
+        };
+        n
+    ];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut sccs: Vec<Vec<usize>> = Vec::new();
+    let mut counter: i64 = 0;
+
+    for start in 0..n {
+        if st[start].index != -1 {
+            continue;
+        }
+        // Explicit DFS stack: (node, next-child-index).
+        let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
+        st[start].index = counter;
+        st[start].lowlink = counter;
+        counter += 1;
+        st[start].on_stack = true;
+        stack.push(start);
+
+        while let Some(&mut (v, ref mut ci)) = dfs.last_mut() {
+            if *ci < adj[v].len() {
+                let w = adj[v][*ci];
+                *ci += 1;
+                if st[w].index == -1 {
+                    st[w].index = counter;
+                    st[w].lowlink = counter;
+                    counter += 1;
+                    st[w].on_stack = true;
+                    stack.push(w);
+                    dfs.push((w, 0));
+                } else if st[w].on_stack {
+                    st[v].lowlink = st[v].lowlink.min(st[w].index);
+                }
+            } else {
+                dfs.pop();
+                if let Some(&mut (parent, _)) = dfs.last_mut() {
+                    st[parent].lowlink = st[parent].lowlink.min(st[v].lowlink);
+                }
+                if st[v].lowlink == st[v].index {
+                    let mut comp = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("tarjan stack invariant");
+                        st[w].on_stack = false;
+                        comp.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    comp.sort_unstable();
+                    sccs.push(comp);
+                }
+            }
+        }
+    }
+    sccs
 }
 
 /// Aggregate structural facts about a program + goal, consumed by the

@@ -190,27 +190,30 @@ impl EngineConfig {
         self
     }
 
-    /// The configuration that will *actually* run, after the engine's
-    /// gating rules are applied to this requested one:
+    /// The configuration that will *actually* run, after the engine's one
+    /// gate is applied to this requested one: parallel search, the subgoal
+    /// cache and the materializer are live only under
+    /// [`Strategy::Exhaustive`] with tracing off. The cache replays a
+    /// subgoal's answers in the canonical exhaustive depth-first order —
+    /// any other strategy would yield a different one — and neither a
+    /// replayed nor a materialized macro-step has elementary events to
+    /// trace; the parallel backend searches the exhaustive space only. A
+    /// parallel backend that survives the gate has its `threads` clamped
+    /// to `1..=64`.
     ///
-    /// * the parallel backend serves only the exhaustive strategy with
-    ///   tracing off — anything else falls back to sequential;
-    /// * the subgoal cache is inert under tracing (a replayed macro-step
-    ///   has no elementary events to record) and under non-exhaustive
-    ///   strategies (they reorder the nested exploration).
-    ///
-    /// The run report echoes both the requested and this effective config,
-    /// so silent gating is visible instead of a quiet semantics change.
+    /// [`crate::Engine::solve`] and the sequential machine both read the
+    /// gate from here, and the run report echoes the requested and this
+    /// effective config side by side, so silent gating is visible instead
+    /// of a quiet semantics change.
     pub fn effective(&self) -> EngineConfig {
         let mut eff = self.clone();
-        let exhaustive = matches!(self.strategy, Strategy::Exhaustive);
-        if !exhaustive || self.trace {
+        if self.strategy != Strategy::Exhaustive || self.trace {
             eff.backend = SearchBackend::Sequential;
             eff.subgoal_cache = false;
             eff.materialize = false;
         }
-        if matches!(eff.backend, SearchBackend::Parallel { threads, .. } if threads <= 1) {
-            eff.backend = SearchBackend::Sequential;
+        if let SearchBackend::Parallel { threads, .. } = &mut eff.backend {
+            *threads = (*threads).clamp(1, 64);
         }
         eff
     }
@@ -380,6 +383,41 @@ mod tests {
         assert_eq!(c.max_steps, 500);
         assert_eq!(c.strategy, Strategy::RoundRobin);
         assert!(c.trace);
+    }
+
+    #[test]
+    fn effective_says_what_runs() {
+        let parallel = |threads| SearchBackend::Parallel {
+            threads,
+            deterministic: true,
+        };
+        let all = EngineConfig::default()
+            .with_subgoal_cache()
+            .with_materialize()
+            .with_backend(parallel(4));
+        let live = all.effective();
+        assert_eq!(live.backend, parallel(4));
+        assert!(live.subgoal_cache && live.materialize);
+        for gated in [
+            all.clone().with_trace(),
+            all.clone().with_strategy(Strategy::Leftmost),
+            all.clone().with_strategy(Strategy::RoundRobin),
+            all.clone().with_strategy(Strategy::ExhaustiveRandom(7)),
+        ] {
+            let eff = gated.effective();
+            assert_eq!(eff.backend, SearchBackend::Sequential, "{gated:?}");
+            assert!(!eff.subgoal_cache && !eff.materialize, "{gated:?}");
+        }
+        // One requested worker is still the parallel search, and the
+        // worker count is what `parallel::solve` will spawn.
+        for (asked, runs) in [(0, 1), (1, 1), (4, 4), (1000, 64)] {
+            let eff = all.clone().with_backend(parallel(asked)).effective();
+            assert_eq!(eff.backend, parallel(runs));
+        }
+        assert_eq!(
+            EngineConfig::default().with_threads(1).backend,
+            SearchBackend::Sequential
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Public execution API.
 
 use crate::cache::SubgoalCache;
-use crate::config::{EngineConfig, EngineError, SearchBackend, Stats, Strategy};
+use crate::config::{EngineConfig, EngineError, SearchBackend, Stats};
 use crate::decider::{DeciderConfig, Decision, Search};
 use crate::incremental::Materializer;
 use crate::machine::{Ctx, Solver};
@@ -219,35 +219,33 @@ impl Engine {
     /// Execute `goal` against `db`, returning the first successful
     /// execution (the committed transaction) or failure.
     ///
-    /// With [`SearchBackend::Parallel`] the search fans out over worker
-    /// threads, provided the configuration is compatible (exhaustive
-    /// strategy, no tracing); otherwise it silently runs sequentially —
-    /// see `docs/PARALLELISM.md` for the exact rules.
+    /// Runs on [`EngineConfig::effective`]'s backend: with
+    /// [`SearchBackend::Parallel`] the search fans out over worker threads,
+    /// provided the configuration is compatible (exhaustive strategy, no
+    /// tracing); otherwise it silently runs sequentially — see
+    /// `docs/PARALLELISM.md` for the exact rules.
     pub fn solve(&self, goal: &Goal, db: &Database) -> Result<Outcome, EngineError> {
-        let outcome = 'search: {
-            if let SearchBackend::Parallel {
+        let outcome = match self.config.effective().backend {
+            SearchBackend::Parallel {
                 threads,
                 deterministic,
-            } = self.config.backend
-            {
-                if self.config.strategy == Strategy::Exhaustive && !self.config.trace {
-                    break 'search crate::parallel::solve(
-                        &self.program,
-                        &self.config,
-                        goal,
-                        db,
-                        threads,
-                        deterministic,
-                        self.cache.clone(),
-                        self.mat.clone(),
-                        self.obs.clone(),
-                    )?;
+            } => crate::parallel::solve(
+                &self.program,
+                &self.config,
+                goal,
+                db,
+                threads,
+                deterministic,
+                self.cache.clone(),
+                self.mat.clone(),
+                self.obs.clone(),
+            )?,
+            SearchBackend::Sequential => {
+                let mut found = self.solutions(goal, db, 1)?;
+                match found.solutions.pop() {
+                    Some(s) => Outcome::Success(Box::new(s)),
+                    None => Outcome::Failure { stats: found.stats },
                 }
-            }
-            let mut found = self.solutions(goal, db, 1)?;
-            match found.solutions.pop() {
-                Some(s) => Outcome::Success(Box::new(s)),
-                None => Outcome::Failure { stats: found.stats },
             }
         };
         // Outcome-level counters are backend-invariant: in deterministic
@@ -302,17 +300,7 @@ impl Engine {
         ctx.bindings.alloc(nvars);
         let mut solver = Solver::new(make_node(goal), db.clone());
         let mut out = Vec::new();
-        let mut first = true;
-        while out.len() < limit {
-            let found = if first {
-                first = false;
-                solver.run(&mut ctx)?
-            } else {
-                solver.resume(&mut ctx)?
-            };
-            if !found {
-                break;
-            }
+        while out.len() < limit && solver.next_solution(&mut ctx)? {
             let answer = (0..nvars)
                 .map(|i| ctx.bindings.resolve(Term::var(i)))
                 .collect();

@@ -70,12 +70,11 @@ impl Circuit {
                 out
             })
             .collect();
-        // Tarjan emits components callees-first, which is exactly the
-        // evaluation order the circuit needs.
-        let sccs = tarjan(&adj)
+        // Components come out sorted and callees-first, which is exactly
+        // the evaluation order the circuit needs.
+        let sccs = td_core::analysis::sccs(&adj)
             .into_iter()
-            .map(|mut comp| {
-                comp.sort_unstable();
+            .map(|comp| {
                 let preds: Vec<Pred> = comp.iter().map(|&i| nodes[i]).collect();
                 let recursive = comp.len() > 1 || adj[comp[0]].contains(&comp[0]);
                 let rules: Vec<FlatRule> = preds
@@ -319,66 +318,4 @@ fn join_from(
             b.undo_to(mark);
         }
     }
-}
-
-/// Tarjan's SCC algorithm; components are emitted callees-first, i.e. in a
-/// valid bottom-up evaluation order.
-fn tarjan(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    struct T<'a> {
-        adj: &'a [Vec<usize>],
-        index: Vec<Option<usize>>,
-        low: Vec<usize>,
-        on_stack: Vec<bool>,
-        stack: Vec<usize>,
-        next: usize,
-        out: Vec<Vec<usize>>,
-    }
-    fn visit(t: &mut T<'_>, v: usize) {
-        t.index[v] = Some(t.next);
-        t.low[v] = t.next;
-        t.next += 1;
-        t.stack.push(v);
-        t.on_stack[v] = true;
-        for i in 0..t.adj[v].len() {
-            let w = t.adj[v][i];
-            match t.index[w] {
-                None => {
-                    visit(t, w);
-                    t.low[v] = t.low[v].min(t.low[w]);
-                }
-                Some(wi) if t.on_stack[w] => {
-                    t.low[v] = t.low[v].min(wi);
-                }
-                _ => {}
-            }
-        }
-        if t.low[v] == t.index[v].expect("visited") {
-            let mut comp = Vec::new();
-            loop {
-                let w = t.stack.pop().expect("stack non-empty");
-                t.on_stack[w] = false;
-                comp.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            t.out.push(comp);
-        }
-    }
-    let n = adj.len();
-    let mut t = T {
-        adj,
-        index: vec![None; n],
-        low: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next: 0,
-        out: Vec::new(),
-    };
-    for v in 0..n {
-        if t.index[v].is_none() {
-            visit(&mut t, v);
-        }
-    }
-    t.out
 }

@@ -1,20 +1,23 @@
-//! Subgoal-cache macro-steps: probe (and on miss, populate) the shared
-//! subtransaction answer cache, and replay one cached answer as a single
-//! transition. Cacheability — isolated blocks always, derived-atom calls
-//! only when sole-frontier and ground — is decided by the callers, so all
-//! three backends make identical caching decisions; this module owns what
-//! happens once a contiguous subgoal is in hand.
+//! Macro-steps: what a driver does *instead of* exploring a contiguous
+//! subtransaction step by step. [`call_step`] decides how a derived call
+//! executes — a materialized-view probe, a replay of its cached answer
+//! set, or plain rule unfolding; [`probe_subgoal`] probes (and on a miss,
+//! populates) the shared answer cache for a contiguous subgoal, which is
+//! how an isolated block is replayed too; [`replay_answer`] re-applies one
+//! cached answer as a single transition. The decisions, and what each one
+//! charges to [`Hooks`], are made here once, for all three drivers.
 
 use super::Hooks;
 use crate::cache::{canonicalize_with_map, CacheEntry, CachedAnswer, SubgoalCache};
 use crate::config::{EngineConfig, EngineError};
+use crate::incremental::Materializer;
 use crate::obs::subgoal_label;
 use crate::trace::{ProbeOutcome, TraceEvent};
 use crate::tree::make_node;
 use std::sync::Arc;
 use td_core::unify::unify_terms;
-use td_core::{Bindings, Goal, Program, Term, Var};
-use td_db::{Database, Delta, DeltaOp};
+use td_core::{Atom, Bindings, Goal, Program, Term, Var};
+use td_db::{Database, Delta};
 
 /// What a cache probe resolved to.
 pub(crate) enum Probe {
@@ -28,6 +31,63 @@ pub(crate) enum Probe {
     /// No usable entry (cache off for this subgoal, or it is unsuitable):
     /// the caller must run the lazy elementary path.
     Lazy,
+}
+
+/// How a call to a derived predicate executes.
+pub(crate) enum CallStep {
+    /// A materialized view answered it: the call is a pure query that
+    /// holds (leaf erased, no bindings, no delta) or fails outright.
+    Holds(bool),
+    /// Its cached answer set, as in [`Probe::Replay`].
+    Replay {
+        answers: Arc<Vec<CachedAnswer>>,
+        vars: Vec<Var>,
+    },
+    /// Neither applies: unfold the predicate's rules.
+    Unfold,
+}
+
+/// Decide how the (resolved) call `atom` executes on `db`. `sole` says it
+/// is the only frontier action: only then, and only when ground, does it
+/// run as a contiguous block — nothing else is schedulable until it
+/// finishes — so that its answer set is a function of `(atom, db)` like an
+/// isolated block's. A view probe beats the cache, and both beat unfolding.
+pub(crate) fn call_step(
+    program: &Program,
+    cache: Option<&SubgoalCache>,
+    mat: Option<&Materializer>,
+    db: &Database,
+    atom: &Atom,
+    sole: bool,
+    hooks: &mut Hooks<'_>,
+) -> CallStep {
+    if (cache.is_none() && mat.is_none()) || !sole || !atom.is_ground() {
+        return CallStep::Unfold;
+    }
+    if let Some(mat) = mat {
+        if let Some(holds) = mat.holds(db, atom) {
+            hooks.stats.mat_probes += 1;
+            // A view probe reads every base relation feeding the
+            // materialized fragment.
+            for p in mat.base_support() {
+                hooks.reads.record(p);
+            }
+            if let Some(cache) = cache {
+                // Materialization supersedes the cache for this
+                // predicate; never double-store.
+                cache.note_unsuitable();
+            }
+            return CallStep::Holds(holds);
+        }
+    }
+    if let Some(cache) = cache {
+        let subgoal = Goal::Atom(atom.clone());
+        if let Probe::Replay { answers, vars } = probe_subgoal(program, cache, db, &subgoal, hooks)
+        {
+            return CallStep::Replay { answers, vars };
+        }
+    }
+    CallStep::Unfold
 }
 
 /// Probe the cache for a contiguous subgoal, enumerating and inserting the
@@ -104,18 +164,23 @@ pub(crate) fn bind_answer(bindings: &mut Bindings, vars: &[Var], ans: &CachedAns
         .all(|(v, val)| unify_terms(bindings, Term::Var(*v), Term::Val(*val)))
 }
 
-/// Re-apply a cached answer's state delta to `db`, invoking `on_op` for
-/// each op as it lands (drivers count and log them). A storage fault is a
-/// fault here too, exactly as on the lazy path.
+/// Re-apply a cached answer's state delta (`ans.delta.ops()`, which the
+/// driver appends to its own log) to `db`, charging each op to `hooks` as
+/// it lands and maintaining the materializer across the whole delta. A
+/// storage fault is a fault here too, exactly as on the lazy path.
 pub(crate) fn replay_answer(
     db: &Database,
     ans: &CachedAnswer,
-    mut on_op: impl FnMut(&DeltaOp),
+    mat: Option<&Materializer>,
+    hooks: &mut Hooks<'_>,
 ) -> Result<Database, EngineError> {
     let mut cur = db.clone();
     for op in ans.delta.ops() {
         cur = op.apply(&cur).map_err(|e| EngineError::Db(e.to_string()))?;
-        on_op(op);
+        hooks.stats.db_ops += 1;
+    }
+    if let Some(mat) = mat {
+        mat.apply_ops(db, ans.delta.ops(), &cur);
     }
     Ok(cur)
 }
@@ -159,15 +224,8 @@ pub(crate) fn enumerate_answers(
     ctx.bindings.alloc(nvars);
     let mut solver = Solver::new(make_node(goal), db.clone());
     let mut out = Vec::new();
-    let mut first = true;
     loop {
-        let found = if first {
-            first = false;
-            solver.run(&mut ctx)
-        } else {
-            solver.resume(&mut ctx)
-        };
-        match found {
+        match solver.next_solution(&mut ctx) {
             Ok(true) => {
                 if out.len() >= CACHE_ENUM_MAX_ANSWERS {
                     return None;

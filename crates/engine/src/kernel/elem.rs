@@ -3,7 +3,9 @@
 //! the leaves every backend must execute identically; each helper carries
 //! the semantics (including the exact failure/fault split) once.
 
+use super::Hooks;
 use crate::config::EngineError;
+use crate::incremental::Materializer;
 use td_core::goal::Builtin;
 use td_core::unify::unify_terms;
 use td_core::{Atom, Bindings, Term, Value, Var};
@@ -77,6 +79,24 @@ pub(crate) fn apply_update(
     } else {
         DeltaOp::Del(atom.pred, t)
     };
+    Ok((next, changed, op))
+}
+
+/// The `ins`/`del` step as every driver takes it: [`apply_update`], charged
+/// to `hooks` as one database op, with the materializer (when attached)
+/// maintained across it.
+pub(crate) fn update(
+    db: &Database,
+    atom: &Atom,
+    is_ins: bool,
+    mat: Option<&Materializer>,
+    hooks: &mut Hooks<'_>,
+) -> Result<(Database, bool, DeltaOp), EngineError> {
+    let (next, changed, op) = apply_update(db, atom, is_ins)?;
+    hooks.stats.db_ops += 1;
+    if let Some(mat) = mat {
+        mat.apply_ops(db, std::slice::from_ref(&op), &next);
+    }
     Ok((next, changed, op))
 }
 

@@ -1,12 +1,12 @@
-//! Frontier-action enumeration over ground configurations — the single
-//! implementation of the small-step transition relation the decider and
-//! the parallel backend drive. (The sequential machine composes the same
-//! primitives under its trail/choicepoint discipline instead; see the
-//! module docs in [`super`].)
+//! Frontier-action enumeration over ground configurations — the
+//! transition relation as the decider and the parallel backend drive it:
+//! every enabled step of a configuration at once, where the sequential
+//! machine takes one and keeps the rest behind a choicepoint. Both ask
+//! [`call_step`], [`update`] and [`replay_answer`] what a step does.
 
 use super::{
-    apply_update, bind_answer, check_absent, eval_ground_builtin, matching_tuples,
-    num_vars_in_tree, probe_subgoal, replay_answer, subst_tree, unify_project, BuiltinOut, Hooks,
+    bind_answer, call_step, check_absent, eval_ground_builtin, matching_tuples, num_vars_in_tree,
+    probe_subgoal, replay_answer, subst_tree, unify_project, update, BuiltinOut, CallStep, Hooks,
     Probe,
 };
 use crate::cache::{CachedAnswer, SubgoalCache};
@@ -102,10 +102,6 @@ impl Kernel<'_> {
             return (out, None);
         };
         let paths = frontier(tree);
-        // A sole frontier action executes as a contiguous block — the
-        // cacheability condition for derived-atom calls (the machine
-        // applies the same condition, so all three backends make identical
-        // caching decisions).
         let sole = paths.len() == 1;
         for path in paths {
             let leaf = leaf_at(tree, &path).clone();
@@ -136,50 +132,29 @@ impl Kernel<'_> {
                     }
                 }
                 Goal::Atom(atom) => {
-                    if sole && atom.is_ground() {
-                        // A materialized probe beats both the cache and rule
-                        // unfolding: the call is a pure query, so it succeeds
-                        // (erasing the leaf, no bindings, no delta) or fails
-                        // (no successor) as a single macro-step.
-                        if let Some(mat) = &self.mat {
-                            if let Some(holds) = mat.holds(&cfg.db, &atom) {
-                                hooks.stats.mat_probes += 1;
-                                // A view probe reads every base relation
-                                // feeding the materialized fragment.
-                                for p in mat.base_support() {
-                                    hooks.reads.record(p);
-                                }
-                                if let Some(cache) = &self.cache {
-                                    // Materialization supersedes the cache
-                                    // for this predicate; never double-store.
-                                    cache.note_unsuitable();
-                                }
-                                if holds {
-                                    out.push(Action {
-                                        tree: rewrite(tree, &path, None),
-                                        db: cfg.db.clone(),
-                                        nvars: cfg.nvars,
-                                        answer: cfg.answer.clone(),
-                                        ops: Vec::new(),
-                                    });
-                                }
-                                continue;
+                    let (cache, mat) = (self.cache.as_deref(), self.mat.as_deref());
+                    match call_step(self.program, cache, mat, &cfg.db, &atom, sole, hooks) {
+                        CallStep::Holds(holds) => {
+                            if holds {
+                                out.push(Action {
+                                    tree: rewrite(tree, &path, None),
+                                    db: cfg.db.clone(),
+                                    nvars: cfg.nvars,
+                                    answer: cfg.answer.clone(),
+                                    ops: Vec::new(),
+                                });
                             }
+                            continue;
                         }
-                        if let Some(cache) = self.cache.clone() {
-                            let subgoal = Goal::Atom(atom.clone());
-                            match probe_subgoal(self.program, &cache, &cfg.db, &subgoal, hooks) {
-                                Probe::Replay { answers, vars } => {
-                                    if let Err(e) = self
-                                        .replay(cfg, tree, &path, &vars, &answers, &mut out, hooks)
-                                    {
-                                        return (out, Some(e));
-                                    }
-                                    continue;
-                                }
-                                Probe::Lazy => {}
+                        CallStep::Replay { answers, vars } => {
+                            if let Err(e) =
+                                self.replay(cfg, tree, &path, &vars, &answers, &mut out, hooks)
+                            {
+                                return (out, Some(e));
                             }
+                            continue;
                         }
+                        CallStep::Unfold => {}
                     }
                     for &rid in self.program.rules_for(atom.pred) {
                         let rule = self.program.rule(rid);
@@ -220,13 +195,9 @@ impl Kernel<'_> {
                 }
                 Goal::Ins(atom) | Goal::Del(atom) => {
                     let is_ins = matches!(leaf_at(tree, &path), Goal::Ins(_));
-                    match apply_update(&cfg.db, &atom, is_ins) {
+                    match update(&cfg.db, &atom, is_ins, self.mat.as_deref(), hooks) {
                         Err(e) => return (out, Some(e)),
                         Ok((next, _changed, op)) => {
-                            hooks.stats.db_ops += 1;
-                            if let Some(mat) = &self.mat {
-                                mat.apply_ops(&cfg.db, std::slice::from_ref(&op), &next);
-                            }
                             out.push(Action {
                                 tree: rewrite(tree, &path, None),
                                 db: next,
@@ -279,8 +250,8 @@ impl Kernel<'_> {
                     // from the current database — exactly the shape the
                     // subgoal cache stores. Try a replay before the lazy
                     // transform.
-                    if let Some(cache) = self.cache.clone() {
-                        match probe_subgoal(self.program, &cache, &cfg.db, &inner, hooks) {
+                    if let Some(cache) = self.cache.as_deref() {
+                        match probe_subgoal(self.program, cache, &cfg.db, &inner, hooks) {
                             Probe::Replay { answers, vars } => {
                                 if let Err(e) =
                                     self.replay(cfg, tree, &path, &vars, &answers, &mut out, hooks)
@@ -350,20 +321,12 @@ impl Kernel<'_> {
                     bind_answer(b, vars, ans)
                 })
             {
-                let mut ops = Vec::new();
-                let db = replay_answer(&cfg.db, ans, |op| {
-                    hooks.stats.db_ops += 1;
-                    ops.push(op.clone());
-                })?;
-                if let Some(mat) = &self.mat {
-                    mat.apply_ops(&cfg.db, &ops, &db);
-                }
                 out.push(Action {
                     tree: new_tree,
-                    db,
+                    db: replay_answer(&cfg.db, ans, self.mat.as_deref(), hooks)?,
                     nvars: cfg.nvars,
                     answer: new_answer,
-                    ops,
+                    ops: ans.delta.ops().to_vec(),
                 });
             }
         }

@@ -22,10 +22,15 @@
 //! describing). [`Kernel::apply`] is the hand-off where a driver takes
 //! ownership of one [`Action`]'s successor configuration and layers its
 //! own bookkeeping (path labels, delta chains, work queues) on top. The
-//! sequential machine keeps its trail-based representation and instead
-//! composes the kernel's primitives directly ([`elem`], [`unfold_trail`],
-//! [`probe_subgoal`] + [`bind_answer`]/[`replay_answer`]) under its own
-//! choicepoint discipline.
+//! sequential machine keeps its trail-based representation and takes one
+//! alternative at a time, so it does not step through `actions` — but
+//! what a step *does* is the same code for all three drivers:
+//! [`call_step`] decides how a derived call executes (materialized-view
+//! probe, cached replay, or unfolding), [`update`] is the `ins`/`del`
+//! step, [`replay_answer`] re-applies a cached answer's delta and
+//! [`probe_subgoal`] probes the cache for an isolated block, each charging
+//! its own [`Hooks`] accounting and maintaining the materializer itself.
+//! `machine.rs` and [`Kernel::actions`] are their two callers.
 //!
 //! All three identify a configuration the same way — [`fingerprint`], one
 //! pass over the tree under the driver's bindings plus the database
@@ -47,10 +52,10 @@ mod ground;
 mod subst;
 mod unfold;
 
-pub(crate) use cache::{bind_answer, probe_subgoal, replay_answer, Probe};
+pub(crate) use cache::{bind_answer, call_step, probe_subgoal, replay_answer, CallStep, Probe};
 pub(crate) use elem::{
     apply_update, bind_tuple, check_absent, eval_builtin, eval_ground_builtin, matching_tuples,
-    resolve_atom, BuiltinOut,
+    resolve_atom, update, BuiltinOut,
 };
 pub(crate) use fingerprint::{fingerprint, FpMap, FpSet};
 pub(crate) use ground::{Config, Kernel};

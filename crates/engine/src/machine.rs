@@ -16,15 +16,20 @@
 //! the isolated block.
 //!
 //! The transition semantics itself — elementary operations, rule
-//! unfolding, subgoal-cache probe and replay — lives in [`crate::kernel`];
-//! this module composes those primitives under its trail/choicepoint
-//! discipline and owns only the search (strategies, backtracking, budgets,
-//! failure memoization).
+//! unfolding, and what a derived call, an update or a cached answer does
+//! ([`kernel::call_step`], [`kernel::update`], [`kernel::replay_answer`])
+//! — lives in [`crate::kernel`]. This module owns only the search, and
+//! writes each kind of choice once: a step's alternatives are an [`Alts`],
+//! `Solver::choose` commits to the first and leaves a choicepoint over the
+//! rest, `Solver::take` carries one [`Alt`] out — on the first try and on
+//! every retry alike — and `Solver::backtrack` asks the newest choicepoint
+//! for its next one. Strategies, budgets and failure memoization sit
+//! around that loop.
 
 use crate::cache::{CachedAnswer, SubgoalCache};
 use crate::config::{EngineConfig, EngineError, Stats, Strategy};
 use crate::incremental::Materializer;
-use crate::kernel::{self, FpSet, Hooks, Probe};
+use crate::kernel::{self, CallStep, FpSet, Hooks, Probe};
 use crate::obs::{subgoal_label, LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
 use crate::tree::{frontier, leaf_at, make_node, rewrite, PTree, Path};
@@ -35,6 +40,19 @@ use std::sync::Arc;
 use td_core::subst::TrailMark;
 use td_core::{Atom, Bindings, Goal, Program, RuleId, Var};
 use td_db::{Database, DeltaOp, Tuple};
+
+/// The kernel's accounting sinks over a [`Ctx`], borrowed field by field so
+/// that its trail, cache and materializer stay borrowable next to them.
+macro_rules! hooks {
+    ($ctx:expr) => {
+        &mut Hooks {
+            stats: &mut $ctx.stats,
+            local: &mut $ctx.local,
+            events: $ctx.obs.as_deref(),
+            reads: &mut $ctx.reads,
+        }
+    };
+}
 
 /// Shared execution context: program, config, bindings, statistics, logs.
 /// One `Ctx` serves the top-level solver and every nested (isolation)
@@ -58,8 +76,8 @@ pub(crate) struct Ctx<'p> {
     failed: FpSet,
     /// Variable-numbering scratch of [`Ctx::config_key`].
     key_vars: Vec<Var>,
-    /// Shared subtransaction answer cache; `None` when disabled or the
-    /// configuration is incompatible (see [`Ctx::new`]'s gate).
+    /// Shared subtransaction answer cache; `None` when disabled or gated
+    /// off (see [`EngineConfig::effective`]).
     cache: Option<Arc<SubgoalCache>>,
     /// Shared incremental materializer; gated exactly like the cache.
     mat: Option<Arc<Materializer>>,
@@ -84,17 +102,7 @@ impl<'p> Ctx<'p> {
             Strategy::ExhaustiveRandom(seed) => Some(StdRng::seed_from_u64(seed)),
             _ => None,
         };
-        // The cache replays a subgoal's answers in the canonical exhaustive
-        // depth-first order; under any other strategy the lazy path would
-        // yield a different order, and a trace cannot be reconstructed from
-        // a replay — gate it off rather than produce wrong witnesses. The
-        // materializer answers with macro-steps that leave no elementary
-        // trace either, so it shares the gate.
-        let (cache, mat) = if config.trace || config.strategy != Strategy::Exhaustive {
-            (None, None)
-        } else {
-            (cache, mat)
-        };
+        let live = config.effective();
         let local = LocalMetrics::new(obs.is_some());
         Ctx {
             program,
@@ -106,8 +114,8 @@ impl<'p> Ctx<'p> {
             trace: Vec::new(),
             failed: FpSet::default(),
             key_vars: Vec::new(),
-            cache,
-            mat,
+            cache: cache.filter(|_| live.subgoal_cache),
+            mat: mat.filter(|_| live.materialize),
             obs,
             local,
             rng,
@@ -151,12 +159,7 @@ impl<'p> Ctx<'p> {
             &mut self.bindings,
             atom,
             rule_id,
-            &mut Hooks {
-                stats: &mut self.stats,
-                local: &mut self.local,
-                events: None,
-                reads: &mut self.reads,
-            },
+            hooks!(self),
         )?;
         self.record(|| TraceEvent::Unfold {
             call: atom.clone(),
@@ -199,46 +202,91 @@ fn fatal(e: EngineError) -> StepErr {
     StepErr::Fatal(e)
 }
 
-/// Alternatives remaining at a choicepoint.
+/// A position in the three logs backtracking rewinds: the trail, the update
+/// log and the committed-path trace.
+#[derive(Clone, Copy)]
+struct Marks {
+    trail: TrailMark,
+    delta: usize,
+    trace: usize,
+}
+
+impl Marks {
+    fn here(ctx: &Ctx) -> Marks {
+        Marks {
+            trail: ctx.bindings.mark(),
+            delta: ctx.delta.len(),
+            trace: ctx.trace.len(),
+        }
+    }
+
+    /// Undo every binding, logged update and trace event made since.
+    fn rewind(self, ctx: &mut Ctx) {
+        ctx.bindings.undo_to(self.trail);
+        ctx.delta.truncate(self.delta);
+        ctx.trace.truncate(self.trace);
+    }
+}
+
+/// The alternatives of one step, in canonical order.
 enum Alts {
-    /// Scheduling: other frontier actions to try for this step.
-    Sched { paths: Vec<Path>, next: usize },
-    /// Other tuples a base-predicate query may match.
-    Tuples {
-        path: Path,
-        atom: Atom,
-        tuples: Vec<Tuple>,
-        next: usize,
-    },
-    /// Other rules a call may unfold to.
-    Rules {
-        path: Path,
-        atom: Atom,
-        rules: Vec<RuleId>,
-        next: usize,
-    },
-    /// Other `or`-branches.
-    Branches {
-        path: Path,
-        branches: Vec<Goal>,
-        next: usize,
-    },
-    /// A live isolated sub-execution that may yield further solutions.
-    Iso {
-        path: Path,
-        solver: Box<Solver>,
-        yield_mark: TrailMark,
-        yield_delta: usize,
-        yield_trace: usize,
-    },
-    /// Remaining answers of a cached subgoal (replayed, not re-explored).
-    Cached {
-        path: Path,
-        /// Original variables, positionally matching each answer's values.
-        vars: Vec<Var>,
-        answers: Arc<Vec<CachedAnswer>>,
-        next: usize,
-    },
+    /// Scheduling: the frontier actions the step may execute, and whether
+    /// the frontier held just one.
+    Sched(Vec<Path>, bool),
+    /// The tuples a base-predicate query may match.
+    Tuples(Atom, Vec<Tuple>),
+    /// The rules a call may unfold to.
+    Rules(Atom, Vec<RuleId>),
+    /// The branches of an `or`.
+    Branches(Vec<Goal>),
+    /// The answers of a cached subgoal (replayed, not re-explored), and
+    /// the variables each answer's values bind, positionally.
+    Cached(Vec<Var>, Arc<Vec<CachedAnswer>>),
+    /// A live isolated sub-execution that may yield further solutions, and
+    /// where the logs stood when it last yielded. Not a list: its
+    /// alternatives come out of the nested solver.
+    Iso(Box<Solver>, Marks),
+}
+
+/// One alternative, taken out of an [`Alts`] by index.
+enum Alt {
+    Sched(Path, bool),
+    Tuple(Atom, Tuple),
+    Rule(Atom, RuleId),
+    /// The branch's index and its process tree.
+    Branch(usize, Option<Arc<PTree>>),
+    Cached(Vec<Var>, Arc<Vec<CachedAnswer>>, usize),
+    /// An isolated block ran to a solution.
+    Yield,
+}
+
+impl Alts {
+    fn len(&self) -> usize {
+        match self {
+            Alts::Sched(paths, _) => paths.len(),
+            Alts::Tuples(_, tuples) => tuples.len(),
+            Alts::Rules(_, rules) => rules.len(),
+            Alts::Branches(goals) => goals.len(),
+            Alts::Cached(_, answers) => answers.len(),
+            Alts::Iso(..) => 0,
+        }
+    }
+
+    /// Take out the `i`-th alternative. The search visits each index once,
+    /// so a scheduled path moves out; the rest is cloned per alternative.
+    fn get(&mut self, i: usize) -> Option<Alt> {
+        Some(match self {
+            Alts::Sched(paths, sole) => Alt::Sched(std::mem::take(paths.get_mut(i)?), *sole),
+            Alts::Tuples(atom, tuples) => Alt::Tuple(atom.clone(), tuples.get(i)?.clone()),
+            Alts::Rules(atom, rules) => Alt::Rule(atom.clone(), *rules.get(i)?),
+            Alts::Branches(goals) => Alt::Branch(i, make_node(goals.get(i)?)),
+            Alts::Cached(vars, answers) => {
+                answers.get(i)?;
+                Alt::Cached(vars.clone(), answers.clone(), i)
+            }
+            Alts::Iso(..) => return None,
+        })
+    }
 }
 
 struct Choicepoint {
@@ -254,15 +302,38 @@ struct Choicepoint {
     successes_at_push: u64,
     /// Process tree before the step this choicepoint belongs to.
     tree: Arc<PTree>,
+    /// The leaf the alternatives replace (unused by `Alts::Sched`, whose
+    /// alternatives are the leaves).
+    path: Path,
     /// Database before the step.
     db: Database,
-    /// Trail position before the step.
-    mark: TrailMark,
-    /// Update-log length before the step.
-    delta_len: usize,
-    /// Trace length before the step.
-    trace_len: usize,
+    /// Log positions before the step.
+    at: Marks,
     alts: Alts,
+    /// Index of the next untried alternative.
+    next: usize,
+}
+
+impl Choicepoint {
+    /// Take out the next alternative and the database it applies to, with
+    /// the logs rewound to match. `None` = exhausted, with no residue left
+    /// in the logs.
+    fn next_alt(&mut self, ctx: &mut Ctx) -> Result<Option<(Alt, Database)>, EngineError> {
+        if let Alts::Iso(solver, yielded) = &mut self.alts {
+            // Drop what the outer execution did after the last yield, then
+            // ask the nested solver for another solution.
+            yielded.rewind(ctx);
+            if solver.next_solution(ctx)? {
+                ctx.record(|| TraceEvent::IsoExit);
+                *yielded = Marks::here(ctx);
+                return Ok(Some((Alt::Yield, solver.db.clone())));
+            }
+        }
+        self.at.rewind(ctx);
+        let alt = self.alts.get(self.next);
+        self.next += 1;
+        Ok(alt.map(|alt| (alt, self.db.clone())))
+    }
 }
 
 /// A depth-first search for successful executions of one process tree.
@@ -291,9 +362,14 @@ impl Solver {
         }
     }
 
-    /// Search until the next solution. `Ok(true)`: the solver's `db` is a
-    /// solution state. `Ok(false)`: search space exhausted.
-    pub fn run(&mut self, ctx: &mut Ctx) -> Result<bool, EngineError> {
+    /// Search until the next solution — the first on a fresh solver, the
+    /// next distinct one (behind the newest choicepoint) on a solver that
+    /// has yielded. `Ok(true)`: the solver's `db` is a solution state.
+    /// `Ok(false)`: search space exhausted.
+    pub fn next_solution(&mut self, ctx: &mut Ctx) -> Result<bool, EngineError> {
+        if self.successes > 0 && !self.backtrack(ctx)? {
+            return Ok(false);
+        }
         loop {
             let Some(tree) = self.state.clone() else {
                 self.successes += 1;
@@ -317,15 +393,23 @@ impl Solver {
         }
     }
 
-    /// After a success, search for the next distinct solution.
-    pub fn resume(&mut self, ctx: &mut Ctx) -> Result<bool, EngineError> {
-        if !self.backtrack(ctx)? {
-            return Ok(false);
+    /// A choicepoint over `alts` for the leaf at `path`, the step having
+    /// begun at `at`. The one place a choicepoint is built; `push_cp` fills
+    /// in the memo fields.
+    fn checkpoint(&self, at: Marks, tree: &Arc<PTree>, path: Path, alts: Alts) -> Choicepoint {
+        Choicepoint {
+            step_key: None,
+            successes_at_push: 0,
+            tree: tree.clone(),
+            path,
+            db: self.db.clone(),
+            at,
+            alts,
+            next: 1,
         }
-        self.run(ctx)
     }
 
-    fn push_cp(&mut self, ctx: &mut Ctx, mut cp: Choicepoint) -> Result<(), StepErr> {
+    fn push_cp(&mut self, ctx: &mut Ctx, mut cp: Choicepoint) -> StepResult {
         if self.stack.len() >= ctx.config.max_stack {
             return Err(fatal(EngineError::StackBudget {
                 depth: self.stack.len(),
@@ -354,27 +438,12 @@ impl Solver {
         debug_assert!(!paths.is_empty(), "non-None state must have a frontier");
         ctx.stats.peak_processes = ctx.stats.peak_processes.max(paths.len());
         ctx.order_paths(&mut paths);
-        if paths.len() > 1 && ctx.config.strategy.backtracks_schedule() {
-            self.push_cp(
-                ctx,
-                Choicepoint {
-                    step_key: None,
-                    successes_at_push: 0,
-                    tree: tree.clone(),
-                    db: self.db.clone(),
-                    mark: ctx.bindings.mark(),
-                    delta_len: ctx.delta.len(),
-                    trace_len: ctx.trace.len(),
-                    alts: Alts::Sched {
-                        paths: paths.clone(),
-                        next: 1,
-                    },
-                },
-            )?;
-        }
         let sole = paths.len() == 1;
-        let path = paths.swap_remove(0);
-        let result = self.execute(ctx, &tree, path, sole);
+        if !ctx.config.strategy.backtracks_schedule() {
+            // An incomplete scheduler commits to its first pick.
+            paths.truncate(1);
+        }
+        let result = self.choose(ctx, &tree, Path::new(), Alts::Sched(paths, sole));
         if matches!(result, Err(StepErr::Fail)) && self.stack.len() == stack_before {
             // The step failed with no alternatives: the configuration is
             // refuted outright.
@@ -386,283 +455,99 @@ impl Solver {
         result
     }
 
+    /// Commit to the first of `alts` for the leaf at `path`: fail when there
+    /// is none, and leave a choicepoint over the rest when there is a rest.
+    fn choose(
+        &mut self,
+        ctx: &mut Ctx,
+        tree: &Arc<PTree>,
+        path: Path,
+        mut alts: Alts,
+    ) -> StepResult {
+        let Some(first) = alts.get(0) else {
+            return Err(StepErr::Fail);
+        };
+        if alts.len() > 1 {
+            let cp = self.checkpoint(Marks::here(ctx), tree, path.clone(), alts);
+            self.push_cp(ctx, cp)?;
+        }
+        self.take(ctx, tree, &path, first)
+    }
+
+    /// Carry out one alternative for the leaf at `path` of `tree`: the only
+    /// place a scheduled leaf is executed, a tuple bound, a rule unfolded, a
+    /// branch entered or a cached answer replayed.
+    fn take(&mut self, ctx: &mut Ctx, tree: &Arc<PTree>, path: &Path, alt: Alt) -> StepResult {
+        let node = match alt {
+            Alt::Sched(leaf, sole) => return self.execute(ctx, tree, leaf, sole),
+            Alt::Tuple(atom, tuple) => {
+                if !kernel::bind_tuple(&mut ctx.bindings, &atom, &tuple) {
+                    return Err(StepErr::Fail);
+                }
+                ctx.record(|| TraceEvent::Match { query: atom, tuple });
+                None
+            }
+            Alt::Rule(atom, rule) => make_node(&ctx.unfold(&atom, rule).ok_or(StepErr::Fail)?),
+            Alt::Branch(index, node) => {
+                ctx.record(|| TraceEvent::Choice { index });
+                node
+            }
+            Alt::Cached(vars, answers, i) => {
+                let (ans, mat) = (&answers[i], ctx.mat.as_deref());
+                if !kernel::bind_answer(&mut ctx.bindings, &vars, ans) {
+                    return Err(StepErr::Fail);
+                }
+                self.db = kernel::replay_answer(&self.db, ans, mat, hooks!(ctx)).map_err(fatal)?;
+                ctx.delta.extend_from_slice(ans.delta.ops());
+                None
+            }
+            Alt::Yield => None,
+        };
+        self.state = rewrite(tree, path, node);
+        Ok(())
+    }
+
     /// Execute the action leaf at `path` in `tree`; `sole` says it is the
     /// only frontier action.
     fn execute(&mut self, ctx: &mut Ctx, tree: &Arc<PTree>, path: Path, sole: bool) -> StepResult {
         match leaf_at(tree, &path) {
-            Goal::Fail => Err(StepErr::Fail),
+            Goal::Fail => return Err(StepErr::Fail),
             Goal::Atom(atom) => {
-                let resolved = kernel::resolve_atom(&ctx.bindings, atom);
-                if ctx.program.is_base(resolved.pred) {
-                    self.exec_query(ctx, tree, path, resolved)
-                } else {
-                    self.exec_call(ctx, tree, path, resolved, sole)
+                let atom = kernel::resolve_atom(&ctx.bindings, atom);
+                if ctx.program.is_base(atom.pred) {
+                    ctx.reads.record(atom.pred);
+                    let tuples = kernel::matching_tuples(&self.db, &atom);
+                    return self.choose(ctx, tree, path, Alts::Tuples(atom, tuples));
+                }
+                let (cache, mat) = (ctx.cache.as_deref(), ctx.mat.as_deref());
+                let program = ctx.program;
+                match kernel::call_step(program, cache, mat, &self.db, &atom, sole, hooks!(ctx)) {
+                    CallStep::Holds(true) => {}
+                    CallStep::Holds(false) => return Err(StepErr::Fail),
+                    CallStep::Replay { answers, vars } => {
+                        return self.replay(ctx, tree, path, &Goal::Atom(atom), vars, answers);
+                    }
+                    CallStep::Unfold => {
+                        let rules = program.rules_for(atom.pred).to_vec();
+                        return self.choose(ctx, tree, path, Alts::Rules(atom, rules));
+                    }
                 }
             }
             Goal::NotAtom(atom) => {
                 let resolved = kernel::resolve_atom(&ctx.bindings, atom);
                 ctx.reads.record(resolved.pred);
-                match kernel::check_absent(&self.db, &resolved) {
-                    Err(e) => Err(fatal(e)),
-                    Ok(false) => Err(StepErr::Fail),
-                    Ok(true) => {
-                        ctx.record(|| TraceEvent::Absent { query: resolved });
-                        self.state = rewrite(tree, &path, None);
-                        Ok(())
-                    }
-                }
-            }
-            Goal::Ins(atom) => self.exec_update(ctx, tree, path, atom, true),
-            Goal::Del(atom) => self.exec_update(ctx, tree, path, atom, false),
-            Goal::Builtin(op, terms) => match kernel::eval_builtin(&mut ctx.bindings, *op, terms) {
-                Ok(true) => {
-                    ctx.record(|| TraceEvent::Builtin {
-                        rendered: Goal::Builtin(*op, terms.clone()).to_string(),
-                    });
-                    self.state = rewrite(tree, &path, None);
-                    Ok(())
-                }
-                Ok(false) => Err(StepErr::Fail),
-                Err(e) => Err(fatal(e)),
-            },
-            Goal::Choice(branches) => {
-                if branches.is_empty() {
+                if !kernel::check_absent(&self.db, &resolved).map_err(fatal)? {
                     return Err(StepErr::Fail);
                 }
-                if branches.len() > 1 {
-                    self.push_cp(
-                        ctx,
-                        Choicepoint {
-                            step_key: None,
-                            successes_at_push: 0,
-                            tree: tree.clone(),
-                            db: self.db.clone(),
-                            mark: ctx.bindings.mark(),
-                            delta_len: ctx.delta.len(),
-                            trace_len: ctx.trace.len(),
-                            alts: Alts::Branches {
-                                path: path.clone(),
-                                branches: branches.clone(),
-                                next: 1,
-                            },
-                        },
-                    )?;
-                }
-                ctx.record(|| TraceEvent::Choice { index: 0 });
-                self.state = rewrite(tree, &path, make_node(&branches[0]));
-                Ok(())
+                ctx.record(|| TraceEvent::Absent { query: resolved });
             }
-            Goal::Iso(inner) => {
-                // An isolated block runs as a contiguous sub-execution from
-                // the current database — exactly the shape the subgoal cache
-                // stores. Try a replay before paying for a nested search.
-                if ctx.cache.is_some() {
-                    let resolved = inner.map_terms(&mut |t| ctx.bindings.resolve(t));
-                    if let Some(result) = self.try_cached_subgoal(ctx, tree, &path, &resolved) {
-                        return result;
-                    }
-                }
-                ctx.stats.iso_enters += 1;
-                let pre_mark = ctx.bindings.mark();
-                let pre_delta = ctx.delta.len();
-                let pre_trace = ctx.trace.len();
-                let pre_db = self.db.clone();
-                ctx.record(|| TraceEvent::IsoEnter);
-                ctx.emit(|| TraceEvent::SpanEnter {
-                    phase: SpanPhase::Isolation,
-                    detail: String::new(),
-                });
-                let mut solver = Box::new(Solver::new(make_node(inner), self.db.clone()));
-                match solver.run(ctx) {
-                    Ok(true) => {
-                        ctx.record(|| TraceEvent::IsoExit);
-                        ctx.emit(|| TraceEvent::SpanExit {
-                            phase: SpanPhase::Isolation,
-                            detail: "commit".to_owned(),
-                        });
-                        let yield_mark = ctx.bindings.mark();
-                        let yield_delta = ctx.delta.len();
-                        let yield_trace = ctx.trace.len();
-                        self.db = solver.db.clone();
-                        self.state = rewrite(tree, &path, None);
-                        self.push_cp(
-                            ctx,
-                            Choicepoint {
-                                step_key: None,
-                                successes_at_push: 0,
-                                tree: tree.clone(),
-                                db: pre_db,
-                                mark: pre_mark,
-                                delta_len: pre_delta,
-                                trace_len: pre_trace,
-                                alts: Alts::Iso {
-                                    path,
-                                    solver,
-                                    yield_mark,
-                                    yield_delta,
-                                    yield_trace,
-                                },
-                            },
-                        )?;
-                        Ok(())
-                    }
-                    Ok(false) => {
-                        // Clean up whatever the failed sub-search left.
-                        ctx.bindings.undo_to(pre_mark);
-                        ctx.delta.truncate(pre_delta);
-                        ctx.trace.truncate(pre_trace);
-                        ctx.emit(|| TraceEvent::SpanExit {
-                            phase: SpanPhase::Isolation,
-                            detail: "fail".to_owned(),
-                        });
-                        Err(StepErr::Fail)
-                    }
-                    Err(e) => Err(fatal(e)),
-                }
-            }
-            Goal::True | Goal::Seq(_) | Goal::Par(_) => {
-                unreachable!("structural goals are expanded by make_node")
-            }
-        }
-    }
-
-    fn exec_query(
-        &mut self,
-        ctx: &mut Ctx,
-        tree: &Arc<PTree>,
-        path: Path,
-        atom: Atom,
-    ) -> StepResult {
-        ctx.reads.record(atom.pred);
-        let tuples = kernel::matching_tuples(&self.db, &atom);
-        if tuples.is_empty() {
-            return Err(StepErr::Fail);
-        }
-        if tuples.len() > 1 {
-            self.push_cp(
-                ctx,
-                Choicepoint {
-                    step_key: None,
-                    successes_at_push: 0,
-                    tree: tree.clone(),
-                    db: self.db.clone(),
-                    mark: ctx.bindings.mark(),
-                    delta_len: ctx.delta.len(),
-                    trace_len: ctx.trace.len(),
-                    alts: Alts::Tuples {
-                        path: path.clone(),
-                        atom: atom.clone(),
-                        tuples: tuples.clone(),
-                        next: 1,
-                    },
-                },
-            )?;
-        }
-        if !kernel::bind_tuple(&mut ctx.bindings, &atom, &tuples[0]) {
-            return Err(StepErr::Fail);
-        }
-        ctx.record(|| TraceEvent::Match {
-            query: atom.clone(),
-            tuple: tuples[0].clone(),
-        });
-        self.state = rewrite(tree, &path, None);
-        Ok(())
-    }
-
-    fn exec_call(
-        &mut self,
-        ctx: &mut Ctx,
-        tree: &Arc<PTree>,
-        path: Path,
-        atom: Atom,
-        sole: bool,
-    ) -> StepResult {
-        // A ground call that is the *sole* frontier action executes as a
-        // contiguous block (nothing else is schedulable until it finishes),
-        // so its answer set is cacheable exactly like an isolated block.
-        // The same condition is applied in the decider and the parallel
-        // backend, so all three make identical caching decisions.
-        if ctx.mat.is_some() && sole && atom.is_ground() {
-            // A materialized probe is a pure-query macro-step: it beats both
-            // the cache and rule unfolding, succeeding (leaf erased, no
-            // bindings, no delta) or failing outright.
-            let mat = ctx.mat.clone().expect("checked");
-            if let Some(holds) = mat.holds(&self.db, &atom) {
-                ctx.stats.mat_probes += 1;
-                // A view probe reads every base relation feeding the
-                // materialized fragment.
-                for p in mat.base_support() {
-                    ctx.reads.record(p);
-                }
-                if let Some(cache) = &ctx.cache {
-                    // Materialization supersedes the cache for this
-                    // predicate; never double-store.
-                    cache.note_unsuitable();
-                }
-                return if holds {
-                    self.state = rewrite(tree, &path, None);
-                    Ok(())
-                } else {
-                    Err(StepErr::Fail)
-                };
-            }
-        }
-        if ctx.cache.is_some() && sole && atom.is_ground() {
-            let subgoal = Goal::Atom(atom.clone());
-            if let Some(result) = self.try_cached_subgoal(ctx, tree, &path, &subgoal) {
-                return result;
-            }
-        }
-        let rules: Vec<RuleId> = ctx.program.rules_for(atom.pred).to_vec();
-        if rules.is_empty() {
-            return Err(StepErr::Fail);
-        }
-        if rules.len() > 1 {
-            self.push_cp(
-                ctx,
-                Choicepoint {
-                    step_key: None,
-                    successes_at_push: 0,
-                    tree: tree.clone(),
-                    db: self.db.clone(),
-                    mark: ctx.bindings.mark(),
-                    delta_len: ctx.delta.len(),
-                    trace_len: ctx.trace.len(),
-                    alts: Alts::Rules {
-                        path: path.clone(),
-                        atom: atom.clone(),
-                        rules: rules.clone(),
-                        next: 1,
-                    },
-                },
-            )?;
-        }
-        match ctx.unfold(&atom, rules[0]) {
-            Some(body) => {
-                self.state = rewrite(tree, &path, make_node(&body));
-                Ok(())
-            }
-            None => Err(StepErr::Fail),
-        }
-    }
-
-    fn exec_update(
-        &mut self,
-        ctx: &mut Ctx,
-        tree: &Arc<PTree>,
-        path: Path,
-        atom: &Atom,
-        is_ins: bool,
-    ) -> StepResult {
-        let resolved = kernel::resolve_atom(&ctx.bindings, atom);
-        match kernel::apply_update(&self.db, &resolved, is_ins) {
-            Err(e) => Err(fatal(e)),
-            Ok((db, changed, op)) => {
-                if let Some(mat) = &ctx.mat {
-                    mat.apply_ops(&self.db, std::slice::from_ref(&op), &db);
-                }
+            leaf @ (Goal::Ins(atom) | Goal::Del(atom)) => {
+                let is_ins = matches!(leaf, Goal::Ins(_));
+                let resolved = kernel::resolve_atom(&ctx.bindings, atom);
+                let mat = ctx.mat.as_deref();
+                let (db, changed, op) =
+                    kernel::update(&self.db, &resolved, is_ins, mat, hooks!(ctx)).map_err(fatal)?;
                 self.db = db;
-                ctx.stats.db_ops += 1;
                 ctx.record(|| match &op {
                     DeltaOp::Ins(pred, t) => TraceEvent::Ins {
                         pred: *pred,
@@ -676,360 +561,114 @@ impl Solver {
                     },
                 });
                 ctx.delta.push(op);
-                self.state = rewrite(tree, &path, None);
-                Ok(())
             }
-        }
-    }
-
-    /// Try to resolve a contiguous subgoal (isolated block or sole-frontier
-    /// ground call) from the answer cache. `None` = no cache, or the entry
-    /// is unsuitable: the caller must run the lazy path. `Some(r)` = the
-    /// subgoal was handled by replay (including `r = Err(Fail)` when the
-    /// cached answer set is empty, which correctly feeds the failure memo).
-    fn try_cached_subgoal(
-        &mut self,
-        ctx: &mut Ctx,
-        tree: &Arc<PTree>,
-        path: &Path,
-        resolved: &Goal,
-    ) -> Option<StepResult> {
-        let cache = ctx.cache.clone()?;
-        let probe = kernel::probe_subgoal(
-            ctx.program,
-            &cache,
-            &self.db,
-            resolved,
-            &mut Hooks {
-                stats: &mut ctx.stats,
-                local: &mut ctx.local,
-                events: ctx.obs.as_deref(),
-                reads: &mut ctx.reads,
-            },
-        );
-        match probe {
-            Probe::Lazy => None,
-            Probe::Replay { answers, vars } => {
+            Goal::Builtin(op, terms) => {
+                if !kernel::eval_builtin(&mut ctx.bindings, *op, terms).map_err(fatal)? {
+                    return Err(StepErr::Fail);
+                }
+                ctx.record(|| TraceEvent::Builtin {
+                    rendered: Goal::Builtin(*op, terms.clone()).to_string(),
+                });
+            }
+            Goal::Choice(branches) => {
+                return self.choose(ctx, tree, path, Alts::Branches(branches.clone()));
+            }
+            Goal::Iso(inner) => {
+                // An isolated block runs as a contiguous sub-execution from
+                // the current database — exactly the shape the subgoal cache
+                // stores. Try a replay before paying for a nested search.
+                if let Some(cache) = ctx.cache.as_deref() {
+                    let resolved = inner.map_terms(&mut |t| ctx.bindings.resolve(t));
+                    let probe =
+                        kernel::probe_subgoal(ctx.program, cache, &self.db, &resolved, hooks!(ctx));
+                    if let Probe::Replay { answers, vars } = probe {
+                        return self.replay(ctx, tree, path, &resolved, vars, answers);
+                    }
+                }
+                ctx.stats.iso_enters += 1;
+                let at = Marks::here(ctx);
+                ctx.record(|| TraceEvent::IsoEnter);
                 ctx.emit(|| TraceEvent::SpanEnter {
-                    phase: SpanPhase::CacheReplay,
-                    detail: subgoal_label(resolved),
+                    phase: SpanPhase::Isolation,
+                    detail: String::new(),
                 });
-                let result = self.apply_cached_entry(ctx, tree, path, vars, answers);
+                let solver = Box::new(Solver::new(make_node(inner), self.db.clone()));
+                let mut cp = self.checkpoint(at, tree, path, Alts::Iso(solver, Marks::here(ctx)));
+                let yielded = cp.next_alt(ctx).map_err(fatal)?;
                 ctx.emit(|| TraceEvent::SpanExit {
-                    phase: SpanPhase::CacheReplay,
-                    detail: subgoal_label(resolved),
+                    phase: SpanPhase::Isolation,
+                    detail: if yielded.is_some() { "commit" } else { "fail" }.to_owned(),
                 });
-                Some(result)
+                let Some((alt, db)) = yielded else {
+                    return Err(StepErr::Fail);
+                };
+                self.db = db;
+                self.take(ctx, tree, &cp.path, alt)?;
+                // Pushed only now, behind the block's first solution: a
+                // block that never yields is a plain failed step — no
+                // choicepoint counted, and its step's memo key left for
+                // `step` to record as refuted outright.
+                return self.push_cp(ctx, cp);
+            }
+            Goal::True | Goal::Seq(_) | Goal::Par(_) => {
+                unreachable!("structural goals are expanded by make_node")
             }
         }
-    }
-
-    /// Commit the first cached answer; push a choicepoint over the rest.
-    fn apply_cached_entry(
-        &mut self,
-        ctx: &mut Ctx,
-        tree: &Arc<PTree>,
-        path: &Path,
-        vars: Vec<Var>,
-        answers: Arc<Vec<CachedAnswer>>,
-    ) -> StepResult {
-        if answers.is_empty() {
-            return Err(StepErr::Fail);
-        }
-        if answers.len() > 1 {
-            self.push_cp(
-                ctx,
-                Choicepoint {
-                    step_key: None,
-                    successes_at_push: 0,
-                    tree: tree.clone(),
-                    db: self.db.clone(),
-                    mark: ctx.bindings.mark(),
-                    delta_len: ctx.delta.len(),
-                    trace_len: ctx.trace.len(),
-                    alts: Alts::Cached {
-                        path: path.clone(),
-                        vars: vars.clone(),
-                        answers: answers.clone(),
-                        next: 1,
-                    },
-                },
-            )?;
-        }
-        self.apply_answer(ctx, tree, path, &vars, &answers[0])
-    }
-
-    /// Replay one cached answer: bind the subgoal's variables to the
-    /// answer's ground values and re-apply its state delta.
-    fn apply_answer(
-        &mut self,
-        ctx: &mut Ctx,
-        tree: &Arc<PTree>,
-        path: &Path,
-        vars: &[Var],
-        ans: &CachedAnswer,
-    ) -> StepResult {
-        if !kernel::bind_answer(&mut ctx.bindings, vars, ans) {
-            return Err(StepErr::Fail);
-        }
-        let mut ops = Vec::new();
-        let db = kernel::replay_answer(&self.db, ans, |op| {
-            ctx.stats.db_ops += 1;
-            ctx.delta.push(op.clone());
-            ops.push(op.clone());
-        })
-        .map_err(fatal)?;
-        if let Some(mat) = &ctx.mat {
-            mat.apply_ops(&self.db, &ops, &db);
-        }
-        self.db = db;
-        self.state = rewrite(tree, path, None);
+        // A deterministic step: the leaf is done.
+        self.state = rewrite(tree, &path, None);
         Ok(())
     }
 
-    /// Pop/advance choicepoints until an alternative applies. `Ok(false)` =
-    /// stack exhausted (overall failure).
+    /// Replay a contiguous subgoal (isolated block or sole-frontier ground
+    /// call) from its cached answer set: a choice among the answers. An
+    /// empty set fails the step, which correctly feeds the failure memo.
+    fn replay(
+        &mut self,
+        ctx: &mut Ctx,
+        tree: &Arc<PTree>,
+        path: Path,
+        subgoal: &Goal,
+        vars: Vec<Var>,
+        answers: Arc<Vec<CachedAnswer>>,
+    ) -> StepResult {
+        ctx.emit(|| TraceEvent::SpanEnter {
+            phase: SpanPhase::CacheReplay,
+            detail: subgoal_label(subgoal),
+        });
+        let result = self.choose(ctx, tree, path, Alts::Cached(vars, answers));
+        ctx.emit(|| TraceEvent::SpanExit {
+            phase: SpanPhase::CacheReplay,
+            detail: subgoal_label(subgoal),
+        });
+        result
+    }
+
+    /// Retry choicepoints, newest first, until an alternative applies.
+    /// `Ok(false)` = stack exhausted (overall failure).
     fn backtrack(&mut self, ctx: &mut Ctx) -> Result<bool, EngineError> {
         loop {
-            if self.stack.is_empty() {
+            let depth = self.stack.len();
+            let Some(cp) = self.stack.last_mut() else {
                 return Ok(false);
-            }
-            ctx.stats.backtracks += 1;
-            ctx.local.observe_backtrack(self.stack.len());
-            let idx = self.stack.len() - 1;
-
-            // Phase 1: under a mutable borrow of the CP, restore shared
-            // state and pick the next alternative (as data).
-            enum Decision {
-                Exhausted,
-                Retry {
-                    tree: Arc<PTree>,
-                    path: Path,
-                    action: Retry,
-                },
-            }
-            enum Retry {
-                Sched,
-                Tuple(Atom, Tuple),
-                Rule(Atom, RuleId),
-                Branch(usize, Goal),
-                IsoYield(Database),
-                IsoDead,
-                Cached(Vec<Var>, CachedAnswer),
-            }
-
-            let decision = {
-                let cp = &mut self.stack[idx];
-                match &mut cp.alts {
-                    Alts::Sched { paths, next } => {
-                        if *next < paths.len() {
-                            ctx.bindings.undo_to(cp.mark);
-                            ctx.delta.truncate(cp.delta_len);
-                            ctx.trace.truncate(cp.trace_len);
-                            self.db = cp.db.clone();
-                            let p = paths[*next].clone();
-                            *next += 1;
-                            Decision::Retry {
-                                tree: cp.tree.clone(),
-                                path: p,
-                                action: Retry::Sched,
-                            }
-                        } else {
-                            Decision::Exhausted
-                        }
-                    }
-                    Alts::Tuples {
-                        path,
-                        atom,
-                        tuples,
-                        next,
-                    } => {
-                        if *next < tuples.len() {
-                            ctx.bindings.undo_to(cp.mark);
-                            ctx.delta.truncate(cp.delta_len);
-                            ctx.trace.truncate(cp.trace_len);
-                            self.db = cp.db.clone();
-                            let t = tuples[*next].clone();
-                            *next += 1;
-                            Decision::Retry {
-                                tree: cp.tree.clone(),
-                                path: path.clone(),
-                                action: Retry::Tuple(atom.clone(), t),
-                            }
-                        } else {
-                            Decision::Exhausted
-                        }
-                    }
-                    Alts::Rules {
-                        path,
-                        atom,
-                        rules,
-                        next,
-                    } => {
-                        if *next < rules.len() {
-                            ctx.bindings.undo_to(cp.mark);
-                            ctx.delta.truncate(cp.delta_len);
-                            ctx.trace.truncate(cp.trace_len);
-                            self.db = cp.db.clone();
-                            let r = rules[*next];
-                            *next += 1;
-                            Decision::Retry {
-                                tree: cp.tree.clone(),
-                                path: path.clone(),
-                                action: Retry::Rule(atom.clone(), r),
-                            }
-                        } else {
-                            Decision::Exhausted
-                        }
-                    }
-                    Alts::Branches {
-                        path,
-                        branches,
-                        next,
-                    } => {
-                        if *next < branches.len() {
-                            ctx.bindings.undo_to(cp.mark);
-                            ctx.delta.truncate(cp.delta_len);
-                            ctx.trace.truncate(cp.trace_len);
-                            self.db = cp.db.clone();
-                            let b = branches[*next].clone();
-                            let idx = *next;
-                            *next += 1;
-                            Decision::Retry {
-                                tree: cp.tree.clone(),
-                                path: path.clone(),
-                                action: Retry::Branch(idx, b),
-                            }
-                        } else {
-                            Decision::Exhausted
-                        }
-                    }
-                    Alts::Iso {
-                        path,
-                        solver,
-                        yield_mark,
-                        yield_delta,
-                        yield_trace,
-                    } => {
-                        // Drop bindings/updates the outer execution made
-                        // after the last yield, then ask the nested solver
-                        // for another solution.
-                        ctx.bindings.undo_to(*yield_mark);
-                        ctx.delta.truncate(*yield_delta);
-                        ctx.trace.truncate(*yield_trace);
-                        match solver.resume(ctx)? {
-                            true => {
-                                ctx.record(|| TraceEvent::IsoExit);
-                                *yield_mark = ctx.bindings.mark();
-                                *yield_delta = ctx.delta.len();
-                                *yield_trace = ctx.trace.len();
-                                Decision::Retry {
-                                    tree: cp.tree.clone(),
-                                    path: path.clone(),
-                                    action: Retry::IsoYield(solver.db.clone()),
-                                }
-                            }
-                            false => {
-                                ctx.bindings.undo_to(cp.mark);
-                                ctx.delta.truncate(cp.delta_len);
-                                ctx.trace.truncate(cp.trace_len);
-                                self.db = cp.db.clone();
-                                Decision::Retry {
-                                    tree: cp.tree.clone(),
-                                    path: path.clone(),
-                                    action: Retry::IsoDead,
-                                }
-                            }
-                        }
-                    }
-                    Alts::Cached {
-                        path,
-                        vars,
-                        answers,
-                        next,
-                    } => {
-                        if *next < answers.len() {
-                            ctx.bindings.undo_to(cp.mark);
-                            ctx.delta.truncate(cp.delta_len);
-                            ctx.trace.truncate(cp.trace_len);
-                            self.db = cp.db.clone();
-                            let ans = answers[*next].clone();
-                            *next += 1;
-                            Decision::Retry {
-                                tree: cp.tree.clone(),
-                                path: path.clone(),
-                                action: Retry::Cached(vars.clone(), ans),
-                            }
-                        } else {
-                            Decision::Exhausted
-                        }
-                    }
-                }
             };
-
-            // Phase 2: apply the decision without holding the CP borrow.
-            match decision {
-                Decision::Exhausted => {
-                    if let Some(cp) = self.stack.pop() {
-                        if let Some(key) = cp.step_key {
-                            if cp.successes_at_push == self.successes {
-                                ctx.failed.insert(key);
-                            }
-                        }
+            ctx.stats.backtracks += 1;
+            ctx.local.observe_backtrack(depth);
+            let Some((alt, db)) = cp.next_alt(ctx)? else {
+                let cp = self.stack.pop().expect("borrowed above");
+                self.db = cp.db;
+                if let Some(key) = cp.step_key {
+                    if cp.successes_at_push == self.successes {
+                        ctx.failed.insert(key);
                     }
-                    continue;
                 }
-                Decision::Retry { tree, path, action } => match action {
-                    // A scheduling choicepoint exists only over a frontier
-                    // of several actions.
-                    Retry::Sched => match self.execute(ctx, &tree, path, false) {
-                        Ok(()) => return Ok(true),
-                        Err(StepErr::Fail) => continue,
-                        Err(StepErr::Fatal(e)) => return Err(e),
-                    },
-                    Retry::Tuple(atom, tuple) => {
-                        if kernel::bind_tuple(&mut ctx.bindings, &atom, &tuple) {
-                            ctx.record(|| TraceEvent::Match { query: atom, tuple });
-                            self.state = rewrite(&tree, &path, None);
-                            return Ok(true);
-                        }
-                        continue;
-                    }
-                    Retry::Rule(atom, rule) => match ctx.unfold(&atom, rule) {
-                        Some(body) => {
-                            self.state = rewrite(&tree, &path, make_node(&body));
-                            return Ok(true);
-                        }
-                        None => continue,
-                    },
-                    Retry::Branch(index, branch) => {
-                        ctx.record(|| TraceEvent::Choice { index });
-                        self.state = rewrite(&tree, &path, make_node(&branch));
-                        return Ok(true);
-                    }
-                    Retry::IsoYield(db) => {
-                        self.db = db;
-                        self.state = rewrite(&tree, &path, None);
-                        return Ok(true);
-                    }
-                    Retry::IsoDead => {
-                        if let Some(cp) = self.stack.pop() {
-                            if let Some(key) = cp.step_key {
-                                if cp.successes_at_push == self.successes {
-                                    ctx.failed.insert(key);
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    Retry::Cached(vars, ans) => {
-                        match self.apply_answer(ctx, &tree, &path, &vars, &ans) {
-                            Ok(()) => return Ok(true),
-                            Err(StepErr::Fail) => continue,
-                            Err(StepErr::Fatal(e)) => return Err(e),
-                        }
-                    }
-                },
+                continue;
+            };
+            let (tree, path) = (cp.tree.clone(), cp.path.clone());
+            self.db = db;
+            match self.take(ctx, &tree, &path, alt) {
+                Ok(()) => return Ok(true),
+                Err(StepErr::Fail) => {}
+                Err(StepErr::Fatal(e)) => return Err(e),
             }
         }
     }

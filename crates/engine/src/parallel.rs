@@ -308,20 +308,20 @@ impl Shared<'_> {
 }
 
 /// Run the parallel search: the counterpart of `Engine::solve` for
-/// `SearchBackend::Parallel`.
+/// `SearchBackend::Parallel`, with the worker count
+/// `EngineConfig::effective` clamped.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve(
     program: &Program,
     config: &EngineConfig,
     goal: &Goal,
     db: &Database,
-    threads: usize,
+    nworkers: usize,
     deterministic: bool,
     cache: Option<Arc<SubgoalCache>>,
     mat: Option<Arc<Materializer>>,
     obs: Option<Arc<Observer>>,
 ) -> Result<Outcome, EngineError> {
-    let nworkers = threads.clamp(1, 64);
     let nvars = goal_num_vars(goal);
     let root = Task {
         cfg: StepConfig {

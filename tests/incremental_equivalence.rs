@@ -351,3 +351,29 @@ fn warm_materialized_requery_beats_topdown() {
          top-down: materialized {t_mat:?}, top-down {t_plain:?}"
     );
 }
+
+/// A rule-dependency chain far deeper than any thread stack is for:
+/// compiling it is a walk over the call graph (`td_core::analysis::sccs`,
+/// an explicit-stack Tarjan), so it must not recurse once per predicate.
+/// On the half-megabyte stack below, a recursive walk overflows — which
+/// aborts the test binary — well before 20 000 frames.
+#[test]
+fn deep_rule_chain_compiles_on_a_small_stack() {
+    const N: usize = 20_000;
+    let mut source = String::from("base e/1.\n");
+    for i in 0..N {
+        source.push_str(&format!("p{i}(X) <- p{}(X).\n", i + 1));
+    }
+    source.push_str(&format!("p{N}(X) <- e(X).\n"));
+    let program = parse_program(&source).unwrap().program;
+    let views = std::thread::Builder::new()
+        .stack_size(512 << 10)
+        .spawn(move || {
+            let mat = td_engine::Materializer::compile(&program).expect("a chain materializes");
+            mat.materialized_preds().len()
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert_eq!(views, N + 1);
+}
