@@ -52,6 +52,21 @@ impl CountedRelation {
         }
     }
 
+    /// The relation holding `run`: tuples strictly increasing, counts
+    /// non-zero. O(n), where n `add`s cost O(n log n).
+    pub fn from_sorted(
+        arity: usize,
+        run: impl IntoIterator<Item = (Tuple, i64)>,
+    ) -> CountedRelation {
+        let counts = OrdMap::from_sorted(run);
+        debug_assert!({
+            let mut ok = true;
+            counts.for_each(|t: &Tuple, c| ok &= t.arity() == arity && *c != 0);
+            ok
+        });
+        CountedRelation { arity, counts }
+    }
+
     /// The arity every member tuple must have.
     pub fn arity(&self) -> usize {
         self.arity
@@ -100,6 +115,36 @@ impl CountedRelation {
             },
             transition,
         )
+    }
+
+    /// Add every count of `delta` to this relation's, in one pass over both
+    /// ([`OrdMap::merge_with`]): the bulk form of [`CountedRelation::add`],
+    /// which reports no transitions. Entries reaching count 0 are removed.
+    pub fn merge(&self, delta: &CountedRelation) -> CountedRelation {
+        debug_assert_eq!(delta.arity, self.arity);
+        let counts = self.counts.merge_with(&delta.counts, |mine, d| {
+            let new = mine.copied().unwrap_or(0) + d;
+            (new != 0).then_some(new)
+        });
+        CountedRelation {
+            arity: self.arity,
+            counts,
+        }
+    }
+
+    /// Visit, in sorted order, every member tuple (count > 0) whose leading
+    /// fields equal the values `prefix()` yields; see
+    /// [`crate::Relation::for_each_with_prefix`].
+    pub fn for_each_with_prefix<I: Iterator<Item = Value>>(
+        &self,
+        prefix: impl Fn() -> I,
+        mut f: impl FnMut(&Tuple),
+    ) {
+        relation::for_each_with_prefix(&self.counts, prefix, |t, c| {
+            if *c > 0 {
+                f(t);
+            }
+        });
     }
 
     /// All member tuples (count > 0) matching a binding pattern

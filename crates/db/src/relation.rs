@@ -149,6 +149,19 @@ impl Relation {
         select(&self.tuples, pattern, |()| true)
     }
 
+    /// Visit, in sorted order, every tuple whose leading fields equal the
+    /// values `prefix()` yields: [`Relation::select`]'s range probe without
+    /// the `Vec` (an empty prefix visits everything, a full one at most one
+    /// tuple). `prefix` is called once per tuple compared, so that a caller
+    /// can read the values from wherever it keeps them.
+    pub fn for_each_with_prefix<I: Iterator<Item = Value>>(
+        &self,
+        prefix: impl Fn() -> I,
+        mut f: impl FnMut(&Tuple),
+    ) {
+        for_each_with_prefix(&self.tuples, prefix, |t, ()| f(t));
+    }
+
     /// Visit every tuple in sorted order.
     pub fn for_each(&self, mut f: impl FnMut(&Tuple)) {
         self.tuples.for_each(|t, ()| f(t));
@@ -190,18 +203,33 @@ pub(crate) fn select<V: Clone + PartialEq>(
     if prefix.is_empty() {
         map.for_each(keep);
     } else {
-        // Tuples sort lexicographically, so those whose leading fields equal
-        // the bound prefix are contiguous.
-        map.for_each_in_range(|t| compare_prefix(t.values(), &prefix), keep);
+        for_each_with_prefix(map, || prefix.iter().copied(), keep);
     }
     out
+}
+
+/// The range probe behind [`Relation::select`] and the callback-form probes
+/// of both relation types — and of any other sorted tuple map, such as the
+/// Datalog circuit's arrangements: tuples sort lexicographically, so those
+/// whose leading fields equal the prefix are contiguous.
+pub fn for_each_with_prefix<V: Clone + PartialEq, I: Iterator<Item = Value>>(
+    map: &OrdMap<Tuple, V>,
+    prefix: impl Fn() -> I,
+    f: impl FnMut(&Tuple, &V),
+) {
+    map.for_each_in_range(|t| compare_prefix(t.values(), prefix()), f);
 }
 
 /// Compare a tuple's leading fields against a bound prefix, as the range
 /// comparator for the index probe: `Less`/`Greater` when the tuple sorts
 /// before/after every tuple carrying the prefix, `Equal` when it carries it.
-fn compare_prefix(values: &[Value], prefix: &[Value]) -> Ordering {
-    values[..prefix.len()].cmp(prefix)
+fn compare_prefix(values: &[Value], prefix: impl Iterator<Item = Value>) -> Ordering {
+    values
+        .iter()
+        .zip(prefix)
+        .map(|(v, p)| v.cmp(&p))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
 }
 
 #[cfg(test)]

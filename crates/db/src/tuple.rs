@@ -40,6 +40,14 @@ impl Tuple {
     }
 }
 
+/// Collects straight into the shared slice: one allocation when the
+/// iterator knows its length, where [`Tuple::new`] copies out of a `Vec`.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Tuple {
+        Tuple(iter.into_iter().collect())
+    }
+}
+
 impl From<Vec<Value>> for Tuple {
     fn from(v: Vec<Value>) -> Tuple {
         Tuple::new(v)

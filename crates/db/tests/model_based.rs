@@ -6,11 +6,13 @@
 //!
 //! All three sit on the one persistent map in `td_db::ord`, so this is also
 //! that structure's model suite: insert, overwrite, remove, ordered walk and
-//! range probe, under sharing between versions.
+//! range probe, under sharing between versions — and the bulk pair,
+//! `from_sorted` and `merge_with`, against the same models.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use td_core::{Pred, Value};
+use td_db::ord::OrdMap;
 use td_db::{CountedRelation, Database, Relation, Transition, Tuple};
 
 #[derive(Clone, Debug)]
@@ -312,5 +314,73 @@ proptest! {
         for (snap, snap_model) in &snapshots {
             assert_counts_match_model(snap, snap_model, &probe);
         }
+    }
+
+    /// The bulk primitives against `BTreeMap<Tuple, i64>`: `from_sorted`
+    /// builds what the `alter`s build, and `merge_with` — as a sum, as a
+    /// difference, and with an `f` that deletes where both sides hold the
+    /// key — gives what its `f` folded over the other side's entries with
+    /// `alter` gives, with the right `len`, and leaves both operands as
+    /// they were.
+    #[test]
+    fn bulk_edits_behave_like_the_fold_of_point_edits(
+        mine in proptest::collection::vec((proptest::collection::vec(0u8..4, 3), -3i64..4), 0..120),
+        theirs in proptest::collection::vec((proptest::collection::vec(0u8..4, 3), -3i64..4), 0..120),
+    ) {
+        let model_of = |ops: &[(Vec<u8>, i64)]| -> CountModel {
+            ops.iter().map(|(codes, c)| (mixed_tuple(codes), *c)).collect()
+        };
+        let by_alters = |model: &CountModel| {
+            model.iter().fold(OrdMap::new(), |m, (t, c)| m.alter(t, |_| Some(*c)))
+        };
+        let entries = |m: &OrdMap<Tuple, i64>| {
+            let mut out = Vec::new();
+            m.for_each(|t, c| out.push((t.clone(), *c)));
+            out
+        };
+        let (mine, theirs) = (model_of(&mine), model_of(&theirs));
+        let a = by_alters(&mine);
+        let b = OrdMap::from_sorted(theirs.clone());
+        prop_assert!(b == by_alters(&theirs));
+        prop_assert_eq!(b.len(), theirs.len());
+        prop_assert_eq!(entries(&b), theirs.clone().into_iter().collect::<Vec<_>>());
+
+        type F = fn(Option<&i64>, &i64) -> Option<i64>;
+        let sum: F = |m, t| Some(m.copied().unwrap_or(0) + t).filter(|c| *c != 0);
+        let difference: F = |_, _| None;
+        let keep_one_side: F = |m, t| if m.is_some() { None } else { Some(*t) };
+        for f in [sum, difference, keep_one_side] {
+            let mut expected = mine.clone();
+            for (t, c) in &theirs {
+                match f(mine.get(t), c) {
+                    Some(new) => expected.insert(t.clone(), new),
+                    None => expected.remove(t),
+                };
+            }
+            let merged = a.merge_with(&b, f);
+            prop_assert_eq!(merged.len(), expected.len());
+            prop_assert_eq!(entries(&merged), expected.into_iter().collect::<Vec<_>>());
+            let folded = theirs.iter().fold(a.clone(), |m, (t, c)| m.alter(t, |old| f(old, c)));
+            prop_assert!(merged == folded);
+            // Snapshot semantics: neither operand saw the edit.
+            prop_assert_eq!(entries(&a), mine.clone().into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(entries(&b), theirs.clone().into_iter().collect::<Vec<_>>());
+        }
+
+        // The same through `CountedRelation`, whose `merge` is the sum.
+        let nonzero = |m: &CountModel| m.clone().into_iter().filter(|(_, c)| *c != 0);
+        let rel = CountedRelation::from_sorted(3, nonzero(&mine));
+        let merged = rel.merge(&CountedRelation::from_sorted(3, nonzero(&theirs)));
+        let mut expected: CountModel = nonzero(&mine).collect();
+        for (t, c) in nonzero(&theirs) {
+            let new = expected.get(&t).copied().unwrap_or(0) + c;
+            if new == 0 {
+                expected.remove(&t);
+            } else {
+                expected.insert(t, new);
+            }
+        }
+        assert_counts_match_model(&merged, &expected, &mixed_tuple(&[1, 2, 0]));
+        assert_counts_match_model(&rel, &nonzero(&mine).collect(), &mixed_tuple(&[1, 2, 0]));
     }
 }

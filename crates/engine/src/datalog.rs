@@ -19,7 +19,7 @@
 //! stratification here because the language restricts `not` to *base*
 //! relations (extensional data), which no rule can derive into.
 
-use crate::incremental::circuit::{Circuit, MatState};
+use crate::incremental::circuit::Circuit;
 use std::collections::HashMap;
 use td_core::goal::Builtin;
 use td_core::{Atom, Goal, Pred, Program, Rule, Term, Value};
@@ -103,10 +103,23 @@ fn flatten_goal(goal: &Goal, out: &mut Vec<Lit>) -> Result<(), NotDatalog> {
     }
 }
 
+/// Every rule of `program`, flattened, under its head predicate.
+pub(crate) fn flatten_program(
+    program: &Program,
+) -> Result<HashMap<Pred, Vec<FlatRule>>, NotDatalog> {
+    let mut flat: HashMap<Pred, Vec<FlatRule>> = HashMap::new();
+    for rule in program.rules() {
+        flat.entry(rule.head.pred)
+            .or_default()
+            .push(flatten_rule(rule)?);
+    }
+    Ok(flat)
+}
+
 /// The least fixpoint: every derivable fact of every derived predicate.
 #[derive(Clone, Debug, Default)]
 pub struct Fixpoint {
-    facts: MatState,
+    facts: HashMap<Pred, CountedRelation>,
     /// Semi-naive rounds until convergence, summed over the program's
     /// strongly-connected components.
     pub iterations: usize,
@@ -155,15 +168,10 @@ impl Fixpoint {
 /// inputs no earlier literal binds matches nothing). The result is not
 /// retained anywhere; [`crate::Materializer`] is the stateful counterpart.
 pub fn evaluate(program: &Program, db: &Database) -> Result<Fixpoint, NotDatalog> {
-    let mut flat: HashMap<Pred, Vec<FlatRule>> = HashMap::new();
-    for rule in program.rules() {
-        flat.entry(rule.head.pred)
-            .or_default()
-            .push(flatten_rule(rule)?);
-    }
-    let (facts, stats) = Circuit::new(flat).run(db);
+    let circuit = Circuit::new(flatten_program(program)?, false);
+    let (state, stats) = circuit.run(db);
     Ok(Fixpoint {
-        facts,
+        facts: circuit.preds.iter().copied().zip(state.rels).collect(),
         iterations: stats.rounds,
         derivations: stats.derivations,
     })
@@ -242,6 +250,10 @@ mod tests {
         assert_eq!(fix.facts_of(Pred::new("big", 1)).len(), 2);
         let doubles = fix.facts_of(Pred::new("double", 1));
         assert_eq!(doubles, vec![tuple!(2), tuple!(4), tuple!(6)]);
+        assert_eq!((fix.iterations, fix.derivations), (2, 5));
+        let q = Atom::new("big", vec![Term::var(0)]);
+        let (big, stats) = crate::magic::answer(&p, &db, &q).unwrap();
+        assert_eq!((big.len(), stats.derivations), (2, 3));
     }
 
     #[test]
@@ -257,7 +269,10 @@ mod tests {
         assert!(fix.holds(&Atom::new("even", vec![Term::sym("a")])));
         assert!(fix.holds(&Atom::new("odd", vec![Term::sym("b")])));
         assert!(fix.holds(&Atom::new("even", vec![Term::sym("a")])));
-        assert!(fix.iterations < 10);
+        assert_eq!((fix.iterations, fix.derivations), (3, 3));
+        let q = Atom::new("odd", vec![Term::sym("b")]);
+        let (odd, stats) = crate::magic::answer(&p, &db, &q).unwrap();
+        assert_eq!((odd.len(), stats.derivations), (1, 8));
     }
 
     #[test]
@@ -352,6 +367,10 @@ mod negation_tests {
             !fix.holds(&Atom::new("reach", vec![Term::sym("d")])),
             "d is only reachable through blocked c"
         );
+        assert_eq!((fix.iterations, fix.derivations), (2, 1));
+        let q = Atom::new("reach", vec![Term::var(0)]);
+        let (reach, stats) = crate::magic::answer(&p, &db, &q).unwrap();
+        assert_eq!((reach.len(), stats.derivations), (1, 3));
     }
 
     #[test]

@@ -1,18 +1,53 @@
 //! The compiled Datalog circuit: flattened rules grouped into
-//! strongly-connected components in dependency order, the one body join
-//! ([`join`]) and the one semi-naive loop ([`saturate`]).
+//! strongly-connected components in dependency order, every rule compiled to
+//! join plans ([`super::plan`]), the state those plans run over
+//! ([`MatState`]), the one place that state changes ([`Circuit::fold`]) and
+//! the one semi-naive loop ([`Circuit::saturate`]).
 //!
 //! Every fixpoint in the crate runs here. [`Circuit::run`] from an empty
 //! derived state is `datalog::evaluate` (and, behind the magic-sets rewrite,
 //! `magic::answer`) as well as a materialized version's first build;
 //! [`super::Materializer`] then keeps the same relations current across
-//! committed deltas with the same join and the same loop.
+//! committed deltas with the same plans and the same loop.
 
+use super::plan::{self, permute, sorted_set, Arrangements, Data, Entry, Plan, Sorted, Views};
 use crate::datalog::{FlatRule, Lit};
 use std::collections::{HashMap, HashSet};
-use td_core::unify::unify_terms;
-use td_core::{Bindings, Pred, Term, Value};
+use std::sync::OnceLock;
+use td_core::Pred;
+use td_db::ord::OrdMap;
 use td_db::{CountedRelation, Database, Tuple};
+
+/// A rule, compiled: one plan per way the evaluator enters it.
+pub(crate) struct Rule {
+    /// The head's predicate, as an index into [`Circuit::preds`].
+    pub(crate) head: usize,
+    /// [`Entry::Full`].
+    pub(crate) full: Plan,
+    /// [`Entry::Round`], one per body atom over a predicate of the rule's
+    /// own (recursive) component, with that predicate's index.
+    pub(crate) rounds: Vec<(usize, Plan)>,
+    /// [`Entry::Event`], one per body atom or `not` literal. Maintained
+    /// circuits only.
+    pub(crate) events: Vec<Driven>,
+    /// [`Entry::Head`]. Recursive components of maintained circuits only.
+    pub(crate) rederive: Plan,
+}
+
+impl Rule {
+    /// The plans entered with a membership event on `pred`.
+    pub(crate) fn events_on(&self, pred: Pred) -> impl Iterator<Item = &Driven> {
+        self.events.iter().filter(move |d| d.pred == pred)
+    }
+}
+
+/// A plan entered with a membership event on `pred`.
+pub(crate) struct Driven {
+    pub(crate) pred: Pred,
+    /// −1 under `not`: a tuple appearing takes derivations away.
+    pub(crate) sign: i64,
+    pub(crate) plan: Plan,
+}
 
 /// One component of the circuit: a strongly-connected set of derived
 /// predicates plus every rule defining them, evaluated together.
@@ -22,15 +57,36 @@ pub(crate) struct Scc {
     /// 1, maintained by DRed) instead of exact counting, which is unsound
     /// through cycles.
     pub(crate) recursive: bool,
-    pub(crate) rules: Vec<FlatRule>,
+    pub(crate) rules: Vec<Rule>,
     /// Every predicate (base or derived) read by this component's rules —
     /// a component is skipped when no delta touches its inputs.
     pub(crate) deps: HashSet<Pred>,
 }
 
-/// The derived relations at one database version: predicate → tuple →
-/// number of supporting rule instantiations.
-pub(crate) type MatState = HashMap<Pred, CountedRelation>;
+/// The circuit's data at one database version. Persistent throughout, so a
+/// version costs what changed, and the materializer keys whole states by
+/// database digest: rolling back is looking the old state up again.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MatState {
+    /// The derived relations, indexed like [`Circuit::preds`]: tuple →
+    /// number of supporting rule instantiations.
+    pub(crate) rels: Vec<CountedRelation>,
+    /// The member tuples of a base or derived relation in another column
+    /// order, indexed like [`Circuit::arrangements`]. A slot fills when a
+    /// plan first probes it (`plan::Views`) — an arrangement nothing reads
+    /// costs nothing — and a filled slot is part of the version like the
+    /// relations are: whoever changes a relation's membership brings it
+    /// along in the same step, and the version after inherits it.
+    pub(crate) arranged: Vec<OnceLock<OrdMap<Tuple, ()>>>,
+}
+
+/// What [`Circuit::fold`] did to a relation.
+pub(crate) struct Folded {
+    /// The count changes it applied, as a relation.
+    pub(crate) delta: CountedRelation,
+    /// The tuples that entered (+1) or left (−1) the relation, sorted.
+    pub(crate) events: Vec<(Tuple, i64)>,
+}
 
 /// What a run of the semi-naive loop cost.
 #[derive(Clone, Copy, Default, Debug)]
@@ -44,17 +100,30 @@ pub(crate) struct RunStats {
 
 /// Components in dependency-first (topological) order.
 pub(crate) struct Circuit {
+    /// The derived predicates, sorted; relations are numbered by position.
+    pub(crate) preds: Vec<Pred>,
+    pub(crate) index: HashMap<Pred, usize>,
     pub(crate) sccs: Vec<Scc>,
+    /// Every arrangement some plan probes: declared while compiling, built
+    /// in a state by the first probe, kept current there by
+    /// [`Circuit::fold`] (derived relations) and the materializer's
+    /// `propagate` (base relations).
+    pub(crate) arrangements: Arrangements,
+    /// Registers of the widest rule.
+    pub(crate) num_regs: usize,
 }
 
 impl Circuit {
     /// Partition the predicates of `flat` (each with all of its rules) into
-    /// components. Body atoms over any other predicate read the database.
-    pub(crate) fn new(mut flat: HashMap<Pred, Vec<FlatRule>>) -> Circuit {
-        let mut nodes: Vec<Pred> = flat.keys().copied().collect();
-        nodes.sort();
-        let index: HashMap<Pred, usize> = nodes.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        let adj: Vec<Vec<usize>> = nodes
+    /// components and compile the rules. Body atoms over any other predicate
+    /// read the database. A `maintained` circuit also gets the plans that
+    /// carry single membership events through it (and the arrangements they
+    /// probe); one that only ever runs from scratch does not.
+    pub(crate) fn new(mut flat: HashMap<Pred, Vec<FlatRule>>, maintained: bool) -> Circuit {
+        let mut preds: Vec<Pred> = flat.keys().copied().collect();
+        preds.sort();
+        let index: HashMap<Pred, usize> = preds.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+        let adj: Vec<Vec<usize>> = preds
             .iter()
             .map(|p| {
                 let mut out: Vec<usize> = flat[p]
@@ -70,19 +139,20 @@ impl Circuit {
                 out
             })
             .collect();
+        let mut arrangements = Arrangements::new();
+        let mut num_regs = 0;
         // Components come out sorted and callees-first, which is exactly
         // the evaluation order the circuit needs.
         let sccs = td_core::analysis::sccs(&adj)
             .into_iter()
             .map(|comp| {
-                let preds: Vec<Pred> = comp.iter().map(|&i| nodes[i]).collect();
                 let recursive = comp.len() > 1 || adj[comp[0]].contains(&comp[0]);
-                let rules: Vec<FlatRule> = preds
+                let flat_rules: Vec<FlatRule> = comp
                     .iter()
-                    .flat_map(|p| flat.remove(p))
+                    .flat_map(|&i| flat.remove(&preds[i]))
                     .flatten()
                     .collect();
-                let deps: HashSet<Pred> = rules
+                let deps: HashSet<Pred> = flat_rules
                     .iter()
                     .flat_map(|r| r.body.iter())
                     .filter_map(|l| match l {
@@ -90,232 +160,223 @@ impl Circuit {
                         Lit::Builtin(..) => None,
                     })
                     .collect();
+                let mut compile =
+                    |r: &FlatRule, entry| plan::compile(r, entry, &index, &mut arrangements);
+                let rules = flat_rules
+                    .iter()
+                    .map(|r| {
+                        num_regs = num_regs.max(r.num_vars as usize);
+                        let mut rule = Rule {
+                            head: index[&r.head.pred],
+                            full: compile(r, Entry::Full),
+                            rounds: Vec::new(),
+                            events: Vec::new(),
+                            rederive: Plan::default(),
+                        };
+                        for (pos, lit) in r.body.iter().enumerate() {
+                            let (pred, sign) = match lit {
+                                Lit::Atom(a) => (a.pred, 1),
+                                Lit::NegAtom(a) => (a.pred, -1),
+                                Lit::Builtin(..) => continue,
+                            };
+                            if let Some(i) = index.get(&pred).filter(|i| comp.contains(i)) {
+                                rule.rounds.push((*i, compile(r, Entry::Round(pos))));
+                            }
+                            if maintained {
+                                let plan = compile(r, Entry::Event(pos));
+                                rule.events.push(Driven { pred, sign, plan });
+                            }
+                        }
+                        if maintained && recursive {
+                            rule.rederive = compile(r, Entry::Head);
+                        }
+                        rule
+                    })
+                    .collect();
                 Scc {
-                    preds,
+                    preds: comp.iter().map(|&i| preds[i]).collect(),
                     recursive,
                     rules,
                     deps,
                 }
             })
             .collect();
-        Circuit { sccs }
+        Circuit {
+            preds,
+            index,
+            sccs,
+            arrangements,
+            num_regs,
+        }
+    }
+
+    /// `state` over `db`, as the plans read them.
+    pub(crate) fn views<'a>(&'a self, db: &'a Database, state: &'a MatState) -> Views<'a> {
+        Views {
+            db,
+            state,
+            arrangements: &self.arrangements,
+        }
     }
 
     /// The least fixpoint over `db`, from an empty derived state: each
     /// component's rules once over the finished components below it, then
     /// the semi-naive loop. Nothing is retained between runs.
     pub(crate) fn run(&self, db: &Database) -> (MatState, RunStats) {
-        let mut state: MatState = self
-            .sccs
-            .iter()
-            .flat_map(|s| s.preds.iter())
-            .map(|p| (*p, CountedRelation::new(p.arity as usize)))
-            .collect();
+        let mut state = MatState {
+            rels: (self.preds.iter())
+                .map(|p| CountedRelation::new(p.arity as usize))
+                .collect(),
+            arranged: vec![OnceLock::new(); self.arrangements.len()],
+        };
+        let regs = plan::registers(self.num_regs);
         let mut stats = RunStats::default();
         for scc in &self.sccs {
             let mut cand = Vec::new();
-            let v = Views { db, state: &state };
+            let data = Data::at(self.views(db, &state));
             for rule in &scc.rules {
-                join(rule, None, None, v, v, &mut |t| {
-                    cand.push((rule.head.pred, t))
-                });
+                rule.full
+                    .run(&regs, &data, &mut |row| cand.push((rule.head, row.tuple())));
             }
-            let done = saturate(scc, db, &mut state, cand, false, &mut |_, _| {});
+            let done = self.saturate(scc, db, &mut state, cand, false, &mut |_, _| {});
             stats.rounds += done.rounds;
             stats.derivations += done.derivations;
         }
         (state, stats)
     }
-}
 
-/// The semi-naive loop: add the candidate head tuples to the component's
-/// relations, re-join every rule through the tuples that were new — the
-/// round's delta, kept as a relation so that a driver position probes it by
-/// index — and repeat until a round adds nothing. `on_new` sees every tuple
-/// a recursive component gains.
-///
-/// `driver_first` picks the order in which [`join`] visits a rule body; see
-/// [`Driver::first`].
-pub(crate) fn saturate(
-    scc: &Scc,
-    db: &Database,
-    state: &mut MatState,
-    mut cand: Vec<(Pred, Tuple)>,
-    driver_first: bool,
-    on_new: &mut dyn FnMut(Pred, &Tuple),
-) -> RunStats {
-    let mut stats = RunStats::default();
-    loop {
-        stats.rounds += 1;
-        stats.derivations += cand.len() as u64;
-        let mut delta: MatState = HashMap::new();
-        for (p, t) in cand.drain(..) {
-            let rel = &state[&p];
-            if scc.recursive && rel.contains(&t) {
+    /// The one place a derived relation gains or loses members. `entries`
+    /// holds one `(tuple, n)` per tuple, sorted; the count of each moves by
+    /// `change(its count now, n)`. The relation takes the changes in one
+    /// [`CountedRelation::merge`], and the relation's arrangements follow
+    /// the tuples that crossed the membership boundary.
+    pub(crate) fn fold(
+        &self,
+        state: &mut MatState,
+        rel: usize,
+        entries: Vec<(Tuple, i64)>,
+        change: impl Fn(i64, i64) -> i64,
+    ) -> Folded {
+        let before = &state.rels[rel];
+        let mut events = Vec::new();
+        let mut applied = Vec::with_capacity(entries.len());
+        for (t, n) in entries {
+            let was = before.count(&t);
+            let by = change(was, n);
+            match (was > 0, was + by > 0) {
+                (false, true) => events.push((t.clone(), 1)),
+                (true, false) => events.push((t.clone(), -1)),
+                _ => {}
+            }
+            if by != 0 {
+                applied.push((t, by));
+            }
+        }
+        let delta = CountedRelation::from_sorted(before.arity(), applied);
+        state.rels[rel] = before.merge(&delta);
+        for (arr, slot) in self.arrangements.iter().zip(&mut state.arranged) {
+            let Some(arranged) = slot.get_mut().filter(|_| arr.rel == Some(rel)) else {
                 continue;
-            }
-            let next = rel.add(&t, 1).0;
-            state.insert(p, next);
-            // Only a recursive component reads its own new tuples.
-            if scc.recursive {
-                let d = delta
-                    .entry(p)
-                    .or_insert_with(|| CountedRelation::new(t.arity()));
-                *d = d.add(&t, 1).0;
-                on_new(p, &t);
-            }
-        }
-        if delta.is_empty() {
-            return stats;
-        }
-        let v = Views { db, state };
-        for rule in &scc.rules {
-            for (pos, lit) in rule.body.iter().enumerate() {
-                let Lit::Atom(a) = lit else { continue };
-                let Some(delta) = delta.get(&a.pred) else {
-                    continue;
-                };
-                let driver = Driver {
-                    pos,
-                    delta,
-                    first: driver_first,
-                };
-                join(rule, Some(driver), None, v, v, &mut |t| {
-                    cand.push((rule.head.pred, t))
-                });
-            }
-        }
-    }
-}
-
-/// Read view for one side of a delta-join: derived relations from a
-/// materialized state, everything else from a database version.
-#[derive(Clone, Copy)]
-pub(crate) struct Views<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) state: &'a MatState,
-}
-
-impl Views<'_> {
-    fn select(&self, pred: Pred, pattern: &[Option<Value>]) -> Vec<Tuple> {
-        match self.state.get(&pred) {
-            Some(r) => r.select(pattern),
-            None => self
-                .db
-                .relation(pred)
-                .map(|r| r.select(pattern))
-                .unwrap_or_default(),
-        }
-    }
-}
-
-/// The driver of a delta-join: body position `pos` ranges over `delta`
-/// instead of its whole relation.
-#[derive(Clone, Copy)]
-pub(crate) struct Driver<'a> {
-    pub(crate) pos: usize,
-    pub(crate) delta: &'a CountedRelation,
-    /// Visit `pos` before the rest of the body instead of in body order.
-    ///
-    /// In body order the driver probes `delta` with whatever the literals
-    /// to its left have bound, which is plain left-to-right evaluation: it
-    /// is correct for every rule and linear in a large delta (a whole round
-    /// of a from-scratch run). Driver-first binds each delta tuple before
-    /// anything else, which hands the earlier literals a bound prefix and
-    /// wins when the delta is the few tuples of one committed op — but it
-    /// agrees with left-to-right evaluation only on delta-safe rules (see
-    /// `Materializer::compile`).
-    pub(crate) first: bool,
-}
-
-/// Bind `args` to the values of `t`.
-fn bind(b: &mut Bindings, args: &[Term], t: &Tuple) -> bool {
-    args.iter()
-        .zip(t.values())
-        .all(|(a, v)| unify_terms(b, *a, Term::Val(*v)))
-}
-
-/// Enumerate the instantiations of a rule body, calling `emit` with the head
-/// tuple of each. Unbound `not` arguments and builtin faults are silent
-/// no-matches, and a head left partly unbound emits nothing.
-///
-/// With a `driver`, positions before it read `new_v` and positions after it
-/// read `old_v` — the semi-naive prefix-new/suffix-old split. With
-/// `head_bound`, the head is unified first (rederivation checks).
-pub(crate) fn join(
-    rule: &FlatRule,
-    driver: Option<Driver<'_>>,
-    head_bound: Option<&Tuple>,
-    new_v: Views<'_>,
-    old_v: Views<'_>,
-    emit: &mut dyn FnMut(Tuple),
-) {
-    let mut b = Bindings::new();
-    b.alloc(rule.num_vars);
-    if head_bound.is_some_and(|t| !bind(&mut b, &rule.head.args, t)) {
-        return;
-    }
-    join_from(rule, 0, driver, new_v, old_v, &mut b, emit);
-}
-
-fn join_from(
-    rule: &FlatRule,
-    step: usize,
-    driver: Option<Driver<'_>>,
-    new_v: Views<'_>,
-    old_v: Views<'_>,
-    b: &mut Bindings,
-    emit: &mut dyn FnMut(Tuple),
-) {
-    if step == rule.body.len() {
-        let values: Option<Vec<Value>> = rule.head.args.iter().map(|t| b.value_of(*t)).collect();
-        if let Some(values) = values {
-            emit(Tuple::new(values));
-        }
-        return;
-    }
-    // Body order, or the driver's position and then the rest in body order.
-    let idx = match driver {
-        Some(d) if d.first && step == 0 => d.pos,
-        Some(d) if d.first && step <= d.pos => step - 1,
-        _ => step,
-    };
-    let at_driver = driver.filter(|d| d.pos == idx);
-    let v = match driver {
-        Some(d) if idx > d.pos => old_v,
-        _ => new_v,
-    };
-    match &rule.body[idx] {
-        Lit::NegAtom(atom) if at_driver.is_none() => {
-            let values: Option<Vec<Value>> = atom.args.iter().map(|t| b.value_of(*t)).collect();
-            // `not` is restricted to base relations.
-            if values.is_some_and(|vs| !v.db.contains(atom.pred, &Tuple::new(vs))) {
-                join_from(rule, step + 1, driver, new_v, old_v, b, emit);
-            }
-        }
-        // A driving `not` literal ranges over the base tuples whose
-        // appearance or disappearance it reacts to, like an atom.
-        Lit::Atom(atom) | Lit::NegAtom(atom) => {
-            let resolved: Vec<Term> = atom.args.iter().map(|t| b.resolve(*t)).collect();
-            let pattern: Vec<Option<Value>> = resolved.iter().map(|t| t.as_value()).collect();
-            let tuples = match at_driver {
-                Some(d) => d.delta.select(&pattern),
-                None => v.select(atom.pred, &pattern),
             };
-            for t in tuples {
-                let mark = b.mark();
-                if bind(b, &resolved, &t) {
-                    join_from(rule, step + 1, driver, new_v, old_v, b, emit);
-                }
-                b.undo_to(mark);
+            for sign in [1, -1] {
+                let crossed = events.iter().filter(|e| e.1 == sign);
+                let moved = sorted_set(crossed.map(|(t, _)| permute(t, &arr.order)).collect());
+                let keep = (sign > 0).then_some(());
+                *arranged = arranged.merge_with(&moved, |_, ()| keep);
             }
         }
-        Lit::Builtin(op, terms) => {
-            let mark = b.mark();
-            if matches!(crate::kernel::eval_builtin(b, *op, terms), Ok(true)) {
-                join_from(rule, step + 1, driver, new_v, old_v, b, emit);
+        Folded { delta, events }
+    }
+
+    /// The semi-naive loop: fold the candidate head tuples into the
+    /// component's relations — sorted and run-length-counted first, so a
+    /// round is one bulk merge per relation — re-join every rule through
+    /// the tuples that were new, and repeat until a round adds nothing.
+    /// `on_new` sees every tuple a recursive component gains.
+    ///
+    /// From scratch a rule is re-joined in body order, the driving position
+    /// ranging over the round's new tuples as a relation ([`Entry::Round`]);
+    /// `driver_first` enters it with each new tuple instead
+    /// ([`Entry::Event`]).
+    pub(crate) fn saturate(
+        &self,
+        scc: &Scc,
+        db: &Database,
+        state: &mut MatState,
+        mut cand: Vec<(usize, Tuple)>,
+        driver_first: bool,
+        on_new: &mut dyn FnMut(usize, &Tuple),
+    ) -> RunStats {
+        let regs = &plan::registers(self.num_regs);
+        let mut stats = RunStats::default();
+        loop {
+            stats.rounds += 1;
+            stats.derivations += cand.len() as u64;
+            cand.sort_unstable();
+            let mut round: Vec<(usize, Folded)> = Vec::new();
+            for (rel, entries) in run_lengths(cand.drain(..)) {
+                // Through recursion a count means nothing: members carry 1.
+                let folded = if scc.recursive {
+                    self.fold(state, rel, entries, |was, _| i64::from(was == 0))
+                } else {
+                    self.fold(state, rel, entries, |_, n| n)
+                };
+                // Only a recursive component reads its own new tuples.
+                if scc.recursive && !folded.events.is_empty() {
+                    round.push((rel, folded));
+                }
             }
-            b.undo_to(mark);
+            if round.is_empty() {
+                return stats;
+            }
+            let data = Data::at(self.views(db, state));
+            for (rel, new) in &round {
+                let new_tuples = || new.events.iter().map(|(t, _)| t);
+                new_tuples().for_each(|t| on_new(*rel, t));
+                for rule in &scc.rules {
+                    let emit = &mut |row: plan::Row<'_>| cand.push((rule.head, row.tuple()));
+                    if driver_first {
+                        for d in rule.events_on(self.preds[*rel]) {
+                            new_tuples().for_each(|t| d.plan.run_with(t, regs, &data, emit));
+                        }
+                        continue;
+                    }
+                    for (_, plan) in rule.rounds.iter().filter(|(r, _)| r == rel) {
+                        let arranged;
+                        let delta = match &plan.delta_order {
+                            None => Sorted::Counted(&new.delta),
+                            Some(order) => {
+                                arranged =
+                                    sorted_set(new_tuples().map(|t| permute(t, order)).collect());
+                                Sorted::Arranged(&arranged)
+                            }
+                        };
+                        let data = Data {
+                            delta: Some(delta),
+                            ..data
+                        };
+                        plan.run(regs, &data, emit);
+                    }
+                }
+            }
         }
     }
+}
+
+/// Sorted `(relation, tuple)` candidates as, per relation, each distinct
+/// tuple with the number of times it occurs.
+pub(crate) fn run_lengths(
+    sorted: impl Iterator<Item = (usize, Tuple)>,
+) -> Vec<(usize, Vec<(Tuple, i64)>)> {
+    let mut out: Vec<(usize, Vec<(Tuple, i64)>)> = Vec::new();
+    for (rel, t) in sorted {
+        match out.last_mut() {
+            Some((r, entries)) if *r == rel => match entries.last_mut() {
+                Some((last, n)) if *last == t => *n += 1,
+                _ => entries.push((t, 1)),
+            },
+            _ => out.push((rel, vec![(t, 1)])),
+        }
+    }
+    out
 }

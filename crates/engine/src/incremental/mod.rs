@@ -2,11 +2,11 @@
 //! the Datalog fragment on top of it.
 //!
 //! §6 of the paper observes that the update-free core of TD *is* classical
-//! Datalog, so classical optimization applies. `circuit` compiles
-//! flattened rules into strongly-connected components and owns the only
-//! body join and the only semi-naive loop in the crate; a one-shot
-//! `datalog::evaluate` (or `magic::answer`) is that circuit run once from an
-//! empty derived state. The [`SubgoalCache`](crate::cache::SubgoalCache)
+//! Datalog, so classical optimization applies. `circuit` groups flattened
+//! rules into strongly-connected components, compiles each rule to join
+//! plans (`plan`: the only body join in the crate) and owns the only
+//! semi-naive loop; a one-shot `datalog::evaluate` (or `magic::answer`) is
+//! that circuit run once from an empty derived state. The [`SubgoalCache`](crate::cache::SubgoalCache)
 //! reuses answers, but any database-digest change invalidates it wholesale:
 //! one `ins` re-derives every derived relation from scratch. The
 //! [`Materializer`] turns "digest changed → recompute" into "delta applied →
@@ -16,14 +16,15 @@
 //!   flatten to Datalog (`datalog::flatten_rule`) and are delta-safe, and
 //!   compiles them into a circuit.
 //! * For each database version (keyed by its O(1) content digest), a
-//!   *materialized state* maps every such predicate to a
-//!   [`CountedRelation`]: tuple → number of supporting rule instantiations.
-//!   A version's first probe builds it with the from-scratch run.
+//!   *materialized state* holds for every such predicate a
+//!   `CountedRelation` — tuple → number of supporting rule instantiations —
+//!   and the arrangements the plans probe. A version's first probe builds
+//!   it with the from-scratch run.
 //! * [`Materializer::apply_ops`] pushes a committed base delta through the
-//!   circuit: per delta-rule semi-naive joins (one per affected body
-//!   position, prefix-new/suffix-old, index-backed via the sorted treap
-//!   probes) adjust the counts, and only 0 ↔ positive transitions cascade
-//!   to downstream components. Non-recursive components use exact counting;
+//!   circuit: each membership event enters the plans compiled for its body
+//!   position (prefix-new/suffix-old, every bound column a range probe),
+//!   the counts move, and only 0 ↔ positive transitions cascade to
+//!   downstream components. Non-recursive components use exact counting;
 //!   recursive components use delete-rederive (DRed) over set semantics,
 //!   where counting is unsound.
 //! * [`Materializer::holds`] answers a ground derived-predicate call with
@@ -40,15 +41,17 @@
 //! digest keying — see `docs/INCREMENTAL.md`).
 
 pub(crate) mod circuit;
+mod plan;
 
 use crate::datalog::{flatten_rule, FlatRule, Lit};
-use circuit::{join, saturate, Circuit, Driver, MatState, Scc, Views};
+use circuit::{Circuit, MatState, Scc};
+use plan::{permute, Data, Regs, Row, Views};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use td_core::goal::Builtin;
 use td_core::{Atom, Pred, Program, Term};
-use td_db::{CountedRelation, Database, DeltaOp, Transition, Tuple};
+use td_db::{Database, DeltaOp, Tuple};
 
 /// Why a program has no materializable fragment.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -83,7 +86,6 @@ const MAX_STATES: usize = 4096;
 /// share across backends and worker threads behind an `Arc`; all counters
 /// are process-wide lifetime totals.
 pub struct Materializer {
-    mat: HashSet<Pred>,
     /// Base predicates read by some materialized rule; deltas on any other
     /// base predicate leave every materialized relation unchanged.
     relevant_base: HashSet<Pred>,
@@ -100,7 +102,7 @@ pub struct Materializer {
 impl std::fmt::Debug for Materializer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Materializer")
-            .field("preds", &self.mat.len())
+            .field("preds", &self.circuit.preds.len())
             .field("sccs", &self.circuit.sccs.len())
             .finish()
     }
@@ -158,8 +160,7 @@ impl Materializer {
             });
         }
 
-        let mat: HashSet<Pred> = flat.keys().copied().collect();
-        let circuit = Circuit::new(flat);
+        let circuit = Circuit::new(flat, true);
         let relevant_base: HashSet<Pred> = circuit
             .sccs
             .iter()
@@ -168,7 +169,6 @@ impl Materializer {
             .filter(|p| base.contains(p))
             .collect();
         Ok(Materializer {
-            mat,
             relevant_base,
             circuit,
             store: Mutex::new(Store::default()),
@@ -183,14 +183,12 @@ impl Materializer {
 
     /// Is this predicate maintained by the circuit?
     pub fn is_materialized(&self, pred: Pred) -> bool {
-        self.mat.contains(&pred)
+        self.circuit.index.contains_key(&pred)
     }
 
     /// The materialized predicates, sorted.
     pub fn materialized_preds(&self) -> Vec<Pred> {
-        let mut out: Vec<Pred> = self.mat.iter().copied().collect();
-        out.sort();
-        out
+        self.circuit.preds.clone()
     }
 
     /// The base predicates some materialized rule reads, in unspecified
@@ -209,26 +207,20 @@ impl Materializer {
     /// (re)build for that version; subsequent versions reached by committed
     /// deltas are maintained incrementally.
     pub fn holds(&self, db: &Database, atom: &Atom) -> Option<bool> {
-        if !self.mat.contains(&atom.pred) {
-            return None;
-        }
+        let rel = *self.circuit.index.get(&atom.pred)?;
         let tuple = Tuple::new(atom.ground_args()?);
         self.probes.fetch_add(1, Ordering::Relaxed);
-        let state = self.state_for(db);
-        Some(state.get(&atom.pred).is_some_and(|r| r.contains(&tuple)))
+        Some(self.state_for(db).rels[rel].contains(&tuple))
     }
 
     /// All tuples of a materialized predicate at `db`'s version, sorted.
     /// Builds the version's state if absent; empty for non-materialized
     /// predicates.
     pub fn facts(&self, db: &Database, pred: Pred) -> Vec<Tuple> {
-        if !self.mat.contains(&pred) {
-            return Vec::new();
+        match self.circuit.index.get(&pred) {
+            Some(&rel) => self.state_for(db).rels[rel].to_vec(),
+            None => Vec::new(),
         }
-        self.state_for(db)
-            .get(&pred)
-            .map(|r| r.to_vec())
-            .unwrap_or_default()
     }
 
     /// The materialized state for a database version, building it if this
@@ -272,34 +264,36 @@ impl Materializer {
             return;
         }
         let t0 = std::time::Instant::now();
-        let mut state: MatState = (*pre_state).clone();
-        let mut touched = false;
-        let mut cur = pre.clone();
-        for op in ops {
-            let (pred, tuple) = match op {
-                DeltaOp::Ins(p, t) | DeltaOp::Del(p, t) => (*p, t),
-            };
-            let Ok(next) = op.apply(&cur) else { return };
-            if self.relevant_base.contains(&pred) {
-                let sign = match (cur.contains(pred, tuple), next.contains(pred, tuple)) {
-                    (false, true) => 1,
-                    (true, false) => -1,
-                    _ => 0,
-                };
-                if sign != 0 {
-                    self.propagate(&cur, &next, pred, tuple.clone(), sign, &mut state);
-                    touched = true;
-                }
+        let Some(between) = versions_between(pre, ops) else {
+            return;
+        };
+        debug_assert_eq!(
+            (ops.last())
+                .and_then(|op| op.apply(between.last().unwrap_or(pre)).ok())
+                .map(|db| db.digest()),
+            Some(post.digest()),
+            "ops do not take pre to post"
+        );
+        let versions = || std::iter::once(pre).chain(&between).chain([post]);
+        let mut state = pre_state;
+        for (op, (cur, next)) in ops.iter().zip(versions().zip(versions().skip(1))) {
+            let (DeltaOp::Ins(pred, tuple) | DeltaOp::Del(pred, tuple)) = op;
+            if !self.relevant_base.contains(pred) {
+                continue;
             }
-            cur = next;
+            let sign = match (cur.contains(*pred, tuple), next.contains(*pred, tuple)) {
+                (false, true) => 1,
+                (true, false) => -1,
+                _ => continue,
+            };
+            state = Arc::new(self.propagate(cur, next, *pred, tuple, sign, &state));
         }
-        debug_assert_eq!(cur.digest(), post.digest(), "ops do not take pre to post");
         self.maintained_ops
             .fetch_add(ops.len() as u64, Ordering::Relaxed);
         self.maintain_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let st = if touched { Arc::new(state) } else { pre_state };
-        self.store_state(post.digest(), st);
+        // Untouched, this is `pre`'s state, stored again by reference.
+        self.store_state(post.digest(), state);
     }
 
     fn store_state(&self, digest: u128, state: Arc<MatState>) {
@@ -322,33 +316,52 @@ impl Materializer {
     // ------------------------------------------------------------------
 
     /// Push one base-relation membership change through the circuit in
-    /// topological order, cascading derived membership events.
+    /// topological order, cascading derived membership events: the state of
+    /// `new_db`, from `old`, the state of `old_db`.
     fn propagate(
         &self,
         old_db: &Database,
         new_db: &Database,
         pred: Pred,
-        tuple: Tuple,
+        tuple: &Tuple,
         sign: i64,
-        state: &mut MatState,
-    ) {
-        let old_state = state.clone();
-        let old_v = Views {
-            db: old_db,
-            state: &old_state,
-        };
+        old: &MatState,
+    ) -> MatState {
+        let circuit = &self.circuit;
+        let member = |sign: i64| (sign > 0).then_some(());
+        let mut state = old.clone();
+        for (arr, slot) in circuit.arrangements.iter().zip(&mut state.arranged) {
+            if let Some(arranged) = slot.get_mut().filter(|_| arr.pred == pred) {
+                *arranged = arranged.alter(&permute(tuple, &arr.order), |_| member(sign));
+            }
+        }
+        let old_v = circuit.views(old_db, old);
+        let regs = plan::registers(circuit.num_regs);
         let mut events: Events = HashMap::new();
-        events.insert(pred, vec![(tuple, sign)]);
-        for scc in &self.circuit.sccs {
+        events.insert(pred, vec![(tuple.clone(), sign)]);
+        for scc in &circuit.sccs {
             if !scc.deps.iter().any(|p| events.contains_key(p)) {
                 continue;
             }
             if scc.recursive {
-                self.maintain_recursive(scc, old_v, new_db, state, &mut events);
+                self.maintain_recursive(scc, old_v, new_db, &mut state, &mut events, &regs);
             } else {
-                self.maintain_counting(scc, old_v, new_db, state, &mut events);
+                self.maintain_counting(scc, old_v, new_db, &mut state, &mut events, &regs);
             }
         }
+        // An arrangement this pass was the first to probe, and on its old
+        // side only, exists in `old` now and not in `state`: bring it over
+        // by the same events, or the next pass builds it all over again.
+        for (a, arr) in circuit.arrangements.iter().enumerate() {
+            if let (Some(before), None) = (old.arranged[a].get(), state.arranged[a].get()) {
+                let changes = events.get(&arr.pred).into_iter().flatten();
+                let now = changes.fold(before.clone(), |m, (t, sign)| {
+                    m.alter(&permute(t, &arr.order), |_| member(*sign))
+                });
+                state.arranged[a] = now.into();
+            }
+        }
+        state
     }
 
     /// Exact counting maintenance for a non-recursive component: signed
@@ -362,32 +375,32 @@ impl Materializer {
         new_db: &Database,
         state: &mut MatState,
         events: &mut Events,
+        regs: &Regs,
     ) {
         let q = scc.preds[0];
-        let mut net: HashMap<Tuple, i64> = HashMap::new();
-        let new_v = Views { db: new_db, state };
-        join_events(scc, events, |_| true, new_v, old_v, &mut |_, h, sign| {
-            *net.entry(h).or_insert(0) += sign;
+        let mut changes: Vec<(Tuple, i64)> = Vec::new();
+        let data = Data {
+            new: self.circuit.views(new_db, state),
+            old: old_v,
+            delta: None,
+        };
+        join_events(scc, events, |_| true, &data, regs, &mut |_, row, sign| {
+            changes.push((row.tuple(), sign));
         });
-        let mut rel = state[&q].clone();
-        let mut evs: Vec<(Tuple, i64)> = Vec::new();
-        for (t, d) in net {
-            if d == 0 {
-                continue;
+        // One entry per tuple: its net change.
+        changes.sort_unstable();
+        changes.dedup_by(|later, first| {
+            let same = later.0 == first.0;
+            if same {
+                first.1 += later.1;
             }
-            let (next, tr) = rel.add(&t, d);
-            rel = next;
-            match tr {
-                Transition::Appeared => evs.push((t, 1)),
-                Transition::Disappeared => evs.push((t, -1)),
-                Transition::Unchanged => {}
-            }
-        }
-        state.insert(q, rel);
-        if !evs.is_empty() {
+            same
+        });
+        let folded = (self.circuit).fold(state, self.circuit.index[&q], changes, |_, net| net);
+        if !folded.events.is_empty() {
             self.delta_tuples
-                .fetch_add(evs.len() as u64, Ordering::Relaxed);
-            events.insert(q, evs);
+                .fetch_add(folded.events.len() as u64, Ordering::Relaxed);
+            events.insert(q, folded.events);
         }
     }
 
@@ -402,79 +415,80 @@ impl Materializer {
         new_db: &Database,
         state: &mut MatState,
         events: &mut Events,
+        regs: &Regs,
     ) {
-        // Phase 1: overdeletion, entirely against the old views.
-        let mut deleted: HashSet<(Pred, Tuple)> = HashSet::new();
-        let mut wl: VecDeque<(Pred, Tuple)> = VecDeque::new();
-        let mut cand: Vec<(Pred, Tuple)> = Vec::new();
-        join_events(scc, events, |s| s < 0, old_v, old_v, &mut |p, h, _| {
-            cand.push((p, h));
-        });
-        loop {
-            for (p, h) in cand.drain(..) {
-                if state[&p].contains(&h) && deleted.insert((p, h.clone())) {
-                    let rel = state[&p].add(&h, -state[&p].count(&h)).0;
-                    state.insert(p, rel);
-                    wl.push_back((p, h));
-                }
+        let circuit = &self.circuit;
+        // Phase 1: overdeletion, entirely against the old views. A tuple is
+        // collected once, when a derivation through a deleted tuple first
+        // reaches it; the relations themselves are left alone until every
+        // such tuple is known.
+        let mut deleted: HashSet<(usize, Tuple)> = HashSet::new();
+        let mut wl: Vec<(usize, Tuple)> = Vec::new();
+        let old_data = Data::at(old_v);
+        let mut collect = |wl: &mut Vec<(usize, Tuple)>, rel: usize, row: Row<'_>| {
+            let h = row.tuple();
+            if old_v.state.rels[rel].contains(&h) && deleted.insert((rel, h.clone())) {
+                wl.push((rel, h));
             }
-            let Some((dp, dt)) = wl.pop_front() else {
-                break;
-            };
-            let delta = singleton(&dt);
+        };
+        join_events(
+            scc,
+            events,
+            |s| s < 0,
+            &old_data,
+            regs,
+            &mut |rel, row, _| collect(&mut wl, rel, row),
+        );
+        while let Some((rel, t)) = wl.pop() {
             for rule in &scc.rules {
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    if matches!(lit, Lit::Atom(a) if a.pred == dp) {
-                        let driver = Driver {
-                            pos,
-                            delta: &delta,
-                            first: true,
-                        };
-                        join(rule, Some(driver), None, old_v, old_v, &mut |h| {
-                            cand.push((rule.head.pred, h));
-                        });
-                    }
+                for d in rule.events_on(circuit.preds[rel]) {
+                    let emit = &mut |row: Row<'_>| collect(&mut wl, rule.head, row);
+                    d.plan.run_with(&t, regs, &old_data, emit);
                 }
             }
+        }
+        let mut gone: Vec<(usize, Tuple)> = deleted.iter().cloned().collect();
+        gone.sort_unstable();
+        for (rel, entries) in circuit::run_lengths(gone.into_iter()) {
+            circuit.fold(state, rel, entries, |count, _| -count);
         }
 
         // Phase 2: rederivation in one step from the new external state and
         // the reduced component state. Tuples whose alternative support
         // runs through other rederived tuples are recovered by phase 3.
-        let v = Views { db: new_db, state };
-        for (p, t) in &deleted {
+        let data = Data::at(circuit.views(new_db, state));
+        let mut cand: Vec<(usize, Tuple)> = Vec::new();
+        for (rel, t) in &deleted {
             let mut found = false;
-            for rule in scc.rules.iter().filter(|r| r.head.pred == *p) {
+            for rule in scc.rules.iter().filter(|r| r.head == *rel) {
                 if !found {
-                    join(rule, None, Some(t), v, v, &mut |_| found = true);
+                    (rule.rederive).run_with(t, regs, &data, &mut |_| found = true);
                 }
             }
             if found {
-                cand.push((*p, t.clone()));
+                cand.push((*rel, t.clone()));
             }
         }
 
         // Phase 3: semi-naive insertion of the rederived tuples and of what
         // positive events derive, against the new views and the growing
         // component state.
-        join_events(scc, events, |s| s > 0, v, v, &mut |p, h, _| {
-            cand.push((p, h));
+        join_events(scc, events, |s| s > 0, &data, regs, &mut |rel, row, _| {
+            cand.push((rel, row.tuple()));
         });
-        let mut inserted: HashSet<(Pred, Tuple)> = HashSet::new();
-        saturate(scc, new_db, state, cand, true, &mut |p, t| {
-            inserted.insert((p, t.clone()));
+        let mut inserted: HashSet<(usize, Tuple)> = HashSet::new();
+        circuit.saturate(scc, new_db, state, cand, true, &mut |rel, t| {
+            inserted.insert((rel, t.clone()));
         });
 
-        // Net membership events for downstream components. A pair both
-        // deleted and inserted nets to none, so no event repeats.
+        // Net membership events for downstream components: phase 3 inserts
+        // only what the reduced state lacks, so a pair both deleted and
+        // inserted is back where it was and nets to none.
         let mut per_pred: Events = HashMap::new();
-        for (p, t) in deleted.iter().chain(inserted.iter()) {
-            let sign = match (old_v.state[p].contains(t), state[p].contains(t)) {
-                (false, true) => 1,
-                (true, false) => -1,
-                _ => continue,
-            };
-            per_pred.entry(*p).or_default().push((t.clone(), sign));
+        let left = deleted.difference(&inserted).map(|e| (e, -1));
+        for ((rel, t), sign) in left.chain(inserted.difference(&deleted).map(|e| (e, 1))) {
+            let evs = per_pred.entry(circuit.preds[*rel]).or_default();
+            evs.push((t.clone(), sign));
         }
         for (p, evs) in per_pred {
             self.delta_tuples
@@ -492,8 +506,7 @@ impl Materializer {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Probes (or maintenance passes) that found the version's state
-    /// resident.
+    /// Probes that found the version's state resident.
     pub fn state_hits(&self) -> u64 {
         self.state_hits.load(Ordering::Relaxed)
     }
@@ -536,43 +549,38 @@ impl Materializer {
     }
 }
 
-/// The one-tuple delta of a single membership event.
-fn singleton(t: &Tuple) -> CountedRelation {
-    CountedRelation::new(t.arity()).add(t, 1).0
+/// The database versions strictly between `pre` and the result of `ops`:
+/// one per op but the last, whose result the caller already holds. `None`
+/// when an op does not apply (or there is none).
+fn versions_between(pre: &Database, ops: &[DeltaOp]) -> Option<Vec<Database>> {
+    let (_, but_last) = ops.split_last()?;
+    let mut between: Vec<Database> = Vec::with_capacity(but_last.len());
+    for op in but_last {
+        between.push(op.apply(between.last().unwrap_or(pre)).ok()?);
+    }
+    Some(between)
 }
 
-/// Join every rule of a component through each membership event on a
-/// predicate it reads, the event's position first, for the events whose
+/// Enter every rule of a component with each membership event on a
+/// predicate it reads ([`plan::Entry::Event`]), for the events whose
 /// effective sign (a `not` literal flips it) `keep` accepts. Positions
-/// before the event's read `new_v`, positions after it `old_v`. Events on
-/// the component's own predicates do not exist yet: it publishes them when
-/// its maintenance ends.
+/// before the event's read `data.new`, positions after it `data.old`.
+/// Events on the component's own predicates do not exist yet: it publishes
+/// them when its maintenance ends.
 fn join_events(
     scc: &Scc,
     events: &Events,
     keep: impl Fn(i64) -> bool,
-    new_v: Views<'_>,
-    old_v: Views<'_>,
-    emit: &mut dyn FnMut(Pred, Tuple, i64),
+    data: &Data<'_>,
+    regs: &Regs,
+    emit: &mut dyn FnMut(usize, Row<'_>, i64),
 ) {
     for rule in &scc.rules {
-        for (pos, lit) in rule.body.iter().enumerate() {
-            let (pred, flip) = match lit {
-                Lit::Atom(a) => (a.pred, 1),
-                Lit::NegAtom(a) => (a.pred, -1),
-                Lit::Builtin(..) => continue,
-            };
-            for (t, s) in events.get(&pred).into_iter().flatten() {
-                let sign = s * flip;
+        for d in &rule.events {
+            for (t, s) in events.get(&d.pred).into_iter().flatten() {
+                let sign = s * d.sign;
                 if keep(sign) {
-                    let driver = Driver {
-                        pos,
-                        delta: &singleton(t),
-                        first: true,
-                    };
-                    join(rule, Some(driver), None, new_v, old_v, &mut |h| {
-                        emit(rule.head.pred, h, sign);
-                    });
+                    (d.plan).run_with(t, regs, data, &mut |row| emit(rule.head, row, sign));
                 }
             }
         }
@@ -660,36 +668,69 @@ mod tests {
 
     const NODES: [&str; 5] = ["n0", "n1", "n2", "n3", "n4"];
 
+    /// The churn program: reachability with negation, plus one rule per
+    /// shape a compiled plan has to get right.
+    const CHURN: &str = "base e/2. base blocked/1. base t/3.
+         path(X, Y) <- e(X, Y).
+         path(X, Z) <- e(X, Y) * path(Y, Z).
+         reach(X) <- e(n0, X) * not blocked(X).
+         reach(Y) <- reach(X) * e(X, Y) * not blocked(Y).
+         hop(X, Z) <- path(X, Y) * t(A, Y, Z).
+         back(Y, X) <- path(X, Y).
+         src(Y) <- blocked(X) * back(Y, X).
+         to3(X) <- path(X, n3).
+         loop(X) <- e(X, X).
+         same(X, Y) <- X = Y * e(X, Y).
+         down(Y, X) <- e(X, Y).
+         down(Z, X) <- e(X, Y) * down(Z, Y).";
+
     /// An oracle that shares no code with the circuit: Warshall's closure
-    /// over the five nodes, read off the stored `e` and `blocked` tuples.
-    /// Returns `path` (the closure of `e`) and `reach` (the nodes a walk from
-    /// `n0` gets to without stepping on a blocked one), both sorted.
-    fn closure_model(db: &Database) -> (Vec<Tuple>, Vec<Tuple>) {
+    /// over the five nodes, read off the stored `e`, `blocked` and `t`
+    /// tuples, and every view of [`CHURN`] spelled out as a loop over node
+    /// indices. Returns view name → sorted tuples.
+    fn closure_model(db: &Database) -> HashMap<&'static str, Vec<Tuple>> {
         let node = |i: usize| Value::sym(NODES[i]);
-        let blocked = |j: usize| db.contains(Pred::new("blocked", 1), &Tuple::new(vec![node(j)]));
+        let has = |name: &str, ix: &[usize]| {
+            let t = Tuple::new(ix.iter().map(|&i| node(i)).collect());
+            db.contains(Pred::new(name, ix.len() as u32), &t)
+        };
         let close = |enter: &dyn Fn(usize) -> bool| {
             let mut c = [[false; 5]; 5];
             for (i, j) in (0..25).map(|x| (x / 5, x % 5)) {
-                let edge = Tuple::new(vec![node(i), node(j)]);
-                c[i][j] = enter(j) && db.contains(Pred::new("e", 2), &edge);
+                c[i][j] = enter(j) && has("e", &[i, j]);
             }
             for (k, i, j) in (0..125).map(|x| (x / 25, x / 5 % 5, x % 5)) {
                 c[i][j] |= c[i][k] && c[k][j];
             }
             c
         };
-        let (all, open) = (close(&|_| true), close(&|j| !blocked(j)));
-        let mut path: Vec<Tuple> = (0..25)
-            .filter(|x| all[x / 5][x % 5])
-            .map(|x| Tuple::new(vec![node(x / 5), node(x % 5)]))
-            .collect();
-        let mut reach: Vec<Tuple> = (0..5)
-            .filter(|&j| open[0][j])
-            .map(|j| Tuple::new(vec![node(j)]))
-            .collect();
-        path.sort();
-        reach.sort();
-        (path, reach)
+        let (path, open) = (close(&|_| true), close(&|j| !has("blocked", &[j])));
+        let via = |y: usize, z: usize| (0..5).any(|a| has("t", &[a, y, z]));
+        type Holds<'a> = &'a dyn Fn(&[usize]) -> bool;
+        let views: [(&'static str, usize, Holds<'_>); 9] = [
+            ("path", 2, &|x| path[x[0]][x[1]]),
+            ("reach", 1, &|x| open[0][x[0]]),
+            ("hop", 2, &|x| (0..5).any(|y| path[x[0]][y] && via(y, x[1]))),
+            ("back", 2, &|x| path[x[1]][x[0]]),
+            ("src", 1, &|x| {
+                (0..5).any(|b| has("blocked", &[b]) && path[b][x[0]])
+            }),
+            ("to3", 1, &|x| path[x[0]][3]),
+            ("loop", 1, &|x| has("e", &[x[0], x[0]])),
+            ("same", 2, &|x| x[0] == x[1] && has("e", &[x[0], x[0]])),
+            ("down", 2, &|x| path[x[1]][x[0]]),
+        ];
+        let mut model = HashMap::new();
+        for (name, arity, holds) in views {
+            let mut tuples: Vec<Tuple> = (0..5usize.pow(arity as u32))
+                .map(|x| (0..arity).map(|c| x / 5usize.pow(c as u32) % 5).collect())
+                .filter(|ix: &Vec<usize>| holds(ix))
+                .map(|ix| Tuple::new(ix.into_iter().map(node).collect()))
+                .collect();
+            tuples.sort();
+            model.insert(name, tuples);
+        }
+        model
     }
 
     /// Apply one op both to the db and through the circuit.
@@ -881,15 +922,10 @@ mod tests {
 
     #[test]
     fn maintenance_matches_rebuild_under_random_churn() {
-        let (p, db0) = setup(
-            "base e/2. base blocked/1.
-             path(X, Y) <- e(X, Y).
-             path(X, Z) <- e(X, Y) * path(Y, Z).
-             reach(X) <- e(n0, X) * not blocked(X).
-             reach(Y) <- reach(X) * e(X, Y) * not blocked(Y).",
-        );
+        let (p, db0) = setup(CHURN);
         let m = Materializer::compile(&p).unwrap();
-        let names = NODES;
+        assert_eq!(m.materialized_preds().len(), 9);
+        let sym = |i: u64| Value::sym(NODES[i as usize]);
         let from_n1 = Atom::new("path", vec![Term::sym("n1"), Term::var(0)]);
         let mut db = db0;
         let mut x: u64 = 0x2545F4914F6CDD1D;
@@ -900,38 +936,63 @@ mod tests {
             x
         };
         let _ = m.facts(&db, Pred::new("path", 2)); // seed the version
-        for _ in 0..60 {
+        for _ in 0..200 {
             let r = rng();
-            let op = if r % 3 == 0 {
-                let n = names[(rng() % 5) as usize];
-                if r % 2 == 0 {
-                    DeltaOp::Ins(Pred::new("blocked", 1), Tuple::new(vec![Value::sym(n)]))
-                } else {
-                    DeltaOp::Del(Pred::new("blocked", 1), Tuple::new(vec![Value::sym(n)]))
-                }
+            let (pred, tuple) = match r % 4 {
+                0 => (Pred::new("blocked", 1), vec![sym(rng() % 5)]),
+                // A small domain, so that deletions find their tuple.
+                1 => (
+                    Pred::new("t", 3),
+                    vec![sym(rng() % 2), sym(rng() % 5), sym(rng() % 2)],
+                ),
+                _ => (Pred::new("e", 2), vec![sym(rng() % 5), sym(rng() % 5)]),
+            };
+            let op = if r % 8 < 4 {
+                DeltaOp::Ins(pred, Tuple::new(tuple))
             } else {
-                let a = names[(rng() % 5) as usize];
-                let b = names[(rng() % 5) as usize];
-                let t = Tuple::new(vec![Value::sym(a), Value::sym(b)]);
-                if r % 2 == 0 {
-                    DeltaOp::Ins(Pred::new("e", 2), t)
-                } else {
-                    DeltaOp::Del(Pred::new("e", 2), t)
-                }
+                DeltaOp::Del(pred, Tuple::new(tuple))
             };
             db = step(&m, &db, op);
-            let (path, reach) = closure_model(&db);
-            assert_eq!(m.facts(&db, Pred::new("reach", 1)), reach);
-            let below_n1: Vec<Tuple> = path
+            let model = closure_model(&db);
+            let from_scratch = crate::datalog::evaluate(&p, &db).unwrap();
+            for view in m.materialized_preds() {
+                assert_eq!(m.facts(&db, view), model[view.name.as_str()], "{view}");
+                assert_eq!(
+                    from_scratch.facts_of(view),
+                    model[view.name.as_str()],
+                    "{view}"
+                );
+            }
+            let below_n1: Vec<Tuple> = model["path"]
                 .iter()
                 .filter(|t| t.values()[0] == Value::sym("n1"))
                 .cloned()
                 .collect();
             assert_eq!(crate::datalog::query(&p, &db, &from_n1).unwrap(), below_n1);
             assert_eq!(crate::magic::answer(&p, &db, &from_n1).unwrap().0, below_n1);
-            assert_eq!(m.facts(&db, Pred::new("path", 2)), path);
+            // Every arrangement this version holds is the one a fresh build
+            // from its relation gives.
+            let state = m.state_for(&db);
+            for (arr, slot) in m.circuit.arrangements.iter().zip(&state.arranged) {
+                let members = match arr.rel {
+                    Some(_) => m.facts(&db, arr.pred),
+                    None => db.relation(arr.pred).unwrap().to_vec(),
+                };
+                let fresh = members.iter().map(|t| permute(t, &arr.order)).collect();
+                if let Some(kept) = slot.get() {
+                    assert!(*kept == plan::sorted_set(fresh), "{arr:?}");
+                }
+            }
         }
+        let filled = |s: &MatState| s.arranged.iter().filter(|a| a.get().is_some()).count();
+        assert_eq!(filled(&m.state_for(&db)), m.circuit.arrangements.len());
+        let counted = |key| m.counters().iter().find(|c| c.0 == key).unwrap().1;
         assert_eq!(m.rebuilds(), 1, "churn maintained incrementally");
+        assert_eq!(
+            (counted("maintained_ops"), counted("delta_tuples")),
+            (91, 193),
+            "the ops that changed a relation the rules read, and the view tuples they moved"
+        );
     }
 
     #[test]
@@ -975,5 +1036,94 @@ mod tests {
         m.apply_ops(&db, &ops, &post);
         assert_matches_fixpoint(&m, &p, &post);
         assert_eq!(m.maintained_ops(), 3);
+        // The caller hands over the result of the last op, so only the
+        // versions in between are computed: none at all for the one-op
+        // calls `kernel::update` makes.
+        assert_eq!(versions_between(&db, &ops).unwrap().len(), 2);
+        assert!(versions_between(&db, &ops[..1]).unwrap().is_empty());
+    }
+
+    /// A bound column never scans: in every plan of every fixture of this
+    /// suite and of `tests/incremental_equivalence.rs`, each column whose
+    /// value is known when a probe starts is part of the probe's key, and
+    /// the key is a prefix of the tuples probed — of the relation's own
+    /// order, or of an arrangement declared for exactly that purpose.
+    #[test]
+    fn every_bound_column_of_every_plan_is_a_key_prefix() {
+        use plan::{Instr, Plan, Rows};
+        let views = "base edge/2. base blocked/1.
+             path(X, Y) <- edge(X, Y).
+             path(X, Z) <- edge(X, Y) * path(Y, Z).
+             open(X, Y) <- path(X, Y) * not blocked(Y).";
+        let builtins = "base e/2. base blocked/1. base n/1.
+             path(X, Y) <- e(X, Y).
+             path(X, Z) <- e(X, Y) * path(Y, Z).
+             big(X) <- n(X) * X > 1.
+             double(Y) <- n(X) * Y is X + X.
+             healthy(X) <- e(X, X) * not blocked(X).
+             top(X) <- path(X, X) * healthy(X).";
+        let mut probes = 0;
+        for src in [views, CHURN, builtins] {
+            let circuit = Materializer::compile(&setup(src).0).unwrap().circuit;
+            let check = |plan: &Plan| {
+                assert!(plan.reads_only_bound_registers(), "{plan:?}");
+                let mut keyed = 0;
+                for instr in &plan.code {
+                    let Instr::Probe {
+                        rows, key, rest, ..
+                    } = instr
+                    else {
+                        continue;
+                    };
+                    keyed += usize::from(!key.is_empty());
+                    let columns = key.len() + rest.binds.len() + rest.checks.len();
+                    match rows {
+                        Rows::Base(p) => assert_eq!(columns, p.arity as usize),
+                        Rows::Derived(i) => assert_eq!(columns, circuit.preds[*i].arity as usize),
+                        Rows::Arranged(a) => {
+                            // Declared only where the own order would scan.
+                            let order = &circuit.arrangements[*a].order;
+                            assert_eq!(columns, order.len());
+                            assert!(!key.is_empty() && key.len() < columns);
+                            assert!(!order[..key.len()].iter().copied().eq(0..key.len()));
+                        }
+                        // In the round's own order unless the plan says.
+                        Rows::Delta => {
+                            let own = (0..columns).collect();
+                            let order = plan.delta_order.as_ref().unwrap_or(&own);
+                            assert_eq!(plan.delta_order.is_some(), *order != own);
+                        }
+                    }
+                }
+                keyed
+            };
+            for rule in circuit.sccs.iter().flat_map(|s| &s.rules) {
+                probes += check(&rule.full) + check(&rule.rederive);
+                probes += rule.rounds.iter().map(|r| check(&r.1)).sum::<usize>();
+                probes += rule.events.iter().map(|d| check(&d.plan)).sum::<usize>();
+            }
+            for (i, a) in circuit.arrangements.iter().enumerate() {
+                let mut sorted = a.order.clone();
+                sorted.sort_unstable();
+                assert!(sorted.into_iter().eq(0..a.pred.arity as usize), "{a:?}");
+                assert!(
+                    !circuit.arrangements[..i].contains(a),
+                    "{a:?} declared twice"
+                );
+            }
+            if src == views {
+                // `path(Y, Z)` driving asks for `edge(X, Y)` by its second
+                // column, and `blocked(Y)` driving for `path(X, Y)` by its.
+                let declared: Vec<String> = (circuit.arrangements.iter())
+                    .map(|a| format!("{}{:?}", a.pred.name, a.order))
+                    .collect();
+                assert_eq!(declared, ["edge[1, 0]", "path[1, 0]"]);
+                // Run from scratch only, the same rules probe neither.
+                let flat = crate::datalog::flatten_program(&setup(src).0).unwrap();
+                let one_shot = Circuit::new(flat, false);
+                assert!(one_shot.arrangements.is_empty());
+            }
+        }
+        assert!(probes > 40, "{probes} keyed probes checked");
     }
 }

@@ -1,0 +1,627 @@
+//! Join plans: a rule body compiled, once, into a short instruction sequence
+//! over a flat register file.
+//!
+//! A rule has one register per variable, and whether a variable is bound at
+//! a given point of a body is known when the rule is compiled. So nothing is
+//! unified while a fixpoint runs: an atom becomes a [`Instr::Probe`] whose
+//! bound columns are the key of a range probe and whose other columns are
+//! copied into registers; a `not` or a builtin whose inputs are still
+//! unbound, or a head left partly unbound, makes the whole plan empty (it
+//! emits nothing, which is what evaluating such a body left to right
+//! yields); `X = Y` between two variables neither of which is bound yet
+//! makes them one register.
+//!
+//! The bound columns of a probe are always a *prefix* of the tuples probed:
+//! of the relation itself when they are its leading columns (or none, or
+//! all), otherwise of an **arrangement** — a copy of the relation with its
+//! columns permuted, bound ones first — that the compiler declares in
+//! [`Arrangements`] and the circuit keeps beside the relations
+//! (`circuit::MatState`). A bound column never scans.
+//!
+//! A rule is compiled once per way the evaluator enters it ([`Entry`]).
+
+use super::circuit::MatState;
+use crate::datalog::{FlatRule, Lit};
+use crate::kernel::{eval_ground_builtin, BuiltinOut};
+use std::cell::Cell;
+use std::collections::HashMap;
+use td_core::goal::Builtin;
+use td_core::{Pred, Term, Value, Var};
+use td_db::ord::OrdMap;
+use td_db::relation::for_each_with_prefix;
+use td_db::{CountedRelation, Database, Relation, Tuple};
+
+/// The register file of one rule: a slot per variable. Cells, because a
+/// probe's key is read from it while the rows the probe finds are written
+/// to it — different slots, but one slice.
+pub(crate) type Regs = [Cell<Value>];
+
+/// A fresh register file of `n` slots. What a slot holds before an
+/// instruction binds it is never read.
+pub(crate) fn registers(n: usize) -> Vec<Cell<Value>> {
+    vec![Cell::new(Value::Int(0)); n]
+}
+
+/// A value a plan reads: a register some earlier instruction bound, or a
+/// constant of the rule.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Src {
+    Reg(usize),
+    Const(Value),
+}
+
+impl Src {
+    fn get(self, regs: &Regs) -> Value {
+        match self {
+            Src::Reg(r) => regs[r].get(),
+            Src::Const(v) => v,
+        }
+    }
+}
+
+/// What is done with the columns of a tuple that are not part of a probe's
+/// key — or with all of them, when a driving tuple is loaded: `binds` copies
+/// column → register, then every `checks` column must equal its source (a
+/// variable repeated inside the atom, or, in a load, a constant).
+#[derive(Clone, Default, Debug)]
+pub(crate) struct Match {
+    pub(crate) binds: Vec<(usize, usize)>,
+    pub(crate) checks: Vec<(usize, Src)>,
+}
+
+impl Match {
+    /// Load `values` into the registers; false when a check fails.
+    pub(crate) fn load(&self, values: &[Value], regs: &Regs) -> bool {
+        for &(col, r) in &self.binds {
+            regs[r].set(values[col]);
+        }
+        self.checks
+            .iter()
+            .all(|&(col, src)| values[col] == src.get(regs))
+    }
+}
+
+/// Which version of the data an instruction reads. A delta-join over body
+/// position *i* reads the new version left of *i* and the old one right of
+/// it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Side {
+    New,
+    Old,
+}
+
+/// What a probe ranges over.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Rows {
+    /// A base relation of the database, in its own order.
+    Base(Pred),
+    /// A derived relation (an index into `Circuit::preds`), in its own
+    /// order.
+    Derived(usize),
+    /// An arrangement (an index into [`Arrangements`]).
+    Arranged(usize),
+    /// The tuples a semi-naive round found new, whichever side: in their
+    /// own order, or in the plan's [`Plan::delta_order`].
+    Delta,
+}
+
+/// An argument of a builtin: an input, or the register its result goes to.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Arg {
+    In(Src),
+    Out(usize),
+}
+
+#[derive(Clone, Debug)]
+pub(crate) enum Instr {
+    /// For every tuple of `rows` whose first `key.len()` columns equal the
+    /// key — a range probe — load the other columns as `rest` says and go
+    /// on.
+    Probe {
+        side: Side,
+        rows: Rows,
+        key: Vec<Src>,
+        rest: Match,
+    },
+    /// Go on if the base relation lacks the tuple.
+    Absent {
+        side: Side,
+        pred: Pred,
+        args: Vec<Src>,
+    },
+    /// Go on if the builtin succeeds, having written its result if it has
+    /// one. A fault (a symbol where an integer is due, overflow) is a
+    /// silent no-match, as everywhere in bottom-up evaluation.
+    Builtin { op: Builtin, args: Vec<Arg> },
+    /// A derivation: hand the head to the caller.
+    Emit { head: Vec<Src> },
+}
+
+/// One compiled way into a rule.
+#[derive(Clone, Default, Debug)]
+pub(crate) struct Plan {
+    /// How the tuple the plan is entered with — a membership event, or a
+    /// head to rederive — goes into the registers. Empty for the other two
+    /// entries.
+    pub(crate) load: Match,
+    /// Empty when the rule can derive nothing entered this way.
+    pub(crate) code: Vec<Instr>,
+    /// [`Entry::Round`] only: the column order its delta probe needs the
+    /// round's tuples in, when that is not their own.
+    pub(crate) delta_order: Option<Vec<usize>>,
+}
+
+/// The four ways the evaluator enters a rule.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Entry {
+    /// The body in order, every literal over the whole of its relation: a
+    /// component's first pass.
+    Full,
+    /// The body in order, position *i* ranging over a round's delta: the
+    /// from-scratch semi-naive loop. Plain left-to-right evaluation, correct
+    /// for every rule.
+    Round(usize),
+    /// Position *i* first, loaded with one membership event, then the rest
+    /// of the body in order: maintenance, where the delta is a handful of
+    /// tuples and binding one hands the literals to its left a key. Agrees
+    /// with left-to-right evaluation only on delta-safe rules (see
+    /// `Materializer::compile`), so one-shot circuits compile none.
+    Event(usize),
+    /// The head loaded first, then the body in order: does the rule still
+    /// derive this tuple (DRed's rederivation check)?
+    Head,
+}
+
+/// One arrangement the plans of a circuit read: `pred`'s tuples with their
+/// columns in `order`.
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) struct Arrangement {
+    pub(crate) pred: Pred,
+    /// `pred`'s index among the circuit's own predicates; `None` for a base
+    /// relation.
+    pub(crate) rel: Option<usize>,
+    pub(crate) order: Vec<usize>,
+}
+
+/// `t` with its columns in `order`.
+pub(crate) fn permute(t: &Tuple, order: &[usize]) -> Tuple {
+    order.iter().map(|&c| t.values()[c]).collect()
+}
+
+/// The arrangements declared so far by the plans of one circuit.
+pub(crate) type Arrangements = Vec<Arrangement>;
+
+/// Compile `rule` for one entry. `derived` numbers the circuit's own
+/// predicates; every other predicate is a base relation. Arrangements the
+/// plan needs and `arranged` lacks are added to it.
+pub(crate) fn compile(
+    rule: &FlatRule,
+    entry: Entry,
+    derived: &HashMap<Pred, usize>,
+    arranged: &mut Arrangements,
+) -> Plan {
+    let n = rule.num_vars as usize;
+    let mut c = Compiler {
+        reg: (0..n).collect(),
+        bound: vec![false; n],
+        derived,
+        arranged,
+    };
+    let dead = Plan::default();
+    let mut plan = Plan::default();
+    let driver = match entry {
+        Entry::Event(pos) => {
+            let (Lit::Atom(a) | Lit::NegAtom(a)) = &rule.body[pos] else {
+                unreachable!("a builtin drives no plan");
+            };
+            plan.load = c.rest(&a.args, &(0..a.args.len()).collect::<Vec<_>>(), 0);
+            Some(pos)
+        }
+        Entry::Head => {
+            let cols: Vec<usize> = (0..rule.head.args.len()).collect();
+            plan.load = c.rest(&rule.head.args, &cols, 0);
+            None
+        }
+        Entry::Round(pos) => Some(pos),
+        Entry::Full => None,
+    };
+    for (pos, lit) in rule.body.iter().enumerate() {
+        let driven = driver == Some(pos);
+        if driven && matches!(entry, Entry::Event(_)) {
+            continue;
+        }
+        let side = match driver {
+            Some(d) if pos > d => Side::Old,
+            _ => Side::New,
+        };
+        let instr = match lit {
+            Lit::Atom(a) => {
+                let (rows, order, key) = c.arrange(driven, a.pred, &a.args);
+                if driven && !order.iter().copied().eq(0..order.len()) {
+                    plan.delta_order = Some(order.clone());
+                }
+                let rest = c.rest(&a.args, &order, key.len());
+                Some(Instr::Probe {
+                    side,
+                    rows,
+                    key,
+                    rest,
+                })
+            }
+            Lit::NegAtom(a) => match c.sources(&a.args) {
+                Some(args) => Some(Instr::Absent {
+                    side,
+                    pred: a.pred,
+                    args,
+                }),
+                None => return dead,
+            },
+            Lit::Builtin(op, terms) => match c.builtin(*op, terms) {
+                Ok(instr) => instr,
+                Err(Unbound) => return dead,
+            },
+        };
+        plan.code.extend(instr);
+    }
+    let Some(head) = c.sources(&rule.head.args) else {
+        return dead;
+    };
+    plan.code.push(Instr::Emit { head });
+    debug_assert!(plan.reads_only_bound_registers());
+    plan
+}
+
+/// An input that no earlier literal binds.
+struct Unbound;
+
+struct Compiler<'a> {
+    /// Variable → register; two variables equated while both were unbound
+    /// share one.
+    reg: Vec<usize>,
+    /// By register.
+    bound: Vec<bool>,
+    derived: &'a HashMap<Pred, usize>,
+    arranged: &'a mut Arrangements,
+}
+
+impl Compiler<'_> {
+    fn reg_of(&self, v: Var) -> usize {
+        self.reg[v.0 as usize]
+    }
+
+    /// The value of `t`, if it has one here.
+    fn source(&self, t: &Term) -> Option<Src> {
+        match t {
+            Term::Val(v) => Some(Src::Const(*v)),
+            Term::Var(v) => {
+                let r = self.reg_of(*v);
+                self.bound[r].then_some(Src::Reg(r))
+            }
+        }
+    }
+
+    fn sources(&self, ts: &[Term]) -> Option<Vec<Src>> {
+        ts.iter().map(|t| self.source(t)).collect()
+    }
+
+    /// Where a probe of `pred` with the currently bound columns of `args` as
+    /// its key ranges (the round's delta, if it is `driven`), the column
+    /// order of the tuples there, and the key.
+    fn arrange(&mut self, driven: bool, pred: Pred, args: &[Term]) -> (Rows, Vec<usize>, Vec<Src>) {
+        let (mut order, free): (Vec<usize>, Vec<usize>) =
+            (0..args.len()).partition(|&c| self.source(&args[c]).is_some());
+        let key: Vec<Src> = order
+            .iter()
+            .filter_map(|&c| self.source(&args[c]))
+            .collect();
+        order.extend(free);
+        // A round's delta is arranged by the round, not kept in the state.
+        if driven {
+            return (Rows::Delta, order, key);
+        }
+        let rel = self.derived.get(&pred).copied();
+        // Bound columns that lead the tuple are a prefix as it is.
+        if order.iter().copied().eq(0..args.len()) {
+            let own = rel.map_or(Rows::Base(pred), Rows::Derived);
+            return (own, order, key);
+        }
+        let wanted = Arrangement { pred, rel, order };
+        let at = self.arranged.iter().position(|a| *a == wanted);
+        let at = at.unwrap_or_else(|| {
+            self.arranged.push(wanted.clone());
+            self.arranged.len() - 1
+        });
+        (Rows::Arranged(at), wanted.order, key)
+    }
+
+    /// The [`Match`] of the columns `order[from..]` of a tuple against
+    /// `args`; the variables it binds are bound from here on.
+    fn rest(&mut self, args: &[Term], order: &[usize], from: usize) -> Match {
+        let mut m = Match::default();
+        for (col, &c) in order.iter().enumerate().skip(from) {
+            match (self.source(&args[c]), args[c]) {
+                (Some(src), _) => m.checks.push((col, src)),
+                (None, Term::Var(v)) => {
+                    let r = self.reg_of(v);
+                    self.bound[r] = true;
+                    m.binds.push((col, r));
+                }
+                (None, Term::Val(_)) => unreachable!("a constant has a value"),
+            }
+        }
+        m
+    }
+
+    /// The instruction for a builtin, if it needs one.
+    fn builtin(&mut self, op: Builtin, terms: &[Term]) -> Result<Option<Instr>, Unbound> {
+        let input = |c: &Compiler<'_>, t: &Term| c.source(t).map(Arg::In).ok_or(Unbound);
+        // The one argument that may be written, if any.
+        let out = match op {
+            Builtin::Eq => match (self.source(&terms[0]), self.source(&terms[1])) {
+                (None, None) => {
+                    // Neither side has a value yet: from here on they are
+                    // one variable.
+                    let (Term::Var(a), Term::Var(b)) = (terms[0], terms[1]) else {
+                        unreachable!("a constant has a value");
+                    };
+                    let (keep, merge) = (self.reg_of(a), self.reg_of(b));
+                    for r in self.reg.iter_mut().filter(|r| **r == merge) {
+                        *r = keep;
+                    }
+                    return Ok(None);
+                }
+                (None, Some(_)) => Some(0),
+                (Some(_), None) => Some(1),
+                (Some(_), Some(_)) => None,
+            },
+            Builtin::Add | Builtin::Sub | Builtin::Mul => {
+                self.source(&terms[2]).is_none().then_some(2)
+            }
+            Builtin::Ne | Builtin::Lt | Builtin::Le | Builtin::Gt | Builtin::Ge => None,
+        };
+        let mut args = Vec::with_capacity(terms.len());
+        for (i, t) in terms.iter().enumerate() {
+            args.push(match t {
+                Term::Var(v) if out == Some(i) => Arg::Out(self.reg_of(*v)),
+                t => input(self, t)?,
+            });
+        }
+        if let Some(Arg::Out(r)) = out.map(|i| args[i]) {
+            self.bound[r] = true;
+        }
+        Ok(Some(Instr::Builtin { op, args }))
+    }
+}
+
+impl Plan {
+    /// Every register an instruction reads was bound by the load or by an
+    /// earlier instruction, and a probe checks a column only against a
+    /// variable its own `binds` introduced: every column whose value was
+    /// known beforehand is in the key.
+    pub(crate) fn reads_only_bound_registers(&self) -> bool {
+        let mut bound: Vec<usize> = self.load.binds.iter().map(|b| b.1).collect();
+        let known = |bound: &[usize], s: &Src| match s {
+            Src::Reg(r) => bound.contains(r),
+            Src::Const(_) => true,
+        };
+        let mut ok = self.load.checks.iter().all(|(_, s)| known(&bound, s));
+        for instr in &self.code {
+            match instr {
+                Instr::Probe { key, rest, .. } => {
+                    ok &= key.iter().all(|s| known(&bound, s));
+                    let fresh: Vec<usize> = rest.binds.iter().map(|b| b.1).collect();
+                    ok &= fresh.iter().all(|r| !bound.contains(r));
+                    ok &= rest
+                        .checks
+                        .iter()
+                        .all(|(_, s)| matches!(s, Src::Reg(r) if fresh.contains(r)));
+                    bound.extend(fresh);
+                }
+                Instr::Absent { args, .. } => ok &= args.iter().all(|s| known(&bound, s)),
+                Instr::Emit { head } => ok &= head.iter().all(|s| known(&bound, s)),
+                Instr::Builtin { args, .. } => {
+                    for a in args {
+                        match a {
+                            Arg::In(s) => ok &= known(&bound, s),
+                            Arg::Out(r) => bound.push(*r),
+                        }
+                    }
+                }
+            }
+        }
+        ok
+    }
+}
+
+/// One version of the data: derived relations and arrangements from a
+/// materialized state, base relations from a database.
+#[derive(Clone, Copy)]
+pub(crate) struct Views<'a> {
+    pub(crate) db: &'a Database,
+    pub(crate) state: &'a MatState,
+    /// What `state.arranged` holds, slot by slot.
+    pub(crate) arrangements: &'a [Arrangement],
+}
+
+impl<'a> Views<'a> {
+    /// Arrangement `a` of this version: built from its relation the first
+    /// time it is probed, kept current from then on by whoever changes the
+    /// relation (see [`MatState`]).
+    fn arranged(&self, a: usize) -> &'a OrdMap<Tuple, ()> {
+        self.state.arranged[a].get_or_init(|| {
+            let Arrangement { pred, rel, order } = &self.arrangements[a];
+            let mut members = Vec::new();
+            let mut add = |t: &Tuple| members.push(permute(t, order));
+            match rel {
+                Some(i) => self.state.rels[*i].for_each(|t, count| {
+                    if count > 0 {
+                        add(t);
+                    }
+                }),
+                None => self
+                    .db
+                    .relation(*pred)
+                    .into_iter()
+                    .for_each(|r| r.for_each(&mut add)),
+            }
+            sorted_set(members)
+        })
+    }
+}
+
+/// The set of `tuples`, which are distinct.
+pub(crate) fn sorted_set(mut tuples: Vec<Tuple>) -> OrdMap<Tuple, ()> {
+    tuples.sort_unstable();
+    OrdMap::from_sorted(tuples.into_iter().map(|t| (t, ())))
+}
+
+/// The three kinds of sorted tuple set a probe ranges over.
+#[derive(Clone, Copy)]
+pub(crate) enum Sorted<'a> {
+    Base(&'a Relation),
+    Counted(&'a CountedRelation),
+    Arranged(&'a OrdMap<Tuple, ()>),
+}
+
+impl Sorted<'_> {
+    fn for_each_with_prefix<I: Iterator<Item = Value>>(
+        self,
+        prefix: impl Fn() -> I,
+        mut f: impl FnMut(&Tuple),
+    ) {
+        match self {
+            Sorted::Base(r) => r.for_each_with_prefix(prefix, f),
+            Sorted::Counted(r) => r.for_each_with_prefix(prefix, f),
+            Sorted::Arranged(m) => for_each_with_prefix(m, prefix, |t, ()| f(t)),
+        }
+    }
+}
+
+/// What a plan runs against.
+#[derive(Clone, Copy)]
+pub(crate) struct Data<'a> {
+    pub(crate) new: Views<'a>,
+    pub(crate) old: Views<'a>,
+    pub(crate) delta: Option<Sorted<'a>>,
+}
+
+impl<'a> Data<'a> {
+    /// Both sides of the join read one version.
+    pub(crate) fn at(v: Views<'a>) -> Data<'a> {
+        Data {
+            new: v,
+            old: v,
+            delta: None,
+        }
+    }
+
+    fn views(&self, side: Side) -> Views<'a> {
+        match side {
+            Side::New => self.new,
+            Side::Old => self.old,
+        }
+    }
+
+    fn sorted(&self, side: Side, rows: Rows) -> Option<Sorted<'a>> {
+        let v = self.views(side);
+        match rows {
+            Rows::Base(p) => v.db.relation(p).map(Sorted::Base),
+            Rows::Derived(i) => Some(Sorted::Counted(&v.state.rels[i])),
+            Rows::Arranged(a) => Some(Sorted::Arranged(v.arranged(a))),
+            Rows::Delta => self.delta,
+        }
+    }
+}
+
+/// A derivation, as [`Instr::Emit`] hands it over: the head is built only
+/// if the caller asks for it.
+pub(crate) struct Row<'a> {
+    head: &'a [Src],
+    regs: &'a Regs,
+}
+
+impl Row<'_> {
+    pub(crate) fn tuple(&self) -> Tuple {
+        values(self.head, self.regs).collect()
+    }
+}
+
+impl Plan {
+    /// Every derivation of the rule entered with `tuple` (an event or a
+    /// head; see [`Entry`]).
+    pub(crate) fn run_with(
+        &self,
+        tuple: &Tuple,
+        regs: &Regs,
+        data: &Data<'_>,
+        emit: &mut dyn FnMut(Row<'_>),
+    ) {
+        if self.load.load(tuple.values(), regs) {
+            self.run(regs, data, emit);
+        }
+    }
+
+    /// Every derivation of the rule over `data`.
+    pub(crate) fn run(&self, regs: &Regs, data: &Data<'_>, emit: &mut dyn FnMut(Row<'_>)) {
+        exec(&self.code, regs, data, emit);
+    }
+}
+
+fn values<'a>(srcs: &'a [Src], regs: &'a Regs) -> impl Iterator<Item = Value> + 'a {
+    srcs.iter().map(|s| s.get(regs))
+}
+
+/// The one join: run `code` from its first instruction, once per row the
+/// instructions before it let through.
+fn exec(code: &[Instr], regs: &Regs, data: &Data<'_>, emit: &mut dyn FnMut(Row<'_>)) {
+    let Some((instr, then)) = code.split_first() else {
+        return;
+    };
+    match instr {
+        Instr::Probe {
+            side,
+            rows,
+            key,
+            rest,
+        } => {
+            let Some(sorted) = data.sorted(*side, *rows) else {
+                return;
+            };
+            sorted.for_each_with_prefix(
+                || values(key, regs),
+                |t| {
+                    if rest.load(t.values(), regs) {
+                        exec(then, regs, data, emit);
+                    }
+                },
+            );
+        }
+        Instr::Absent { side, pred, args } => {
+            let mut present = false;
+            if let Some(r) = data.views(*side).db.relation(*pred) {
+                r.for_each_with_prefix(|| values(args, regs), |_| present = true);
+            }
+            if !present {
+                exec(then, regs, data, emit);
+            }
+        }
+        Instr::Builtin { op, args } => {
+            let mut terms = [Term::Val(Value::Int(0)); 3];
+            for (t, a) in terms.iter_mut().zip(args) {
+                *t = match a {
+                    Arg::In(s) => Term::Val(s.get(regs)),
+                    Arg::Out(r) => Term::Var(Var(*r as u32)),
+                };
+            }
+            match eval_ground_builtin(*op, &terms[..args.len()]) {
+                Ok(BuiltinOut::Succeeds) => exec(then, regs, data, emit),
+                Ok(BuiltinOut::Binds(Var(r), Term::Val(v))) => {
+                    regs[r as usize].set(v);
+                    exec(then, regs, data, emit);
+                }
+                Ok(BuiltinOut::Fails | BuiltinOut::Binds(..)) | Err(_) => {}
+            }
+        }
+        Instr::Emit { head } => emit(Row { head, regs }),
+    }
+}

@@ -102,8 +102,7 @@ pub(crate) fn update(
 
 /// Evaluate a builtin on the machine's shared trail. `Ok(true)` = succeeds
 /// (possibly binding), `Ok(false)` = fails, `Err` = fatal
-/// (instantiation/type/overflow). Also serves the Datalog circuit's join,
-/// which shares the interpreter's builtin semantics.
+/// (instantiation/type/overflow).
 pub(crate) fn eval_builtin(
     bindings: &mut Bindings,
     op: Builtin,
@@ -172,7 +171,9 @@ pub(crate) enum BuiltinOut {
 
 /// Builtins over (mostly) ground configurations: comparisons demand ground
 /// integers; `=` may bind one free variable; arithmetic may bind its
-/// output.
+/// output. Also the `builtin` instruction of the Datalog circuit's join
+/// plans (`incremental::plan`), which read the arguments from registers and
+/// treat every `Err` as a silent no-match.
 pub(crate) fn eval_ground_builtin(op: Builtin, terms: &[Term]) -> Result<BuiltinOut, EngineError> {
     let ground_int = |t: Term| -> Result<i64, EngineError> {
         match t {

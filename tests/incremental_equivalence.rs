@@ -231,6 +231,25 @@ fn churn_sequence_threads_identical_state() {
     let m = mat_engine.materializer().expect("fixture must compile");
     assert!(m.probes() > 0);
     assert!(m.maintained_ops() > 0);
+    // The exact work of this fixed sequence: the counts tdbench's
+    // `engine.mat_*` metrics are computed from, and the evidence that a
+    // change to the evaluator still does the same joins. (The last goal's
+    // `del.blocked(5)` lands on the content of the first goal's result,
+    // whose views are resident, so it is not maintained again.)
+    let counted: Vec<(&str, u64)> = m
+        .counters()
+        .into_iter()
+        .filter(|(k, _)| ["probes", "rebuilds", "maintained_ops", "delta_tuples"].contains(k))
+        .collect();
+    assert_eq!(
+        counted,
+        [
+            ("probes", 3),
+            ("rebuilds", 1),
+            ("maintained_ops", 3),
+            ("delta_tuples", 24)
+        ]
+    );
 }
 
 /// Every corpus goal: the materialized sequential engine and the
