@@ -255,10 +255,6 @@ pub fn program_constants(p: &Program) -> BTreeSet<crate::term::Value> {
     out
 }
 
-/// Placeholder kept for API compatibility of the original scaffold.
-#[doc(hidden)]
-pub fn placeholder() {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

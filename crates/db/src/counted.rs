@@ -20,19 +20,6 @@ use crate::relation;
 use crate::tuple::Tuple;
 use td_core::Value;
 
-/// How a count update moved a tuple across the membership boundary.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Transition {
-    /// Count went from non-positive to positive: the tuple is now in the
-    /// relation.
-    Appeared,
-    /// Count went from positive to non-positive: the tuple left the
-    /// relation.
-    Disappeared,
-    /// Membership did not change (the count may still have moved).
-    Unchanged,
-}
-
 /// A persistent map tuple → count with structural sharing between versions.
 /// A tuple is a member while its count is positive; entries reaching count
 /// zero are removed.
@@ -53,7 +40,7 @@ impl CountedRelation {
     }
 
     /// The relation holding `run`: tuples strictly increasing, counts
-    /// non-zero. O(n), where n `add`s cost O(n log n).
+    /// non-zero. O(n).
     pub fn from_sorted(
         arity: usize,
         run: impl IntoIterator<Item = (Tuple, i64)>,
@@ -93,33 +80,8 @@ impl CountedRelation {
         self.count(t) > 0
     }
 
-    /// Add `delta` to the tuple's count; returns the new relation and the
-    /// membership transition. An entry reaching count 0 is removed.
-    pub fn add(&self, t: &Tuple, delta: i64) -> (CountedRelation, Transition) {
-        debug_assert_eq!(t.arity(), self.arity);
-        let (mut old, mut new) = (0, 0);
-        let counts = self.counts.alter(t, |c| {
-            old = c.copied().unwrap_or(0);
-            new = old + delta;
-            (new != 0).then_some(new)
-        });
-        let transition = match (old > 0, new > 0) {
-            (false, true) => Transition::Appeared,
-            (true, false) => Transition::Disappeared,
-            _ => Transition::Unchanged,
-        };
-        (
-            CountedRelation {
-                arity: self.arity,
-                counts,
-            },
-            transition,
-        )
-    }
-
     /// Add every count of `delta` to this relation's, in one pass over both
-    /// ([`OrdMap::merge_with`]): the bulk form of [`CountedRelation::add`],
-    /// which reports no transitions. Entries reaching count 0 are removed.
+    /// ([`OrdMap::merge_with`]). Entries reaching count 0 are removed.
     pub fn merge(&self, delta: &CountedRelation) -> CountedRelation {
         debug_assert_eq!(delta.arity, self.arity);
         let counts = self.counts.merge_with(&delta.counts, |mine, d| {
@@ -177,26 +139,27 @@ mod tests {
     use super::*;
     use crate::tuple;
 
+    /// `r` with `n` added to the count of `t`.
+    fn add(r: &CountedRelation, t: Tuple, n: i64) -> CountedRelation {
+        r.merge(&CountedRelation::from_sorted(r.arity(), [(t, n)]))
+    }
+
     #[test]
     fn counts_accumulate_and_cross_the_boundary() {
-        let r = CountedRelation::new(1);
-        let (r, tr) = r.add(&tuple!(1), 1);
-        assert_eq!(tr, Transition::Appeared);
-        let (r, tr) = r.add(&tuple!(1), 2);
-        assert_eq!(tr, Transition::Unchanged);
+        let r = add(&CountedRelation::new(1), tuple!(1), 1);
+        assert!(r.contains(&tuple!(1)));
+        let r = add(&r, tuple!(1), 2);
         assert_eq!(r.count(&tuple!(1)), 3);
         assert!(r.contains(&tuple!(1)));
-        let (r, tr) = r.add(&tuple!(1), -3);
-        assert_eq!(tr, Transition::Disappeared);
+        let r = add(&r, tuple!(1), -3);
         assert!(!r.contains(&tuple!(1)));
         assert!(r.is_empty());
     }
 
     #[test]
     fn zero_delta_is_identity() {
-        let r = CountedRelation::new(1).add(&tuple!(1), 2).0;
-        let (r2, tr) = r.add(&tuple!(1), 0);
-        assert_eq!(tr, Transition::Unchanged);
+        let r = add(&CountedRelation::new(1), tuple!(1), 2);
+        let r2 = r.merge(&CountedRelation::new(1));
         assert_eq!(r2.count(&tuple!(1)), 2);
         assert_eq!(r2.len(), 1);
     }
@@ -205,12 +168,11 @@ mod tests {
     fn negative_counts_are_not_members() {
         // Transient over-deletion (DRed's overestimate phase) may drive a
         // count negative; the tuple must read as absent until re-derived.
-        let r = CountedRelation::new(1).add(&tuple!(7), -2).0;
+        let r = add(&CountedRelation::new(1), tuple!(7), -2);
         assert_eq!(r.count(&tuple!(7)), -2);
         assert!(!r.contains(&tuple!(7)));
         assert_eq!(r.len(), 1, "entry retained until it nets to zero");
-        let (r, tr) = r.add(&tuple!(7), 3);
-        assert_eq!(tr, Transition::Appeared);
+        let r = add(&r, tuple!(7), 3);
         assert_eq!(r.count(&tuple!(7)), 1);
         assert_eq!(r.to_vec(), vec![tuple!(7)]);
     }
@@ -219,10 +181,10 @@ mod tests {
     fn select_matches_relation_regimes() {
         let mut r = CountedRelation::new(2);
         for (s, i) in [("w1", 1i64), ("w1", 2), ("w2", 1)] {
-            r = r.add(&tuple!(s, i), 1).0;
+            r = add(&r, tuple!(s, i), 1);
         }
         // A suppressed (zero-crossing-avoided) negative entry must not show.
-        r = r.add(&tuple!("w3", 9), -1).0;
+        r = add(&r, tuple!("w3", 9), -1);
         assert_eq!(r.select(&[None, None]).len(), 3);
         let w1 = r.select(&[Some(Value::sym("w1")), None]);
         assert_eq!(w1, vec![tuple!("w1", 1), tuple!("w1", 2)]);

@@ -10,7 +10,7 @@ use crate::relation::Relation;
 use crate::tuple::Tuple;
 use std::collections::BTreeMap;
 use std::fmt;
-use td_core::{Atom, Pred, Value};
+use td_core::{Atom, Pred};
 
 /// Errors raised by database operations.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -236,19 +236,6 @@ impl Database {
         })
     }
 
-    /// The active domain: every value occurring in some stored tuple.
-    pub fn active_domain(&self) -> std::collections::BTreeSet<Value> {
-        let mut out = std::collections::BTreeSet::new();
-        for r in self.rels.values() {
-            r.for_each(|t| {
-                for v in t.values() {
-                    out.insert(*v);
-                }
-            });
-        }
-        out
-    }
-
     /// Content equality ignoring which empty relations are declared.
     ///
     /// Compares digests first: the digest is history-independent, so equal
@@ -391,16 +378,6 @@ mod tests {
         let (b, _) = Database::new().insert(p("q", 1), &tuple!(2)).unwrap();
         assert_ne!(a.digest(), b.digest());
         assert!(!a.same_content(&b));
-    }
-
-    #[test]
-    fn active_domain_collects_values() {
-        let (db, _) = Database::new().insert(p("e", 2), &tuple!("a", 1)).unwrap();
-        let (db, _) = db.insert(p("e", 2), &tuple!("b", 1)).unwrap();
-        let dom = db.active_domain();
-        assert_eq!(dom.len(), 3);
-        assert!(dom.contains(&Value::sym("a")));
-        assert!(dom.contains(&Value::Int(1)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! execution performs — the paper emphasizes "monitoring, tracking and
 //! querying the status of workflow activities" (§3, citing \[36, 42, 26\]).
 //! A [`Delta`] is that record: an ordered log of applied `ins`/`del`
-//! operations that can be replayed onto a database or inverted.
+//! operations that can be replayed onto a database.
 
 use crate::database::{Database, DbError};
 use crate::tuple::Tuple;
@@ -21,14 +21,6 @@ pub enum DeltaOp {
 }
 
 impl DeltaOp {
-    /// The inverse operation.
-    pub fn inverse(&self) -> DeltaOp {
-        match self {
-            DeltaOp::Ins(p, t) => DeltaOp::Del(*p, t.clone()),
-            DeltaOp::Del(p, t) => DeltaOp::Ins(*p, t.clone()),
-        }
-    }
-
     /// Apply to a database.
     pub fn apply(&self, db: &Database) -> Result<Database, DbError> {
         match self {
@@ -87,38 +79,13 @@ impl Delta {
         }
         Ok(cur)
     }
+}
 
-    /// Undo the log from `db`, newest first. If `db` was produced by
-    /// replaying this delta onto some `d0`, this returns a database with the
-    /// content of `d0` (provided every op recorded an actual change).
-    pub fn undo(&self, db: &Database) -> Result<Database, DbError> {
-        let mut cur = db.clone();
-        for op in self.ops.iter().rev() {
-            cur = op.inverse().apply(&cur)?;
+impl FromIterator<DeltaOp> for Delta {
+    fn from_iter<I: IntoIterator<Item = DeltaOp>>(ops: I) -> Delta {
+        Delta {
+            ops: ops.into_iter().collect(),
         }
-        Ok(cur)
-    }
-
-    /// The write set: every predicate this delta touches, deduplicated and
-    /// sorted. This is the per-relation summary commit validation and
-    /// conflict attribution work from.
-    pub fn write_set(&self) -> std::collections::BTreeSet<Pred> {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                DeltaOp::Ins(p, _) | DeltaOp::Del(p, _) => *p,
-            })
-            .collect()
-    }
-
-    /// Counts of insertions and deletions.
-    pub fn counts(&self) -> (usize, usize) {
-        let ins = self
-            .ops
-            .iter()
-            .filter(|o| matches!(o, DeltaOp::Ins(..)))
-            .count();
-        (ins, self.ops.len() - ins)
     }
 }
 
@@ -145,44 +112,17 @@ mod tests {
     }
 
     #[test]
-    fn replay_and_undo_round_trip() {
-        let d0 = Database::new();
-        let mut delta = Delta::new();
-        delta.push(DeltaOp::Ins(p("a", 1), tuple!(1)));
-        delta.push(DeltaOp::Ins(p("a", 1), tuple!(2)));
-        delta.push(DeltaOp::Del(p("a", 1), tuple!(1)));
-        let d1 = delta.replay(&d0).unwrap();
+    fn replay_applies_the_ops_oldest_first() {
+        let ops = [
+            DeltaOp::Ins(p("a", 1), tuple!(1)),
+            DeltaOp::Ins(p("a", 1), tuple!(2)),
+            DeltaOp::Del(p("a", 1), tuple!(1)),
+        ];
+        let delta: Delta = ops.iter().cloned().collect();
+        assert_eq!(delta.ops(), ops);
+        let d1 = delta.replay(&Database::new()).unwrap();
         assert!(d1.contains(p("a", 1), &tuple!(2)));
         assert!(!d1.contains(p("a", 1), &tuple!(1)));
-        let back = delta.undo(&d1).unwrap();
-        assert!(back.same_content(&d0));
-    }
-
-    #[test]
-    fn inverse_of_inverse_is_identity() {
-        let op = DeltaOp::Ins(p("x", 1), tuple!("v"));
-        assert_eq!(op.inverse().inverse(), op);
-    }
-
-    #[test]
-    fn counts_split_ins_del() {
-        let mut d = Delta::new();
-        d.push(DeltaOp::Ins(p("a", 0), Tuple::unit()));
-        d.push(DeltaOp::Del(p("a", 0), Tuple::unit()));
-        d.push(DeltaOp::Ins(p("a", 0), Tuple::unit()));
-        assert_eq!(d.counts(), (2, 1));
-        assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn write_set_dedups_touched_preds() {
-        let mut d = Delta::new();
-        d.push(DeltaOp::Ins(p("a", 1), tuple!(1)));
-        d.push(DeltaOp::Del(p("a", 1), tuple!(2)));
-        d.push(DeltaOp::Ins(p("b", 1), tuple!(3)));
-        let ws: Vec<_> = d.write_set().into_iter().collect();
-        assert_eq!(ws, vec![p("a", 1), p("b", 1)]);
-        assert!(Delta::new().write_set().is_empty());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod read_set;
 pub mod relation;
 pub mod tuple;
 
-pub use counted::{CountedRelation, Transition};
+pub use counted::CountedRelation;
 pub use database::{Database, DbError};
 pub use delta::{Delta, DeltaOp};
 pub use read_set::ReadSet;

@@ -61,12 +61,6 @@ impl ReadSet {
         }
     }
 
-    /// Collapse to the conservative top element.
-    pub fn record_all(&mut self) {
-        self.all = true;
-        self.preds.clear();
-    }
-
     /// Merge another read set into this one (set union; `whole_db`
     /// absorbs everything).
     pub fn merge(&mut self, other: &ReadSet) {
@@ -74,7 +68,7 @@ impl ReadSet {
             return;
         }
         if other.all {
-            self.record_all();
+            *self = ReadSet::whole_db();
             return;
         }
         self.preds.extend(other.preds.iter().copied());
@@ -105,15 +99,6 @@ impl ReadSet {
     /// Was `pred` read? (Always true for the whole-db marker.)
     pub fn contains(&self, pred: Pred) -> bool {
         self.all || self.preds.contains(&pred)
-    }
-
-    /// Does this read set intersect a write set (any iterator of written
-    /// predicates)? The whole-db marker intersects everything non-empty.
-    pub fn intersects(&self, mut writes: impl Iterator<Item = Pred>) -> bool {
-        if self.all {
-            return writes.next().is_some();
-        }
-        writes.any(|p| self.preds.contains(&p))
     }
 }
 
@@ -155,7 +140,7 @@ mod tests {
     fn whole_db_absorbs() {
         let mut rs = ReadSet::new();
         rs.record(p("a"));
-        rs.record_all();
+        rs.merge(&ReadSet::whole_db());
         assert!(rs.is_whole_db());
         assert_eq!(rs.len(), 0);
         assert!(rs.contains(p("zzz")));
@@ -173,17 +158,5 @@ mod tests {
         a.merge(&b);
         assert!(a.contains(p("x")) && a.contains(p("y")));
         assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn intersects_write_sets() {
-        let mut rs = ReadSet::new();
-        rs.record(p("x"));
-        assert!(rs.intersects([p("x"), p("z")].into_iter()));
-        assert!(!rs.intersects([p("z")].into_iter()));
-        assert!(!rs.intersects(std::iter::empty()));
-        let all = ReadSet::whole_db();
-        assert!(all.intersects([p("q")].into_iter()));
-        assert!(!all.intersects(std::iter::empty()));
     }
 }

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use td_core::{Pred, Value};
 use td_db::ord::OrdMap;
-use td_db::{CountedRelation, Database, Relation, Transition, Tuple};
+use td_db::{CountedRelation, Database, Relation, Tuple};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -202,7 +202,7 @@ proptest! {
     }
 
     #[test]
-    fn delta_undo_inverts_any_committed_run(ops in proptest::collection::vec(arb_op(), 0..60)) {
+    fn delta_replay_reproduces_any_committed_run(ops in proptest::collection::vec(arb_op(), 0..60)) {
         use td_db::{Delta, DeltaOp};
         let d0 = Database::new();
         let mut db = d0.clone();
@@ -228,8 +228,6 @@ proptest! {
                 Op::Snapshot => {}
             }
         }
-        let back = delta.undo(&db).unwrap();
-        prop_assert!(back.same_content(&d0));
         let forward = delta.replay(&d0).unwrap();
         prop_assert!(forward.same_content(&db));
     }
@@ -275,7 +273,7 @@ proptest! {
     }
 
     /// `CountedRelation` against a `BTreeMap<Tuple, i64>` under random
-    /// `add(±k)`: counts, membership transitions, `select`, `len`, and
+    /// one-entry `merge`s of ±k: counts, membership, `select`, `len`, and
     /// snapshots that never observe later edits.
     #[test]
     fn counted_relation_behaves_like_model(
@@ -299,16 +297,11 @@ proptest! {
             } else {
                 model.insert(t.clone(), new);
             }
-            let expected = match (old > 0, new > 0) {
-                (false, true) => Transition::Appeared,
-                (true, false) => Transition::Disappeared,
-                _ => Transition::Unchanged,
-            };
-            let (next, transition) = rel.add(&t, delta);
-            prop_assert_eq!(transition, expected);
-            prop_assert_eq!(next.count(&t), new);
-            prop_assert_eq!(next.contains(&t), new > 0);
-            rel = next;
+            if delta != 0 {
+                rel = rel.merge(&CountedRelation::from_sorted(2, [(t.clone(), delta)]));
+            }
+            prop_assert_eq!(rel.count(&t), new);
+            prop_assert_eq!(rel.contains(&t), new > 0);
         }
         assert_counts_match_model(&rel, &model, &probe);
         for (snap, snap_model) in &snapshots {

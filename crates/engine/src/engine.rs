@@ -304,14 +304,10 @@ impl Engine {
             let answer = (0..nvars)
                 .map(|i| ctx.bindings.resolve(Term::var(i)))
                 .collect();
-            let mut delta = Delta::new();
-            for op in &ctx.delta {
-                delta.push(op.clone());
-            }
             out.push(Solution {
                 db: solver.db.clone(),
                 answer,
-                delta,
+                delta: ctx.delta.iter().cloned().collect(),
                 reads: ctx.reads.clone(),
                 stats: ctx.stats,
                 trace: crate::trace::Trace {

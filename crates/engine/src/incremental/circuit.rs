@@ -52,7 +52,6 @@ pub(crate) struct Driven {
 /// One component of the circuit: a strongly-connected set of derived
 /// predicates plus every rule defining them, evaluated together.
 pub(crate) struct Scc {
-    pub(crate) preds: Vec<Pred>,
     /// Mutual or self recursion: set semantics (every member carries count
     /// 1, maintained by DRed) instead of exact counting, which is unsound
     /// through cycles.
@@ -194,7 +193,6 @@ impl Circuit {
                     })
                     .collect();
                 Scc {
-                    preds: comp.iter().map(|&i| preds[i]).collect(),
                     recursive,
                     rules,
                     deps,
@@ -289,7 +287,7 @@ impl Circuit {
     }
 
     /// The semi-naive loop: fold the candidate head tuples into the
-    /// component's relations — sorted and run-length-counted first, so a
+    /// component's relations — sorted and counted ([`net`]) first, so a
     /// round is one bulk merge per relation — re-join every rule through
     /// the tuples that were new, and repeat until a round adds nothing.
     /// `on_new` sees every tuple a recursive component gains.
@@ -314,7 +312,7 @@ impl Circuit {
             stats.derivations += cand.len() as u64;
             cand.sort_unstable();
             let mut round: Vec<(usize, Folded)> = Vec::new();
-            for (rel, entries) in run_lengths(cand.drain(..)) {
+            for (rel, entries) in net(cand.drain(..).map(|c| (c, 1))) {
                 // Through recursion a count means nothing: members carry 1.
                 let folded = if scc.recursive {
                     self.fold(state, rel, entries, |was, _| i64::from(was == 0))
@@ -363,19 +361,19 @@ impl Circuit {
     }
 }
 
-/// Sorted `(relation, tuple)` candidates as, per relation, each distinct
-/// tuple with the number of times it occurs.
-pub(crate) fn run_lengths(
-    sorted: impl Iterator<Item = (usize, Tuple)>,
+/// Sorted `(relation, tuple)` entries, each with a signed multiplicity, as,
+/// per relation, each distinct tuple with its multiplicities summed.
+pub(crate) fn net(
+    sorted: impl Iterator<Item = ((usize, Tuple), i64)>,
 ) -> Vec<(usize, Vec<(Tuple, i64)>)> {
     let mut out: Vec<(usize, Vec<(Tuple, i64)>)> = Vec::new();
-    for (rel, t) in sorted {
+    for ((rel, t), n) in sorted {
         match out.last_mut() {
             Some((r, entries)) if *r == rel => match entries.last_mut() {
-                Some((last, n)) if *last == t => *n += 1,
-                _ => entries.push((t, 1)),
+                Some((last, sum)) if *last == t => *sum += n,
+                _ => entries.push((t, n)),
             },
-            _ => out.push((rel, vec![(t, 1)])),
+            _ => out.push((rel, vec![(t, n)])),
         }
     }
     out

@@ -13,20 +13,20 @@
 //! O(|Δ|) maintenance":
 //!
 //! * [`Materializer::compile`] selects the derived predicates whose rules
-//!   flatten to Datalog (`datalog::flatten_rule`) and are delta-safe, and
-//!   compiles them into a circuit.
+//!   flatten to Datalog (`datalog::flatten_rule`) and compile to a live
+//!   body-order plan, and compiles them into a circuit.
 //! * For each database version (keyed by its O(1) content digest), a
 //!   *materialized state* holds for every such predicate a
 //!   `CountedRelation` — tuple → number of supporting rule instantiations —
 //!   and the arrangements the plans probe. A version's first probe builds
 //!   it with the from-scratch run.
 //! * [`Materializer::apply_ops`] pushes a committed base delta through the
-//!   circuit: each membership event enters the plans compiled for its body
-//!   position (prefix-new/suffix-old, every bound column a range probe),
-//!   the counts move, and only 0 ↔ positive transitions cascade to
-//!   downstream components. Non-recursive components use exact counting;
-//!   recursive components use delete-rederive (DRed) over set semantics,
-//!   where counting is unsound.
+//!   circuit in one pass: the delta's net membership events enter the plans
+//!   compiled for their body positions (prefix-new/suffix-old, every bound
+//!   column a range probe), the counts move, and only 0 ↔ positive
+//!   transitions cascade to downstream components. Non-recursive
+//!   components use exact counting; recursive components use
+//!   delete-rederive (DRed) over set semantics, where counting is unsound.
 //! * [`Materializer::holds`] answers a ground derived-predicate call with
 //!   an indexed probe of the materialized relation — the kernel substitutes
 //!   it for rule unfolding when `EngineConfig::materialize` is on.
@@ -45,12 +45,12 @@ mod plan;
 
 use crate::datalog::{flatten_rule, FlatRule, Lit};
 use circuit::{Circuit, MatState, Scc};
-use plan::{permute, Data, Regs, Row, Views};
-use std::collections::{HashMap, HashSet, VecDeque};
+use plan::{permute, Arrangement, Data, Regs, Row, Views};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use td_core::goal::Builtin;
-use td_core::{Atom, Pred, Program, Term};
+use td_core::{Atom, Pred, Program};
+use td_db::ord::OrdMap;
 use td_db::{Database, DeltaOp, Tuple};
 
 /// Why a program has no materializable fragment.
@@ -110,12 +110,11 @@ impl std::fmt::Debug for Materializer {
 
 impl Materializer {
     /// Compile the materializable fragment of `program`: the greatest set
-    /// of derived predicates whose rules all flatten to Datalog, depend
-    /// (positively) only on base predicates and each other, negate only
-    /// base predicates, and are *delta-safe* (every variable a negation or
-    /// a demanding builtin reads is bound by an earlier positive atom, so
-    /// delta-joins that pre-bind a later position agree with left-to-right
-    /// evaluation). Errs when the set is empty.
+    /// of derived predicates whose rules all flatten to Datalog, compile to
+    /// a live body-order plan (`plan::derives` — a view answers only what
+    /// the rule, evaluated left to right, derives), depend (positively)
+    /// only on base predicates and each other, and negate only base
+    /// predicates. Errs when the set is empty.
     pub fn compile(program: &Program) -> Result<Materializer, NotMaterializable> {
         let base: HashSet<Pred> = program.base_preds().collect();
         if program.derived_preds().next().is_none() {
@@ -130,7 +129,7 @@ impl Materializer {
                 .iter()
                 .map(|rid| flatten_rule(program.rule(*rid)))
                 .collect();
-            if let Some(rs) = rules.ok().filter(|rs| rs.iter().all(delta_safe)) {
+            if let Some(rs) = rules.ok().filter(|rs| rs.iter().all(plan::derives)) {
                 flat.insert(p, rs);
             }
         }
@@ -243,56 +242,48 @@ impl Materializer {
         st
     }
 
-    /// Maintain the state across a committed delta: `ops` is the exact op
-    /// sequence taking `pre` to `post` (no-op entries included). O(1) when
-    /// `pre`'s state is not resident (maintenance is lazy until a probe
-    /// seeds a version) or `post`'s already is. Rollback needs no inverse
-    /// pass: earlier digests keep their states.
+    /// Maintain the state across a committed delta: `ops` is an op sequence
+    /// taking `pre` to `post` (no-op entries included), read only for the
+    /// `(predicate, tuple)` pairs it touches. Whether a pair is a membership
+    /// event is decided by `pre` and `post` alone — an `ins` then `del` of
+    /// one tuple is none — and the events go through the circuit together,
+    /// in one pass. O(1) when `pre`'s state is not resident (maintenance is
+    /// lazy until a probe seeds a version) or `post`'s already is. Rollback
+    /// needs no inverse pass: earlier digests keep their states.
     pub fn apply_ops(&self, pre: &Database, ops: &[DeltaOp], post: &Database) {
         if ops.is_empty() || pre.digest() == post.digest() {
             return;
         }
-        let (pre_state, have_post) = {
+        let pre_state = {
             let s = self.store.lock().expect("mat store poisoned");
-            (
-                s.map.get(&pre.digest()).cloned(),
-                s.map.contains_key(&post.digest()),
-            )
-        };
-        let Some(pre_state) = pre_state else { return };
-        if have_post {
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        let Some(between) = versions_between(pre, ops) else {
-            return;
-        };
-        debug_assert_eq!(
-            (ops.last())
-                .and_then(|op| op.apply(between.last().unwrap_or(pre)).ok())
-                .map(|db| db.digest()),
-            Some(post.digest()),
-            "ops do not take pre to post"
-        );
-        let versions = || std::iter::once(pre).chain(&between).chain([post]);
-        let mut state = pre_state;
-        for (op, (cur, next)) in ops.iter().zip(versions().zip(versions().skip(1))) {
-            let (DeltaOp::Ins(pred, tuple) | DeltaOp::Del(pred, tuple)) = op;
-            if !self.relevant_base.contains(pred) {
-                continue;
+            match s.map.get(&pre.digest()) {
+                Some(state) if !s.map.contains_key(&post.digest()) => state.clone(),
+                _ => return,
             }
-            let sign = match (cur.contains(*pred, tuple), next.contains(*pred, tuple)) {
-                (false, true) => 1,
-                (true, false) => -1,
-                _ => continue,
-            };
-            state = Arc::new(self.propagate(cur, next, *pred, tuple, sign, &state));
+        };
+        let t0 = std::time::Instant::now();
+        // The pairs the ops touch, each once, in the relations the rules read.
+        let touched: BTreeSet<(Pred, &Tuple)> = (ops.iter())
+            .map(|(DeltaOp::Ins(pred, tuple) | DeltaOp::Del(pred, tuple))| (*pred, tuple))
+            .filter(|(pred, _)| self.relevant_base.contains(pred))
+            .collect();
+        let mut events: Events = HashMap::new();
+        for (pred, tuple) in touched {
+            let sign = i64::from(post.contains(pred, tuple)) - i64::from(pre.contains(pred, tuple));
+            if sign != 0 {
+                events.entry(pred).or_default().push((tuple.clone(), sign));
+            }
         }
+        // Untouched, this is `pre`'s state, stored again by reference.
+        let state = if events.is_empty() {
+            pre_state
+        } else {
+            Arc::new(self.propagate(pre, post, events, &pre_state))
+        };
         self.maintained_ops
             .fetch_add(ops.len() as u64, Ordering::Relaxed);
         self.maintain_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // Untouched, this is `pre`'s state, stored again by reference.
         self.store_state(post.digest(), state);
     }
 
@@ -315,30 +306,34 @@ impl Materializer {
     // Incremental maintenance
     // ------------------------------------------------------------------
 
-    /// Push one base-relation membership change through the circuit in
-    /// topological order, cascading derived membership events: the state of
-    /// `new_db`, from `old`, the state of `old_db`.
+    /// Push the base-relation membership `events` between `old_db` and
+    /// `new_db` through the circuit in topological order, cascading derived
+    /// membership events: the state of `new_db`, from `old`, the state of
+    /// `old_db`.
     fn propagate(
         &self,
         old_db: &Database,
         new_db: &Database,
-        pred: Pred,
-        tuple: &Tuple,
-        sign: i64,
+        mut events: Events,
         old: &MatState,
     ) -> MatState {
         let circuit = &self.circuit;
-        let member = |sign: i64| (sign > 0).then_some(());
+        // `arranged` after the events on its relation.
+        let follow = |arr: &Arrangement, arranged: &OrdMap<Tuple, ()>, events: &Events| {
+            let changes = events.get(&arr.pred).into_iter().flatten();
+            changes.fold(arranged.clone(), |m, (t, sign)| {
+                m.alter(&permute(t, &arr.order), |_| (*sign > 0).then_some(()))
+            })
+        };
         let mut state = old.clone();
+        // Only base relations have events yet; `fold` brings the others.
         for (arr, slot) in circuit.arrangements.iter().zip(&mut state.arranged) {
-            if let Some(arranged) = slot.get_mut().filter(|_| arr.pred == pred) {
-                *arranged = arranged.alter(&permute(tuple, &arr.order), |_| member(sign));
+            if let Some(arranged) = slot.get_mut() {
+                *arranged = follow(arr, arranged, &events);
             }
         }
         let old_v = circuit.views(old_db, old);
         let regs = plan::registers(circuit.num_regs);
-        let mut events: Events = HashMap::new();
-        events.insert(pred, vec![(tuple.clone(), sign)]);
         for scc in &circuit.sccs {
             if !scc.deps.iter().any(|p| events.contains_key(p)) {
                 continue;
@@ -354,11 +349,7 @@ impl Materializer {
         // by the same events, or the next pass builds it all over again.
         for (a, arr) in circuit.arrangements.iter().enumerate() {
             if let (Some(before), None) = (old.arranged[a].get(), state.arranged[a].get()) {
-                let changes = events.get(&arr.pred).into_iter().flatten();
-                let now = changes.fold(before.clone(), |m, (t, sign)| {
-                    m.alter(&permute(t, &arr.order), |_| member(*sign))
-                });
-                state.arranged[a] = now.into();
+                state.arranged[a] = follow(arr, before, &events).into();
             }
         }
         state
@@ -377,30 +368,23 @@ impl Materializer {
         events: &mut Events,
         regs: &Regs,
     ) {
-        let q = scc.preds[0];
-        let mut changes: Vec<(Tuple, i64)> = Vec::new();
+        let mut changes: Vec<((usize, Tuple), i64)> = Vec::new();
         let data = Data {
             new: self.circuit.views(new_db, state),
             old: old_v,
             delta: None,
         };
-        join_events(scc, events, |_| true, &data, regs, &mut |_, row, sign| {
-            changes.push((row.tuple(), sign));
+        join_events(scc, events, |_| true, &data, regs, &mut |rel, row, sign| {
+            changes.push(((rel, row.tuple()), sign));
         });
-        // One entry per tuple: its net change.
         changes.sort_unstable();
-        changes.dedup_by(|later, first| {
-            let same = later.0 == first.0;
-            if same {
-                first.1 += later.1;
+        for (rel, net) in circuit::net(changes.into_iter()) {
+            let folded = self.circuit.fold(state, rel, net, |_, net| net);
+            if !folded.events.is_empty() {
+                self.delta_tuples
+                    .fetch_add(folded.events.len() as u64, Ordering::Relaxed);
+                events.insert(self.circuit.preds[rel], folded.events);
             }
-            same
-        });
-        let folded = (self.circuit).fold(state, self.circuit.index[&q], changes, |_, net| net);
-        if !folded.events.is_empty() {
-            self.delta_tuples
-                .fetch_add(folded.events.len() as u64, Ordering::Relaxed);
-            events.insert(q, folded.events);
         }
     }
 
@@ -449,7 +433,7 @@ impl Materializer {
         }
         let mut gone: Vec<(usize, Tuple)> = deleted.iter().cloned().collect();
         gone.sort_unstable();
-        for (rel, entries) in circuit::run_lengths(gone.into_iter()) {
+        for (rel, entries) in circuit::net(gone.into_iter().map(|e| (e, 1))) {
             circuit.fold(state, rel, entries, |count, _| -count);
         }
 
@@ -484,16 +468,11 @@ impl Materializer {
         // Net membership events for downstream components: phase 3 inserts
         // only what the reduced state lacks, so a pair both deleted and
         // inserted is back where it was and nets to none.
-        let mut per_pred: Events = HashMap::new();
         let left = deleted.difference(&inserted).map(|e| (e, -1));
         for ((rel, t), sign) in left.chain(inserted.difference(&deleted).map(|e| (e, 1))) {
-            let evs = per_pred.entry(circuit.preds[*rel]).or_default();
+            let evs = events.entry(circuit.preds[*rel]).or_default();
             evs.push((t.clone(), sign));
-        }
-        for (p, evs) in per_pred {
-            self.delta_tuples
-                .fetch_add(evs.len() as u64, Ordering::Relaxed);
-            events.insert(p, evs);
+            self.delta_tuples.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -549,18 +528,6 @@ impl Materializer {
     }
 }
 
-/// The database versions strictly between `pre` and the result of `ops`:
-/// one per op but the last, whose result the caller already holds. `None`
-/// when an op does not apply (or there is none).
-fn versions_between(pre: &Database, ops: &[DeltaOp]) -> Option<Vec<Database>> {
-    let (_, but_last) = ops.split_last()?;
-    let mut between: Vec<Database> = Vec::with_capacity(but_last.len());
-    for op in but_last {
-        between.push(op.apply(between.last().unwrap_or(pre)).ok()?);
-    }
-    Some(between)
-}
-
 /// Enter every rule of a component with each membership event on a
 /// predicate it reads ([`plan::Entry::Event`]), for the events whose
 /// effective sign (a `not` literal flips it) `keep` accepts. Positions
@@ -587,63 +554,11 @@ fn join_events(
     }
 }
 
-/// Delta-join safety: every variable read by a `not` literal or a
-/// demanding builtin (`!=`, comparisons, arithmetic inputs) must be bound
-/// by an earlier positive atom (or determined by an earlier `=`/arithmetic
-/// output over such variables). Rules violating this evaluate differently
-/// once a delta pre-binds a later position, so they are excluded from
-/// materialization.
-fn delta_safe(rule: &FlatRule) -> bool {
-    let mut bound: HashSet<td_core::Var> = HashSet::new();
-    let term_vars = |t: &Term| -> Vec<td_core::Var> { t.as_var().into_iter().collect() };
-    let all_bound = |ts: &[Term], bound: &HashSet<td_core::Var>| {
-        ts.iter().flat_map(term_vars).all(|v| bound.contains(&v))
-    };
-    for lit in &rule.body {
-        match lit {
-            Lit::Atom(a) => {
-                bound.extend(a.vars());
-            }
-            Lit::NegAtom(a) => {
-                if !a
-                    .args
-                    .iter()
-                    .flat_map(term_vars)
-                    .all(|v| bound.contains(&v))
-                {
-                    return false;
-                }
-            }
-            Lit::Builtin(op, terms) => match op {
-                Builtin::Eq => {
-                    // `=` determines one side from the other; if either side
-                    // is fully bound, the other becomes so.
-                    if all_bound(&terms[..1], &bound) || all_bound(&terms[1..2], &bound) {
-                        bound.extend(terms.iter().flat_map(term_vars));
-                    }
-                }
-                Builtin::Ne | Builtin::Lt | Builtin::Le | Builtin::Gt | Builtin::Ge => {
-                    if !all_bound(terms, &bound) {
-                        return false;
-                    }
-                }
-                Builtin::Add | Builtin::Sub | Builtin::Mul => {
-                    if !all_bound(&terms[..2], &bound) {
-                        return false;
-                    }
-                    bound.extend(term_vars(&terms[2]));
-                }
-            },
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::load_init;
-    use td_core::Value;
+    use td_core::{Term, Value};
     use td_db::tuple;
     use td_parser::parse_program;
 
@@ -733,11 +648,47 @@ mod tests {
         model
     }
 
-    /// Apply one op both to the db and through the circuit.
-    fn step(m: &Materializer, db: &Database, op: DeltaOp) -> Database {
-        let next = op.apply(db).expect("op applies");
-        m.apply_ops(db, std::slice::from_ref(&op), &next);
+    /// Apply the ops both to the db and, as one delta, through the circuit.
+    fn batch(m: &Materializer, db: &Database, ops: &[DeltaOp]) -> Database {
+        let apply = |db: Database, op: &DeltaOp| op.apply(&db).expect("op applies");
+        let next = ops.iter().fold(db.clone(), apply);
+        m.apply_ops(db, ops, &next);
         next
+    }
+
+    /// [`batch`] of one op.
+    fn step(m: &Materializer, db: &Database, op: DeltaOp) -> Database {
+        batch(m, db, &[op])
+    }
+
+    /// An endless, fixed stream of `ins`/`del` ops on [`CHURN`]'s base
+    /// relations.
+    fn churn_ops() -> impl FnMut() -> DeltaOp {
+        let sym = |i: u64| Value::sym(NODES[i as usize]);
+        let mut x: u64 = 0x2545F4914F6CDD1D;
+        let mut rng = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        move || {
+            let r = rng();
+            let (pred, tuple) = match r % 4 {
+                0 => (Pred::new("blocked", 1), vec![sym(rng() % 5)]),
+                // A small domain, so that deletions find their tuple.
+                1 => (
+                    Pred::new("t", 3),
+                    vec![sym(rng() % 2), sym(rng() % 5), sym(rng() % 2)],
+                ),
+                _ => (Pred::new("e", 2), vec![sym(rng() % 5), sym(rng() % 5)]),
+            };
+            if r % 8 < 4 {
+                DeltaOp::Ins(pred, Tuple::new(tuple))
+            } else {
+                DeltaOp::Del(pred, Tuple::new(tuple))
+            }
+        }
     }
 
     #[test]
@@ -753,23 +704,20 @@ mod tests {
         assert_eq!(m.materialized_preds().len(), 3);
         assert!(m.is_materialized(Pred::new("path", 2)));
         assert!(m.is_materialized(Pred::new("top", 1)));
-        let path_scc = m
-            .circuit
-            .sccs
-            .iter()
-            .find(|s| s.preds.contains(&Pred::new("path", 2)))
-            .unwrap();
-        assert!(path_scc.recursive);
-        let top_scc = m
-            .circuit
-            .sccs
-            .iter()
-            .find(|s| s.preds.contains(&Pred::new("top", 1)))
-            .unwrap();
-        assert!(!top_scc.recursive);
+        let heads =
+            |s: &Scc| -> Vec<Pred> { s.rules.iter().map(|r| m.circuit.preds[r.head]).collect() };
+        let scc_of = |p: Pred| {
+            m.circuit
+                .sccs
+                .iter()
+                .find(|s| heads(s).contains(&p))
+                .unwrap()
+        };
+        assert!(scc_of(Pred::new("path", 2)).recursive);
+        assert!(!scc_of(Pred::new("top", 1)).recursive);
         // `top` depends on both others, so its component must come last.
         assert_eq!(
-            m.circuit.sccs.last().unwrap().preds,
+            heads(m.circuit.sccs.last().unwrap()),
             vec![Pred::new("top", 1)]
         );
     }
@@ -788,9 +736,9 @@ mod tests {
 
     #[test]
     fn delta_unsafe_rules_are_excluded() {
-        // `not broken(X)` before any positive binding of X: the bottom-up
-        // evaluator silently derives nothing, but a delta-join driving
-        // e(X, Y) would bind X — so the predicate must not be materialized.
+        // `not broken(X)` before any positive binding of X: the body in
+        // order derives nothing, while a call `odd(a)` binds X top-down and
+        // may well hold — so the predicate must not be materialized.
         let (p, _) = setup(
             "base e/2. base broken/1.
              odd(X) <- not broken(X) * e(X, X).
@@ -798,6 +746,25 @@ mod tests {
         );
         let m = Materializer::compile(&p).unwrap();
         assert_eq!(m.materialized_preds(), vec![Pred::new("fine", 1)]);
+    }
+
+    #[test]
+    fn a_head_the_body_leaves_unbound_excludes_the_predicate_and_its_readers() {
+        // The paper's process style: a parameter the body never mentions.
+        // Top-down `off(mon)` holds whenever `holiday` does; bottom-up there
+        // is no tuple to derive, so no view may answer for `off`, nor for
+        // anything computed from it.
+        let (p, _) = setup(
+            "base e/2. base holiday/0. base halted/0.
+             off(E) <- holiday.
+             czero(C, D) <- e(C, C) * halted.
+             idle(E) <- e(E, E) * off(E).
+             quiet(E) <- idle(E).
+             busy(E) <- e(E, E).",
+        );
+        let m = Materializer::compile(&p).unwrap();
+        assert_eq!(m.materialized_preds(), vec![Pred::new("busy", 1)]);
+        assert!(m.relevant_base.iter().eq([&Pred::new("e", 2)]));
     }
 
     #[test]
@@ -925,34 +892,12 @@ mod tests {
         let (p, db0) = setup(CHURN);
         let m = Materializer::compile(&p).unwrap();
         assert_eq!(m.materialized_preds().len(), 9);
-        let sym = |i: u64| Value::sym(NODES[i as usize]);
         let from_n1 = Atom::new("path", vec![Term::sym("n1"), Term::var(0)]);
         let mut db = db0;
-        let mut x: u64 = 0x2545F4914F6CDD1D;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut next_op = churn_ops();
         let _ = m.facts(&db, Pred::new("path", 2)); // seed the version
         for _ in 0..200 {
-            let r = rng();
-            let (pred, tuple) = match r % 4 {
-                0 => (Pred::new("blocked", 1), vec![sym(rng() % 5)]),
-                // A small domain, so that deletions find their tuple.
-                1 => (
-                    Pred::new("t", 3),
-                    vec![sym(rng() % 2), sym(rng() % 5), sym(rng() % 2)],
-                ),
-                _ => (Pred::new("e", 2), vec![sym(rng() % 5), sym(rng() % 5)]),
-            };
-            let op = if r % 8 < 4 {
-                DeltaOp::Ins(pred, Tuple::new(tuple))
-            } else {
-                DeltaOp::Del(pred, Tuple::new(tuple))
-            };
-            db = step(&m, &db, op);
+            db = step(&m, &db, next_op());
             let model = closure_model(&db);
             let from_scratch = crate::datalog::evaluate(&p, &db).unwrap();
             for view in m.materialized_preds() {
@@ -1024,23 +969,47 @@ mod tests {
         let m = Materializer::compile(&p).unwrap();
         let _ = m.facts(&db, Pred::new("path", 2));
         let e = Pred::new("e", 2);
-        let ops = vec![
+        let ops = [
             DeltaOp::Ins(e, tuple!("b", "c")),
             DeltaOp::Del(e, tuple!("a", "b")),
             DeltaOp::Ins(e, tuple!("c", "d")),
         ];
-        let mut post = db.clone();
-        for op in &ops {
-            post = op.apply(&post).unwrap();
-        }
-        m.apply_ops(&db, &ops, &post);
+        let post = batch(&m, &db, &ops);
         assert_matches_fixpoint(&m, &p, &post);
         assert_eq!(m.maintained_ops(), 3);
-        // The caller hands over the result of the last op, so only the
-        // versions in between are computed: none at all for the one-op
-        // calls `kernel::update` makes.
-        assert_eq!(versions_between(&db, &ops).unwrap().len(), 2);
-        assert!(versions_between(&db, &ops[..1]).unwrap().is_empty());
+        // An `ins` then `del` of one tuple is no event: of these three ops
+        // only e(x, y) reaches the circuit, and brings one path with it —
+        // not the three that d → e would have lent b, c and d for a while.
+        let moved = |m: &Materializer| m.delta_tuples.load(Ordering::Relaxed);
+        let before = moved(&m);
+        let ops = [
+            DeltaOp::Ins(e, tuple!("d", "e")),
+            DeltaOp::Ins(e, tuple!("x", "y")),
+            DeltaOp::Del(e, tuple!("d", "e")),
+        ];
+        let last = batch(&m, &post, &ops);
+        assert_matches_fixpoint(&m, &p, &last);
+        assert_eq!((moved(&m) - before, m.rebuilds()), (1, 1));
+    }
+
+    /// A delta is maintained from its net events, in one pass, whatever mix
+    /// of relations, signs and repeated tuples its ops are: [`CHURN`] under
+    /// random batches, against the code-independent model.
+    #[test]
+    fn batched_deltas_match_the_model() {
+        let (p, mut db) = setup(CHURN);
+        let m = Materializer::compile(&p).unwrap();
+        let mut next_op = churn_ops();
+        let _ = m.facts(&db, Pred::new("path", 2)); // seed the version
+        for i in 0..150 {
+            let ops: Vec<DeltaOp> = (0..2 + i % 5).map(|_| next_op()).collect();
+            db = batch(&m, &db, &ops);
+            let model = closure_model(&db);
+            for view in m.materialized_preds() {
+                assert_eq!(m.facts(&db, view), model[view.name.as_str()], "{view}");
+            }
+        }
+        assert_eq!(m.rebuilds(), 1, "every batch maintained, none rebuilt");
     }
 
     /// A bound column never scans: in every plan of every fixture of this

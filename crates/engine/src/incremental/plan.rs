@@ -163,9 +163,19 @@ pub(crate) enum Entry {
     Round(usize),
     /// Position *i* first, loaded with one membership event, then the rest
     /// of the body in order: maintenance, where the delta is a handful of
-    /// tuples and binding one hands the literals to its left a key. Agrees
-    /// with left-to-right evaluation only on delta-safe rules (see
-    /// `Materializer::compile`), so one-shot circuits compile none.
+    /// tuples and binding one hands the literals to its left a key.
+    ///
+    /// This entry and [`Entry::Head`] start with variables bound that
+    /// [`Entry::Full`] starts without, and a literal binds whatever it reads
+    /// and finds unbound: at every body position they have bound a superset
+    /// of what the full plan has. So where the full plan is live
+    /// ([`derives`]) they are too — every input it finds bound, they find
+    /// bound — and all of them enumerate one and the same conjunction, each
+    /// variable of the rule ending up with a value whichever literal gives it
+    /// one. Where the full plan is dead nothing of the kind holds (entered
+    /// with `X`, `odd(X) <- not b(X) * e(X, X)` derives what the body in order
+    /// never does): the materializer takes no such rule, and one-shot
+    /// circuits compile neither entry.
     Event(usize),
     /// The head loaded first, then the body in order: does the rule still
     /// derive this tuple (DRed's rederivation check)?
@@ -269,6 +279,15 @@ pub(crate) fn compile(
     plan.code.push(Instr::Emit { head });
     debug_assert!(plan.reads_only_bound_registers());
     plan
+}
+
+/// Is the rule's [`Entry::Full`] plan live: does `rule`, its body evaluated
+/// left to right from nothing bound, find every `not` and builtin input and
+/// every head variable bound? A rule that does not derives nothing bottom-up,
+/// whatever a call that binds its head top-down would answer.
+pub(crate) fn derives(rule: &FlatRule) -> bool {
+    let plan = compile(rule, Entry::Full, &HashMap::new(), &mut Vec::new());
+    !plan.code.is_empty()
 }
 
 /// An input that no earlier literal binds.

@@ -17,7 +17,7 @@ use crate::tree::make_node;
 use std::sync::Arc;
 use td_core::unify::unify_terms;
 use td_core::{Atom, Bindings, Goal, Program, Term, Var};
-use td_db::{Database, Delta};
+use td_db::Database;
 
 /// What a cache probe resolved to.
 pub(crate) enum Probe {
@@ -239,10 +239,7 @@ pub(crate) fn enumerate_answers(
                         Term::Var(_) => return None,
                     }
                 }
-                let mut delta = Delta::new();
-                for op in &ctx.delta {
-                    delta.push(op.clone());
-                }
+                let delta = ctx.delta.iter().cloned().collect();
                 out.push(CachedAnswer { values, delta });
             }
             Ok(false) => return Some((out, std::mem::take(&mut ctx.reads))),

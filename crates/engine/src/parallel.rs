@@ -72,11 +72,7 @@ fn delta_collect(chain: &Arc<DeltaChain>) -> Delta {
         ops.push(op.clone());
         cur = rest;
     }
-    let mut delta = Delta::new();
-    for op in ops.into_iter().rev() {
-        delta.push(op);
-    }
-    delta
+    ops.into_iter().rev().collect()
 }
 
 /// One pending configuration: the kernel's scheduling-agnostic

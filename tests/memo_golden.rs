@@ -43,6 +43,8 @@ example_3_3_agents.td#0 seq true 32 0 18 0 | decide 34 | par1 32 0 | left true 3
 example_3_4_cooperation.td#0 seq true 10 0 5 0 | decide 10 | par1 10 0 | left true 10 0 0 0 | rr false 4 0 0 0 | rand7 true 10 3 8 0 | cache true 6 0 5 0 | all16 16 73 41 0 | trace 10 6 2
 iterated_protocol.td#0 seq true 359 450 255 99 | decide 120 | par1 260 99 | left true 62 6 8 0 | rr true 86 12 11 0 | rand7 true 440 566 330 126 | cache true 329 447 251 99 | all16 16 716 555 140 | trace 50 20 8
 loan_applications.td#0 seq true 228 167 115 56 | decide 978 | par1 181 45 | left true 51 2 9 0 | rr true 84 8 13 0 | rand7 true 2032 1990 858 829 | cache true 145 162 106 43 | all16 16 339 201 57 | trace 47 12 11
+parameter_only_heads.td#0 seq true 19 2 4 0 | decide 25 | par1 19 0 | left true 19 2 4 0 | rr true 19 2 4 0 | rand7 true 19 2 4 0 | cache true 7 0 0 0 | all16 1 27 12 0 | trace 17 2 7
+parameter_only_heads.td#1 seq true 27 4 7 0 | decide 35 | par1 27 0 | left true 27 4 7 0 | rr true 27 4 7 0 | rand7 true 27 4 7 0 | cache true 8 0 0 0 | all16 1 39 20 0 | trace 23 4 10
 reachability_maintenance.td#0 seq true 61 15 20 0 | decide 71 | par1 61 0 | left true 61 15 20 0 | rr true 61 15 20 0 | rand7 true 61 15 20 0 | cache true 14 1 1 0 | all16 1 87 55 0 | trace 46 6 18
 section_2_overview.td#0 seq true 4 0 2 0 | decide 4 | par1 4 0 | left true 4 0 0 0 | rr true 4 0 0 0 | rand7 true 4 0 3 0 | cache true 4 0 2 0 | all16 6 13 10 0 | trace 4 4 0
 two_counter_machine.td#0 seq true 339 719 364 68 | decide 181 | par1 271 68 | left false 3 0 0 0 | rr false 12 6 3 0 | rand7 true 499 1122 509 114 | cache true 334 719 359 68 | all16 16 500 884 107 | trace 114 45 38
