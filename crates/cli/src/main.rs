@@ -25,11 +25,11 @@
 //! options (before the file):
 //!   --strategy=exhaustive|random|round-robin|leftmost
 //!   --seed=N               seed for --strategy=random (rejected otherwise)
-//!   --max-steps=N          step budget (default 10000000)
+//!   --max-steps=N          step budget (default 10000000); under `decide`
+//!                          it also bounds the configuration count
 //!   --threads=N            parallel search with N workers (exhaustive
-//!                          strategy only; N<=1 keeps the sequential engine).
-//!                          Incompatible with `td decide` (rejected: the
-//!                          decider is a sequential explicit-state search)
+//!                          strategy only; N<=1 keeps the sequential engine)
+//!                          — run/trace/decide
 //!   --deterministic        with --threads: report the same witness as the
 //!                          sequential engine
 //!   --subgoal-cache        memoize isolated blocks and sole-frontier ground
@@ -377,18 +377,6 @@ fn main() -> ExitCode {
             "td: --materialize cannot be combined with `trace`: tracing \
              disables materialized probes (see docs/INCREMENTAL.md); drop \
              one of the two"
-        );
-        return ExitCode::from(2);
-    }
-    // `--threads` selects the parallel *interpreter* backend, which the
-    // memoizing decider never consults — it is a sequential explicit-state
-    // search. The flag used to be silently ignored for `td decide`; refuse
-    // the combination instead of quietly running something else.
-    if cmd == "decide" && matches!(opts.config.backend, SearchBackend::Parallel { .. }) {
-        eprintln!(
-            "td: --threads does not apply to `decide`: the decider is a \
-             sequential explicit-state search (see docs/PARALLELISM.md); \
-             drop --threads or use `td run`"
         );
         return ExitCode::from(2);
     }
@@ -1076,17 +1064,24 @@ fn decide(
             .decide(&g.goal, &db, DeciderConfig::default())
         {
             Ok(d) => {
-                println!(
-                    "executable: {}{}  (configurations: {})",
-                    d.executable,
-                    if d.truncated { " (truncated)" } else { "" },
-                    d.configs
-                );
+                // An exhausted budget refutes nothing: without a success
+                // the verdict is unknown, and the row carries an error.
+                let (verdict, error) = match (d.executable, d.truncated) {
+                    (false, true) => {
+                        let n = d.configs;
+                        let e = format!("configuration budget exhausted after {n} configurations");
+                        ("unknown (truncated)", Some(e))
+                    }
+                    (true, true) => ("true (truncated)", None),
+                    (true, false) => ("true", None),
+                    (false, false) => ("false", None),
+                };
+                println!("executable: {verdict}  (configurations: {})", d.configs);
                 let counters = vec![
                     ("configs", d.configs as u64),
                     ("truncated", u64::from(d.truncated)),
                 ];
-                session.record(goal, d.executable, counters, None);
+                session.record(goal, d.executable, counters, error);
             }
             Err(e) => {
                 println!("error: {e}");

@@ -146,17 +146,6 @@ fn missing_file_and_bad_usage_exit_2() {
 #[test]
 fn incompatible_flag_combinations_exit_2() {
     let f = write_temp("flags.td", "base t/0.\n?- ins.t.\n");
-    // The decider never consults the parallel backend; silently ignoring
-    // --threads would misreport what ran.
-    let out = td()
-        .args(["--threads=4", "decide"])
-        .arg(&f)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("--threads"), "{stderr}");
-    assert!(stderr.contains("decide"), "{stderr}");
     // Tracing gates the subgoal cache off; the combination is refused
     // rather than silently changing what runs.
     let out = td()
@@ -174,9 +163,67 @@ fn incompatible_flag_combinations_exit_2() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-    // `td decide` without --threads still works.
-    let out = td().args(["decide"]).arg(&f).output().unwrap();
-    assert!(out.status.success(), "{out:?}");
+}
+
+/// The `executable:` verdict of each goal, without the configuration count
+/// (which is order-dependent under first-success).
+fn decide_verdicts(args: &[&str], file: &std::path::Path) -> Vec<String> {
+    let out = td().args(args).arg("decide").arg(file).output().unwrap();
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with("executable:"))
+        .map(|l| l.split("  (").next().unwrap().to_owned())
+        .collect()
+}
+
+/// `decide` runs on the backend the flags select, like `run`: the worker
+/// count and the deterministic stopping rule change how the space is
+/// searched, never a verdict.
+#[test]
+fn decide_verdicts_agree_across_worker_counts_on_the_corpus() {
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let mut files: Vec<_> = std::fs::read_dir(&corpus)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "td"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty());
+    for file in &files {
+        let one = decide_verdicts(&[], file);
+        assert!(!one.is_empty(), "{}", file.display());
+        for args in [&["--threads=2"][..], &["--threads=4", "--deterministic"]] {
+            assert_eq!(
+                decide_verdicts(args, file),
+                one,
+                "{} {args:?}",
+                file.display()
+            );
+        }
+    }
+}
+
+/// An unbounded counter: the configuration space is infinite, so every
+/// `decide` on it ends at a budget.
+const UP: &str =
+    "base c/1. init c(0).\nup <- c(N) * M is N + 1 * del.c(N) * ins.c(M) * up.\n?- up.\n";
+
+/// An exhausted budget is "unknown", not "no" — and `--max-steps` is a
+/// budget `decide` obeys: one claimed configuration is one step.
+#[test]
+fn decide_reports_an_exhausted_budget_as_unknown_and_honours_max_steps() {
+    let f = write_temp("up.td", UP);
+    let out = td()
+        .args(["--max-steps=50", "decide"])
+        .arg(&f)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap().trim_end(),
+        "executable: unknown (truncated)  (configurations: 50)"
+    );
 }
 
 /// Fresh temp directory for one store test.

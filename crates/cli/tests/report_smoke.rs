@@ -168,6 +168,43 @@ fn materialized_run_reports_materializer_counters() {
     }
 }
 
+/// A `decide` that ran out of budget is not a refutation: its row carries
+/// an error, so `ok: false` there cannot be read as "not executable".
+#[test]
+fn truncated_decide_row_carries_an_error() {
+    let program = temp("up.td");
+    std::fs::write(
+        &program,
+        "base c/1. init c(0).\nup <- c(N) * M is N + 1 * del.c(N) * ins.c(M) * up.\n?- up.\n",
+    )
+    .unwrap();
+    let report = temp("truncated.json");
+    let out = td()
+        .arg("--max-steps=50")
+        .arg(format!("--report={}", report.display()))
+        .arg("decide")
+        .arg(&program)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    // (`validate_run_report` wants machine steps, which `decide` has none of.)
+    let doc = json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some("td-run-report/v1")
+    );
+    let row = &doc.get("goals").and_then(Value::as_arr).expect("goal rows")[0];
+    assert_eq!(row.get("ok").and_then(Value::as_bool), Some(false));
+    assert_eq!(
+        row.get("error").and_then(Value::as_str),
+        Some("configuration budget exhausted after 50 configurations")
+    );
+    assert_eq!(
+        row.path("counters.truncated").and_then(Value::as_f64),
+        Some(1.0)
+    );
+}
+
 #[test]
 fn log_json_emits_span_events() {
     let log = temp("events.jsonl");

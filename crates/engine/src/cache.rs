@@ -20,7 +20,7 @@
 //!   contiguous because nothing else is schedulable until they finish.
 //!
 //! The table is sharded (`CACHE_SHARDS` mutexes, the same discipline as
-//! the parallel backend's claim table), capacity-bounded with CLOCK
+//! the explicit-state search's claim table), capacity-bounded with CLOCK
 //! (second-chance) eviction, and shared across branches of the sequential
 //! search and across workers of the parallel search.
 
@@ -32,8 +32,8 @@ use td_db::Delta;
 
 /// The answer cache's key: α-renamed subgoal + 128-bit database content
 /// digest. The goal is kept in full because a miss enumerates its answers;
-/// the drivers' configuration memos (failure memo, visited set, claim
-/// table) only need identity and use `kernel::fingerprint` instead.
+/// the drivers' configuration memos (failure memo, claim table) only need
+/// identity and use `kernel::fingerprint` instead.
 pub type StateKey = (Goal, u128);
 
 /// Rename variables densely in first-occurrence order, making α-equivalent

@@ -5,13 +5,15 @@
 //! sequential TD (Thm 4.5), nonrecursive TD (Thm 4.7) and fully bounded TD
 //! (§5) — the space of reachable configurations `(process state, database)`
 //! is finite, so executability is decidable by memoized graph search. This
-//! module is that procedure.
+//! module is that procedure's entry points: parameter choices for the one
+//! explicit-state search (`search.rs`, docs/ARCHITECTURE.md) plus result
+//! shaping.
 //!
 //! Unlike the backtracking [`crate::Engine`] (which re-explores shared
-//! subspaces and may diverge on RE-hard programs), the decider visits each
+//! subspaces and may diverge on RE-hard programs), the search visits each
 //! distinct configuration once. The number of distinct configurations it
 //! explores is exactly the quantity whose asymptotic growth the theorems
-//! bound, and the benchmark harness reports it for each fragment
+//! bound, and `tests/experiments.rs` pins it for each fragment
 //! (EXPERIMENTS.md, E7–E9).
 //!
 //! Configurations are identified up to variable renaming by a 128-bit
@@ -23,23 +25,19 @@
 //! have probability ~2⁻¹²⁸ per pair.
 //!
 //! Through [`crate::Engine::decide`] / [`crate::Engine::final_states`] the
-//! search runs with the engine's [`SubgoalCache`], [`Materializer`] and
-//! [`Observer`]: isolated blocks and sole-frontier ground calls become
-//! *macro-steps* — their cached `(bindings, delta)` answer sets are replayed
-//! as direct successors instead of being re-explored, which collapses the
-//! configuration chains inside contiguous subtransactions — and ground calls
-//! on materialized predicates become indexed probes. The free functions
-//! here are the plain elementary-step search.
+//! search runs with the engine's [`crate::SubgoalCache`],
+//! [`crate::Materializer`], [`crate::Observer`] and worker count: isolated
+//! blocks and sole-frontier ground calls become *macro-steps* — their cached
+//! `(bindings, delta)` answer sets are replayed as direct successors instead
+//! of being re-explored, which collapses the configuration chains inside
+//! contiguous subtransactions — and ground calls on materialized predicates
+//! become indexed probes. The free functions here are the plain
+//! elementary-step search on one worker.
 
-use crate::cache::SubgoalCache;
 use crate::config::{EngineError, Stats};
-use crate::incremental::Materializer;
-use crate::kernel::{fingerprint, Config as StepConfig, FpSet, Hooks, Kernel};
-use crate::obs::{LocalMetrics, Observer};
+use crate::search::{Found, Order, Search, Stop};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{make_node, PTree};
-use std::sync::Arc;
-use td_core::{Goal, Program, Var};
+use td_core::{Goal, Program};
 use td_db::Database;
 
 /// Limits for a decision run.
@@ -94,7 +92,7 @@ pub fn decide(
     db: &Database,
     config: DeciderConfig,
 ) -> Result<Decision, EngineError> {
-    Search::new(program, config, None, None, None).decide(goal, db)
+    decide_in(Search::new(program), goal, db, config)
 }
 
 /// All final databases reachable by complete executions of `goal` on `db`
@@ -106,7 +104,7 @@ pub fn final_states(
     db: &Database,
     config: DeciderConfig,
 ) -> Result<Vec<Database>, EngineError> {
-    Search::new(program, config, None, None, None).final_states(goal, db)
+    final_states_in(Search::new(program), goal, db, config)
 }
 
 /// The minimum number of elementary steps in any successful execution of
@@ -121,226 +119,98 @@ pub fn shortest_execution(
     config: DeciderConfig,
 ) -> Result<Option<usize>, EngineError> {
     // Uncached and unmaterialized on purpose: a cached answer replay or a
-    // materialized probe is a macro-step, which would corrupt the BFS
-    // elementary-step count this function measures.
-    let mut search = Search::new(program, config, None, None, None);
-    let mut frontier: Vec<(Option<Arc<PTree>>, Database)> = vec![(make_node(goal), db.clone())];
-    let mut depth = 0usize;
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for (tree, db) in frontier {
-            let Some(tree) = tree else {
-                return Ok(Some(depth));
-            };
-            if !search.mark_visited(&tree, &db) {
-                continue;
-            }
-            if search.visited.len() >= search.config.max_configs {
-                return Ok(None);
-            }
-            next.extend(search.successors(&tree, &db)?);
-        }
-        frontier = next;
-        depth += 1;
-    }
-    Ok(None)
+    // materialized probe is a macro-step, which would corrupt the
+    // elementary-step count this function measures. One worker, so taking
+    // the oldest node first is level order and the first success is at
+    // minimum depth.
+    let mut search = Search::new(program);
+    search.order = Order::ByLevel;
+    let found = run_bounded(&mut search, goal, db, config)?;
+    Ok(found.successes.first().map(|w| w.depth))
 }
 
-pub(crate) struct Search<'p> {
-    /// The shared transition kernel (program + optional subgoal cache and
-    /// materializer); the decider only schedules which configuration to
-    /// expand next.
-    kernel: Kernel<'p>,
+/// Run `search` under `config`'s budget, with the observer as the kernel's
+/// per-probe event sink. A fault anywhere in the
+/// explored space is the result; otherwise the run's per-rule and
+/// per-subgoal tallies and its configuration count go to the observer (the
+/// flat per-step counters stay the `run` path's: a configuration is not a
+/// step of the machine).
+fn run_bounded(
+    search: &mut Search<'_>,
+    goal: &Goal,
+    db: &Database,
     config: DeciderConfig,
-    /// Visited configurations, by [`fingerprint`].
-    visited: FpSet,
-    /// Variable-numbering scratch of [`Search::mark_visited`].
-    key_vars: Vec<Var>,
-    truncated: bool,
-    /// Per-run metric batch (rule expansions, cache tallies), absorbed
-    /// into the observer's registry when the run ends.
-    local: LocalMetrics,
-    /// Relations the exploration read, charged uniformly through the
-    /// kernel hooks like every other driver. The decision problem has no
-    /// commit path, so nothing consumes this today — it exists so the
-    /// kernel's read-recording contract holds for all three drivers.
-    reads: td_db::ReadSet,
-    obs: Option<Arc<Observer>>,
+) -> Result<Found, EngineError> {
+    // `max_configs` counts claims and the claim that reaches it is not
+    // expanded, so it allows one expansion fewer.
+    let max_configs = config.max_configs as u64;
+    search.budget = search.budget.min(max_configs).saturating_sub(1);
+    search.probe_events = true;
+    let found = search.run(goal, db);
+    if let Some(e) = found.fault {
+        return Err(e);
+    }
+    if let Some(o) = &search.obs {
+        o.registry
+            .absorb(search.kernel.program, &Stats::default(), &found.work.local);
+        o.registry.add_counter("decider_configs", found.work.claims);
+    }
+    Ok(found)
 }
 
-/// A configuration: live process tree (None = complete) + database.
-type Config = (Option<Arc<PTree>>, Database);
-
-impl<'p> Search<'p> {
-    /// A search over `program`, plain (`None`s) or with an engine's cache,
-    /// materializer and observability sink attached.
-    pub(crate) fn new(
-        program: &'p Program,
-        config: DeciderConfig,
-        cache: Option<Arc<SubgoalCache>>,
-        mat: Option<Arc<Materializer>>,
-        obs: Option<Arc<Observer>>,
-    ) -> Search<'p> {
-        Search {
-            kernel: Kernel {
-                program,
-                cache,
-                mat,
-            },
-            config,
-            visited: FpSet::default(),
-            key_vars: Vec::new(),
-            truncated: false,
-            local: LocalMetrics::new(obs.is_some()),
-            reads: td_db::ReadSet::new(),
-            obs,
-        }
+/// [`decide`] on `search`'s kernel, observer, worker count and step budget
+/// (what [`crate::Engine::decide`] runs). With an observer that carries an
+/// event log, the run is bracketed by `solve` span events.
+pub(crate) fn decide_in(
+    mut search: Search<'_>,
+    goal: &Goal,
+    db: &Database,
+    config: DeciderConfig,
+) -> Result<Decision, EngineError> {
+    // Branch-and-bound keeps the order that makes its first success
+    // near-minimal; every other rule takes the order the counts are pinned in.
+    (search.stop, search.order) = match search.stop {
+        _ if config.exhaustive => (Stop::Whole, Order::LastFirst),
+        Stop::Minimal => (Stop::Minimal, Order::FirstFirst),
+        _ => (Stop::First, Order::LastFirst),
+    };
+    if let Some(o) = &search.obs {
+        o.emit(None, || TraceEvent::SpanEnter {
+            phase: SpanPhase::Solve,
+            detail: format!("decide {goal}"),
+        });
     }
-
-    /// Decide executability. With an observer, per-rule expansion counts
-    /// and per-subgoal cache tallies land in its registry (the
-    /// visited-configuration count under `decider_configs`), and — when it
-    /// carries an event log — the run is bracketed by `solve` span events.
-    pub(crate) fn decide(mut self, goal: &Goal, db: &Database) -> Result<Decision, EngineError> {
-        if let Some(o) = &self.obs {
-            o.emit(None, || TraceEvent::SpanEnter {
-                phase: SpanPhase::Solve,
-                detail: format!("decide {goal}"),
-            });
-        }
-        let executable = self.explore(make_node(goal), db.clone())?;
-        let decision = Decision {
-            executable,
-            configs: self.visited.len(),
-            truncated: self.truncated,
-        };
-        self.absorb();
-        if let Some(o) = &self.obs {
-            o.emit(None, || TraceEvent::SpanExit {
-                phase: SpanPhase::Solve,
-                detail: format!(
-                    "decide executable={} configs={}",
-                    decision.executable, decision.configs
-                ),
-            });
-        }
-        Ok(decision)
+    let found = run_bounded(&mut search, goal, db, config)?;
+    let decision = Decision {
+        executable: !found.successes.is_empty(),
+        configs: found.work.claims as usize,
+        truncated: found.exhausted,
+    };
+    if let Some(o) = &search.obs {
+        o.emit(None, || TraceEvent::SpanExit {
+            phase: SpanPhase::Solve,
+            detail: format!(
+                "decide executable={} configs={}",
+                decision.executable, decision.configs
+            ),
+        });
     }
+    Ok(decision)
+}
 
-    /// Every distinct final database. Caching and materialization leave
-    /// the set unchanged — only the number of intermediate configurations
-    /// explored (materialized probes are pure-query macro-steps).
-    pub(crate) fn final_states(
-        mut self,
-        goal: &Goal,
-        db: &Database,
-    ) -> Result<Vec<Database>, EngineError> {
-        let mut finals = Vec::new();
-        self.collect_finals(make_node(goal), db.clone(), &mut finals)?;
-        self.absorb();
-        Ok(finals)
-    }
-
-    /// Hand the run's metric batch and configuration count to the observer.
-    fn absorb(&self) {
-        if let Some(o) = &self.obs {
-            o.registry
-                .absorb(self.kernel.program, &Stats::default(), &self.local);
-            o.registry
-                .add_counter("decider_configs", self.visited.len() as u64);
-        }
-    }
-
-    /// DFS for any complete execution. Returns true as soon as one is found
-    /// (unless `exhaustive`).
-    fn explore(&mut self, tree: Option<Arc<PTree>>, db: Database) -> Result<bool, EngineError> {
-        let mut stack: Vec<Config> = vec![(tree, db)];
-        let mut found = false;
-        while let Some((tree, db)) = stack.pop() {
-            let Some(tree) = tree else {
-                found = true;
-                if self.config.exhaustive {
-                    continue;
-                }
-                return Ok(true);
-            };
-            if !self.mark_visited(&tree, &db) {
-                continue;
-            }
-            if self.visited.len() >= self.config.max_configs {
-                self.truncated = true;
-                return Ok(found);
-            }
-            let succs = self.successors(&tree, &db)?;
-            stack.extend(succs);
-        }
-        Ok(found)
-    }
-
-    /// DFS collecting every distinct final database.
-    fn collect_finals(
-        &mut self,
-        tree: Option<Arc<PTree>>,
-        db: Database,
-        finals: &mut Vec<Database>,
-    ) -> Result<(), EngineError> {
-        let mut stack: Vec<Config> = vec![(tree, db)];
-        while let Some((tree, db)) = stack.pop() {
-            let Some(tree) = tree else {
-                if !finals.iter().any(|d| d.same_content(&db)) {
-                    finals.push(db);
-                }
-                continue;
-            };
-            if !self.mark_visited(&tree, &db) {
-                continue;
-            }
-            if self.visited.len() >= self.config.max_configs {
-                self.truncated = true;
-                return Ok(());
-            }
-            let succs = self.successors(&tree, &db)?;
-            stack.extend(succs);
-        }
-        Ok(())
-    }
-
-    fn mark_visited(&mut self, tree: &Arc<PTree>, db: &Database) -> bool {
-        // Ground driver: substitutions are already applied to the tree.
-        self.visited
-            .insert(fingerprint(tree, |t| t, db, &mut self.key_vars))
-    }
-
-    /// Every configuration reachable in one elementary (or cache macro-)
-    /// step, across all schedules and all nondeterministic choices —
-    /// enumerated by the shared transition kernel; the decider contributes
-    /// no semantics of its own.
-    fn successors(&mut self, tree: &Arc<PTree>, db: &Database) -> Result<Vec<Config>, EngineError> {
-        // The kernel charges flat semantic counters (unfolds, db ops, …)
-        // through its hooks; the decider's result reports configuration
-        // counts only, so those go to a scratch pad. Per-rule and
-        // per-subgoal tallies still accumulate in `local` for the observer.
-        let mut scratch = Stats::default();
-        let (actions, err) = self.kernel.actions(
-            &StepConfig::ground(tree.clone(), db.clone()),
-            &mut Hooks {
-                stats: &mut scratch,
-                local: &mut self.local,
-                events: self.obs.as_deref(),
-                reads: &mut self.reads,
-            },
-        );
-        if let Some(e) = err {
-            return Err(e);
-        }
-        Ok(actions
-            .into_iter()
-            .map(|a| {
-                let (cfg, _ops) = self.kernel.apply(a);
-                (cfg.tree, cfg.db)
-            })
-            .collect())
-    }
+/// [`final_states`] on `search`'s kernel, observer, worker count and step
+/// budget. Caching and materialization leave the set unchanged — only the
+/// number of intermediate configurations explored (materialized probes are
+/// pure-query macro-steps).
+pub(crate) fn final_states_in(
+    mut search: Search<'_>,
+    goal: &Goal,
+    db: &Database,
+    config: DeciderConfig,
+) -> Result<Vec<Database>, EngineError> {
+    (search.stop, search.order) = (Stop::Finals, Order::LastFirst);
+    let found = run_bounded(&mut search, goal, db, config)?;
+    Ok(found.successes.into_iter().map(|w| w.cfg.db).collect())
 }
 
 #[cfg(test)]

@@ -2,10 +2,12 @@
 
 use crate::cache::SubgoalCache;
 use crate::config::{EngineConfig, EngineError, SearchBackend, Stats};
-use crate::decider::{DeciderConfig, Decision, Search};
+use crate::decider::{self, DeciderConfig, Decision};
 use crate::incremental::Materializer;
+use crate::kernel::Kernel;
 use crate::machine::{Ctx, Solver};
 use crate::obs::{json_object, Observer};
+use crate::search::{Order, Search, Stop};
 use crate::trace::{SpanPhase, TraceEvent};
 use crate::tree::make_node;
 use std::sync::Arc;
@@ -183,37 +185,61 @@ impl Engine {
     }
 
     /// Decide executability of `goal` on `db` with the explicit-state
-    /// [`crate::decider`], using this engine's subgoal cache, materializer
-    /// and observer (strategy and backend do not apply: the decider visits
-    /// every schedule, sequentially).
+    /// [`crate::decider`], using this engine's subgoal cache, materializer,
+    /// observer and — like [`Engine::solve`] — the worker count and
+    /// deterministic flag of [`EngineConfig::effective`]'s backend (the
+    /// strategy does not apply: the search visits every schedule). The
+    /// search is bounded by `config.max_configs` and by
+    /// [`EngineConfig::max_steps`], whichever is smaller: both count one
+    /// claimed configuration.
     pub fn decide(
         &self,
         goal: &Goal,
         db: &Database,
         config: DeciderConfig,
     ) -> Result<Decision, EngineError> {
-        self.decider(config).decide(goal, db)
+        decider::decide_in(self.search(), goal, db, config)
     }
 
     /// [`crate::decider::final_states`] with this engine's subgoal cache,
-    /// materializer and observer.
+    /// materializer, observer, worker count and step budget.
     pub fn final_states(
         &self,
         goal: &Goal,
         db: &Database,
         config: DeciderConfig,
     ) -> Result<Vec<Database>, EngineError> {
-        self.decider(config).final_states(goal, db)
+        decider::final_states_in(self.search(), goal, db, config)
     }
 
-    fn decider(&self, config: DeciderConfig) -> Search<'_> {
-        Search::new(
-            &self.program,
-            config,
-            self.cache.clone(),
-            self.mat.clone(),
-            self.obs.clone(),
-        )
+    /// The explicit-state search as this engine configures it: its kernel
+    /// attachments and observer, the effective backend's worker count and
+    /// stopping rule, `max_steps` as the budget, the machine's order.
+    fn search(&self) -> Search<'_> {
+        let (workers, stop) = match self.config.effective().backend {
+            SearchBackend::Sequential => (1, Stop::First),
+            SearchBackend::Parallel {
+                threads,
+                deterministic: false,
+            } => (threads, Stop::First),
+            SearchBackend::Parallel {
+                threads,
+                deterministic: true,
+            } => (threads, Stop::Minimal),
+        };
+        Search {
+            kernel: Kernel {
+                program: &self.program,
+                cache: self.cache.clone(),
+                mat: self.mat.clone(),
+            },
+            obs: self.obs.clone(),
+            workers,
+            order: Order::FirstFirst,
+            stop,
+            budget: self.config.max_steps,
+            probe_events: false,
+        }
     }
 
     /// Execute `goal` against `db`, returning the first successful
@@ -226,20 +252,7 @@ impl Engine {
     /// `docs/PARALLELISM.md` for the exact rules.
     pub fn solve(&self, goal: &Goal, db: &Database) -> Result<Outcome, EngineError> {
         let outcome = match self.config.effective().backend {
-            SearchBackend::Parallel {
-                threads,
-                deterministic,
-            } => crate::parallel::solve(
-                &self.program,
-                &self.config,
-                goal,
-                db,
-                threads,
-                deterministic,
-                self.cache.clone(),
-                self.mat.clone(),
-                self.obs.clone(),
-            )?,
+            SearchBackend::Parallel { .. } => crate::parallel::solve(self.search(), goal, db)?,
             SearchBackend::Sequential => {
                 let mut found = self.solutions(goal, db, 1)?;
                 match found.solutions.pop() {

@@ -5,7 +5,7 @@
 //! populates) the shared answer cache for a contiguous subgoal, which is
 //! how an isolated block is replayed too; [`replay_answer`] re-applies one
 //! cached answer as a single transition. The decisions, and what each one
-//! charges to [`Hooks`], are made here once, for all three drivers.
+//! charges to [`Hooks`], are made here once, for both drivers.
 
 use super::Hooks;
 use crate::cache::{canonicalize_with_map, CacheEntry, CachedAnswer, SubgoalCache};

@@ -1,8 +1,8 @@
 //! One-pass 128-bit configuration fingerprints.
 //!
 //! Every driver memoizes configurations `(process tree, database)` up to
-//! variable renaming: the machine's failure memo, the decider's visited
-//! set and the parallel claim table. [`fingerprint`] identifies a
+//! variable renaming: the machine's failure memo and the explicit-state
+//! search's claim table. [`fingerprint`] identifies a
 //! configuration without building anything: it walks the tree once,
 //! resolves each term through the caller's bindings, numbers the unbound
 //! variables by first occurrence as it meets them, and feeds a prefix-free
@@ -29,7 +29,7 @@ pub(crate) type FpSet = HashSet<u128, BuildHasherDefault<FpHasher>>;
 pub(crate) type FpMap<V> = HashMap<u128, V, BuildHasherDefault<FpHasher>>;
 
 /// The hasher of [`FpSet`]/[`FpMap`]: a fingerprint is already uniformly
-/// mixed, so its low lane *is* the table hash. (The parallel claim table
+/// mixed, so its low lane *is* the table hash. (The search's claim table
 /// picks its shard from the high lane, so a shard's keys still spread over
 /// all of its buckets.)
 #[derive(Default)]
@@ -249,8 +249,8 @@ pub(super) mod tests {
         assert_eq!(high.len(), seen.len(), "two exact keys share a high lane");
     }
 
-    /// Drive the machine and the decider (the parallel backend fingerprints
-    /// the same ground configurations as the decider) over one goal.
+    /// Drive the machine and the explicit-state search over one goal (one
+    /// worker runs on this thread, where the hook listens).
     fn drive(program: &td_core::Program, goal: &Goal, db: &Database) -> Option<Database> {
         let cfg = DeciderConfig {
             max_configs: 5_000,

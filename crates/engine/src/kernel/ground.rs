@@ -1,13 +1,12 @@
 //! Frontier-action enumeration over ground configurations — the
-//! transition relation as the decider and the parallel backend drive it:
-//! every enabled step of a configuration at once, where the sequential
-//! machine takes one and keeps the rest behind a choicepoint. Both ask
-//! [`call_step`], [`update`] and [`replay_answer`] what a step does.
+//! transition relation as the explicit-state search (`crate::search`)
+//! drives it: every enabled step of a configuration at once, where the
+//! sequential machine takes one and keeps the rest behind a choicepoint.
+//! Both ask [`call_step`], [`update`] and [`replay_answer`] what a step does.
 
 use super::{
-    bind_answer, call_step, check_absent, eval_ground_builtin, matching_tuples, num_vars_in_tree,
-    probe_subgoal, replay_answer, subst_tree, unify_project, update, BuiltinOut, CallStep, Hooks,
-    Probe,
+    bind_answer, call_step, check_absent, eval_ground_builtin, matching_tuples, probe_subgoal,
+    replay_answer, subst_tree, unify_project, update, BuiltinOut, CallStep, Hooks, Probe,
 };
 use crate::cache::{CachedAnswer, SubgoalCache};
 use crate::config::EngineError;
@@ -15,7 +14,7 @@ use crate::incremental::Materializer;
 use crate::tree::{frontier, leaf_at, make_node, rewrite, sequence, PTree};
 use std::sync::Arc;
 use td_core::unify::{unify_args, unify_terms};
-use td_core::{Goal, Program, Term, Var};
+use td_core::{Bindings, Goal, Program, Term, Var};
 use td_db::{Database, DeltaOp};
 
 /// A scheduling-agnostic configuration of the transition system: live
@@ -39,33 +38,23 @@ pub(crate) struct Config {
 }
 
 impl Config {
-    /// Configuration for drivers that do not track answer terms (the
-    /// decider's decision problem needs only reachability): the unfold
-    /// base is the tree's own variable count — safe exactly because there
-    /// are no off-tree answer variables to capture, and it keeps
-    /// α-equivalent configurations on identical variable ids.
-    pub(crate) fn ground(tree: Arc<PTree>, db: Database) -> Config {
-        let nvars = num_vars_in_tree(&tree);
-        Config {
-            tree: Some(tree),
-            db,
-            nvars,
-            answer: Vec::new(),
-        }
+    /// The successor that differs from `self` in its tree only.
+    fn with_tree(&self, tree: Option<Arc<PTree>>) -> Successor {
+        let next = Config {
+            tree,
+            db: self.db.clone(),
+            nvars: self.nvars,
+            answer: self.answer.clone(),
+        };
+        (next, Vec::new())
     }
 }
 
 /// One enabled transition, with its effects already applied: the successor
 /// configuration plus the elementary update ops the step performed (one
 /// for an update, the replayed delta for a cache macro-step, empty
-/// otherwise). Drivers consume it through [`Kernel::apply`].
-pub(crate) struct Action {
-    tree: Option<Arc<PTree>>,
-    db: Database,
-    nvars: u32,
-    answer: Vec<Term>,
-    ops: Vec<DeltaOp>,
-}
+/// otherwise).
+pub(crate) type Successor = (Config, Vec<DeltaOp>);
 
 /// The transition kernel: the program plus the (optional) shared subgoal
 /// answer cache that turns contiguous subtransactions into macro-steps, and
@@ -83,21 +72,24 @@ impl Kernel<'_> {
     /// right, per-leaf alternatives in canonical order (tuple order is
     /// `select`'s sorted order, rule order is program order, answers are
     /// in canonical yield order). That ordering is load-bearing: the
-    /// parallel backend's path labels index into it, and they must agree
-    /// with sequential depth-first exploration.
+    /// search's path labels index into it, and they must agree with
+    /// sequential depth-first exploration.
     ///
     /// A fault (non-ground update or absence test, storage error, builtin
-    /// fault) ends enumeration: the actions produced *before* it are
+    /// fault) ends enumeration: the successors produced *before* it are
     /// returned alongside the error, positioned exactly where the failing
-    /// successor would have been — deterministic drivers need that index
-    /// to order the error among the successors; drivers that abort on any
-    /// fault simply drop the actions.
+    /// successor would have been — the label-minimal stopping rule needs
+    /// that index to order the error among the successors.
+    ///
+    /// `scratch` is the caller's unification store, all-unbound between
+    /// calls (see [`unify_project`]).
     pub(crate) fn actions(
         &self,
         cfg: &Config,
         hooks: &mut Hooks<'_>,
-    ) -> (Vec<Action>, Option<EngineError>) {
-        let mut out: Vec<Action> = Vec::new();
+        scratch: &mut Bindings,
+    ) -> (Vec<Successor>, Option<EngineError>) {
+        let mut out: Vec<Successor> = Vec::new();
         let Some(tree) = &cfg.tree else {
             return (out, None);
         };
@@ -113,22 +105,12 @@ impl Kernel<'_> {
                 Goal::Atom(atom) if self.program.is_base(atom.pred) => {
                     hooks.reads.record(atom.pred);
                     for t in matching_tuples(&cfg.db, &atom) {
-                        if let Some((new_tree, new_answer)) =
-                            unify_project(tree, &path, None, cfg.nvars, &cfg.answer, |b| {
-                                atom.args
-                                    .iter()
-                                    .zip(t.values())
-                                    .all(|(a, v)| unify_terms(b, *a, Term::Val(*v)))
-                            })
-                        {
-                            out.push(Action {
-                                tree: new_tree,
-                                db: cfg.db.clone(),
-                                nvars: cfg.nvars,
-                                answer: new_answer,
-                                ops: Vec::new(),
-                            });
-                        }
+                        out.extend(unify_project(scratch, cfg, &path, None, cfg.nvars, |b| {
+                            atom.args
+                                .iter()
+                                .zip(t.values())
+                                .all(|(a, v)| unify_terms(b, *a, Term::Val(*v)))
+                        }));
                     }
                 }
                 Goal::Atom(atom) => {
@@ -136,19 +118,13 @@ impl Kernel<'_> {
                     match call_step(self.program, cache, mat, &cfg.db, &atom, sole, hooks) {
                         CallStep::Holds(holds) => {
                             if holds {
-                                out.push(Action {
-                                    tree: rewrite(tree, &path, None),
-                                    db: cfg.db.clone(),
-                                    nvars: cfg.nvars,
-                                    answer: cfg.answer.clone(),
-                                    ops: Vec::new(),
-                                });
+                                out.push(cfg.with_tree(rewrite(tree, &path, None)));
                             }
                             continue;
                         }
                         CallStep::Replay { answers, vars } => {
                             if let Err(e) =
-                                self.replay(cfg, tree, &path, &vars, &answers, &mut out, hooks)
+                                self.replay(cfg, &path, &vars, &answers, &mut out, hooks, scratch)
                             {
                                 return (out, Some(e));
                             }
@@ -158,24 +134,16 @@ impl Kernel<'_> {
                     }
                     for &rid in self.program.rules_for(atom.pred) {
                         let rule = self.program.rule(rid);
-                        let base = cfg.nvars;
-                        let (head, body) = rule.rename_apart(base);
-                        let replacement = make_node(&body);
-                        let new_nvars = base + rule.num_vars();
-                        if let Some((new_tree, new_answer)) =
-                            unify_project(tree, &path, replacement, new_nvars, &cfg.answer, |b| {
+                        let (head, body) = rule.rename_apart(cfg.nvars);
+                        let nvars = cfg.nvars + rule.num_vars();
+                        if let Some(next) =
+                            unify_project(scratch, cfg, &path, make_node(&body), nvars, |b| {
                                 unify_args(b, &atom.args, &head.args)
                             })
                         {
                             hooks.stats.unfolds += 1;
                             hooks.local.observe_unfold(rid);
-                            out.push(Action {
-                                tree: new_tree,
-                                db: cfg.db.clone(),
-                                nvars: new_nvars,
-                                answer: new_answer,
-                                ops: Vec::new(),
-                            });
+                            out.push(next);
                         }
                     }
                 }
@@ -184,65 +152,44 @@ impl Kernel<'_> {
                     match check_absent(&cfg.db, &atom) {
                         Err(e) => return (out, Some(e)),
                         Ok(false) => {}
-                        Ok(true) => out.push(Action {
-                            tree: rewrite(tree, &path, None),
-                            db: cfg.db.clone(),
-                            nvars: cfg.nvars,
-                            answer: cfg.answer.clone(),
-                            ops: Vec::new(),
-                        }),
+                        Ok(true) => out.push(cfg.with_tree(rewrite(tree, &path, None))),
                     }
                 }
                 Goal::Ins(atom) | Goal::Del(atom) => {
                     let is_ins = matches!(leaf_at(tree, &path), Goal::Ins(_));
                     match update(&cfg.db, &atom, is_ins, self.mat.as_deref(), hooks) {
                         Err(e) => return (out, Some(e)),
-                        Ok((next, _changed, op)) => {
-                            out.push(Action {
+                        Ok((db, _changed, op)) => {
+                            let succ = Config {
                                 tree: rewrite(tree, &path, None),
-                                db: next,
+                                db,
                                 nvars: cfg.nvars,
                                 answer: cfg.answer.clone(),
-                                ops: vec![op],
-                            });
+                            };
+                            out.push((succ, vec![op]));
                         }
                     }
                 }
                 Goal::Builtin(op, terms) => match eval_ground_builtin(op, &terms) {
                     Err(e) => return (out, Some(e)),
                     Ok(BuiltinOut::Fails) => {}
-                    Ok(BuiltinOut::Succeeds) => out.push(Action {
-                        tree: rewrite(tree, &path, None),
-                        db: cfg.db.clone(),
-                        nvars: cfg.nvars,
-                        answer: cfg.answer.clone(),
-                        ops: Vec::new(),
-                    }),
+                    Ok(BuiltinOut::Succeeds) => {
+                        out.push(cfg.with_tree(rewrite(tree, &path, None)));
+                    }
                     Ok(BuiltinOut::Binds(v, val)) => {
                         let new_tree = rewrite(tree, &path, None).map(|t| subst_tree(&t, v, val));
-                        let new_answer = cfg
-                            .answer
-                            .iter()
-                            .map(|t| if *t == Term::Var(v) { val } else { *t })
-                            .collect();
-                        out.push(Action {
-                            tree: new_tree,
-                            db: cfg.db.clone(),
-                            nvars: cfg.nvars,
-                            answer: new_answer,
-                            ops: Vec::new(),
-                        });
+                        let (mut succ, ops) = cfg.with_tree(new_tree);
+                        for t in &mut succ.answer {
+                            if *t == Term::Var(v) {
+                                *t = val;
+                            }
+                        }
+                        out.push((succ, ops));
                     }
                 },
                 Goal::Choice(branches) => {
                     for b in &branches {
-                        out.push(Action {
-                            tree: rewrite(tree, &path, make_node(b)),
-                            db: cfg.db.clone(),
-                            nvars: cfg.nvars,
-                            answer: cfg.answer.clone(),
-                            ops: Vec::new(),
-                        });
+                        out.push(cfg.with_tree(rewrite(tree, &path, make_node(b))));
                     }
                 }
                 Goal::Iso(inner) => {
@@ -253,8 +200,8 @@ impl Kernel<'_> {
                     if let Some(cache) = self.cache.as_deref() {
                         match probe_subgoal(self.program, cache, &cfg.db, &inner, hooks) {
                             Probe::Replay { answers, vars } => {
-                                if let Err(e) =
-                                    self.replay(cfg, tree, &path, &vars, &answers, &mut out, hooks)
+                                if let Err(e) = self
+                                    .replay(cfg, &path, &vars, &answers, &mut out, hooks, scratch)
                                 {
                                     return (out, Some(e));
                                 }
@@ -271,34 +218,11 @@ impl Kernel<'_> {
                     // continuation because it is one tree.
                     hooks.stats.iso_enters += 1;
                     let rest = rewrite(tree, &path, None);
-                    out.push(Action {
-                        tree: sequence(make_node(&inner), rest),
-                        db: cfg.db.clone(),
-                        nvars: cfg.nvars,
-                        answer: cfg.answer.clone(),
-                        ops: Vec::new(),
-                    });
+                    out.push(cfg.with_tree(sequence(make_node(&inner), rest)));
                 }
             }
         }
         (out, None)
-    }
-
-    /// Consume a chosen action, yielding the successor configuration and
-    /// the elementary ops the transition applied (in order). Enumeration
-    /// already carried out the semantics — `apply` is the hand-off where a
-    /// driver takes ownership and layers its own bookkeeping (path labels,
-    /// delta chains, work queues) on top.
-    pub(crate) fn apply(&self, action: Action) -> (Config, Vec<DeltaOp>) {
-        (
-            Config {
-                tree: action.tree,
-                db: action.db,
-                nvars: action.nvars,
-                answer: action.answer,
-            },
-            action.ops,
-        )
     }
 
     /// One macro-step successor per cached answer: the answer's bindings
@@ -308,26 +232,19 @@ impl Kernel<'_> {
     fn replay(
         &self,
         cfg: &Config,
-        tree: &Arc<PTree>,
         path: &[usize],
         vars: &[Var],
         answers: &[CachedAnswer],
-        out: &mut Vec<Action>,
+        out: &mut Vec<Successor>,
         hooks: &mut Hooks<'_>,
+        scratch: &mut Bindings,
     ) -> Result<(), EngineError> {
         for ans in answers {
-            if let Some((new_tree, new_answer)) =
-                unify_project(tree, path, None, cfg.nvars, &cfg.answer, |b| {
-                    bind_answer(b, vars, ans)
-                })
-            {
-                out.push(Action {
-                    tree: new_tree,
-                    db: replay_answer(&cfg.db, ans, self.mat.as_deref(), hooks)?,
-                    nvars: cfg.nvars,
-                    answer: new_answer,
-                    ops: ans.delta.ops().to_vec(),
-                });
+            if let Some((mut succ, _)) = unify_project(scratch, cfg, path, None, cfg.nvars, |b| {
+                bind_answer(b, vars, ans)
+            }) {
+                succ.db = replay_answer(&cfg.db, ans, self.mat.as_deref(), hooks)?;
+                out.push((succ, ans.delta.ops().to_vec()));
             }
         }
         Ok(())

@@ -5,26 +5,23 @@
 //! `ins.p`, `del.p`, `not p`), rule unfolding, `or`-choice, and isolation
 //! entry — plus the subgoal-cache macro-step that replays a contiguous
 //! subtransaction's answer set in one move. This module is the single
-//! implementation of that relation; the three search backends are thin
-//! *drivers* that only decide **which** enabled action to take next:
+//! implementation of that relation; its two *drivers* only decide
+//! **which** enabled action to take next:
 //!
 //! * [`crate::machine`] — strategy-ordered depth-first search with a
 //!   choicepoint stack and a shared trail (lazy bindings);
-//! * [`crate::decider`] — memoized explicit-state search, one visit per
-//!   fingerprinted configuration (ground bindings, applied structurally);
-//! * [`crate::parallel`] — work-stealing exploration of the same ground
-//!   configuration graph across threads.
+//! * [`crate::search`] — the explicit-state search over ground
+//!   configurations, one claim per fingerprinted configuration, on one
+//!   worker or many; [`crate::decider`] and [`crate::parallel`] are its
+//!   entry points (docs/ARCHITECTURE.md, "The explicit-state search").
 //!
-//! The ground backends go through [`Kernel::actions`], which enumerates
-//! every enabled transition of a [`Config`] — frontier paths left to
-//! right, per-leaf alternatives in canonical order — with effects already
-//! applied (TD states are persistent, so applying is as cheap as
-//! describing). [`Kernel::apply`] is the hand-off where a driver takes
-//! ownership of one [`Action`]'s successor configuration and layers its
-//! own bookkeeping (path labels, delta chains, work queues) on top. The
-//! sequential machine keeps its trail-based representation and takes one
-//! alternative at a time, so it does not step through `actions` — but
-//! what a step *does* is the same code for all three drivers:
+//! The search goes through [`Kernel::actions`], which enumerates every
+//! enabled transition of a [`Config`] — frontier paths left to right,
+//! per-leaf alternatives in canonical order — as [`Successor`]s with
+//! effects already applied (TD states are persistent, so applying is as
+//! cheap as describing). The sequential machine keeps its trail-based
+//! representation and takes one alternative at a time, so it does not step
+//! through `actions` — but what a step *does* is the same code for both:
 //! [`call_step`] decides how a derived call executes (materialized-view
 //! probe, cached replay, or unfolding), [`update`] is the `ins`/`del`
 //! step, [`replay_answer`] re-applies a cached answer's delta and
@@ -32,14 +29,14 @@
 //! its own [`Hooks`] accounting and maintaining the materializer itself.
 //! `machine.rs` and [`Kernel::actions`] are their two callers.
 //!
-//! All three identify a configuration the same way — [`fingerprint`], one
+//! Both identify a configuration the same way — [`fingerprint`], one
 //! pass over the tree under the driver's bindings plus the database
 //! digest — so they agree on which configurations are "the same".
 //!
 //! Accounting is uniform: every kernel entry point takes [`Hooks`], and
 //! charges unfolds, database ops, isolation entries and cache hit/miss
 //! counters there, emitting per-probe observability events only when the
-//! driver supplies an event sink (the parallel hot path passes `None` and
+//! driver supplies an event sink (`parallel::solve` passes `None` and
 //! reports aggregate worker spans instead).
 //!
 //! Invariants drivers may rely on are spelled out in
@@ -58,7 +55,7 @@ pub(crate) use elem::{
     resolve_atom, update, BuiltinOut,
 };
 pub(crate) use fingerprint::{fingerprint, FpMap, FpSet};
-pub(crate) use ground::{Config, Kernel};
+pub(crate) use ground::{Config, Kernel, Successor};
 pub(crate) use subst::{
     apply_unification, apply_unification_n, num_vars_in_tree, subst_tree, unify_project,
 };
@@ -79,7 +76,7 @@ pub(crate) struct Hooks<'a> {
     pub stats: &'a mut Stats,
     pub local: &'a mut LocalMetrics,
     /// Per-probe event sink. `None` suppresses kernel-level event emission
-    /// (the parallel hot path reports aggregate worker spans instead).
+    /// (`parallel::solve` reports aggregate worker spans instead).
     pub events: Option<&'a Observer>,
     /// Transaction read set: every relation this execution consults —
     /// base-predicate matches, absence tests, materialized probes, cached

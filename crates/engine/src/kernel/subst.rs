@@ -3,6 +3,7 @@
 //! track them, the goal's answer terms). This is the ground backends'
 //! counterpart of the sequential machine's shared trail.
 
+use super::{Config, Successor};
 use crate::tree::{rewrite, to_goal, PTree};
 use std::sync::Arc;
 use td_core::{Bindings, Term, Var};
@@ -38,25 +39,34 @@ pub(crate) fn apply_unification_n(
     Some(rewritten.map(|t| apply_bindings_tree(&t, &b)))
 }
 
-/// Unify under a scratch binding store, then substitute the solution
-/// through both the rewritten tree and the answer terms.
+/// Unify under the caller's scratch store, then substitute the solution
+/// through both the rewritten tree and the answer terms of `cfg`, giving
+/// the successor with variable high-water mark `nvars`.
+///
+/// `b` must be all-unbound on entry and is left so: it grows to the path's
+/// high-water mark once and each call undoes exactly the bindings it made,
+/// so a unification costs its bindings, not `nvars` — a deep recursion's
+/// mark grows with every unfolding, and a fresh store per step made the
+/// search quadratic in the depth.
 pub(crate) fn unify_project(
-    tree: &Arc<PTree>,
+    b: &mut Bindings,
+    cfg: &Config,
     path: &[usize],
     replacement: Option<Arc<PTree>>,
     nvars: u32,
-    answer: &[Term],
     unifier: impl FnOnce(&mut Bindings) -> bool,
-) -> Option<(Option<Arc<PTree>>, Vec<Term>)> {
-    let mut b = Bindings::new();
-    b.alloc(nvars);
-    if !unifier(&mut b) {
-        return None;
-    }
-    let rewritten = rewrite(tree, path, replacement);
-    let new_tree = rewritten.map(|t| apply_bindings_tree(&t, &b));
-    let new_answer = answer.iter().map(|t| b.resolve(*t)).collect();
-    Some((new_tree, new_answer))
+) -> Option<Successor> {
+    let tree = cfg.tree.as_ref().expect("a leaf path into a live tree");
+    b.alloc(nvars.saturating_sub(b.len() as u32));
+    let mark = b.mark();
+    let next = unifier(b).then(|| Config {
+        tree: rewrite(tree, path, replacement).map(|t| apply_bindings_tree(&t, b)),
+        db: cfg.db.clone(),
+        nvars,
+        answer: cfg.answer.iter().map(|t| b.resolve(*t)).collect(),
+    });
+    b.undo_to(mark);
+    next.map(|c| (c, Vec::new()))
 }
 
 /// Variables in a tree: max id + 1.

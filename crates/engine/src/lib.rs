@@ -42,6 +42,7 @@ mod machine;
 pub mod magic;
 pub mod obs;
 mod parallel;
+mod search;
 pub mod trace;
 pub mod tree;
 

@@ -3,9 +3,9 @@
 //!
 //! The paper's §3 workflow story is explicitly about "monitoring, tracking
 //! and querying the status of workflow activities". This module is the
-//! machinery side of that story, shared by all three search backends
-//! (sequential machine, work-stealing parallel search, explicit-state
-//! decider) and by the layers above the engine:
+//! machinery side of that story, shared by the sequential machine, by the
+//! explicit-state search behind the parallel backend and the decider, and
+//! by the layers above the engine:
 //!
 //! * [`MetricsRegistry`] — the one home of every published number: named
 //!   counters, max-folded gauges and [`Log2Hist`] histograms behind one

@@ -95,6 +95,20 @@ pub fn chain_closure(nodes: usize, shortcuts: usize) -> (Program, Database) {
     (parsed.program, db)
 }
 
+/// EXPERIMENTS.md E13's refutation at n = 2: two transfers that commute and
+/// a third that can never withdraw, so every interleaving of the first two
+/// is refuted — 900 configurations, all of them visited by any search.
+pub const E13_REFUTATION: &str = "
+    base balance/2.
+    init balance(acct1, 30). init balance(acct2, 30). init balance(acct3, 30).
+    withdraw(Amt, Acct) <- balance(Acct, Bal) * Bal >= Amt * del.balance(Acct, Bal)
+        * NB is Bal - Amt * ins.balance(Acct, NB).
+    deposit(Amt, Acct) <- balance(Acct, Bal) * del.balance(Acct, Bal)
+        * NB is Bal + Amt * ins.balance(Acct, NB).
+    transfer(Amt, From, To) <- withdraw(Amt, From) * deposit(Amt, To).
+    ?- transfer(5, acct1, acct2) | transfer(5, acct2, acct1) | transfer(1000, acct3, acct1).
+";
+
 /// The sorted `.td` files under `corpus/`.
 pub fn corpus_files() -> Vec<std::path::PathBuf> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");

@@ -1,8 +1,9 @@
-//! Differential tests for the kernel seam: all three drivers of
-//! `td_engine::kernel` — the sequential machine, the explicit-state
-//! decider, and the work-stealing parallel backend — are *schedulers* over
-//! one shared transition relation, so on any input they must agree on
-//! everything the semantics determines:
+//! Differential tests for the kernel seam: the sequential machine and the
+//! explicit-state search — entered as the decider and as the work-stealing
+//! parallel backend — are *schedulers* over one shared transition relation,
+//! so on any input they must agree on everything the semantics determines.
+//! The machine shares no search code with the other two, which makes it
+//! the independent reference they are checked against here:
 //!
 //! 1. **Executability** — the same success/failure verdict from the
 //!    sequential engine, the parallel backend at several thread counts,

@@ -2,8 +2,9 @@
 //! `(canonical goal, digest)` memo key produced before the drivers switched
 //! to 128-bit configuration fingerprints (PR 15).
 //!
-//! The three drivers memoize configurations: the machine's failure memo,
-//! the decider's visited set, the parallel claim table. Which
+//! Both drivers memoize configurations: the machine's failure memo and
+//! the explicit-state search's claim table (the `decide` and `par1`
+//! columns are its two depth-first orders). Which
 //! configurations count as "the same" decides every number below — a key
 //! that merges more configurations than α-equivalence × database digest
 //! loses steps (and may lose solutions), one that merges fewer gains them.
@@ -17,7 +18,7 @@
 
 mod common;
 
-use common::corpus_programs;
+use common::{corpus_programs, E13_REFUTATION};
 use td_engine::decider::{decide, DeciderConfig};
 use transaction_datalog::prelude::{
     parse_program, Database, Engine, EngineConfig, SearchBackend, Strategy,
@@ -51,24 +52,10 @@ two_counter_machine.td#0 seq true 339 719 364 68 | decide 181 | par1 271 68 | le
 e13_refutation#0 seq false 2255 2472 888 1328 | decide 900 | par1 900 1328 | left false 28 0 0 0 | rr false 12 0 0 0 | rand7 false 2255 2472 888 1328 | cache false 2225 2472 888 1322 | all16 0 2255 2472 1328 | trace 0 0 0
 ";
 
-/// EXPERIMENTS.md E13's refutation at n = 2: two transfers that commute and
-/// a third that can never withdraw, so every interleaving of the first two
-/// is refuted.
-const REFUTATION: &str = "
-    base balance/2.
-    init balance(acct1, 30). init balance(acct2, 30). init balance(acct3, 30).
-    withdraw(Amt, Acct) <- balance(Acct, Bal) * Bal >= Amt * del.balance(Acct, Bal)
-        * NB is Bal - Amt * ins.balance(Acct, NB).
-    deposit(Amt, Acct) <- balance(Acct, Bal) * del.balance(Acct, Bal)
-        * NB is Bal + Amt * ins.balance(Acct, NB).
-    transfer(Amt, From, To) <- withdraw(Amt, From) * deposit(Amt, To).
-    ?- transfer(5, acct1, acct2) | transfer(5, acct2, acct1) | transfer(1000, acct3, acct1).
-";
-
 fn render() -> String {
     let mut out = String::new();
     let mut programs = corpus_programs();
-    programs.push(("e13_refutation".to_owned(), REFUTATION.to_owned()));
+    programs.push(("e13_refutation".to_owned(), E13_REFUTATION.to_owned()));
     for (name, source) in programs {
         let parsed = parse_program(&source).expect("corpus parses");
         let mut db = td_engine::load_init(&Database::with_schema_of(&parsed.program), &parsed.init)

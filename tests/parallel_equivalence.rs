@@ -7,23 +7,70 @@
 //!    same success/failure (the decision problem has one answer; which
 //!    machinery searches the interleaving space must not matter).
 //! 2. **Final-state membership** — a parallel success must commit a final
-//!    database the explicit-state decider lists among the goal's reachable
-//!    final states (any witness is a *valid* witness).
+//!    database the trail machine's exhaustive enumeration also commits (any
+//!    witness is a *valid* witness). The reference is `Engine::solutions`,
+//!    not the decider: `decide` and the parallel backend are one search.
 //! 3. **Deterministic witness** — with `deterministic: true`, the parallel
 //!    backend reports exactly the sequential engine's first witness:
 //!    same answer substitution, same delta, same final database.
+//! 4. **Schedule independence** — the *whole-space* configuration count
+//!    (`DeciderConfig::exhaustive`) and the set of final states are the
+//!    same under 1, 2 and 4 workers: every distinct configuration is
+//!    claimed exactly once, by whoever gets there first. (First-success
+//!    counts are order-dependent; `experiments.rs` and `memo_golden.rs`
+//!    pin those on one worker.)
 //!
 //! Plus the step-budget contract: an exhausted budget is reported as
 //! `EngineError::StepBudget`, never misreported as plain failure.
 
 mod common;
 
-use common::{arb_goal, corpus_files, engine_with, flag_program, parallel, parallel_det};
+use common::{
+    arb_goal, corpus_files, engine_with, flag_program, parallel, parallel_det, E13_REFUTATION,
+};
 use proptest::prelude::*;
+use td_engine::decider::DeciderConfig;
 use transaction_datalog::prelude::parse_program;
 use transaction_datalog::prelude::{
-    Database, Engine, EngineConfig, Goal, SearchBackend, Term, Value,
+    Database, Engine, EngineConfig, Goal, Program, SearchBackend, Term, Value,
 };
+
+/// The whole-space configuration count and the sorted final-state digests
+/// of `goal` on `backend`'s worker count, bounded by `engine_with`'s 200 000
+/// steps. `None` when the space exceeds that budget or holds a faulting
+/// schedule — the skip rule of `kernel_equivalence`'s corpus test.
+fn whole_space(
+    p: &Program,
+    goal: &Goal,
+    db: &Database,
+    backend: SearchBackend,
+) -> Option<(usize, Vec<u128>)> {
+    let cfg = DeciderConfig {
+        exhaustive: true,
+        ..DeciderConfig::default()
+    };
+    let engine = engine_with(p, backend);
+    let d = engine.decide(goal, db, cfg).ok().filter(|d| !d.truncated)?;
+    let finals = engine.final_states(goal, db, cfg).ok()?;
+    let mut finals: Vec<u128> = finals.iter().map(Database::digest).collect();
+    finals.sort_unstable();
+    Some((d.configs, finals))
+}
+
+/// 2 and 4 workers find what one worker finds; returns the count.
+fn assert_schedule_independent(
+    p: &Program,
+    goal: &Goal,
+    db: &Database,
+    context: &str,
+) -> Option<usize> {
+    let one = whole_space(p, goal, db, SearchBackend::Sequential);
+    for threads in [2usize, 4] {
+        let many = whole_space(p, goal, db, parallel(threads));
+        assert_eq!(many, one, "{context}: {threads} workers");
+    }
+    one.map(|(configs, _)| configs)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -49,18 +96,26 @@ proptest! {
         let db = Database::with_schema_of(&p);
         let out = engine_with(&p, parallel(4)).solve(&g, &db).unwrap();
         if let Some(sol) = out.solution() {
-            let finals = td_engine::decider::final_states(
-                &p,
-                &g,
-                &db,
-                td_engine::decider::DeciderConfig::default(),
-            )
-            .unwrap();
-            prop_assert!(
-                finals.iter().any(|d| d.same_content(&sol.db)),
-                "parallel witness database not among the decider's final states"
-            );
+            // Distinct-by-path enumeration; a goal with more successful
+            // interleavings than the limit (or the step budget) proves
+            // nothing here and is covered by smaller cases.
+            const LIMIT: usize = 20_000;
+            let all = engine_with(&p, SearchBackend::Sequential).solutions(&g, &db, LIMIT);
+            if let Some(all) = all.ok().filter(|a| a.solutions.len() < LIMIT) {
+                prop_assert!(
+                    all.solutions.iter().any(|s| s.db.same_content(&sol.db)),
+                    "parallel witness database not among the machine's committed states"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn whole_space_is_schedule_independent(g in arb_goal(3)) {
+        let p = flag_program();
+        let db = Database::with_schema_of(&p);
+        let configs = assert_schedule_independent(&p, &g, &db, "flag goal");
+        prop_assert!(configs.is_some(), "flag goal space exceeded the budget");
     }
 
     #[test]
@@ -139,6 +194,52 @@ fn corpus_parallel_matches_sequential() {
                 db = sol.db.clone();
             }
         }
+    }
+}
+
+/// Every corpus goal's whole space, in file sequence against the sequential
+/// engine's committed state, like `td run`.
+#[test]
+fn corpus_whole_space_is_schedule_independent() {
+    let mut compared = 0;
+    for path in corpus_files() {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let parsed = parse_program(&src).unwrap();
+        let db = Database::with_schema_of(&parsed.program);
+        let mut db = td_engine::load_init(&db, &parsed.init).unwrap();
+        let seq_engine = engine_with(&parsed.program, SearchBackend::Sequential);
+        for (i, g) in parsed.goals.iter().enumerate() {
+            let context = format!("{} goal {i}", path.display());
+            if assert_schedule_independent(&parsed.program, &g.goal, &db, &context).is_some() {
+                compared += 1;
+            }
+            if let Some(sol) = seq_engine.solve(&g.goal, &db).unwrap().solution() {
+                db = sol.db.clone();
+            }
+        }
+    }
+    assert!(compared >= 8, "only {compared} corpus goals fit the budget");
+}
+
+/// Two closed forms: E13's refutation visits all of its 900 configurations
+/// whatever the order (so its first-success count in `memo_golden` *is* the
+/// whole space), and n independent insert/delete toggles span `3ⁿ − 1`.
+#[test]
+fn known_whole_space_counts_hold_at_every_worker_count() {
+    let parsed = parse_program(E13_REFUTATION).unwrap();
+    let db = Database::with_schema_of(&parsed.program);
+    let db = td_engine::load_init(&db, &parsed.init).unwrap();
+    let configs = assert_schedule_independent(&parsed.program, &parsed.goals[0].goal, &db, "e13");
+    assert_eq!(configs, Some(900));
+
+    for n in 1..=5usize {
+        let decls: String = (0..n).map(|i| format!("base f{i}/0.\n")).collect();
+        let branches: Vec<String> = (0..n).map(|i| format!("(ins.f{i} * del.f{i})")).collect();
+        let parsed = parse_program(&format!("{decls}?- {}.", branches.join(" | "))).unwrap();
+        let db = Database::with_schema_of(&parsed.program);
+        let configs =
+            assert_schedule_independent(&parsed.program, &parsed.goals[0].goal, &db, "toggles");
+        assert_eq!(configs, Some(3usize.pow(n as u32) - 1), "n={n}");
     }
 }
 
