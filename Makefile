@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: all test bench doc examples lint
+.PHONY: all test bench pairs doc examples lint
 
 all: test
 
@@ -10,6 +10,12 @@ test:
 # tdbench, the one benchmark (BENCHMARK.json): every workload, default length.
 bench:
 	bash crates/bench/src/bin/tdbench/run.sh
+
+# The protocol behind every "gain" or "unmoved" on a gated workload: this
+# checkout against a checkout of its parent commit, in alternating pairs.
+#   make pairs PARENT=/root/scratch/parent WORKLOAD=datalog_views [PAIRS=10] [SECONDS=30]
+pairs:
+	bash scripts/pairs.sh $(PARENT) . $(WORKLOAD) $(or $(PAIRS),10) $(or $(SECONDS),30)
 
 doc:
 	cargo doc --workspace --no-deps

@@ -522,11 +522,11 @@ fn read_serve_report(path: &std::path::Path) -> (Value, f64) {
     );
     assert_eq!(
         key_set(&doc, "serve.events"),
-        "conflicted fired ingested latency_buckets matched p50_us p99_us"
+        "conflicted dropped fired ingested latency_buckets matched p50_us p99_us partials"
     );
     assert_eq!(
         key_set(&doc, "metrics.counters"),
-        "events.ingested serve.aborts serve.commits serve.conflict_failures serve.conflicts \
+        "events.dropped events.ingested serve.aborts serve.commits serve.conflict_failures serve.conflicts \
          serve.connections serve.errors serve.grouped_records serve.groups \
          serve.interned_bytes serve.interned_symbols serve.read_only serve.requests \
          serve.retries_exhausted triggers.conflicted triggers.fired triggers.matched"

@@ -179,9 +179,11 @@ fn truncated_decide_row_carries_an_error() {
     )
     .unwrap();
     let report = temp("truncated.json");
+    let log = temp("truncated.jsonl");
     let out = td()
         .arg("--max-steps=50")
         .arg(format!("--report={}", report.display()))
+        .arg(format!("--log-json={}", log.display()))
         .arg("decide")
         .arg(&program)
         .output()
@@ -202,6 +204,12 @@ fn truncated_decide_row_carries_an_error() {
     assert_eq!(
         row.path("counters.truncated").and_then(Value::as_f64),
         Some(1.0)
+    );
+    // The span that closes the search says the same: not "false".
+    let spans = std::fs::read_to_string(&log).unwrap();
+    assert!(
+        spans.contains("decide executable=unknown configs=50"),
+        "{spans}"
     );
 }
 

@@ -164,11 +164,13 @@ impl Fixpoint {
 
 /// Compute the least fixpoint of `program` over `db`: compile every rule
 /// into the incremental circuit and run it once from an empty derived
-/// state. Rule bodies are evaluated left to right (a `not` or builtin whose
-/// inputs no earlier literal binds matches nothing). The result is not
-/// retained anywhere; [`crate::Materializer`] is the stateful counterpart.
+/// state. Whether a rule derives anything is read left to right — one whose
+/// `not` or builtin reads a variable no earlier literal binds, or whose head
+/// the body leaves partly unbound, derives nothing; the order its literals
+/// are joined in is the plan compiler's. The result is not retained
+/// anywhere; [`crate::Materializer`] is the stateful counterpart.
 pub fn evaluate(program: &Program, db: &Database) -> Result<Fixpoint, NotDatalog> {
-    let circuit = Circuit::new(flatten_program(program)?, false);
+    let circuit = Circuit::new(flatten_program(program)?);
     let (state, stats) = circuit.run(db);
     Ok(Fixpoint {
         facts: circuit.preds.iter().copied().zip(state.rels).collect(),
@@ -375,7 +377,7 @@ mod negation_tests {
 
     #[test]
     fn rules_the_materializer_rejects_still_evaluate_left_to_right() {
-        // The from-scratch run is pinned to body order: `X = Y` before `n(Y)`
+        // Whether a rule is live is read in body order: `X = Y` before `n(Y)`
         // binds nothing until `n` does — from there on the rule is live, so
         // `r` and its reader `s` are views — and `not b(X)` with X unbound
         // matches nothing, which no view may answer for a call that binds X.
@@ -420,6 +422,29 @@ mod negation_tests {
             );
         }
         assert_eq!(m.rebuilds(), 1);
+    }
+
+    #[test]
+    fn a_dead_rule_in_a_recursive_component_stays_dead() {
+        // `r`'s body in order reaches `not b(X)` with X unbound and derives
+        // nothing. The semi-naive loop enters a rule with each new tuple of
+        // its own component, and entered with an `s` tuple X is bound and
+        // the `not` passes: a rule that is dead in order has no such entry.
+        let (p, db) = setup(
+            "base e/2. base b/1.
+             init e(1, 1). init e(2, 2). init b(2).
+             r(X) <- not b(X) * s(X).
+             s(X) <- e(X, X).
+             s(X) <- r(X).",
+        );
+        let fix = evaluate(&p, &db).unwrap();
+        assert!(fix.facts_of(Pred::new("r", 1)).is_empty());
+        let s = fix.facts_of(Pred::new("s", 1));
+        assert_eq!(s, vec![td_db::tuple!(1), td_db::tuple!(2)]);
+        let q = Atom::new("r", vec![Term::var(0)]);
+        assert!(crate::magic::answer(&p, &db, &q).unwrap().0.is_empty());
+        // No view answers for `r`, nor for `s`, which reads it.
+        assert!(crate::Materializer::compile(&p).is_err());
     }
 
     #[test]

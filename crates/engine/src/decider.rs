@@ -187,12 +187,15 @@ pub(crate) fn decide_in(
         truncated: found.exhausted,
     };
     if let Some(o) = &search.obs {
+        // A budget that ran out before a success refutes nothing.
+        let verdict = match (decision.executable, decision.truncated) {
+            (true, _) => "true",
+            (false, true) => "unknown",
+            (false, false) => "false",
+        };
         o.emit(None, || TraceEvent::SpanExit {
             phase: SpanPhase::Solve,
-            detail: format!(
-                "decide executable={} configs={}",
-                decision.executable, decision.configs
-            ),
+            detail: format!("decide executable={verdict} configs={}", decision.configs),
         });
     }
     Ok(decision)

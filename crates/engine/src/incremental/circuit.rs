@@ -10,7 +10,7 @@
 //! [`super::Materializer`] then keeps the same relations current across
 //! committed deltas with the same plans and the same loop.
 
-use super::plan::{self, permute, sorted_set, Arrangements, Data, Entry, Plan, Sorted, Views};
+use super::plan::{self, permute, sorted_set, Arrangements, Data, Entry, Plan, Regs, Row, Views};
 use crate::datalog::{FlatRule, Lit};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -24,21 +24,11 @@ pub(crate) struct Rule {
     pub(crate) head: usize,
     /// [`Entry::Full`].
     pub(crate) full: Plan,
-    /// [`Entry::Round`], one per body atom over a predicate of the rule's
-    /// own (recursive) component, with that predicate's index.
-    pub(crate) rounds: Vec<(usize, Plan)>,
-    /// [`Entry::Event`], one per body atom or `not` literal. Maintained
-    /// circuits only.
+    /// [`Entry::Driven`], one per body atom or `not` literal; none when
+    /// `full` is dead.
     pub(crate) events: Vec<Driven>,
-    /// [`Entry::Head`]. Recursive components of maintained circuits only.
+    /// [`Entry::Head`]. Recursive components only.
     pub(crate) rederive: Plan,
-}
-
-impl Rule {
-    /// The plans entered with a membership event on `pred`.
-    pub(crate) fn events_on(&self, pred: Pred) -> impl Iterator<Item = &Driven> {
-        self.events.iter().filter(move |d| d.pred == pred)
-    }
 }
 
 /// A plan entered with a membership event on `pred`.
@@ -79,12 +69,43 @@ pub(crate) struct MatState {
     pub(crate) arranged: Vec<OnceLock<OrdMap<Tuple, ()>>>,
 }
 
-/// What [`Circuit::fold`] did to a relation.
-pub(crate) struct Folded {
-    /// The count changes it applied, as a relation.
-    pub(crate) delta: CountedRelation,
-    /// The tuples that entered (+1) or left (−1) the relation, sorted.
-    pub(crate) events: Vec<(Tuple, i64)>,
+/// Membership events on one relation — the one form a delta takes between
+/// [`Circuit::fold`], which produces it, and the plans it drives.
+#[derive(Clone, Default, Debug)]
+pub(crate) struct Delta {
+    /// The tuples that entered the relation, sorted.
+    pub(crate) appeared: Vec<Tuple>,
+    /// The tuples that left it, sorted.
+    pub(crate) disappeared: Vec<Tuple>,
+}
+
+impl Delta {
+    pub(crate) fn len(&self) -> usize {
+        self.appeared.len() + self.disappeared.len()
+    }
+
+    /// The run an event goes to: has the tuple become a member?
+    pub(crate) fn run_mut(&mut self, member: bool) -> &mut Vec<Tuple> {
+        if member {
+            &mut self.appeared
+        } else {
+            &mut self.disappeared
+        }
+    }
+
+    /// The two runs, each with the sign of its events.
+    pub(crate) fn runs(&self) -> [(&[Tuple], i64); 2] {
+        [(&self.appeared, 1), (&self.disappeared, -1)]
+    }
+}
+
+/// The membership events of one pass, by predicate. A predicate with none
+/// has no entry.
+pub(crate) type Events = HashMap<Pred, Delta>;
+
+/// The runs of events on `pred`.
+pub(crate) fn runs_on(events: &Events, pred: Pred) -> impl Iterator<Item = (&[Tuple], i64)> {
+    events.get(&pred).map(Delta::runs).into_iter().flatten()
 }
 
 /// What a run of the semi-naive loop cost.
@@ -115,10 +136,8 @@ pub(crate) struct Circuit {
 impl Circuit {
     /// Partition the predicates of `flat` (each with all of its rules) into
     /// components and compile the rules. Body atoms over any other predicate
-    /// read the database. A `maintained` circuit also gets the plans that
-    /// carry single membership events through it (and the arrangements they
-    /// probe); one that only ever runs from scratch does not.
-    pub(crate) fn new(mut flat: HashMap<Pred, Vec<FlatRule>>, maintained: bool) -> Circuit {
+    /// read the database.
+    pub(crate) fn new(mut flat: HashMap<Pred, Vec<FlatRule>>) -> Circuit {
         let mut preds: Vec<Pred> = flat.keys().copied().collect();
         preds.sort();
         let index: HashMap<Pred, usize> = preds.iter().enumerate().map(|(i, p)| (*p, i)).collect();
@@ -168,25 +187,24 @@ impl Circuit {
                         let mut rule = Rule {
                             head: index[&r.head.pred],
                             full: compile(r, Entry::Full),
-                            rounds: Vec::new(),
                             events: Vec::new(),
                             rederive: Plan::default(),
                         };
+                        // Entered with a tuple, a body that derives nothing
+                        // in order might ([`Entry::Driven`]).
+                        if rule.full.code.is_empty() {
+                            return rule;
+                        }
                         for (pos, lit) in r.body.iter().enumerate() {
                             let (pred, sign) = match lit {
                                 Lit::Atom(a) => (a.pred, 1),
                                 Lit::NegAtom(a) => (a.pred, -1),
                                 Lit::Builtin(..) => continue,
                             };
-                            if let Some(i) = index.get(&pred).filter(|i| comp.contains(i)) {
-                                rule.rounds.push((*i, compile(r, Entry::Round(pos))));
-                            }
-                            if maintained {
-                                let plan = compile(r, Entry::Event(pos));
-                                rule.events.push(Driven { pred, sign, plan });
-                            }
+                            let plan = compile(r, Entry::Driven(pos));
+                            rule.events.push(Driven { pred, sign, plan });
                         }
-                        if maintained && recursive {
+                        if recursive {
                             rule.rederive = compile(r, Entry::Head);
                         }
                         rule
@@ -236,7 +254,7 @@ impl Circuit {
                 rule.full
                     .run(&regs, &data, &mut |row| cand.push((rule.head, row.tuple())));
             }
-            let done = self.saturate(scc, db, &mut state, cand, false, &mut |_, _| {});
+            let done = self.saturate(scc, db, &mut state, cand, &mut |_, _| {});
             stats.rounds += done.rounds;
             stats.derivations += done.derivations;
         }
@@ -247,63 +265,55 @@ impl Circuit {
     /// holds one `(tuple, n)` per tuple, sorted; the count of each moves by
     /// `change(its count now, n)`. The relation takes the changes in one
     /// [`CountedRelation::merge`], and the relation's arrangements follow
-    /// the tuples that crossed the membership boundary.
+    /// the tuples that crossed the membership boundary, which are returned.
     pub(crate) fn fold(
         &self,
         state: &mut MatState,
         rel: usize,
         entries: Vec<(Tuple, i64)>,
         change: impl Fn(i64, i64) -> i64,
-    ) -> Folded {
+    ) -> Delta {
         let before = &state.rels[rel];
-        let mut events = Vec::new();
+        let mut crossed = Delta::default();
         let mut applied = Vec::with_capacity(entries.len());
         for (t, n) in entries {
             let was = before.count(&t);
             let by = change(was, n);
-            match (was > 0, was + by > 0) {
-                (false, true) => events.push((t.clone(), 1)),
-                (true, false) => events.push((t.clone(), -1)),
-                _ => {}
+            if (was > 0) != (was + by > 0) {
+                crossed.run_mut(was + by > 0).push(t.clone());
             }
             if by != 0 {
                 applied.push((t, by));
             }
         }
-        let delta = CountedRelation::from_sorted(before.arity(), applied);
-        state.rels[rel] = before.merge(&delta);
+        let applied = CountedRelation::from_sorted(before.arity(), applied);
+        state.rels[rel] = before.merge(&applied);
         for (arr, slot) in self.arrangements.iter().zip(&mut state.arranged) {
             let Some(arranged) = slot.get_mut().filter(|_| arr.rel == Some(rel)) else {
                 continue;
             };
-            for sign in [1, -1] {
-                let crossed = events.iter().filter(|e| e.1 == sign);
-                let moved = sorted_set(crossed.map(|(t, _)| permute(t, &arr.order)).collect());
+            for (run, sign) in crossed.runs() {
+                let moved = sorted_set(run.iter().map(|t| permute(t, &arr.order)).collect());
                 let keep = (sign > 0).then_some(());
                 *arranged = arranged.merge_with(&moved, |_, ()| keep);
             }
         }
-        Folded { delta, events }
+        crossed
     }
 
     /// The semi-naive loop: fold the candidate head tuples into the
     /// component's relations — sorted and counted ([`net`]) first, so a
-    /// round is one bulk merge per relation — re-join every rule through
-    /// the tuples that were new, and repeat until a round adds nothing.
-    /// `on_new` sees every tuple a recursive component gains.
-    ///
-    /// From scratch a rule is re-joined in body order, the driving position
-    /// ranging over the round's new tuples as a relation ([`Entry::Round`]);
-    /// `driver_first` enters it with each new tuple instead
-    /// ([`Entry::Event`]).
+    /// round is one bulk merge per relation — enter every rule with each
+    /// tuple that was new ([`join_events`], as maintenance enters it with a
+    /// committed delta), and repeat until a round adds nothing. `on_new`
+    /// sees every run of tuples a recursive component gains.
     pub(crate) fn saturate(
         &self,
         scc: &Scc,
         db: &Database,
         state: &mut MatState,
         mut cand: Vec<(usize, Tuple)>,
-        driver_first: bool,
-        on_new: &mut dyn FnMut(usize, &Tuple),
+        on_new: &mut dyn FnMut(usize, &[Tuple]),
     ) -> RunStats {
         let regs = &plan::registers(self.num_regs);
         let mut stats = RunStats::default();
@@ -311,50 +321,49 @@ impl Circuit {
             stats.rounds += 1;
             stats.derivations += cand.len() as u64;
             cand.sort_unstable();
-            let mut round: Vec<(usize, Folded)> = Vec::new();
+            let mut round = Events::new();
             for (rel, entries) in net(cand.drain(..).map(|c| (c, 1))) {
                 // Through recursion a count means nothing: members carry 1.
-                let folded = if scc.recursive {
+                let new = if scc.recursive {
                     self.fold(state, rel, entries, |was, _| i64::from(was == 0))
                 } else {
                     self.fold(state, rel, entries, |_, n| n)
                 };
                 // Only a recursive component reads its own new tuples.
-                if scc.recursive && !folded.events.is_empty() {
-                    round.push((rel, folded));
+                if scc.recursive && !new.appeared.is_empty() {
+                    on_new(rel, &new.appeared);
+                    round.insert(self.preds[rel], new);
                 }
             }
             if round.is_empty() {
                 return stats;
             }
             let data = Data::at(self.views(db, state));
-            for (rel, new) in &round {
-                let new_tuples = || new.events.iter().map(|(t, _)| t);
-                new_tuples().for_each(|t| on_new(*rel, t));
-                for rule in &scc.rules {
-                    let emit = &mut |row: plan::Row<'_>| cand.push((rule.head, row.tuple()));
-                    if driver_first {
-                        for d in rule.events_on(self.preds[*rel]) {
-                            new_tuples().for_each(|t| d.plan.run_with(t, regs, &data, emit));
-                        }
-                        continue;
-                    }
-                    for (_, plan) in rule.rounds.iter().filter(|(r, _)| r == rel) {
-                        let arranged;
-                        let delta = match &plan.delta_order {
-                            None => Sorted::Counted(&new.delta),
-                            Some(order) => {
-                                arranged =
-                                    sorted_set(new_tuples().map(|t| permute(t, order)).collect());
-                                Sorted::Arranged(&arranged)
-                            }
-                        };
-                        let data = Data {
-                            delta: Some(delta),
-                            ..data
-                        };
-                        plan.run(regs, &data, emit);
-                    }
+            join_events(scc, &round, |_| true, &data, regs, &mut |rel, row, _| {
+                cand.push((rel, row.tuple()));
+            });
+        }
+    }
+}
+
+/// Enter every rule of a component with each membership event on a
+/// predicate it reads ([`Entry::Driven`]), for the events whose effective
+/// sign (a `not` literal flips it) `keep` accepts. Body positions before the
+/// event's read `data.new`, positions after it `data.old`.
+pub(crate) fn join_events(
+    scc: &Scc,
+    events: &Events,
+    keep: impl Fn(i64) -> bool,
+    data: &Data<'_>,
+    regs: &Regs,
+    emit: &mut dyn FnMut(usize, Row<'_>, i64),
+) {
+    for rule in &scc.rules {
+        for d in &rule.events {
+            for (run, s) in runs_on(events, d.pred).filter(|(_, s)| keep(s * d.sign)) {
+                let emit = &mut |row: Row<'_>| emit(rule.head, row, s * d.sign);
+                for t in run {
+                    d.plan.run_with(t, regs, data, emit);
                 }
             }
         }

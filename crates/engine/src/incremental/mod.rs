@@ -44,8 +44,8 @@ pub(crate) mod circuit;
 mod plan;
 
 use crate::datalog::{flatten_rule, FlatRule, Lit};
-use circuit::{Circuit, MatState, Scc};
-use plan::{permute, Arrangement, Data, Regs, Row, Views};
+use circuit::{join_events, runs_on, Circuit, Events, MatState, Scc};
+use plan::{permute, Arrangement, Data, Regs, Views};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,10 +66,6 @@ impl std::fmt::Display for NotMaterializable {
 }
 
 impl std::error::Error for NotMaterializable {}
-
-/// Membership events produced while one base delta cascades: per predicate,
-/// `(tuple, +1)` for appeared and `(tuple, -1)` for disappeared.
-type Events = HashMap<Pred, Vec<(Tuple, i64)>>;
 
 #[derive(Default)]
 struct Store {
@@ -159,7 +155,7 @@ impl Materializer {
             });
         }
 
-        let circuit = Circuit::new(flat, true);
+        let circuit = Circuit::new(flat);
         let relevant_base: HashSet<Pred> = circuit
             .sccs
             .iter()
@@ -267,11 +263,12 @@ impl Materializer {
             .map(|(DeltaOp::Ins(pred, tuple) | DeltaOp::Del(pred, tuple))| (*pred, tuple))
             .filter(|(pred, _)| self.relevant_base.contains(pred))
             .collect();
-        let mut events: Events = HashMap::new();
+        let mut events = Events::new();
         for (pred, tuple) in touched {
-            let sign = i64::from(post.contains(pred, tuple)) - i64::from(pre.contains(pred, tuple));
-            if sign != 0 {
-                events.entry(pred).or_default().push((tuple.clone(), sign));
+            let member = post.contains(pred, tuple);
+            if member != pre.contains(pred, tuple) {
+                let delta = events.entry(pred).or_default();
+                delta.run_mut(member).push(tuple.clone());
             }
         }
         // Untouched, this is `pre`'s state, stored again by reference.
@@ -320,9 +317,10 @@ impl Materializer {
         let circuit = &self.circuit;
         // `arranged` after the events on its relation.
         let follow = |arr: &Arrangement, arranged: &OrdMap<Tuple, ()>, events: &Events| {
-            let changes = events.get(&arr.pred).into_iter().flatten();
-            changes.fold(arranged.clone(), |m, (t, sign)| {
-                m.alter(&permute(t, &arr.order), |_| (*sign > 0).then_some(()))
+            runs_on(events, arr.pred).fold(arranged.clone(), |m, (run, sign)| {
+                run.iter().fold(m, |m, t| {
+                    m.alter(&permute(t, &arr.order), |_| (sign > 0).then_some(()))
+                })
             })
         };
         let mut state = old.clone();
@@ -372,18 +370,17 @@ impl Materializer {
         let data = Data {
             new: self.circuit.views(new_db, state),
             old: old_v,
-            delta: None,
         };
         join_events(scc, events, |_| true, &data, regs, &mut |rel, row, sign| {
             changes.push(((rel, row.tuple()), sign));
         });
         changes.sort_unstable();
         for (rel, net) in circuit::net(changes.into_iter()) {
-            let folded = self.circuit.fold(state, rel, net, |_, net| net);
-            if !folded.events.is_empty() {
-                self.delta_tuples
-                    .fetch_add(folded.events.len() as u64, Ordering::Relaxed);
-                events.insert(self.circuit.preds[rel], folded.events);
+            let crossed = self.circuit.fold(state, rel, net, |_, net| net);
+            let moved = crossed.len() as u64;
+            if moved > 0 {
+                self.delta_tuples.fetch_add(moved, Ordering::Relaxed);
+                events.insert(self.circuit.preds[rel], crossed);
             }
         }
     }
@@ -402,39 +399,33 @@ impl Materializer {
         regs: &Regs,
     ) {
         let circuit = &self.circuit;
-        // Phase 1: overdeletion, entirely against the old views. A tuple is
-        // collected once, when a derivation through a deleted tuple first
-        // reaches it; the relations themselves are left alone until every
-        // such tuple is known.
-        let mut deleted: HashSet<(usize, Tuple)> = HashSet::new();
-        let mut wl: Vec<(usize, Tuple)> = Vec::new();
+        // Phase 1: overdeletion, joined entirely against the old views, in
+        // rounds: what the negative events upstream take with them, then
+        // what that takes, until a round takes nothing. A round's tuples
+        // leave `state` as soon as they are known, so a tuple still there
+        // is one not collected yet, and `fold` hands the round back as the
+        // sorted runs that drive the next.
         let old_data = Data::at(old_v);
-        let mut collect = |wl: &mut Vec<(usize, Tuple)>, rel: usize, row: Row<'_>| {
-            let h = row.tuple();
-            if old_v.state.rels[rel].contains(&h) && deleted.insert((rel, h.clone())) {
-                wl.push((rel, h));
-            }
-        };
-        join_events(
-            scc,
-            events,
-            |s| s < 0,
-            &old_data,
-            regs,
-            &mut |rel, row, _| collect(&mut wl, rel, row),
-        );
-        while let Some((rel, t)) = wl.pop() {
-            for rule in &scc.rules {
-                for d in rule.events_on(circuit.preds[rel]) {
-                    let emit = &mut |row: Row<'_>| collect(&mut wl, rule.head, row);
-                    d.plan.run_with(&t, regs, &old_data, emit);
+        let mut rounds: Vec<Events> = Vec::new();
+        loop {
+            let mut fresh = Vec::new();
+            let gone = rounds.last().unwrap_or(events);
+            join_events(scc, gone, |s| s < 0, &old_data, regs, &mut |rel, row, _| {
+                let h = row.tuple();
+                if state.rels[rel].contains(&h) {
+                    fresh.push(((rel, h), 1));
                 }
+            });
+            if fresh.is_empty() {
+                break;
             }
-        }
-        let mut gone: Vec<(usize, Tuple)> = deleted.iter().cloned().collect();
-        gone.sort_unstable();
-        for (rel, entries) in circuit::net(gone.into_iter().map(|e| (e, 1))) {
-            circuit.fold(state, rel, entries, |count, _| -count);
+            fresh.sort_unstable();
+            let mut round = Events::new();
+            for (rel, entries) in circuit::net(fresh.into_iter()) {
+                let left = circuit.fold(state, rel, entries, |count, _| -count);
+                round.insert(circuit.preds[rel], left);
+            }
+            rounds.push(round);
         }
 
         // Phase 2: rederivation in one step from the new external state and
@@ -442,16 +433,24 @@ impl Materializer {
         // runs through other rederived tuples are recovered by phase 3.
         let data = Data::at(circuit.views(new_db, state));
         let mut cand: Vec<(usize, Tuple)> = Vec::new();
-        for (rel, t) in &deleted {
-            let mut found = false;
-            for rule in scc.rules.iter().filter(|r| r.head == *rel) {
-                if !found {
-                    (rule.rederive).run_with(t, regs, &data, &mut |_| found = true);
+        // Everything the pass moves, by predicate: the overdeleted tuples
+        // in `disappeared`, what phase 3 inserts in `appeared`.
+        let mut moved = Events::new();
+        for (pred, round) in rounds.into_iter().flatten() {
+            let rel = circuit.index[&pred];
+            for t in &round.disappeared {
+                let mut found = false;
+                for rule in scc.rules.iter().filter(|r| r.head == rel) {
+                    if !found {
+                        (rule.rederive).run_with(t, regs, &data, &mut |_| found = true);
+                    }
+                }
+                if found {
+                    cand.push((rel, t.clone()));
                 }
             }
-            if found {
-                cand.push((*rel, t.clone()));
-            }
+            let delta = moved.entry(pred).or_default();
+            delta.disappeared.extend(round.disappeared);
         }
 
         // Phase 3: semi-naive insertion of the rederived tuples and of what
@@ -460,19 +459,26 @@ impl Materializer {
         join_events(scc, events, |s| s > 0, &data, regs, &mut |rel, row, _| {
             cand.push((rel, row.tuple()));
         });
-        let mut inserted: HashSet<(usize, Tuple)> = HashSet::new();
-        circuit.saturate(scc, new_db, state, cand, true, &mut |rel, t| {
-            inserted.insert((rel, t.clone()));
+        circuit.saturate(scc, new_db, state, cand, &mut |rel, new| {
+            let delta = moved.entry(circuit.preds[rel]).or_default();
+            delta.appeared.extend_from_slice(new);
         });
 
         // Net membership events for downstream components: phase 3 inserts
-        // only what the reduced state lacks, so a pair both deleted and
+        // only what the reduced state lacks, so a tuple both deleted and
         // inserted is back where it was and nets to none.
-        let left = deleted.difference(&inserted).map(|e| (e, -1));
-        for ((rel, t), sign) in left.chain(inserted.difference(&deleted).map(|e| (e, 1))) {
-            let evs = events.entry(circuit.preds[*rel]).or_default();
-            evs.push((t.clone(), sign));
-            self.delta_tuples.fetch_add(1, Ordering::Relaxed);
+        for (pred, mut delta) in moved {
+            // Each a concatenation of sorted, disjoint runs, one a round.
+            delta.appeared.sort();
+            delta.disappeared.sort();
+            let (was, now) = (delta.disappeared.clone(), &delta.appeared);
+            delta.disappeared.retain(|t| now.binary_search(t).is_err());
+            delta.appeared.retain(|t| was.binary_search(t).is_err());
+            if delta.len() > 0 {
+                let moved = delta.len() as u64;
+                self.delta_tuples.fetch_add(moved, Ordering::Relaxed);
+                events.insert(pred, delta);
+            }
         }
     }
 
@@ -525,32 +531,6 @@ impl Materializer {
             ("maintain_us", self.maintain_ns() / 1000),
             ("states", self.states() as u64),
         ]
-    }
-}
-
-/// Enter every rule of a component with each membership event on a
-/// predicate it reads ([`plan::Entry::Event`]), for the events whose
-/// effective sign (a `not` literal flips it) `keep` accepts. Positions
-/// before the event's read `data.new`, positions after it `data.old`.
-/// Events on the component's own predicates do not exist yet: it publishes
-/// them when its maintenance ends.
-fn join_events(
-    scc: &Scc,
-    events: &Events,
-    keep: impl Fn(i64) -> bool,
-    data: &Data<'_>,
-    regs: &Regs,
-    emit: &mut dyn FnMut(usize, Row<'_>, i64),
-) {
-    for rule in &scc.rules {
-        for d in &rule.events {
-            for (t, s) in events.get(&d.pred).into_iter().flatten() {
-                let sign = s * d.sign;
-                if keep(sign) {
-                    (d.plan).run_with(t, regs, data, &mut |row| emit(rule.head, row, sign));
-                }
-            }
-        }
     }
 }
 
@@ -1016,7 +996,8 @@ mod tests {
     /// suite and of `tests/incremental_equivalence.rs`, each column whose
     /// value is known when a probe starts is part of the probe's key, and
     /// the key is a prefix of the tuples probed — of the relation's own
-    /// order, or of an arrangement declared for exactly that purpose.
+    /// order, or of an arrangement declared for exactly that purpose. And
+    /// every plan but the full one starts from the tuple it is entered with.
     #[test]
     fn every_bound_column_of_every_plan_is_a_key_prefix() {
         use plan::{Instr, Plan, Rows};
@@ -1056,20 +1037,28 @@ mod tests {
                             assert!(!key.is_empty() && key.len() < columns);
                             assert!(!order[..key.len()].iter().copied().eq(0..key.len()));
                         }
-                        // In the round's own order unless the plan says.
-                        Rows::Delta => {
-                            let own = (0..columns).collect();
-                            let order = plan.delta_order.as_ref().unwrap_or(&own);
-                            assert_eq!(plan.delta_order.is_some(), *order != own);
-                        }
                     }
                 }
                 keyed
             };
+            // The literals a plan visits: the driver is loaded, not visited.
+            let visits = |plan: &Plan| {
+                let visit = |i: &&Instr| matches!(i, Instr::Probe { .. } | Instr::Absent { .. });
+                plan.code.iter().filter(visit).count()
+            };
             for rule in circuit.sccs.iter().flat_map(|s| &s.rules) {
                 probes += check(&rule.full) + check(&rule.rederive);
-                probes += rule.rounds.iter().map(|r| check(&r.1)).sum::<usize>();
                 probes += rule.events.iter().map(|d| check(&d.plan)).sum::<usize>();
+                assert!(rule.full.load.binds.is_empty() && rule.full.load.checks.is_empty());
+                assert_eq!(rule.events.len(), visits(&rule.full), "a plan per literal");
+                for d in &rule.events {
+                    let loaded = d.plan.load.binds.len() + d.plan.load.checks.len();
+                    assert_eq!(loaded, d.pred.arity as usize, "{:?}", d.plan);
+                    assert_eq!(visits(&d.plan), visits(&rule.full) - 1, "{:?}", d.plan);
+                }
+                if !rule.rederive.code.is_empty() {
+                    assert_eq!(visits(&rule.rederive), visits(&rule.full));
+                }
             }
             for (i, a) in circuit.arrangements.iter().enumerate() {
                 let mut sorted = a.order.clone();
@@ -1087,10 +1076,21 @@ mod tests {
                     .map(|a| format!("{}{:?}", a.pred.name, a.order))
                     .collect();
                 assert_eq!(declared, ["edge[1, 0]", "path[1, 0]"]);
-                // Run from scratch only, the same rules probe neither.
-                let flat = crate::datalog::flatten_program(&setup(src).0).unwrap();
-                let one_shot = Circuit::new(flat, false);
-                assert!(one_shot.arrangements.is_empty());
+                // A one-shot circuit has the same plans. Run from scratch
+                // it builds only what the drivers of its own components
+                // probe: each new `path` tuple asks for `edge[1, 0]`, and
+                // `blocked` never changes.
+                let (program, db) = setup(&format!(
+                    "{views} init edge(a, b). init edge(b, c). init blocked(c)."
+                ));
+                let flat = crate::datalog::flatten_program(&program).unwrap();
+                let one_shot = Circuit::new(flat);
+                assert_eq!(one_shot.arrangements, circuit.arrangements);
+                let (state, _) = one_shot.run(&db);
+                let built: Vec<bool> = (state.arranged.iter())
+                    .map(|slot| slot.get().is_some())
+                    .collect();
+                assert_eq!(built, [true, false]);
             }
         }
         assert!(probes > 40, "{probes} keyed probes checked");

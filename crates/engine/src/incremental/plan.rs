@@ -19,6 +19,9 @@
 //! (`circuit::MatState`). A bound column never scans.
 //!
 //! A rule is compiled once per way the evaluator enters it ([`Entry`]).
+//! Entered with a tuple, its literals are taken most-bound-first
+//! ([`Compiler::next`]); which version of the data a literal reads is a
+//! matter of where it stands in the body ([`Side`]), never of when it runs.
 
 use super::circuit::MatState;
 use crate::datalog::{FlatRule, Lit};
@@ -26,7 +29,7 @@ use crate::kernel::{eval_ground_builtin, BuiltinOut};
 use std::cell::Cell;
 use std::collections::HashMap;
 use td_core::goal::Builtin;
-use td_core::{Pred, Term, Value, Var};
+use td_core::{Atom, Pred, Term, Value, Var};
 use td_db::ord::OrdMap;
 use td_db::relation::for_each_with_prefix;
 use td_db::{CountedRelation, Database, Relation, Tuple};
@@ -100,9 +103,6 @@ pub(crate) enum Rows {
     Derived(usize),
     /// An arrangement (an index into [`Arrangements`]).
     Arranged(usize),
-    /// The tuples a semi-naive round found new, whichever side: in their
-    /// own order, or in the plan's [`Plan::delta_order`].
-    Delta,
 }
 
 /// An argument of a builtin: an input, or the register its result goes to.
@@ -141,44 +141,41 @@ pub(crate) enum Instr {
 #[derive(Clone, Default, Debug)]
 pub(crate) struct Plan {
     /// How the tuple the plan is entered with — a membership event, or a
-    /// head to rederive — goes into the registers. Empty for the other two
-    /// entries.
+    /// head to rederive — goes into the registers. Empty for [`Entry::Full`].
     pub(crate) load: Match,
     /// Empty when the rule can derive nothing entered this way.
     pub(crate) code: Vec<Instr>,
-    /// [`Entry::Round`] only: the column order its delta probe needs the
-    /// round's tuples in, when that is not their own.
-    pub(crate) delta_order: Option<Vec<usize>>,
 }
 
-/// The four ways the evaluator enters a rule.
+/// The three ways the evaluator enters a rule.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) enum Entry {
-    /// The body in order, every literal over the whole of its relation: a
-    /// component's first pass.
+    /// The body in order from nothing bound, every literal over the whole
+    /// of its relation: a component's first pass, and the judge of whether
+    /// the rule derives anything at all ([`derives`]).
     Full,
-    /// The body in order, position *i* ranging over a round's delta: the
-    /// from-scratch semi-naive loop. Plain left-to-right evaluation, correct
-    /// for every rule.
-    Round(usize),
-    /// Position *i* first, loaded with one membership event, then the rest
-    /// of the body in order: maintenance, where the delta is a handful of
-    /// tuples and binding one hands the literals to its left a key.
+    /// Body position *i* first, loaded with one tuple that entered or left
+    /// its relation, then the other literals most-bound-first
+    /// ([`Compiler::next`]): a round of the semi-naive loop and a
+    /// maintenance event alike.
     ///
-    /// This entry and [`Entry::Head`] start with variables bound that
-    /// [`Entry::Full`] starts without, and a literal binds whatever it reads
-    /// and finds unbound: at every body position they have bound a superset
-    /// of what the full plan has. So where the full plan is live
-    /// ([`derives`]) they are too — every input it finds bound, they find
-    /// bound — and all of them enumerate one and the same conjunction, each
-    /// variable of the rule ending up with a value whichever literal gives it
-    /// one. Where the full plan is dead nothing of the kind holds (entered
-    /// with `X`, `odd(X) <- not b(X) * e(X, X)` derives what the body in order
-    /// never does): the materializer takes no such rule, and one-shot
-    /// circuits compile neither entry.
-    Event(usize),
-    /// The head loaded first, then the body in order: does the rule still
-    /// derive this tuple (DRed's rederivation check)?
+    /// Where the full plan is live ([`derives`]) this entry and
+    /// [`Entry::Head`] are live too. An atom can always be taken, so the
+    /// compiler is stuck only with nothing but `not`s and builtins left, each
+    /// short of an input. Take the first of them in body order: every
+    /// literal before it in the body is done — the atoms all are, the driver
+    /// was loaded — and a literal that is done has given a value to whatever
+    /// the body in order has bound once past it, whichever literal got to a
+    /// shared variable first. So the inputs the full plan found bound there
+    /// are bound here, and the literal is not short of one. Every entry then
+    /// enumerates one and the same conjunction.
+    ///
+    /// Where the full plan is dead nothing of the kind holds (entered with
+    /// `X`, `odd(X) <- not b(X) * e(X, X)` derives what the body in order
+    /// never does), so such a rule gets no other entry (`Circuit::new`).
+    Driven(usize),
+    /// The head loaded first, then the body most-bound-first: does the rule
+    /// still derive this tuple (DRed's rederivation check)?
     Head,
 }
 
@@ -219,58 +216,27 @@ pub(crate) fn compile(
     };
     let dead = Plan::default();
     let mut plan = Plan::default();
-    let driver = match entry {
-        Entry::Event(pos) => {
-            let (Lit::Atom(a) | Lit::NegAtom(a)) = &rule.body[pos] else {
-                unreachable!("a builtin drives no plan");
-            };
-            plan.load = c.rest(&a.args, &(0..a.args.len()).collect::<Vec<_>>(), 0);
-            Some(pos)
-        }
-        Entry::Head => {
-            let cols: Vec<usize> = (0..rule.head.args.len()).collect();
-            plan.load = c.rest(&rule.head.args, &cols, 0);
-            None
-        }
-        Entry::Round(pos) => Some(pos),
-        Entry::Full => None,
+    let (entered, driver) = match entry {
+        Entry::Driven(pos) => match &rule.body[pos] {
+            Lit::Atom(a) | Lit::NegAtom(a) => (Some(&a.args), Some(pos)),
+            Lit::Builtin(..) => unreachable!("a builtin drives no plan"),
+        },
+        Entry::Head => (Some(&rule.head.args), None),
+        Entry::Full => (None, None),
     };
-    for (pos, lit) in rule.body.iter().enumerate() {
-        let driven = driver == Some(pos);
-        if driven && matches!(entry, Entry::Event(_)) {
-            continue;
-        }
-        let side = match driver {
-            Some(d) if pos > d => Side::Old,
-            _ => Side::New,
+    if let Some(args) = entered {
+        plan.load = c.rest(args, &(0..args.len()).collect::<Vec<_>>(), 0);
+    }
+    let mut todo: Vec<usize> = (0..rule.body.len())
+        .filter(|pos| driver != Some(*pos))
+        .collect();
+    while !todo.is_empty() {
+        // From nothing bound the body's own order is the semantics.
+        let among = if entry == Entry::Full { 1 } else { todo.len() };
+        let Some((k, instr)) = c.next(&rule.body, &todo[..among], driver) else {
+            return dead;
         };
-        let instr = match lit {
-            Lit::Atom(a) => {
-                let (rows, order, key) = c.arrange(driven, a.pred, &a.args);
-                if driven && !order.iter().copied().eq(0..order.len()) {
-                    plan.delta_order = Some(order.clone());
-                }
-                let rest = c.rest(&a.args, &order, key.len());
-                Some(Instr::Probe {
-                    side,
-                    rows,
-                    key,
-                    rest,
-                })
-            }
-            Lit::NegAtom(a) => match c.sources(&a.args) {
-                Some(args) => Some(Instr::Absent {
-                    side,
-                    pred: a.pred,
-                    args,
-                }),
-                None => return dead,
-            },
-            Lit::Builtin(op, terms) => match c.builtin(*op, terms) {
-                Ok(instr) => instr,
-                Err(Unbound) => return dead,
-            },
-        };
+        todo.remove(k);
         plan.code.extend(instr);
     }
     let Some(head) = c.sources(&rule.head.args) else {
@@ -323,10 +289,63 @@ impl Compiler<'_> {
         ts.iter().map(|t| self.source(t)).collect()
     }
 
+    /// The literal to evaluate next, as an index into `todo`, and its
+    /// instruction if it needs one: the first `not` or builtin whose inputs
+    /// are all bound — a test costs nothing and cuts what follows — else the
+    /// atom with the most bound columns, the first of them on a tie. `None`
+    /// when only tests with an unbound input are left.
+    ///
+    /// The order is free because the body is a conjunction; the version a
+    /// literal reads is not. The delta-join over body position `driver` is
+    /// one term of a telescoping sum — new left of it, old right of it —
+    /// so a literal's [`Side`] follows its position, whenever it runs.
+    fn next(
+        &mut self,
+        body: &[Lit],
+        todo: &[usize],
+        driver: Option<usize>,
+    ) -> Option<(usize, Option<Instr>)> {
+        let side = |pos: usize| match driver {
+            Some(d) if pos > d => Side::Old,
+            _ => Side::New,
+        };
+        let mut most: Option<(usize, &Atom, usize)> = None;
+        for (k, &pos) in todo.iter().enumerate() {
+            match &body[pos] {
+                Lit::Atom(a) => {
+                    let bound = a.args.iter().filter(|t| self.source(t).is_some()).count();
+                    if most.is_none_or(|(.., b)| bound > b) {
+                        most = Some((k, a, bound));
+                    }
+                }
+                Lit::NegAtom(a) => {
+                    if let Some(args) = self.sources(&a.args) {
+                        let (side, pred) = (side(pos), a.pred);
+                        return Some((k, Some(Instr::Absent { side, pred, args })));
+                    }
+                }
+                Lit::Builtin(op, terms) => {
+                    if let Ok(instr) = self.builtin(*op, terms) {
+                        return Some((k, instr));
+                    }
+                }
+            }
+        }
+        let (k, a, _) = most?;
+        let (rows, order, key) = self.arrange(a.pred, &a.args);
+        let (side, rest) = (side(todo[k]), self.rest(&a.args, &order, key.len()));
+        let probe = Instr::Probe {
+            side,
+            rows,
+            key,
+            rest,
+        };
+        Some((k, Some(probe)))
+    }
+
     /// Where a probe of `pred` with the currently bound columns of `args` as
-    /// its key ranges (the round's delta, if it is `driven`), the column
-    /// order of the tuples there, and the key.
-    fn arrange(&mut self, driven: bool, pred: Pred, args: &[Term]) -> (Rows, Vec<usize>, Vec<Src>) {
+    /// its key ranges, the column order of the tuples there, and the key.
+    fn arrange(&mut self, pred: Pred, args: &[Term]) -> (Rows, Vec<usize>, Vec<Src>) {
         let (mut order, free): (Vec<usize>, Vec<usize>) =
             (0..args.len()).partition(|&c| self.source(&args[c]).is_some());
         let key: Vec<Src> = order
@@ -334,10 +353,6 @@ impl Compiler<'_> {
             .filter_map(|&c| self.source(&args[c]))
             .collect();
         order.extend(free);
-        // A round's delta is arranged by the round, not kept in the state.
-        if driven {
-            return (Rows::Delta, order, key);
-        }
         let rel = self.derived.get(&pred).copied();
         // Bound columns that lead the tuple are a prefix as it is.
         if order.iter().copied().eq(0..args.len()) {
@@ -371,7 +386,8 @@ impl Compiler<'_> {
         m
     }
 
-    /// The instruction for a builtin, if it needs one.
+    /// The instruction for a builtin, if it needs one. Nothing changes when
+    /// an input is unbound.
     fn builtin(&mut self, op: Builtin, terms: &[Term]) -> Result<Option<Instr>, Unbound> {
         let input = |c: &Compiler<'_>, t: &Term| c.source(t).map(Arg::In).ok_or(Unbound);
         // The one argument that may be written, if any.
@@ -496,7 +512,7 @@ pub(crate) fn sorted_set(mut tuples: Vec<Tuple>) -> OrdMap<Tuple, ()> {
 
 /// The three kinds of sorted tuple set a probe ranges over.
 #[derive(Clone, Copy)]
-pub(crate) enum Sorted<'a> {
+enum Sorted<'a> {
     Base(&'a Relation),
     Counted(&'a CountedRelation),
     Arranged(&'a OrdMap<Tuple, ()>),
@@ -521,17 +537,12 @@ impl Sorted<'_> {
 pub(crate) struct Data<'a> {
     pub(crate) new: Views<'a>,
     pub(crate) old: Views<'a>,
-    pub(crate) delta: Option<Sorted<'a>>,
 }
 
 impl<'a> Data<'a> {
     /// Both sides of the join read one version.
     pub(crate) fn at(v: Views<'a>) -> Data<'a> {
-        Data {
-            new: v,
-            old: v,
-            delta: None,
-        }
+        Data { new: v, old: v }
     }
 
     fn views(&self, side: Side) -> Views<'a> {
@@ -547,7 +558,6 @@ impl<'a> Data<'a> {
             Rows::Base(p) => v.db.relation(p).map(Sorted::Base),
             Rows::Derived(i) => Some(Sorted::Counted(&v.state.rels[i])),
             Rows::Arranged(a) => Some(Sorted::Arranged(v.arranged(a))),
-            Rows::Delta => self.delta,
         }
     }
 }

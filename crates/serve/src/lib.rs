@@ -52,7 +52,7 @@ pub mod client;
 
 pub use client::{Client, Reply};
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,21 +83,43 @@ const COUNTERS: [&str; 8] = [
     "triggers.conflicted",
 ];
 
+/// The longest request line a connection reads, newline excluded. A client
+/// that sends more without one is answered `err request too long` and
+/// disconnected, so no connection makes the server buffer without bound.
+const MAX_REQUEST: usize = 64 * 1024;
+
 /// Registry name of the trigger-latency histogram: microseconds from the
 /// arrival of the event request that completed a match to the end of its
 /// trigger's execution, one sample per execution (fired or not).
 const TRIGGER_LATENCY: &str = "triggers.latency_us";
 
+/// Registry name of the gauge of partial matches the reactor holds open.
+const PARTIALS: &str = "events.partials";
+
+/// The [`PARTIALS`] gauge of a reading (0 in one not taken by [`read`]).
+fn partials(metrics: &MetricsSnapshot) -> u64 {
+    metrics.gauges.get(PARTIALS).copied().unwrap_or(0)
+}
+
 /// One reading of everything the server publishes: the registry's snapshot
-/// with the store's commit-path counters and the interner's footprint (the
-/// documented leak of a long-running server, made observable) folded in
-/// under the names the report's `metrics` section carries, beside the
-/// store's own stats. The `stats` reply, the shutdown summary and both
-/// report sections all render from one such reading.
-fn read(metrics: &MetricsRegistry, cs: &ConcurrentStore) -> (MetricsSnapshot, ConcurrentStats) {
-    let stats = cs.stats();
-    let mut snapshot = metrics.snapshot();
+/// with the store's commit-path counters, the interner's footprint (the
+/// documented leak of a long-running server, made observable)
+/// and the reactor's partial-match gauge and drop count folded in under the
+/// names the report's `metrics` section carries, beside the store's own
+/// stats. The `stats` reply, the shutdown summary and both report sections
+/// all render from one such reading.
+fn read(ctx: &ConnCtx) -> (MetricsSnapshot, ConcurrentStats) {
+    let stats = ctx.cs.stats();
+    let mut snapshot = ctx.metrics.snapshot();
+    // The reactor's bounded resource: partial matches held open now, and
+    // those it ever dropped at its cap (`td_events::MAX_PARTIALS`).
+    let (open, dropped) = {
+        let reactor = ctx.reactor.lock().expect("reactor poisoned by panic");
+        (reactor.partials() as u64, reactor.stats().dropped)
+    };
+    snapshot.gauges.insert(PARTIALS.to_owned(), open);
     for (name, v) in [
+        ("events.dropped", dropped),
         ("serve.commits", stats.commits),
         ("serve.read_only", stats.read_only),
         ("serve.aborts", stats.aborts),
@@ -198,7 +220,9 @@ impl ServeSummary {
             .field("conflicted", c("triggers.conflicted"))
             .field("p50_us", latency.percentile(0.50))
             .field("p99_us", latency.percentile(0.99))
-            .field("latency_buckets", json_array(latency.buckets()));
+            .field("latency_buckets", json_array(latency.buckets()))
+            .field("partials", partials(&self.metrics))
+            .field("dropped", c("events.dropped"));
         let conflicts = self.conflict_relations.iter().map(|(p, n)| (p, n));
         JsonObject::new()
             .string("socket", socket)
@@ -333,7 +357,7 @@ impl Server {
         drop(jobs);
         let _ = scheduler.join();
         let _ = std::fs::remove_file(socket);
-        let (metrics, stats) = read(&ctx.metrics, &self.store);
+        let (metrics, stats) = read(&ctx);
         let occ = self.store.options().validation;
         let conflict_relations = self
             .store
@@ -379,26 +403,39 @@ fn handle_connection(stream: UnixStream, ctx: &ConnCtx, jobs: &mpsc::Sender<Trig
     // One engine per connection: `Engine` is not shared across threads, and
     // per-connection caches warm up across a client's requests.
     let engine = Engine::with_config(ctx.program.program.clone(), ctx.config.clone());
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        let request = line.trim();
-        if request.is_empty() {
-            continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the bound tells an over-long line from one that
+        // just fits.
+        let mut bounded = (&mut reader).take(MAX_REQUEST as u64 + 1);
+        match bounded.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
+        let too_long = line.len() > MAX_REQUEST && !line.ends_with(b"\n");
+        let request = match std::str::from_utf8(&line).map(str::trim) {
+            _ if too_long => Err("err request too long"),
+            Ok("") => continue,
+            Ok(text) => Ok(text),
+            // The whole line is consumed: the next request starts clean.
+            Err(_) => Err("err request is not UTF-8"),
+        };
         ctx.metrics.add_counter("serve.requests", 1);
-        let (reply, stop) = dispatch(request, &engine, ctx, jobs);
+        let (reply, stop) = match request {
+            Ok(request) => dispatch(request, &engine, ctx, jobs),
+            Err(refusal) => (refusal.to_owned(), false),
+        };
         if reply.starts_with("err ") {
             ctx.metrics.add_counter("serve.errors", 1);
         }
-        if writeln!(writer, "{}", sanitize(&reply)).is_err() {
+        // The rest of an over-long line cannot be told from a next request.
+        if writeln!(writer, "{}", sanitize(&reply)).is_err() || too_long {
             break;
         }
         if stop {
@@ -621,7 +658,7 @@ fn run_goal(engine: &Engine, ctx: &ConnCtx, src: &str) -> String {
 }
 
 fn stats_line(ctx: &ConnCtx) -> String {
-    let (m, s) = read(&ctx.metrics, &ctx.cs);
+    let (m, s) = read(ctx);
     let c = |name: &str| m.counter(name);
     let latency = m.histogram(TRIGGER_LATENCY);
     format!(
@@ -630,7 +667,8 @@ fn stats_line(ctx: &ConnCtx) -> String {
          groups={} grouped_records={} max_group={} mean_group={:.2} durable={} \
          connections={} requests={} errors={} interned_syms={} interned_bytes={} \
          events_ingested={} triggers_matched={} triggers_fired={} \
-         triggers_conflicted={} trigger_p50_us={} trigger_p99_us={}",
+         triggers_conflicted={} trigger_p50_us={} trigger_p99_us={} \
+         event_partials={} events_dropped={}",
         ctx.cs.options().validation,
         c("serve.commits"),
         c("serve.read_only"),
@@ -655,6 +693,8 @@ fn stats_line(ctx: &ConnCtx) -> String {
         c("triggers.conflicted"),
         latency.percentile(0.50),
         latency.percentile(0.99),
+        partials(&m),
+        c("events.dropped"),
     )
 }
 

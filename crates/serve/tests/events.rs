@@ -210,6 +210,44 @@ fn triggered_and_direct_execution_agree() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The reactor's bounded resource is visible while the server runs: an
+/// open `seq` is one partial match in `stats`, it stays one after its first
+/// completion (a later `result` for the same sample would match again), and
+/// it is gone once the watermark leaves its `within` window behind.
+#[test]
+fn open_partial_matches_are_published() {
+    let dir = temp_dir("partials");
+    let (socket, handle) = start_server(&dir, LAB);
+    let mut c = Client::connect(&socket).unwrap();
+    let partials = |c: &mut Client| counter(&c.stats().unwrap(), "event_partials");
+    assert_eq!(partials(&mut c), 0);
+    assert!(c.event("sample(1) at 10").unwrap().is_ok());
+    assert_eq!(partials(&mut c), 1, "sample(1) waits for a result");
+    assert!(c.event("sample(2) at 11").unwrap().is_ok());
+    assert_eq!(partials(&mut c), 2);
+    let r = c.event("result(1, 9) at 20").unwrap();
+    assert_eq!(r.binding("matched"), Some("1"));
+    assert_eq!(partials(&mut c), 2, "a matched sample stays open");
+    // 60 000 past both samples: a result that arrives now matches neither,
+    // and on its own opens nothing.
+    let r = c.event("result(2, 9) at 70000").unwrap();
+    assert_eq!(r.binding("matched"), Some("0"));
+    let stats = c.stats().unwrap();
+    assert_eq!(counter(&stats, "event_partials"), 0, "{stats}");
+    assert_eq!(counter(&stats, "events_dropped"), 0, "expired, not dropped");
+    wait_for_fired(&mut c, 1);
+    c.stop().unwrap();
+    let summary = handle.join().unwrap().unwrap();
+    assert_eq!(summary.metrics.gauges.get("events.partials"), Some(&0));
+    assert_eq!(summary.metrics.counter("events.dropped"), 0);
+    let report = summary.report_section("td.sock");
+    assert!(
+        report.contains("\"partials\": 0, \"dropped\": 0}"),
+        "{report}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `clients` concurrent connections each stream `per` disjoint
 /// sample/result pairs. Every pair must fire its trigger exactly once: the
 /// `fired/1` counter is read-modify-write, so any double or lost execution

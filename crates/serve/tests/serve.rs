@@ -3,6 +3,8 @@
 //! 2.2 (transfers between two accounts must conserve total balance no
 //! matter how clients interleave).
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use td_engine::EngineConfig;
@@ -117,7 +119,8 @@ fn ping_run_stats_stop_round_trip() {
         "occ commits read_only aborts conflicts conflict_failures retries_exhausted \
          conflict_preds groups grouped_records max_group mean_group durable connections \
          requests errors interned_syms interned_bytes events_ingested triggers_matched \
-         triggers_fired triggers_conflicted trigger_p50_us trigger_p99_us"
+         triggers_fired triggers_conflicted trigger_p50_us trigger_p99_us \
+         event_partials events_dropped"
     );
     assert_eq!(counter(&stats, "commits"), 1);
     assert_eq!(counter(&stats, "read_only"), 1);
@@ -133,6 +136,72 @@ fn ping_run_stats_stop_round_trip() {
     drop(summary);
     let reopened = Store::open(&dir.join("db")).unwrap();
     assert_eq!(reopened.db().digest(), db.digest());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A raw connection — requests as bytes, replies as lines — whose reads give
+/// up after five seconds instead of hanging the suite.
+fn raw(socket: &std::path::Path) -> (UnixStream, BufReader<UnixStream>) {
+    let stream = UnixStream::connect(socket).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    (stream.try_clone().unwrap(), BufReader::new(stream))
+}
+
+fn reply(reader: &mut BufReader<UnixStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a reply, not a timeout");
+    line.trim_end().to_owned()
+}
+
+/// The server reads a request into a buffer of bounded size: 64 KiB without
+/// a newline is refused and the connection closed, where an unbounded
+/// `lines()` would go on buffering for as long as the client goes on
+/// sending. A line of exactly the bound is a request like any other.
+#[test]
+fn an_over_long_request_is_refused_and_the_connection_closed() {
+    let dir = temp_dir("too_long");
+    let (socket, handle) = start_server(&dir);
+    let (mut w, mut r) = raw(&socket);
+    w.write_all(&vec![b'a'; 64 * 1024 + 1]).unwrap();
+    assert_eq!(reply(&mut r), "err request too long");
+    assert_eq!(reply(&mut r), "", "then the server hangs up");
+
+    let (mut w, mut r) = raw(&socket);
+    let mut fits = vec![b'a'; 64 * 1024];
+    fits.push(b'\n');
+    w.write_all(&fits).unwrap();
+    assert!(reply(&mut r).starts_with("err unknown command"));
+    w.write_all(b"ping\n").unwrap();
+    assert_eq!(reply(&mut r), "ok pong");
+    // The server drains its connections before it stops.
+    drop((w, r));
+
+    let mut c = Client::connect(&socket).unwrap();
+    let stats = c.stats().unwrap();
+    assert_eq!(counter(&stats, "errors"), 2, "{stats}");
+    c.stop().unwrap();
+    handle.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Bytes that are not UTF-8 are one bad request, not a dead connection.
+#[test]
+fn a_request_that_is_not_utf8_is_refused_and_the_connection_stays_up() {
+    let dir = temp_dir("not_utf8");
+    let (socket, handle) = start_server(&dir);
+    let (mut w, mut r) = raw(&socket);
+    w.write_all(b"run balance(acct1, \xff\xfe)\n").unwrap();
+    assert_eq!(reply(&mut r), "err request is not UTF-8");
+    w.write_all(b"run balance(acct1, B)\n").unwrap();
+    assert!(reply(&mut r).contains("B=100"));
+    w.write_all(b"stats\n").unwrap();
+    let stats = reply(&mut r);
+    assert_eq!(counter(&stats, "errors"), 1, "{stats}");
+    w.write_all(b"stop\n").unwrap();
+    assert_eq!(reply(&mut r), "ok stopping");
+    handle.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
