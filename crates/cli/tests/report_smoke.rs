@@ -153,6 +153,13 @@ fn materialized_run_reports_materializer_counters() {
                 .and_then(Value::as_bool),
             Some(true)
         );
+        // Six counters; `states` went with the store it counted.
+        let Some(Value::Obj(section)) = doc.get("materializer") else {
+            panic!("{args:?}: no materializer section");
+        };
+        let keys: Vec<&str> = section.keys().map(String::as_str).collect();
+        let expected = "delta_tuples maintain_us maintained_ops probes rebuilds state_hits";
+        assert_eq!(keys.join(" "), expected, "{args:?}");
         for counter in ["probes", "state_hits", "maintained_ops"] {
             let n = doc
                 .path(&format!("materializer.{counter}"))

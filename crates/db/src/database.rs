@@ -6,10 +6,13 @@
 //! here that is free). Relations share structure between versions, so a
 //! snapshot costs one small map clone.
 
+use crate::ord::OrdMap;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use td_core::{Atom, Pred};
 
 /// Errors raised by database operations.
@@ -50,10 +53,75 @@ impl std::error::Error for DbError {}
 /// `delete` updates the digest in O(1) — it strips the touched relation's
 /// old contribution and adds the new one — and the result is
 /// history-independent: content-equal databases always digest equally.
+///
+/// A version also carries what has been derived from it so far: the
+/// [arrangements](Database::arrangement) of its relations that somebody has
+/// probed, and one [slot](Database::derived) per engine circuit for the
+/// circuit's own relations. Derived data lives exactly as long as the version
+/// does, and nothing that identifies or renders content — `==`, the digest,
+/// `Display`, the store's codec — sees it.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     rels: BTreeMap<Pred, Relation>,
     digest: u128,
+    /// Empty until the first derivation from this version. From then on it
+    /// is one cell for this handle and every clone made of it afterwards:
+    /// whichever of them derives something derives it for all. A clone made
+    /// earlier has a cell of its own.
+    derived: OnceLock<Arc<Derived>>,
+}
+
+/// A slot of a database version: empty, or holding what its owner derived
+/// from exactly this version. Whoever fills it chooses the type.
+pub type Slot = OnceLock<Arc<dyn Any + Send + Sync>>;
+
+/// What has been derived from one version, as two lists that only grow.
+#[derive(Default)]
+struct Derived {
+    /// That relation's tuples, permuted.
+    arranged: Chain<ArrangedBy, OrdMap<Tuple, ()>>,
+    /// By owner.
+    slots: Chain<u64, Slot>,
+}
+
+/// Which arrangement: a predicate and an order of its columns.
+type ArrangedBy = (Pred, Arc<[usize]>);
+
+/// A list that is appended to through `&self`: a link is set once.
+type Chain<K, V> = OnceLock<Box<Link<K, V>>>;
+
+struct Link<K, V> {
+    key: K,
+    value: V,
+    next: Chain<K, V>,
+}
+
+fn links<K, V>(chain: &Chain<K, V>) -> impl Iterator<Item = &Link<K, V>> {
+    std::iter::successors(chain.get(), |l| l.next.get()).map(|l| &**l)
+}
+
+/// The value under the key `is` accepts; `make` appends it if there is none.
+/// Two appends may race for a link: the loser's entry, if it is another,
+/// goes into the next one.
+fn entry<K, V>(mut chain: &Chain<K, V>, is: impl Fn(&K) -> bool, make: impl Fn() -> (K, V)) -> &V {
+    loop {
+        let link = chain.get_or_init(|| {
+            let (key, value) = make();
+            let next = Chain::new();
+            Box::new(Link { key, value, next })
+        });
+        if is(&link.key) {
+            return &link.value;
+        }
+        chain = &link.next;
+    }
+}
+
+impl fmt::Debug for Derived {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let arranged: Vec<_> = links(&self.arranged).map(|l| &l.key).collect();
+        (f.debug_struct("Derived").field("arranged", &arranged)).finish_non_exhaustive()
+    }
 }
 
 impl PartialEq for Database {
@@ -116,10 +184,93 @@ impl Database {
         let mut rels = self.rels.clone();
         rels.insert(pred, Relation::new(pred.arity as usize));
         // An empty relation contributes 0: the digest is unchanged.
+        Database::version(rels, self.digest)
+    }
+
+    /// A new version: nothing is derived from it yet.
+    fn version(rels: BTreeMap<Pred, Relation>, digest: u128) -> Database {
         Database {
             rels,
-            digest: self.digest,
+            digest,
+            derived: OnceLock::new(),
         }
+    }
+
+    /// `owner`'s slot of this version (an owner is whoever picked the
+    /// number: the engine gives each compiled circuit one). The first call
+    /// makes the slot; different owners never see each other's. Filling it
+    /// through one handle fills it for every handle that shares this
+    /// version's derived data (see the field) — so call this, or
+    /// [`Database::arrangement`], before handing out clones that should.
+    pub fn derived(&self, owner: u64) -> &Slot {
+        let derived = self.derived.get_or_init(Arc::default);
+        entry(&derived.slots, |o| *o == owner, || (owner, Slot::new()))
+    }
+
+    /// `pred`'s tuples with their columns in `order` (a permutation of
+    /// `0..arity`; see [`Tuple::permuted`]), sorted: a pattern binding the
+    /// columns `order[..k]` is a range probe of it
+    /// ([`crate::relation::for_each_with_prefix`]) where the relation itself
+    /// would be scanned. The first call for an order on a version that did
+    /// not inherit it builds it, O(n log n); from then on it is part of this
+    /// version, and `insert`/`delete` bring it along to the next with one
+    /// `alter`. None of an undeclared relation.
+    pub fn arrangement(&self, pred: Pred, order: &[usize]) -> Option<&OrdMap<Tuple, ()>> {
+        let rel = self.rels.get(&pred)?;
+        let derived = self.derived.get_or_init(Arc::default);
+        let build = || {
+            let mut members = Vec::with_capacity(rel.len());
+            rel.for_each(|t| members.push(t.permuted(order)));
+            members.sort_unstable();
+            let tuples = OrdMap::from_sorted(members.into_iter().map(|t| (t, ())));
+            ((pred, order.into()), tuples)
+        };
+        Some(entry(
+            &derived.arranged,
+            |k| k.0 == pred && *k.1 == *order,
+            build,
+        ))
+    }
+
+    /// The arrangements this version holds: predicate, column order, tuples.
+    pub fn arrangements(&self) -> impl Iterator<Item = (Pred, &[usize], &OrdMap<Tuple, ()>)> {
+        let derived = self.derived.get().into_iter();
+        derived.flat_map(|d| links(&d.arranged).map(|l| (l.key.0, &*l.key.1, &l.value)))
+    }
+
+    /// [`Database::arrangement`] if this version holds it already.
+    pub fn arranged(&self, pred: Pred, order: &[usize]) -> Option<&OrdMap<Tuple, ()>> {
+        let mut held = self.arrangements();
+        held.find_map(|(p, o, tuples)| (p == pred && o == order).then_some(tuples))
+    }
+
+    /// The version that differs from this one in that `pred`'s relation is
+    /// `rel`: `old` with `t` a `member` or not. Every arrangement this
+    /// version holds goes along, `pred`'s by one `alter`; nothing else
+    /// derived from this version holds of the next.
+    fn successor(&self, pred: Pred, old: &Relation, rel: Relation, t: &Tuple) -> Database {
+        let member = rel.len() > old.len();
+        let digest = self.digest ^ contribution(pred, old) ^ contribution(pred, &rel);
+        let mut rels = self.rels.clone();
+        rels.insert(pred, rel);
+        let next = Database::version(rels, digest);
+        let held = self.derived.get().map(|d| &d.arranged);
+        if let Some(held) = held.filter(|held| held.get().is_some()) {
+            let derived = Derived::default();
+            let mut chain = &derived.arranged;
+            for Link { key, value, .. } in links(held) {
+                let value = match key.0 == pred {
+                    true => value.alter(&t.permuted(&key.1), |_| member.then_some(())),
+                    false => value.clone(),
+                };
+                let (key, next) = (key.clone(), Chain::new());
+                chain = &chain
+                    .get_or_init(|| Box::new(Link { key, value, next }))
+                    .next;
+            }
+            let _ = next.derived.set(Arc::new(derived));
+        }
+        next
     }
 
     /// The relation for `pred`, if declared.
@@ -152,15 +303,11 @@ impl Database {
                 found: t.arity(),
             });
         }
-        let old_contribution = contribution(pred, &rel);
-        let (rel, grew) = rel.insert(t);
+        let (next, grew) = rel.insert(t);
         if !grew && self.rels.contains_key(&pred) {
             return Ok((self.clone(), false));
         }
-        let digest = self.digest ^ old_contribution ^ contribution(pred, &rel);
-        let mut rels = self.rels.clone();
-        rels.insert(pred, rel);
-        Ok((Database { rels, digest }, grew))
+        Ok((self.successor(pred, &rel, next, t), grew))
     }
 
     /// Delete a tuple, returning the new database and whether it changed.
@@ -177,15 +324,11 @@ impl Database {
                 found: t.arity(),
             });
         }
-        let old_contribution = contribution(pred, rel);
-        let (rel, shrank) = rel.remove(t);
+        let (next, shrank) = rel.remove(t);
         if !shrank {
             return Ok((self.clone(), false));
         }
-        let digest = self.digest ^ old_contribution ^ contribution(pred, &rel);
-        let mut rels = self.rels.clone();
-        rels.insert(pred, rel);
-        Ok((Database { rels, digest }, true))
+        Ok((self.successor(pred, rel, next, t), true))
     }
 
     /// Check whether a *ground* atom holds.
@@ -427,6 +570,66 @@ mod tests {
             db4.relation_digest(p("a", 1)),
             db2.relation_digest(p("a", 1))
         );
+    }
+
+    #[test]
+    fn an_arrangement_is_built_once_and_follows_the_version() {
+        let e = p("e", 2);
+        let mut db = Database::new().declare(e);
+        for (a, b) in [(1, 9), (2, 8), (3, 9)] {
+            db = db.insert(e, &tuple!(a, b)).unwrap().0;
+        }
+        assert!(db.arranged(e, &[1, 0]).is_none(), "nobody asked yet");
+        let by_second = |db: &Database| {
+            let mut out = Vec::new();
+            db.arranged(e, &[1, 0])
+                .unwrap()
+                .for_each(|t, ()| out.push(t.clone()));
+            out
+        };
+        let built = db.arrangement(e, &[1, 0]).unwrap();
+        assert_eq!(by_second(&db), [tuple!(8, 2), tuple!(9, 1), tuple!(9, 3)]);
+        assert!(std::ptr::eq(built, db.arrangement(e, &[1, 0]).unwrap()));
+        // The next version has it before anybody asks it; the old one keeps
+        // its own; an op on another relation shares it as it is.
+        let (more, _) = db.insert(e, &tuple!(0, 9)).unwrap();
+        let (fewer, _) = more.delete(e, &tuple!(2, 8)).unwrap();
+        let (aside, _) = fewer.insert(p("f", 1), &tuple!(7)).unwrap();
+        assert_eq!(by_second(&more).len(), 4);
+        assert_eq!(
+            by_second(&fewer),
+            [tuple!(9, 0), tuple!(9, 1), tuple!(9, 3)]
+        );
+        assert_eq!(by_second(&aside), by_second(&fewer));
+        assert_eq!(by_second(&db).len(), 3);
+        // Another order is another arrangement, of an undeclared relation
+        // there is none, and a lineage nobody probed carries nothing.
+        assert_eq!(aside.arrangement(e, &[0, 1]).unwrap().len(), 3);
+        assert_eq!(aside.arrangements().count(), 2);
+        assert!(aside.arrangement(p("nope", 2), &[1, 0]).is_none());
+        let (plain, _) = Database::new().insert(e, &tuple!(1, 2)).unwrap();
+        assert_eq!(plain.arrangements().count(), 0);
+    }
+
+    #[test]
+    fn derived_slots_belong_to_one_version_and_one_owner() {
+        let (db, _) = Database::new().insert(p("a", 1), &tuple!(1)).unwrap();
+        let early = db.clone();
+        let filled = |db: &Database, owner| db.derived(owner).get().is_some();
+        db.derived(7);
+        let late = db.clone();
+        // A clone made once the slot exists fills it for every holder.
+        assert!(late.derived(7).set(Arc::new("views")).is_ok());
+        assert!(filled(&db, 7) && !filled(&early, 7) && !filled(&db, 8));
+        let held = db.derived(7).get().unwrap();
+        assert_eq!(held.downcast_ref::<&str>(), Some(&"views"));
+        assert!(late.derived(8).set(Arc::new(8u64)).is_ok() && filled(&db, 8));
+        // The next version starts empty, and no notion of content sees any
+        // of it.
+        let (next, _) = db.insert(p("a", 1), &tuple!(2)).unwrap();
+        assert!(!filled(&next, 7));
+        assert!(db == early && db.digest() == early.digest());
+        assert_eq!(db.to_string(), early.to_string());
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! * [`Database`] — an immutable **snapshot** database: updates return new
 //!   versions; old versions stay valid. The engine's choicepoints and
 //!   isolation blocks are therefore O(1) to establish and to roll back.
+//!   A version also holds what has been derived from it — arrangements of
+//!   its relations in other column orders, an engine's materialized views —
+//!   for exactly as long as the version lives, so rolling back to a value
+//!   rolls back to its views too.
 //! * [`Relation`] — a persistent sorted tuple set with structural sharing
 //!   across versions, and [`CountedRelation`], the same with a derivation
 //!   count per tuple. Both sit on one structure, the treap in [`ord`].
@@ -27,7 +31,7 @@ pub mod relation;
 pub mod tuple;
 
 pub use counted::CountedRelation;
-pub use database::{Database, DbError};
+pub use database::{Database, DbError, Slot};
 pub use delta::{Delta, DeltaOp};
 pub use read_set::ReadSet;
 pub use relation::Relation;

@@ -29,6 +29,13 @@ impl Tuple {
         &self.0
     }
 
+    /// The tuple with its columns in `order`: what an arrangement of a
+    /// relation stores in place of the tuple (see
+    /// [`crate::Database::arrangement`]).
+    pub fn permuted(&self, order: &[usize]) -> Tuple {
+        order.iter().map(|&c| self.0[c]).collect()
+    }
+
     /// True if the tuple matches a binding pattern: `pattern[i]` of `None`
     /// matches anything; `Some(v)` must equal the field.
     pub fn matches(&self, pattern: &[Option<Value>]) -> bool {

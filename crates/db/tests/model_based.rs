@@ -201,6 +201,64 @@ proptest! {
         }
     }
 
+    /// Arrangements are a function of the version that holds them: under
+    /// random `insert`/`delete`s, first probes of the four column orders of
+    /// two binary relations, snapshots and rollbacks, every arrangement a
+    /// version holds is the permuted sort of that version's relation — the
+    /// ones it built and the ones it inherited alike — and a lineage nobody
+    /// probed holds none.
+    #[test]
+    fn arrangements_are_the_permuted_sort_of_their_version(
+        // Below 6 an op as in `arb_op`; otherwise a probe of (pred, order).
+        ops in proptest::collection::vec((0u8..8, arb_op(), 0u8..2, any::<bool>()), 0..120),
+    ) {
+        fn check(db: &Database) -> usize {
+            let mut held = 0;
+            for (p, order, arranged) in db.arrangements() {
+                let mut fresh: Vec<Tuple> = db.relation(p).unwrap().to_vec();
+                fresh = fresh.iter().map(|t| t.permuted(order)).collect();
+                fresh.sort();
+                let mut kept = Vec::new();
+                arranged.for_each(|t, ()| kept.push(t.clone()));
+                assert_eq!(kept, fresh, "{p}{order:?}");
+                assert_eq!(arranged.len(), fresh.len());
+                held += 1;
+            }
+            held
+        }
+        let mut db = Database::new().declare(pred(0)).declare(pred(1));
+        let mut unprobed = db.clone();
+        let mut saved: Vec<Database> = Vec::new();
+        let mut probed = BTreeSet::new();
+        for (i, (kind, op, p, flip)) in ops.into_iter().enumerate() {
+            let order: &[usize] = if flip { &[1, 0] } else { &[0, 1] };
+            match op {
+                _ if kind >= 6 => {
+                    let built = db.arrangement(pred(p), order).unwrap();
+                    prop_assert!(std::ptr::eq(built, db.arranged(pred(p), order).unwrap()));
+                    probed.insert((p, flip));
+                }
+                Op::Ins(p, vals) => {
+                    db = db.insert(pred(p), &tuple(&vals)).unwrap().0;
+                    unprobed = unprobed.insert(pred(p), &tuple(&vals)).unwrap().0;
+                }
+                Op::Del(p, vals) => {
+                    db = db.delete(pred(p), &tuple(&vals)).unwrap().0;
+                    unprobed = unprobed.delete(pred(p), &tuple(&vals)).unwrap().0;
+                }
+                Op::Snapshot if i % 2 == 0 || saved.is_empty() => saved.push(db.clone()),
+                Op::Snapshot => db = saved.pop().unwrap(),
+            }
+            // A rollback may lose what was probed since; nothing adds any.
+            prop_assert!(check(&db) <= probed.len());
+            prop_assert!(db.arranged(pred(2), &[0, 1]).is_none());
+        }
+        for snap in &saved {
+            check(snap);
+        }
+        prop_assert_eq!(unprobed.arrangements().count(), 0);
+    }
+
     #[test]
     fn delta_replay_reproduces_any_committed_run(ops in proptest::collection::vec(arb_op(), 0..60)) {
         use td_db::{Delta, DeltaOp};

@@ -104,7 +104,8 @@ pub struct Engine {
     /// `EngineConfig::materialize` is set and the program has a
     /// Datalog-evaluable fragment (`None` otherwise — the engine then runs
     /// exactly as without the flag). Shared across calls and clones like
-    /// the cache, so materialized states stay warm between queries.
+    /// the cache; the states it maintains are on the `Database` values, so
+    /// a caller that keeps a value between queries keeps its views warm.
     mat: Option<Arc<Materializer>>,
     /// Observability sink (metrics registry + optional event stream),
     /// attached with [`Engine::with_observer`]. `None` = zero overhead.
@@ -311,6 +312,9 @@ impl Engine {
             self.obs.clone(),
         );
         ctx.bindings.alloc(nvars);
+        if let Some(mat) = &self.mat {
+            mat.attach(db); // before the clone, which then shares the slot
+        }
         let mut solver = Solver::new(make_node(goal), db.clone());
         let mut out = Vec::new();
         while out.len() < limit && solver.next_solution(&mut ctx)? {

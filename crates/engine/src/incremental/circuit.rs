@@ -10,7 +10,7 @@
 //! [`super::Materializer`] then keeps the same relations current across
 //! committed deltas with the same plans and the same loop.
 
-use super::plan::{self, permute, sorted_set, Arrangements, Data, Entry, Plan, Regs, Row, Views};
+use super::plan::{self, sorted_set, Arrangements, Data, Entry, Plan, Regs, Row, Views};
 use crate::datalog::{FlatRule, Lit};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -52,20 +52,22 @@ pub(crate) struct Scc {
     pub(crate) deps: HashSet<Pred>,
 }
 
-/// The circuit's data at one database version. Persistent throughout, so a
-/// version costs what changed, and the materializer keys whole states by
-/// database digest: rolling back is looking the old state up again.
+/// What the circuit derives from one database version. Persistent
+/// throughout, so a version costs what changed; the materializer keeps it on
+/// the `Database` value it describes (`Database::derived`), so rolling back
+/// to an earlier value finds the earlier state on it.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MatState {
     /// The derived relations, indexed like [`Circuit::preds`]: tuple →
     /// number of supporting rule instantiations.
     pub(crate) rels: Vec<CountedRelation>,
-    /// The member tuples of a base or derived relation in another column
-    /// order, indexed like [`Circuit::arrangements`]. A slot fills when a
-    /// plan first probes it (`plan::Views`) — an arrangement nothing reads
-    /// costs nothing — and a filled slot is part of the version like the
-    /// relations are: whoever changes a relation's membership brings it
-    /// along in the same step, and the version after inherits it.
+    /// The member tuples of a derived relation in another column order,
+    /// indexed like [`Circuit::arrangements`] (the slot of a base relation's
+    /// arrangement stays empty: that one is on the `Database`). A slot fills
+    /// when a plan first probes it (`plan::Views`) — an arrangement nothing
+    /// reads costs nothing — and a filled slot is part of the version like
+    /// the relations are: [`Circuit::fold`] brings it along in the step that
+    /// changes the relation, and the version after inherits it.
     pub(crate) arranged: Vec<OnceLock<OrdMap<Tuple, ()>>>,
 }
 
@@ -125,9 +127,9 @@ pub(crate) struct Circuit {
     pub(crate) index: HashMap<Pred, usize>,
     pub(crate) sccs: Vec<Scc>,
     /// Every arrangement some plan probes: declared while compiling, built
-    /// in a state by the first probe, kept current there by
-    /// [`Circuit::fold`] (derived relations) and the materializer's
-    /// `propagate` (base relations).
+    /// by the first probe — on the `Database` for a base relation, in the
+    /// state for a derived one — and kept current by whoever changes the
+    /// relation (`Database::insert`/`delete`, [`Circuit::fold`]).
     pub(crate) arrangements: Arrangements,
     /// Registers of the widest rule.
     pub(crate) num_regs: usize,
@@ -293,7 +295,7 @@ impl Circuit {
                 continue;
             };
             for (run, sign) in crossed.runs() {
-                let moved = sorted_set(run.iter().map(|t| permute(t, &arr.order)).collect());
+                let moved = sorted_set(run.iter().map(|t| t.permuted(&arr.order)).collect());
                 let keep = (sign > 0).then_some(());
                 *arranged = arranged.merge_with(&moved, |_, ()| keep);
             }

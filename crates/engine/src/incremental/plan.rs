@@ -15,8 +15,10 @@
 //! of the relation itself when they are its leading columns (or none, or
 //! all), otherwise of an **arrangement** — a copy of the relation with its
 //! columns permuted, bound ones first — that the compiler declares in
-//! [`Arrangements`] and the circuit keeps beside the relations
-//! (`circuit::MatState`). A bound column never scans.
+//! [`Arrangements`] and the version of the relation keeps: the database
+//! value for a base relation (`td_db::Database::arrangement`), the state
+//! over it for a derived one (`circuit::MatState`). A bound column never
+//! scans.
 //!
 //! A rule is compiled once per way the evaluator enters it ([`Entry`]).
 //! Entered with a tuple, its literals are taken most-bound-first
@@ -188,11 +190,6 @@ pub(crate) struct Arrangement {
     /// relation.
     pub(crate) rel: Option<usize>,
     pub(crate) order: Vec<usize>,
-}
-
-/// `t` with its columns in `order`.
-pub(crate) fn permute(t: &Tuple, order: &[usize]) -> Tuple {
-    order.iter().map(|&c| t.values()[c]).collect()
 }
 
 /// The arrangements declared so far by the plans of one circuit.
@@ -468,39 +465,35 @@ impl Plan {
     }
 }
 
-/// One version of the data: derived relations and arrangements from a
-/// materialized state, base relations from a database.
+/// One version of the data: base relations and their arrangements from a
+/// database, derived ones from a materialized state over it.
 #[derive(Clone, Copy)]
 pub(crate) struct Views<'a> {
     pub(crate) db: &'a Database,
     pub(crate) state: &'a MatState,
-    /// What `state.arranged` holds, slot by slot.
+    /// What the plans' arrangement numbers stand for.
     pub(crate) arrangements: &'a [Arrangement],
 }
 
 impl<'a> Views<'a> {
     /// Arrangement `a` of this version: built from its relation the first
     /// time it is probed, kept current from then on by whoever changes the
-    /// relation (see [`MatState`]).
-    fn arranged(&self, a: usize) -> &'a OrdMap<Tuple, ()> {
-        self.state.arranged[a].get_or_init(|| {
-            let Arrangement { pred, rel, order } = &self.arrangements[a];
+    /// relation — `Database::insert`/`delete` for a base relation,
+    /// `Circuit::fold` for a derived one. None of an undeclared relation.
+    fn arranged(&self, a: usize) -> Option<&'a OrdMap<Tuple, ()>> {
+        let Arrangement { pred, rel, order } = &self.arrangements[a];
+        let Some(i) = rel else {
+            return self.db.arrangement(*pred, order);
+        };
+        Some(self.state.arranged[a].get_or_init(|| {
             let mut members = Vec::new();
-            let mut add = |t: &Tuple| members.push(permute(t, order));
-            match rel {
-                Some(i) => self.state.rels[*i].for_each(|t, count| {
-                    if count > 0 {
-                        add(t);
-                    }
-                }),
-                None => self
-                    .db
-                    .relation(*pred)
-                    .into_iter()
-                    .for_each(|r| r.for_each(&mut add)),
-            }
+            self.state.rels[*i].for_each(|t, count| {
+                if count > 0 {
+                    members.push(t.permuted(order));
+                }
+            });
             sorted_set(members)
-        })
+        }))
     }
 }
 
@@ -557,7 +550,7 @@ impl<'a> Data<'a> {
         match rows {
             Rows::Base(p) => v.db.relation(p).map(Sorted::Base),
             Rows::Derived(i) => Some(Sorted::Counted(&v.state.rels[i])),
-            Rows::Arranged(a) => Some(Sorted::Arranged(v.arranged(a))),
+            Rows::Arranged(a) => v.arranged(a).map(Sorted::Arranged),
         }
     }
 }

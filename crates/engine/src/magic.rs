@@ -319,6 +319,51 @@ mod tests {
         assert_eq!(naive, magic);
     }
 
+    /// A bound-free query on a right-recursive rule probes `edge` by its
+    /// second column, i.e. through the arrangement `edge[1, 0]`, which is
+    /// Ω(|edge|) to build. The database version keeps it: on a 4 095-edge
+    /// tree two queries on one handle and a third on the version one
+    /// `insert` later build it once between them.
+    #[test]
+    fn a_second_query_on_a_version_builds_no_arrangement() {
+        let mut src = String::from(
+            "base edge/2.\npath(X, Y) <- edge(X, Y).\npath(X, Z) <- edge(X, Y) * path(Y, Z).\n",
+        );
+        for child in 2..=4096 {
+            src.push_str(&format!("init edge({}, {child}).\n", child / 2));
+        }
+        let (p, db) = setup(&src);
+        let (edge, order) = (Pred::new("edge", 2), [1, 0]);
+        let below = |db: &Database, x: i64| {
+            let query = Atom::new("path", vec![Term::int(x), Term::var(0)]);
+            answer(&p, db, &query).unwrap().0
+        };
+        assert!(db.arrangements().next().is_none());
+        // Node 300 heads a complete subtree four levels deep.
+        assert_eq!(below(&db, 300).len(), 2 + 4 + 8);
+        let built: *const _ = db
+            .arranged(edge, &order)
+            .expect("the first query builds it");
+        assert_eq!(below(&db, 301).len(), 2 + 4 + 8);
+        assert!(std::ptr::eq(built, db.arranged(edge, &order).unwrap()));
+        assert_eq!(db.arrangements().count(), 1);
+        // The next version has it before any query asks, moved by the tuple.
+        let (next, _) = db.insert(edge, &td_db::tuple!(4096, 5000)).unwrap();
+        let carried: *const _ = next.arranged(edge, &order).expect("carried, not rebuilt");
+        assert_eq!(next.arranged(edge, &order).unwrap().len(), 4096);
+        assert_eq!(
+            below(&next, 2048),
+            [td_db::tuple!(2048, 4096), td_db::tuple!(2048, 5000)]
+        );
+        assert!(std::ptr::eq(carried, next.arranged(edge, &order).unwrap()));
+        let mut fresh: Vec<_> = next.relation(edge).unwrap().to_vec();
+        fresh = fresh.iter().map(|t| t.permuted(&order)).collect();
+        fresh.sort();
+        let mut kept = Vec::new();
+        (next.arranged(edge, &order).unwrap()).for_each(|t, ()| kept.push(t.clone()));
+        assert_eq!(kept, fresh);
+    }
+
     #[test]
     fn non_datalog_programs_rejected() {
         let (p, db) = setup("base t/0. r <- ins.t.");

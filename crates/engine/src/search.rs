@@ -206,6 +206,9 @@ impl<'p> Search<'p> {
     /// fault ends it.
     pub(crate) fn run(&self, goal: &Goal, db: &Database) -> Found {
         let nvars = goal_num_vars(goal);
+        if let Some(mat) = &self.kernel.mat {
+            mat.attach(db); // before the clone, which then shares the slot
+        }
         let root = Task {
             cfg: Config {
                 tree: make_node(goal),

@@ -119,8 +119,8 @@ proptest! {
         let baseline = plain(&p).solve(&g, &db).unwrap();
         let engine = materialized(&p);
         prop_assert!(engine.materializer().is_some(), "fixture must compile");
-        // Twice on one engine: the second run probes warm digest-keyed
-        // states, the strongest maintenance test.
+        // Twice on one engine from one handle: the second run probes the
+        // states the first left on `db`, the strongest maintenance test.
         for run in 0..2 {
             let got = engine.solve(&g, &db).unwrap();
             assert_same_witness(&baseline, &got, &format!("materialized seq run={run}"));
@@ -142,18 +142,21 @@ proptest! {
         let bare = td_engine::decider::final_states(&p, &g, &db, cfg).unwrap();
         let engine = materialized(&p);
         prop_assert!(engine.materializer().is_some(), "fixture must compile");
-        let viewed = engine.final_states(&g, &db, cfg).unwrap();
-        for d in &bare {
-            prop_assert!(
-                viewed.iter().any(|t| t.same_content(d)),
-                "final state lost under materialization"
-            );
-        }
-        for d in &viewed {
-            prop_assert!(
-                bare.iter().any(|t| t.same_content(d)),
-                "materialization invented a final state"
-            );
+        // One worker, then four filling the slots of shared versions.
+        for engine in [&engine, &materialized_parallel(&p, 4)] {
+            let viewed = engine.final_states(&g, &db, cfg).unwrap();
+            for d in &bare {
+                prop_assert!(
+                    viewed.iter().any(|t| t.same_content(d)),
+                    "final state lost under materialization"
+                );
+            }
+            for d in &viewed {
+                prop_assert!(
+                    bare.iter().any(|t| t.same_content(d)),
+                    "materialization invented a final state"
+                );
+            }
         }
         let pd = td_engine::decider::decide(&p, &g, &db, cfg).unwrap();
         let md = engine.decide(&g, &db, cfg).unwrap();
@@ -421,8 +424,10 @@ fn churn_sequence_threads_identical_state() {
     // The exact work of this fixed sequence: the counts tdbench's
     // `engine.mat_*` metrics are computed from, and the evidence that a
     // change to the evaluator still does the same joins. (The last goal's
-    // `del.blocked(5)` lands on the content of the first goal's result,
-    // whose views are resident, so it is not maintained again.)
+    // `del.blocked(5)` lands on the content of the first goal's result. That
+    // version is gone and its views with it, so the op is maintained like
+    // any other; while views were kept by content digest it was skipped, and
+    // the last two counts read 3 and 24.)
     let counted: Vec<(&str, u64)> = m
         .counters()
         .into_iter()
@@ -433,8 +438,8 @@ fn churn_sequence_threads_identical_state() {
         [
             ("probes", 3),
             ("rebuilds", 1),
-            ("maintained_ops", 3),
-            ("delta_tuples", 24)
+            ("maintained_ops", 4),
+            ("delta_tuples", 28)
         ]
     );
 }
@@ -479,6 +484,97 @@ fn corpus_materialized_matches_plain() {
                 db = sol.db.clone();
             }
         }
+    }
+}
+
+/// A version's views live as long as a handle to the version does, however
+/// far the lineage has moved on: seed the root by a probe, keep its handle,
+/// push 5 000 effective updates through the same engine from it — every one
+/// to content not seen before — and the root's views are still the ones that
+/// probe built. (While views were kept in a store of the last 4 096
+/// versions, the root had been evicted by then and the second probe rebuilt
+/// it: `rebuilds == 2`.)
+#[test]
+fn a_kept_version_keeps_its_views_however_long_the_lineage() {
+    let (p, root) = fixture();
+    let engine = materialized(&p);
+    let m = engine.materializer().expect("fixture must compile");
+    let query = Goal::atom("path", vec![Term::int(1), Term::int(4)]);
+    assert!(engine.executable(&query, &root).unwrap());
+    // 2 501 edges off to the side come, then all but two go, oldest first.
+    let side = |i: i64| vec![Term::int(1000 + 2 * i), Term::int(1001 + 2 * i)];
+    let ops = (0..2_501).map(|i| Goal::ins("edge", side(i)));
+    let ops = ops.chain((0..2_499).map(|i| Goal::del("edge", side(i))));
+    let mut db = root.clone();
+    for op in ops {
+        db = engine
+            .solve(&op, &db)
+            .unwrap()
+            .solution()
+            .unwrap()
+            .db
+            .clone();
+    }
+    assert_eq!(m.maintained_ops(), 5_000, "every op maintained");
+    assert!(engine.executable(&query, &db).unwrap() && !db.same_content(&root));
+    assert!(engine.executable(&query, &root).unwrap());
+    assert_eq!(m.rebuilds(), 1, "the root's views were kept with the root");
+}
+
+/// Two materializing engines with different rules over one database value,
+/// their solves interleaved from the same handles: each finds its own views
+/// on a version, never the other's, and answers as its own plain engine.
+#[test]
+fn two_programs_over_one_database_value_keep_their_views_apart() {
+    let (forward, db) = fixture();
+    // The same schema and the same view names, read the other way round.
+    let backward = parse_program(
+        "base edge/2. base blocked/1.
+         path(X, Y) <- edge(Y, X).
+         path(X, Z) <- edge(Y, X) * path(Y, Z).
+         open(X, Y) <- path(X, Y) * not blocked(X).",
+    )
+    .expect("parses")
+    .program;
+    let engines = [
+        (plain(&forward), materialized(&forward)),
+        (plain(&backward), materialized(&backward)),
+    ];
+    let ground = |view: &str, x: i64, y: i64| Goal::atom(view, vec![Term::int(x), Term::int(y)]);
+    let updates = [
+        Goal::True,
+        Goal::ins("edge", vec![Term::int(4), Term::int(5)]),
+        Goal::ins("blocked", vec![Term::int(1)]),
+        Goal::del("edge", vec![Term::int(2), Term::int(3)]),
+    ];
+    let mut db = db;
+    for (round, update) in updates.iter().enumerate() {
+        // The update goes through one engine, the questions through both.
+        let through = &engines[round % 2].1;
+        db = through
+            .solve(update, &db)
+            .unwrap()
+            .solution()
+            .unwrap()
+            .db
+            .clone();
+        for (x, y) in [(1, 4), (4, 1), (1, 5), (5, 1), (3, 2), (2, 3)] {
+            for view in ["path", "open"] {
+                for (plain, mat) in &engines {
+                    let q = ground(view, x, y);
+                    let expect = plain.executable(&q, &db).unwrap();
+                    assert_eq!(
+                        mat.executable(&q, &db).unwrap(),
+                        expect,
+                        "{q} in round {round}"
+                    );
+                }
+            }
+        }
+    }
+    for (_, mat) in &engines {
+        let m = mat.materializer().expect("both compile");
+        assert!(m.probes() > 0 && m.state_hits() > 0 && m.maintained_ops() > 0);
     }
 }
 
