@@ -11,7 +11,9 @@
 //!                         long-running multi-client transaction server:
 //!                         the file's rules define the transactions, state
 //!                         lives in the store, clients connect over a Unix
-//!                         socket (see docs/SERVE.md)
+//!                         socket; the engine options below configure the
+//!                         server's one engine, which every connection
+//!                         solves through (see docs/SERVE.md)
 //! td client <request...> --socket=PATH
 //!                         send one protocol request (`run <goal>`, `stats`,
 //!                         `ping`, `stop`) to a running server
@@ -90,8 +92,6 @@ struct CliOptions {
     db: Option<String>,
     /// `--socket=PATH`: Unix socket for `serve`/`client`.
     socket: Option<String>,
-    /// `--occ=read-set|whole-db`: commit-validation rule for `serve`.
-    occ: Option<td_store::Validation>,
     /// Names of the options present on the command line, for per-command
     /// incompatibility checks (`serve`/`client` reject most engine flags
     /// loudly instead of ignoring them — the PR-3/PR-5 fail-fast rule).
@@ -109,7 +109,6 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<&String>), String> 
     let mut report = None;
     let mut db = None;
     let mut socket = None;
-    let mut occ = None;
     let mut seen = Vec::new();
     let mut rest = Vec::new();
     for a in args {
@@ -160,9 +159,6 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<&String>), String> 
                 return Err("--socket needs a path".into());
             }
             socket = Some(v.to_owned());
-        } else if let Some(v) = a.strip_prefix("--occ=") {
-            seen.push("--occ");
-            occ = Some(v.parse::<td_store::Validation>()?);
         } else if a.starts_with("--") {
             return Err(format!("unknown option `{a}`"));
         } else {
@@ -205,7 +201,6 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<&String>), String> 
             report,
             db,
             socket,
-            occ,
             seen,
         },
         rest,
@@ -286,7 +281,7 @@ fn main() -> ExitCode {
        [--deterministic] [--subgoal-cache] [--cache-capacity=N] [--materialize] \
        [--report=PATH] [--log-json=PATH] [--db=DIR] \
        <run|trace|fragment|decide|repl> <file.td>\n\
-       td serve <file.td> --db=DIR [--socket=PATH] [--occ=read-set|whole-db] [--report=PATH]\n\
+       td serve <file.td> --db=DIR [--socket=PATH] [--report=PATH]\n\
        td client <request...> --socket=PATH\n\
        td db <init|snapshot|verify|log> <DIR> [file.td]"
             );
@@ -302,8 +297,6 @@ fn main() -> ExitCode {
     // to refuse loudly rather than silently ignore. The full matrix:
     //   --db        required (the server exists to share the durable store)
     //   --socket    optional (defaults to <db-dir>/td.sock)
-    //   --occ       optional (read-set default; whole-db = the fallback
-    //               validation rule, for differential runs)
     //   --report    allowed (written at shutdown, `serve` section filled)
     //   --strategy=random / --seed   rejected: retries under OCC re-run a
     //               goal at unpredictable times; a seed cannot make the
@@ -314,8 +307,9 @@ fn main() -> ExitCode {
     //               commits are the only writers; other connections'
     //               deltas would silently go unmaintained
     // (everything engine-local — --max-steps, --subgoal-cache,
-    // --cache-capacity, --threads, --deterministic — applies per
-    // connection and stays accepted.)
+    // --cache-capacity, --threads, --deterministic — configures the
+    // server's one engine, which every connection solves through, and
+    // stays accepted.)
     if cmd == "serve" {
         if opts.db.is_none() {
             eprintln!("td: serve requires --db=DIR (the store the server shares)");
@@ -347,15 +341,6 @@ fn main() -> ExitCode {
         }
     } else if opts.socket.is_some() {
         eprintln!("td: --socket only applies to `serve` and `client`");
-        return ExitCode::from(2);
-    }
-    // The validation rule is a property of the *store's* commit path; only
-    // the server owns one. Everywhere else the flag would be a silent no-op.
-    if opts.occ.is_some() && cmd != "serve" {
-        eprintln!(
-            "td: --occ only applies to `serve` (it selects the server's \
-             commit-validation rule; see docs/SERVE.md)"
-        );
         return ExitCode::from(2);
     }
     // Tracing and the subgoal cache are semantically incompatible (a
@@ -425,17 +410,6 @@ fn main() -> ExitCode {
             "td: `{file}` declares triggers (`on … do …`), which only fire \
              on events ingested into a running server; use `td serve` (see \
              docs/EVENTS.md) or remove the trigger rules"
-        );
-        return ExitCode::from(2);
-    }
-    // Maintained views assume the run's own commits are the only writers;
-    // event appends happen outside goal execution, so a materialized view
-    // over a program with event relations would silently go stale.
-    if opts.config.materialize && parsed.program.has_events() {
-        eprintln!(
-            "td: --materialize cannot be combined with event relations: \
-             event appends bypass view maintenance (see docs/EVENTS.md); \
-             drop the flag or the `event` declarations"
         );
         return ExitCode::from(2);
     }
@@ -519,10 +493,7 @@ fn serve_command(parsed: ParsedProgram, opts: &CliOptions, file: &str) -> ExitCo
         .clone()
         .unwrap_or_else(|| format!("{}/td.sock", dir.trim_end_matches('/')));
     let started = Instant::now();
-    let tx = td_store::TxOptions {
-        validation: opts.occ.unwrap_or_default(),
-        ..td_store::TxOptions::default()
-    };
+    let tx = td_store::TxOptions::default();
     let server = match td_serve::Server::open(parsed, opts.config.clone(), Path::new(dir), tx) {
         Ok(s) => s,
         Err(e) => {
@@ -547,7 +518,7 @@ fn serve_command(parsed: ParsedProgram, opts: &CliOptions, file: &str) -> ExitCo
     let mut ok = true;
     if let Some(path) = &opts.report {
         let db = summary.store.db();
-        let mut sections = vec![("cache", None), ("materializer", None)];
+        let mut sections = summary.engine.report_sections();
         sections.push(("store", Some(store_section(&summary.store))));
         sections.push(("serve", Some(summary.report_section(&socket))));
         ok = write_report(
@@ -571,23 +542,9 @@ fn serve_command(parsed: ParsedProgram, opts: &CliOptions, file: &str) -> ExitCo
 /// running server and print its response line. Exits 0 on an `ok` reply, 1
 /// on `no`/`err` (like a failing goal under `td run`).
 fn client_command(args: &[&String], opts: &CliOptions) -> ExitCode {
-    // Requests execute under the *server's* engine configuration; every
-    // per-run flag here would be silently ignored, so refuse them all.
-    const INCOMPATIBLE: &[&str] = &[
-        "--strategy",
-        "--seed",
-        "--max-steps",
-        "--threads",
-        "--deterministic",
-        "--subgoal-cache",
-        "--cache-capacity",
-        "--materialize",
-        "--report",
-        "--log-json",
-        "--db",
-        "--occ",
-    ];
-    if let Some(flag) = opts.seen.iter().find(|f| INCOMPATIBLE.contains(f)) {
+    // Requests execute under the *server's* engine configuration; any flag
+    // but the socket's would be silently ignored, so refuse them all.
+    if let Some(flag) = opts.seen.iter().find(|f| **f != "--socket") {
         eprintln!(
             "td: {flag} does not apply to `client`: requests run under the \
              server's configuration (see docs/SERVE.md); drop the flag"
@@ -658,6 +615,11 @@ fn db_command(args: &[&String]) -> ExitCode {
         }
     };
     let dir_path = Path::new(&dir_path);
+    // The maintenance commands work on a store that exists.
+    if matches!(sub.as_str(), "snapshot" | "verify" | "log") && !Store::is_initialized(dir_path) {
+        eprintln!("td: `{dir}` is not an initialized store (run `td db init`)");
+        return ExitCode::from(2);
+    }
     match (sub.as_str(), rest) {
         ("init", rest) if rest.len() <= 1 => {
             if Store::is_initialized(dir_path) {
@@ -698,91 +660,73 @@ fn db_command(args: &[&String]) -> ExitCode {
                 }
             }
         }
-        ("snapshot", []) => {
-            if !Store::is_initialized(dir_path) {
-                eprintln!("td: `{dir}` is not an initialized store (run `td db init`)");
-                return ExitCode::from(2);
-            }
-            match Store::open(dir_path) {
-                Ok(mut store) => {
-                    let folded = store.recovery().replayed;
-                    match store.rotate_snapshot() {
-                        Ok(()) => {
-                            println!(
-                                "snapshot rotated: {folded} wal records folded in, \
-                                 {} tuples, digest 0x{:032x}",
-                                store.db().total_tuples(),
-                                store.db().digest()
-                            );
-                            ExitCode::SUCCESS
-                        }
-                        Err(e) => {
-                            eprintln!("td: rotating `{dir}`: {e}");
-                            ExitCode::FAILURE
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("td: opening store `{dir}`: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        ("verify", []) => {
-            if !Store::is_initialized(dir_path) {
-                eprintln!("td: `{dir}` is not an initialized store (run `td db init`)");
-                return ExitCode::from(2);
-            }
-            match Store::verify(dir_path) {
-                Ok(r) => {
-                    println!(
-                        "ok: snapshot {} tuples (digest 0x{:032x}), {} wal records, \
-                         final {} tuples (digest 0x{:032x})",
-                        r.snapshot_tuples,
-                        r.snapshot_digest,
-                        r.wal_records,
-                        r.final_tuples,
-                        r.final_digest
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("td: verify `{dir}`: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        ("log", []) => {
-            if !Store::is_initialized(dir_path) {
-                eprintln!("td: `{dir}` is not an initialized store (run `td db init`)");
-                return ExitCode::from(2);
-            }
-            match Store::log(dir_path) {
-                Ok((records, tail)) => {
-                    for rec in &records {
+        ("snapshot", []) => match Store::open(dir_path) {
+            Ok(mut store) => {
+                let folded = store.recovery().replayed;
+                match store.rotate_snapshot() {
+                    Ok(()) => {
                         println!(
-                            "#{:<6} {:>5} ops  post-digest 0x{:032x}",
-                            rec.seq,
-                            rec.delta.len(),
-                            rec.post_digest
+                            "snapshot rotated: {folded} wal records folded in, \
+                                 {} tuples, digest 0x{:032x}",
+                            store.db().total_tuples(),
+                            store.db().digest()
                         );
+                        ExitCode::SUCCESS
                     }
-                    match tail {
-                        WalTail::Clean => println!("{} records, tail clean", records.len()),
-                        WalTail::Torn { at, dropped } => println!(
-                            "{} records, torn tail at byte {at} ({dropped} bytes \
-                             pending repair on next open)",
-                            records.len()
-                        ),
+                    Err(e) => {
+                        eprintln!("td: rotating `{dir}`: {e}");
+                        ExitCode::FAILURE
                     }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("td: reading log `{dir}`: {e}");
-                    ExitCode::FAILURE
                 }
             }
-        }
+            Err(e) => {
+                eprintln!("td: opening store `{dir}`: {e}");
+                ExitCode::FAILURE
+            }
+        },
+        ("verify", []) => match Store::verify(dir_path) {
+            Ok(r) => {
+                println!(
+                    "ok: snapshot {} tuples (digest 0x{:032x}), {} wal records, \
+                         final {} tuples (digest 0x{:032x})",
+                    r.snapshot_tuples,
+                    r.snapshot_digest,
+                    r.wal_records,
+                    r.final_tuples,
+                    r.final_digest
+                );
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("td: verify `{dir}`: {e}");
+                ExitCode::FAILURE
+            }
+        },
+        ("log", []) => match Store::log(dir_path) {
+            Ok((records, tail)) => {
+                for rec in &records {
+                    println!(
+                        "#{:<6} {:>5} ops  post-digest 0x{:032x}",
+                        rec.seq,
+                        rec.delta.len(),
+                        rec.post_digest
+                    );
+                }
+                match tail {
+                    WalTail::Clean => println!("{} records, tail clean", records.len()),
+                    WalTail::Torn { at, dropped } => println!(
+                        "{} records, torn tail at byte {at} ({dropped} bytes \
+                             pending repair on next open)",
+                        records.len()
+                    ),
+                }
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("td: reading log `{dir}`: {e}");
+                ExitCode::FAILURE
+            }
+        },
         _ => usage(),
     }
 }

@@ -344,7 +344,7 @@ fn store_misuse_exits_2() {
     // being accepted and dropped.
     for (flag, sub) in [
         ("--report=r.json", "verify"),
-        ("--occ=whole-db", "log"),
+        ("--subgoal-cache", "log"),
         ("--max-steps=5", "verify"),
         ("--materialize", "snapshot"),
         ("--socket=/x", "verify"),
@@ -356,6 +356,37 @@ fn store_misuse_exits_2() {
         assert!(stderr.contains(name) && stderr.contains("`db`"), "{stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Outside `td serve` nothing can append an event, so an event relation is
+/// an (empty) base relation like any other and a view over it is maintained
+/// like any other: the verdicts are the ones the plain run prints.
+#[test]
+fn materialize_over_an_event_relation_prints_the_plain_verdicts() {
+    let f = write_temp(
+        "mat_event.td",
+        "base edge/2. init edge(a, b). init edge(b, c).\n\
+         event hop/2.\n\
+         step(X, Y) <- edge(X, Y).\n\
+         step(X, Y) <- hop(X, Y, T).\n\
+         reach(X, Y) <- step(X, Y).\n\
+         reach(X, Z) <- step(X, Y) * reach(Y, Z).\n\
+         ?- reach(a, c).\n?- reach(c, a).\n?- hop(a, c, T).\n\
+         ?- ins.edge(c, d) * reach(a, d).\n?- del.edge(a, b) * reach(a, d).\n",
+    );
+    let verdicts = |flags: &[&str]| {
+        let out = td().args(flags).arg("run").arg(&f).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "two goals fail: {out:?}");
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .filter_map(|l| l.split_whitespace().next().map(str::to_owned))
+            .filter(|w| w == "yes" || w == "no" || w == "error:")
+            .collect::<Vec<_>>()
+    };
+    let plain = verdicts(&[]);
+    assert_eq!(plain, ["yes", "no", "no", "yes", "no"]);
+    assert_eq!(verdicts(&["--materialize"]), plain);
 }
 
 #[test]
@@ -490,16 +521,15 @@ fn serve_dir(name: &str) -> std::path::PathBuf {
 /// The key set of the JSON object at `path` (sorted — objects parse into a
 /// `BTreeMap`), space-joined.
 fn key_set(doc: &Value, path: &str) -> String {
-    match doc.path(path) {
-        Some(Value::Obj(m)) => m.keys().map(String::as_str).collect::<Vec<_>>().join(" "),
-        other => panic!("`{path}` is not an object: {other:?}"),
-    }
+    keys(doc.path(path))
 }
 
-fn num(doc: &Value, path: &str) -> f64 {
-    doc.path(path)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("no number at `{path}`"))
+/// The key set of one object.
+fn keys(object: Option<&Value>) -> String {
+    match object {
+        Some(Value::Obj(m)) => m.keys().map(String::as_str).collect::<Vec<_>>().join(" "),
+        other => panic!("not an object: {other:?}"),
+    }
 }
 
 /// A counter of the report's registry snapshot (names contain dots, so
@@ -511,38 +541,50 @@ fn metric(doc: &Value, name: &str) -> f64 {
         .unwrap_or_else(|| panic!("no counter `{name}`"))
 }
 
+/// A member of the report's `serve` section, by registry name (names contain
+/// dots, so `Value::path` cannot address them).
+fn serve<'a>(doc: &'a Value, name: &str) -> Option<&'a Value> {
+    doc.get("serve").and_then(|s| s.get(name))
+}
+
 /// Parse a `td serve --report` document and pin its published shape: the
-/// key sets of `serve`, `serve.events` and `metrics.counters`, and the
-/// 32-bucket trigger-latency histogram. Returns the document and the
+/// key sets of `serve`, its `triggers.latency_us` and `metrics.counters`,
+/// and the 32-bucket trigger-latency histogram. Returns the document and the
 /// number of latency samples.
 fn read_serve_report(path: &std::path::Path) -> (Value, f64) {
     let doc = json::parse(&std::fs::read_to_string(path).unwrap()).expect("report parses");
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
-        Some("td-run-report/v1")
+        Some("td-run-report/v2")
     );
     assert_eq!(doc.get("command").and_then(Value::as_str), Some("serve"));
-    assert_eq!(
-        key_set(&doc, "serve"),
-        "aborts commits conflict_relations conflicts connections errors events \
-         grouped_records groups interned_bytes interned_symbols max_group occ read_only \
-         requests retries_exhausted socket"
-    );
-    assert_eq!(
-        key_set(&doc, "serve.events"),
-        "conflicted dropped fired ingested latency_buckets matched p50_us p99_us partials"
-    );
+    // A published counter has one name wherever the report shows it: the
+    // `serve` section renders the registry rows `metrics.counters` holds,
+    // then what is not a counter.
     assert_eq!(
         key_set(&doc, "metrics.counters"),
-        "events.dropped events.ingested serve.aborts serve.commits serve.conflict_failures serve.conflicts \
-         serve.connections serve.errors serve.grouped_records serve.groups \
+        "events.dropped events.ingested serve.aborts serve.commits serve.conflict_failures \
+         serve.conflicts serve.connections serve.errors serve.grouped_records serve.groups \
          serve.interned_bytes serve.interned_symbols serve.read_only serve.requests \
          serve.retries_exhausted triggers.conflicted triggers.fired triggers.matched"
     );
-    let buckets = doc
-        .path("serve.events.latency_buckets")
+    assert_eq!(
+        key_set(&doc, "serve"),
+        "conflict_relations events.dropped events.ingested events.partials max_group \
+         serve.aborts serve.commits serve.conflict_failures serve.conflicts \
+         serve.connections serve.errors serve.grouped_records serve.groups \
+         serve.interned_bytes serve.interned_symbols serve.read_only serve.requests \
+         serve.retries_exhausted socket triggers.conflicted triggers.fired \
+         triggers.latency_us triggers.matched"
+    );
+    assert_eq!(
+        keys(serve(&doc, "triggers.latency_us")),
+        "buckets p50_us p99_us"
+    );
+    let buckets = serve(&doc, "triggers.latency_us")
+        .and_then(|h| h.get("buckets"))
         .and_then(Value::as_arr)
-        .expect("latency_buckets is an array");
+        .expect("the latency histogram has a bucket array");
     assert_eq!(buckets.len(), 32);
     let samples = buckets.iter().map(|b| b.as_f64().unwrap()).sum();
     (doc, samples)
@@ -596,29 +638,6 @@ fn serve_flag_matrix_rejections_exit_2() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("--socket"), "{err}");
-    // --occ outside serve: the validation rule belongs to the server's
-    // commit path; anywhere else the flag would be a silent no-op.
-    for cmd in ["run", "decide", "trace", "fragment"] {
-        let out = td().args(["--occ=read-set", cmd]).arg(&f).output().unwrap();
-        assert_eq!(out.status.code(), Some(2), "{cmd}: {out:?}");
-        let err = String::from_utf8(out.stderr).unwrap();
-        assert!(
-            err.contains("--occ only applies to `serve`"),
-            "{cmd}: {err}"
-        );
-    }
-    // --occ with a value that names no validation rule.
-    let out = td()
-        .args(["--occ=eager", &db, "serve"])
-        .arg(&f)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("read-set") && err.contains("whole-db"),
-        "diagnostic must name the valid modes: {err}"
-    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -631,7 +650,6 @@ fn client_flag_matrix_rejections_exit_2() {
         vec!["--threads=2", "client", "ping"],
         vec!["--subgoal-cache", "client", "ping"],
         vec!["--report=/tmp/r.json", "client", "ping"],
-        vec!["--occ=whole-db", "client", "ping"],
     ] {
         let out = td().args(&flags).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
@@ -699,13 +717,11 @@ fn serve_and_client_round_trip_over_the_binary() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(String::from_utf8(out.stdout).unwrap().starts_with("no "));
-    // Counters visible over the wire, including the OCC mode and the
-    // starvation counter.
+    // Counters visible over the wire, including the starvation counter.
     let out = td().args(["client", "stats", &sock_flag]).output().unwrap();
     let line = String::from_utf8(out.stdout).unwrap();
     assert!(line.contains("commits=1"), "{line}");
     assert!(line.contains("aborts=1"), "{line}");
-    assert!(line.contains("occ=read-set"), "{line}");
     assert!(line.contains("retries_exhausted=0"), "{line}");
     assert!(line.contains("conflict_preds=-"), "{line}");
     // Stop and check the shutdown summary + report.
@@ -716,62 +732,14 @@ fn serve_and_client_round_trip_over_the_binary() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("1 commits"), "{stdout}");
     let (doc, latency_samples) = read_serve_report(&report);
-    assert_eq!(num(&doc, "serve.commits"), 1.0);
+    assert_eq!(serve(&doc, "serve.commits"), Some(&Value::Num(1.0)));
     assert_eq!(metric(&doc, "serve.commits"), 1.0);
     assert_eq!(
-        doc.path("serve.occ").and_then(Value::as_str),
-        Some("read-set")
+        serve(&doc, "serve.retries_exhausted"),
+        Some(&Value::Num(0.0))
     );
-    assert_eq!(num(&doc, "serve.retries_exhausted"), 0.0);
     assert_eq!(key_set(&doc, "serve.conflict_relations"), "");
     assert_eq!(latency_samples, 0.0, "no trigger ever ran");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// `--occ=whole-db` selects the fallback validation rule: the server comes
-/// up, reports the mode in `stats`, and still serves transactions.
-#[test]
-fn serve_whole_db_occ_mode_round_trips() {
-    let f = write_temp("serve_wholedb.td", SERVE_BANKING);
-    let dir = serve_dir("wholedb");
-    let socket = dir.join("td.sock");
-    let sock_flag = format!("--socket={}", socket.display());
-    let server = td()
-        .arg(format!("--db={}", dir.join("db").display()))
-        .arg(&sock_flag)
-        .args(["--occ=whole-db", "serve"])
-        .arg(&f)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    loop {
-        let out = td().args(["client", "ping", &sock_flag]).output().unwrap();
-        if out.status.success() {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "server did not come up: {:?}",
-            server.wait_with_output()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    let out = td()
-        .args(["client", "run", "transfer(10, acct1, acct2)", &sock_flag])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let out = td().args(["client", "stats", &sock_flag]).output().unwrap();
-    let line = String::from_utf8(out.stdout).unwrap();
-    assert!(line.contains("occ=whole-db"), "{line}");
-    let out = td().args(["client", "stop", &sock_flag]).output().unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let out = server.wait_with_output().unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("occ=whole-db"), "{stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -806,27 +774,6 @@ fn event_misuse_exits_2() {
         assert!(err.contains("triggers"), "{cmd}: {err}");
         assert!(err.contains("td serve"), "{cmd}: {err}");
     }
-    // Event appends bypass view maintenance; --materialize over a program
-    // with event relations is refused even without trigger rules.
-    let g = write_temp(
-        "event_mat.td",
-        "base seen/1.\nevent ping/1.\n\
-         watched(X) <- seen(X).\n?- watched(1).\n",
-    );
-    let out = td()
-        .args(["--materialize", "run"])
-        .arg(&g)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--materialize"), "{err}");
-    assert!(err.contains("event"), "{err}");
-    // Without the offending flag the same program runs fine (event
-    // declarations alone are harmless outside serve — the history is
-    // simply empty).
-    let out = td().args(["run"]).arg(&g).output().unwrap();
-    assert!(!out.status.success(), "{out:?}"); // goal fails: seen is empty
     let out = td().args(["fragment"]).arg(&f).output().unwrap();
     assert!(
         out.status.success(),
@@ -918,8 +865,8 @@ fn reactive_serve_over_the_binary() {
     assert!(stdout.contains("2 events ingested"), "{stdout}");
     assert!(stdout.contains("1 triggers fired"), "{stdout}");
     let (doc, latency_samples) = read_serve_report(&report);
-    assert_eq!(num(&doc, "serve.events.ingested"), 2.0);
-    assert_eq!(num(&doc, "serve.events.fired"), 1.0);
+    assert_eq!(serve(&doc, "events.ingested"), Some(&Value::Num(2.0)));
+    assert_eq!(serve(&doc, "triggers.fired"), Some(&Value::Num(1.0)));
     assert_eq!(metric(&doc, "events.ingested"), 2.0);
     assert_eq!(metric(&doc, "triggers.fired"), 1.0);
     // `run_trigger` records one sample per job, fired or not.

@@ -1,6 +1,6 @@
 //! End-to-end smoke test for `td --report` / `--log-json`: runs the binary
 //! on a corpus program, validates the emitted JSON against the
-//! `td-run-report/v1` schema, and checks that the sequential and
+//! `td-run-report/v2` schema, and checks that the sequential and
 //! deterministic-parallel backends agree on the logical outcome counters,
 //! that a second durable run reports its recovery, and that a materialized
 //! run reports the materializer's counters.
@@ -43,7 +43,7 @@ fn run_file_with_report(file: &str, args: &[&str], report: &PathBuf) -> Value {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let text = std::fs::read_to_string(report).unwrap();
-    validate_run_report(&text).expect("report must satisfy td-run-report/v1")
+    validate_run_report(&text).expect("report must satisfy td-run-report/v2")
 }
 
 #[test]
@@ -200,7 +200,7 @@ fn truncated_decide_row_carries_an_error() {
     let doc = json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
-        Some("td-run-report/v1")
+        Some("td-run-report/v2")
     );
     let row = &doc.get("goals").and_then(Value::as_arr).expect("goal rows")[0];
     assert_eq!(row.get("ok").and_then(Value::as_bool), Some(false));

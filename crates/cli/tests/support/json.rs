@@ -274,7 +274,7 @@ impl Parser<'_> {
 }
 
 /// Validate a `td --report` document: well-formed JSON carrying the
-/// `td-run-report/v1` schema tag, both config echoes, a non-empty goal
+/// `td-run-report/v2` schema tag, both config echoes, a non-empty goal
 /// list, and a metrics snapshot whose `steps` counter shows the search
 /// actually ran.
 pub fn validate_run_report(text: &str) -> Result<Value, String> {
@@ -283,7 +283,7 @@ pub fn validate_run_report(text: &str) -> Result<Value, String> {
         .get("schema")
         .and_then(Value::as_str)
         .ok_or("missing `schema`")?;
-    if schema != "td-run-report/v1" {
+    if schema != "td-run-report/v2" {
         return Err(format!("unexpected schema `{schema}`"));
     }
     for key in ["command", "file"] {
@@ -358,7 +358,7 @@ mod tests {
 
     fn sample_report() -> String {
         r#"{
-  "schema": "td-run-report/v1",
+  "schema": "td-run-report/v2",
   "command": "run",
   "file": "corpus/x.td",
   "wall_ms": 1.25,
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn rejects_schema_and_shape_violations() {
-        let bad_schema = sample_report().replace("td-run-report/v1", "nope/v0");
+        let bad_schema = sample_report().replace("td-run-report/v2", "nope/v0");
         assert!(validate_run_report(&bad_schema)
             .unwrap_err()
             .contains("schema"));

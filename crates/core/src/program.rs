@@ -78,11 +78,6 @@ impl Program {
         self.events.contains(&pred)
     }
 
-    /// Does the program declare any event relations?
-    pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
-    }
-
     /// Look up a declared event relation by name, returning its stored
     /// predicate (declared arity + 1).
     pub fn event_by_name(&self, name: crate::symbol::Symbol) -> Option<Pred> {
@@ -343,7 +338,6 @@ mod tests {
         let stored = Pred::new("sample", 2);
         assert!(p.is_event(stored));
         assert!(p.is_base(stored), "event relations are readable like base");
-        assert!(p.has_events());
         assert_eq!(
             p.event_by_name(crate::symbol::Symbol::intern("sample")),
             Some(stored)

@@ -347,6 +347,16 @@ impl Engine {
     }
 }
 
+/// `td serve` solves every connection's goals and every trigger through one
+/// engine behind an `Arc`, so `Engine` must be `Send + Sync`. Compile-time
+/// proof; interior mutability slipping into `Program`, the cache, the
+/// materializer or the observer fails the build here.
+#[allow(dead_code)]
+fn _assert_engine_is_send_sync() {
+    fn assert_sync<T: Send + Sync>() {}
+    assert_sync::<Engine>();
+}
+
 /// The collected solutions of a bounded search.
 #[derive(Clone, Debug)]
 pub struct Solutions {

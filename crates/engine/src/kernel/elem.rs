@@ -100,86 +100,44 @@ pub(crate) fn update(
     Ok((next, changed, op))
 }
 
-/// Evaluate a builtin on the machine's shared trail. `Ok(true)` = succeeds
-/// (possibly binding), `Ok(false)` = fails, `Err` = fatal
-/// (instantiation/type/overflow).
+/// Evaluate a builtin on the machine's shared trail: resolve the arguments,
+/// take the verdict of [`eval_ground_builtin`], bind through the trail.
+/// `Ok(true)` = succeeds (possibly binding), `Ok(false)` = fails, `Err` =
+/// fatal (instantiation/type/overflow).
 pub(crate) fn eval_builtin(
     bindings: &mut Bindings,
     op: Builtin,
     terms: &[Term],
 ) -> Result<bool, EngineError> {
     let resolved: Vec<Term> = terms.iter().map(|t| bindings.resolve(*t)).collect();
-    let ground_int = |t: Term| -> Result<i64, EngineError> {
-        match t {
-            Term::Val(Value::Int(i)) => Ok(i),
-            Term::Val(v) => Err(EngineError::Type {
-                context: format!("`{v}` is not an integer in `{}`", op.op_str()),
-            }),
-            Term::Var(v) => Err(EngineError::Instantiation {
-                context: format!("`{v}` in `{}`", op.op_str()),
-            }),
-        }
-    };
-    match op {
-        Builtin::Eq => Ok(unify_terms(bindings, resolved[0], resolved[1])),
-        Builtin::Ne => {
-            let (a, b) = (resolved[0], resolved[1]);
-            match (a, b) {
-                (Term::Val(x), Term::Val(y)) => Ok(x != y),
-                _ => Err(EngineError::Instantiation {
-                    context: format!("`{a} != {b}`"),
-                }),
-            }
-        }
-        Builtin::Lt | Builtin::Le | Builtin::Gt | Builtin::Ge => {
-            let a = ground_int(resolved[0])?;
-            let b = ground_int(resolved[1])?;
-            Ok(match op {
-                Builtin::Lt => a < b,
-                Builtin::Le => a <= b,
-                Builtin::Gt => a > b,
-                Builtin::Ge => a >= b,
-                _ => unreachable!(),
-            })
-        }
-        Builtin::Add | Builtin::Sub | Builtin::Mul => {
-            let a = ground_int(resolved[0])?;
-            let b = ground_int(resolved[1])?;
-            let r = match op {
-                Builtin::Add => a.checked_add(b),
-                Builtin::Sub => a.checked_sub(b),
-                Builtin::Mul => a.checked_mul(b),
-                _ => unreachable!(),
-            };
-            let Some(r) = r else {
-                return Err(EngineError::Overflow {
-                    context: format!("{a} {} {b}", op.op_str()),
-                });
-            };
-            Ok(unify_terms(bindings, resolved[2], Term::int(r)))
-        }
-    }
+    Ok(match eval_ground_builtin(op, &resolved)? {
+        BuiltinOut::Fails => false,
+        BuiltinOut::Succeeds => true,
+        BuiltinOut::Binds(v, t) => unify_terms(bindings, Term::Var(v), t),
+    })
 }
 
-/// The outcome of a ground builtin evaluation (structural-substitution
-/// backends; no trail to bind through).
+/// The outcome of a builtin evaluation, for the caller to apply to whatever
+/// holds its bindings (a trail, a structural substitution, a register).
 pub(crate) enum BuiltinOut {
     Fails,
     Succeeds,
     Binds(Var, Term),
 }
 
-/// Builtins over (mostly) ground configurations: comparisons demand ground
-/// integers; `=` may bind one free variable; arithmetic may bind its
-/// output. Also the `builtin` instruction of the Datalog circuit's join
-/// plans (`incremental::plan`), which read the arguments from registers and
-/// treat every `Err` as a silent no-match.
+/// The semantics of the builtins, fail/fault split included, over resolved
+/// arguments: comparisons demand ground integers; `=` may bind one free
+/// variable; arithmetic may bind its output. Every driver evaluates through
+/// here ([`eval_builtin`] for the machine's trail, the explicit-state search
+/// directly), and so does the `builtin` instruction of the Datalog circuit's
+/// join plans (`incremental::plan`), which read the arguments from registers
+/// and treat every `Err` as a silent no-match.
 pub(crate) fn eval_ground_builtin(op: Builtin, terms: &[Term]) -> Result<BuiltinOut, EngineError> {
     let ground_int = |t: Term| -> Result<i64, EngineError> {
         match t {
             Term::Val(Value::Int(i)) => Ok(i),
             Term::Val(v) => Err(EngineError::Type {
-                context: format!("`{v}` in `{}`", op.op_str()),
+                context: format!("`{v}` is not an integer in `{}`", op.op_str()),
             }),
             Term::Var(v) => Err(EngineError::Instantiation {
                 context: format!("`{v}` in `{}`", op.op_str()),

@@ -524,7 +524,7 @@ pub struct RunReport {
 }
 
 /// Schema tag written into every report; bump on breaking changes.
-pub const RUN_REPORT_SCHEMA: &str = "td-run-report/v1";
+pub const RUN_REPORT_SCHEMA: &str = "td-run-report/v2";
 
 impl RunReport {
     /// Render the full report as one JSON document, one top-level member
@@ -868,7 +868,7 @@ mod tests {
             metrics: MetricsSnapshot::default(),
         };
         let json = report.to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"td-run-report/v1\",\n"));
+        assert!(json.starts_with("{\n  \"schema\": \"td-run-report/v2\",\n"));
         assert!(json.contains("\n  \"above\": {\"path\": \"a\\\"b\"},\n  \"absent\": null,\n"));
         assert!(json.contains("\"effective\""), "{json}");
         assert!(json.contains(

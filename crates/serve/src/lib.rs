@@ -12,41 +12,14 @@
 //! `docs/SERVE.md` for the protocol, the OCC rule, and the recovery
 //! argument.
 //!
-//! ## Protocol
-//!
-//! Line-oriented UTF-8 text, one request per line, one response line per
-//! request (newline-terminated; control characters in answers are
-//! replaced with spaces to preserve framing):
-//!
-//! ```text
-//! -> run <goal>          e.g.  run transfer(a, b, 10)
-//! <- ok seq=7 attempts=1 steps=42 X=3        committed at WAL seq 7
-//! <- ok seq=- attempts=1 steps=9 X=3         succeeded read-only
-//! <- no attempts=1 steps=17                  goal not executable
-//! <- err <reason>                            parse/engine/store error
-//!
-//! -> event <e>(<args>) [at <ts>]   append one event occurrence
-//! <- ok seq=9 attempts=1 ts=1712 matched=1   durable; 1 pattern match
-//!
-//! -> stats               one `ok` line of counters (see [`Server`] docs)
-//! -> ping                `ok pong` liveness probe
-//! -> stop                `ok stopping`; server drains and exits
-//! ```
-//!
-//! A `run` response is sent only after the commit (if any) is
-//! fsync-durable; `seq=-` marks read-only or failed goals, which leave no
-//! WAL record.
-//!
-//! ## Events and triggers
-//!
-//! The `event` verb appends a timestamped ground fact to a declared event
-//! relation through the same OCC + group-commit path as `run` — a burst of
-//! events from many connections batches into few fsyncs. Once the append
-//! is durable the event is fed to the [`td_events::Reactor`], and every
-//! completed complex-event match enqueues its trigger goal to a dedicated
-//! scheduler thread, which executes it as an ordinary OCC transaction.
-//! Matches fire exactly once per match while the server lives; queued
-//! trigger executions are *not* crash-durable (see `docs/EVENTS.md`).
+//! One transaction path: a client's `run` goal and a trigger's goal both go
+//! through one `transact` — solve on the server's one [`Engine`] against a
+//! snapshot, validate the read set at the head, group-commit, answer once
+//! durable — and an `event` append commits through the same store before it
+//! is fed to the [`td_events::Reactor`]. The wire protocol (`run`, `event`,
+//! `stats`, `ping`, `stop` and their replies) is specified in
+//! `docs/SERVE.md`, events and triggers in `docs/EVENTS.md`, every
+//! published number in `docs/OBSERVABILITY.md`.
 
 pub mod client;
 
@@ -58,29 +31,39 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
-use td_core::{Symbol, Value};
+use td_core::{Goal, Symbol, Term, Value};
 use td_db::{Database, Delta, DeltaOp, Tuple};
 use td_engine::obs::{json_array, json_object};
 use td_engine::{Engine, EngineConfig, JsonObject, MetricsRegistry, MetricsSnapshot, Outcome};
 use td_events::Reactor;
 use td_parser::ParsedProgram;
-use td_store::{ConcurrentStats, ConcurrentStore, Store, TxDecision, TxError, TxOptions};
+use td_store::{
+    Committed, ConcurrentStats, ConcurrentStore, Store, TxDecision, TxError, TxOptions,
+};
 
-/// The counters the server itself increments, by registry name. They are
-/// registered at zero when the server starts, so every one is published
-/// from the first `stats` reply on; the commit-path counters are the
-/// store's ([`ConcurrentStats`]) and join them in [`read`].
-const COUNTERS: [&str; 8] = [
-    "serve.connections",
-    "serve.requests",
-    "serve.errors",
-    // Requests and trigger executions that exhausted their OCC retry budget
-    // — the starvation signal the jittered backoff exists to keep at zero.
-    "serve.retries_exhausted",
-    "events.ingested",
-    "triggers.matched",
-    "triggers.fired",
-    "triggers.conflicted",
+/// The published counters, one row each: the key the `stats` reply gives a
+/// number, and the registry name it has everywhere else — in [`read`], in
+/// the report's `serve` and `metrics` sections and in
+/// docs/OBSERVABILITY.md. The `stats` reply lists them in this order.
+const PUBLISHED: [(&str, &str); 18] = [
+    ("commits", "serve.commits"),
+    ("read_only", "serve.read_only"),
+    ("aborts", "serve.aborts"),
+    ("conflicts", "serve.conflicts"),
+    ("conflict_failures", "serve.conflict_failures"),
+    ("retries_exhausted", "serve.retries_exhausted"),
+    ("groups", "serve.groups"),
+    ("grouped_records", "serve.grouped_records"),
+    ("connections", "serve.connections"),
+    ("requests", "serve.requests"),
+    ("errors", "serve.errors"),
+    ("interned_syms", "serve.interned_symbols"),
+    ("interned_bytes", "serve.interned_bytes"),
+    ("events_ingested", "events.ingested"),
+    ("triggers_matched", "triggers.matched"),
+    ("triggers_fired", "triggers.fired"),
+    ("triggers_conflicted", "triggers.conflicted"),
+    ("events_dropped", "events.dropped"),
 ];
 
 /// The longest request line a connection reads, newline excluded. A client
@@ -111,6 +94,10 @@ fn partials(metrics: &MetricsSnapshot) -> u64 {
 fn read(ctx: &ConnCtx) -> (MetricsSnapshot, ConcurrentStats) {
     let stats = ctx.cs.stats();
     let mut snapshot = ctx.metrics.snapshot();
+    // Every published counter is in every reading, counted yet or not.
+    for (_, name) in PUBLISHED {
+        snapshot.counters.entry(name.to_owned()).or_insert(0);
+    }
     // The reactor's bounded resource: partial matches held open now, and
     // those it ever dropped at its cap (`td_events::MAX_PARTIALS`).
     let (open, dropped) = {
@@ -124,7 +111,12 @@ fn read(ctx: &ConnCtx) -> (MetricsSnapshot, ConcurrentStats) {
         ("serve.read_only", stats.read_only),
         ("serve.aborts", stats.aborts),
         ("serve.conflicts", stats.conflicts),
+        // Transactions that exhausted their OCC retry budget — the
+        // starvation signal the jittered backoff exists to keep at zero.
+        // Every transaction of a server goes through its one store, so the
+        // store's count is the server's, under both names it is published.
         ("serve.conflict_failures", stats.conflict_failures),
+        ("serve.retries_exhausted", stats.conflict_failures),
         ("serve.groups", stats.groups),
         ("serve.grouped_records", stats.grouped_records),
         ("serve.interned_symbols", Symbol::interned_count()),
@@ -144,11 +136,12 @@ pub struct ServeSummary {
     pub metrics: MetricsSnapshot,
     /// Store-level OCC/group-commit counters.
     pub stats: ConcurrentStats,
-    /// The commit-validation rule the store ran under.
-    pub occ: td_store::Validation,
     /// Per-relation conflict attribution, sorted by predicate: which
     /// relations caused validation failures, and how often.
     pub conflict_relations: Vec<(String, u64)>,
+    /// The server's one engine — its subgoal cache, when it has one, is the
+    /// report's `cache` section.
+    pub engine: Engine,
     /// The underlying store, drained and durable (e.g. for a final
     /// `rotate` or a closing report).
     pub store: Store,
@@ -162,8 +155,7 @@ impl ServeSummary {
         let c = |name: &str| self.metrics.counter(name);
         let mut lines = vec![format!(
             "serve: {} connections, {} requests; {} commits in {} groups \
-             (mean group {:.2}, max {}), {} conflicts, {} read-only, {} aborts \
-             [occ={}]",
+             (mean group {:.2}, max {}), {} conflicts, {} read-only, {} aborts",
             c("serve.connections"),
             c("serve.requests"),
             c("serve.commits"),
@@ -173,22 +165,12 @@ impl ServeSummary {
             c("serve.conflicts"),
             c("serve.read_only"),
             c("serve.aborts"),
-            self.occ,
         )];
         if !self.conflict_relations.is_empty() || c("serve.retries_exhausted") > 0 {
-            let attribution: Vec<String> = self
-                .conflict_relations
-                .iter()
-                .map(|(p, n)| format!("{p}:{n}"))
-                .collect();
             lines.push(format!(
                 "serve: conflicts by relation: {} ({} transactions exhausted \
                  their retry budget)",
-                if attribution.is_empty() {
-                    "-".to_owned()
-                } else {
-                    attribution.join(", ")
-                },
+                attribution(self.conflict_relations.iter().map(|(p, n)| (p, n)), ", "),
                 c("serve.retries_exhausted"),
             ));
         }
@@ -209,39 +191,26 @@ impl ServeSummary {
     }
 
     /// The `serve` section of a run report, for a server that listened on
-    /// `socket`.
+    /// `socket`: every published counter under its registry name, then
+    /// what is not a counter — the largest group, the per-relation conflict
+    /// map, the open-partials gauge and the trigger-latency histogram.
     pub fn report_section(&self, socket: &str) -> String {
-        let c = |name: &str| self.metrics.counter(name);
         let latency = self.metrics.histogram(TRIGGER_LATENCY);
-        let events = JsonObject::new()
-            .field("ingested", c("events.ingested"))
-            .field("matched", c("triggers.matched"))
-            .field("fired", c("triggers.fired"))
-            .field("conflicted", c("triggers.conflicted"))
+        let latency = JsonObject::new()
             .field("p50_us", latency.percentile(0.50))
             .field("p99_us", latency.percentile(0.99))
-            .field("latency_buckets", json_array(latency.buckets()))
-            .field("partials", partials(&self.metrics))
-            .field("dropped", c("events.dropped"));
+            .field("buckets", json_array(latency.buckets()));
         let conflicts = self.conflict_relations.iter().map(|(p, n)| (p, n));
-        JsonObject::new()
-            .string("socket", socket)
-            .field("connections", c("serve.connections"))
-            .field("requests", c("serve.requests"))
-            .field("errors", c("serve.errors"))
-            .field("commits", c("serve.commits"))
-            .field("read_only", c("serve.read_only"))
-            .field("aborts", c("serve.aborts"))
-            .field("conflicts", c("serve.conflicts"))
-            .string("occ", self.occ)
-            .field("retries_exhausted", c("serve.retries_exhausted"))
-            .field("conflict_relations", json_object(conflicts))
-            .field("groups", c("serve.groups"))
-            .field("grouped_records", c("serve.grouped_records"))
+        PUBLISHED
+            .iter()
+            .fold(
+                JsonObject::new().string("socket", socket),
+                |section, (_, name)| section.field(name, self.metrics.counter(name)),
+            )
             .field("max_group", self.stats.max_group)
-            .field("interned_symbols", c("serve.interned_symbols"))
-            .field("interned_bytes", c("serve.interned_bytes"))
-            .field("events", events.finish())
+            .field("conflict_relations", json_object(conflicts))
+            .field(PARTIALS, partials(&self.metrics))
+            .field(TRIGGER_LATENCY, latency.finish())
             .finish()
     }
 }
@@ -249,11 +218,14 @@ impl ServeSummary {
 /// Everything a connection handler or the trigger scheduler needs, shared
 /// once behind an `Arc`.
 struct ConnCtx {
-    program: ParsedProgram,
-    config: EngineConfig,
+    /// The server's one engine: every connection and the trigger scheduler
+    /// solve through it, so what one request's search leaves in the subgoal
+    /// cache the next request finds, whichever socket it arrives on.
+    engine: Engine,
     cs: ConcurrentStore,
-    /// The server's one registry: every counter in [`COUNTERS`] and the
-    /// [`TRIGGER_LATENCY`] histogram live here and nowhere else.
+    /// The server's one registry: the counters the server itself increments
+    /// and the [`TRIGGER_LATENCY`] histogram live here and nowhere else (the
+    /// commit-path counters are the store's and join them in [`read`]).
     metrics: MetricsRegistry,
     shutdown: AtomicBool,
     socket: PathBuf,
@@ -315,15 +287,10 @@ impl Server {
     pub fn serve(self, socket: &Path) -> std::io::Result<ServeSummary> {
         let listener = bind_socket(socket)?;
         let reactor = Reactor::new(&self.program.program, &self.program.triggers);
-        let metrics = MetricsRegistry::new();
-        for name in COUNTERS {
-            metrics.add_counter(name, 0);
-        }
         let ctx = Arc::new(ConnCtx {
-            program: self.program,
-            config: self.config,
+            engine: Engine::with_config(self.program.program, self.config),
             cs: self.store.clone(),
-            metrics,
+            metrics: MetricsRegistry::new(),
             shutdown: AtomicBool::new(false),
             socket: socket.to_path_buf(),
             reactor: Mutex::new(reactor),
@@ -358,7 +325,6 @@ impl Server {
         let _ = scheduler.join();
         let _ = std::fs::remove_file(socket);
         let (metrics, stats) = read(&ctx);
-        let occ = self.store.options().validation;
         let conflict_relations = self
             .store
             .conflict_attribution()
@@ -372,8 +338,8 @@ impl Server {
         Ok(ServeSummary {
             metrics,
             stats,
-            occ,
             conflict_relations,
+            engine: ctx.engine.clone(),
             store,
         })
     }
@@ -400,9 +366,6 @@ fn bind_socket(socket: &Path) -> std::io::Result<UnixListener> {
 }
 
 fn handle_connection(stream: UnixStream, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) {
-    // One engine per connection: `Engine` is not shared across threads, and
-    // per-connection caches warm up across a client's requests.
-    let engine = Engine::with_config(ctx.program.program.clone(), ctx.config.clone());
     let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
@@ -428,7 +391,7 @@ fn handle_connection(stream: UnixStream, ctx: &ConnCtx, jobs: &mpsc::Sender<Trig
         };
         ctx.metrics.add_counter("serve.requests", 1);
         let (reply, stop) = match request {
-            Ok(request) => dispatch(request, &engine, ctx, jobs),
+            Ok(request) => dispatch(request, ctx, jobs),
             Err(refusal) => (refusal.to_owned(), false),
         };
         if reply.starts_with("err ") {
@@ -447,12 +410,7 @@ fn handle_connection(stream: UnixStream, ctx: &ConnCtx, jobs: &mpsc::Sender<Trig
     }
 }
 
-fn dispatch(
-    request: &str,
-    engine: &Engine,
-    ctx: &ConnCtx,
-    jobs: &mpsc::Sender<TriggerJob>,
-) -> (String, bool) {
+fn dispatch(request: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> (String, bool) {
     let (verb, rest) = match request.split_once(char::is_whitespace) {
         Some((v, r)) => (v, r.trim()),
         None => (request, ""),
@@ -461,7 +419,7 @@ fn dispatch(
         "ping" => ("ok pong".to_owned(), false),
         "stop" => ("ok stopping".to_owned(), true),
         "stats" => (stats_line(ctx), false),
-        "run" if !rest.is_empty() => (run_goal(engine, ctx, rest), false),
+        "run" if !rest.is_empty() => (run_goal(ctx, rest), false),
         "run" => ("err run: missing goal".to_owned(), false),
         "event" if !rest.is_empty() => (ingest_event(rest, ctx, jobs), false),
         "event" => ("err event: missing event atom".to_owned(), false),
@@ -485,7 +443,7 @@ fn ingest_event(src: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> St
         Ok(parts) => parts,
         Err(e) => return format!("err parse: {}", first_line(&e.to_string())),
     };
-    let Some(stored) = ctx.program.program.event_by_name(Symbol::intern(&name)) else {
+    let Some(stored) = ctx.engine.program().event_by_name(Symbol::intern(&name)) else {
         return format!("err event: `{name}` is not a declared event relation");
     };
     if stored.arity as usize != args.len() + 1 {
@@ -504,7 +462,7 @@ fn ingest_event(src: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> St
     let tuple = Tuple::new(values);
     let result = ctx.cs.transaction(|db| {
         if db.contains(stored, &tuple) {
-            Ok::<_, std::convert::Infallible>(TxDecision::ReadOnly(()))
+            Ok::<_, String>(TxDecision::ReadOnly(()))
         } else {
             let mut delta = Delta::new();
             delta.push(DeltaOp::Ins(stored, tuple.clone()));
@@ -529,20 +487,9 @@ fn ingest_event(src: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> St
                 // which cannot happen while this connection is live.
                 let _ = jobs.send(TriggerJob { fired, started });
             }
-            let seq = receipt
-                .seq
-                .map_or_else(|| "-".to_owned(), |s| s.to_string());
-            format!(
-                "ok seq={seq} attempts={} ts={ts} matched={matched}",
-                receipt.attempts
-            )
+            ok_line(&receipt, &format!("ts={ts} matched={matched}"))
         }
-        Err(TxError::Conflict { attempts }) => {
-            ctx.metrics.add_counter("serve.retries_exhausted", 1);
-            format!("err conflict: gave up after {attempts} attempts")
-        }
-        Err(TxError::Store(e)) => format!("err store: {}", first_line(&e.to_string())),
-        Err(TxError::App(e)) => match e {},
+        Err(e) => err_line(&e),
     }
 }
 
@@ -552,44 +499,60 @@ fn ingest_event(src: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> St
 /// trigger order (match order); OCC retries handle conflicts with
 /// concurrent client transactions.
 fn trigger_scheduler(rx: mpsc::Receiver<TriggerJob>, ctx: &ConnCtx) {
-    let engine = Engine::with_config(ctx.program.program.clone(), ctx.config.clone());
     for job in rx {
-        run_trigger(&engine, ctx, &job);
+        run_trigger(ctx, &job);
     }
 }
 
-fn run_trigger(engine: &Engine, ctx: &ConnCtx, job: &TriggerJob) {
-    let result = ctx
-        .cs
-        .transaction(|db| match engine.solve(&job.fired.goal, db) {
-            Ok(Outcome::Success(sol)) => {
-                if sol.delta.is_empty() {
-                    Ok(TxDecision::ReadOnly(true))
-                } else {
-                    Ok(TxDecision::commit(
-                        sol.delta.clone(),
-                        sol.reads.clone(),
-                        true,
-                    ))
-                }
-            }
-            Ok(Outcome::Failure { .. }) => Ok(TxDecision::Abort(false)),
-            Err(e) => Err(e.to_string()),
-        });
-    match result {
+/// What a goal came to on the snapshot its transaction ended on.
+struct Solved {
+    /// The resolved term of each goal variable; `None` = not executable.
+    answer: Option<Vec<Term>>,
+    /// Search steps of that last attempt.
+    steps: u64,
+}
+
+/// One top-level transaction, end to end — a client's goal and a trigger's
+/// alike: solve against a snapshot, validate the solution's read set at the
+/// head, group-commit, return once durable. A goal that succeeds commits its
+/// delta (nothing to write: read-only, no record); one that fails aborts
+/// and leaves the database as it was.
+fn transact(ctx: &ConnCtx, goal: &Goal) -> Result<Committed<Solved>, TxError<String>> {
+    ctx.cs.transaction(|db| match ctx.engine.solve(goal, db) {
+        Ok(Outcome::Success(sol)) => {
+            let solved = Solved {
+                answer: Some(sol.answer),
+                steps: sol.stats.steps,
+            };
+            Ok(if sol.delta.is_empty() {
+                TxDecision::ReadOnly(solved)
+            } else {
+                TxDecision::commit(sol.delta, sol.reads, solved)
+            })
+        }
+        Ok(Outcome::Failure { stats }) => Ok(TxDecision::Abort(Solved {
+            answer: None,
+            steps: stats.steps,
+        })),
+        Err(e) => Err(e.to_string()),
+    })
+}
+
+/// A completed match: its trigger's transaction, counted and timed.
+fn run_trigger(ctx: &ConnCtx, job: &TriggerJob) {
+    match transact(ctx, &job.fired.goal) {
         Ok(receipt) => {
             if receipt.attempts > 1 {
                 let retried = u64::from(receipt.attempts - 1);
                 ctx.metrics.add_counter("triggers.conflicted", retried);
             }
-            if receipt.value {
+            if receipt.value.answer.is_some() {
                 ctx.metrics.add_counter("triggers.fired", 1);
             }
         }
         Err(TxError::Conflict { attempts }) => {
             ctx.metrics
                 .add_counter("triggers.conflicted", u64::from(attempts));
-            ctx.metrics.add_counter("serve.retries_exhausted", 1);
         }
         Err(_) => {}
     }
@@ -604,111 +567,91 @@ fn now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// One request = one top-level transaction, end to end: parse, solve
-/// against a snapshot, validate the solution's read set at the head,
-/// group-commit, acknowledge durable.
-fn run_goal(engine: &Engine, ctx: &ConnCtx, src: &str) -> String {
-    let parsed = match td_parser::parse_goal(src, &ctx.program.program) {
+/// One `run` request: parse the goal, [`transact`] it, render the receipt.
+fn run_goal(ctx: &ConnCtx, src: &str) -> String {
+    let parsed = match td_parser::parse_goal(src, ctx.engine.program()) {
         Ok(g) => g,
         Err(e) => return format!("err parse: {}", first_line(&e.to_string())),
     };
-    let result = ctx
-        .cs
-        .transaction(|db| match engine.solve(&parsed.goal, db) {
-            Ok(Outcome::Success(sol)) => {
-                let mut bindings = String::new();
-                for (i, name) in parsed.var_names.iter().enumerate() {
-                    bindings.push_str(&format!(" {name}={}", sol.answer[i]));
-                }
-                let body = format!("steps={}{}", sol.stats.steps, bindings);
-                if sol.delta.is_empty() {
-                    Ok(TxDecision::ReadOnly((true, body)))
-                } else {
-                    Ok(TxDecision::commit(
-                        sol.delta.clone(),
-                        sol.reads.clone(),
-                        (true, body),
-                    ))
-                }
-            }
-            Ok(Outcome::Failure { stats }) => {
-                Ok(TxDecision::Abort((false, format!("steps={}", stats.steps))))
-            }
-            Err(e) => Err(e.to_string()),
-        });
-    match result {
+    match transact(ctx, &parsed.goal) {
         Ok(receipt) => {
-            let (yes, body) = receipt.value;
-            if yes {
-                let seq = receipt
-                    .seq
-                    .map_or_else(|| "-".to_owned(), |s| s.to_string());
-                format!("ok seq={seq} attempts={} {body}", receipt.attempts)
-            } else {
-                format!("no attempts={} {body}", receipt.attempts)
+            let Solved { answer, steps } = &receipt.value;
+            let Some(answer) = answer else {
+                return format!("no attempts={} steps={steps}", receipt.attempts);
+            };
+            let mut body = format!("steps={steps}");
+            for (name, term) in parsed.var_names.iter().zip(answer) {
+                body.push_str(&format!(" {name}={term}"));
             }
+            ok_line(&receipt, &body)
         }
-        Err(TxError::Conflict { attempts }) => {
-            ctx.metrics.add_counter("serve.retries_exhausted", 1);
+        Err(e) => err_line(&e),
+    }
+}
+
+/// The reply to a transaction that went through: `ok seq=7 attempts=1 …`,
+/// `seq=-` when it left no WAL record.
+fn ok_line<T>(receipt: &Committed<T>, body: &str) -> String {
+    let seq = receipt
+        .seq
+        .map_or_else(|| "-".to_owned(), |s| s.to_string());
+    format!("ok seq={seq} attempts={} {body}", receipt.attempts)
+}
+
+/// The reply to a transaction that did not.
+fn err_line(e: &TxError<String>) -> String {
+    match e {
+        TxError::Conflict { attempts } => {
             format!("err conflict: gave up after {attempts} attempts")
         }
-        Err(TxError::Store(e)) => format!("err store: {}", first_line(&e.to_string())),
-        Err(TxError::App(e)) => format!("err engine: {}", first_line(&e)),
+        TxError::Store(e) => format!("err store: {}", first_line(&e.to_string())),
+        TxError::App(e) => format!("err engine: {}", first_line(e)),
     }
 }
 
+/// The `stats` reply: the [`PUBLISHED`] counters in table order, with the
+/// fields that are not counters where the published order has them.
 fn stats_line(ctx: &ConnCtx) -> String {
     let (m, s) = read(ctx);
-    let c = |name: &str| m.counter(name);
     let latency = m.histogram(TRIGGER_LATENCY);
-    format!(
-        "ok occ={} commits={} read_only={} aborts={} conflicts={} conflict_failures={} \
-         retries_exhausted={} conflict_preds={} \
-         groups={} grouped_records={} max_group={} mean_group={:.2} durable={} \
-         connections={} requests={} errors={} interned_syms={} interned_bytes={} \
-         events_ingested={} triggers_matched={} triggers_fired={} \
-         triggers_conflicted={} trigger_p50_us={} trigger_p99_us={} \
-         event_partials={} events_dropped={}",
-        ctx.cs.options().validation,
-        c("serve.commits"),
-        c("serve.read_only"),
-        c("serve.aborts"),
-        c("serve.conflicts"),
-        c("serve.conflict_failures"),
-        c("serve.retries_exhausted"),
-        conflict_preds_field(&ctx.cs),
-        c("serve.groups"),
-        c("serve.grouped_records"),
-        s.max_group,
-        s.mean_group(),
-        ctx.cs.durable_records(),
-        c("serve.connections"),
-        c("serve.requests"),
-        c("serve.errors"),
-        c("serve.interned_symbols"),
-        c("serve.interned_bytes"),
-        c("events.ingested"),
-        c("triggers.matched"),
-        c("triggers.fired"),
-        c("triggers.conflicted"),
-        latency.percentile(0.50),
-        latency.percentile(0.99),
-        partials(&m),
-        c("events.dropped"),
-    )
+    let mut line = "ok".to_owned();
+    for (key, name) in PUBLISHED {
+        line.push_str(&format!(" {key}={}", m.counter(name)));
+        match key {
+            "retries_exhausted" => {
+                let preds = attribution(&ctx.cs.conflict_attribution(), ",");
+                line.push_str(&format!(" conflict_preds={preds}"));
+            }
+            "grouped_records" => line.push_str(&format!(
+                " max_group={} mean_group={:.2} durable={}",
+                s.max_group,
+                s.mean_group(),
+                ctx.cs.durable_records(),
+            )),
+            "triggers_conflicted" => line.push_str(&format!(
+                " trigger_p50_us={} trigger_p99_us={} event_partials={}",
+                latency.percentile(0.50),
+                latency.percentile(0.99),
+                partials(&m),
+            )),
+            _ => {}
+        }
+    }
+    line
 }
 
-/// Conflict attribution as one protocol field: `rel/2:5,other/1:1` sorted
-/// by predicate, or `-` when no validation has ever failed.
-fn conflict_preds_field(cs: &ConcurrentStore) -> String {
-    let attr = cs.conflict_attribution();
-    if attr.is_empty() {
-        return "-".to_owned();
+/// Conflict attribution in one line: `rel/2:5,other/1:1` in the rows' order
+/// (sorted by predicate), or `-` when no validation has ever failed.
+fn attribution<'a, P: std::fmt::Display + 'a>(
+    rows: impl IntoIterator<Item = (&'a P, &'a u64)>,
+    separator: &str,
+) -> String {
+    let rows: Vec<String> = rows.into_iter().map(|(p, n)| format!("{p}:{n}")).collect();
+    if rows.is_empty() {
+        "-".to_owned()
+    } else {
+        rows.join(separator)
     }
-    attr.into_iter()
-        .map(|(p, n)| format!("{p}:{n}"))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 /// Keep the one-line framing: anything that could smuggle a newline into a

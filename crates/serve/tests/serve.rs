@@ -21,6 +21,7 @@ withdraw(Amt, Acct) <- balance(Acct, Bal) * Bal >= Amt
 deposit(Amt, Acct)  <- balance(Acct, Bal) * del.balance(Acct, Bal)
                        * NB is Bal + Amt * ins.balance(Acct, NB).
 transfer(Amt, From, To) <- withdraw(Amt, From) * deposit(Amt, To).
+solvent(Acct) <- balance(Acct, Bal) * Bal >= 0.
 "#;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -38,16 +39,25 @@ fn start_server(
     PathBuf,
     std::thread::JoinHandle<std::io::Result<td_serve::ServeSummary>>,
 ) {
+    start_server_with(dir, EngineConfig::default())
+}
+
+fn start_server_with(
+    dir: &std::path::Path,
+    config: EngineConfig,
+) -> (
+    PathBuf,
+    std::thread::JoinHandle<std::io::Result<td_serve::ServeSummary>>,
+) {
     let socket = dir.join("td.sock");
     let parsed = td_parser::parse_program(BANKING).unwrap();
     let server = Server::open(
         parsed,
-        EngineConfig::default(),
+        config,
         &dir.join("db"),
         TxOptions {
             max_attempts: 64,
             backoff: Duration::from_micros(20),
-            ..TxOptions::default()
         },
     )
     .unwrap();
@@ -116,7 +126,7 @@ fn ping_run_stats_stop_round_trip() {
         .collect();
     assert_eq!(
         keys.join(" "),
-        "occ commits read_only aborts conflicts conflict_failures retries_exhausted \
+        "commits read_only aborts conflicts conflict_failures retries_exhausted \
          conflict_preds groups grouped_records max_group mean_group durable connections \
          requests errors interned_syms interned_bytes events_ingested triggers_matched \
          triggers_fired triggers_conflicted trigger_p50_us trigger_p99_us \
@@ -136,6 +146,40 @@ fn ping_run_stats_stop_round_trip() {
     drop(summary);
     let reopened = Store::open(&dir.join("db")).unwrap();
     assert_eq!(reopened.db().digest(), db.digest());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The server has one engine, so one subgoal cache: what connection A's
+/// search memoized, connection B's first request replays. (With an engine
+/// per connection, B's probes were misses in a cache of its own. A reply
+/// cannot show the difference — a miss enumerates its answers in a nested
+/// machine and replays them on the spot, so `steps=` is the same cold and
+/// warm — the cache's own counters do.)
+#[test]
+fn a_second_connection_replays_what_the_first_one_cached() {
+    let dir = temp_dir("shared_cache");
+    let config = EngineConfig {
+        subgoal_cache: true,
+        ..EngineConfig::default()
+    };
+    let (socket, handle) = start_server_with(&dir, config);
+    // Read-only, so all three runs are on one database state.
+    let goal = "run solvent(acct1) * balance(acct2, B)";
+    let mut a = Client::connect(&socket).unwrap();
+    let cold = a.request(goal).unwrap();
+    assert!(
+        cold.starts_with("ok seq=- ") && cold.ends_with(" B=50"),
+        "{cold}"
+    );
+    assert_eq!(a.request(goal).unwrap(), cold);
+    let mut b = Client::connect(&socket).unwrap();
+    assert_eq!(b.request(goal).unwrap(), cold);
+    b.stop().unwrap();
+    drop(a);
+    let summary = handle.join().unwrap().unwrap();
+    let cache = summary.engine.subgoal_cache().expect("configured above");
+    assert_eq!(cache.misses(), 1, "A's first run is the only cold probe");
+    assert_eq!(cache.hits(), 2, "A's second run and B's first replay it");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

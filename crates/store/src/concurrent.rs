@@ -22,14 +22,13 @@
 //! serializing the commit at the head equals re-executing it there: the
 //! concurrent history is equivalent to running the committed transactions
 //! sequentially in WAL-seq order (the property
-//! `tests/occ_serializability.rs` checks differentially, in both
-//! validation modes).
+//! `tests/occ_serializability.rs` checks differentially, under each
+//! transaction's real read set and under the whole-database one).
 //!
-//! The pre-refactor whole-database rule — commit only if the full 128-bit
-//! database digest is unchanged — remains available as
-//! [`Validation::WholeDb`] (and is what a [`ReadSet::whole_db`] read set
-//! degrades to under [`Validation::ReadSet`]), kept for differential
-//! testing and as a belt-and-braces fallback.
+//! There is one validation rule. The whole-database rule — commit only if
+//! the full 128-bit database digest is unchanged — is what it says for the
+//! read set [`ReadSet::whole_db`] ([`TxDecision::commit_whole_db`]): correct
+//! for any closure, and the oracle the differential tests compare against.
 //!
 //! ## Group commit
 //!
@@ -65,10 +64,10 @@ use td_db::{Database, Delta, ReadSet};
 pub enum TxDecision<T> {
     /// Commit this delta (produced against the snapshot); acknowledge after
     /// it is durable. `reads` is every relation the closure consulted while
-    /// producing the delta — the set commit validation checks under
-    /// [`Validation::ReadSet`]. An under-reported read set is unsound
-    /// (commits that should have conflicted); when in doubt use
-    /// [`TxDecision::commit_whole_db`], which validates against everything.
+    /// producing the delta — the set commit validation checks. An
+    /// under-reported read set is unsound (commits that should have
+    /// conflicted); when in doubt use [`TxDecision::commit_whole_db`],
+    /// which validates against everything.
     Commit {
         /// Elementary updates, produced against the snapshot.
         delta: Delta,
@@ -95,49 +94,13 @@ impl<T> TxDecision<T> {
         }
     }
 
-    /// Commit `delta` validated against the whole database — the
-    /// pre-read-set behaviour, correct for any closure.
+    /// Commit `delta` validated against the whole database: any commit
+    /// since the snapshot conflicts. Correct for any closure.
     pub fn commit_whole_db(delta: Delta, value: T) -> TxDecision<T> {
         TxDecision::Commit {
             delta,
             reads: ReadSet::whole_db(),
             value,
-        }
-    }
-}
-
-/// Which conflict rule commit validation applies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Validation {
-    /// Per-relation: conflict only if a relation in the transaction's read
-    /// set changed (its [`Database::relation_digest`] differs between the
-    /// snapshot and the head). The default.
-    #[default]
-    ReadSet,
-    /// Whole-database: conflict if *any* relation changed (the full
-    /// database digest differs) — regardless of the declared read set.
-    /// Strictly more conservative; kept for differential testing.
-    WholeDb,
-}
-
-impl std::fmt::Display for Validation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Validation::ReadSet => "read-set",
-            Validation::WholeDb => "whole-db",
-        })
-    }
-}
-
-impl std::str::FromStr for Validation {
-    type Err = String;
-    fn from_str(s: &str) -> std::result::Result<Validation, String> {
-        match s {
-            "read-set" => Ok(Validation::ReadSet),
-            "whole-db" => Ok(Validation::WholeDb),
-            other => Err(format!(
-                "unknown OCC validation mode '{other}' (expected 'read-set' or 'whole-db')"
-            )),
         }
     }
 }
@@ -152,8 +115,6 @@ pub struct TxOptions {
     /// `[d/2, d]` so colliding clients desynchronize instead of retrying
     /// in lockstep.
     pub backoff: Duration,
-    /// The conflict rule (default [`Validation::ReadSet`]).
-    pub validation: Validation,
 }
 
 impl Default for TxOptions {
@@ -161,7 +122,6 @@ impl Default for TxOptions {
         TxOptions {
             max_attempts: 16,
             backoff: Duration::from_micros(50),
-            validation: Validation::ReadSet,
         }
     }
 }
@@ -332,15 +292,10 @@ impl ConcurrentStore {
     }
 
     /// Per-relation conflict attribution: for each relation, how many
-    /// commit validations it caused to fail (under whole-db validation,
-    /// every relation that had changed is charged).
+    /// commit validations it caused to fail (a whole-database read set
+    /// charges every relation that had changed).
     pub fn conflict_attribution(&self) -> BTreeMap<Pred, u64> {
         self.lock().conflict_preds.clone()
-    }
-
-    /// The retry/validation policy in force.
-    pub fn options(&self) -> TxOptions {
-        self.opts
     }
 
     /// WAL records acknowledged as durable so far.
@@ -408,7 +363,7 @@ impl ConcurrentStore {
             if let Some(msg) = &st.failed {
                 return Err(TxError::Store(StoreError::Corrupt(msg.clone())));
             }
-            let changed = changed_reads(&snapshot, &st.db, &reads, self.opts.validation);
+            let changed = changed_reads(&snapshot, &st.db, &reads);
             if let Some(changed) = changed {
                 // First committer won; retry from a fresh snapshot.
                 st.stats.conflicts += 1;
@@ -539,18 +494,13 @@ impl ConcurrentStore {
 /// empty only in the astronomically-unlikely case of a whole-digest
 /// mismatch with no per-relation witness).
 ///
-/// Under [`Validation::ReadSet`] only the relations in `reads` are
-/// compared (by [`Database::relation_digest`], so a writer that restored
-/// identical content does not conflict). A [`ReadSet::whole_db`] read set,
-/// or [`Validation::WholeDb`] mode, degrades to full-digest equality with
-/// attribution computed by diffing every declared relation.
-fn changed_reads(
-    snapshot: &Database,
-    head: &Database,
-    reads: &ReadSet,
-    mode: Validation,
-) -> Option<Vec<Pred>> {
-    if mode == Validation::WholeDb || reads.is_whole_db() {
+/// Only the relations in `reads` are compared (by
+/// [`Database::relation_digest`], so a writer that restored identical
+/// content does not conflict). A [`ReadSet::whole_db`] read set is
+/// full-digest equality, with attribution computed by diffing every
+/// declared relation.
+fn changed_reads(snapshot: &Database, head: &Database, reads: &ReadSet) -> Option<Vec<Pred>> {
+    if reads.is_whole_db() {
         if head.digest() == snapshot.digest() {
             return None;
         }
@@ -733,7 +683,6 @@ mod tests {
             .with_options(TxOptions {
                 max_attempts: 3,
                 backoff: Duration::from_micros(1),
-                ..TxOptions::default()
             });
         // Sabotage every attempt by committing between snapshot and commit.
         let saboteur = cs.clone();
@@ -793,14 +742,14 @@ mod tests {
 
     #[test]
     fn whole_db_mode_conflicts_on_unrelated_writes() {
-        // Same schedule as above, but under the fallback whole-database
-        // rule the unrelated write *does* invalidate the first attempt.
+        // Same schedule as above, but the transaction declares the
+        // whole-database read set: the unrelated write *does* invalidate
+        // the first attempt.
         let dir = temp_dir("wholedb");
         let cs = ConcurrentStore::open_or_init(&dir, &Database::new())
             .unwrap()
             .with_options(TxOptions {
                 backoff: Duration::from_micros(1),
-                validation: Validation::WholeDb,
                 ..TxOptions::default()
             });
         let saboteur = cs.clone();
@@ -818,7 +767,7 @@ mod tests {
                         })
                         .unwrap();
                 }
-                Ok::<_, std::convert::Infallible>(TxDecision::commit(ins(0), reading("n"), ()))
+                Ok::<_, std::convert::Infallible>(TxDecision::commit_whole_db(ins(0), ()))
             })
             .unwrap();
         assert_eq!(r.attempts, 2, "whole-db validation sees every write");
@@ -878,21 +827,5 @@ mod tests {
             jittered(Duration::from_nanos(1), 3),
             Duration::from_nanos(1)
         );
-    }
-
-    #[test]
-    fn validation_mode_parses_and_displays() {
-        assert_eq!(
-            "read-set".parse::<Validation>().unwrap(),
-            Validation::ReadSet
-        );
-        assert_eq!(
-            "whole-db".parse::<Validation>().unwrap(),
-            Validation::WholeDb
-        );
-        assert!("eager".parse::<Validation>().is_err());
-        assert_eq!(Validation::ReadSet.to_string(), "read-set");
-        assert_eq!(Validation::WholeDb.to_string(), "whole-db");
-        assert_eq!(TxOptions::default().validation, Validation::ReadSet);
     }
 }

@@ -40,9 +40,7 @@ pub mod store;
 pub mod wal;
 
 pub use codec::{CodecError, FORMAT_TAG};
-pub use concurrent::{
-    Committed, ConcurrentStats, ConcurrentStore, TxDecision, TxError, TxOptions, Validation,
-};
+pub use concurrent::{Committed, ConcurrentStats, ConcurrentStore, TxDecision, TxError, TxOptions};
 pub use snapshot::{load_snapshot, write_snapshot};
 pub use store::{RecoveryInfo, RecoveryOutcome, Store, VerifyReport};
 pub use wal::{Wal, WalRecord, WalTail};

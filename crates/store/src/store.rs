@@ -51,6 +51,27 @@ fn acquire_lock(dir: &Path) -> Result<fs::File> {
     }
 }
 
+/// Replay checksum-verified WAL records onto `db`, checking after each that
+/// the database digest is the one the record promised — the replay-and-check
+/// that recovery ([`Store::open`]) and the cold integrity pass
+/// ([`Store::verify`]) share.
+fn replay_verified(mut db: Database, records: &[WalRecord]) -> Result<Database> {
+    for rec in records {
+        db = rec
+            .delta
+            .replay(&db)
+            .map_err(|e| StoreError::Db(e.to_string()))?;
+        if db.digest() != rec.post_digest {
+            return Err(StoreError::DigestMismatch {
+                context: format!("wal record {}", rec.seq),
+                stored: rec.post_digest,
+                computed: db.digest(),
+            });
+        }
+    }
+    Ok(db)
+}
+
 /// How `Store::open*` arrived at the recovered state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecoveryOutcome {
@@ -182,20 +203,8 @@ impl Store {
                 outcome = RecoveryOutcome::RecoveredStaleWal;
                 Wal::create(&wal_path, snap_digest)?
             } else {
-                for rec in &contents.records {
-                    db = rec
-                        .delta
-                        .replay(&db)
-                        .map_err(|e| StoreError::Db(e.to_string()))?;
-                    if db.digest() != rec.post_digest {
-                        return Err(StoreError::DigestMismatch {
-                            context: format!("wal record {}", rec.seq),
-                            stored: rec.post_digest,
-                            computed: db.digest(),
-                        });
-                    }
-                    replayed += 1;
-                }
+                db = replay_verified(db, &contents.records)?;
+                replayed = contents.records.len() as u64;
                 if let WalTail::Torn { dropped, .. } = contents.tail {
                     outcome = RecoveryOutcome::RecoveredTorn;
                     torn_bytes = dropped;
@@ -282,29 +291,21 @@ impl Store {
         self.recovery.replayed + self.committed_this_session
     }
 
-    /// Commit one transaction: apply its delta to the in-memory state,
-    /// append the record, `fsync`. Returns the record's sequence number.
-    ///
-    /// The delta must have been produced against this store's current
-    /// state (the engine guarantees this when the run started from
-    /// [`Store::db`]); the post-state digest recorded — and verified on
-    /// every future recovery — is recomputed here, not taken on trust.
+    /// Commit one transaction — the group of one: apply its delta to the
+    /// in-memory state, append the record, `fsync`. Returns the record's
+    /// sequence number.
     pub fn commit(&mut self, delta: &Delta) -> Result<u64> {
-        let next = delta
-            .replay(&self.db)
-            .map_err(|e| StoreError::Db(e.to_string()))?;
-        let seq = self.wal.append(delta, next.digest())?;
-        self.db = next;
-        self.committed_this_session += 1;
-        Ok(seq)
+        self.commit_group(std::slice::from_ref(delta))
     }
 
-    /// Commit a whole batch of transactions as one WAL group with **one**
-    /// `fsync` (group commit; see [`Wal::append_group`]). The deltas apply
-    /// in order, each against the state the previous one left — exactly the
-    /// order the OCC validator serialized them in. Returns the seq of the
-    /// first record; the batch occupies contiguous seqs. Like
-    /// [`Store::commit`], every post-state digest is recomputed here, not
+    /// Commit a batch of transactions as one WAL frame with **one** `fsync`
+    /// (group commit; see [`Wal::append_group`]). The deltas apply in
+    /// order, each against the state the previous one left — exactly the
+    /// order the OCC validator serialized them in, the first against this
+    /// store's current state (the engine guarantees this when the run
+    /// started from [`Store::db`]). Returns the seq of the first record;
+    /// the batch occupies contiguous seqs. Every post-state digest recorded
+    /// — and verified on every future recovery — is recomputed here, not
     /// taken on trust, so recovery can verify each record individually.
     pub fn commit_group(&mut self, deltas: &[Delta]) -> Result<u64> {
         assert!(!deltas.is_empty(), "empty commit group");
@@ -314,7 +315,7 @@ impl Store {
             cur = delta
                 .replay(&cur)
                 .map_err(|e| StoreError::Db(e.to_string()))?;
-            entries.push((delta.clone(), cur.digest()));
+            entries.push((delta, cur.digest()));
         }
         let first_seq = self.wal.append_group(&entries)?;
         self.db = cur;
@@ -343,7 +344,7 @@ impl Store {
         if !Store::is_initialized(dir) {
             return Err(StoreError::NotInitialized(dir.display().to_string()));
         }
-        let (mut db, snapshot_digest) = load_snapshot(&dir.join(SNAPSHOT_FILE))?;
+        let (db, snapshot_digest) = load_snapshot(&dir.join(SNAPSHOT_FILE))?;
         let snapshot_tuples = db.total_tuples() as u64;
         let contents = read_wal(&dir.join(WAL_FILE))?;
         if contents.base_digest != snapshot_digest {
@@ -357,19 +358,7 @@ impl Store {
                 "wal has a torn tail at byte {at} ({dropped} bytes)"
             )));
         }
-        for rec in &contents.records {
-            db = rec
-                .delta
-                .replay(&db)
-                .map_err(|e| StoreError::Db(e.to_string()))?;
-            if db.digest() != rec.post_digest {
-                return Err(StoreError::DigestMismatch {
-                    context: format!("wal record {}", rec.seq),
-                    stored: rec.post_digest,
-                    computed: db.digest(),
-                });
-            }
-        }
+        let db = replay_verified(db, &contents.records)?;
         // Belt and braces: the incremental digest must agree with a full
         // recomputation of the final state.
         let computed = db.digest_from_scratch();

@@ -22,14 +22,15 @@
 //!
 //! ## Group records
 //!
-//! [`Wal::append_group`] writes several commit records inside **one**
-//! frame, fsync'd once — the group-commit discipline `td serve` uses to
-//! amortize the fsync bound across concurrently-arriving transactions. A
-//! group payload starts with the sentinel seq [`GROUP_SENTINEL`] (a value
-//! no real record can carry: seqs are contiguous from 0, so reaching it
-//! would take 2^64 − 1 commits), followed by a record count and the
-//! records themselves. Single-record payloads are unchanged, so logs
-//! written before group commit existed still parse. Because the frame
+//! [`Wal::append_group`] — the one writer — puts a batch of commit records
+//! inside **one** frame, fsync'd once: the group-commit discipline
+//! `td serve` uses to amortize the fsync bound across
+//! concurrently-arriving transactions. A payload of several records starts
+//! with the sentinel seq [`GROUP_SENTINEL`] (a value no real record can
+//! carry: seqs are contiguous from 0, so reaching it would take 2^64 − 1
+//! commits), followed by a record count and the records themselves. A
+//! batch of one is the bare record, the framing every log had before group
+//! commit existed, so those logs still parse. Because the frame
 //! checksum covers the whole group, a crash mid-group tears the *entire*
 //! group — recovery yields a prefix of whole groups, never a torn one,
 //! and every record in the torn group was by construction unacknowledged.
@@ -90,19 +91,14 @@ pub struct WalContents {
     pub valid_len: u64,
 }
 
-fn record_payload(seq: u64, post_digest: u128, delta: &Delta) -> Vec<u8> {
+/// Payload of one frame: the records of a batch in seq order, behind the
+/// sentinel and their count when there is more than one.
+fn batch_payload(first_seq: u64, entries: &[(&Delta, u128)]) -> Vec<u8> {
     let mut enc = Enc::new();
-    enc.put_varint(seq);
-    enc.put_u128(post_digest);
-    codec::put_delta(&mut enc, delta);
-    enc.into_bytes()
-}
-
-/// Payload of a group frame: sentinel, count, then `count` records.
-fn group_payload(first_seq: u64, entries: &[(Delta, u128)]) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.put_varint(GROUP_SENTINEL);
-    enc.put_varint(entries.len() as u64);
+    if entries.len() > 1 {
+        enc.put_varint(GROUP_SENTINEL);
+        enc.put_varint(entries.len() as u64);
+    }
     for (i, (delta, post_digest)) in entries.iter().enumerate() {
         enc.put_varint(first_seq + i as u64);
         enc.put_u128(*post_digest);
@@ -267,37 +263,17 @@ impl Wal {
         self.next_seq
     }
 
-    /// Append one committed transaction and `fsync` before returning — the
-    /// fsync-on-commit discipline: when this returns `Ok`, the record
-    /// survives any crash.
-    pub fn append(&mut self, delta: &Delta, post_digest: u128) -> Result<u64> {
-        let seq = self.next_seq;
-        let page = frame(&record_payload(seq, post_digest, delta));
-        self.file
-            .write_all(&page)
-            .map_err(|e| io_err(&self.path, e))?;
-        self.file.sync_all().map_err(|e| io_err(&self.path, e))?;
-        self.next_seq += 1;
-        Ok(seq)
-    }
-
-    /// Append a whole batch of committed transactions as **one** group
-    /// frame with **one** `fsync` — group commit. Returns the seq of the
-    /// first record in the group; the batch occupies contiguous seqs after
-    /// it. All records in the group become durable together: a crash
-    /// mid-write tears the single frame, dropping the whole (entirely
-    /// unacknowledged) group.
-    pub fn append_group(&mut self, entries: &[(Delta, u128)]) -> Result<u64> {
+    /// Append a batch of committed transactions — each delta with the
+    /// digest of the database after it — as **one** frame with **one**
+    /// `fsync`, the fsync-on-commit discipline: when this returns `Ok`, the
+    /// records survive any crash. Returns the seq of the first record; the
+    /// batch occupies contiguous seqs after it. All records of the batch
+    /// become durable together: a crash mid-write tears the single frame,
+    /// dropping the whole (entirely unacknowledged) batch.
+    pub fn append_group(&mut self, entries: &[(&Delta, u128)]) -> Result<u64> {
         assert!(!entries.is_empty(), "empty commit group");
         let first_seq = self.next_seq;
-        // A group of one is written in the plain single-record framing, so
-        // low-concurrency serve traffic produces logs byte-identical to the
-        // per-commit path.
-        let page = if entries.len() == 1 {
-            frame(&record_payload(first_seq, entries[0].1, &entries[0].0))
-        } else {
-            frame(&group_payload(first_seq, entries))
-        };
+        let page = frame(&batch_payload(first_seq, entries));
         self.file
             .write_all(&page)
             .map_err(|e| io_err(&self.path, e))?;
@@ -319,6 +295,21 @@ mod tests {
         dir.join(name)
     }
 
+    /// Append one record — the batch of one.
+    fn append(wal: &mut Wal, delta: &Delta, post_digest: u128) -> u64 {
+        wal.append_group(&[(delta, post_digest)]).unwrap()
+    }
+
+    /// A record framed by hand, as every log held them before group commit
+    /// existed: seq, post-digest, delta — no sentinel, no count.
+    fn bare_record(seq: u64, post_digest: u128, delta: &Delta) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.put_varint(seq);
+        enc.put_u128(post_digest);
+        codec::put_delta(&mut enc, delta);
+        frame(&enc.into_bytes())
+    }
+
     fn sample_delta(i: i64) -> Delta {
         let mut d = Delta::new();
         d.push(DeltaOp::Ins(Pred::new("t", 1), tuple!(i)));
@@ -336,7 +327,7 @@ mod tests {
         for i in 0..5i64 {
             let delta = sample_delta(i);
             db = delta.replay(&db).unwrap();
-            let seq = wal.append(&delta, db.digest()).unwrap();
+            let seq = append(&mut wal, &delta, db.digest());
             assert_eq!(seq, i as u64);
         }
         let contents = read_wal(&path).unwrap();
@@ -354,7 +345,7 @@ mod tests {
         let mut wal = Wal::create(&path, 7).unwrap();
         let mut boundaries = vec![fs::metadata(&path).unwrap().len()];
         for i in 0..3i64 {
-            wal.append(&sample_delta(i), i as u128).unwrap();
+            append(&mut wal, &sample_delta(i), i as u128);
             boundaries.push(fs::metadata(&path).unwrap().len());
         }
         drop(wal);
@@ -384,8 +375,8 @@ mod tests {
     fn reopen_resumes_after_torn_tail() {
         let path = temp_wal("resume.tdl");
         let mut wal = Wal::create(&path, 1).unwrap();
-        wal.append(&sample_delta(0), 10).unwrap();
-        wal.append(&sample_delta(1), 11).unwrap();
+        append(&mut wal, &sample_delta(0), 10);
+        append(&mut wal, &sample_delta(1), 11);
         drop(wal);
         // Tear the second record.
         let len = fs::metadata(&path).unwrap().len();
@@ -395,7 +386,7 @@ mod tests {
         let scan = read_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 1);
         let mut wal = Wal::open_at(&path, scan.valid_len, scan.records.len() as u64).unwrap();
-        wal.append(&sample_delta(2), 12).unwrap();
+        append(&mut wal, &sample_delta(2), 12);
         drop(wal);
         let scan = read_wal(&path).unwrap();
         assert_eq!(scan.tail, WalTail::Clean);
@@ -408,7 +399,7 @@ mod tests {
     #[test]
     fn out_of_order_seq_is_corruption_not_tail() {
         let mut bytes = wal_prefix(0);
-        bytes.extend_from_slice(&frame(&record_payload(1, 0, &Delta::new())));
+        bytes.extend_from_slice(&bare_record(1, 0, &Delta::new()));
         match parse_wal(&bytes) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("seq"), "{msg}"),
             other => panic!("unexpected {other:?}"),
@@ -427,14 +418,13 @@ mod tests {
     fn group_append_reads_back_as_contiguous_records() {
         let path = temp_wal("group_read.tdl");
         let mut wal = Wal::create(&path, 9).unwrap();
-        wal.append(&sample_delta(0), 100).unwrap();
-        let batch: Vec<(Delta, u128)> = (1..4i64)
-            .map(|i| (sample_delta(i), 100 + i as u128))
-            .collect();
+        append(&mut wal, &sample_delta(0), 100);
+        let deltas: Vec<Delta> = (1..4i64).map(sample_delta).collect();
+        let batch: Vec<(&Delta, u128)> = deltas.iter().zip(101..).collect();
         let first = wal.append_group(&batch).unwrap();
         assert_eq!(first, 1);
         assert_eq!(wal.next_seq(), 4);
-        wal.append(&sample_delta(4), 104).unwrap();
+        append(&mut wal, &sample_delta(4), 104);
         drop(wal);
         let contents = read_wal(&path).unwrap();
         assert_eq!(contents.tail, WalTail::Clean);
@@ -448,27 +438,27 @@ mod tests {
 
     #[test]
     fn group_of_one_is_byte_identical_to_single_record() {
-        let a = temp_wal("group_one_a.tdl");
-        let b = temp_wal("group_one_b.tdl");
-        let mut wal_a = Wal::create(&a, 5).unwrap();
-        let mut wal_b = Wal::create(&b, 5).unwrap();
-        wal_a.append(&sample_delta(1), 77).unwrap();
-        wal_b.append_group(&[(sample_delta(1), 77)]).unwrap();
-        drop((wal_a, wal_b));
-        assert_eq!(fs::read(&a).unwrap(), fs::read(&b).unwrap());
-        fs::remove_file(&a).unwrap();
-        fs::remove_file(&b).unwrap();
+        // The one writer, handed one record, writes the old on-disk framing
+        // byte for byte — `td run --db` and low-concurrency serve traffic
+        // leave the log they always left.
+        let path = temp_wal("group_one.tdl");
+        let mut wal = Wal::create(&path, 5).unwrap();
+        wal.append_group(&[(&sample_delta(1), 77)]).unwrap();
+        drop(wal);
+        let mut by_hand = wal_prefix(5);
+        by_hand.extend_from_slice(&bare_record(0, 77, &sample_delta(1)));
+        assert_eq!(fs::read(&path).unwrap(), by_hand);
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_group_is_dropped_whole() {
         let path = temp_wal("group_torn.tdl");
         let mut wal = Wal::create(&path, 3).unwrap();
-        wal.append(&sample_delta(0), 10).unwrap();
+        append(&mut wal, &sample_delta(0), 10);
         let solo_len = fs::metadata(&path).unwrap().len();
-        let batch: Vec<(Delta, u128)> = (1..5i64)
-            .map(|i| (sample_delta(i), 10 + i as u128))
-            .collect();
+        let deltas: Vec<Delta> = (1..5i64).map(sample_delta).collect();
+        let batch: Vec<(&Delta, u128)> = deltas.iter().zip(11..).collect();
         wal.append_group(&batch).unwrap();
         drop(wal);
         let full = fs::read(&path).unwrap();
@@ -495,7 +485,8 @@ mod tests {
     fn group_with_wrong_inner_seq_is_corruption() {
         let mut bytes = wal_prefix(0);
         // First record of the group claims seq 1 on an empty log.
-        bytes.extend_from_slice(&frame(&group_payload(1, &[(Delta::new(), 0)])));
+        let (a, b) = (Delta::new(), Delta::new());
+        bytes.extend_from_slice(&frame(&batch_payload(1, &[(&a, 0), (&b, 0)])));
         match parse_wal(&bytes) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("seq"), "{msg}"),
             other => panic!("unexpected {other:?}"),

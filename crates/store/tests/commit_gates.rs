@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use td_core::{Pred, Value};
 use td_db::{Database, Delta, DeltaOp, ReadSet, Tuple};
-use td_store::{ConcurrentStats, ConcurrentStore, Store, TxDecision, TxOptions, Validation};
+use td_store::{ConcurrentStats, ConcurrentStore, Store, TxDecision, TxOptions};
 
 const CLIENTS: usize = 8;
 
@@ -142,7 +142,6 @@ fn group_commit_doubles_per_commit_fsync_throughput() {
     let opts = TxOptions {
         max_attempts: 1_000,
         backoff: Duration::from_micros(10),
-        ..TxOptions::default()
     };
     let (median, ratios) = median_ratio(|| {
         let (grouped, stats) =
@@ -211,13 +210,13 @@ fn seeded(disjoint: bool) -> Database {
     db
 }
 
-/// Closed-loop scan-then-insert on each client's relation under
-/// `validation`; commits per second and conflicts seen.
-fn scan_and_insert(name: &str, disjoint: bool, validation: Validation) -> (f64, u64) {
+/// Closed-loop scan-then-insert on each client's relation, validated against
+/// the relation it scanned or (`whole_db`) against the whole database;
+/// commits per second and conflicts seen.
+fn scan_and_insert(name: &str, disjoint: bool, whole_db: bool) -> (f64, u64) {
     let opts = TxOptions {
         max_attempts: 10_000,
         backoff: Duration::from_micros(100),
-        validation,
     };
     let (rate, stats) =
         through_concurrent_store(name, &seeded(disjoint), opts, INSERTS, |cs, client| {
@@ -227,7 +226,7 @@ fn scan_and_insert(name: &str, disjoint: bool, validation: Validation) -> (f64, 
                 // the yield lets concurrent commits land under the open
                 // snapshot — on a single-CPU runner the compute phases
                 // would otherwise run back to back and no snapshot could
-                // be stale at validation, in either mode.
+                // be stale at validation, under either read set.
                 let mut n = 0;
                 for _ in 0..SCANS {
                     n = std::hint::black_box(snap.relation(p).map_or(0, |r| r.to_vec().len()));
@@ -238,6 +237,9 @@ fn scan_and_insert(name: &str, disjoint: bool, validation: Validation) -> (f64, 
                 d.push(DeltaOp::Ins(p, row));
                 let mut reads = ReadSet::new();
                 reads.record(p);
+                if whole_db {
+                    reads = ReadSet::whole_db();
+                }
                 Ok::<_, String>(TxDecision::commit(d, reads, ()))
             })
             .unwrap();
@@ -250,8 +252,8 @@ fn scan_and_insert(name: &str, disjoint: bool, validation: Validation) -> (f64, 
 fn read_set_validation_outruns_whole_db_on_disjoint_relations() {
     let _alone = alone();
     let (median, ratios) = median_ratio(|| {
-        let (read_set, _) = scan_and_insert("disjoint-read-set", true, Validation::ReadSet);
-        let (whole_db, _) = scan_and_insert("disjoint-whole-db", true, Validation::WholeDb);
+        let (read_set, _) = scan_and_insert("disjoint-read-set", true, false);
+        let (whole_db, _) = scan_and_insert("disjoint-whole-db", true, true);
         read_set / whole_db
     });
     assert!(
@@ -262,11 +264,11 @@ fn read_set_validation_outruns_whole_db_on_disjoint_relations() {
 
     // Where everyone really does touch the same relation, read-set
     // validation is not weaker than whole-db: both still conflict.
-    for validation in [Validation::ReadSet, Validation::WholeDb] {
-        let (_, conflicts) = scan_and_insert("overlapping", false, validation);
+    for whole_db in [false, true] {
+        let (_, conflicts) = scan_and_insert("overlapping", false, whole_db);
         assert!(
             conflicts > 0,
-            "overlapping clients must conflict under {validation:?}"
+            "overlapping clients must conflict (whole-db read set: {whole_db})"
         );
     }
 }

@@ -1,8 +1,9 @@
 //! OCC serializability differential: N concurrent conflicting clients
 //! against one [`ConcurrentStore`] must produce a final state reachable by
-//! *some* sequential order of the committed transactions — under both
-//! validation modes (per-relation read-set, the default, and the
-//! whole-database fallback).
+//! *some* sequential order of the committed transactions — whether each
+//! transaction validates against the relations it really read or against
+//! the whole-database read set ([`ReadSet::whole_db`], the oracle: any
+//! commit since the snapshot conflicts).
 //!
 //! The differential is direct: every commit's WAL seq is its claimed
 //! serialization position, so we replay the committed operations in seq
@@ -17,14 +18,14 @@
 //! Two further suites pin what the read-set refactor changed:
 //! clients over **disjoint** relations commit with zero conflict retries
 //! (the point of per-relation validation), and a commuting workload runs
-//! to the **same final digest** under both validation modes.
+//! to the **same final digest** under either read set.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use td_core::{Pred, Value};
 use td_db::{Database, Delta, DeltaOp, ReadSet, Tuple};
-use td_store::{ConcurrentStore, Store, TxDecision, TxOptions, Validation};
+use td_store::{ConcurrentStore, Store, TxDecision, TxOptions};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("td-store-occ").join(name);
@@ -118,18 +119,32 @@ fn arb_ops(accounts: usize) -> impl Strategy<Value = Vec<Vec<Op>>> {
     )
 }
 
-/// Run the scripted clients concurrently under `validation`, then check
-/// the WAL-order serializability differential end-to-end (dense seqs, no
-/// overdraft in replay, conservation, cold-recovery digest equality).
-/// Panics on any violation; returns the recovered final digest.
-fn run_and_check_banking(ops: &[Vec<Op>], dir: &std::path::Path, validation: Validation) -> u128 {
+/// What a transfer declares it read, by name.
+type ReadRule = (&'static str, fn() -> ReadSet);
+
+/// The relation a transfer did read, and the whole-database read set the
+/// differential holds it against.
+const READ_SETS: [ReadRule; 2] = [
+    ("read-set", transfer_reads),
+    ("whole-db", ReadSet::whole_db),
+];
+
+/// Run the scripted clients concurrently, every transfer validated against
+/// `reads()`, then check the WAL-order serializability differential
+/// end-to-end (dense seqs, no overdraft in replay, conservation,
+/// cold-recovery digest equality). Panics on any violation; returns the
+/// recovered final digest.
+fn run_and_check_banking(
+    ops: &[Vec<Op>],
+    dir: &std::path::Path,
+    (validation, reads): ReadRule,
+) -> u128 {
     let accounts = 3;
     let cs = ConcurrentStore::open_or_init(dir, &genesis(accounts))
         .unwrap()
         .with_options(TxOptions {
             max_attempts: 200,
             backoff: std::time::Duration::from_micros(10),
-            validation,
         });
     // Run every client concurrently; collect (seq, op) for commits.
     let workers: Vec<_> = ops
@@ -146,7 +161,7 @@ fn run_and_check_banking(ops: &[Vec<Op>], dir: &std::path::Path, validation: Val
                                 return Ok::<_, String>(TxDecision::Abort(()));
                             }
                             match transfer_delta(db, op.from, op.to, op.amt) {
-                                Some(d) => Ok(TxDecision::commit(d, transfer_reads(), ())),
+                                Some(d) => Ok(TxDecision::commit(d, reads(), ())),
                                 None => Ok(TxDecision::Abort(())),
                             }
                         })
@@ -207,8 +222,8 @@ fn run_and_check_banking(ops: &[Vec<Op>], dir: &std::path::Path, validation: Val
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The full differential, in both validation modes: the contended
-    /// banking history serializes to its WAL order whether validation is
+    /// The full differential, under both read sets: the contended banking
+    /// history serializes to its WAL order whether validation is
     /// per-relation (every client reads `balance`, so this exercises real
     /// read-set conflicts) or whole-database.
     #[test]
@@ -216,12 +231,13 @@ proptest! {
         ops in arb_ops(3),
         case in 0u64..1_000_000,
     ) {
-        for validation in [Validation::ReadSet, Validation::WholeDb] {
+        for rule in READ_SETS {
             let dir = temp_dir(&format!(
-                "case_{case}_{validation}_{}",
+                "case_{case}_{}_{}",
+                rule.0,
                 std::process::id()
             ));
-            run_and_check_banking(&ops, &dir, validation);
+            run_and_check_banking(&ops, &dir, rule);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -229,8 +245,8 @@ proptest! {
 
 /// Clients over **disjoint** relations: with per-relation validation their
 /// commits cannot invalidate each other, so every transaction lands on its
-/// first attempt — zero conflicts, zero retries. (Under whole-db
-/// validation this same workload conflicts constantly; `commit_gates.rs`
+/// first attempt — zero conflicts, zero retries. (Under the whole-db
+/// read set this same workload conflicts constantly; `commit_gates.rs`
 /// gates that gap, this test pins the zero.)
 #[test]
 fn disjoint_relation_clients_commit_without_retries() {
@@ -278,7 +294,7 @@ fn disjoint_relation_clients_commit_without_retries() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Differential between the two validation modes on a commuting workload:
+/// Differential between the two read sets on a commuting workload:
 /// transfers small enough that no interleaving can overdraw always commit,
 /// and their effects commute (each is a ±amt on two accounts' running
 /// balances), so the final database is schedule-independent — read-set and
@@ -298,13 +314,13 @@ fn read_set_and_whole_db_validation_agree_on_commuting_history() {
         })
         .collect();
     let mut digests = Vec::new();
-    for validation in [Validation::ReadSet, Validation::WholeDb] {
-        let dir = temp_dir(&format!("differential_{validation}_{}", std::process::id()));
-        digests.push(run_and_check_banking(&ops, &dir, validation));
+    for rule in READ_SETS {
+        let dir = temp_dir(&format!("differential_{}_{}", rule.0, std::process::id()));
+        digests.push(run_and_check_banking(&ops, &dir, rule));
         std::fs::remove_dir_all(&dir).unwrap();
     }
     assert_eq!(
         digests[0], digests[1],
-        "validation modes disagree on a schedule-independent history"
+        "the two read sets disagree on a schedule-independent history"
     );
 }

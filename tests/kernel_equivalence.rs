@@ -148,3 +148,38 @@ fn corpus_verdicts_and_logical_counters_agree_across_drivers() {
         }
     }
 }
+
+/// A builtin's fail/fault split is written once (`kernel::elem`), so a
+/// faulting builtin is the same `EngineError` — kind and wording — from the
+/// sequential machine, the parallel backend and the decider.
+#[test]
+fn builtin_faults_are_the_same_error_from_every_driver() {
+    for (what, source) in [
+        (
+            "type fault",
+            "base p/1. init p(a). r <- p(X) * X > 1. ?- r.",
+        ),
+        (
+            "instantiation fault",
+            "base p/1. init p(1). r <- p(X) * Y < X. ?- r.",
+        ),
+        (
+            "overflow",
+            "base p/1. init p(9223372036854775807). r <- p(X) * Y is X + 1. ?- r.",
+        ),
+    ] {
+        let parsed = parse_program(source).expect("parses");
+        let db = td_engine::load_init(&Database::with_schema_of(&parsed.program), &parsed.init)
+            .expect("init loads");
+        let goal = &parsed.goals[0].goal;
+        let seq = engine_with(&parsed.program, SearchBackend::Sequential)
+            .solve(goal, &db)
+            .expect_err(what);
+        let par = engine_with(&parsed.program, parallel(2))
+            .solve(goal, &db)
+            .expect_err(what);
+        let dec = decide(&parsed.program, goal, &db, DeciderConfig::default()).expect_err(what);
+        assert_eq!(seq, par, "{what}: --threads=2 diverged");
+        assert_eq!(seq, dec, "{what}: decide diverged");
+    }
+}
