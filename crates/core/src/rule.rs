@@ -74,19 +74,24 @@ impl Rule {
         u32::try_from(self.var_names.len()).expect("rule variable count overflow")
     }
 
-    /// Rename every variable by adding `offset` to its id. Returns the
-    /// (head, body) pair with fresh runtime variables.
-    pub fn rename_apart(&self, offset: u32) -> (Atom, Goal) {
-        let shift = |t: Term| match t {
-            Term::Var(Var(i)) => Term::var(i + offset),
-            other => other,
-        };
-        let head = Atom {
-            pred: self.head.pred,
-            args: self.head.args.iter().map(|t| shift(*t)).collect(),
-        };
-        let body = self.body.map_terms(&mut |t| shift(t));
-        (head, body)
+    /// The body with every variable renamed by adding `offset` to its id:
+    /// fresh runtime variables, built once for the unfolding that uses them.
+    pub fn rename_apart(&self, offset: u32) -> Goal {
+        self.body.map_terms(&mut |t| shift(t, offset))
+    }
+
+    /// The head's arguments renamed like [`Rule::rename_apart`] renames the
+    /// body — what a call unifies with, without building the renamed head.
+    pub fn head_args(&self, offset: u32) -> impl ExactSizeIterator<Item = Term> + '_ {
+        self.head.args.iter().map(move |t| shift(*t, offset))
+    }
+}
+
+/// A rule-local term renamed apart by `offset`.
+fn shift(t: Term, offset: u32) -> Term {
+    match t {
+        Term::Var(Var(i)) => Term::var(i + offset),
+        other => other,
     }
 }
 
@@ -157,17 +162,17 @@ mod tests {
             Atom::new("p", vec![Term::var(0)]),
             Goal::atom("q", vec![Term::var(0), Term::var(1)]),
         );
-        let (h, b) = r.rename_apart(100);
-        assert_eq!(h.args, vec![Term::var(100)]);
+        let h: Vec<Term> = r.head_args(100).collect();
+        assert_eq!(h, vec![Term::var(100)]);
+        let b = r.rename_apart(100);
         assert_eq!(b, Goal::atom("q", vec![Term::var(100), Term::var(101)]));
     }
 
     #[test]
     fn rename_apart_zero_is_identity() {
         let r = Rule::new(Atom::prop("p"), Goal::atom("q", vec![Term::var(0)]));
-        let (h, b) = r.rename_apart(0);
-        assert_eq!(h, r.head);
-        assert_eq!(b, r.body);
+        assert!(r.head_args(0).eq(r.head.args.iter().copied()));
+        assert_eq!(r.rename_apart(0), r.body);
     }
 
     #[test]
@@ -197,7 +202,7 @@ mod tests {
             Atom::prop("p"),
             Goal::atom("q", vec![Term::sym("c"), Term::var(0)]),
         );
-        let (_, b) = r.rename_apart(7);
+        let b = r.rename_apart(7);
         assert_eq!(b, Goal::atom("q", vec![Term::sym("c"), Term::var(7)]));
     }
 }

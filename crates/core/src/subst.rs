@@ -98,22 +98,11 @@ impl Bindings {
             self.slots[v.0 as usize] = None;
         }
     }
-
-    /// Apply the bindings to a term (resolve; unbound variables stay).
-    pub fn apply_term(&self, t: Term) -> Term {
-        self.resolve(t)
-    }
-
-    /// Apply the bindings to a goal, resolving every term.
-    pub fn apply_goal(&self, g: &crate::goal::Goal) -> crate::goal::Goal {
-        g.map_terms(&mut |t| self.resolve(t))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::goal::Goal;
 
     #[test]
     fn alloc_returns_consecutive_bases() {
@@ -169,16 +158,6 @@ mod tests {
         b.undo_to(m);
         assert_eq!(b.resolve(Term::var(0)), Term::var(0));
         assert_eq!(b.resolve(Term::var(1)), Term::var(1));
-    }
-
-    #[test]
-    fn apply_goal_resolves_terms() {
-        let mut b = Bindings::new();
-        b.alloc(2);
-        b.bind(Var(0), Term::sym("w1"));
-        let g = Goal::atom("task", vec![Term::var(0), Term::var(1)]);
-        let g2 = b.apply_goal(&g);
-        assert_eq!(g2, Goal::atom("task", vec![Term::sym("w1"), Term::var(1)]));
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! A [`Database`] is an immutable value: updates return new versions, and the
 //! engine keeps old versions on its choicepoint stack (TD transactions are
 //! all-or-nothing, so a failed execution must restore the pre-state exactly —
-//! here that is free). Relations share structure between versions, so a
-//! snapshot costs one small map clone.
+//! here that is free). The relation map and every relation in it are
+//! persistent, so a snapshot is one refcount, and an update path-copies the
+//! O(log R) map nodes above the touched relation and the O(log n) tuple nodes
+//! above the touched tuple — nothing else.
 
 use crate::ord::OrdMap;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-use td_core::{Atom, Pred};
+use td_core::{Atom, Pred, Term};
 
 /// Errors raised by database operations.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -45,11 +46,12 @@ impl std::error::Error for DbError {}
 
 /// An immutable snapshot of the whole database.
 ///
-/// The relation map is a `BTreeMap` so iteration (and therefore display) is
-/// deterministic. The content digest is carried alongside and maintained
-/// incrementally: each non-empty relation contributes a 128-bit hash of
-/// `(pred, relation digest, len)`, and the database digest is the XOR of all
-/// contributions. XOR is commutative and self-inverse, so an `insert` or
+/// The relation map is the crate's persistent [`OrdMap`], ordered by
+/// predicate so iteration (and therefore display) is deterministic, and
+/// shared between versions so that `clone` is one refcount. The content
+/// digest is carried alongside and maintained incrementally: each non-empty
+/// relation contributes a 128-bit hash of `(pred, relation digest, len)`,
+/// and the database digest is the XOR of all contributions. XOR is commutative and self-inverse, so an `insert` or
 /// `delete` updates the digest in O(1) — it strips the touched relation's
 /// old contribution and adds the new one — and the result is
 /// history-independent: content-equal databases always digest equally.
@@ -62,7 +64,7 @@ impl std::error::Error for DbError {}
 /// `Display`, the store's codec — sees it.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    rels: BTreeMap<Pred, Relation>,
+    rels: OrdMap<Pred, Relation>,
     digest: u128,
     /// Empty until the first derivation from this version. From then on it
     /// is one cell for this handle and every clone made of it afterwards:
@@ -178,17 +180,17 @@ impl Database {
 
     /// Declare a relation for `pred` (empty if not present). Idempotent.
     pub fn declare(&self, pred: Pred) -> Database {
-        if self.rels.contains_key(&pred) {
+        if self.rels.get(&pred).is_some() {
             return self.clone();
         }
-        let mut rels = self.rels.clone();
-        rels.insert(pred, Relation::new(pred.arity as usize));
+        let empty = Relation::new(pred.arity as usize);
+        let rels = self.rels.alter(&pred, |_| Some(empty));
         // An empty relation contributes 0: the digest is unchanged.
         Database::version(rels, self.digest)
     }
 
     /// A new version: nothing is derived from it yet.
-    fn version(rels: BTreeMap<Pred, Relation>, digest: u128) -> Database {
+    fn version(rels: OrdMap<Pred, Relation>, digest: u128) -> Database {
         Database {
             rels,
             digest,
@@ -251,9 +253,7 @@ impl Database {
     fn successor(&self, pred: Pred, old: &Relation, rel: Relation, t: &Tuple) -> Database {
         let member = rel.len() > old.len();
         let digest = self.digest ^ contribution(pred, old) ^ contribution(pred, &rel);
-        let mut rels = self.rels.clone();
-        rels.insert(pred, rel);
-        let next = Database::version(rels, digest);
+        let next = Database::version(self.rels.alter(&pred, |_| Some(rel)), digest);
         let held = self.derived.get().map(|d| &d.arranged);
         if let Some(held) = held.filter(|held| held.get().is_some()) {
             let derived = Derived::default();
@@ -280,7 +280,14 @@ impl Database {
 
     /// Declared predicates, in sorted order.
     pub fn preds(&self) -> impl Iterator<Item = Pred> + '_ {
-        self.rels.keys().copied()
+        self.relations().into_iter().map(|(p, _)| p)
+    }
+
+    /// Every declared relation with its predicate, in predicate order.
+    fn relations(&self) -> Vec<(Pred, Relation)> {
+        let mut out = Vec::with_capacity(self.rels.len());
+        self.rels.for_each(|p, r| out.push((*p, r.clone())));
+        out
     }
 
     /// Does the database contain the tuple?
@@ -292,10 +299,8 @@ impl Database {
     /// Auto-declares unknown relations (the schema check happens upstream in
     /// program validation).
     pub fn insert(&self, pred: Pred, t: &Tuple) -> Result<(Database, bool), DbError> {
-        let rel = match self.rels.get(&pred) {
-            Some(r) => r.clone(),
-            None => Relation::new(pred.arity as usize),
-        };
+        let declared = self.rels.get(&pred);
+        let rel = declared.map_or_else(|| Relation::new(pred.arity as usize), Relation::clone);
         if t.arity() != rel.arity() {
             return Err(DbError::ArityMismatch {
                 pred,
@@ -304,7 +309,7 @@ impl Database {
             });
         }
         let (next, grew) = rel.insert(t);
-        if !grew && self.rels.contains_key(&pred) {
+        if !grew && declared.is_some() {
             return Ok((self.clone(), false));
         }
         Ok((self.successor(pred, &rel, next, t), grew))
@@ -333,15 +338,16 @@ impl Database {
 
     /// Check whether a *ground* atom holds.
     pub fn holds(&self, atom: &Atom) -> bool {
-        match atom.ground_args() {
-            Some(vals) => self.contains(atom.pred, &Tuple::new(vals)),
-            None => false,
-        }
+        let value = |t: &Term| match *t {
+            Term::Val(v) => v,
+            Term::Var(_) => unreachable!("checked ground"),
+        };
+        atom.is_ground() && self.contains(atom.pred, &atom.args.iter().map(value).collect())
     }
 
     /// Total number of tuples across relations.
     pub fn total_tuples(&self) -> usize {
-        self.rels.values().map(Relation::len).sum()
+        self.relations().iter().map(|(_, r)| r.len()).sum()
     }
 
     /// Deterministic 128-bit digest of the database contents, usable for
@@ -374,9 +380,11 @@ impl Database {
     /// [`Database::digest`]; exists as the oracle for the incremental
     /// maintenance.
     pub fn digest_from_scratch(&self) -> u128 {
-        self.rels.iter().fold(0u128, |acc, (p, r)| {
-            acc ^ contribution_of(*p, r.digest_from_scratch(), r.len())
-        })
+        let mut digest = 0;
+        for (p, r) in self.relations() {
+            digest ^= contribution_of(p, r.digest_from_scratch(), r.len());
+        }
+        digest
     }
 
     /// Content equality ignoring which empty relations are declared.
@@ -389,13 +397,11 @@ impl Database {
         if self.digest != other.digest {
             return false;
         }
-        fn nonempty(db: &Database) -> Vec<(Pred, &Relation)> {
-            db.rels
-                .iter()
-                .filter(|(_, r)| !r.is_empty())
-                .map(|(p, r)| (*p, r))
-                .collect()
-        }
+        let nonempty = |db: &Database| {
+            let mut rels = db.relations();
+            rels.retain(|(_, r)| !r.is_empty());
+            rels
+        };
         nonempty(self) == nonempty(other)
     }
 }
@@ -404,7 +410,7 @@ impl fmt::Display for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         write!(f, "{{")?;
-        for (p, r) in &self.rels {
+        for (p, r) in self.relations() {
             for t in r.to_vec() {
                 if !first {
                     write!(f, ", ")?;

@@ -26,6 +26,7 @@
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -35,7 +36,6 @@ fn priority_of<K: Hash>(key: &K) -> u64 {
     h.finish()
 }
 
-#[derive(Debug)]
 struct Node<K, V> {
     key: K,
     value: V,
@@ -49,10 +49,21 @@ type Link<K, V> = Option<Arc<Node<K, V>>>;
 /// A persistent sorted map. `clone()` is O(1); [`OrdMap::alter`] and
 /// [`OrdMap::merge_with`] return a new version sharing all untouched
 /// structure with the original.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct OrdMap<K, V> {
     root: Link<K, V>,
     len: usize,
+}
+
+/// Printed as the map it holds, in key order, whatever the tree's shape.
+impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for OrdMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut map = f.debug_map();
+        in_order(&self.root, &mut |k, v| {
+            map.entry(k, v);
+        });
+        map.finish()
+    }
 }
 
 impl<K, V> Default for OrdMap<K, V> {

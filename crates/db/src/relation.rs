@@ -183,9 +183,9 @@ pub(crate) fn select<V: Clone + PartialEq>(
     pattern: &[Option<Value>],
     is_member: impl Fn(&V) -> bool,
 ) -> Vec<Tuple> {
-    let prefix: Vec<Value> = pattern.iter().map_while(|v| *v).collect();
-    if prefix.len() == pattern.len() {
-        let t = Tuple::new(prefix);
+    let bound = pattern.iter().take_while(|v| v.is_some()).count();
+    if bound == pattern.len() {
+        let t: Tuple = pattern.iter().map(|v| v.expect("fully bound")).collect();
         return match map.get(&t) {
             Some(v) if is_member(v) => vec![t],
             _ => Vec::new(),
@@ -193,17 +193,17 @@ pub(crate) fn select<V: Clone + PartialEq>(
     }
     // Whether any bound column remains after the first free one; if not,
     // every tuple visited matches and the per-candidate filter is skipped.
-    let fully_covered = pattern[prefix.len()..].iter().all(Option::is_none);
+    let fully_covered = pattern[bound..].iter().all(Option::is_none);
     let mut out = Vec::new();
     let keep = |t: &Tuple, v: &V| {
         if is_member(v) && (fully_covered || t.matches(pattern)) {
             out.push(t.clone());
         }
     };
-    if prefix.is_empty() {
+    if bound == 0 {
         map.for_each(keep);
     } else {
-        for_each_with_prefix(map, || prefix.iter().copied(), keep);
+        for_each_with_prefix(map, || pattern[..bound].iter().flatten().copied(), keep);
     }
     out
 }

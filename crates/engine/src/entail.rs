@@ -20,13 +20,11 @@
 use crate::cache::canonical_goal;
 use crate::config::EngineError;
 use crate::kernel::{
-    apply_unification, apply_unification_n, apply_update, check_absent, eval_ground_builtin,
-    matching_tuples, subst_tree, BuiltinOut,
+    apply_unification, apply_unification_n, apply_update, bind_tuple, check_absent,
+    eval_ground_builtin, matching_tuples, num_vars_in_tree, subst_tree, unify_head, BuiltinOut,
 };
-use crate::tree::{frontier, leaf_at, make_node, rewrite, to_goal, PTree};
+use crate::tree::{frontier_len, leaf_at, make_node, rewrite, sequence, to_goal, PTree};
 use std::collections::HashSet;
-use std::sync::Arc;
-use td_core::unify::{unify_args, unify_terms};
 use td_core::{Goal, Program, Term};
 use td_db::{Database, Delta};
 
@@ -36,7 +34,7 @@ use td_db::{Database, Delta};
 pub fn entails(program: &Program, states: &[Database], goal: &Goal) -> Result<bool, EngineError> {
     assert!(!states.is_empty(), "a path has at least one state");
     let mut visited = HashSet::new();
-    search(program, states, make_node(goal), 0, &mut visited)
+    search(program, states, make_node(goal.clone()), 0, &mut visited)
 }
 
 /// Convenience: build the state sequence a committed [`Delta`] induces from
@@ -57,12 +55,12 @@ pub fn entails_via_delta(
     entails(program, &states, goal)
 }
 
-type Cfg = (Option<Arc<PTree>>, usize);
+type Cfg = (Option<PTree>, usize);
 
 fn search(
     program: &Program,
     states: &[Database],
-    tree: Option<Arc<PTree>>,
+    tree: Option<PTree>,
     pos: usize,
     visited: &mut HashSet<(Goal, usize)>,
 ) -> Result<bool, EngineError> {
@@ -85,28 +83,25 @@ fn search(
 fn successors(
     program: &Program,
     states: &[Database],
-    tree: &Arc<PTree>,
+    tree: &PTree,
     pos: usize,
     out: &mut Vec<Cfg>,
     visited: &mut HashSet<(Goal, usize)>,
 ) -> Result<(), EngineError> {
     let db = &states[pos];
-    for path in frontier(tree) {
-        let leaf = leaf_at(tree, &path).clone();
-        match leaf {
+    let identity = |t: Term| t;
+    for leaf in 0..frontier_len(tree) {
+        match &**leaf_at(tree, leaf) {
             Goal::Fail => {}
             Goal::True | Goal::Seq(_) | Goal::Par(_) => {
                 unreachable!("structural goals expanded by make_node")
             }
             Goal::Atom(atom) if program.is_base(atom.pred) => {
                 // Query at the current state; the path does not advance.
-                for t in matching_tuples(db, &atom) {
-                    if let Some(new_tree) = apply_unification(tree, &path, None, |b| {
-                        atom.args
-                            .iter()
-                            .zip(t.values())
-                            .all(|(a, v)| unify_terms(b, *a, Term::Val(*v)))
-                    }) {
+                for t in matching_tuples(db, atom, identity) {
+                    if let Some(new_tree) =
+                        apply_unification(tree, leaf, None, |b| bind_tuple(b, atom, &t))
+                    {
                         out.push((new_tree, pos));
                     }
                 }
@@ -114,12 +109,11 @@ fn successors(
             Goal::Atom(atom) => {
                 for &rid in program.rules_for(atom.pred) {
                     let rule = program.rule(rid);
-                    let base = crate::kernel::num_vars_in_tree(tree);
-                    let (head, body) = rule.rename_apart(base);
-                    let replacement = make_node(&body);
+                    let base = num_vars_in_tree(tree);
+                    let replacement = make_node(rule.rename_apart(base));
                     if let Some(new_tree) =
-                        apply_unification_n(tree, &path, replacement, base + rule.num_vars(), |b| {
-                            unify_args(b, &atom.args, &head.args)
+                        apply_unification_n(tree, leaf, replacement, base + rule.num_vars(), |b| {
+                            unify_head(b, atom, rule, base)
                         })
                     {
                         out.push((new_tree, pos));
@@ -127,32 +121,32 @@ fn successors(
                 }
             }
             Goal::NotAtom(atom) => {
-                if check_absent(db, &atom)? {
-                    out.push((rewrite(tree, &path, None), pos));
+                if check_absent(db, atom, identity)? {
+                    out.push((rewrite(tree, leaf, None), pos));
                 }
             }
-            Goal::Ins(atom) | Goal::Del(atom) => {
+            goal @ (Goal::Ins(atom) | Goal::Del(atom)) => {
                 // An update must realize exactly the next transition.
                 if pos + 1 >= states.len() {
                     continue;
                 }
-                let is_ins = matches!(leaf_at(tree, &path), Goal::Ins(_));
-                let (next, _changed, _op) = apply_update(db, &atom, is_ins)?;
+                let is_ins = matches!(goal, Goal::Ins(_));
+                let (next, _changed, _op) = apply_update(db, atom, identity, is_ins)?;
                 if next.same_content(&states[pos + 1]) {
-                    out.push((rewrite(tree, &path, None), pos + 1));
+                    out.push((rewrite(tree, leaf, None), pos + 1));
                 }
             }
-            Goal::Builtin(op, terms) => match eval_ground_builtin(op, &terms)? {
+            Goal::Builtin(op, terms) => match eval_ground_builtin(*op, terms)? {
                 BuiltinOut::Fails => {}
-                BuiltinOut::Succeeds => out.push((rewrite(tree, &path, None), pos)),
+                BuiltinOut::Succeeds => out.push((rewrite(tree, leaf, None), pos)),
                 BuiltinOut::Binds(v, val) => {
-                    let new_tree = rewrite(tree, &path, None).map(|t| subst_tree(&t, v, val));
+                    let new_tree = rewrite(tree, leaf, None).map(|t| subst_tree(&t, v, val));
                     out.push((new_tree, pos));
                 }
             },
             Goal::Choice(branches) => {
-                for b in &branches {
-                    out.push((rewrite(tree, &path, make_node(b)), pos));
+                for b in branches {
+                    out.push((rewrite(tree, leaf, make_node(b.clone())), pos));
                 }
             }
             Goal::Iso(inner) => {
@@ -161,8 +155,8 @@ fn successors(
                 // remaining tree after the block enforces exactly that, and
                 // lets bindings made inside the block flow to the
                 // continuation.
-                let rest = rewrite(tree, &path, None);
-                out.push((crate::tree::sequence(make_node(&inner), rest), pos));
+                let rest = rewrite(tree, leaf, None);
+                out.push((sequence(make_node((**inner).clone()), rest), pos));
                 let _ = visited; // keep signature symmetric
             }
         }

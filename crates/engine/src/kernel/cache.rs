@@ -47,7 +47,8 @@ pub(crate) enum CallStep {
     Unfold,
 }
 
-/// Decide how the (resolved) call `atom` executes on `db`. `sole` says it
+/// Decide how a call executes on `db`; `call` builds the resolved call,
+/// and is asked only when a view or the cache may answer it. `sole` says it
 /// is the only frontier action: only then, and only when ground, does it
 /// run as a contiguous block — nothing else is schedulable until it
 /// finishes — so that its answer set is a function of `(atom, db)` like an
@@ -57,11 +58,15 @@ pub(crate) fn call_step(
     cache: Option<&SubgoalCache>,
     mat: Option<&Materializer>,
     db: &Database,
-    atom: &Atom,
+    call: impl FnOnce() -> Atom,
     sole: bool,
     hooks: &mut Hooks<'_>,
 ) -> CallStep {
-    if (cache.is_none() && mat.is_none()) || !sole || !atom.is_ground() {
+    if (cache.is_none() && mat.is_none()) || !sole {
+        return CallStep::Unfold;
+    }
+    let atom = &call();
+    if !atom.is_ground() {
         return CallStep::Unfold;
     }
     if let Some(mat) = mat {
@@ -222,7 +227,7 @@ pub(crate) fn enumerate_answers(
     };
     let mut ctx = Ctx::new(program, &config, None, None, None);
     ctx.bindings.alloc(nvars);
-    let mut solver = Solver::new(make_node(goal), db.clone());
+    let mut solver = Solver::new(make_node(goal.clone()), db.clone());
     let mut out = Vec::new();
     loop {
         match solver.next_solution(&mut ctx) {

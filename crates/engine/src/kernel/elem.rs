@@ -11,24 +11,59 @@ use td_core::unify::unify_terms;
 use td_core::{Atom, Bindings, Term, Value, Var};
 use td_db::{Database, DeltaOp, Tuple};
 
-/// Apply current bindings to an atom's arguments.
-pub(crate) fn resolve_atom(bindings: &Bindings, atom: &Atom) -> Atom {
+// Every elementary operation reads its atom's arguments through `resolve`:
+// the machine passes its trail's, the ground drivers the identity. So the
+// machine's step builds no resolved copy of the atom it executes — only the
+// tuple an update stores or a test probes, or, when a fault is reported or a
+// trace recorded, the resolved atom itself.
+
+/// An atom's arguments under `resolve`.
+pub(crate) fn resolve_atom(atom: &Atom, resolve: impl Fn(Term) -> Term) -> Atom {
     Atom {
         pred: atom.pred,
-        args: atom.args.iter().map(|t| bindings.resolve(*t)).collect(),
+        args: atom.args.iter().map(|t| resolve(*t)).collect(),
     }
 }
 
-/// Tuples of `db` matching the (resolved) query atom's bound positions.
-/// [`td_db::Relation::select`] returns every regime in sorted
-/// (lexicographic) order — the engine's canonical exploration order — so no
-/// re-sort is needed here. An undeclared relation has no tuples.
-pub(crate) fn matching_tuples(db: &Database, atom: &Atom) -> Vec<Tuple> {
+/// The tuple of an atom's values under `resolve`, built in one allocation;
+/// `None` when an argument is unbound.
+fn ground_tuple(atom: &Atom, resolve: impl Fn(Term) -> Term) -> Option<Tuple> {
+    let value = |t: &Term| resolve(*t).as_value();
+    let ground = atom.args.iter().all(|t| value(t).is_some());
+    ground.then(|| {
+        atom.args
+            .iter()
+            .map(|t| value(t).expect("ground"))
+            .collect()
+    })
+}
+
+/// Tuples of `db` matching the query atom's bound positions: a range probe
+/// on the leading bound arguments, the later ones filtered per candidate.
+/// Tuples come in sorted (lexicographic) order — the engine's canonical
+/// exploration order, the same as [`td_db::Relation::select`]'s. An
+/// undeclared relation has no tuples.
+pub(crate) fn matching_tuples(
+    db: &Database,
+    atom: &Atom,
+    resolve: impl Fn(Term) -> Term,
+) -> Vec<Tuple> {
     let Some(rel) = db.relation(atom.pred) else {
         return Vec::new();
     };
-    let pattern: Vec<Option<Value>> = atom.args.iter().map(|t| t.as_value()).collect();
-    rel.select(&pattern)
+    let value = |i: usize| resolve(atom.args[i]).as_value();
+    let bound = (0..atom.args.len())
+        .take_while(|&i| value(i).is_some())
+        .count();
+    let mut out = Vec::new();
+    let prefix = || (0..bound).map(|i| value(i).expect("bound"));
+    rel.for_each_with_prefix(prefix, |t| {
+        let mut rest = t.values().iter().enumerate().skip(bound);
+        if rest.all(|(i, v)| value(i).is_none_or(|w| w == *v)) {
+            out.push(t.clone());
+        }
+    });
+    out
 }
 
 /// Unify a query atom's arguments with a tuple. Returns false on clash
@@ -44,30 +79,34 @@ pub(crate) fn bind_tuple(bindings: &mut Bindings, atom: &Atom, tuple: &Tuple) ->
 /// The elementary `not p(t̄)` test. `Ok(true)` = the (ground) atom is
 /// absent and the step proceeds; `Ok(false)` = present, the step fails;
 /// `Err` = the atom is non-ground, a fault in every backend.
-pub(crate) fn check_absent(db: &Database, atom: &Atom) -> Result<bool, EngineError> {
-    if !atom.is_ground() {
+pub(crate) fn check_absent(
+    db: &Database,
+    atom: &Atom,
+    resolve: impl Fn(Term) -> Term,
+) -> Result<bool, EngineError> {
+    let Some(t) = ground_tuple(atom, &resolve) else {
         return Err(EngineError::Instantiation {
-            context: format!("not {atom}"),
+            context: format!("not {}", resolve_atom(atom, resolve)),
         });
-    }
-    Ok(!db.holds(atom))
+    };
+    Ok(!db.contains(atom.pred, &t))
 }
 
-/// The elementary `ins.p(t̄)` / `del.p(t̄)` step on a (resolved) atom.
-/// Returns the successor database, whether it actually changed, and the
-/// delta op recording the update. Non-ground arguments and storage errors
-/// are faults, not failures.
+/// The elementary `ins.p(t̄)` / `del.p(t̄)` step. Returns the successor
+/// database, whether it actually changed, and the delta op recording the
+/// update. Non-ground arguments and storage errors are faults, not
+/// failures.
 pub(crate) fn apply_update(
     db: &Database,
     atom: &Atom,
+    resolve: impl Fn(Term) -> Term,
     is_ins: bool,
 ) -> Result<(Database, bool, DeltaOp), EngineError> {
-    let Some(values) = atom.ground_args() else {
+    let Some(t) = ground_tuple(atom, &resolve) else {
         return Err(EngineError::Instantiation {
-            context: format!("update on {atom}"),
+            context: format!("update on {}", resolve_atom(atom, resolve)),
         });
     };
-    let t = Tuple::new(values);
     let result = if is_ins {
         db.insert(atom.pred, &t)
     } else {
@@ -88,11 +127,12 @@ pub(crate) fn apply_update(
 pub(crate) fn update(
     db: &Database,
     atom: &Atom,
+    resolve: impl Fn(Term) -> Term,
     is_ins: bool,
     mat: Option<&Materializer>,
     hooks: &mut Hooks<'_>,
 ) -> Result<(Database, bool, DeltaOp), EngineError> {
-    let (next, changed, op) = apply_update(db, atom, is_ins)?;
+    let (next, changed, op) = apply_update(db, atom, resolve, is_ins)?;
     hooks.stats.db_ops += 1;
     if let Some(mat) = mat {
         mat.apply_ops(db, std::slice::from_ref(&op), &next);
@@ -109,8 +149,12 @@ pub(crate) fn eval_builtin(
     op: Builtin,
     terms: &[Term],
 ) -> Result<bool, EngineError> {
-    let resolved: Vec<Term> = terms.iter().map(|t| bindings.resolve(*t)).collect();
-    Ok(match eval_ground_builtin(op, &resolved)? {
+    // At most three arguments (`Builtin::arity`): resolved on the stack.
+    let mut resolved = [Term::int(0); 3];
+    for (r, t) in resolved.iter_mut().zip(terms) {
+        *r = bindings.resolve(*t);
+    }
+    Ok(match eval_ground_builtin(op, &resolved[..terms.len()])? {
         BuiltinOut::Fails => false,
         BuiltinOut::Succeeds => true,
         BuiltinOut::Binds(v, t) => unify_terms(bindings, Term::Var(v), t),

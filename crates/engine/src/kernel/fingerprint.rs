@@ -19,7 +19,6 @@
 use crate::tree::PTree;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 use td_core::{Atom, Goal, Term, Value, Var};
 use td_db::Database;
 
@@ -164,7 +163,7 @@ impl<R: Fn(Term) -> Term> Walk<'_, R> {
 /// is the caller's numbering scratch (cleared here), so a steady-state
 /// call allocates nothing.
 pub(crate) fn fingerprint(
-    tree: &Arc<PTree>,
+    tree: &PTree,
     resolve: impl Fn(Term) -> Term,
     db: &Database,
     vars: &mut Vec<Var>,
@@ -207,7 +206,7 @@ pub(super) mod tests {
 
     /// The key the drivers used before fingerprints: the α-renamed resolved
     /// goal the tree renders to, and the database digest.
-    fn exact_key(tree: &Arc<PTree>, resolve: &impl Fn(Term) -> Term, digest: u128) -> StateKey {
+    fn exact_key(tree: &PTree, resolve: &impl Fn(Term) -> Term, digest: u128) -> StateKey {
         let resolved = to_goal(tree).map_terms(&mut |t| resolve(t));
         (canonical_goal(&resolved), digest)
     }
@@ -215,7 +214,7 @@ pub(super) mod tests {
     /// The test-only hook in [`fingerprint`]: equal exact keys must get
     /// equal fingerprints, checked here as they arrive.
     pub(in super::super) fn record(
-        tree: &Arc<PTree>,
+        tree: &PTree,
         resolve: &impl Fn(Term) -> Term,
         digest: u128,
         fp: u128,
@@ -351,7 +350,7 @@ pub(super) mod tests {
         t
     }
 
-    fn fp(tree: &Arc<PTree>, resolve: impl Fn(Term) -> Term, db: &Database) -> u128 {
+    fn fp(tree: &PTree, resolve: impl Fn(Term) -> Term, db: &Database) -> u128 {
         fingerprint(tree, resolve, db, &mut Vec::new())
     }
 
@@ -458,7 +457,7 @@ pub(super) mod tests {
         /// or bound values in a `Bindings`, is invisible.
         #[test]
         fn renaming_and_alias_chains_leave_the_fingerprint_unchanged(g in arb_goal(3)) {
-            let Some(tree) = make_node(&g) else { return };
+            let Some(tree) = make_node(g.clone()) else { return };
             let db = Database::new();
             let plain = fp(&tree, identity, &db);
 
@@ -466,7 +465,7 @@ pub(super) mod tests {
                 Term::Var(Var(i)) => Term::var(90 - 7 * i),
                 val => val,
             });
-            let renamed = make_node(&renamed).expect("same shape");
+            let renamed = make_node(renamed).expect("same shape");
             prop_assert_eq!(fp(&renamed, identity, &db), plain);
 
             // X → X+10 → X+20 (unbound): the chain's end is what is numbered.
@@ -487,7 +486,7 @@ pub(super) mod tests {
                 Term::Var(Var(1)) => Term::int(7),
                 other => other,
             });
-            let substituted = make_node(&substituted).expect("same shape");
+            let substituted = make_node(substituted).expect("same shape");
             prop_assert_eq!(
                 fp(&tree, |t| bound.resolve(t), &db),
                 fp(&substituted, identity, &db)
@@ -518,7 +517,7 @@ pub(super) mod tests {
             let mut nth = Some(place % places);
             let edited = edit.apply(&g, &mut nth);
             prop_assert!(nth.is_none(), "edit applied");
-            let (Some(t1), Some(t2)) = (make_node(&g), make_node(&edited)) else {
+            let (Some(t1), Some(t2)) = (make_node(g.clone()), make_node(edited)) else {
                 return;
             };
             let db = Database::new();
@@ -531,7 +530,7 @@ pub(super) mod tests {
 
         #[test]
         fn the_database_is_part_of_the_fingerprint(g in arb_goal(2), n in 0i64..50) {
-            let Some(tree) = make_node(&g) else { return };
+            let Some(tree) = make_node(g.clone()) else { return };
             let pred = Pred::new("t", 1);
             let db = Database::new().declare(pred);
             let (db2, changed) = db.insert(pred, &tuple!(n)).unwrap();

@@ -5,15 +5,15 @@
 //! Both ask [`call_step`], [`update`] and [`replay_answer`] what a step does.
 
 use super::{
-    bind_answer, call_step, check_absent, eval_ground_builtin, matching_tuples, probe_subgoal,
-    replay_answer, subst_tree, unify_project, update, BuiltinOut, CallStep, Hooks, Probe,
+    bind_answer, bind_tuple, call_step, check_absent, eval_ground_builtin, matching_tuples,
+    probe_subgoal, replay_answer, subst_tree, unify_head, unify_project, update, BuiltinOut,
+    CallStep, Hooks, Probe,
 };
 use crate::cache::{CachedAnswer, SubgoalCache};
 use crate::config::EngineError;
 use crate::incremental::Materializer;
-use crate::tree::{frontier, leaf_at, make_node, rewrite, sequence, PTree};
+use crate::tree::{frontier_len, leaf_at, make_node, rewrite, sequence, PTree};
 use std::sync::Arc;
-use td_core::unify::{unify_args, unify_terms};
 use td_core::{Bindings, Goal, Program, Term, Var};
 use td_db::{Database, DeltaOp};
 
@@ -24,7 +24,7 @@ use td_db::{Database, DeltaOp};
 #[derive(Clone)]
 pub(crate) struct Config {
     /// Live process tree; `None` = complete (successful) execution.
-    pub tree: Option<Arc<PTree>>,
+    pub tree: Option<PTree>,
     pub db: Database,
     /// High-water mark of allocated variable ids along this path. Renaming
     /// rules apart from this (rather than from the tree's current maximum)
@@ -39,7 +39,7 @@ pub(crate) struct Config {
 
 impl Config {
     /// The successor that differs from `self` in its tree only.
-    fn with_tree(&self, tree: Option<Arc<PTree>>) -> Successor {
+    fn with_tree(&self, tree: Option<PTree>) -> Successor {
         let next = Config {
             tree,
             db: self.db.clone(),
@@ -68,7 +68,7 @@ pub(crate) struct Kernel<'p> {
 
 impl Kernel<'_> {
     /// Every configuration reachable from `cfg` in one step, across all
-    /// schedules and all nondeterministic choices — frontier paths left to
+    /// schedules and all nondeterministic choices — frontier leaves left to
     /// right, per-leaf alternatives in canonical order (tuple order is
     /// `select`'s sorted order, rule order is program order, answers are
     /// in canonical yield order). That ordering is load-bearing: the
@@ -93,38 +93,36 @@ impl Kernel<'_> {
         let Some(tree) = &cfg.tree else {
             return (out, None);
         };
-        let paths = frontier(tree);
-        let sole = paths.len() == 1;
-        for path in paths {
-            let leaf = leaf_at(tree, &path).clone();
-            match leaf {
+        let n = frontier_len(tree);
+        let sole = n == 1;
+        let identity = |t: Term| t;
+        for leaf in 0..n {
+            match &**leaf_at(tree, leaf) {
                 Goal::Fail => {}
                 Goal::True | Goal::Seq(_) | Goal::Par(_) => {
                     unreachable!("structural goals expanded by make_node")
                 }
                 Goal::Atom(atom) if self.program.is_base(atom.pred) => {
                     hooks.reads.record(atom.pred);
-                    for t in matching_tuples(&cfg.db, &atom) {
-                        out.extend(unify_project(scratch, cfg, &path, None, cfg.nvars, |b| {
-                            atom.args
-                                .iter()
-                                .zip(t.values())
-                                .all(|(a, v)| unify_terms(b, *a, Term::Val(*v)))
+                    for t in matching_tuples(&cfg.db, atom, identity) {
+                        out.extend(unify_project(scratch, cfg, leaf, None, cfg.nvars, |b| {
+                            bind_tuple(b, atom, &t)
                         }));
                     }
                 }
                 Goal::Atom(atom) => {
                     let (cache, mat) = (self.cache.as_deref(), self.mat.as_deref());
-                    match call_step(self.program, cache, mat, &cfg.db, &atom, sole, hooks) {
+                    let call = || atom.clone();
+                    match call_step(self.program, cache, mat, &cfg.db, call, sole, hooks) {
                         CallStep::Holds(holds) => {
                             if holds {
-                                out.push(cfg.with_tree(rewrite(tree, &path, None)));
+                                out.push(cfg.with_tree(rewrite(tree, leaf, None)));
                             }
                             continue;
                         }
                         CallStep::Replay { answers, vars } => {
                             if let Err(e) =
-                                self.replay(cfg, &path, &vars, &answers, &mut out, hooks, scratch)
+                                self.replay(cfg, leaf, &vars, &answers, &mut out, hooks, scratch)
                             {
                                 return (out, Some(e));
                             }
@@ -134,13 +132,11 @@ impl Kernel<'_> {
                     }
                     for &rid in self.program.rules_for(atom.pred) {
                         let rule = self.program.rule(rid);
-                        let (head, body) = rule.rename_apart(cfg.nvars);
                         let nvars = cfg.nvars + rule.num_vars();
-                        if let Some(next) =
-                            unify_project(scratch, cfg, &path, make_node(&body), nvars, |b| {
-                                unify_args(b, &atom.args, &head.args)
-                            })
-                        {
+                        let body = make_node(rule.rename_apart(cfg.nvars));
+                        if let Some(next) = unify_project(scratch, cfg, leaf, body, nvars, |b| {
+                            unify_head(b, atom, rule, cfg.nvars)
+                        }) {
                             hooks.stats.unfolds += 1;
                             hooks.local.observe_unfold(rid);
                             out.push(next);
@@ -149,19 +145,19 @@ impl Kernel<'_> {
                 }
                 Goal::NotAtom(atom) => {
                     hooks.reads.record(atom.pred);
-                    match check_absent(&cfg.db, &atom) {
+                    match check_absent(&cfg.db, atom, identity) {
                         Err(e) => return (out, Some(e)),
                         Ok(false) => {}
-                        Ok(true) => out.push(cfg.with_tree(rewrite(tree, &path, None))),
+                        Ok(true) => out.push(cfg.with_tree(rewrite(tree, leaf, None))),
                     }
                 }
-                Goal::Ins(atom) | Goal::Del(atom) => {
-                    let is_ins = matches!(leaf_at(tree, &path), Goal::Ins(_));
-                    match update(&cfg.db, &atom, is_ins, self.mat.as_deref(), hooks) {
+                goal @ (Goal::Ins(atom) | Goal::Del(atom)) => {
+                    let is_ins = matches!(goal, Goal::Ins(_));
+                    match update(&cfg.db, atom, identity, is_ins, self.mat.as_deref(), hooks) {
                         Err(e) => return (out, Some(e)),
                         Ok((db, _changed, op)) => {
                             let succ = Config {
-                                tree: rewrite(tree, &path, None),
+                                tree: rewrite(tree, leaf, None),
                                 db,
                                 nvars: cfg.nvars,
                                 answer: cfg.answer.clone(),
@@ -170,14 +166,14 @@ impl Kernel<'_> {
                         }
                     }
                 }
-                Goal::Builtin(op, terms) => match eval_ground_builtin(op, &terms) {
+                Goal::Builtin(op, terms) => match eval_ground_builtin(*op, terms) {
                     Err(e) => return (out, Some(e)),
                     Ok(BuiltinOut::Fails) => {}
                     Ok(BuiltinOut::Succeeds) => {
-                        out.push(cfg.with_tree(rewrite(tree, &path, None)));
+                        out.push(cfg.with_tree(rewrite(tree, leaf, None)));
                     }
                     Ok(BuiltinOut::Binds(v, val)) => {
-                        let new_tree = rewrite(tree, &path, None).map(|t| subst_tree(&t, v, val));
+                        let new_tree = rewrite(tree, leaf, None).map(|t| subst_tree(&t, v, val));
                         let (mut succ, ops) = cfg.with_tree(new_tree);
                         for t in &mut succ.answer {
                             if *t == Term::Var(v) {
@@ -188,8 +184,8 @@ impl Kernel<'_> {
                     }
                 },
                 Goal::Choice(branches) => {
-                    for b in &branches {
-                        out.push(cfg.with_tree(rewrite(tree, &path, make_node(b))));
+                    for b in branches {
+                        out.push(cfg.with_tree(rewrite(tree, leaf, make_node(b.clone()))));
                     }
                 }
                 Goal::Iso(inner) => {
@@ -198,10 +194,10 @@ impl Kernel<'_> {
                     // subgoal cache stores. Try a replay before the lazy
                     // transform.
                     if let Some(cache) = self.cache.as_deref() {
-                        match probe_subgoal(self.program, cache, &cfg.db, &inner, hooks) {
+                        match probe_subgoal(self.program, cache, &cfg.db, inner, hooks) {
                             Probe::Replay { answers, vars } => {
                                 if let Err(e) = self
-                                    .replay(cfg, &path, &vars, &answers, &mut out, hooks, scratch)
+                                    .replay(cfg, leaf, &vars, &answers, &mut out, hooks, scratch)
                                 {
                                     return (out, Some(e));
                                 }
@@ -217,8 +213,8 @@ impl Kernel<'_> {
                     // Bindings made inside the block flow to the
                     // continuation because it is one tree.
                     hooks.stats.iso_enters += 1;
-                    let rest = rewrite(tree, &path, None);
-                    out.push(cfg.with_tree(sequence(make_node(&inner), rest)));
+                    let rest = rewrite(tree, leaf, None);
+                    out.push(cfg.with_tree(sequence(make_node((**inner).clone()), rest)));
                 }
             }
         }
@@ -232,7 +228,7 @@ impl Kernel<'_> {
     fn replay(
         &self,
         cfg: &Config,
-        path: &[usize],
+        leaf: usize,
         vars: &[Var],
         answers: &[CachedAnswer],
         out: &mut Vec<Successor>,
@@ -240,7 +236,7 @@ impl Kernel<'_> {
         scratch: &mut Bindings,
     ) -> Result<(), EngineError> {
         for ans in answers {
-            if let Some((mut succ, _)) = unify_project(scratch, cfg, path, None, cfg.nvars, |b| {
+            if let Some((mut succ, _)) = unify_project(scratch, cfg, leaf, None, cfg.nvars, |b| {
                 bind_answer(b, vars, ans)
             }) {
                 succ.db = replay_answer(&cfg.db, ans, self.mat.as_deref(), hooks)?;

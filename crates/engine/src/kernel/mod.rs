@@ -16,7 +16,7 @@
 //!   entry points (docs/ARCHITECTURE.md, "The explicit-state search").
 //!
 //! The search goes through [`Kernel::actions`], which enumerates every
-//! enabled transition of a [`Config`] — frontier paths left to right,
+//! enabled transition of a [`Config`] — frontier leaves left to right,
 //! per-leaf alternatives in canonical order — as [`Successor`]s with
 //! effects already applied (TD states are persistent, so applying is as
 //! cheap as describing). The sequential machine keeps its trail-based
@@ -59,7 +59,7 @@ pub(crate) use ground::{Config, Kernel, Successor};
 pub(crate) use subst::{
     apply_unification, apply_unification_n, num_vars_in_tree, subst_tree, unify_project,
 };
-pub(crate) use unfold::unfold_trail;
+pub(crate) use unfold::{unfold_trail, unify_head};
 
 use crate::config::Stats;
 use crate::obs::{LocalMetrics, Observer};

@@ -11,31 +11,31 @@ use td_core::{Bindings, Term, Var};
 /// Unify under a scratch binding store sized for the tree's variables, then
 /// substitute the solution through the rewritten tree.
 pub(crate) fn apply_unification(
-    tree: &Arc<PTree>,
-    path: &[usize],
-    replacement: Option<Arc<PTree>>,
+    tree: &PTree,
+    leaf: usize,
+    replacement: Option<PTree>,
     unifier: impl FnOnce(&mut Bindings) -> bool,
-) -> Option<Option<Arc<PTree>>> {
+) -> Option<Option<PTree>> {
     let n = num_vars_in_tree(tree);
-    apply_unification_n(tree, path, replacement, n, unifier)
+    apply_unification_n(tree, leaf, replacement, n, unifier)
 }
 
 /// [`apply_unification`] with an explicit variable high-water mark (needed
 /// when the unifier mentions variables that are not in the tree, e.g. a
 /// freshly renamed rule body).
 pub(crate) fn apply_unification_n(
-    tree: &Arc<PTree>,
-    path: &[usize],
-    replacement: Option<Arc<PTree>>,
+    tree: &PTree,
+    leaf: usize,
+    replacement: Option<PTree>,
     nvars: u32,
     unifier: impl FnOnce(&mut Bindings) -> bool,
-) -> Option<Option<Arc<PTree>>> {
+) -> Option<Option<PTree>> {
     let mut b = Bindings::new();
     b.alloc(nvars);
     if !unifier(&mut b) {
         return None;
     }
-    let rewritten = rewrite(tree, path, replacement);
+    let rewritten = rewrite(tree, leaf, replacement);
     Some(rewritten.map(|t| apply_bindings_tree(&t, &b)))
 }
 
@@ -51,16 +51,16 @@ pub(crate) fn apply_unification_n(
 pub(crate) fn unify_project(
     b: &mut Bindings,
     cfg: &Config,
-    path: &[usize],
-    replacement: Option<Arc<PTree>>,
+    leaf: usize,
+    replacement: Option<PTree>,
     nvars: u32,
     unifier: impl FnOnce(&mut Bindings) -> bool,
 ) -> Option<Successor> {
-    let tree = cfg.tree.as_ref().expect("a leaf path into a live tree");
+    let tree = cfg.tree.as_ref().expect("a leaf of a live tree");
     b.alloc(nvars.saturating_sub(b.len() as u32));
     let mark = b.mark();
     let next = unifier(b).then(|| Config {
-        tree: rewrite(tree, path, replacement).map(|t| apply_bindings_tree(&t, b)),
+        tree: rewrite(tree, leaf, replacement).map(|t| apply_bindings_tree(&t, b)),
         db: cfg.db.clone(),
         nvars,
         answer: cfg.answer.iter().map(|t| b.resolve(*t)).collect(),
@@ -70,7 +70,7 @@ pub(crate) fn unify_project(
 }
 
 /// Variables in a tree: max id + 1.
-pub(crate) fn num_vars_in_tree(tree: &Arc<PTree>) -> u32 {
+pub(crate) fn num_vars_in_tree(tree: &PTree) -> u32 {
     to_goal(tree)
         .vars()
         .into_iter()
@@ -80,20 +80,19 @@ pub(crate) fn num_vars_in_tree(tree: &Arc<PTree>) -> u32 {
 }
 
 /// Resolve every term of a tree against a binding store.
-pub(crate) fn apply_bindings_tree(tree: &Arc<PTree>, b: &Bindings) -> Arc<PTree> {
+pub(crate) fn apply_bindings_tree(tree: &PTree, b: &Bindings) -> PTree {
     map_tree(tree, &mut |t| b.resolve(t))
 }
 
 /// Substitute one variable by a term throughout a tree.
-pub(crate) fn subst_tree(tree: &Arc<PTree>, v: Var, val: Term) -> Arc<PTree> {
+pub(crate) fn subst_tree(tree: &PTree, v: Var, val: Term) -> PTree {
     map_tree(tree, &mut |t| if t == Term::Var(v) { val } else { t })
 }
 
 /// Map a term transformation over a tree.
-pub(crate) fn map_tree(tree: &Arc<PTree>, f: &mut impl FnMut(Term) -> Term) -> Arc<PTree> {
-    match &**tree {
-        PTree::Lit(g) => Arc::new(PTree::Lit(g.map_terms(f))),
-        PTree::Seq(cs) => Arc::new(PTree::Seq(cs.iter().map(|c| map_tree(c, f)).collect())),
-        PTree::Par(cs) => Arc::new(PTree::Par(cs.iter().map(|c| map_tree(c, f)).collect())),
+pub(crate) fn map_tree(tree: &PTree, f: &mut impl FnMut(Term) -> Term) -> PTree {
+    match tree {
+        PTree::Lit(g) => PTree::Lit(Arc::new(g.map_terms(f))),
+        PTree::Seq(_) | PTree::Par(_) => tree.map_children(|c| map_tree(c, f)),
     }
 }

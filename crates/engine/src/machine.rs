@@ -25,6 +25,13 @@
 //! every retry alike — and `Solver::backtrack` asks the newest choicepoint
 //! for its next one. Strategies, budgets and failure memoization sit
 //! around that loop.
+//!
+//! A step allocates only what it creates. The tree and the database are
+//! persistent, so a choicepoint's snapshot of either is a refcount; a leaf
+//! is addressed by its index in the frontier, so scheduling builds no list
+//! of paths; alternatives share the leaf they come from; and an elementary
+//! operation reads its atom through the trail rather than from a resolved
+//! copy (see [`kernel`]).
 
 use crate::cache::{CachedAnswer, SubgoalCache};
 use crate::config::{EngineConfig, EngineError, Stats, Strategy};
@@ -32,13 +39,13 @@ use crate::incremental::Materializer;
 use crate::kernel::{self, CallStep, FpSet, Hooks, Probe};
 use crate::obs::{subgoal_label, LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{frontier, leaf_at, make_node, rewrite, PTree, Path};
+use crate::tree::{frontier_len, leaf_at, make_node, rewrite, PTree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 use td_core::subst::TrailMark;
-use td_core::{Atom, Bindings, Goal, Program, RuleId, Var};
+use td_core::{Atom, Bindings, Goal, Program, RuleId, Term, Var};
 use td_db::{Database, DeltaOp, Tuple};
 
 /// The kernel's accounting sinks over a [`Ctx`], borrowed field by field so
@@ -131,6 +138,15 @@ impl<'p> Ctx<'p> {
         }
     }
 
+    /// `atom` as the bindings stand now, when tracing: what a trace event
+    /// shows of the atom a step reads through the trail.
+    fn traced(&self, atom: &Atom) -> Option<Atom> {
+        let bindings = &self.bindings;
+        self.config
+            .trace
+            .then(|| kernel::resolve_atom(atom, |t| bindings.resolve(t)))
+    }
+
     /// Append to the structured event stream (no-op without an observer
     /// event log; independent of the committed-path trace).
     fn emit(&self, f: impl FnOnce() -> TraceEvent) {
@@ -146,7 +162,7 @@ impl<'p> Ctx<'p> {
     }
 
     /// Fingerprint of a configuration under the current bindings.
-    fn config_key(&mut self, tree: &Arc<PTree>, db: &Database) -> u128 {
+    fn config_key(&mut self, tree: &PTree, db: &Database) -> u128 {
         let bindings = &self.bindings;
         kernel::fingerprint(tree, |t| bindings.resolve(t), db, &mut self.key_vars)
     }
@@ -154,6 +170,7 @@ impl<'p> Ctx<'p> {
     /// Unfold `rule_id` for `atom` on the shared trail (a kernel
     /// primitive), recording the committed-path trace event on success.
     fn unfold(&mut self, atom: &Atom, rule_id: RuleId) -> Option<Goal> {
+        let call = self.traced(atom);
         let body = kernel::unfold_trail(
             self.program,
             &mut self.bindings,
@@ -162,29 +179,40 @@ impl<'p> Ctx<'p> {
             hooks!(self),
         )?;
         self.record(|| TraceEvent::Unfold {
-            call: atom.clone(),
+            call: call.expect("tracing"),
             rule: rule_id,
         });
         Some(body)
     }
 
-    fn order_paths(&mut self, paths: &mut [Path]) {
+    /// The order the strategy takes a frontier of `n` leaves in.
+    fn schedule(&mut self, n: usize) -> Schedule {
+        let mut schedule = Schedule {
+            first: 0,
+            shuffled: Vec::new(),
+            len: n,
+            sole: n == 1,
+        };
         match self.config.strategy {
-            Strategy::Exhaustive | Strategy::Leftmost => {}
-            Strategy::ExhaustiveRandom(_) => {
-                if let Some(rng) = &mut self.rng {
-                    paths.shuffle(rng);
-                }
+            // Shuffling one leaf draws nothing from the generator.
+            Strategy::ExhaustiveRandom(_) if n > 1 => {
+                let rng = self.rng.as_mut().expect("seeded for this strategy");
+                schedule.shuffled = (0..n).collect();
+                schedule.shuffled.shuffle(rng);
             }
+            Strategy::Exhaustive | Strategy::Leftmost | Strategy::ExhaustiveRandom(_) => {}
             Strategy::RoundRobin => {
-                let n = paths.len();
                 if n > 1 {
-                    let k = (self.rr_counter as usize) % n;
-                    paths.rotate_left(k);
+                    schedule.first = (self.rr_counter as usize) % n;
                 }
                 self.rr_counter += 1;
             }
         }
+        if !self.config.strategy.backtracks_schedule() {
+            // An incomplete scheduler commits to its first pick.
+            schedule.len = 1;
+        }
+        schedule
     }
 }
 
@@ -228,17 +256,29 @@ impl Marks {
     }
 }
 
-/// The alternatives of one step, in canonical order.
+/// Which frontier leaves a scheduling step may execute, by their index in
+/// the frontier: `len` of them, from `first` on in left-to-right order, or
+/// in `shuffled` order when the strategy shuffles.
+struct Schedule {
+    first: usize,
+    shuffled: Vec<usize>,
+    len: usize,
+    /// The frontier holds just one leaf.
+    sole: bool,
+}
+
+/// The alternatives of one step, in canonical order. Those of a leaf hold
+/// the leaf, once, and each alternative refers to it.
 enum Alts {
-    /// Scheduling: the frontier actions the step may execute, and whether
-    /// the frontier held just one.
-    Sched(Vec<Path>, bool),
-    /// The tuples a base-predicate query may match.
-    Tuples(Atom, Vec<Tuple>),
-    /// The rules a call may unfold to.
-    Rules(Atom, Vec<RuleId>),
-    /// The branches of an `or`.
-    Branches(Vec<Goal>),
+    /// Scheduling: the frontier leaves the step may execute.
+    Sched(Schedule),
+    /// The tuples a base-predicate query leaf may match.
+    Tuples(Arc<Goal>, Vec<Tuple>),
+    /// A call leaf, and how many rules it may unfold to: its predicate's,
+    /// in program order.
+    Rules(Arc<Goal>, usize),
+    /// The branches of an `or` leaf.
+    Branches(Arc<Goal>),
     /// The answers of a cached subgoal (replayed, not re-explored), and
     /// the variables each answer's values bind, positionally.
     Cached(Vec<Var>, Arc<Vec<CachedAnswer>>),
@@ -250,11 +290,14 @@ enum Alts {
 
 /// One alternative, taken out of an [`Alts`] by index.
 enum Alt {
-    Sched(Path, bool),
-    Tuple(Atom, Tuple),
-    Rule(Atom, RuleId),
+    /// A frontier leaf's index, and whether it is the only one.
+    Sched(usize, bool),
+    /// A query leaf and a tuple it matches.
+    Tuple(Arc<Goal>, Tuple),
+    /// A call leaf and the index of a rule among its predicate's.
+    Rule(Arc<Goal>, usize),
     /// The branch's index and its process tree.
-    Branch(usize, Option<Arc<PTree>>),
+    Branch(usize, Option<PTree>),
     Cached(Vec<Var>, Arc<Vec<CachedAnswer>>, usize),
     /// An isolated block ran to a solution.
     Yield,
@@ -263,29 +306,45 @@ enum Alt {
 impl Alts {
     fn len(&self) -> usize {
         match self {
-            Alts::Sched(paths, _) => paths.len(),
+            Alts::Sched(schedule) => schedule.len,
             Alts::Tuples(_, tuples) => tuples.len(),
-            Alts::Rules(_, rules) => rules.len(),
-            Alts::Branches(goals) => goals.len(),
+            Alts::Rules(_, rules) => *rules,
+            Alts::Branches(choice) => branches(choice).len(),
             Alts::Cached(_, answers) => answers.len(),
             Alts::Iso(..) => 0,
         }
     }
 
-    /// Take out the `i`-th alternative. The search visits each index once,
-    /// so a scheduled path moves out; the rest is cloned per alternative.
+    /// Take out the `i`-th alternative: an index, a refcount or two, and —
+    /// for a branch — the tree of its goal.
     fn get(&mut self, i: usize) -> Option<Alt> {
+        if i >= self.len() {
+            return None;
+        }
         Some(match self {
-            Alts::Sched(paths, sole) => Alt::Sched(std::mem::take(paths.get_mut(i)?), *sole),
-            Alts::Tuples(atom, tuples) => Alt::Tuple(atom.clone(), tuples.get(i)?.clone()),
-            Alts::Rules(atom, rules) => Alt::Rule(atom.clone(), *rules.get(i)?),
-            Alts::Branches(goals) => Alt::Branch(i, make_node(goals.get(i)?)),
-            Alts::Cached(vars, answers) => {
-                answers.get(i)?;
-                Alt::Cached(vars.clone(), answers.clone(), i)
-            }
-            Alts::Iso(..) => return None,
+            Alts::Sched(s) => Alt::Sched(s.shuffled.get(i).copied().unwrap_or(s.first + i), s.sole),
+            Alts::Tuples(query, tuples) => Alt::Tuple(query.clone(), tuples[i].clone()),
+            Alts::Rules(call, _) => Alt::Rule(call.clone(), i),
+            Alts::Branches(choice) => Alt::Branch(i, make_node(branches(choice)[i].clone())),
+            Alts::Cached(vars, answers) => Alt::Cached(vars.clone(), answers.clone(), i),
+            Alts::Iso(..) => unreachable!("an isolated block has no listed alternatives"),
         })
+    }
+}
+
+/// The atom of a query or call leaf.
+fn atom_of(leaf: &Goal) -> &Atom {
+    match leaf {
+        Goal::Atom(atom) => atom,
+        _ => unreachable!("a query or call leaf"),
+    }
+}
+
+/// The branches of an `or` leaf.
+fn branches(leaf: &Goal) -> &[Goal] {
+    match leaf {
+        Goal::Choice(branches) => branches,
+        _ => unreachable!("an `or` leaf"),
     }
 }
 
@@ -301,10 +360,10 @@ struct Choicepoint {
     /// the subtree was success-free (refuted) or merely drained.
     successes_at_push: u64,
     /// Process tree before the step this choicepoint belongs to.
-    tree: Arc<PTree>,
-    /// The leaf the alternatives replace (unused by `Alts::Sched`, whose
-    /// alternatives are the leaves).
-    path: Path,
+    tree: PTree,
+    /// The frontier index of the leaf the alternatives replace (unused by
+    /// `Alts::Sched`, whose alternatives are the leaves).
+    leaf: usize,
     /// Database before the step.
     db: Database,
     /// Log positions before the step.
@@ -339,7 +398,7 @@ impl Choicepoint {
 /// A depth-first search for successful executions of one process tree.
 pub(crate) struct Solver {
     /// `None` = fully reduced (a solution state).
-    state: Option<Arc<PTree>>,
+    state: Option<PTree>,
     /// Current database.
     pub db: Database,
     stack: Vec<Choicepoint>,
@@ -352,7 +411,7 @@ pub(crate) struct Solver {
 }
 
 impl Solver {
-    pub fn new(tree: Option<Arc<PTree>>, db: Database) -> Solver {
+    pub fn new(tree: Option<PTree>, db: Database) -> Solver {
         Solver {
             state: tree,
             db,
@@ -393,15 +452,15 @@ impl Solver {
         }
     }
 
-    /// A choicepoint over `alts` for the leaf at `path`, the step having
-    /// begun at `at`. The one place a choicepoint is built; `push_cp` fills
-    /// in the memo fields.
-    fn checkpoint(&self, at: Marks, tree: &Arc<PTree>, path: Path, alts: Alts) -> Choicepoint {
+    /// A choicepoint over `alts` for the `leaf`-th frontier leaf, the step
+    /// having begun at `at`. The one place a choicepoint is built; `push_cp`
+    /// fills in the memo fields.
+    fn checkpoint(&self, at: Marks, tree: &PTree, leaf: usize, alts: Alts) -> Choicepoint {
         Choicepoint {
             step_key: None,
             successes_at_push: 0,
             tree: tree.clone(),
-            path,
+            leaf,
             db: self.db.clone(),
             at,
             alts,
@@ -424,7 +483,7 @@ impl Solver {
     }
 
     /// One elementary step: pick a frontier action per strategy, execute it.
-    fn step(&mut self, ctx: &mut Ctx, tree: Arc<PTree>) -> StepResult {
+    fn step(&mut self, ctx: &mut Ctx, tree: PTree) -> StepResult {
         if ctx.memo_active() {
             let key = ctx.config_key(&tree, &self.db);
             if ctx.failed.contains(&key) {
@@ -434,16 +493,10 @@ impl Solver {
             self.pending_key = Some(key);
         }
         let stack_before = self.stack.len();
-        let mut paths = frontier(&tree);
-        debug_assert!(!paths.is_empty(), "non-None state must have a frontier");
-        ctx.stats.peak_processes = ctx.stats.peak_processes.max(paths.len());
-        ctx.order_paths(&mut paths);
-        let sole = paths.len() == 1;
-        if !ctx.config.strategy.backtracks_schedule() {
-            // An incomplete scheduler commits to its first pick.
-            paths.truncate(1);
-        }
-        let result = self.choose(ctx, &tree, Path::new(), Alts::Sched(paths, sole));
+        let n = frontier_len(&tree);
+        ctx.stats.peak_processes = ctx.stats.peak_processes.max(n);
+        let schedule = ctx.schedule(n);
+        let result = self.choose(ctx, &tree, 0, Alts::Sched(schedule));
         if matches!(result, Err(StepErr::Fail)) && self.stack.len() == stack_before {
             // The step failed with no alternatives: the configuration is
             // refuted outright.
@@ -455,39 +508,43 @@ impl Solver {
         result
     }
 
-    /// Commit to the first of `alts` for the leaf at `path`: fail when there
-    /// is none, and leave a choicepoint over the rest when there is a rest.
-    fn choose(
-        &mut self,
-        ctx: &mut Ctx,
-        tree: &Arc<PTree>,
-        path: Path,
-        mut alts: Alts,
-    ) -> StepResult {
+    /// Commit to the first of `alts` for the `leaf`-th frontier leaf: fail
+    /// when there is none, and leave a choicepoint over the rest when there
+    /// is a rest.
+    fn choose(&mut self, ctx: &mut Ctx, tree: &PTree, leaf: usize, mut alts: Alts) -> StepResult {
         let Some(first) = alts.get(0) else {
             return Err(StepErr::Fail);
         };
         if alts.len() > 1 {
-            let cp = self.checkpoint(Marks::here(ctx), tree, path.clone(), alts);
+            let cp = self.checkpoint(Marks::here(ctx), tree, leaf, alts);
             self.push_cp(ctx, cp)?;
         }
-        self.take(ctx, tree, &path, first)
+        self.take(ctx, tree, leaf, first)
     }
 
-    /// Carry out one alternative for the leaf at `path` of `tree`: the only
-    /// place a scheduled leaf is executed, a tuple bound, a rule unfolded, a
-    /// branch entered or a cached answer replayed.
-    fn take(&mut self, ctx: &mut Ctx, tree: &Arc<PTree>, path: &Path, alt: Alt) -> StepResult {
+    /// Carry out one alternative for the `leaf`-th frontier leaf of `tree`:
+    /// the only place a scheduled leaf is executed, a tuple bound, a rule
+    /// unfolded, a branch entered or a cached answer replayed.
+    fn take(&mut self, ctx: &mut Ctx, tree: &PTree, leaf: usize, alt: Alt) -> StepResult {
         let node = match alt {
             Alt::Sched(leaf, sole) => return self.execute(ctx, tree, leaf, sole),
-            Alt::Tuple(atom, tuple) => {
-                if !kernel::bind_tuple(&mut ctx.bindings, &atom, &tuple) {
+            Alt::Tuple(query, tuple) => {
+                let atom = atom_of(&query);
+                let query = ctx.traced(atom);
+                if !kernel::bind_tuple(&mut ctx.bindings, atom, &tuple) {
                     return Err(StepErr::Fail);
                 }
-                ctx.record(|| TraceEvent::Match { query: atom, tuple });
+                ctx.record(|| TraceEvent::Match {
+                    query: query.expect("tracing"),
+                    tuple,
+                });
                 None
             }
-            Alt::Rule(atom, rule) => make_node(&ctx.unfold(&atom, rule).ok_or(StepErr::Fail)?),
+            Alt::Rule(call, i) => {
+                let atom = atom_of(&call);
+                let rule = ctx.program.rules_for(atom.pred)[i];
+                make_node(ctx.unfold(atom, rule).ok_or(StepErr::Fail)?)
+            }
             Alt::Branch(index, node) => {
                 ctx.record(|| TraceEvent::Choice { index });
                 node
@@ -503,50 +560,56 @@ impl Solver {
             }
             Alt::Yield => None,
         };
-        self.state = rewrite(tree, path, node);
+        self.state = rewrite(tree, leaf, node);
         Ok(())
     }
 
-    /// Execute the action leaf at `path` in `tree`; `sole` says it is the
-    /// only frontier action.
-    fn execute(&mut self, ctx: &mut Ctx, tree: &Arc<PTree>, path: Path, sole: bool) -> StepResult {
-        match leaf_at(tree, &path) {
+    /// Execute the `leaf`-th frontier leaf of `tree`; `sole` says it is the
+    /// only one.
+    fn execute(&mut self, ctx: &mut Ctx, tree: &PTree, leaf: usize, sole: bool) -> StepResult {
+        let goal = leaf_at(tree, leaf);
+        let bindings = &ctx.bindings;
+        let resolve = |t: Term| bindings.resolve(t);
+        match &**goal {
             Goal::Fail => return Err(StepErr::Fail),
             Goal::Atom(atom) => {
-                let atom = kernel::resolve_atom(&ctx.bindings, atom);
                 if ctx.program.is_base(atom.pred) {
                     ctx.reads.record(atom.pred);
-                    let tuples = kernel::matching_tuples(&self.db, &atom);
-                    return self.choose(ctx, tree, path, Alts::Tuples(atom, tuples));
+                    let tuples = kernel::matching_tuples(&self.db, atom, resolve);
+                    return self.choose(ctx, tree, leaf, Alts::Tuples(goal.clone(), tuples));
                 }
                 let (cache, mat) = (ctx.cache.as_deref(), ctx.mat.as_deref());
                 let program = ctx.program;
-                match kernel::call_step(program, cache, mat, &self.db, &atom, sole, hooks!(ctx)) {
+                let (db, call) = (&self.db, || kernel::resolve_atom(atom, resolve));
+                match kernel::call_step(program, cache, mat, db, call, sole, hooks!(ctx)) {
                     CallStep::Holds(true) => {}
                     CallStep::Holds(false) => return Err(StepErr::Fail),
                     CallStep::Replay { answers, vars } => {
-                        return self.replay(ctx, tree, path, &Goal::Atom(atom), vars, answers);
+                        let call = Goal::Atom(kernel::resolve_atom(atom, resolve));
+                        return self.replay(ctx, tree, leaf, &call, vars, answers);
                     }
                     CallStep::Unfold => {
-                        let rules = program.rules_for(atom.pred).to_vec();
-                        return self.choose(ctx, tree, path, Alts::Rules(atom, rules));
+                        let rules = program.rules_for(atom.pred).len();
+                        return self.choose(ctx, tree, leaf, Alts::Rules(goal.clone(), rules));
                     }
                 }
             }
             Goal::NotAtom(atom) => {
-                let resolved = kernel::resolve_atom(&ctx.bindings, atom);
-                ctx.reads.record(resolved.pred);
-                if !kernel::check_absent(&self.db, &resolved).map_err(fatal)? {
+                ctx.reads.record(atom.pred);
+                if !kernel::check_absent(&self.db, atom, resolve).map_err(fatal)? {
                     return Err(StepErr::Fail);
                 }
-                ctx.record(|| TraceEvent::Absent { query: resolved });
+                let query = ctx.traced(atom);
+                ctx.record(|| TraceEvent::Absent {
+                    query: query.expect("tracing"),
+                });
             }
-            leaf @ (Goal::Ins(atom) | Goal::Del(atom)) => {
-                let is_ins = matches!(leaf, Goal::Ins(_));
-                let resolved = kernel::resolve_atom(&ctx.bindings, atom);
+            update @ (Goal::Ins(atom) | Goal::Del(atom)) => {
+                let is_ins = matches!(update, Goal::Ins(_));
                 let mat = ctx.mat.as_deref();
                 let (db, changed, op) =
-                    kernel::update(&self.db, &resolved, is_ins, mat, hooks!(ctx)).map_err(fatal)?;
+                    kernel::update(&self.db, atom, resolve, is_ins, mat, hooks!(ctx))
+                        .map_err(fatal)?;
                 self.db = db;
                 ctx.record(|| match &op {
                     DeltaOp::Ins(pred, t) => TraceEvent::Ins {
@@ -570,8 +633,8 @@ impl Solver {
                     rendered: Goal::Builtin(*op, terms.clone()).to_string(),
                 });
             }
-            Goal::Choice(branches) => {
-                return self.choose(ctx, tree, path, Alts::Branches(branches.clone()));
+            Goal::Choice(_) => {
+                return self.choose(ctx, tree, leaf, Alts::Branches(goal.clone()));
             }
             Goal::Iso(inner) => {
                 // An isolated block runs as a contiguous sub-execution from
@@ -582,7 +645,7 @@ impl Solver {
                     let probe =
                         kernel::probe_subgoal(ctx.program, cache, &self.db, &resolved, hooks!(ctx));
                     if let Probe::Replay { answers, vars } = probe {
-                        return self.replay(ctx, tree, path, &resolved, vars, answers);
+                        return self.replay(ctx, tree, leaf, &resolved, vars, answers);
                     }
                 }
                 ctx.stats.iso_enters += 1;
@@ -592,8 +655,8 @@ impl Solver {
                     phase: SpanPhase::Isolation,
                     detail: String::new(),
                 });
-                let solver = Box::new(Solver::new(make_node(inner), self.db.clone()));
-                let mut cp = self.checkpoint(at, tree, path, Alts::Iso(solver, Marks::here(ctx)));
+                let solver = Box::new(Solver::new(make_node((**inner).clone()), self.db.clone()));
+                let mut cp = self.checkpoint(at, tree, leaf, Alts::Iso(solver, Marks::here(ctx)));
                 let yielded = cp.next_alt(ctx).map_err(fatal)?;
                 ctx.emit(|| TraceEvent::SpanExit {
                     phase: SpanPhase::Isolation,
@@ -603,7 +666,7 @@ impl Solver {
                     return Err(StepErr::Fail);
                 };
                 self.db = db;
-                self.take(ctx, tree, &cp.path, alt)?;
+                self.take(ctx, tree, leaf, alt)?;
                 // Pushed only now, behind the block's first solution: a
                 // block that never yields is a plain failed step — no
                 // choicepoint counted, and its step's memo key left for
@@ -615,7 +678,7 @@ impl Solver {
             }
         }
         // A deterministic step: the leaf is done.
-        self.state = rewrite(tree, &path, None);
+        self.state = rewrite(tree, leaf, None);
         Ok(())
     }
 
@@ -625,8 +688,8 @@ impl Solver {
     fn replay(
         &mut self,
         ctx: &mut Ctx,
-        tree: &Arc<PTree>,
-        path: Path,
+        tree: &PTree,
+        leaf: usize,
         subgoal: &Goal,
         vars: Vec<Var>,
         answers: Arc<Vec<CachedAnswer>>,
@@ -635,7 +698,7 @@ impl Solver {
             phase: SpanPhase::CacheReplay,
             detail: subgoal_label(subgoal),
         });
-        let result = self.choose(ctx, tree, path, Alts::Cached(vars, answers));
+        let result = self.choose(ctx, tree, leaf, Alts::Cached(vars, answers));
         ctx.emit(|| TraceEvent::SpanExit {
             phase: SpanPhase::CacheReplay,
             detail: subgoal_label(subgoal),
@@ -663,9 +726,9 @@ impl Solver {
                 }
                 continue;
             };
-            let (tree, path) = (cp.tree.clone(), cp.path.clone());
+            let (tree, leaf) = (cp.tree.clone(), cp.leaf);
             self.db = db;
-            match self.take(ctx, &tree, &path, alt) {
+            match self.take(ctx, &tree, leaf, alt) {
                 Ok(()) => return Ok(true),
                 Err(StepErr::Fail) => {}
                 Err(StepErr::Fatal(e)) => return Err(e),

@@ -12,7 +12,7 @@ use crate::engine::goal_num_vars;
 use crate::kernel::{fingerprint, Config, FpMap, Hooks, Kernel};
 use crate::obs::{LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{leaf_count, make_node};
+use crate::tree::{frontier_len, make_node};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -211,7 +211,7 @@ impl<'p> Search<'p> {
         }
         let root = Task {
             cfg: Config {
-                tree: make_node(goal),
+                tree: make_node(goal.clone()),
                 db: db.clone(),
                 nvars,
                 answer: (0..nvars).map(Term::var).collect(),
@@ -394,7 +394,7 @@ impl Run<'_, '_> {
             return;
         }
         w.stats.steps += 1;
-        w.stats.peak_processes = w.stats.peak_processes.max(leaf_count(&tree));
+        w.stats.peak_processes = w.stats.peak_processes.max(frontier_len(&tree));
 
         // Successors keep the kernel's expansion order, which is what makes
         // path labels agree with sequential depth-first exploration; a fault

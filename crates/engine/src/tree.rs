@@ -2,9 +2,11 @@
 //!
 //! A running TD goal is a tree of sequential and concurrent regions over
 //! *action leaves* (atoms, updates, builtins, choices, isolation blocks).
-//! The tree is persistent — children are `Arc`-shared — so a choicepoint
-//! snapshot is a single pointer clone, and each rewrite rebuilds only the
-//! path from the root to the rewritten leaf.
+//! The tree is persistent: a [`PTree`] is a handle whose clone is one
+//! refcount, so a choicepoint's snapshot costs nothing, and a rewrite
+//! allocates only the nodes on the path from the root to the rewritten leaf
+//! — one allocation each, and none where completing the head of a `Seq`
+//! shares its tail.
 //!
 //! Invariants maintained by [`make_node`] and [`rewrite`]:
 //!
@@ -14,184 +16,213 @@
 //!
 //! In a `Seq` only the first child is runnable; in a `Par` every child is.
 //! The executable leaves of a tree are therefore its *frontier* — the
-//! schedulable actions the paper's interleaving semantics chooses among.
+//! schedulable actions the paper's interleaving semantics chooses among. A
+//! leaf is addressed by its index in the frontier, left to right:
+//! [`frontier_len`] counts them, and [`leaf_at`] and [`rewrite`] descend to
+//! one by that count.
 
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 use td_core::Goal;
 
-/// A node of the runtime process tree.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// A node of the runtime process tree, held by a handle: cloning it is one
+/// refcount.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PTree {
     /// An action leaf: `Atom`, `NotAtom`, `Ins`, `Del`, `Builtin`, `Choice`,
     /// `Iso`, or `Fail` (never `True`/`Seq`/`Par`).
-    Lit(Goal),
+    Lit(Arc<Goal>),
     /// Serial region: children run left to right.
-    Seq(Vec<Arc<PTree>>),
+    Seq(Kids),
     /// Concurrent region: children interleave.
-    Par(Vec<Arc<PTree>>),
+    Par(Kids),
 }
 
-/// Path from the root to a node: child index at each `Seq`/`Par` level.
-pub type Path = Vec<usize>;
+/// The children of a `Seq`/`Par` node: the live part of a shared slice.
+/// Completing the head moves `start` past it, so the rest is shared, not
+/// copied.
+#[derive(Clone)]
+pub struct Kids {
+    all: Arc<[PTree]>,
+    start: usize,
+}
+
+impl Deref for Kids {
+    type Target = [PTree];
+
+    fn deref(&self) -> &[PTree] {
+        &self.all[self.start..]
+    }
+}
+
+impl PartialEq for Kids {
+    fn eq(&self, other: &Kids) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Kids {}
+
+impl fmt::Debug for Kids {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl PTree {
+    /// The same region over `f` of each child; a leaf is returned as it is.
+    pub(crate) fn map_children(&self, f: impl FnMut(&PTree) -> PTree) -> PTree {
+        match self {
+            PTree::Lit(_) => self.clone(),
+            PTree::Seq(kids) => region(true, kids.iter().map(f).collect(), 0),
+            PTree::Par(kids) => region(false, kids.iter().map(f).collect(), 0),
+        }
+    }
+}
 
 /// Convert a goal into a (possibly absent) process tree, expanding
-/// structural composition eagerly. `None` means the goal is already
-/// complete (`True`, or compositions of `True`).
-pub fn make_node(goal: &Goal) -> Option<Arc<PTree>> {
-    match goal {
-        Goal::True => None,
-        Goal::Seq(gs) => {
-            let children = splice_children(gs, /*seq*/ true);
-            normalized(true, children)
-        }
-        Goal::Par(gs) => {
-            let children = splice_children(gs, /*seq*/ false);
-            normalized(false, children)
-        }
-        other => Some(Arc::new(PTree::Lit(other.clone()))),
+/// structural composition eagerly; the action goals move into the leaves.
+/// `None` means the goal is already complete (`True`, or compositions of
+/// `True`).
+pub fn make_node(goal: Goal) -> Option<PTree> {
+    let (seq, goals) = match goal {
+        Goal::True => return None,
+        Goal::Seq(goals) => (true, goals),
+        Goal::Par(goals) => (false, goals),
+        action => return Some(PTree::Lit(Arc::new(action))),
+    };
+    let action = |g: &Goal| !matches!(g, Goal::True | Goal::Seq(_) | Goal::Par(_));
+    if goals.len() > 1 && goals.iter().all(action) {
+        // One leaf per goal: the slice is built in place.
+        let leaves = goals.into_iter().map(|g| PTree::Lit(Arc::new(g)));
+        return Some(region(seq, leaves.collect(), 0));
     }
-}
-
-fn splice_children(goals: &[Goal], seq: bool) -> Vec<Arc<PTree>> {
-    let mut out = Vec::with_capacity(goals.len());
-    for g in goals {
-        match make_node(g) {
-            None => {}
-            Some(node) => push_spliced(&mut out, node, seq),
-        }
+    let mut children = Vec::with_capacity(goals.len());
+    for node in goals.into_iter().map(make_node) {
+        children.extend_from_slice(spliced(&node, seq));
     }
-    out
-}
-
-fn push_spliced(out: &mut Vec<Arc<PTree>>, node: Arc<PTree>, seq: bool) {
-    match (&*node, seq) {
-        (PTree::Seq(inner), true) | (PTree::Par(inner), false) => out.extend(inner.iter().cloned()),
-        _ => out.push(node),
-    }
-}
-
-fn normalized(seq: bool, mut children: Vec<Arc<PTree>>) -> Option<Arc<PTree>> {
     match children.len() {
         0 => None,
         1 => children.pop(),
-        _ => Some(Arc::new(if seq {
-            PTree::Seq(children)
-        } else {
-            PTree::Par(children)
-        })),
+        _ => Some(region(seq, children.into(), 0)),
     }
 }
 
-/// Enumerate the frontier: paths to every runnable action leaf, left to
-/// right. In a `Seq` only child 0 is runnable; in a `Par` all children are.
-pub fn frontier(tree: &Arc<PTree>) -> Vec<Path> {
-    let mut out = Vec::new();
-    let mut prefix = Vec::new();
-    collect_frontier(tree, &mut prefix, &mut out);
-    out
+/// What `tree` contributes to the children of a region of `seq`'s kind:
+/// nothing, its own children when it is such a region (spliced), or itself.
+fn spliced(tree: &Option<PTree>, seq: bool) -> &[PTree] {
+    match tree {
+        None => &[],
+        Some(PTree::Seq(kids)) if seq => kids,
+        Some(PTree::Par(kids)) if !seq => kids,
+        Some(node) => std::slice::from_ref(node),
+    }
 }
 
-fn collect_frontier(tree: &Arc<PTree>, prefix: &mut Path, out: &mut Vec<Path>) {
-    match &**tree {
-        PTree::Lit(_) => out.push(prefix.clone()),
-        PTree::Seq(children) => {
-            prefix.push(0);
-            collect_frontier(&children[0], prefix, out);
-            prefix.pop();
-        }
-        PTree::Par(children) => {
-            for (i, c) in children.iter().enumerate() {
-                prefix.push(i);
-                collect_frontier(c, prefix, out);
-                prefix.pop();
-            }
+/// The `Seq` (or `Par`) node over `all[start..]`, at least two children.
+fn region(seq: bool, all: Arc<[PTree]>, start: usize) -> PTree {
+    let kids = Kids { all, start };
+    if seq {
+        PTree::Seq(kids)
+    } else {
+        PTree::Par(kids)
+    }
+}
+
+/// The region of `seq`'s kind over the concatenation of `parts`: nothing,
+/// the one child, or a node whose slice is one allocation.
+fn concat(seq: bool, parts: [&[PTree]; 3]) -> Option<PTree> {
+    match parts.iter().map(|p| p.len()).sum() {
+        0 => None,
+        1 => parts.iter().flat_map(|p| p.iter()).next().cloned(),
+        _ => {
+            let all = parts[0].iter().chain(parts[1]).chain(parts[2]).cloned();
+            Some(region(seq, all.collect(), 0))
         }
     }
 }
 
-/// The action goal at `path` (must point at a `Lit` leaf).
-pub fn leaf_at<'t>(tree: &'t Arc<PTree>, path: &[usize]) -> &'t Goal {
-    match (&**tree, path.split_first()) {
-        (PTree::Lit(g), None) => g,
-        (PTree::Seq(cs), Some((&i, rest))) | (PTree::Par(cs), Some((&i, rest))) => {
-            leaf_at(&cs[i], rest)
-        }
-        _ => panic!("leaf_at: path does not reach a leaf"),
+/// The number of frontier leaves: the runnable actions. In a `Seq` only
+/// child 0 is runnable; in a `Par` all children are.
+pub fn frontier_len(tree: &PTree) -> usize {
+    match tree {
+        PTree::Lit(_) => 1,
+        PTree::Seq(kids) => frontier_len(&kids[0]),
+        PTree::Par(kids) => kids.iter().map(frontier_len).sum(),
     }
 }
 
-/// Replace the leaf at `path` with `replacement` (`None` = the action
-/// completed), renormalizing along the way. Returns the new tree (`None` =
-/// the whole execution completed).
-pub fn rewrite(
-    tree: &Arc<PTree>,
-    path: &[usize],
-    replacement: Option<Arc<PTree>>,
-) -> Option<Arc<PTree>> {
-    match (&**tree, path.split_first()) {
-        (PTree::Lit(_), None) => replacement,
-        (PTree::Seq(cs), Some((&i, rest))) => {
-            let new_child = rewrite(&cs[i], rest, replacement);
-            rebuild(cs, i, new_child, true)
+/// The child of a `Seq` (`seq`) or `Par` node holding the node's `leaf`-th
+/// frontier leaf, and that leaf's index among the child's.
+fn locate(kids: &Kids, seq: bool, mut leaf: usize) -> (usize, usize) {
+    if seq {
+        return (0, leaf);
+    }
+    for (i, child) in kids.iter().enumerate() {
+        let n = frontier_len(child);
+        if leaf < n {
+            return (i, leaf);
         }
-        (PTree::Par(cs), Some((&i, rest))) => {
-            let new_child = rewrite(&cs[i], rest, replacement);
-            rebuild(cs, i, new_child, false)
+        leaf -= n;
+    }
+    panic!("frontier index past the frontier")
+}
+
+/// The action goal of the `leaf`-th frontier leaf.
+pub fn leaf_at(tree: &PTree, leaf: usize) -> &Arc<Goal> {
+    match tree {
+        PTree::Lit(goal) => goal,
+        PTree::Seq(kids) | PTree::Par(kids) => {
+            let (i, leaf) = locate(kids, matches!(tree, PTree::Seq(_)), leaf);
+            leaf_at(&kids[i], leaf)
         }
-        _ => panic!("rewrite: path does not reach a leaf"),
     }
 }
 
-fn rebuild(
-    children: &[Arc<PTree>],
-    i: usize,
-    new_child: Option<Arc<PTree>>,
-    seq: bool,
-) -> Option<Arc<PTree>> {
-    let mut out: Vec<Arc<PTree>> = Vec::with_capacity(children.len() + 2);
-    for (j, c) in children.iter().enumerate() {
-        if j == i {
-            if let Some(nc) = &new_child {
-                push_spliced(&mut out, nc.clone(), seq);
-            }
-        } else {
-            out.push(c.clone());
-        }
+/// Replace the `leaf`-th frontier leaf with `replacement` (`None` = the
+/// action completed), renormalizing along the way. Returns the new tree
+/// (`None` = the whole execution completed).
+pub fn rewrite(tree: &PTree, leaf: usize, replacement: Option<PTree>) -> Option<PTree> {
+    let (kids, seq) = match tree {
+        PTree::Lit(_) => return replacement,
+        PTree::Seq(kids) => (kids, true),
+        PTree::Par(kids) => (kids, false),
+    };
+    let (i, leaf) = locate(kids, seq, leaf);
+    let child = rewrite(&kids[i], leaf, replacement);
+    let middle = spliced(&child, seq);
+    if i == 0 && middle.is_empty() && kids.len() > 2 {
+        // The first child completed: the node keeps the rest of its slice.
+        return Some(region(seq, kids.all.clone(), kids.start + 1));
     }
-    normalized(seq, out)
+    concat(seq, [&kids[..i], middle, &kids[i + 1..]])
 }
 
 /// Sequence two (possibly absent) trees: the result runs `first` to
-/// completion, then `rest`. Used by the decider and the entailment oracle
-/// to give `iso { g }` its contiguity semantics: stepping an isolation leaf
-/// commits to running `g`'s block *now*, before anything else — which is
-/// exactly `Seq[g, rest-of-tree]`.
-pub fn sequence(first: Option<Arc<PTree>>, rest: Option<Arc<PTree>>) -> Option<Arc<PTree>> {
-    let mut children = Vec::new();
-    if let Some(f) = first {
-        push_spliced(&mut children, f, true);
-    }
-    if let Some(r) = rest {
-        push_spliced(&mut children, r, true);
-    }
-    normalized(true, children)
+/// completion, then `rest`. Used by the explicit-state search and the
+/// entailment oracle to give `iso { g }` its contiguity semantics: stepping
+/// an isolation leaf commits to running `g`'s block *now*, before anything
+/// else — which is exactly `Seq[g, rest-of-tree]`.
+pub fn sequence(first: Option<PTree>, rest: Option<PTree>) -> Option<PTree> {
+    concat(true, [spliced(&first, true), spliced(&rest, true), &[]])
 }
 
-/// Total number of action leaves (running process count, in the paper's
-/// sense: each leaf is an activity some process is about to perform).
-pub fn leaf_count(tree: &Arc<PTree>) -> usize {
-    match &**tree {
+/// Total number of action leaves, runnable or not.
+#[cfg(test)]
+pub fn leaf_count(tree: &PTree) -> usize {
+    match tree {
         PTree::Lit(_) => 1,
-        PTree::Seq(cs) | PTree::Par(cs) => cs.iter().map(leaf_count).sum(),
+        PTree::Seq(kids) | PTree::Par(kids) => kids.iter().map(leaf_count).sum(),
     }
 }
 
 /// Render the tree back into a goal (for tracing, memoization and tests).
-pub fn to_goal(tree: &Arc<PTree>) -> Goal {
-    match &**tree {
-        PTree::Lit(g) => g.clone(),
-        PTree::Seq(cs) => Goal::seq(cs.iter().map(to_goal).collect()),
-        PTree::Par(cs) => Goal::par(cs.iter().map(to_goal).collect()),
+pub fn to_goal(tree: &PTree) -> Goal {
+    match tree {
+        PTree::Lit(g) => (**g).clone(),
+        PTree::Seq(kids) => Goal::seq(kids.iter().map(to_goal).collect()),
+        PTree::Par(kids) => Goal::par(kids.iter().map(to_goal).collect()),
     }
 }
 
@@ -204,135 +235,157 @@ mod tests {
         Goal::prop(name)
     }
 
+    fn node(g: &Goal) -> Option<PTree> {
+        make_node(g.clone())
+    }
+
     #[test]
     fn true_makes_no_node() {
-        assert!(make_node(&Goal::True).is_none());
-        assert!(make_node(&Goal::seq(vec![Goal::True, Goal::True])).is_none());
+        assert!(make_node(Goal::True).is_none());
+        assert!(make_node(Goal::Seq(vec![Goal::True, Goal::True])).is_none());
     }
 
     #[test]
     fn actions_make_leaves() {
-        let t = make_node(&Goal::ins("p", vec![])).unwrap();
-        assert_eq!(*t, PTree::Lit(Goal::ins("p", vec![])));
+        let t = make_node(Goal::ins("p", vec![])).unwrap();
+        assert_eq!(t, PTree::Lit(Arc::new(Goal::ins("p", vec![]))));
         assert_eq!(leaf_count(&t), 1);
     }
 
     #[test]
     fn nested_seq_splices_flat() {
         let g = Goal::Seq(vec![a("x"), Goal::Seq(vec![a("y"), a("z")])]);
-        let t = make_node(&g).unwrap();
-        let PTree::Seq(cs) = &*t else { panic!() };
+        let t = node(&g).unwrap();
+        let PTree::Seq(cs) = &t else { panic!() };
         assert_eq!(cs.len(), 3);
     }
 
     #[test]
     fn frontier_of_seq_is_first_only() {
-        let t = make_node(&Goal::seq(vec![a("x"), a("y")])).unwrap();
-        assert_eq!(frontier(&t), vec![vec![0]]);
-        assert_eq!(*leaf_at(&t, &[0]), a("x"));
+        let t = node(&Goal::seq(vec![a("x"), a("y")])).unwrap();
+        assert_eq!(frontier_len(&t), 1);
+        assert_eq!(**leaf_at(&t, 0), a("x"));
     }
 
     #[test]
     fn frontier_of_par_is_all() {
-        let t = make_node(&Goal::par(vec![a("x"), a("y"), a("z")])).unwrap();
-        assert_eq!(frontier(&t), vec![vec![0], vec![1], vec![2]]);
+        let t = node(&Goal::par(vec![a("x"), a("y"), a("z")])).unwrap();
+        assert_eq!(frontier_len(&t), 3);
+        let leaves: Vec<Goal> = (0..3).map(|i| (**leaf_at(&t, i)).clone()).collect();
+        assert_eq!(leaves, [a("x"), a("y"), a("z")]);
     }
 
     #[test]
     fn mixed_frontier() {
         // (x * y) | z : frontier = {x, z}
-        let t = make_node(&Goal::par(vec![Goal::seq(vec![a("x"), a("y")]), a("z")])).unwrap();
-        let f = frontier(&t);
-        assert_eq!(f.len(), 2);
-        assert_eq!(*leaf_at(&t, &f[0]), a("x"));
-        assert_eq!(*leaf_at(&t, &f[1]), a("z"));
+        let t = node(&Goal::par(vec![Goal::seq(vec![a("x"), a("y")]), a("z")])).unwrap();
+        assert_eq!(frontier_len(&t), 2);
+        assert_eq!(**leaf_at(&t, 0), a("x"));
+        assert_eq!(**leaf_at(&t, 1), a("z"));
     }
 
     #[test]
     fn rewrite_completion_pops_seq_head() {
-        let t = make_node(&Goal::seq(vec![a("x"), a("y")])).unwrap();
-        let t2 = rewrite(&t, &[0], None).unwrap();
+        let t = node(&Goal::seq(vec![a("x"), a("y")])).unwrap();
+        let t2 = rewrite(&t, 0, None).unwrap();
         // Seq of one collapses to the leaf itself.
-        assert_eq!(*t2, PTree::Lit(a("y")));
-        let t3 = rewrite(&t2, &[], None);
+        assert_eq!(t2, PTree::Lit(Arc::new(a("y"))));
+        let t3 = rewrite(&t2, 0, None);
         assert!(t3.is_none(), "everything completed");
+    }
+
+    #[test]
+    fn completing_a_head_shares_the_rest_of_the_slice() {
+        let t = node(&Goal::seq(vec![a("x"), a("y"), a("z")])).unwrap();
+        let t2 = rewrite(&t, 0, None).unwrap();
+        let (PTree::Seq(before), PTree::Seq(after)) = (&t, &t2) else {
+            panic!()
+        };
+        assert!(Arc::ptr_eq(&before.all, &after.all), "no new slice");
+        assert_eq!(to_goal(&t2), Goal::seq(vec![a("y"), a("z")]));
+        assert_eq!(to_goal(&t), Goal::seq(vec![a("x"), a("y"), a("z")]));
     }
 
     #[test]
     fn rewrite_replacement_splices_into_seq() {
         // x completes and is replaced by (p * q): Seq[x, y] -> Seq[p, q, y]
-        let t = make_node(&Goal::seq(vec![a("x"), a("y")])).unwrap();
-        let rep = make_node(&Goal::seq(vec![a("p"), a("q")]));
-        let t2 = rewrite(&t, &[0], rep).unwrap();
-        let PTree::Seq(cs) = &*t2 else { panic!() };
+        let t = node(&Goal::seq(vec![a("x"), a("y")])).unwrap();
+        let rep = node(&Goal::seq(vec![a("p"), a("q")]));
+        let t2 = rewrite(&t, 0, rep).unwrap();
+        let PTree::Seq(cs) = &t2 else { panic!() };
         assert_eq!(cs.len(), 3);
-        assert_eq!(*leaf_at(&t2, &[0]), a("p"));
+        assert_eq!(**leaf_at(&t2, 0), a("p"));
     }
 
     #[test]
     fn rewrite_par_branch_completion() {
-        let t = make_node(&Goal::par(vec![a("x"), a("y")])).unwrap();
-        let t2 = rewrite(&t, &[0], None).unwrap();
-        assert_eq!(*t2, PTree::Lit(a("y")));
+        let t = node(&Goal::par(vec![a("x"), a("y")])).unwrap();
+        let t2 = rewrite(&t, 0, None).unwrap();
+        assert_eq!(t2, PTree::Lit(Arc::new(a("y"))));
     }
 
     #[test]
     fn par_replacement_splices() {
         // simulate <- w | simulate: replacing the `simulate` leaf inside a
         // Par with another Par splices, keeping the tree flat.
-        let t = make_node(&Goal::par(vec![a("w"), a("simulate")])).unwrap();
-        let rep = make_node(&Goal::par(vec![a("w"), a("simulate")]));
-        let t2 = rewrite(&t, &[1], rep).unwrap();
-        let PTree::Par(cs) = &*t2 else { panic!() };
+        let t = node(&Goal::par(vec![a("w"), a("simulate")])).unwrap();
+        let rep = node(&Goal::par(vec![a("w"), a("simulate")]));
+        let t2 = rewrite(&t, 1, rep).unwrap();
+        let PTree::Par(cs) = &t2 else { panic!() };
         assert_eq!(cs.len(), 3, "flattened to [w, w, simulate]");
     }
 
     #[test]
     fn snapshots_are_shared() {
-        let t = make_node(&Goal::par(vec![a("x"), Goal::seq(vec![a("y"), a("z")])])).unwrap();
+        let t = node(&Goal::par(vec![a("x"), Goal::seq(vec![a("y"), a("z")])])).unwrap();
         let snap = t.clone();
-        let t2 = rewrite(&t, &[0], None).unwrap();
+        let t2 = rewrite(&t, 0, None).unwrap();
         // snapshot unchanged
-        assert_eq!(frontier(&snap).len(), 2);
-        assert_eq!(frontier(&t2).len(), 1);
+        assert_eq!(frontier_len(&snap), 2);
+        assert_eq!(frontier_len(&t2), 1);
         // the untouched subtree is literally shared
-        let PTree::Par(orig) = &*snap else { panic!() };
-        assert!(Arc::ptr_eq(&orig[1], &t2));
+        let PTree::Par(orig) = &snap else { panic!() };
+        let (PTree::Seq(kept), PTree::Seq(now)) = (&orig[1], &t2) else {
+            panic!()
+        };
+        assert!(Arc::ptr_eq(&kept.all, &now.all));
     }
 
     #[test]
     fn to_goal_round_trips_structure() {
         let g = Goal::par(vec![Goal::seq(vec![a("x"), a("y")]), Goal::iso(a("z"))]);
-        let t = make_node(&g).unwrap();
+        let t = node(&g).unwrap();
         assert_eq!(to_goal(&t), g);
     }
 
     #[test]
     fn choice_and_iso_stay_as_leaves() {
         let g = Goal::choice(vec![a("x"), a("y")]);
-        let t = make_node(&g).unwrap();
-        assert!(matches!(&*t, PTree::Lit(Goal::Choice(_))));
+        let t = node(&g).unwrap();
+        assert!(matches!(&t, PTree::Lit(g) if matches!(**g, Goal::Choice(_))));
         let g = Goal::iso(Goal::seq(vec![a("x"), a("y")]));
-        let t = make_node(&g).unwrap();
-        assert!(matches!(&*t, PTree::Lit(Goal::Iso(_))));
+        let t = node(&g).unwrap();
+        assert!(matches!(&t, PTree::Lit(g) if matches!(**g, Goal::Iso(_))));
     }
 
     #[test]
     fn leaf_count_counts_processes() {
-        let t = make_node(&Goal::par(vec![
+        let t = node(&Goal::par(vec![
             a("a"),
             Goal::seq(vec![a("b"), a("c")]),
             Goal::par(vec![a("d"), a("e")]),
         ]))
         .unwrap();
         assert_eq!(leaf_count(&t), 5);
+        // `c` waits behind `b`: four of the five can run.
+        assert_eq!(frontier_len(&t), 4);
     }
 
     #[test]
     fn vars_survive_tree_building() {
         let g = Goal::atom("p", vec![Term::var(3)]);
-        let t = make_node(&g).unwrap();
-        assert_eq!(*leaf_at(&t, &[]), g);
+        let t = node(&g).unwrap();
+        assert_eq!(**leaf_at(&t, 0), g);
     }
 }
 
@@ -368,25 +421,25 @@ mod normal_form_properties {
         fn trees_are_normal_forms(g in arb_goal(3)) {
             // Round-tripping a built tree through its goal rendering is the
             // identity: built trees are fixed points of make_node.
-            if let Some(t) = make_node(&g) {
-                let back = make_node(&to_goal(&t)).expect("non-empty stays non-empty");
-                prop_assert_eq!(&*back, &*t);
+            if let Some(t) = make_node(g) {
+                let back = make_node(to_goal(&t)).expect("non-empty stays non-empty");
+                prop_assert_eq!(back, t);
             }
         }
 
         #[test]
         fn frontier_paths_all_reach_action_leaves(g in arb_goal(3)) {
-            if let Some(t) = make_node(&g) {
-                let paths = frontier(&t);
-                prop_assert!(!paths.is_empty());
-                for p in &paths {
-                    let leaf = leaf_at(&t, p);
+            if let Some(t) = make_node(g) {
+                let n = frontier_len(&t);
+                prop_assert!(n > 0);
+                for i in 0..n {
+                    let leaf = leaf_at(&t, i);
                     prop_assert!(
-                        !matches!(leaf, Goal::True | Goal::Seq(_) | Goal::Par(_)),
+                        !matches!(**leaf, Goal::True | Goal::Seq(_) | Goal::Par(_)),
                         "structural goal at frontier: {leaf}"
                     );
                 }
-                prop_assert!(paths.len() <= leaf_count(&t));
+                prop_assert!(n <= leaf_count(&t));
             }
         }
 
@@ -394,13 +447,12 @@ mod normal_form_properties {
         fn completing_every_leaf_empties_the_tree(g in arb_goal(2)) {
             // Repeatedly remove the first frontier leaf; the tree must reach
             // None in exactly leaf_count steps (no leaf lost or duplicated).
-            if let Some(mut t) = make_node(&g) {
+            if let Some(mut t) = make_node(g) {
                 let mut removed = 0;
                 let total = leaf_count(&t);
                 loop {
-                    let path = frontier(&t)[0].clone();
                     removed += 1;
-                    match rewrite(&t, &path, None) {
+                    match rewrite(&t, 0, None) {
                         Some(next) => t = next,
                         None => break,
                     }

@@ -243,6 +243,27 @@ fn known_whole_space_counts_hold_at_every_worker_count() {
     }
 }
 
+/// `peak_processes` is the peak number of concurrently schedulable actions
+/// on every driver: a leaf waiting behind a `Seq` head is not one. Here two
+/// three-update sequences run side by side, so two can run at any time.
+#[test]
+fn peak_processes_counts_runnable_leaves_on_every_backend() {
+    let parsed = parse_program(
+        "base p/1.
+         w(X) <- ins.p(X) * ins.p(X) * ins.p(X).
+         ?- w(1) | w(2).",
+    )
+    .unwrap();
+    let db = Database::with_schema_of(&parsed.program);
+    for backend in [SearchBackend::Sequential, parallel(2), parallel_det(2)] {
+        let out = engine_with(&parsed.program, backend)
+            .solve(&parsed.goals[0].goal, &db)
+            .unwrap();
+        assert!(out.is_success(), "{backend:?}");
+        assert_eq!(out.stats().peak_processes, 2, "{backend:?}");
+    }
+}
+
 /// Budget exhaustion must surface as `StepBudget`, not as a (wrong)
 /// failure verdict, on both backends.
 #[test]
