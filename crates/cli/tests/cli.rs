@@ -272,6 +272,88 @@ fn db_backed_runs_accumulate_state_and_verify() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Each run recovers every record the earlier runs committed, a later run's
+/// `init` facts never reach a store that exists, and a read-only run
+/// recovers everything and commits nothing.
+#[test]
+fn db_backed_runs_recover_every_commit_and_never_reapply_init() {
+    let dir = store_dir("recover-every-commit");
+    let db_flag = format!("--db={}", dir.display());
+    let run = |name: &str, src: &str| {
+        let f = write_temp(name, src);
+        let out = td().args([&db_flag, "run"]).arg(&f).output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+
+    // Run 1: a fresh store seeded with t(1); the goal inserts t(2).
+    let stdout = run("recover1.td", "base t/1. init t(1).\n?- ins.t(2).\n");
+    assert!(
+        stdout.contains("store: fresh (0 records replayed"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("(2 wal records since snapshot)"),
+        "{stdout}"
+    );
+
+    // Run 2: its init t(9) is ignored, and the goal needs run 1's t(2).
+    let stdout = run("recover2.td", "base t/1. init t(9).\n?- t(2) * ins.t(3).\n");
+    assert!(
+        stdout.contains("store: recovered (2 records replayed, 2 tuples)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("db = {t(1), t(2), t(3)}"), "{stdout}");
+    assert!(stdout.contains("committed wal record #2"), "{stdout}");
+
+    // Run 3, read-only: recovers all three records and commits none.
+    let stdout = run("recover3.td", "base t/1.\n?- t(1) * t(2) * t(3).\n");
+    assert!(
+        stdout.contains("store: recovered (3 records replayed, 3 tuples)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("store: 0 transactions committed (3 wal records"),
+        "{stdout}"
+    );
+
+    let out = td().args(["db", "verify"]).arg(&dir).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("3 wal records, final 3 tuples"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn db_backed_runs_that_change_nothing_append_nothing() {
+    let f = write_temp("append_seed.td", "base t/1. init t(1).\n?- ins.t(2).\n");
+    let dir = store_dir("append-nothing");
+    let db_flag = format!("--db={}", dir.display());
+    let out = td().args([&db_flag, "run"]).arg(&f).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let wal = || std::fs::read(dir.join("wal.tdl")).unwrap();
+    let before = wal();
+
+    // A failing goal commits nothing.
+    let failing = write_temp("append_fail.td", "base t/1.\n?- t(777) * ins.t(4).\n");
+    let out = td().args([&db_flag, "run"]).arg(&failing).output().unwrap();
+    assert!(!out.status.success(), "{out:?}");
+    assert_eq!(wal(), before, "a failed goal must not append WAL records");
+
+    // A goal that succeeds with an empty delta commits nothing either.
+    let read_only = write_temp("append_ro.td", "base t/1.\n?- t(1) * t(2).\n");
+    let out = td()
+        .args([&db_flag, "run"])
+        .arg(&read_only)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(!stdout.contains("committed wal record"), "{stdout}");
+    assert_eq!(wal(), before, "an empty delta must not append WAL records");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn db_init_seeds_schema_and_init_facts() {
     let f = write_temp("init_seed.td", "base t/1. init t(5).\n?- t(5).\n");

@@ -13,8 +13,8 @@
 //!   completion record for every task on some path through the spec;
 //! * **single execution**: no task runs twice for the same item.
 //!
-//! [`audit`] checks a committed [`Delta`] (or a [`crate::Manager`] history)
-//! against a [`WorkflowSpec`] and reports every violation.
+//! [`audit`] checks a committed [`Delta`] against a [`WorkflowSpec`] and
+//! reports every violation.
 
 use crate::spec::{Node, WorkflowSpec};
 use std::collections::{BTreeMap, BTreeSet};

@@ -13,36 +13,27 @@
 //! | [`network`] | Example 3.4 — cooperating workflows synchronizing via the DB |
 //! | [`banking`] | Examples 2.1–2.2 — nested banking transactions |
 //! | [`labflow`] | §1/§6 + \[26\] — genome-lab pipeline & iterated protocol |
-//! | [`metrics`] | §3 monitoring — metrics & anomaly detection over update logs |
-//! | [`manager`] | the operational system: evolving DB + transaction stream |
+//! | [`metrics`] | §3 monitoring — anomaly detection over update logs |
 //! | [`loan`] | §3's other motivating domain: loan applications with branching, review officers, funds ledger |
 
 pub mod agents;
 pub mod audit;
 pub mod banking;
-pub mod dot;
-pub mod durable;
 pub mod labflow;
 pub mod loan;
-pub mod manager;
 pub mod metrics;
 pub mod network;
 pub mod scenario;
 pub mod simulate;
 pub mod spec;
-pub mod timeline;
 
 pub use agents::{Agent, AgentScenarioConfig};
 pub use audit::{audit, precedence_pairs, Violation};
 pub use banking::{serializable_transfers, transfer_goal, Bank};
-pub use dot::to_dot;
-pub use durable::{run_durable, DurableError, DurableRun};
 pub use labflow::{LabFlowConfig, RepeatProtocol};
 pub use loan::{Application, LoanConfig};
-pub use manager::{Committed, Manager, Submitted};
-pub use metrics::{double_claims, peak_agents_in_use, WorkflowMetrics};
+pub use metrics::double_claims;
 pub use network::{Pipeline, Ring, SyncPair};
 pub use scenario::Scenario;
 pub use simulate::{EnvironmentMode, SimulationConfig};
 pub use spec::{Node, WorkflowSpec};
-pub use timeline::{events as timeline_events, render as render_timeline};

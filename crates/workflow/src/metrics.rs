@@ -1,78 +1,15 @@
-//! Workflow monitoring: metrics extracted from committed executions.
+//! Workflow monitoring over committed executions.
 //!
 //! The paper stresses "monitoring, tracking and querying the status of
 //! workflow activities" (§3, citing \[36, 42, 26\]). Because TD records
 //! everything in the database and every committed execution carries its
-//! update log, monitoring is a pure function of the [`Solution`]: these
-//! helpers compute task counts, per-item progress, and — for experiment E12
-//! — concurrency anomalies in the unisolated agent-claim protocol.
+//! update log, monitoring is a pure function of the committed execution:
+//! [`double_claims`] finds — for experiment E12 — the concurrency anomalies
+//! of the unisolated agent-claim protocol in its log.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use td_core::{Pred, Value};
 use td_db::{Delta, DeltaOp};
-use td_engine::{MetricsRegistry, Solution};
-
-/// Summary of a committed workflow execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkflowMetrics {
-    /// Completion records in `done/2` (item, task).
-    pub tasks_completed: usize,
-    /// Completion records per work item.
-    pub per_item: BTreeMap<String, usize>,
-    /// Updates applied on the committed path.
-    pub updates: usize,
-    /// Elementary steps the search spent (including backtracked work).
-    pub search_steps: u64,
-    /// Backtracks the search performed.
-    pub backtracks: u64,
-    /// Subgoal-cache answer replays (0 unless the cache is enabled).
-    pub cache_hits: u64,
-    /// Subgoal-cache misses that enumerated an answer set.
-    pub cache_misses: u64,
-}
-
-impl WorkflowMetrics {
-    /// Compute from a solution whose program uses the `done/2` convention
-    /// of [`crate::spec::WorkflowSpec`].
-    pub fn from_solution(sol: &Solution) -> WorkflowMetrics {
-        let done = Pred::new("done", 2);
-        let mut per_item: BTreeMap<String, usize> = BTreeMap::new();
-        let mut tasks_completed = 0;
-        if let Some(rel) = sol.db.relation(done) {
-            rel.for_each(|t| {
-                tasks_completed += 1;
-                if let Value::Sym(s) = t.values()[0] {
-                    *per_item.entry(s.as_str().to_owned()).or_default() += 1;
-                }
-            });
-        }
-        WorkflowMetrics {
-            tasks_completed,
-            per_item,
-            updates: sol.delta.len(),
-            search_steps: sol.stats.steps,
-            backtracks: sol.stats.backtracks,
-            cache_hits: sol.stats.cache_hits,
-            cache_misses: sol.stats.cache_misses,
-        }
-    }
-
-    /// Publish into a shared [`MetricsRegistry`] under `workflow_`-prefixed
-    /// counter names, so workflow-level progress aggregates alongside the
-    /// engine's own search counters in one registry (and one run report)
-    /// instead of through a separate hand-grown counter struct.
-    pub fn publish(&self, registry: &MetricsRegistry) {
-        registry.add_counter("workflow_tasks_completed", self.tasks_completed as u64);
-        registry.add_counter("workflow_updates", self.updates as u64);
-        registry.add_counter("workflow_search_steps", self.search_steps);
-        registry.add_counter("workflow_backtracks", self.backtracks);
-        registry.add_counter("workflow_cache_hits", self.cache_hits);
-        registry.add_counter("workflow_cache_misses", self.cache_misses);
-        for (item, n) in &self.per_item {
-            registry.add_counter(&format!("workflow_done_{item}"), *n as u64);
-        }
-    }
-}
 
 /// Count double-claims of shared agents in a committed update log: a
 /// `del.avail(A)` (claim) while `A` is already claimed and not yet released
@@ -101,26 +38,6 @@ pub fn double_claims(delta: &Delta) -> usize {
     anomalies
 }
 
-/// Maximum number of agents simultaneously claimed over the committed log.
-pub fn peak_agents_in_use(delta: &Delta) -> usize {
-    let avail = Pred::new("avail", 1);
-    let mut held: HashSet<Value> = HashSet::new();
-    let mut peak = 0;
-    for op in delta.ops() {
-        match op {
-            DeltaOp::Del(p, t) if *p == avail => {
-                held.insert(t.values()[0]);
-                peak = peak.max(held.len());
-            }
-            DeltaOp::Ins(p, t) if *p == avail => {
-                held.remove(&t.values()[0]);
-            }
-            _ => {}
-        }
-    }
-    peak
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,36 +51,6 @@ mod tests {
             d.push(op.clone());
         }
         d
-    }
-
-    #[test]
-    fn metrics_from_example_31() {
-        let spec = WorkflowSpec::example_3_1();
-        let scenario = spec.compile(&["w1".to_owned(), "w2".to_owned()]);
-        let out = scenario.run().unwrap();
-        let m = WorkflowMetrics::from_solution(out.solution().unwrap());
-        assert_eq!(m.tasks_completed, 10);
-        assert_eq!(m.per_item.get("w1"), Some(&5));
-        assert_eq!(m.per_item.get("w2"), Some(&5));
-        assert_eq!(m.updates, 10);
-        assert!(m.search_steps > 0);
-    }
-
-    #[test]
-    fn publish_lands_in_a_shared_registry() {
-        let spec = WorkflowSpec::example_3_1();
-        let scenario = spec.compile(&["w1".to_owned()]);
-        let out = scenario.run().unwrap();
-        let m = WorkflowMetrics::from_solution(out.solution().unwrap());
-        let registry = MetricsRegistry::new();
-        m.publish(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("workflow_tasks_completed"),
-            m.tasks_completed as u64
-        );
-        assert_eq!(snap.counter("workflow_search_steps"), m.search_steps);
-        assert_eq!(snap.counter("workflow_done_w1"), 5);
     }
 
     #[test]
@@ -184,20 +71,6 @@ mod tests {
             DeltaOp::Ins(avail, tuple!("a1")),
         ]);
         assert_eq!(double_claims(&d), 0);
-    }
-
-    #[test]
-    fn peak_usage_tracks_concurrent_holds() {
-        let avail = Pred::new("avail", 1);
-        let d = delta_of(&[
-            DeltaOp::Del(avail, tuple!("a1")),
-            DeltaOp::Del(avail, tuple!("a2")),
-            DeltaOp::Ins(avail, tuple!("a1")),
-            DeltaOp::Del(avail, tuple!("a3")),
-            DeltaOp::Ins(avail, tuple!("a2")),
-            DeltaOp::Ins(avail, tuple!("a3")),
-        ]);
-        assert_eq!(peak_agents_in_use(&d), 2);
     }
 
     #[test]

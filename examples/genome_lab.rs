@@ -12,9 +12,10 @@
 //! cargo run --example genome_lab
 //! ```
 
+use std::collections::BTreeSet;
+use td_core::Pred;
 use transaction_datalog::workflow::{
-    audit, render_timeline, to_dot, AgentScenarioConfig, LabFlowConfig, RepeatProtocol,
-    WorkflowMetrics, WorkflowSpec,
+    audit, AgentScenarioConfig, LabFlowConfig, RepeatProtocol, WorkflowSpec,
 };
 
 fn main() {
@@ -25,21 +26,18 @@ fn main() {
     println!("--- Example 3.1 workflow ---\n{}", scenario.source);
     let out = scenario.run().expect("no fault");
     let sol = out.solution().expect("workflow completes");
-    let metrics = WorkflowMetrics::from_solution(sol);
+    let done = sol.db.relation(Pred::new("done", 2)).unwrap().to_vec();
+    let items: BTreeSet<_> = done.iter().map(|t| t.values()[0]).collect();
     println!(
         "completed {} task executions over {} samples ({} engine steps)\n",
-        metrics.tasks_completed,
-        metrics.per_item.len(),
-        metrics.search_steps
+        done.len(),
+        items.len(),
+        sol.stats.steps
     );
-    println!(
-        "--- committed timeline ---\n{}",
-        render_timeline(&sol.delta)
-    );
+    println!("--- committed updates ---\n{}\n", sol.delta);
     let violations = audit(&spec, &sol.delta);
-    println!("audit against the spec: {} violations", violations.len());
+    println!("audit against the spec: {} violations\n", violations.len());
     assert!(violations.is_empty());
-    println!("\n--- control flow (Graphviz) ---\n{}", to_dot(&spec));
 
     // -- 2. Example 3.3: shared agents ------------------------------------
     let cfg = AgentScenarioConfig::universal_pool(
@@ -62,7 +60,7 @@ fn main() {
     println!(
         "insert-only history: {} result tuples, {} engine steps",
         sol.db
-            .relation(td_core::Pred::new("result", 2))
+            .relation(Pred::new("result", 2))
             .map(|r| r.len())
             .unwrap_or(0),
         sol.stats.steps

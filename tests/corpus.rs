@@ -4,6 +4,7 @@
 //! standalone programs a user can run with `td run corpus/<file>.td`.
 
 use transaction_datalog::prelude::*;
+use transaction_datalog::workflow::{double_claims, LoanConfig, RepeatProtocol, Scenario};
 
 fn corpus_files() -> Vec<std::path::PathBuf> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
@@ -93,5 +94,33 @@ fn example_3_3_audit_has_no_double_claims() {
     let engine = Engine::new(parsed.program.clone());
     let out = engine.solve(&parsed.goals[0].goal, &db).unwrap();
     let delta = out.solution().unwrap().delta.clone();
-    assert_eq!(transaction_datalog::workflow::double_claims(&delta), 0);
+    assert_eq!(double_claims(&delta), 0);
+}
+
+/// A corpus file and the generator that writes the same paper example must
+/// agree: the same rules, the same init database and the same first goal.
+fn assert_generator_matches_corpus(name: &str, scenario: Scenario) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("corpus")
+        .join(name);
+    let src = std::fs::read_to_string(&path).unwrap();
+    let parsed = parse_program(&src).unwrap();
+    let rules = |p: &Program| p.rules().iter().map(Rule::to_string).collect::<Vec<_>>();
+    assert_eq!(rules(&parsed.program), rules(&scenario.program), "{name}");
+    let db = Database::with_schema_of(&parsed.program);
+    let db = td_engine::load_init(&db, &parsed.init).unwrap();
+    assert_eq!(db.digest(), scenario.db.digest(), "{name}: init database");
+    assert_eq!(parsed.goals[0].goal, scenario.goal, "{name}: first goal");
+}
+
+#[test]
+fn loan_applications_matches_its_generator() {
+    let scenario = LoanConfig::new(&[300, 800, 450], 1000).compile();
+    assert_generator_matches_corpus("loan_applications.td", scenario);
+}
+
+#[test]
+fn iterated_protocol_matches_its_generator() {
+    let scenario = RepeatProtocol::new(2, 3).compile();
+    assert_generator_matches_corpus("iterated_protocol.td", scenario);
 }
