@@ -11,7 +11,8 @@
 //! The store is the same persistent ordered map as [`crate::Relation`]'s,
 //! carrying the count as its value: snapshots are O(1) clones sharing
 //! structure, so keeping one materialized state per database version costs
-//! O(Δ log n) per version, not a copy of the whole relation, and
+//! O(Δ log n) per version, not a copy of the whole relation, and nothing
+//! where the older version is not kept ([`CountedRelation::update`]).
 //! [`CountedRelation::select`] is [`crate::Relation::select`] restricted to
 //! entries with a positive count.
 
@@ -94,6 +95,21 @@ impl CountedRelation {
         }
     }
 
+    /// Set the count of `t` to `f(its count)` in place, in one descent
+    /// ([`OrdMap::alter_mut`]): the nodes another version shares are
+    /// copied, never edited. An entry reaching count 0 is removed. Returns
+    /// the count `t` had.
+    pub fn update(&mut self, t: &Tuple, f: impl FnOnce(i64) -> i64) -> i64 {
+        debug_assert_eq!(t.arity(), self.arity);
+        let mut was = 0;
+        self.counts.alter_mut(t, |mine| {
+            was = mine.copied().unwrap_or(0);
+            let new = f(was);
+            (new != 0).then_some(new)
+        });
+        was
+    }
+
     /// Visit, in sorted order, every member tuple (count > 0) whose leading
     /// fields equal the values `prefix()` yields; see
     /// [`crate::Relation::for_each_with_prefix`].
@@ -154,6 +170,19 @@ mod tests {
         let r = add(&r, tuple!(1), -3);
         assert!(!r.contains(&tuple!(1)));
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn updating_in_place_spares_the_old_version() {
+        let mut r = add(&CountedRelation::new(1), tuple!(1), 2);
+        let kept = r.clone();
+        assert_eq!(r.update(&tuple!(1), |c| c - 2), 2);
+        assert_eq!(r.update(&tuple!(2), |c| c + 3), 0);
+        assert_eq!(
+            (r.count(&tuple!(1)), r.count(&tuple!(2)), r.len()),
+            (0, 3, 1)
+        );
+        assert_eq!((kept.count(&tuple!(1)), kept.len()), (2, 1));
     }
 
     #[test]

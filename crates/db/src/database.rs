@@ -209,6 +209,23 @@ impl Database {
         entry(&derived.slots, |o| *o == owner, || (owner, Slot::new()))
     }
 
+    /// Take what `owner`'s slot of this version holds out of it — only
+    /// through the one handle to the version's derived data: `None` when a
+    /// clone made since that data was created is alive (see the field), or
+    /// the slot is empty. What is taken is the caller's to keep or to put
+    /// back; whoever still holds it elsewhere keeps holding it.
+    pub fn take_derived(&mut self, owner: u64) -> Option<Arc<dyn Any + Send + Sync>> {
+        let derived = Arc::get_mut(self.derived.get_mut()?)?;
+        let mut chain = &mut derived.slots;
+        while let Some(link) = chain.get_mut() {
+            if link.key == owner {
+                return link.value.take();
+            }
+            chain = &mut link.next;
+        }
+        None
+    }
+
     /// `pred`'s tuples with their columns in `order` (a permutation of
     /// `0..arity`; see [`Tuple::permuted`]), sorted: a pattern binding the
     /// columns `order[..k]` is a range probe of it
@@ -636,6 +653,14 @@ mod tests {
         assert!(!filled(&next, 7));
         assert!(db == early && db.digest() == early.digest());
         assert_eq!(db.to_string(), early.to_string());
+        // Only the last handle sharing the slots takes one out.
+        let mut db = db;
+        assert!(db.take_derived(7).is_none(), "`late` shares it");
+        drop(late);
+        let taken = db.take_derived(7).expect("the last handle");
+        assert_eq!(taken.downcast_ref::<&str>(), Some(&"views"));
+        assert!(!filled(&db, 7) && filled(&db, 8));
+        assert!(db.take_derived(7).is_none() && db.take_derived(9).is_none());
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! derives hundreds of facts at once. [`OrdMap::from_sorted`] builds the
 //! second map from a sorted run in O(m).
 //!
+//! A version nobody else holds need not be copied at all:
+//! [`OrdMap::alter_mut`] edits it in place, node by node, so a node that
+//! another version can still see is copied — the older version keeps it as
+//! it was — and a node only this version holds is written over.
+//!
 //! Keys are kept in order because the engine's hot path is selection with a
 //! bound prefix of columns: tuples sort lexicographically, so all tuples
 //! sharing a prefix are contiguous, and [`OrdMap::for_each_in_range`] reaches
@@ -36,6 +41,7 @@ fn priority_of<K: Hash>(key: &K) -> u64 {
     h.finish()
 }
 
+#[derive(Clone)]
 struct Node<K, V> {
     key: K,
     value: V,
@@ -120,6 +126,22 @@ impl<K: Clone + Ord + Hash, V: Clone + PartialEq> OrdMap<K, V> {
                 len: self.len + usize::from(has) - usize::from(had),
             },
         }
+    }
+
+    /// [`OrdMap::alter`] on this version itself, in one descent: the same
+    /// entry and the same canonical shape, but the nodes on the path to
+    /// `key` that this version alone holds are edited where they are. From
+    /// the first node another version shares, the edit is
+    /// [`OrdMap::alter`]'s, which copies the rest of the path if the entry
+    /// changes and nothing if it does not.
+    pub fn alter_mut(&mut self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) {
+        let (mut had, mut has) = (false, false);
+        alter_mut_node(&mut self.root, key, |old| {
+            let new = f(old);
+            (had, has) = (old.is_some(), new.is_some());
+            new
+        });
+        self.len = self.len + usize::from(has) - usize::from(had);
     }
 
     /// The map holding `run`, whose keys must be strictly increasing. O(n):
@@ -275,6 +297,78 @@ fn alter_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
                 }
                 _ => with_children(n, n.left.clone(), new_right),
             })
+        }
+    }
+}
+
+/// [`alter_node`] in place, down the nodes no other version holds; the
+/// persistent edit from the first one another does.
+fn alter_mut_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
+    link: &mut Link<K, V>,
+    key: &K,
+    f: impl FnOnce(Option<&V>) -> Option<V>,
+) {
+    let Some(held) = link else {
+        if let Some(value) = f(None) {
+            *link = node(key.clone(), value, priority_of(key), None, None);
+        }
+        return;
+    };
+    let Some(n) = Arc::get_mut(held) else {
+        if let Some(copied) = alter_node(link, key, f) {
+            *link = copied;
+        }
+        return;
+    };
+    match key.cmp(&n.key) {
+        Ordering::Equal => match f(Some(&n.value)) {
+            Some(value) => n.value = value,
+            None => {
+                let (left, right) = (n.left.take(), n.right.take());
+                *link = merge_mut(left, right);
+            }
+        },
+        // A fresh leaf with a higher priority rotates up, as in `alter_node`;
+        // the child is this edit's own by then.
+        Ordering::Less => {
+            alter_mut_node(&mut n.left, key, f);
+            if n.left.as_ref().is_some_and(|l| l.prio > n.prio) {
+                let mut up = n.left.take().expect("checked");
+                let u = Arc::make_mut(&mut up);
+                n.left = u.right.take();
+                u.right = link.take();
+                *link = Some(up);
+            }
+        }
+        Ordering::Greater => {
+            alter_mut_node(&mut n.right, key, f);
+            if n.right.as_ref().is_some_and(|r| r.prio > n.prio) {
+                let mut up = n.right.take().expect("checked");
+                let u = Arc::make_mut(&mut up);
+                n.right = u.left.take();
+                u.left = link.take();
+                *link = Some(up);
+            }
+        }
+    }
+}
+
+/// [`merge`] of two treaps this edit owns, in place where it holds the only
+/// reference to a node.
+fn merge_mut<K: Clone, V: Clone>(a: Link<K, V>, b: Link<K, V>) -> Link<K, V> {
+    match (a, b) {
+        (None, b) => b,
+        (a, None) => a,
+        (Some(mut x), Some(mut y)) => {
+            if x.prio >= y.prio {
+                let n = Arc::make_mut(&mut x);
+                n.right = merge_mut(n.right.take(), Some(y));
+                Some(x)
+            } else {
+                let n = Arc::make_mut(&mut y);
+                n.left = merge_mut(Some(x), n.left.take());
+                Some(y)
+            }
         }
     }
 }
@@ -502,7 +596,20 @@ mod tests {
         );
         let e = halves.0.merge_with(&halves.1, |_, _| Some(()));
         let f = set_of(0..400).merge_with(&set_of(evens().map(|k| k + 1)), |_, _| None);
-        let shapes: Vec<Vec<u64>> = [&a, &b, &c, &d, &e, &f]
+        // In place, through the same detour, with an older version kept
+        // every few steps so that some nodes are shared and some are not.
+        let mut g = OrdMap::new();
+        let mut kept = Vec::new();
+        for k in (0..400).rev() {
+            g.alter_mut(&k, |_| Some(()));
+            if k % 7 == 0 {
+                kept.push((k, g.clone()));
+            }
+        }
+        for k in evens() {
+            g.alter_mut(&(k + 1), |_| None);
+        }
+        let shapes: Vec<Vec<u64>> = [&a, &b, &c, &d, &e, &f, &g]
             .iter()
             .map(|m| {
                 let mut out = Vec::new();
@@ -513,12 +620,58 @@ mod tests {
         for shape in &shapes[1..] {
             assert_eq!(&shapes[0], shape);
         }
-        assert_eq!((d.len(), e.len(), f.len()), (200, 200, 200));
+        assert_eq!((d.len(), e.len(), f.len(), g.len()), (200, 200, 200, 200));
+        for (from, m) in &kept {
+            let mut keys = Vec::new();
+            m.for_each(|k, ()| keys.push(*k));
+            assert_eq!(keys, (*from..400).collect::<Vec<_>>());
+        }
         let mut in_order = Vec::new();
         a.for_each(|k, ()| in_order.push(*k));
         assert_eq!(in_order, evens().collect::<Vec<_>>());
-        assert!(a == b && a == c && a == d && a == e && a == f);
+        assert!(a == b && a == c && a == d && a == e && a == f && a == g);
         assert!(a != a.alter(&0, |_| None).alter(&1000, |_| Some(())));
+    }
+
+    #[test]
+    fn an_edit_in_place_leaves_every_older_clone_as_it_was() {
+        let counts = |m: &OrdMap<u64, i64>| {
+            let mut out = Vec::new();
+            m.for_each(|k, v| out.push((*k, *v)));
+            out
+        };
+        let mut m: OrdMap<u64, i64> = OrdMap::from_sorted((0..500).map(|k| (k, 1)));
+        let old = m.clone();
+        let before = counts(&old);
+        for k in (0..600).step_by(3) {
+            m.alter_mut(&k, |c| match c {
+                Some(_) if k % 2 == 0 => None,
+                Some(c) => Some(c + 1),
+                None => Some(7),
+            });
+        }
+        assert_eq!(
+            counts(&old),
+            before,
+            "the older version still holds what it held"
+        );
+        assert_eq!(old.len(), 500);
+        // What the persistent edits give, entry by entry and in shape.
+        let mut by_alter = old.clone();
+        for k in (0..600).step_by(3) {
+            by_alter = by_alter.alter(&k, |c| match c {
+                Some(_) if k % 2 == 0 => None,
+                Some(c) => Some(c + 1),
+                None => Some(7),
+            });
+        }
+        assert_eq!(counts(&m), counts(&by_alter));
+        assert_eq!(m.len(), by_alter.len());
+        // An edit that changes nothing leaves even a shared root shared.
+        let shared = m.clone();
+        m.alter_mut(&1, |c| c.copied());
+        m.alter_mut(&10_000, |_| None);
+        assert!(same_link(&m.root, &shared.root));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`super::Materializer`] then keeps the same relations current across
 //! committed deltas with the same plans and the same loop.
 
-use super::plan::{self, sorted_set, Arrangements, Data, Entry, Plan, Regs, Row, Views};
+use super::plan::{self, Arrangements, Data, Entry, Instr, Plan, Regs, Row, Rows, Side, Views};
 use crate::datalog::{FlatRule, Lit};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -228,6 +228,39 @@ impl Circuit {
         }
     }
 
+    /// Does some plan read the derived relation of another component on
+    /// its old side — right of the literal a driven plan is entered at? By
+    /// the time a component is maintained the components below it are done,
+    /// so such a read needs a copy of the state as it was before the pass.
+    /// Every other old-side read is of the database, or of the component's
+    /// own relations, which stay as they were for as long as it reads them.
+    /// DRed's overdeletion reads a lower relation left of the driver on the
+    /// new side, which misses nothing: an old derivation through a tuple
+    /// that left it is found from that tuple's own event, and one through a
+    /// tuple that entered it is a candidate rederivation puts back.
+    pub(crate) fn reads_old_derived(&self) -> bool {
+        self.sccs.iter().any(|scc| {
+            let own = |rel: usize| scc.rules.iter().any(|r| r.head == rel);
+            let plans = scc.rules.iter().flat_map(|r| &r.events);
+            plans.flat_map(|d| &d.plan.code).any(|instr| {
+                let Instr::Probe {
+                    side: Side::Old,
+                    rows,
+                    ..
+                } = instr
+                else {
+                    return false;
+                };
+                let rel = match *rows {
+                    Rows::Derived(rel) => Some(rel),
+                    Rows::Arranged(a) => self.arrangements[a].rel,
+                    Rows::Base(_) => None,
+                };
+                rel.is_some_and(|rel| !own(rel))
+            })
+        })
+    }
+
     /// `state` over `db`, as the plans read them.
     pub(crate) fn views<'a>(&'a self, db: &'a Database, state: &'a MatState) -> Views<'a> {
         Views {
@@ -265,9 +298,11 @@ impl Circuit {
 
     /// The one place a derived relation gains or loses members. `entries`
     /// holds one `(tuple, n)` per tuple, sorted; the count of each moves by
-    /// `change(its count now, n)`. The relation takes the changes in one
-    /// [`CountedRelation::merge`], and the relation's arrangements follow
+    /// `change(its count now, n)`, and the relation's arrangements follow
     /// the tuples that crossed the membership boundary, which are returned.
+    /// Each entry is one descent that edits in place
+    /// ([`CountedRelation::update`], `OrdMap::alter_mut`): a node of the
+    /// state that no other version holds is changed, not copied.
     pub(crate) fn fold(
         &self,
         state: &mut MatState,
@@ -275,29 +310,27 @@ impl Circuit {
         entries: Vec<(Tuple, i64)>,
         change: impl Fn(i64, i64) -> i64,
     ) -> Delta {
-        let before = &state.rels[rel];
         let mut crossed = Delta::default();
-        let mut applied = Vec::with_capacity(entries.len());
+        let counts = &mut state.rels[rel];
         for (t, n) in entries {
-            let was = before.count(&t);
-            let by = change(was, n);
+            let mut by = 0;
+            let was = counts.update(&t, |was| {
+                by = change(was, n);
+                was + by
+            });
             if (was > 0) != (was + by > 0) {
-                crossed.run_mut(was + by > 0).push(t.clone());
-            }
-            if by != 0 {
-                applied.push((t, by));
+                crossed.run_mut(was + by > 0).push(t);
             }
         }
-        let applied = CountedRelation::from_sorted(before.arity(), applied);
-        state.rels[rel] = before.merge(&applied);
         for (arr, slot) in self.arrangements.iter().zip(&mut state.arranged) {
             let Some(arranged) = slot.get_mut().filter(|_| arr.rel == Some(rel)) else {
                 continue;
             };
             for (run, sign) in crossed.runs() {
-                let moved = sorted_set(run.iter().map(|t| t.permuted(&arr.order)).collect());
                 let keep = (sign > 0).then_some(());
-                *arranged = arranged.merge_with(&moved, |_, ()| keep);
+                for t in run {
+                    arranged.alter_mut(&t.permuted(&arr.order), |_| keep);
+                }
             }
         }
         crossed
@@ -305,7 +338,7 @@ impl Circuit {
 
     /// The semi-naive loop: fold the candidate head tuples into the
     /// component's relations — sorted and counted ([`net`]) first, so a
-    /// round is one bulk merge per relation — enter every rule with each
+    /// round is one [`Circuit::fold`] per relation — enter every rule with each
     /// tuple that was new ([`join_events`], as maintenance enters it with a
     /// committed delta), and repeat until a round adds nothing. `on_new`
     /// sees every run of tuples a recursive component gains.

@@ -18,16 +18,20 @@
 //! * A *materialized state* holds, for one database version and every such
 //!   predicate, a `CountedRelation` — tuple → number of supporting rule
 //!   instantiations — and the arrangements of them the plans probe. It rides
-//!   on the `Database` value it describes (`Database::derived`): a version's
-//!   first probe builds it with the from-scratch run, and it is freed with
-//!   the last handle to the version.
-//! * [`Materializer::apply_ops`] pushes a committed base delta through the
-//!   circuit in one pass: the delta's net membership events enter the plans
-//!   compiled for their body positions (prefix-new/suffix-old, every bound
-//!   column a range probe), the counts move, and only 0 ↔ positive
-//!   transitions cascade to downstream components. Non-recursive
-//!   components use exact counting; recursive components use
-//!   delete-rederive (DRed) over set semantics, where counting is unsound.
+//!   on the `Database` value it describes (`Database::derived`): the first
+//!   probe of a version nothing was maintained towards builds it with the
+//!   from-scratch run, and it is freed with the last handle to the version
+//!   or moved into a descendant's.
+//! * [`Materializer::apply_ops`] only records a committed base delta: the
+//!   new version is pending on its nearest ancestor with a state. Its first
+//!   probe pushes everything since through the circuit in one pass: the net
+//!   membership events enter the plans compiled for their body positions
+//!   (prefix-new/suffix-old, every bound column a range probe), the counts
+//!   move, and only 0 ↔ positive transitions cascade to downstream
+//!   components. Non-recursive components use exact counting; recursive
+//!   components use delete-rederive (DRed) over set semantics, where
+//!   counting is unsound. The pass edits the ancestor's state in place when
+//!   nothing else holds it.
 //! * [`Materializer::holds`] answers a ground derived-predicate call with
 //!   an indexed probe of the materialized relation — the kernel substitutes
 //!   it for rule unfolding when `EngineConfig::materialize` is on.
@@ -45,11 +49,11 @@ mod plan;
 
 use crate::datalog::{flatten_rule, FlatRule, Lit};
 use circuit::{join_events, runs_on, Circuit, Events, MatState, Scc};
-use plan::{Data, Regs, Views};
+use plan::Data;
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use td_core::{Atom, Pred, Program};
 use td_db::{Database, DeltaOp, Tuple};
 
@@ -76,6 +80,10 @@ pub struct Materializer {
     /// base predicate leave every materialized relation unchanged.
     relevant_base: HashSet<Pred>,
     circuit: Circuit,
+    /// Some plan reads another component's derived relation on its old
+    /// side ([`Circuit::reads_old_derived`]): a pass then keeps an O(1)
+    /// snapshot of the state it edits, for those reads.
+    keeps_old: bool,
     /// This circuit's number among the owners of `Database::derived` slots:
     /// two engines over one database value never read each other's state.
     id: u64,
@@ -93,6 +101,87 @@ impl std::fmt::Debug for Materializer {
             .field("preds", &self.circuit.preds.len())
             .field("sccs", &self.circuit.sccs.len())
             .finish()
+    }
+}
+
+/// What a circuit's slot on a database version holds: the version's state,
+/// or — until the version is first probed — where to maintain it from. Set
+/// when the version is made ([`Materializer::apply_ops`]) or first probed,
+/// and shared by every handle to the version, and by a version of the same
+/// views made from it.
+#[derive(Default)]
+struct Entry {
+    state: OnceLock<MatState>,
+    /// Taken by the pass that sets `state`; `None` for a from-scratch build.
+    pending: Mutex<Option<Pending>>,
+}
+
+impl Entry {
+    fn pending(&self) -> std::sync::MutexGuard<'_, Option<Pending>> {
+        self.pending
+            .lock()
+            .expect("a pending entry's lock is never poisoned")
+    }
+
+    /// A slot's content, as this circuit put it there.
+    fn of(held: &Arc<dyn Any + Send + Sync>) -> &Entry {
+        (held.downcast_ref()).expect("a circuit's slot holds its own entries")
+    }
+}
+
+/// A version whose state is not made yet.
+struct Pending {
+    /// The nearest ancestor that had a state when the version was made.
+    /// Held here, it and its state live until the version is probed.
+    ancestor: Database,
+    /// The ops from the ancestor to the version. A version between them
+    /// that is probed first marks its newest link, and the pass starts
+    /// there instead.
+    ops: Ops,
+}
+
+/// An op sequence, newest first, as a persistent list: a version appends
+/// to its parent's in O(1) and shares the rest.
+#[derive(Clone, Default)]
+struct Ops(Option<Arc<OpLink>>);
+
+struct OpLink {
+    op: DeltaOp,
+    prev: Ops,
+    /// The version this op ends the list of, once a pass has made its
+    /// state: it is nearer than the ancestor to every version whose list
+    /// runs through here.
+    made: OnceLock<Database>,
+}
+
+impl Ops {
+    fn push(self, op: &DeltaOp) -> Ops {
+        Ops(Some(Arc::new(OpLink {
+            op: op.clone(),
+            prev: self,
+            made: OnceLock::new(),
+        })))
+    }
+
+    fn links(&self) -> impl Iterator<Item = &OpLink> {
+        std::iter::successors(self.0.as_deref(), |l| l.prev.0.as_deref())
+    }
+}
+
+/// Unlinked one by one: a long list would recurse once per op.
+impl Drop for OpLink {
+    fn drop(&mut self) {
+        let mut next = self.prev.0.take();
+        while let Some(link) = next {
+            next = Arc::try_unwrap(link).ok().and_then(|mut l| l.prev.0.take());
+        }
+    }
+}
+
+/// The predicate and tuple an op touches.
+fn op_pair(op: &DeltaOp) -> (Pred, &Tuple) {
+    match op {
+        DeltaOp::Ins(pred, tuple) | DeltaOp::Del(pred, tuple) => (*pred, tuple),
     }
 }
 
@@ -158,6 +247,7 @@ impl Materializer {
         static CIRCUITS: AtomicU64 = AtomicU64::new(0);
         Ok(Materializer {
             relevant_base,
+            keeps_old: circuit.reads_old_derived(),
             circuit,
             id: CIRCUITS.fetch_add(1, Ordering::Relaxed),
             probes: AtomicU64::new(0),
@@ -221,109 +311,180 @@ impl Materializer {
         db.derived(self.id);
     }
 
-    /// The materialized state of `db`'s version: the one attached to it, or
-    /// a from-scratch build that then is.
+    /// The materialized state of `db`'s version, for a caller's probe: one
+    /// that is on the version — made, or pending and made now — is a hit.
     fn state_for<'a>(&self, db: &'a Database) -> &'a MatState {
-        let slot = db.derived(self.id);
-        if slot.get().is_some() {
+        if db.derived(self.id).get().is_some() {
             self.state_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let state = slot.get_or_init(|| {
-            self.rebuilds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(self.circuit.run(db).0)
-        });
-        Self::downcast(state)
+        self.state_of(db)
     }
 
-    fn downcast(state: &Arc<dyn Any + Send + Sync>) -> &MatState {
-        (state.downcast_ref()).expect("a circuit's slot holds its own states")
+    /// The state of `db`'s version: the one on it; else, when the version
+    /// is pending, the one pass that makes it ([`Materializer::maintain`]);
+    /// else a from-scratch build. Made under the entry's `OnceLock`, so
+    /// workers probing one version together make it once.
+    fn state_of<'a>(&self, db: &'a Database) -> &'a MatState {
+        let entry = db
+            .derived(self.id)
+            .get_or_init(|| Arc::new(Entry::default()));
+        let entry = Entry::of(entry);
+        entry.state.get_or_init(|| match entry.pending().take() {
+            Some(pending) => self.maintain(pending, db),
+            None => {
+                self.rebuilds.fetch_add(1, Ordering::Relaxed);
+                self.circuit.run(db).0
+            }
+        })
     }
 
-    /// Maintain the state across a committed delta: `ops` is an op sequence
-    /// taking `pre` to `post` (no-op entries included), read only for the
-    /// `(predicate, tuple)` pairs it touches. Whether a pair is a membership
-    /// event is decided by `pre` and `post` alone — an `ins` then `del` of
-    /// one tuple is none — and the events go through the circuit together,
-    /// in one pass, from `pre`'s state to the one `post` is given. O(1) when
-    /// `pre` has no state (maintenance is lazy until a probe seeds a
-    /// version) or the ops change nothing (`post` then shares `pre`'s).
-    /// Rollback needs no inverse pass: `pre` keeps its state.
+    /// Record a committed delta: `ops` is an op sequence taking `pre` to
+    /// `post` (no-op entries included). No pass runs here. When `pre` has
+    /// an entry (maintenance is lazy until a probe seeds a version), `post`
+    /// is given, before a choicepoint can clone it, either `pre`'s entry —
+    /// the content is the same, or no op touches a relation the rules read
+    /// — or a pending one: the nearest ancestor that has a state, and the
+    /// ops since it. The first probe of `post` makes its state in one pass
+    /// over them. Rollback needs nothing: `pre` keeps its entry.
     pub fn apply_ops(&self, pre: &Database, ops: &[DeltaOp], post: &Database) {
         let post_slot = post.derived(self.id);
-        let pre_state = pre.derived(self.id).get();
-        let Some(pre_state) = pre_state.filter(|_| post_slot.get().is_none()) else {
+        let held = pre.derived(self.id).get();
+        let Some(held) = held.filter(|_| post_slot.get().is_none()) else {
             return;
         };
-        if pre.digest() == post.digest() {
-            // The same content as another value (an `ins` then `del`).
-            let _ = post_slot.set(pre_state.clone());
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        // The pairs the ops touch, each once, in the relations the rules read.
-        let touched: BTreeSet<(Pred, &Tuple)> = (ops.iter())
-            .map(|(DeltaOp::Ins(pred, tuple) | DeltaOp::Del(pred, tuple))| (*pred, tuple))
-            .filter(|(pred, _)| self.relevant_base.contains(pred))
-            .collect();
-        let mut events = Events::new();
-        for (pred, tuple) in touched {
-            let member = post.contains(pred, tuple);
-            if member != pre.contains(pred, tuple) {
-                let delta = events.entry(pred).or_default();
-                delta.run_mut(member).push(tuple.clone());
-            }
-        }
-        // Untouched, this is `pre`'s state, held by both.
-        let state = if events.is_empty() {
-            pre_state.clone()
+        let relevant = |op: &DeltaOp| self.relevant_base.contains(&op_pair(op).0);
+        let entry = if pre.digest() == post.digest() || !ops.iter().any(relevant) {
+            held.clone()
         } else {
-            Arc::new(self.propagate(pre, post, events, Self::downcast(pre_state)))
+            let from = Entry::of(held);
+            // A state being made right now is one to maintain from, too.
+            let since = match from.state.get() {
+                Some(_) => None,
+                None => (from.pending().as_ref()).map(|p| (p.ancestor.clone(), p.ops.clone())),
+            };
+            let (ancestor, since) = since.unwrap_or_else(|| (pre.clone(), Ops::default()));
+            let ops = ops.iter().fold(since, |list, op| list.push(op));
+            let pending = Mutex::new(Some(Pending { ancestor, ops }));
+            Arc::new(Entry {
+                state: OnceLock::new(),
+                pending,
+            })
         };
-        self.maintained_ops
-            .fetch_add(ops.len() as u64, Ordering::Relaxed);
-        self.maintain_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         // Another worker at the same `post` value may have been first.
-        let _ = post_slot.set(state);
+        let _ = post_slot.set(entry);
     }
 
     // ------------------------------------------------------------------
     // Incremental maintenance
     // ------------------------------------------------------------------
 
+    /// The one pass that makes a pending version's state, from the nearest
+    /// version with one: the ancestor, or a version between made since by
+    /// a pass of its own, which marked the newest link of its ops. Whether
+    /// a pair the ops touch is a membership event is decided by that
+    /// version and `db` alone — an `ins` then `del` of one tuple is none —
+    /// and the events go through the circuit together, from that version's
+    /// state: moved out and edited in place when this pass holds the last
+    /// handle to it, an O(1) clone that copies what it changes otherwise.
+    /// The pass then marks the newest link of `db`'s own ops, for the
+    /// versions made from `db` before it was probed.
+    fn maintain(&self, pending: Pending, db: &Database) -> MatState {
+        let t0 = std::time::Instant::now();
+        let Pending { mut ancestor, ops } = pending;
+        // From the nearest version with a state.
+        let mut since = Vec::new();
+        for link in ops.links() {
+            if let Some(made) = link.made.get() {
+                ancestor = made.clone();
+                break;
+            }
+            since.push(&link.op);
+        }
+        // The pairs the ops touch, each once, in the relations the rules read.
+        let touched: BTreeSet<(Pred, &Tuple)> = (since.iter())
+            .map(|op| op_pair(op))
+            .filter(|(pred, _)| self.relevant_base.contains(pred))
+            .collect();
+        let mut events = Events::new();
+        for (pred, tuple) in touched {
+            let member = db.contains(pred, tuple);
+            if member != ancestor.contains(pred, tuple) {
+                let delta = events.entry(pred).or_default();
+                delta.run_mut(member).push(tuple.clone());
+            }
+        }
+        // Made, if another worker was making it when `db` was pending on it.
+        self.state_of(&ancestor);
+        let state = match self.take_state(&mut ancestor) {
+            Some(state) => {
+                let old = self.keeps_old.then(|| state.clone());
+                self.propagate(&ancestor, db, events, state, old.as_ref())
+            }
+            None => {
+                let old = self.state_of(&ancestor);
+                self.propagate(&ancestor, db, events, old.clone(), Some(old))
+            }
+        };
+        if let Some(newest) = &ops.0 {
+            let _ = newest.made.set(db.clone());
+        }
+        self.maintained_ops
+            .fetch_add(since.len() as u64, Ordering::Relaxed);
+        self.maintain_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        state
+    }
+
+    /// The ancestor's state, moved out of it when nothing else can reach
+    /// it: this handle is the last one to the ancestor's derived data
+    /// (`Database::take_derived`) and no other version shares its entry.
+    /// `None`, the ancestor as it was, otherwise.
+    fn take_state(&self, ancestor: &mut Database) -> Option<MatState> {
+        let Ok(entry) = ancestor.take_derived(self.id)?.downcast::<Entry>() else {
+            unreachable!("a circuit's slot holds its own entries")
+        };
+        match Arc::try_unwrap(entry) {
+            Ok(entry) => entry.state.into_inner(),
+            Err(shared) => {
+                let _ = ancestor.derived(self.id).set(shared);
+                None
+            }
+        }
+    }
+
     /// Push the base-relation membership `events` between `old_db` and
     /// `new_db` through the circuit in topological order, cascading derived
-    /// membership events: the state of `new_db`, from `old`, the state of
-    /// `old_db`.
+    /// membership events: `state`, which is `old_db`'s, becomes `new_db`'s.
+    /// `old` is a copy of it as it was, when there is one; without it the
+    /// old side of a join reads `state`, which is sound for every read
+    /// [`Circuit::reads_old_derived`] does not report.
     fn propagate(
         &self,
         old_db: &Database,
         new_db: &Database,
         mut events: Events,
-        old: &MatState,
+        mut state: MatState,
+        old: Option<&MatState>,
     ) -> MatState {
         let circuit = &self.circuit;
-        let mut state = old.clone();
-        let old_v = circuit.views(old_db, old);
-        let regs = plan::registers(circuit.num_regs);
         for scc in &circuit.sccs {
             if !scc.deps.iter().any(|p| events.contains_key(p)) {
                 continue;
             }
             if scc.recursive {
-                self.maintain_recursive(scc, old_v, new_db, &mut state, &mut events, &regs);
+                self.maintain_recursive(scc, old_db, old, new_db, &mut state, &mut events);
             } else {
-                self.maintain_counting(scc, old_v, new_db, &mut state, &mut events, &regs);
+                self.maintain_counting(scc, old_db, old, new_db, &mut state, &mut events);
             }
         }
-        // An arrangement this pass was the first to probe, and on its old
-        // side only, is part of the old version now and not of the new one,
-        // which was made before the pass. A derived relation's goes over by
-        // the relation's events; a base relation's is on the `Database`,
-        // which only probing fills. Else the next pass builds it again.
         for (a, arr) in circuit.arrangements.iter().enumerate() {
             let order = &arr.order;
-            if let (Some(before), None) = (old.arranged[a].get(), state.arranged[a].get()) {
+            // An arrangement this pass was the first to probe, on the old
+            // copy only, is part of the old version now and not of the new
+            // one: it goes over by the relation's events. Else the next
+            // pass builds it again.
+            let before = old.and_then(|old| old.arranged[a].get());
+            if let (Some(before), None) = (before, state.arranged[a].get()) {
                 let moved = runs_on(&events, arr.pred).fold(before.clone(), |m, (run, sign)| {
                     run.iter().fold(m, |m, t| {
                         m.alter(&t.permuted(order), |_| (sign > 0).then_some(()))
@@ -331,6 +492,8 @@ impl Materializer {
                 });
                 state.arranged[a] = moved.into();
             }
+            // A base relation's is on the `Database`, which only probing
+            // fills, and `new_db` was made before the pass.
             if arr.rel.is_none() && old_db.arranged(arr.pred, order).is_some() {
                 new_db.arrangement(arr.pred, order);
             }
@@ -345,16 +508,17 @@ impl Materializer {
     fn maintain_counting(
         &self,
         scc: &Scc,
-        old_v: Views<'_>,
+        old_db: &Database,
+        old: Option<&MatState>,
         new_db: &Database,
         state: &mut MatState,
         events: &mut Events,
-        regs: &Regs,
     ) {
+        let regs = &plan::registers(self.circuit.num_regs);
         let mut changes: Vec<((usize, Tuple), i64)> = Vec::new();
         let data = Data {
             new: self.circuit.views(new_db, state),
-            old: old_v,
+            old: self.circuit.views(old_db, old.unwrap_or(state)),
         };
         join_events(scc, events, |_| true, &data, regs, &mut |rel, row, sign| {
             changes.push(((rel, row.tuple()), sign));
@@ -377,28 +541,31 @@ impl Materializer {
     fn maintain_recursive(
         &self,
         scc: &Scc,
-        old_v: Views<'_>,
+        old_db: &Database,
+        old: Option<&MatState>,
         new_db: &Database,
         state: &mut MatState,
         events: &mut Events,
-        regs: &Regs,
     ) {
+        let regs = &plan::registers(self.circuit.num_regs);
         let circuit = &self.circuit;
-        // Phase 1: overdeletion, joined entirely against the old views, in
-        // rounds: what the negative events upstream take with them, then
-        // what that takes, until a round takes nothing. A round's tuples
-        // leave `state` as soon as they are known, so a tuple still there
-        // is one not collected yet, and `fold` hands the round back as the
-        // sorted runs that drive the next.
-        let old_data = Data::at(old_v);
+        // Phase 1: overdeletion, joined against the old side (which reads
+        // that is: `Circuit::reads_old_derived`), in rounds: what the
+        // negative events upstream take with them, then what that takes,
+        // until a round takes nothing. The tuples a round takes only leave
+        // `state` once the phase is over, so that until then this
+        // component's relations there are the old ones; each round hands
+        // the next the sorted runs of the tuples it took first.
         let mut rounds: Vec<Events> = Vec::new();
+        let mut taken: HashSet<(usize, Tuple)> = HashSet::new();
+        let old_data = Data::at(circuit.views(old_db, old.unwrap_or(state)));
         loop {
             let mut fresh = Vec::new();
             let gone = rounds.last().unwrap_or(events);
             join_events(scc, gone, |s| s < 0, &old_data, regs, &mut |rel, row, _| {
                 let h = row.tuple();
-                if state.rels[rel].contains(&h) {
-                    fresh.push(((rel, h), 1));
+                if state.rels[rel].contains(&h) && taken.insert((rel, h.clone())) {
+                    fresh.push((rel, h));
                 }
             });
             if fresh.is_empty() {
@@ -406,11 +573,18 @@ impl Materializer {
             }
             fresh.sort_unstable();
             let mut round = Events::new();
-            for (rel, entries) in circuit::net(fresh.into_iter()) {
-                let left = circuit.fold(state, rel, entries, |count, _| -count);
-                round.insert(circuit.preds[rel], left);
+            for (rel, t) in fresh {
+                round
+                    .entry(circuit.preds[rel])
+                    .or_default()
+                    .disappeared
+                    .push(t);
             }
             rounds.push(round);
+        }
+        for (pred, delta) in rounds.iter().flatten() {
+            let entries = delta.disappeared.iter().map(|t| (t.clone(), 1)).collect();
+            circuit.fold(state, circuit.index[pred], entries, |count, _| -count);
         }
 
         // Phase 2: rederivation in one step from the new external state and
@@ -850,8 +1024,13 @@ mod tests {
         assert_eq!(m.rebuilds(), 1, "old digest still resident");
     }
 
-    /// A state is freed with the last handle to its version, and not
-    /// before: the materializer holds none.
+    /// A state lives as long as its version, or an unprobed descendant
+    /// pending on it, and no longer: the materializer holds none. Before
+    /// maintenance was lazy a version's state was made with the version and
+    /// the root's was freed with the root's last handle; now the descendant
+    /// holds the root until its probe, which moves the root's state into
+    /// the descendant when nothing else holds the root, and leaves it to
+    /// the root otherwise.
     #[test]
     fn a_state_lives_exactly_as_long_as_its_version() {
         let (p, db) = setup(
@@ -860,20 +1039,69 @@ mod tests {
              path(X, Z) <- e(X, Y) * path(Y, Z).",
         );
         let m = Materializer::compile(&p).unwrap();
-        let state_of = |db: &Database| Arc::downgrade(db.derived(m.id).get().unwrap());
-        let _ = m.facts(&db, Pred::new("path", 2));
-        let next = step(&m, &db, DeltaOp::Ins(Pred::new("e", 2), tuple!("b", "c")));
-        let (root, maintained) = (state_of(&db), state_of(&next));
+        let path = Pred::new("path", 2);
+        let entry_of = |db: &Database| Arc::downgrade(db.derived(m.id).get().unwrap());
+        let made = |db: &Database| {
+            Entry::of(db.derived(m.id).get().unwrap())
+                .state
+                .get()
+                .is_some()
+        };
+        let edge = |x, y| DeltaOp::Ins(Pred::new("e", 2), tuple!(x, y));
+        let _ = m.facts(&db, path);
+        // The root gone before its descendant is probed: moved.
+        let next = step(&m, &db, edge("b", "c"));
+        assert!(made(&db) && !made(&next), "pending until probed");
+        let root = entry_of(&db);
         // A choicepoint's shape: a clone taken while the search goes on.
         let kept = next.clone();
         drop(db);
         drop(next);
-        assert!(root.upgrade().is_none(), "no handle to the root is left");
-        assert!(maintained.upgrade().is_some(), "one handle is");
-        assert_eq!(m.facts(&kept, Pred::new("path", 2)).len(), 3);
-        assert_eq!(m.rebuilds(), 1);
+        assert!(
+            root.upgrade().is_some(),
+            "the pending descendant holds the root"
+        );
+        assert_eq!(m.facts(&kept, path).len(), 3);
+        assert!(
+            root.upgrade().is_none(),
+            "its state moved into the descendant"
+        );
+        // The root kept when its descendant is probed: it keeps its state.
+        let further = step(&m, &kept, edge("c", "d"));
+        let maintained = entry_of(&kept);
+        assert_eq!(m.facts(&further, path).len(), 6);
+        assert!(maintained.upgrade().is_some() && made(&kept));
+        assert_eq!(m.facts(&kept, path).len(), 3);
         drop(kept);
-        assert!(maintained.upgrade().is_none());
+        assert!(maintained.upgrade().is_none(), "freed with its version");
+        assert_eq!((m.rebuilds(), m.maintained_ops()), (1, 2));
+    }
+
+    /// A version probed after descendants of it were made is where their
+    /// passes start: a search that backtracks to it and goes on does not
+    /// maintain the ops before it again. The descendants were made pending
+    /// on the root, and each probe maintains only its own op.
+    #[test]
+    fn a_version_probed_late_is_where_its_descendants_start() {
+        let (p, db) = setup(
+            "base e/2. init e(a, b).
+             path(X, Y) <- e(X, Y).
+             path(X, Z) <- e(X, Y) * path(Y, Z).",
+        );
+        let m = Materializer::compile(&p).unwrap();
+        let path = Pred::new("path", 2);
+        let edge = |x, y| DeltaOp::Ins(Pred::new("e", 2), tuple!(x, y));
+        let _ = m.facts(&db, path);
+        let mid = step(&m, &db, edge("b", "c"));
+        let left = step(&m, &mid, edge("c", "d"));
+        let right = step(&m, &mid, edge("c", "e"));
+        assert_eq!(m.facts(&mid, path).len(), 3);
+        assert_eq!(m.maintained_ops(), 1);
+        assert_eq!(m.facts(&left, path).len(), 6);
+        assert_eq!(m.facts(&right, path).len(), 6);
+        assert_eq!(m.maintained_ops(), 3, "one op each, from `mid`");
+        assert_eq!(m.facts(&db, path).len(), 1);
+        assert_eq!(m.rebuilds(), 1);
     }
 
     #[test]
@@ -1017,6 +1245,65 @@ mod tests {
             }
         }
         assert_eq!(m.rebuilds(), 1, "every batch maintained, none rebuilt");
+    }
+
+    /// The in-place pass without a snapshot, where overdeletion reads what
+    /// the pass is changing: `r` reads the view `ok` left of its own
+    /// literal only, so it reads `ok` as the pass has left it; `q` joins
+    /// `p` with itself, so `del.n(a)` takes both tuples of the derivation
+    /// `p(a) * p(a)` in one round of overdeletion, and `q(a, a)` is found
+    /// only because a round's tuples stay in the state until the phase is
+    /// over — else it and `p(a)` would go on deriving each other. Each
+    /// version is maintained from the one before, which nothing else holds,
+    /// so every pass edits in place; against the closure of `ok` and `n`.
+    #[test]
+    fn the_pass_without_a_snapshot_matches_the_model() {
+        let (p, mut db) = setup(
+            "base e/2. base blocked/1. base t/3. base n/1.
+             ok(X, Y) <- e(X, Y) * not blocked(Y).
+             r(X, Y) <- ok(X, Y).
+             r(X, Z) <- ok(X, Y) * r(Y, Z).
+             p(X) <- n(X).
+             p(X) <- q(X, X).
+             q(X, Y) <- p(X) * p(Y).",
+        );
+        let m = Materializer::compile(&p).unwrap();
+        assert!(!m.keeps_old);
+        let mut next_op = churn_ops();
+        let _ = m.facts(&db, Pred::new("r", 2));
+        let node = |i: usize| Value::sym(NODES[i]);
+        let pair = |i: usize, j: usize| Tuple::new(vec![node(i), node(j)]);
+        for i in 0..150 {
+            let mut ops: Vec<DeltaOp> = (0..1 + i % 3).map(|_| next_op()).collect();
+            let n = (Pred::new("n", 1), Tuple::new(vec![node(i * 7 % 5)]));
+            ops.push(match i % 3 {
+                0 => DeltaOp::Del(n.0, n.1),
+                _ => DeltaOp::Ins(n.0, n.1),
+            });
+            db = batch(&m, &db, &ops);
+            let has = |name: &str, ix: &[usize]| {
+                let t = Tuple::new(ix.iter().map(|&i| node(i)).collect());
+                db.contains(Pred::new(name, ix.len() as u32), &t)
+            };
+            let mut c = [[false; 5]; 5];
+            for (i, j) in (0..25).map(|x| (x / 5, x % 5)) {
+                c[i][j] = has("e", &[i, j]) && !has("blocked", &[j]);
+            }
+            for (k, i, j) in (0..125).map(|x| (x / 25, x / 5 % 5, x % 5)) {
+                c[i][j] |= c[i][k] && c[k][j];
+            }
+            let pairs = |keep: &dyn Fn(usize, usize) -> bool| -> Vec<Tuple> {
+                (0..25)
+                    .filter(|x| keep(x / 5, x % 5))
+                    .map(|x| pair(x / 5, x % 5))
+                    .collect()
+            };
+            let r = pairs(&|i, j| c[i][j]);
+            let q = pairs(&|i, j| has("n", &[i]) && has("n", &[j]));
+            assert_eq!(m.facts(&db, Pred::new("r", 2)), r, "after batch {i}");
+            assert_eq!(m.facts(&db, Pred::new("q", 2)), q, "after batch {i}");
+        }
+        assert_eq!(m.rebuilds(), 1);
     }
 
     /// A bound column never scans: in every plan of every fixture of this

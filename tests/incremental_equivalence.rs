@@ -31,8 +31,8 @@ mod common;
 use common::{assert_same_witness, chain_closure, corpus_files};
 use proptest::prelude::*;
 use transaction_datalog::prelude::{
-    parse_goal, parse_program, Atom, Database, Engine, EngineConfig, Goal, Program, SearchBackend,
-    Term,
+    parse_goal, parse_program, Atom, Database, Engine, EngineConfig, Goal, Pred, Program,
+    SearchBackend, Term, Tuple, Value,
 };
 
 /// Reachability over an integer DAG: the canonical materializable shape
@@ -427,7 +427,12 @@ fn churn_sequence_threads_identical_state() {
     // `del.blocked(5)` lands on the content of the first goal's result. That
     // version is gone and its views with it, so the op is maintained like
     // any other; while views were kept by content digest it was skipped, and
-    // the last two counts read 3 and 24.)
+    // the last two counts read 3 and 24. While every `ins`/`del` was
+    // maintained as it happened, the third goal's two ops were two passes,
+    // and `delta_tuples` read 28: `ins.blocked(5)` took `open(_, 5)` away
+    // only for `ins.edge(2, 3)` to bring back the paths the second goal had
+    // cut. One pass over the transaction's net events makes none of those
+    // intermediate moves.)
     let counted: Vec<(&str, u64)> = m
         .counters()
         .into_iter()
@@ -439,7 +444,7 @@ fn churn_sequence_threads_identical_state() {
             ("probes", 3),
             ("rebuilds", 1),
             ("maintained_ops", 4),
-            ("delta_tuples", 28)
+            ("delta_tuples", 8)
         ]
     );
 }
@@ -493,7 +498,10 @@ fn corpus_materialized_matches_plain() {
 /// to content not seen before — and the root's views are still the ones that
 /// probe built. (While views were kept in a store of the last 4 096
 /// versions, the root had been evicted by then and the second probe rebuilt
-/// it: `rebuilds == 2`.)
+/// it: `rebuilds == 2`.) Nothing asks in between, so nothing is maintained
+/// until the last version is probed, and then all 5 000 ops in one pass
+/// from the root. (While each op was maintained as it happened,
+/// `maintained_ops` read 5 000 before that probe.)
 #[test]
 fn a_kept_version_keeps_its_views_however_long_the_lineage() {
     let (p, root) = fixture();
@@ -515,10 +523,152 @@ fn a_kept_version_keeps_its_views_however_long_the_lineage() {
             .db
             .clone();
     }
-    assert_eq!(m.maintained_ops(), 5_000, "every op maintained");
+    assert_eq!(m.maintained_ops(), 0, "no probe, no pass");
     assert!(engine.executable(&query, &db).unwrap() && !db.same_content(&root));
+    assert_eq!(m.maintained_ops(), 5_000, "every op, in the one pass");
     assert!(engine.executable(&query, &root).unwrap());
     assert_eq!(m.rebuilds(), 1, "the root's views were kept with the root");
+}
+
+/// The named counters of `engine`'s materializer.
+fn counted(engine: &Engine, key: &str) -> u64 {
+    let m = engine.materializer().expect("fixture must compile");
+    m.counters().into_iter().find(|c| c.0 == key).unwrap().1
+}
+
+/// A transaction's updates are maintained together, when its result is
+/// first asked about: one pass over the net events, not one per op.
+#[test]
+fn one_transaction_makes_one_pass() {
+    let (p, db) = fixture();
+    let engine = materialized(&p);
+    let goal = |text: &str| parse_goal(text, &p).unwrap().goal;
+    let run = |text: &str, db: &Database| {
+        let out = engine.solve(&goal(text), db).unwrap();
+        out.solution().expect("succeeds").db.clone()
+    };
+    let counts = || {
+        (
+            counted(&engine, "maintained_ops"),
+            counted(&engine, "delta_tuples"),
+        )
+    };
+    let db = run("path(1, 4)", &db);
+    // An edge taken away and put back within one transaction, then asked
+    // about in it: the pass finds no event, and no view tuple moves.
+    let db = run("del.edge(1, 2) * ins.edge(1, 2) * path(1, 2)", &db);
+    assert_eq!(counts(), (2, 0));
+    // tdbench's shape: an edge cut, another added, then a question. Cutting
+    // 3 → 4 and adding 2 → 4 takes `path(3, 4)` and `open(3, 4)` away and
+    // keeps the paths into 4 from 1 and 2. Maintained op by op, the cut
+    // would take those two too (with their `open`s) for the addition to
+    // bring them back: ten moves where one pass makes two.
+    let db = run("del.edge(3, 4) * ins.edge(2, 4)", &db);
+    assert_eq!(counts(), (2, 0), "nothing asked yet");
+    assert!(engine.executable(&goal("path(1, 4)"), &db).unwrap());
+    assert!(!engine.executable(&goal("path(3, 4)"), &db).unwrap());
+    assert_eq!(counts(), (4, 2));
+    assert_eq!(counted(&engine, "rebuilds"), 1);
+}
+
+/// The fixture's views over nodes 1 to 5, read off the stored `edge` and
+/// `blocked` tuples by Warshall's closure — an oracle that shares no code
+/// with either engine: `(path, open)`, each sorted.
+fn fixture_model(db: &Database) -> [Vec<(i64, i64)>; 2] {
+    let int = |i: usize| Value::Int(i as i64 + 1);
+    let has = |name: &str, ix: &[usize]| {
+        let t = Tuple::new(ix.iter().map(|&i| int(i)).collect());
+        db.contains(Pred::new(name, ix.len() as u32), &t)
+    };
+    let mut c = [[false; 5]; 5];
+    for (i, j) in (0..25).map(|x| (x / 5, x % 5)) {
+        c[i][j] = has("edge", &[i, j]);
+    }
+    for (k, i, j) in (0..125).map(|x| (x / 25, x / 5 % 5, x % 5)) {
+        c[i][j] |= c[i][k] && c[k][j];
+    }
+    let pairs = |keep: &dyn Fn(usize, usize) -> bool| {
+        (0..25)
+            .map(|x| (x / 5, x % 5))
+            .filter(|&(i, j)| c[i][j] && keep(i, j))
+            .map(|(i, j)| (i as i64 + 1, j as i64 + 1))
+            .collect()
+    };
+    [pairs(&|_, _| true), pairs(&|_, j| !has("blocked", &[j]))]
+}
+
+/// Editing a state in place never changes a version someone still holds.
+/// Random transactions through the engine, some of their results kept the
+/// way a choicepoint keeps them and probed only after descendants of theirs
+/// were maintained — from them, or past them from an older ancestor — and
+/// every probed version's views against the model and the plain engine.
+#[test]
+fn kept_versions_keep_their_views_while_descendants_are_edited_in_place() {
+    let (p, root) = fixture();
+    let (plain, engine) = (plain(&p), materialized(&p));
+    let m = engine.materializer().expect("fixture must compile");
+    let views = [Pred::new("path", 2), Pred::new("open", 2)];
+    let check = |db: &Database, what: &str| {
+        let model = fixture_model(db);
+        for (view, expect) in views.iter().zip(&model) {
+            let got: Vec<(i64, i64)> = (m.facts(db, *view).iter())
+                .map(|t| match t.values() {
+                    [Value::Int(x), Value::Int(y)] => (*x, *y),
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            assert_eq!(&got, expect, "{view} at {what}");
+            for (x, y) in expect.iter().take(3) {
+                let call = Goal::atom(view.name.as_str(), vec![Term::int(*x), Term::int(*y)]);
+                assert!(plain.executable(&call, db).unwrap(), "{call} at {what}");
+            }
+        }
+    };
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut rng = move |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % n
+    };
+    check(&root, "the root");
+    let mut db = root;
+    let mut kept: Vec<(usize, Database)> = Vec::new();
+    for step in 0..300 {
+        // One to three updates; an inserted edge points forward, so plain
+        // top-down terminates.
+        let updates: Vec<Goal> = (0..1 + rng(3))
+            .map(|_| {
+                let (i, j) = (1 + rng(4) as i64, rng(5) as i64 + 1);
+                match rng(6) {
+                    0 => Goal::ins("blocked", vec![Term::int(j)]),
+                    1 => Goal::del("blocked", vec![Term::int(j)]),
+                    2 | 3 => Goal::del("edge", vec![Term::int(i), Term::int(j)]),
+                    _ => {
+                        let j = j.max(i + 1);
+                        Goal::ins("edge", vec![Term::int(i), Term::int(j)])
+                    }
+                }
+            })
+            .collect();
+        let out = engine.solve(&Goal::seq(updates), &db).unwrap();
+        db = out.solution().expect("updates succeed").db.clone();
+        if rng(3) == 0 {
+            kept.push((step, db.clone()));
+        }
+        if kept.len() > 6 {
+            let (at, old) = kept.swap_remove(rng(kept.len() as u64) as usize);
+            check(&old, &format!("kept step {at}"));
+        }
+        if rng(4) != 0 {
+            check(&db, &format!("step {step}"));
+        }
+    }
+    for (at, old) in &kept {
+        check(old, &format!("kept step {at}"));
+    }
+    assert_eq!(m.rebuilds(), 1, "every version maintained from another");
+    assert!(m.maintained_ops() > 150, "{}", m.maintained_ops());
 }
 
 /// Two materializing engines with different rules over one database value,
