@@ -10,9 +10,10 @@ use crate::atom::{Atom, Pred};
 use crate::error::CoreResult;
 use crate::goal::Goal;
 use crate::rule::{Rule, RuleId};
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A validated TD program.
 ///
@@ -24,6 +25,8 @@ pub struct Program {
     by_head: Arc<HashMap<Pred, Vec<RuleId>>>,
     base: Arc<BTreeSet<Pred>>,
     events: Arc<BTreeSet<Pred>>,
+    /// See [`Program::compiled`].
+    compiled: Arc<OnceLock<Box<dyn Any + Send + Sync>>>,
 }
 
 impl Program {
@@ -97,6 +100,14 @@ impl Program {
     /// True if the program has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
+    }
+
+    /// What has been compiled from this program, by whoever compiles it
+    /// (td-engine's `datalog::query` keeps its views' circuit here): empty
+    /// until the first compile, and one cell for this value and every clone
+    /// of it. Another `Program` with the same rules has a cell of its own.
+    pub fn compiled(&self) -> &OnceLock<Box<dyn Any + Send + Sync>> {
+        &self.compiled
     }
 
     /// Render the program in concrete syntax, parseable by `td-parser`.
@@ -190,6 +201,7 @@ impl ProgramBuilder {
             by_head: Arc::new(by_head),
             base: Arc::new(self.base),
             events: Arc::new(self.events),
+            compiled: Arc::default(),
         };
         crate::validate::validate(&program)?;
         Ok(program)
@@ -210,6 +222,7 @@ impl ProgramBuilder {
             by_head: Arc::new(by_head),
             base: Arc::new(self.base),
             events: Arc::new(self.events),
+            compiled: Arc::default(),
         }
     }
 }

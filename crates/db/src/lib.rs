@@ -11,7 +11,8 @@
 //!   A version also holds what has been derived from it — arrangements of
 //!   its relations in other column orders, an engine's materialized views —
 //!   for exactly as long as the version lives, so rolling back to a value
-//!   rolls back to its views too.
+//!   rolls back to its views too; a version an update makes from it starts
+//!   its own from there.
 //! * [`Relation`] — a persistent sorted tuple set with structural sharing
 //!   across versions, and [`CountedRelation`], the same with a derivation
 //!   count per tuple. Both sit on one structure, the treap in [`ord`].
@@ -31,7 +32,7 @@ pub mod relation;
 pub mod tuple;
 
 pub use counted::CountedRelation;
-pub use database::{Database, DbError, Slot};
+pub use database::{Database, DbError, Pending, Slot};
 pub use delta::{Delta, DeltaOp};
 pub use read_set::ReadSet;
 pub use relation::Relation;

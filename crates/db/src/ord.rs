@@ -4,19 +4,16 @@
 //! The TD engine backtracks over database states constantly: every
 //! choicepoint snapshots the database, and isolation blocks roll whole
 //! sub-executions back. So a version must be a pointer copy and an update
-//! must leave every older version valid. A version is made in one of two
-//! ways. [`OrdMap::alter`], the point primitive, copies the O(log n) nodes
-//! on the path to one key and shares the rest. [`OrdMap::merge_with`], the
-//! bulk primitive, folds a whole second map in by split and merge: it
-//! copies O(m log(n/m + 1)) nodes for m keys and shares every subtree none
-//! of them falls into, which is what the Datalog circuit needs when a round
-//! derives hundreds of facts at once. [`OrdMap::from_sorted`] builds the
-//! second map from a sorted run in O(m).
+//! must leave every older version valid. [`OrdMap::alter`] makes a version
+//! by copying the O(log n) nodes on the path to one key and sharing the
+//! rest; [`OrdMap::from_sorted`] builds one from a sorted run in O(n).
 //!
 //! A version nobody else holds need not be copied at all:
 //! [`OrdMap::alter_mut`] edits it in place, node by node, so a node that
 //! another version can still see is copied — the older version keeps it as
-//! it was — and a node only this version holds is written over.
+//! it was — and a node only this version holds is written over. That is how
+//! the Datalog circuit folds a round of derived facts into the state it
+//! owns, one descent per fact.
 //!
 //! Keys are kept in order because the engine's hot path is selection with a
 //! bound prefix of columns: tuples sort lexicographically, so all tuples
@@ -52,9 +49,8 @@ struct Node<K, V> {
 
 type Link<K, V> = Option<Arc<Node<K, V>>>;
 
-/// A persistent sorted map. `clone()` is O(1); [`OrdMap::alter`] and
-/// [`OrdMap::merge_with`] return a new version sharing all untouched
-/// structure with the original.
+/// A persistent sorted map. `clone()` is O(1); [`OrdMap::alter`] returns a
+/// new version sharing all untouched structure with the original.
 #[derive(Clone)]
 pub struct OrdMap<K, V> {
     root: Link<K, V>,
@@ -168,33 +164,6 @@ impl<K: Clone + Ord + Hash, V: Clone + PartialEq> OrdMap<K, V> {
         while let Some((k, v, p, l)) = spine.pop() {
             root = node(k, v, p, l, root);
         }
-        OrdMap { root, len }
-    }
-
-    /// Fold `other` into `self`: for every key of `other`, in key order, the
-    /// entry becomes `f(mine, theirs)` — `mine` the value `self` holds under
-    /// that key, if any; `None` removes (or does not add) the entry. Keys
-    /// only `self` holds stay as they are. `|_, v| Some(v.clone())` is
-    /// union, `|_, _| None` difference, and a closure that looks at `mine`
-    /// adds counts.
-    ///
-    /// The bulk counterpart of [`OrdMap::alter`], by split and merge: the
-    /// key of highest priority on either side roots the result and splits
-    /// the other side around itself. The shape is the canonical one of the
-    /// resulting key set; every subtree of `self` that no key of `other`
-    /// falls into — all of it, when `f` changes nothing — is shared, not
-    /// copied, and so is every subtree of `other` taken over unchanged.
-    pub fn merge_with(
-        &self,
-        other: &OrdMap<K, V>,
-        mut f: impl FnMut(Option<&V>, &V) -> Option<V>,
-    ) -> OrdMap<K, V> {
-        let mut len = self.len;
-        let root = merge_with_node(&self.root, &other.root, &mut |mine, theirs| {
-            let new = f(mine, theirs);
-            len = len + usize::from(new.is_some()) - usize::from(mine.is_some());
-            new
-        });
         OrdMap { root, len }
     }
 
@@ -388,97 +357,6 @@ fn merge<K: Clone, V: Clone>(a: &Link<K, V>, b: &Link<K, V>) -> Link<K, V> {
     }
 }
 
-fn same_link<K, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        _ => false,
-    }
-}
-
-/// The entries of a treap below `key`, at it, and above it. A side the key
-/// does not fall into comes back as the tree it was.
-fn split<K: Clone + Ord, V: Clone>(
-    link: &Link<K, V>,
-    key: &K,
-) -> (Link<K, V>, Link<K, V>, Link<K, V>) {
-    let Some(n) = link else {
-        return (None, None, None);
-    };
-    match key.cmp(&n.key) {
-        Ordering::Equal => (n.left.clone(), link.clone(), n.right.clone()),
-        Ordering::Less => {
-            let (below, at, above) = split(&n.left, key);
-            let above = if same_link(&above, &n.left) {
-                link.clone()
-            } else {
-                with_children(n, above, n.right.clone())
-            };
-            (below, at, above)
-        }
-        Ordering::Greater => {
-            let (below, at, above) = split(&n.right, key);
-            let below = if same_link(&below, &n.right) {
-                link.clone()
-            } else {
-                with_children(n, n.left.clone(), below)
-            };
-            (below, at, above)
-        }
-    }
-}
-
-/// [`OrdMap::merge_with`] on subtrees; `f` is called in key order.
-fn merge_with_node<K: Clone + Ord, V: Clone + PartialEq>(
-    a: &Link<K, V>,
-    b: &Link<K, V>,
-    f: &mut impl FnMut(Option<&V>, &V) -> Option<V>,
-) -> Link<K, V> {
-    let Some(y) = b else {
-        return a.clone();
-    };
-    match a {
-        // `a`'s root has the highest priority of all: `b` splits around it.
-        Some(x) if x.prio >= y.prio => {
-            let (below, at, above) = split(b, &x.key);
-            let left = merge_with_node(&x.left, &below, f);
-            let value = match &at {
-                Some(theirs) => f(Some(&x.value), &theirs.value),
-                None => Some(x.value.clone()),
-            };
-            let right = merge_with_node(&x.right, &above, f);
-            rooted(a, x, value, left, right)
-        }
-        // `b`'s root has: `a` splits around it.
-        _ => {
-            let (below, at, above) = split(a, &y.key);
-            let left = merge_with_node(&below, &y.left, f);
-            let value = f(at.as_ref().map(|mine| &mine.value), &y.value);
-            let right = merge_with_node(&above, &y.right, f);
-            rooted(b, y, value, left, right)
-        }
-    }
-}
-
-/// The treap of `left`, the key of `n` under `value` (when there is one) and
-/// `right`. `link` is the link to `n`, returned as it is when nothing under
-/// it changed.
-fn rooted<K: Clone, V: Clone + PartialEq>(
-    link: &Link<K, V>,
-    n: &Node<K, V>,
-    value: Option<V>,
-    left: Link<K, V>,
-    right: Link<K, V>,
-) -> Link<K, V> {
-    match value {
-        None => merge(&left, &right),
-        Some(v) if v == n.value && same_link(&left, &n.left) && same_link(&right, &n.right) => {
-            link.clone()
-        }
-        Some(v) => node(n.key.clone(), v, n.prio, left, right),
-    }
-}
-
 fn in_order<K, V>(link: &Link<K, V>, f: &mut impl FnMut(&K, &V)) {
     if let Some(n) = link {
         in_order(&n.left, f);
@@ -512,6 +390,14 @@ mod tests {
             .fold(OrdMap::new(), |m, k| m.alter(&k, |_| Some(())))
     }
 
+    fn same_link<K, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {
+        match (a, b) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     #[test]
     fn alter_inserts_overwrites_and_removes() {
         let m: OrdMap<u64, i64> = OrdMap::new();
@@ -525,18 +411,25 @@ mod tests {
         let m = m.alter(&5, |_| None);
         assert!(m.is_empty() && m.get(&5).is_none());
         assert!(m.alter(&5, |_| None).is_empty(), "removing the absent");
+        assert!(OrdMap::<u64, i64>::from_sorted([]).is_empty());
     }
 
     #[test]
     fn an_edit_that_changes_nothing_shares_the_whole_tree() {
         let m = set_of(0..100);
-        let union = |_: Option<&()>, _: &()| Some(());
+        let in_place = |keys: &[u64], keep: bool| {
+            let mut same = m.clone();
+            for k in keys {
+                same.alter_mut(k, |_| keep.then_some(()));
+            }
+            same
+        };
         for same in [
             m.alter(&7, |_| Some(())),
             m.alter(&1000, |_| None),
-            m.merge_with(&OrdMap::new(), union),
-            m.merge_with(&set_of([3, 50, 99]), union),
-            m.merge_with(&set_of(200..210), |_, _| None),
+            in_place(&[], true),
+            in_place(&[3, 50, 99], true),
+            in_place(&[200, 205, 209], false),
         ] {
             assert_eq!(same.len(), 100);
             assert!(same_link(&same.root, &m.root));
@@ -554,8 +447,11 @@ mod tests {
             }
         }
         let m = set_of(0..1000);
-        let above = set_of(2000..2010);
-        let merged = m.merge_with(&above, |_, _| Some(()));
+        // Ten keys past the end, in place on a version `m` still shares.
+        let mut merged = m.clone();
+        for k in 2000..2010 {
+            merged.alter_mut(&k, |_| Some(()));
+        }
         assert_eq!(merged.len(), 1010);
         let (mut old, mut new) = (Vec::new(), Vec::new());
         nodes(&m.root, &mut old);
@@ -588,14 +484,17 @@ mod tests {
         let b = set_of(evens().rev());
         // A detour through the odd keys in between and their removal.
         let c = evens().fold(set_of(0..400), |m, k| m.alter(&(k + 1), |_| None));
-        // Built in one pass from the sorted run, and in two bulk folds.
+        // Built in one pass from the sorted run, and from two such runs by
+        // edits in place: the other half added, every odd key taken out.
         let d = OrdMap::from_sorted(evens().map(|k| (k, ())));
-        let halves = (
-            set_of(evens().step_by(2)),
-            set_of(evens().skip(1).step_by(2)),
-        );
-        let e = halves.0.merge_with(&halves.1, |_, _| Some(()));
-        let f = set_of(0..400).merge_with(&set_of(evens().map(|k| k + 1)), |_, _| None);
+        let mut e = OrdMap::from_sorted(evens().step_by(2).map(|k| (k, ())));
+        for k in evens().skip(1).step_by(2) {
+            e.alter_mut(&k, |_| Some(()));
+        }
+        let mut f = OrdMap::from_sorted((0..400).map(|k| (k, ())));
+        for k in evens() {
+            f.alter_mut(&(k + 1), |_| None);
+        }
         // In place, through the same detour, with an older version kept
         // every few steps so that some nodes are shared and some are not.
         let mut g = OrdMap::new();
@@ -672,30 +571,6 @@ mod tests {
         m.alter_mut(&1, |c| c.copied());
         m.alter_mut(&10_000, |_| None);
         assert!(same_link(&m.root, &shared.root));
-    }
-
-    #[test]
-    fn merge_with_adds_updates_and_removes_by_key() {
-        let counts = |entries: &[(u64, i64)]| OrdMap::from_sorted(entries.iter().copied());
-        let m = counts(&[(1, 1), (2, 2), (3, 3)]);
-        let delta = counts(&[(0, 5), (2, -2), (3, 1), (9, 0)]);
-        let mut seen = Vec::new();
-        let sum = m.merge_with(&delta, |mine, d| {
-            seen.push((mine.copied(), *d));
-            let new = mine.copied().unwrap_or(0) + d;
-            (new != 0).then_some(new)
-        });
-        assert_eq!(
-            seen,
-            [(None, 5), (Some(2), -2), (Some(3), 1), (None, 0)],
-            "once per key of the other side, in key order"
-        );
-        let mut entries = Vec::new();
-        sum.for_each(|k, v| entries.push((*k, *v)));
-        assert_eq!(entries, [(0, 5), (1, 1), (3, 4)]);
-        assert_eq!(sum.len(), 3);
-        assert_eq!((m.len(), m.get(&2)), (3, Some(&2)), "the old version stays");
-        assert!(OrdMap::<u64, i64>::from_sorted([]).is_empty());
     }
 
     #[test]

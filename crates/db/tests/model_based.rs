@@ -6,8 +6,8 @@
 //!
 //! All three sit on the one persistent map in `td_db::ord`, so this is also
 //! that structure's model suite: insert, overwrite, remove, ordered walk and
-//! range probe, under sharing between versions — and the bulk pair,
-//! `from_sorted` and `merge_with`, against the same models.
+//! range probe, under sharing between versions — and the bulk edits,
+//! `from_sorted` and runs of in-place `alter_mut`s, against the same models.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -331,7 +331,7 @@ proptest! {
     }
 
     /// `CountedRelation` against a `BTreeMap<Tuple, i64>` under random
-    /// one-entry `merge`s of ±k: counts, membership, `select`, `len`, and
+    /// in-place `update`s by ±k: counts, membership, `select`, `len`, and
     /// snapshots that never observe later edits.
     #[test]
     fn counted_relation_behaves_like_model(
@@ -355,9 +355,7 @@ proptest! {
             } else {
                 model.insert(t.clone(), new);
             }
-            if delta != 0 {
-                rel = rel.merge(&CountedRelation::from_sorted(2, [(t.clone(), delta)]));
-            }
+            prop_assert_eq!(rel.update(&t, |c| c + delta), old);
             prop_assert_eq!(rel.count(&t), new);
             prop_assert_eq!(rel.contains(&t), new > 0);
         }
@@ -367,12 +365,12 @@ proptest! {
         }
     }
 
-    /// The bulk primitives against `BTreeMap<Tuple, i64>`: `from_sorted`
-    /// builds what the `alter`s build, and `merge_with` — as a sum, as a
-    /// difference, and with an `f` that deletes where both sides hold the
-    /// key — gives what its `f` folded over the other side's entries with
-    /// `alter` gives, with the right `len`, and leaves both operands as
-    /// they were.
+    /// The bulk edits against `BTreeMap<Tuple, i64>`: `from_sorted` builds
+    /// what the `alter`s build, and a run of `alter_mut`s over a clone — as
+    /// a sum, as a difference, and with an `f` that deletes where both
+    /// sides hold the key — gives what the same `f` folded over the other
+    /// side's entries with `alter` gives, with the right `len`, and leaves
+    /// both operands as they were.
     #[test]
     fn bulk_edits_behave_like_the_fold_of_point_edits(
         mine in proptest::collection::vec((proptest::collection::vec(0u8..4, 3), -3i64..4), 0..120),
@@ -408,7 +406,8 @@ proptest! {
                     None => expected.remove(t),
                 };
             }
-            let merged = a.merge_with(&b, f);
+            let mut merged = a.clone();
+            b.for_each(|t, c| merged.alter_mut(t, |old| f(old, c)));
             prop_assert_eq!(merged.len(), expected.len());
             prop_assert_eq!(entries(&merged), expected.into_iter().collect::<Vec<_>>());
             let folded = theirs.iter().fold(a.clone(), |m, (t, c)| m.alter(t, |old| f(old, c)));
@@ -418,10 +417,13 @@ proptest! {
             prop_assert_eq!(entries(&b), theirs.clone().into_iter().collect::<Vec<_>>());
         }
 
-        // The same through `CountedRelation`, whose `merge` is the sum.
+        // The sum through `CountedRelation::update`, on a clone.
         let nonzero = |m: &CountModel| m.clone().into_iter().filter(|(_, c)| *c != 0);
         let rel = CountedRelation::from_sorted(3, nonzero(&mine));
-        let merged = rel.merge(&CountedRelation::from_sorted(3, nonzero(&theirs)));
+        let mut merged = rel.clone();
+        for (t, c) in nonzero(&theirs) {
+            merged.update(&t, |was| was + c);
+        }
         let mut expected: CountModel = nonzero(&mine).collect();
         for (t, c) in nonzero(&theirs) {
             let new = expected.get(&t).copied().unwrap_or(0) + c;

@@ -313,7 +313,7 @@ impl Engine {
         );
         ctx.bindings.alloc(nvars);
         if let Some(mat) = &self.mat {
-            mat.attach(db); // before the clone, which then shares the slot
+            mat.slot(db); // made before the clone, which then shares it
         }
         let mut solver = Solver::new(make_node(goal.clone()), db.clone());
         let mut out = Vec::new();

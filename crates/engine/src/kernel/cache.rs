@@ -171,21 +171,18 @@ pub(crate) fn bind_answer(bindings: &mut Bindings, vars: &[Var], ans: &CachedAns
 
 /// Re-apply a cached answer's state delta (`ans.delta.ops()`, which the
 /// driver appends to its own log) to `db`, charging each op to `hooks` as
-/// it lands and maintaining the materializer across the whole delta. A
-/// storage fault is a fault here too, exactly as on the lazy path.
+/// it lands; the views ride on the versions it makes, as on the lazy path
+/// (`update`). A storage fault is a fault here too, exactly as on the lazy
+/// path.
 pub(crate) fn replay_answer(
     db: &Database,
     ans: &CachedAnswer,
-    mat: Option<&Materializer>,
     hooks: &mut Hooks<'_>,
 ) -> Result<Database, EngineError> {
     let mut cur = db.clone();
     for op in ans.delta.ops() {
         cur = op.apply(&cur).map_err(|e| EngineError::Db(e.to_string()))?;
         hooks.stats.db_ops += 1;
-    }
-    if let Some(mat) = mat {
-        mat.apply_ops(db, ans.delta.ops(), &cur);
     }
     Ok(cur)
 }

@@ -5,7 +5,6 @@
 
 use super::Hooks;
 use crate::config::EngineError;
-use crate::incremental::Materializer;
 use td_core::goal::Builtin;
 use td_core::unify::unify_terms;
 use td_core::{Atom, Bindings, Term, Value, Var};
@@ -122,22 +121,19 @@ pub(crate) fn apply_update(
 }
 
 /// The `ins`/`del` step as every driver takes it: [`apply_update`], charged
-/// to `hooks` as one database op, with the materializer (when attached)
-/// maintained across it.
+/// to `hooks` as one database op. Views need nothing here: the version
+/// `Database::insert`/`delete` makes carries them, pending on the nearest
+/// version that has them.
 pub(crate) fn update(
     db: &Database,
     atom: &Atom,
     resolve: impl Fn(Term) -> Term,
     is_ins: bool,
-    mat: Option<&Materializer>,
     hooks: &mut Hooks<'_>,
 ) -> Result<(Database, bool, DeltaOp), EngineError> {
-    let (next, changed, op) = apply_update(db, atom, resolve, is_ins)?;
+    let stepped = apply_update(db, atom, resolve, is_ins)?;
     hooks.stats.db_ops += 1;
-    if let Some(mat) = mat {
-        mat.apply_ops(db, std::slice::from_ref(&op), &next);
-    }
-    Ok((next, changed, op))
+    Ok(stepped)
 }
 
 /// Evaluate a builtin on the machine's shared trail: resolve the arguments,

@@ -153,7 +153,7 @@ impl Kernel<'_> {
                 }
                 goal @ (Goal::Ins(atom) | Goal::Del(atom)) => {
                     let is_ins = matches!(goal, Goal::Ins(_));
-                    match update(&cfg.db, atom, identity, is_ins, self.mat.as_deref(), hooks) {
+                    match update(&cfg.db, atom, identity, is_ins, hooks) {
                         Err(e) => return (out, Some(e)),
                         Ok((db, _changed, op)) => {
                             let succ = Config {
@@ -239,7 +239,7 @@ impl Kernel<'_> {
             if let Some((mut succ, _)) = unify_project(scratch, cfg, leaf, None, cfg.nvars, |b| {
                 bind_answer(b, vars, ans)
             }) {
-                succ.db = replay_answer(&cfg.db, ans, self.mat.as_deref(), hooks)?;
+                succ.db = replay_answer(&cfg.db, ans, hooks)?;
                 out.push((succ, ans.delta.ops().to_vec()));
             }
         }

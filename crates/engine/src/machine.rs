@@ -550,11 +550,11 @@ impl Solver {
                 node
             }
             Alt::Cached(vars, answers, i) => {
-                let (ans, mat) = (&answers[i], ctx.mat.as_deref());
+                let ans = &answers[i];
                 if !kernel::bind_answer(&mut ctx.bindings, &vars, ans) {
                     return Err(StepErr::Fail);
                 }
-                self.db = kernel::replay_answer(&self.db, ans, mat, hooks!(ctx)).map_err(fatal)?;
+                self.db = kernel::replay_answer(&self.db, ans, hooks!(ctx)).map_err(fatal)?;
                 ctx.delta.extend_from_slice(ans.delta.ops());
                 None
             }
@@ -606,10 +606,8 @@ impl Solver {
             }
             update @ (Goal::Ins(atom) | Goal::Del(atom)) => {
                 let is_ins = matches!(update, Goal::Ins(_));
-                let mat = ctx.mat.as_deref();
                 let (db, changed, op) =
-                    kernel::update(&self.db, atom, resolve, is_ins, mat, hooks!(ctx))
-                        .map_err(fatal)?;
+                    kernel::update(&self.db, atom, resolve, is_ins, hooks!(ctx)).map_err(fatal)?;
                 self.db = db;
                 ctx.record(|| match &op {
                     DeltaOp::Ins(pred, t) => TraceEvent::Ins {

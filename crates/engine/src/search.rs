@@ -207,7 +207,7 @@ impl<'p> Search<'p> {
     pub(crate) fn run(&self, goal: &Goal, db: &Database) -> Found {
         let nvars = goal_num_vars(goal);
         if let Some(mat) = &self.kernel.mat {
-            mat.attach(db); // before the clone, which then shares the slot
+            mat.slot(db); // made before the clone, which then shares it
         }
         let root = Task {
             cfg: Config {
