@@ -2,6 +2,7 @@
 
 use crate::atom::Pred;
 use crate::symbol::Symbol;
+use crate::validate::AtomLeaf;
 use std::fmt;
 
 /// Result alias for core operations.
@@ -66,9 +67,7 @@ impl fmt::Display for CoreError {
                 f,
                 "rule head `{pred}` is a base predicate; base relations change only via ins/del"
             ),
-            CoreError::UpdateOnNonBase { pred } => {
-                write!(f, "ins/del applied to non-base predicate `{pred}`")
-            }
+            CoreError::UpdateOnNonBase { pred } => write_leaf_error(f, AtomLeaf::Update, pred),
             CoreError::UpdateOnEvent { pred } => write!(
                 f,
                 "ins/del applied to event relation `{pred}`; event relations \
@@ -87,15 +86,8 @@ impl fmt::Display for CoreError {
             CoreError::NegativeWindow { bound } => {
                 write!(f, "`within` bound must be non-negative, found {bound}")
             }
-            CoreError::NegationOnNonBase { pred } => {
-                write!(f, "`not` applied to non-base predicate `{pred}`")
-            }
-            CoreError::UnknownPredicate { pred } => {
-                write!(
-                    f,
-                    "predicate `{pred}` is neither a base relation nor defined by any rule"
-                )
-            }
+            CoreError::NegationOnNonBase { pred } => write_leaf_error(f, AtomLeaf::Not, pred),
+            CoreError::UnknownPredicate { pred } => write_leaf_error(f, AtomLeaf::Call, pred),
             CoreError::UnsafeHeadVar { pred, var } => write!(
                 f,
                 "unsafe rule for `{pred}`: head variable `{var}` does not occur in the body"
@@ -113,6 +105,25 @@ impl fmt::Display for CoreError {
 }
 
 impl std::error::Error for CoreError {}
+
+/// The error an atom leaf of kind `leaf` over a predicate no program has
+/// raises, with the predicate shown as `pred`: the text of
+/// `UnknownPredicate`, `NegationOnNonBase` and `UpdateOnNonBase`, shared
+/// with [`crate::validate::unknown_name`], which has only the name's text.
+pub(crate) fn write_leaf_error(
+    f: &mut impl fmt::Write,
+    leaf: AtomLeaf,
+    pred: &dyn fmt::Display,
+) -> fmt::Result {
+    match leaf {
+        AtomLeaf::Call => write!(
+            f,
+            "predicate `{pred}` is neither a base relation nor defined by any rule"
+        ),
+        AtomLeaf::Not => write!(f, "`not` applied to non-base predicate `{pred}`"),
+        AtomLeaf::Update => write!(f, "ins/del applied to non-base predicate `{pred}`"),
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -138,6 +138,9 @@ impl Goal {
     /// `True` units. Returns `True` for an empty input and the sole goal for
     /// a singleton.
     pub fn seq(goals: Vec<Goal>) -> Goal {
+        if !goals.iter().any(|g| matches!(g, Goal::True | Goal::Seq(_))) {
+            return Goal::flat(goals, Goal::Seq);
+        }
         let mut out = Vec::with_capacity(goals.len());
         for g in goals {
             match g {
@@ -156,6 +159,9 @@ impl Goal {
     /// Concurrent composition of `goals`, flattening nested `Par`s and
     /// dropping `True` units.
     pub fn par(goals: Vec<Goal>) -> Goal {
+        if !goals.iter().any(|g| matches!(g, Goal::True | Goal::Par(_))) {
+            return Goal::flat(goals, Goal::Par);
+        }
         let mut out = Vec::with_capacity(goals.len());
         for g in goals {
             match g {
@@ -168,6 +174,16 @@ impl Goal {
             0 => Goal::True,
             1 => out.pop().expect("len checked"),
             _ => Goal::Par(out),
+        }
+    }
+
+    /// `goals`, which need no flattening, as one region built by `region`:
+    /// nothing, the one goal, or the region over the vector as it is.
+    fn flat(mut goals: Vec<Goal>, region: fn(Vec<Goal>) -> Goal) -> Goal {
+        match goals.len() {
+            0 => Goal::True,
+            1 => goals.pop().expect("len checked"),
+            _ => region(goals),
         }
     }
 

@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 #[derive(Clone, Debug)]
 pub struct Program {
     rules: Arc<Vec<Rule>>,
-    by_head: Arc<HashMap<Pred, Vec<RuleId>>>,
+    by_head: Arc<HashMap<Pred, Arc<[RuleId]>>>,
     base: Arc<BTreeSet<Pred>>,
     events: Arc<BTreeSet<Pred>>,
     /// See [`Program::compiled`].
@@ -47,7 +47,14 @@ impl Program {
 
     /// Ids of the rules whose head predicate is `pred` (declaration order).
     pub fn rules_for(&self, pred: Pred) -> &[RuleId] {
-        self.by_head.get(&pred).map(Vec::as_slice).unwrap_or(&[])
+        self.rule_ids(pred).map_or(&[], |ids| ids)
+    }
+
+    /// [`Program::rules_for`] as a shared slice, for whoever keeps it beside
+    /// a call instead of looking the predicate up again; `None` when no
+    /// rule defines `pred`.
+    pub fn rule_ids(&self, pred: Pred) -> Option<&Arc<[RuleId]>> {
+        self.by_head.get(&pred)
     }
 
     /// The declared base (database) predicates.
@@ -189,13 +196,7 @@ impl ProgramBuilder {
 
     /// Validate and build the program.
     pub fn build(self) -> CoreResult<Program> {
-        let mut by_head: HashMap<Pred, Vec<RuleId>> = HashMap::new();
-        for (i, r) in self.rules.iter().enumerate() {
-            by_head
-                .entry(r.head.pred)
-                .or_default()
-                .push(RuleId(u32::try_from(i).expect("rule count overflow")));
-        }
+        let by_head = by_head(&self.rules);
         let program = Program {
             rules: Arc::new(self.rules),
             by_head: Arc::new(by_head),
@@ -210,13 +211,7 @@ impl ProgramBuilder {
     /// Build without validation. For tests that need to construct ill-formed
     /// programs, and for generated programs already known to be valid.
     pub fn build_unchecked(self) -> Program {
-        let mut by_head: HashMap<Pred, Vec<RuleId>> = HashMap::new();
-        for (i, r) in self.rules.iter().enumerate() {
-            by_head
-                .entry(r.head.pred)
-                .or_default()
-                .push(RuleId(u32::try_from(i).expect("rule count overflow")));
-        }
+        let by_head = by_head(&self.rules);
         Program {
             rules: Arc::new(self.rules),
             by_head: Arc::new(by_head),
@@ -225,6 +220,21 @@ impl ProgramBuilder {
             compiled: Arc::default(),
         }
     }
+}
+
+/// The ids of each head predicate's rules, in declaration order.
+fn by_head(rules: &[Rule]) -> HashMap<Pred, Arc<[RuleId]>> {
+    let mut by_head: HashMap<Pred, Vec<RuleId>> = HashMap::new();
+    for (i, r) in rules.iter().enumerate() {
+        by_head
+            .entry(r.head.pred)
+            .or_default()
+            .push(RuleId(u32::try_from(i).expect("rule count overflow")));
+    }
+    by_head
+        .into_iter()
+        .map(|(p, ids)| (p, ids.into()))
+        .collect()
 }
 
 /// Collect every constant symbol/integer mentioned by the program (rules and

@@ -14,9 +14,10 @@ pub struct RuleId(pub u32);
 ///
 /// Variables inside a rule are *rule-local*: they are indices
 /// `0..num_vars()` into [`Rule::var_names`]. The engine renames them apart
-/// at unfold time by offsetting into a fresh runtime id range, so the same
-/// rule can be active many times concurrently (each workflow instance gets
-/// fresh variables).
+/// at unfold time by reading them through an offset into a fresh runtime id
+/// range ([`Term::offset`]), so the same rule can be active many times
+/// concurrently (each workflow instance gets fresh variables) while its
+/// body is stored once.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Rule {
     pub head: Atom,
@@ -74,24 +75,10 @@ impl Rule {
         u32::try_from(self.var_names.len()).expect("rule variable count overflow")
     }
 
-    /// The body with every variable renamed by adding `offset` to its id:
-    /// fresh runtime variables, built once for the unfolding that uses them.
-    pub fn rename_apart(&self, offset: u32) -> Goal {
-        self.body.map_terms(&mut |t| shift(t, offset))
-    }
-
-    /// The head's arguments renamed like [`Rule::rename_apart`] renames the
-    /// body — what a call unifies with, without building the renamed head.
+    /// The head's arguments renamed apart by `offset` ([`Term::offset`]) —
+    /// what a call unifies with, without building the renamed head.
     pub fn head_args(&self, offset: u32) -> impl ExactSizeIterator<Item = Term> + '_ {
-        self.head.args.iter().map(move |t| shift(*t, offset))
-    }
-}
-
-/// A rule-local term renamed apart by `offset`.
-fn shift(t: Term, offset: u32) -> Term {
-    match t {
-        Term::Var(Var(i)) => Term::var(i + offset),
-        other => other,
+        self.head.args.iter().map(move |t| t.offset(offset))
     }
 }
 
@@ -157,22 +144,19 @@ mod tests {
     }
 
     #[test]
-    fn rename_apart_offsets_all_vars() {
+    fn head_args_offset_all_vars() {
         let r = Rule::new(
-            Atom::new("p", vec![Term::var(0)]),
+            Atom::new("p", vec![Term::var(0), Term::var(1)]),
             Goal::atom("q", vec![Term::var(0), Term::var(1)]),
         );
         let h: Vec<Term> = r.head_args(100).collect();
-        assert_eq!(h, vec![Term::var(100)]);
-        let b = r.rename_apart(100);
-        assert_eq!(b, Goal::atom("q", vec![Term::var(100), Term::var(101)]));
+        assert_eq!(h, vec![Term::var(100), Term::var(101)]);
     }
 
     #[test]
-    fn rename_apart_zero_is_identity() {
+    fn head_args_at_zero_are_the_head() {
         let r = Rule::new(Atom::prop("p"), Goal::atom("q", vec![Term::var(0)]));
         assert!(r.head_args(0).eq(r.head.args.iter().copied()));
-        assert_eq!(r.rename_apart(0), r.body);
     }
 
     #[test]
@@ -199,10 +183,10 @@ mod tests {
     #[test]
     fn constants_survive_rename() {
         let r = Rule::new(
-            Atom::prop("p"),
-            Goal::atom("q", vec![Term::sym("c"), Term::var(0)]),
+            Atom::new("p", vec![Term::sym("c"), Term::var(0)]),
+            Goal::atom("q", vec![Term::var(0)]),
         );
-        let b = r.rename_apart(7);
-        assert_eq!(b, Goal::atom("q", vec![Term::sym("c"), Term::var(7)]));
+        let h: Vec<Term> = r.head_args(7).collect();
+        assert_eq!(h, vec![Term::sym("c"), Term::var(7)]);
     }
 }

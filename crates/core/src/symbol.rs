@@ -128,6 +128,15 @@ impl Symbol {
         sym
     }
 
+    /// The symbol of `s` if something has interned it, without interning
+    /// it: a name nothing has interned names no predicate and no constant
+    /// of any program or database.
+    pub fn lookup(s: &str) -> Option<Symbol> {
+        let shard = &interner().shards[shard_of(s)];
+        let map = shard.read().expect("symbol interner poisoned");
+        map.get(s).copied()
+    }
+
     /// Distinct strings interned so far, process-wide. The table is
     /// append-only (symbols are immortal by design — see the module docs),
     /// so this only ever grows: long-running servers surface it as a
@@ -177,6 +186,14 @@ impl fmt::Debug for Symbol {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lookup_finds_only_what_was_interned() {
+        assert_eq!(Symbol::lookup("lookup_probe_never_interned"), None);
+        let s = Symbol::intern("lookup_probe_interned");
+        assert_eq!(Symbol::lookup("lookup_probe_interned"), Some(s));
+        assert_eq!(Symbol::lookup("lookup_probe_never_interned"), None);
+    }
 
     #[test]
     fn intern_is_idempotent() {

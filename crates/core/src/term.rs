@@ -146,6 +146,15 @@ impl Term {
             Term::Val(_) => None,
         }
     }
+
+    /// The term with a variable's id moved up by `by`: how a rule-local
+    /// term reads in an unfolding whose variables start at `by`.
+    pub fn offset(self, by: u32) -> Term {
+        match self {
+            Term::Var(Var(i)) => Term::var(i + by),
+            val => val,
+        }
+    }
 }
 
 impl fmt::Display for Term {

@@ -2,11 +2,11 @@
 //! inlining.
 //!
 //! These rewrites preserve *executability and final states* under TD's
-//! all-or-nothing semantics, and exist for two reasons: the engine runs
-//! measurably faster on normalized goals (fewer nodes, fewer choicepoints),
-//! and the equivalences themselves are part of the language's algebra
-//! (\[17, 20\]) — the property-based tests in `tests/semantics_properties.rs`
-//! and here validate the implementation against them.
+//! all-or-nothing semantics. The equivalences are part of the language's
+//! algebra (\[17, 20\]); nothing in the engine calls them, and the
+//! property-based tests in `tests/semantics_properties.rs` and here use them
+//! to build equivalent goals and programs and check the engine against
+//! them.
 //!
 //! Key laws used by [`simplify`]:
 //!

@@ -46,9 +46,30 @@ pub fn unsafe_rules(p: &Program) -> Vec<CoreError> {
 }
 
 /// Validate a standalone goal (e.g. a query typed at the CLI) against a
-/// program.
+/// program. Every check is on one leaf, and the first failing leaf in
+/// pre-order (source order) is reported.
 pub fn validate_goal(p: &Program, goal: &Goal) -> CoreResult<()> {
     check_goal(p, goal)
+}
+
+/// The atom leaves a predicate name can be written in: a call or query
+/// `p(..)`, a test `not p(..)`, an update `ins.p(..)`/`del.p(..)`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum AtomLeaf {
+    Call,
+    Not,
+    Update,
+}
+
+/// What [`validate_goal`] reports for a `leaf` over `name/arity` when
+/// `name` was never interned ([`crate::Symbol::lookup`] finds nothing), so
+/// that no program has a predicate of that name. A parser can refuse such a
+/// goal with this text before interning anything of it.
+pub fn unknown_name(leaf: AtomLeaf, name: &str, arity: u32) -> String {
+    let mut out = String::new();
+    crate::error::write_leaf_error(&mut out, leaf, &format_args!("{name}/{arity}"))
+        .expect("writing to a String");
+    out
 }
 
 fn check_arity_consistency(p: &Program) -> CoreResult<()> {

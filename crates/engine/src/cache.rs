@@ -39,15 +39,20 @@ pub type StateKey = (Goal, u128);
 /// Rename variables densely in first-occurrence order, making α-equivalent
 /// goals structurally equal.
 pub fn canonical_goal(goal: &Goal) -> Goal {
-    canonicalize_with_map(goal).0
+    canonicalize_with_map(goal, |t| t).0
 }
 
-/// [`canonical_goal`] plus the original variables in first-occurrence
-/// order, so cached answers (indexed by canonical variable id) can be
-/// translated back into the caller's variable space.
-pub(crate) fn canonicalize_with_map(goal: &Goal) -> (Goal, Vec<Var>) {
+/// [`canonical_goal`] of `goal` read through `resolve` (a leaf's offset, a
+/// driver's bindings), plus the variables `resolve` leaves free in
+/// first-occurrence order, so cached answers (indexed by canonical variable
+/// id) can be translated back into the caller's variable space. No resolved
+/// copy of `goal` is built.
+pub(crate) fn canonicalize_with_map(
+    goal: &Goal,
+    resolve: impl Fn(Term) -> Term,
+) -> (Goal, Vec<Var>) {
     let mut map: Vec<Var> = Vec::new();
-    let canon = goal.map_terms(&mut |t| match t {
+    let canon = goal.map_terms(&mut |t| match resolve(t) {
         Term::Var(v) => {
             let id = match map.iter().position(|w| *w == v) {
                 Some(i) => i as u32,
@@ -351,7 +356,7 @@ mod tests {
     #[test]
     fn canonicalize_maps_vars_in_first_occurrence_order() {
         let g = Goal::atom("p", vec![Term::var(9), Term::var(4), Term::var(9)]);
-        let (canon, vars) = canonicalize_with_map(&g);
+        let (canon, vars) = canonicalize_with_map(&g, |t| t);
         assert_eq!(
             canon,
             Goal::atom("p", vec![Term::var(0), Term::var(1), Term::var(0)])

@@ -20,6 +20,7 @@
 //! stratification here because the language restricts `not` to *base*
 //! relations (extensional data), which no rule can derive into.
 
+use crate::compiled::Compiled;
 use crate::incremental::circuit::Circuit;
 use crate::Materializer;
 use std::collections::HashMap;
@@ -183,20 +184,25 @@ pub fn evaluate(program: &Program, db: &Database) -> Result<Fixpoint, NotDatalog
 
 /// What [`query`] compiles from a program, once per `Program` value: its
 /// [`is_datalog`] verdict and the circuit of its views. Kept in the
-/// program's own slot (`Program::compiled`), so every clone shares it.
-struct Compiled {
+/// program's own cell ([`Compiled`]), so every clone shares it.
+pub(crate) struct Views {
     datalog: Result<(), NotDatalog>,
     views: Option<Materializer>,
 }
 
-fn compiled(program: &Program) -> &Compiled {
-    let compiled = program.compiled().get_or_init(|| {
+impl Views {
+    pub(crate) fn compile(program: &Program) -> Views {
         let datalog = is_datalog(program);
         let views = datalog.is_ok().then(|| Materializer::compile(program).ok());
-        let views = views.flatten();
-        Box::new(Compiled { datalog, views })
-    });
-    (compiled.downcast_ref()).expect("a program's slot holds what `query` compiled")
+        Views {
+            datalog,
+            views: views.flatten(),
+        }
+    }
+}
+
+fn compiled(program: &Program) -> &Views {
+    Compiled::of(program).views(program)
 }
 
 /// The views [`query`] answers `program`'s derived predicates from, if it

@@ -315,7 +315,7 @@ impl Engine {
         if let Some(mat) = &self.mat {
             mat.slot(db); // made before the clone, which then shares it
         }
-        let mut solver = Solver::new(make_node(goal.clone()), db.clone());
+        let mut solver = Solver::new(make_node(goal, &self.program), db.clone());
         let mut out = Vec::new();
         while out.len() < limit && solver.next_solution(&mut ctx)? {
             let answer = (0..nvars)

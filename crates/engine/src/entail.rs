@@ -18,9 +18,10 @@
 //! it.
 
 use crate::cache::canonical_goal;
+use crate::compiled::Compiled;
 use crate::config::EngineError;
 use crate::kernel::{
-    apply_unification, apply_unification_n, apply_update, bind_tuple, check_absent,
+    apply_unification, apply_unification_n, apply_update, bind_tuple, builtin_args, check_absent,
     eval_ground_builtin, matching_tuples, num_vars_in_tree, subst_tree, unify_head, BuiltinOut,
 };
 use crate::tree::{frontier_len, leaf_at, make_node, rewrite, sequence, to_goal, PTree};
@@ -34,7 +35,7 @@ use td_db::{Database, Delta};
 pub fn entails(program: &Program, states: &[Database], goal: &Goal) -> Result<bool, EngineError> {
     assert!(!states.is_empty(), "a path has at least one state");
     let mut visited = HashSet::new();
-    search(program, states, make_node(goal.clone()), 0, &mut visited)
+    search(program, states, make_node(goal, program), 0, &mut visited)
 }
 
 /// Convenience: build the state sequence a committed [`Delta`] induces from
@@ -89,31 +90,33 @@ fn successors(
     visited: &mut HashSet<(Goal, usize)>,
 ) -> Result<(), EngineError> {
     let db = &states[pos];
-    let identity = |t: Term| t;
     for leaf in 0..frontier_len(tree) {
-        match &**leaf_at(tree, leaf) {
+        let (action, off) = leaf_at(tree, leaf);
+        let shift = |t: Term| t.offset(off);
+        match action.goal() {
             Goal::Fail => {}
             Goal::True | Goal::Seq(_) | Goal::Par(_) => {
                 unreachable!("structural goals expanded by make_node")
             }
             Goal::Atom(atom) if program.is_base(atom.pred) => {
                 // Query at the current state; the path does not advance.
-                for t in matching_tuples(db, atom, identity) {
+                for t in matching_tuples(db, atom, shift) {
                     if let Some(new_tree) =
-                        apply_unification(tree, leaf, None, |b| bind_tuple(b, atom, &t))
+                        apply_unification(tree, leaf, None, |b| bind_tuple(b, (atom, off), &t))
                     {
                         out.push((new_tree, pos));
                     }
                 }
             }
             Goal::Atom(atom) => {
-                for &rid in program.rules_for(atom.pred) {
+                for &rid in action.rules() {
                     let rule = program.rule(rid);
                     let base = num_vars_in_tree(tree);
-                    let replacement = make_node(rule.rename_apart(base));
+                    let body = Compiled::of(program).body(program, rid);
+                    let replacement = body.map(|t| t.at(base));
                     if let Some(new_tree) =
                         apply_unification_n(tree, leaf, replacement, base + rule.num_vars(), |b| {
-                            unify_head(b, atom, rule, base)
+                            unify_head(b, atom, off, rule, base)
                         })
                     {
                         out.push((new_tree, pos));
@@ -121,7 +124,7 @@ fn successors(
                 }
             }
             Goal::NotAtom(atom) => {
-                if check_absent(db, atom, identity)? {
+                if check_absent(db, atom, shift)? {
                     out.push((rewrite(tree, leaf, None), pos));
                 }
             }
@@ -131,32 +134,35 @@ fn successors(
                     continue;
                 }
                 let is_ins = matches!(goal, Goal::Ins(_));
-                let (next, _changed, _op) = apply_update(db, atom, identity, is_ins)?;
+                let (next, _changed, _op) = apply_update(db, atom, shift, is_ins)?;
                 if next.same_content(&states[pos + 1]) {
                     out.push((rewrite(tree, leaf, None), pos + 1));
                 }
             }
-            Goal::Builtin(op, terms) => match eval_ground_builtin(*op, terms)? {
-                BuiltinOut::Fails => {}
-                BuiltinOut::Succeeds => out.push((rewrite(tree, leaf, None), pos)),
-                BuiltinOut::Binds(v, val) => {
-                    let new_tree = rewrite(tree, leaf, None).map(|t| subst_tree(&t, v, val));
-                    out.push((new_tree, pos));
-                }
-            },
-            Goal::Choice(branches) => {
-                for b in branches {
-                    out.push((rewrite(tree, leaf, make_node(b.clone())), pos));
+            Goal::Builtin(op, terms) => {
+                let args = builtin_args(terms, shift);
+                match eval_ground_builtin(*op, &args[..terms.len()])? {
+                    BuiltinOut::Fails => {}
+                    BuiltinOut::Succeeds => out.push((rewrite(tree, leaf, None), pos)),
+                    BuiltinOut::Binds(v, val) => {
+                        let new_tree = rewrite(tree, leaf, None).map(|t| subst_tree(&t, v, val));
+                        out.push((new_tree, pos));
+                    }
                 }
             }
-            Goal::Iso(inner) => {
+            Goal::Choice(branches) => {
+                for i in 0..branches.len() {
+                    out.push((rewrite(tree, leaf, action.tree(i, off)), pos));
+                }
+            }
+            Goal::Iso(_) => {
                 // ⊙inner must hold on a contiguous subpath starting at the
                 // moment the block is scheduled: sequencing the whole
                 // remaining tree after the block enforces exactly that, and
                 // lets bindings made inside the block flow to the
                 // continuation.
                 let rest = rewrite(tree, leaf, None);
-                out.push((sequence(make_node((**inner).clone()), rest), pos));
+                out.push((sequence(action.tree(0, off), rest), pos));
                 let _ = visited; // keep signature symmetric
             }
         }

@@ -87,28 +87,30 @@ pub(crate) fn call_step(
     }
     if let Some(cache) = cache {
         let subgoal = Goal::Atom(atom.clone());
-        if let Probe::Replay { answers, vars } = probe_subgoal(program, cache, db, &subgoal, hooks)
-        {
+        let probe = probe_subgoal(program, cache, db, &subgoal, |t| t, hooks);
+        if let Probe::Replay { answers, vars } = probe {
             return CallStep::Replay { answers, vars };
         }
     }
     CallStep::Unfold
 }
 
-/// Probe the cache for a contiguous subgoal, enumerating and inserting the
-/// answer set on a miss. Hit/miss counters, per-subgoal tallies and (when
-/// `hooks.events` is set) per-probe events are charged to `hooks`; the
-/// subgoal label is only rendered when something would consume it.
+/// Probe the cache for a contiguous subgoal, read through `resolve`,
+/// enumerating and inserting the answer set on a miss. Hit/miss counters,
+/// per-subgoal tallies and (when `hooks.events` is set) per-probe events are
+/// charged to `hooks`; the subgoal label is only rendered when something
+/// would consume it.
 pub(crate) fn probe_subgoal(
     program: &Program,
     cache: &SubgoalCache,
     db: &Database,
     subgoal: &Goal,
+    resolve: impl Fn(Term) -> Term,
     hooks: &mut Hooks<'_>,
 ) -> Probe {
-    let (canon, vars) = canonicalize_with_map(subgoal);
-    let label =
-        (hooks.local.is_enabled() || hooks.events.is_some()).then(|| subgoal_label(subgoal));
+    let (canon, vars) = canonicalize_with_map(subgoal, &resolve);
+    let label = (hooks.local.is_enabled() || hooks.events.is_some())
+        .then(|| subgoal_label(&subgoal.map_terms(&mut |t| resolve(t))));
     let note = |hooks: &mut Hooks<'_>, outcome: ProbeOutcome| {
         if let Some(l) = &label {
             hooks.local.observe_cache(l, outcome);
@@ -224,7 +226,7 @@ pub(crate) fn enumerate_answers(
     };
     let mut ctx = Ctx::new(program, &config, None, None, None);
     ctx.bindings.alloc(nvars);
-    let mut solver = Solver::new(make_node(goal.clone()), db.clone());
+    let mut solver = Solver::new(make_node(goal, program), db.clone());
     let mut out = Vec::new();
     loop {
         match solver.next_solution(&mut ctx) {

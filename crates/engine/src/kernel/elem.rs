@@ -11,10 +11,11 @@ use td_core::{Atom, Bindings, Term, Value, Var};
 use td_db::{Database, DeltaOp, Tuple};
 
 // Every elementary operation reads its atom's arguments through `resolve`:
-// the machine passes its trail's, the ground drivers the identity. So the
-// machine's step builds no resolved copy of the atom it executes — only the
-// tuple an update stores or a test probes, or, when a fault is reported or a
-// trace recorded, the resolved atom itself.
+// the machine passes its trail's after the leaf's offset, the ground drivers
+// the offset alone. So no step builds a renamed or resolved copy of the atom
+// it executes — only the tuple an update stores or a test probes, or, when a
+// fault is reported or a trace recorded, the resolved atom itself. The
+// primitives that bind (`bind_tuple`, `eval_builtin`) take the offset.
 
 /// An atom's arguments under `resolve`.
 pub(crate) fn resolve_atom(atom: &Atom, resolve: impl Fn(Term) -> Term) -> Atom {
@@ -65,14 +66,18 @@ pub(crate) fn matching_tuples(
     out
 }
 
-/// Unify a query atom's arguments with a tuple. Returns false on clash
-/// (possible with repeated variables, e.g. `p(X, X)`); the caller's
-/// choicepoint mark cleans up partial bindings.
-pub(crate) fn bind_tuple(bindings: &mut Bindings, atom: &Atom, tuple: &Tuple) -> bool {
+/// Unify a query atom's arguments, read at offset `off`, with a tuple.
+/// Returns false on clash (possible with repeated variables, e.g.
+/// `p(X, X)`); the caller's choicepoint mark cleans up partial bindings.
+pub(crate) fn bind_tuple(
+    bindings: &mut Bindings,
+    (atom, off): (&Atom, u32),
+    tuple: &Tuple,
+) -> bool {
     atom.args
         .iter()
         .zip(tuple.values())
-        .all(|(arg, val)| unify_terms(bindings, *arg, Term::Val(*val)))
+        .all(|(arg, val)| unify_terms(bindings, arg.offset(off), Term::Val(*val)))
 }
 
 /// The elementary `not p(t̄)` test. `Ok(true)` = the (ground) atom is
@@ -136,25 +141,31 @@ pub(crate) fn update(
     Ok(stepped)
 }
 
-/// Evaluate a builtin on the machine's shared trail: resolve the arguments,
-/// take the verdict of [`eval_ground_builtin`], bind through the trail.
-/// `Ok(true)` = succeeds (possibly binding), `Ok(false)` = fails, `Err` =
-/// fatal (instantiation/type/overflow).
+/// Evaluate a builtin on the machine's shared trail: resolve the arguments
+/// (read at offset `off`), take the verdict of [`eval_ground_builtin`], bind
+/// through the trail. `Ok(true)` = succeeds (possibly binding), `Ok(false)`
+/// = fails, `Err` = fatal (instantiation/type/overflow).
 pub(crate) fn eval_builtin(
     bindings: &mut Bindings,
     op: Builtin,
-    terms: &[Term],
+    (terms, off): (&[Term], u32),
 ) -> Result<bool, EngineError> {
-    // At most three arguments (`Builtin::arity`): resolved on the stack.
-    let mut resolved = [Term::int(0); 3];
-    for (r, t) in resolved.iter_mut().zip(terms) {
-        *r = bindings.resolve(*t);
-    }
+    let resolved = builtin_args(terms, |t| bindings.resolve(t.offset(off)));
     Ok(match eval_ground_builtin(op, &resolved[..terms.len()])? {
         BuiltinOut::Fails => false,
         BuiltinOut::Succeeds => true,
         BuiltinOut::Binds(v, t) => unify_terms(bindings, Term::Var(v), t),
     })
+}
+
+/// A builtin's arguments under `resolve`, on the stack: at most three
+/// ([`Builtin::arity`]), the rest of the array unused.
+pub(crate) fn builtin_args(terms: &[Term], resolve: impl Fn(Term) -> Term) -> [Term; 3] {
+    let mut resolved = [Term::int(0); 3];
+    for (r, t) in resolved.iter_mut().zip(terms) {
+        *r = resolve(*t);
+    }
+    resolved
 }
 
 /// The outcome of a builtin evaluation, for the caller to apply to whatever

@@ -16,7 +16,7 @@
 //! id and the tables keyed by them are never persisted, so the mixer below
 //! is not a frozen format.
 
-use crate::tree::PTree;
+use crate::tree::{Node, PTree};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use td_core::{Atom, Goal, Term, Value, Var};
@@ -92,51 +92,54 @@ impl<R: Fn(Term) -> Term> Walk<'_, R> {
         self.word(tag | (n as u64) << 8);
     }
 
-    fn tree(&mut self, tree: &PTree) {
-        match tree {
-            PTree::Lit(g) => self.goal(g),
-            PTree::Seq(cs) => {
+    /// A subtree whose parents add `base` to its offset.
+    fn tree(&mut self, tree: &PTree, base: u32) {
+        let off = base + tree.off;
+        match &tree.node {
+            Node::Lit(action) => self.goal(action.goal(), off),
+            Node::Seq(cs) => {
                 self.node(SEQ, cs.len());
-                cs.iter().for_each(|c| self.tree(c));
+                cs.iter().for_each(|c| self.tree(c, off));
             }
-            PTree::Par(cs) => {
+            Node::Par(cs) => {
                 self.node(PAR, cs.len());
-                cs.iter().for_each(|c| self.tree(c));
+                cs.iter().for_each(|c| self.tree(c, off));
             }
         }
     }
 
-    fn goal(&mut self, goal: &Goal) {
+    /// A leaf's goal, its terms read at offset `off`.
+    fn goal(&mut self, goal: &Goal, off: u32) {
         match goal {
             Goal::True => self.word(TRUE),
             Goal::Fail => self.word(FAIL),
-            Goal::Atom(a) => self.atom(ATOM, a),
-            Goal::NotAtom(a) => self.atom(NOT_ATOM, a),
-            Goal::Ins(a) => self.atom(INS, a),
-            Goal::Del(a) => self.atom(DEL, a),
+            Goal::Atom(a) => self.atom(ATOM, a, off),
+            Goal::NotAtom(a) => self.atom(NOT_ATOM, a, off),
+            Goal::Ins(a) => self.atom(INS, a, off),
+            Goal::Del(a) => self.atom(DEL, a, off),
             Goal::Builtin(op, ts) => {
                 self.node(BUILTIN | (*op as u64) << 56, ts.len());
-                ts.iter().for_each(|t| self.term(*t));
+                ts.iter().for_each(|t| self.term(t.offset(off)));
             }
-            Goal::Seq(gs) => self.goals(SEQ, gs),
-            Goal::Par(gs) => self.goals(PAR, gs),
-            Goal::Choice(gs) => self.goals(CHOICE, gs),
+            Goal::Seq(gs) => self.goals(SEQ, gs, off),
+            Goal::Par(gs) => self.goals(PAR, gs, off),
+            Goal::Choice(gs) => self.goals(CHOICE, gs, off),
             Goal::Iso(g) => {
                 self.word(ISO);
-                self.goal(g);
+                self.goal(g, off);
             }
         }
     }
 
-    fn goals(&mut self, tag: u64, gs: &[Goal]) {
+    fn goals(&mut self, tag: u64, gs: &[Goal], off: u32) {
         self.node(tag, gs.len());
-        gs.iter().for_each(|g| self.goal(g));
+        gs.iter().for_each(|g| self.goal(g, off));
     }
 
-    fn atom(&mut self, tag: u64, a: &Atom) {
+    fn atom(&mut self, tag: u64, a: &Atom, off: u32) {
         self.node(tag, a.pred.name.id() as usize);
         self.word(u64::from(a.pred.arity) | (a.args.len() as u64) << 32);
-        a.args.iter().for_each(|t| self.term(*t));
+        a.args.iter().for_each(|t| self.term(t.offset(off)));
     }
 
     fn term(&mut self, t: Term) {
@@ -175,7 +178,7 @@ pub(crate) fn fingerprint(
         resolve,
         vars,
     };
-    walk.tree(tree);
+    walk.tree(tree, 0);
     let digest = db.digest();
     walk.word(digest as u64);
     walk.word((digest >> 64) as u64);
@@ -350,6 +353,10 @@ pub(super) mod tests {
         t
     }
 
+    fn node(g: &Goal) -> Option<PTree> {
+        make_node(g, &td_core::Program::builder().build_unchecked())
+    }
+
     fn fp(tree: &PTree, resolve: impl Fn(Term) -> Term, db: &Database) -> u128 {
         fingerprint(tree, resolve, db, &mut Vec::new())
     }
@@ -457,7 +464,7 @@ pub(super) mod tests {
         /// or bound values in a `Bindings`, is invisible.
         #[test]
         fn renaming_and_alias_chains_leave_the_fingerprint_unchanged(g in arb_goal(3)) {
-            let Some(tree) = make_node(g.clone()) else { return };
+            let Some(tree) = node(&g) else { return };
             let db = Database::new();
             let plain = fp(&tree, identity, &db);
 
@@ -465,8 +472,10 @@ pub(super) mod tests {
                 Term::Var(Var(i)) => Term::var(90 - 7 * i),
                 val => val,
             });
-            let renamed = make_node(renamed).expect("same shape");
+            let renamed = node(&renamed).expect("same shape");
             prop_assert_eq!(fp(&renamed, identity, &db), plain);
+            // So is reading the tree at an offset.
+            prop_assert_eq!(fp(&tree.at(13), identity, &db), plain);
 
             // X → X+10 → X+20 (unbound): the chain's end is what is numbered.
             let mut chains = Bindings::new();
@@ -486,7 +495,7 @@ pub(super) mod tests {
                 Term::Var(Var(1)) => Term::int(7),
                 other => other,
             });
-            let substituted = make_node(substituted).expect("same shape");
+            let substituted = node(&substituted).expect("same shape");
             prop_assert_eq!(
                 fp(&tree, |t| bound.resolve(t), &db),
                 fp(&substituted, identity, &db)
@@ -517,7 +526,7 @@ pub(super) mod tests {
             let mut nth = Some(place % places);
             let edited = edit.apply(&g, &mut nth);
             prop_assert!(nth.is_none(), "edit applied");
-            let (Some(t1), Some(t2)) = (make_node(g.clone()), make_node(edited)) else {
+            let (Some(t1), Some(t2)) = (node(&g), node(&edited)) else {
                 return;
             };
             let db = Database::new();
@@ -530,7 +539,7 @@ pub(super) mod tests {
 
         #[test]
         fn the_database_is_part_of_the_fingerprint(g in arb_goal(2), n in 0i64..50) {
-            let Some(tree) = make_node(g.clone()) else { return };
+            let Some(tree) = node(&g) else { return };
             let pred = Pred::new("t", 1);
             let db = Database::new().declare(pred);
             let (db2, changed) = db.insert(pred, &tuple!(n)).unwrap();

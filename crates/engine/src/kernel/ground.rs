@@ -5,14 +5,15 @@
 //! Both ask [`call_step`], [`update`] and [`replay_answer`] what a step does.
 
 use super::{
-    bind_answer, bind_tuple, call_step, check_absent, eval_ground_builtin, matching_tuples,
-    probe_subgoal, replay_answer, subst_tree, unify_head, unify_project, update, BuiltinOut,
-    CallStep, Hooks, Probe,
+    bind_answer, bind_tuple, builtin_args, call_step, check_absent, eval_ground_builtin,
+    matching_tuples, probe_subgoal, replay_answer, resolve_atom, subst_tree, unify_head,
+    unify_project, update, BuiltinOut, CallStep, Hooks, Probe,
 };
 use crate::cache::{CachedAnswer, SubgoalCache};
+use crate::compiled::Compiled;
 use crate::config::EngineError;
 use crate::incremental::Materializer;
-use crate::tree::{frontier_len, leaf_at, make_node, rewrite, sequence, PTree};
+use crate::tree::{frontier_len, leaf_at, rewrite, sequence, PTree};
 use std::sync::Arc;
 use td_core::{Bindings, Goal, Program, Term, Var};
 use td_db::{Database, DeltaOp};
@@ -26,8 +27,8 @@ pub(crate) struct Config {
     /// Live process tree; `None` = complete (successful) execution.
     pub tree: Option<PTree>,
     pub db: Database,
-    /// High-water mark of allocated variable ids along this path. Renaming
-    /// rules apart from this (rather than from the tree's current maximum)
+    /// High-water mark of allocated variable ids along this path. Reading
+    /// rules at this offset (rather than at the tree's current maximum)
     /// prevents a fresh rule variable from capturing an answer variable
     /// that no longer occurs in the tree.
     pub nvars: u32,
@@ -95,24 +96,28 @@ impl Kernel<'_> {
         };
         let n = frontier_len(tree);
         let sole = n == 1;
-        let identity = |t: Term| t;
+        let compiled = Compiled::of(self.program);
         for leaf in 0..n {
-            match &**leaf_at(tree, leaf) {
+            // The leaf's terms read at its offset: there is no binding
+            // store, every substitution is already in the tree.
+            let (action, off) = leaf_at(tree, leaf);
+            let shift = |t: Term| t.offset(off);
+            match action.goal() {
                 Goal::Fail => {}
                 Goal::True | Goal::Seq(_) | Goal::Par(_) => {
                     unreachable!("structural goals expanded by make_node")
                 }
                 Goal::Atom(atom) if self.program.is_base(atom.pred) => {
                     hooks.reads.record(atom.pred);
-                    for t in matching_tuples(&cfg.db, atom, identity) {
+                    for t in matching_tuples(&cfg.db, atom, shift) {
                         out.extend(unify_project(scratch, cfg, leaf, None, cfg.nvars, |b| {
-                            bind_tuple(b, atom, &t)
+                            bind_tuple(b, (atom, off), &t)
                         }));
                     }
                 }
                 Goal::Atom(atom) => {
                     let (cache, mat) = (self.cache.as_deref(), self.mat.as_deref());
-                    let call = || atom.clone();
+                    let call = || resolve_atom(atom, shift);
                     match call_step(self.program, cache, mat, &cfg.db, call, sole, hooks) {
                         CallStep::Holds(holds) => {
                             if holds {
@@ -130,12 +135,12 @@ impl Kernel<'_> {
                         }
                         CallStep::Unfold => {}
                     }
-                    for &rid in self.program.rules_for(atom.pred) {
+                    for &rid in action.rules() {
                         let rule = self.program.rule(rid);
                         let nvars = cfg.nvars + rule.num_vars();
-                        let body = make_node(rule.rename_apart(cfg.nvars));
+                        let body = compiled.body(self.program, rid).map(|t| t.at(cfg.nvars));
                         if let Some(next) = unify_project(scratch, cfg, leaf, body, nvars, |b| {
-                            unify_head(b, atom, rule, cfg.nvars)
+                            unify_head(b, atom, off, rule, cfg.nvars)
                         }) {
                             hooks.stats.unfolds += 1;
                             hooks.local.observe_unfold(rid);
@@ -145,7 +150,7 @@ impl Kernel<'_> {
                 }
                 Goal::NotAtom(atom) => {
                     hooks.reads.record(atom.pred);
-                    match check_absent(&cfg.db, atom, identity) {
+                    match check_absent(&cfg.db, atom, shift) {
                         Err(e) => return (out, Some(e)),
                         Ok(false) => {}
                         Ok(true) => out.push(cfg.with_tree(rewrite(tree, leaf, None))),
@@ -153,7 +158,7 @@ impl Kernel<'_> {
                 }
                 goal @ (Goal::Ins(atom) | Goal::Del(atom)) => {
                     let is_ins = matches!(goal, Goal::Ins(_));
-                    match update(&cfg.db, atom, identity, is_ins, hooks) {
+                    match update(&cfg.db, atom, shift, is_ins, hooks) {
                         Err(e) => return (out, Some(e)),
                         Ok((db, _changed, op)) => {
                             let succ = Config {
@@ -166,26 +171,30 @@ impl Kernel<'_> {
                         }
                     }
                 }
-                Goal::Builtin(op, terms) => match eval_ground_builtin(*op, terms) {
-                    Err(e) => return (out, Some(e)),
-                    Ok(BuiltinOut::Fails) => {}
-                    Ok(BuiltinOut::Succeeds) => {
-                        out.push(cfg.with_tree(rewrite(tree, leaf, None)));
-                    }
-                    Ok(BuiltinOut::Binds(v, val)) => {
-                        let new_tree = rewrite(tree, leaf, None).map(|t| subst_tree(&t, v, val));
-                        let (mut succ, ops) = cfg.with_tree(new_tree);
-                        for t in &mut succ.answer {
-                            if *t == Term::Var(v) {
-                                *t = val;
-                            }
+                Goal::Builtin(op, terms) => {
+                    let args = builtin_args(terms, shift);
+                    match eval_ground_builtin(*op, &args[..terms.len()]) {
+                        Err(e) => return (out, Some(e)),
+                        Ok(BuiltinOut::Fails) => {}
+                        Ok(BuiltinOut::Succeeds) => {
+                            out.push(cfg.with_tree(rewrite(tree, leaf, None)));
                         }
-                        out.push((succ, ops));
+                        Ok(BuiltinOut::Binds(v, val)) => {
+                            let new_tree =
+                                rewrite(tree, leaf, None).map(|t| subst_tree(&t, v, val));
+                            let (mut succ, ops) = cfg.with_tree(new_tree);
+                            for t in &mut succ.answer {
+                                if *t == Term::Var(v) {
+                                    *t = val;
+                                }
+                            }
+                            out.push((succ, ops));
+                        }
                     }
-                },
+                }
                 Goal::Choice(branches) => {
-                    for b in branches {
-                        out.push(cfg.with_tree(rewrite(tree, leaf, make_node(b.clone()))));
+                    for i in 0..branches.len() {
+                        out.push(cfg.with_tree(rewrite(tree, leaf, action.tree(i, off))));
                     }
                 }
                 Goal::Iso(inner) => {
@@ -194,7 +203,7 @@ impl Kernel<'_> {
                     // subgoal cache stores. Try a replay before the lazy
                     // transform.
                     if let Some(cache) = self.cache.as_deref() {
-                        match probe_subgoal(self.program, cache, &cfg.db, inner, hooks) {
+                        match probe_subgoal(self.program, cache, &cfg.db, inner, shift, hooks) {
                             Probe::Replay { answers, vars } => {
                                 if let Err(e) = self
                                     .replay(cfg, leaf, &vars, &answers, &mut out, hooks, scratch)
@@ -214,7 +223,7 @@ impl Kernel<'_> {
                     // continuation because it is one tree.
                     hooks.stats.iso_enters += 1;
                     let rest = rewrite(tree, leaf, None);
-                    out.push(cfg.with_tree(sequence(make_node((**inner).clone()), rest)));
+                    out.push(cfg.with_tree(sequence(action.tree(0, off), rest)));
                 }
             }
         }

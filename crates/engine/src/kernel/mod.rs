@@ -51,8 +51,8 @@ mod unfold;
 
 pub(crate) use cache::{bind_answer, call_step, probe_subgoal, replay_answer, CallStep, Probe};
 pub(crate) use elem::{
-    apply_update, bind_tuple, check_absent, eval_builtin, eval_ground_builtin, matching_tuples,
-    resolve_atom, update, BuiltinOut,
+    apply_update, bind_tuple, builtin_args, check_absent, eval_builtin, eval_ground_builtin,
+    matching_tuples, resolve_atom, update, BuiltinOut,
 };
 pub(crate) use fingerprint::{fingerprint, FpMap, FpSet};
 pub(crate) use ground::{Config, Kernel, Successor};

@@ -4,8 +4,7 @@
 //! counterpart of the sequential machine's shared trail.
 
 use super::{Config, Successor};
-use crate::tree::{rewrite, to_goal, PTree};
-use std::sync::Arc;
+use crate::tree::{map_terms, rewrite, to_goal, PTree};
 use td_core::{Bindings, Term, Var};
 
 /// Unify under a scratch binding store sized for the tree's variables, then
@@ -22,7 +21,7 @@ pub(crate) fn apply_unification(
 
 /// [`apply_unification`] with an explicit variable high-water mark (needed
 /// when the unifier mentions variables that are not in the tree, e.g. a
-/// freshly renamed rule body).
+/// rule body read at a fresh offset).
 pub(crate) fn apply_unification_n(
     tree: &PTree,
     leaf: usize,
@@ -79,20 +78,14 @@ pub(crate) fn num_vars_in_tree(tree: &PTree) -> u32 {
         .unwrap_or(0)
 }
 
-/// Resolve every term of a tree against a binding store.
+/// Resolve every term of a tree, read through its offsets, against a
+/// binding store.
 pub(crate) fn apply_bindings_tree(tree: &PTree, b: &Bindings) -> PTree {
-    map_tree(tree, &mut |t| b.resolve(t))
+    map_terms(tree, &mut |t| b.resolve(t))
 }
 
-/// Substitute one variable by a term throughout a tree.
+/// Substitute one variable by a term throughout a tree, read through its
+/// offsets.
 pub(crate) fn subst_tree(tree: &PTree, v: Var, val: Term) -> PTree {
-    map_tree(tree, &mut |t| if t == Term::Var(v) { val } else { t })
-}
-
-/// Map a term transformation over a tree.
-pub(crate) fn map_tree(tree: &PTree, f: &mut impl FnMut(Term) -> Term) -> PTree {
-    match tree {
-        PTree::Lit(g) => PTree::Lit(Arc::new(g.map_terms(f))),
-        PTree::Seq(_) | PTree::Par(_) => tree.map_children(|c| map_tree(c, f)),
-    }
+    map_terms(tree, &mut |t| if t == Term::Var(v) { val } else { t })
 }

@@ -31,6 +31,7 @@
 //!   the interpreter's search order.
 
 pub mod cache;
+mod compiled;
 pub mod config;
 pub mod datalog;
 pub mod decider;

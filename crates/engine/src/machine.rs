@@ -29,17 +29,21 @@
 //! A step allocates only what it creates. The tree and the database are
 //! persistent, so a choicepoint's snapshot of either is a refcount; a leaf
 //! is addressed by its index in the frontier, so scheduling builds no list
-//! of paths; alternatives share the leaf they come from; and an elementary
-//! operation reads its atom through the trail rather than from a resolved
-//! copy (see [`kernel`]).
+//! of paths; alternatives share the leaf they come from; an elementary
+//! operation reads its atom through the leaf's offset and the trail rather
+//! than from a renamed or resolved copy (see [`kernel`]); and a call's
+//! rules, an `or`'s branches and an `iso`'s block are trees its leaf
+//! already holds — a rule body is its template read at the unfolding's
+//! offset (see [`crate::tree`]).
 
 use crate::cache::{CachedAnswer, SubgoalCache};
+use crate::compiled::Compiled;
 use crate::config::{EngineConfig, EngineError, Stats, Strategy};
 use crate::incremental::Materializer;
 use crate::kernel::{self, CallStep, FpSet, Hooks, Probe};
 use crate::obs::{subgoal_label, LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{frontier_len, leaf_at, make_node, rewrite, PTree};
+use crate::tree::{frontier_len, leaf_at, rewrite, Action, PTree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -66,6 +70,8 @@ macro_rules! hooks {
 /// solver, so budgets and the trail are global to the execution.
 pub(crate) struct Ctx<'p> {
     pub program: &'p Program,
+    /// The program's rule templates.
+    compiled: &'p Compiled,
     pub config: &'p EngineConfig,
     pub bindings: Bindings,
     pub stats: Stats,
@@ -113,6 +119,7 @@ impl<'p> Ctx<'p> {
         let local = LocalMetrics::new(obs.is_some());
         Ctx {
             program,
+            compiled: Compiled::of(program),
             config,
             bindings: Bindings::new(),
             stats: Stats::default(),
@@ -138,13 +145,23 @@ impl<'p> Ctx<'p> {
         }
     }
 
-    /// `atom` as the bindings stand now, when tracing: what a trace event
-    /// shows of the atom a step reads through the trail.
-    fn traced(&self, atom: &Atom) -> Option<Atom> {
+    /// `atom`, read at offset `off`, as the bindings stand now, when
+    /// tracing: what a trace event shows of the atom a step reads through
+    /// the trail.
+    fn traced(&self, (atom, off): (&Atom, u32)) -> Option<Atom> {
         let bindings = &self.bindings;
         self.config
             .trace
-            .then(|| kernel::resolve_atom(atom, |t| bindings.resolve(t)))
+            .then(|| kernel::resolve_atom(atom, |t| bindings.resolve(t.offset(off))))
+    }
+
+    /// The label of `subgoal`, read at offset `off`, as the bindings stand
+    /// now, when there is an event stream to show it in.
+    fn traced_label(&self, subgoal: impl FnOnce() -> Goal, off: u32) -> Option<String> {
+        self.obs.as_ref().and_then(|obs| obs.event_log())?;
+        let bindings = &self.bindings;
+        let resolved = subgoal().map_terms(&mut |t| bindings.resolve(t.offset(off)));
+        Some(subgoal_label(&resolved))
     }
 
     /// Append to the structured event stream (no-op without an observer
@@ -167,19 +184,21 @@ impl<'p> Ctx<'p> {
         kernel::fingerprint(tree, |t| bindings.resolve(t), db, &mut self.key_vars)
     }
 
-    /// Unfold `rule_id` for `atom` on the shared trail (a kernel
-    /// primitive), recording the committed-path trace event on success.
-    fn unfold(&mut self, atom: &Atom, rule_id: RuleId) -> Option<Goal> {
-        let call = self.traced(atom);
+    /// Unfold `rule_id` for `atom` (read at offset `off`) on the shared
+    /// trail (a kernel primitive), recording the committed-path trace event
+    /// on success. The body is the rule's template at the fresh offset.
+    fn unfold(&mut self, call: (&Atom, u32), rule_id: RuleId) -> Option<Option<PTree>> {
+        let traced = self.traced(call);
         let body = kernel::unfold_trail(
             self.program,
+            self.compiled,
             &mut self.bindings,
-            atom,
+            call,
             rule_id,
             hooks!(self),
         )?;
         self.record(|| TraceEvent::Unfold {
-            call: call.expect("tracing"),
+            call: traced.expect("tracing"),
             rule: rule_id,
         });
         Some(body)
@@ -267,18 +286,21 @@ struct Schedule {
     sole: bool,
 }
 
+/// A frontier leaf's action and the offset its variables read at.
+type Leaf = (Arc<Action>, u32);
+
 /// The alternatives of one step, in canonical order. Those of a leaf hold
 /// the leaf, once, and each alternative refers to it.
 enum Alts {
     /// Scheduling: the frontier leaves the step may execute.
     Sched(Schedule),
     /// The tuples a base-predicate query leaf may match.
-    Tuples(Arc<Goal>, Vec<Tuple>),
-    /// A call leaf, and how many rules it may unfold to: its predicate's,
-    /// in program order.
-    Rules(Arc<Goal>, usize),
+    Tuples(Leaf, Vec<Tuple>),
+    /// A call leaf, which may unfold to the rules it holds: its
+    /// predicate's, in program order.
+    Rules(Leaf),
     /// The branches of an `or` leaf.
-    Branches(Arc<Goal>),
+    Branches(Leaf),
     /// The answers of a cached subgoal (replayed, not re-explored), and
     /// the variables each answer's values bind, positionally.
     Cached(Vec<Var>, Arc<Vec<CachedAnswer>>),
@@ -293,9 +315,9 @@ enum Alt {
     /// A frontier leaf's index, and whether it is the only one.
     Sched(usize, bool),
     /// A query leaf and a tuple it matches.
-    Tuple(Arc<Goal>, Tuple),
+    Tuple(Leaf, Tuple),
     /// A call leaf and the index of a rule among its predicate's.
-    Rule(Arc<Goal>, usize),
+    Rule(Leaf, usize),
     /// The branch's index and its process tree.
     Branch(usize, Option<PTree>),
     Cached(Vec<Var>, Arc<Vec<CachedAnswer>>, usize),
@@ -308,15 +330,14 @@ impl Alts {
         match self {
             Alts::Sched(schedule) => schedule.len,
             Alts::Tuples(_, tuples) => tuples.len(),
-            Alts::Rules(_, rules) => *rules,
-            Alts::Branches(choice) => branches(choice).len(),
+            Alts::Rules((call, _)) => call.rules().len(),
+            Alts::Branches((choice, _)) => branches(choice).len(),
             Alts::Cached(_, answers) => answers.len(),
             Alts::Iso(..) => 0,
         }
     }
 
-    /// Take out the `i`-th alternative: an index, a refcount or two, and —
-    /// for a branch — the tree of its goal.
+    /// Take out the `i`-th alternative: an index and a refcount or two.
     fn get(&mut self, i: usize) -> Option<Alt> {
         if i >= self.len() {
             return None;
@@ -324,25 +345,25 @@ impl Alts {
         Some(match self {
             Alts::Sched(s) => Alt::Sched(s.shuffled.get(i).copied().unwrap_or(s.first + i), s.sole),
             Alts::Tuples(query, tuples) => Alt::Tuple(query.clone(), tuples[i].clone()),
-            Alts::Rules(call, _) => Alt::Rule(call.clone(), i),
-            Alts::Branches(choice) => Alt::Branch(i, make_node(branches(choice)[i].clone())),
+            Alts::Rules(call) => Alt::Rule(call.clone(), i),
+            Alts::Branches((choice, off)) => Alt::Branch(i, choice.tree(i, *off)),
             Alts::Cached(vars, answers) => Alt::Cached(vars.clone(), answers.clone(), i),
             Alts::Iso(..) => unreachable!("an isolated block has no listed alternatives"),
         })
     }
 }
 
-/// The atom of a query or call leaf.
-fn atom_of(leaf: &Goal) -> &Atom {
-    match leaf {
-        Goal::Atom(atom) => atom,
+/// The atom of a query or call leaf, and the offset it reads at.
+fn atom_of((leaf, off): &Leaf) -> (&Atom, u32) {
+    match leaf.goal() {
+        Goal::Atom(atom) => (atom, *off),
         _ => unreachable!("a query or call leaf"),
     }
 }
 
 /// The branches of an `or` leaf.
-fn branches(leaf: &Goal) -> &[Goal] {
-    match leaf {
+fn branches(leaf: &Action) -> &[Goal] {
+    match leaf.goal() {
         Goal::Choice(branches) => branches,
         _ => unreachable!("an `or` leaf"),
     }
@@ -541,9 +562,8 @@ impl Solver {
                 None
             }
             Alt::Rule(call, i) => {
-                let atom = atom_of(&call);
-                let rule = ctx.program.rules_for(atom.pred)[i];
-                make_node(ctx.unfold(atom, rule).ok_or(StepErr::Fail)?)
+                let rule = call.0.rules()[i];
+                ctx.unfold(atom_of(&call), rule).ok_or(StepErr::Fail)?
             }
             Alt::Branch(index, node) => {
                 ctx.record(|| TraceEvent::Choice { index });
@@ -567,16 +587,17 @@ impl Solver {
     /// Execute the `leaf`-th frontier leaf of `tree`; `sole` says it is the
     /// only one.
     fn execute(&mut self, ctx: &mut Ctx, tree: &PTree, leaf: usize, sole: bool) -> StepResult {
-        let goal = leaf_at(tree, leaf);
+        let (action, off) = leaf_at(tree, leaf);
+        let here = || (action.clone(), off);
         let bindings = &ctx.bindings;
-        let resolve = |t: Term| bindings.resolve(t);
-        match &**goal {
+        let resolve = |t: Term| bindings.resolve(t.offset(off));
+        match action.goal() {
             Goal::Fail => return Err(StepErr::Fail),
             Goal::Atom(atom) => {
                 if ctx.program.is_base(atom.pred) {
                     ctx.reads.record(atom.pred);
                     let tuples = kernel::matching_tuples(&self.db, atom, resolve);
-                    return self.choose(ctx, tree, leaf, Alts::Tuples(goal.clone(), tuples));
+                    return self.choose(ctx, tree, leaf, Alts::Tuples(here(), tuples));
                 }
                 let (cache, mat) = (ctx.cache.as_deref(), ctx.mat.as_deref());
                 let program = ctx.program;
@@ -585,12 +606,11 @@ impl Solver {
                     CallStep::Holds(true) => {}
                     CallStep::Holds(false) => return Err(StepErr::Fail),
                     CallStep::Replay { answers, vars } => {
-                        let call = Goal::Atom(kernel::resolve_atom(atom, resolve));
-                        return self.replay(ctx, tree, leaf, &call, vars, answers);
+                        let label = ctx.traced_label(|| Goal::Atom(atom.clone()), off);
+                        return self.replay(ctx, tree, leaf, label, vars, answers);
                     }
                     CallStep::Unfold => {
-                        let rules = program.rules_for(atom.pred).len();
-                        return self.choose(ctx, tree, leaf, Alts::Rules(goal.clone(), rules));
+                        return self.choose(ctx, tree, leaf, Alts::Rules(here()));
                     }
                 }
             }
@@ -599,7 +619,7 @@ impl Solver {
                 if !kernel::check_absent(&self.db, atom, resolve).map_err(fatal)? {
                     return Err(StepErr::Fail);
                 }
-                let query = ctx.traced(atom);
+                let query = ctx.traced((atom, off));
                 ctx.record(|| TraceEvent::Absent {
                     query: query.expect("tracing"),
                 });
@@ -624,26 +644,29 @@ impl Solver {
                 ctx.delta.push(op);
             }
             Goal::Builtin(op, terms) => {
-                if !kernel::eval_builtin(&mut ctx.bindings, *op, terms).map_err(fatal)? {
+                if !kernel::eval_builtin(&mut ctx.bindings, *op, (terms, off)).map_err(fatal)? {
                     return Err(StepErr::Fail);
                 }
                 ctx.record(|| TraceEvent::Builtin {
-                    rendered: Goal::Builtin(*op, terms.clone()).to_string(),
+                    rendered: action.goal_at(off).to_string(),
                 });
             }
             Goal::Choice(_) => {
-                return self.choose(ctx, tree, leaf, Alts::Branches(goal.clone()));
+                return self.choose(ctx, tree, leaf, Alts::Branches(here()));
             }
             Goal::Iso(inner) => {
                 // An isolated block runs as a contiguous sub-execution from
                 // the current database — exactly the shape the subgoal cache
                 // stores. Try a replay before paying for a nested search.
                 if let Some(cache) = ctx.cache.as_deref() {
-                    let resolved = inner.map_terms(&mut |t| ctx.bindings.resolve(t));
+                    let label = ctx.traced_label(|| (**inner).clone(), off);
+                    let bindings = &ctx.bindings;
+                    let resolve = |t: Term| bindings.resolve(t.offset(off));
+                    let (program, db) = (ctx.program, &self.db);
                     let probe =
-                        kernel::probe_subgoal(ctx.program, cache, &self.db, &resolved, hooks!(ctx));
+                        kernel::probe_subgoal(program, cache, db, inner, resolve, hooks!(ctx));
                     if let Probe::Replay { answers, vars } = probe {
-                        return self.replay(ctx, tree, leaf, &resolved, vars, answers);
+                        return self.replay(ctx, tree, leaf, label, vars, answers);
                     }
                 }
                 ctx.stats.iso_enters += 1;
@@ -653,7 +676,7 @@ impl Solver {
                     phase: SpanPhase::Isolation,
                     detail: String::new(),
                 });
-                let solver = Box::new(Solver::new(make_node((**inner).clone()), self.db.clone()));
+                let solver = Box::new(Solver::new(action.tree(0, off), self.db.clone()));
                 let mut cp = self.checkpoint(at, tree, leaf, Alts::Iso(solver, Marks::here(ctx)));
                 let yielded = cp.next_alt(ctx).map_err(fatal)?;
                 ctx.emit(|| TraceEvent::SpanExit {
@@ -683,23 +706,25 @@ impl Solver {
     /// Replay a contiguous subgoal (isolated block or sole-frontier ground
     /// call) from its cached answer set: a choice among the answers. An
     /// empty set fails the step, which correctly feeds the failure memo.
+    /// `label` is the subgoal's, present when there is an event stream.
     fn replay(
         &mut self,
         ctx: &mut Ctx,
         tree: &PTree,
         leaf: usize,
-        subgoal: &Goal,
+        label: Option<String>,
         vars: Vec<Var>,
         answers: Arc<Vec<CachedAnswer>>,
     ) -> StepResult {
+        let detail = || label.clone().expect("labelled when observed");
         ctx.emit(|| TraceEvent::SpanEnter {
             phase: SpanPhase::CacheReplay,
-            detail: subgoal_label(subgoal),
+            detail: detail(),
         });
         let result = self.choose(ctx, tree, leaf, Alts::Cached(vars, answers));
         ctx.emit(|| TraceEvent::SpanExit {
             phase: SpanPhase::CacheReplay,
-            detail: subgoal_label(subgoal),
+            detail: detail(),
         });
         result
     }

@@ -211,7 +211,7 @@ impl<'p> Search<'p> {
         }
         let root = Task {
             cfg: Config {
-                tree: make_node(goal.clone()),
+                tree: make_node(goal, self.kernel.program),
                 db: db.clone(),
                 nvars,
                 answer: (0..nvars).map(Term::var).collect(),

@@ -3,12 +3,18 @@
 //! Comments run from `%` or `//` to end of line. Identifiers starting with a
 //! lowercase letter are constants/predicate names; identifiers starting with
 //! an uppercase letter or `_` are variables (Prolog convention — the paper's
-//! examples are written this way).
+//! examples are written this way). A `-` written right before a digit is the
+//! sign of an integer literal, so `-9223372036854775808` reads back as the
+//! smallest `i64`.
+//!
+//! Tokens borrow their text from the source: the only allocation is the
+//! token vector itself.
 
 use crate::error::{ParseError, ParseErrorKind};
 use crate::token::{Span, Tok, Token};
 
 pub struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -18,6 +24,7 @@ pub struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     pub fn new(src: &'a str) -> Lexer<'a> {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -27,8 +34,10 @@ impl<'a> Lexer<'a> {
 
     /// Tokenize the whole input. Returns tokens (ending with `Eof`) or the
     /// first lexical error.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, ParseError> {
-        let mut out = Vec::new();
+    pub fn tokenize(mut self) -> Result<Vec<Token<'a>>, ParseError> {
+        // About one token per four bytes of source, so the vector rarely
+        // grows more than once.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
         loop {
             self.skip_trivia();
             let span_start = self.here();
@@ -55,8 +64,7 @@ impl<'a> Lexer<'a> {
                     // negative integer literal or bare minus
                     self.bump();
                     if self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                        let n = self.lex_int(span_start)?;
-                        Tok::Int(-n)
+                        Tok::Int(self.lex_int(span_start)?)
                     } else {
                         Tok::Minus
                     }
@@ -161,7 +169,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn take(&mut self, tok: Tok) -> Tok {
+    fn take(&mut self, tok: Tok<'a>) -> Tok<'a> {
         self.bump();
         tok
     }
@@ -186,12 +194,13 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The integer whose digits start here, signed by a `-` that started
+    /// the token at `span_start`.
     fn lex_int(&mut self, span_start: (usize, u32, u32)) -> Result<i64, ParseError> {
-        let start = self.pos;
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii digits");
+        let text = &self.text[span_start.0..self.pos];
         text.parse::<i64>().map_err(|_| {
             ParseError::new(
                 ParseErrorKind::IntOutOfRange(text.to_owned()),
@@ -200,7 +209,7 @@ impl<'a> Lexer<'a> {
         })
     }
 
-    fn lex_word(&mut self) -> String {
+    fn lex_word(&mut self) -> &'a str {
         let start = self.pos;
         while self
             .peek()
@@ -208,7 +217,7 @@ impl<'a> Lexer<'a> {
         {
             self.bump();
         }
-        String::from_utf8(self.src[start..self.pos].to_vec()).expect("ascii word")
+        &self.text[start..self.pos]
     }
 }
 
@@ -216,7 +225,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         Lexer::new(src)
             .tokenize()
             .unwrap()
@@ -231,21 +240,21 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Tok::Ident("r".into()),
+                Tok::Ident("r"),
                 Tok::LParen,
-                Tok::Var("X".into()),
+                Tok::Var("X"),
                 Tok::RParen,
                 Tok::Arrow,
-                Tok::Ident("p".into()),
+                Tok::Ident("p"),
                 Tok::LParen,
-                Tok::Var("X".into()),
+                Tok::Var("X"),
                 Tok::RParen,
                 Tok::Star,
-                Tok::Ident("ins".into()),
+                Tok::Ident("ins"),
                 Tok::Dot,
-                Tok::Ident("q".into()),
+                Tok::Ident("q"),
                 Tok::LParen,
-                Tok::Var("X".into()),
+                Tok::Var("X"),
                 Tok::RParen,
                 Tok::Dot,
                 Tok::Eof,
@@ -290,9 +299,9 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Tok::Ident("p".into()),
+                Tok::Ident("p"),
                 Tok::Dot,
-                Tok::Ident("q".into()),
+                Tok::Ident("q"),
                 Tok::Dot,
                 Tok::Eof
             ]
@@ -302,22 +311,14 @@ mod tests {
     #[test]
     fn slash_alone_is_a_token_not_comment() {
         let t = toks("p/2");
-        assert_eq!(
-            t,
-            vec![Tok::Ident("p".into()), Tok::Slash, Tok::Int(2), Tok::Eof]
-        );
+        assert_eq!(t, vec![Tok::Ident("p"), Tok::Slash, Tok::Int(2), Tok::Eof]);
     }
 
     #[test]
     fn variables_and_underscore() {
         assert_eq!(
             toks("X _foo Abc_1"),
-            vec![
-                Tok::Var("X".into()),
-                Tok::Var("_foo".into()),
-                Tok::Var("Abc_1".into()),
-                Tok::Eof
-            ]
+            vec![Tok::Var("X"), Tok::Var("_foo"), Tok::Var("Abc_1"), Tok::Eof]
         );
     }
 
@@ -325,7 +326,7 @@ mod tests {
     fn spans_track_lines_and_columns() {
         let tokens = Lexer::new("p.\n  q.").tokenize().unwrap();
         let q = &tokens[2];
-        assert_eq!(q.tok, Tok::Ident("q".into()));
+        assert_eq!(q.tok, Tok::Ident("q"));
         assert_eq!(q.span.line, 2);
         assert_eq!(q.span.col, 3);
     }
@@ -349,5 +350,19 @@ mod tests {
             .tokenize()
             .unwrap_err();
         assert!(matches!(err.kind, ParseErrorKind::IntOutOfRange(_)));
+    }
+
+    #[test]
+    fn the_sign_is_lexed_with_the_digits() {
+        assert_eq!(
+            toks("-9223372036854775808 9223372036854775807"),
+            vec![Tok::Int(i64::MIN), Tok::Int(i64::MAX), Tok::Eof]
+        );
+        let err = Lexer::new("-9223372036854775809").tokenize().unwrap_err();
+        assert_eq!(
+            err.kind,
+            ParseErrorKind::IntOutOfRange("-9223372036854775809".to_owned())
+        );
+        assert_eq!(toks("- 5"), vec![Tok::Minus, Tok::Int(5), Tok::Eof]);
     }
 }

@@ -1,7 +1,9 @@
 //! # td-parser — concrete syntax for Transaction Datalog
 //!
 //! A hand-written lexer and recursive-descent parser for `.td` files, with
-//! span-carrying diagnostics and statement-level error recovery.
+//! span-carrying diagnostics and statement-level error recovery. It reads
+//! the source in place: tokens borrow their text, and a name is interned
+//! once its atom or term is complete (see [`parser`]).
 //!
 //! ```
 //! use td_parser::parse_program;
@@ -215,6 +217,64 @@ mod tests {
         assert_eq!(g.var_names.len(), 1);
         assert!(matches!(g.goal, Goal::Seq(_)));
         assert!(parse_goal("nonsense(X)", &p.program).is_err());
+    }
+
+    #[test]
+    fn the_extreme_integers_read_back() {
+        let p = parse_program(
+            "base t/1. r <- ins.t(-9223372036854775808) * ins.t(9223372036854775807).",
+        )
+        .unwrap();
+        let min = Goal::ins("t", vec![Term::int(i64::MIN)]);
+        let max = Goal::ins("t", vec![Term::int(i64::MAX)]);
+        assert_eq!(p.program.rules()[0].body, Goal::seq(vec![min.clone(), max]));
+        // What `Display` prints of the smallest integer parses back to it.
+        let printed = min.to_string();
+        let again = parse_program(&format!("base t/1. r <- {printed}.")).unwrap();
+        assert_eq!(again.program.rules()[0].body, min);
+        let err = parse_program("base t/1. r <- ins.t(-9223372036854775809).").unwrap_err();
+        assert!(err.to_string().contains("does not fit in 64 bits"), "{err}");
+    }
+
+    #[test]
+    fn a_refused_goal_interns_nothing() {
+        let p = parse_program("base item/1.").unwrap();
+        for i in 0..1000 {
+            let (pred, arg) = (format!("nosuch{i}"), format!("zz{i}"));
+            let err = parse_goal(&format!("{pred}({arg})"), &p.program).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "1:1: predicate `{pred}/1` is neither a base relation nor defined by any rule"
+                )
+            );
+            assert_eq!(td_core::Symbol::lookup(&pred), None, "{pred} interned");
+            assert_eq!(td_core::Symbol::lookup(&arg), None, "{arg} interned");
+        }
+        // Under `not` and an update, the refusal reads as validation does.
+        let err = parse_goal("not nosuch_not(zz_not)", &p.program).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("`not` applied to non-base predicate `nosuch_not/1`"));
+        let err = parse_goal("del.nosuch_del", &p.program).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("non-base predicate `nosuch_del/0`"));
+        assert_eq!(td_core::Symbol::lookup("zz_not"), None);
+        // A known name is refused as validation refuses it, at the first
+        // invalid leaf in source order.
+        let err = parse_goal("ins.item(a) * not item(a, b) * nosuch_late", &p.program);
+        let expected = td_core::validate::validate_goal(
+            &p.program,
+            &Goal::NotAtom(td_core::Atom::new(
+                "item",
+                vec![Term::sym("a"), Term::sym("b")],
+            )),
+        )
+        .unwrap_err();
+        assert_eq!(err.unwrap_err().to_string(), format!("1:1: {expected}"));
+        // An unknown name as a constant is no predicate.
+        assert!(parse_goal("item(X) * X = zz_constant", &p.program).is_ok());
     }
 
     #[test]

@@ -24,14 +24,16 @@ impl Span {
     }
 }
 
-/// Lexical tokens of the `.td` concrete syntax.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Tok {
+/// Lexical tokens of the `.td` concrete syntax. A name is a slice of the
+/// source, so a token is `Copy` and lexing allocates nothing per token.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Tok<'a> {
     /// Lowercase-initial identifier: predicate or constant name.
-    Ident(String),
+    Ident(&'a str),
     /// Uppercase- or `_`-initial identifier: variable name.
-    Var(String),
-    /// Integer literal.
+    Var(&'a str),
+    /// Integer literal, its sign included when a `-` is written right
+    /// before the digits.
     Int(i64),
     /// `(`
     LParen,
@@ -75,7 +77,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -106,8 +108,8 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source span.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Token {
-    pub tok: Tok,
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Token<'a> {
+    pub tok: Tok<'a>,
     pub span: Span,
 }

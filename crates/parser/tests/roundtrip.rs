@@ -11,7 +11,7 @@ use td_parser::parse_program;
 fn arb_goal(depth: u32) -> impl Strategy<Value = Goal> {
     let term = prop_oneof![
         (0u32..3).prop_map(Term::var),
-        (-5i64..20).prop_map(Term::int),
+        prop_oneof![-5i64..20, Just(i64::MIN), Just(i64::MAX)].prop_map(Term::int),
         "[a-z][a-z0-9_]{0,6}"
             .prop_filter("reserved words are not constants", |s| {
                 !matches!(

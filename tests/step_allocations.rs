@@ -12,9 +12,14 @@
 //! The programs are tdbench's eight `search_mix` members, read from the
 //! frozen workload files, and one top-down `datalog_views` question. Each
 //! bound is the value measured when it was set plus 10 %, with that value
-//! and the one before the change that set it (PR 25) beside it. A bound
-//! that fails means a step started allocating something it did not before —
-//! find it before moving the number.
+//! and the earlier ones beside it: before a call read its rule's body
+//! through a variable offset instead of copying it renamed apart, and
+//! before snapshots and trees became persistent. A bound that fails means a
+//! step started allocating something it did not before — find it before
+//! moving the number.
+//!
+//! `parse_program` of each member, which tdbench runs once per op, is
+//! pinned the same way.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,6 +90,15 @@ fn solve_all(source: &str, subgoal_cache: bool) -> (u64, u64) {
     (allocs, steps)
 }
 
+/// Allocations of parsing `source` with `parse_program`.
+fn parse_allocations(source: &str) -> u64 {
+    let before = allocations();
+    let parsed = parse_program(source).expect("workload parses");
+    let after = allocations();
+    drop(parsed);
+    after - before
+}
+
 /// A `search_mix` member: its workload file, whether tdbench runs it with
 /// the subgoal cache, its weight in a tdbench round, and the bound on its
 /// allocations per step.
@@ -96,15 +110,29 @@ struct Member {
     bound: f64,
 }
 
+/// A `search_mix` member's workload file and the bound on the allocations
+/// of parsing it.
+struct Parse {
+    name: &'static str,
+    source: &'static str,
+    bound: u64,
+}
+
+macro_rules! workload {
+    ($name:literal) => {
+        include_str!(concat!(
+            "../crates/bench/src/bin/tdbench/workloads/search_",
+            $name,
+            ".td"
+        ))
+    };
+}
+
 macro_rules! member {
     ($name:literal, $cache:expr, $weight:expr, $bound:expr) => {
         Member {
             name: $name,
-            source: include_str!(concat!(
-                "../crates/bench/src/bin/tdbench/workloads/search_",
-                $name,
-                ".td"
-            )),
+            source: workload!($name),
             subgoal_cache: $cache,
             weight: $weight,
             bound: $bound,
@@ -113,23 +141,24 @@ macro_rules! member {
 }
 
 /// Names, cache flags and weights as in tdbench's `catalogue.rs`. Each
-/// comment gives the value measured when the bound was set (PR 25), then the
-/// value before PR 25.
+/// comment gives the value measured when the bound was set, then the value
+/// before rule bodies were shared, then the value before persistent
+/// snapshots.
 const MEMBERS: [Member; 8] = [
-    member!("labflow", false, 11, 8.64),    // 7.85; was 22.39
-    member!("agents", false, 16, 7.30),     // 6.63; was 18.21
-    member!("network", false, 8, 6.25),     // 5.68; was 18.44
-    member!("transfers", false, 128, 4.81), // 4.37; was 12.10
-    member!("minsky", false, 6, 6.60),      // 6.00; was 23.38
-    member!("qbf", false, 5, 4.30),         // 3.91; was 12.54
-    member!("refute", false, 1, 6.27),      // 5.70; was 15.80
-    member!("protocol", true, 8, 5.90),     // 5.36; was 17.17
+    member!("labflow", false, 11, 6.31),    // 5.74; was 7.85, 22.39
+    member!("agents", false, 16, 4.55),     // 4.14; was 6.63, 18.21
+    member!("network", false, 8, 5.06),     // 4.60; was 5.68, 18.44
+    member!("transfers", false, 128, 3.07), // 2.79; was 4.37, 12.10
+    member!("minsky", false, 6, 3.20),      // 2.91; was 6.00, 23.38
+    member!("qbf", false, 5, 1.63),         // 1.48; was 3.91, 12.54
+    member!("refute", false, 1, 2.66),      // 2.42; was 5.70, 15.80
+    member!("protocol", true, 8, 3.47),     // 3.15; was 5.36, 17.17
 ];
 
 /// Round-weighted allocations per step over the eight members, each member
-/// counted as often as a tdbench round runs it: 5.40 when set; 16.30 before
-/// PR 25.
-const ROUND_BOUND: f64 = 5.94;
+/// counted as often as a tdbench round runs it: 3.25 when set; 5.40 before
+/// rule bodies were shared, 16.30 before persistent snapshots.
+const ROUND_BOUND: f64 = 3.58;
 
 #[test]
 fn search_mix_steps_allocate_within_their_bounds() {
@@ -179,6 +208,53 @@ fn a_top_down_view_question_allocates_within_its_bound() {
     let (allocs, steps) = solve_all(&views_tree_source(), false);
     let per_step = allocs as f64 / steps as f64;
     println!("path(1, 200): {allocs} allocations / {steps} steps = {per_step:.2}");
-    // 2.90 when set; 13.19 before PR 25.
-    assert!(per_step <= 3.19, "{per_step:.2} per step");
+    // 0.26 when set; 2.90 before rule bodies were shared, 13.19 before
+    // persistent snapshots.
+    assert!(per_step <= 0.29, "{per_step:.2} per step");
+}
+
+macro_rules! parse {
+    ($name:literal, $bound:expr) => {
+        Parse {
+            name: $name,
+            source: workload!($name),
+            bound: $bound,
+        }
+    };
+}
+
+/// `parse_program` of each `search_mix` member, which tdbench runs once per
+/// op. Each comment gives the value measured when the bound was set, then
+/// the value before tokens borrowed the source and names were interned
+/// once.
+const PARSES: [Parse; 8] = [
+    parse!("labflow", 132),  // 120; was 513
+    parse!("agents", 174),   // 158; was 800
+    parse!("network", 62),   // 56; was 227
+    parse!("transfers", 67), // 61; was 299
+    parse!("minsky", 153),   // 139; was 644
+    parse!("qbf", 119),      // 108; was 500
+    parse!("refute", 62),    // 56; was 259
+    parse!("protocol", 48),  // 44; was 184
+];
+
+#[test]
+fn search_mix_programs_parse_within_their_bounds() {
+    let mut report = String::new();
+    let mut over = Vec::new();
+    for p in &PARSES {
+        // The first parse interns the program's names for good; every later
+        // one, like each op of a tdbench round, finds them interned.
+        parse_allocations(p.source);
+        let allocs = parse_allocations(p.source);
+        report.push_str(&format!(
+            "{:>10}: {allocs} allocations (bound {})\n",
+            p.name, p.bound
+        ));
+        if allocs > p.bound {
+            over.push(p.name);
+        }
+    }
+    println!("{report}");
+    assert!(over.is_empty(), "over their bounds: {over:?}\n{report}");
 }
