@@ -417,7 +417,7 @@ fn main() -> ExitCode {
     // conceivable as a silent no-op; reject it instead, naming the reason,
     // so the run the user asked for is the run they get.
     if opts.config.materialize {
-        if let Err(e) = Materializer::compile(&parsed.program) {
+        if let Err(e) = Materializer::of(&parsed.program) {
             eprintln!(
                 "td: --materialize does not apply to `{file}`: {e} \
                  (see docs/INCREMENTAL.md)"

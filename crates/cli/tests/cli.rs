@@ -825,6 +825,59 @@ fn serve_and_client_round_trip_over_the_binary() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Refused requests do not grow a live server: 1 000 `run nosuchN(zzN)`
+/// requests, each naming a predicate nothing declares, are refused without
+/// interning their names, so `stats`' `interned_syms` and `interned_bytes`
+/// read the same before and after. The server is a process of its own: no
+/// test running beside this one interns into its table.
+#[test]
+fn refused_requests_leave_the_servers_interner_as_it_was() {
+    use td_serve::client::{Client, Reply};
+    let f = write_temp("serve_refusals.td", SERVE_BANKING);
+    let dir = serve_dir("refusals");
+    let socket = dir.join("td.sock");
+    let server = td()
+        .arg(format!("--db={}", dir.join("db").display()))
+        .arg(format!("--socket={}", socket.display()))
+        .args(["serve"])
+        .arg(&f)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let mut client = loop {
+        match Client::connect(&socket) {
+            Ok(client) => break client,
+            Err(e) => assert!(
+                std::time::Instant::now() < deadline,
+                "server did not come up: {e}"
+            ),
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    };
+    let interned = |client: &mut Client| {
+        let line = client.stats().unwrap();
+        let field = |key: &str| {
+            let value = line.split_whitespace().find_map(|f| f.strip_prefix(key));
+            value
+                .unwrap_or_else(|| panic!("no `{key}` in {line}"))
+                .to_owned()
+        };
+        (field("interned_syms="), field("interned_bytes="))
+    };
+    let before = interned(&mut client);
+    for i in 0..1_000 {
+        let reply = client.run(&format!("nosuch{i}(zz{i})")).unwrap();
+        assert!(matches!(reply, Reply::Err(_)), "request {i}: {reply:?}");
+    }
+    assert_eq!(interned(&mut client), before);
+    assert_eq!(client.request("stop").unwrap(), "ok stopping");
+    let out = server.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // --- events and triggers ----------------------------------------------
 
 const SERVE_LAB: &str = "base handled/2.\n\

@@ -110,9 +110,11 @@ impl Program {
     }
 
     /// What has been compiled from this program, by whoever compiles it
-    /// (td-engine's `datalog::query` keeps its views' circuit here): empty
-    /// until the first compile, and one cell for this value and every clone
-    /// of it. Another `Program` with the same rules has a cell of its own.
+    /// (td-engine keeps its rule templates, its `is_datalog` verdict and the
+    /// program's one view circuit here, which its engines and
+    /// `datalog::query` all read): empty until the first compile, and one
+    /// cell for this value and every clone of it. Another `Program` with the
+    /// same rules has a cell of its own.
     pub fn compiled(&self) -> &OnceLock<Box<dyn Any + Send + Sync>> {
         &self.compiled
     }

@@ -4,12 +4,13 @@
 //! For a *state-changing* language that is not enough: a subtransaction's
 //! meaning depends on the database it starts from, and its answers carry a
 //! database transition, not just bindings. Following Fodor's tabling for
-//! Transaction Logic, the [`SubgoalCache`] is keyed by
-//! `(canonical subgoal, database digest)` — a [`StateKey`] — and stores the
-//! subgoal's complete *answer set*: one `(ground bindings, state delta)`
-//! pair per successful execution, in the engine's canonical (depth-first)
-//! yield order. On a hit, the decider/machine/parallel backends **replay**
-//! the cached deltas instead of re-exploring the subgoal.
+//! Transaction Logic, which keys answer tables by call variant, the
+//! [`SubgoalCache`] is keyed by the fingerprint of `(subgoal, database)` that
+//! the drivers' memos use too, and stores the subgoal's complete *answer
+//! set*: one `(ground bindings, state delta)` pair per successful execution,
+//! in the engine's canonical (depth-first) yield order. On a hit, the
+//! decider/machine/parallel backends **replay** the cached deltas instead
+//! of re-exploring the subgoal.
 //!
 //! Only two shapes of subgoal are cached, both of which execute as a
 //! contiguous block of the overall run (see `docs/CACHING.md` for the
@@ -24,63 +25,26 @@
 //! (second-chance) eviction, and shared across branches of the sequential
 //! search and across workers of the parallel search.
 
-use std::collections::{HashMap, VecDeque};
+use crate::kernel::FpMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use td_core::{Goal, Term, Var};
 use td_db::Delta;
 
-/// The answer cache's key: α-renamed subgoal + 128-bit database content
-/// digest. The goal is kept in full because a miss enumerates its answers;
-/// the drivers' configuration memos (failure memo, claim table) only need
-/// identity and use `kernel::fingerprint` instead.
-pub type StateKey = (Goal, u128);
-
-/// Rename variables densely in first-occurrence order, making α-equivalent
-/// goals structurally equal.
-pub fn canonical_goal(goal: &Goal) -> Goal {
-    canonicalize_with_map(goal, |t| t).0
-}
-
-/// [`canonical_goal`] of `goal` read through `resolve` (a leaf's offset, a
-/// driver's bindings), plus the variables `resolve` leaves free in
-/// first-occurrence order, so cached answers (indexed by canonical variable
-/// id) can be translated back into the caller's variable space. No resolved
-/// copy of `goal` is built.
-pub(crate) fn canonicalize_with_map(
-    goal: &Goal,
-    resolve: impl Fn(Term) -> Term,
-) -> (Goal, Vec<Var>) {
-    let mut map: Vec<Var> = Vec::new();
-    let canon = goal.map_terms(&mut |t| match resolve(t) {
-        Term::Var(v) => {
-            let id = match map.iter().position(|w| *w == v) {
-                Some(i) => i as u32,
-                None => {
-                    map.push(v);
-                    (map.len() - 1) as u32
-                }
-            };
-            Term::var(id)
-        }
-        other => other,
-    });
-    (canon, map)
-}
-
-/// One answer of a cached subgoal: a ground value per canonical variable
-/// plus the update log its execution committed, in order.
+/// One answer of a cached subgoal: a ground value per variable the subgoal
+/// leaves free, numbered by first occurrence, plus the update log its
+/// execution committed, in order.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CachedAnswer {
-    /// Ground value of canonical variable `i` at position `i`.
-    pub values: Vec<td_core::Value>,
+pub(crate) struct CachedAnswer {
+    /// Ground value of variable `i` at position `i`.
+    pub(crate) values: Vec<td_core::Value>,
     /// The elementary updates this answer's execution applied.
-    pub delta: Delta,
+    pub(crate) delta: Delta,
 }
 
 /// What the cache knows about a key.
 #[derive(Clone, Debug)]
-pub enum CacheEntry {
+pub(crate) enum CacheEntry {
     /// The complete answer set, in canonical depth-first yield order
     /// (duplicates preserved — the lazy search yields them too).
     Answers {
@@ -110,9 +74,9 @@ struct Slot {
 
 #[derive(Default, Debug)]
 struct Shard {
-    map: HashMap<StateKey, Slot>,
+    map: FpMap<Slot>,
     /// The CLOCK hand's queue; may contain stale keys (skipped on pop).
-    clock: VecDeque<StateKey>,
+    clock: VecDeque<u128>,
 }
 
 /// Sharded, capacity-bounded answer table. Cheap to share: clone the
@@ -142,20 +106,19 @@ impl SubgoalCache {
         }
     }
 
-    fn shard_for(&self, key: &StateKey) -> &Mutex<Shard> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
+    /// The shard of `key`, picked by its high lane: the map hashes by the
+    /// low one, so a shard's keys still spread over all of its buckets.
+    fn shard_for(&self, key: u128) -> &Mutex<Shard> {
+        &self.shards[(key >> 64) as usize % CACHE_SHARDS]
     }
 
     /// Look a key up. An [`CacheEntry::Answers`] result counts as a hit, an
     /// absent key as a miss; [`CacheEntry::Unsuitable`] counts as neither
     /// (the lazy fallback is the *intended* behaviour there, not a failure
     /// of the cache).
-    pub fn lookup(&self, key: &StateKey) -> Option<CacheEntry> {
+    pub(crate) fn lookup(&self, key: u128) -> Option<CacheEntry> {
         let mut shard = self.shard_for(key).lock().expect("cache shard poisoned");
-        match shard.map.get_mut(key) {
+        match shard.map.get_mut(&key) {
             Some(slot) => {
                 slot.referenced = true;
                 if matches!(slot.entry, CacheEntry::Answers { .. }) {
@@ -174,8 +137,8 @@ impl SubgoalCache {
 
     /// Insert (or overwrite) an entry, evicting with second-chance CLOCK
     /// while the shard is at capacity.
-    pub fn insert(&self, key: StateKey, entry: CacheEntry) {
-        let mut shard = self.shard_for(&key).lock().expect("cache shard poisoned");
+    pub(crate) fn insert(&self, key: u128, entry: CacheEntry) {
+        let mut shard = self.shard_for(key).lock().expect("cache shard poisoned");
         if let Some(slot) = shard.map.get_mut(&key) {
             slot.entry = entry;
             slot.referenced = true;
@@ -198,7 +161,7 @@ impl SubgoalCache {
                 }
             }
         }
-        shard.clock.push_back(key.clone());
+        shard.clock.push_back(key);
         shard.map.insert(
             key,
             Slot {
@@ -218,7 +181,7 @@ impl SubgoalCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Lookups that found a negative [`CacheEntry::Unsuitable`] entry (the
+    /// Lookups that found a negative `CacheEntry::Unsuitable` entry (the
     /// lazy fallback was mandatory — neither a hit nor a miss).
     pub fn unsuitable(&self) -> u64 {
         self.unsuitable.load(Ordering::Relaxed)
@@ -227,7 +190,7 @@ impl SubgoalCache {
     /// Record a probe the cache deliberately skipped without a lookup — a
     /// call on a *materialized* predicate is answered by the incremental
     /// circuit, and storing it here too would double-store the same answer.
-    pub fn note_unsuitable(&self) {
+    pub(crate) fn note_unsuitable(&self) {
         self.unsuitable.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -267,8 +230,9 @@ mod tests {
     use super::*;
     use td_core::Value;
 
-    fn key(i: i64) -> StateKey {
-        (Goal::atom("p", vec![Term::int(i)]), i as u128)
+    /// A key in shard `i % CACHE_SHARDS`.
+    fn key(i: i64) -> u128 {
+        (i as u128) << 64 | i as u128
     }
 
     fn answers(v: i64) -> CacheEntry {
@@ -285,10 +249,10 @@ mod tests {
     fn roundtrip_and_counters() {
         let c = SubgoalCache::new(1024);
         assert!(c.is_empty());
-        assert!(c.lookup(&key(1)).is_none());
+        assert!(c.lookup(key(1)).is_none());
         assert_eq!(c.misses(), 1);
         c.insert(key(1), answers(7));
-        let got = c.lookup(&key(1)).expect("present");
+        let got = c.lookup(key(1)).expect("present");
         match got {
             CacheEntry::Answers { answers: a, .. } => {
                 assert_eq!(a[0].values, vec![Value::Int(7)]);
@@ -303,7 +267,7 @@ mod tests {
     fn unsuitable_counts_as_neither_hit_nor_miss() {
         let c = SubgoalCache::new(1024);
         c.insert(key(2), CacheEntry::Unsuitable);
-        let got = c.lookup(&key(2));
+        let got = c.lookup(key(2));
         assert!(matches!(got, Some(CacheEntry::Unsuitable)));
         assert_eq!(c.hits(), 0);
         assert_eq!(c.misses(), 0);
@@ -316,26 +280,16 @@ mod tests {
         // then insert more keys into the same shard: the touched entry
         // survives one pass (second chance) while unreferenced ones go.
         let c = SubgoalCache::new(CACHE_SHARDS);
-        let mut keys = Vec::new();
-        let mut i = 0i64;
-        // Find three keys landing in the same shard.
-        let shard_of = |c: &SubgoalCache, k: &StateKey| c.shard_for(k) as *const _ as usize;
-        let target = shard_of(&c, &key(0));
-        while keys.len() < 3 {
-            if shard_of(&c, &key(i)) == target {
-                keys.push(key(i));
-            }
-            i += 1;
-        }
-        c.insert(keys[0].clone(), answers(0));
-        assert!(c.lookup(&keys[0]).is_some()); // sets the reference bit
-        c.insert(keys[1].clone(), answers(1));
+        let keys = [0, 1, 2].map(|i| key(i * CACHE_SHARDS as i64));
+        c.insert(keys[0], answers(0));
+        assert!(c.lookup(keys[0]).is_some()); // sets the reference bit
+        c.insert(keys[1], answers(1));
         // keys[0] was referenced → second chance; keys[1] unreferenced and
         // evicted on the next insert.
-        c.insert(keys[2].clone(), answers(2));
+        c.insert(keys[2], answers(2));
         assert!(c.evictions() >= 1, "evictions: {}", c.evictions());
         // The shard never exceeds its capacity.
-        let shard = c.shard_for(&keys[0]).lock().unwrap();
+        let shard = c.shard_for(keys[0]).lock().unwrap();
         assert!(shard.map.len() <= c.capacity_per_shard);
     }
 
@@ -345,31 +299,11 @@ mod tests {
         c.insert(key(5), answers(1));
         c.insert(key(5), answers(2));
         assert_eq!(c.len(), 1);
-        match c.lookup(&key(5)).unwrap() {
+        match c.lookup(key(5)).unwrap() {
             CacheEntry::Answers { answers: a, .. } => {
                 assert_eq!(a[0].values, vec![Value::Int(2)]);
             }
             CacheEntry::Unsuitable => panic!("wrong entry kind"),
         }
-    }
-
-    #[test]
-    fn canonicalize_maps_vars_in_first_occurrence_order() {
-        let g = Goal::atom("p", vec![Term::var(9), Term::var(4), Term::var(9)]);
-        let (canon, vars) = canonicalize_with_map(&g, |t| t);
-        assert_eq!(
-            canon,
-            Goal::atom("p", vec![Term::var(0), Term::var(1), Term::var(0)])
-        );
-        assert_eq!(vars, vec![Var(9), Var(4)]);
-    }
-
-    #[test]
-    fn canonical_goal_identifies_alpha_equivalent() {
-        let g1 = Goal::atom("p", vec![Term::var(3), Term::var(7), Term::var(3)]);
-        let g2 = Goal::atom("p", vec![Term::var(9), Term::var(2), Term::var(9)]);
-        assert_eq!(canonical_goal(&g1), canonical_goal(&g2));
-        let g3 = Goal::atom("p", vec![Term::var(1), Term::var(2), Term::var(2)]);
-        assert_ne!(canonical_goal(&g1), canonical_goal(&g3));
     }
 }

@@ -5,17 +5,21 @@
 //! * Each rule's body as a process tree, its *template*: an unfolding reads
 //!   it at the offset its fresh variables start from (`crate::tree`), so a
 //!   call builds nothing. Built the first time the rule is unfolded.
-//! * [`crate::datalog::query`]'s [`Views`]: the program's `is_datalog`
-//!   verdict and its views' circuit. Compiled the first time `query` asks;
-//!   building templates does not compile them.
+//! * The program's one view circuit, its [`Materializer`], and beside it
+//!   the [`is_datalog`] verdict `datalog` and `magic` check: an engine with
+//!   `EngineConfig::materialize`, `datalog::query` and `td`'s refusal of
+//!   `--materialize` all read the one circuit.
 
-use crate::datalog::Views;
+use crate::datalog::{is_datalog, NotDatalog};
+use crate::incremental::{Materializer, NotMaterializable};
 use crate::tree::{make_node, PTree};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use td_core::{Program, RuleId};
 
 pub(crate) struct Compiled {
-    views: OnceLock<Views>,
+    datalog: OnceLock<Result<(), NotDatalog>>,
+    /// Filled by [`Materializer::of`].
+    pub(crate) circuit: OnceLock<Result<Arc<Materializer>, NotMaterializable>>,
     bodies: Box<[OnceLock<Option<PTree>>]>,
 }
 
@@ -24,7 +28,8 @@ impl Compiled {
     pub(crate) fn of(program: &Program) -> &Compiled {
         let compiled = program.compiled().get_or_init(|| {
             Box::new(Compiled {
-                views: OnceLock::new(),
+                datalog: OnceLock::new(),
+                circuit: OnceLock::new(),
                 bodies: (0..program.len()).map(|_| OnceLock::new()).collect(),
             })
         });
@@ -38,8 +43,8 @@ impl Compiled {
         self.bodies[rule.0 as usize].get_or_init(body).as_ref()
     }
 
-    /// `program`'s views, compiled on the first call.
-    pub(crate) fn views(&self, program: &Program) -> &Views {
-        self.views.get_or_init(|| Views::compile(program))
+    /// `program`'s [`is_datalog`] verdict, decided on the first call.
+    pub(crate) fn datalog(&self, program: &Program) -> &Result<(), NotDatalog> {
+        self.datalog.get_or_init(|| is_datalog(program))
     }
 }

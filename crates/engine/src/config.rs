@@ -33,7 +33,7 @@ pub enum Strategy {
 
 impl Strategy {
     /// Does this strategy create scheduling choicepoints?
-    pub fn backtracks_schedule(self) -> bool {
+    pub(crate) fn backtracks_schedule(self) -> bool {
         matches!(self, Strategy::Exhaustive | Strategy::ExhaustiveRandom(_))
     }
 }
@@ -295,7 +295,7 @@ macro_rules! stats {
 
             /// Fold another search's (or parallel worker's) counters into
             /// this one: counts add, high-water marks keep the larger.
-            pub fn merge(&mut self, other: &Stats) {
+            pub(crate) fn merge(&mut self, other: &Stats) {
                 $(self.$name = match Fold::$fold {
                     Fold::Sum => self.$name + other.$name,
                     Fold::Max => self.$name.max(other.$name),

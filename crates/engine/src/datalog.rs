@@ -182,44 +182,16 @@ pub fn evaluate(program: &Program, db: &Database) -> Result<Fixpoint, NotDatalog
     })
 }
 
-/// What [`query`] compiles from a program, once per `Program` value: its
-/// [`is_datalog`] verdict and the circuit of its views. Kept in the
-/// program's own cell ([`Compiled`]), so every clone shares it.
-pub(crate) struct Views {
-    datalog: Result<(), NotDatalog>,
-    views: Option<Materializer>,
-}
-
-impl Views {
-    pub(crate) fn compile(program: &Program) -> Views {
-        let datalog = is_datalog(program);
-        let views = datalog.is_ok().then(|| Materializer::compile(program).ok());
-        Views {
-            datalog,
-            views: views.flatten(),
-        }
-    }
-}
-
-fn compiled(program: &Program) -> &Views {
-    Compiled::of(program).views(program)
-}
-
-/// The views [`query`] answers `program`'s derived predicates from, if it
-/// has any.
-#[cfg(test)]
-pub(crate) fn views(program: &Program) -> Option<&Materializer> {
-    compiled(program).views.as_ref()
-}
-
 /// All answers to a (possibly non-ground) atom, sorted: tuples of the
 /// predicate matching the atom's bound positions, drawn from the database
 /// for base predicates and from the least fixpoint for derived ones. A
-/// predicate the program's views cover ([`Materializer::compile`]) is read
-/// off the view's state on `db`'s version: built there by the first query,
-/// carried by every version `insert`/`delete` make from it, and brought up
-/// to date by one maintenance pass when such a version is first asked.
-/// Any other derived predicate runs [`evaluate`].
+/// predicate the program's views cover is read off the state its one
+/// circuit ([`Materializer::of`]) keeps on `db`'s version — the circuit an
+/// engine with `EngineConfig::materialize` probes, so a version that engine
+/// probed is answered without a pass. Otherwise the state is built there by
+/// the first question, carried by every version `insert`/`delete` make from
+/// it, and brought up to date by one maintenance pass when such a version
+/// is first asked. Any other derived predicate runs [`evaluate`].
 pub fn query(program: &Program, db: &Database, atom: &Atom) -> Result<Vec<Tuple>, NotDatalog> {
     if program.is_base(atom.pred) {
         let pattern: Vec<Option<Value>> = atom.args.iter().map(|t| t.as_value()).collect();
@@ -228,10 +200,9 @@ pub fn query(program: &Program, db: &Database, atom: &Atom) -> Result<Vec<Tuple>
             .map(|r| r.select(&pattern))
             .unwrap_or_default());
     }
-    let compiled = compiled(program);
-    compiled.datalog.clone()?;
-    let viewed = compiled.views.as_ref().and_then(|v| v.select(db, atom));
-    match viewed {
+    Compiled::of(program).datalog(program).clone()?;
+    let circuit = Materializer::of(program).ok();
+    match circuit.and_then(|c| c.select(db, atom)) {
         Some(answers) => Ok(answers),
         None => Ok(evaluate(program, db)?.matching(atom)),
     }
@@ -243,6 +214,12 @@ mod tests {
     use crate::engine::load_init;
     use td_db::tuple;
     use td_parser::parse_program;
+
+    /// The circuit [`query`] answers `p`'s derived predicates from, if it
+    /// has one.
+    fn views(p: &Program) -> Option<&Materializer> {
+        Materializer::of(p).ok().map(|c| &**c)
+    }
 
     fn setup(src: &str) -> (Program, Database) {
         let parsed = parse_program(src).expect("parses");
@@ -458,6 +435,42 @@ mod tests {
         }
         assert_eq!(passes(&p).0, 1, "every version maintained, none rebuilt");
         assert!(!std::ptr::eq(views(&p).unwrap(), views(&twin).unwrap()));
+    }
+
+    /// One `Program` value has one circuit: an engine over a clone of it
+    /// probes the circuit `query` reads, so a version the engine's `solve`
+    /// probed answers `query` with no pass and no rebuild. A second
+    /// `Program` with the same rules is a second owner, whose states on the
+    /// same database value are its own.
+    #[test]
+    fn an_engine_and_query_read_one_circuit_per_program() {
+        let src = "base e/2. init e(1, 2). init e(2, 3).
+             path(X, Y) <- e(X, Y).
+             path(X, Z) <- e(X, Y) * path(Y, Z).";
+        let (p, db) = setup(src);
+        let config = crate::EngineConfig::default().with_materialize();
+        let engine = crate::Engine::with_config(p.clone(), config);
+        let m = engine.materializer().expect("the program has views");
+        assert!(std::ptr::eq(&**m, views(&p).unwrap()));
+        assert!(std::ptr::eq(&**m, views(&p.clone()).unwrap()));
+        // The call after the insert is a view probe, on the version the
+        // solution ends at.
+        let goal = td_parser::parse_goal("ins.e(3, 4) * path(1, 4)", &p).unwrap();
+        let out = engine.solve(&goal.goal, &db).unwrap();
+        let db = &out.solution().expect("succeeds").db;
+        assert_eq!((m.probes(), m.rebuilds()), (1, 1));
+        let before = passes(&p);
+        let from1 = Atom::new("path", vec![Term::int(1), Term::var(0)]);
+        let answers = query(&p, db, &from1).unwrap();
+        assert_eq!(answers, evaluate(&p, db).unwrap().matching(&from1));
+        assert_eq!(passes(&p), before, "no pass, no rebuild");
+        assert_eq!((m.probes(), m.state_hits()), (2, 1), "query read it");
+        // The twin builds its own state on that version, and leaves `p`'s.
+        let twin = td_parser::parse_program(src).unwrap().program;
+        assert_eq!(query(&twin, db, &from1).unwrap(), answers);
+        assert_eq!(passes(&twin).0, 1);
+        assert_eq!(passes(&p), before);
+        assert!(!std::ptr::eq(&**m, views(&twin).unwrap()));
     }
 
     /// What a lineage nobody asks about holds: after one question, 100 000

@@ -100,13 +100,6 @@ pub struct Engine {
     /// every `solve`/`solutions` call on this engine and its clones, so a
     /// warm engine replays answers across queries too.
     cache: Option<Arc<SubgoalCache>>,
-    /// Incremental materializer, compiled once per engine when
-    /// `EngineConfig::materialize` is set and the program has a
-    /// Datalog-evaluable fragment (`None` otherwise — the engine then runs
-    /// exactly as without the flag). Shared across calls and clones like
-    /// the cache; the states it maintains are on the `Database` values, so
-    /// a caller that keeps a value between queries keeps its views warm.
-    mat: Option<Arc<Materializer>>,
     /// Observability sink (metrics registry + optional event stream),
     /// attached with [`Engine::with_observer`]. `None` = zero overhead.
     obs: Option<Arc<Observer>>,
@@ -123,15 +116,10 @@ impl Engine {
         let cache = config
             .subgoal_cache
             .then(|| Arc::new(SubgoalCache::new(config.cache_capacity)));
-        let mat = config
-            .materialize
-            .then(|| Materializer::compile(&program).ok().map(Arc::new))
-            .flatten();
         Engine {
             program,
             config,
             cache,
-            mat,
             obs: None,
         }
     }
@@ -168,12 +156,19 @@ impl Engine {
         self.cache.as_ref()
     }
 
-    /// The engine's incremental materializer (None unless
-    /// `EngineConfig::materialize` is set *and* the program has a
-    /// Datalog-evaluable fragment). Exposes lifetime probe/rebuild/
-    /// maintenance counters for reporting.
+    /// The program's view circuit ([`Materializer::of`]) when
+    /// `EngineConfig::materialize` is set and the program has a
+    /// Datalog-evaluable fragment (`None` otherwise — the engine then runs
+    /// exactly as without the flag). One per program, not per engine: the
+    /// circuit `datalog::query` reads too, its lifetime probe/rebuild/
+    /// maintenance counters totals over all of them. The states it maintains
+    /// are on the `Database` values, so a caller that keeps a value between
+    /// queries keeps its views warm.
     pub fn materializer(&self) -> Option<&Arc<Materializer>> {
-        self.mat.as_ref()
+        if !self.config.materialize {
+            return None;
+        }
+        Materializer::of(&self.program).ok()
     }
 
     /// The engine's own sections of a [`crate::RunReport`] — the lifetime
@@ -181,7 +176,7 @@ impl Engine {
     /// `null`) for whichever is not attached.
     pub fn report_sections(&self) -> Vec<(&'static str, Option<String>)> {
         let cache = self.cache.as_ref().map(|c| json_object(c.counters()));
-        let mat = self.mat.as_ref().map(|m| json_object(m.counters()));
+        let mat = self.materializer().map(|m| json_object(m.counters()));
         vec![("cache", cache), ("materializer", mat)]
     }
 
@@ -232,7 +227,7 @@ impl Engine {
             kernel: Kernel {
                 program: &self.program,
                 cache: self.cache.clone(),
-                mat: self.mat.clone(),
+                mat: self.materializer().cloned(),
             },
             obs: self.obs.clone(),
             workers,
@@ -308,11 +303,10 @@ impl Engine {
             &self.program,
             &self.config,
             self.cache.clone(),
-            self.mat.clone(),
             self.obs.clone(),
         );
         ctx.bindings.alloc(nvars);
-        if let Some(mat) = &self.mat {
+        if let Some(mat) = self.materializer() {
             mat.slot(db); // made before the clone, which then shares it
         }
         let mut solver = Solver::new(make_node(goal, &self.program), db.clone());
@@ -368,7 +362,7 @@ pub struct Solutions {
 
 /// Number of variables a goal mentions (max id + 1 — goals produced by the
 /// parser use dense ids starting at 0).
-pub fn goal_num_vars(goal: &Goal) -> u32 {
+pub(crate) fn goal_num_vars(goal: &Goal) -> u32 {
     goal.vars()
         .into_iter()
         .map(|Var(i)| i + 1)

@@ -17,14 +17,14 @@
 //! the interpreter commits some path; `entails` re-judges the goal against
 //! it.
 
-use crate::cache::canonical_goal;
 use crate::compiled::Compiled;
 use crate::config::EngineError;
 use crate::kernel::{
     apply_unification, apply_unification_n, apply_update, bind_tuple, builtin_args, check_absent,
-    eval_ground_builtin, matching_tuples, num_vars_in_tree, subst_tree, unify_head, BuiltinOut,
+    eval_ground_builtin, fingerprint, matching_tuples, num_vars_in_tree, subst_tree, unify_head,
+    BuiltinOut,
 };
-use crate::tree::{frontier_len, leaf_at, make_node, rewrite, sequence, to_goal, PTree};
+use crate::tree::{frontier_len, leaf_at, make_node, rewrite, sequence, PTree};
 use std::collections::HashSet;
 use td_core::{Goal, Program, Term};
 use td_db::{Database, Delta};
@@ -34,8 +34,24 @@ use td_db::{Database, Delta};
 /// transition must be exactly `states[i] → states[i+1]`.
 pub fn entails(program: &Program, states: &[Database], goal: &Goal) -> Result<bool, EngineError> {
     assert!(!states.is_empty(), "a path has at least one state");
-    let mut visited = HashSet::new();
-    search(program, states, make_node(goal, program), 0, &mut visited)
+    // A configuration is visited once: its tree's fingerprint at its
+    // state, and its position.
+    let mut visited: HashSet<(u128, usize)> = HashSet::new();
+    let mut vars = Vec::new();
+    let mut stack: Vec<Cfg> = vec![(make_node(goal, program), 0)];
+    while let Some((tree, pos)) = stack.pop() {
+        let Some(tree) = tree else {
+            if pos == states.len() - 1 {
+                return Ok(true);
+            }
+            continue;
+        };
+        if !visited.insert((fingerprint(&tree, |t| t, &states[pos], &mut vars), pos)) {
+            continue;
+        }
+        successors(program, states, &tree, pos, &mut stack)?;
+    }
+    Ok(false)
 }
 
 /// Convenience: build the state sequence a committed [`Delta`] induces from
@@ -58,36 +74,12 @@ pub fn entails_via_delta(
 
 type Cfg = (Option<PTree>, usize);
 
-fn search(
-    program: &Program,
-    states: &[Database],
-    tree: Option<PTree>,
-    pos: usize,
-    visited: &mut HashSet<(Goal, usize)>,
-) -> Result<bool, EngineError> {
-    let mut stack: Vec<Cfg> = vec![(tree, pos)];
-    while let Some((tree, pos)) = stack.pop() {
-        let Some(tree) = tree else {
-            if pos == states.len() - 1 {
-                return Ok(true);
-            }
-            continue;
-        };
-        if !visited.insert((canonical_goal(&to_goal(&tree)), pos)) {
-            continue;
-        }
-        successors(program, states, &tree, pos, &mut stack, visited)?;
-    }
-    Ok(false)
-}
-
 fn successors(
     program: &Program,
     states: &[Database],
     tree: &PTree,
     pos: usize,
     out: &mut Vec<Cfg>,
-    visited: &mut HashSet<(Goal, usize)>,
 ) -> Result<(), EngineError> {
     let db = &states[pos];
     for leaf in 0..frontier_len(tree) {
@@ -163,7 +155,6 @@ fn successors(
                 // continuation.
                 let rest = rewrite(tree, leaf, None);
                 out.push((sequence(action.tree(0, off), rest), pos));
-                let _ = visited; // keep signature symmetric
             }
         }
     }

@@ -12,9 +12,9 @@
 //! [`Materializer`] turns "digest changed → recompute" into "delta applied →
 //! O(|Δ|) maintenance":
 //!
-//! * [`Materializer::compile`] selects the derived predicates whose rules
-//!   flatten to Datalog (`datalog::flatten_rule`) and compile to a live
-//!   body-order plan, and compiles them into a circuit.
+//! * [`Materializer::of`] is a program's one circuit: the derived
+//!   predicates whose rules flatten to Datalog (`datalog::flatten_rule`) and
+//!   compile to a live body-order plan, compiled once per `Program` value.
 //! * A *materialized state* holds, for one database version and every such
 //!   predicate, a `CountedRelation` — tuple → number of supporting rule
 //!   instantiations — and the arrangements of them the plans probe. It rides
@@ -37,8 +37,8 @@
 //! * [`Materializer::holds`] answers a ground derived-predicate call with
 //!   an indexed probe of the materialized relation — the kernel substitutes
 //!   it for rule unfolding when `EngineConfig::materialize` is on — and
-//!   `Materializer::select` answers `datalog::query` for a program's own
-//!   circuit.
+//!   `Materializer::select` answers `datalog::query` from the same circuit
+//!   and the same states.
 //!
 //! Negation folds in directly: TD restricts `not` to base relations, so no
 //! stratification is needed — a base tuple appearing is a *negative* delta
@@ -51,6 +51,7 @@
 pub(crate) mod circuit;
 mod plan;
 
+use crate::compiled::Compiled;
 use crate::datalog::{flatten_rule, FlatRule, Lit};
 use circuit::{join_events, runs_on, Circuit, Events, MatState, Scc};
 use plan::Data;
@@ -76,8 +77,9 @@ impl std::error::Error for NotMaterializable {}
 
 /// The compiled delta circuit and its counters. It holds no state of any
 /// database version: a version's state is on the `Database` value
-/// (`Database::derived`). Shared across backends and worker threads
-/// behind an `Arc`; all counters are process-wide lifetime totals.
+/// (`Database::derived`). One per `Program` value ([`Materializer::of`]),
+/// shared by its engines, `datalog::query`, backends and worker threads
+/// behind an `Arc`; all counters are lifetime totals of every one of them.
 pub struct Materializer {
     /// Base predicates read by some materialized rule; deltas on any other
     /// base predicate leave every materialized relation unchanged.
@@ -88,7 +90,7 @@ pub struct Materializer {
     /// snapshot of the state it edits, for those reads.
     keeps_old: bool,
     /// This circuit's number among the owners of `Database::derived` slots:
-    /// two engines over one database value never read each other's state.
+    /// two programs over one database value never read each other's state.
     id: u64,
     probes: AtomicU64,
     state_hits: AtomicU64,
@@ -115,13 +117,22 @@ fn op_pair(op: &DeltaOp) -> (Pred, &Tuple) {
 }
 
 impl Materializer {
+    /// `program`'s one circuit, compiled the first time anyone asks and
+    /// shared by every clone of the `Program` value (`Program::compiled`),
+    /// its counters lifetime totals for that value. Another `Program` with
+    /// the same rules compiles its own: a second owner of database states.
+    pub fn of(program: &Program) -> Result<&Arc<Materializer>, &NotMaterializable> {
+        let compile = || Materializer::compile(program).map(Arc::new);
+        Compiled::of(program).circuit.get_or_init(compile).as_ref()
+    }
+
     /// Compile the materializable fragment of `program`: the greatest set
     /// of derived predicates whose rules all flatten to Datalog, compile to
     /// a live body-order plan (`plan::derives` — a view answers only what
     /// the rule, evaluated left to right, derives), depend (positively)
     /// only on base predicates and each other, and negate only base
     /// predicates. Errs when the set is empty.
-    pub fn compile(program: &Program) -> Result<Materializer, NotMaterializable> {
+    pub(crate) fn compile(program: &Program) -> Result<Materializer, NotMaterializable> {
         let base: HashSet<Pred> = program.base_preds().collect();
         if program.derived_preds().next().is_none() {
             return Err(NotMaterializable {
@@ -203,7 +214,7 @@ impl Materializer {
     /// function of exactly these base relations, so recording them (rather
     /// than the derived predicate, which is not a stored relation) keeps
     /// per-relation OCC validation sound under `--materialize`.
-    pub fn base_support(&self) -> impl Iterator<Item = Pred> + '_ {
+    pub(crate) fn base_support(&self) -> impl Iterator<Item = Pred> + '_ {
         self.relevant_base.iter().copied()
     }
 

@@ -7,8 +7,9 @@
 //! cached answer as a single transition. The decisions, and what each one
 //! charges to [`Hooks`], are made here once, for both drivers.
 
+use super::fingerprint_goal;
 use super::Hooks;
-use crate::cache::{canonicalize_with_map, CacheEntry, CachedAnswer, SubgoalCache};
+use crate::cache::{CacheEntry, CachedAnswer, SubgoalCache};
 use crate::config::{EngineConfig, EngineError};
 use crate::incremental::Materializer;
 use crate::obs::subgoal_label;
@@ -108,7 +109,8 @@ pub(crate) fn probe_subgoal(
     resolve: impl Fn(Term) -> Term,
     hooks: &mut Hooks<'_>,
 ) -> Probe {
-    let (canon, vars) = canonicalize_with_map(subgoal, &resolve);
+    let mut vars = Vec::new();
+    let key = fingerprint_goal(subgoal, &resolve, db, &mut vars);
     let label = (hooks.local.is_enabled() || hooks.events.is_some())
         .then(|| subgoal_label(&subgoal.map_terms(&mut |t| resolve(t))));
     let note = |hooks: &mut Hooks<'_>, outcome: ProbeOutcome| {
@@ -122,8 +124,7 @@ pub(crate) fn probe_subgoal(
             }
         }
     };
-    let key = (canon, db.digest());
-    match cache.lookup(&key) {
+    match cache.lookup(key) {
         Some(CacheEntry::Answers { answers, reads }) => {
             hooks.stats.cache_hits += 1;
             // The macro-step stands in for the full lazy exploration, so
@@ -138,7 +139,18 @@ pub(crate) fn probe_subgoal(
         }
         None => {
             hooks.stats.cache_misses += 1;
-            match enumerate_answers(program, &key.0, vars.len() as u32, db) {
+            // The subgoal as the enumeration runs it: each free variable
+            // renamed to its number in `vars`, the positions a hit binds.
+            let number = |v| {
+                vars.iter()
+                    .position(|w| *w == v)
+                    .expect("the walk numbered it")
+            };
+            let canon = subgoal.map_terms(&mut |t| match resolve(t) {
+                Term::Var(v) => Term::var(number(v) as u32),
+                val => val,
+            });
+            match enumerate_answers(program, &canon, vars.len() as u32, db) {
                 Some((list, reads)) => {
                     note(hooks, ProbeOutcome::Miss);
                     hooks.reads.merge(&reads);
@@ -224,7 +236,7 @@ pub(crate) fn enumerate_answers(
         max_steps: CACHE_ENUM_MAX_STEPS,
         ..EngineConfig::default()
     };
-    let mut ctx = Ctx::new(program, &config, None, None, None);
+    let mut ctx = Ctx::new(program, &config, None, None);
     ctx.bindings.alloc(nvars);
     let mut solver = Solver::new(make_node(goal, program), db.clone());
     let mut out = Vec::new();
@@ -249,5 +261,67 @@ pub(crate) fn enumerate_answers(
             Ok(false) => return Some((out, std::mem::take(&mut ctx.reads))),
             Err(_) => return None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Stats;
+    use crate::engine::load_init;
+    use crate::obs::LocalMetrics;
+    use td_db::ReadSet;
+    use td_parser::parse_program;
+
+    /// A hit on an α-variant of a cached subgoal binds the caller's
+    /// variables in the positions the miss that filled the entry bound its
+    /// own: the walk numbers free variables by first occurrence, and the
+    /// enumeration ran the subgoal renamed by that numbering.
+    #[test]
+    fn a_hit_on_a_variant_binds_like_the_miss_that_filled_it() {
+        let parsed = parse_program("base t/2. base u/1. init t(1, 2). init t(3, 4).").unwrap();
+        let program = &parsed.program;
+        let db = load_init(&Database::with_schema_of(program), &parsed.init).unwrap();
+        let cache = SubgoalCache::new(64);
+        // `t(A, B) * ins.u(B)`, its variables read at `off`.
+        let subgoal = |a: u32, b: u32| {
+            Goal::seq(vec![
+                Goal::atom("t", vec![Term::var(a), Term::var(b)]),
+                Goal::ins("u", vec![Term::var(b)]),
+            ])
+        };
+        // What `A` and `B` are bound to by each replayed answer.
+        let bound = |(a, b): (u32, u32), off: u32| -> Vec<(Term, Term)> {
+            let (mut stats, mut local, mut reads) =
+                (Stats::default(), LocalMetrics::new(false), ReadSet::new());
+            let mut hooks = Hooks {
+                stats: &mut stats,
+                local: &mut local,
+                events: None,
+                reads: &mut reads,
+            };
+            let resolve = |t: Term| t.offset(off);
+            let probe = probe_subgoal(program, &cache, &db, &subgoal(a, b), resolve, &mut hooks);
+            let Probe::Replay { answers, vars } = probe else {
+                panic!("the subgoal is cacheable");
+            };
+            let (a, b) = (Term::var(a + off), Term::var(b + off));
+            (answers.iter())
+                .map(|ans| {
+                    let mut bindings = Bindings::new();
+                    bindings.alloc(64);
+                    assert!(bind_answer(&mut bindings, &vars, ans));
+                    (bindings.resolve(a), bindings.resolve(b))
+                })
+                .collect()
+        };
+        let expect = [(1, 2), (3, 4)].map(|(a, b)| (Term::int(a), Term::int(b)));
+        assert_eq!(bound((7, 3), 0), expect, "the miss");
+        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+        // Renamed apart, with the ids in the other order, and read at an
+        // offset: one entry, and `A` still gets `t`'s first column.
+        assert_eq!(bound((2, 5), 0), expect);
+        assert_eq!(bound((0, 1), 40), expect);
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 2, 1));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Every driver memoizes configurations `(process tree, database)` up to
 //! variable renaming: the machine's failure memo and the explicit-state
-//! search's claim table. [`fingerprint`] identifies a
-//! configuration without building anything: it walks the tree once,
+//! search's claim table; and the subgoal cache keys answer sets by
+//! `(subgoal, database)` the same way ([`fingerprint_goal`]). [`fingerprint`]
+//! identifies a configuration without building anything: it walks the tree once,
 //! resolves each term through the caller's bindings, numbers the unbound
 //! variables by first occurrence as it meets them, and feeds a prefix-free
 //! encoding of what it sees into two independently seeded 64-bit lanes,
@@ -16,6 +17,8 @@
 //! id and the tables keyed by them are never persisted, so the mixer below
 //! is not a frozen format.
 
+#[cfg(test)]
+use crate::tree::to_goal;
 use crate::tree::{Node, PTree};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -29,8 +32,8 @@ pub(crate) type FpMap<V> = HashMap<u128, V, BuildHasherDefault<FpHasher>>;
 
 /// The hasher of [`FpSet`]/[`FpMap`]: a fingerprint is already uniformly
 /// mixed, so its low lane *is* the table hash. (The search's claim table
-/// picks its shard from the high lane, so a shard's keys still spread over
-/// all of its buckets.)
+/// and the subgoal cache pick their shard from the high lane, so a shard's
+/// keys still spread over all of its buckets.)
 #[derive(Default)]
 pub(crate) struct FpHasher(u64);
 
@@ -81,7 +84,27 @@ struct Walk<'v, R> {
     vars: &'v mut Vec<Var>,
 }
 
-impl<R: Fn(Term) -> Term> Walk<'_, R> {
+impl<'v, R: Fn(Term) -> Term> Walk<'v, R> {
+    /// A walk with no words fed yet; `vars` is cleared.
+    fn new(resolve: R, vars: &'v mut Vec<Var>) -> Self {
+        vars.clear();
+        let (a, b) = (0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344);
+        Walk {
+            a,
+            b,
+            resolve,
+            vars,
+        }
+    }
+
+    /// The two lanes, finished with `db`'s digest.
+    fn finish(&mut self, db: &Database) -> u128 {
+        let digest = db.digest();
+        self.word(digest as u64);
+        self.word((digest >> 64) as u64);
+        u128::from(self.b) << 64 | u128::from(self.a)
+    }
+
     fn word(&mut self, w: u64) {
         self.a = fold(self.a ^ w, 0x9e37_79b9_7f4a_7c15);
         self.b = fold(self.b ^ w, 0xc2b2_ae3d_27d4_eb4f);
@@ -171,61 +194,109 @@ pub(crate) fn fingerprint(
     db: &Database,
     vars: &mut Vec<Var>,
 ) -> u128 {
-    vars.clear();
-    let mut walk = Walk {
-        a: 0x243f_6a88_85a3_08d3,
-        b: 0x1319_8a2e_0370_7344,
-        resolve,
-        vars,
-    };
+    let mut walk = Walk::new(resolve, vars);
     walk.tree(tree, 0);
-    let digest = db.digest();
-    walk.word(digest as u64);
-    walk.word((digest >> 64) as u64);
-    let fp = u128::from(walk.b) << 64 | u128::from(walk.a);
+    let fp = walk.finish(db);
     #[cfg(test)]
-    tests::record(tree, &walk.resolve, digest, fp);
+    tests::record(tests::Log::configs, || to_goal(tree), &walk.resolve, db, fp);
+    fp
+}
+
+/// The same identity for a subgoal, `(goal under resolve, db)` — the
+/// subgoal cache's key. `vars` ends holding the variables `resolve` leaves
+/// unbound, numbered by first occurrence: the caller-side variables a
+/// cached answer binds, in its order.
+pub(crate) fn fingerprint_goal(
+    goal: &Goal,
+    resolve: impl Fn(Term) -> Term,
+    db: &Database,
+    vars: &mut Vec<Var>,
+) -> u128 {
+    let mut walk = Walk::new(resolve, vars);
+    walk.goal(goal, 0);
+    let fp = walk.finish(db);
+    #[cfg(test)]
+    tests::record(tests::Log::subgoals, || goal.clone(), &walk.resolve, db, fp);
     fp
 }
 
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
-    use crate::cache::{canonical_goal, StateKey};
     use crate::decider::{decide, DeciderConfig};
     use crate::engine::{load_init, Engine};
-    use crate::tree::{make_node, to_goal};
+    use crate::tree::make_node;
+    use crate::EngineConfig;
     use proptest::prelude::*;
     use std::cell::RefCell;
     use td_core::{Bindings, Pred};
     use td_db::tuple;
     use td_parser::parse_program;
 
+    /// The exact key a fingerprint stands for, the reference it must
+    /// partition like: the α-renamed resolved goal (a configuration's is the
+    /// goal its tree renders to) and the database digest.
+    type ExactKey = (Goal, u128);
+
+    /// Every `(exact key, fingerprint)` pair computed while the hook is on,
+    /// one table per entry point.
+    #[derive(Default)]
+    pub(super) struct Log {
+        configs: HashMap<ExactKey, u128>,
+        subgoals: HashMap<ExactKey, u128>,
+    }
+
+    impl Log {
+        pub(super) fn configs(&mut self) -> &mut HashMap<ExactKey, u128> {
+            &mut self.configs
+        }
+
+        pub(super) fn subgoals(&mut self) -> &mut HashMap<ExactKey, u128> {
+            &mut self.subgoals
+        }
+    }
+
     thread_local! {
-        /// While `Some`, every [`fingerprint`] call on this thread logs the
-        /// exact key it replaces beside the fingerprint it returned.
-        static LOG: RefCell<Option<HashMap<StateKey, u128>>> = const { RefCell::new(None) };
+        /// While `Some`, every [`fingerprint`] and [`fingerprint_goal`] call
+        /// on this thread logs the exact key it stands for beside the
+        /// fingerprint it returned.
+        static LOG: RefCell<Option<Log>> = const { RefCell::new(None) };
     }
 
-    /// The key the drivers used before fingerprints: the α-renamed resolved
-    /// goal the tree renders to, and the database digest.
-    fn exact_key(tree: &PTree, resolve: &impl Fn(Term) -> Term, digest: u128) -> StateKey {
-        let resolved = to_goal(tree).map_terms(&mut |t| resolve(t));
-        (canonical_goal(&resolved), digest)
+    /// `goal` with its variables renamed densely in first-occurrence order,
+    /// so α-equivalent goals are structurally equal.
+    fn canonical(goal: &Goal) -> Goal {
+        let mut seen: Vec<Var> = Vec::new();
+        goal.map_terms(&mut |t| match t {
+            Term::Var(v) => {
+                let n = seen.iter().position(|w| *w == v).unwrap_or_else(|| {
+                    seen.push(v);
+                    seen.len() - 1
+                });
+                Term::var(n as u32)
+            }
+            val => val,
+        })
     }
 
-    /// The test-only hook in [`fingerprint`]: equal exact keys must get
-    /// equal fingerprints, checked here as they arrive.
-    pub(in super::super) fn record(
-        tree: &PTree,
+    fn exact_key(goal: &Goal, resolve: &impl Fn(Term) -> Term, digest: u128) -> ExactKey {
+        (canonical(&goal.map_terms(&mut |t| resolve(t))), digest)
+    }
+
+    /// The test-only hook in [`fingerprint`] and [`fingerprint_goal`]:
+    /// equal exact keys must get equal fingerprints, checked in `table` as
+    /// they arrive. `goal` is only rendered while the hook is on.
+    pub(super) fn record(
+        table: fn(&mut Log) -> &mut HashMap<ExactKey, u128>,
+        goal: impl FnOnce() -> Goal,
         resolve: &impl Fn(Term) -> Term,
-        digest: u128,
+        db: &Database,
         fp: u128,
     ) {
         LOG.with(|log| {
-            if let Some(seen) = log.borrow_mut().as_mut() {
-                let key = exact_key(tree, resolve, digest);
-                if let Some(old) = seen.insert(key.clone(), fp) {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                let key = exact_key(&goal(), resolve, db.digest());
+                if let Some(old) = table(log).insert(key.clone(), fp) {
                     assert_eq!(old, fp, "one exact key, two fingerprints: {key:?}");
                 }
             }
@@ -233,9 +304,9 @@ pub(super) mod tests {
     }
 
     /// Run `f` with the hook on; return every `(exact key, fingerprint)`
-    /// pair the drivers computed meanwhile.
-    fn recorded(f: impl FnOnce()) -> HashMap<StateKey, u128> {
-        LOG.with(|log| *log.borrow_mut() = Some(HashMap::new()));
+    /// pair computed meanwhile.
+    fn recorded(f: impl FnOnce()) -> Log {
+        LOG.with(|log| *log.borrow_mut() = Some(Log::default()));
         f();
         LOG.with(|log| log.borrow_mut().take())
             .expect("hook was on")
@@ -244,26 +315,34 @@ pub(super) mod tests {
     /// The other half of "the partitions coincide": distinct exact keys
     /// differ on *each* 64-bit lane (`record` checked that equal keys
     /// agree).
-    fn assert_lanes_injective(seen: &HashMap<StateKey, u128>) {
+    fn assert_lanes_injective(seen: &HashMap<ExactKey, u128>) {
         let low: HashSet<u64> = seen.values().map(|fp| *fp as u64).collect();
         let high: HashSet<u64> = seen.values().map(|fp| (*fp >> 64) as u64).collect();
         assert_eq!(low.len(), seen.len(), "two exact keys share a low lane");
         assert_eq!(high.len(), seen.len(), "two exact keys share a high lane");
     }
 
+    /// The explicit-state search's budget here.
+    fn budget() -> DeciderConfig {
+        DeciderConfig {
+            max_configs: 5_000,
+            ..DeciderConfig::default()
+        }
+    }
+
     /// Drive the machine and the explicit-state search over one goal (one
     /// worker runs on this thread, where the hook listens).
     fn drive(program: &td_core::Program, goal: &Goal, db: &Database) -> Option<Database> {
-        let cfg = DeciderConfig {
-            max_configs: 5_000,
-            ..DeciderConfig::default()
-        };
         // A fault or a truncated space still leaves its keys in the log.
-        let _ = decide(program, goal, db, cfg);
+        let _ = decide(program, goal, db, budget());
         let outcome = Engine::new(program.clone()).solve(goal, db).ok()?;
         outcome.solution().map(|s| s.db.clone())
     }
 
+    /// Every configuration the drivers memoize and every subgoal the cache
+    /// is probed with, over the corpus run like `td run` and `td decide`,
+    /// plain and with `--subgoal-cache` (one cached engine per file, so
+    /// later goals probe earlier ones' entries).
     #[test]
     fn corpus_runs_partition_configurations_exactly_like_the_exact_key() {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
@@ -276,21 +355,35 @@ pub(super) mod tests {
         assert!(!files.is_empty());
         // One log over the whole corpus: programs share predicate names and
         // constants, so cross-program collisions are checked too.
-        let seen = recorded(|| {
+        let log = recorded(|| {
             for file in &files {
                 let source = std::fs::read_to_string(file).expect("corpus file reads");
                 let parsed = parse_program(&source).expect("corpus parses");
                 let schema = Database::with_schema_of(&parsed.program);
                 let mut db = load_init(&schema, &parsed.init).expect("corpus init loads");
+                let config = EngineConfig::default().with_subgoal_cache();
+                let cached = Engine::with_config(parsed.program.clone(), config);
                 for g in &parsed.goals {
+                    let _ = cached.decide(&g.goal, &db, budget());
+                    let _ = cached.solve(&g.goal, &db);
                     if let Some(next) = drive(&parsed.program, &g.goal, &db) {
                         db = next;
                     }
                 }
             }
         });
-        assert!(seen.len() > 1_000, "only {} keys recorded", seen.len());
-        assert_lanes_injective(&seen);
+        assert!(
+            log.configs.len() > 1_000,
+            "only {} configurations",
+            log.configs.len()
+        );
+        assert_lanes_injective(&log.configs);
+        assert!(
+            log.subgoals.len() > 50,
+            "only {} subgoals",
+            log.subgoals.len()
+        );
+        assert_lanes_injective(&log.subgoals);
     }
 
     /// `tests/kernel_equivalence.rs`'s goal space: every connective over
@@ -450,10 +543,10 @@ pub(super) mod tests {
                 .build()
                 .unwrap();
             let db = Database::with_schema_of(&program);
-            let seen = recorded(|| {
+            let log = recorded(|| {
                 drive(&program, &g, &db);
             });
-            assert_lanes_injective(&seen);
+            assert_lanes_injective(&log.configs);
         }
     }
 
@@ -530,7 +623,8 @@ pub(super) mod tests {
                 return;
             };
             let db = Database::new();
-            let same_key = exact_key(&t1, &identity, 0) == exact_key(&t2, &identity, 0);
+            let same_key = exact_key(&to_goal(&t1), &identity, 0)
+                == exact_key(&to_goal(&t2), &identity, 0);
             if matches!(edit, Edit::Term | Edit::Pred) {
                 prop_assert!(!same_key, "a fresh name always changes the exact key");
             }

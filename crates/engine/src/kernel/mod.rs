@@ -31,7 +31,9 @@
 //!
 //! Both identify a configuration the same way — [`fingerprint`], one
 //! pass over the tree under the driver's bindings plus the database
-//! digest — so they agree on which configurations are "the same".
+//! digest — so they agree on which configurations are "the same"; the
+//! subgoal cache keys a probe by the same pass over the subgoal
+//! ([`fingerprint_goal`]).
 //!
 //! Accounting is uniform: every kernel entry point takes [`Hooks`], and
 //! charges unfolds, database ops, isolation entries and cache hit/miss
@@ -54,7 +56,7 @@ pub(crate) use elem::{
     apply_update, bind_tuple, builtin_args, check_absent, eval_builtin, eval_ground_builtin,
     matching_tuples, resolve_atom, update, BuiltinOut,
 };
-pub(crate) use fingerprint::{fingerprint, FpMap, FpSet};
+pub(crate) use fingerprint::{fingerprint, fingerprint_goal, FpMap, FpSet};
 pub(crate) use ground::{Config, Kernel, Successor};
 pub(crate) use subst::{
     apply_unification, apply_unification_n, num_vars_in_tree, subst_tree, unify_project,

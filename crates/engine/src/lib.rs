@@ -1,34 +1,38 @@
 //! # td-engine — the Transaction Datalog interpreter
 //!
-//! This crate executes TD programs. It provides:
+//! What `td` (and `td serve`) runs is one [`Engine`] per program:
 //!
-//! * [`Engine`] — the top-down, backtracking interpreter with interleaving
-//!   search over concurrent branches, nested isolation, all-or-nothing
-//!   rollback and per-execution statistics. This is the Rust counterpart of
-//!   the Prolog prototype the paper's examples were validated on (\[55, 72\]).
-//! * [`decider`] — an explicit-state, memoizing search over *ground
-//!   configurations* `(process tree, database)`. For the decidable fragments
-//!   of §4–§5 (sequential, nonrecursive, fully bounded TD) the configuration
-//!   space is finite and this procedure decides executability outright,
-//!   reporting the number of configurations explored — the quantity whose
-//!   growth the complexity theorems describe.
-//! * [`datalog`] — classical bottom-up Datalog evaluation, used as the
-//!   paper's "plain Datalog" baseline (§6 remarks that insert-free TD
-//!   queries are ordinary Datalog, where tabling/magic-set techniques
-//!   apply). It has no evaluator of its own: a one-shot fixpoint is the
+//! * [`Engine::solve`] — the top-down, backtracking interpreter with
+//!   interleaving search over concurrent branches, nested isolation,
+//!   all-or-nothing rollback and per-execution statistics: the Rust
+//!   counterpart of the Prolog prototype the paper's examples were
+//!   validated on (\[55, 72\]). §6's two named techniques ride on it: a
+//!   ground call on a view probes the program's one [`Materializer`]
+//!   ([`incremental`]: a circuit of strongly-connected components with one
+//!   body join and one semi-naive loop, maintained across committed deltas),
+//!   and a contiguous subgoal replays its answer set from the
+//!   [`SubgoalCache`] — tabling, keyed by the search's configuration
+//!   fingerprint.
+//! * [`Engine::decide`] — the explicit-state, memoizing search over
+//!   configurations `(process tree, database)` of [`decider`]. For the
+//!   decidable fragments of §4–§5 the configuration space is finite and
+//!   this decides executability outright, reporting the number of
+//!   configurations explored — the quantity the complexity theorems bound.
+//!
+//! The rest are oracles and baselines, which `td` never calls:
+//!
+//! * [`datalog::evaluate`] and its [`datalog::Fixpoint`] — classical
+//!   bottom-up Datalog, the paper's "plain Datalog" baseline: the
 //!   [`incremental`] circuit run once from an empty derived state.
-//! * [`magic`] — the magic-sets query rewriting the paper's §6 mentions, a
-//!   pure program rewrite in front of [`datalog::evaluate`];
-//! * [`incremental`] — the engine's one Datalog evaluator: rules compiled
-//!   into a circuit of strongly-connected components with one body join
-//!   and one semi-naive loop, run from scratch for one-shot questions and
-//!   maintained across committed deltas (counting / delete-rederive) by
-//!   [`Materializer`]. §6's other named technique, tabling, is the
-//!   [`SubgoalCache`] — the crate's one memo mechanism;
-//! * [`entail`] — an executional-entailment checker: does
-//!   `P, D₀ … Dₙ ⊨ φ` hold for an explicit state sequence? Used by the
-//!   test suite to pin the semantics of `⊗`, `|`, and `⊙` independently of
-//!   the interpreter's search order.
+//!   [`datalog::query`] reads the circuit the kernel maintains — the
+//!   program's one [`Materializer`] and its states on each version.
+//! * [`magic::answer`] — the magic-sets rewriting §6 mentions, a pure
+//!   program rewrite in front of [`datalog::evaluate`].
+//! * [`entail`] — does `P, D₀ … Dₙ ⊨ φ` hold for an explicit state
+//!   sequence? Pins `⊗`, `|` and `⊙` independently of the search order.
+//! * [`decider::decide`], [`decider::final_states`] and
+//!   [`decider::shortest_execution`] — the explicit-state search without an
+//!   engine's cache or views, as the experiments measure it.
 
 pub mod cache;
 mod compiled;
@@ -47,13 +51,13 @@ mod search;
 pub mod trace;
 pub mod tree;
 
-pub use cache::{CacheEntry, CachedAnswer, StateKey, SubgoalCache};
+pub use cache::SubgoalCache;
 pub use config::{EngineConfig, EngineError, SearchBackend, Stats, Strategy};
-pub use engine::{goal_num_vars, load_init, Engine, Outcome, Solution, Solutions};
+pub use engine::{load_init, Engine, Outcome, Solution, Solutions};
 pub use incremental::{Materializer, NotMaterializable};
 pub use obs::{
-    CacheTally, EventLog, GoalReport, JsonObject, LocalMetrics, Log2Hist, MetricsRegistry,
-    MetricsSnapshot, Observer, RunReport,
+    CacheTally, EventLog, GoalReport, JsonObject, Log2Hist, MetricsRegistry, MetricsSnapshot,
+    Observer, RunReport,
 };
 pub use trace::{ProbeOutcome, SpanPhase, Trace, TraceEvent};
 
@@ -514,6 +518,7 @@ mod tests {
 
     #[test]
     fn goal_num_vars_counts_dense_ids() {
+        use crate::engine::goal_num_vars;
         let g = Goal::atom("p", vec![Term::var(0), Term::var(2)]);
         assert_eq!(goal_num_vars(&g), 3);
         assert_eq!(goal_num_vars(&Goal::True), 0);

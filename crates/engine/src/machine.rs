@@ -92,8 +92,9 @@ pub(crate) struct Ctx<'p> {
     /// Shared subtransaction answer cache; `None` when disabled or gated
     /// off (see [`EngineConfig::effective`]).
     cache: Option<Arc<SubgoalCache>>,
-    /// Shared incremental materializer; gated exactly like the cache.
-    mat: Option<Arc<Materializer>>,
+    /// The program's view circuit ([`Materializer::of`]), when the
+    /// effective configuration materializes.
+    mat: Option<&'p Materializer>,
     /// Observability sink: metrics registry + optional event stream.
     pub(crate) obs: Option<Arc<Observer>>,
     /// Per-run metric accumulator, absorbed into the observer's registry
@@ -108,7 +109,6 @@ impl<'p> Ctx<'p> {
         program: &'p Program,
         config: &'p EngineConfig,
         cache: Option<Arc<SubgoalCache>>,
-        mat: Option<Arc<Materializer>>,
         obs: Option<Arc<Observer>>,
     ) -> Ctx<'p> {
         let rng = match config.strategy {
@@ -116,6 +116,7 @@ impl<'p> Ctx<'p> {
             _ => None,
         };
         let live = config.effective();
+        let mat = live.materialize.then(|| Materializer::of(program).ok());
         let local = LocalMetrics::new(obs.is_some());
         Ctx {
             program,
@@ -129,7 +130,7 @@ impl<'p> Ctx<'p> {
             failed: FpSet::default(),
             key_vars: Vec::new(),
             cache: cache.filter(|_| live.subgoal_cache),
-            mat: mat.filter(|_| live.materialize),
+            mat: mat.flatten().map(|m| &**m),
             obs,
             local,
             rng,
@@ -599,7 +600,7 @@ impl Solver {
                     let tuples = kernel::matching_tuples(&self.db, atom, resolve);
                     return self.choose(ctx, tree, leaf, Alts::Tuples(here(), tuples));
                 }
-                let (cache, mat) = (ctx.cache.as_deref(), ctx.mat.as_deref());
+                let (cache, mat) = (ctx.cache.as_deref(), ctx.mat);
                 let program = ctx.program;
                 let (db, call) = (&self.db, || kernel::resolve_atom(atom, resolve));
                 match kernel::call_step(program, cache, mat, db, call, sole, hooks!(ctx)) {

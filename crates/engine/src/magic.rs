@@ -26,6 +26,7 @@
 //! [`answer`] returns the same tuples as [`crate::datalog::query`], usually
 //! after far fewer derivations (the benchmark E11 measures the difference).
 
+use crate::compiled::Compiled;
 use crate::datalog::{self, Lit, NotDatalog};
 use std::collections::{HashSet, VecDeque};
 use td_core::{Atom, Goal, Pred, Program, Rule, Term, Var};
@@ -83,7 +84,7 @@ fn bound_args(atom: &Atom, ad: &Adornment) -> Vec<Term> {
 /// Rewrite `program` for `query`. Errors if the program is not
 /// Datalog-evaluable.
 pub fn rewrite(program: &Program, query: &Atom) -> Result<MagicProgram, NotDatalog> {
-    datalog::is_datalog(program)?;
+    Compiled::of(program).datalog(program).clone()?;
     if !program.is_derived(query.pred) {
         return Err(NotDatalog {
             reason: format!("query predicate `{}` has no rules", query.pred),

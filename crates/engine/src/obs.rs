@@ -10,7 +10,7 @@
 //! * [`MetricsRegistry`] — the one home of every published number: named
 //!   counters, max-folded gauges and [`Log2Hist`] histograms behind one
 //!   mutex. The search hot path touches no lock at all: each run (and each
-//!   parallel worker) accumulates into a private [`LocalMetrics`] and the
+//!   parallel worker) accumulates into a private `LocalMetrics` and the
 //!   whole batch is absorbed under one short lock when the run ends. On top
 //!   of the flat [`crate::Stats`] counters it keeps per-rule expansion
 //!   counts, a log₂-bucketed backtrack-depth distribution, and per-subgoal
@@ -62,7 +62,7 @@ impl Log2Hist {
     }
 
     /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Log2Hist) {
+    pub(crate) fn merge(&mut self, other: &Log2Hist) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
             *mine += theirs;
         }
@@ -117,7 +117,7 @@ impl CacheTally {
 /// enabled only when an [`Observer`] is attached, so the observers-off
 /// hot path pays a single branch per observation.
 #[derive(Clone, Debug)]
-pub struct LocalMetrics {
+pub(crate) struct LocalMetrics {
     enabled: bool,
     rule_unfolds: BTreeMap<RuleId, u64>,
     backtrack_depths: Log2Hist,
@@ -182,7 +182,7 @@ impl LocalMetrics {
 
 /// The subgoal-shape label used for per-subgoal cache tallies: predicate
 /// name/arity for calls, `iso` for isolated blocks.
-pub fn subgoal_label(goal: &Goal) -> String {
+pub(crate) fn subgoal_label(goal: &Goal) -> String {
     match goal {
         Goal::Atom(a) => format!("{}/{}", a.pred.name, a.pred.arity),
         Goal::Iso(_) => "iso".to_owned(),
@@ -222,7 +222,7 @@ fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut
     map.get_mut(name).expect("present or just inserted")
 }
 
-/// The shared metrics registry: aggregates [`Stats`] and [`LocalMetrics`]
+/// The shared metrics registry: aggregates [`Stats`] and `LocalMetrics`
 /// batches across runs and across parallel workers (locked only at batch
 /// boundaries, never per search step), and takes the named counters and
 /// histogram samples of coarser-grained layers one short lock at a time.
@@ -245,7 +245,7 @@ impl MetricsRegistry {
     /// Sum-like [`Stats`] fields accumulate into counters, maxima into
     /// gauges; rule ids are resolved to `head/arity#id` labels against
     /// `program`.
-    pub fn absorb(&self, program: &Program, stats: &Stats, local: &LocalMetrics) {
+    pub(crate) fn absorb(&self, program: &Program, stats: &Stats, local: &LocalMetrics) {
         let mut g = self.lock();
         g.runs += 1;
         for (name, v, fold) in stats.rows() {
@@ -385,7 +385,7 @@ impl EventLog {
 }
 
 /// One event as a JSON object (no trailing newline).
-pub fn event_json(seq: usize, worker: Option<u32>, ev: &TraceEvent) -> String {
+fn event_json(seq: usize, worker: Option<u32>, ev: &TraceEvent) -> String {
     let mut o = JsonObject::new().field("seq", seq);
     if let Some(w) = worker {
         o = o.field("worker", w);
@@ -524,7 +524,7 @@ pub struct RunReport {
 }
 
 /// Schema tag written into every report; bump on breaking changes.
-pub const RUN_REPORT_SCHEMA: &str = "td-run-report/v2";
+const RUN_REPORT_SCHEMA: &str = "td-run-report/v2";
 
 impl RunReport {
     /// Render the full report as one JSON document, one top-level member
@@ -590,7 +590,7 @@ impl RunReport {
 
 /// An [`EngineConfig`] as a JSON object (used for both the requested and
 /// the effective echo in [`RunReport`]).
-pub fn config_json(c: &EngineConfig) -> String {
+fn config_json(c: &EngineConfig) -> String {
     let (strategy, seed) = match c.strategy {
         Strategy::Exhaustive => ("exhaustive", None),
         Strategy::ExhaustiveRandom(s) => ("random", Some(s)),
@@ -683,7 +683,7 @@ fn json_string(s: &str) -> String {
 }
 
 /// Minimal JSON string escaping.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

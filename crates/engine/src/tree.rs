@@ -350,7 +350,7 @@ pub fn fingerprint(tree: &PTree, db: &td_db::Database) -> u128 {
 
 /// Total number of action leaves, runnable or not.
 #[cfg(test)]
-pub fn leaf_count(tree: &PTree) -> usize {
+pub(crate) fn leaf_count(tree: &PTree) -> usize {
     match &tree.node {
         Node::Lit(_) => 1,
         Node::Seq(kids) | Node::Par(kids) => kids.iter().map(leaf_count).sum(),

@@ -821,7 +821,7 @@ fn deep_rule_chain_compiles_on_a_small_stack() {
     let views = std::thread::Builder::new()
         .stack_size(512 << 10)
         .spawn(move || {
-            let mat = td_engine::Materializer::compile(&program).expect("a chain materializes");
+            let mat = td_engine::Materializer::of(&program).expect("a chain materializes");
             mat.materialized_preds().len()
         })
         .unwrap()
