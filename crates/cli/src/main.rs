@@ -44,9 +44,11 @@
 //!                          predicates as materialized views updated
 //!                          incrementally from committed deltas; ground
 //!                          sole-frontier calls on them become indexed
-//!                          probes (see docs/INCREMENTAL.md). Incompatible
-//!                          with `td trace` (rejected), and rejected when
-//!                          the program has no materializable predicate
+//!                          probes (see docs/INCREMENTAL.md); under `serve`
+//!                          every connection reads the views of the version
+//!                          it started on. Incompatible with `td trace`
+//!                          (rejected), and rejected when the program has
+//!                          no materializable predicate
 //!   --report=PATH          write a JSON run report (outcome, wall time,
 //!                          metrics registry snapshot, requested+effective
 //!                          config, final-state digest) — run/trace/decide
@@ -303,13 +305,10 @@ fn main() -> ExitCode {
     //               server reproducible, so accepting one would lie
     //   --log-json  rejected: the event stream is a per-run artifact with
     //               one timeline; concurrent connections interleave
-    //   --materialize  rejected: view maintenance assumes the run's own
-    //               commits are the only writers; other connections'
-    //               deltas would silently go unmaintained
     // (everything engine-local — --max-steps, --subgoal-cache,
-    // --cache-capacity, --threads, --deterministic — configures the
-    // server's one engine, which every connection solves through, and
-    // stays accepted.)
+    // --cache-capacity, --materialize, --threads, --deterministic —
+    // configures the server's one engine, which every connection solves
+    // through, and stays accepted.)
     if cmd == "serve" {
         if opts.db.is_none() {
             eprintln!("td: serve requires --db=DIR (the store the server shares)");
@@ -328,14 +327,6 @@ fn main() -> ExitCode {
                 "td: --log-json cannot be combined with `serve`: the event \
                  stream is a single-run timeline and concurrent connections \
                  interleave; use --report for aggregate counters"
-            );
-            return ExitCode::from(2);
-        }
-        if opts.config.materialize {
-            eprintln!(
-                "td: --materialize cannot be combined with `serve`: view \
-                 maintenance assumes one writer, but a server's connections \
-                 commit concurrently (see docs/INCREMENTAL.md); drop the flag"
             );
             return ExitCode::from(2);
         }

@@ -702,7 +702,7 @@ fn serve_flag_matrix_rejections_exit_2() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("--log-json"), "{err}");
-    // serve with single-writer view maintenance.
+    // serve with views over a program that has none.
     let out = td()
         .args(["--materialize", &db, "serve"])
         .arg(&f)
@@ -710,7 +710,7 @@ fn serve_flag_matrix_rejections_exit_2() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--materialize"), "{err}");
+    assert!(err.contains("--materialize does not apply"), "{err}");
     // --socket outside serve/client.
     let out = td()
         .args(["--socket=/tmp/x.sock", "run"])
@@ -825,6 +825,56 @@ fn serve_and_client_round_trip_over_the_binary() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Start `td <flags> serve <file>` with its store and socket in `dir`, and
+/// connect to it once it accepts.
+fn spawn_serve(
+    flags: &[String],
+    file: &std::path::Path,
+    dir: &std::path::Path,
+) -> (std::process::Child, td_serve::Client) {
+    let socket = dir.join("td.sock");
+    let server = td()
+        .args(flags)
+        .arg(format!("--db={}", dir.join("db").display()))
+        .arg(format!("--socket={}", socket.display()))
+        .args(["serve"])
+        .arg(file)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    loop {
+        match td_serve::Client::connect(&socket) {
+            Ok(client) => return (server, client),
+            Err(e) => assert!(
+                std::time::Instant::now() < deadline,
+                "server did not come up: {e}"
+            ),
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+}
+
+/// Stop a server started by [`spawn_serve`] and wait for a clean exit.
+fn stop_serve(server: std::process::Child, mut client: td_serve::Client) {
+    assert_eq!(client.request("stop").unwrap(), "ok stopping");
+    let out = server.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+}
+
+/// `stats`' `interned_syms` and `interned_bytes`.
+fn interned(client: &mut td_serve::Client) -> (String, String) {
+    let line = client.stats().unwrap();
+    let field = |key: &str| {
+        let value = line.split_whitespace().find_map(|f| f.strip_prefix(key));
+        value
+            .unwrap_or_else(|| panic!("no `{key}` in {line}"))
+            .to_owned()
+    };
+    (field("interned_syms="), field("interned_bytes="))
+}
+
 /// Refused requests do not grow a live server: 1 000 `run nosuchN(zzN)`
 /// requests, each naming a predicate nothing declares, are refused without
 /// interning their names, so `stats`' `interned_syms` and `interned_bytes`
@@ -832,50 +882,101 @@ fn serve_and_client_round_trip_over_the_binary() {
 /// test running beside this one interns into its table.
 #[test]
 fn refused_requests_leave_the_servers_interner_as_it_was() {
-    use td_serve::client::{Client, Reply};
+    use td_serve::client::Reply;
     let f = write_temp("serve_refusals.td", SERVE_BANKING);
     let dir = serve_dir("refusals");
-    let socket = dir.join("td.sock");
-    let server = td()
-        .arg(format!("--db={}", dir.join("db").display()))
-        .arg(format!("--socket={}", socket.display()))
-        .args(["serve"])
-        .arg(&f)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    let mut client = loop {
-        match Client::connect(&socket) {
-            Ok(client) => break client,
-            Err(e) => assert!(
-                std::time::Instant::now() < deadline,
-                "server did not come up: {e}"
-            ),
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    };
-    let interned = |client: &mut Client| {
-        let line = client.stats().unwrap();
-        let field = |key: &str| {
-            let value = line.split_whitespace().find_map(|f| f.strip_prefix(key));
-            value
-                .unwrap_or_else(|| panic!("no `{key}` in {line}"))
-                .to_owned()
-        };
-        (field("interned_syms="), field("interned_bytes="))
-    };
+    let (server, mut client) = spawn_serve(&[], &f, &dir);
     let before = interned(&mut client);
     for i in 0..1_000 {
         let reply = client.run(&format!("nosuch{i}(zz{i})")).unwrap();
         assert!(matches!(reply, Reply::Err(_)), "request {i}: {reply:?}");
     }
     assert_eq!(interned(&mut client), before);
-    assert_eq!(client.request("stop").unwrap(), "ok stopping");
-    let out = server.wait_with_output().unwrap();
-    assert!(out.status.success(), "{out:?}");
+    stop_serve(server, client);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An accepted query interns none of its variable names: `balance(X, Bq)`
+/// answers with both bound, and the server's table reads as before.
+#[test]
+fn accepted_queries_leave_the_servers_interner_as_it_was() {
+    let f = write_temp("serve_queries.td", SERVE_BANKING);
+    let dir = serve_dir("queries");
+    let (server, mut client) = spawn_serve(&[], &f, &dir);
+    let before = interned(&mut client);
+    let reply = client.run("balance(X, Bq)").unwrap();
+    assert!(reply.binding("X").is_some() && reply.binding("Bq").is_some());
+    assert_eq!(interned(&mut client), before);
+    stop_serve(server, client);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `td --materialize serve` answers what a plain server answers, from views
+/// built once on the server's head and maintained from then on: K commits
+/// that toggle an edge the views depend on, each followed by a query that
+/// reads a view (some of them commit), give the same replies but for
+/// `steps=`, the same WAL and the same final state with and without the
+/// flag; and the report shows one from-scratch build, every probe a hit on
+/// a state the version carried, and maintenance passes in between.
+#[test]
+fn a_materialized_server_answers_like_a_plain_one_from_views_built_once() {
+    const K: usize = 12;
+    let file = std::path::Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../corpus/reachability_maintenance.td"
+    ));
+    let mut script = Vec::new();
+    for i in 0..K {
+        let (n, m) = (4 + i, 5 + i);
+        // The edge 2 → 3 comes and goes, so a view answers both ways.
+        let toggle = ["del", "ins"][i % 2];
+        script.push(format!("{toggle}.edge(2, 3) * ins.edge({n}, {m})"));
+        script.push(match i % 3 {
+            0 => format!("path(1, {m})"),
+            1 => format!("open(1, {m})"),
+            _ => format!("path(1, {m}) * ins.blocked({m})"),
+        });
+    }
+    let session = |name: &str, flag: Option<&str>| {
+        let dir = serve_dir(name);
+        let report = dir.join("report.json");
+        let mut flags = vec![format!("--report={}", report.display())];
+        flags.extend(flag.map(str::to_owned));
+        let (server, mut client) = spawn_serve(&flags, file, &dir);
+        let replies: Vec<String> = (script.iter())
+            .map(|goal| {
+                let reply = client.request(&format!("run {goal}")).unwrap();
+                let words = reply.split(' ').filter(|w| !w.starts_with("steps="));
+                words.collect::<Vec<_>>().join(" ")
+            })
+            .collect();
+        stop_serve(server, client);
+        let doc = json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let log = td()
+            .args(["db", "log"])
+            .arg(dir.join("db"))
+            .output()
+            .unwrap();
+        assert!(log.status.success(), "{log:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        (replies, doc, log.stdout)
+    };
+    let (plain, plain_doc, plain_log) = session("views_plain", None);
+    let (mat, doc, log) = session("views_mat", Some("--materialize"));
+    assert!(plain.iter().any(|r| r.starts_with("no ")), "{plain:?}");
+    assert!(plain.iter().any(|r| r.starts_with("ok seq=-")), "{plain:?}");
+    assert_eq!(mat, plain);
+    assert_eq!(log, plain_log);
+    assert_eq!(doc.get("final_state"), plain_doc.get("final_state"));
+    assert_eq!(plain_doc.get("materializer"), Some(&Value::Null));
+    let counter = |name: &str| {
+        let section = doc.get("materializer").expect("a materializer section");
+        section.get(name).and_then(Value::as_f64).unwrap()
+    };
+    assert_eq!(counter("rebuilds"), 1.0);
+    assert!(counter("probes") >= K as f64, "{}", counter("probes"));
+    assert_eq!(counter("state_hits"), counter("probes"));
+    assert!(counter("maintained_ops") > 0.0);
 }
 
 // --- events and triggers ----------------------------------------------

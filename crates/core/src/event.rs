@@ -83,7 +83,7 @@ impl EventPattern {
     fn render(&self, names: &[Symbol], out: &mut String) {
         match self {
             EventPattern::Atom(a) => {
-                out.push_str(&a.pred.name.to_string());
+                out.push_str(a.pred.name.as_str());
                 if !a.args.is_empty() {
                     out.push('(');
                     for (i, t) in a.args.iter().enumerate() {
@@ -92,7 +92,7 @@ impl EventPattern {
                         }
                         match t {
                             Term::Var(v) => match names.get(v.0 as usize) {
-                                Some(n) => out.push_str(&n.to_string()),
+                                Some(n) => out.push_str(n.as_str()),
                                 None => out.push_str(&format!("_V{}", v.0)),
                             },
                             Term::Val(val) => out.push_str(&val.to_string()),

@@ -72,18 +72,13 @@ impl Program {
         self.by_head.contains_key(&pred)
     }
 
-    /// The declared event relations, as *stored* predicates: an
-    /// `event e/n.` declaration stores tuples of arity `n + 1`, the extra
-    /// (last) column being the ingestion timestamp. Event predicates are
-    /// also base predicates — rules may read them — but they are
-    /// append-only: `ins`/`del` on them is rejected by validation, and new
-    /// tuples arrive only through the server's event-ingestion surface.
-    pub fn event_preds(&self) -> impl Iterator<Item = Pred> + '_ {
-        self.events.iter().copied()
-    }
-
     /// Is `pred` (in stored form, timestamp column included) a declared
-    /// event relation?
+    /// event relation? An `event e/n.` declaration stores tuples of arity
+    /// `n + 1`, the extra (last) column being the ingestion timestamp.
+    /// Event predicates are also base predicates — rules may read them —
+    /// but they are append-only: `ins`/`del` on them is rejected by
+    /// validation, and new tuples arrive only through the server's
+    /// event-ingestion surface.
     pub fn is_event(&self, pred: Pred) -> bool {
         self.events.contains(&pred)
     }
@@ -239,46 +234,46 @@ fn by_head(rules: &[Rule]) -> HashMap<Pred, Arc<[RuleId]>> {
         .collect()
 }
 
-/// Collect every constant symbol/integer mentioned by the program (rules and
-/// base declarations contribute nothing beyond rule terms). Together with the
-/// initial database this forms the *active domain* — TD is safe: execution
-/// never invents new constants (Theorem discussion, §4 of the paper).
-pub fn program_constants(p: &Program) -> BTreeSet<crate::term::Value> {
-    let mut out = BTreeSet::new();
-    for r in p.rules() {
-        let mut collect = |a: &Atom| {
-            for t in &a.args {
-                if let Some(v) = t.as_value() {
-                    out.insert(v);
-                }
-            }
-        };
-        collect(&r.head);
-        r.body.visit(&mut |g| match g {
-            Goal::Atom(a) | Goal::NotAtom(a) | Goal::Ins(a) | Goal::Del(a) => {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::term::Term;
+
+    /// Collect every constant symbol/integer mentioned by the program (rules and
+    /// base declarations contribute nothing beyond rule terms). Together with the
+    /// initial database this forms the *active domain* — TD is safe: execution
+    /// never invents new constants (Theorem discussion, §4 of the paper).
+    fn program_constants(p: &Program) -> BTreeSet<crate::term::Value> {
+        let mut out = BTreeSet::new();
+        for r in p.rules() {
+            let mut collect = |a: &Atom| {
                 for t in &a.args {
                     if let Some(v) = t.as_value() {
                         out.insert(v);
                     }
                 }
-            }
-            Goal::Builtin(_, ts) => {
-                for t in ts {
-                    if let Some(v) = t.as_value() {
-                        out.insert(v);
+            };
+            collect(&r.head);
+            r.body.visit(&mut |g| match g {
+                Goal::Atom(a) | Goal::NotAtom(a) | Goal::Ins(a) | Goal::Del(a) => {
+                    for t in &a.args {
+                        if let Some(v) = t.as_value() {
+                            out.insert(v);
+                        }
                     }
                 }
-            }
-            _ => {}
-        });
+                Goal::Builtin(_, ts) => {
+                    for t in ts {
+                        if let Some(v) = t.as_value() {
+                            out.insert(v);
+                        }
+                    }
+                }
+                _ => {}
+            });
+        }
+        out
     }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::term::Term;
 
     fn sample() -> Program {
         Program::builder()
@@ -367,7 +362,7 @@ mod tests {
             p.event_by_name(crate::symbol::Symbol::intern("sample")),
             Some(stored)
         );
-        assert_eq!(p.event_preds().collect::<Vec<_>>(), vec![stored]);
+        assert_eq!(p.events.iter().copied().collect::<Vec<_>>(), vec![stored]);
         let src = p.to_source();
         assert!(src.contains("event sample/1.\n"), "got: {src}");
         assert!(src.contains("base done/1.\n"));

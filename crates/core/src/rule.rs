@@ -113,13 +113,13 @@ impl fmt::Display for Rule {
 
 /// Render a goal using a variable-name table (used for rule display and
 /// program round-tripping).
-pub fn render_goal_with_names(goal: &Goal, names: &[Symbol]) -> String {
+pub fn render_goal_with_names(goal: &Goal, names: &[impl AsRef<str>]) -> String {
     // Substitute each variable with a *symbolic marker value* carrying its
     // display name, then use the normal goal printer. Variable names in TD
     // source are capitalized, so the marker text is exactly the name.
     let g = goal.map_terms(&mut |t| match t {
         Term::Var(Var(i)) => match names.get(i as usize) {
-            Some(s) => Term::sym(s.as_str()),
+            Some(s) => Term::sym(s.as_ref()),
             None => Term::sym(&format!("_V{i}")),
         },
         other => other,

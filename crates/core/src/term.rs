@@ -40,11 +40,6 @@ impl Value {
         Value::Sym(Symbol::intern(s))
     }
 
-    /// True if this value is an integer.
-    pub fn is_int(&self) -> bool {
-        matches!(self, Value::Int(_))
-    }
-
     /// The integer payload, if any.
     pub fn as_int(&self) -> Option<i64> {
         match self {

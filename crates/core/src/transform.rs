@@ -231,19 +231,6 @@ pub fn eliminate_dead_rules(p: &Program, roots: &[crate::atom::Pred]) -> Program
     b.build_unchecked()
 }
 
-/// Predicates a goal mentions (for use as `eliminate_dead_rules` roots).
-pub fn goal_preds(goal: &Goal) -> Vec<crate::atom::Pred> {
-    let mut out = Vec::new();
-    goal.visit(&mut |g| {
-        if let Goal::Atom(a) = g {
-            if !out.contains(&a.pred) {
-                out.push(a.pred);
-            }
-        }
-    });
-    out
-}
-
 /// Inline to a fixpoint (bounded by the number of derived predicates).
 pub fn inline(p: &Program) -> Program {
     let mut cur = p.clone();
@@ -261,6 +248,19 @@ pub fn inline(p: &Program) -> Program {
 mod tests {
     use super::*;
     use crate::atom::Pred;
+
+    /// Predicates a goal mentions (for use as `eliminate_dead_rules` roots).
+    fn goal_preds(goal: &Goal) -> Vec<Pred> {
+        let mut out = Vec::new();
+        goal.visit(&mut |g| {
+            if let Goal::Atom(a) = g {
+                if !out.contains(&a.pred) {
+                    out.push(a.pred);
+                }
+            }
+        });
+        out
+    }
 
     fn a(name: &str) -> Goal {
         Goal::prop(name)

@@ -6,7 +6,6 @@
 //! values or other variables, so no cycles through structure can form (a
 //! var-var binding always points to a *different* representative).
 
-use crate::atom::Atom;
 use crate::subst::Bindings;
 use crate::term::Term;
 
@@ -48,15 +47,16 @@ pub fn unify_args(b: &mut Bindings, xs: &[Term], ys: &[Term]) -> bool {
     xs.iter().zip(ys).all(|(x, y)| unify_terms(b, *x, *y))
 }
 
-/// Unify two atoms: same predicate, unifiable arguments.
-pub fn unify_atoms(b: &mut Bindings, x: &Atom, y: &Atom) -> bool {
-    x.pred == y.pred && unify_args(b, &x.args, &y.args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::Atom;
     use crate::term::Value;
+
+    /// Unify two atoms: same predicate, unifiable arguments.
+    fn unify_atoms(b: &mut Bindings, x: &Atom, y: &Atom) -> bool {
+        x.pred == y.pred && unify_args(b, &x.args, &y.args)
+    }
 
     #[test]
     fn value_value() {

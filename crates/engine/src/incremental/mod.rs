@@ -252,6 +252,14 @@ impl Materializer {
         Some(self.state_for(db).rels[rel].select(&pattern))
     }
 
+    /// Make the state of `db`'s version now, if it has none, counting no
+    /// probe. A long-lived head calls this once, so that every version an
+    /// update makes from it is pending on it and every snapshot of it
+    /// shares its state, instead of each snapshot building its own.
+    pub fn derive(&self, db: &Database) {
+        self.state_of(db);
+    }
+
     /// This circuit's slot on `db` (`Database::derived`), made by the first
     /// call: from then on it is one slot for `db` and every clone made of
     /// it. An entry point calls this through the caller's handle before the

@@ -223,8 +223,9 @@ impl Reactor {
         }
     }
 
-    /// Override the per-trigger partial-match cap (tests, tight deployments).
-    pub fn with_max_partials(mut self, cap: usize) -> Reactor {
+    /// Override the per-trigger partial-match cap.
+    #[cfg(test)]
+    fn with_max_partials(mut self, cap: usize) -> Reactor {
         self.max_partials = cap.max(1);
         self
     }

@@ -18,7 +18,8 @@
 //! is interned only once its atom or term is complete — an atom's arguments
 //! are checked as written first, then interned in one pass. A variable is
 //! resolved by its text within its rule, goal or trigger, and the scope's
-//! names are interned once, when it ends, for `var_names`.
+//! names are made once, when it ends, for `var_names`: interned for a rule
+//! or a trigger, owned strings for a goal.
 //!
 //! [`parse_goal`] checks each atom leaf against the program as the leaf is
 //! completed, so it refuses a goal at its first invalid leaf; a predicate
@@ -34,11 +35,12 @@ use td_core::validate::{unknown_name, validate_goal, AtomLeaf};
 use td_core::{Atom, Builtin, Goal, Program, Rule, Symbol, Term, Value};
 
 /// A goal together with the names of its free variables (display names for
-/// answer bindings).
+/// answer bindings). The names are not interned: a goal a server answers
+/// leaves no trace of its variables in the process's symbol table.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ParsedGoal {
     pub goal: Goal,
-    pub var_names: Vec<Symbol>,
+    pub var_names: Vec<String>,
     pub span: Span,
 }
 
@@ -90,7 +92,7 @@ pub fn parse_goal(src: &str, program: &Program) -> Result<ParsedGoal, ParseError
     }
     Ok(ParsedGoal {
         goal,
-        var_names: scope.finish(),
+        var_names: scope.finish(str::to_owned),
         span: start,
     })
 }
@@ -204,13 +206,14 @@ impl<'a> VarScope<'a> {
         }
     }
 
-    /// The scope's variable names, interned, indexed by variable id.
-    fn finish(self) -> Vec<Symbol> {
-        let intern = |n: VarName| match n {
-            VarName::Written(s) => Symbol::intern(s),
-            VarName::Anon(i) => Symbol::intern(&format!("_{i}")),
+    /// The scope's variable names, indexed by variable id, each made by
+    /// `name`: a rule's and a trigger's are interned, a goal's are not.
+    fn finish<N>(self, name: impl Fn(&str) -> N) -> Vec<N> {
+        let name = |n: VarName| match n {
+            VarName::Written(s) => name(s),
+            VarName::Anon(i) => name(&format!("_{i}")),
         };
-        self.names.into_iter().map(intern).collect()
+        self.names.into_iter().map(name).collect()
     }
 }
 
@@ -512,7 +515,7 @@ impl<'a> Parser<'a> {
                     Trigger {
                         pattern,
                         goal,
-                        var_names: scope.finish(),
+                        var_names: scope.finish(Symbol::intern),
                     },
                     span,
                 ))
@@ -533,7 +536,7 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::Dot, "`.`")?;
                 Ok(Stmt::Goal(ParsedGoal {
                     goal,
-                    var_names: scope.finish(),
+                    var_names: scope.finish(str::to_owned),
                     span,
                 }))
             }
@@ -548,7 +551,11 @@ impl<'a> Parser<'a> {
                     Goal::True
                 };
                 self.expect(Tok::Dot, "`.`")?;
-                Ok(Stmt::Rule(Rule::with_var_names(head, body, scope.finish())))
+                Ok(Stmt::Rule(Rule::with_var_names(
+                    head,
+                    body,
+                    scope.finish(Symbol::intern),
+                )))
             }
         }
     }

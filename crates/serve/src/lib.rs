@@ -248,20 +248,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build a server from a parsed program (rules define the available
-    /// transactions; its `?-` goals and `init` facts are ignored — state
-    /// comes from the store) and an open concurrent store.
-    pub fn new(program: ParsedProgram, config: EngineConfig, store: ConcurrentStore) -> Server {
-        Server {
-            program,
-            config,
-            store,
-        }
-    }
-
-    /// Convenience: open the store directory — or initialize it with the
-    /// same seeding rule as `td run --db`: the program's schema, then its
-    /// `init` facts as WAL record 0 — and build the server.
+    /// Open the store directory — or initialize it with the same seeding
+    /// rule as `td run --db`: the program's schema, then its `init` facts
+    /// as WAL record 0 — and build the server. The program's rules define
+    /// the available transactions; its `?-` goals and `init` facts are
+    /// ignored once the store exists, its state comes from the store.
     pub fn open(
         program: ParsedProgram,
         config: EngineConfig,
@@ -272,11 +263,11 @@ impl Server {
         let seeded = td_engine::load_init(&schema, &program.init)
             .map_err(|e| td_store::StoreError::Db(e.to_string()))?;
         let store = Store::open_or_seed(dir, &schema, &seeded)?;
-        Ok(Server::new(
+        Ok(Server {
             program,
             config,
-            ConcurrentStore::new(store).with_options(tx),
-        ))
+            store: ConcurrentStore::new(store).with_options(tx),
+        })
     }
 
     /// Bind `socket` and serve until a client sends `stop`. Blocks the
@@ -295,6 +286,11 @@ impl Server {
             socket: socket.to_path_buf(),
             reactor: Mutex::new(reactor),
         });
+        // Views are built once, on the head itself: every head a commit
+        // makes from it is pending on it, and every snapshot shares it.
+        if let Some(mat) = ctx.engine.materializer() {
+            ctx.cs.with_head(|head| mat.derive(head));
+        }
         let (jobs, job_rx) = mpsc::channel::<TriggerJob>();
         let scheduler = {
             let ctx = ctx.clone();

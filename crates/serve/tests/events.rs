@@ -43,18 +43,21 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn start_server(
-    dir: &std::path::Path,
-    source: &str,
-) -> (
+type Serving = (
     PathBuf,
     std::thread::JoinHandle<std::io::Result<ServeSummary>>,
-) {
+);
+
+fn start_server(dir: &std::path::Path, source: &str) -> Serving {
+    start_server_with(dir, source, EngineConfig::default())
+}
+
+fn start_server_with(dir: &std::path::Path, source: &str, config: EngineConfig) -> Serving {
     let socket = dir.join("td.sock");
     let parsed = td_parser::parse_program(source).unwrap();
     let server = Server::open(
         parsed,
-        EngineConfig::default(),
+        config,
         &dir.join("db"),
         // Every trigger bumps the one `fired/1` row: under the burst gate
         // that is 150 transactions contending for it, so the retry budget
@@ -207,6 +210,82 @@ fn triggered_and_direct_execution_agree() {
         "trigger path and direct path must agree on the final database"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A lab whose trigger reads a view: a result is handled only when its
+/// quality level is reachable from level 1 over `edge`.
+const LAB_VIEW: &str = r#"
+base handled/2.
+base fired/1.
+base edge/2.
+init fired(0).
+init edge(1, 2).
+init edge(2, 3).
+event sample/1.
+event result/2.
+path(X, Y) <- edge(X, Y).
+path(X, Z) <- edge(X, Y) * path(Y, Z).
+handle(S, Q) <- path(1, Q) * fired(N) * del.fired(N) * M is N + 1 * ins.fired(M)
+              * ins.handled(S, Q).
+on within(seq(sample(S), result(S, Q)), 60000) do handle(S, Q).
+"#;
+
+/// Triggers that read a view fire alike with and without `--materialize`,
+/// while client commits move what the view holds; the materialized server
+/// builds its views once and answers every trigger's probe from the state
+/// its head carries.
+#[test]
+fn triggers_reading_a_view_fire_alike_with_and_without_materialize() {
+    let session = |name: &str, materialize: bool| {
+        let dir = temp_dir(name);
+        let config = EngineConfig {
+            materialize,
+            ..EngineConfig::default()
+        };
+        let (socket, handle) = start_server_with(&dir, LAB_VIEW, config);
+        let mut c = Client::connect(&socket).unwrap();
+        // Each match is waited for before the next commit, so every trigger
+        // reads the version the script means it to.
+        assert!(c.event("sample(1) at 10").unwrap().is_ok());
+        assert_eq!(
+            c.event("result(1, 3) at 20").unwrap().binding("matched"),
+            Some("1")
+        );
+        wait_for_fired(&mut c, 1);
+        assert!(c.run("ins.edge(3, 4)").unwrap().is_ok());
+        assert!(c.event("sample(2) at 30").unwrap().is_ok());
+        assert_eq!(
+            c.event("result(2, 4) at 40").unwrap().binding("matched"),
+            Some("1")
+        );
+        wait_for_fired(&mut c, 2);
+        assert!(c.run("del.edge(2, 3)").unwrap().is_ok());
+        // Level 4 is cut off now: this match runs and does not fire.
+        assert!(c.event("sample(3) at 50").unwrap().is_ok());
+        assert_eq!(
+            c.event("result(3, 4) at 60").unwrap().binding("matched"),
+            Some("1")
+        );
+        c.stop().unwrap();
+        let summary = handle.join().unwrap().unwrap();
+        let counts = ["triggers.matched", "triggers.fired"].map(|n| summary.metrics.counter(n));
+        let digest = summary.store.db().digest();
+        let mat = summary.engine.materializer().map(|m| {
+            assert_eq!(m.state_hits(), m.probes());
+            (m.rebuilds(), m.probes())
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+        (counts, digest, mat)
+    };
+    let (plain_counts, plain_digest, none) = session("view_trigger_plain", false);
+    let (counts, digest, mat) = session("view_trigger_mat", true);
+    assert_eq!(plain_counts, [3, 2]);
+    assert_eq!(counts, plain_counts);
+    assert_eq!(digest, plain_digest);
+    assert!(none.is_none());
+    let (rebuilds, probes) = mat.expect("a materialized engine");
+    assert_eq!(rebuilds, 1);
+    assert!(probes >= 3, "{probes}");
 }
 
 /// The reactor's bounded resource is visible while the server runs: an

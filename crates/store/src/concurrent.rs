@@ -283,7 +283,16 @@ impl ConcurrentStore {
     /// A snapshot of the latest validated state. Reads against it are
     /// serialized at the moment it was taken.
     pub fn snapshot(&self) -> Database {
-        self.lock().db.clone()
+        self.with_head(Database::clone)
+    }
+
+    /// Run `f` on the head itself, under the lock: what `f` derives from it
+    /// (`Database::derived`) is there for every snapshot taken afterwards
+    /// and, pending, for every head a commit makes from it. The store's own
+    /// copy, cloned by [`ConcurrentStore::new`] before anything was derived,
+    /// keeps a cell of its own and derives nothing.
+    pub fn with_head<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
+        f(&self.lock().db)
     }
 
     /// Lifetime counters.
@@ -811,6 +820,42 @@ mod tests {
         assert_eq!(r.attempts, 1);
         assert_eq!(cs.stats().conflicts, 0);
         drop(cs.close().unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What is derived on the head rides the head's lineage and nothing
+    /// else: after one derivation through `with_head` and k commits, the
+    /// last head is pending on the warm one with the k ops since, and the
+    /// store the leader replayed every group onto holds no slot at all.
+    #[test]
+    fn the_head_carries_its_derivations_and_the_durable_copy_does_not() {
+        // A stand-in for a view circuit's owner number.
+        const OWNER: u64 = u64::MAX;
+        let k = 50;
+        let dir = temp_dir("derived_head");
+        let cs = ConcurrentStore::open_or_init(&dir, &Database::new()).unwrap();
+        let warm = cs.with_head(|db| {
+            db.derive(OWNER, |pending| {
+                assert!(pending.is_none(), "a recovered head derives from scratch");
+                Box::new(())
+            });
+            db.digest()
+        });
+        for i in 0..k {
+            cs.transaction(|_db| {
+                Ok::<_, std::convert::Infallible>(TxDecision::commit(ins(i), ReadSet::new(), ()))
+            })
+            .unwrap();
+        }
+        let head = cs.snapshot();
+        let store = cs.close().unwrap();
+        assert!(!store.db().derived(OWNER).holds());
+        head.derive(OWNER, |pending| {
+            let (from, ops) = pending.expect("pending on the warm head").into_nearest();
+            assert_eq!((from.digest(), ops.len()), (warm, k as usize));
+            Box::new(())
+        });
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,12 +19,19 @@
 //! clients over **disjoint** relations commit with zero conflict retries
 //! (the point of per-relation validation), and a commuting workload runs
 //! to the **same final digest** under either read set.
+//!
+//! The last two run the engine itself with materialized views, as `td
+//! --materialize serve` does: transfers guarded by a view over a relation
+//! other transactions toggle serialize to their WAL order too, and a view
+//! read on a snapshot that a later commit made stale conflicts on the base
+//! relation under the view.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use td_core::{Pred, Value};
+use td_core::{Goal, Pred, Value};
 use td_db::{Database, Delta, DeltaOp, ReadSet, Tuple};
+use td_engine::{Engine, EngineConfig, Outcome};
 use td_store::{ConcurrentStore, Store, TxDecision, TxOptions};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -323,4 +330,209 @@ fn read_set_and_whole_db_validation_agree_on_commuting_history() {
         digests[0], digests[1],
         "the two read sets disagree on a schedule-independent history"
     );
+}
+
+// --- transactions that read materialized views ------------------------
+
+/// Banking where a transfer is guarded by a view: both accounts must be
+/// `active`, which reads `balance` and negates `frozen`, a relation other
+/// transactions toggle.
+const GUARDED: &str = "base balance/2. base frozen/1.\n\
+    active(A) <- balance(A, B) * not frozen(A).\n\
+    transfer(Amt, From, To) <- active(From) * active(To)\n\
+        * balance(From, BF) * BF >= Amt * del.balance(From, BF)\n\
+        * NF is BF - Amt * ins.balance(From, NF)\n\
+        * balance(To, BT) * del.balance(To, BT) * NT is BT + Amt * ins.balance(To, NT).\n\
+    freeze(A) <- ins.frozen(A).\n\
+    thaw(A) <- del.frozen(A).\n";
+
+/// A `td --materialize serve` engine over `src`, and a store at `dir` whose
+/// head carries the engine's views from the start, as the server's does.
+fn materialized(src: &str, dir: &std::path::Path, genesis: &Database) -> (Engine, ConcurrentStore) {
+    let program = td_parser::parse_program(src).unwrap().program;
+    let config = EngineConfig {
+        materialize: true,
+        ..EngineConfig::default()
+    };
+    let engine = Engine::with_config(program, config);
+    let cs = ConcurrentStore::open_or_init(dir, genesis)
+        .unwrap()
+        .with_options(TxOptions {
+            max_attempts: 200,
+            backoff: std::time::Duration::from_micros(10),
+        });
+    let mat = engine.materializer().expect("the program has a view");
+    cs.with_head(|head| mat.derive(head));
+    (engine, cs)
+}
+
+/// What the server's transaction closure decides for `goal` on `db`:
+/// commit a success's delta against its read set, abort a failure.
+fn solve(engine: &Engine, goal: &Goal, db: &Database) -> Result<TxDecision<()>, String> {
+    match engine.solve(goal, db).map_err(|e| e.to_string())? {
+        Outcome::Success(sol) if sol.delta.is_empty() => Ok(TxDecision::ReadOnly(())),
+        Outcome::Success(sol) => Ok(TxDecision::commit(sol.delta, sol.reads, ())),
+        Outcome::Failure { .. } => Ok(TxDecision::Abort(())),
+    }
+}
+
+/// One client's scripted operation on the guarded bank.
+#[derive(Clone, Copy, Debug)]
+enum Guarded {
+    Transfer(Op),
+    /// Freeze (`true`) or thaw an account.
+    Toggle(usize, bool),
+}
+
+impl Guarded {
+    fn goal(self) -> String {
+        match self {
+            Guarded::Transfer(Op { from, to, amt }) => {
+                format!("transfer({amt}, acct{from}, acct{to})")
+            }
+            Guarded::Toggle(i, true) => format!("freeze(acct{i})"),
+            Guarded::Toggle(i, false) => format!("thaw(acct{i})"),
+        }
+    }
+}
+
+fn arb_guarded(accounts: usize) -> impl Strategy<Value = Vec<Vec<Guarded>>> {
+    // One op in four freezes or thaws `a`; the rest move `amt` from `a`.
+    let op =
+        (0..4u8, 0..accounts, 0..accounts, 1i64..60).prop_map(|(kind, a, b, amt)| match kind {
+            0 => Guarded::Toggle(a, amt % 2 == 0),
+            _ => Guarded::Transfer(Op {
+                from: a,
+                to: b,
+                amt,
+            }),
+        });
+    proptest::collection::vec(proptest::collection::vec(op, 1..7), 2..5)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The WAL-order differential for transfers guarded by a materialized
+    /// view while other clients freeze and thaw accounts: every committed
+    /// transfer had both accounts active and the funds at its position in
+    /// the WAL order, the recovered state is the sequential replay's, and
+    /// the views were built once, on the head, and maintained from there.
+    #[test]
+    fn view_guarded_transfers_serialize_to_their_wal_order(
+        scripts in arb_guarded(3),
+        case in 0u64..1_000_000,
+    ) {
+        let accounts = 3;
+        let dir = temp_dir(&format!("guarded_{case}_{}", std::process::id()));
+        let (engine, cs) = materialized(GUARDED, &dir, &genesis(accounts));
+        let workers: Vec<_> = scripts
+            .iter()
+            .cloned()
+            .map(|script| {
+                let (engine, cs) = (engine.clone(), cs.clone());
+                std::thread::spawn(move || {
+                    let mut committed = Vec::new();
+                    for op in script {
+                        let goal = td_parser::parse_goal(&op.goal(), engine.program()).unwrap().goal;
+                        let r = cs
+                            .transaction(|db| solve(&engine, &goal, db))
+                            .expect("transaction never errors under a 200-retry budget");
+                        if let Some(seq) = r.seq {
+                            committed.push((seq, op));
+                        }
+                    }
+                    committed
+                })
+            })
+            .collect();
+        let mut committed: Vec<(u64, Guarded)> = Vec::new();
+        for w in workers {
+            committed.extend(w.join().unwrap());
+        }
+        committed.sort_by_key(|(seq, _)| *seq);
+        let mut balances: BTreeMap<usize, i64> = (0..accounts).map(|i| (i, OPENING)).collect();
+        let mut frozen = BTreeSet::new();
+        for (i, (seq, op)) in committed.iter().enumerate() {
+            prop_assert_eq!(*seq, i as u64, "commit seqs must be dense");
+            match *op {
+                Guarded::Transfer(Op { from, to, amt }) => {
+                    prop_assert!(
+                        !frozen.contains(&from) && !frozen.contains(&to) && balances[&from] >= amt,
+                        "seq {}: {:?} committed against {:?}, frozen {:?}", seq, op, balances, frozen
+                    );
+                    *balances.get_mut(&from).unwrap() -= amt;
+                    *balances.get_mut(&to).unwrap() += amt;
+                }
+                Guarded::Toggle(i, true) => {
+                    frozen.insert(i);
+                }
+                Guarded::Toggle(i, false) => {
+                    frozen.remove(&i);
+                }
+            }
+        }
+        let mat = engine.materializer().unwrap();
+        prop_assert_eq!(mat.rebuilds(), 1);
+        let head_digest = cs.snapshot().digest();
+        drop(cs.close().unwrap());
+        let recovered = Store::open(&dir).unwrap();
+        let mut expected = Database::new();
+        for (i, bal) in &balances {
+            expected = expected.insert(pred(), &row(*i, *bal)).unwrap().0;
+        }
+        for i in &frozen {
+            expected = expected.insert(Pred::new("frozen", 1), &Tuple::new(vec![acct(*i)])).unwrap().0;
+        }
+        prop_assert_eq!(recovered.db().digest(), head_digest);
+        prop_assert_eq!(recovered.db().digest(), expected.digest());
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// T1 reads a view on its snapshot and writes; T2 deletes a base tuple the
+/// view's answer rested on and commits first. T1's probe charged the base
+/// relations under the view to its read set, so it conflicts on `edge`,
+/// runs again on the new head and answers as the view now does there.
+#[test]
+fn a_view_read_on_a_stale_snapshot_conflicts_on_the_relation_under_it() {
+    const SRC: &str = "base edge/2. base log/1.\n\
+        path(X, Y) <- edge(X, Y).\n\
+        path(X, Z) <- edge(X, Y) * path(Y, Z).\n\
+        note <- path(1, 3) * ins.log(reached).\n\
+        note <- ins.log(cut).\n";
+    let dir = temp_dir(&format!("stale_view_{}", std::process::id()));
+    let edge = Pred::new("edge", 2);
+    let mut genesis = Database::new();
+    for (x, y) in [(1, 2), (2, 3)] {
+        let t = Tuple::new(vec![Value::Int(x), Value::Int(y)]);
+        genesis = genesis.insert(edge, &t).unwrap().0;
+    }
+    let (engine, cs) = materialized(SRC, &dir, &genesis);
+    let goal = |src: &str| td_parser::parse_goal(src, engine.program()).unwrap().goal;
+    let (note, cut) = (goal("note"), goal("del.edge(2, 3)"));
+    let mut attempts = 0;
+    let t1 = cs
+        .transaction(|snapshot| {
+            attempts += 1;
+            let decision = solve(&engine, &note, snapshot);
+            if attempts == 1 {
+                let t2 = cs.transaction(|db| solve(&engine, &cut, db)).unwrap();
+                assert_eq!(t2.seq, Some(0));
+            }
+            decision
+        })
+        .unwrap();
+    assert_eq!((t1.attempts, t1.seq), (2, Some(1)));
+    assert_eq!(
+        cs.conflict_attribution().into_iter().collect::<Vec<_>>(),
+        vec![(edge, 1)]
+    );
+    let head = cs.snapshot();
+    let log = |what: &str| head.contains(Pred::new("log", 1), &Tuple::new(vec![Value::sym(what)]));
+    assert!(log("cut") && !log("reached"), "{head}");
+    assert_eq!(engine.materializer().unwrap().rebuilds(), 1);
+    drop(cs.close().unwrap());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
