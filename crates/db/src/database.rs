@@ -11,9 +11,11 @@
 use crate::delta::DeltaOp;
 use crate::ord::OrdMap;
 use crate::relation::Relation;
+use crate::sip::Sip;
 use crate::tuple::Tuple;
 use std::any::Any;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use td_core::{Atom, Pred, Term};
 
@@ -268,31 +270,20 @@ impl PartialEq for Database {
 
 impl Eq for Database {}
 
-/// The digest contribution of one relation: 0 when empty (so declared-but-
-/// empty relations don't affect content identity), otherwise a 128-bit hash
-/// of the predicate, the relation's commutative tuple digest, and its size.
-fn contribution(pred: Pred, rel: &Relation) -> u128 {
-    contribution_of(pred, rel.digest(), rel.len())
-}
-
-/// [`contribution`] from a relation's tuple digest `d` and size.
+/// The digest contribution of a relation of `pred` with tuple digest `d`
+/// and `len` tuples: 0 when empty (so declared-but-empty relations don't
+/// affect content identity), otherwise a 128-bit hash of the three, its
+/// high lane seeded apart. Persisted like the tuple hashes.
 fn contribution_of(pred: Pred, d: u128, len: usize) -> u128 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
+    const START: Sip<true> = Sip::seeded(0x85eb_ca6b_27d4_eb4f);
     if len == 0 {
         return 0;
     }
-    let mut lo = DefaultHasher::new();
-    pred.hash(&mut lo);
-    d.hash(&mut lo);
-    len.hash(&mut lo);
-    // Independent high lane: same fields under a distinct seed.
-    let mut hi = DefaultHasher::new();
-    0x85eb_ca6b_27d4_eb4fu64.hash(&mut hi);
-    pred.hash(&mut hi);
-    d.hash(&mut hi);
-    len.hash(&mut hi);
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
+    let mut h = START;
+    pred.hash(&mut h);
+    h.write_u128(d);
+    h.write_usize(len);
+    h.finish128()
 }
 
 impl Database {
@@ -488,9 +479,15 @@ impl Database {
     /// that holds something becomes a [`Pending`] one: the one place a
     /// version is made by an update, so whoever makes it, what was derived
     /// from its predecessor is where its own derivation starts.
-    fn successor(&self, pred: Pred, old: &Relation, rel: Relation, t: &Tuple) -> Database {
+    fn successor(&self, pred: Pred, old: &Relation, mut rel: Relation, t: &Tuple) -> Database {
         let member = rel.len() > old.len();
-        let digest = self.digest ^ contribution(pred, old) ^ contribution(pred, &rel);
+        debug_assert_eq!(
+            old.contribution,
+            contribution_of(pred, old.digest(), old.len()),
+            "{pred}'s carried digest contribution is stale"
+        );
+        rel.contribution = contribution_of(pred, rel.digest(), rel.len());
+        let digest = self.digest ^ old.contribution ^ rel.contribution;
         let next = Database::version(self.rels.alter(&pred, |_| Some(rel)), digest);
         // A version nothing was derived from pays this one branch.
         let Some(held) = self.derived.get() else {
@@ -617,9 +614,7 @@ impl Database {
     /// equal content in both (up to a 2⁻¹²⁸ collision) — the comparison
     /// fine-grained OCC validation makes per read relation.
     pub fn relation_digest(&self, pred: Pred) -> u128 {
-        self.rels
-            .get(&pred)
-            .map_or(0, |rel| contribution(pred, rel))
+        self.rels.get(&pred).map_or(0, |rel| rel.contribution)
     }
 
     /// Recompute the digest by walking every tuple of every relation,

@@ -29,6 +29,7 @@ pub mod delta;
 pub mod ord;
 pub mod read_set;
 pub mod relation;
+mod sip;
 pub mod tuple;
 
 pub use counted::CountedRelation;

@@ -26,14 +26,16 @@
 //! insertion order. That keeps the structure deterministic across engine
 //! strategies and across threads of the parallel search backend.
 
+use crate::sip::Sip;
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+/// A node's priority: the low lane of the crate's hash ([`Sip`]) of its
+/// key, whose mixing the treap's depth bound rests on.
 fn priority_of<K: Hash>(key: &K) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = Sip::new();
     key.hash(&mut h);
     h.finish()
 }

@@ -1,10 +1,10 @@
 //! A single stored relation: a persistent set of tuples of fixed arity.
 
 use crate::ord::OrdMap;
+use crate::sip::Sip;
 use crate::tuple::Tuple;
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use td_core::Value;
 
 /// Seed separating the high digest lane from the low one.
@@ -14,15 +14,13 @@ const DIGEST_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 /// low lane, an independently seeded hash in the high lane. 64 bits is not
 /// enough once digests key long-lived memo tables — a silent collision there
 /// would merge distinct database states. Persisted (WAL records, snapshot
-/// headers), so the seeds and lane layout are frozen; `tests/digest_golden.rs`
-/// pins them.
+/// headers), so the seeds and lane layout are frozen;
+/// `crates/db/tests/digest_golden.rs` pins them.
 fn hash128_of(t: &Tuple) -> u128 {
-    let mut lo = DefaultHasher::new();
-    t.hash(&mut lo);
-    let mut hi = DefaultHasher::new();
-    DIGEST_SEED.hash(&mut hi);
-    t.hash(&mut hi);
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
+    const START: Sip<true> = Sip::seeded(DIGEST_SEED);
+    let mut h = START;
+    t.hash(&mut h);
+    h.finish128()
 }
 
 /// A persistent relation. Like [`crate::Database`], relations are immutable
@@ -40,6 +38,11 @@ pub struct Relation {
     /// Commutative (xor) fold of all 128-bit member hashes; lets two
     /// versions be compared or hashed in O(1).
     sethash: u128,
+    /// This version's contribution to the digest of the database holding
+    /// it ([`crate::Database::relation_digest`]): set by the database
+    /// update that made it, so that the next one strips it unhashed. 0 for
+    /// an empty relation, and for a version made outside a database.
+    pub(crate) contribution: u128,
 }
 
 impl PartialEq for Relation {
@@ -59,6 +62,7 @@ impl Relation {
             arity,
             tuples: OrdMap::new(),
             sethash: 0,
+            contribution: 0,
         }
     }
 
@@ -128,6 +132,7 @@ impl Relation {
                 arity: self.arity,
                 tuples,
                 sethash,
+                contribution: 0,
             },
             changed,
         )

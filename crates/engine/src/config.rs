@@ -87,7 +87,10 @@ pub struct EngineConfig {
     /// pass through the same configurations) and is what keeps
     /// failure-heavy concurrent searches polynomial instead of
     /// exponential. Costs one allocation-free pass over the tree per step
-    /// and 16 bytes per refuted configuration. With `solutions(limit > 1)`
+    /// taken while the memo holds something, plus one per refuted
+    /// configuration (a step taken while the memo is empty defers its key
+    /// to whoever refutes it), and 16 bytes per refuted configuration.
+    /// With `solutions(limit > 1)`
     /// it additionally deduplicates solutions that arise from re-reaching
     /// an already exhausted configuration.
     pub memo_failures: bool,

@@ -230,7 +230,7 @@ pub(super) mod tests {
     use proptest::prelude::*;
     use std::cell::RefCell;
     use td_core::{Bindings, Pred};
-    use td_db::tuple;
+    use td_db::{tuple, Tuple};
     use td_parser::parse_program;
 
     /// The exact key a fingerprint stands for, the reference it must
@@ -384,6 +384,84 @@ pub(super) mod tests {
             log.subgoals.len()
         );
         assert_lanes_injective(&log.subgoals);
+    }
+
+    /// The machine's counters for `source`'s one goal, solved like `td run`
+    /// from the initial database, and every configuration it fingerprinted.
+    fn solve_recorded(source: &str) -> (crate::Stats, Log) {
+        let parsed = parse_program(source).expect("parses");
+        let schema = Database::with_schema_of(&parsed.program);
+        let db = load_init(&schema, &parsed.init).expect("init loads");
+        let engine = Engine::new(parsed.program);
+        let mut stats = None;
+        let log = recorded(|| {
+            let outcome = engine.solve(&parsed.goals[0].goal, &db).expect("solves");
+            stats = Some(outcome.stats());
+        });
+        (stats.expect("solved"), log)
+    }
+
+    /// While the failure memo is empty nothing can hit it, so a step
+    /// fingerprints its configuration only once the configuration is
+    /// refuted: a search that refutes nothing walks no tree at all.
+    #[test]
+    fn a_search_that_refutes_nothing_fingerprints_no_configuration() {
+        let (stats, log) = solve_recorded(
+            "base a/1. base b/1. init a(1). init a(2).
+             ?- (a(X) * del.a(X) * ins.b(X)) | (a(Y) * Y > 1 * ins.b(Y)).",
+        );
+        assert!(stats.choicepoints > 0, "the search had choices: {stats:?}");
+        assert_eq!(stats.memo_hits, 0);
+        assert!(log.configs.is_empty(), "{:?}", log.configs.keys());
+    }
+
+    /// `(ins.a | ins.b) * fail`: the first refutation, of `fail` over
+    /// `{a, b}`, happens while the memo is empty, so its key is computed
+    /// when the step fails; the other interleaving reaches that
+    /// configuration again and hits it. Step 2 (`ins.b` after `ins.a`) is
+    /// never fingerprinted; the first step's key is computed when its
+    /// choicepoint is exhausted. The counts are the eager memo's.
+    #[test]
+    fn a_refutation_made_while_the_memo_is_empty_is_recorded_and_hit() {
+        let (stats, log) = solve_recorded("base a/0. base b/0. ?- (ins.a | ins.b) * fail.");
+        assert_eq!((stats.steps, stats.memo_hits), (5, 1));
+        let pred = |name| Pred::new(name, 0);
+        let both = Database::new()
+            .insert(pred("a"), &Tuple::unit())
+            .and_then(|(db, _)| db.insert(pred("b"), &Tuple::unit()))
+            .expect("inserts")
+            .0;
+        let refuted = (Goal::Fail, both.digest());
+        assert!(
+            log.configs.contains_key(&refuted),
+            "{:?}",
+            log.configs.keys()
+        );
+        // The start, `fail` over {a, b}, and `ins.a * fail` over {b}.
+        assert_eq!(log.configs.len(), 3, "{:?}", log.configs.keys());
+    }
+
+    /// tdbench's `refute` member (examples 2.1-2.2, a transfer that
+    /// cannot happen, in parallel with two that can): its first refutation
+    /// happens deep in the first interleaving, while the memo is empty.
+    /// Same steps and memo hits as an eager key gives, with far fewer
+    /// configurations fingerprinted than steps taken.
+    #[test]
+    fn a_failure_heavy_search_keeps_its_counts_with_deferred_keys() {
+        let (stats, log) = solve_recorded(
+            "base balance/2.
+             init balance(acct1, 30). init balance(acct2, 30). init balance(acct3, 30).
+             withdraw(Amt, Acct) <- balance(Acct, Bal) * Bal >= Amt * del.balance(Acct, Bal)
+                 * NB is Bal - Amt * ins.balance(Acct, NB).
+             deposit(Amt, Acct) <- balance(Acct, Bal) * del.balance(Acct, Bal)
+                 * NB is Bal + Amt * ins.balance(Acct, NB).
+             transfer(Amt, From, To) <- withdraw(Amt, From) * deposit(Amt, To).
+             ?- transfer(5, acct1, acct2) | transfer(5, acct2, acct1)
+                | transfer(1000, acct3, acct1).",
+        );
+        assert_eq!((stats.steps, stats.memo_hits), (2255, 1328));
+        assert!(!log.configs.is_empty());
+        assert!((log.configs.len() as u64) < stats.steps);
     }
 
     /// `tests/kernel_equivalence.rs`'s goal space: every connective over

@@ -85,7 +85,8 @@ pub(crate) struct Ctx<'p> {
     pub trace: Vec<TraceEvent>,
     /// Refuted configurations, by [`kernel::fingerprint`] under the current
     /// bindings. Only populated/consulted under complete strategies (see
-    /// `EngineConfig::memo_failures`).
+    /// `EngineConfig::memo_failures`); while it is empty, a step defers its
+    /// key ([`MemoKey::Deferred`]).
     failed: FpSet,
     /// Variable-numbering scratch of [`Ctx::config_key`].
     key_vars: Vec<Var>,
@@ -183,6 +184,18 @@ impl<'p> Ctx<'p> {
     fn config_key(&mut self, tree: &PTree, db: &Database) -> u128 {
         let bindings = &self.bindings;
         kernel::fingerprint(tree, |t| bindings.resolve(t), db, &mut self.key_vars)
+    }
+
+    /// Record as refuted the configuration `(tree, db)` a step started
+    /// from, under the current bindings (those it started with), when the
+    /// step is memoized: by `key` as computed then, or computed now.
+    fn refute(&mut self, key: MemoKey, tree: &PTree, db: &Database) {
+        let key = match key {
+            MemoKey::None => return,
+            MemoKey::Known(key) => key,
+            MemoKey::Deferred => self.config_key(tree, db),
+        };
+        self.failed.insert(key);
     }
 
     /// Unfold `rule_id` for `atom` (read at offset `off`) on the shared
@@ -370,14 +383,31 @@ fn branches(leaf: &Action) -> &[Goal] {
     }
 }
 
+/// The failure-memo key of the configuration a step started from, as the
+/// step's first choicepoint carries it.
+#[derive(Clone, Copy, Default)]
+enum MemoKey {
+    /// Not memoized: the memo is off, or this is not a step's first
+    /// choicepoint.
+    #[default]
+    None,
+    /// Computed when the step started, because the memo could answer then.
+    Known(u128),
+    /// Not computed: the memo was empty when the step started, so nothing
+    /// could hit. Whoever refutes the step computes it, from the
+    /// choicepoint's `tree` and `db` with the trail rewound to the step's
+    /// start — the configuration a `Known` key describes.
+    Deferred,
+}
+
 struct Choicepoint {
-    /// When set, this is the *first* choicepoint pushed for its step: once
-    /// it is exhausted, the whole subtree under the pre-step configuration
-    /// has been refuted and the key is recorded in `Ctx::failed` — unless a
+    /// Not `None` on the *first* choicepoint pushed for its step: once it
+    /// is exhausted, the whole subtree under the pre-step configuration has
+    /// been refuted and the key is recorded in `Ctx::failed` — unless a
     /// success was yielded through this subtree in the meantime (see
     /// `successes_at_push`), in which case exhaustion only means "no more
     /// solutions".
-    step_key: Option<u128>,
+    step_key: MemoKey,
     /// `Solver::successes` at push time; compared at pop to decide whether
     /// the subtree was success-free (refuted) or merely drained.
     successes_at_push: u64,
@@ -424,9 +454,9 @@ pub(crate) struct Solver {
     /// Current database.
     pub db: Database,
     stack: Vec<Choicepoint>,
-    /// Key of the configuration the in-flight step started from; consumed
-    /// by the first choicepoint that step pushes.
-    pending_key: Option<u128>,
+    /// Key of the configuration the in-flight step started from; taken by
+    /// the first choicepoint that step pushes.
+    pending_key: MemoKey,
     /// Number of solutions this solver has yielded. Used to distinguish
     /// refuted choicepoint subtrees from drained ones.
     successes: u64,
@@ -438,7 +468,7 @@ impl Solver {
             state: tree,
             db,
             stack: Vec::new(),
-            pending_key: None,
+            pending_key: MemoKey::None,
             successes: 0,
         }
     }
@@ -479,7 +509,7 @@ impl Solver {
     /// fills in the memo fields.
     fn checkpoint(&self, at: Marks, tree: &PTree, leaf: usize, alts: Alts) -> Choicepoint {
         Choicepoint {
-            step_key: None,
+            step_key: MemoKey::None,
             successes_at_push: 0,
             tree: tree.clone(),
             leaf,
@@ -496,7 +526,7 @@ impl Solver {
                 depth: self.stack.len(),
             }));
         }
-        cp.step_key = self.pending_key.take();
+        cp.step_key = std::mem::take(&mut self.pending_key);
         cp.successes_at_push = self.successes;
         self.stack.push(cp);
         ctx.stats.choicepoints += 1;
@@ -507,26 +537,34 @@ impl Solver {
     /// One elementary step: pick a frontier action per strategy, execute it.
     fn step(&mut self, ctx: &mut Ctx, tree: PTree) -> StepResult {
         if ctx.memo_active() {
-            let key = ctx.config_key(&tree, &self.db);
-            if ctx.failed.contains(&key) {
-                ctx.stats.memo_hits += 1;
-                return Err(StepErr::Fail);
+            // Nothing can hit an empty memo: the key waits for a refutation.
+            let mut key = MemoKey::Deferred;
+            if !ctx.failed.is_empty() {
+                let fp = ctx.config_key(&tree, &self.db);
+                if ctx.failed.contains(&fp) {
+                    ctx.stats.memo_hits += 1;
+                    return Err(StepErr::Fail);
+                }
+                key = MemoKey::Known(fp);
             }
-            self.pending_key = Some(key);
+            self.pending_key = key;
         }
-        let stack_before = self.stack.len();
+        let (at, stack_before) = (Marks::here(ctx), self.stack.len());
         let n = frontier_len(&tree);
         ctx.stats.peak_processes = ctx.stats.peak_processes.max(n);
         let schedule = ctx.schedule(n);
         let result = self.choose(ctx, &tree, 0, Alts::Sched(schedule));
+        let pending = std::mem::take(&mut self.pending_key);
         if matches!(result, Err(StepErr::Fail)) && self.stack.len() == stack_before {
             // The step failed with no alternatives: the configuration is
-            // refuted outright.
-            if let Some(key) = self.pending_key.take() {
-                ctx.failed.insert(key);
+            // refuted outright. A failed step leaves the database as it
+            // found it; a deferred key needs its bindings undone too, as
+            // backtracking would undo them anyway.
+            if let MemoKey::Deferred = pending {
+                at.rewind(ctx);
             }
+            ctx.refute(pending, &tree, &self.db);
         }
-        self.pending_key = None;
         result
     }
 
@@ -741,13 +779,13 @@ impl Solver {
             ctx.stats.backtracks += 1;
             ctx.local.observe_backtrack(depth);
             let Some((alt, db)) = cp.next_alt(ctx)? else {
+                // Exhausted: the logs are back at the choicepoint's marks,
+                // where a deferred key reads the trail.
                 let cp = self.stack.pop().expect("borrowed above");
-                self.db = cp.db;
-                if let Some(key) = cp.step_key {
-                    if cp.successes_at_push == self.successes {
-                        ctx.failed.insert(key);
-                    }
+                if cp.successes_at_push == self.successes {
+                    ctx.refute(cp.step_key, &cp.tree, &cp.db);
                 }
+                self.db = cp.db;
                 continue;
             };
             let (tree, leaf) = (cp.tree.clone(), cp.leaf);
