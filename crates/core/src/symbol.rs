@@ -1,11 +1,14 @@
 //! Global string interner.
 //!
 //! Predicate and constant names occur everywhere — in rules, tuples, traces —
-//! so they are interned once into a process-wide table. A [`Symbol`] carries
-//! both a unique id (identity: `Eq`/`Hash` are integer operations) and the
-//! leaked `&'static str` itself, so resolution, display and *ordering* never
-//! touch the interner at all — ordering in particular sits on the engine's
-//! hot path through the `BTreeMap`-keyed database.
+//! so they are interned once into a process-wide table. Each distinct string
+//! gets one immortal entry holding its unique id and the leaked text, and a
+//! [`Symbol`] is a `&'static` pointer to its entry: one word, so a
+//! [`crate::Value`] is two. Identity is the entry's address (interning
+//! dedups, so equal texts share one entry), and resolution, display and
+//! *ordering* read the entry, never the interner — ordering in particular
+//! sits on the engine's hot path through td-db's sorted relations, the
+//! persistent treap `td_db::ord::OrdMap`.
 //!
 //! The table is sharded: each string hashes to one of `SHARDS` independent
 //! `RwLock`-protected maps, and the overwhelmingly common case — interning a
@@ -21,24 +24,28 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-/// An interned string. Cheap to copy, compare and hash.
-///
-/// Equality uses the unique id (one lookup-free integer compare); ordering
-/// and *hashing* are textual, so sorted containers, displays and — crucially
-/// — the 128-bit content digests built on `Hash` are deterministic across
-/// runs and across *processes*, regardless of interning sequence. Interner
-/// ids depend on what was interned first (program text vs a recovered
-/// snapshot, worker-thread races); the persisted digests in `td-store`
-/// would be unverifiable in any later process if hashes leaked them.
-#[derive(Clone, Copy)]
-pub struct Symbol {
+/// One interned string: what a [`Symbol`] points at. Leaked, never freed.
+struct Entry {
     id: u32,
     text: &'static str,
 }
 
+/// An interned string. Cheap to copy, compare and hash.
+///
+/// Equality compares entry addresses (one word compare, no lookup);
+/// ordering and *hashing* are textual, so sorted containers, displays and —
+/// crucially — the 128-bit content digests built on `Hash` are deterministic
+/// across runs and across *processes*, regardless of interning sequence.
+/// Interner ids and entry addresses depend on what was interned first
+/// (program text vs a recovered snapshot, worker-thread races); the
+/// persisted digests in `td-store` would be unverifiable in any later
+/// process if hashes leaked them.
+#[derive(Clone, Copy)]
+pub struct Symbol(&'static Entry);
+
 impl PartialEq for Symbol {
     fn eq(&self, other: &Symbol) -> bool {
-        self.id == other.id
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -46,13 +53,13 @@ impl Eq for Symbol {}
 
 impl Hash for Symbol {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Text, not id: ids are assigned in interning order, which differs
-        // between processes (and between threads racing to intern). Interning
-        // dedups, so id equality and text equality coincide — hashing the
-        // text keeps `Hash`/`Eq` consistent while making every derived hash
-        // (treap priorities, relation digests, the persisted store digests)
-        // a pure function of content.
-        self.text.hash(state);
+        // Text, not id or address: both depend on interning order, which
+        // differs between processes (and between threads racing to
+        // intern). Interning dedups, so entry identity and text equality
+        // coincide — hashing the text keeps `Hash`/`Eq` consistent while
+        // making every derived hash (treap priorities, relation digests,
+        // the persisted store digests) a pure function of content.
+        self.0.text.hash(state);
     }
 }
 
@@ -64,10 +71,10 @@ impl PartialOrd for Symbol {
 
 impl Ord for Symbol {
     fn cmp(&self, other: &Symbol) -> std::cmp::Ordering {
-        if self.id == other.id {
+        if self == other {
             std::cmp::Ordering::Equal
         } else {
-            self.text.cmp(other.text)
+            self.0.text.cmp(other.0.text)
         }
     }
 }
@@ -119,12 +126,12 @@ impl Symbol {
         }
         let id = interner().next_id.fetch_add(1, Ordering::Relaxed);
         assert!(id != u32::MAX, "interner overflow");
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+        let text: &'static str = Box::leak(s.to_owned().into_boxed_str());
         interner()
             .bytes
-            .fetch_add(leaked.len() as u64, Ordering::Relaxed);
-        let sym = Symbol { id, text: leaked };
-        map.insert(leaked, sym);
+            .fetch_add(text.len() as u64, Ordering::Relaxed);
+        let sym = Symbol(Box::leak(Box::new(Entry { id, text })));
+        map.insert(text, sym);
         sym
     }
 
@@ -145,8 +152,9 @@ impl Symbol {
         interner().next_id.load(Ordering::Relaxed) as u64
     }
 
-    /// Total payload bytes held by the interner (excludes per-entry map
-    /// overhead, roughly 48 bytes/entry on 64-bit). Grows linearly in the
+    /// Total payload bytes held by the interner (excludes per-entry
+    /// overhead: the 24-byte entry a symbol points at plus its map slot,
+    /// roughly 64 bytes/entry on 64-bit). Grows linearly in the
     /// distinct constants a workload mentions; see the leak test below for
     /// the measured rate.
     pub fn interned_bytes() -> u64 {
@@ -155,13 +163,13 @@ impl Symbol {
 
     /// The interned text (allocation- and lock-free).
     pub fn as_str(self) -> &'static str {
-        self.text
+        self.0.text
     }
 
     /// Raw id, stable within a process run. Useful for dense tables. Ids are
     /// unique but not contiguous in interning order once threads race.
     pub fn id(self) -> u32 {
-        self.id
+        self.0.id
     }
 }
 
@@ -173,19 +181,19 @@ impl From<&str> for Symbol {
 
 impl AsRef<str> for Symbol {
     fn as_ref(&self) -> &str {
-        self.text
+        self.0.text
     }
 }
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.text)
+        f.write_str(self.0.text)
     }
 }
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Symbol({:?})", self.text)
+        write!(f, "Symbol({:?})", self.0.text)
     }
 }
 
@@ -279,6 +287,16 @@ mod tests {
     }
 
     #[test]
+    fn a_symbol_is_one_word_and_its_identity_is_its_entry() {
+        assert_eq!(std::mem::size_of::<Symbol>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Symbol>>(), 8);
+        let a = Symbol::intern("one_word_probe");
+        let b = Symbol::intern(&String::from("one_word_probe"));
+        assert!(std::ptr::eq(a.0, b.0));
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn symbol_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Symbol>();
@@ -291,9 +309,9 @@ mod tests {
         // test pins the growth contract a long-running `td serve` relies
         // on: each *distinct* string grows the table by one entry and its
         // payload bytes (linear in distinct constants seen — payload plus
-        // ~48 bytes/entry of map overhead on 64-bit); re-interning an
-        // existing string allocates nothing (dedup ⇒ steady state is
-        // flat); and both quantities are observable, so a server surfaces
+        // ~64 bytes/entry of entry and map overhead on 64-bit);
+        // re-interning an existing string allocates nothing (dedup ⇒
+        // steady state is flat); and both quantities are observable, so a server surfaces
         // the growth instead of hiding it. Counters are process-global and
         // other tests intern concurrently, so growth assertions are
         // one-sided (>=) and dedup is proven by id stability.

@@ -111,8 +111,22 @@ impl<K: Clone + Ord + Hash, V: Clone + PartialEq> OrdMap<K, V> {
     /// descent. When `f` returns what is already there, the result shares
     /// the whole tree with `self` and nothing is allocated.
     pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V> {
+        self.alter_with_priority(key, || priority_of(key), f)
+    }
+
+    /// [`OrdMap::alter`] for a caller that hashes `key` anyway: `priority`
+    /// is called, at most once, when a node for `key` is made, and must
+    /// return what the map would compute itself (the key's SipHash-1-3,
+    /// the low lane of a tuple's digest member), so that the shape stays
+    /// the canonical one.
+    pub fn alter_with_priority(
+        &self,
+        key: &K,
+        priority: impl FnOnce() -> u64,
+        f: impl FnOnce(Option<&V>) -> Option<V>,
+    ) -> OrdMap<K, V> {
         let (mut had, mut has) = (false, false);
-        let root = alter_node(&self.root, key, |old| {
+        let root = alter_node(&self.root, key, priority, |old| {
             let new = f(old);
             (had, has) = (old.is_some(), new.is_some());
             new
@@ -229,11 +243,14 @@ fn with_children<K: Clone, V: Clone>(
 fn alter_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
     link: &Link<K, V>,
     key: &K,
+    priority: impl FnOnce() -> u64,
     f: impl FnOnce(Option<&V>) -> Option<V>,
 ) -> Option<Link<K, V>> {
     let Some(n) = link else {
         let value = f(None)?;
-        return Some(node(key.clone(), value, priority_of(key), None, None));
+        let prio = priority();
+        debug_assert_eq!(prio, priority_of(key), "not the key's priority");
+        return Some(node(key.clone(), value, prio, None, None));
     };
     match key.cmp(&n.key) {
         Ordering::Equal => match f(Some(&n.value)) {
@@ -248,7 +265,7 @@ fn alter_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
             )),
         },
         Ordering::Less => {
-            let new_left = alter_node(&n.left, key, f)?;
+            let new_left = alter_node(&n.left, key, priority, f)?;
             // Restore the heap property: a fresh leaf with a higher priority
             // rotates up (right rotation: the left child becomes the root).
             Some(match &new_left {
@@ -260,7 +277,7 @@ fn alter_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
             })
         }
         Ordering::Greater => {
-            let new_right = alter_node(&n.right, key, f)?;
+            let new_right = alter_node(&n.right, key, priority, f)?;
             Some(match &new_right {
                 Some(r) if r.prio > n.prio => {
                     let below = with_children(n, n.left.clone(), r.left.clone());
@@ -286,7 +303,7 @@ fn alter_mut_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
         return;
     };
     let Some(n) = Arc::get_mut(held) else {
-        if let Some(copied) = alter_node(link, key, f) {
+        if let Some(copied) = alter_node(link, key, || priority_of(key), f) {
             *link = copied;
         }
         return;

@@ -1,8 +1,15 @@
 //! Model-based property tests: the persistent [`Database`] against a plain
-//! `BTreeMap<Pred, BTreeSet<Tuple>>` reference model, [`Relation`] against a
-//! `BTreeSet<Tuple>` and [`CountedRelation`] against a `BTreeMap<Tuple, i64>`,
-//! including snapshot semantics (old versions must never observe later
-//! edits — the property the engine's backtracking depends on).
+//! `BTreeMap<Pred, BTreeSet<Vec<Value>>>` reference model, [`Relation`]
+//! against a `BTreeSet<Vec<Value>>` and [`CountedRelation`] against a
+//! `BTreeMap<Vec<Value>, i64>`, including snapshot semantics (old versions
+//! must never observe later edits — the property the engine's backtracking
+//! depends on).
+//!
+//! The models key by `Vec<Value>`, not by [`Tuple`], so their order is
+//! `[Value]`'s lexicographic order and shares no code with `Tuple`'s
+//! code-first comparison; the domain reaches the edges of that code's
+//! encoding (integer byte widths, `i64::MIN`/`MAX`, escaped zero bytes,
+//! symbols longer than a code holds).
 //!
 //! All three sit on the one persistent map in `td_db::ord`, so this is also
 //! that structure's model suite: insert, overwrite, remove, ordered walk and
@@ -13,6 +20,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use td_core::{Pred, Value};
 use td_db::ord::OrdMap;
+use td_db::relation::for_each_with_prefix;
 use td_db::{CountedRelation, Database, Relation, Tuple};
 
 #[derive(Clone, Debug)]
@@ -38,17 +46,59 @@ fn tuple(vals: &[i64]) -> Tuple {
     Tuple::new(vals.iter().map(|v| Value::Int(*v)).collect())
 }
 
-type Model = BTreeMap<Pred, BTreeSet<Tuple>>;
+/// A tuple as the models hold it.
+fn row(t: &Tuple) -> Vec<Value> {
+    t.values().to_vec()
+}
 
-/// A small mixed domain, so orderings cross the int/symbol boundary and
-/// compare symbols by text.
+fn rows(ts: &[Tuple]) -> Vec<Vec<Value>> {
+    ts.iter().map(row).collect()
+}
+
+type Model = BTreeMap<Pred, BTreeSet<Vec<Value>>>;
+
+/// Size of the mixed domain; its first four values are a small core that
+/// random edits hit often (see [`arb_code`]).
+const MIXED: u8 = 19;
+
+/// A mixed domain, so orderings cross the int/symbol boundary and compare
+/// symbols by text, out to the edges of a tuple code's encoding: integers
+/// of every magnitude width at both signs and the extremes, the empty
+/// symbol, symbols with zero bytes (escaped in the encoding), and two of
+/// 8 bytes or more that share a 7-byte prefix — all a code has room for
+/// after a symbol's tag.
 fn mixed(code: u8) -> Value {
     match code {
         0 => Value::Int(-1),
         1 => Value::Int(3),
         2 => Value::sym("a"),
-        _ => Value::sym("ab"),
+        3 => Value::sym("ab"),
+        4 => Value::Int(0),
+        5 => Value::Int(1),
+        6 => Value::Int(255),
+        7 => Value::Int(-255),
+        8 => Value::Int(256),
+        9 => Value::Int(-256),
+        10 => Value::Int(65_536),
+        11 => Value::Int(-65_536),
+        12 => Value::Int(i64::MIN),
+        13 => Value::Int(i64::MAX),
+        14 => Value::sym(""),
+        15 => Value::sym("a\0"),
+        16 => Value::sym("a\0b"),
+        17 => Value::sym("abcdefgh"),
+        _ => Value::sym("abcdefgzz"),
     }
+}
+
+/// A code of [`mixed`]: mostly the core four, so that edits meet the
+/// tuples earlier edits made, and otherwise anything in the domain.
+fn arb_code() -> impl Strategy<Value = u8> {
+    proptest::strategy::Union::weighted(vec![(3, 0u8..4), (1, 0u8..MIXED)])
+}
+
+fn arb_codes(arity: usize) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(arb_code(), arity)
 }
 
 fn mixed_tuple(codes: &[u8]) -> Tuple {
@@ -67,27 +117,34 @@ fn patterns_from(probe: &Tuple) -> Vec<Vec<Option<Value>>> {
         .collect()
 }
 
-type CountModel = BTreeMap<Tuple, i64>;
+/// True if `row` matches a binding pattern, read off the values alone.
+fn row_matches(row: &[Value], pattern: &[Option<Value>]) -> bool {
+    row.iter()
+        .zip(pattern)
+        .all(|(v, p)| p.is_none_or(|p| p == *v))
+}
+
+type CountModel = BTreeMap<Vec<Value>, i64>;
 
 fn assert_counts_match_model(r: &CountedRelation, model: &CountModel, probe: &Tuple) {
     assert_eq!(r.len(), model.len());
     let mut entries = Vec::new();
-    r.for_each(|t, c| entries.push((t.clone(), c)));
-    let expected: Vec<(Tuple, i64)> = model.iter().map(|(t, c)| (t.clone(), *c)).collect();
+    r.for_each(|t, c| entries.push((row(t), c)));
+    let expected: Vec<(Vec<Value>, i64)> = model.iter().map(|(t, c)| (t.clone(), *c)).collect();
     assert_eq!(entries, expected, "entries, in order, with their counts");
-    let members: Vec<Tuple> = model
+    let members: Vec<Vec<Value>> = model
         .iter()
         .filter(|(_, c)| **c > 0)
         .map(|(t, _)| t.clone())
         .collect();
-    assert_eq!(r.to_vec(), members);
+    assert_eq!(rows(&r.to_vec()), members);
     for pattern in patterns_from(probe) {
-        let expected: Vec<Tuple> = members
+        let expected: Vec<Vec<Value>> = members
             .iter()
-            .filter(|t| t.matches(&pattern))
+            .filter(|t| row_matches(t, &pattern))
             .cloned()
             .collect();
-        assert_eq!(r.select(&pattern), expected, "pattern {pattern:?}");
+        assert_eq!(rows(&r.select(&pattern)), expected, "pattern {pattern:?}");
     }
 }
 
@@ -95,20 +152,100 @@ fn assert_matches_model(db: &Database, model: &Model) {
     for i in 0..3u8 {
         let p = pred(i);
         let expected = model.get(&p).cloned().unwrap_or_default();
-        let actual: BTreeSet<Tuple> = db
+        let actual: Vec<Vec<Value>> = db
             .relation(p)
-            .map(|r| r.to_vec().into_iter().collect())
+            .map(|r| rows(&r.to_vec()))
             .unwrap_or_default();
-        assert_eq!(actual, expected, "relation {p} diverged");
+        assert_eq!(
+            actual,
+            expected.iter().cloned().collect::<Vec<_>>(),
+            "relation {p} diverged"
+        );
         // Membership queries agree too.
         for t in &expected {
-            assert!(db.contains(p, t));
+            assert!(db.contains(p, &Tuple::new(t.clone())));
         }
     }
 }
 
+/// A tuple's code is a word inline beside its values; a symbol is one
+/// word, so a value is two and the code costs a tuple nothing in its value
+/// block.
+#[test]
+fn a_value_is_two_words_and_a_tuple_three() {
+    assert_eq!(std::mem::size_of::<Value>(), 16);
+    assert_eq!(std::mem::size_of::<Tuple>(), 24);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Tuple`'s order, equality and code against the order of its values
+    /// alone, on tuples of arity 0 to 4 over the whole mixed domain.
+    #[test]
+    fn tuples_order_as_their_values(
+        pairs in proptest::collection::vec(
+            (
+                proptest::collection::vec(0u8..MIXED, 0..5),
+                proptest::collection::vec(0u8..MIXED, 0..5),
+            ),
+            64,
+        ),
+    ) {
+        for (a, b) in &pairs {
+            let (a, b) = (mixed_tuple(a), mixed_tuple(b));
+            // `a` is a prefix of `a` extended by `b`, and their codes tie
+            // once `a` encodes in 8 bytes or more.
+            let extended: Tuple = a.values().iter().chain(b.values()).copied().collect();
+            for (a, b) in [(&a, &b), (&a, &extended), (&b, &extended)] {
+                prop_assert_eq!(a.cmp(b), a.values().cmp(b.values()), "{:?} vs {:?}", a, b);
+                prop_assert_eq!(a == b, a.values() == b.values());
+                if a < b {
+                    prop_assert!(a.code() <= b.code(), "{:?} vs {:?}", a, b);
+                }
+            }
+        }
+    }
+
+    /// A prefix probe of every length, on all three sorted tuple sets, is
+    /// the model's members carrying the prefix, in order. Arity 4 over the
+    /// whole domain reaches prefixes that encode in well over 8 bytes, and
+    /// the probes are taken from members as well as at random.
+    #[test]
+    fn prefix_probes_of_every_length_are_filtered_scans(
+        members in proptest::collection::vec(proptest::collection::vec(0u8..MIXED, 4), 0..80),
+        probes in proptest::collection::vec(
+            (proptest::collection::vec(0u8..MIXED, 4), any::<u8>()),
+            8,
+        ),
+    ) {
+        let model: BTreeSet<Vec<Value>> = members.iter().map(|c| row(&mixed_tuple(c))).collect();
+        let sorted: Vec<Tuple> = model.iter().cloned().map(Tuple::new).collect();
+        let rel = sorted.iter().fold(Relation::new(4), |r, t| r.insert(t).0);
+        let counted = CountedRelation::from_sorted(4, sorted.iter().map(|t| (t.clone(), 1)));
+        let map = OrdMap::from_sorted(sorted.iter().map(|t| (t.clone(), ())));
+        for (codes, pick) in probes {
+            let probe = match sorted.len() {
+                0 => mixed_tuple(&codes),
+                n if pick % 2 == 0 => sorted[pick as usize % n].clone(),
+                _ => mixed_tuple(&codes),
+            };
+            for len in 0..=4 {
+                let prefix = &probe.values()[..len];
+                let expected: Vec<&Vec<Value>> =
+                    model.iter().filter(|r| r.starts_with(prefix)).collect();
+                let values = || prefix.iter().copied();
+                let (mut by_rel, mut by_counted, mut by_map) = (Vec::new(), Vec::new(), Vec::new());
+                rel.for_each_with_prefix(values, |t| by_rel.push(row(t)));
+                counted.for_each_with_prefix(values, |t| by_counted.push(row(t)));
+                for_each_with_prefix(&map, values, |t, ()| by_map.push(row(t)));
+                for got in [by_rel, by_counted, by_map] {
+                    let got: Vec<&Vec<Value>> = got.iter().collect();
+                    prop_assert_eq!(got, expected.clone(), "prefix {:?}", prefix);
+                }
+            }
+        }
+    }
 
     #[test]
     fn database_behaves_like_model(ops in proptest::collection::vec(arb_op(), 0..120)) {
@@ -122,7 +259,7 @@ proptest! {
                 Op::Ins(p, vals) => {
                     let t = tuple(&vals);
                     let (next, changed) = db.insert(pred(p), &t).unwrap();
-                    let model_changed = model.entry(pred(p)).or_default().insert(t);
+                    let model_changed = model.entry(pred(p)).or_default().insert(row(&t));
                     prop_assert_eq!(changed, model_changed);
                     db = next;
                 }
@@ -131,7 +268,7 @@ proptest! {
                     let (next, changed) = db.delete(pred(p), &t).unwrap();
                     let model_changed = model
                         .get_mut(&pred(p))
-                        .is_some_and(|s| s.remove(&t));
+                        .is_some_and(|s| s.remove(&row(&t)));
                     prop_assert_eq!(changed, model_changed);
                     db = next;
                 }
@@ -296,31 +433,33 @@ proptest! {
     /// walks, the size and the digest agree with the model too.
     #[test]
     fn relation_select_matches_model_on_every_pattern_shape(
-        ops in proptest::collection::vec((any::<bool>(), proptest::collection::vec(0u8..4, 3)), 0..150),
-        probe in proptest::collection::vec(0u8..4, 3),
+        ops in proptest::collection::vec((any::<bool>(), arb_codes(3)), 0..150),
+        probe in arb_codes(3),
     ) {
         let mut rel = Relation::new(3);
-        let mut model: BTreeSet<Tuple> = BTreeSet::new();
+        let mut model: BTreeSet<Vec<Value>> = BTreeSet::new();
         for (is_insert, codes) in &ops {
             let t = mixed_tuple(codes);
             let (next, changed) = if *is_insert { rel.insert(&t) } else { rel.remove(&t) };
-            let model_changed = if *is_insert { model.insert(t) } else { model.remove(&t) };
+            let model_changed =
+                if *is_insert { model.insert(row(&t)) } else { model.remove(&row(&t)) };
             prop_assert_eq!(changed, model_changed);
             rel = next;
         }
-        let sorted: Vec<Tuple> = model.iter().cloned().collect();
+        let sorted: Vec<Vec<Value>> = model.iter().cloned().collect();
         prop_assert_eq!(rel.len(), model.len());
-        prop_assert_eq!(rel.to_vec(), sorted.clone());
+        prop_assert_eq!(rows(&rel.to_vec()), sorted.clone());
         let mut walked = Vec::new();
-        rel.for_each(|t| walked.push(t.clone()));
+        rel.for_each(|t| walked.push(row(t)));
         prop_assert_eq!(walked, sorted.clone());
         for pattern in patterns_from(&mixed_tuple(&probe)) {
-            let expected: Vec<Tuple> =
-                sorted.iter().filter(|t| t.matches(&pattern)).cloned().collect();
-            prop_assert_eq!(rel.select(&pattern), expected, "pattern {:?}", pattern);
+            let expected: Vec<Vec<Value>> =
+                sorted.iter().filter(|t| row_matches(t, &pattern)).cloned().collect();
+            prop_assert_eq!(rows(&rel.select(&pattern)), expected, "pattern {:?}", pattern);
         }
         // Content identity is history-independent: the same set built in
         // sorted order, with no removals, is equal and digests equally.
+        let sorted: Vec<Tuple> = sorted.into_iter().map(Tuple::new).collect();
         let rebuilt = sorted.iter().fold(Relation::new(3), |r, t| r.insert(t).0);
         prop_assert_eq!(rel.digest(), rebuilt.digest());
         prop_assert_eq!(rel.digest(), rel.digest_from_scratch());
@@ -336,8 +475,8 @@ proptest! {
     #[test]
     fn counted_relation_behaves_like_model(
         // (tuple, delta, take a snapshot first when 0)
-        ops in proptest::collection::vec((proptest::collection::vec(0u8..4, 2), -3i64..4, 0u8..5), 0..150),
-        probe in proptest::collection::vec(0u8..4, 2),
+        ops in proptest::collection::vec((arb_codes(2), -3i64..4, 0u8..5), 0..150),
+        probe in arb_codes(2),
     ) {
         let probe = mixed_tuple(&probe);
         let mut rel = CountedRelation::new(2);
@@ -348,12 +487,12 @@ proptest! {
                 snapshots.push((rel.clone(), model.clone()));
             }
             let t = mixed_tuple(&codes);
-            let old = model.get(&t).copied().unwrap_or(0);
+            let old = model.get(&row(&t)).copied().unwrap_or(0);
             let new = old + delta;
             if new == 0 {
-                model.remove(&t);
+                model.remove(&row(&t));
             } else {
-                model.insert(t.clone(), new);
+                model.insert(row(&t), new);
             }
             prop_assert_eq!(rel.update(&t, |c| c + delta), old);
             prop_assert_eq!(rel.count(&t), new);
@@ -365,7 +504,7 @@ proptest! {
         }
     }
 
-    /// The bulk edits against `BTreeMap<Tuple, i64>`: `from_sorted` builds
+    /// The bulk edits against `BTreeMap<Vec<Value>, i64>`: `from_sorted` builds
     /// what the `alter`s build, and a run of `alter_mut`s over a clone — as
     /// a sum, as a difference, and with an `f` that deletes where both
     /// sides hold the key — gives what the same `f` folded over the other
@@ -373,23 +512,26 @@ proptest! {
     /// both operands as they were.
     #[test]
     fn bulk_edits_behave_like_the_fold_of_point_edits(
-        mine in proptest::collection::vec((proptest::collection::vec(0u8..4, 3), -3i64..4), 0..120),
-        theirs in proptest::collection::vec((proptest::collection::vec(0u8..4, 3), -3i64..4), 0..120),
+        mine in proptest::collection::vec((arb_codes(3), -3i64..4), 0..120),
+        theirs in proptest::collection::vec((arb_codes(3), -3i64..4), 0..120),
     ) {
         let model_of = |ops: &[(Vec<u8>, i64)]| -> CountModel {
-            ops.iter().map(|(codes, c)| (mixed_tuple(codes), *c)).collect()
+            ops.iter().map(|(codes, c)| (row(&mixed_tuple(codes)), *c)).collect()
+        };
+        let tuples_of = |model: &CountModel| -> Vec<(Tuple, i64)> {
+            model.iter().map(|(t, c)| (Tuple::new(t.clone()), *c)).collect()
         };
         let by_alters = |model: &CountModel| {
-            model.iter().fold(OrdMap::new(), |m, (t, c)| m.alter(t, |_| Some(*c)))
+            tuples_of(model).iter().fold(OrdMap::new(), |m, (t, c)| m.alter(t, |_| Some(*c)))
         };
         let entries = |m: &OrdMap<Tuple, i64>| {
             let mut out = Vec::new();
-            m.for_each(|t, c| out.push((t.clone(), *c)));
+            m.for_each(|t, c| out.push((row(t), *c)));
             out
         };
         let (mine, theirs) = (model_of(&mine), model_of(&theirs));
         let a = by_alters(&mine);
-        let b = OrdMap::from_sorted(theirs.clone());
+        let b = OrdMap::from_sorted(tuples_of(&theirs));
         prop_assert!(b == by_alters(&theirs));
         prop_assert_eq!(b.len(), theirs.len());
         prop_assert_eq!(entries(&b), theirs.clone().into_iter().collect::<Vec<_>>());
@@ -410,7 +552,9 @@ proptest! {
             b.for_each(|t, c| merged.alter_mut(t, |old| f(old, c)));
             prop_assert_eq!(merged.len(), expected.len());
             prop_assert_eq!(entries(&merged), expected.into_iter().collect::<Vec<_>>());
-            let folded = theirs.iter().fold(a.clone(), |m, (t, c)| m.alter(t, |old| f(old, c)));
+            let folded = tuples_of(&theirs)
+                .iter()
+                .fold(a.clone(), |m, (t, c)| m.alter(t, |old| f(old, c)));
             prop_assert!(merged == folded);
             // Snapshot semantics: neither operand saw the edit.
             prop_assert_eq!(entries(&a), mine.clone().into_iter().collect::<Vec<_>>());
@@ -419,10 +563,10 @@ proptest! {
 
         // The sum through `CountedRelation::update`, on a clone.
         let nonzero = |m: &CountModel| m.clone().into_iter().filter(|(_, c)| *c != 0);
-        let rel = CountedRelation::from_sorted(3, nonzero(&mine));
+        let rel = CountedRelation::from_sorted(3, nonzero(&mine).map(|(t, c)| (Tuple::new(t), c)));
         let mut merged = rel.clone();
         for (t, c) in nonzero(&theirs) {
-            merged.update(&t, |was| was + c);
+            merged.update(&Tuple::new(t), |was| was + c);
         }
         let mut expected: CountModel = nonzero(&mine).collect();
         for (t, c) in nonzero(&theirs) {
