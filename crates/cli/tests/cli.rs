@@ -5,7 +5,11 @@
 #[path = "support/json.rs"]
 mod json;
 
+#[path = "support/serve.rs"]
+mod serve;
+
 use json::Value;
+use serve::{interned, serve_dir, spawn_serve, stop_serve};
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 
@@ -593,13 +597,6 @@ const SERVE_BANKING: &str = "base balance/2.\n\
         * NB is Bal + Amt * ins.balance(Acct, NB).\n\
     transfer(Amt, From, To) <- withdraw(Amt, From) * deposit(Amt, To).\n";
 
-fn serve_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("td-cli-tests").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// The key set of the JSON object at `path` (sorted — objects parse into a
 /// `BTreeMap`), space-joined.
 fn key_set(doc: &Value, path: &str) -> String {
@@ -825,56 +822,6 @@ fn serve_and_client_round_trip_over_the_binary() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Start `td <flags> serve <file>` with its store and socket in `dir`, and
-/// connect to it once it accepts.
-fn spawn_serve(
-    flags: &[String],
-    file: &std::path::Path,
-    dir: &std::path::Path,
-) -> (std::process::Child, td_serve::Client) {
-    let socket = dir.join("td.sock");
-    let server = td()
-        .args(flags)
-        .arg(format!("--db={}", dir.join("db").display()))
-        .arg(format!("--socket={}", socket.display()))
-        .args(["serve"])
-        .arg(file)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    loop {
-        match td_serve::Client::connect(&socket) {
-            Ok(client) => return (server, client),
-            Err(e) => assert!(
-                std::time::Instant::now() < deadline,
-                "server did not come up: {e}"
-            ),
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-}
-
-/// Stop a server started by [`spawn_serve`] and wait for a clean exit.
-fn stop_serve(server: std::process::Child, mut client: td_serve::Client) {
-    assert_eq!(client.request("stop").unwrap(), "ok stopping");
-    let out = server.wait_with_output().unwrap();
-    assert!(out.status.success(), "{out:?}");
-}
-
-/// `stats`' `interned_syms` and `interned_bytes`.
-fn interned(client: &mut td_serve::Client) -> (String, String) {
-    let line = client.stats().unwrap();
-    let field = |key: &str| {
-        let value = line.split_whitespace().find_map(|f| f.strip_prefix(key));
-        value
-            .unwrap_or_else(|| panic!("no `{key}` in {line}"))
-            .to_owned()
-    };
-    (field("interned_syms="), field("interned_bytes="))
-}
-
 /// Refused requests do not grow a live server: 1 000 `run nosuchN(zzN)`
 /// requests, each naming a predicate nothing declares, are refused without
 /// interning their names, so `stats`' `interned_syms` and `interned_bytes`
@@ -890,6 +837,38 @@ fn refused_requests_leave_the_servers_interner_as_it_was() {
     for i in 0..1_000 {
         let reply = client.run(&format!("nosuch{i}(zz{i})")).unwrap();
         assert!(matches!(reply, Reply::Err(_)), "request {i}: {reply:?}");
+    }
+    assert_eq!(interned(&mut client), before);
+    stop_serve(server, client);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A refused `event` request interns nothing either: 1 000 events naming
+/// a relation nothing declares, and events of a declared one with the
+/// wrong number of arguments, each with constants never seen before, leave
+/// `interned_syms` and `interned_bytes` as they were.
+#[test]
+fn refused_events_leave_the_servers_interner_as_it_was() {
+    let f = write_temp("serve_event_refusals.td", "event sample/1.\n");
+    let dir = serve_dir("event_refusals");
+    let (server, mut client) = spawn_serve(&[], &f, &dir);
+    let before = interned(&mut client);
+    for i in 0..1_000 {
+        let reply = client.request(&format!("event nosuch{i}(zz{i})")).unwrap();
+        assert!(
+            reply.starts_with("err event: `nosuch"),
+            "request {i}: {reply}"
+        );
+    }
+    for i in 0..100 {
+        for args in [
+            String::new(),
+            format!("(qq{i}, qr{i})"),
+            format!("(qs{i}, 1, qt{i})"),
+        ] {
+            let reply = client.request(&format!("event sample{args}")).unwrap();
+            assert!(reply.contains("declared with arity 1"), "{args}: {reply}");
+        }
     }
     assert_eq!(interned(&mut client), before);
     stop_serve(server, client);

@@ -1,11 +1,12 @@
-//! The one persistent structure of this crate: an ordered map (treap) with
-//! structural sharing between versions.
+//! The one persistent structure of this crate: an ordered map (a B+-tree)
+//! with structural sharing between versions. docs/ARCHITECTURE.md ("td-db:
+//! one persistent B+-tree") says why it has this shape.
 //!
 //! The TD engine backtracks over database states constantly: every
 //! choicepoint snapshots the database, and isolation blocks roll whole
 //! sub-executions back. So a version must be a pointer copy and an update
 //! must leave every older version valid. [`OrdMap::alter`] makes a version
-//! by copying the O(log n) nodes on the path to one key and sharing the
+//! by copying the two or three nodes on the path to one key and sharing the
 //! rest; [`OrdMap::from_sorted`] builds one from a sorted run in O(n).
 //!
 //! A version nobody else holds need not be copied at all:
@@ -15,55 +16,121 @@
 //! the Datalog circuit folds a round of derived facts into the state it
 //! owns, one descent per fact.
 //!
-//! Keys are kept in order because the engine's hot path is selection with a
-//! bound prefix of columns: tuples sort lexicographically, so all tuples
-//! sharing a prefix are contiguous, and [`OrdMap::for_each_in_range`] reaches
-//! them by binary descent instead of a scan. Both walks are plain recursion:
-//! they allocate nothing.
+//! Each node is one allocation holding up to [`B`] slots: a leaf's entries,
+//! or an inner node's children with the keys that separate them. Beside its
+//! keys a node keeps their codes ([`Key::code`]) in a bare `[u64; B]`, so a
+//! descent searches an array of words and compares keys only where two
+//! codes tie, and a range probe ([`OrdMap::for_each_in_range`]) steps along
+//! a leaf's slots instead of chasing a pointer per entry. Keys are kept in
+//! order because the engine's hot path is selection with a bound prefix of
+//! columns: tuples sort lexicographically, so all tuples sharing a prefix
+//! are contiguous. Every walk is plain recursion and allocates nothing.
 //!
-//! Priorities are derived by hashing the key, not drawn from an RNG, so a
-//! given key set always produces one canonical tree shape regardless of
-//! insertion order. That keeps the structure deterministic across engine
-//! strategies and across threads of the parallel search backend.
+//! A tree's shape depends on the order of its edits; its content, its
+//! iteration order and everything read through [`OrdMap`]'s API do not.
 
-use crate::sip::Sip;
+use crate::tuple::Tuple;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
+use td_core::Pred;
 
-/// A node's priority: the low lane of the crate's hash ([`Sip`]) of its
-/// key, whose mixing the treap's depth bound rests on.
-fn priority_of<K: Hash>(key: &K) -> u64 {
-    let mut h = Sip::new();
-    key.hash(&mut h);
-    h.finish()
+/// The most slots a node holds: entries in a leaf, children in an inner
+/// node. Chosen by measurement (CHANGES.md, PR 46).
+pub const B: usize = 8;
+
+/// The fewest slots a node other than the root holds.
+const MIN: usize = B / 4;
+
+/// A key of an [`OrdMap`]: totally ordered, with a word that orders as the
+/// key does — `a < b` implies `a.code() <= b.code()` — so that two keys
+/// whose codes differ are ordered without being read.
+pub trait Key: Clone + Ord {
+    fn code(&self) -> u64;
+}
+
+/// A tuple's inline order-preserving code ([`Tuple::code`]).
+impl Key for Tuple {
+    #[inline]
+    fn code(&self) -> u64 {
+        Tuple::code(self)
+    }
+}
+
+/// The first 8 bytes of the name, big-endian, zero-padded: predicates
+/// order by name first, and names by their bytes.
+impl Key for Pred {
+    #[inline]
+    fn code(&self) -> u64 {
+        let name = self.name.as_str().as_bytes();
+        let mut head = [0u8; 8];
+        let n = name.len().min(8);
+        head[..n].copy_from_slice(&name[..n]);
+        u64::from_be_bytes(head)
+    }
+}
+
+impl Key for u64 {
+    #[inline]
+    fn code(&self) -> u64 {
+        *self
+    }
+}
+
+/// Laid out in the order a descent reads it: the count and the codes, then
+/// the children, and the keys last.
+#[derive(Clone)]
+#[repr(C)]
+struct Node<K, V> {
+    /// Slots in use.
+    len: usize,
+    /// `keys[i]`'s code for the slots in use, `u64::MAX` past them, so the
+    /// array is sorted as a whole.
+    codes: [u64; B],
+    body: Body<K, V>,
+    /// A leaf's keys. In an inner node, `keys[i]` for `i ≥ 1` separates
+    /// child `i` from child `i - 1`: it is above every key of the one and
+    /// at most every key of the other. Slot 0 has no key, and code 0.
+    keys: [Option<K>; B],
 }
 
 #[derive(Clone)]
-struct Node<K, V> {
-    key: K,
-    value: V,
-    prio: u64,
-    left: Link<K, V>,
-    right: Link<K, V>,
+enum Body<K, V> {
+    Leaf([Option<V>; B]),
+    Inner([Option<Arc<Node<K, V>>>; B]),
 }
 
-type Link<K, V> = Option<Arc<Node<K, V>>>;
+/// What one slot holds, in transit between nodes.
+enum Slot<K, V> {
+    Val(V),
+    Kid(Arc<Node<K, V>>),
+}
+
+/// What an edit below leaves a node's parent to do.
+enum Up<K, V> {
+    /// Nothing: the node holds between [`MIN`] and [`B`] slots.
+    Fine,
+    /// The node was full and split: its new right sibling and the key that
+    /// separates the two, with its code.
+    Split(u64, K, Arc<Node<K, V>>),
+    /// The node holds fewer than [`MIN`] slots.
+    Under,
+}
 
 /// A persistent sorted map. `clone()` is O(1); [`OrdMap::alter`] returns a
 /// new version sharing all untouched structure with the original.
 #[derive(Clone)]
 pub struct OrdMap<K, V> {
-    root: Link<K, V>,
+    root: Option<Arc<Node<K, V>>>,
     len: usize,
 }
 
-/// Printed as the map it holds, in key order, whatever the tree's shape.
-impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for OrdMap<K, V> {
+/// Printed as the map it holds, in key order.
+impl<K: Key + fmt::Debug, V: Clone + PartialEq + fmt::Debug> fmt::Debug for OrdMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut map = f.debug_map();
-        in_order(&self.root, &mut |k, v| {
+        self.for_each(|k, v| {
             map.entry(k, v);
         });
         map.finish()
@@ -76,7 +143,7 @@ impl<K, V> Default for OrdMap<K, V> {
     }
 }
 
-impl<K: Clone + Ord + Hash, V: Clone + PartialEq> OrdMap<K, V> {
+impl<K: Key, V: Clone + PartialEq> OrdMap<K, V> {
     /// The empty map.
     pub fn new() -> OrdMap<K, V> {
         OrdMap::default()
@@ -94,15 +161,14 @@ impl<K: Clone + Ord + Hash, V: Clone + PartialEq> OrdMap<K, V> {
 
     /// The value stored under `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            match key.cmp(&n.key) {
-                Ordering::Less => cur = n.left.as_deref(),
-                Ordering::Greater => cur = n.right.as_deref(),
-                Ordering::Equal => return Some(&n.value),
+        let code = key.code();
+        let mut n = self.root.as_deref()?;
+        loop {
+            match &n.body {
+                Body::Leaf(vals) => return n.find(key, code).ok().map(|i| some(&vals[i])),
+                Body::Inner(kids) => n = child(&kids[n.route(key, code)]),
             }
         }
-        None
     }
 
     /// Set the entry for `key` to `f(current)`, where `None` stands for "no
@@ -111,98 +177,159 @@ impl<K: Clone + Ord + Hash, V: Clone + PartialEq> OrdMap<K, V> {
     /// descent. When `f` returns what is already there, the result shares
     /// the whole tree with `self` and nothing is allocated.
     pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V> {
-        self.alter_with_priority(key, || priority_of(key), f)
-    }
-
-    /// [`OrdMap::alter`] for a caller that hashes `key` anyway: `priority`
-    /// is called, at most once, when a node for `key` is made, and must
-    /// return what the map would compute itself (the key's SipHash-1-3,
-    /// the low lane of a tuple's digest member), so that the shape stays
-    /// the canonical one.
-    pub fn alter_with_priority(
-        &self,
-        key: &K,
-        priority: impl FnOnce() -> u64,
-        f: impl FnOnce(Option<&V>) -> Option<V>,
-    ) -> OrdMap<K, V> {
+        let Some(root) = &self.root else {
+            let mut next = OrdMap::new();
+            next.alter_mut(key, f);
+            return next;
+        };
         let (mut had, mut has) = (false, false);
-        let root = alter_node(&self.root, key, priority, |old| {
+        let edit = alter_node(root, key, key.code(), |old| {
             let new = f(old);
             (had, has) = (old.is_some(), new.is_some());
             new
         });
-        match root {
-            None => self.clone(),
-            Some(root) => OrdMap {
-                root,
-                len: self.len + usize::from(has) - usize::from(had),
-            },
-        }
+        let Some((root, up)) = edit else {
+            return self.clone();
+        };
+        let mut next = OrdMap {
+            root: Some(root),
+            len: self.len + usize::from(has) - usize::from(had),
+        };
+        next.settle(up);
+        next
     }
 
-    /// [`OrdMap::alter`] on this version itself, in one descent: the same
-    /// entry and the same canonical shape, but the nodes on the path to
-    /// `key` that this version alone holds are edited where they are. From
-    /// the first node another version shares, the edit is
+    /// [`OrdMap::alter`] on this version itself, in one descent: the nodes
+    /// on the path to `key` that this version alone holds are edited where
+    /// they are. From the first node another version shares, the edit is
     /// [`OrdMap::alter`]'s, which copies the rest of the path if the entry
     /// changes and nothing if it does not.
     pub fn alter_mut(&mut self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) {
         let (mut had, mut has) = (false, false);
-        alter_mut_node(&mut self.root, key, |old| {
+        let f = |old: Option<&V>| {
             let new = f(old);
             (had, has) = (old.is_some(), new.is_some());
             new
-        });
+        };
+        let code = key.code();
+        match &mut self.root {
+            Some(root) => {
+                if let Some(up) = alter_mut_node(root, key, code, f) {
+                    self.settle(up);
+                }
+            }
+            None => {
+                if let Some(value) = f(None) {
+                    let mut leaf = Node::empty(true);
+                    leaf.put(0, code, Some(key.clone()), Slot::Val(value));
+                    self.root = Some(Arc::new(leaf));
+                }
+            }
+        }
         self.len = self.len + usize::from(has) - usize::from(had);
     }
 
-    /// The map holding `run`, whose keys must be strictly increasing. O(n):
-    /// one pass keeps the right spine of the tree built so far on a stack,
-    /// and each key takes the spine nodes of lower priority as its left
-    /// subtree — the shape inserting the keys one by one would give.
-    pub fn from_sorted(run: impl IntoIterator<Item = (K, V)>) -> OrdMap<K, V> {
-        // Spine nodes still waiting for their right child: (key, value,
-        // priority, left child), priorities decreasing towards the top.
-        let mut spine: Vec<(K, V, u64, Link<K, V>)> = Vec::new();
-        let mut len = 0;
-        for (key, value) in run {
-            debug_assert!(spine.last().is_none_or(|top| top.0 < key), "run not sorted");
-            let prio = priority_of(&key);
-            let mut left = None;
-            while spine.last().is_some_and(|top| top.2 < prio) {
-                let (k, v, p, l) = spine.pop().expect("checked non-empty");
-                left = node(k, v, p, l, left);
+    /// The root, after an edit below it left `up` to do.
+    fn settle(&mut self, up: Up<K, V>) {
+        match up {
+            Up::Fine => {}
+            Up::Split(code, key, right) => {
+                let left = self.root.take().expect("an edit split the root");
+                let mut top = Node::empty(false);
+                top.put(0, 0, None, Slot::Kid(left));
+                top.put(1, code, Some(key), Slot::Kid(right));
+                self.root = Some(Arc::new(top));
             }
-            spine.push((key, value, prio, left));
-            len += 1;
+            // The root may hold fewer than `MIN`; only an empty leaf, or an
+            // inner node left with one child, goes.
+            Up::Under => match self.root.as_deref() {
+                Some(root) if root.len == 0 => self.root = None,
+                Some(Node {
+                    len: 1,
+                    body: Body::Inner(kids),
+                    ..
+                }) => self.root = kids[0].clone(),
+                _ => {}
+            },
         }
-        let mut root = None;
-        while let Some((k, v, p, l)) = spine.pop() {
-            root = node(k, v, p, l, root);
-        }
-        OrdMap { root, len }
     }
 
-    /// Visit, in key order, every entry whose key the comparator maps to
-    /// [`Ordering::Equal`]. The comparator must be monotone over the key
-    /// order — `Less` for keys below the range, `Equal` inside it, `Greater`
-    /// above it — which makes this a two-sided binary descent:
-    /// O(log n + matches) rather than a scan.
-    pub fn for_each_in_range(&self, cmp: impl Fn(&K) -> Ordering, mut f: impl FnMut(&K, &V)) {
-        range_visit(&self.root, &cmp, &mut f);
+    /// The map holding `run`, whose keys must be strictly increasing. O(n):
+    /// the entries are dealt into full leaves — as evenly as the count
+    /// allows, so none holds fewer than [`MIN`] — and the leaves into inner
+    /// nodes the same way, level by level.
+    pub fn from_sorted(run: impl IntoIterator<Item = (K, V)>) -> OrdMap<K, V> {
+        let mut slots: Vec<(u64, K, Slot<K, V>)> = run
+            .into_iter()
+            .map(|(k, v)| (k.code(), k, Slot::Val(v)))
+            .collect();
+        debug_assert!(slots.windows(2).all(|w| w[0].1 < w[1].1), "run not sorted");
+        let len = slots.len();
+        let mut leaf = true;
+        while slots.len() > 1 || leaf {
+            if slots.is_empty() {
+                return OrdMap::default();
+            }
+            let (count, nodes) = (slots.len(), slots.len().div_ceil(B));
+            let mut slots_in = slots.into_iter();
+            slots = (0..nodes)
+                .map(|i| {
+                    let mut node = Node::empty(leaf);
+                    let size = count / nodes + usize::from(i < count % nodes);
+                    for (j, (code, key, slot)) in slots_in.by_ref().take(size).enumerate() {
+                        node.put(j, code, Some(key), slot);
+                    }
+                    let (code, key) = node.separator();
+                    (code, key, Slot::Kid(Arc::new(node)))
+                })
+                .collect();
+            leaf = false;
+        }
+        let Some((_, _, Slot::Kid(root))) = slots.pop() else {
+            unreachable!("the top level is one node")
+        };
+        OrdMap {
+            root: Some(root),
+            len,
+        }
+    }
+
+    /// Visit, in key order, every entry in a range of keys: those whose
+    /// codes lie strictly inside `codes`, and of those whose code is one of
+    /// its ends, the ones `cmp` maps to [`Ordering::Equal`]. `cmp` must be
+    /// monotone over the keys of each end's code — `Less` below the range,
+    /// `Equal` inside it, `Greater` above it — and is asked only about keys
+    /// at an end. So a range probe is one descent to the lower edge, which
+    /// reads the code arrays alone unless codes tie with an end, and a walk
+    /// along the slots from there to the upper one: O(log n + matches).
+    pub fn for_each_in_range(
+        &self,
+        codes: RangeInclusive<u64>,
+        cmp: impl Fn(&K) -> Ordering,
+        mut f: impl FnMut(&K, &V),
+    ) {
+        let range = Range {
+            lo: *codes.start(),
+            hi: *codes.end(),
+            cmp: &cmp,
+        };
+        if let Some(root) = &self.root {
+            range_visit(root, &range, &mut f, true);
+        }
     }
 
     /// Visit every entry in key order.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        in_order(&self.root, &mut f);
+        if let Some(root) = &self.root {
+            in_order(root, &mut f);
+        }
     }
 }
 
 /// Content equality. Versions that share their root are equal without a
-/// walk; otherwise, sizes being equal, every entry of one is looked up in the
-/// other (tree shape is not consulted, so a priority tie cannot forge a
-/// difference).
-impl<K: Clone + Ord + Hash, V: Clone + PartialEq> PartialEq for OrdMap<K, V> {
+/// walk; otherwise, sizes being equal, every entry of one is looked up in
+/// the other (tree shape is not consulted).
+impl<K: Key, V: Clone + PartialEq> PartialEq for OrdMap<K, V> {
     fn eq(&self, other: &OrdMap<K, V>) -> bool {
         if self.len != other.len {
             return false;
@@ -218,185 +345,439 @@ impl<K: Clone + Ord + Hash, V: Clone + PartialEq> PartialEq for OrdMap<K, V> {
     }
 }
 
-impl<K: Clone + Ord + Hash, V: Clone + Eq> Eq for OrdMap<K, V> {}
+impl<K: Key, V: Clone + Eq> Eq for OrdMap<K, V> {}
 
-fn node<K, V>(key: K, value: V, prio: u64, left: Link<K, V>, right: Link<K, V>) -> Link<K, V> {
-    Some(Arc::new(Node {
-        key,
-        value,
-        prio,
-        left,
-        right,
-    }))
+/// The content of a slot in use.
+#[inline(always)]
+fn some<T>(slot: &Option<T>) -> &T {
+    slot.as_ref().expect("a slot in use")
 }
 
-/// A copy of `n` with other children.
-fn with_children<K: Clone, V: Clone>(
+/// The child in a slot in use.
+#[inline(always)]
+fn child<K, V>(slot: &Option<Arc<Node<K, V>>>) -> &Node<K, V> {
+    some(slot).as_ref()
+}
+
+/// `f(old)`, or `None` when that is `old` again: the edit changes nothing.
+fn decide<V: PartialEq>(
+    old: Option<&V>,
+    f: impl FnOnce(Option<&V>) -> Option<V>,
+) -> Option<Option<V>> {
+    let new = f(old);
+    (new.as_ref() != old).then_some(new)
+}
+
+/// [`OrdMap::alter_mut`] below `link`: in place while this version alone
+/// holds the node, [`alter_node`]'s copy from the first one it shares.
+/// `None` when the entry was left as it was.
+fn alter_mut_node<K: Key, V: Clone + PartialEq>(
+    link: &mut Arc<Node<K, V>>,
+    key: &K,
+    code: u64,
+    f: impl FnOnce(Option<&V>) -> Option<V>,
+) -> Option<Up<K, V>> {
+    let Some(n) = Arc::get_mut(link) else {
+        let (copy, up) = alter_node(link, key, code, f)?;
+        *link = copy;
+        return Some(up);
+    };
+    if n.is_leaf() {
+        let at = n.find(key, code);
+        let value = decide(at.ok().map(|i| n.val(i)), f)?;
+        return Some(n.edit_leaf(at, key, code, value));
+    }
+    let i = n.route(key, code);
+    let up = alter_mut_node(n.kid_mut(i), key, code, f)?;
+    Some(n.absorb(i, up))
+}
+
+/// The path-copying edit: the node that replaces `n`, or `None` when the
+/// entry was left as it was.
+fn alter_node<K: Key, V: Clone + PartialEq>(
     n: &Node<K, V>,
-    left: Link<K, V>,
-    right: Link<K, V>,
-) -> Link<K, V> {
-    node(n.key.clone(), n.value.clone(), n.prio, left, right)
-}
-
-/// Path-copying edit of one entry; `None` when `f` left the entry as it was.
-fn alter_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
-    link: &Link<K, V>,
     key: &K,
-    priority: impl FnOnce() -> u64,
+    code: u64,
     f: impl FnOnce(Option<&V>) -> Option<V>,
-) -> Option<Link<K, V>> {
-    let Some(n) = link else {
-        let value = f(None)?;
-        let prio = priority();
-        debug_assert_eq!(prio, priority_of(key), "not the key's priority");
-        return Some(node(key.clone(), value, prio, None, None));
-    };
-    match key.cmp(&n.key) {
-        Ordering::Equal => match f(Some(&n.value)) {
-            None => Some(merge(&n.left, &n.right)),
-            Some(value) if value == n.value => None,
-            Some(value) => Some(node(
-                n.key.clone(),
-                value,
-                n.prio,
-                n.left.clone(),
-                n.right.clone(),
-            )),
-        },
-        Ordering::Less => {
-            let new_left = alter_node(&n.left, key, priority, f)?;
-            // Restore the heap property: a fresh leaf with a higher priority
-            // rotates up (right rotation: the left child becomes the root).
-            Some(match &new_left {
-                Some(l) if l.prio > n.prio => {
-                    let below = with_children(n, l.right.clone(), n.right.clone());
-                    with_children(l, l.left.clone(), below)
+) -> Option<(Arc<Node<K, V>>, Up<K, V>)> {
+    if n.is_leaf() {
+        let at = n.find(key, code);
+        let value = decide(at.ok().map(|i| n.val(i)), f)?;
+        let mut copy = n.clone();
+        let up = copy.edit_leaf(at, key, code, value);
+        return Some((Arc::new(copy), up));
+    }
+    let i = n.route(key, code);
+    let (kid, up) = alter_node(n.kid(i), key, code, f)?;
+    let mut copy = n.copy_but_kid(i, kid);
+    let up = copy.absorb(i, up);
+    Some((Arc::new(copy), up))
+}
+
+fn in_order<K, V>(n: &Node<K, V>, f: &mut impl FnMut(&K, &V)) {
+    match &n.body {
+        Body::Leaf(vals) => {
+            for i in 0..n.len {
+                f(some(&n.keys[i]), some(&vals[i]));
+            }
+        }
+        Body::Inner(kids) => kids[..n.len].iter().for_each(|kid| in_order(child(kid), f)),
+    }
+}
+
+/// The range of [`OrdMap::for_each_in_range`]: codes from `lo` to `hi`,
+/// and where a code is `lo` or `hi`, what `cmp` says of the key.
+struct Range<'a, K> {
+    lo: u64,
+    hi: u64,
+    cmp: &'a dyn Fn(&K) -> Ordering,
+}
+
+impl<K> Range<'_, K> {
+    /// True if `code`, `key` is below the range.
+    #[inline(always)]
+    fn below(&self, code: u64, key: &Option<K>) -> bool {
+        code < self.lo || (code == self.lo && (self.cmp)(some(key)).is_lt())
+    }
+
+    /// True if `code`, `key` is above the range.
+    #[inline(always)]
+    fn above(&self, code: u64, key: &Option<K>) -> bool {
+        code > self.hi || (code == self.hi && (self.cmp)(some(key)).is_gt())
+    }
+}
+
+/// [`OrdMap::for_each_in_range`] below `n`: with `seek`, from the first
+/// entry not below the range, else from `n`'s first entry. True once an
+/// entry above the range was met: the walk is over.
+fn range_visit<K, V>(
+    n: &Node<K, V>,
+    range: &Range<'_, K>,
+    f: &mut impl FnMut(&K, &V),
+    seek: bool,
+) -> bool {
+    // Past the slots whose codes are below the range (an inner node's slot
+    // 0 has no key, and is never looked at).
+    let mut i = usize::from(!n.is_leaf());
+    while seek && i < n.len && n.codes[i] < range.lo {
+        i += 1;
+    }
+    match &n.body {
+        Body::Leaf(vals) => {
+            while seek && i < n.len && range.below(n.codes[i], &n.keys[i]) {
+                i += 1;
+            }
+            for i in i..n.len {
+                if range.above(n.codes[i], &n.keys[i]) {
+                    return true;
                 }
-                _ => with_children(n, new_left, n.right.clone()),
-            })
+                f(some(&n.keys[i]), some(&vals[i]));
+            }
+            false
         }
-        Ordering::Greater => {
-            let new_right = alter_node(&n.right, key, priority, f)?;
-            Some(match &new_right {
-                Some(r) if r.prio > n.prio => {
-                    let below = with_children(n, n.left.clone(), r.left.clone());
-                    with_children(r, below, r.right.clone())
+        Body::Inner(kids) => {
+            // A separator below the range puts the child before it below
+            // the range too; one above it, the child after it.
+            while seek && i < n.len && range.below(n.codes[i], &n.keys[i]) {
+                i += 1;
+            }
+            let first = i - 1;
+            for i in first..n.len {
+                if i > first && range.above(n.codes[i], &n.keys[i]) {
+                    return true;
                 }
-                _ => with_children(n, n.left.clone(), new_right),
-            })
+                if range_visit(child(&kids[i]), range, f, seek && i == first) {
+                    return true;
+                }
+            }
+            false
         }
     }
 }
 
-/// [`alter_node`] in place, down the nodes no other version holds; the
-/// persistent edit from the first one another does.
-fn alter_mut_node<K: Clone + Ord + Hash, V: Clone + PartialEq>(
-    link: &mut Link<K, V>,
-    key: &K,
-    f: impl FnOnce(Option<&V>) -> Option<V>,
-) {
-    let Some(held) = link else {
-        if let Some(value) = f(None) {
-            *link = node(key.clone(), value, priority_of(key), None, None);
-        }
-        return;
-    };
-    let Some(n) = Arc::get_mut(held) else {
-        if let Some(copied) = alter_node(link, key, || priority_of(key), f) {
-            *link = copied;
-        }
-        return;
-    };
-    match key.cmp(&n.key) {
-        Ordering::Equal => match f(Some(&n.value)) {
-            Some(value) => n.value = value,
-            None => {
-                let (left, right) = (n.left.take(), n.right.take());
-                *link = merge_mut(left, right);
-            }
-        },
-        // A fresh leaf with a higher priority rotates up, as in `alter_node`;
-        // the child is this edit's own by then.
-        Ordering::Less => {
-            alter_mut_node(&mut n.left, key, f);
-            if n.left.as_ref().is_some_and(|l| l.prio > n.prio) {
-                let mut up = n.left.take().expect("checked");
-                let u = Arc::make_mut(&mut up);
-                n.left = u.right.take();
-                u.right = link.take();
-                *link = Some(up);
-            }
-        }
-        Ordering::Greater => {
-            alter_mut_node(&mut n.right, key, f);
-            if n.right.as_ref().is_some_and(|r| r.prio > n.prio) {
-                let mut up = n.right.take().expect("checked");
-                let u = Arc::make_mut(&mut up);
-                n.right = u.left.take();
-                u.left = link.take();
-                *link = Some(up);
-            }
-        }
+impl<K, V> Node<K, V> {
+    fn is_leaf(&self) -> bool {
+        matches!(self.body, Body::Leaf(_))
     }
 }
 
-/// [`merge`] of two treaps this edit owns, in place where it holds the only
-/// reference to a node.
-fn merge_mut<K: Clone, V: Clone>(a: Link<K, V>, b: Link<K, V>) -> Link<K, V> {
-    match (a, b) {
-        (None, b) => b,
-        (a, None) => a,
-        (Some(mut x), Some(mut y)) => {
-            if x.prio >= y.prio {
-                let n = Arc::make_mut(&mut x);
-                n.right = merge_mut(n.right.take(), Some(y));
-                Some(x)
-            } else {
-                let n = Arc::make_mut(&mut y);
-                n.left = merge_mut(Some(x), n.left.take());
-                Some(y)
+impl<K: Key, V: Clone + PartialEq> Node<K, V> {
+    fn empty(leaf: bool) -> Node<K, V> {
+        Node {
+            len: 0,
+            codes: [u64::MAX; B],
+            keys: std::array::from_fn(|_| None),
+            body: match leaf {
+                true => Body::Leaf(std::array::from_fn(|_| None)),
+                false => Body::Inner(std::array::from_fn(|_| None)),
+            },
+        }
+    }
+
+    fn val(&self, i: usize) -> &V {
+        match &self.body {
+            Body::Leaf(vals) => some(&vals[i]),
+            Body::Inner(_) => unreachable!("a leaf's value"),
+        }
+    }
+
+    fn kid(&self, i: usize) -> &Node<K, V> {
+        match &self.body {
+            Body::Inner(kids) => child(&kids[i]),
+            Body::Leaf(_) => unreachable!("an inner node's child"),
+        }
+    }
+
+    /// A copy of an inner node with `kid` for its child `i`: the old child
+    /// is not copied only to be dropped.
+    fn copy_but_kid(&self, i: usize, kid: Arc<Node<K, V>>) -> Node<K, V> {
+        let Body::Inner(kids) = &self.body else {
+            unreachable!("an inner node's child")
+        };
+        let mut kid = Some(kid);
+        Node {
+            len: self.len,
+            codes: self.codes,
+            body: Body::Inner(std::array::from_fn(|j| match j == i {
+                true => kid.take(),
+                false => kids[j].clone(),
+            })),
+            keys: self.keys.clone(),
+        }
+    }
+
+    fn kid_mut(&mut self, i: usize) -> &mut Arc<Node<K, V>> {
+        match &mut self.body {
+            Body::Inner(kids) => kids[i].as_mut().expect("a slot in use"),
+            Body::Leaf(_) => unreachable!("an inner node's child"),
+        }
+    }
+
+    /// Where `key` is among the keys of a leaf: `Ok(i)` at slot `i`, or
+    /// `Err(i)` when the keys before slot `i` are the smaller ones. The
+    /// codes say it alone unless some tie with `code`; only those keys are
+    /// compared.
+    #[inline]
+    fn find(&self, key: &K, code: u64) -> Result<usize, usize> {
+        // An inner node's slot 0 has no key: it is never searched.
+        let mut i = usize::from(!self.is_leaf());
+        while i < self.len && self.codes[i] < code {
+            i += 1;
+        }
+        while i < self.len && self.codes[i] == code {
+            match some(&self.keys[i]).cmp(key) {
+                Ordering::Less => i += 1,
+                Ordering::Equal => return Ok(i),
+                Ordering::Greater => break,
+            }
+        }
+        Err(i)
+    }
+
+    /// The child of an inner node that holds `key` if anything does.
+    #[inline]
+    fn route(&self, key: &K, code: u64) -> usize {
+        match self.find(key, code) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        }
+    }
+
+    fn up(&self) -> Up<K, V> {
+        match self.len < MIN {
+            true => Up::Under,
+            false => Up::Fine,
+        }
+    }
+
+    /// Set the entry at `at` (a [`Node::find`] of `key`) of a leaf to
+    /// `value`: overwrite, remove, or insert.
+    fn edit_leaf(
+        &mut self,
+        at: Result<usize, usize>,
+        key: &K,
+        code: u64,
+        value: Option<V>,
+    ) -> Up<K, V> {
+        match (at, value) {
+            (Ok(i), Some(value)) => {
+                let Body::Leaf(vals) = &mut self.body else {
+                    unreachable!("a leaf's value")
+                };
+                vals[i] = Some(value);
+                Up::Fine
+            }
+            (Ok(i), None) => {
+                self.remove(i);
+                self.up()
+            }
+            (Err(i), Some(value)) => self.insert(i, code, key.clone(), Slot::Val(value)),
+            (Err(_), None) => Up::Fine,
+        }
+    }
+
+    /// Take in what the edit of child `i` left to do.
+    fn absorb(&mut self, i: usize, up: Up<K, V>) -> Up<K, V> {
+        match up {
+            Up::Fine => Up::Fine,
+            Up::Split(code, key, right) => self.insert(i + 1, code, key, Slot::Kid(right)),
+            Up::Under => {
+                self.refill(i);
+                self.up()
             }
         }
     }
-}
 
-/// Merge two treaps where every key of `a` precedes every key of `b`.
-fn merge<K: Clone, V: Clone>(a: &Link<K, V>, b: &Link<K, V>) -> Link<K, V> {
-    match (a, b) {
-        (None, _) => b.clone(),
-        (_, None) => a.clone(),
-        (Some(x), Some(y)) => {
-            if x.prio >= y.prio {
-                with_children(x, x.left.clone(), merge(&x.right, b))
-            } else {
-                with_children(y, merge(a, &y.left), y.right.clone())
-            }
+    /// Put a slot at `i`; a full node first splits in two.
+    fn insert(&mut self, i: usize, code: u64, key: K, slot: Slot<K, V>) -> Up<K, V> {
+        if self.len < B {
+            self.put(i, code, Some(key), slot);
+            return Up::Fine;
         }
+        // Halves, except at an end: a run of edits there (a load in key
+        // order) leaves full nodes behind it, not half-full ones.
+        let at = match i {
+            0 => MIN - 1,
+            B => B + 1 - MIN,
+            _ => B / 2,
+        };
+        let mut right = self.split_off(at);
+        if i <= at {
+            self.put(i, code, Some(key), slot);
+        } else {
+            right.put(i - at, code, Some(key), slot);
+        }
+        let (code, key) = right.separator();
+        Up::Split(code, key, Arc::new(right))
+    }
+
+    /// Bring child `i`, which holds fewer than `MIN` slots, back to at
+    /// least `MIN`, with a neighbour: the two become one if they fit in a
+    /// node, and share their slots evenly if not. A neighbour another
+    /// version holds is copied.
+    fn refill(&mut self, i: usize) {
+        let r = if i + 1 < self.len { i + 1 } else { i };
+        let Body::Inner(kids) = &mut self.body else {
+            unreachable!("a leaf has no children")
+        };
+        let (lo, hi) = kids.split_at_mut(r);
+        let left = Arc::make_mut(lo[r - 1].as_mut().expect("a slot in use"));
+        let right = Arc::make_mut(hi[0].as_mut().expect("a slot in use"));
+        right.take_separator(self.codes[r], some(&self.keys[r]));
+        if left.len + right.len <= B {
+            left.append(right);
+            self.remove(r);
+            return;
+        }
+        if left.len > right.len {
+            let mut moved = left.split_off(left.len - (left.len - right.len) / 2);
+            moved.append(right);
+            *right = moved;
+        } else {
+            let rest = right.split_off((right.len - left.len) / 2);
+            left.append(right);
+            *right = rest;
+        }
+        let (code, key) = right.separator();
+        (self.codes[r], self.keys[r]) = (code, Some(key));
+    }
+
+    /// The key a parent keeps in front of this node, with its code: a
+    /// leaf's first key, copied; an inner node gives up the key of its
+    /// first slot, which separates it from the node before it.
+    fn separator(&mut self) -> (u64, K) {
+        match self.body {
+            Body::Leaf(_) => (self.codes[0], some(&self.keys[0]).clone()),
+            Body::Inner(_) => (
+                std::mem::replace(&mut self.codes[0], 0),
+                self.keys[0].take().expect("an inner node's separator"),
+            ),
+        }
+    }
+
+    /// [`Node::separator`] undone: an inner node about to gain slots in
+    /// front of its own, or to pass its first slot on, takes back the key
+    /// its parent keeps in front of it.
+    fn take_separator(&mut self, code: u64, key: &K) {
+        if !self.is_leaf() {
+            (self.codes[0], self.keys[0]) = (code, Some(key.clone()));
+        }
+    }
+
+    /// Put `slot` at `i`, shifting the slots from `i` on one to the right;
+    /// the node has room.
+    fn put(&mut self, i: usize, code: u64, key: Option<K>, slot: Slot<K, V>) {
+        debug_assert!(self.len < B && i <= self.len);
+        let len = self.len;
+        self.codes.copy_within(i..len, i + 1);
+        self.codes[i] = code;
+        shift_in(&mut self.keys, len, i, key);
+        match (&mut self.body, slot) {
+            (Body::Leaf(vals), Slot::Val(v)) => shift_in(vals, len, i, Some(v)),
+            (Body::Inner(kids), Slot::Kid(k)) => shift_in(kids, len, i, Some(k)),
+            _ => unreachable!("a value goes in a leaf, a child in an inner node"),
+        }
+        self.len += 1;
+    }
+
+    /// Drop slot `i`, shifting the slots after it one to the left.
+    fn remove(&mut self, i: usize) {
+        let len = self.len;
+        self.codes.copy_within(i + 1..len, i);
+        self.codes[len - 1] = u64::MAX;
+        shift_out(&mut self.keys, len, i);
+        match &mut self.body {
+            Body::Leaf(vals) => shift_out(vals, len, i),
+            Body::Inner(kids) => shift_out(kids, len, i),
+        }
+        self.len -= 1;
+    }
+
+    /// The slots from `at` on, moved into a new node of the same kind.
+    fn split_off(&mut self, at: usize) -> Node<K, V> {
+        let mut right = Node::empty(self.is_leaf());
+        right.append_from(self, at);
+        right
+    }
+
+    /// Move every slot of `other` to the end of this node.
+    fn append(&mut self, other: &mut Node<K, V>) {
+        self.append_from(other, 0);
+    }
+
+    /// Move the slots of `other` from `at` on to the end of this node.
+    fn append_from(&mut self, other: &mut Node<K, V>, at: usize) {
+        let (to, n) = (self.len, other.len - at);
+        debug_assert!(to + n <= B);
+        self.codes[to..to + n].copy_from_slice(&other.codes[at..other.len]);
+        other.codes[at..].fill(u64::MAX);
+        move_slots(&mut other.keys[at..], &mut self.keys[to..], n);
+        match (&mut other.body, &mut self.body) {
+            (Body::Leaf(from), Body::Leaf(into)) => move_slots(&mut from[at..], &mut into[to..], n),
+            (Body::Inner(from), Body::Inner(into)) => {
+                move_slots(&mut from[at..], &mut into[to..], n)
+            }
+            _ => unreachable!("slots move between nodes of one kind"),
+        }
+        (self.len, other.len) = (to + n, at);
     }
 }
 
-fn in_order<K, V>(link: &Link<K, V>, f: &mut impl FnMut(&K, &V)) {
-    if let Some(n) = link {
-        in_order(&n.left, f);
-        f(&n.key, &n.value);
-        in_order(&n.right, f);
-    }
+/// Put `x` at `i` of the first `len + 1` slots, shifting the rest right.
+fn shift_in<T>(slots: &mut [Option<T>; B], len: usize, i: usize, x: Option<T>) {
+    slots[i..=len].rotate_right(1);
+    slots[i] = x;
 }
 
-fn range_visit<K, V>(link: &Link<K, V>, cmp: &impl Fn(&K) -> Ordering, f: &mut impl FnMut(&K, &V)) {
-    if let Some(n) = link {
-        match cmp(&n.key) {
-            // Node below the range: everything left of it is below too.
-            Ordering::Less => range_visit(&n.right, cmp, f),
-            // Node above the range: prune the right subtree.
-            Ordering::Greater => range_visit(&n.left, cmp, f),
-            Ordering::Equal => {
-                range_visit(&n.left, cmp, f);
-                f(&n.key, &n.value);
-                range_visit(&n.right, cmp, f);
-            }
-        }
+/// Empty slot `i` of the first `len`, shifting the rest left over it.
+fn shift_out<T>(slots: &mut [Option<T>; B], len: usize, i: usize) {
+    slots[i] = None;
+    slots[i..len].rotate_left(1);
+}
+
+fn move_slots<T>(from: &mut [Option<T>], into: &mut [Option<T>], n: usize) {
+    for (a, b) in from[..n].iter_mut().zip(&mut into[..n]) {
+        *b = a.take();
     }
 }
 
@@ -409,12 +790,68 @@ mod tests {
             .fold(OrdMap::new(), |m, k| m.alter(&k, |_| Some(())))
     }
 
-    fn same_link<K, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {
-        match (a, b) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
+    fn entries<V: Clone + PartialEq>(m: &OrdMap<u64, V>) -> Vec<(u64, V)> {
+        let mut out = Vec::new();
+        m.for_each(|k, v| out.push((*k, v.clone())));
+        out
+    }
+
+    /// Every node of `m`, by address.
+    fn nodes<V>(m: &OrdMap<u64, V>) -> Vec<*const Node<u64, V>> {
+        fn walk<V>(n: &Arc<Node<u64, V>>, out: &mut Vec<*const Node<u64, V>>) {
+            out.push(Arc::as_ptr(n));
+            if let Body::Inner(kids) = &n.body {
+                kids[..n.len]
+                    .iter()
+                    .for_each(|k| walk(k.as_ref().unwrap(), out));
+            }
         }
+        let mut out = Vec::new();
+        m.root.iter().for_each(|root| walk(root, &mut out));
+        out
+    }
+
+    /// The tree's invariants, checked node by node: keys and codes sorted
+    /// and in step, every node but the root between `MIN` and `B` slots,
+    /// every leaf at one depth, every separator between the keys it
+    /// separates, and `len` the number of entries. Returns the height.
+    fn check<V: Clone + PartialEq>(m: &OrdMap<u64, V>) -> usize {
+        /// The node's keys from least to greatest, and its height.
+        fn walk<V>(n: &Node<u64, V>, root: bool, keys: &mut Vec<u64>) -> usize {
+            assert!(n.len <= B && (root || n.len >= MIN), "{} slots", n.len);
+            assert!(n.codes[n.len..].iter().all(|&c| c == u64::MAX));
+            assert!(n.keys[n.len..].iter().all(Option::is_none));
+            match &n.body {
+                Body::Leaf(vals) => {
+                    for i in 0..n.len {
+                        assert_eq!(n.codes[i], *some(&n.keys[i]));
+                        assert!(vals[i].is_some());
+                        keys.push(n.codes[i]);
+                    }
+                    1
+                }
+                Body::Inner(kids) => {
+                    assert!(n.len >= 2 && n.keys[0].is_none() && n.codes[0] == 0);
+                    let mut heights = Vec::new();
+                    for i in 0..n.len {
+                        let from = keys.len();
+                        heights.push(walk(child(&kids[i]), false, keys));
+                        if i > 0 {
+                            let sep = *some(&n.keys[i]);
+                            assert_eq!(n.codes[i], sep);
+                            assert!(keys[from] >= sep && keys[from - 1] < sep);
+                        }
+                    }
+                    assert!(heights.windows(2).all(|h| h[0] == h[1]));
+                    heights[0] + 1
+                }
+            }
+        }
+        let mut keys = Vec::new();
+        let height = m.root.as_deref().map_or(0, |r| walk(r, true, &mut keys));
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(keys.len(), m.len());
+        height
     }
 
     #[test]
@@ -451,53 +888,48 @@ mod tests {
             in_place(&[200, 205, 209], false),
         ] {
             assert_eq!(same.len(), 100);
-            assert!(same_link(&same.root, &m.root));
+            assert!(Arc::ptr_eq(
+                same.root.as_ref().unwrap(),
+                m.root.as_ref().unwrap()
+            ));
         }
     }
 
     #[test]
-    fn a_bulk_edit_shares_every_subtree_it_does_not_reach() {
-        /// Every node of `link`, by address.
-        fn nodes(link: &Link<u64, ()>, out: &mut Vec<*const Node<u64, ()>>) {
-            if let Some(n) = link {
-                out.push(Arc::as_ptr(n));
-                nodes(&n.left, out);
-                nodes(&n.right, out);
-            }
-        }
+    fn an_edit_copies_only_the_nodes_on_its_path() {
         let m = set_of(0..1000);
-        // Ten keys past the end, in place on a version `m` still shares.
-        let mut merged = m.clone();
-        for k in 2000..2010 {
-            merged.alter_mut(&k, |_| Some(()));
+        let height = check(&m);
+        assert!(
+            (3..=5).contains(&height),
+            "1000 keys at {MIN} to {B} a node"
+        );
+        let old = nodes(&m);
+        for (k, insert) in [(500, false), (2000, true), (0, false), (777, false)] {
+            let edited = m.alter(&k, |_| insert.then_some(()));
+            check(&edited);
+            let copied = nodes(&edited).iter().filter(|n| !old.contains(n)).count();
+            // One node per level, and at most one more per level where a
+            // node split or two nodes shared out their slots.
+            assert!(copied <= 2 * height, "{copied} nodes not shared");
+            assert_eq!(edited.get(&k).is_some(), insert);
         }
-        assert_eq!(merged.len(), 1010);
-        let (mut old, mut new) = (Vec::new(), Vec::new());
-        nodes(&m.root, &mut old);
-        nodes(&merged.root, &mut new);
-        let copied = new.iter().filter(|n| !old.contains(n)).count();
-        // Ten new keys past the end: the right spine is copied (about
-        // ln 1000 nodes) and every left subtree hanging off it is the old
-        // one.
-        assert!(copied < 10 + 40, "{copied} nodes not shared");
+        // Ten keys past the end, in place on a version `m` still shares:
+        // the right spine is copied once and then edited where it is.
+        let mut grown = m.clone();
+        for k in 2000..2010 {
+            grown.alter_mut(&k, |_| Some(()));
+        }
+        check(&grown);
+        let copied = nodes(&grown).iter().filter(|n| !old.contains(n)).count();
+        assert!(copied <= 2 * height, "{copied} nodes not shared");
         // The old version still holds what it held.
-        assert_eq!(m.len(), 1000);
-        assert!(m.get(&2005).is_none() && merged.get(&2005).is_some());
+        assert_eq!(check(&m), height);
+        assert_eq!(entries(&m), (0..1000).map(|k| (k, ())).collect::<Vec<_>>());
+        assert!(m.get(&2005).is_none() && grown.get(&2005).is_some());
     }
 
     #[test]
-    fn shape_is_canonical_regardless_of_history() {
-        fn pre_order(link: &Link<u64, ()>, out: &mut Vec<u64>) {
-            if let Some(n) = link {
-                out.push(n.key);
-                pre_order(&n.left, out);
-                pre_order(&n.right, out);
-                // The heap property, checked on the way.
-                for child in [&n.left, &n.right].into_iter().flatten() {
-                    assert!(child.prio <= n.prio);
-                }
-            }
-        }
+    fn content_and_iteration_do_not_depend_on_history() {
         let evens = || (0..200u64).map(|k| 2 * k);
         let a = set_of(evens());
         let b = set_of(evens().rev());
@@ -527,81 +959,119 @@ mod tests {
         for k in evens() {
             g.alter_mut(&(k + 1), |_| None);
         }
-        let shapes: Vec<Vec<u64>> = [&a, &b, &c, &d, &e, &f, &g]
-            .iter()
-            .map(|m| {
-                let mut out = Vec::new();
-                pre_order(&m.root, &mut out);
-                out
-            })
-            .collect();
-        for shape in &shapes[1..] {
-            assert_eq!(&shapes[0], shape);
+        let want: Vec<(u64, ())> = evens().map(|k| (k, ())).collect();
+        for m in [&a, &b, &c, &d, &e, &f, &g] {
+            check(m);
+            assert_eq!(entries(m), want);
+            assert_eq!(format!("{m:?}"), format!("{a:?}"));
+            assert!(evens().all(|k| m.get(&k).is_some() && m.get(&(k + 1)).is_none()));
         }
-        assert_eq!((d.len(), e.len(), f.len(), g.len()), (200, 200, 200, 200));
         for (from, m) in &kept {
-            let mut keys = Vec::new();
-            m.for_each(|k, ()| keys.push(*k));
+            check(m);
+            let keys: Vec<u64> = entries(m).into_iter().map(|(k, ())| k).collect();
             assert_eq!(keys, (*from..400).collect::<Vec<_>>());
         }
-        let mut in_order = Vec::new();
-        a.for_each(|k, ()| in_order.push(*k));
-        assert_eq!(in_order, evens().collect::<Vec<_>>());
         assert!(a == b && a == c && a == d && a == e && a == f && a == g);
         assert!(a != a.alter(&0, |_| None).alter(&1000, |_| Some(())));
     }
 
     #[test]
     fn an_edit_in_place_leaves_every_older_clone_as_it_was() {
-        let counts = |m: &OrdMap<u64, i64>| {
-            let mut out = Vec::new();
-            m.for_each(|k, v| out.push((*k, *v)));
-            out
-        };
         let mut m: OrdMap<u64, i64> = OrdMap::from_sorted((0..500).map(|k| (k, 1)));
         let old = m.clone();
-        let before = counts(&old);
+        let before = entries(&old);
+        let step = |k: u64, c: Option<&i64>| match c {
+            Some(_) if k % 2 == 0 => None,
+            Some(c) => Some(c + 1),
+            None => Some(7),
+        };
         for k in (0..600).step_by(3) {
-            m.alter_mut(&k, |c| match c {
-                Some(_) if k % 2 == 0 => None,
-                Some(c) => Some(c + 1),
-                None => Some(7),
-            });
+            m.alter_mut(&k, |c| step(k, c));
         }
+        check(&m);
         assert_eq!(
-            counts(&old),
+            entries(&old),
             before,
             "the older version still holds what it held"
         );
         assert_eq!(old.len(), 500);
-        // What the persistent edits give, entry by entry and in shape.
+        // What the persistent edits give, entry by entry.
         let mut by_alter = old.clone();
         for k in (0..600).step_by(3) {
-            by_alter = by_alter.alter(&k, |c| match c {
-                Some(_) if k % 2 == 0 => None,
-                Some(c) => Some(c + 1),
-                None => Some(7),
-            });
+            by_alter = by_alter.alter(&k, |c| step(k, c));
         }
-        assert_eq!(counts(&m), counts(&by_alter));
+        assert_eq!(entries(&m), entries(&by_alter));
         assert_eq!(m.len(), by_alter.len());
         // An edit that changes nothing leaves even a shared root shared.
         let shared = m.clone();
         m.alter_mut(&1, |c| c.copied());
         m.alter_mut(&10_000, |_| None);
-        assert!(same_link(&m.root, &shared.root));
+        assert!(Arc::ptr_eq(
+            m.root.as_ref().unwrap(),
+            shared.root.as_ref().unwrap()
+        ));
+    }
+
+    #[test]
+    fn random_edits_keep_the_invariants_on_shared_and_unshared_versions() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut m: OrdMap<u64, u64> = OrdMap::new();
+        let mut model = std::collections::BTreeMap::new();
+        let mut kept = Vec::new();
+        for step in 0..6_000u64 {
+            let k = rng.random_range(0..600u64);
+            let insert = rng.random_range(0..3u8) > 0 || step > 4_000;
+            let value = insert.then_some(step);
+            if rng.random_range(0..4u8) == 0 {
+                m = m.alter(&k, |_| value);
+            } else {
+                m.alter_mut(&k, |_| value);
+            }
+            match value {
+                Some(v) => model.insert(k, v),
+                None => model.remove(&k),
+            };
+            if step % 97 == 0 {
+                check(&m);
+                kept.push((m.clone(), model.clone()));
+            }
+        }
+        check(&m);
+        for (m, model) in kept.iter().chain([(m, model)].iter()) {
+            check(m);
+            assert_eq!(
+                entries(m),
+                model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
     fn range_probe_visits_exactly_the_range_in_order() {
-        let m = (0..10u64)
-            .flat_map(|a| (0..10u64).map(move |b| (a, b)))
-            .fold(OrdMap::new(), |m, k| m.alter(&k, |_| Some(k.0 * k.1)));
-        let mut seen = Vec::new();
-        m.for_each_in_range(|&(a, _)| a.cmp(&4), |k, v| seen.push((*k, *v)));
-        assert_eq!(seen, (0..10).map(|b| ((4, b), 4 * b)).collect::<Vec<_>>());
-        seen.clear();
-        m.for_each_in_range(|&(a, _)| a.cmp(&10), |k, v| seen.push((*k, *v)));
-        assert!(seen.is_empty(), "a range between or past the keys is empty");
+        // Keys `10 a + b`; the probe ranges over one `a`.
+        let m = set_of((0..40u64).flat_map(|a| (0..10u64).map(move |b| 10 * a + b)));
+        for a in 0..42u64 {
+            let want: Vec<u64> = (0..10).map(|b| 10 * a + b).filter(|_| a < 40).collect();
+            // By codes alone.
+            let mut seen = Vec::new();
+            let ends = 10 * a..=10 * a + 9;
+            m.for_each_in_range(ends, |_| Ordering::Equal, |k, ()| seen.push(*k));
+            assert_eq!(seen, want, "a = {a}, by code");
+            // By codes, with the comparator cutting both ends.
+            seen.clear();
+            let ends = 10 * a + 2..=10 * a + 7;
+            let cut = |k: &u64| match k % 10 {
+                2 => Ordering::Less,
+                7 => Ordering::Greater,
+                _ => unreachable!("asked only about an end"),
+            };
+            m.for_each_in_range(ends, cut, |k, ()| seen.push(*k));
+            let want: Vec<u64> = (3..7).map(|b| 10 * a + b).filter(|_| a < 40).collect();
+            assert_eq!(seen, want, "a = {a}, cut");
+        }
+        let mut all = Vec::new();
+        m.for_each_in_range(0..=u64::MAX, |_| Ordering::Equal, |k, ()| all.push(*k));
+        assert_eq!(all, (0..400).collect::<Vec<_>>());
     }
 }

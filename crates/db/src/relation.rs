@@ -105,36 +105,25 @@ impl Relation {
         self.tuples.get(t).is_some()
     }
 
-    /// Insert; returns the new relation and whether it grew. A new member
-    /// is hashed once: the low lane of its digest member is its node's
-    /// treap priority.
+    /// Insert; returns the new relation and whether it grew.
     pub fn insert(&self, t: &Tuple) -> (Relation, bool) {
         debug_assert_eq!(t.arity(), self.arity);
-        let mut hash = None;
-        let tuples =
-            self.tuples
-                .alter_with_priority(t, || *hash.insert(hash128_of(t)) as u64, |_| Some(()));
-        self.with_tuples(tuples, t, hash)
+        self.with_tuples(self.tuples.alter(t, |_| Some(())), t)
     }
 
     /// Remove; returns the new relation and whether it shrank.
     pub fn remove(&self, t: &Tuple) -> (Relation, bool) {
         debug_assert_eq!(t.arity(), self.arity);
-        self.with_tuples(self.tuples.alter(t, |_| None), t, None)
+        self.with_tuples(self.tuples.alter(t, |_| None), t)
     }
 
     /// The version holding `tuples`, which differs from `self.tuples` by at
-    /// most the membership of `t`, whose digest member is `hash` if known;
-    /// the flag says whether it does.
-    fn with_tuples(
-        &self,
-        tuples: OrdMap<Tuple, ()>,
-        t: &Tuple,
-        hash: Option<u128>,
-    ) -> (Relation, bool) {
+    /// most the membership of `t`; the flag says whether it does. A member
+    /// that comes or goes is hashed once, here.
+    fn with_tuples(&self, tuples: OrdMap<Tuple, ()>, t: &Tuple) -> (Relation, bool) {
         let changed = tuples.len() != self.tuples.len();
         let sethash = if changed {
-            self.sethash ^ hash.unwrap_or_else(|| hash128_of(t))
+            self.sethash ^ hash128_of(t)
         } else {
             self.sethash
         };
@@ -228,16 +217,17 @@ pub(crate) fn select<V: Clone + PartialEq>(
 /// of both relation types — and of any other sorted tuple map, such as the
 /// Datalog circuit's arrangements: tuples sort lexicographically, so those
 /// whose leading fields equal the prefix are contiguous. The prefix is
-/// encoded once, as a tuple's code is ([`tuple`](mod@crate::tuple)): a node
-/// costs a word compare or two, and reads its values only when the prefix's
-/// encoding is 8 bytes or longer and the first 8 bytes tie.
+/// encoded once, as a tuple's code is ([`tuple`](mod@crate::tuple)), and the
+/// probe searches the nodes' code arrays: a slot costs a word compare or
+/// two, and its tuple is read only when the prefix's encoding is 8 bytes or
+/// longer and the first 8 bytes tie.
 pub fn for_each_with_prefix<V: Clone + PartialEq, I: Iterator<Item = Value>>(
     map: &OrdMap<Tuple, V>,
     prefix: impl Fn() -> I,
     f: impl FnMut(&Tuple, &V),
 ) {
     let probe = Prefix::of(prefix());
-    map.for_each_in_range(|t| probe.order(t, &prefix), f);
+    map.for_each_in_range(probe.codes(), |t| probe.order(t, &prefix), f);
 }
 
 #[cfg(test)]

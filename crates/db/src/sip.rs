@@ -88,6 +88,7 @@ pub(crate) struct Sip<const HIGH: bool> {
     length: usize,
 }
 
+#[cfg(test)]
 impl Sip<false> {
     /// The low lane alone: SipHash-1-3 of the stream.
     pub(crate) const fn new() -> Sip<false> {

@@ -23,6 +23,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use td_core::Value;
 
@@ -139,30 +140,35 @@ impl Prefix {
         }
     }
 
-    /// How `t` sorts against the tuples carrying the prefix: `Less` or
-    /// `Greater` when it sorts before or after all of them, `Equal` when it
-    /// is one. A long prefix compares `values()`, the prefix's values, with
-    /// the tuple's where the first 8 bytes tie.
+    /// The codes of the tuples that may carry the prefix: for a short
+    /// prefix, exactly those that do.
+    #[inline]
+    pub(crate) fn codes(&self) -> RangeInclusive<u64> {
+        match *self {
+            Prefix::Short { from, below } => from..=below - 1,
+            Prefix::Long(word) => word..=word,
+        }
+    }
+
+    /// How `t`, a tuple whose code is an end of [`Prefix::codes`], sorts
+    /// against the tuples carrying the prefix: `Less` or `Greater` when it
+    /// sorts before or after all of them, `Equal` when it is one. A long
+    /// prefix compares `values()`, the prefix's values, with the tuple's.
     #[inline]
     pub(crate) fn order<I: Iterator<Item = Value>>(
         &self,
         t: &Tuple,
         values: impl FnOnce() -> I,
     ) -> Ordering {
-        match *self {
-            Prefix::Short { from, below } => match t.code {
-                c if c < from => Ordering::Less,
-                c if c >= below => Ordering::Greater,
-                _ => Ordering::Equal,
-            },
-            Prefix::Long(word) => t.code.cmp(&word).then_with(|| {
-                t.vals
-                    .iter()
-                    .zip(values())
-                    .map(|(v, p)| v.cmp(&p))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            }),
+        match self {
+            Prefix::Short { .. } => Ordering::Equal,
+            Prefix::Long(_) => t
+                .vals
+                .iter()
+                .zip(values())
+                .map(|(v, p)| v.cmp(&p))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal),
         }
     }
 }

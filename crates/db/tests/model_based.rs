@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use td_core::{Pred, Value};
-use td_db::ord::OrdMap;
+use td_db::ord::{OrdMap, B};
 use td_db::relation::for_each_with_prefix;
 use td_db::{CountedRelation, Database, Relation, Tuple};
 
@@ -579,5 +579,159 @@ proptest! {
         }
         assert_counts_match_model(&merged, &expected, &mixed_tuple(&[1, 2, 0]));
         assert_counts_match_model(&rel, &nonzero(&mine).collect(), &mixed_tuple(&[1, 2, 0]));
+    }
+}
+
+/// The sizes at which a B-tree changes shape: one short of a full node, a
+/// full node, one past it (the first split), and two full nodes and one.
+const EDGES: [usize; 4] = [B - 1, B, B + 1, 2 * B + 1];
+
+/// The `k`-th key of the boundary runs: groups of three consecutive keys
+/// share a first column, which is a small integer (a prefix encoded in
+/// under 8 bytes) for even groups and a symbol longer than a code holds
+/// (a prefix of 8 bytes or more) for odd ones, so prefix ranges start at,
+/// end at and span node boundaries of every kind.
+fn edge_row(k: usize) -> Vec<Value> {
+    let g = k / 3;
+    let first = match g % 2 {
+        0 => Value::Int(g as i64),
+        _ => Value::sym(&format!("a long prefix {g}")),
+    };
+    vec![first, Value::Int(k as i64)]
+}
+
+/// `m` holds exactly `model`: its walk, its length, and a lookup of every
+/// key of the model and of one absent key between each two.
+fn assert_holds(m: &OrdMap<Tuple, i64>, model: &CountModel, what: &str) {
+    let mut walk = Vec::new();
+    m.for_each(|t, c| walk.push((row(t), *c)));
+    let want: Vec<(Vec<Value>, i64)> = model.clone().into_iter().collect();
+    assert_eq!(walk, want, "{what}: walk");
+    assert_eq!(m.len(), model.len(), "{what}: len");
+    for (t, c) in model {
+        assert_eq!(m.get(&Tuple::new(t.clone())), Some(c), "{what}: get {t:?}");
+        let mut absent = t.clone();
+        absent.push(Value::Int(0));
+        assert_eq!(m.get(&Tuple::new(absent)), None, "{what}: get past {t:?}");
+    }
+}
+
+/// Every operation of the map at [`EDGES`] entries, against
+/// `BTreeMap<Vec<Value>, i64>`: insert, overwrite and remove through
+/// `alter`, and through `alter_mut` on a version nobody else holds and on
+/// one an older clone shares (which must keep what it held); `from_sorted`
+/// and full walks; and prefix probes of one and two columns, over short
+/// and long prefixes, against a filter of the model.
+#[test]
+fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
+    for n in EDGES.into_iter().chain([3 * B, 5 * B + 2]) {
+        let model: CountModel = (0..n).map(|k| (edge_row(k), k as i64)).collect();
+        let tuples: Vec<(Tuple, i64)> = model
+            .iter()
+            .map(|(t, c)| (Tuple::new(t.clone()), *c))
+            .collect();
+        let what = |how: &str| format!("{n} entries, {how}");
+
+        // Built five ways.
+        let sorted = OrdMap::from_sorted(tuples.clone());
+        assert_holds(&sorted, &model, &what("from_sorted"));
+        let up = tuples
+            .iter()
+            .fold(OrdMap::new(), |m, (t, c)| m.alter(t, |_| Some(*c)));
+        assert_holds(&up, &model, &what("alter, ascending"));
+        let down = tuples
+            .iter()
+            .rev()
+            .fold(OrdMap::new(), |m, (t, c)| m.alter(t, |_| Some(*c)));
+        assert_holds(&down, &model, &what("alter, descending"));
+        let mut alone = OrdMap::new();
+        for (t, c) in &tuples {
+            alone.alter_mut(t, |_| Some(*c));
+        }
+        assert_holds(&alone, &model, &what("alter_mut, unshared"));
+        let (mut shared, mut kept) = (OrdMap::new(), Vec::new());
+        for (i, (t, c)) in tuples.iter().enumerate() {
+            kept.push(shared.clone());
+            shared.alter_mut(t, |_| Some(*c));
+            assert_eq!(kept[i].len(), i, "{}", what("an older clone"));
+        }
+        assert_holds(&shared, &model, &what("alter_mut, shared"));
+
+        // Overwrite every entry, then remove every other one, each way.
+        let overwritten: CountModel = model.iter().map(|(t, c)| (t.clone(), c + 100)).collect();
+        let thinned: CountModel = overwritten
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 2 == 1)
+            .map(|(_, (t, c))| (t.clone(), *c))
+            .collect();
+        for (how, start) in [("on from_sorted", &sorted), ("on alter_mut", &alone)] {
+            let before = start.clone();
+            let persistent = tuples.iter().fold(start.clone(), |m, (t, _)| {
+                m.alter(t, |c| c.map(|c| c + 100))
+            });
+            assert_holds(
+                &persistent,
+                &overwritten,
+                &what(&format!("overwrite {how}")),
+            );
+            let mut in_place = start.clone();
+            for (t, _) in &tuples {
+                in_place.alter_mut(t, |c| c.map(|c| c + 100));
+            }
+            assert_holds(
+                &in_place,
+                &overwritten,
+                &what(&format!("overwrite in place {how}")),
+            );
+            let mut unshared = persistent.clone();
+            drop(persistent);
+            for (i, (t, _)) in tuples.iter().enumerate() {
+                if i % 2 == 0 {
+                    unshared.alter_mut(t, |_| None);
+                }
+            }
+            assert_holds(
+                &unshared,
+                &thinned,
+                &what(&format!("remove in place {how}")),
+            );
+            let removed = tuples
+                .iter()
+                .step_by(2)
+                .fold(in_place.clone(), |m, (t, _)| m.alter(t, |_| None));
+            assert_holds(&removed, &thinned, &what(&format!("remove {how}")));
+            assert_holds(&in_place, &overwritten, &what(&format!("kept {how}")));
+            assert_holds(&before, &model, &what(&format!("the version edited {how}")));
+        }
+        for (i, m) in kept.iter().enumerate() {
+            let prefix: CountModel = model.iter().take(i).map(|(t, c)| (t.clone(), *c)).collect();
+            assert_holds(m, &prefix, &what(&format!("the clone kept at {i}")));
+        }
+
+        // Prefix probes: every group's first column, one past the last,
+        // and every key as a full two-column prefix.
+        for map in [&sorted, &up, &down, &alone, &shared] {
+            let probe = |prefix: &[Value]| {
+                let mut seen = Vec::new();
+                for_each_with_prefix(
+                    map,
+                    || prefix.iter().copied(),
+                    |t, c| seen.push((row(t), *c)),
+                );
+                let want: Vec<(Vec<Value>, i64)> = (model.iter())
+                    .filter(|(t, _)| t.starts_with(prefix))
+                    .map(|(t, c)| (t.clone(), *c))
+                    .collect();
+                assert_eq!(seen, want, "{}", what(&format!("prefix {prefix:?}")));
+            };
+            for k in (0..n + 3).step_by(3) {
+                probe(&edge_row(k)[..1]);
+            }
+            for t in model.keys() {
+                probe(t);
+            }
+            probe(&[]);
+        }
     }
 }

@@ -32,7 +32,10 @@ pub mod parser;
 pub mod token;
 
 pub use error::{ParseError, ParseErrorKind, ParseErrors};
-pub use parser::{parse_event, parse_goal, parse_program, ParsedGoal, ParsedProgram};
+pub use parser::{
+    parse_event, parse_event_request, parse_goal, parse_program, EventArg, EventRequest,
+    ParsedGoal, ParsedProgram,
+};
 pub use token::{Span, Tok, Token};
 
 #[cfg(test)]

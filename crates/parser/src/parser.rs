@@ -102,23 +102,60 @@ pub fn parse_goal(src: &str, program: &Program) -> Result<ParsedGoal, ParseError
 /// This is the payload of the serve protocol's `event` verb and of
 /// `td client event`. Arguments must be ground (symbols or integers); the
 /// optional `at <ts>` clause supplies an explicit non-negative timestamp,
-/// otherwise the server assigns its own clock reading.
+/// otherwise the server assigns its own clock reading. The argument
+/// symbols are interned; [`parse_event_request`] interns nothing.
 pub fn parse_event(src: &str) -> Result<(String, Vec<Value>, Option<u64>), ParseErrors> {
+    let request = parse_event_request(src)?;
+    let args = request.args.iter().map(EventArg::value).collect();
+    Ok((request.name.to_owned(), args, request.at))
+}
+
+/// An event request as written: nothing in it is interned yet, so a
+/// request refused for its name or its arity leaves the interner as it
+/// was.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EventRequest<'a> {
+    pub name: &'a str,
+    pub args: Vec<EventArg<'a>>,
+    pub at: Option<u64>,
+}
+
+/// A ground argument of an [`EventRequest`], as written.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum EventArg<'a> {
+    Int(i64),
+    Sym(&'a str),
+}
+
+impl EventArg<'_> {
+    /// The argument's value, interning a symbol.
+    pub fn value(&self) -> Value {
+        match *self {
+            EventArg::Int(n) => Value::Int(n),
+            EventArg::Sym(text) => Value::sym(text),
+        }
+    }
+}
+
+/// [`parse_event`] without interning: the request's name and arguments as
+/// slices of `src`.
+pub fn parse_event_request(src: &str) -> Result<EventRequest<'_>, ParseErrors> {
     let one = |e: ParseError| ParseErrors { errors: vec![e] };
     let tokens = Lexer::new(src).tokenize().map_err(one)?;
     let mut p = Parser::new(tokens, None);
     let (name, span) = p.ident("an event name").map_err(one)?;
     p.check_not_reserved(name, span).map_err(one)?;
-    let mut scope = VarScope::default();
     let mut args = Vec::new();
     if p.peek() == Tok::LParen {
         p.bump();
         loop {
             let tspan = p.span();
-            let term = p.term(&mut scope).map_err(one)?;
-            match term.as_value() {
-                Some(v) => args.push(v),
-                None => {
+            let tok = p.peek();
+            p.term_token().map_err(one)?;
+            args.push(match tok {
+                Tok::Int(n) => EventArg::Int(n),
+                Tok::Ident(text) => EventArg::Sym(text),
+                _ => {
                     return Err(one(ParseError::new(
                         ParseErrorKind::Invalid(
                             "event arguments must be ground (no variables)".to_owned(),
@@ -126,7 +163,7 @@ pub fn parse_event(src: &str) -> Result<(String, Vec<Value>, Option<u64>), Parse
                         tspan,
                     )))
                 }
-            }
+            });
             match p.peek() {
                 Tok::Comma => {
                     p.bump();
@@ -139,7 +176,7 @@ pub fn parse_event(src: &str) -> Result<(String, Vec<Value>, Option<u64>), Parse
             }
         }
     }
-    let ts = match p.peek() {
+    let at = match p.peek() {
         Tok::Ident("at") => {
             p.bump();
             match p.peek() {
@@ -155,7 +192,7 @@ pub fn parse_event(src: &str) -> Result<(String, Vec<Value>, Option<u64>), Parse
     if p.peek() != Tok::Eof {
         return Err(one(p.unexpected("end of event")));
     }
-    Ok((name.to_owned(), args, ts))
+    Ok(EventRequest { name, args, at })
 }
 
 /// A variable of a scope, by the text it is written with.

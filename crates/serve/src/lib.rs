@@ -435,20 +435,30 @@ fn dispatch(request: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> (S
 /// each ingestion is still a distinct *occurrence* for pattern matching.
 fn ingest_event(src: &str, ctx: &ConnCtx, jobs: &mpsc::Sender<TriggerJob>) -> String {
     let started = Instant::now();
-    let (name, args, explicit_ts) = match td_parser::parse_event(src) {
-        Ok(parts) => parts,
+    // Nothing is interned until the name and the arity are accepted: a
+    // refused request leaves the interner as it was.
+    let request = match td_parser::parse_event_request(src) {
+        Ok(request) => request,
         Err(e) => return format!("err parse: {}", first_line(&e.to_string())),
     };
-    let Some(stored) = ctx.engine.program().event_by_name(Symbol::intern(&name)) else {
+    let name = request.name;
+    let declared = Symbol::lookup(name).and_then(|s| ctx.engine.program().event_by_name(s));
+    let Some(stored) = declared else {
         return format!("err event: `{name}` is not a declared event relation");
     };
-    if stored.arity as usize != args.len() + 1 {
+    if stored.arity as usize != request.args.len() + 1 {
         return format!(
             "err event: `{name}` is declared with arity {}, got {} arguments",
             stored.arity - 1,
-            args.len()
+            request.args.len()
         );
     }
+    let args: Vec<Value> = request
+        .args
+        .iter()
+        .map(td_parser::EventArg::value)
+        .collect();
+    let explicit_ts = request.at;
     let ts = explicit_ts.unwrap_or_else(now_ms);
     let Ok(ts_int) = i64::try_from(ts) else {
         return "err event: timestamp too large".to_owned();

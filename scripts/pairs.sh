@@ -13,9 +13,16 @@
 # benchmark's own run.sh (it finds its `td` beside itself, so the two sides
 # never mix). A gain is nine wins in ten and medians further apart than the
 # parent's quartiles; below that distance write "unresolved", not "unchanged".
+#
+# Each invocation appends one JSON line to <change-checkout>/TRAJECTORY.jsonl
+# (or to $TRAJECTORY): both commits, the workload, pairs, seconds and nproc;
+# per metric both medians, wins, ties, the parent's quartile distance and the
+# verdict (gain, loss or unresolved) by the rule above; and each side's
+# structural counts from one --trace 1 run. crates/cli/tests/trajectory.rs
+# checks every row of that file against this schema.
 set -euo pipefail
 if [ $# -lt 3 ]; then
-  sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -32,7 +39,8 @@ for dir in "$parent" "$change"; do
 done
 
 runs=$(mktemp)
-trap 'rm -f "$runs"' EXIT
+rows=$(mktemp)
+trap 'rm -f "$runs" "$rows"' EXIT
 
 # One run: print it, and append "<side> <setup_s> <ops_per_s> <cpu_us_per_op> <rss_mb>" to $runs.
 run() {
@@ -88,6 +96,41 @@ for m in $metrics; do
       printf "%-14s change wins %d of %d, ties %d | median parent %.6g change %.6g (%+.2f%%) | parent quartile distance %.6g\n", \
         m, wins, np, ties, at(sp, np, 0.5), at(sc, nc, 0.5), \
         100 * (at(sc, nc, 0.5) / at(sp, np, 0.5) - 1), at(sp, np, 0.75) - at(sp, np, 0.25)
-    }' "$runs"
+      mp = at(sp, np, 0.5); mc = at(sc, nc, 0.5); qd = at(sp, np, 0.75) - at(sp, np, 0.25)
+      better = higher == 1 ? mc - mp : mp - mc
+      losses = np - wins - ties
+      verdict = "unresolved"
+      if (10 * wins >= 9 * np && better > qd) verdict = "gain"
+      if (10 * losses >= 9 * np && -better > qd) verdict = "loss"
+      printf "\"%s\":{\"parent_median\":%.6g,\"change_median\":%.6g,\"wins\":%d,\"ties\":%d,\"parent_quartile_distance\":%.6g,\"verdict\":\"%s\"}\n", \
+        m, mp, mc, wins, ties, qd, verdict >> rows
+    }' rows="$rows" "$runs"
   col=$((col + 1))
 done
+
+# Structural counts: what a run did, not how fast, from one traced run a side.
+counts="engine.steps_per_solve engine.backtracks_per_solve engine.db_ops_per_solve core.interned_syms_per_kop trace.spans"
+structure() {
+  local out fields="" m v
+  out=$("$1/target/release/tdbench" --workload "$workload" --seed 1 --seconds 3 --trace 1 | tail -n 1)
+  for m in $counts; do
+    v=$(grep -oE "\"$m\":\{\"value\":[0-9.eE+-]+" <<<"$out" | sed -E 's/.*://' || true)
+    fields="$fields${fields:+,}\"$m\":${v:-null}"
+  done
+  echo "{$fields}"
+}
+commit() {
+  local sha
+  sha=$(git -C "$1" rev-parse HEAD 2>/dev/null || echo unknown)
+  if [ -n "$(git -C "$1" status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+    sha="$sha+dirty"
+  fi
+  echo "$sha"
+}
+row="{\"schema\":\"td-trajectory/v1\",\"source\":\"pairs.sh\",\"parent\":\"$(commit "$parent")\",\"change\":\"$(commit "$change")\""
+row="$row,\"workload\":\"$workload\",\"pairs\":$pairs,\"seconds\":$seconds,\"nproc\":$(nproc)"
+row="$row,\"metrics\":{$(paste -sd, "$rows")}"
+row="$row,\"structure\":{\"parent\":$(structure "$parent"),\"change\":$(structure "$change")}}"
+echo "$row" >>"${TRAJECTORY:-$change/TRAJECTORY.jsonl}"
+echo
+echo "appended to ${TRAJECTORY:-$change/TRAJECTORY.jsonl}"

@@ -142,23 +142,24 @@ macro_rules! member {
 
 /// Names, cache flags and weights as in tdbench's `catalogue.rs`. Each
 /// comment gives the value measured when the bound was set, then the value
-/// before rule bodies were shared, then the value before persistent
-/// snapshots.
+/// before relations were B-trees (treaps: a node per tuple), before rule
+/// bodies were shared, and before persistent snapshots.
 const MEMBERS: [Member; 8] = [
-    member!("labflow", false, 11, 6.31),    // 5.74; was 7.85, 22.39
-    member!("agents", false, 16, 4.55),     // 4.14; was 6.63, 18.21
-    member!("network", false, 8, 5.06),     // 4.60; was 5.68, 18.44
-    member!("transfers", false, 128, 3.07), // 2.79; was 4.37, 12.10
-    member!("minsky", false, 6, 3.20),      // 2.91; was 6.00, 23.38
-    member!("qbf", false, 5, 1.63),         // 1.48; was 3.91, 12.54
-    member!("refute", false, 1, 2.66),      // 2.42; was 5.70, 15.80
-    member!("protocol", true, 8, 3.47),     // 3.15; was 5.36, 17.17
+    member!("labflow", false, 11, 3.95), // 3.59; was 5.74 before B-tree relations, 7.85, 22.39
+    member!("agents", false, 16, 3.68),  // 3.34; was 4.14 before B-tree relations, 6.63, 18.21
+    member!("network", false, 8, 3.99),  // 3.62; was 4.60 before B-tree relations, 5.68, 18.44
+    member!("transfers", false, 128, 2.89), // 2.62; was 2.79 before B-tree relations, 4.37, 12.10
+    member!("minsky", false, 6, 2.99),   // 2.71; was 2.91 before B-tree relations, 6.00, 23.38
+    member!("qbf", false, 5, 1.52),      // 1.38; was 1.48 before B-tree relations, 3.91, 12.54
+    member!("refute", false, 1, 2.24),   // 2.03; was 2.42 before B-tree relations, 5.70, 15.80
+    member!("protocol", true, 8, 2.78),  // 2.52; was 3.15 before B-tree relations, 5.36, 17.17
 ];
 
 /// Round-weighted allocations per step over the eight members, each member
-/// counted as often as a tdbench round runs it: 3.25 when set; 5.40 before
-/// rule bodies were shared, 16.30 before persistent snapshots.
-const ROUND_BOUND: f64 = 3.58;
+/// counted as often as a tdbench round runs it: 2.66 when set; 3.25 before
+/// relations were B-trees, 5.40 before rule bodies were shared, 16.30
+/// before persistent snapshots.
+const ROUND_BOUND: f64 = 2.93;
 
 #[test]
 fn search_mix_steps_allocate_within_their_bounds() {
