@@ -250,7 +250,7 @@ fn a_commit_allocates_what_it_writes() {
     let initial = initial.insert(balance, &row("acct2", 1_000_000)).unwrap().0;
     let cs = ConcurrentStore::open_or_init(&dir.join("db"), &initial).unwrap();
     let transfer = |i: u64| {
-        let (from, to) = if i % 2 == 0 {
+        let (from, to) = if i.is_multiple_of(2) {
             ("acct1", "acct2")
         } else {
             ("acct2", "acct1")

@@ -8,7 +8,8 @@
 //! dedups, so equal texts share one entry), and resolution, display and
 //! *ordering* read the entry, never the interner — ordering in particular
 //! sits on the engine's hot path through td-db's sorted relations, the
-//! persistent treap `td_db::ord::OrdMap`.
+//! persistent B+-tree `td_db::ord::OrdMap` (docs/ARCHITECTURE.md, "Below
+//! the engine").
 //!
 //! The table is sharded: each string hashes to one of `SHARDS` independent
 //! `RwLock`-protected maps, and the overwhelmingly common case — interning a
@@ -57,8 +58,8 @@ impl Hash for Symbol {
         // differs between processes (and between threads racing to
         // intern). Interning dedups, so entry identity and text equality
         // coincide — hashing the text keeps `Hash`/`Eq` consistent while
-        // making every derived hash (treap priorities, relation digests,
-        // the persisted store digests) a pure function of content.
+        // making every derived hash (relation digests, the persisted store
+        // digests) a pure function of content.
         self.0.text.hash(state);
     }
 }

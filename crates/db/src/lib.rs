@@ -15,7 +15,8 @@
 //!   its own from there.
 //! * [`Relation`] — a persistent sorted tuple set with structural sharing
 //!   across versions, and [`CountedRelation`], the same with a derivation
-//!   count per tuple. Both sit on one structure, the treap in [`ord`].
+//!   count per tuple. Both sit on one structure, the B+-tree in [`ord`]
+//!   (docs/ARCHITECTURE.md, "Below the engine", describes it).
 //! * [`Tuple`] — immutable ground tuples (see also the [`tuple!`] macro).
 //! * [`Delta`] — ordered update logs for monitoring and replay.
 //!

@@ -1,6 +1,6 @@
 //! The one persistent structure of this crate: an ordered map (a B+-tree)
-//! with structural sharing between versions. docs/ARCHITECTURE.md ("td-db:
-//! one persistent B+-tree") says why it has this shape.
+//! with structural sharing between versions. docs/ARCHITECTURE.md ("Below
+//! the engine: td-db's one persistent B+-tree") says why it has this shape.
 //!
 //! The TD engine backtracks over database states constantly: every
 //! choicepoint snapshots the database, and isolation blocks roll whole
@@ -37,11 +37,8 @@ use std::sync::Arc;
 use td_core::Pred;
 
 /// The most slots a node holds: entries in a leaf, children in an inner
-/// node. Chosen by measurement (CHANGES.md, PR 46).
-pub const B: usize = 8;
-
-/// The fewest slots a node other than the root holds.
-const MIN: usize = B / 4;
+/// node. Chosen by measurement; CHANGES.md has the figures.
+pub const B: usize = 16;
 
 /// A key of an [`OrdMap`]: totally ordered, with a word that orders as the
 /// key does — `a < b` implies `a.code() <= b.code()` — so that two keys
@@ -82,38 +79,38 @@ impl Key for u64 {
 /// the children, and the keys last.
 #[derive(Clone)]
 #[repr(C)]
-struct Node<K, V> {
+struct Node<K, V, const N: usize> {
     /// Slots in use.
     len: usize,
     /// `keys[i]`'s code for the slots in use, `u64::MAX` past them, so the
     /// array is sorted as a whole.
-    codes: [u64; B],
-    body: Body<K, V>,
+    codes: [u64; N],
+    body: Body<K, V, N>,
     /// A leaf's keys. In an inner node, `keys[i]` for `i ≥ 1` separates
     /// child `i` from child `i - 1`: it is above every key of the one and
     /// at most every key of the other. Slot 0 has no key, and code 0.
-    keys: [Option<K>; B],
+    keys: [Option<K>; N],
 }
 
 #[derive(Clone)]
-enum Body<K, V> {
-    Leaf([Option<V>; B]),
-    Inner([Option<Arc<Node<K, V>>>; B]),
+enum Body<K, V, const N: usize> {
+    Leaf([Option<V>; N]),
+    Inner([Option<Arc<Node<K, V, N>>>; N]),
 }
 
 /// What one slot holds, in transit between nodes.
-enum Slot<K, V> {
+enum Slot<K, V, const N: usize> {
     Val(V),
-    Kid(Arc<Node<K, V>>),
+    Kid(Arc<Node<K, V, N>>),
 }
 
 /// What an edit below leaves a node's parent to do.
-enum Up<K, V> {
+enum Up<K, V, const N: usize> {
     /// Nothing: the node holds between [`MIN`] and [`B`] slots.
     Fine,
     /// The node was full and split: its new right sibling and the key that
     /// separates the two, with its code.
-    Split(u64, K, Arc<Node<K, V>>),
+    Split(u64, K, Arc<Node<K, V, N>>),
     /// The node holds fewer than [`MIN`] slots.
     Under,
 }
@@ -121,13 +118,15 @@ enum Up<K, V> {
 /// A persistent sorted map. `clone()` is O(1); [`OrdMap::alter`] returns a
 /// new version sharing all untouched structure with the original.
 #[derive(Clone)]
-pub struct OrdMap<K, V> {
-    root: Option<Arc<Node<K, V>>>,
+pub struct OrdMap<K, V, const N: usize = B> {
+    root: Option<Arc<Node<K, V, N>>>,
     len: usize,
 }
 
 /// Printed as the map it holds, in key order.
-impl<K: Key + fmt::Debug, V: Clone + PartialEq + fmt::Debug> fmt::Debug for OrdMap<K, V> {
+impl<K: Key + fmt::Debug, V: Clone + PartialEq + fmt::Debug, const N: usize> fmt::Debug
+    for OrdMap<K, V, N>
+{
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut map = f.debug_map();
         self.for_each(|k, v| {
@@ -137,15 +136,15 @@ impl<K: Key + fmt::Debug, V: Clone + PartialEq + fmt::Debug> fmt::Debug for OrdM
     }
 }
 
-impl<K, V> Default for OrdMap<K, V> {
-    fn default() -> OrdMap<K, V> {
+impl<K, V, const N: usize> Default for OrdMap<K, V, N> {
+    fn default() -> OrdMap<K, V, N> {
         OrdMap { root: None, len: 0 }
     }
 }
 
-impl<K: Key, V: Clone + PartialEq> OrdMap<K, V> {
+impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// The empty map.
-    pub fn new() -> OrdMap<K, V> {
+    pub fn new() -> OrdMap<K, V, N> {
         OrdMap::default()
     }
 
@@ -176,7 +175,7 @@ impl<K: Key, V: Clone + PartialEq> OrdMap<K, V> {
     /// removes, and a closure that looks at its argument updates in one
     /// descent. When `f` returns what is already there, the result shares
     /// the whole tree with `self` and nothing is allocated.
-    pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V> {
+    pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V, N> {
         let Some(root) = &self.root else {
             let mut next = OrdMap::new();
             next.alter_mut(key, f);
@@ -230,7 +229,7 @@ impl<K: Key, V: Clone + PartialEq> OrdMap<K, V> {
     }
 
     /// The root, after an edit below it left `up` to do.
-    fn settle(&mut self, up: Up<K, V>) {
+    fn settle(&mut self, up: Up<K, V, N>) {
         match up {
             Up::Fine => {}
             Up::Split(code, key, right) => {
@@ -258,8 +257,8 @@ impl<K: Key, V: Clone + PartialEq> OrdMap<K, V> {
     /// the entries are dealt into full leaves — as evenly as the count
     /// allows, so none holds fewer than [`MIN`] — and the leaves into inner
     /// nodes the same way, level by level.
-    pub fn from_sorted(run: impl IntoIterator<Item = (K, V)>) -> OrdMap<K, V> {
-        let mut slots: Vec<(u64, K, Slot<K, V>)> = run
+    pub fn from_sorted(run: impl IntoIterator<Item = (K, V)>) -> OrdMap<K, V, N> {
+        let mut slots: Vec<(u64, K, Slot<K, V, N>)> = run
             .into_iter()
             .map(|(k, v)| (k.code(), k, Slot::Val(v)))
             .collect();
@@ -270,7 +269,7 @@ impl<K: Key, V: Clone + PartialEq> OrdMap<K, V> {
             if slots.is_empty() {
                 return OrdMap::default();
             }
-            let (count, nodes) = (slots.len(), slots.len().div_ceil(B));
+            let (count, nodes) = (slots.len(), slots.len().div_ceil(N));
             let mut slots_in = slots.into_iter();
             slots = (0..nodes)
                 .map(|i| {
@@ -329,8 +328,8 @@ impl<K: Key, V: Clone + PartialEq> OrdMap<K, V> {
 /// Content equality. Versions that share their root are equal without a
 /// walk; otherwise, sizes being equal, every entry of one is looked up in
 /// the other (tree shape is not consulted).
-impl<K: Key, V: Clone + PartialEq> PartialEq for OrdMap<K, V> {
-    fn eq(&self, other: &OrdMap<K, V>) -> bool {
+impl<K: Key, V: Clone + PartialEq, const N: usize> PartialEq for OrdMap<K, V, N> {
+    fn eq(&self, other: &OrdMap<K, V, N>) -> bool {
         if self.len != other.len {
             return false;
         }
@@ -345,7 +344,7 @@ impl<K: Key, V: Clone + PartialEq> PartialEq for OrdMap<K, V> {
     }
 }
 
-impl<K: Key, V: Clone + Eq> Eq for OrdMap<K, V> {}
+impl<K: Key, V: Clone + Eq, const N: usize> Eq for OrdMap<K, V, N> {}
 
 /// The content of a slot in use.
 #[inline(always)]
@@ -355,7 +354,7 @@ fn some<T>(slot: &Option<T>) -> &T {
 
 /// The child in a slot in use.
 #[inline(always)]
-fn child<K, V>(slot: &Option<Arc<Node<K, V>>>) -> &Node<K, V> {
+fn child<K, V, const N: usize>(slot: &Option<Arc<Node<K, V, N>>>) -> &Node<K, V, N> {
     some(slot).as_ref()
 }
 
@@ -371,12 +370,12 @@ fn decide<V: PartialEq>(
 /// [`OrdMap::alter_mut`] below `link`: in place while this version alone
 /// holds the node, [`alter_node`]'s copy from the first one it shares.
 /// `None` when the entry was left as it was.
-fn alter_mut_node<K: Key, V: Clone + PartialEq>(
-    link: &mut Arc<Node<K, V>>,
+fn alter_mut_node<K: Key, V: Clone + PartialEq, const N: usize>(
+    link: &mut Arc<Node<K, V, N>>,
     key: &K,
     code: u64,
     f: impl FnOnce(Option<&V>) -> Option<V>,
-) -> Option<Up<K, V>> {
+) -> Option<Up<K, V, N>> {
     let Some(n) = Arc::get_mut(link) else {
         let (copy, up) = alter_node(link, key, code, f)?;
         *link = copy;
@@ -392,14 +391,17 @@ fn alter_mut_node<K: Key, V: Clone + PartialEq>(
     Some(n.absorb(i, up))
 }
 
+/// A node's copy, edited, and what the edit leaves its parent to do.
+type Replaced<K, V, const N: usize> = (Arc<Node<K, V, N>>, Up<K, V, N>);
+
 /// The path-copying edit: the node that replaces `n`, or `None` when the
 /// entry was left as it was.
-fn alter_node<K: Key, V: Clone + PartialEq>(
-    n: &Node<K, V>,
+fn alter_node<K: Key, V: Clone + PartialEq, const N: usize>(
+    n: &Node<K, V, N>,
     key: &K,
     code: u64,
     f: impl FnOnce(Option<&V>) -> Option<V>,
-) -> Option<(Arc<Node<K, V>>, Up<K, V>)> {
+) -> Option<Replaced<K, V, N>> {
     if n.is_leaf() {
         let at = n.find(key, code);
         let value = decide(at.ok().map(|i| n.val(i)), f)?;
@@ -414,11 +416,11 @@ fn alter_node<K: Key, V: Clone + PartialEq>(
     Some((Arc::new(copy), up))
 }
 
-fn in_order<K, V>(n: &Node<K, V>, f: &mut impl FnMut(&K, &V)) {
+fn in_order<K, V, const N: usize>(n: &Node<K, V, N>, f: &mut impl FnMut(&K, &V)) {
     match &n.body {
         Body::Leaf(vals) => {
-            for i in 0..n.len {
-                f(some(&n.keys[i]), some(&vals[i]));
+            for (k, v) in n.keys[..n.len].iter().zip(&vals[..n.len]) {
+                f(some(k), some(v));
             }
         }
         Body::Inner(kids) => kids[..n.len].iter().for_each(|kid| in_order(child(kid), f)),
@@ -450,28 +452,27 @@ impl<K> Range<'_, K> {
 /// [`OrdMap::for_each_in_range`] below `n`: with `seek`, from the first
 /// entry not below the range, else from `n`'s first entry. True once an
 /// entry above the range was met: the walk is over.
-fn range_visit<K, V>(
-    n: &Node<K, V>,
+fn range_visit<K, V, const N: usize>(
+    n: &Node<K, V, N>,
     range: &Range<'_, K>,
     f: &mut impl FnMut(&K, &V),
     seek: bool,
 ) -> bool {
-    // Past the slots whose codes are below the range (an inner node's slot
-    // 0 has no key, and is never looked at).
-    let mut i = usize::from(!n.is_leaf());
-    while seek && i < n.len && n.codes[i] < range.lo {
-        i += 1;
-    }
+    let mut i = match seek {
+        true => n.below(range.lo),
+        false => usize::from(!n.is_leaf()),
+    };
     match &n.body {
         Body::Leaf(vals) => {
             while seek && i < n.len && range.below(n.codes[i], &n.keys[i]) {
                 i += 1;
             }
-            for i in i..n.len {
-                if range.above(n.codes[i], &n.keys[i]) {
+            let slots = n.codes[i..n.len].iter().zip(&n.keys[i..n.len]);
+            for ((&code, key), v) in slots.zip(&vals[i..n.len]) {
+                if range.above(code, key) {
                     return true;
                 }
-                f(some(&n.keys[i]), some(&vals[i]));
+                f(some(key), some(v));
             }
             false
         }
@@ -482,11 +483,11 @@ fn range_visit<K, V>(
                 i += 1;
             }
             let first = i - 1;
-            for i in first..n.len {
+            for (i, kid) in kids.iter().enumerate().take(n.len).skip(first) {
                 if i > first && range.above(n.codes[i], &n.keys[i]) {
                     return true;
                 }
-                if range_visit(child(&kids[i]), range, f, seek && i == first) {
+                if range_visit(child(kid), range, f, seek && i == first) {
                     return true;
                 }
             }
@@ -495,17 +496,33 @@ fn range_visit<K, V>(
     }
 }
 
-impl<K, V> Node<K, V> {
+impl<K, V, const N: usize> Node<K, V, N> {
     fn is_leaf(&self) -> bool {
         matches!(self.body, Body::Leaf(_))
     }
+
+    /// The first slot whose code is not below `code`, counted along the
+    /// whole code array without a branch (the codes past the slots in use
+    /// are `u64::MAX`). An inner node's slot 0, which has no key, is never
+    /// the answer.
+    #[inline]
+    fn below(&self, code: u64) -> usize {
+        let mut i = usize::from(!self.is_leaf());
+        while i < self.len && self.codes[i] < code {
+            i += 1;
+        }
+        i
+    }
 }
 
-impl<K: Key, V: Clone + PartialEq> Node<K, V> {
-    fn empty(leaf: bool) -> Node<K, V> {
+impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
+    /// The fewest slots a node other than the root holds.
+    const MIN: usize = N / 4;
+
+    fn empty(leaf: bool) -> Node<K, V, N> {
         Node {
             len: 0,
-            codes: [u64::MAX; B],
+            codes: [u64::MAX; N],
             keys: std::array::from_fn(|_| None),
             body: match leaf {
                 true => Body::Leaf(std::array::from_fn(|_| None)),
@@ -521,7 +538,7 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
         }
     }
 
-    fn kid(&self, i: usize) -> &Node<K, V> {
+    fn kid(&self, i: usize) -> &Node<K, V, N> {
         match &self.body {
             Body::Inner(kids) => child(&kids[i]),
             Body::Leaf(_) => unreachable!("an inner node's child"),
@@ -530,7 +547,7 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
 
     /// A copy of an inner node with `kid` for its child `i`: the old child
     /// is not copied only to be dropped.
-    fn copy_but_kid(&self, i: usize, kid: Arc<Node<K, V>>) -> Node<K, V> {
+    fn copy_but_kid(&self, i: usize, kid: Arc<Node<K, V, N>>) -> Node<K, V, N> {
         let Body::Inner(kids) = &self.body else {
             unreachable!("an inner node's child")
         };
@@ -546,7 +563,7 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
         }
     }
 
-    fn kid_mut(&mut self, i: usize) -> &mut Arc<Node<K, V>> {
+    fn kid_mut(&mut self, i: usize) -> &mut Arc<Node<K, V, N>> {
         match &mut self.body {
             Body::Inner(kids) => kids[i].as_mut().expect("a slot in use"),
             Body::Leaf(_) => unreachable!("an inner node's child"),
@@ -559,11 +576,7 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
     /// compared.
     #[inline]
     fn find(&self, key: &K, code: u64) -> Result<usize, usize> {
-        // An inner node's slot 0 has no key: it is never searched.
-        let mut i = usize::from(!self.is_leaf());
-        while i < self.len && self.codes[i] < code {
-            i += 1;
-        }
+        let mut i = self.below(code);
         while i < self.len && self.codes[i] == code {
             match some(&self.keys[i]).cmp(key) {
                 Ordering::Less => i += 1,
@@ -583,8 +596,8 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
         }
     }
 
-    fn up(&self) -> Up<K, V> {
-        match self.len < MIN {
+    fn up(&self) -> Up<K, V, N> {
+        match self.len < Self::MIN {
             true => Up::Under,
             false => Up::Fine,
         }
@@ -598,7 +611,7 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
         key: &K,
         code: u64,
         value: Option<V>,
-    ) -> Up<K, V> {
+    ) -> Up<K, V, N> {
         match (at, value) {
             (Ok(i), Some(value)) => {
                 let Body::Leaf(vals) = &mut self.body else {
@@ -617,7 +630,7 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
     }
 
     /// Take in what the edit of child `i` left to do.
-    fn absorb(&mut self, i: usize, up: Up<K, V>) -> Up<K, V> {
+    fn absorb(&mut self, i: usize, up: Up<K, V, N>) -> Up<K, V, N> {
         match up {
             Up::Fine => Up::Fine,
             Up::Split(code, key, right) => self.insert(i + 1, code, key, Slot::Kid(right)),
@@ -629,17 +642,17 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
     }
 
     /// Put a slot at `i`; a full node first splits in two.
-    fn insert(&mut self, i: usize, code: u64, key: K, slot: Slot<K, V>) -> Up<K, V> {
-        if self.len < B {
+    fn insert(&mut self, i: usize, code: u64, key: K, slot: Slot<K, V, N>) -> Up<K, V, N> {
+        if self.len < N {
             self.put(i, code, Some(key), slot);
             return Up::Fine;
         }
         // Halves, except at an end: a run of edits there (a load in key
         // order) leaves full nodes behind it, not half-full ones.
         let at = match i {
-            0 => MIN - 1,
-            B => B + 1 - MIN,
-            _ => B / 2,
+            0 => Self::MIN - 1,
+            _ if i == N => N + 1 - Self::MIN,
+            _ => N / 2,
         };
         let mut right = self.split_off(at);
         if i <= at {
@@ -664,7 +677,7 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
         let left = Arc::make_mut(lo[r - 1].as_mut().expect("a slot in use"));
         let right = Arc::make_mut(hi[0].as_mut().expect("a slot in use"));
         right.take_separator(self.codes[r], some(&self.keys[r]));
-        if left.len + right.len <= B {
+        if left.len + right.len <= N {
             left.append(right);
             self.remove(r);
             return;
@@ -706,8 +719,8 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
 
     /// Put `slot` at `i`, shifting the slots from `i` on one to the right;
     /// the node has room.
-    fn put(&mut self, i: usize, code: u64, key: Option<K>, slot: Slot<K, V>) {
-        debug_assert!(self.len < B && i <= self.len);
+    fn put(&mut self, i: usize, code: u64, key: Option<K>, slot: Slot<K, V, N>) {
+        debug_assert!(self.len < N && i <= self.len);
         let len = self.len;
         self.codes.copy_within(i..len, i + 1);
         self.codes[i] = code;
@@ -734,21 +747,21 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
     }
 
     /// The slots from `at` on, moved into a new node of the same kind.
-    fn split_off(&mut self, at: usize) -> Node<K, V> {
+    fn split_off(&mut self, at: usize) -> Node<K, V, N> {
         let mut right = Node::empty(self.is_leaf());
         right.append_from(self, at);
         right
     }
 
     /// Move every slot of `other` to the end of this node.
-    fn append(&mut self, other: &mut Node<K, V>) {
+    fn append(&mut self, other: &mut Node<K, V, N>) {
         self.append_from(other, 0);
     }
 
     /// Move the slots of `other` from `at` on to the end of this node.
-    fn append_from(&mut self, other: &mut Node<K, V>, at: usize) {
+    fn append_from(&mut self, other: &mut Node<K, V, N>, at: usize) {
         let (to, n) = (self.len, other.len - at);
-        debug_assert!(to + n <= B);
+        debug_assert!(to + n <= N);
         self.codes[to..to + n].copy_from_slice(&other.codes[at..other.len]);
         other.codes[at..].fill(u64::MAX);
         move_slots(&mut other.keys[at..], &mut self.keys[to..], n);
@@ -764,13 +777,13 @@ impl<K: Key, V: Clone + PartialEq> Node<K, V> {
 }
 
 /// Put `x` at `i` of the first `len + 1` slots, shifting the rest right.
-fn shift_in<T>(slots: &mut [Option<T>; B], len: usize, i: usize, x: Option<T>) {
+fn shift_in<T, const N: usize>(slots: &mut [Option<T>; N], len: usize, i: usize, x: Option<T>) {
     slots[i..=len].rotate_right(1);
     slots[i] = x;
 }
 
 /// Empty slot `i` of the first `len`, shifting the rest left over it.
-fn shift_out<T>(slots: &mut [Option<T>; B], len: usize, i: usize) {
+fn shift_out<T, const N: usize>(slots: &mut [Option<T>; N], len: usize, i: usize) {
     slots[i] = None;
     slots[i..len].rotate_left(1);
 }
@@ -797,8 +810,8 @@ mod tests {
     }
 
     /// Every node of `m`, by address.
-    fn nodes<V>(m: &OrdMap<u64, V>) -> Vec<*const Node<u64, V>> {
-        fn walk<V>(n: &Arc<Node<u64, V>>, out: &mut Vec<*const Node<u64, V>>) {
+    fn nodes<V>(m: &OrdMap<u64, V>) -> Vec<*const Node<u64, V, B>> {
+        fn walk<V>(n: &Arc<Node<u64, V, B>>, out: &mut Vec<*const Node<u64, V, B>>) {
             out.push(Arc::as_ptr(n));
             if let Body::Inner(kids) = &n.body {
                 kids[..n.len]
@@ -817,25 +830,25 @@ mod tests {
     /// separates, and `len` the number of entries. Returns the height.
     fn check<V: Clone + PartialEq>(m: &OrdMap<u64, V>) -> usize {
         /// The node's keys from least to greatest, and its height.
-        fn walk<V>(n: &Node<u64, V>, root: bool, keys: &mut Vec<u64>) -> usize {
-            assert!(n.len <= B && (root || n.len >= MIN), "{} slots", n.len);
+        fn walk<V>(n: &Node<u64, V, B>, root: bool, keys: &mut Vec<u64>) -> usize {
+            assert!(n.len <= B && (root || n.len >= B / 4), "{} slots", n.len);
             assert!(n.codes[n.len..].iter().all(|&c| c == u64::MAX));
             assert!(n.keys[n.len..].iter().all(Option::is_none));
             match &n.body {
                 Body::Leaf(vals) => {
-                    for i in 0..n.len {
-                        assert_eq!(n.codes[i], *some(&n.keys[i]));
-                        assert!(vals[i].is_some());
-                        keys.push(n.codes[i]);
+                    for ((&code, key), v) in n.codes.iter().zip(&n.keys).zip(vals).take(n.len) {
+                        assert_eq!(code, *some(key));
+                        assert!(v.is_some());
+                        keys.push(code);
                     }
                     1
                 }
                 Body::Inner(kids) => {
                     assert!(n.len >= 2 && n.keys[0].is_none() && n.codes[0] == 0);
                     let mut heights = Vec::new();
-                    for i in 0..n.len {
+                    for (i, kid) in kids.iter().enumerate().take(n.len) {
                         let from = keys.len();
-                        heights.push(walk(child(&kids[i]), false, keys));
+                        heights.push(walk(child(kid), false, keys));
                         if i > 0 {
                             let sep = *some(&n.keys[i]);
                             assert_eq!(n.codes[i], sep);
@@ -901,7 +914,8 @@ mod tests {
         let height = check(&m);
         assert!(
             (3..=5).contains(&height),
-            "1000 keys at {MIN} to {B} a node"
+            "1000 keys at {} to {B} a node",
+            B / 4
         );
         let old = nodes(&m);
         for (k, insert) in [(500, false), (2000, true), (0, false), (777, false)] {
@@ -981,7 +995,7 @@ mod tests {
         let old = m.clone();
         let before = entries(&old);
         let step = |k: u64, c: Option<&i64>| match c {
-            Some(_) if k % 2 == 0 => None,
+            Some(_) if k.is_multiple_of(2) => None,
             Some(c) => Some(c + 1),
             None => Some(7),
         };

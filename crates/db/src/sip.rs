@@ -3,8 +3,11 @@
 //! single pass.
 //!
 //! Everything this crate hashes goes through [`Sip`]: a tuple's 128-bit
-//! digest member, a relation's contribution to the database digest, a
-//! treap node's priority. The digests are persisted (WAL records, snapshot
+//! digest member and a relation's contribution to the database digest.
+//! Nothing else is hashed: the B+-tree under every relation places a key by
+//! its order alone (docs/ARCHITECTURE.md, "Below the engine"), and the low
+//! lane alone (`Sip::new`) is left to the tests below, as the oracle's
+//! counterpart. The digests are persisted (WAL records, snapshot
 //! headers), so their algorithm belongs here, frozen, and not to a std type
 //! whose algorithm may change between releases. The outputs equal what
 //! `DefaultHasher` produced for the same `Hash` calls on a little-endian

@@ -145,8 +145,8 @@ macro_rules! member {
 /// before relations were B-trees (treaps: a node per tuple), before rule
 /// bodies were shared, and before persistent snapshots.
 const MEMBERS: [Member; 8] = [
-    member!("labflow", false, 11, 3.95), // 3.59; was 5.74 before B-tree relations, 7.85, 22.39
-    member!("agents", false, 16, 3.68),  // 3.34; was 4.14 before B-tree relations, 6.63, 18.21
+    member!("labflow", false, 11, 3.95), // 3.55; was 5.74 before B-tree relations, 7.85, 22.39
+    member!("agents", false, 16, 3.68),  // 3.29; was 4.14 before B-tree relations, 6.63, 18.21
     member!("network", false, 8, 3.99),  // 3.62; was 4.60 before B-tree relations, 5.68, 18.44
     member!("transfers", false, 128, 2.89), // 2.62; was 2.79 before B-tree relations, 4.37, 12.10
     member!("minsky", false, 6, 2.99),   // 2.71; was 2.91 before B-tree relations, 6.00, 23.38
@@ -156,7 +156,7 @@ const MEMBERS: [Member; 8] = [
 ];
 
 /// Round-weighted allocations per step over the eight members, each member
-/// counted as often as a tdbench round runs it: 2.66 when set; 3.25 before
+/// counted as often as a tdbench round runs it: 2.65 when set; 3.25 before
 /// relations were B-trees, 5.40 before rule bodies were shared, 16.30
 /// before persistent snapshots.
 const ROUND_BOUND: f64 = 2.93;
