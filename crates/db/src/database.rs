@@ -53,7 +53,7 @@ impl std::error::Error for DbError {}
 type Rels = OrdMap<Pred, Relation, RELS_PER_NODE>;
 
 /// Slots per node of [`Rels`].
-const RELS_PER_NODE: usize = 8;
+const RELS_PER_NODE: usize = 4;
 
 /// An immutable snapshot of the whole database.
 ///

@@ -651,7 +651,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
         // order) leaves full nodes behind it, not half-full ones.
         let at = match i {
             0 => Self::MIN - 1,
-            _ if i == N => N + 1 - Self::MIN,
+            _ if i == N => N - (Self::MIN - 1).max(1),
             _ => N / 2,
         };
         let mut right = self.split_off(at);
@@ -803,7 +803,7 @@ mod tests {
             .fold(OrdMap::new(), |m, k| m.alter(&k, |_| Some(())))
     }
 
-    fn entries<V: Clone + PartialEq>(m: &OrdMap<u64, V>) -> Vec<(u64, V)> {
+    fn entries<V: Clone + PartialEq, const N: usize>(m: &OrdMap<u64, V, N>) -> Vec<(u64, V)> {
         let mut out = Vec::new();
         m.for_each(|k, v| out.push((*k, v.clone())));
         out
@@ -828,10 +828,10 @@ mod tests {
     /// and in step, every node but the root between `MIN` and `B` slots,
     /// every leaf at one depth, every separator between the keys it
     /// separates, and `len` the number of entries. Returns the height.
-    fn check<V: Clone + PartialEq>(m: &OrdMap<u64, V>) -> usize {
+    fn check<V: Clone + PartialEq, const N: usize>(m: &OrdMap<u64, V, N>) -> usize {
         /// The node's keys from least to greatest, and its height.
-        fn walk<V>(n: &Node<u64, V, B>, root: bool, keys: &mut Vec<u64>) -> usize {
-            assert!(n.len <= B && (root || n.len >= B / 4), "{} slots", n.len);
+        fn walk<V, const N: usize>(n: &Node<u64, V, N>, root: bool, keys: &mut Vec<u64>) -> usize {
+            assert!(n.len <= N && (root || n.len >= N / 4), "{} slots", n.len);
             assert!(n.codes[n.len..].iter().all(|&c| c == u64::MAX));
             assert!(n.keys[n.len..].iter().all(Option::is_none));
             match &n.body {
@@ -844,7 +844,9 @@ mod tests {
                     1
                 }
                 Body::Inner(kids) => {
-                    assert!(n.len >= 2 && n.keys[0].is_none() && n.codes[0] == 0);
+                    assert!(
+                        n.len >= 1 + usize::from(root) && n.keys[0].is_none() && n.codes[0] == 0
+                    );
                     let mut heights = Vec::new();
                     for (i, kid) in kids.iter().enumerate().take(n.len) {
                         let from = keys.len();
@@ -1028,9 +1030,17 @@ mod tests {
 
     #[test]
     fn random_edits_keep_the_invariants_on_shared_and_unshared_versions() {
+        // Every node size the crate uses, the smallest with one slot to
+        // spare above its minimum.
+        random_edits::<4>();
+        random_edits::<8>();
+        random_edits::<B>();
+    }
+
+    fn random_edits<const N: usize>() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(46);
-        let mut m: OrdMap<u64, u64> = OrdMap::new();
+        let mut m: OrdMap<u64, u64, N> = OrdMap::new();
         let mut model = std::collections::BTreeMap::new();
         let mut kept = Vec::new();
         for step in 0..6_000u64 {

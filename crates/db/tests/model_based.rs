@@ -223,7 +223,7 @@ proptest! {
         let sorted: Vec<Tuple> = model.iter().cloned().map(Tuple::new).collect();
         let rel = sorted.iter().fold(Relation::new(4), |r, t| r.insert(t).0);
         let counted = CountedRelation::from_sorted(4, sorted.iter().map(|t| (t.clone(), 1)));
-        let map = OrdMap::from_sorted(sorted.iter().map(|t| (t.clone(), ())));
+        let map: OrdMap<Tuple, ()> = OrdMap::from_sorted(sorted.iter().map(|t| (t.clone(), ())));
         for (codes, pick) in probes {
             let probe = match sorted.len() {
                 0 => mixed_tuple(&codes),

@@ -109,7 +109,7 @@ for m in $metrics; do
 done
 
 # Structural counts: what a run did, not how fast, from one traced run a side.
-counts="engine.steps_per_solve engine.backtracks_per_solve engine.db_ops_per_solve core.interned_syms_per_kop trace.spans"
+counts="engine.steps_per_solve engine.backtracks_per_solve engine.db_ops_per_solve core.interned_syms_per_kop db.alloc_bytes_per_insert"
 structure() {
   local out fields="" m v
   out=$("$1/target/release/tdbench" --workload "$workload" --seed 1 --seconds 3 --trace 1 | tail -n 1)
@@ -122,7 +122,8 @@ structure() {
 commit() {
   local sha
   sha=$(git -C "$1" rev-parse HEAD 2>/dev/null || echo unknown)
-  if [ -n "$(git -C "$1" status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+  # The trajectory a run appends to does not make the tree it measures dirty.
+  if [ -n "$(git -C "$1" status --porcelain --untracked-files=no -- . ':!TRAJECTORY.jsonl' 2>/dev/null)" ]; then
     sha="$sha+dirty"
   fi
   echo "$sha"
