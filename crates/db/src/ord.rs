@@ -16,9 +16,10 @@
 //! the Datalog circuit folds a round of derived facts into the state it
 //! owns, one descent per fact.
 //!
-//! Each node is one allocation holding up to [`B`] slots: a leaf's entries,
-//! or an inner node's children with the keys that separate them. Beside its
-//! keys a node keeps their codes ([`Key::code`]) in a bare `[u64; B]`, so a
+//! Each node is one allocation holding up to `N` slots ([`B`] unless the
+//! map's type names another number): a leaf's entries, or an inner node's
+//! children with the keys that separate them. Beside its keys a node keeps
+//! their codes ([`Key::code`]) in a bare `[u64; N]`, so a
 //! descent searches an array of words and compares keys only where two
 //! codes tie, and a range probe ([`OrdMap::for_each_in_range`]) steps along
 //! a leaf's slots instead of chasing a pointer per entry. Keys are kept in
@@ -36,8 +37,10 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 use td_core::Pred;
 
-/// The most slots a node holds: entries in a leaf, children in an inner
-/// node. Chosen by measurement; CHANGES.md has the figures.
+/// The most slots a node holds by default: entries in a leaf, children in
+/// an inner node. A map whose leaves are copied more often than they are
+/// searched, or whose values are large, names a smaller number; CHANGES.md
+/// has the figures each was chosen by.
 pub const B: usize = 16;
 
 /// A key of an [`OrdMap`]: totally ordered, with a word that orders as the
@@ -844,9 +847,8 @@ mod tests {
                     1
                 }
                 Body::Inner(kids) => {
-                    assert!(
-                        n.len >= 1 + usize::from(root) && n.keys[0].is_none() && n.codes[0] == 0
-                    );
+                    // A root has two children at least; a node below it, N / 4.
+                    assert!(n.len > usize::from(root) && n.keys[0].is_none() && n.codes[0] == 0);
                     let mut heights = Vec::new();
                     for (i, kid) in kids.iter().enumerate().take(n.len) {
                         let from = keys.len();
