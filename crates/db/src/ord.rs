@@ -71,8 +71,9 @@ impl Key for Pred {
     }
 }
 
+/// The unit tests' keys: a number is its own code.
+#[cfg(test)]
 impl Key for u64 {
-    #[inline]
     fn code(&self) -> u64 {
         *self
     }
