@@ -47,14 +47,6 @@ impl fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-/// The relation map. A `Relation` is several words, and every update of a
-/// database copies the node holding it, so this map's nodes hold fewer
-/// slots than a tuple map's.
-type Rels = OrdMap<Pred, Relation, RELS_PER_NODE>;
-
-/// Slots per node of [`Rels`].
-const RELS_PER_NODE: usize = 4;
-
 /// An immutable snapshot of the whole database.
 ///
 /// The relation map is the crate's persistent [`OrdMap`], ordered by
@@ -78,7 +70,7 @@ const RELS_PER_NODE: usize = 4;
 /// `Display`, the store's codec — sees it.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    rels: Rels,
+    rels: OrdMap<Pred, Relation>,
     digest: u128,
     /// Empty until the first derivation from this version, or from the
     /// version it was made from. From then on it is one cell for this
@@ -322,7 +314,7 @@ impl Database {
     }
 
     /// A new version: nothing is derived from it yet.
-    fn version(rels: Rels, digest: u128) -> Database {
+    fn version(rels: OrdMap<Pred, Relation>, digest: u128) -> Database {
         Database {
             rels,
             digest,

@@ -16,13 +16,16 @@
 //! the Datalog circuit folds a round of derived facts into the state it
 //! owns, one descent per fact.
 //!
-//! Each node is one allocation holding up to `N` slots ([`B`] unless the
-//! map's type names another number): a leaf's entries, or an inner node's
-//! children with the keys that separate them. Beside its keys a node keeps
-//! their codes ([`Key::code`]) in a bare `[u64; N]`, so a
-//! descent searches an array of words and compares keys only where two
-//! codes tie, and a range probe ([`OrdMap::for_each_in_range`]) steps along
-//! a leaf's slots instead of chasing a pointer per entry. Keys are kept in
+//! Each node is one allocation holding up to `N` slots ([`B`]; the unit
+//! tests name smaller numbers): a leaf's entries, or an inner node's
+//! children with the keys that separate them. A map of at most `N` entries
+//! is no tree but one run of them, in one allocation of exactly their
+//! number, so that a small map's copy is as small as the map. Beside its
+//! keys a node keeps their codes ([`Key::code`]) in a bare `[u64; N]`, and
+//! a run beside each entry, so a descent searches an array of words and
+//! compares keys only where two codes tie, and a range probe
+//! ([`OrdMap::for_each_in_range`]) steps along a leaf's slots instead of
+//! chasing a pointer per entry. Keys are kept in
 //! order because the engine's hot path is selection with a bound prefix of
 //! columns: tuples sort lexicographically, so all tuples sharing a prefix
 //! are contiguous. Every walk is plain recursion and allocates nothing.
@@ -37,10 +40,10 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 use td_core::Pred;
 
-/// The most slots a node holds by default: entries in a leaf, children in
-/// an inner node. A map whose leaves are copied more often than they are
-/// searched, or whose values are large, names a smaller number; CHANGES.md
-/// has the figures each was chosen by.
+/// The most slots a node holds: entries in a leaf, children in an inner
+/// node; and the most entries a run holds. Every map of the workspace uses
+/// it (CHANGES.md has the figures it was chosen by); the unit tests name
+/// smaller numbers, to reach splits and merges with few keys.
 pub const B: usize = 16;
 
 /// A key of an [`OrdMap`]: totally ordered, with a word that orders as the
@@ -64,10 +67,12 @@ impl Key for Pred {
     #[inline]
     fn code(&self) -> u64 {
         let name = self.name.as_str().as_bytes();
-        let mut head = [0u8; 8];
-        let n = name.len().min(8);
-        head[..n].copy_from_slice(&name[..n]);
-        u64::from_be_bytes(head)
+        match name.first_chunk::<8>() {
+            Some(head) => u64::from_be_bytes(*head),
+            None => {
+                (name.iter().enumerate()).fold(0, |c, (i, &b)| c | u64::from(b) << (56 - 8 * i))
+            }
+        }
     }
 }
 
@@ -119,11 +124,24 @@ enum Up<K, V, const N: usize> {
     Under,
 }
 
+/// An entry of a [`Root::Run`]: the key's code, the key and the value.
+type Entry<K, V> = (u64, K, V);
+
+/// The top of a map that holds something.
+#[derive(Clone)]
+enum Root<K, V, const N: usize> {
+    /// At most `N` entries, in key order, in one allocation of exactly
+    /// their number: a small map copies only what it holds.
+    Run(Arc<[Entry<K, V>]>),
+    /// More: a B+-tree.
+    Tree(Arc<Node<K, V, N>>),
+}
+
 /// A persistent sorted map. `clone()` is O(1); [`OrdMap::alter`] returns a
 /// new version sharing all untouched structure with the original.
 #[derive(Clone)]
 pub struct OrdMap<K, V, const N: usize = B> {
-    root: Option<Arc<Node<K, V, N>>>,
+    root: Option<Root<K, V, N>>,
     len: usize,
 }
 
@@ -165,7 +183,10 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// The value stored under `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
         let code = key.code();
-        let mut n = self.root.as_deref()?;
+        let mut n = match self.root.as_ref()? {
+            Root::Run(run) => return run_find(run, key, code).ok().map(|i| &run[i].2),
+            Root::Tree(root) => &**root,
+        };
         loop {
             match &n.body {
                 Body::Leaf(vals) => return n.find(key, code).ok().map(|i| some(&vals[i])),
@@ -180,14 +201,26 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// descent. When `f` returns what is already there, the result shares
     /// the whole tree with `self` and nothing is allocated.
     pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V, N> {
-        let Some(root) = &self.root else {
-            let mut next = OrdMap::new();
-            next.alter_mut(key, f);
-            return next;
+        let code = key.code();
+        let root = match &self.root {
+            Some(Root::Tree(root)) => root,
+            Some(Root::Run(run)) => {
+                let at = run_find(run, key, code);
+                return match decide(at.ok().map(|i| &run[i].2), f) {
+                    Some(value) => OrdMap::run_edited(run, at, code, key, value),
+                    None => self.clone(),
+                };
+            }
+            None => {
+                let mut next = OrdMap::new();
+                next.alter_mut(key, f);
+                return next;
+            }
         };
         let (mut had, mut has) = (false, false);
-        let edit = alter_node(root, key, key.code(), |old| {
-            let new = f(old);
+        let mut f = Some(f);
+        let edit = alter_node(root, key, code, &mut |old| {
+            let new = f.take().expect("an edit decides once")(old);
             (had, has) = (old.is_some(), new.is_some());
             new
         });
@@ -195,7 +228,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
             return self.clone();
         };
         let mut next = OrdMap {
-            root: Some(root),
+            root: Some(Root::Tree(root)),
             len: self.len + usize::from(has) - usize::from(had),
         };
         next.settle(up);
@@ -206,30 +239,87 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// on the path to `key` that this version alone holds are edited where
     /// they are. From the first node another version shares, the edit is
     /// [`OrdMap::alter`]'s, which copies the rest of the path if the entry
-    /// changes and nothing if it does not.
+    /// changes and nothing if it does not. A run is the one node of its
+    /// map: one that is shared is copied, and one this version alone holds
+    /// is overwritten in place or, to grow or shrink, becomes a leaf.
     pub fn alter_mut(&mut self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) {
-        let (mut had, mut has) = (false, false);
-        let f = |old: Option<&V>| {
-            let new = f(old);
-            (had, has) = (old.is_some(), new.is_some());
-            new
-        };
         let code = key.code();
-        match &mut self.root {
-            Some(root) => {
-                if let Some(up) = alter_mut_node(root, key, code, f) {
-                    self.settle(up);
+        let root = match &mut self.root {
+            Some(Root::Tree(root)) => root,
+            Some(Root::Run(run)) => {
+                let at = run_find(run, key, code);
+                let Some(value) = decide(at.ok().map(|i| &run[i].2), f) else {
+                    return;
+                };
+                let Some(entries) = Arc::get_mut(run) else {
+                    *self = OrdMap::run_edited(run, at, code, key, value);
+                    return;
+                };
+                // A leaf has room to be edited in place from now on.
+                let value = match (at, value) {
+                    (Ok(i), Some(value)) => return entries[i].2 = value,
+                    (_, value) => value,
+                };
+                let mut leaf = Node::empty(true);
+                for (i, (code, key, value)) in entries.iter().enumerate() {
+                    leaf.put(i, *code, Some(key.clone()), Slot::Val(value.clone()));
                 }
+                self.len = self.len + usize::from(value.is_some()) - usize::from(at.is_ok());
+                let up = leaf.edit_leaf(at, key, code, value);
+                self.root = Some(Root::Tree(Arc::new(leaf)));
+                self.settle(up);
+                return;
             }
             None => {
                 if let Some(value) = f(None) {
-                    let mut leaf = Node::empty(true);
-                    leaf.put(0, code, Some(key.clone()), Slot::Val(value));
-                    self.root = Some(Arc::new(leaf));
+                    self.root = Some(Root::Run(Arc::new([(code, key.clone(), value)])));
+                    self.len = 1;
                 }
+                return;
             }
+        };
+        let (mut had, mut has) = (false, false);
+        let mut f = Some(f);
+        let f = &mut |old: Option<&V>| {
+            let new = f.take().expect("an edit decides once")(old);
+            (had, has) = (old.is_some(), new.is_some());
+            new
+        };
+        if let Some(up) = alter_mut_node(root, key, code, f) {
+            self.settle(up);
         }
         self.len = self.len + usize::from(has) - usize::from(had);
+    }
+
+    /// The map holding `run` with the entry at `at` (a [`run_find`] of
+    /// `key`) set to `value`: a run again unless it grew past `N`.
+    fn run_edited(
+        run: &[Entry<K, V>],
+        at: Result<usize, usize>,
+        code: u64,
+        key: &K,
+        value: Option<V>,
+    ) -> OrdMap<K, V, N> {
+        let (i, cut) = match at {
+            Ok(i) => (i, 1),
+            Err(i) => (i, 0),
+        };
+        let add = usize::from(value.is_some());
+        let len = run.len() - cut + add;
+        let mut new = value.map(|value| (code, key.clone(), value));
+        let entries = (0..len).map(|j| match j.cmp(&i) {
+            Ordering::Less => run[j].clone(),
+            Ordering::Equal if add == 1 => new.take().expect("one new entry"),
+            _ => run[j + cut - add].clone(),
+        });
+        match len {
+            0 => OrdMap::new(),
+            _ if len <= N => OrdMap {
+                root: Some(Root::Run(entries.collect())),
+                len,
+            },
+            _ => OrdMap::of_entries(entries.collect()),
+        }
     }
 
     /// The root, after an edit below it left `up` to do.
@@ -237,42 +327,57 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
         match up {
             Up::Fine => {}
             Up::Split(code, key, right) => {
-                let left = self.root.take().expect("an edit split the root");
+                let Some(Root::Tree(left)) = self.root.take() else {
+                    unreachable!("an edit split the root of a tree")
+                };
                 let mut top = Node::empty(false);
                 top.put(0, 0, None, Slot::Kid(left));
                 top.put(1, code, Some(key), Slot::Kid(right));
-                self.root = Some(Arc::new(top));
+                self.root = Some(Root::Tree(Arc::new(top)));
             }
             // The root may hold fewer than `MIN`; only an empty leaf, or an
             // inner node left with one child, goes.
-            Up::Under => match self.root.as_deref() {
-                Some(root) if root.len == 0 => self.root = None,
-                Some(Node {
-                    len: 1,
-                    body: Body::Inner(kids),
-                    ..
-                }) => self.root = kids[0].clone(),
+            Up::Under => match &self.root {
+                Some(Root::Tree(root)) if root.len == 0 => self.root = None,
+                Some(Root::Tree(root)) => {
+                    if let (1, Body::Inner(kids)) = (root.len, &root.body) {
+                        self.root = kids[0].clone().map(Root::Tree);
+                    }
+                }
                 _ => {}
             },
         }
     }
 
     /// The map holding `run`, whose keys must be strictly increasing. O(n):
-    /// the entries are dealt into full leaves — as evenly as the count
-    /// allows, so none holds fewer than [`MIN`] — and the leaves into inner
-    /// nodes the same way, level by level.
+    /// up to `N` entries are one run; more are dealt into full leaves — as
+    /// evenly as the count allows, so none holds fewer than [`MIN`] — and
+    /// the leaves into inner nodes the same way, level by level.
     pub fn from_sorted(run: impl IntoIterator<Item = (K, V)>) -> OrdMap<K, V, N> {
-        let mut slots: Vec<(u64, K, Slot<K, V, N>)> = run
-            .into_iter()
-            .map(|(k, v)| (k.code(), k, Slot::Val(v)))
+        let entries: Vec<Entry<K, V>> = run.into_iter().map(|(k, v)| (k.code(), k, v)).collect();
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].1 < w[1].1),
+            "run not sorted"
+        );
+        match entries.len() {
+            0 => OrdMap::new(),
+            len if len <= N => OrdMap {
+                root: Some(Root::Run(entries.into())),
+                len,
+            },
+            _ => OrdMap::of_entries(entries),
+        }
+    }
+
+    /// [`OrdMap::from_sorted`] of more than `N` entries: a tree.
+    fn of_entries(entries: Vec<Entry<K, V>>) -> OrdMap<K, V, N> {
+        let len = entries.len();
+        debug_assert!(len > N);
+        let mut slots: Vec<(u64, K, Slot<K, V, N>)> = (entries.into_iter())
+            .map(|(code, k, v)| (code, k, Slot::Val(v)))
             .collect();
-        debug_assert!(slots.windows(2).all(|w| w[0].1 < w[1].1), "run not sorted");
-        let len = slots.len();
         let mut leaf = true;
-        while slots.len() > 1 || leaf {
-            if slots.is_empty() {
-                return OrdMap::default();
-            }
+        while slots.len() > 1 {
             let (count, nodes) = (slots.len(), slots.len().div_ceil(N));
             let mut slots_in = slots.into_iter();
             slots = (0..nodes)
@@ -292,7 +397,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
             unreachable!("the top level is one node")
         };
         OrdMap {
-            root: Some(root),
+            root: Some(Root::Tree(root)),
             len,
         }
     }
@@ -316,15 +421,31 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
             hi: *codes.end(),
             cmp: &cmp,
         };
-        if let Some(root) = &self.root {
-            range_visit(root, &range, &mut f, true);
+        match &self.root {
+            Some(Root::Run(run)) => {
+                let from = run
+                    .iter()
+                    .skip_while(|(code, key, _)| range.below(*code, key));
+                for (code, key, v) in from {
+                    if range.above(*code, key) {
+                        break;
+                    }
+                    f(key, v);
+                }
+            }
+            Some(Root::Tree(root)) => {
+                range_visit(root, &range, &mut f, true);
+            }
+            None => {}
         }
     }
 
     /// Visit every entry in key order.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        if let Some(root) = &self.root {
-            in_order(root, &mut f);
+        match &self.root {
+            Some(Root::Run(run)) => run.iter().for_each(|(_, k, v)| f(k, v)),
+            Some(Root::Tree(root)) => in_order(root, &mut f),
+            None => {}
         }
     }
 }
@@ -338,7 +459,8 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> PartialEq for OrdMap<K, V, N>
             return false;
         }
         match (&self.root, &other.root) {
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => true,
+            (Some(Root::Run(a)), Some(Root::Run(b))) if Arc::ptr_eq(a, b) => true,
+            (Some(Root::Tree(a)), Some(Root::Tree(b))) if Arc::ptr_eq(a, b) => true,
             _ => {
                 let mut equal = true;
                 self.for_each(|k, v| equal = equal && other.get(k) == Some(v));
@@ -349,6 +471,25 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> PartialEq for OrdMap<K, V, N>
 }
 
 impl<K: Key, V: Clone + Eq, const N: usize> Eq for OrdMap<K, V, N> {}
+
+/// Where `key` is in a run: `Ok(i)` at entry `i`, or `Err(i)` when the
+/// entries before `i` are the smaller ones. As [`Node::find`]: keys are
+/// compared only where their codes tie with `code`.
+#[inline]
+fn run_find<K: Ord, V>(run: &[Entry<K, V>], key: &K, code: u64) -> Result<usize, usize> {
+    let mut i = 0;
+    while i < run.len() && run[i].0 < code {
+        i += 1;
+    }
+    while i < run.len() && run[i].0 == code {
+        match run[i].1.cmp(key) {
+            Ordering::Less => i += 1,
+            Ordering::Equal => return Ok(i),
+            Ordering::Greater => break,
+        }
+    }
+    Err(i)
+}
 
 /// The content of a slot in use.
 #[inline(always)]
@@ -361,6 +502,12 @@ fn some<T>(slot: &Option<T>) -> &T {
 fn child<K, V, const N: usize>(slot: &Option<Arc<Node<K, V, N>>>) -> &Node<K, V, N> {
     some(slot).as_ref()
 }
+
+/// What an edit of one entry makes of it, called once, at the entry's
+/// leaf: one type for every closure [`OrdMap::alter`] and
+/// [`OrdMap::alter_mut`] are given, so the descent is compiled once per map
+/// type.
+type Edit<'a, V> = &'a mut dyn FnMut(Option<&V>) -> Option<V>;
 
 /// `f(old)`, or `None` when that is `old` again: the edit changes nothing.
 fn decide<V: PartialEq>(
@@ -378,7 +525,7 @@ fn alter_mut_node<K: Key, V: Clone + PartialEq, const N: usize>(
     link: &mut Arc<Node<K, V, N>>,
     key: &K,
     code: u64,
-    f: impl FnOnce(Option<&V>) -> Option<V>,
+    f: Edit<'_, V>,
 ) -> Option<Up<K, V, N>> {
     let Some(n) = Arc::get_mut(link) else {
         let (copy, up) = alter_node(link, key, code, f)?;
@@ -404,7 +551,7 @@ fn alter_node<K: Key, V: Clone + PartialEq, const N: usize>(
     n: &Node<K, V, N>,
     key: &K,
     code: u64,
-    f: impl FnOnce(Option<&V>) -> Option<V>,
+    f: Edit<'_, V>,
 ) -> Option<Replaced<K, V, N>> {
     if n.is_leaf() {
         let at = n.find(key, code);
@@ -442,14 +589,14 @@ struct Range<'a, K> {
 impl<K> Range<'_, K> {
     /// True if `code`, `key` is below the range.
     #[inline(always)]
-    fn below(&self, code: u64, key: &Option<K>) -> bool {
-        code < self.lo || (code == self.lo && (self.cmp)(some(key)).is_lt())
+    fn below(&self, code: u64, key: &K) -> bool {
+        code < self.lo || (code == self.lo && (self.cmp)(key).is_lt())
     }
 
     /// True if `code`, `key` is above the range.
     #[inline(always)]
-    fn above(&self, code: u64, key: &Option<K>) -> bool {
-        code > self.hi || (code == self.hi && (self.cmp)(some(key)).is_gt())
+    fn above(&self, code: u64, key: &K) -> bool {
+        code > self.hi || (code == self.hi && (self.cmp)(key).is_gt())
     }
 }
 
@@ -468,12 +615,12 @@ fn range_visit<K, V, const N: usize>(
     };
     match &n.body {
         Body::Leaf(vals) => {
-            while seek && i < n.len && range.below(n.codes[i], &n.keys[i]) {
+            while seek && i < n.len && range.below(n.codes[i], some(&n.keys[i])) {
                 i += 1;
             }
             let slots = n.codes[i..n.len].iter().zip(&n.keys[i..n.len]);
             for ((&code, key), v) in slots.zip(&vals[i..n.len]) {
-                if range.above(code, key) {
+                if range.above(code, some(key)) {
                     return true;
                 }
                 f(some(key), some(v));
@@ -483,12 +630,12 @@ fn range_visit<K, V, const N: usize>(
         Body::Inner(kids) => {
             // A separator below the range puts the child before it below
             // the range too; one above it, the child after it.
-            while seek && i < n.len && range.below(n.codes[i], &n.keys[i]) {
+            while seek && i < n.len && range.below(n.codes[i], some(&n.keys[i])) {
                 i += 1;
             }
             let first = i - 1;
             for (i, kid) in kids.iter().enumerate().take(n.len).skip(first) {
-                if i > first && range.above(n.codes[i], &n.keys[i]) {
+                if i > first && range.above(n.codes[i], some(&n.keys[i])) {
                     return true;
                 }
                 if range_visit(child(kid), range, f, seek && i == first) {
@@ -600,8 +747,14 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
         }
     }
 
+    /// [`Up::Under`] below `MIN` slots, and for an inner node below two
+    /// children: a node of `N < 8` slots has a `MIN` of one.
     fn up(&self) -> Up<K, V, N> {
-        match self.len < Self::MIN {
+        let min = match self.is_leaf() {
+            true => Self::MIN,
+            false => Self::MIN.max(2),
+        };
+        match self.len < min {
             true => Up::Under,
             false => Up::Fine,
         }
@@ -813,10 +966,10 @@ mod tests {
         out
     }
 
-    /// Every node of `m`, by address.
-    fn nodes<V>(m: &OrdMap<u64, V>) -> Vec<*const Node<u64, V, B>> {
-        fn walk<V>(n: &Arc<Node<u64, V, B>>, out: &mut Vec<*const Node<u64, V, B>>) {
-            out.push(Arc::as_ptr(n));
+    /// Every allocation of `m` — its run, or its tree's nodes — by address.
+    fn nodes<V, const N: usize>(m: &OrdMap<u64, V, N>) -> Vec<*const ()> {
+        fn walk<V, const N: usize>(n: &Arc<Node<u64, V, N>>, out: &mut Vec<*const ()>) {
+            out.push(Arc::as_ptr(n).cast());
             if let Body::Inner(kids) = &n.body {
                 kids[..n.len]
                     .iter()
@@ -824,14 +977,25 @@ mod tests {
             }
         }
         let mut out = Vec::new();
-        m.root.iter().for_each(|root| walk(root, &mut out));
+        match &m.root {
+            Some(Root::Run(run)) => out.push(Arc::as_ptr(run).cast()),
+            Some(Root::Tree(root)) => walk(root, &mut out),
+            None => {}
+        }
         out
     }
 
-    /// The tree's invariants, checked node by node: keys and codes sorted
-    /// and in step, every node but the root between `MIN` and `B` slots,
-    /// every leaf at one depth, every separator between the keys it
-    /// separates, and `len` the number of entries. Returns the height.
+    /// True if the two versions share their root.
+    fn share_root<V, const N: usize>(a: &OrdMap<u64, V, N>, b: &OrdMap<u64, V, N>) -> bool {
+        matches!((nodes(a).first(), nodes(b).first()), (Some(x), Some(y)) if x == y)
+    }
+
+    /// The map's invariants: a run holds at most `N` entries; in a tree,
+    /// node by node, keys and codes are sorted and in step, every leaf but
+    /// the root holds between `MIN` and `N` slots, every inner node two
+    /// children at least and, below the root, `MIN`, every leaf is at one
+    /// depth and every separator between the keys it separates. `len` is
+    /// the number of entries. Returns the height (a run's is 1).
     fn check<V: Clone + PartialEq, const N: usize>(m: &OrdMap<u64, V, N>) -> usize {
         /// The node's keys from least to greatest, and its height.
         fn walk<V, const N: usize>(n: &Node<u64, V, N>, root: bool, keys: &mut Vec<u64>) -> usize {
@@ -848,8 +1012,7 @@ mod tests {
                     1
                 }
                 Body::Inner(kids) => {
-                    // A root has two children at least; a node below it, N / 4.
-                    assert!(n.len > usize::from(root) && n.keys[0].is_none() && n.codes[0] == 0);
+                    assert!(n.len >= 2 && n.keys[0].is_none() && n.codes[0] == 0);
                     let mut heights = Vec::new();
                     for (i, kid) in kids.iter().enumerate().take(n.len) {
                         let from = keys.len();
@@ -866,7 +1029,18 @@ mod tests {
             }
         }
         let mut keys = Vec::new();
-        let height = m.root.as_deref().map_or(0, |r| walk(r, true, &mut keys));
+        let height = match &m.root {
+            Some(Root::Run(run)) => {
+                assert!(!run.is_empty() && run.len() <= N, "a run of {}", run.len());
+                for (code, key, _) in run.iter() {
+                    assert_eq!(code, key);
+                    keys.push(*key);
+                }
+                1
+            }
+            Some(Root::Tree(root)) => walk(root, true, &mut keys),
+            None => 0,
+        };
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(keys.len(), m.len());
         height
@@ -906,10 +1080,7 @@ mod tests {
             in_place(&[200, 205, 209], false),
         ] {
             assert_eq!(same.len(), 100);
-            assert!(Arc::ptr_eq(
-                same.root.as_ref().unwrap(),
-                m.root.as_ref().unwrap()
-            ));
+            assert!(share_root(&same, &m));
         }
     }
 
@@ -1025,10 +1196,7 @@ mod tests {
         let shared = m.clone();
         m.alter_mut(&1, |c| c.copied());
         m.alter_mut(&10_000, |_| None);
-        assert!(Arc::ptr_eq(
-            m.root.as_ref().unwrap(),
-            shared.root.as_ref().unwrap()
-        ));
+        assert!(share_root(&m, &shared));
     }
 
     #[test]
@@ -1072,6 +1240,83 @@ mod tests {
                 model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
             );
         }
+    }
+
+    #[test]
+    fn a_small_map_is_one_run_copied_whole() {
+        let full = OrdMap::<u64, ()>::from_sorted((0..B as u64).map(|k| (k, ())));
+        assert!(matches!(full.root, Some(Root::Run(_))) && check(&full) == 1);
+        // A persistent edit copies the run, and the older version keeps its
+        // own; past `B` entries the map becomes a tree.
+        let less = full.alter(&3, |_| None);
+        let more = full.alter(&100, |_| Some(()));
+        assert!(matches!(less.root, Some(Root::Run(_))) && check(&less) == 1);
+        assert!(matches!(more.root, Some(Root::Tree(_))) && check(&more) == 2);
+        assert_eq!(entries(&full).len(), B);
+        assert!(nodes(&less)[0] != nodes(&full)[0]);
+        // In place on a shared run: a copy, the older version untouched.
+        let mut mine = full.clone();
+        mine.alter_mut(&5, |_| None);
+        assert!(matches!(mine.root, Some(Root::Run(_))) && !share_root(&mine, &full));
+        assert_eq!((full.len(), mine.len()), (B, B - 1));
+        // In place on a run this version alone holds: an overwrite stays
+        // where it is; an insert turns it into a leaf with room.
+        let mut alone: OrdMap<u64, u64> = OrdMap::from_sorted((0..3).map(|k| (k, k)));
+        let before = nodes(&alone);
+        alone.alter_mut(&1, |_| Some(10));
+        assert_eq!(nodes(&alone), before);
+        alone.alter_mut(&7, |_| Some(7));
+        assert!(matches!(alone.root, Some(Root::Tree(_))) && check(&alone) == 1);
+        assert_eq!(entries(&alone), [(0, 0), (1, 10), (2, 2), (7, 7)]);
+        for k in [0, 1, 2, 7] {
+            alone.alter_mut(&k, |_| None);
+            check(&alone);
+        }
+        assert!(alone.is_empty() && alone.root.is_none());
+    }
+
+    #[test]
+    fn draining_a_map_of_four_slot_nodes_keeps_the_invariants() {
+        // At N = 4 a node's MIN is one slot, and an inner node still needs
+        // two children: emptying a tree through every path, with an older
+        // version kept after each edit, must keep both.
+        for order in [
+            (1..=40u64).rev().collect::<Vec<_>>(),
+            (1..=40).collect(),
+            (1..=40).map(|k| (k * 17) % 41).collect(),
+        ] {
+            for in_place in [false, true] {
+                let mut m: OrdMap<u64, u64, 4> = OrdMap::new();
+                for k in 1..=40 {
+                    m.alter_mut(&k, |_| Some(k));
+                }
+                let mut kept = vec![(m.clone(), entries(&m))];
+                for k in &order {
+                    if in_place {
+                        m.alter_mut(k, |_| None);
+                    } else {
+                        m = m.alter(k, |_| None);
+                    }
+                    check(&m);
+                    kept.push((m.clone(), entries(&m)));
+                }
+                assert!(m.is_empty());
+                for (old, held) in &kept {
+                    check(old);
+                    assert_eq!(&entries(old), held);
+                }
+            }
+        }
+        // The smallest case: five keys, removed from the top.
+        let mut m: OrdMap<u64, (), 4> = OrdMap::new();
+        for k in 1..=5 {
+            m = m.alter(&k, |_| Some(()));
+        }
+        for k in (1..=5).rev() {
+            m = m.alter(&k, |_| None);
+            check(&m);
+        }
+        assert!(m.is_empty());
     }
 
     #[test]

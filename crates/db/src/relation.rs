@@ -22,14 +22,6 @@ fn hash128_of(t: &Tuple) -> u128 {
     h.finish128()
 }
 
-/// A stored relation's tuples. The engine's updates copy the leaf they
-/// edit, and most stored relations are small, so their nodes hold fewer
-/// slots than those of the maps the Datalog circuit folds into in place.
-type Tuples = OrdMap<Tuple, (), TUPLES_PER_NODE>;
-
-/// Slots per node of a stored relation's [`Tuples`].
-const TUPLES_PER_NODE: usize = 8;
-
 /// A persistent relation. Like [`crate::Database`], relations are immutable
 /// values: `insert`/`remove` return new versions sharing structure.
 ///
@@ -41,7 +33,7 @@ const TUPLES_PER_NODE: usize = 8;
 #[derive(Clone, Debug)]
 pub struct Relation {
     arity: usize,
-    tuples: Tuples,
+    tuples: OrdMap<Tuple, ()>,
     /// Commutative (xor) fold of all 128-bit member hashes; lets two
     /// versions be compared or hashed in O(1).
     sethash: u128,
@@ -128,7 +120,7 @@ impl Relation {
     /// The version holding `tuples`, which differs from `self.tuples` by at
     /// most the membership of `t`; the flag says whether it does. A member
     /// that comes or goes is hashed once, here.
-    fn with_tuples(&self, tuples: Tuples, t: &Tuple) -> (Relation, bool) {
+    fn with_tuples(&self, tuples: OrdMap<Tuple, ()>, t: &Tuple) -> (Relation, bool) {
         let changed = tuples.len() != self.tuples.len();
         let sethash = if changed {
             self.sethash ^ hash128_of(t)
@@ -191,8 +183,8 @@ impl Relation {
 /// The three-regime selection behind [`Relation::select`] and
 /// [`crate::CountedRelation::select`]: the keys of `map` matching `pattern`
 /// whose value `is_member` accepts, in sorted order.
-pub(crate) fn select<V: Clone + PartialEq, const N: usize>(
-    map: &OrdMap<Tuple, V, N>,
+pub(crate) fn select<V: Clone + PartialEq>(
+    map: &OrdMap<Tuple, V>,
     pattern: &[Option<Value>],
     is_member: impl Fn(&V) -> bool,
 ) -> Vec<Tuple> {
@@ -229,8 +221,8 @@ pub(crate) fn select<V: Clone + PartialEq, const N: usize>(
 /// probe searches the nodes' code arrays: a slot costs a word compare or
 /// two, and its tuple is read only when the prefix's encoding is 8 bytes or
 /// longer and the first 8 bytes tie.
-pub fn for_each_with_prefix<V: Clone + PartialEq, I: Iterator<Item = Value>, const N: usize>(
-    map: &OrdMap<Tuple, V, N>,
+pub fn for_each_with_prefix<V: Clone + PartialEq, I: Iterator<Item = Value>>(
+    map: &OrdMap<Tuple, V>,
     prefix: impl Fn() -> I,
     f: impl FnMut(&Tuple, &V),
 ) {
