@@ -28,6 +28,8 @@ use std::sync::{OnceLock, RwLock};
 /// One interned string: what a [`Symbol`] points at. Leaked, never freed.
 struct Entry {
     id: u32,
+    /// [`Symbol::head`], computed once.
+    head: u64,
     text: &'static str,
 }
 
@@ -131,7 +133,11 @@ impl Symbol {
         interner()
             .bytes
             .fetch_add(text.len() as u64, Ordering::Relaxed);
-        let sym = Symbol(Box::leak(Box::new(Entry { id, text })));
+        let mut head = [0u8; 8];
+        let n = text.len().min(8);
+        head[..n].copy_from_slice(&text.as_bytes()[..n]);
+        let head = u64::from_be_bytes(head);
+        let sym = Symbol(Box::leak(Box::new(Entry { id, head, text })));
         map.insert(text, sym);
         sym
     }
@@ -154,7 +160,7 @@ impl Symbol {
     }
 
     /// Total payload bytes held by the interner (excludes per-entry
-    /// overhead: the 24-byte entry a symbol points at plus its map slot,
+    /// overhead: the 32-byte entry a symbol points at plus its map slot,
     /// roughly 64 bytes/entry on 64-bit). Grows linearly in the
     /// distinct constants a workload mentions; see the leak test below for
     /// the measured rate.
@@ -165,6 +171,13 @@ impl Symbol {
     /// The interned text (allocation- and lock-free).
     pub fn as_str(self) -> &'static str {
         self.0.text
+    }
+
+    /// The first 8 bytes of the text, big-endian, zero-padded: a word that
+    /// orders as the text does (`a < b` implies `a.head() <= b.head()`),
+    /// read without touching the text.
+    pub fn head(self) -> u64 {
+        self.0.head
     }
 
     /// Raw id, stable within a process run. Useful for dense tables. Ids are

@@ -61,18 +61,12 @@ impl Key for Tuple {
     }
 }
 
-/// The first 8 bytes of the name, big-endian, zero-padded: predicates
-/// order by name first, and names by their bytes.
+/// The head of the name ([`td_core::Symbol::head`]): predicates order by
+/// name first, and names by their bytes.
 impl Key for Pred {
     #[inline]
     fn code(&self) -> u64 {
-        let name = self.name.as_str().as_bytes();
-        match name.first_chunk::<8>() {
-            Some(head) => u64::from_be_bytes(*head),
-            None => {
-                (name.iter().enumerate()).fold(0, |c, (i, &b)| c | u64::from(b) << (56 - 8 * i))
-            }
-        }
+        self.name.head()
     }
 }
 
@@ -201,6 +195,12 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// descent. When `f` returns what is already there, the result shares
     /// the whole tree with `self` and nothing is allocated.
     pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V, N> {
+        let mut f = Some(f);
+        self.altered(key, &mut |old| f.take().expect("an edit decides once")(old))
+    }
+
+    /// [`OrdMap::alter`], compiled once per map type.
+    fn altered(&self, key: &K, f: Edit<'_, V>) -> OrdMap<K, V, N> {
         let code = key.code();
         let root = match &self.root {
             Some(Root::Tree(root)) => root,
@@ -213,14 +213,13 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
             }
             None => {
                 let mut next = OrdMap::new();
-                next.alter_mut(key, f);
+                next.edit_in_place(key, f);
                 return next;
             }
         };
         let (mut had, mut has) = (false, false);
-        let mut f = Some(f);
         let edit = alter_node(root, key, code, &mut |old| {
-            let new = f.take().expect("an edit decides once")(old);
+            let new = f(old);
             (had, has) = (old.is_some(), new.is_some());
             new
         });
@@ -243,6 +242,12 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// map: one that is shared is copied, and one this version alone holds
     /// is overwritten in place or, to grow or shrink, becomes a leaf.
     pub fn alter_mut(&mut self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) {
+        let mut f = Some(f);
+        self.edit_in_place(key, &mut |old| f.take().expect("an edit decides once")(old));
+    }
+
+    /// [`OrdMap::alter_mut`], compiled once per map type.
+    fn edit_in_place(&mut self, key: &K, f: Edit<'_, V>) {
         let code = key.code();
         let root = match &mut self.root {
             Some(Root::Tree(root)) => root,
@@ -279,9 +284,8 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
             }
         };
         let (mut had, mut has) = (false, false);
-        let mut f = Some(f);
         let f = &mut |old: Option<&V>| {
-            let new = f.take().expect("an edit decides once")(old);
+            let new = f(old);
             (had, has) = (old.is_some(), new.is_some());
             new
         };
@@ -503,10 +507,9 @@ fn child<K, V, const N: usize>(slot: &Option<Arc<Node<K, V, N>>>) -> &Node<K, V,
     some(slot).as_ref()
 }
 
-/// What an edit of one entry makes of it, called once, at the entry's
-/// leaf: one type for every closure [`OrdMap::alter`] and
-/// [`OrdMap::alter_mut`] are given, so the descent is compiled once per map
-/// type.
+/// What an edit of one entry makes of it, called once, where the entry is:
+/// one type for every closure [`OrdMap::alter`] and [`OrdMap::alter_mut`]
+/// are given, so that their work is compiled once per map type.
 type Edit<'a, V> = &'a mut dyn FnMut(Option<&V>) -> Option<V>;
 
 /// `f(old)`, or `None` when that is `old` again: the edit changes nothing.
