@@ -149,10 +149,10 @@ const MEMBERS: [Member; 8] = [
     member!("agents", false, 16, 3.68),  // 3.29; was 4.14 before B-tree relations, 6.63, 18.21
     member!("network", false, 8, 3.99),  // 3.62; was 4.60 before B-tree relations, 5.68, 18.44
     member!("transfers", false, 128, 2.89), // 2.62; was 2.79 before B-tree relations, 4.37, 12.10
-    member!("minsky", false, 6, 2.99),   // 2.71; was 2.91 before B-tree relations, 6.00, 23.38
-    member!("qbf", false, 5, 1.52),      // 1.38; was 1.48 before B-tree relations, 3.91, 12.54
-    member!("refute", false, 1, 2.24),   // 2.03; was 2.42 before B-tree relations, 5.70, 15.80
-    member!("protocol", true, 8, 2.78),  // 2.52; was 3.15 before B-tree relations, 5.36, 17.17
+    member!("minsky", false, 6, 2.84), // 2.58 (2.71 before runs); was 2.91 before B-tree relations, 6.00, 23.38
+    member!("qbf", false, 5, 1.52),    // 1.38; was 1.48 before B-tree relations, 3.91, 12.54
+    member!("refute", false, 1, 2.24), // 2.03; was 2.42 before B-tree relations, 5.70, 15.80
+    member!("protocol", true, 8, 2.78), // 2.52; was 3.15 before B-tree relations, 5.36, 17.17
 ];
 
 /// Round-weighted allocations per step over the eight members, each member
