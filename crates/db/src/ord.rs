@@ -355,7 +355,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
 
     /// The map holding `run`, whose keys must be strictly increasing. O(n):
     /// up to `N` entries are one run; more are dealt into full leaves — as
-    /// evenly as the count allows, so none holds fewer than [`MIN`] — and
+    /// evenly as the count allows, so none holds fewer than `N / 4` — and
     /// the leaves into inner nodes the same way, level by level.
     pub fn from_sorted(run: impl IntoIterator<Item = (K, V)>) -> OrdMap<K, V, N> {
         let entries: Vec<Entry<K, V>> = run.into_iter().map(|(k, v)| (k.code(), k, v)).collect();

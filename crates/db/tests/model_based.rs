@@ -582,8 +582,9 @@ proptest! {
     }
 }
 
-/// The sizes at which a B-tree changes shape: one short of a full node, a
-/// full node, one past it (the first split), and two full nodes and one.
+/// The sizes at which a map changes shape: one short of a full node, a
+/// full node (the largest run), one past it (the first tree), and two full
+/// nodes and one.
 const EDGES: [usize; 4] = [B - 1, B, B + 1, 2 * B + 1];
 
 /// The `k`-th key of the boundary runs: groups of three consecutive keys
