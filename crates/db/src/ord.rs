@@ -1271,6 +1271,10 @@ mod tests {
         alone.alter_mut(&7, |_| Some(7));
         assert!(matches!(alone.root, Some(Root::Tree(_))) && check(&alone) == 1);
         assert_eq!(entries(&alone), [(0, 0), (1, 10), (2, 2), (7, 7)]);
+        // A leaf and a run that hold the same entries are equal.
+        let run = OrdMap::from_sorted([(0, 0), (1, 10), (2, 2), (7, 7)]);
+        assert!(matches!(run.root, Some(Root::Run(_))) && run == alone);
+        assert_ne!(run, alone.alter(&2, |_| Some(3)));
         for k in [0, 1, 2, 7] {
             alone.alter_mut(&k, |_| None);
             check(&alone);
