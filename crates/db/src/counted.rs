@@ -12,11 +12,11 @@
 //! carrying the count as its value: snapshots are O(1) clones sharing
 //! structure, so keeping one materialized state per database version costs
 //! O(Δ log n) per version, not a copy of the whole relation, and nothing
-//! where the older version is not kept ([`CountedRelation::update`]).
+//! where the older version is not kept ([`CountedRelation::merge`]).
 //! [`CountedRelation::select`] is [`crate::Relation::select`] restricted to
 //! entries with a positive count.
 
-use crate::ord::OrdMap;
+use crate::ord::{Edit, OrdMap, Probe};
 use crate::relation;
 use crate::tuple::Tuple;
 use td_core::Value;
@@ -81,19 +81,26 @@ impl CountedRelation {
         self.count(t) > 0
     }
 
-    /// Set the count of `t` to `f(its count)` in place, in one descent
-    /// ([`OrdMap::alter_mut`]): the nodes another version shares are
-    /// copied, never edited. An entry reaching count 0 is removed. Returns
-    /// the count `t` had.
-    pub fn update(&mut self, t: &Tuple, f: impl FnOnce(i64) -> i64) -> i64 {
-        debug_assert_eq!(t.arity(), self.arity);
-        let mut was = 0;
-        self.counts.alter_mut(t, |mine| {
-            was = mine.copied().unwrap_or(0);
-            let new = f(was);
+    /// The stored tuple `probe` stands for, with its count: found without
+    /// a tuple being made ([`OrdMap::get_entry`]).
+    pub fn entry<P: Probe<Tuple>>(&self, probe: &P) -> Option<(&Tuple, i64)> {
+        self.counts.get_entry(probe).map(|(t, c)| (t, *c))
+    }
+
+    /// Apply a sorted run of count changes in place, in one walk
+    /// ([`OrdMap::merge`]): the count at each edit's tuple becomes
+    /// `f(edit, the entry there)`, and one that becomes 0 is removed. A
+    /// node another version shares is copied, never edited; a tuple is
+    /// made ([`Edit::key`]) only for an edit that inserts one.
+    pub fn merge<E: Edit<Tuple>>(
+        &mut self,
+        run: &mut [E],
+        mut f: impl FnMut(&mut E, Option<(&Tuple, i64)>) -> i64,
+    ) {
+        self.counts.merge(run, |e, old| {
+            let new = f(e, old.map(|(t, c)| (t, *c)));
             (new != 0).then_some(new)
         });
-        was
     }
 
     /// Visit, in sorted order, every member tuple (count > 0) whose leading
@@ -144,8 +151,19 @@ mod tests {
     /// `r` with `n` added to the count of `t`; `r` itself stays as it was.
     fn add(r: &CountedRelation, t: Tuple, n: i64) -> CountedRelation {
         let mut r = r.clone();
-        r.update(&t, |c| c + n);
+        bump(&mut r, t, n);
         r
+    }
+
+    /// Add `n` to the count of `t` in place, by a merge of a run of one;
+    /// returns the count it had.
+    fn bump(r: &mut CountedRelation, t: Tuple, n: i64) -> i64 {
+        let mut was = 0;
+        r.merge(&mut [(t, n)], |(_, n), old| {
+            was = old.map_or(0, |(_, c)| c);
+            was + *n
+        });
+        was
     }
 
     #[test]
@@ -164,8 +182,8 @@ mod tests {
     fn updating_in_place_spares_the_old_version() {
         let mut r = add(&CountedRelation::new(1), tuple!(1), 2);
         let kept = r.clone();
-        assert_eq!(r.update(&tuple!(1), |c| c - 2), 2);
-        assert_eq!(r.update(&tuple!(2), |c| c + 3), 0);
+        assert_eq!(bump(&mut r, tuple!(1), -2), 2);
+        assert_eq!(bump(&mut r, tuple!(2), 3), 0);
         assert_eq!(
             (r.count(&tuple!(1)), r.count(&tuple!(2)), r.len()),
             (0, 3, 1)

@@ -10,11 +10,15 @@
 //! rest; [`OrdMap::from_sorted`] builds one from a sorted run in O(n).
 //!
 //! A version nobody else holds need not be copied at all:
-//! [`OrdMap::alter_mut`] edits it in place, node by node, so a node that
-//! another version can still see is copied — the older version keeps it as
-//! it was — and a node only this version holds is written over. That is how
-//! the Datalog circuit folds a round of derived facts into the state it
-//! owns, one descent per fact.
+//! [`OrdMap::merge`] applies a sorted run of edits to it in place, in one
+//! walk, so a node that another version can still see is copied once — the
+//! older version keeps it as it was — and a node only this version holds is
+//! written over, once however many of the run's edits land in it; a node
+//! the run overfills or leaves short is dealt out or refilled on the way
+//! back up. That is how the Datalog circuit folds a round of derived facts
+//! into the state it owns: one merge per relation, not one descent per
+//! fact. The run's edits are [`Probe`]s, so a fact that is only looked up
+//! or removed is never made into a key.
 //!
 //! Each node is one allocation holding up to `N` slots ([`B`]; the unit
 //! tests name smaller numbers): a leaf's entries, or an inner node's
@@ -75,6 +79,55 @@ impl Key for Pred {
 impl Key for u64 {
     fn code(&self) -> u64 {
         *self
+    }
+}
+
+/// Something the keys of a map compare with: a key itself, or a borrowed
+/// form of one (a tuple's values where they already lie, say) that is made
+/// into a key only where it is stored.
+pub trait Probe<K> {
+    /// The code the probe's key has ([`Key::code`]).
+    fn probe_code(&self) -> u64;
+    /// How `key` orders against the probe.
+    fn order(&self, key: &K) -> Ordering;
+}
+
+impl<K: Key> Probe<K> for K {
+    #[inline]
+    fn probe_code(&self) -> u64 {
+        self.code()
+    }
+
+    #[inline]
+    fn order(&self, key: &K) -> Ordering {
+        key.cmp(self)
+    }
+}
+
+/// One edit of a run [`OrdMap::merge`] applies: where it is, as a probe,
+/// and the key it stores if it inserts.
+pub trait Edit<K>: Probe<K> {
+    /// The key to store; asked for only when the edit inserts.
+    fn key(&mut self) -> K;
+}
+
+/// A key and what to do there: the edit of a caller that holds its keys
+/// already.
+impl<K: Key, X> Probe<K> for (K, X) {
+    #[inline]
+    fn probe_code(&self) -> u64 {
+        self.0.code()
+    }
+
+    #[inline]
+    fn order(&self, key: &K) -> Ordering {
+        key.cmp(&self.0)
+    }
+}
+
+impl<K: Key, X> Edit<K> for (K, X) {
+    fn key(&mut self) -> K {
+        self.0.clone()
     }
 }
 
@@ -200,7 +253,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     }
 
     /// [`OrdMap::alter`], compiled once per map type.
-    fn altered(&self, key: &K, f: Edit<'_, V>) -> OrdMap<K, V, N> {
+    fn altered(&self, key: &K, f: Change<'_, V>) -> OrdMap<K, V, N> {
         let code = key.code();
         let root = match &self.root {
             Some(Root::Tree(root)) => root,
@@ -212,9 +265,10 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
                 };
             }
             None => {
-                let mut next = OrdMap::new();
-                next.edit_in_place(key, f);
-                return next;
+                return match f(None) {
+                    Some(value) => OrdMap::of_run(vec![(code, key.clone(), value)]),
+                    None => OrdMap::new(),
+                };
             }
         };
         let (mut had, mut has) = (false, false);
@@ -234,65 +288,103 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
         next
     }
 
-    /// [`OrdMap::alter`] on this version itself, in one descent: the nodes
-    /// on the path to `key` that this version alone holds are edited where
-    /// they are. From the first node another version shares, the edit is
-    /// [`OrdMap::alter`]'s, which copies the rest of the path if the entry
-    /// changes and nothing if it does not. A run is the one node of its
-    /// map: one that is shared is copied, and one this version alone holds
-    /// is overwritten in place or, to grow or shrink, becomes a leaf.
-    pub fn alter_mut(&mut self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) {
-        let mut f = Some(f);
-        self.edit_in_place(key, &mut |old| f.take().expect("an edit decides once")(old));
+    /// The entry under `probe`'s key, found without a key being made.
+    pub fn get_entry<P: Probe<K> + ?Sized>(&self, probe: &P) -> Option<(&K, &V)> {
+        let code = probe.probe_code();
+        let order = |k: &K| probe.order(k);
+        let mut n = match self.root.as_ref()? {
+            Root::Run(run) => {
+                let i = run_seek(run, code, order).ok()?;
+                return Some((&run[i].1, &run[i].2));
+            }
+            Root::Tree(root) => &**root,
+        };
+        loop {
+            match &n.body {
+                Body::Leaf(vals) => {
+                    let i = n.seek(0, code, order).ok()?;
+                    return Some((some(&n.keys[i]), some(&vals[i])));
+                }
+                Body::Inner(kids) => n = child(&kids[n.route_by(code, order)]),
+            }
+        }
     }
 
-    /// [`OrdMap::alter_mut`], compiled once per map type.
-    fn edit_in_place(&mut self, key: &K, f: Edit<'_, V>) {
-        let code = key.code();
+    /// Apply a run of edits to this version itself, in one walk: the keys
+    /// of `run` strictly increasing, the entry at each edit's key becomes
+    /// `f(edit, the entry there)`, `None` standing for "no entry" on both
+    /// sides as in [`OrdMap::alter`]. `f` is called once per edit, in
+    /// order, and an edit's [`Edit::key`] is asked for only if it inserts.
+    ///
+    /// A node this version alone holds is written over, once however many
+    /// edits land in it. A node another version shares is copied, once,
+    /// when the first edit below it changes something, so that version
+    /// keeps what it held, and a run that changes nothing copies nothing.
+    /// A node the run overfills is dealt into as many as it takes, and one
+    /// it leaves short is refilled from a neighbour, node by node on the
+    /// way back up. A run (a map of at most `N` entries) is merged into a
+    /// new one, or into a tree if it outgrows `N`.
+    pub fn merge<E: Edit<K>>(
+        &mut self,
+        run: &mut [E],
+        mut f: impl FnMut(&mut E, Option<(&K, &V)>) -> Option<V>,
+    ) {
+        debug_assert!(
+            run.windows(2)
+                .all(|w| w[0].probe_code() <= w[1].probe_code()),
+            "run not sorted"
+        );
+        self.merged(run, &mut f);
+    }
+
+    /// [`OrdMap::merge`], compiled once per map and edit type.
+    fn merged<E: Edit<K>>(&mut self, run: &mut [E], f: Step<'_, K, V, E>) {
+        if run.is_empty() {
+            return;
+        }
         let root = match &mut self.root {
             Some(Root::Tree(root)) => root,
-            Some(Root::Run(run)) => {
-                let at = run_find(run, key, code);
-                let Some(value) = decide(at.ok().map(|i| &run[i].2), f) else {
-                    return;
+            root => {
+                let old: &[Entry<K, V>] = match root {
+                    Some(Root::Run(entries)) => entries,
+                    _ => &[],
                 };
-                let Some(entries) = Arc::get_mut(run) else {
-                    *self = OrdMap::run_edited(run, at, code, key, value);
-                    return;
-                };
-                // A leaf has room to be edited in place from now on.
-                let value = match (at, value) {
-                    (Ok(i), Some(value)) => return entries[i].2 = value,
-                    (_, value) => value,
-                };
-                let mut leaf = Node::empty(true);
-                for (i, (code, key, value)) in entries.iter().enumerate() {
-                    leaf.put(i, *code, Some(key.clone()), Slot::Val(value.clone()));
-                }
-                self.len = self.len + usize::from(value.is_some()) - usize::from(at.is_ok());
-                let up = leaf.edit_leaf(at, key, code, value);
-                self.root = Some(Root::Tree(Arc::new(leaf)));
-                self.settle(up);
-                return;
-            }
-            None => {
-                if let Some(value) = f(None) {
-                    self.root = Some(Root::Run(Arc::new([(code, key.clone(), value)])));
-                    self.len = 1;
+                let mut changed = false;
+                let entries = merge_entries(old.iter().cloned(), run, f, &mut changed);
+                if changed {
+                    *self = OrdMap::of_run(entries);
                 }
                 return;
             }
         };
-        let (mut had, mut has) = (false, false);
-        let f = &mut |old: Option<&V>| {
-            let new = f(old);
-            (had, has) = (old.is_some(), new.is_some());
-            new
+        let mut grown = 0;
+        let Some(mut sibs) = merge_node(root, run, f, &mut grown) else {
+            return;
         };
-        if let Some(up) = alter_mut_node(root, key, code, f) {
-            self.settle(up);
+        self.len = self.len.checked_add_signed(grown).expect("a length");
+        // A root the run overfilled goes under a new one, as often as it
+        // takes; a root left with one child gives way to it.
+        while !sibs.is_empty() {
+            let Some(Root::Tree(old)) = self.root.take() else {
+                unreachable!("a merge overfilled the root of a tree")
+            };
+            let mut top = Node::empty(false);
+            let slots = std::iter::once((0, None, Slot::Kid(old)));
+            let slots = slots.chain(sibs.into_iter().map(|(c, k, n)| (c, Some(k), Slot::Kid(n))));
+            sibs = top.deal(slots.collect());
+            self.root = Some(Root::Tree(Arc::new(top)));
         }
-        self.len = self.len + usize::from(has) - usize::from(had);
+        loop {
+            match &self.root {
+                Some(Root::Tree(root)) if root.len == 0 => self.root = None,
+                Some(Root::Tree(root)) if root.len == 1 && !root.is_leaf() => {
+                    self.root = Some(Root::Tree(root.kid_arc(0).clone()));
+                    continue;
+                }
+                _ => {}
+            }
+            return;
+        }
     }
 
     /// The map holding `run` with the entry at `at` (a [`run_find`] of
@@ -363,6 +455,11 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
             entries.windows(2).all(|w| w[0].1 < w[1].1),
             "run not sorted"
         );
+        OrdMap::of_run(entries)
+    }
+
+    /// The map holding `entries`, which are sorted: a run, or a tree.
+    fn of_run(entries: Vec<Entry<K, V>>) -> OrdMap<K, V, N> {
         match entries.len() {
             0 => OrdMap::new(),
             len if len <= N => OrdMap {
@@ -457,6 +554,70 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
 /// Content equality. Versions that share their root are equal without a
 /// walk; otherwise, sizes being equal, every entry of one is looked up in
 /// the other (tree shape is not consulted).
+impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
+    /// Panics unless the map keeps its invariants: a run holds at most `N`
+    /// entries; in a tree, node by node, keys and codes are sorted and in
+    /// step, every leaf but the root holds between `N / 4` and `N` slots,
+    /// every inner node two children at least and, below the root,
+    /// `N / 4`, every leaf is at one depth and every separator lies between
+    /// the keys it separates; `len` is the number of entries. Returns the
+    /// height (a run's is 1). For the tests of this crate.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) -> usize {
+        /// The node's keys from least to greatest, and its height.
+        fn walk<K: Key, V, const N: usize>(
+            n: &Node<K, V, N>,
+            root: bool,
+            keys: &mut Vec<K>,
+        ) -> usize {
+            assert!(n.len <= N && (root || n.len >= N / 4), "{} slots", n.len);
+            assert!(n.codes[n.len..].iter().all(|&c| c == u64::MAX));
+            assert!(n.keys[n.len..].iter().all(Option::is_none));
+            match &n.body {
+                Body::Leaf(vals) => {
+                    for ((&code, key), v) in n.codes.iter().zip(&n.keys).zip(vals).take(n.len) {
+                        assert_eq!(code, some(key).code());
+                        assert!(v.is_some());
+                        keys.push(some(key).clone());
+                    }
+                    1
+                }
+                Body::Inner(kids) => {
+                    assert!(n.len >= 2 && n.keys[0].is_none() && n.codes[0] == 0);
+                    let mut heights = Vec::new();
+                    for (i, kid) in kids.iter().enumerate().take(n.len) {
+                        let from = keys.len();
+                        heights.push(walk(child(kid), false, keys));
+                        if i > 0 {
+                            let sep = some(&n.keys[i]);
+                            assert_eq!(n.codes[i], sep.code());
+                            assert!(keys[from] >= *sep && keys[from - 1] < *sep);
+                        }
+                    }
+                    assert!(heights.windows(2).all(|h| h[0] == h[1]));
+                    heights[0] + 1
+                }
+            }
+        }
+        let mut keys = Vec::new();
+        let height = match &self.root {
+            Some(Root::Run(run)) => {
+                assert!(!run.is_empty() && run.len() <= N, "a run of {}", run.len());
+                for (code, key, _) in run.iter() {
+                    assert_eq!(*code, key.code());
+                    keys.push(key.clone());
+                }
+                1
+            }
+            Some(Root::Tree(root)) => walk(root, true, &mut keys),
+            None => 0,
+        };
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(keys.len(), self.len);
+        height
+    }
+}
+
 impl<K: Key, V: Clone + PartialEq, const N: usize> PartialEq for OrdMap<K, V, N> {
     fn eq(&self, other: &OrdMap<K, V, N>) -> bool {
         if self.len != other.len {
@@ -481,12 +642,23 @@ impl<K: Key, V: Clone + Eq, const N: usize> Eq for OrdMap<K, V, N> {}
 /// compared only where their codes tie with `code`.
 #[inline]
 fn run_find<K: Ord, V>(run: &[Entry<K, V>], key: &K, code: u64) -> Result<usize, usize> {
+    run_seek(run, code, |k| k.cmp(key))
+}
+
+/// [`run_find`] of the key `order` places: `order(k)` says how `k` orders
+/// against it, and is asked only about keys whose codes tie with `code`.
+#[inline]
+fn run_seek<K, V>(
+    run: &[Entry<K, V>],
+    code: u64,
+    order: impl Fn(&K) -> Ordering,
+) -> Result<usize, usize> {
     let mut i = 0;
     while i < run.len() && run[i].0 < code {
         i += 1;
     }
     while i < run.len() && run[i].0 == code {
-        match run[i].1.cmp(key) {
+        match order(&run[i].1) {
             Ordering::Less => i += 1,
             Ordering::Equal => return Ok(i),
             Ordering::Greater => break,
@@ -508,9 +680,13 @@ fn child<K, V, const N: usize>(slot: &Option<Arc<Node<K, V, N>>>) -> &Node<K, V,
 }
 
 /// What an edit of one entry makes of it, called once, where the entry is:
-/// one type for every closure [`OrdMap::alter`] and [`OrdMap::alter_mut`]
-/// are given, so that their work is compiled once per map type.
-type Edit<'a, V> = &'a mut dyn FnMut(Option<&V>) -> Option<V>;
+/// one type for every closure [`OrdMap::alter`] is given, so that its work
+/// is compiled once per map type.
+type Change<'a, V> = &'a mut dyn FnMut(Option<&V>) -> Option<V>;
+
+/// What [`OrdMap::merge`] makes of the entry at each edit of its run: one
+/// type for every closure it is given.
+type Step<'a, K, V, E> = &'a mut dyn FnMut(&mut E, Option<(&K, &V)>) -> Option<V>;
 
 /// `f(old)`, or `None` when that is `old` again: the edit changes nothing.
 fn decide<V: PartialEq>(
@@ -519,30 +695,6 @@ fn decide<V: PartialEq>(
 ) -> Option<Option<V>> {
     let new = f(old);
     (new.as_ref() != old).then_some(new)
-}
-
-/// [`OrdMap::alter_mut`] below `link`: in place while this version alone
-/// holds the node, [`alter_node`]'s copy from the first one it shares.
-/// `None` when the entry was left as it was.
-fn alter_mut_node<K: Key, V: Clone + PartialEq, const N: usize>(
-    link: &mut Arc<Node<K, V, N>>,
-    key: &K,
-    code: u64,
-    f: Edit<'_, V>,
-) -> Option<Up<K, V, N>> {
-    let Some(n) = Arc::get_mut(link) else {
-        let (copy, up) = alter_node(link, key, code, f)?;
-        *link = copy;
-        return Some(up);
-    };
-    if n.is_leaf() {
-        let at = n.find(key, code);
-        let value = decide(at.ok().map(|i| n.val(i)), f)?;
-        return Some(n.edit_leaf(at, key, code, value));
-    }
-    let i = n.route(key, code);
-    let up = alter_mut_node(n.kid_mut(i), key, code, f)?;
-    Some(n.absorb(i, up))
 }
 
 /// A node's copy, edited, and what the edit leaves its parent to do.
@@ -554,7 +706,7 @@ fn alter_node<K: Key, V: Clone + PartialEq, const N: usize>(
     n: &Node<K, V, N>,
     key: &K,
     code: u64,
-    f: Edit<'_, V>,
+    f: Change<'_, V>,
 ) -> Option<Replaced<K, V, N>> {
     if n.is_leaf() {
         let at = n.find(key, code);
@@ -568,6 +720,196 @@ fn alter_node<K: Key, V: Clone + PartialEq, const N: usize>(
     let mut copy = n.copy_but_kid(i, kid);
     let up = copy.absorb(i, up);
     Some((Arc::new(copy), up))
+}
+
+/// A node a merge made, with the key that separates it from the node
+/// before it and that key's code: what its parent puts right of the node
+/// the merge overfilled.
+type Sib<K, V, const N: usize> = (u64, K, Arc<Node<K, V, N>>);
+
+/// What a merge below a node leaves its parent to do: `None` when nothing
+/// changed; else the nodes that go right of it, none unless it overfilled.
+/// A node the merge left short ([`Node::is_short`]) is the parent's to see.
+type Merged<K, V, const N: usize> = Option<Vec<Sib<K, V, N>>>;
+
+/// A slot of a node, taken out of it ([`Node::take_slots`]): code, key (an
+/// inner node's slot 0 has none) and content.
+type Taken<K, V, const N: usize> = (u64, Option<K>, Slot<K, V, N>);
+
+/// Is the edit below the key `code`, `key`?
+#[inline]
+fn below<K, E: Probe<K>>(e: &E, code: u64, key: &K) -> bool {
+    let at = e.probe_code();
+    at < code || (at == code && e.order(key).is_gt())
+}
+
+/// The sorted `old` entries with the sorted `run` merged in, as
+/// [`OrdMap::merge`] does it; `changed` is set if an edit changed anything.
+fn merge_entries<K: Key, V: Clone + PartialEq, E: Edit<K>>(
+    old: impl Iterator<Item = Entry<K, V>>,
+    run: &mut [E],
+    f: Step<'_, K, V, E>,
+    changed: &mut bool,
+) -> Vec<Entry<K, V>> {
+    let mut old = old.peekable();
+    let mut out = Vec::with_capacity(old.size_hint().0 + run.len());
+    for e in run {
+        while let Some(entry) = old.next_if(|(code, k, _)| below_key(*code, k, e)) {
+            out.push(entry);
+        }
+        let code = e.probe_code();
+        let here = old.next_if(|(c, k, _)| *c == code && e.order(k).is_eq());
+        let new = f(e, here.as_ref().map(|(_, k, v)| (k, v)));
+        *changed |= new.as_ref() != here.as_ref().map(|(_, _, v)| v);
+        match (here, new) {
+            (Some((code, key, _)), Some(value)) => out.push((code, key, value)),
+            (None, Some(value)) => out.push((code, e.key(), value)),
+            (_, None) => {}
+        }
+    }
+    out.extend(old);
+    out
+}
+
+/// Is the key `code`, `key` below the edit?
+#[inline]
+fn below_key<K, E: Probe<K>>(code: u64, key: &K, e: &E) -> bool {
+    let at = e.probe_code();
+    code < at || (code == at && e.order(key).is_lt())
+}
+
+/// [`OrdMap::merge`] below `link`; `grown` counts the entries it adds, less
+/// those it removes.
+fn merge_node<K: Key, V: Clone + PartialEq, E: Edit<K>, const N: usize>(
+    link: &mut Arc<Node<K, V, N>>,
+    run: &mut [E],
+    f: Step<'_, K, V, E>,
+    grown: &mut isize,
+) -> Merged<K, V, N> {
+    match link.is_leaf() {
+        true => merge_leaf(link, run, f, grown),
+        false => merge_inner(link, run, f, grown),
+    }
+}
+
+/// A leaf's part of a merge: read until the first edit that changes
+/// something, then, on the leaf itself or on its one copy, each edit where
+/// it lands, from where the one before it landed. An insert into a full
+/// leaf merges the rest of the run into its entries and deals them out.
+fn merge_leaf<K: Key, V: Clone + PartialEq, E: Edit<K>, const N: usize>(
+    link: &mut Arc<Node<K, V, N>>,
+    run: &mut [E],
+    f: Step<'_, K, V, E>,
+    grown: &mut isize,
+) -> Merged<K, V, N> {
+    let mut at = 0;
+    let (mut k, mut found, mut new) = next_change(link, run, 0, &mut at, f)?;
+    let n = Arc::make_mut(link);
+    loop {
+        match (found, new) {
+            (Ok(i), Some(value)) => {
+                n.set_val(i, value);
+                at = i + 1;
+            }
+            (Ok(i), None) => {
+                n.remove(i);
+                *grown -= 1;
+                at = i;
+            }
+            (Err(i), Some(value)) if n.len < N => {
+                let key = run[k].key();
+                n.put(i, run[k].probe_code(), Some(key), Slot::Val(value));
+                *grown += 1;
+                at = i + 1;
+            }
+            (Err(i), Some(value)) => {
+                let (code, key) = (run[k].probe_code(), run[k].key());
+                return Some(n.overfill(i, (code, key, value), &mut run[k + 1..], f, grown));
+            }
+            (Err(_), None) => unreachable!("an edit that changes nothing"),
+        }
+        let Some(change) = next_change(n, run, k + 1, &mut at, f) else {
+            return Some(Vec::new());
+        };
+        (k, found, new) = change;
+    }
+}
+
+/// The first edit of `run` from `k` on that changes something in the leaf
+/// `n` — its index, where it lands and what it makes of the entry there —
+/// looking for each from `at`, where the one before it landed.
+fn next_change<K: Key, V: Clone + PartialEq, E: Edit<K>, const N: usize>(
+    n: &Node<K, V, N>,
+    run: &mut [E],
+    k: usize,
+    at: &mut usize,
+    f: Step<'_, K, V, E>,
+) -> Option<(usize, Result<usize, usize>, Option<V>)> {
+    for (j, e) in run.iter_mut().enumerate().skip(k) {
+        let found = n.seek(*at, e.probe_code(), |key| e.order(key));
+        let old = found.ok().map(|i| (some(&n.keys[i]), n.val(i)));
+        let new = f(e, old);
+        if new.as_ref() != old.map(|(_, v)| v) {
+            return Some((j, found, new));
+        }
+        *at = found.map_or_else(|i| i, |i| i + 1);
+    }
+    None
+}
+
+/// An inner node's part of a merge: each child with the part of the run
+/// below the next separator, in place while this version alone holds the
+/// node, and on a copy made when a child below first changes otherwise.
+/// Children that overfilled or were left short are settled here, all at
+/// once, after the last.
+fn merge_inner<K: Key, V: Clone + PartialEq, E: Edit<K>, const N: usize>(
+    link: &mut Arc<Node<K, V, N>>,
+    run: &mut [E],
+    f: Step<'_, K, V, E>,
+    grown: &mut isize,
+) -> Merged<K, V, N> {
+    let mut sibs: Vec<(usize, Vec<Sib<K, V, N>>)> = Vec::new();
+    let (mut changed, mut short) = (false, false);
+    let mut k = 0;
+    while k < run.len() {
+        let n = &**link;
+        let i = n.route_by(run[k].probe_code(), |key| run[k].order(key));
+        let end = match i + 1 < n.len {
+            true => {
+                let (code, sep) = (n.codes[i + 1], some(&n.keys[i + 1]));
+                k + run[k..].partition_point(|e| below(e, code, sep))
+            }
+            false => run.len(),
+        };
+        let part = &mut run[k..end];
+        let merged = match Arc::get_mut(link) {
+            Some(n) => merge_node(n.kid_mut(i), part, f, grown),
+            None => {
+                let mut kid = link.kid_arc(i).clone();
+                let merged = merge_node(&mut kid, part, f, grown);
+                if merged.is_some() {
+                    *Arc::make_mut(link).kid_mut(i) = kid;
+                }
+                merged
+            }
+        };
+        if let Some(new) = merged {
+            changed = true;
+            short |= link.kid(i).is_short();
+            if !new.is_empty() {
+                sibs.push((i, new));
+            }
+        }
+        k = end;
+    }
+    if !changed {
+        return None;
+    }
+    if sibs.is_empty() && !short {
+        return Some(Vec::new());
+    }
+    let n = Arc::get_mut(link).expect("a node that changed is this version's own");
+    Some(n.rebuild(sibs))
 }
 
 fn in_order<K, V, const N: usize>(n: &Node<K, V, N>, f: &mut impl FnMut(&K, &V)) {
@@ -717,6 +1059,20 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
         }
     }
 
+    fn kid_arc(&self, i: usize) -> &Arc<Node<K, V, N>> {
+        match &self.body {
+            Body::Inner(kids) => some(&kids[i]),
+            Body::Leaf(_) => unreachable!("an inner node's child"),
+        }
+    }
+
+    fn set_val(&mut self, i: usize, value: V) {
+        match &mut self.body {
+            Body::Leaf(vals) => vals[i] = Some(value),
+            Body::Inner(_) => unreachable!("a leaf's value"),
+        }
+    }
+
     fn kid_mut(&mut self, i: usize) -> &mut Arc<Node<K, V, N>> {
         match &mut self.body {
             Body::Inner(kids) => kids[i].as_mut().expect("a slot in use"),
@@ -730,9 +1086,19 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
     /// compared.
     #[inline]
     fn find(&self, key: &K, code: u64) -> Result<usize, usize> {
-        let mut i = self.below(code);
+        self.seek(usize::from(!self.is_leaf()), code, |k| k.cmp(key))
+    }
+
+    /// [`Node::find`] from slot `from` on, of the key `order` places:
+    /// `order(k)` says how `k` orders against it.
+    #[inline]
+    fn seek(&self, from: usize, code: u64, order: impl Fn(&K) -> Ordering) -> Result<usize, usize> {
+        let mut i = from;
+        while i < self.len && self.codes[i] < code {
+            i += 1;
+        }
         while i < self.len && self.codes[i] == code {
-            match some(&self.keys[i]).cmp(key) {
+            match order(some(&self.keys[i])) {
                 Ordering::Less => i += 1,
                 Ordering::Equal => return Ok(i),
                 Ordering::Greater => break,
@@ -744,10 +1110,22 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
     /// The child of an inner node that holds `key` if anything does.
     #[inline]
     fn route(&self, key: &K, code: u64) -> usize {
-        match self.find(key, code) {
+        self.route_by(code, |k| k.cmp(key))
+    }
+
+    /// [`Node::route`] of the key `order` places.
+    #[inline]
+    fn route_by(&self, code: u64, order: impl Fn(&K) -> Ordering) -> usize {
+        match self.seek(1, code, order) {
             Ok(i) => i,
             Err(i) => i - 1,
         }
+    }
+
+    /// Fewer slots than a node other than the root may hold: [`MIN`], and
+    /// for an inner node two.
+    fn is_short(&self) -> bool {
+        matches!(self.up(), Up::Under)
     }
 
     /// [`Up::Under`] below `MIN` slots, and for an inner node below two
@@ -774,10 +1152,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
     ) -> Up<K, V, N> {
         match (at, value) {
             (Ok(i), Some(value)) => {
-                let Body::Leaf(vals) = &mut self.body else {
-                    unreachable!("a leaf's value")
-                };
-                vals[i] = Some(value);
+                self.set_val(i, value);
                 Up::Fine
             }
             (Ok(i), None) => {
@@ -836,23 +1211,108 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
         let (lo, hi) = kids.split_at_mut(r);
         let left = Arc::make_mut(lo[r - 1].as_mut().expect("a slot in use"));
         let right = Arc::make_mut(hi[0].as_mut().expect("a slot in use"));
-        right.take_separator(self.codes[r], some(&self.keys[r]));
-        if left.len + right.len <= N {
-            left.append(right);
-            self.remove(r);
+        match even_out(left, right, self.codes[r], some(&self.keys[r])) {
+            None => self.remove(r),
+            Some((code, key)) => (self.codes[r], self.keys[r]) = (code, Some(key)),
+        }
+    }
+
+    /// The slots a merge left this inner node with, once the nodes the
+    /// merge made are in after the children they came out of (`sibs`, by
+    /// child) and every short child is refilled: dealt into this node and
+    /// as many more as they need, which are returned.
+    fn rebuild(&mut self, sibs: Vec<(usize, Vec<Sib<K, V, N>>)>) -> Vec<Sib<K, V, N>> {
+        let mut sibs = sibs.into_iter().peekable();
+        let mut slots = Vec::with_capacity(self.len + N);
+        for (i, slot) in self.take_slots().into_iter().enumerate() {
+            slots.push(slot);
+            if let Some((_, new)) = sibs.next_if(|(at, _)| *at == i) {
+                slots.extend(new.into_iter().map(|(c, k, n)| (c, Some(k), Slot::Kid(n))));
+            }
+        }
+        even_short(&mut slots);
+        self.deal(slots)
+    }
+
+    /// Even out every short child of this inner node with a neighbour. A
+    /// merge can leave a node with one child that is short, and so with no
+    /// neighbour to even it out with, until its parent makes it one with a
+    /// neighbour of its own: then the child has neighbours.
+    fn settle_kids(&mut self) {
+        if self.is_leaf() || !(0..self.len).any(|i| self.kid(i).is_short()) {
             return;
         }
-        if left.len > right.len {
-            let mut moved = left.split_off(left.len - (left.len - right.len) / 2);
-            moved.append(right);
-            *right = moved;
-        } else {
-            let rest = right.split_off((right.len - left.len) / 2);
-            left.append(right);
-            *right = rest;
+        let mut slots = self.take_slots();
+        even_short(&mut slots);
+        let more = self.deal(slots);
+        debug_assert!(more.is_empty(), "evening out adds no slots");
+    }
+
+    /// A merge's insert at slot `i` of this full leaf, `entry`, and the
+    /// rest of the run after it: the leaf's entries with all of it merged
+    /// in, dealt out ([`Node::deal`]).
+    fn overfill<E: Edit<K>>(
+        &mut self,
+        i: usize,
+        entry: Entry<K, V>,
+        rest: &mut [E],
+        f: Step<'_, K, V, E>,
+        grown: &mut isize,
+    ) -> Vec<Sib<K, V, N>> {
+        let mut entries: Vec<Entry<K, V>> = (self.take_slots().into_iter())
+            .map(|(code, key, slot)| match (key, slot) {
+                (Some(key), Slot::Val(v)) => (code, key, v),
+                _ => unreachable!("a leaf's entry"),
+            })
+            .collect();
+        entries.insert(i, entry);
+        let before = entries.len();
+        let entries = merge_entries(entries.into_iter(), rest, f, &mut false);
+        *grown += 1 + entries.len() as isize - before as isize;
+        let slots = entries
+            .into_iter()
+            .map(|(c, k, v)| (c, Some(k), Slot::Val(v)));
+        self.deal(slots.collect())
+    }
+
+    /// Every slot, taken out: the node is left empty.
+    fn take_slots(&mut self) -> Vec<Taken<K, V, N>> {
+        let len = std::mem::take(&mut self.len);
+        let codes = std::mem::replace(&mut self.codes, [u64::MAX; N]);
+        let keys = self.keys[..len].iter_mut().map(Option::take);
+        let taken = codes.into_iter().zip(keys);
+        match &mut self.body {
+            Body::Leaf(vals) => (taken.zip(&mut vals[..len]))
+                .map(|((c, k), v)| (c, k, Slot::Val(v.take().expect("a slot in use"))))
+                .collect(),
+            Body::Inner(kids) => (taken.zip(&mut kids[..len]))
+                .map(|((c, k), n)| (c, k, Slot::Kid(n.take().expect("a slot in use"))))
+                .collect(),
         }
-        let (code, key) = right.separator();
-        (self.codes[r], self.keys[r]) = (code, Some(key));
+    }
+
+    /// Put `slots` into this node, which is empty, and as many more of its
+    /// kind as they need, evenly — so none holds fewer than `N / 2` if they
+    /// need two or more — and return the others. Slot 0 is this node's
+    /// own: an inner node's has no key.
+    fn deal(&mut self, slots: Vec<Taken<K, V, N>>) -> Vec<Sib<K, V, N>> {
+        let (count, nodes) = (slots.len(), slots.len().div_ceil(N).max(1));
+        let mut slots = slots.into_iter();
+        let mut fill = |n: &mut Node<K, V, N>, size: usize| {
+            for (j, (code, key, slot)) in slots.by_ref().take(size).enumerate() {
+                n.put(j, code, key, slot);
+            }
+        };
+        let size = |i: usize| count / nodes + usize::from(i < count % nodes);
+        fill(self, size(0));
+        (1..nodes)
+            .map(|i| {
+                let mut n = Node::empty(self.is_leaf());
+                fill(&mut n, size(i));
+                let (code, key) = n.separator();
+                (code, key, Arc::new(n))
+            })
+            .collect()
     }
 
     /// The key a parent keeps in front of this node, with its code: a
@@ -936,6 +1396,74 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
     }
 }
 
+/// Bring two neighbours, one of them short, back to at least `MIN` slots
+/// each: `right` becomes part of `left` if the two fit in a node (`None`),
+/// else they share their slots evenly, and the key that separates them now
+/// is returned with its code. `code` and `key` separate them before.
+fn even_out<K: Key, V: Clone + PartialEq, const N: usize>(
+    left: &mut Node<K, V, N>,
+    right: &mut Node<K, V, N>,
+    code: u64,
+    key: &K,
+) -> Option<(u64, K)> {
+    right.take_separator(code, key);
+    if left.len + right.len <= N {
+        left.append(right);
+        return None;
+    }
+    if left.len > right.len {
+        let mut moved = left.split_off(left.len - (left.len - right.len) / 2);
+        moved.append(right);
+        *right = moved;
+    } else {
+        let rest = right.split_off((right.len - left.len) / 2);
+        left.append(right);
+        *right = rest;
+    }
+    Some(right.separator())
+}
+
+/// Even out every short child among the slots of an inner node with a
+/// neighbour ([`even_out`]), until none is short or one is left; each
+/// node that evening out makes has its own children evened out too
+/// ([`Node::settle_kids`]).
+fn even_short<K: Key, V: Clone + PartialEq, const N: usize>(slots: &mut Vec<Taken<K, V, N>>) {
+    let short = |slot: &Taken<K, V, N>| match &slot.2 {
+        Slot::Kid(n) => n.is_short(),
+        Slot::Val(_) => unreachable!("an inner node's child"),
+    };
+    let mut i = 0;
+    while i < slots.len() && slots.len() > 1 {
+        if !short(&slots[i]) {
+            i += 1;
+            continue;
+        }
+        let r = if i + 1 < slots.len() { i + 1 } else { i };
+        let (lo, hi) = slots.split_at_mut(r);
+        let (Slot::Kid(left), (code, key, Slot::Kid(right))) = (&mut lo[r - 1].2, &mut hi[0])
+        else {
+            unreachable!("an inner node's children")
+        };
+        let (left, right) = (Arc::make_mut(left), Arc::make_mut(right));
+        match even_out(left, right, *code, key.as_ref().expect("a separator")) {
+            // One node now, which may still be short.
+            None => {
+                left.settle_kids();
+                slots.remove(r);
+                i = r - 1;
+            }
+            // Two, either of which may be short again once its own
+            // children are evened out.
+            Some((c, k)) => {
+                left.settle_kids();
+                right.settle_kids();
+                (*code, *key) = (c, Some(k));
+                i = r - 1;
+            }
+        }
+    }
+}
+
 /// Put `x` at `i` of the first `len + 1` slots, shifting the rest right.
 fn shift_in<T, const N: usize>(slots: &mut [Option<T>; N], len: usize, i: usize, x: Option<T>) {
     slots[i..=len].rotate_right(1);
@@ -993,60 +1521,17 @@ mod tests {
         matches!((nodes(a).first(), nodes(b).first()), (Some(x), Some(y)) if x == y)
     }
 
-    /// The map's invariants: a run holds at most `N` entries; in a tree,
-    /// node by node, keys and codes are sorted and in step, every leaf but
-    /// the root holds between `MIN` and `N` slots, every inner node two
-    /// children at least and, below the root, `MIN`, every leaf is at one
-    /// depth and every separator between the keys it separates. `len` is
-    /// the number of entries. Returns the height (a run's is 1).
+    /// The map's invariants ([`OrdMap::check_invariants`]); the height.
     fn check<V: Clone + PartialEq, const N: usize>(m: &OrdMap<u64, V, N>) -> usize {
-        /// The node's keys from least to greatest, and its height.
-        fn walk<V, const N: usize>(n: &Node<u64, V, N>, root: bool, keys: &mut Vec<u64>) -> usize {
-            assert!(n.len <= N && (root || n.len >= N / 4), "{} slots", n.len);
-            assert!(n.codes[n.len..].iter().all(|&c| c == u64::MAX));
-            assert!(n.keys[n.len..].iter().all(Option::is_none));
-            match &n.body {
-                Body::Leaf(vals) => {
-                    for ((&code, key), v) in n.codes.iter().zip(&n.keys).zip(vals).take(n.len) {
-                        assert_eq!(code, *some(key));
-                        assert!(v.is_some());
-                        keys.push(code);
-                    }
-                    1
-                }
-                Body::Inner(kids) => {
-                    assert!(n.len >= 2 && n.keys[0].is_none() && n.codes[0] == 0);
-                    let mut heights = Vec::new();
-                    for (i, kid) in kids.iter().enumerate().take(n.len) {
-                        let from = keys.len();
-                        heights.push(walk(child(kid), false, keys));
-                        if i > 0 {
-                            let sep = *some(&n.keys[i]);
-                            assert_eq!(n.codes[i], sep);
-                            assert!(keys[from] >= sep && keys[from - 1] < sep);
-                        }
-                    }
-                    assert!(heights.windows(2).all(|h| h[0] == h[1]));
-                    heights[0] + 1
-                }
-            }
-        }
-        let mut keys = Vec::new();
-        let height = match &m.root {
-            Some(Root::Run(run)) => {
-                assert!(!run.is_empty() && run.len() <= N, "a run of {}", run.len());
-                for (code, key, _) in run.iter() {
-                    assert_eq!(code, key);
-                    keys.push(*key);
-                }
-                1
-            }
-            Some(Root::Tree(root)) => walk(root, true, &mut keys),
-            None => 0,
-        };
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(keys.len(), m.len());
-        height
+        m.check_invariants()
+    }
+
+    /// `m` with `run` merged in: each key set to its value, or removed.
+    fn merge<V: Clone + PartialEq, const N: usize>(
+        m: &mut OrdMap<u64, V, N>,
+        run: &[(u64, Option<V>)],
+    ) {
+        m.merge(&mut run.to_vec(), |(_, v), _| v.clone());
     }
 
     #[test]
@@ -1070,9 +1555,9 @@ mod tests {
         let m = set_of(0..100);
         let in_place = |keys: &[u64], keep: bool| {
             let mut same = m.clone();
-            for k in keys {
-                same.alter_mut(k, |_| keep.then_some(()));
-            }
+            let run: Vec<(u64, Option<()>)> =
+                keys.iter().map(|k| (*k, keep.then_some(()))).collect();
+            merge(&mut same, &run);
             same
         };
         for same in [
@@ -1109,9 +1594,10 @@ mod tests {
         // Ten keys past the end, in place on a version `m` still shares:
         // the right spine is copied once and then edited where it is.
         let mut grown = m.clone();
-        for k in 2000..2010 {
-            grown.alter_mut(&k, |_| Some(()));
-        }
+        merge(
+            &mut grown,
+            &(2000..2010).map(|k| (k, Some(()))).collect::<Vec<_>>(),
+        );
         check(&grown);
         let copied = nodes(&grown).iter().filter(|n| !old.contains(n)).count();
         assert!(copied <= 2 * height, "{copied} nodes not shared");
@@ -1132,25 +1618,23 @@ mod tests {
         // edits in place: the other half added, every odd key taken out.
         let d = OrdMap::from_sorted(evens().map(|k| (k, ())));
         let mut e = OrdMap::from_sorted(evens().step_by(2).map(|k| (k, ())));
-        for k in evens().skip(1).step_by(2) {
-            e.alter_mut(&k, |_| Some(()));
-        }
+        let run: Vec<_> = evens().skip(1).step_by(2).map(|k| (k, Some(()))).collect();
+        merge(&mut e, &run);
         let mut f = OrdMap::from_sorted((0..400).map(|k| (k, ())));
-        for k in evens() {
-            f.alter_mut(&(k + 1), |_| None);
-        }
-        // In place, through the same detour, with an older version kept
-        // every few steps so that some nodes are shared and some are not.
+        merge(&mut f, &evens().map(|k| (k + 1, None)).collect::<Vec<_>>());
+        // In place, through the same detour, one key a run, with an older
+        // version kept every few steps so that some nodes are shared and
+        // some are not.
         let mut g = OrdMap::new();
         let mut kept = Vec::new();
         for k in (0..400).rev() {
-            g.alter_mut(&k, |_| Some(()));
+            merge(&mut g, &[(k, Some(()))]);
             if k % 7 == 0 {
                 kept.push((k, g.clone()));
             }
         }
         for k in evens() {
-            g.alter_mut(&(k + 1), |_| None);
+            merge(&mut g, &[(k + 1, None)]);
         }
         let want: Vec<(u64, ())> = evens().map(|k| (k, ())).collect();
         for m in [&a, &b, &c, &d, &e, &f, &g] {
@@ -1178,9 +1662,8 @@ mod tests {
             Some(c) => Some(c + 1),
             None => Some(7),
         };
-        for k in (0..600).step_by(3) {
-            m.alter_mut(&k, |c| step(k, c));
-        }
+        let mut run: Vec<(u64, ())> = (0..600).step_by(3).map(|k| (k, ())).collect();
+        m.merge(&mut run, |(k, ()), old| step(*k, old.map(|(_, c)| c)));
         check(&m);
         assert_eq!(
             entries(&old),
@@ -1197,8 +1680,8 @@ mod tests {
         assert_eq!(m.len(), by_alter.len());
         // An edit that changes nothing leaves even a shared root shared.
         let shared = m.clone();
-        m.alter_mut(&1, |c| c.copied());
-        m.alter_mut(&10_000, |_| None);
+        let mut run = [(1, ()), (10_000, ())];
+        m.merge(&mut run, |(k, ()), old| (*k == 1).then(|| *old.unwrap().1));
         assert!(share_root(&m, &shared));
     }
 
@@ -1224,7 +1707,7 @@ mod tests {
             if rng.random_range(0..4u8) == 0 {
                 m = m.alter(&k, |_| value);
             } else {
-                m.alter_mut(&k, |_| value);
+                merge(&mut m, &[(k, value)]);
             }
             match value {
                 Some(v) => model.insert(k, v),
@@ -1246,6 +1729,93 @@ mod tests {
     }
 
     #[test]
+    fn random_runs_keep_the_invariants_on_shared_and_unshared_versions() {
+        random_runs::<4>();
+        random_runs::<B>();
+    }
+
+    /// Runs of every length — up to several times a node's worth, so a
+    /// leaf splits more than once in one merge, and whole ranges removed,
+    /// so that it drains — on a map some of whose older versions are kept.
+    fn random_runs<const N: usize>() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut m: OrdMap<u64, u64, N> = OrdMap::new();
+        let mut model = std::collections::BTreeMap::new();
+        let mut kept = Vec::new();
+        for step in 0..1_500u64 {
+            let (from, width) = (rng.random_range(0..400u64), rng.random_range(1..200u64));
+            let drain = step % 100 == 99;
+            let mut run: Vec<(u64, Option<u64>)> = Vec::new();
+            for k in from..from + width {
+                // Kept one in three, and two in three of those an insert
+                // or overwrite; a removal of an absent key is a no-op.
+                if drain || rng.random_range(0..3u8) == 0 {
+                    run.push((k, (!drain && rng.random_range(0..3u8) > 0).then_some(step)));
+                }
+            }
+            let mut seen = Vec::new();
+            m.merge(&mut run, |(k, v), old| {
+                seen.push((*k, old.map(|(k, v)| (*k, *v))));
+                *v
+            });
+            let want: Vec<_> = run
+                .iter()
+                .map(|(k, _)| (*k, model.get(k).map(|v| (*k, *v))))
+                .collect();
+            assert_eq!(seen, want, "each edit sees its entry, once, in order");
+            for (k, v) in run {
+                match v {
+                    Some(v) => model.insert(k, v),
+                    None => model.remove(&k),
+                };
+            }
+            check(&m);
+            assert_eq!(
+                entries(&m),
+                model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+            );
+            if step % 7 == 0 {
+                kept.push((m.clone(), model.clone()));
+            }
+            if drain {
+                let all: Vec<_> = model.keys().map(|k| (*k, None)).collect();
+                merge(&mut m, &all);
+                model.clear();
+                assert!(m.is_empty() && check(&m) == 0);
+            }
+        }
+        for (m, model) in &kept {
+            check(m);
+            assert_eq!(
+                entries(m),
+                model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_that_overfills_a_leaf_deals_it_into_several() {
+        // One leaf of four slots, then 40 keys into it in one merge: ten
+        // leaves' worth, under a root that itself overfills.
+        let mut m: OrdMap<u64, (), 4> = OrdMap::from_sorted((0..3).map(|k| (k * 100, ())));
+        let run: Vec<(u64, Option<()>)> = (1..=40).map(|k| (k, Some(()))).collect();
+        let kept = m.clone();
+        merge(&mut m, &run);
+        assert_eq!((m.len(), check(&m) >= 3), (43, true));
+        assert_eq!(kept.len(), 3);
+        let mut tree: OrdMap<u64, (), 4> = OrdMap::new();
+        merge(
+            &mut tree,
+            &(0..10).map(|k| (k * 100, Some(()))).collect::<Vec<_>>(),
+        );
+        let kept = tree.clone();
+        merge(&mut tree, &run);
+        check(&tree);
+        assert_eq!((tree.len(), entries(&kept).len()), (50, 10));
+    }
+
+    #[test]
     fn a_small_map_is_one_run_copied_whole() {
         let full = OrdMap::<u64, ()>::from_sorted((0..B as u64).map(|k| (k, ())));
         assert!(matches!(full.root, Some(Root::Run(_))) && check(&full) == 1);
@@ -1257,29 +1827,37 @@ mod tests {
         assert!(matches!(more.root, Some(Root::Tree(_))) && check(&more) == 2);
         assert_eq!(entries(&full).len(), B);
         assert!(nodes(&less)[0] != nodes(&full)[0]);
-        // In place on a shared run: a copy, the older version untouched.
+        // Merged into a shared run: a new run, the older version untouched;
+        // past `B` entries, a tree.
         let mut mine = full.clone();
-        mine.alter_mut(&5, |_| None);
+        merge(&mut mine, &[(5, None)]);
         assert!(matches!(mine.root, Some(Root::Run(_))) && !share_root(&mine, &full));
         assert_eq!((full.len(), mine.len()), (B, B - 1));
-        // In place on a run this version alone holds: an overwrite stays
-        // where it is; an insert turns it into a leaf with room.
+        merge(&mut mine, &[(5, Some(())), (500, Some(()))]);
+        assert!(matches!(mine.root, Some(Root::Tree(_))) && check(&mine) == 2);
+        assert_eq!((full.len(), mine.len()), (B, B + 1));
+        // A run that changes nothing keeps the run.
         let mut alone: OrdMap<u64, u64> = OrdMap::from_sorted((0..3).map(|k| (k, k)));
         let before = nodes(&alone);
-        alone.alter_mut(&1, |_| Some(10));
+        merge(&mut alone, &[(1, Some(1))]);
         assert_eq!(nodes(&alone), before);
-        alone.alter_mut(&7, |_| Some(7));
-        assert!(matches!(alone.root, Some(Root::Tree(_))) && check(&alone) == 1);
+        merge(&mut alone, &[(1, Some(10)), (7, Some(7))]);
+        assert!(matches!(alone.root, Some(Root::Run(_))) && check(&alone) == 1);
         assert_eq!(entries(&alone), [(0, 0), (1, 10), (2, 2), (7, 7)]);
         // A leaf and a run that hold the same entries are equal.
-        let run = OrdMap::from_sorted([(0, 0), (1, 10), (2, 2), (7, 7)]);
-        assert!(matches!(run.root, Some(Root::Run(_))) && run == alone);
-        assert_ne!(run, alone.alter(&2, |_| Some(3)));
-        for k in [0, 1, 2, 7] {
-            alone.alter_mut(&k, |_| None);
-            check(&alone);
+        let leaf = set_of(0..B as u64 + 1).alter(&16, |_| None);
+        assert!(matches!(leaf.root, Some(Root::Tree(_))) && check(&leaf) == 2);
+        let mut small = set_of(0..B as u64 + 1);
+        merge(&mut small, &(4..=16).map(|k| (k, None)).collect::<Vec<_>>());
+        assert!(matches!(small.root, Some(Root::Tree(_))) && check(&small) == 1);
+        let run = OrdMap::from_sorted((0..4).map(|k| (k, ())));
+        assert!(matches!(run.root, Some(Root::Run(_))) && run == small);
+        assert_ne!(run, small.alter(&2, |_| None));
+        for k in [0, 1, 2, 3] {
+            merge(&mut small, &[(k, None)]);
+            check(&small);
         }
-        assert!(alone.is_empty() && alone.root.is_none());
+        assert!(small.is_empty() && small.root.is_none());
     }
 
     #[test]
@@ -1295,12 +1873,12 @@ mod tests {
             for in_place in [false, true] {
                 let mut m: OrdMap<u64, u64, 4> = OrdMap::new();
                 for k in 1..=40 {
-                    m.alter_mut(&k, |_| Some(k));
+                    merge(&mut m, &[(k, Some(k))]);
                 }
                 let mut kept = vec![(m.clone(), entries(&m))];
                 for k in &order {
                     if in_place {
-                        m.alter_mut(k, |_| None);
+                        merge(&mut m, &[(*k, None)]);
                     } else {
                         m = m.alter(k, |_| None);
                     }

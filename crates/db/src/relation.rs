@@ -1,6 +1,6 @@
 //! A single stored relation: a persistent set of tuples of fixed arity.
 
-use crate::ord::OrdMap;
+use crate::ord::{OrdMap, Probe};
 use crate::sip::Sip;
 use crate::tuple::{Prefix, Tuple};
 use std::hash::Hash;
@@ -103,6 +103,12 @@ impl Relation {
     pub fn contains(&self, t: &Tuple) -> bool {
         debug_assert_eq!(t.arity(), self.arity);
         self.tuples.get(t).is_some()
+    }
+
+    /// Membership of the tuple `probe` stands for, without a tuple being
+    /// made for it ([`OrdMap::get_entry`]).
+    pub fn holds<P: Probe<Tuple>>(&self, probe: &P) -> bool {
+        self.tuples.get_entry(probe).is_some()
     }
 
     /// Insert; returns the new relation and whether it grew.

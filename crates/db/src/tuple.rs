@@ -223,6 +223,13 @@ impl Tuple {
         self.code
     }
 
+    /// [`Tuple::code`] of the tuple of `values`, without the tuple: what a
+    /// caller holding values elsewhere probes a map of tuples with
+    /// ([`crate::ord::Probe`]).
+    pub fn code_of(values: &[Value]) -> u64 {
+        Code::of(values.iter().copied()).word
+    }
+
     /// The tuple with its columns in `order`: what an arrangement of a
     /// relation stores in place of the tuple (see
     /// [`crate::Database::arrangement`]).

@@ -14,7 +14,8 @@
 //! All three sit on the one persistent map in `td_db::ord`, so this is also
 //! that structure's model suite: insert, overwrite, remove, ordered walk and
 //! range probe, under sharing between versions — and the bulk edits,
-//! `from_sorted` and runs of in-place `alter_mut`s, against the same models.
+//! `from_sorted` and sorted runs of edits merged in place (`merge`), against
+//! the same models, with the map's invariant check after every merge.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -470,8 +471,8 @@ proptest! {
     }
 
     /// `CountedRelation` against a `BTreeMap<Tuple, i64>` under random
-    /// in-place `update`s by ±k: counts, membership, `select`, `len`, and
-    /// snapshots that never observe later edits.
+    /// in-place merges of runs of one edit by ±k: counts, membership,
+    /// `select`, `len`, and snapshots that never observe later edits.
     #[test]
     fn counted_relation_behaves_like_model(
         // (tuple, delta, take a snapshot first when 0)
@@ -494,7 +495,12 @@ proptest! {
             } else {
                 model.insert(row(&t), new);
             }
-            prop_assert_eq!(rel.update(&t, |c| c + delta), old);
+            let mut was = None;
+            rel.merge(&mut [(t.clone(), delta)], |(_, n), entry| {
+                was = Some(entry.map_or(0, |(_, c)| c));
+                was.unwrap() + *n
+            });
+            prop_assert_eq!(was, Some(old));
             prop_assert_eq!(rel.count(&t), new);
             prop_assert_eq!(rel.contains(&t), new > 0);
         }
@@ -505,11 +511,11 @@ proptest! {
     }
 
     /// The bulk edits against `BTreeMap<Vec<Value>, i64>`: `from_sorted` builds
-    /// what the `alter`s build, and a run of `alter_mut`s over a clone — as
-    /// a sum, as a difference, and with an `f` that deletes where both
-    /// sides hold the key — gives what the same `f` folded over the other
-    /// side's entries with `alter` gives, with the right `len`, and leaves
-    /// both operands as they were.
+    /// what the `alter`s build, and one merge of the other side's entries
+    /// into a clone — as a sum, as a difference, and with an `f` that
+    /// deletes where both sides hold the key — gives what the same `f`
+    /// folded over the other side's entries with `alter` gives, with the
+    /// right `len`, and leaves both operands as they were.
     #[test]
     fn bulk_edits_behave_like_the_fold_of_point_edits(
         mine in proptest::collection::vec((arb_codes(3), -3i64..4), 0..120),
@@ -549,7 +555,9 @@ proptest! {
                 };
             }
             let mut merged = a.clone();
-            b.for_each(|t, c| merged.alter_mut(t, |old| f(old, c)));
+            let mut run = tuples_of(&theirs);
+            merged.merge(&mut run, |(_, c), old| f(old.map(|(_, v)| v), c));
+            merged.check_invariants();
             prop_assert_eq!(merged.len(), expected.len());
             prop_assert_eq!(entries(&merged), expected.into_iter().collect::<Vec<_>>());
             let folded = tuples_of(&theirs)
@@ -561,13 +569,12 @@ proptest! {
             prop_assert_eq!(entries(&b), theirs.clone().into_iter().collect::<Vec<_>>());
         }
 
-        // The sum through `CountedRelation::update`, on a clone.
+        // The sum through `CountedRelation::merge`, on a clone.
         let nonzero = |m: &CountModel| m.clone().into_iter().filter(|(_, c)| *c != 0);
         let rel = CountedRelation::from_sorted(3, nonzero(&mine).map(|(t, c)| (Tuple::new(t), c)));
         let mut merged = rel.clone();
-        for (t, c) in nonzero(&theirs) {
-            merged.update(&Tuple::new(t), |was| was + c);
-        }
+        let mut run: Vec<(Tuple, i64)> = nonzero(&theirs).map(|(t, c)| (Tuple::new(t), c)).collect();
+        merged.merge(&mut run, |(_, c), was| was.map_or(0, |(_, n)| n) + *c);
         let mut expected: CountModel = nonzero(&mine).collect();
         for (t, c) in nonzero(&theirs) {
             let new = expected.get(&t).copied().unwrap_or(0) + c;
@@ -617,12 +624,20 @@ fn assert_holds(m: &OrdMap<Tuple, i64>, model: &CountModel, what: &str) {
     }
 }
 
+/// `m` with the sorted `run` merged in: each key set to its count, or
+/// removed at `None`; the invariants checked.
+fn merge_run<const N: usize>(m: &mut OrdMap<Tuple, i64, N>, run: &[(Tuple, Option<i64>)]) {
+    m.merge(&mut run.to_vec(), |(_, c), _| *c);
+    m.check_invariants();
+}
+
 /// Every operation of the map at [`EDGES`] entries, against
 /// `BTreeMap<Vec<Value>, i64>`: insert, overwrite and remove through
-/// `alter`, and through `alter_mut` on a version nobody else holds and on
-/// one an older clone shares (which must keep what it held); `from_sorted`
-/// and full walks; and prefix probes of one and two columns, over short
-/// and long prefixes, against a filter of the model.
+/// `alter`, and through merged runs — of one edit at a time, and of them
+/// all — on a version nobody else holds and on one an older clone shares
+/// (which must keep what it held); `from_sorted` and full walks; and prefix
+/// probes of one and two columns, over short and long prefixes, against a
+/// filter of the model.
 #[test]
 fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
     for n in EDGES.into_iter().chain([3 * B, 5 * B + 2]) {
@@ -647,16 +662,21 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
         assert_holds(&down, &model, &what("alter, descending"));
         let mut alone = OrdMap::new();
         for (t, c) in &tuples {
-            alone.alter_mut(t, |_| Some(*c));
+            merge_run(&mut alone, &[(t.clone(), Some(*c))]);
         }
-        assert_holds(&alone, &model, &what("alter_mut, unshared"));
+        assert_holds(&alone, &model, &what("merged one by one, unshared"));
         let (mut shared, mut kept) = (OrdMap::new(), Vec::new());
         for (i, (t, c)) in tuples.iter().enumerate() {
             kept.push(shared.clone());
-            shared.alter_mut(t, |_| Some(*c));
+            merge_run(&mut shared, &[(t.clone(), Some(*c))]);
             assert_eq!(kept[i].len(), i, "{}", what("an older clone"));
         }
-        assert_holds(&shared, &model, &what("alter_mut, shared"));
+        assert_holds(&shared, &model, &what("merged one by one, shared"));
+        let mut whole = OrdMap::new();
+        let run: Vec<(Tuple, Option<i64>)> =
+            tuples.iter().map(|(t, c)| (t.clone(), Some(*c))).collect();
+        merge_run(&mut whole, &run);
+        assert_holds(&whole, &model, &what("merged in one run"));
 
         // Overwrite every entry, then remove every other one, each way.
         let overwritten: CountModel = model.iter().map(|(t, c)| (t.clone(), c + 100)).collect();
@@ -666,7 +686,7 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
             .filter(|(i, _)| i % 2 == 1)
             .map(|(_, (t, c))| (t.clone(), *c))
             .collect();
-        for (how, start) in [("on from_sorted", &sorted), ("on alter_mut", &alone)] {
+        for (how, start) in [("on from_sorted", &sorted), ("on merges", &alone)] {
             let before = start.clone();
             let persistent = tuples.iter().fold(start.clone(), |m, (t, _)| {
                 m.alter(t, |c| c.map(|c| c + 100))
@@ -677,9 +697,9 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
                 &what(&format!("overwrite {how}")),
             );
             let mut in_place = start.clone();
-            for (t, _) in &tuples {
-                in_place.alter_mut(t, |c| c.map(|c| c + 100));
-            }
+            let mut run = tuples.clone();
+            in_place.merge(&mut run, |_, c| c.map(|(_, c)| c + 100));
+            in_place.check_invariants();
             assert_holds(
                 &in_place,
                 &overwritten,
@@ -687,11 +707,10 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
             );
             let mut unshared = persistent.clone();
             drop(persistent);
-            for (i, (t, _)) in tuples.iter().enumerate() {
-                if i % 2 == 0 {
-                    unshared.alter_mut(t, |_| None);
-                }
-            }
+            let run: Vec<(Tuple, Option<i64>)> = (tuples.iter().step_by(2))
+                .map(|(t, _)| (t.clone(), None))
+                .collect();
+            merge_run(&mut unshared, &run);
             assert_holds(
                 &unshared,
                 &thinned,
@@ -712,7 +731,7 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
 
         // Prefix probes: every group's first column, one past the last,
         // and every key as a full two-column prefix.
-        for map in [&sorted, &up, &down, &alone, &shared] {
+        for map in [&sorted, &up, &down, &alone, &shared, &whole] {
             let probe = |prefix: &[Value]| {
                 let mut seen = Vec::new();
                 for_each_with_prefix(
@@ -734,5 +753,97 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
             }
             probe(&[]);
         }
+    }
+}
+
+/// What a merged run does at one key: set its count (an overwrite with the
+/// count it has is a no-op), or remove it (a no-op where it is absent).
+fn arb_at() -> impl Strategy<Value = Option<i64>> {
+    (0u8..4, 1i64..4).prop_map(|(k, c)| (k > 0).then_some(c))
+}
+
+/// A step: the edits of one run, by key (the first for a key counts), and
+/// what else happens — 0: an older clone is kept first; 3: the run removes
+/// every key the map holds instead, draining it.
+type RunStep = (Vec<(Vec<u8>, Option<i64>)>, u8);
+
+fn arb_run_steps() -> impl Strategy<Value = Vec<RunStep>> {
+    let codes = proptest::collection::vec(0u8..MIXED, 3);
+    let edits = proptest::collection::vec((codes, arb_at()), 0..70);
+    proptest::collection::vec((edits, 0u8..8), 1..25)
+}
+
+/// Merged runs at `N` slots a node against the model, step by step: each
+/// edit's `f` sees exactly the model's entry, once and in order, and after
+/// every merge the map keeps its invariants and holds the model; every
+/// clone kept along the way still holds what it held.
+fn merged_runs_hold_the_model<const N: usize>(steps: &[RunStep]) {
+    let mut m: OrdMap<Tuple, i64, N> = OrdMap::new();
+    let mut model: CountModel = BTreeMap::new();
+    let mut kept: Vec<(OrdMap<Tuple, i64, N>, CountModel)> = Vec::new();
+    for (i, (edits, mode)) in steps.iter().enumerate() {
+        let mut run: BTreeMap<Vec<Value>, Option<i64>> = BTreeMap::new();
+        for (codes, at) in edits {
+            run.entry(row(&mixed_tuple(codes))).or_insert(*at);
+        }
+        if *mode == 3 {
+            run = model.keys().map(|k| (k.clone(), None)).collect();
+        }
+        if *mode == 0 {
+            kept.push((m.clone(), model.clone()));
+        }
+        let mut edits: Vec<(Tuple, Option<i64>)> = run
+            .iter()
+            .map(|(r, at)| (Tuple::new(r.clone()), *at))
+            .collect();
+        let mut seen = Vec::new();
+        m.merge(&mut edits, |(t, at), old| {
+            seen.push((row(t), old.map(|(k, c)| (row(k), *c))));
+            *at
+        });
+        let want: Vec<_> = (run.keys())
+            .map(|r| (r.clone(), model.get(r).map(|c| (r.clone(), *c))))
+            .collect();
+        assert_eq!(seen, want, "step {i}: what each edit saw");
+        for (r, at) in run {
+            match at {
+                Some(c) => model.insert(r, c),
+                None => model.remove(&r),
+            };
+        }
+        m.check_invariants();
+        assert_holds_any(&m, &model, &format!("{N} slots, after step {i}"));
+        if *mode == 3 {
+            assert!(m.is_empty(), "drained");
+        }
+    }
+    for (j, (old, held)) in kept.iter().enumerate() {
+        old.check_invariants();
+        assert_holds_any(old, held, &format!("{N} slots, the clone kept {j}th"));
+    }
+}
+
+/// [`assert_holds`] at any node size.
+fn assert_holds_any<const N: usize>(m: &OrdMap<Tuple, i64, N>, model: &CountModel, what: &str) {
+    let mut walk = Vec::new();
+    m.for_each(|t, c| walk.push((row(t), *c)));
+    let want: Vec<(Vec<Value>, i64)> = model.clone().into_iter().collect();
+    assert_eq!(walk, want, "{what}: walk");
+    assert_eq!(m.len(), model.len(), "{what}: len");
+    for (t, c) in model {
+        assert_eq!(m.get(&Tuple::new(t.clone())), Some(c), "{what}: get {t:?}");
+    }
+}
+
+proptest! {
+    /// Random strictly increasing runs mixing inserts, overwrites, removals
+    /// and no-ops, merged at 4 and at 16 slots a node into maps whose older
+    /// clones are sometimes held: runs of up to 70 keys into a 4-slot leaf
+    /// split it many times over in one merge, and every few runs one drains
+    /// the map to empty.
+    #[test]
+    fn merged_runs_behave_like_the_model_at_four_and_sixteen_slots(steps in arb_run_steps()) {
+        merged_runs_hold_the_model::<4>(&steps);
+        merged_runs_hold_the_model::<B>(&steps);
     }
 }

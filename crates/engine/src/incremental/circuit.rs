@@ -12,10 +12,13 @@
 
 use super::plan::{self, Arrangements, Data, Entry, Instr, Plan, Regs, Row, Rows, Side, Views};
 use crate::datalog::{FlatRule, Lit};
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::ops::{Index, IndexMut};
 use std::sync::OnceLock;
-use td_core::Pred;
-use td_db::ord::OrdMap;
+use td_core::{Pred, Value};
+use td_db::ord::{Edit, OrdMap, Probe};
 use td_db::{CountedRelation, Database, Tuple};
 
 /// A rule, compiled: one plan per way the evaluator enters it.
@@ -31,9 +34,10 @@ pub(crate) struct Rule {
     pub(crate) rederive: Plan,
 }
 
-/// A plan entered with a membership event on `pred`.
+/// A plan entered with a membership event on one of the circuit's inputs.
 pub(crate) struct Driven {
-    pub(crate) pred: Pred,
+    /// The input's number ([`Circuit::base`]).
+    pub(crate) input: usize,
     /// −1 under `not`: a tuple appearing takes derivations away.
     pub(crate) sign: i64,
     pub(crate) plan: Plan,
@@ -47,9 +51,10 @@ pub(crate) struct Scc {
     /// through cycles.
     pub(crate) recursive: bool,
     pub(crate) rules: Vec<Rule>,
-    /// Every predicate (base or derived) read by this component's rules —
-    /// a component is skipped when no delta touches its inputs.
-    pub(crate) deps: HashSet<Pred>,
+    /// Every predicate (base or derived) read by this component's rules,
+    /// by its number among the circuit's inputs ([`Circuit::base`]) — a
+    /// component is skipped when no delta touches them.
+    pub(crate) deps: Vec<usize>,
 }
 
 /// What the circuit derives from one database version. Persistent
@@ -86,6 +91,11 @@ impl Delta {
         self.appeared.len() + self.disappeared.len()
     }
 
+    fn clear(&mut self) {
+        self.appeared.clear();
+        self.disappeared.clear();
+    }
+
     /// The run an event goes to: has the tuple become a member?
     pub(crate) fn run_mut(&mut self, member: bool) -> &mut Vec<Tuple> {
         if member {
@@ -101,13 +111,228 @@ impl Delta {
     }
 }
 
-/// The membership events of one pass, by predicate. A predicate with none
-/// has no entry.
-pub(crate) type Events = HashMap<Pred, Delta>;
+/// The membership events of one pass, indexed by the circuit's inputs
+/// ([`Circuit::base`]).
+#[derive(Clone, Debug)]
+pub(crate) struct Events(Vec<Delta>);
 
-/// The runs of events on `pred`.
-pub(crate) fn runs_on(events: &Events, pred: Pred) -> impl Iterator<Item = (&[Tuple], i64)> {
-    events.get(&pred).map(Delta::runs).into_iter().flatten()
+impl Events {
+    /// No events, on any input of `circuit`.
+    pub(crate) fn new(circuit: &Circuit) -> Events {
+        Events(vec![Delta::default(); circuit.inputs()])
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.iter().all(|d| d.len() == 0)
+    }
+
+    /// No events again, the space kept.
+    pub(crate) fn clear(&mut self) {
+        self.0.iter_mut().for_each(Delta::clear);
+    }
+
+    /// The runs of events on input `i`, each with its sign.
+    pub(crate) fn runs(&self, i: usize) -> [(&[Tuple], i64); 2] {
+        self.0[i].runs()
+    }
+}
+
+impl Index<usize> for Events {
+    type Output = Delta;
+
+    fn index(&self, i: usize) -> &Delta {
+        &self.0[i]
+    }
+}
+
+impl IndexMut<usize> for Events {
+    fn index_mut(&mut self, i: usize) -> &mut Delta {
+        &mut self.0[i]
+    }
+}
+
+/// What the joins and rounds of one pass (or of one run from scratch) work
+/// in, made once and reused by each: the registers, the heads emitted and
+/// scratch space for grouping a run ([`Plan::run_each`]).
+pub(crate) struct Scratch {
+    pub(crate) regs: Vec<Cell<Value>>,
+    pub(crate) heads: Heads,
+    pub(crate) order: Vec<usize>,
+}
+
+impl Scratch {
+    pub(crate) fn new(circuit: &Circuit) -> Scratch {
+        Scratch {
+            regs: plan::registers(circuit.num_regs),
+            heads: Heads::default(),
+            order: Vec::new(),
+        }
+    }
+}
+
+/// The heads a join emits, before any is a tuple: their values end to end
+/// in one buffer, each with its relation and signed multiplicity. Sorted
+/// and netted where they lie ([`Heads::net`]), a head becomes a tuple only
+/// where a fold stores it, or finds it stored ([`Change`]).
+#[derive(Default)]
+pub(crate) struct Heads {
+    vals: Vec<Value>,
+    heads: Vec<Head>,
+}
+
+/// One head of [`Heads`]: its relation, its code (`Tuple::code_of`), where
+/// its values lie, and its multiplicity.
+#[derive(Clone, Copy)]
+struct Head {
+    rel: usize,
+    code: u64,
+    at: usize,
+    len: usize,
+    n: i64,
+}
+
+impl Heads {
+    /// Heads pushed, duplicates included until [`Heads::net`].
+    pub(crate) fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.vals.clear();
+        self.heads.clear();
+    }
+
+    /// A head of relation `rel`, `n` times.
+    pub(crate) fn push(&mut self, rel: usize, vals: impl Iterator<Item = Value>, n: i64) {
+        let at = self.vals.len();
+        self.vals.extend(vals);
+        let code = Tuple::code_of(&self.vals[at..]);
+        let len = self.vals.len() - at;
+        self.heads.push(Head {
+            rel,
+            code,
+            at,
+            len,
+            n,
+        });
+    }
+
+    /// Sort the heads by relation and tuple, and make each distinct one a
+    /// single head with the multiplicities summed.
+    pub(crate) fn net(&mut self) {
+        let Heads { vals, heads } = self;
+        let key = |h: &Head| (h.rel, h.code, &vals[h.at..h.at + h.len]);
+        // A join entered with a sorted run often emits its heads in order.
+        if !heads.is_sorted_by(|a, b| key(a) <= key(b)) {
+            heads.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        }
+        heads.dedup_by(|later, kept| {
+            let same = key(later) == key(kept);
+            if same {
+                kept.n += later.n;
+            }
+            same
+        });
+    }
+
+    /// The netted heads ([`Heads::net`]) of each relation, as the sorted
+    /// run of edits a fold merges.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, Vec<Change<'_>>)> {
+        self.heads.chunk_by(|a, b| a.rel == b.rel).map(|run| {
+            let changes = run
+                .iter()
+                .map(|h| Change::new(h.code, &self.vals[h.at..h.at + h.len], h.n));
+            (run[0].rel, changes.collect())
+        })
+    }
+}
+
+/// One edit of a run a fold merges into a relation or an arrangement: a
+/// tuple's values where they lie, its code and a multiplicity — and the
+/// tuple, once the fold made one to store or found it stored.
+pub(crate) struct Change<'a> {
+    code: u64,
+    vals: &'a [Value],
+    n: i64,
+    tuple: Option<Tuple>,
+    /// Whether the tuple became a member (true) or stopped being one.
+    crossed: Option<bool>,
+}
+
+impl<'a> Change<'a> {
+    /// The edit at the tuple of `vals`, which need not be one.
+    pub(crate) fn at(vals: &'a [Value]) -> Change<'a> {
+        Change::new(Tuple::code_of(vals), vals, 0)
+    }
+
+    fn new(code: u64, vals: &'a [Value], n: i64) -> Change<'a> {
+        Change {
+            code,
+            vals,
+            n,
+            tuple: None,
+            crossed: None,
+        }
+    }
+
+    /// The edit at `t`, which is a tuple already.
+    pub(crate) fn of(t: &'a Tuple, n: i64) -> Change<'a> {
+        Change {
+            tuple: Some(t.clone()),
+            ..Change::new(t.code(), t.values(), n)
+        }
+    }
+
+    /// The order of the tuples the two edits stand for.
+    fn cmp(&self, other: &Change<'_>) -> Ordering {
+        (self.code.cmp(&other.code)).then_with(|| self.vals.cmp(other.vals))
+    }
+}
+
+impl Probe<Tuple> for Change<'_> {
+    fn probe_code(&self) -> u64 {
+        self.code
+    }
+
+    fn order(&self, key: &Tuple) -> Ordering {
+        (key.code().cmp(&self.code)).then_with(|| key.values().cmp(self.vals))
+    }
+}
+
+impl Edit<Tuple> for Change<'_> {
+    fn key(&mut self) -> Tuple {
+        let vals = self.vals;
+        (self
+            .tuple
+            .get_or_insert_with(|| vals.iter().copied().collect()))
+        .clone()
+    }
+}
+
+/// Bring an arrangement of a relation (its tuples with their columns in
+/// `order`) along the relation's membership events: their permuted tuples
+/// sorted once, and one merge, which makes a tuple only for one that
+/// enters.
+pub(crate) fn arrange(arranged: &mut OrdMap<Tuple, ()>, order: &[usize], delta: &Delta) {
+    if delta.len() == 0 {
+        return;
+    }
+    let mut vals = Vec::with_capacity(delta.len() * order.len());
+    for (run, _) in delta.runs() {
+        for t in run {
+            vals.extend(order.iter().map(|&c| t.values()[c]));
+        }
+    }
+    let signs = (delta.appeared.iter().map(|_| 1)).chain(delta.disappeared.iter().map(|_| -1));
+    let width = order.len();
+    let mut edits: Vec<Change<'_>> = (signs.enumerate())
+        .map(|(i, n)| {
+            let at = Change::at(&vals[i * width..(i + 1) * width]);
+            Change { n, ..at }
+        })
+        .collect();
+    edits.sort_unstable_by(Change::cmp);
+    arranged.merge(&mut edits, |e, _| (e.n > 0).then_some(()));
 }
 
 /// What a run of the semi-naive loop cost.
@@ -125,6 +350,11 @@ pub(crate) struct Circuit {
     /// The derived predicates, sorted; relations are numbered by position.
     pub(crate) preds: Vec<Pred>,
     pub(crate) index: HashMap<Pred, usize>,
+    /// The base predicates the rules read, numbered after the derived ones:
+    /// the circuit's *inputs* are the derived predicates, numbered as their
+    /// relations, then these; an input's events go under its number
+    /// ([`Events`]).
+    pub(crate) base: HashMap<Pred, usize>,
     pub(crate) sccs: Vec<Scc>,
     /// Every arrangement some plan probes: declared while compiling, built
     /// by the first probe — on the `Database` for a base relation, in the
@@ -143,6 +373,19 @@ impl Circuit {
         let mut preds: Vec<Pred> = flat.keys().copied().collect();
         preds.sort();
         let index: HashMap<Pred, usize> = preds.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+        let mut read: Vec<Pred> = (flat.values().flatten())
+            .flat_map(|r| r.body.iter())
+            .filter_map(|l| match l {
+                Lit::Atom(a) | Lit::NegAtom(a) if !index.contains_key(&a.pred) => Some(a.pred),
+                _ => None,
+            })
+            .collect();
+        read.sort_unstable();
+        read.dedup();
+        let base: HashMap<Pred, usize> = (read.into_iter().enumerate())
+            .map(|(i, p)| (p, preds.len() + i))
+            .collect();
+        let input = |p: &Pred| index.get(p).or(base.get(p)).copied();
         let adj: Vec<Vec<usize>> = preds
             .iter()
             .map(|p| {
@@ -172,14 +415,16 @@ impl Circuit {
                     .flat_map(|&i| flat.remove(&preds[i]))
                     .flatten()
                     .collect();
-                let deps: HashSet<Pred> = flat_rules
+                let mut deps: Vec<usize> = flat_rules
                     .iter()
                     .flat_map(|r| r.body.iter())
                     .filter_map(|l| match l {
-                        Lit::Atom(a) | Lit::NegAtom(a) => Some(a.pred),
+                        Lit::Atom(a) | Lit::NegAtom(a) => input(&a.pred),
                         Lit::Builtin(..) => None,
                     })
                     .collect();
+                deps.sort_unstable();
+                deps.dedup();
                 let mut compile =
                     |r: &FlatRule, entry| plan::compile(r, entry, &index, &mut arrangements);
                 let rules = flat_rules
@@ -204,7 +449,8 @@ impl Circuit {
                                 Lit::Builtin(..) => continue,
                             };
                             let plan = compile(r, Entry::Driven(pos));
-                            rule.events.push(Driven { pred, sign, plan });
+                            let input = input(&pred).expect("a predicate the rules read");
+                            rule.events.push(Driven { input, sign, plan });
                         }
                         if recursive {
                             rule.rederive = compile(r, Entry::Head);
@@ -222,6 +468,7 @@ impl Circuit {
         Circuit {
             preds,
             index,
+            base,
             sccs,
             arrangements,
             num_regs,
@@ -261,6 +508,11 @@ impl Circuit {
         })
     }
 
+    /// How many inputs the circuit has.
+    fn inputs(&self) -> usize {
+        self.preds.len() + self.base.len()
+    }
+
     /// `state` over `db`, as the plans read them.
     pub(crate) fn views<'a>(&'a self, db: &'a Database, state: &'a MatState) -> Views<'a> {
         Views {
@@ -280,145 +532,148 @@ impl Circuit {
                 .collect(),
             arranged: vec![OnceLock::new(); self.arrangements.len()],
         };
-        let regs = plan::registers(self.num_regs);
         let mut stats = RunStats::default();
+        let scratch = &mut Scratch::new(self);
         for scc in &self.sccs {
-            let mut cand = Vec::new();
             let data = Data::at(self.views(db, &state));
             for rule in &scc.rules {
-                rule.full
-                    .run(&regs, &data, &mut |row| cand.push((rule.head, row.tuple())));
+                let heads = &mut scratch.heads;
+                (rule.full).run(&scratch.regs, &data, &mut |row| {
+                    heads.push(rule.head, row.values(), 1);
+                });
             }
-            let done = self.saturate(scc, db, &mut state, cand, &mut |_, _| {});
+            let done = self.saturate(scc, db, &mut state, scratch, &mut |_, _| {});
             stats.rounds += done.rounds;
             stats.derivations += done.derivations;
         }
         (state, stats)
     }
 
-    /// The one place a derived relation gains or loses members. `entries`
-    /// holds one `(tuple, n)` per tuple, sorted; the count of each moves by
-    /// `change(its count now, n)`, and the relation's arrangements follow
-    /// the tuples that crossed the membership boundary, which are returned.
-    /// Each entry is one descent that edits in place
-    /// ([`CountedRelation::update`], `OrdMap::alter_mut`): a node of the
-    /// state that no other version holds is changed, not copied.
+    /// The one place a derived relation gains or loses members: one merge
+    /// of `edits` — sorted, one per tuple — into it
+    /// ([`CountedRelation::merge`]), each moving its tuple's count by
+    /// `change(the count now, its multiplicity)`, and one merge into each
+    /// filled arrangement of it ([`arrange`]) of the tuples that crossed
+    /// the membership boundary, which are returned. A node of the state
+    /// that no other version holds is changed, not copied, and a tuple is
+    /// made only for one the relation did not hold.
     pub(crate) fn fold(
         &self,
         state: &mut MatState,
         rel: usize,
-        entries: Vec<(Tuple, i64)>,
+        edits: &mut [Change<'_>],
         change: impl Fn(i64, i64) -> i64,
     ) -> Delta {
-        let mut crossed = Delta::default();
-        let counts = &mut state.rels[rel];
-        for (t, n) in entries {
-            let mut by = 0;
-            let was = counts.update(&t, |was| {
-                by = change(was, n);
-                was + by
-            });
-            if (was > 0) != (was + by > 0) {
-                crossed.run_mut(was + by > 0).push(t);
+        state.rels[rel].merge(edits, |e, old| {
+            let was = old.map_or(0, |(_, c)| c);
+            let now = was + change(was, e.n);
+            if (was > 0) != (now > 0) {
+                e.crossed = Some(now > 0);
+                if let Some((t, _)) = old {
+                    e.tuple = Some(t.clone());
+                }
+            }
+            now
+        });
+        let appeared = edits.iter().filter(|e| e.crossed == Some(true)).count();
+        let disappeared = edits.iter().filter(|e| e.crossed == Some(false)).count();
+        let mut crossed = Delta {
+            appeared: Vec::with_capacity(appeared),
+            disappeared: Vec::with_capacity(disappeared),
+        };
+        for e in edits.iter_mut() {
+            if let Some(member) = e.crossed {
+                let t = e.tuple.take().expect("a tuple that crossed is stored");
+                crossed.run_mut(member).push(t);
             }
         }
         for (arr, slot) in self.arrangements.iter().zip(&mut state.arranged) {
-            let Some(arranged) = slot.get_mut().filter(|_| arr.rel == Some(rel)) else {
-                continue;
-            };
-            for (run, sign) in crossed.runs() {
-                let keep = (sign > 0).then_some(());
-                for t in run {
-                    arranged.alter_mut(&t.permuted(&arr.order), |_| keep);
-                }
+            if let Some(arranged) = slot.get_mut().filter(|_| arr.rel == Some(rel)) {
+                arrange(arranged, &arr.order, &crossed);
             }
         }
         crossed
     }
 
     /// The semi-naive loop: fold the candidate head tuples into the
-    /// component's relations — sorted and counted ([`net`]) first, so a
-    /// round is one [`Circuit::fold`] per relation — enter every rule with each
-    /// tuple that was new ([`join_events`], as maintenance enters it with a
-    /// committed delta), and repeat until a round adds nothing. `on_new`
-    /// sees every run of tuples a recursive component gains.
+    /// component's relations — netted where they lie ([`Heads::net`]), so a
+    /// round is one [`Circuit::fold`] per relation — enter every rule with
+    /// each run of tuples that were new ([`join_events`], as maintenance
+    /// enters it with a committed delta), and repeat until a round adds
+    /// nothing. The candidates are `scratch`'s heads, which are left
+    /// empty. `on_new` sees every run of tuples a recursive component
+    /// gains.
     pub(crate) fn saturate(
         &self,
         scc: &Scc,
         db: &Database,
         state: &mut MatState,
-        mut cand: Vec<(usize, Tuple)>,
+        scratch: &mut Scratch,
         on_new: &mut dyn FnMut(usize, &[Tuple]),
     ) -> RunStats {
-        let regs = &plan::registers(self.num_regs);
         let mut stats = RunStats::default();
+        let mut round = Events::new(self);
+        let Scratch { regs, heads, order } = scratch;
         loop {
             stats.rounds += 1;
-            stats.derivations += cand.len() as u64;
-            cand.sort_unstable();
-            let mut round = Events::new();
-            for (rel, entries) in net(cand.drain(..).map(|c| (c, 1))) {
+            stats.derivations += heads.len() as u64;
+            heads.net();
+            round.clear();
+            for (rel, mut edits) in heads.runs() {
                 // Through recursion a count means nothing: members carry 1.
                 let new = if scc.recursive {
-                    self.fold(state, rel, entries, |was, _| i64::from(was == 0))
+                    self.fold(state, rel, &mut edits, |was, _| i64::from(was == 0))
                 } else {
-                    self.fold(state, rel, entries, |_, n| n)
+                    self.fold(state, rel, &mut edits, |_, n| n)
                 };
                 // Only a recursive component reads its own new tuples.
                 if scc.recursive && !new.appeared.is_empty() {
                     on_new(rel, &new.appeared);
-                    round.insert(self.preds[rel], new);
+                    round[rel] = new;
                 }
             }
+            heads.clear();
             if round.is_empty() {
                 return stats;
             }
             let data = Data::at(self.views(db, state));
-            join_events(scc, &round, |_| true, &data, regs, &mut |rel, row, _| {
-                cand.push((rel, row.tuple()));
-            });
+            join_events(
+                scc,
+                &round,
+                |_| true,
+                &data,
+                regs,
+                order,
+                &mut |rel, row, _| {
+                    heads.push(rel, row.values(), 1);
+                },
+            );
         }
     }
 }
 
-/// Enter every rule of a component with each membership event on a
-/// predicate it reads ([`Entry::Driven`]), for the events whose effective
-/// sign (a `not` literal flips it) `keep` accepts. Body positions before the
-/// event's read `data.new`, positions after it `data.old`.
+/// Enter every rule of a component with each run of membership events on
+/// a predicate it reads ([`Entry::Driven`]; [`Plan::run_each`]), for the
+/// runs whose effective sign (a `not` literal flips it) `keep` accepts.
+/// Body positions before the event's read `data.new`, positions after it
+/// `data.old`. `order` is scratch space.
 pub(crate) fn join_events(
     scc: &Scc,
     events: &Events,
     keep: impl Fn(i64) -> bool,
     data: &Data<'_>,
     regs: &Regs,
+    order: &mut Vec<usize>,
     emit: &mut dyn FnMut(usize, Row<'_>, i64),
 ) {
     for rule in &scc.rules {
         for d in &rule.events {
-            for (run, s) in runs_on(events, d.pred).filter(|(_, s)| keep(s * d.sign)) {
-                let emit = &mut |row: Row<'_>| emit(rule.head, row, s * d.sign);
-                for t in run {
-                    d.plan.run_with(t, regs, data, emit);
+            for (run, s) in events.runs(d.input) {
+                if !run.is_empty() && keep(s * d.sign) {
+                    let emit = &mut |row: Row<'_>| emit(rule.head, row, s * d.sign);
+                    d.plan.run_each(run, order, regs, data, emit);
                 }
             }
         }
     }
-}
-
-/// Sorted `(relation, tuple)` entries, each with a signed multiplicity, as,
-/// per relation, each distinct tuple with its multiplicities summed.
-pub(crate) fn net(
-    sorted: impl Iterator<Item = ((usize, Tuple), i64)>,
-) -> Vec<(usize, Vec<(Tuple, i64)>)> {
-    let mut out: Vec<(usize, Vec<(Tuple, i64)>)> = Vec::new();
-    for ((rel, t), n) in sorted {
-        match out.last_mut() {
-            Some((r, entries)) if *r == rel => match entries.last_mut() {
-                Some((last, sum)) if *last == t => *sum += n,
-                _ => entries.push((t, n)),
-            },
-            _ => out.push((rel, vec![(t, n)])),
-        }
-    }
-    out
 }

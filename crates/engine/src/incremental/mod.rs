@@ -53,12 +53,13 @@ mod plan;
 
 use crate::compiled::Compiled;
 use crate::datalog::{flatten_rule, FlatRule, Lit};
-use circuit::{join_events, runs_on, Circuit, Events, MatState, Scc};
+use circuit::{arrange, join_events, Change, Circuit, Events, MatState, Scc, Scratch};
 use plan::Data;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use td_core::{Atom, Pred, Program, Value};
+use td_db::ord::Probe;
 use td_db::{Database, DeltaOp, Pending, Slot, Tuple};
 
 /// Why a program has no materializable fragment.
@@ -177,10 +178,7 @@ impl Materializer {
         }
 
         let circuit = Circuit::new(flat);
-        let relevant_base: HashSet<Pred> = circuit
-            .sccs
-            .iter()
-            .flat_map(|s| s.deps.iter())
+        let relevant_base: HashSet<Pred> = (circuit.base.keys())
             .copied()
             .filter(|p| base.contains(p))
             .collect();
@@ -226,9 +224,10 @@ impl Materializer {
     /// deltas are maintained incrementally.
     pub fn holds(&self, db: &Database, atom: &Atom) -> Option<bool> {
         let rel = *self.circuit.index.get(&atom.pred)?;
-        let tuple = Tuple::new(atom.ground_args()?);
+        let args = atom.ground_args()?;
         self.probes.fetch_add(1, Ordering::Relaxed);
-        Some(self.state_for(db).rels[rel].contains(&tuple))
+        let entry = self.state_for(db).rels[rel].entry(&Change::at(&args));
+        Some(entry.is_some_and(|(_, count)| count > 0))
     }
 
     /// All tuples of a materialized predicate at `db`'s version, sorted.
@@ -318,17 +317,19 @@ impl Materializer {
     fn maintain(&self, pending: Pending, db: &Database) -> MatState {
         let t0 = std::time::Instant::now();
         let (mut ancestor, since) = pending.into_nearest();
-        let read: Vec<(Pred, &Tuple)> = (since.iter().map(op_pair))
+        let mut touched: Vec<(Pred, &Tuple)> = (since.iter().map(op_pair))
             .filter(|(pred, _)| self.relevant_base.contains(pred))
             .collect();
-        // The pairs the ops touch, each once.
-        let touched: BTreeSet<(Pred, &Tuple)> = read.iter().copied().collect();
-        let mut events = Events::new();
+        let read = touched.len();
+        // The pairs the ops touch, each once, sorted.
+        touched.sort_unstable();
+        touched.dedup();
+        let mut events = Events::new(&self.circuit);
         for (pred, tuple) in touched {
             let member = db.contains(pred, tuple);
             if member != ancestor.contains(pred, tuple) {
-                let delta = events.entry(pred).or_default();
-                delta.run_mut(member).push(tuple.clone());
+                let input = self.circuit.base[&pred];
+                events[input].run_mut(member).push(tuple.clone());
             }
         }
         // Made, if another worker was making it when `db` was pending on it.
@@ -344,7 +345,7 @@ impl Materializer {
             }
         };
         self.maintained_ops
-            .fetch_add(read.len() as u64, Ordering::Relaxed);
+            .fetch_add(read as u64, Ordering::Relaxed);
         self.maintain_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         state
@@ -375,14 +376,16 @@ impl Materializer {
         old: Option<&MatState>,
     ) -> MatState {
         let circuit = &self.circuit;
+        let scratch = &mut Scratch::new(circuit);
         for scc in &circuit.sccs {
-            if !scc.deps.iter().any(|p| events.contains_key(p)) {
+            if scc.deps.iter().all(|&i| events[i].len() == 0) {
                 continue;
             }
+            let (db, state) = ((old_db, old, new_db), &mut state);
             if scc.recursive {
-                self.maintain_recursive(scc, old_db, old, new_db, &mut state, &mut events);
+                self.maintain_recursive(scc, db, state, &mut events, scratch);
             } else {
-                self.maintain_counting(scc, old_db, old, new_db, &mut state, &mut events);
+                self.maintain_counting(scc, db, state, &mut events, scratch);
             }
         }
         for (a, arr) in circuit.arrangements.iter().enumerate() {
@@ -392,12 +395,9 @@ impl Materializer {
             // one: it goes over by the relation's events. Else the next
             // pass builds it again.
             let before = old.and_then(|old| old.arranged[a].get());
-            if let (Some(before), None) = (before, state.arranged[a].get()) {
-                let moved = runs_on(&events, arr.pred).fold(before.clone(), |m, (run, sign)| {
-                    run.iter().fold(m, |m, t| {
-                        m.alter(&t.permuted(order), |_| (sign > 0).then_some(()))
-                    })
-                });
+            if let (Some(before), None, Some(rel)) = (before, state.arranged[a].get(), arr.rel) {
+                let mut moved = before.clone();
+                arrange(&mut moved, order, &events[rel]);
                 state.arranged[a] = moved.into();
             }
             // A base relation's is on the `Database`, which only probing
@@ -416,30 +416,37 @@ impl Materializer {
     fn maintain_counting(
         &self,
         scc: &Scc,
-        old_db: &Database,
-        old: Option<&MatState>,
-        new_db: &Database,
+        (old_db, old, new_db): Versions<'_>,
         state: &mut MatState,
         events: &mut Events,
+        scratch: &mut Scratch,
     ) {
-        let regs = &plan::registers(self.circuit.num_regs);
-        let mut changes: Vec<((usize, Tuple), i64)> = Vec::new();
+        let Scratch { regs, heads, order } = scratch;
         let data = Data {
             new: self.circuit.views(new_db, state),
             old: self.circuit.views(old_db, old.unwrap_or(state)),
         };
-        join_events(scc, events, |_| true, &data, regs, &mut |rel, row, sign| {
-            changes.push(((rel, row.tuple()), sign));
-        });
-        changes.sort_unstable();
-        for (rel, net) in circuit::net(changes.into_iter()) {
-            let crossed = self.circuit.fold(state, rel, net, |_, net| net);
+        join_events(
+            scc,
+            events,
+            |_| true,
+            &data,
+            regs,
+            order,
+            &mut |rel, row, sign| {
+                heads.push(rel, row.values(), sign);
+            },
+        );
+        heads.net();
+        for (rel, mut edits) in heads.runs() {
+            let crossed = self.circuit.fold(state, rel, &mut edits, |_, net| net);
             let moved = crossed.len() as u64;
             if moved > 0 {
                 self.delta_tuples.fetch_add(moved, Ordering::Relaxed);
-                events.insert(self.circuit.preds[rel], crossed);
+                events[rel] = crossed;
             }
         }
+        heads.clear();
     }
 
     /// DRed maintenance for a recursive component: overdelete every tuple
@@ -449,102 +456,128 @@ impl Materializer {
     fn maintain_recursive(
         &self,
         scc: &Scc,
-        old_db: &Database,
-        old: Option<&MatState>,
-        new_db: &Database,
+        (old_db, old, new_db): Versions<'_>,
         state: &mut MatState,
         events: &mut Events,
+        scratch: &mut Scratch,
     ) {
-        let regs = &plan::registers(self.circuit.num_regs);
         let circuit = &self.circuit;
+        let Scratch { regs, heads, order } = scratch;
         // Phase 1: overdeletion, joined against the old side (which reads
         // that is: `Circuit::reads_old_derived`), in rounds: what the
         // negative events upstream take with them, then what that takes,
-        // until a round takes nothing. The tuples a round takes only leave
-        // `state` once the phase is over, so that until then this
-        // component's relations there are the old ones; each round hands
-        // the next the sorted runs of the tuples it took first.
-        let mut rounds: Vec<Events> = Vec::new();
-        let mut taken: HashSet<(usize, Tuple)> = HashSet::new();
-        let old_data = Data::at(circuit.views(old_db, old.unwrap_or(state)));
-        loop {
-            let mut fresh = Vec::new();
-            let gone = rounds.last().unwrap_or(events);
-            join_events(scc, gone, |s| s < 0, &old_data, regs, &mut |rel, row, _| {
-                let h = row.tuple();
-                if state.rels[rel].contains(&h) && taken.insert((rel, h.clone())) {
-                    fresh.push((rel, h));
+        // until a round takes nothing. A round's heads are netted where
+        // they lie; one is taken if the state holds it and no earlier round
+        // took it — a walk along the sorted tuples taken so far — and the
+        // tuple the state holds is what is taken, so none is made. The
+        // tuples taken only leave `state` once the phase is over, so that
+        // until then this component's relations there are the old ones.
+        let mut taken: Vec<Vec<Tuple>> = vec![Vec::new(); circuit.preds.len()];
+        {
+            let old_data = Data::at(circuit.views(old_db, old.unwrap_or(state)));
+            let (mut gone, mut round) = (None, Events::new(circuit));
+            loop {
+                heads.clear();
+                let from = gone.as_ref().unwrap_or(events);
+                join_events(
+                    scc,
+                    from,
+                    |s| s < 0,
+                    &old_data,
+                    regs,
+                    order,
+                    &mut |rel, row, _| {
+                        heads.push(rel, row.values(), 1);
+                    },
+                );
+                heads.net();
+                round.clear();
+                for (rel, edits) in heads.runs() {
+                    let (before, fresh) = (&taken[rel], &mut round[rel].disappeared);
+                    let mut j = 0;
+                    for e in &edits {
+                        while j < before.len() && e.order(&before[j]).is_lt() {
+                            j += 1;
+                        }
+                        if j < before.len() && e.order(&before[j]).is_eq() {
+                            continue;
+                        }
+                        match state.rels[rel].entry(e) {
+                            Some((t, count)) if count > 0 => fresh.push(t.clone()),
+                            _ => {}
+                        }
+                    }
+                    if !fresh.is_empty() {
+                        taken[rel] = merge_sorted(before, fresh);
+                    }
                 }
-            });
-            if fresh.is_empty() {
-                break;
+                if round.is_empty() {
+                    break;
+                }
+                // The round just made drives the next; the one before is
+                // space for it.
+                let spare = gone.replace(round);
+                round = spare.unwrap_or_else(|| Events::new(circuit));
             }
-            fresh.sort_unstable();
-            let mut round = Events::new();
-            for (rel, t) in fresh {
-                round
-                    .entry(circuit.preds[rel])
-                    .or_default()
-                    .disappeared
-                    .push(t);
-            }
-            rounds.push(round);
         }
-        for (pred, delta) in rounds.iter().flatten() {
-            let entries = delta.disappeared.iter().map(|t| (t.clone(), 1)).collect();
-            circuit.fold(state, circuit.index[pred], entries, |count, _| -count);
+        heads.clear();
+        for (rel, gone) in taken.iter().enumerate() {
+            let mut edits: Vec<Change<'_>> = gone.iter().map(|t| Change::of(t, 1)).collect();
+            circuit.fold(state, rel, &mut edits, |count, _| -count);
         }
 
         // Phase 2: rederivation in one step from the new external state and
         // the reduced component state. Tuples whose alternative support
         // runs through other rederived tuples are recovered by phase 3.
         let data = Data::at(circuit.views(new_db, state));
-        let mut cand: Vec<(usize, Tuple)> = Vec::new();
-        // Everything the pass moves, by predicate: the overdeleted tuples
+        // Everything the pass moves, by relation: the overdeleted tuples
         // in `disappeared`, what phase 3 inserts in `appeared`.
-        let mut moved = Events::new();
-        for (pred, round) in rounds.into_iter().flatten() {
-            let rel = circuit.index[&pred];
-            for t in &round.disappeared {
-                let mut found = false;
-                for rule in scc.rules.iter().filter(|r| r.head == rel) {
-                    if !found {
-                        (rule.rederive).run_with(t, regs, &data, &mut |_| found = true);
-                    }
-                }
-                if found {
-                    cand.push((rel, t.clone()));
-                }
+        // Each rule rederives the run of its head's relation at once
+        // (`Plan::run_each`): what it emits is the tuples it still derives,
+        // once per derivation, netted with the candidates below.
+        let mut moved = Events::new(circuit);
+        for (rel, gone) in taken.into_iter().enumerate() {
+            for rule in scc.rules.iter().filter(|r| r.head == rel) {
+                (rule.rederive).run_each(&gone, order, regs, &data, &mut |row| {
+                    heads.push(rel, row.values(), 1);
+                });
             }
-            let delta = moved.entry(pred).or_default();
-            delta.disappeared.extend(round.disappeared);
+            moved[rel].disappeared = gone;
         }
 
         // Phase 3: semi-naive insertion of the rederived tuples and of what
         // positive events derive, against the new views and the growing
         // component state.
-        join_events(scc, events, |s| s > 0, &data, regs, &mut |rel, row, _| {
-            cand.push((rel, row.tuple()));
-        });
-        circuit.saturate(scc, new_db, state, cand, &mut |rel, new| {
-            let delta = moved.entry(circuit.preds[rel]).or_default();
-            delta.appeared.extend_from_slice(new);
+        join_events(
+            scc,
+            events,
+            |s| s > 0,
+            &data,
+            regs,
+            order,
+            &mut |rel, row, _| {
+                heads.push(rel, row.values(), 1);
+            },
+        );
+        circuit.saturate(scc, new_db, state, scratch, &mut |rel, new| {
+            moved[rel].appeared.extend_from_slice(new);
         });
 
         // Net membership events for downstream components: phase 3 inserts
         // only what the reduced state lacks, so a tuple both deleted and
         // inserted is back where it was and nets to none.
-        for (pred, mut delta) in moved {
-            // Each a concatenation of sorted, disjoint runs, one a round.
-            delta.appeared.sort();
-            delta.disappeared.sort();
-            let (was, now) = (delta.disappeared.clone(), &delta.appeared);
-            delta.disappeared.retain(|t| now.binary_search(t).is_err());
-            delta.appeared.retain(|t| was.binary_search(t).is_err());
+        for rel in 0..circuit.preds.len() {
+            let delta = &mut moved[rel];
+            if delta.len() == 0 {
+                continue;
+            }
+            // A concatenation of sorted, disjoint runs, one a round.
+            delta.appeared.sort_unstable();
+            drop_common(&mut delta.appeared, &mut delta.disappeared);
             if delta.len() > 0 {
                 let moved = delta.len() as u64;
                 self.delta_tuples.fetch_add(moved, Ordering::Relaxed);
-                events.insert(pred, delta);
+                events[rel] = std::mem::take(delta);
             }
         }
     }
@@ -594,6 +627,50 @@ impl Materializer {
             ("maintain_us", self.maintain_ns() / 1000),
         ]
     }
+}
+
+/// The three versions a pass reads: the old database, a copy of the state
+/// as it was when there is one (`Circuit::reads_old_derived`), and the new
+/// database.
+type Versions<'a> = (&'a Database, Option<&'a MatState>, &'a Database);
+
+/// Take out of the sorted runs `a` and `b` the tuples both hold, in one
+/// walk along the two.
+fn drop_common(a: &mut Vec<Tuple>, b: &mut Vec<Tuple>) {
+    if a.is_empty() || b.is_empty() {
+        return;
+    }
+    let (mut i, mut j) = (0, 0);
+    let (mut in_a, mut in_b) = (vec![true; a.len()], vec![true; b.len()]);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                (in_a[i], in_b[j]) = (false, false);
+                (i, j) = (i + 1, j + 1);
+            }
+        }
+    }
+    let mut keep = in_a.into_iter();
+    a.retain(|_| keep.next().expect("a flag per tuple"));
+    let mut keep = in_b.into_iter();
+    b.retain(|_| keep.next().expect("a flag per tuple"));
+}
+
+/// The sorted, disjoint `a` and `b` as one sorted run.
+fn merge_sorted(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        out.push(
+            if x < y { a.next() } else { b.next() }
+                .cloned()
+                .expect("peeked"),
+        );
+    }
+    out.extend(a.chain(b).cloned());
+    out
 }
 
 #[cfg(test)]
@@ -1324,7 +1401,9 @@ mod tests {
                 assert_eq!(rule.events.len(), visits(&rule.full), "a plan per literal");
                 for d in &rule.events {
                     let loaded = d.plan.load.binds.len() + d.plan.load.checks.len();
-                    assert_eq!(loaded, d.pred.arity as usize, "{:?}", d.plan);
+                    let base = circuit.base.iter().find(|(_, i)| **i == d.input);
+                    let pred = circuit.preds.get(d.input).or(base.map(|(p, _)| p));
+                    assert_eq!(loaded, pred.unwrap().arity as usize, "{:?}", d.plan);
                     assert_eq!(visits(&d.plan), visits(&rule.full) - 1, "{:?}", d.plan);
                 }
                 if !rule.rederive.code.is_empty() {

@@ -25,7 +25,7 @@
 //! ([`Compiler::next`]); which version of the data a literal reads is a
 //! matter of where it stands in the body ([`Side`]), never of when it runs.
 
-use super::circuit::MatState;
+use super::circuit::{Change, MatState};
 use crate::datalog::{FlatRule, Lit};
 use crate::kernel::{eval_ground_builtin, BuiltinOut};
 use std::cell::Cell;
@@ -147,6 +147,11 @@ pub(crate) struct Plan {
     pub(crate) load: Match,
     /// Empty when the rule can derive nothing entered this way.
     pub(crate) code: Vec<Instr>,
+    /// When the first instruction is a keyed [`Instr::Probe`], the columns
+    /// of the tuple the plan is entered with that its key is made of: the
+    /// tuples of a run that agree on them share the probe
+    /// ([`Plan::run_each`]).
+    pub(crate) first_key: Option<Vec<usize>>,
 }
 
 /// The three ways the evaluator enters a rule.
@@ -240,6 +245,19 @@ pub(crate) fn compile(
         return dead;
     };
     plan.code.push(Instr::Emit { head });
+    let key = match plan.code.first() {
+        Some(Instr::Probe { key, .. }) if !key.is_empty() => Some(key),
+        _ => None,
+    };
+    if let (Entry::Driven(_) | Entry::Head, Some(key)) = (entry, key) {
+        let column = |r: usize| plan.load.binds.iter().find(|b| b.1 == r).map(|b| b.0);
+        plan.first_key = (key.iter())
+            .filter_map(|src| match src {
+                Src::Reg(r) => Some(column(*r)),
+                Src::Const(_) => None,
+            })
+            .collect();
+    }
     debug_assert!(plan.reads_only_bound_registers());
     plan
 }
@@ -512,6 +530,16 @@ enum Sorted<'a> {
 }
 
 impl Sorted<'_> {
+    /// Does the set hold the tuple of `vals`?
+    fn holds(self, vals: &[Value]) -> bool {
+        let probe = Change::at(vals);
+        match self {
+            Sorted::Base(r) => r.holds(&probe),
+            Sorted::Counted(r) => r.entry(&probe).is_some_and(|(_, count)| count > 0),
+            Sorted::Arranged(m) => m.get_entry(&probe).is_some(),
+        }
+    }
+
     fn for_each_with_prefix<I: Iterator<Item = Value>>(
         self,
         prefix: impl Fn() -> I,
@@ -545,6 +573,12 @@ impl<'a> Data<'a> {
         }
     }
 
+    /// Does the base relation `pred` hold the tuple of `args`?
+    fn present(&self, side: Side, pred: Pred, args: &[Src], regs: &Regs) -> bool {
+        let r = self.views(side).db.relation(pred);
+        r.is_some_and(|r| with_values(args, regs, |vals| Sorted::Base(r).holds(vals)))
+    }
+
     fn sorted(&self, side: Side, rows: Rows) -> Option<Sorted<'a>> {
         let v = self.views(side);
         match rows {
@@ -563,8 +597,9 @@ pub(crate) struct Row<'a> {
 }
 
 impl Row<'_> {
-    pub(crate) fn tuple(&self) -> Tuple {
-        values(self.head, self.regs).collect()
+    /// The head's values.
+    pub(crate) fn values(&self) -> impl Iterator<Item = Value> + '_ {
+        values(self.head, self.regs)
     }
 }
 
@@ -583,6 +618,61 @@ impl Plan {
         }
     }
 
+    /// Every derivation of the rule entered with each tuple of `run`, which
+    /// is sorted: where the plan starts with a keyed probe
+    /// ([`Plan::first_key`]), once per key — the tuples that give it the
+    /// same key, adjacent in `run` when the key's columns lead the tuple and
+    /// brought together by a sort of `order` (scratch space) when not, share
+    /// one probe, and each row it finds goes on with each of them.
+    pub(crate) fn run_each(
+        &self,
+        run: &[Tuple],
+        order: &mut Vec<usize>,
+        regs: &Regs,
+        data: &Data<'_>,
+        emit: &mut dyn FnMut(Row<'_>),
+    ) {
+        let (Some(cols), Some((probe, then))) = (&self.first_key, self.code.split_first()) else {
+            return run.iter().for_each(|t| self.run_with(t, regs, data, emit));
+        };
+        let Instr::Probe {
+            side,
+            rows,
+            key,
+            rest,
+        } = probe
+        else {
+            unreachable!("a first key is a probe's")
+        };
+        let Some(sorted) = data.sorted(*side, *rows) else {
+            return;
+        };
+        let cmp = |a: &usize, b: &usize| {
+            let (a, b) = (run[*a].values(), run[*b].values());
+            cols.iter().map(|&c| a[c].cmp(&b[c])).find(|o| o.is_ne())
+        };
+        order.clear();
+        order.extend(0..run.len());
+        if !cols.iter().copied().eq(0..cols.len()) {
+            order.sort_unstable_by(|a, b| cmp(a, b).unwrap_or(std::cmp::Ordering::Equal));
+        }
+        // Each tuple of a group, loaded, and the plan from `then` on once
+        // for the row, if `rest` lets it through.
+        let each = |group: &[usize], row: &[Value], emit: &mut dyn FnMut(Row<'_>)| {
+            for &t in group {
+                if self.load.load(run[t].values(), regs) && rest.load(row, regs) {
+                    exec(then, regs, data, emit);
+                }
+            }
+        };
+        for group in order.chunk_by(|a, b| cmp(a, b).is_none()) {
+            // The key's registers, which every tuple of the group loads
+            // alike, whatever the load's checks say.
+            self.load.load(run[group[0]].values(), regs);
+            find_rows(sorted, key, rest, regs, |row| each(group, row, emit));
+        }
+    }
+
     /// Every derivation of the rule over `data`.
     pub(crate) fn run(&self, regs: &Regs, data: &Data<'_>, emit: &mut dyn FnMut(Row<'_>)) {
         exec(&self.code, regs, data, emit);
@@ -591,6 +681,38 @@ impl Plan {
 
 fn values<'a>(srcs: &'a [Src], regs: &'a Regs) -> impl Iterator<Item = Value> + 'a {
     srcs.iter().map(|s| s.get(regs))
+}
+
+/// The rows of `sorted` a probe with `key` finds, each as `f` of its
+/// values; where `rest` is empty the key binds every column, and the probe
+/// is a membership test, one descent, whose row is `f(&[])`.
+fn find_rows(
+    sorted: Sorted<'_>,
+    key: &[Src],
+    rest: &Match,
+    regs: &Regs,
+    mut f: impl FnMut(&[Value]),
+) {
+    if rest.binds.is_empty() && rest.checks.is_empty() {
+        if with_values(key, regs, |vals| sorted.holds(vals)) {
+            f(&[]);
+        }
+        return;
+    }
+    sorted.for_each_with_prefix(|| values(key, regs), |row| f(row.values()));
+}
+
+/// `f` of the values of `srcs`, gathered on the stack when they are few.
+fn with_values<T>(srcs: &[Src], regs: &Regs, f: impl FnOnce(&[Value]) -> T) -> T {
+    const FEW: usize = 8;
+    if srcs.len() > FEW {
+        return f(&values(srcs, regs).collect::<Vec<_>>());
+    }
+    let mut buf = [Value::Int(0); FEW];
+    for (slot, v) in buf.iter_mut().zip(values(srcs, regs)) {
+        *slot = v;
+    }
+    f(&buf[..srcs.len()])
 }
 
 /// The one join: run `code` from its first instruction, once per row the
@@ -609,21 +731,14 @@ fn exec(code: &[Instr], regs: &Regs, data: &Data<'_>, emit: &mut dyn FnMut(Row<'
             let Some(sorted) = data.sorted(*side, *rows) else {
                 return;
             };
-            sorted.for_each_with_prefix(
-                || values(key, regs),
-                |t| {
-                    if rest.load(t.values(), regs) {
-                        exec(then, regs, data, emit);
-                    }
-                },
-            );
+            find_rows(sorted, key, rest, regs, |row| {
+                if rest.load(row, regs) {
+                    exec(then, regs, data, emit);
+                }
+            });
         }
         Instr::Absent { side, pred, args } => {
-            let mut present = false;
-            if let Some(r) = data.views(*side).db.relation(*pred) {
-                r.for_each_with_prefix(|| values(args, regs), |_| present = true);
-            }
-            if !present {
+            if !data.present(*side, *pred, args, regs) {
                 exec(then, regs, data, emit);
             }
         }
