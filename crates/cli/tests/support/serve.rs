@@ -1,8 +1,12 @@
 //! Driving a `td serve` process from a test: start it on a program with its
 //! store and socket in a directory of its own, read its `stats`, stop it.
 //! `cli.rs` and `serve_counts.rs` compile it in with `#[path]`.
+//!
+//! The process belongs to a [`Serve`] guard: a test that fails before it
+//! stops its server still ends it, so no `td serve` outlives the test
+//! holding its socket and store.
 
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 
 fn td() -> Command {
     Command::new(env!("CARGO_BIN_EXE_td"))
@@ -16,13 +20,26 @@ pub fn serve_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A running `td serve`. Dropped before [`stop_serve`] took it — a test
+/// that panicked, say — it kills the process and waits for it.
+pub struct Serve(Option<Child>);
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Start `td <flags> serve <file>` with its store and socket in `dir`, and
 /// connect to it once it accepts.
 pub fn spawn_serve(
     flags: &[String],
     file: &std::path::Path,
     dir: &std::path::Path,
-) -> (std::process::Child, td_serve::Client) {
+) -> (Serve, td_serve::Client) {
     let socket = dir.join("td.sock");
     let server = td()
         .args(flags)
@@ -34,6 +51,7 @@ pub fn spawn_serve(
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
+    let server = Serve(Some(server));
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     loop {
         match td_serve::Client::connect(&socket) {
@@ -48,9 +66,10 @@ pub fn spawn_serve(
 }
 
 /// Stop a server started by [`spawn_serve`] and wait for a clean exit.
-pub fn stop_serve(server: std::process::Child, mut client: td_serve::Client) {
+pub fn stop_serve(mut server: Serve, mut client: td_serve::Client) {
     assert_eq!(client.request("stop").unwrap(), "ok stopping");
-    let out = server.wait_with_output().unwrap();
+    let child = server.0.take().expect("a server is stopped once");
+    let out = child.wait_with_output().unwrap();
     assert!(out.status.success(), "{out:?}");
 }
 

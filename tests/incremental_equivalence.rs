@@ -30,6 +30,7 @@ mod common;
 
 use common::{assert_same_witness, chain_closure, corpus_files};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use transaction_datalog::prelude::{
     parse_goal, parse_program, Atom, Database, Engine, EngineConfig, Goal, Pred, Program,
     SearchBackend, Term, Tuple, Value,
@@ -598,18 +599,77 @@ fn fixture_model(db: &Database) -> [Vec<(i64, i64)>; 2] {
 }
 
 /// Editing a state in place never changes a version someone still holds.
-/// Random transactions through the engine, some of their results kept the
-/// way a choicepoint keeps them and probed only after descendants of theirs
-/// were maintained — from them, or past them from an older ancestor — and
-/// every probed version's views against the model and the plain engine.
+/// Transactions through the engine, some of their results kept the way a
+/// choicepoint keeps them and probed only after descendants of theirs were
+/// maintained — from them, or past them from an older ancestor — and every
+/// probed version's views against a model and the plain engine. Two
+/// inputs: random transactions over the five-node fixture, whose relations
+/// stay a run or a two-leaf tree; and `datalog_views`' 256-node tree, whose
+/// `path` and `open` are three-level trees edited in place by every pass.
 #[test]
 fn kept_versions_keep_their_views_while_descendants_are_edited_in_place() {
     let (p, root) = fixture();
-    let (plain, engine) = (plain(&p), materialized(&p));
+    let random = |rng: &mut dyn FnMut(u64) -> u64, step: usize| {
+        if step == 300 {
+            return None;
+        }
+        // One to three updates; an inserted edge points forward, so plain
+        // top-down terminates.
+        let updates: Vec<Goal> = (0..1 + rng(3))
+            .map(|_| {
+                let (i, j) = (1 + rng(4) as i64, rng(5) as i64 + 1);
+                match rng(6) {
+                    0 => Goal::ins("blocked", vec![Term::int(j)]),
+                    1 => Goal::del("blocked", vec![Term::int(j)]),
+                    2 | 3 => Goal::del("edge", vec![Term::int(i), Term::int(j)]),
+                    _ => {
+                        let j = j.max(i + 1);
+                        Goal::ins("edge", vec![Term::int(i), Term::int(j)])
+                    }
+                }
+            })
+            .collect();
+        Some(Goal::seq(updates))
+    };
+    let (rebuilds, ops) = edit_keeping_versions(&p, root, &fixture_model, random);
+    assert_eq!(rebuilds, 1, "every version maintained from another");
+    assert!(ops > 150, "{ops}");
+
+    // `datalog_views`: each transaction takes one tree edge away and puts
+    // back the one the transaction before took, every edge in turn.
+    let (p, root) = tree_fixture();
+    let edge = |c: i64| vec![Term::int(c / 2), Term::int(c)];
+    let each_edge = |_: &mut dyn FnMut(u64) -> u64, step: usize| {
+        let c = step as i64 + 2;
+        let cut = Goal::del("edge", edge(c));
+        (c <= TREE_NODES).then(|| match c {
+            2 => cut,
+            _ => Goal::seq(vec![cut, Goal::ins("edge", edge(c - 1))]),
+        })
+    };
+    let (rebuilds, ops) = edit_keeping_versions(&p, root, &tree_model, each_edge);
+    assert_eq!(rebuilds, 1, "every version maintained from another");
+    // A cut and a restore an edge, each maintained at least once (a kept
+    // version probed late is reached from an older one).
+    assert!(ops >= 2 * TREE_NODES as u64 - 3, "{ops}");
+}
+
+/// Run the transactions `next(rng, step)` gives, step by step until it
+/// gives none, through a materializing engine from `root`; keep some
+/// results and probe them later, and check every probed version's `path`
+/// and `open` against `model` and three of their tuples against the plain
+/// engine. Returns the materializer's rebuilds and maintained ops.
+fn edit_keeping_versions(
+    p: &Program,
+    root: Database,
+    model: &dyn Fn(&Database) -> [Vec<(i64, i64)>; 2],
+    mut next: impl FnMut(&mut dyn FnMut(u64) -> u64, usize) -> Option<Goal>,
+) -> (u64, u64) {
+    let (plain, engine) = (plain(p), materialized(p));
     let m = engine.materializer().expect("fixture must compile");
     let views = [Pred::new("path", 2), Pred::new("open", 2)];
     let check = |db: &Database, what: &str| {
-        let model = fixture_model(db);
+        let model = model(db);
         for (view, expect) in views.iter().zip(&model) {
             let got: Vec<(i64, i64)> = (m.facts(db, *view).iter())
                 .map(|t| match t.values() {
@@ -634,24 +694,11 @@ fn kept_versions_keep_their_views_while_descendants_are_edited_in_place() {
     check(&root, "the root");
     let mut db = root;
     let mut kept: Vec<(usize, Database)> = Vec::new();
-    for step in 0..300 {
-        // One to three updates; an inserted edge points forward, so plain
-        // top-down terminates.
-        let updates: Vec<Goal> = (0..1 + rng(3))
-            .map(|_| {
-                let (i, j) = (1 + rng(4) as i64, rng(5) as i64 + 1);
-                match rng(6) {
-                    0 => Goal::ins("blocked", vec![Term::int(j)]),
-                    1 => Goal::del("blocked", vec![Term::int(j)]),
-                    2 | 3 => Goal::del("edge", vec![Term::int(i), Term::int(j)]),
-                    _ => {
-                        let j = j.max(i + 1);
-                        Goal::ins("edge", vec![Term::int(i), Term::int(j)])
-                    }
-                }
-            })
-            .collect();
-        let out = engine.solve(&Goal::seq(updates), &db).unwrap();
+    for step in 0.. {
+        let Some(tx) = next(&mut rng, step) else {
+            break;
+        };
+        let out = engine.solve(&tx, &db).unwrap();
         db = out.solution().expect("updates succeed").db.clone();
         if rng(3) == 0 {
             kept.push((step, db.clone()));
@@ -667,8 +714,68 @@ fn kept_versions_keep_their_views_while_descendants_are_edited_in_place() {
     for (at, old) in &kept {
         check(old, &format!("kept step {at}"));
     }
-    assert_eq!(m.rebuilds(), 1, "every version maintained from another");
-    assert!(m.maintained_ops() > 150, "{}", m.maintained_ops());
+    (m.rebuilds(), m.maintained_ops())
+}
+
+/// `datalog_views`' nodes: a complete binary tree over `1..=TREE_NODES`.
+const TREE_NODES: i64 = 256;
+
+/// `datalog_views`' rules over its tree — every edge `n / 2 → n` — with 32
+/// blocked nodes, a fixed draw.
+fn tree_fixture() -> (Program, Database) {
+    let mut src = String::from(
+        "base edge/2. base blocked/1.
+         path(X, Y) <- edge(X, Y).
+         path(X, Z) <- edge(X, Y) * path(Y, Z).
+         open(X, Y) <- path(X, Y) * not blocked(Y).\n",
+    );
+    for c in 2..=TREE_NODES {
+        src.push_str(&format!("init edge({}, {c}).\n", c / 2));
+    }
+    let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+    let mut blocked = std::collections::BTreeSet::new();
+    while blocked.len() < 32 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        blocked.insert(1 + (x % TREE_NODES as u64) as i64);
+    }
+    for b in blocked {
+        src.push_str(&format!("init blocked({b}).\n"));
+    }
+    let parsed = parse_program(&src).expect("the tree parses");
+    let db = Database::with_schema_of(&parsed.program);
+    let db = td_engine::load_init(&db, &parsed.init).expect("init loads");
+    (parsed.program, db)
+}
+
+/// The tree's views read off the stored `edge` and `blocked` tuples by
+/// walking up from each node — an oracle that shares no code with either
+/// engine: `(path, open)`, each sorted. Every stored edge is a tree edge,
+/// so a node has at most one parent.
+fn tree_model(db: &Database) -> [Vec<(i64, i64)>; 2] {
+    let int = |t: &Tuple, i: usize| match t.values()[i] {
+        Value::Int(n) => n,
+        other => panic!("{other:?}"),
+    };
+    let (mut parent, mut blocked) = (HashMap::new(), HashSet::new());
+    for t in db.relation(Pred::new("edge", 2)).unwrap().to_vec() {
+        assert!(parent.insert(int(&t, 1), int(&t, 0)).is_none());
+    }
+    for t in db.relation(Pred::new("blocked", 1)).unwrap().to_vec() {
+        blocked.insert(int(&t, 0));
+    }
+    let mut path = Vec::new();
+    for y in 1..=TREE_NODES {
+        let mut at = y;
+        while let Some(&x) = parent.get(&at) {
+            path.push((x, y));
+            at = x;
+        }
+    }
+    path.sort_unstable();
+    let open = path.iter().copied().filter(|(_, y)| !blocked.contains(y)).collect();
+    [path, open]
 }
 
 /// Two materializing engines with different rules over one database value,
