@@ -82,26 +82,14 @@ impl Key for u64 {
     }
 }
 
-/// Something the keys of a map compare with: a key itself, or a borrowed
-/// form of one (a tuple's values where they already lie, say) that is made
-/// into a key only where it is stored.
+/// Something the keys of a map compare with without being a key: a key and
+/// what to do there, or a borrowed form of one (a tuple's values where they
+/// already lie, say) that is made into a key only where it is stored.
 pub trait Probe<K> {
     /// The code the probe's key has ([`Key::code`]).
     fn probe_code(&self) -> u64;
     /// How `key` orders against the probe.
     fn order(&self, key: &K) -> Ordering;
-}
-
-impl<K: Key> Probe<K> for K {
-    #[inline]
-    fn probe_code(&self) -> u64 {
-        self.code()
-    }
-
-    #[inline]
-    fn order(&self, key: &K) -> Ordering {
-        key.cmp(self)
-    }
 }
 
 /// One edit of a run [`OrdMap::merge`] applies: where it is, as a probe,

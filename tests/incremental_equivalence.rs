@@ -572,10 +572,13 @@ fn one_transaction_makes_one_pass() {
     assert_eq!(counted(&engine, "rebuilds"), 1);
 }
 
+/// A model's `path` and `open`, each as sorted pairs.
+type ViewPairs = [Vec<(i64, i64)>; 2];
+
 /// The fixture's views over nodes 1 to 5, read off the stored `edge` and
 /// `blocked` tuples by Warshall's closure — an oracle that shares no code
 /// with either engine: `(path, open)`, each sorted.
-fn fixture_model(db: &Database) -> [Vec<(i64, i64)>; 2] {
+fn fixture_model(db: &Database) -> ViewPairs {
     let int = |i: usize| Value::Int(i as i64 + 1);
     let has = |name: &str, ix: &[usize]| {
         let t = Tuple::new(ix.iter().map(|&i| int(i)).collect());
@@ -662,7 +665,7 @@ fn kept_versions_keep_their_views_while_descendants_are_edited_in_place() {
 fn edit_keeping_versions(
     p: &Program,
     root: Database,
-    model: &dyn Fn(&Database) -> [Vec<(i64, i64)>; 2],
+    model: &dyn Fn(&Database) -> ViewPairs,
     mut next: impl FnMut(&mut dyn FnMut(u64) -> u64, usize) -> Option<Goal>,
 ) -> (u64, u64) {
     let (plain, engine) = (plain(p), materialized(p));
@@ -753,7 +756,7 @@ fn tree_fixture() -> (Program, Database) {
 /// walking up from each node — an oracle that shares no code with either
 /// engine: `(path, open)`, each sorted. Every stored edge is a tree edge,
 /// so a node has at most one parent.
-fn tree_model(db: &Database) -> [Vec<(i64, i64)>; 2] {
+fn tree_model(db: &Database) -> ViewPairs {
     let int = |t: &Tuple, i: usize| match t.values()[i] {
         Value::Int(n) => n,
         other => panic!("{other:?}"),
@@ -774,7 +777,11 @@ fn tree_model(db: &Database) -> [Vec<(i64, i64)>; 2] {
         }
     }
     path.sort_unstable();
-    let open = path.iter().copied().filter(|(_, y)| !blocked.contains(y)).collect();
+    let open = path
+        .iter()
+        .copied()
+        .filter(|(_, y)| !blocked.contains(y))
+        .collect();
     [path, open]
 }
 
