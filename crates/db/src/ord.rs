@@ -254,7 +254,10 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
             }
             None => {
                 return match f(None) {
-                    Some(value) => OrdMap::of_run(vec![(code, key.clone(), value)]),
+                    Some(value) => OrdMap {
+                        root: Some(Root::Run(Arc::new([(code, key.clone(), value)]))),
+                        len: 1,
+                    },
                     None => OrdMap::new(),
                 };
             }
@@ -630,7 +633,18 @@ impl<K: Key, V: Clone + Eq, const N: usize> Eq for OrdMap<K, V, N> {}
 /// compared only where their codes tie with `code`.
 #[inline]
 fn run_find<K: Ord, V>(run: &[Entry<K, V>], key: &K, code: u64) -> Result<usize, usize> {
-    run_seek(run, code, |k| k.cmp(key))
+    let mut i = 0;
+    while i < run.len() && run[i].0 < code {
+        i += 1;
+    }
+    while i < run.len() && run[i].0 == code {
+        match run[i].1.cmp(key) {
+            Ordering::Less => i += 1,
+            Ordering::Equal => return Ok(i),
+            Ordering::Greater => break,
+        }
+    }
+    Err(i)
 }
 
 /// [`run_find`] of the key `order` places: `order(k)` says how `k` orders
@@ -1074,11 +1088,21 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
     /// compared.
     #[inline]
     fn find(&self, key: &K, code: u64) -> Result<usize, usize> {
-        self.seek(usize::from(!self.is_leaf()), code, |k| k.cmp(key))
+        let mut i = self.below(code);
+        while i < self.len && self.codes[i] == code {
+            match some(&self.keys[i]).cmp(key) {
+                Ordering::Less => i += 1,
+                Ordering::Equal => return Ok(i),
+                Ordering::Greater => break,
+            }
+        }
+        Err(i)
     }
 
     /// [`Node::find`] from slot `from` on, of the key `order` places:
-    /// `order(k)` says how `k` orders against it.
+    /// `order(k)` says how `k` orders against it. A probe's search, kept
+    /// apart from the key's so that the persistent edit's compiles as it
+    /// did before probes existed.
     #[inline]
     fn seek(&self, from: usize, code: u64, order: impl Fn(&K) -> Ordering) -> Result<usize, usize> {
         let mut i = from;
@@ -1098,7 +1122,10 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
     /// The child of an inner node that holds `key` if anything does.
     #[inline]
     fn route(&self, key: &K, code: u64) -> usize {
-        self.route_by(code, |k| k.cmp(key))
+        match self.find(key, code) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        }
     }
 
     /// [`Node::route`] of the key `order` places.

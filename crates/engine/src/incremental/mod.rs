@@ -55,7 +55,7 @@ use crate::compiled::Compiled;
 use crate::datalog::{flatten_rule, FlatRule, Lit};
 use circuit::{arrange, join_events, Change, Circuit, Events, MatState, Scc, Scratch};
 use plan::Data;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use td_core::{Atom, Pred, Program, Value};
@@ -317,13 +317,11 @@ impl Materializer {
     fn maintain(&self, pending: Pending, db: &Database) -> MatState {
         let t0 = std::time::Instant::now();
         let (mut ancestor, since) = pending.into_nearest();
-        let mut touched: Vec<(Pred, &Tuple)> = (since.iter().map(op_pair))
+        let read: Vec<(Pred, &Tuple)> = (since.iter().map(op_pair))
             .filter(|(pred, _)| self.relevant_base.contains(pred))
             .collect();
-        let read = touched.len();
-        // The pairs the ops touch, each once, sorted.
-        touched.sort_unstable();
-        touched.dedup();
+        // The pairs the ops touch, each once.
+        let touched: BTreeSet<(Pred, &Tuple)> = read.iter().copied().collect();
         let mut events = Events::new(&self.circuit);
         for (pred, tuple) in touched {
             let member = db.contains(pred, tuple);
@@ -345,7 +343,7 @@ impl Materializer {
             }
         };
         self.maintained_ops
-            .fetch_add(read as u64, Ordering::Relaxed);
+            .fetch_add(read.len() as u64, Ordering::Relaxed);
         self.maintain_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         state
