@@ -1100,9 +1100,8 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
     }
 
     /// [`Node::find`] from slot `from` on, of the key `order` places:
-    /// `order(k)` says how `k` orders against it. A probe's search, kept
-    /// apart from the key's so that the persistent edit's compiles as it
-    /// did before probes existed.
+    /// `order(k)` says how `k` orders against it: a probe's search, kept
+    /// apart from the key's, which the kernel's persistent edit runs.
     #[inline]
     fn seek(&self, from: usize, code: u64, order: impl Fn(&K) -> Ordering) -> Result<usize, usize> {
         let mut i = from;
