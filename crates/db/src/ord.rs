@@ -217,17 +217,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
 
     /// The value stored under `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let code = key.code();
-        let mut n = match self.root.as_ref()? {
-            Root::Run(run) => return run_find(run, key, code).ok().map(|i| &run[i].2),
-            Root::Tree(root) => &**root,
-        };
-        loop {
-            match &n.body {
-                Body::Leaf(vals) => return n.find(key, code).ok().map(|i| some(&vals[i])),
-                Body::Inner(kids) => n = child(&kids[n.route(key, code)]),
-            }
-        }
+        self.entry_by(key.code(), |k| k.cmp(key)).map(|(_, v)| v)
     }
 
     /// Set the entry for `key` to `f(current)`, where `None` stands for "no
@@ -246,7 +236,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
         let root = match &self.root {
             Some(Root::Tree(root)) => root,
             Some(Root::Run(run)) => {
-                let at = run_find(run, key, code);
+                let at = run_seek(run, code, |k| k.cmp(key));
                 return match decide(at.ok().map(|i| &run[i].2), f) {
                     Some(value) => OrdMap::run_edited(run, at, code, key, value),
                     None => self.clone(),
@@ -281,8 +271,13 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
 
     /// The entry under `probe`'s key, found without a key being made.
     pub fn get_entry<P: Probe<K> + ?Sized>(&self, probe: &P) -> Option<(&K, &V)> {
-        let code = probe.probe_code();
-        let order = |k: &K| probe.order(k);
+        self.entry_by(probe.probe_code(), |k| probe.order(k))
+    }
+
+    /// The entry of the key `order` places, whose code is `code`: `order(k)`
+    /// says how `k` orders against it.
+    #[inline]
+    fn entry_by(&self, code: u64, order: impl Fn(&K) -> Ordering) -> Option<(&K, &V)> {
         let mut n = match self.root.as_ref()? {
             Root::Run(run) => {
                 let i = run_seek(run, code, order).ok()?;
@@ -293,10 +288,10 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
         loop {
             match &n.body {
                 Body::Leaf(vals) => {
-                    let i = n.seek(0, code, order).ok()?;
+                    let i = n.seek(0, code, &order).ok()?;
                     return Some((some(&n.keys[i]), some(&vals[i])));
                 }
-                Body::Inner(kids) => n = child(&kids[n.route_by(code, order)]),
+                Body::Inner(kids) => n = child(&kids[n.route_by(code, &order)]),
             }
         }
     }
@@ -313,8 +308,10 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// keeps what it held, and a run that changes nothing copies nothing.
     /// A node the run overfills is dealt into as many as it takes, and one
     /// it leaves short is refilled from a neighbour, node by node on the
-    /// way back up. A run (a map of at most `N` entries) is merged into a
-    /// new one, or into a tree if it outgrows `N`.
+    /// way back up. A run (a map of at most `N` entries) this version alone
+    /// holds becomes a leaf with room, copied once and written over from
+    /// then on; a shared one is merged into a new run, or into a tree if it
+    /// outgrows `N`.
     pub fn merge<E: Edit<K>>(
         &mut self,
         run: &mut [E],
@@ -332,6 +329,15 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     fn merged<E: Edit<K>>(&mut self, run: &mut [E], f: Step<'_, K, V, E>) {
         if run.is_empty() {
             return;
+        }
+        if let Some(Root::Run(entries)) = &mut self.root {
+            if Arc::get_mut(entries).is_some() {
+                let mut leaf = Node::empty(true);
+                for (i, (code, key, value)) in entries.iter().enumerate() {
+                    leaf.put(i, *code, Some(key.clone()), Slot::Val(value.clone()));
+                }
+                self.root = Some(Root::Tree(Arc::new(leaf)));
+            }
         }
         let root = match &mut self.root {
             Some(Root::Tree(root)) => root,
@@ -378,7 +384,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
         }
     }
 
-    /// The map holding `run` with the entry at `at` (a [`run_find`] of
+    /// The map holding `run` with the entry at `at` (a [`run_seek`] of
     /// `key`) set to `value`: a run again unless it grew past `N`.
     fn run_edited(
         run: &[Entry<K, V>],
@@ -628,27 +634,10 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> PartialEq for OrdMap<K, V, N>
 
 impl<K: Key, V: Clone + Eq, const N: usize> Eq for OrdMap<K, V, N> {}
 
-/// Where `key` is in a run: `Ok(i)` at entry `i`, or `Err(i)` when the
-/// entries before `i` are the smaller ones. As [`Node::find`]: keys are
-/// compared only where their codes tie with `code`.
-#[inline]
-fn run_find<K: Ord, V>(run: &[Entry<K, V>], key: &K, code: u64) -> Result<usize, usize> {
-    let mut i = 0;
-    while i < run.len() && run[i].0 < code {
-        i += 1;
-    }
-    while i < run.len() && run[i].0 == code {
-        match run[i].1.cmp(key) {
-            Ordering::Less => i += 1,
-            Ordering::Equal => return Ok(i),
-            Ordering::Greater => break,
-        }
-    }
-    Err(i)
-}
-
-/// [`run_find`] of the key `order` places: `order(k)` says how `k` orders
-/// against it, and is asked only about keys whose codes tie with `code`.
+/// Where the key `order` places is in a run: `Ok(i)` at entry `i`, or
+/// `Err(i)` when the entries before `i` are the smaller ones. As
+/// [`Node::seek`]: `order(k)` says how `k` orders against the key, and is
+/// asked only about keys whose codes tie with `code`.
 #[inline]
 fn run_seek<K, V>(
     run: &[Entry<K, V>],
@@ -711,13 +700,13 @@ fn alter_node<K: Key, V: Clone + PartialEq, const N: usize>(
     f: Change<'_, V>,
 ) -> Option<Replaced<K, V, N>> {
     if n.is_leaf() {
-        let at = n.find(key, code);
+        let at = n.seek(0, code, |k| k.cmp(key));
         let value = decide(at.ok().map(|i| n.val(i)), f)?;
         let mut copy = n.clone();
         let up = copy.edit_leaf(at, key, code, value);
         return Some((Arc::new(copy), up));
     }
-    let i = n.route(key, code);
+    let i = n.route_by(code, |k| k.cmp(key));
     let (kid, up) = alter_node(n.kid(i), key, code, f)?;
     let mut copy = n.copy_but_kid(i, kid);
     let up = copy.absorb(i, up);
@@ -1082,26 +1071,11 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
         }
     }
 
-    /// Where `key` is among the keys of a leaf: `Ok(i)` at slot `i`, or
-    /// `Err(i)` when the keys before slot `i` are the smaller ones. The
-    /// codes say it alone unless some tie with `code`; only those keys are
-    /// compared.
-    #[inline]
-    fn find(&self, key: &K, code: u64) -> Result<usize, usize> {
-        let mut i = self.below(code);
-        while i < self.len && self.codes[i] == code {
-            match some(&self.keys[i]).cmp(key) {
-                Ordering::Less => i += 1,
-                Ordering::Equal => return Ok(i),
-                Ordering::Greater => break,
-            }
-        }
-        Err(i)
-    }
-
-    /// [`Node::find`] from slot `from` on, of the key `order` places:
-    /// `order(k)` says how `k` orders against it: a probe's search, kept
-    /// apart from the key's, which the kernel's persistent edit runs.
+    /// Where the key `order` places is among the keys of a leaf, looked
+    /// for from slot `from` on: `Ok(i)` at slot `i`, or `Err(i)` when the
+    /// keys before slot `i` are the smaller ones. `order(k)` says how `k`
+    /// orders against the key; the codes say it alone unless some tie with
+    /// `code`, and only those keys are asked about.
     #[inline]
     fn seek(&self, from: usize, code: u64, order: impl Fn(&K) -> Ordering) -> Result<usize, usize> {
         let mut i = from;
@@ -1118,16 +1092,8 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
         Err(i)
     }
 
-    /// The child of an inner node that holds `key` if anything does.
-    #[inline]
-    fn route(&self, key: &K, code: u64) -> usize {
-        match self.find(key, code) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
-    }
-
-    /// [`Node::route`] of the key `order` places.
+    /// The child of an inner node that holds the key `order` places if
+    /// anything does.
     #[inline]
     fn route_by(&self, code: u64, order: impl Fn(&K) -> Ordering) -> usize {
         match self.seek(1, code, order) {
@@ -1155,7 +1121,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
         }
     }
 
-    /// Set the entry at `at` (a [`Node::find`] of `key`) of a leaf to
+    /// Set the entry at `at` (a [`Node::seek`] of `key`) of a leaf to
     /// `value`: overwrite, remove, or insert.
     fn edit_leaf(
         &mut self,
@@ -1850,14 +1816,21 @@ mod tests {
         merge(&mut mine, &[(5, Some(())), (500, Some(()))]);
         assert!(matches!(mine.root, Some(Root::Tree(_))) && check(&mine) == 2);
         assert_eq!((full.len(), mine.len()), (B, B + 1));
-        // A run that changes nothing keeps the run.
+        // A shared run that a merge leaves as it was is kept.
         let mut alone: OrdMap<u64, u64> = OrdMap::from_sorted((0..3).map(|k| (k, k)));
+        let held = alone.clone();
         let before = nodes(&alone);
         merge(&mut alone, &[(1, Some(1))]);
         assert_eq!(nodes(&alone), before);
-        merge(&mut alone, &[(1, Some(10)), (7, Some(7))]);
-        assert!(matches!(alone.root, Some(Root::Run(_))) && check(&alone) == 1);
-        assert_eq!(entries(&alone), [(0, 0), (1, 10), (2, 2), (7, 7)]);
+        // A run this version alone holds becomes a leaf with room, where an
+        // overwrite and an insert stay in place.
+        drop(held);
+        merge(&mut alone, &[(1, Some(10))]);
+        assert!(matches!(alone.root, Some(Root::Tree(_))) && check(&alone) == 1);
+        let before = nodes(&alone);
+        merge(&mut alone, &[(2, Some(20)), (7, Some(7))]);
+        assert_eq!(nodes(&alone), before);
+        assert_eq!(entries(&alone), [(0, 0), (1, 10), (2, 20), (7, 7)]);
         // A leaf and a run that hold the same entries are equal.
         let leaf = set_of(0..B as u64 + 1).alter(&16, |_| None);
         assert!(matches!(leaf.root, Some(Root::Tree(_))) && check(&leaf) == 2);
