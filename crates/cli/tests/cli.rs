@@ -9,7 +9,7 @@ mod json;
 mod serve;
 
 use json::Value;
-use serve::{interned, serve_dir, spawn_serve, stop_serve};
+use serve::{interned, serve_dir, spawn_serve, stop_serve, Serve};
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 
@@ -762,6 +762,7 @@ fn serve_and_client_round_trip_over_the_binary() {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
+    let server = Serve::guard(server);
     // Wait for the socket to accept.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     loop {
@@ -772,7 +773,7 @@ fn serve_and_client_round_trip_over_the_binary() {
         assert!(
             std::time::Instant::now() < deadline,
             "server did not come up: {:?}",
-            server.wait_with_output()
+            server.output()
         );
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
@@ -806,7 +807,7 @@ fn serve_and_client_round_trip_over_the_binary() {
     // Stop and check the shutdown summary + report.
     let out = td().args(["client", "stop", &sock_flag]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
-    let out = server.wait_with_output().unwrap();
+    let out = server.output();
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("1 commits"), "{stdout}");
@@ -1017,6 +1018,7 @@ fn reactive_serve_over_the_binary() {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
+    let server = Serve::guard(server);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     loop {
         let out = td().args(["client", "ping", &sock_flag]).output().unwrap();
@@ -1026,7 +1028,7 @@ fn reactive_serve_over_the_binary() {
         assert!(
             std::time::Instant::now() < deadline,
             "server did not come up: {:?}",
-            server.wait_with_output()
+            server.output()
         );
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
@@ -1074,7 +1076,7 @@ fn reactive_serve_over_the_binary() {
     // Stop; the summary and report carry the event counters.
     let out = td().args(["client", "stop", &sock_flag]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
-    let out = server.wait_with_output().unwrap();
+    let out = server.output();
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("2 events ingested"), "{stdout}");

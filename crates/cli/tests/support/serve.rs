@@ -20,9 +20,23 @@ pub fn serve_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A running `td serve`. Dropped before [`stop_serve`] took it — a test
-/// that panicked, say — it kills the process and waits for it.
+/// A running `td serve`. Dropped before it was waited for ([`stop_serve`],
+/// [`Serve::output`]) — a test that panicked, say — it kills the process
+/// and waits for it.
 pub struct Serve(Option<Child>);
+
+impl Serve {
+    /// Own `server`, a `td serve` process a test started.
+    pub fn guard(server: Child) -> Serve {
+        Serve(Some(server))
+    }
+
+    /// Wait for the server to exit, and take what it printed.
+    pub fn output(mut self) -> std::process::Output {
+        let child = self.0.take().expect("a server is waited for once");
+        child.wait_with_output().unwrap()
+    }
+}
 
 impl Drop for Serve {
     fn drop(&mut self) {
@@ -51,7 +65,7 @@ pub fn spawn_serve(
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    let server = Serve(Some(server));
+    let server = Serve::guard(server);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     loop {
         match td_serve::Client::connect(&socket) {
@@ -66,10 +80,9 @@ pub fn spawn_serve(
 }
 
 /// Stop a server started by [`spawn_serve`] and wait for a clean exit.
-pub fn stop_serve(mut server: Serve, mut client: td_serve::Client) {
+pub fn stop_serve(server: Serve, mut client: td_serve::Client) {
     assert_eq!(client.request("stop").unwrap(), "ok stopping");
-    let child = server.0.take().expect("a server is stopped once");
-    let out = child.wait_with_output().unwrap();
+    let out = server.output();
     assert!(out.status.success(), "{out:?}");
 }
 

@@ -24,7 +24,8 @@
 //! tests name smaller numbers): a leaf's entries, or an inner node's
 //! children with the keys that separate them. A map of at most `N` entries
 //! is no tree but one run of them, in one allocation of exactly their
-//! number, so that a small map's copy is as small as the map. Beside its
+//! number, so that a small map's copy is as small as the map (a merge
+//! turns a run its version alone holds into a leaf with room). Beside its
 //! keys a node keeps their codes ([`Key::code`]) in a bare `[u64; N]`, and
 //! a run beside each entry, so a descent searches an array of words and
 //! compares keys only where two codes tie, and a range probe

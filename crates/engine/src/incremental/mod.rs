@@ -529,16 +529,21 @@ impl Materializer {
         // runs through other rederived tuples are recovered by phase 3.
         let data = Data::at(circuit.views(new_db, state));
         // Everything the pass moves, by relation: the overdeleted tuples
-        // in `disappeared`, what phase 3 inserts in `appeared`.
-        // Each rule rederives the run of its head's relation at once
-        // (`Plan::run_each`): what it emits is the tuples it still derives,
-        // once per derivation, netted with the candidates below.
+        // in `disappeared`, what phase 3 inserts in `appeared`. An
+        // overdeleted tuple is a candidate once the first of its rules
+        // still derives it.
         let mut moved = Events::new(circuit);
         for (rel, gone) in taken.into_iter().enumerate() {
-            for rule in scc.rules.iter().filter(|r| r.head == rel) {
-                (rule.rederive).run_each(&gone, order, regs, &data, &mut |row| {
-                    heads.push(rel, row.values(), 1);
-                });
+            for t in &gone {
+                let mut found = false;
+                for rule in scc.rules.iter().filter(|r| r.head == rel) {
+                    if !found {
+                        (rule.rederive).run_with(t, regs, &data, &mut |_| found = true);
+                    }
+                }
+                if found {
+                    heads.push(rel, t.values().iter().copied(), 1);
+                }
             }
             moved[rel].disappeared = gone;
         }

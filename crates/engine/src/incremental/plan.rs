@@ -147,9 +147,9 @@ pub(crate) struct Plan {
     pub(crate) load: Match,
     /// Empty when the rule can derive nothing entered this way.
     pub(crate) code: Vec<Instr>,
-    /// When the first instruction is a keyed [`Instr::Probe`], the columns
-    /// of the tuple the plan is entered with that its key is made of: the
-    /// tuples of a run that agree on them share the probe
+    /// When an [`Entry::Driven`] plan's first instruction is a keyed
+    /// [`Instr::Probe`], the columns of the event that its key is made of:
+    /// the events of a run that agree on them share the probe
     /// ([`Plan::run_each`]).
     pub(crate) first_key: Option<Vec<usize>>,
 }
@@ -249,7 +249,7 @@ pub(crate) fn compile(
         Some(Instr::Probe { key, .. }) if !key.is_empty() => Some(key),
         _ => None,
     };
-    if let (Entry::Driven(_) | Entry::Head, Some(key)) = (entry, key) {
+    if let (Entry::Driven(_), Some(key)) = (entry, key) {
         let column = |r: usize| plan.load.binds.iter().find(|b| b.1 == r).map(|b| b.0);
         plan.first_key = (key.iter())
             .filter_map(|src| match src {
@@ -618,8 +618,8 @@ impl Plan {
         }
     }
 
-    /// Every derivation of the rule entered with each tuple of `run`, which
-    /// is sorted: where the plan starts with a keyed probe
+    /// Every derivation of a driven rule entered with each event of `run`,
+    /// which is sorted: where the plan starts with a keyed probe
     /// ([`Plan::first_key`]), once per key — the tuples that give it the
     /// same key, adjacent in `run` when the key's columns lead the tuple and
     /// brought together by a sort of `order` (scratch space) when not, share
