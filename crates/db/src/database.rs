@@ -1,12 +1,13 @@
-//! Snapshot databases.
+//! Databases: persistent versions, edited in place by their one holder.
 //!
-//! A [`Database`] is an immutable value: updates return new versions, and the
-//! engine keeps old versions on its choicepoint stack (TD transactions are
-//! all-or-nothing, so a failed execution must restore the pre-state exactly —
-//! here that is free). The relation map and every relation in it are
-//! persistent, so a snapshot is one refcount, and an update path-copies the
-//! O(log R) map nodes above the touched relation and the O(log n) tuple nodes
-//! above the touched tuple — nothing else.
+//! The relation map and every relation in it are persistent, so a
+//! [`Database`] clone is one refcount. An in-place edit
+//! ([`Database::insert_mut`], [`Database::delete_mut`]) writes over the
+//! nodes only its version holds and copies, once, those another version
+//! shares, and returns an [`Undo`] that [`Database::undo`] takes it back
+//! with. The persistent [`Database::insert`] and [`Database::delete`] are a
+//! clone and that edit. docs/ARCHITECTURE.md ("What a step allocates, and
+//! what backtracking costs") says how the engine uses the two.
 
 use crate::delta::DeltaOp;
 use crate::ord::OrdMap;
@@ -47,7 +48,7 @@ impl fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-/// An immutable snapshot of the whole database.
+/// The whole database: a version, edited in place by its one holder.
 ///
 /// The relation map is the crate's persistent [`OrdMap`], ordered by
 /// predicate so iteration (and therefore display) is deterministic, and
@@ -270,6 +271,26 @@ impl PartialEq for Database {
 
 impl Eq for Database {}
 
+/// How to take back one in-place edit of a [`Database`]: what it
+/// overwrote, so that [`Database::undo`] restores it without rehashing.
+#[derive(Debug)]
+pub enum Undo {
+    /// An edit of a version nothing was derived from.
+    Edit {
+        /// The relation's tuple digest ([`Relation::digest`]) before.
+        sethash: u128,
+        /// The relation's digest contribution before.
+        contribution: u128,
+        /// The database's digest before.
+        digest: u128,
+        /// The edit declared the relation.
+        declared: bool,
+    },
+    /// The version before, whole: something was derived from it, so the
+    /// edit made its successor ([`Database::derived`]).
+    Version(Box<Database>),
+}
+
 /// The digest contribution of a relation of `pred` with tuple digest `d`
 /// and `len` tuples: 0 when empty (so declared-but-empty relations don't
 /// affect content identity), otherwise a 128-bit hash of the three, its
@@ -297,20 +318,26 @@ impl Database {
     pub fn with_schema_of(program: &td_core::Program) -> Database {
         let mut db = Database::new();
         for p in program.base_preds() {
-            db = db.declare(p);
+            db.declare_mut(p);
         }
         db
     }
 
     /// Declare a relation for `pred` (empty if not present). Idempotent.
     pub fn declare(&self, pred: Pred) -> Database {
-        if self.rels.get(&pred).is_some() {
-            return self.clone();
-        }
-        let empty = Relation::new(pred.arity as usize);
-        let rels = self.rels.alter(&pred, |_| Some(empty));
+        let mut next = self.clone();
+        next.declare_mut(pred);
+        next
+    }
+
+    /// [`Database::declare`] in place: a relation it declares makes a new
+    /// version, from which nothing is derived yet.
+    fn declare_mut(&mut self, pred: Pred) {
         // An empty relation contributes 0: the digest is unchanged.
-        Database::version(rels, self.digest)
+        if self.rels.get(&pred).is_none() {
+            self.rels.set(&pred, Some(Relation::new(pred.arity as usize)));
+            self.derived = OnceLock::new();
+        }
     }
 
     /// A new version: nothing is derived from it yet.
@@ -488,7 +515,9 @@ impl Database {
         );
         rel.contribution = contribution_of(pred, rel.digest(), rel.len());
         let digest = self.digest ^ old.contribution ^ rel.contribution;
-        let next = Database::version(self.rels.alter(&pred, |_| Some(rel)), digest);
+        let mut rels = self.rels.clone();
+        rels.set(&pred, Some(rel));
+        let next = Database::version(rels, digest);
         // A version nothing was derived from pays this one branch.
         let Some(held) = self.derived.get() else {
             return next;
@@ -542,43 +571,116 @@ impl Database {
 
     /// Insert a tuple, returning the new database and whether it changed.
     /// Auto-declares unknown relations (the schema check happens upstream in
-    /// program validation).
+    /// program validation). A clone with [`Database::insert_mut`] applied.
     pub fn insert(&self, pred: Pred, t: &Tuple) -> Result<(Database, bool), DbError> {
-        let declared = self.rels.get(&pred);
-        let rel = declared.map_or_else(|| Relation::new(pred.arity as usize), Relation::clone);
-        if t.arity() != rel.arity() {
-            return Err(DbError::ArityMismatch {
-                pred,
-                expected: rel.arity(),
-                found: t.arity(),
-            });
-        }
-        let (next, grew) = rel.insert(t);
-        if !grew && declared.is_some() {
-            return Ok((self.clone(), false));
-        }
-        Ok((self.successor(pred, &rel, next, t), grew))
+        let mut next = self.clone();
+        let changed = next.insert_mut(pred, t)?.is_some();
+        Ok((next, changed))
     }
 
     /// Delete a tuple, returning the new database and whether it changed.
     /// Deleting an absent tuple succeeds with no change (TD's `del` is a
-    /// "make it absent" operation).
+    /// "make it absent" operation). A clone with [`Database::delete_mut`]
+    /// applied.
     pub fn delete(&self, pred: Pred, t: &Tuple) -> Result<(Database, bool), DbError> {
-        let Some(rel) = self.rels.get(&pred) else {
-            return Ok((self.clone(), false));
+        let mut next = self.clone();
+        let changed = next.delete_mut(pred, t)?.is_some();
+        Ok((next, changed))
+    }
+
+    /// [`Database::insert`] in this version itself: how to take it back
+    /// ([`Database::undo`]) if it changed something, `None` if not.
+    pub fn insert_mut(&mut self, pred: Pred, t: &Tuple) -> Result<Option<Undo>, DbError> {
+        self.edit(pred, t, true)
+    }
+
+    /// [`Database::delete`] in this version itself: how to take it back
+    /// ([`Database::undo`]) if it changed something, `None` if not.
+    pub fn delete_mut(&mut self, pred: Pred, t: &Tuple) -> Result<Option<Undo>, DbError> {
+        self.edit(pred, t, false)
+    }
+
+    /// Make `t` a member of `pred`'s relation or not, in place. The nodes
+    /// only this version holds are written over and those another version
+    /// shares are copied once, and the digests are updated by the touched
+    /// relation's contribution. A version something was derived from is
+    /// not edited but replaced by its successor ([`Database::successor`]),
+    /// which carries what was derived along.
+    fn edit(&mut self, pred: Pred, t: &Tuple, member: bool) -> Result<Option<Undo>, DbError> {
+        let declared = self.rels.get(&pred);
+        let arity = match declared {
+            Some(rel) => rel.arity(),
+            None if member => pred.arity as usize,
+            None => return Ok(None),
         };
-        if t.arity() != rel.arity() {
+        if t.arity() != arity {
             return Err(DbError::ArityMismatch {
                 pred,
-                expected: rel.arity(),
+                expected: arity,
                 found: t.arity(),
             });
         }
-        let (next, shrank) = rel.remove(t);
-        if !shrank {
-            return Ok((self.clone(), false));
+        if declared.is_some_and(|rel| rel.contains(t) == member) {
+            return Ok(None);
         }
-        Ok((self.successor(pred, rel, next, t), true))
+        if self.derived.get().is_some() {
+            let old = declared.map_or_else(|| Relation::new(arity), Relation::clone);
+            let mut rel = old.clone();
+            rel.set(t, member);
+            let next = self.successor(pred, &old, rel, t);
+            return Ok(Some(Undo::Version(Box::new(std::mem::replace(self, next)))));
+        }
+        let declared = declared.is_none();
+        if declared {
+            self.rels.set(&pred, Some(Relation::new(arity)));
+        }
+        let digest = self.digest;
+        let rel = self.rels.get_mut(&pred).expect("declared above");
+        debug_assert_eq!(
+            rel.contribution,
+            contribution_of(pred, rel.digest(), rel.len()),
+            "{pred}'s carried digest contribution is stale"
+        );
+        let undo = Undo::Edit {
+            sethash: rel.sethash,
+            contribution: rel.contribution,
+            digest,
+            declared,
+        };
+        rel.set(t, member);
+        let contribution = contribution_of(pred, rel.digest(), rel.len());
+        self.digest ^= std::mem::replace(&mut rel.contribution, contribution) ^ contribution;
+        Ok(Some(undo))
+    }
+
+    /// Take back the in-place edit that did `op` and returned `undo`, the
+    /// newest edit not yet taken back: the version is then equal to the one
+    /// before it — content, digests and declared relations — and a version
+    /// something was derived from is that version again.
+    pub fn undo(&mut self, op: &DeltaOp, undo: Undo) {
+        let (pred, t, inserted) = match op {
+            DeltaOp::Ins(pred, t) => (*pred, t, true),
+            DeltaOp::Del(pred, t) => (*pred, t, false),
+        };
+        match undo {
+            Undo::Version(before) => *self = *before,
+            Undo::Edit {
+                sethash,
+                contribution,
+                digest,
+                declared,
+            } => {
+                // What was derived since describes the edited version.
+                self.derived = OnceLock::new();
+                self.digest = digest;
+                if declared {
+                    self.rels.set(&pred, None);
+                    return;
+                }
+                let rel = self.rels.get_mut(&pred).expect("an edited relation");
+                rel.reset(t, !inserted, sethash, contribution);
+            }
+        }
     }
 
     /// Check whether a *ground* atom holds.
@@ -1022,6 +1124,47 @@ mod tests {
         assert!(at_root.upgrade().is_some(), "the one ancestor's value");
         drop_on_a_small_stack(db);
         assert!(at_root.upgrade().is_none());
+    }
+
+    /// An edit in place and its undo, on a version another handle shares:
+    /// the shared one never changes, and undoing gives back a version equal
+    /// to it in content, digest and declared relations — an insert that
+    /// declared its relation included.
+    #[test]
+    fn an_undone_edit_gives_back_the_version_before_it() {
+        let (a, b) = (p("a", 1), p("b", 2));
+        let (before, _) = Database::new().insert(a, &tuple!(1)).unwrap();
+        let mut db = before.clone();
+        let ops = [
+            DeltaOp::Ins(a, tuple!(2)),
+            DeltaOp::Ins(b, tuple!(1, 2)),
+            DeltaOp::Del(a, tuple!(1)),
+            DeltaOp::Ins(a, tuple!(2)),
+            DeltaOp::Del(b, tuple!(9, 9)),
+        ];
+        let mut log = Vec::new();
+        for op in ops {
+            let undo = op.apply_mut(&mut db).unwrap();
+            log.push((op, undo));
+        }
+        assert_eq!(db.digest(), db.digest_from_scratch());
+        assert_eq!(db.to_string(), "{a(2), b(1, 2)}");
+        assert!(log[3].1.is_none() && log[4].1.is_none(), "changed nothing");
+        assert_eq!(before.to_string(), "{a(1)}");
+        while let Some((op, undo)) = log.pop() {
+            if let Some(undo) = undo {
+                db.undo(&op, undo);
+            }
+        }
+        assert!(db == before && db.digest() == before.digest());
+        assert!(db.relation(b).is_none(), "the undone insert declared it");
+        // A version something was derived from is replaced, not edited, and
+        // its undo is that version again, derived data and all.
+        db.derive(7, |_| Box::new(1u64));
+        let undo = db.insert_mut(a, &tuple!(3)).unwrap().expect("a change");
+        assert!(matches!(undo, Undo::Version(_)) && db.derived(7).holds());
+        db.undo(&DeltaOp::Ins(a, tuple!(3)), undo);
+        assert!(db == before && db.derived(7).get().is_some());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! A [`Delta`] is that record: an ordered log of applied `ins`/`del`
 //! operations that can be replayed onto a database.
 
-use crate::database::{Database, DbError};
+use crate::database::{Database, DbError, Undo};
 use crate::tuple::Tuple;
 use std::fmt;
 use td_core::Pred;
@@ -23,9 +23,18 @@ pub enum DeltaOp {
 impl DeltaOp {
     /// Apply to a database.
     pub fn apply(&self, db: &Database) -> Result<Database, DbError> {
+        let mut next = db.clone();
+        self.apply_mut(&mut next)?;
+        Ok(next)
+    }
+
+    /// Apply to a database in place ([`Database::insert_mut`],
+    /// [`Database::delete_mut`]): how to take it back if it changed
+    /// something.
+    pub fn apply_mut(&self, db: &mut Database) -> Result<Option<Undo>, DbError> {
         match self {
-            DeltaOp::Ins(p, t) => Ok(db.insert(*p, t)?.0),
-            DeltaOp::Del(p, t) => Ok(db.delete(*p, t)?.0),
+            DeltaOp::Ins(p, t) => db.insert_mut(*p, t),
+            DeltaOp::Del(p, t) => db.delete_mut(*p, t),
         }
     }
 }
@@ -75,7 +84,7 @@ impl Delta {
     pub fn replay(&self, db: &Database) -> Result<Database, DbError> {
         let mut cur = db.clone();
         for op in &self.ops {
-            cur = op.apply(&cur)?;
+            op.apply_mut(&mut cur)?;
         }
         Ok(cur)
     }

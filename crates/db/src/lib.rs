@@ -34,7 +34,7 @@ mod sip;
 pub mod tuple;
 
 pub use counted::CountedRelation;
-pub use database::{Database, DbError, Pending, Slot};
+pub use database::{Database, DbError, Pending, Slot, Undo};
 pub use delta::{Delta, DeltaOp};
 pub use read_set::ReadSet;
 pub use relation::Relation;

@@ -2,23 +2,23 @@
 //! with structural sharing between versions. docs/ARCHITECTURE.md ("Below
 //! the engine: td-db's one persistent B+-tree") says why it has this shape.
 //!
-//! The TD engine backtracks over database states constantly: every
-//! choicepoint snapshots the database, and isolation blocks roll whole
-//! sub-executions back. So a version must be a pointer copy and an update
-//! must leave every older version valid. [`OrdMap::alter`] makes a version
-//! by copying the two or three nodes on the path to one key and sharing the
-//! rest; [`OrdMap::from_sorted`] builds one from a sorted run in O(n).
-//!
-//! A version nobody else holds need not be copied at all:
-//! [`OrdMap::merge`] applies a sorted run of edits to it in place, in one
-//! walk, so a node that another version can still see is copied once — the
-//! older version keeps it as it was — and a node only this version holds is
-//! written over, once however many of the run's edits land in it; a node
-//! the run overfills or leaves short is dealt out or refilled on the way
-//! back up. That is how the Datalog circuit folds a round of derived facts
-//! into the state it owns: one merge per relation, not one descent per
-//! fact. The run's edits are [`Probe`]s, so a fact that is only looked up
-//! or removed is never made into a key.
+//! Versions of a map share structure, so a clone is a pointer copy and an
+//! edit must leave every other version valid: the engine edits its one
+//! database in place and takes a failed branch's edits back from a log,
+//! while isolation blocks, solutions and the explicit-state search keep
+//! versions (docs/ARCHITECTURE.md, "What a step allocates, and what
+//! backtracking costs"). Every edit is one walk, [`OrdMap::merge`], which
+//! applies a sorted run of edits to a version in place: a node that another
+//! version can still see is copied once — the older version keeps it as it
+//! was — and a node only this version holds is written over, once however
+//! many of the run's edits land in it; a node the run overfills or leaves
+//! short is dealt out or refilled on the way back up. A single edit is a
+//! run of one ([`OrdMap::set`]; [`OrdMap::alter`] is a clone and that), and
+//! [`OrdMap::from_sorted`] builds a map from a sorted run in O(n). That is
+//! how the Datalog circuit folds a round of derived facts into the state it
+//! owns: one merge per relation, not one descent per fact. The run's edits
+//! are [`Probe`]s, so a fact that is only looked up or removed is never
+//! made into a key.
 //!
 //! Each node is one allocation holding up to `N` slots ([`B`]; the unit
 //! tests name smaller numbers): a leaf's entries, or an inner node's
@@ -120,6 +120,27 @@ impl<K: Key, X> Edit<K> for (K, X) {
     }
 }
 
+/// A borrowed key as an edit: [`OrdMap::set`]'s run of one.
+struct At<'a, K>(&'a K);
+
+impl<K: Key> Probe<K> for At<'_, K> {
+    #[inline]
+    fn probe_code(&self) -> u64 {
+        self.0.code()
+    }
+
+    #[inline]
+    fn order(&self, key: &K) -> Ordering {
+        key.cmp(self.0)
+    }
+}
+
+impl<K: Key> Edit<K> for At<'_, K> {
+    fn key(&mut self) -> K {
+        self.0.clone()
+    }
+}
+
 /// Laid out in the order a descent reads it: the count and the codes, then
 /// the children, and the keys last.
 #[derive(Clone)]
@@ -149,17 +170,6 @@ enum Slot<K, V, const N: usize> {
     Kid(Arc<Node<K, V, N>>),
 }
 
-/// What an edit below leaves a node's parent to do.
-enum Up<K, V, const N: usize> {
-    /// Nothing: the node holds between [`MIN`] and [`B`] slots.
-    Fine,
-    /// The node was full and split: its new right sibling and the key that
-    /// separates the two, with its code.
-    Split(u64, K, Arc<Node<K, V, N>>),
-    /// The node holds fewer than [`MIN`] slots.
-    Under,
-}
-
 /// An entry of a [`Root::Run`]: the key's code, the key and the value.
 type Entry<K, V> = (u64, K, V);
 
@@ -173,8 +183,8 @@ enum Root<K, V, const N: usize> {
     Tree(Arc<Node<K, V, N>>),
 }
 
-/// A persistent sorted map. `clone()` is O(1); [`OrdMap::alter`] returns a
-/// new version sharing all untouched structure with the original.
+/// A persistent sorted map. `clone()` is O(1); an edit copies only the
+/// nodes on its path that another version shares.
 #[derive(Clone)]
 pub struct OrdMap<K, V, const N: usize = B> {
     root: Option<Root<K, V, N>>,
@@ -224,50 +234,102 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// Set the entry for `key` to `f(current)`, where `None` stands for "no
     /// entry" on both sides: `|_| Some(v)` inserts or overwrites, `|_| None`
     /// removes, and a closure that looks at its argument updates in one
-    /// descent. When `f` returns what is already there, the result shares
-    /// the whole tree with `self` and nothing is allocated.
+    /// descent. The new version is a clone of this one with the edit made
+    /// ([`OrdMap::set`]): it copies the nodes on the key's path, and when
+    /// `f` returns what is already there, it shares the whole tree with
+    /// `self` and nothing is allocated.
     pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V, N> {
-        let mut f = Some(f);
-        self.altered(key, &mut |old| f.take().expect("an edit decides once")(old))
+        let mut next = self.clone();
+        next.set(key, f(self.get(key)));
+        next
     }
 
-    /// [`OrdMap::alter`], compiled once per map type.
-    fn altered(&self, key: &K, f: Change<'_, V>) -> OrdMap<K, V, N> {
-        let code = key.code();
-        let root = match &self.root {
-            Some(Root::Tree(root)) => root,
-            Some(Root::Run(run)) => {
-                let at = run_seek(run, code, |k| k.cmp(key));
-                return match decide(at.ok().map(|i| &run[i].2), f) {
-                    Some(value) => OrdMap::run_edited(run, at, code, key, value),
-                    None => self.clone(),
-                };
-            }
-            None => {
-                return match f(None) {
-                    Some(value) => OrdMap {
-                        root: Some(Root::Run(Arc::new([(code, key.clone(), value)]))),
-                        len: 1,
-                    },
-                    None => OrdMap::new(),
-                };
-            }
-        };
-        let (mut had, mut has) = (false, false);
-        let edit = alter_node(root, key, code, &mut |old| {
-            let new = f(old);
-            (had, has) = (old.is_some(), new.is_some());
+    /// Set the entry for `key` to `value` in this version itself, `None`
+    /// removing it; true if that changed the map. A tree takes it as a
+    /// merge of a run of one edit ([`OrdMap::merge`]): the nodes on the
+    /// key's path that this version alone holds are written over and those
+    /// another version shares are copied once. A small map stays one run
+    /// ([`Root::Run`]), copied at its new size — an overwrite of a run this
+    /// version alone holds is written over — so that a copy of it made for
+    /// another version is as small as the map: the engine's database is
+    /// copied whenever a solution, an isolation block or a solve starts
+    /// from it, and edited a few times in between.
+    pub fn set(&mut self, key: &K, value: Option<V>) -> bool {
+        if let Some(Root::Run(run)) = &mut self.root {
+            let code = key.code();
+            let (i, cut) = match (run_seek(run, code, |k| k.cmp(key)), &value) {
+                (Ok(i), Some(v)) if run[i].2 == *v => return false,
+                (Ok(i), Some(_)) => {
+                    if Arc::get_mut(run).is_none() {
+                        *run = run.iter().cloned().collect();
+                    }
+                    let entries = Arc::get_mut(run).expect("copied if shared");
+                    entries[i].2 = value.expect("an overwrite");
+                    return true;
+                }
+                (Err(_), None) => return false,
+                (Ok(i), None) => (i, 1),
+                (Err(i), Some(_)) => (i, 0),
+            };
+            let add = usize::from(value.is_some());
+            let len = run.len() - cut + add;
+            let mut new = value.map(|value| (code, key.clone(), value));
+            let entries = (0..len).map(|j| match j.cmp(&i) {
+                Ordering::Less => run[j].clone(),
+                Ordering::Equal if add == 1 => new.take().expect("one new entry"),
+                _ => run[j + cut - add].clone(),
+            });
+            *self = match len {
+                0 => OrdMap::new(),
+                _ if len <= N => OrdMap {
+                    root: Some(Root::Run(entries.collect())),
+                    len,
+                },
+                _ => OrdMap::of_entries(entries.collect()),
+            };
+            return true;
+        }
+        let (mut value, mut changed) = (Some(value), false);
+        self.merge(&mut [At(key)], |_, old| {
+            let new = value.take().expect("an edit decides once");
+            changed = new.as_ref() != old.map(|(_, v)| v);
             new
         });
-        let Some((root, up)) = edit else {
-            return self.clone();
-        };
-        let mut next = OrdMap {
-            root: Some(Root::Tree(root)),
-            len: self.len + usize::from(has) - usize::from(had),
-        };
-        next.settle(up);
-        next
+        changed
+    }
+
+    /// The value stored under `key`, to be written over in place: the
+    /// nodes on the key's path that another version shares are copied
+    /// first, once, so that version keeps what it held. `None`, with
+    /// nothing copied, when there is no entry.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let code = key.code();
+        let order = |k: &K| k.cmp(key);
+        self.entry_by(code, order)?;
+        match self.root.as_mut()? {
+            Root::Run(run) => {
+                let i = run_seek(run, code, order).ok()?;
+                if Arc::get_mut(run).is_none() {
+                    *run = run.iter().cloned().collect();
+                }
+                Some(&mut Arc::get_mut(run).expect("copied if shared")[i].2)
+            }
+            Root::Tree(root) => {
+                let mut n = Arc::make_mut(root);
+                loop {
+                    match n.is_leaf() {
+                        true => {
+                            let i = n.seek(0, code, order).ok()?;
+                            return Some(n.val_mut(i));
+                        }
+                        false => {
+                            let i = n.route_by(code, order);
+                            n = Arc::make_mut(n.kid_mut(i));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The entry under `probe`'s key, found without a key being made.
@@ -382,64 +444,6 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
                 _ => {}
             }
             return;
-        }
-    }
-
-    /// The map holding `run` with the entry at `at` (a [`run_seek`] of
-    /// `key`) set to `value`: a run again unless it grew past `N`.
-    fn run_edited(
-        run: &[Entry<K, V>],
-        at: Result<usize, usize>,
-        code: u64,
-        key: &K,
-        value: Option<V>,
-    ) -> OrdMap<K, V, N> {
-        let (i, cut) = match at {
-            Ok(i) => (i, 1),
-            Err(i) => (i, 0),
-        };
-        let add = usize::from(value.is_some());
-        let len = run.len() - cut + add;
-        let mut new = value.map(|value| (code, key.clone(), value));
-        let entries = (0..len).map(|j| match j.cmp(&i) {
-            Ordering::Less => run[j].clone(),
-            Ordering::Equal if add == 1 => new.take().expect("one new entry"),
-            _ => run[j + cut - add].clone(),
-        });
-        match len {
-            0 => OrdMap::new(),
-            _ if len <= N => OrdMap {
-                root: Some(Root::Run(entries.collect())),
-                len,
-            },
-            _ => OrdMap::of_entries(entries.collect()),
-        }
-    }
-
-    /// The root, after an edit below it left `up` to do.
-    fn settle(&mut self, up: Up<K, V, N>) {
-        match up {
-            Up::Fine => {}
-            Up::Split(code, key, right) => {
-                let Some(Root::Tree(left)) = self.root.take() else {
-                    unreachable!("an edit split the root of a tree")
-                };
-                let mut top = Node::empty(false);
-                top.put(0, 0, None, Slot::Kid(left));
-                top.put(1, code, Some(key), Slot::Kid(right));
-                self.root = Some(Root::Tree(Arc::new(top)));
-            }
-            // The root may hold fewer than `MIN`; only an empty leaf, or an
-            // inner node left with one child, goes.
-            Up::Under => match &self.root {
-                Some(Root::Tree(root)) if root.len == 0 => self.root = None,
-                Some(Root::Tree(root)) => {
-                    if let (1, Body::Inner(kids)) = (root.len, &root.body) {
-                        self.root = kids[0].clone().map(Root::Tree);
-                    }
-                }
-                _ => {}
-            },
         }
     }
 
@@ -671,48 +675,9 @@ fn child<K, V, const N: usize>(slot: &Option<Arc<Node<K, V, N>>>) -> &Node<K, V,
     some(slot).as_ref()
 }
 
-/// What an edit of one entry makes of it, called once, where the entry is:
-/// one type for every closure [`OrdMap::alter`] is given, so that its work
-/// is compiled once per map type.
-type Change<'a, V> = &'a mut dyn FnMut(Option<&V>) -> Option<V>;
-
 /// What [`OrdMap::merge`] makes of the entry at each edit of its run: one
 /// type for every closure it is given.
 type Step<'a, K, V, E> = &'a mut dyn FnMut(&mut E, Option<(&K, &V)>) -> Option<V>;
-
-/// `f(old)`, or `None` when that is `old` again: the edit changes nothing.
-fn decide<V: PartialEq>(
-    old: Option<&V>,
-    f: impl FnOnce(Option<&V>) -> Option<V>,
-) -> Option<Option<V>> {
-    let new = f(old);
-    (new.as_ref() != old).then_some(new)
-}
-
-/// A node's copy, edited, and what the edit leaves its parent to do.
-type Replaced<K, V, const N: usize> = (Arc<Node<K, V, N>>, Up<K, V, N>);
-
-/// The path-copying edit: the node that replaces `n`, or `None` when the
-/// entry was left as it was.
-fn alter_node<K: Key, V: Clone + PartialEq, const N: usize>(
-    n: &Node<K, V, N>,
-    key: &K,
-    code: u64,
-    f: Change<'_, V>,
-) -> Option<Replaced<K, V, N>> {
-    if n.is_leaf() {
-        let at = n.seek(0, code, |k| k.cmp(key));
-        let value = decide(at.ok().map(|i| n.val(i)), f)?;
-        let mut copy = n.clone();
-        let up = copy.edit_leaf(at, key, code, value);
-        return Some((Arc::new(copy), up));
-    }
-    let i = n.route_by(code, |k| k.cmp(key));
-    let (kid, up) = alter_node(n.kid(i), key, code, f)?;
-    let mut copy = n.copy_but_kid(i, kid);
-    let up = copy.absorb(i, up);
-    Some((Arc::new(copy), up))
-}
 
 /// A node a merge made, with the key that separates it from the node
 /// before it and that key's code: what its parent puts right of the node
@@ -1033,28 +998,17 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
         }
     }
 
-    /// A copy of an inner node with `kid` for its child `i`: the old child
-    /// is not copied only to be dropped.
-    fn copy_but_kid(&self, i: usize, kid: Arc<Node<K, V, N>>) -> Node<K, V, N> {
-        let Body::Inner(kids) = &self.body else {
-            unreachable!("an inner node's child")
-        };
-        let mut kid = Some(kid);
-        Node {
-            len: self.len,
-            codes: self.codes,
-            body: Body::Inner(std::array::from_fn(|j| match j == i {
-                true => kid.take(),
-                false => kids[j].clone(),
-            })),
-            keys: self.keys.clone(),
-        }
-    }
-
     fn kid_arc(&self, i: usize) -> &Arc<Node<K, V, N>> {
         match &self.body {
             Body::Inner(kids) => some(&kids[i]),
             Body::Leaf(_) => unreachable!("an inner node's child"),
+        }
+    }
+
+    fn val_mut(&mut self, i: usize) -> &mut V {
+        match &mut self.body {
+            Body::Leaf(vals) => vals[i].as_mut().expect("a slot in use"),
+            Body::Inner(_) => unreachable!("a leaf's value"),
         }
     }
 
@@ -1104,97 +1058,11 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> Node<K, V, N> {
     }
 
     /// Fewer slots than a node other than the root may hold: [`MIN`], and
-    /// for an inner node two.
+    /// for an inner node two (a node of `N < 8` slots has a `MIN` of one).
     fn is_short(&self) -> bool {
-        matches!(self.up(), Up::Under)
-    }
-
-    /// [`Up::Under`] below `MIN` slots, and for an inner node below two
-    /// children: a node of `N < 8` slots has a `MIN` of one.
-    fn up(&self) -> Up<K, V, N> {
-        let min = match self.is_leaf() {
-            true => Self::MIN,
-            false => Self::MIN.max(2),
-        };
-        match self.len < min {
-            true => Up::Under,
-            false => Up::Fine,
-        }
-    }
-
-    /// Set the entry at `at` (a [`Node::seek`] of `key`) of a leaf to
-    /// `value`: overwrite, remove, or insert.
-    fn edit_leaf(
-        &mut self,
-        at: Result<usize, usize>,
-        key: &K,
-        code: u64,
-        value: Option<V>,
-    ) -> Up<K, V, N> {
-        match (at, value) {
-            (Ok(i), Some(value)) => {
-                self.set_val(i, value);
-                Up::Fine
-            }
-            (Ok(i), None) => {
-                self.remove(i);
-                self.up()
-            }
-            (Err(i), Some(value)) => self.insert(i, code, key.clone(), Slot::Val(value)),
-            (Err(_), None) => Up::Fine,
-        }
-    }
-
-    /// Take in what the edit of child `i` left to do.
-    fn absorb(&mut self, i: usize, up: Up<K, V, N>) -> Up<K, V, N> {
-        match up {
-            Up::Fine => Up::Fine,
-            Up::Split(code, key, right) => self.insert(i + 1, code, key, Slot::Kid(right)),
-            Up::Under => {
-                self.refill(i);
-                self.up()
-            }
-        }
-    }
-
-    /// Put a slot at `i`; a full node first splits in two.
-    fn insert(&mut self, i: usize, code: u64, key: K, slot: Slot<K, V, N>) -> Up<K, V, N> {
-        if self.len < N {
-            self.put(i, code, Some(key), slot);
-            return Up::Fine;
-        }
-        // Halves, except at an end: a run of edits there (a load in key
-        // order) leaves full nodes behind it, not half-full ones.
-        let at = match i {
-            0 => Self::MIN - 1,
-            _ if i == N => N - (Self::MIN - 1).max(1),
-            _ => N / 2,
-        };
-        let mut right = self.split_off(at);
-        if i <= at {
-            self.put(i, code, Some(key), slot);
-        } else {
-            right.put(i - at, code, Some(key), slot);
-        }
-        let (code, key) = right.separator();
-        Up::Split(code, key, Arc::new(right))
-    }
-
-    /// Bring child `i`, which holds fewer than `MIN` slots, back to at
-    /// least `MIN`, with a neighbour: the two become one if they fit in a
-    /// node, and share their slots evenly if not. A neighbour another
-    /// version holds is copied.
-    fn refill(&mut self, i: usize) {
-        let r = if i + 1 < self.len { i + 1 } else { i };
-        let Body::Inner(kids) = &mut self.body else {
-            unreachable!("a leaf has no children")
-        };
-        let (lo, hi) = kids.split_at_mut(r);
-        let left = Arc::make_mut(lo[r - 1].as_mut().expect("a slot in use"));
-        let right = Arc::make_mut(hi[0].as_mut().expect("a slot in use"));
-        match even_out(left, right, self.codes[r], some(&self.keys[r])) {
-            None => self.remove(r),
-            Some((code, key)) => (self.codes[r], self.keys[r]) = (code, Some(key)),
+        match self.is_leaf() {
+            true => self.len < Self::MIN,
+            false => self.len < Self::MIN.max(2),
         }
     }
 
@@ -1846,6 +1714,32 @@ mod tests {
             check(&small);
         }
         assert!(small.is_empty() && small.root.is_none());
+    }
+
+    #[test]
+    fn a_set_keeps_a_small_map_one_run_and_edits_a_tree_in_place() {
+        // A run takes an edit as a run at its new size; an overwrite of a
+        // run this version alone holds stays where it is; a shared one is
+        // copied and the other version keeps its own.
+        let mut m: OrdMap<u64, u64> = OrdMap::new();
+        assert!(m.set(&5, Some(5)) && m.set(&3, Some(3)) && !m.set(&9, None));
+        assert!(matches!(m.root, Some(Root::Run(_))) && check(&m) == 1);
+        let before = nodes(&m);
+        assert!(m.set(&3, Some(30)) && !m.set(&3, Some(30)));
+        assert_eq!(nodes(&m), before);
+        let held = m.clone();
+        assert!(m.set(&5, Some(50)) && m.set(&3, None));
+        assert_eq!((entries(&held), entries(&m)), (vec![(3, 30), (5, 5)], vec![(5, 50)]));
+        // Past `N` entries a tree, which takes each edit in place.
+        for k in 0..=B as u64 {
+            m.set(&k, Some(k));
+        }
+        assert!(matches!(m.root, Some(Root::Tree(_))) && check(&m) == 2);
+        let before = nodes(&m);
+        assert!(m.set(&7, Some(70)) && m.set(&8, None));
+        assert_eq!(nodes(&m), before);
+        assert!(m.get_mut(&8).is_none() && m.get_mut(&7).is_some());
+        assert_eq!(entries(&held), [(3, 30), (5, 5)]);
     }
 
     #[test]

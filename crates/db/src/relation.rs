@@ -22,8 +22,9 @@ fn hash128_of(t: &Tuple) -> u128 {
     h.finish128()
 }
 
-/// A persistent relation. Like [`crate::Database`], relations are immutable
-/// values: `insert`/`remove` return new versions sharing structure.
+/// A persistent relation. Like [`crate::Database`], relations are values:
+/// `insert`/`remove` return new versions sharing structure, and the
+/// database edits a version only it holds in place.
 ///
 /// The tuples live in one sorted persistent map ([`OrdMap`]), which serves
 /// membership, ordered iteration and the *binding-pattern index* alike:
@@ -36,11 +37,11 @@ pub struct Relation {
     tuples: OrdMap<Tuple, ()>,
     /// Commutative (xor) fold of all 128-bit member hashes; lets two
     /// versions be compared or hashed in O(1).
-    sethash: u128,
+    pub(crate) sethash: u128,
     /// This version's contribution to the digest of the database holding
     /// it ([`crate::Database::relation_digest`]): set by the database
     /// update that made it, so that the next one strips it unhashed. 0 for
-    /// an empty relation, and for a version made outside a database.
+    /// an empty relation; only a database's own relations keep it current.
     pub(crate) contribution: u128,
 }
 
@@ -113,35 +114,35 @@ impl Relation {
 
     /// Insert; returns the new relation and whether it grew.
     pub fn insert(&self, t: &Tuple) -> (Relation, bool) {
-        debug_assert_eq!(t.arity(), self.arity);
-        self.with_tuples(self.tuples.alter(t, |_| Some(())), t)
+        let mut next = self.clone();
+        let grew = next.set(t, true);
+        (next, grew)
     }
 
     /// Remove; returns the new relation and whether it shrank.
     pub fn remove(&self, t: &Tuple) -> (Relation, bool) {
-        debug_assert_eq!(t.arity(), self.arity);
-        self.with_tuples(self.tuples.alter(t, |_| None), t)
+        let mut next = self.clone();
+        let shrank = next.set(t, false);
+        (next, shrank)
     }
 
-    /// The version holding `tuples`, which differs from `self.tuples` by at
-    /// most the membership of `t`; the flag says whether it does. A member
-    /// that comes or goes is hashed once, here.
-    fn with_tuples(&self, tuples: OrdMap<Tuple, ()>, t: &Tuple) -> (Relation, bool) {
-        let changed = tuples.len() != self.tuples.len();
-        let sethash = if changed {
-            self.sethash ^ hash128_of(t)
-        } else {
-            self.sethash
-        };
-        (
-            Relation {
-                arity: self.arity,
-                tuples,
-                sethash,
-                contribution: 0,
-            },
-            changed,
-        )
+    /// Make `t` a member or not, in this version itself ([`OrdMap::set`]):
+    /// true if that changed it. A member that comes or goes is hashed once,
+    /// here. The digest contribution is the caller's to set.
+    pub(crate) fn set(&mut self, t: &Tuple, member: bool) -> bool {
+        debug_assert_eq!(t.arity(), self.arity);
+        let changed = self.tuples.set(t, member.then_some(()));
+        if changed {
+            self.sethash ^= hash128_of(t);
+        }
+        changed
+    }
+
+    /// [`Relation::set`] taken back: `t`'s membership is `member` again and
+    /// the digests are what they were, restored rather than rehashed.
+    pub(crate) fn reset(&mut self, t: &Tuple, member: bool, sethash: u128, contribution: u128) {
+        self.tuples.set(t, member.then_some(()));
+        (self.sethash, self.contribution) = (sethash, contribution);
     }
 
     /// All tuples matching a binding pattern (`None` = free position).

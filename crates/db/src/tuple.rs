@@ -163,7 +163,7 @@ impl Prefix {
         match self {
             Prefix::Short { .. } => Ordering::Equal,
             Prefix::Long(_) => t
-                .vals
+                .values()
                 .iter()
                 .zip(values())
                 .map(|(v, p)| v.cmp(&p))
@@ -182,39 +182,60 @@ fn has_zero_byte(x: u64) -> bool {
 }
 
 /// A ground database tuple: an immutable, cheaply clonable vector of values,
-/// with its order-preserving code (see the module docs) inline.
+/// with its order-preserving code (see the module docs) inline. A tuple of
+/// at most two values holds them inline too, so making one allocates
+/// nothing and cloning or dropping one touches no shared counter; a longer
+/// one shares its values' slice. docs/ARCHITECTURE.md ("What a step
+/// allocates, and what backtracking costs") says why.
 #[derive(Clone)]
 pub struct Tuple {
     code: u64,
-    vals: Arc<[Value]>,
+    vals: Vals,
+}
+
+/// A tuple's values, by arity: inline up to two, shared beyond.
+#[derive(Clone)]
+enum Vals {
+    Zero,
+    One(Value),
+    Two([Value; 2]),
+    Many(Arc<[Value]>),
 }
 
 impl Tuple {
     /// Build from values.
     pub fn new(values: Vec<Value>) -> Tuple {
-        Tuple::from_shared(values.into())
+        match values.len() {
+            0..=2 => values.into_iter().collect(),
+            _ => Tuple::of(Vals::Many(values.into())),
+        }
     }
 
-    fn from_shared(vals: Arc<[Value]>) -> Tuple {
-        Tuple {
-            code: Code::of(vals.iter().copied()).word,
-            vals,
-        }
+    fn of(vals: Vals) -> Tuple {
+        let mut tuple = Tuple { code: 0, vals };
+        tuple.code = Code::of(tuple.values().iter().copied()).word;
+        tuple
     }
 
     /// The empty (zero-ary) tuple.
     pub fn unit() -> Tuple {
-        Tuple::new(Vec::new())
+        Tuple::of(Vals::Zero)
     }
 
     /// Number of fields.
     pub fn arity(&self) -> usize {
-        self.vals.len()
+        self.values().len()
     }
 
     /// Field access.
+    #[inline]
     pub fn values(&self) -> &[Value] {
-        &self.vals
+        match &self.vals {
+            Vals::Zero => &[],
+            Vals::One(v) => std::slice::from_ref(v),
+            Vals::Two(vs) => vs,
+            Vals::Many(vs) => vs,
+        }
     }
 
     /// The first 8 bytes of the tuple's order-preserving encoding, as a
@@ -234,25 +255,37 @@ impl Tuple {
     /// relation stores in place of the tuple (see
     /// [`crate::Database::arrangement`]).
     pub fn permuted(&self, order: &[usize]) -> Tuple {
-        order.iter().map(|&c| self.vals[c]).collect()
+        let vals = self.values();
+        order.iter().map(|&c| vals[c]).collect()
     }
 
     /// True if the tuple matches a binding pattern: `pattern[i]` of `None`
     /// matches anything; `Some(v)` must equal the field.
     pub fn matches(&self, pattern: &[Option<Value>]) -> bool {
-        debug_assert_eq!(pattern.len(), self.vals.len());
+        debug_assert_eq!(pattern.len(), self.arity());
         pattern
             .iter()
-            .zip(self.vals.iter())
+            .zip(self.values())
             .all(|(p, v)| p.is_none_or(|pv| pv == *v))
     }
 }
 
-/// Collects straight into the shared slice: one allocation when the
-/// iterator knows its length, where [`Tuple::new`] copies out of a `Vec`.
+/// Up to two values go inline; a third starts the shared slice, collected
+/// in one allocation when the iterator knows its length.
 impl FromIterator<Value> for Tuple {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Tuple {
-        Tuple::from_shared(iter.into_iter().collect())
+        let mut iter = iter.into_iter();
+        let vals = match iter.next() {
+            None => Vals::Zero,
+            Some(a) => match iter.next() {
+                None => Vals::One(a),
+                Some(b) => match iter.next() {
+                    None => Vals::Two([a, b]),
+                    Some(c) => Vals::Many([a, b, c].into_iter().chain(iter).collect()),
+                },
+            },
+        };
+        Tuple::of(vals)
     }
 }
 
@@ -261,7 +294,7 @@ impl Ord for Tuple {
     fn cmp(&self, other: &Tuple) -> Ordering {
         self.code
             .cmp(&other.code)
-            .then_with(|| self.vals.cmp(&other.vals))
+            .then_with(|| self.values().cmp(other.values()))
     }
 }
 
@@ -273,7 +306,7 @@ impl PartialOrd for Tuple {
 
 impl PartialEq for Tuple {
     fn eq(&self, other: &Tuple) -> bool {
-        self.code == other.code && self.vals == other.vals
+        self.code == other.code && self.values() == other.values()
     }
 }
 
@@ -283,13 +316,13 @@ impl Eq for Tuple {}
 /// digests are persisted, and a code is a function of the values anyway.
 impl Hash for Tuple {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.vals.hash(state);
+        self.values().hash(state);
     }
 }
 
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Tuple").field(&self.vals).finish()
+        f.debug_tuple("Tuple").field(&self.values()).finish()
     }
 }
 
@@ -302,7 +335,7 @@ impl From<Vec<Value>> for Tuple {
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, v) in self.vals.iter().enumerate() {
+        for (i, v) in self.values().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

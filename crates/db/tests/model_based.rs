@@ -169,17 +169,68 @@ fn assert_matches_model(db: &Database, model: &Model) {
     }
 }
 
-/// A tuple's code is a word inline beside its values; a symbol is one
-/// word, so a value is two and the code costs a tuple nothing in its value
-/// block.
+/// A symbol is one word, so a value is two. A tuple is its code and
+/// four words of values: two values inline, or the shared slice of more,
+/// the tag that tells them apart folded into the first value's tag — so an
+/// empty slot of a node of tuples costs no more.
 #[test]
-fn a_value_is_two_words_and_a_tuple_three() {
+fn a_value_is_two_words_and_a_tuple_five() {
     assert_eq!(std::mem::size_of::<Value>(), 16);
-    assert_eq!(std::mem::size_of::<Tuple>(), 24);
+    assert_eq!(std::mem::size_of::<Tuple>(), 40);
+    assert_eq!(std::mem::size_of::<Option<Tuple>>(), 40);
+}
+
+/// The hash a tuple's values have as a slice: what a tuple hashes as.
+fn hash_of(values: &(impl std::hash::Hash + ?Sized)) -> u64 {
+    use std::hash::{DefaultHasher, Hasher};
+    let mut state = DefaultHasher::new();
+    values.hash(&mut state);
+    state.finish()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Tuples of arity 0 to 4, across the inline boundary at two, built
+    /// every way the crate builds one — `Tuple::new`, `FromIterator`,
+    /// `permuted`, `From<Vec>` — hold their values and agree with them on
+    /// code, order, equality and hash, whichever way each was built.
+    #[test]
+    fn tuples_agree_with_their_values_however_built(
+        rows in proptest::collection::vec(proptest::collection::vec(0u8..MIXED, 0..5), 1..12),
+    ) {
+        let built: Vec<(Vec<Value>, [Tuple; 4])> = rows
+            .iter()
+            .map(|codes| {
+                let vals: Vec<Value> = codes.iter().map(|c| mixed(*c)).collect();
+                let reversed: Tuple = vals.iter().rev().copied().collect();
+                let order: Vec<usize> = (0..vals.len()).rev().collect();
+                let ways = [
+                    Tuple::new(vals.clone()),
+                    vals.iter().copied().collect(),
+                    reversed.permuted(&order),
+                    Tuple::from(vals.clone()),
+                ];
+                (vals, ways)
+            })
+            .collect();
+        for (vals, ways) in &built {
+            for t in ways {
+                prop_assert_eq!(t.values(), &vals[..]);
+                prop_assert_eq!(t.arity(), vals.len());
+                prop_assert_eq!(t.code(), Tuple::code_of(vals));
+                prop_assert_eq!(hash_of(t), hash_of(&vals[..]));
+            }
+        }
+        for (a_vals, a) in &built {
+            for (b_vals, b) in &built {
+                for (x, y) in a.iter().zip(b.iter().rev()) {
+                    prop_assert_eq!(x.cmp(y), a_vals.cmp(b_vals));
+                    prop_assert_eq!(x == y, a_vals == b_vals);
+                }
+            }
+        }
+    }
 
     /// `Tuple`'s order, equality and code against the order of its values
     /// alone, on tuples of arity 0 to 4 over the whole mixed domain.

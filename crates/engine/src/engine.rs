@@ -318,7 +318,7 @@ impl Engine {
             out.push(Solution {
                 db: solver.db.clone(),
                 answer,
-                delta: ctx.delta.iter().cloned().collect(),
+                delta: ctx.delta.iter().map(|(op, _)| op.clone()).collect(),
                 reads: ctx.reads.clone(),
                 stats: ctx.stats,
                 trace: crate::trace::Trace {
@@ -371,7 +371,7 @@ pub(crate) fn goal_num_vars(goal: &Goal) -> u32 {
 }
 
 /// Load `init` facts (ground atoms) into a database that already has the
-/// program's schema.
+/// program's schema: one copy of it, edited in place.
 pub fn load_init(db: &Database, init: &[td_core::Atom]) -> Result<Database, EngineError> {
     let mut cur = db.clone();
     for atom in init {
@@ -380,10 +380,8 @@ pub fn load_init(db: &Database, init: &[td_core::Atom]) -> Result<Database, Engi
                 context: format!("init {atom}"),
             });
         };
-        cur = cur
-            .insert(atom.pred, &td_db::Tuple::new(values))
-            .map_err(|e| EngineError::Db(e.to_string()))?
-            .0;
+        cur.insert_mut(atom.pred, &td_db::Tuple::new(values))
+            .map_err(|e| EngineError::Db(e.to_string()))?;
     }
     Ok(cur)
 }

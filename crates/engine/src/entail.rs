@@ -66,7 +66,7 @@ pub fn entails_via_delta(
     let mut states = vec![d0.clone()];
     let mut cur = d0.clone();
     for op in delta.ops() {
-        cur = op.apply(&cur).map_err(|e| EngineError::Db(e.to_string()))?;
+        op.apply_mut(&mut cur).map_err(|e| EngineError::Db(e.to_string()))?;
         states.push(cur.clone());
     }
     entails(program, &states, goal)
@@ -126,7 +126,8 @@ fn successors(
                     continue;
                 }
                 let is_ins = matches!(goal, Goal::Ins(_));
-                let (next, _changed, _op) = apply_update(db, atom, shift, is_ins)?;
+                let mut next = db.clone();
+                apply_update(&mut next, atom, shift, is_ins)?;
                 if next.same_content(&states[pos + 1]) {
                     out.push((rewrite(tree, leaf, None), pos + 1));
                 }

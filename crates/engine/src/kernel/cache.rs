@@ -18,7 +18,7 @@ use crate::tree::make_node;
 use std::sync::Arc;
 use td_core::unify::unify_terms;
 use td_core::{Atom, Bindings, Goal, Program, Term, Var};
-use td_db::Database;
+use td_db::{Database, DeltaOp, Undo};
 
 /// What a cache probe resolved to.
 pub(crate) enum Probe {
@@ -183,22 +183,23 @@ pub(crate) fn bind_answer(bindings: &mut Bindings, vars: &[Var], ans: &CachedAns
         .all(|(v, val)| unify_terms(bindings, Term::Var(*v), Term::Val(*val)))
 }
 
-/// Re-apply a cached answer's state delta (`ans.delta.ops()`, which the
-/// driver appends to its own log) to `db`, charging each op to `hooks` as
-/// it lands; the views ride on the versions it makes, as on the lazy path
-/// (`update`). A storage fault is a fault here too, exactly as on the lazy
-/// path.
+/// Re-apply a cached answer's state delta (`ans.delta.ops()`) to `db` in
+/// place, charging each op to `hooks` as it lands and handing it to `log`
+/// with how to take it back, as the lazy path's `update` does; the views
+/// ride on the versions it makes. A storage fault is a fault here too,
+/// exactly as on the lazy path.
 pub(crate) fn replay_answer(
-    db: &Database,
+    db: &mut Database,
     ans: &CachedAnswer,
     hooks: &mut Hooks<'_>,
-) -> Result<Database, EngineError> {
-    let mut cur = db.clone();
+    mut log: impl FnMut(&DeltaOp, Option<Undo>),
+) -> Result<(), EngineError> {
     for op in ans.delta.ops() {
-        cur = op.apply(&cur).map_err(|e| EngineError::Db(e.to_string()))?;
+        let undo = op.apply_mut(db).map_err(|e| EngineError::Db(e.to_string()))?;
         hooks.stats.db_ops += 1;
+        log(op, undo);
     }
-    Ok(cur)
+    Ok(())
 }
 
 /// Per-miss budget for answer-set enumeration: a subgoal that does not run
@@ -255,7 +256,7 @@ pub(crate) fn enumerate_answers(
                         Term::Var(_) => return None,
                     }
                 }
-                let delta = ctx.delta.iter().cloned().collect();
+                let delta = ctx.delta.iter().map(|(op, _)| op.clone()).collect();
                 out.push(CachedAnswer { values, delta });
             }
             Ok(false) => return Some((out, std::mem::take(&mut ctx.reads))),

@@ -8,7 +8,7 @@ use crate::config::EngineError;
 use td_core::goal::Builtin;
 use td_core::unify::unify_terms;
 use td_core::{Atom, Bindings, Term, Value, Var};
-use td_db::{Database, DeltaOp, Tuple};
+use td_db::{Database, DeltaOp, Tuple, Undo};
 
 // Every elementary operation reads its atom's arguments through `resolve`:
 // the machine passes its trail's after the leaf's offset, the ground drivers
@@ -96,46 +96,42 @@ pub(crate) fn check_absent(
     Ok(!db.contains(atom.pred, &t))
 }
 
-/// The elementary `ins.p(t̄)` / `del.p(t̄)` step. Returns the successor
-/// database, whether it actually changed, and the delta op recording the
-/// update. Non-ground arguments and storage errors are faults, not
-/// failures.
+/// The elementary `ins.p(t̄)` / `del.p(t̄)` step, on `db` in place
+/// ([`Database::insert_mut`]): the delta op recording the update, and how
+/// to take it back when it changed the database (`None` when it did not).
+/// The sequential machine logs the two; a driver that keeps every
+/// configuration passes a clone and drops the undo. Non-ground arguments
+/// and storage errors are faults, not failures.
 pub(crate) fn apply_update(
-    db: &Database,
+    db: &mut Database,
     atom: &Atom,
     resolve: impl Fn(Term) -> Term,
     is_ins: bool,
-) -> Result<(Database, bool, DeltaOp), EngineError> {
+) -> Result<(DeltaOp, Option<Undo>), EngineError> {
     let Some(t) = ground_tuple(atom, &resolve) else {
         return Err(EngineError::Instantiation {
             context: format!("update on {}", resolve_atom(atom, resolve)),
         });
     };
-    let result = if is_ins {
-        db.insert(atom.pred, &t)
-    } else {
-        db.delete(atom.pred, &t)
+    let op = match is_ins {
+        true => DeltaOp::Ins(atom.pred, t),
+        false => DeltaOp::Del(atom.pred, t),
     };
-    let (next, changed) = result.map_err(|e| EngineError::Db(e.to_string()))?;
-    let op = if is_ins {
-        DeltaOp::Ins(atom.pred, t)
-    } else {
-        DeltaOp::Del(atom.pred, t)
-    };
-    Ok((next, changed, op))
+    let undo = op.apply_mut(db).map_err(|e| EngineError::Db(e.to_string()))?;
+    Ok((op, undo))
 }
 
 /// The `ins`/`del` step as every driver takes it: [`apply_update`], charged
-/// to `hooks` as one database op. Views need nothing here: the version
-/// `Database::insert`/`delete` makes carries them, pending on the nearest
-/// version that has them.
+/// to `hooks` as one database op. Views need nothing here: an edit of a
+/// version they were derived from makes its successor, which carries them,
+/// pending on the nearest version that has them.
 pub(crate) fn update(
-    db: &Database,
+    db: &mut Database,
     atom: &Atom,
     resolve: impl Fn(Term) -> Term,
     is_ins: bool,
     hooks: &mut Hooks<'_>,
-) -> Result<(Database, bool, DeltaOp), EngineError> {
+) -> Result<(DeltaOp, Option<Undo>), EngineError> {
     let stepped = apply_update(db, atom, resolve, is_ins)?;
     hooks.stats.db_ops += 1;
     Ok(stepped)

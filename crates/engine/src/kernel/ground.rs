@@ -158,9 +158,10 @@ impl Kernel<'_> {
                 }
                 goal @ (Goal::Ins(atom) | Goal::Del(atom)) => {
                     let is_ins = matches!(goal, Goal::Ins(_));
-                    match update(&cfg.db, atom, shift, is_ins, hooks) {
+                    let mut db = cfg.db.clone();
+                    match update(&mut db, atom, shift, is_ins, hooks) {
                         Err(e) => return (out, Some(e)),
-                        Ok((db, _changed, op)) => {
+                        Ok((op, _)) => {
                             let succ = Config {
                                 tree: rewrite(tree, leaf, None),
                                 db,
@@ -248,7 +249,7 @@ impl Kernel<'_> {
             if let Some((mut succ, _)) = unify_project(scratch, cfg, leaf, None, cfg.nvars, |b| {
                 bind_answer(b, vars, ans)
             }) {
-                succ.db = replay_answer(&cfg.db, ans, hooks)?;
+                replay_answer(&mut succ.db, ans, hooks, |_, _| {})?;
                 out.push((succ, ans.delta.ops().to_vec()));
             }
         }

@@ -5,15 +5,19 @@
 //! with the tree fully reduced. Nondeterminism — which concurrent branch
 //! steps next, which rule a call unfolds to, which tuple a query matches,
 //! which `or`-branch runs — is explored depth-first through a choicepoint
-//! stack. Failure restores the database (snapshots), the variable bindings
-//! (trail) and the update log (truncation): TD transactions are
-//! all-or-nothing, so a failed execution leaves no residue.
+//! stack. The solver owns one database and edits it in place; failure
+//! takes back, newest first, the updates logged since the choicepoint (the
+//! update log holds each one's undo record), and undoes the variable
+//! bindings (trail): TD transactions are all-or-nothing, so a failed
+//! execution leaves no residue. docs/ARCHITECTURE.md ("What a step
+//! allocates, and what backtracking costs") has the design.
 //!
 //! Isolation `iso { g }` runs `g` as a *nested* solver from the current
 //! database: its steps occupy a contiguous block of the overall execution,
 //! which is exactly the paper's ⊙ semantics. The nested solver stays alive
 //! inside the choicepoint, so backtracking can pull further solutions out of
-//! the isolated block.
+//! the isolated block; that choicepoint alone holds a database, the one the
+//! block started from.
 //!
 //! The transition semantics itself — elementary operations, rule
 //! unfolding, and what a derived call, an update or a cached answer does
@@ -26,8 +30,9 @@
 //! for its next one. Strategies, budgets and failure memoization sit
 //! around that loop.
 //!
-//! A step allocates only what it creates. The tree and the database are
-//! persistent, so a choicepoint's snapshot of either is a refcount; a leaf
+//! A step allocates only what it creates. The tree is persistent, so a
+//! choicepoint's snapshot of it is a refcount; an update edits the nodes
+//! the database alone holds and logs a few digests to undo it; a leaf
 //! is addressed by its index in the frontier, so scheduling builds no list
 //! of paths; alternatives share the leaf they come from; an elementary
 //! operation reads its atom through the leaf's offset and the trail rather
@@ -50,7 +55,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use td_core::subst::TrailMark;
 use td_core::{Atom, Bindings, Goal, Program, RuleId, Term, Var};
-use td_db::{Database, DeltaOp, Tuple};
+use td_db::{Database, DeltaOp, Tuple, Undo};
 
 /// The kernel's accounting sinks over a [`Ctx`], borrowed field by field so
 /// that its trail, cache and materializer stay borrowable next to them.
@@ -75,7 +80,10 @@ pub(crate) struct Ctx<'p> {
     pub config: &'p EngineConfig,
     pub bindings: Bindings,
     pub stats: Stats,
-    pub delta: Vec<DeltaOp>,
+    /// The updates of the execution so far, each with how to take it back
+    /// from the database of the solver that made it, when it changed that
+    /// database.
+    pub delta: Vec<(DeltaOp, Option<Undo>)>,
     /// Relations this execution has read, across *all* explored branches.
     /// Monotone: backtracking truncates `delta`/`trace` but never this —
     /// a failed branch's reads are commit-relevant (see
@@ -281,8 +289,20 @@ impl Marks {
         }
     }
 
-    /// Undo every binding, logged update and trace event made since.
-    fn rewind(self, ctx: &mut Ctx) {
+    /// Undo every binding, logged update and trace event made since; the
+    /// updates on `db`, the database they were made to, newest first.
+    fn rewind(self, ctx: &mut Ctx, db: &mut Database) {
+        for (op, undo) in ctx.delta.drain(self.delta..).rev() {
+            if let Some(undo) = undo {
+                db.undo(&op, undo);
+            }
+        }
+        self.forget(ctx);
+    }
+
+    /// [`Marks::rewind`] for a caller that drops the database the updates
+    /// since were made to: they leave the log without being taken back.
+    fn forget(self, ctx: &mut Ctx) {
         ctx.bindings.undo_to(self.trail);
         ctx.delta.truncate(self.delta);
         ctx.trace.truncate(self.trace);
@@ -318,10 +338,11 @@ enum Alts {
     /// The answers of a cached subgoal (replayed, not re-explored), and
     /// the variables each answer's values bind, positionally.
     Cached(Vec<Var>, Arc<Vec<CachedAnswer>>),
-    /// A live isolated sub-execution that may yield further solutions, and
-    /// where the logs stood when it last yielded. Not a list: its
-    /// alternatives come out of the nested solver.
-    Iso(Box<Solver>, Marks),
+    /// A live isolated sub-execution that may yield further solutions,
+    /// where the logs stood when it last yielded, and the database it
+    /// started from. Not a list: its alternatives come out of the nested
+    /// solver.
+    Iso(Box<Solver>, Marks, Database),
 }
 
 /// One alternative, taken out of an [`Alts`] by index.
@@ -416,34 +437,46 @@ struct Choicepoint {
     /// The frontier index of the leaf the alternatives replace (unused by
     /// `Alts::Sched`, whose alternatives are the leaves).
     leaf: usize,
-    /// Database before the step.
-    db: Database,
-    /// Log positions before the step.
+    /// Log positions before the step: rewinding to them takes the
+    /// database back to what it was.
     at: Marks,
+    /// The database's digest before the step, checked after every rewind.
+    #[cfg(debug_assertions)]
+    digest: u128,
     alts: Alts,
     /// Index of the next untried alternative.
     next: usize,
 }
 
 impl Choicepoint {
-    /// Take out the next alternative and the database it applies to, with
-    /// the logs rewound to match. `None` = exhausted, with no residue left
-    /// in the logs.
-    fn next_alt(&mut self, ctx: &mut Ctx) -> Result<Option<(Alt, Database)>, EngineError> {
-        if let Alts::Iso(solver, yielded) = &mut self.alts {
-            // Drop what the outer execution did after the last yield, then
-            // ask the nested solver for another solution.
-            yielded.rewind(ctx);
+    /// Take out the next alternative, with `db`, the solver's database, and
+    /// the logs rewound to where they stood before the step. `None` =
+    /// exhausted, with no residue left in the logs or the database.
+    fn next_alt(&mut self, ctx: &mut Ctx, db: &mut Database) -> Result<Option<Alt>, EngineError> {
+        if let Alts::Iso(solver, yielded, before) = &mut self.alts {
+            // Drop what the outer execution did after the last yield, to a
+            // copy of the block's solution, then ask the nested solver for
+            // another solution. The nested log is the nested solver's to
+            // undo; once it is exhausted, what is left of it goes with the
+            // block's start restored.
+            yielded.forget(ctx);
+            *db = Database::new();
             if solver.next_solution(ctx)? {
                 ctx.record(|| TraceEvent::IsoExit);
                 *yielded = Marks::here(ctx);
-                return Ok(Some((Alt::Yield, solver.db.clone())));
+                *db = solver.db.clone();
+                return Ok(Some(Alt::Yield));
             }
+            self.at.forget(ctx);
+            *db = std::mem::take(before);
+        } else {
+            self.at.rewind(ctx, db);
         }
-        self.at.rewind(ctx);
+        #[cfg(debug_assertions)]
+        assert_eq!(db.digest(), self.digest, "a rewind restores the database");
         let alt = self.alts.get(self.next);
         self.next += 1;
-        Ok(alt.map(|alt| (alt, self.db.clone())))
+        Ok(alt)
     }
 }
 
@@ -451,7 +484,7 @@ impl Choicepoint {
 pub(crate) struct Solver {
     /// `None` = fully reduced (a solution state).
     state: Option<PTree>,
-    /// Current database.
+    /// Current database, edited in place by every update.
     pub db: Database,
     stack: Vec<Choicepoint>,
     /// Key of the configuration the in-flight step started from; taken by
@@ -482,7 +515,9 @@ impl Solver {
             return Ok(false);
         }
         loop {
-            let Some(tree) = self.state.clone() else {
+            // The step sets the next state; a failed one leaves it to the
+            // choicepoint that is retried.
+            let Some(tree) = self.state.take() else {
                 self.successes += 1;
                 return Ok(true);
             };
@@ -513,8 +548,9 @@ impl Solver {
             successes_at_push: 0,
             tree: tree.clone(),
             leaf,
-            db: self.db.clone(),
             at,
+            #[cfg(debug_assertions)]
+            digest: self.db.digest(),
             alts,
             next: 1,
         }
@@ -561,7 +597,7 @@ impl Solver {
             // found it; a deferred key needs its bindings undone too, as
             // backtracking would undo them anyway.
             if let MemoKey::Deferred = pending {
-                at.rewind(ctx);
+                at.rewind(ctx, &mut self.db);
             }
             ctx.refute(pending, &tree, &self.db);
         }
@@ -613,8 +649,9 @@ impl Solver {
                 if !kernel::bind_answer(&mut ctx.bindings, &vars, ans) {
                     return Err(StepErr::Fail);
                 }
-                self.db = kernel::replay_answer(&self.db, ans, hooks!(ctx)).map_err(fatal)?;
-                ctx.delta.extend_from_slice(ans.delta.ops());
+                let delta = &mut ctx.delta;
+                let log = |op: &DeltaOp, undo| delta.push((op.clone(), undo));
+                kernel::replay_answer(&mut self.db, ans, hooks!(ctx), log).map_err(fatal)?;
                 None
             }
             Alt::Yield => None,
@@ -665,9 +702,9 @@ impl Solver {
             }
             update @ (Goal::Ins(atom) | Goal::Del(atom)) => {
                 let is_ins = matches!(update, Goal::Ins(_));
-                let (db, changed, op) =
-                    kernel::update(&self.db, atom, resolve, is_ins, hooks!(ctx)).map_err(fatal)?;
-                self.db = db;
+                let (op, undo) =
+                    kernel::update(&mut self.db, atom, resolve, is_ins, hooks!(ctx)).map_err(fatal)?;
+                let changed = undo.is_some();
                 ctx.record(|| match &op {
                     DeltaOp::Ins(pred, t) => TraceEvent::Ins {
                         pred: *pred,
@@ -680,7 +717,7 @@ impl Solver {
                         changed,
                     },
                 });
-                ctx.delta.push(op);
+                ctx.delta.push((op, undo));
             }
             Goal::Builtin(op, terms) => {
                 if !kernel::eval_builtin(&mut ctx.bindings, *op, (terms, off)).map_err(fatal)? {
@@ -716,16 +753,16 @@ impl Solver {
                     detail: String::new(),
                 });
                 let solver = Box::new(Solver::new(action.tree(0, off), self.db.clone()));
-                let mut cp = self.checkpoint(at, tree, leaf, Alts::Iso(solver, Marks::here(ctx)));
-                let yielded = cp.next_alt(ctx).map_err(fatal)?;
+                let iso = Alts::Iso(solver, Marks::here(ctx), self.db.clone());
+                let mut cp = self.checkpoint(at, tree, leaf, iso);
+                let yielded = cp.next_alt(ctx, &mut self.db).map_err(fatal)?;
                 ctx.emit(|| TraceEvent::SpanExit {
                     phase: SpanPhase::Isolation,
                     detail: if yielded.is_some() { "commit" } else { "fail" }.to_owned(),
                 });
-                let Some((alt, db)) = yielded else {
+                let Some(alt) = yielded else {
                     return Err(StepErr::Fail);
                 };
-                self.db = db;
                 self.take(ctx, tree, leaf, alt)?;
                 // Pushed only now, behind the block's first solution: a
                 // block that never yields is a plain failed step — no
@@ -778,18 +815,17 @@ impl Solver {
             };
             ctx.stats.backtracks += 1;
             ctx.local.observe_backtrack(depth);
-            let Some((alt, db)) = cp.next_alt(ctx)? else {
-                // Exhausted: the logs are back at the choicepoint's marks,
-                // where a deferred key reads the trail.
+            let Some(alt) = cp.next_alt(ctx, &mut self.db)? else {
+                // Exhausted: the logs and the database are back where the
+                // choicepoint's step started, where a deferred key reads
+                // them.
                 let cp = self.stack.pop().expect("borrowed above");
                 if cp.successes_at_push == self.successes {
-                    ctx.refute(cp.step_key, &cp.tree, &cp.db);
+                    ctx.refute(cp.step_key, &cp.tree, &self.db);
                 }
-                self.db = cp.db;
                 continue;
             };
             let (tree, leaf) = (cp.tree.clone(), cp.leaf);
-            self.db = db;
             match self.take(ctx, &tree, leaf, alt) {
                 Ok(()) => return Ok(true),
                 Err(StepErr::Fail) => {}

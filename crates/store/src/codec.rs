@@ -504,6 +504,46 @@ mod tests {
         d.finish().unwrap();
     }
 
+    proptest::proptest! {
+        /// A tuple the codec decodes, of arity 0 to 4 — across the inline
+        /// boundary at two — is the tuple that was encoded: same values,
+        /// code, hash, and order against the others.
+        #[test]
+        fn tuples_decode_as_built_across_the_inline_boundary(
+            rows in proptest::collection::vec(proptest::collection::vec(-3i64..3, 0..5), 1..8),
+        ) {
+            use std::hash::{DefaultHasher, Hash, Hasher};
+            let hash = |t: &Tuple| {
+                let mut state = DefaultHasher::new();
+                t.hash(&mut state);
+                state.finish()
+            };
+            let built: Vec<Tuple> = rows
+                .iter()
+                .map(|row| row.iter().map(|&i| match i {
+                    i if i < 0 => Value::sym(&format!("s{i}")),
+                    i => Value::Int(i),
+                }).collect())
+                .collect();
+            let decoded: Vec<Tuple> = built
+                .iter()
+                .map(|t| {
+                    let mut e = Enc::new();
+                    put_tuple(&mut e, t);
+                    let bytes = e.into_bytes();
+                    get_tuple(&mut Dec::new(&bytes)).unwrap()
+                })
+                .collect();
+            for (t, d) in built.iter().zip(&decoded) {
+                proptest::prop_assert_eq!(t.values(), d.values());
+                proptest::prop_assert_eq!((t.code(), hash(t)), (d.code(), hash(d)));
+                for other in &built {
+                    proptest::prop_assert_eq!(t.cmp(other), d.cmp(other));
+                }
+            }
+        }
+    }
+
     #[test]
     fn database_round_trips_with_digest() {
         let mut db = Database::new().declare(Pred::new("empty", 3));

@@ -1,9 +1,11 @@
 //! Allocations per machine step, pinned.
 //!
 //! A sequential step should allocate only what it creates: the tree nodes
-//! on the rewritten path, the tuple an update stores and the relation nodes
-//! it path-copies, a choicepoint's alternatives. A database snapshot is a
-//! refcount, and so is a process-tree snapshot. This binary counts heap
+//! on the rewritten path, the copy of a relation an update makes when
+//! another version shares it, a choicepoint's alternatives. A choicepoint
+//! holds no database, only a position in the undo log, and a tuple of at
+//! most two values allocates nothing (docs/ARCHITECTURE.md, "What a step
+//! allocates, and what backtracking costs"). This binary counts heap
 //! allocations with its own global allocator — per thread, so the harness's
 //! parallel tests do not pollute each other — around `Engine::solve` only
 //! (parsing and loading excluded), and divides by the steps the solve
@@ -12,9 +14,11 @@
 //! The programs are tdbench's eight `search_mix` members, read from the
 //! frozen workload files, and one top-down `datalog_views` question. Each
 //! bound is the value measured when it was set plus 10 %, with that value
-//! and the earlier ones beside it: before a call read its rule's body
-//! through a variable offset instead of copying it renamed apart, and
-//! before snapshots and trees became persistent. A bound that fails means a
+//! and the earlier ones beside it: before updates edited the solver's one
+//! database in place and small tuples were held inline, before a call read
+//! its rule's body through a variable offset instead of copying it renamed
+//! apart, and before snapshots and trees became persistent. A bound that
+//! fails means a
 //! step started allocating something it did not before — find it before
 //! moving the number.
 //!
@@ -142,24 +146,26 @@ macro_rules! member {
 
 /// Names, cache flags and weights as in tdbench's `catalogue.rs`. Each
 /// comment gives the value measured when the bound was set, then the value
-/// before relations were B-trees (treaps: a node per tuple), before rule
-/// bodies were shared, and before persistent snapshots.
+/// before updates were edits in place and small tuples inline, before
+/// relations were B-trees (treaps: a node per tuple), before rule bodies
+/// were shared, and before persistent snapshots.
 const MEMBERS: [Member; 8] = [
-    member!("labflow", false, 11, 3.95), // 3.55; was 5.74 before B-tree relations, 7.85, 22.39
-    member!("agents", false, 16, 3.68),  // 3.29; was 4.14 before B-tree relations, 6.63, 18.21
-    member!("network", false, 8, 3.99),  // 3.62; was 4.60 before B-tree relations, 5.68, 18.44
-    member!("transfers", false, 128, 2.89), // 2.62; was 2.79 before B-tree relations, 4.37, 12.10
-    member!("minsky", false, 6, 2.84), // 2.58 (2.71 before runs); was 2.91 before B-tree relations, 6.00, 23.38
-    member!("qbf", false, 5, 1.52),    // 1.38; was 1.48 before B-tree relations, 3.91, 12.54
-    member!("refute", false, 1, 2.24), // 2.03; was 2.42 before B-tree relations, 5.70, 15.80
-    member!("protocol", true, 8, 2.78), // 2.52; was 3.15 before B-tree relations, 5.36, 17.17
+    member!("labflow", false, 11, 2.49), // 2.26; was 3.55 before edits in place, 5.74 before B-tree relations, 7.85, 22.39
+    member!("agents", false, 16, 3.26),  // 2.96; was 3.29 before edits in place, 4.14 before B-tree relations, 6.63, 18.21
+    member!("network", false, 8, 3.36),  // 3.05; was 3.62 before edits in place, 4.60 before B-tree relations, 5.68, 18.44
+    member!("transfers", false, 128, 2.29), // 2.08; was 2.62 before edits in place, 2.79 before B-tree relations, 4.37, 12.10
+    member!("minsky", false, 6, 2.55), // 2.32; was 2.58 before edits in place (2.71 before runs), 2.91 before B-tree relations, 6.00, 23.38
+    member!("qbf", false, 5, 1.32),    // 1.20; was 1.38 before edits in place, 1.48 before B-tree relations, 3.91, 12.54
+    member!("refute", false, 1, 1.94), // 1.76; was 2.03 before edits in place, 2.42 before B-tree relations, 5.70, 15.80
+    member!("protocol", true, 8, 2.44), // 2.22; was 2.52 before edits in place, 3.15 before B-tree relations, 5.36, 17.17
 ];
 
 /// Round-weighted allocations per step over the eight members, each member
-/// counted as often as a tdbench round runs it: 2.65 when set; 3.25 before
+/// counted as often as a tdbench round runs it: 2.17 when set; 2.65 before
+/// updates were edits in place and small tuples inline, 3.25 before
 /// relations were B-trees, 5.40 before rule bodies were shared, 16.30
 /// before persistent snapshots.
-const ROUND_BOUND: f64 = 2.93;
+const ROUND_BOUND: f64 = 2.39;
 
 #[test]
 fn search_mix_steps_allocate_within_their_bounds() {
@@ -209,8 +215,8 @@ fn a_top_down_view_question_allocates_within_its_bound() {
     let (allocs, steps) = solve_all(&views_tree_source(), false);
     let per_step = allocs as f64 / steps as f64;
     println!("path(1, 200): {allocs} allocations / {steps} steps = {per_step:.2}");
-    // 0.26 when set; 2.90 before rule bodies were shared, 13.19 before
-    // persistent snapshots.
+    // 0.26 when set, and again once updates were edits in place; 2.90
+    // before rule bodies were shared, 13.19 before persistent snapshots.
     assert!(per_step <= 0.29, "{per_step:.2} per step");
 }
 
@@ -226,17 +232,17 @@ macro_rules! parse {
 
 /// `parse_program` of each `search_mix` member, which tdbench runs once per
 /// op. Each comment gives the value measured when the bound was set, then
-/// the value before tokens borrowed the source and names were interned
-/// once.
+/// the value before tuples of at most two values were held inline, and
+/// before tokens borrowed the source and names were interned once.
 const PARSES: [Parse; 8] = [
-    parse!("labflow", 132),  // 120; was 513
-    parse!("agents", 174),   // 158; was 800
-    parse!("network", 62),   // 56; was 227
-    parse!("transfers", 67), // 61; was 299
-    parse!("minsky", 153),   // 139; was 644
-    parse!("qbf", 119),      // 108; was 500
-    parse!("refute", 62),    // 56; was 259
-    parse!("protocol", 48),  // 44; was 184
+    parse!("labflow", 124),  // 113; was 120, 513
+    parse!("agents", 166),   // 151; was 158, 800
+    parse!("network", 59),   // 54; was 56, 227
+    parse!("transfers", 64), // 58; was 61, 299
+    parse!("minsky", 143),   // 130; was 139, 644
+    parse!("qbf", 119),      // 108; was 108, 500
+    parse!("refute", 58),    // 53; was 56, 259
+    parse!("protocol", 46),  // 42; was 44, 184
 ];
 
 #[test]
