@@ -335,7 +335,8 @@ impl Database {
     fn declare_mut(&mut self, pred: Pred) {
         // An empty relation contributes 0: the digest is unchanged.
         if self.rels.get(&pred).is_none() {
-            self.rels.set(&pred, Some(Relation::new(pred.arity as usize)));
+            self.rels
+                .set(&pred, Some(Relation::new(pred.arity as usize)));
             self.derived = OnceLock::new();
         }
     }

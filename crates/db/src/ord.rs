@@ -249,11 +249,11 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// merge of a run of one edit ([`OrdMap::merge`]): the nodes on the
     /// key's path that this version alone holds are written over and those
     /// another version shares are copied once. A small map stays one run
-    /// ([`Root::Run`]), copied at its new size — an overwrite of a run this
-    /// version alone holds is written over — so that a copy of it made for
-    /// another version is as small as the map: the engine's database is
-    /// copied whenever a solution, an isolation block or a solve starts
-    /// from it, and edited a few times in between.
+    /// (see the module docs), copied at its new size — an overwrite of a
+    /// run this version alone holds is written over — so that a copy of it
+    /// made for another version is as small as the map: the engine's
+    /// database is copied whenever a solution, an isolation block or a
+    /// solve starts from it, and edited a few times in between.
     pub fn set(&mut self, key: &K, value: Option<V>) -> bool {
         if let Some(Root::Run(run)) = &mut self.root {
             let code = key.code();
@@ -305,7 +305,9 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let code = key.code();
         let order = |k: &K| k.cmp(key);
-        self.entry_by(code, order)?;
+        if let Some(Root::Tree(_)) = self.root {
+            self.entry_by(code, order)?;
+        }
         match self.root.as_mut()? {
             Root::Run(run) => {
                 let i = run_seek(run, code, order).ok()?;
@@ -1729,7 +1731,10 @@ mod tests {
         assert_eq!(nodes(&m), before);
         let held = m.clone();
         assert!(m.set(&5, Some(50)) && m.set(&3, None));
-        assert_eq!((entries(&held), entries(&m)), (vec![(3, 30), (5, 5)], vec![(5, 50)]));
+        assert_eq!(
+            (entries(&held), entries(&m)),
+            (vec![(3, 30), (5, 5)], vec![(5, 50)])
+        );
         // Past `N` entries a tree, which takes each edit in place.
         for k in 0..=B as u64 {
             m.set(&k, Some(k));

@@ -66,7 +66,8 @@ pub fn entails_via_delta(
     let mut states = vec![d0.clone()];
     let mut cur = d0.clone();
     for op in delta.ops() {
-        op.apply_mut(&mut cur).map_err(|e| EngineError::Db(e.to_string()))?;
+        op.apply_mut(&mut cur)
+            .map_err(|e| EngineError::Db(e.to_string()))?;
         states.push(cur.clone());
     }
     entails(program, &states, goal)

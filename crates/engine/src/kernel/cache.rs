@@ -195,7 +195,9 @@ pub(crate) fn replay_answer(
     mut log: impl FnMut(&DeltaOp, Option<Undo>),
 ) -> Result<(), EngineError> {
     for op in ans.delta.ops() {
-        let undo = op.apply_mut(db).map_err(|e| EngineError::Db(e.to_string()))?;
+        let undo = op
+            .apply_mut(db)
+            .map_err(|e| EngineError::Db(e.to_string()))?;
         hooks.stats.db_ops += 1;
         log(op, undo);
     }

@@ -117,7 +117,9 @@ pub(crate) fn apply_update(
         true => DeltaOp::Ins(atom.pred, t),
         false => DeltaOp::Del(atom.pred, t),
     };
-    let undo = op.apply_mut(db).map_err(|e| EngineError::Db(e.to_string()))?;
+    let undo = op
+        .apply_mut(db)
+        .map_err(|e| EngineError::Db(e.to_string()))?;
     Ok((op, undo))
 }
 

@@ -455,10 +455,11 @@ impl Choicepoint {
     fn next_alt(&mut self, ctx: &mut Ctx, db: &mut Database) -> Result<Option<Alt>, EngineError> {
         if let Alts::Iso(solver, yielded, before) = &mut self.alts {
             // Drop what the outer execution did after the last yield, to a
-            // copy of the block's solution, then ask the nested solver for
-            // another solution. The nested log is the nested solver's to
-            // undo; once it is exhausted, what is left of it goes with the
-            // block's start restored.
+            // copy of the block's solution — the copy goes too, so the
+            // nested solver's undo writes over what they shared — then ask
+            // the nested solver for another solution. The nested log is the
+            // nested solver's to undo; once it is exhausted, what is left of
+            // it goes with the block's start restored.
             yielded.forget(ctx);
             *db = Database::new();
             if solver.next_solution(ctx)? {
@@ -702,8 +703,8 @@ impl Solver {
             }
             update @ (Goal::Ins(atom) | Goal::Del(atom)) => {
                 let is_ins = matches!(update, Goal::Ins(_));
-                let (op, undo) =
-                    kernel::update(&mut self.db, atom, resolve, is_ins, hooks!(ctx)).map_err(fatal)?;
+                let (op, undo) = kernel::update(&mut self.db, atom, resolve, is_ins, hooks!(ctx))
+                    .map_err(fatal)?;
                 let changed = undo.is_some();
                 ctx.record(|| match &op {
                     DeltaOp::Ins(pred, t) => TraceEvent::Ins {

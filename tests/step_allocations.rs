@@ -151,11 +151,11 @@ macro_rules! member {
 /// were shared, and before persistent snapshots.
 const MEMBERS: [Member; 8] = [
     member!("labflow", false, 11, 2.49), // 2.26; was 3.55 before edits in place, 5.74 before B-tree relations, 7.85, 22.39
-    member!("agents", false, 16, 3.26),  // 2.96; was 3.29 before edits in place, 4.14 before B-tree relations, 6.63, 18.21
-    member!("network", false, 8, 3.36),  // 3.05; was 3.62 before edits in place, 4.60 before B-tree relations, 5.68, 18.44
+    member!("agents", false, 16, 3.26), // 2.96; was 3.29 before edits in place, 4.14 before B-tree relations, 6.63, 18.21
+    member!("network", false, 8, 3.36), // 3.05; was 3.62 before edits in place, 4.60 before B-tree relations, 5.68, 18.44
     member!("transfers", false, 128, 2.29), // 2.08; was 2.62 before edits in place, 2.79 before B-tree relations, 4.37, 12.10
     member!("minsky", false, 6, 2.55), // 2.32; was 2.58 before edits in place (2.71 before runs), 2.91 before B-tree relations, 6.00, 23.38
-    member!("qbf", false, 5, 1.32),    // 1.20; was 1.38 before edits in place, 1.48 before B-tree relations, 3.91, 12.54
+    member!("qbf", false, 5, 1.32), // 1.20; was 1.38 before edits in place, 1.48 before B-tree relations, 3.91, 12.54
     member!("refute", false, 1, 1.94), // 1.76; was 2.03 before edits in place, 2.42 before B-tree relations, 5.70, 15.80
     member!("protocol", true, 8, 2.44), // 2.22; was 2.52 before edits in place, 3.15 before B-tree relations, 5.36, 17.17
 ];

@@ -71,7 +71,10 @@ fn initial(init: &[bool]) -> Database {
     }
     for k in 0..3 {
         if init[3 + k] {
-            db = db.insert(Pred::new("r", 1), &td_db::tuple!(k as i64)).unwrap().0;
+            db = db
+                .insert(Pred::new("r", 1), &td_db::tuple!(k as i64))
+                .unwrap()
+                .0;
         }
     }
     db
