@@ -255,16 +255,12 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// database is copied whenever a solution, an isolation block or a
     /// solve starts from it, and edited a few times in between.
     pub fn set(&mut self, key: &K, value: Option<V>) -> bool {
-        if let Some(Root::Run(run)) = &mut self.root {
+        if let Some(Root::Run(run)) = &self.root {
             let code = key.code();
             let (i, cut) = match (run_seek(run, code, |k| k.cmp(key)), &value) {
                 (Ok(i), Some(v)) if run[i].2 == *v => return false,
-                (Ok(i), Some(_)) => {
-                    if Arc::get_mut(run).is_none() {
-                        *run = run.iter().cloned().collect();
-                    }
-                    let entries = Arc::get_mut(run).expect("copied if shared");
-                    entries[i].2 = value.expect("an overwrite");
+                (Ok(_), Some(_)) => {
+                    *self.get_mut(key).expect("an entry") = value.expect("an overwrite");
                     return true;
                 }
                 (Err(_), None) => return false,
