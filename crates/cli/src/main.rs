@@ -73,7 +73,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use td_core::{FragmentReport, Goal, Program};
-use td_db::Database;
+use td_db::{Database, Delta};
 use td_engine::{
     decider::DeciderConfig, load_init, Engine, EngineConfig, GoalReport, JsonObject, Materializer,
     Observer, Outcome, RunReport, SearchBackend, Solution, Strategy,
@@ -587,6 +587,16 @@ fn open_store(dir: &Path, parsed: &ParsedProgram) -> td_store::Result<Store> {
     Store::open_or_seed(dir, &schema, &seeded)
 }
 
+/// Write a goal's delta with the version the engine made, which the store
+/// then holds; a debug build checks it against the delta's replay.
+fn commit(store: &mut Store, delta: Delta, post: &Database) -> td_store::Result<u64> {
+    debug_assert_eq!(
+        delta.replay(store.db()).ok().map(|db| db.digest()),
+        Some(post.digest())
+    );
+    store.write_group(&[(delta, post.clone())])
+}
+
 /// `td db <init|snapshot|verify|log> <DIR> [file.td]` — store maintenance
 /// commands. Usage and validation errors exit 2, integrity failures exit 1.
 fn db_command(args: &[&String]) -> ExitCode {
@@ -918,11 +928,8 @@ fn run(
         // to recover).
         let mut failure = None;
         if let Some(s) = store.as_deref_mut().filter(|_| !sol.delta.is_empty()) {
-            match s.commit(&sol.delta) {
-                Ok(seq) => {
-                    debug_assert_eq!(s.db().digest(), sol.db.digest());
-                    println!("  committed wal record #{seq}");
-                }
+            match commit(s, sol.delta, &sol.db) {
+                Ok(seq) => println!("  committed wal record #{seq}"),
                 Err(e) => {
                     eprintln!("td: wal commit failed: {e}");
                     failure = Some(format!("wal commit failed: {e}"));
@@ -1067,16 +1074,14 @@ fn repl(
                     for (i, name) in g.var_names.iter().enumerate() {
                         println!("  {name} = {}", sol.answer[i]);
                     }
-                    if let Some(s) = store.as_deref_mut() {
-                        if !sol.delta.is_empty() {
-                            if let Err(e) = s.commit(&sol.delta) {
-                                println!("  error: wal commit failed: {e}");
-                                continue;
-                            }
+                    if let Some(s) = store.as_deref_mut().filter(|_| !sol.delta.is_empty()) {
+                        if let Err(e) = commit(s, sol.delta, &sol.db) {
+                            println!("  error: wal commit failed: {e}");
+                            continue;
                         }
                     }
                     println!("  yes");
-                    db = sol.db.clone();
+                    db = sol.db;
                 }
                 Ok(Outcome::Failure { .. }) => println!("  no"),
                 Err(e) => println!("  error: {e}"),

@@ -19,7 +19,8 @@
 //! thread, around `ConcurrentStore::transaction` and its group commit, on
 //! one thread. The bound is the measured value + 10 %, with that value
 //! beside it; a failure means a commit started allocating something it did
-//! not before.
+//! not before. A debug and a released build count the same, 21.0 a commit
+//! (`cargo test -p td-cli --test serve_counts`, with `--release` in CI).
 
 // `interned` is `cli.rs`'s; this file reads all of `stats`.
 #[allow(dead_code)]
@@ -239,10 +240,12 @@ fn an_event_commits_itself_and_one_trigger_per_match() {
 /// accounts.
 #[test]
 fn a_commit_allocates_what_it_writes() {
-    /// Measured at 28.0 when it was set; 38.0 before a delta was replayed
-    /// onto one copy of the database, edited in place, and before tuples of
-    /// at most two values were held inline.
-    const BOUND: f64 = 30.8;
+    /// Measured at 21.0 when it was set; 28.0 while the group-commit leader
+    /// cloned each delta and replayed it onto the store's own copy of the
+    /// database, and 38.0 before a delta was replayed onto one copy of the
+    /// database, edited in place, and before tuples of at most two values
+    /// were held inline.
+    const BOUND: f64 = 23.1;
     const N: u64 = 200;
     let dir = serve_dir("counts_allocations");
     let balance = Pred::new("balance", 2);

@@ -471,7 +471,7 @@ impl Database {
     /// would be scanned. The first call for an order on a version that did
     /// not inherit it builds it, O(n log n); from then on it is part of this
     /// version, and `insert`/`delete` bring it along to the next with one
-    /// `alter`. None of an undeclared relation.
+    /// `set` on a clone. None of an undeclared relation.
     pub fn arrangement(&self, pred: Pred, order: &[usize]) -> Option<&OrdMap<Tuple, ()>> {
         let rel = self.rels.get(&pred)?;
         let derived = self.derived.get_or_init(Arc::default);
@@ -503,7 +503,7 @@ impl Database {
 
     /// The version that differs from this one in that `pred`'s relation is
     /// `rel`: `old` with `t` a `member` or not. Every arrangement this
-    /// version holds goes along, `pred`'s by one `alter`, and every slot
+    /// version holds goes along, `pred`'s by one `set`, and every slot
     /// that holds something becomes a [`Pending`] one: the one place a
     /// version is made by an update, so whoever makes it, what was derived
     /// from its predecessor is where its own derivation starts.
@@ -526,10 +526,10 @@ impl Database {
         let derived = Derived::default();
         let mut chain = &derived.arranged;
         for Link { key, value, .. } in links(&held.arranged) {
-            let value = match key.0 == pred {
-                true => value.alter(&t.permuted(&key.1), |_| member.then_some(())),
-                false => value.clone(),
-            };
+            let mut value = value.clone();
+            if key.0 == pred {
+                value.set(&t.permuted(&key.1), member.then_some(()));
+            }
             chain = append(chain, key.clone(), value);
         }
         let op = || match member {

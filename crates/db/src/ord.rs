@@ -13,7 +13,7 @@
 //! was — and a node only this version holds is written over, once however
 //! many of the run's edits land in it; a node the run overfills or leaves
 //! short is dealt out or refilled on the way back up. A single edit is a
-//! run of one ([`OrdMap::set`]; [`OrdMap::alter`] is a clone and that), and
+//! run of one ([`OrdMap::set`]), and
 //! [`OrdMap::from_sorted`] builds a map from a sorted run in O(n). That is
 //! how the Datalog circuit folds a round of derived facts into the state it
 //! owns: one merge per relation, not one descent per fact. The run's edits
@@ -231,19 +231,6 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
         self.entry_by(key.code(), |k| k.cmp(key)).map(|(_, v)| v)
     }
 
-    /// Set the entry for `key` to `f(current)`, where `None` stands for "no
-    /// entry" on both sides: `|_| Some(v)` inserts or overwrites, `|_| None`
-    /// removes, and a closure that looks at its argument updates in one
-    /// descent. The new version is a clone of this one with the edit made
-    /// ([`OrdMap::set`]): it copies the nodes on the key's path, and when
-    /// `f` returns what is already there, it shares the whole tree with
-    /// `self` and nothing is allocated.
-    pub fn alter(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> OrdMap<K, V, N> {
-        let mut next = self.clone();
-        next.set(key, f(self.get(key)));
-        next
-    }
-
     /// Set the entry for `key` to `value` in this version itself, `None`
     /// removing it; true if that changed the map. A tree takes it as a
     /// merge of a run of one edit ([`OrdMap::merge`]): the nodes on the
@@ -360,7 +347,7 @@ impl<K: Key, V: Clone + PartialEq, const N: usize> OrdMap<K, V, N> {
     /// Apply a run of edits to this version itself, in one walk: the keys
     /// of `run` strictly increasing, the entry at each edit's key becomes
     /// `f(edit, the entry there)`, `None` standing for "no entry" on both
-    /// sides as in [`OrdMap::alter`]. `f` is called once per edit, in
+    /// sides as in [`OrdMap::set`]. `f` is called once per edit, in
     /// order, and an edit's [`Edit::key`] is asked for only if it inserts.
     ///
     /// A node this version alone holds is written over, once however many
@@ -1335,7 +1322,19 @@ mod tests {
 
     fn set_of(keys: impl IntoIterator<Item = u64>) -> OrdMap<u64, ()> {
         keys.into_iter()
-            .fold(OrdMap::new(), |m, k| m.alter(&k, |_| Some(())))
+            .fold(OrdMap::new(), |m, k| with(&m, k, Some(())))
+    }
+
+    /// A clone of `m` with the entry for `key` set to `value`, `None`
+    /// removing it: a persistent edit, which leaves `m` as it was.
+    fn with<V: Clone + PartialEq, const N: usize>(
+        m: &OrdMap<u64, V, N>,
+        key: u64,
+        value: Option<V>,
+    ) -> OrdMap<u64, V, N> {
+        let mut next = m.clone();
+        next.set(&key, value);
+        next
     }
 
     fn entries<V: Clone + PartialEq, const N: usize>(m: &OrdMap<u64, V, N>) -> Vec<(u64, V)> {
@@ -1382,18 +1381,17 @@ mod tests {
     }
 
     #[test]
-    fn alter_inserts_overwrites_and_removes() {
-        let m: OrdMap<u64, i64> = OrdMap::new();
-        let m = m.alter(&5, |old| {
-            assert_eq!(old, None);
-            Some(1)
-        });
+    fn set_inserts_overwrites_and_removes() {
+        let mut m: OrdMap<u64, i64> = OrdMap::new();
+        assert!(m.set(&5, Some(1)));
         assert_eq!((m.len(), m.get(&5)), (1, Some(&1)));
-        let m = m.alter(&5, |old| old.map(|c| c + 2));
+        assert!(m.set(&5, Some(3)));
         assert_eq!((m.len(), m.get(&5)), (1, Some(&3)));
-        let m = m.alter(&5, |_| None);
+        assert!(!m.set(&5, Some(3)), "writing what is there");
+        assert!(m.set(&5, None));
         assert!(m.is_empty() && m.get(&5).is_none());
-        assert!(m.alter(&5, |_| None).is_empty(), "removing the absent");
+        assert!(!m.set(&5, None), "removing the absent");
+        assert!(m.is_empty());
         assert!(OrdMap::<u64, i64>::from_sorted([]).is_empty());
     }
 
@@ -1408,8 +1406,8 @@ mod tests {
             same
         };
         for same in [
-            m.alter(&7, |_| Some(())),
-            m.alter(&1000, |_| None),
+            with(&m, 7, Some(())),
+            with(&m, 1000, None),
             in_place(&[], true),
             in_place(&[3, 50, 99], true),
             in_place(&[200, 205, 209], false),
@@ -1430,7 +1428,7 @@ mod tests {
         );
         let old = nodes(&m);
         for (k, insert) in [(500, false), (2000, true), (0, false), (777, false)] {
-            let edited = m.alter(&k, |_| insert.then_some(()));
+            let edited = with(&m, k, insert.then_some(()));
             check(&edited);
             let copied = nodes(&edited).iter().filter(|n| !old.contains(n)).count();
             // One node per level, and at most one more per level where a
@@ -1460,7 +1458,7 @@ mod tests {
         let a = set_of(evens());
         let b = set_of(evens().rev());
         // A detour through the odd keys in between and their removal.
-        let c = evens().fold(set_of(0..400), |m, k| m.alter(&(k + 1), |_| None));
+        let c = evens().fold(set_of(0..400), |m, k| with(&m, k + 1, None));
         // Built in one pass from the sorted run, and from two such runs by
         // edits in place: the other half added, every odd key taken out.
         let d = OrdMap::from_sorted(evens().map(|k| (k, ())));
@@ -1496,7 +1494,7 @@ mod tests {
             assert_eq!(keys, (*from..400).collect::<Vec<_>>());
         }
         assert!(a == b && a == c && a == d && a == e && a == f && a == g);
-        assert!(a != a.alter(&0, |_| None).alter(&1000, |_| Some(())));
+        assert!(a != with(&with(&a, 0, None), 1000, Some(())));
     }
 
     #[test]
@@ -1518,13 +1516,14 @@ mod tests {
             "the older version still holds what it held"
         );
         assert_eq!(old.len(), 500);
-        // What the persistent edits give, entry by entry.
-        let mut by_alter = old.clone();
+        // What single edits give, entry by entry.
+        let mut by_set = old.clone();
         for k in (0..600).step_by(3) {
-            by_alter = by_alter.alter(&k, |c| step(k, c));
+            let value = step(k, by_set.get(&k));
+            by_set.set(&k, value);
         }
-        assert_eq!(entries(&m), entries(&by_alter));
-        assert_eq!(m.len(), by_alter.len());
+        assert_eq!(entries(&m), entries(&by_set));
+        assert_eq!(m.len(), by_set.len());
         // An edit that changes nothing leaves even a shared root shared.
         let shared = m.clone();
         let mut run = [(1, ()), (10_000, ())];
@@ -1552,7 +1551,7 @@ mod tests {
             let insert = rng.random_range(0..3u8) > 0 || step > 4_000;
             let value = insert.then_some(step);
             if rng.random_range(0..4u8) == 0 {
-                m = m.alter(&k, |_| value);
+                m = with(&m, k, value);
             } else {
                 merge(&mut m, &[(k, value)]);
             }
@@ -1668,8 +1667,8 @@ mod tests {
         assert!(matches!(full.root, Some(Root::Run(_))) && check(&full) == 1);
         // A persistent edit copies the run, and the older version keeps its
         // own; past `B` entries the map becomes a tree.
-        let less = full.alter(&3, |_| None);
-        let more = full.alter(&100, |_| Some(()));
+        let less = with(&full, 3, None);
+        let more = with(&full, 100, Some(()));
         assert!(matches!(less.root, Some(Root::Run(_))) && check(&less) == 1);
         assert!(matches!(more.root, Some(Root::Tree(_))) && check(&more) == 2);
         assert_eq!(entries(&full).len(), B);
@@ -1699,14 +1698,14 @@ mod tests {
         assert_eq!(nodes(&alone), before);
         assert_eq!(entries(&alone), [(0, 0), (1, 10), (2, 20), (7, 7)]);
         // A leaf and a run that hold the same entries are equal.
-        let leaf = set_of(0..B as u64 + 1).alter(&16, |_| None);
+        let leaf = with(&set_of(0..B as u64 + 1), 16, None);
         assert!(matches!(leaf.root, Some(Root::Tree(_))) && check(&leaf) == 2);
         let mut small = set_of(0..B as u64 + 1);
         merge(&mut small, &(4..=16).map(|k| (k, None)).collect::<Vec<_>>());
         assert!(matches!(small.root, Some(Root::Tree(_))) && check(&small) == 1);
         let run = OrdMap::from_sorted((0..4).map(|k| (k, ())));
         assert!(matches!(run.root, Some(Root::Run(_))) && run == small);
-        assert_ne!(run, small.alter(&2, |_| None));
+        assert_ne!(run, with(&small, 2, None));
         for k in [0, 1, 2, 3] {
             merge(&mut small, &[(k, None)]);
             check(&small);
@@ -1763,7 +1762,7 @@ mod tests {
                     if in_place {
                         merge(&mut m, &[(*k, None)]);
                     } else {
-                        m = m.alter(k, |_| None);
+                        m = with(&m, *k, None);
                     }
                     check(&m);
                     kept.push((m.clone(), entries(&m)));
@@ -1778,10 +1777,10 @@ mod tests {
         // The smallest case: five keys, removed from the top.
         let mut m: OrdMap<u64, (), 4> = OrdMap::new();
         for k in 1..=5 {
-            m = m.alter(&k, |_| Some(()));
+            m = with(&m, k, Some(()));
         }
         for k in (1..=5).rev() {
-            m = m.alter(&k, |_| None);
+            m = with(&m, k, None);
             check(&m);
         }
         assert!(m.is_empty());

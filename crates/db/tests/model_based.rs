@@ -562,10 +562,10 @@ proptest! {
     }
 
     /// The bulk edits against `BTreeMap<Vec<Value>, i64>`: `from_sorted` builds
-    /// what the `alter`s build, and one merge of the other side's entries
+    /// what single `set`s build, and one merge of the other side's entries
     /// into a clone — as a sum, as a difference, and with an `f` that
     /// deletes where both sides hold the key — gives what the same `f`
-    /// folded over the other side's entries with `alter` gives, with the
+    /// folded over the other side's entries with `set` gives, with the
     /// right `len`, and leaves both operands as they were.
     #[test]
     fn bulk_edits_behave_like_the_fold_of_point_edits(
@@ -578,8 +578,8 @@ proptest! {
         let tuples_of = |model: &CountModel| -> Vec<(Tuple, i64)> {
             model.iter().map(|(t, c)| (Tuple::new(t.clone()), *c)).collect()
         };
-        let by_alters = |model: &CountModel| {
-            tuples_of(model).iter().fold(OrdMap::new(), |m, (t, c)| m.alter(t, |_| Some(*c)))
+        let by_sets = |model: &CountModel| {
+            tuples_of(model).iter().fold(OrdMap::new(), |m, (t, c)| with(&m, t, Some(*c)))
         };
         let entries = |m: &OrdMap<Tuple, i64>| {
             let mut out = Vec::new();
@@ -587,9 +587,9 @@ proptest! {
             out
         };
         let (mine, theirs) = (model_of(&mine), model_of(&theirs));
-        let a = by_alters(&mine);
+        let a = by_sets(&mine);
         let b = OrdMap::from_sorted(tuples_of(&theirs));
-        prop_assert!(b == by_alters(&theirs));
+        prop_assert!(b == by_sets(&theirs));
         prop_assert_eq!(b.len(), theirs.len());
         prop_assert_eq!(entries(&b), theirs.clone().into_iter().collect::<Vec<_>>());
 
@@ -613,7 +613,7 @@ proptest! {
             prop_assert_eq!(entries(&merged), expected.into_iter().collect::<Vec<_>>());
             let folded = tuples_of(&theirs)
                 .iter()
-                .fold(a.clone(), |m, (t, c)| m.alter(t, |old| f(old, c)));
+                .fold(a.clone(), |m, (t, c)| with(&m, t, f(m.get(t), c)));
             prop_assert!(merged == folded);
             // Snapshot semantics: neither operand saw the edit.
             prop_assert_eq!(entries(&a), mine.clone().into_iter().collect::<Vec<_>>());
@@ -682,9 +682,21 @@ fn merge_run<const N: usize>(m: &mut OrdMap<Tuple, i64, N>, run: &[(Tuple, Optio
     m.check_invariants();
 }
 
+/// A clone of `m` with `t`'s entry set to `c`, `None` removing it: a
+/// persistent edit, which leaves `m` as it was.
+fn with<const N: usize>(
+    m: &OrdMap<Tuple, i64, N>,
+    t: &Tuple,
+    c: Option<i64>,
+) -> OrdMap<Tuple, i64, N> {
+    let mut next = m.clone();
+    next.set(t, c);
+    next
+}
+
 /// Every operation of the map at [`EDGES`] entries, against
 /// `BTreeMap<Vec<Value>, i64>`: insert, overwrite and remove through
-/// `alter`, and through merged runs — of one edit at a time, and of them
+/// `set` on a clone, and through merged runs — of one edit at a time, and of them
 /// all — on a version nobody else holds and on one an older clone shares
 /// (which must keep what it held); `from_sorted` and full walks; and prefix
 /// probes of one and two columns, over short and long prefixes, against a
@@ -704,13 +716,13 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
         assert_holds(&sorted, &model, &what("from_sorted"));
         let up = tuples
             .iter()
-            .fold(OrdMap::new(), |m, (t, c)| m.alter(t, |_| Some(*c)));
-        assert_holds(&up, &model, &what("alter, ascending"));
+            .fold(OrdMap::new(), |m, (t, c)| with(&m, t, Some(*c)));
+        assert_holds(&up, &model, &what("set, ascending"));
         let down = tuples
             .iter()
             .rev()
-            .fold(OrdMap::new(), |m, (t, c)| m.alter(t, |_| Some(*c)));
-        assert_holds(&down, &model, &what("alter, descending"));
+            .fold(OrdMap::new(), |m, (t, c)| with(&m, t, Some(*c)));
+        assert_holds(&down, &model, &what("set, descending"));
         let mut alone = OrdMap::new();
         for (t, c) in &tuples {
             merge_run(&mut alone, &[(t.clone(), Some(*c))]);
@@ -740,7 +752,8 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
         for (how, start) in [("on from_sorted", &sorted), ("on merges", &alone)] {
             let before = start.clone();
             let persistent = tuples.iter().fold(start.clone(), |m, (t, _)| {
-                m.alter(t, |c| c.map(|c| c + 100))
+                let c = m.get(t).map(|c| c + 100);
+                with(&m, t, c)
             });
             assert_holds(
                 &persistent,
@@ -770,7 +783,7 @@ fn every_operation_at_the_node_size_edges_behaves_like_the_model() {
             let removed = tuples
                 .iter()
                 .step_by(2)
-                .fold(in_place.clone(), |m, (t, _)| m.alter(t, |_| None));
+                .fold(in_place.clone(), |m, (t, _)| with(&m, t, None));
             assert_holds(&removed, &thinned, &what(&format!("remove {how}")));
             assert_holds(&in_place, &overwritten, &what(&format!("kept {how}")));
             assert_holds(&before, &model, &what(&format!("the version edited {how}")));

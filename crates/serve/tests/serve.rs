@@ -249,6 +249,68 @@ fn a_request_that_is_not_utf8_is_refused_and_the_connection_stays_up() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A client that sends a committing `run` and hangs up at once, without
+/// reading the reply: the server reads the request after the client is
+/// gone, and validates and commits it for nobody. Only the reply's write
+/// fails. The commit lands exactly once, the leader that wrote it leaves
+/// no follower waiting (the server drains and stops), and the log holds
+/// it once.
+#[test]
+fn a_client_gone_before_its_commit_is_durable_still_commits_once() {
+    let dir = temp_dir("gone");
+    let (socket, handle) = start_server(&dir);
+    let (mut w, r) = raw(&socket);
+    w.write_all(b"run transfer(30, acct1, acct2)\n").unwrap();
+    drop((w, r));
+    let mut c = Client::connect(&socket).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = c.stats().unwrap();
+        if counter(&stats, "commits") > 0 || Instant::now() > deadline {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(counter(&stats, "commits"), 1, "{stats}");
+    // The genesis record and the transfer, both acknowledged as durable.
+    assert_eq!(counter(&stats, "durable"), 2, "{stats}");
+    let r = c.run("balance(acct1, B)").unwrap();
+    assert_eq!(r.binding("B"), Some("70"));
+    c.stop().unwrap();
+    let summary = handle.join().unwrap().unwrap();
+    assert_eq!(summary.stats.commits, 1);
+    drop(summary);
+    let (records, tail) = Store::log(&dir.join("db")).unwrap();
+    let seqs: Vec<u64> = records.iter().map(|rec| rec.seq).collect();
+    assert_eq!(seqs, [0, 1], "the genesis record and the transfer, once");
+    assert_eq!(records[1].delta.len(), 4, "two balances rewritten");
+    assert!(matches!(tail, td_store::WalTail::Clean), "{tail:?}");
+    let report = Store::verify(&dir.join("db")).unwrap();
+    assert_eq!(report.wal_records, 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A half-closed connection: the client sends `ping` and shuts down its
+/// write half. The reply still comes, then the server sees the end of the
+/// requests, closes the connection, and goes on serving others.
+#[test]
+fn a_half_closed_connection_gets_its_reply_and_is_closed() {
+    let dir = temp_dir("half_closed");
+    let (socket, handle) = start_server(&dir);
+    let (mut w, mut r) = raw(&socket);
+    w.write_all(b"ping\n").unwrap();
+    w.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_eq!(reply(&mut r), "ok pong");
+    assert_eq!(reply(&mut r), "", "then the server hangs up");
+    let mut c = Client::connect(&socket).unwrap();
+    assert!(c.ping().unwrap());
+    let stats = c.stats().unwrap();
+    assert_eq!(counter(&stats, "errors"), 0, "{stats}");
+    c.stop().unwrap();
+    handle.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn concurrent_conflicting_transfers_conserve_balance() {
     let dir = temp_dir("conserve");

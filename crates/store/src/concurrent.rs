@@ -34,23 +34,24 @@
 //!
 //! The fsync on the WAL append (~0.2 ms, tdbench `store.commit_us`) would
 //! serialize commits at the device; instead commits are batched with the
-//! classic leader/follower scheme. A validated transaction appends its delta to a
-//! pending batch under the state mutex and then either (a) finds the
-//! [`Store`] token free, takes it, and **becomes the leader**: it drains
-//! the whole pending batch and writes it as one fsync'd WAL group record
-//! ([`Store::commit_group`]); or (b) finds the token taken (a leader is
-//! mid-fsync) and waits. While a leader fsyncs, later transactions keep
-//! validating and enqueueing, so the next leader writes them all in one
-//! group — batch size adapts to the arrival rate with no timers and no
-//! background thread. A transaction is acknowledged only after the group
-//! holding it is durable.
+//! classic leader/follower scheme. A validated transaction appends its delta
+//! and the head version it made to a pending batch under the state mutex
+//! and then either (a) finds the [`Store`] token free, takes it, and
+//! **becomes the leader**: it drains the whole pending batch and writes it
+//! as one fsync'd WAL group record ([`Store::write_group`]), after which
+//! the store's state is the batch's last version; or (b) finds the token
+//! taken (a leader is mid-fsync) and waits. While a leader fsyncs, later
+//! transactions keep validating and enqueueing, so the next leader writes
+//! them all in one group — batch size adapts to the arrival rate with no
+//! timers and no background thread. A transaction is acknowledged only
+//! after the group holding it is durable.
 //!
-//! The in-memory head state runs ahead of the durable WAL by at most the
-//! pending batch; this is invisible to clients because acknowledgement
-//! waits for durability, and WAL order equals validation order, so a
-//! transaction's group always lands *after* every group it read from —
-//! crash recovery (a prefix of whole groups) can never keep an
-//! acknowledged transaction while dropping state it read.
+//! The head runs ahead of the durable WAL, and of the store's state (an
+//! earlier head), by at most the pending batch; this is invisible to
+//! clients because acknowledgement waits for durability, and WAL order
+//! equals validation order, so a transaction's group always lands *after*
+//! every group it read from — crash recovery (a prefix of whole groups)
+//! can never keep an acknowledged transaction while dropping state it read.
 
 use crate::{Result, Store, StoreError};
 use std::collections::BTreeMap;
@@ -208,9 +209,9 @@ struct State {
     next_seq: u64,
     /// Every seq `< durable_seq` is fsync-acknowledged.
     durable_seq: u64,
-    /// Validated commits not yet written: `(delta, post_digest)` in seq
-    /// order.
-    pending: Vec<(Delta, u128)>,
+    /// Validated commits not yet written: each delta with the head version
+    /// it made, in seq order.
+    pending: Vec<(Delta, Database)>,
     /// The store token. `Some` = no leader is writing; a committer that
     /// takes it becomes the leader for everything currently pending.
     store: Option<Store>,
@@ -264,11 +265,6 @@ impl ConcurrentStore {
         }
     }
 
-    /// Open an existing store directory for concurrent use.
-    pub fn open(dir: &std::path::Path) -> Result<ConcurrentStore> {
-        Ok(ConcurrentStore::new(Store::open(dir)?))
-    }
-
     /// Open or initialize, like [`Store::open_or_init`].
     pub fn open_or_init(dir: &std::path::Path, initial: &Database) -> Result<ConcurrentStore> {
         Ok(ConcurrentStore::new(Store::open_or_init(dir, initial)?))
@@ -288,9 +284,7 @@ impl ConcurrentStore {
 
     /// Run `f` on the head itself, under the lock: what `f` derives from it
     /// (`Database::derived`) is there for every snapshot taken afterwards
-    /// and, pending, for every head a commit makes from it. The store's own
-    /// copy, cloned by [`ConcurrentStore::new`] before anything was derived,
-    /// keeps a cell of its own and derives nothing.
+    /// and, pending, for every head a commit makes from it.
     pub fn with_head<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.lock().db)
     }
@@ -392,7 +386,7 @@ impl ConcurrentStore {
             };
             let seq = st.next_seq;
             st.next_seq += 1;
-            st.pending.push((delta, next_db.digest()));
+            st.pending.push((delta, next_db.clone()));
             st.db = next_db;
             self.await_durable(st, seq)?;
             self.lock().stats.commits += 1;
@@ -429,14 +423,7 @@ impl ConcurrentStore {
                 let mut store = st.store.take().expect("checked above");
                 let batch = std::mem::take(&mut st.pending);
                 drop(st);
-                let deltas: Vec<Delta> = batch.iter().map(|(d, _)| d.clone()).collect();
-                let result = store.commit_group(&deltas);
-                // The store's recomputed head digest must agree with the
-                // validator's — both replayed the same deltas in the same
-                // order from the same base.
-                debug_assert!(
-                    result.is_err() || store.db().digest() == batch.last().expect("nonempty").1
-                );
+                let result = store.write_group(&batch);
                 st = self.lock();
                 match result {
                     Ok(first_seq) => {
@@ -823,12 +810,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// What is derived on the head rides the head's lineage and nothing
-    /// else: after one derivation through `with_head` and k commits, the
-    /// last head is pending on the warm one with the k ops since, and the
-    /// store the leader replayed every group onto holds no slot at all.
+    /// There is one lineage: what is derived on the head through
+    /// `with_head` rides every version commits make from it, the store's
+    /// durable state included. That state is a head version (here, one
+    /// thread committing groups of one, the last head itself; at most one
+    /// batch behind the head in general), pending on the last probed
+    /// version with the k ops since, and it shares its slot with the head.
     #[test]
-    fn the_head_carries_its_derivations_and_the_durable_copy_does_not() {
+    fn the_durable_state_is_a_head_version_pending_on_the_last_probed_one() {
         // A stand-in for a view circuit's owner number.
         const OWNER: u64 = u64::MAX;
         let k = 50;
@@ -849,12 +838,14 @@ mod tests {
         }
         let head = cs.snapshot();
         let store = cs.close().unwrap();
-        assert!(!store.db().derived(OWNER).holds());
-        head.derive(OWNER, |pending| {
+        assert_eq!(store.db(), &head);
+        assert!(store.db().derived(OWNER).get().is_none());
+        store.db().derive(OWNER, |pending| {
             let (from, ops) = pending.expect("pending on the warm head").into_nearest();
             assert_eq!((from.digest(), ops.len()), (warm, k as usize));
             Box::new(())
         });
+        assert!(head.derived(OWNER).get().is_some(), "one slot for both");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

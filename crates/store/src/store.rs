@@ -130,8 +130,8 @@ pub struct VerifyReport {
 }
 
 /// An open durable database: recovered in-memory state plus an append
-/// handle on the WAL. All mutation goes through [`Store::commit`], which is
-/// atomic and durable per transaction.
+/// handle on the WAL. All mutation goes through [`Store::write_group`],
+/// which is atomic and durable per batch.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
@@ -244,10 +244,10 @@ impl Store {
     /// Open `dir` if it is a store; otherwise initialize it *seeded*: a
     /// snapshot of `schema` (the program's relations, empty), then every
     /// tuple of `seeded` (the same schema plus the program's init facts)
-    /// committed as the genesis WAL record — so even a crash before the
-    /// first transaction leaves a replayable, digest-verified state. An
-    /// existing store keeps its accumulated state; `seeded` is not
-    /// re-applied.
+    /// written as the genesis WAL record, with `seeded` itself as its
+    /// post-state — so even a crash before the first transaction leaves a
+    /// replayable, digest-verified state. An existing store keeps its
+    /// accumulated state; `seeded` is not re-applied.
     pub fn open_or_seed(dir: &Path, schema: &Database, seeded: &Database) -> Result<Store> {
         if Store::is_initialized(dir) {
             return Store::open(dir);
@@ -260,7 +260,7 @@ impl Store {
             }
         }
         if !genesis.is_empty() {
-            store.commit(&genesis)?;
+            store.write_group(&[(genesis, seeded.clone())])?;
         }
         Ok(store)
     }
@@ -291,36 +291,39 @@ impl Store {
         self.recovery.replayed + self.committed_this_session
     }
 
-    /// Commit one transaction — the group of one: apply its delta to the
-    /// in-memory state, append the record, `fsync`. Returns the record's
-    /// sequence number.
+    /// The one writer: a batch of committed transactions as one WAL frame
+    /// with **one** `fsync` ([`Wal::append_group`]), each delta with the
+    /// version it made from the one before — the first from this store's
+    /// state — in the order the OCC validator serialized them. A record
+    /// carries its version's digest, which recovery recomputes from the
+    /// delta; the last version becomes this store's state. Returns the seq
+    /// of the first record; the batch occupies contiguous seqs.
+    pub fn write_group(&mut self, batch: &[(Delta, Database)]) -> Result<u64> {
+        let entries: Vec<(&Delta, u128)> = batch.iter().map(|(d, db)| (d, db.digest())).collect();
+        let first_seq = self.wal.append_group(&entries)?;
+        self.db = batch.last().expect("checked by append_group").1.clone();
+        self.committed_this_session += batch.len() as u64;
+        Ok(first_seq)
+    }
+
+    /// [`Store::commit_group`] of one delta.
     pub fn commit(&mut self, delta: &Delta) -> Result<u64> {
         self.commit_group(std::slice::from_ref(delta))
     }
 
-    /// Commit a batch of transactions as one WAL frame with **one** `fsync`
-    /// (group commit; see [`Wal::append_group`]). The deltas apply in
-    /// order, each against the state the previous one left — exactly the
-    /// order the OCC validator serialized them in, the first against this
-    /// store's current state (the engine guarantees this when the run
-    /// started from [`Store::db`]). Returns the seq of the first record;
-    /// the batch occupies contiguous seqs. Every post-state digest recorded
-    /// — and verified on every future recovery — is recomputed here, not
-    /// taken on trust, so recovery can verify each record individually.
+    /// Replay each delta onto the state the one before left, the first onto
+    /// this store's, and write them with those versions: for callers that
+    /// hold no versions, tdbench's store probes.
     pub fn commit_group(&mut self, deltas: &[Delta]) -> Result<u64> {
-        assert!(!deltas.is_empty(), "empty commit group");
-        let mut cur = self.db.clone();
-        let mut entries = Vec::with_capacity(deltas.len());
+        let mut batch: Vec<(Delta, Database)> = Vec::with_capacity(deltas.len());
         for delta in deltas {
-            cur = delta
-                .replay(&cur)
+            let before = batch.last().map_or(&self.db, |(_, db)| db);
+            let after = delta
+                .replay(before)
                 .map_err(|e| StoreError::Db(e.to_string()))?;
-            entries.push((delta, cur.digest()));
+            batch.push((delta.clone(), after));
         }
-        let first_seq = self.wal.append_group(&entries)?;
-        self.db = cur;
-        self.committed_this_session += deltas.len() as u64;
-        Ok(first_seq)
+        self.write_group(&batch)
     }
 
     /// Rotate: write a fresh snapshot of the current state, then reset the
