@@ -30,16 +30,10 @@
 //! for its next one. Strategies, budgets and failure memoization sit
 //! around that loop.
 //!
-//! A step allocates only what it creates. The tree is persistent, so a
-//! choicepoint's snapshot of it is a refcount; an update edits the nodes
-//! the database alone holds and logs a few digests to undo it; a leaf
-//! is addressed by its index in the frontier, so scheduling builds no list
-//! of paths; alternatives share the leaf they come from; an elementary
-//! operation reads its atom through the leaf's offset and the trail rather
-//! than from a renamed or resolved copy (see [`kernel`]); and a call's
-//! rules, an `or`'s branches and an `iso`'s block are trees its leaf
-//! already holds — a rule body is its template read at the unfolding's
-//! offset (see [`crate::tree`]).
+//! The solver edits its one process tree in place too, and takes a failed
+//! branch's edits back from a log of its own, as it does the database's: a
+//! choicepoint holds marks, not a tree. What a step allocates is described
+//! once, in docs/ARCHITECTURE.md.
 
 use crate::cache::{CachedAnswer, SubgoalCache};
 use crate::compiled::Compiled;
@@ -48,7 +42,7 @@ use crate::incremental::Materializer;
 use crate::kernel::{self, CallStep, FpSet, Hooks, Probe};
 use crate::obs::{subgoal_label, LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{frontier_len, leaf_at, rewrite, Action, PTree};
+use crate::tree::{self, frontier_len, leaf_at, Action, PTree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -265,7 +259,11 @@ enum StepErr {
     Fatal(EngineError),
 }
 
-type StepResult = Result<(), StepErr>;
+/// What a step does to the tree: the frontier index of the leaf it
+/// rewrites, and what replaces the leaf (`None`: the leaf is done).
+type Rewrite = (usize, Option<PTree>);
+
+type StepResult = Result<Rewrite, StepErr>;
 
 fn fatal(e: EngineError) -> StepErr {
     StepErr::Fatal(e)
@@ -415,9 +413,9 @@ enum MemoKey {
     /// Computed when the step started, because the memo could answer then.
     Known(u128),
     /// Not computed: the memo was empty when the step started, so nothing
-    /// could hit. Whoever refutes the step computes it, from the
-    /// choicepoint's `tree` and `db` with the trail rewound to the step's
-    /// start — the configuration a `Known` key describes.
+    /// could hit. Whoever refutes the step computes it, from the solver's
+    /// tree and database with the logs rewound to the step's start — the
+    /// configuration a `Known` key describes.
     Deferred,
 }
 
@@ -432,17 +430,22 @@ struct Choicepoint {
     /// `Solver::successes` at push time; compared at pop to decide whether
     /// the subtree was success-free (refuted) or merely drained.
     successes_at_push: u64,
-    /// Process tree before the step this choicepoint belongs to.
-    tree: PTree,
     /// The frontier index of the leaf the alternatives replace (unused by
     /// `Alts::Sched`, whose alternatives are the leaves).
     leaf: usize,
     /// Log positions before the step: rewinding to them takes the
     /// database back to what it was.
     at: Marks,
+    /// The length of the solver's tree log before the step: rewinding to
+    /// it takes the tree back to what it was.
+    edits: usize,
     /// The database's digest before the step, checked after every rewind.
     #[cfg(debug_assertions)]
     digest: u128,
+    /// The tree before the step, checked after every rewind: a handle, so
+    /// the solver's first edit after it copies what they share.
+    #[cfg(debug_assertions)]
+    tree: PTree,
     alts: Alts,
     /// Index of the next untried alternative.
     next: usize,
@@ -483,8 +486,12 @@ impl Choicepoint {
 
 /// A depth-first search for successful executions of one process tree.
 pub(crate) struct Solver {
-    /// `None` = fully reduced (a solution state).
+    /// `None` = fully reduced (a solution state). Edited in place by every
+    /// step.
     state: Option<PTree>,
+    /// How to take back the edits of `state` made while a choicepoint was
+    /// live.
+    edits: tree::Log,
     /// Current database, edited in place by every update.
     pub db: Database,
     stack: Vec<Choicepoint>,
@@ -500,6 +507,7 @@ impl Solver {
     pub fn new(tree: Option<PTree>, db: Database) -> Solver {
         Solver {
             state: tree,
+            edits: tree::Log::default(),
             db,
             stack: Vec::new(),
             pending_key: MemoKey::None,
@@ -516,19 +524,19 @@ impl Solver {
             return Ok(false);
         }
         loop {
-            // The step sets the next state; a failed one leaves it to the
+            // The step edits the state; a failed one leaves it to the
             // choicepoint that is retried.
-            let Some(tree) = self.state.take() else {
+            if self.state.is_none() {
                 self.successes += 1;
                 return Ok(true);
-            };
+            }
             ctx.stats.steps += 1;
             if ctx.stats.steps > ctx.config.max_steps {
                 return Err(EngineError::StepBudget {
                     steps: ctx.stats.steps,
                 });
             }
-            match self.step(ctx, tree) {
+            match self.advance(ctx, |solver, ctx, tree| solver.step(ctx, tree)) {
                 Ok(()) => {}
                 Err(StepErr::Fail) => {
                     if !self.backtrack(ctx)? {
@@ -540,24 +548,44 @@ impl Solver {
         }
     }
 
-    /// A choicepoint over `alts` for the `leaf`-th frontier leaf, the step
-    /// having begun at `at`. The one place a choicepoint is built; `push_cp`
-    /// fills in the memo fields.
+    /// Run `step` on the state, lent out of the solver while it runs, and
+    /// edit the state where it lies as the step says, logging the edit
+    /// while a choicepoint may take it back.
+    fn advance(
+        &mut self,
+        ctx: &mut Ctx,
+        step: impl FnOnce(&mut Solver, &mut Ctx, &PTree) -> StepResult,
+    ) -> Result<(), StepErr> {
+        let tree = self.state.take().expect("a step's tree");
+        let result = step(self, ctx, &tree);
+        self.state = Some(tree);
+        let (leaf, node) = result?;
+        let log = (!self.stack.is_empty()).then_some(&mut self.edits);
+        tree::edit(&mut self.state, leaf, node, log);
+        Ok(())
+    }
+
+    /// A choicepoint over `alts` for the `leaf`-th frontier leaf of `tree`,
+    /// the step having begun at `at`. The one place a choicepoint is built;
+    /// `push_cp` fills in the memo fields.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn checkpoint(&self, at: Marks, tree: &PTree, leaf: usize, alts: Alts) -> Choicepoint {
         Choicepoint {
             step_key: MemoKey::None,
             successes_at_push: 0,
-            tree: tree.clone(),
             leaf,
             at,
+            edits: self.edits.len(),
             #[cfg(debug_assertions)]
             digest: self.db.digest(),
+            #[cfg(debug_assertions)]
+            tree: tree.clone(),
             alts,
             next: 1,
         }
     }
 
-    fn push_cp(&mut self, ctx: &mut Ctx, mut cp: Choicepoint) -> StepResult {
+    fn push_cp(&mut self, ctx: &mut Ctx, mut cp: Choicepoint) -> Result<(), StepErr> {
         if self.stack.len() >= ctx.config.max_stack {
             return Err(fatal(EngineError::StackBudget {
                 depth: self.stack.len(),
@@ -571,13 +599,14 @@ impl Solver {
         Ok(())
     }
 
-    /// One elementary step: pick a frontier action per strategy, execute it.
-    fn step(&mut self, ctx: &mut Ctx, tree: PTree) -> StepResult {
+    /// One elementary step of `tree`, the state: pick a frontier action per
+    /// strategy, execute it.
+    fn step(&mut self, ctx: &mut Ctx, tree: &PTree) -> StepResult {
         if ctx.memo_active() {
             // Nothing can hit an empty memo: the key waits for a refutation.
             let mut key = MemoKey::Deferred;
             if !ctx.failed.is_empty() {
-                let fp = ctx.config_key(&tree, &self.db);
+                let fp = ctx.config_key(tree, &self.db);
                 if ctx.failed.contains(&fp) {
                     ctx.stats.memo_hits += 1;
                     return Err(StepErr::Fail);
@@ -587,10 +616,10 @@ impl Solver {
             self.pending_key = key;
         }
         let (at, stack_before) = (Marks::here(ctx), self.stack.len());
-        let n = frontier_len(&tree);
+        let n = frontier_len(tree);
         ctx.stats.peak_processes = ctx.stats.peak_processes.max(n);
         let schedule = ctx.schedule(n);
-        let result = self.choose(ctx, &tree, 0, Alts::Sched(schedule));
+        let result = self.choose(ctx, tree, 0, Alts::Sched(schedule));
         let pending = std::mem::take(&mut self.pending_key);
         if matches!(result, Err(StepErr::Fail)) && self.stack.len() == stack_before {
             // The step failed with no alternatives: the configuration is
@@ -600,7 +629,7 @@ impl Solver {
             if let MemoKey::Deferred = pending {
                 at.rewind(ctx, &mut self.db);
             }
-            ctx.refute(pending, &tree, &self.db);
+            ctx.refute(pending, tree, &self.db);
         }
         result
     }
@@ -657,8 +686,7 @@ impl Solver {
             }
             Alt::Yield => None,
         };
-        self.state = rewrite(tree, leaf, node);
-        Ok(())
+        Ok((leaf, node))
     }
 
     /// Execute the `leaf`-th frontier leaf of `tree`; `sole` says it is the
@@ -764,20 +792,20 @@ impl Solver {
                 let Some(alt) = yielded else {
                     return Err(StepErr::Fail);
                 };
-                self.take(ctx, tree, leaf, alt)?;
+                let rewrite = self.take(ctx, tree, leaf, alt)?;
                 // Pushed only now, behind the block's first solution: a
                 // block that never yields is a plain failed step — no
                 // choicepoint counted, and its step's memo key left for
                 // `step` to record as refuted outright.
-                return self.push_cp(ctx, cp);
+                self.push_cp(ctx, cp)?;
+                return Ok(rewrite);
             }
             Goal::True | Goal::Seq(_) | Goal::Par(_) => {
                 unreachable!("structural goals are expanded by make_node")
             }
         }
         // A deterministic step: the leaf is done.
-        self.state = rewrite(tree, leaf, None);
-        Ok(())
+        Ok((leaf, None))
     }
 
     /// Replay a contiguous subgoal (isolated block or sole-frontier ground
@@ -816,18 +844,25 @@ impl Solver {
             };
             ctx.stats.backtracks += 1;
             ctx.local.observe_backtrack(depth);
+            self.edits.rewind(&mut self.state, cp.edits);
+            #[cfg(debug_assertions)]
+            assert!(
+                self.state.as_ref() == Some(&cp.tree),
+                "a rewind restores the tree"
+            );
             let Some(alt) = cp.next_alt(ctx, &mut self.db)? else {
-                // Exhausted: the logs and the database are back where the
-                // choicepoint's step started, where a deferred key reads
-                // them.
+                // Exhausted: the logs, the tree and the database are back
+                // where the choicepoint's step started, where a deferred
+                // key reads them.
                 let cp = self.stack.pop().expect("borrowed above");
                 if cp.successes_at_push == self.successes {
-                    ctx.refute(cp.step_key, &cp.tree, &self.db);
+                    let tree = self.state.as_ref().expect("a step's tree");
+                    ctx.refute(cp.step_key, tree, &self.db);
                 }
                 continue;
             };
-            let (tree, leaf) = (cp.tree.clone(), cp.leaf);
-            match self.take(ctx, &tree, leaf, alt) {
+            let leaf = cp.leaf;
+            match self.advance(ctx, |solver, ctx, tree| solver.take(ctx, tree, leaf, alt)) {
                 Ok(()) => return Ok(true),
                 Err(StepErr::Fail) => {}
                 Err(StepErr::Fatal(e)) => return Err(e),

@@ -2,11 +2,11 @@
 //!
 //! A running TD goal is a tree of sequential and concurrent regions over
 //! *action leaves* (atoms, updates, builtins, choices, isolation blocks).
-//! The tree is persistent: a [`PTree`] is a handle whose clone is one
-//! refcount, so a choicepoint's snapshot costs nothing, and a rewrite
-//! allocates only the nodes on the path from the root to the rewritten leaf
-//! — one allocation each, and none where completing the head of a `Seq`
-//! shares its tail.
+//! A [`PTree`] is a handle whose clone is one refcount. The sequential
+//! machine owns one tree and edits it where it lies ([`edit`]), logging how
+//! to take each edit back ([`Log`]); the drivers that keep a tree per
+//! configuration call [`rewrite`], the same edit on a clone of the handle.
+//! docs/ARCHITECTURE.md ("What a step allocates") has the design.
 //!
 //! A handle also carries a variable offset: every variable under it reads
 //! with the offset added ([`Term::offset`]), and a child's offset adds to
@@ -15,10 +15,10 @@
 //! per program (its *template*, `crate::compiled`), and a call unfolding it
 //! with fresh variables from `base` on is the template's handle at offset
 //! `base` — a refcount, not a copy. Every reader of a leaf reads through the
-//! offset [`leaf_at`] returns beside it; a rewrite keeps the offsets of the
-//! subtrees it moves into a new node.
+//! offset [`leaf_at`] returns beside it; an edit keeps the offsets of the
+//! subtrees it moves into another node.
 //!
-//! Invariants maintained by [`make_node`] and [`rewrite`]:
+//! Invariants maintained by [`make_node`] and [`edit`]:
 //!
 //! * `Seq`/`Par` nodes have ≥ 2 children (singletons collapse to the child);
 //! * no `Seq` directly under `Seq`, no `Par` directly under `Par` (spliced);
@@ -28,11 +28,10 @@
 //! The executable leaves of a tree are therefore its *frontier* — the
 //! schedulable actions the paper's interleaving semantics chooses among. A
 //! leaf is addressed by its index in the frontier, left to right:
-//! [`frontier_len`] counts them, and [`leaf_at`] and [`rewrite`] descend to
+//! [`frontier_len`] counts them, and [`leaf_at`] and [`edit`] descend to
 //! one by that count.
 
 use std::fmt;
-use std::ops::Deref;
 use std::sync::Arc;
 use td_core::{Goal, Program, RuleId, Term};
 
@@ -121,20 +120,20 @@ impl Action {
     }
 }
 
-/// The children of a `Seq`/`Par` node: the live part of a shared slice.
-/// Completing the head moves `start` past it, so the rest is shared, not
-/// copied. A child's offset is relative to the node's.
+/// The children of a `Seq`/`Par` node, held last first: a `Seq`'s head is
+/// the last element, so completing it is a pop and unfolding a call there
+/// a pop and an extend. A child's offset is relative to the node's.
 #[derive(Clone)]
-pub(crate) struct Kids {
-    all: Arc<[PTree]>,
-    start: u32,
-}
+pub(crate) struct Kids(Arc<Vec<PTree>>);
 
-impl Deref for Kids {
-    type Target = [PTree];
+impl Kids {
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
 
-    fn deref(&self) -> &[PTree] {
-        &self.all[self.start as usize..]
+    /// The children, left to right.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &PTree> {
+        self.0.iter().rev()
     }
 }
 
@@ -153,6 +152,21 @@ impl PTree {
             off: 0,
         }
     }
+
+    /// The children of this node, and whether it is a `Seq`; `None` for a
+    /// leaf.
+    fn region(&self) -> Option<(&Kids, bool)> {
+        match &self.node {
+            Node::Lit(_) => None,
+            Node::Seq(kids) => Some((kids, true)),
+            Node::Par(kids) => Some((kids, false)),
+        }
+    }
+
+    /// The children of this node when it is a region of `seq`'s kind.
+    fn kids_of(&self, seq: bool) -> Option<&Kids> {
+        self.region().filter(|r| r.1 == seq).map(|r| r.0)
+    }
 }
 
 /// Trees are equal when they have the same shape and their leaves the same
@@ -168,9 +182,12 @@ impl Eq for PTree {}
 fn same(a: &PTree, a_base: u32, b: &PTree, b_base: u32) -> bool {
     let (ao, bo) = (a_base + a.off, b_base + b.off);
     match (&a.node, &b.node) {
-        (Node::Lit(x), Node::Lit(y)) => x.goal_at(ao) == y.goal_at(bo),
+        (Node::Lit(x), Node::Lit(y)) => {
+            (Arc::ptr_eq(x, y) && ao == bo) || x.goal_at(ao) == y.goal_at(bo)
+        }
         (Node::Seq(x), Node::Seq(y)) | (Node::Par(x), Node::Par(y)) => {
-            x.len() == y.len() && x.iter().zip(y.iter()).all(|(c, d)| same(c, ao, d, bo))
+            (Arc::ptr_eq(&x.0, &y.0) && ao == bo)
+                || (x.len() == y.len() && x.iter().zip(y.iter()).all(|(c, d)| same(c, ao, d, bo)))
         }
         _ => false,
     }
@@ -196,43 +213,31 @@ pub fn make_node(goal: &Goal, program: &Program) -> Option<PTree> {
     };
     let action = |g: &Goal| !matches!(g, Goal::True | Goal::Seq(_) | Goal::Par(_));
     if goals.len() > 1 && goals.iter().all(action) {
-        // One leaf per goal: the slice is built in place.
-        let leaves = goals.iter().map(|g| PTree::leaf(Action::new(g, program)));
-        return Some(region(seq, leaves.collect(), 0));
+        // One leaf per goal: the children are built in place.
+        let leaves = goals.iter().rev().map(|g| PTree::leaf(Action::new(g, program)));
+        return Some(region(seq, leaves.collect()));
     }
     let mut children = Vec::with_capacity(goals.len());
-    for node in goals.iter().map(|g| make_node(g, program)) {
-        let (kids, off) = spliced(&node, seq);
-        children.extend(kids.iter().map(|k| k.at(off)));
+    for g in goals.iter().rev() {
+        push_spliced(&mut children, make_node(g, program), seq);
     }
-    match children.len() {
-        0 => None,
-        1 => children.pop(),
-        _ => Some(region(seq, children.into(), 0)),
+    region_over(seq, children)
+}
+
+/// Append `tree` to `kids`, the children, last first, of a region of
+/// `seq`'s kind: nothing, its own children read at its offset when it is
+/// such a region (spliced), or itself.
+fn push_spliced(kids: &mut Vec<PTree>, tree: Option<PTree>, seq: bool) {
+    let Some(tree) = tree else { return };
+    match tree.kids_of(seq) {
+        Some(its) => kids.extend(its.0.iter().map(|k| k.at(tree.off))),
+        None => kids.push(tree),
     }
 }
 
-/// What `tree` contributes to the children of a region of `seq`'s kind:
-/// nothing, its own children when it is such a region (spliced), or itself
-/// — with the offset they are read at.
-fn spliced(tree: &Option<PTree>, seq: bool) -> (&[PTree], u32) {
-    match tree {
-        None => (&[], 0),
-        Some(PTree {
-            node: Node::Seq(kids),
-            off,
-        }) if seq => (kids, *off),
-        Some(PTree {
-            node: Node::Par(kids),
-            off,
-        }) if !seq => (kids, *off),
-        Some(node) => (std::slice::from_ref(node), 0),
-    }
-}
-
-/// The `Seq` (or `Par`) node over `all[start..]`, at least two children.
-fn region(seq: bool, all: Arc<[PTree]>, start: u32) -> PTree {
-    let kids = Kids { all, start };
+/// The `Seq` (or `Par`) node over `kids`, held last first, at least two.
+fn region(seq: bool, kids: Vec<PTree>) -> PTree {
+    let kids = Kids(Arc::new(kids));
     let node = if seq {
         Node::Seq(kids)
     } else {
@@ -241,42 +246,34 @@ fn region(seq: bool, all: Arc<[PTree]>, start: u32) -> PTree {
     PTree { node, off: 0 }
 }
 
-/// The region of `seq`'s kind over the concatenation of `parts`, each read
-/// at its offset: nothing, the one child, or a node whose slice is one
-/// allocation.
-fn concat(seq: bool, parts: [(&[PTree], u32); 3]) -> Option<PTree> {
-    match parts.iter().map(|(p, _)| p.len()).sum() {
+/// The region of `seq`'s kind over `kids`, held last first: nothing, the
+/// one child, or a node.
+fn region_over(seq: bool, mut kids: Vec<PTree>) -> Option<PTree> {
+    match kids.len() {
         0 => None,
-        1 => parts
-            .iter()
-            .find_map(|(p, off)| p.first().map(|t| t.at(*off))),
-        _ => {
-            let [(a, ao), (b, bo), (c, co)] = parts;
-            let all = (a.iter().map(|t| t.at(ao)))
-                .chain(b.iter().map(|t| t.at(bo)))
-                .chain(c.iter().map(|t| t.at(co)));
-            Some(region(seq, all.collect(), 0))
-        }
+        1 => kids.pop(),
+        _ => Some(region(seq, kids)),
     }
 }
 
 /// The number of frontier leaves: the runnable actions. In a `Seq` only
-/// child 0 is runnable; in a `Par` all children are.
+/// its head is runnable; in a `Par` all children are.
 pub fn frontier_len(tree: &PTree) -> usize {
     match &tree.node {
         Node::Lit(_) => 1,
-        Node::Seq(kids) => frontier_len(&kids[0]),
-        Node::Par(kids) => kids.iter().map(frontier_len).sum(),
+        Node::Seq(kids) => frontier_len(kids.0.last().expect("a region has children")),
+        Node::Par(kids) => kids.0.iter().map(frontier_len).sum(),
     }
 }
 
-/// The child of a `Seq` (`seq`) or `Par` node holding the node's `leaf`-th
-/// frontier leaf, and that leaf's index among the child's.
-fn locate(kids: &Kids, seq: bool, mut leaf: usize) -> (usize, usize) {
+/// The index, as held, of the child of a `Seq` (`seq`) or `Par` node
+/// holding the node's `leaf`-th frontier leaf, and that leaf's index among
+/// the child's.
+fn locate(kids: &[PTree], seq: bool, mut leaf: usize) -> (usize, usize) {
     if seq {
-        return (0, leaf);
+        return (kids.len() - 1, leaf);
     }
-    for (i, child) in kids.iter().enumerate() {
+    for (i, child) in kids.iter().enumerate().rev() {
         let n = frontier_len(child);
         if leaf < n {
             return (i, leaf);
@@ -296,35 +293,197 @@ pub fn leaf_at(tree: &PTree, leaf: usize) -> (&Arc<Action>, u32) {
             Node::Seq(kids) => (kids, true),
             Node::Par(kids) => (kids, false),
         };
-        let (i, rest) = locate(kids, seq, leaf);
-        (tree, leaf) = (&kids[i], rest);
+        let (i, rest) = locate(&kids.0, seq, leaf);
+        (tree, leaf) = (&kids.0[i], rest);
         off += tree.off;
     }
 }
 
-/// Replace the `leaf`-th frontier leaf with `replacement` (`None` = the
-/// action completed), renormalizing along the way. Returns the new tree
-/// (`None` = the whole execution completed).
-pub fn rewrite(tree: &PTree, leaf: usize, replacement: Option<PTree>) -> Option<PTree> {
-    rewrite_at(tree, 0, leaf, replacement)
+/// How to take back the edits made to one tree, oldest first ([`edit`],
+/// [`Log::rewind`]).
+#[derive(Default)]
+pub(crate) struct Log {
+    edits: Vec<Undo>,
+    /// Each edit's position, after the positions of the edits before it.
+    path: Vec<u32>,
 }
 
-/// [`rewrite`] of a subtree whose parents add `base` to its offset.
-fn rewrite_at(tree: &PTree, base: u32, leaf: usize, replacement: Option<PTree>) -> Option<PTree> {
-    let off = base + tree.off;
-    let (kids, seq) = match &tree.node {
-        Node::Lit(_) => return replacement,
-        Node::Seq(kids) => (kids, true),
-        Node::Par(kids) => (kids, false),
-    };
-    let (i, leaf) = locate(kids, seq, leaf);
-    let child = rewrite_at(&kids[i], off, leaf, replacement);
-    let middle = spliced(&child, seq);
-    if i == 0 && middle.0.is_empty() && kids.len() > 2 {
-        // The first child completed: the node keeps the rest of its slice.
-        return Some(region(seq, kids.all.clone(), kids.start + 1).at(off));
+/// One edit's undo record: where it was (the last `depth` entries of the
+/// log's `path`: the index, as held, of the child taken in each region
+/// from the root down to the leaf), what it removed, and how many children
+/// it put in the leaf's place.
+struct Undo {
+    depth: u32,
+    put: u32,
+    /// The leaf, or the leaf's region, whole, when the region gave way to
+    /// its other child.
+    removed: PTree,
+}
+
+impl Log {
+    /// The number of edits logged: a position to rewind to.
+    pub(crate) fn len(&self) -> usize {
+        self.edits.len()
     }
-    concat(seq, [(&kids[..i], off), middle, (&kids[i + 1..], off)])
+
+    /// Take `root` back, newest edit first, to the tree it was when the log
+    /// was `len` edits long.
+    pub(crate) fn rewind(&mut self, root: &mut Option<PTree>, len: usize) {
+        while self.edits.len() > len {
+            let undo = self.edits.pop().expect("longer than `len`");
+            let from = self.path.len() - undo.depth as usize;
+            undo.apply(root, &self.path[from..]);
+            self.path.truncate(from);
+        }
+    }
+}
+
+impl Undo {
+    /// Take back the edit at `path` from `root`, the tree it left.
+    fn apply(self, root: &mut Option<PTree>, path: &[u32]) {
+        let Some((&at, above)) = path.split_last() else {
+            *root = Some(self.removed);
+            return;
+        };
+        let (tree, at) = (root.as_mut().expect("an edited region"), at as usize);
+        let Some((kids, _)) = self.removed.region() else {
+            let kids = own(slot(tree, above));
+            kids.splice(at..at + self.put as usize, [self.removed]);
+            return;
+        };
+        // The leaf's region gave way to its other child: put the region
+        // back in the place of that child, or of the children it spliced.
+        let Some((&i, to_parent)) = above.split_last() else {
+            *tree = self.removed;
+            return;
+        };
+        let parent = slot(tree, to_parent);
+        let seq = matches!(parent.node, Node::Seq(_));
+        let n = kids.0[1 - at].kids_of(seq).map_or(1, Kids::len);
+        own(parent).splice(i as usize..i as usize + n, [self.removed]);
+    }
+}
+
+/// The handle `path` leads to from `tree`: the child at each index, as
+/// held, of each region on the way, each made editable ([`own`]).
+fn slot<'t>(mut tree: &'t mut PTree, path: &[u32]) -> &'t mut PTree {
+    for &i in path {
+        tree = &mut own(tree)[i as usize];
+    }
+    tree
+}
+
+/// Room a copied region gets beyond its children: an unfold at its head,
+/// which often comes next, then fits without growing it.
+const SPARE: usize = 4;
+
+/// The children of the region `tree`, to edit: written over where only
+/// this handle holds them, else copied once; either way read at offset 0
+/// from now on, the handle's offset added to each child's.
+fn own(tree: &mut PTree) -> &mut Vec<PTree> {
+    let off = std::mem::take(&mut tree.off);
+    let (Node::Seq(kids) | Node::Par(kids)) = &mut tree.node else {
+        unreachable!("a leaf has no children")
+    };
+    // No `Weak` is ever made of a region, so one strong count is unique.
+    if Arc::strong_count(&kids.0) > 1 {
+        let mut copy = Vec::with_capacity(kids.len() + SPARE);
+        copy.extend(kids.0.iter().map(|k| k.at(off)));
+        kids.0 = Arc::new(copy);
+        return Arc::get_mut(&mut kids.0).expect("a new copy");
+    }
+    let kids = Arc::get_mut(&mut kids.0).expect("held by this handle alone");
+    if off != 0 {
+        kids.iter_mut().for_each(|k| k.off += off);
+    }
+    kids
+}
+
+/// Replace the `leaf`-th frontier leaf of `root` with `replacement`
+/// (`None` = the action completed), where the tree lies, keeping the
+/// invariants: a region left with one child gives way to it, and a region
+/// put into one of its own kind is spliced. A node only `root` holds is
+/// written over; one something else holds too (a rule's template, a
+/// caller's handle) is copied on the way down, once. With a `log`, the
+/// edit is recorded there to be taken back ([`Log::rewind`]).
+pub(crate) fn edit(
+    root: &mut Option<PTree>,
+    leaf: usize,
+    replacement: Option<PTree>,
+    mut log: Option<&mut Log>,
+) {
+    let tree = root.as_mut().expect("a leaf of a live tree");
+    let undo = if tree.region().is_none() {
+        let removed = std::mem::replace(root, replacement).expect("the leaf");
+        Undo {
+            depth: 0,
+            put: 0,
+            removed,
+        }
+    } else {
+        edit_region(tree, leaf, replacement, log.as_deref_mut().map(|l| &mut l.path), 1).0
+    };
+    if let Some(log) = log {
+        log.edits.push(undo);
+    }
+}
+
+/// [`edit`] under the region `tree`, `depth` levels below the root,
+/// appending the index taken at each level to `path`. Returns the undo
+/// record, and whether `tree` gave way to its one remaining child, which
+/// now stands in its place.
+fn edit_region(
+    tree: &mut PTree,
+    leaf: usize,
+    replacement: Option<PTree>,
+    mut path: Option<&mut Vec<u32>>,
+    depth: u32,
+) -> (Undo, bool) {
+    let (kids, seq) = tree.region().expect("a region");
+    let (i, rest) = locate(&kids.0, seq, leaf);
+    if let Some(path) = path.as_deref_mut() {
+        path.push(i as u32);
+    }
+    if replacement.is_none() && kids.len() == 2 && kids.0[i].region().is_none() {
+        // The leaf is done and the region gives way to its other child;
+        // the record keeps the region as it was.
+        let only = kids.0[1 - i].at(tree.off);
+        let removed = std::mem::replace(tree, only);
+        return (Undo { depth, put: 0, removed }, true);
+    }
+    let kids = own(tree);
+    if kids[i].region().is_some() {
+        let (undo, collapsed) = edit_region(&mut kids[i], rest, replacement, path, depth + 1);
+        if collapsed && kids[i].kids_of(seq).is_some() {
+            // The child gave way to a region of this one's kind: splice it.
+            let only = kids.remove(i);
+            let its = only.kids_of(seq).expect("checked");
+            kids.splice(i..i, its.0.iter().map(|k| k.at(only.off)));
+        }
+        return (undo, false);
+    }
+    let (removed, put) = match replacement {
+        None => (kids.remove(i), 0),
+        Some(new) => match new.kids_of(seq) {
+            Some(its) => {
+                let spliced = its.0.iter().map(|k| k.at(new.off));
+                let removed = kids.splice(i..=i, spliced).next().expect("the leaf");
+                (removed, its.len() as u32)
+            }
+            None => (std::mem::replace(&mut kids[i], new), 1),
+        },
+    };
+    (Undo { depth, put, removed }, false)
+}
+
+/// Replace the `leaf`-th frontier leaf with `replacement` (`None` = the
+/// action completed): [`edit`] on a clone of the handle, which copies the
+/// path and leaves `tree` as it was. Returns the new tree (`None` = the
+/// whole execution completed).
+pub fn rewrite(tree: &PTree, leaf: usize, replacement: Option<PTree>) -> Option<PTree> {
+    let mut tree = Some(tree.clone());
+    edit(&mut tree, leaf, replacement, None);
+    tree
 }
 
 /// Sequence two (possibly absent) trees: the result runs `first` to
@@ -333,10 +492,13 @@ fn rewrite_at(tree: &PTree, base: u32, leaf: usize, replacement: Option<PTree>) 
 /// an isolation leaf commits to running `g`'s block *now*, before anything
 /// else — which is exactly `Seq[g, rest-of-tree]`.
 pub fn sequence(first: Option<PTree>, rest: Option<PTree>) -> Option<PTree> {
-    concat(
-        true,
-        [spliced(&first, true), spliced(&rest, true), (&[], 0)],
-    )
+    let (Some(_), Some(_)) = (&first, &rest) else {
+        return first.or(rest);
+    };
+    let mut kids = Vec::new();
+    push_spliced(&mut kids, rest, true);
+    push_spliced(&mut kids, first, true);
+    region_over(true, kids)
 }
 
 /// The 128-bit identity of the configuration `(tree, db)` that the drivers
@@ -351,9 +513,9 @@ pub fn fingerprint(tree: &PTree, db: &td_db::Database) -> u128 {
 /// Total number of action leaves, runnable or not.
 #[cfg(test)]
 pub(crate) fn leaf_count(tree: &PTree) -> usize {
-    match &tree.node {
-        Node::Lit(_) => 1,
-        Node::Seq(kids) | Node::Par(kids) => kids.iter().map(leaf_count).sum(),
+    match tree.region() {
+        None => 1,
+        Some((kids, _)) => kids.iter().map(leaf_count).sum(),
     }
 }
 
@@ -385,11 +547,7 @@ fn map_terms_at(tree: &PTree, base: u32, f: &mut impl FnMut(Term) -> Term) -> PT
         Node::Seq(kids) => (kids, true),
         Node::Par(kids) => (kids, false),
     };
-    region(
-        seq,
-        kids.iter().map(|k| map_terms_at(k, off, f)).collect(),
-        0,
-    )
+    region(seq, kids.0.iter().map(|k| map_terms_at(k, off, f)).collect())
 }
 
 #[cfg(test)]
@@ -472,12 +630,32 @@ mod tests {
 
     #[test]
     fn completing_a_head_shares_the_rest_of_the_slice() {
-        let t = node(&Goal::seq(vec![a("x"), a("y"), a("z")])).unwrap();
+        // Held by the tree alone, the children stay where they are:
+        // completing the head pops it, and the undo pushes it back.
+        let held = |t: &Option<PTree>| {
+            let Node::Seq(kids) = &t.as_ref().unwrap().node else {
+                panic!()
+            };
+            (Arc::as_ptr(&kids.0), kids.0.as_ptr())
+        };
+        let mut t = node(&Goal::seq(vec![a("x"), a("y"), a("z")]));
+        let (before, mut log) = (held(&t), Log::default());
+        edit(&mut t, 0, None, Some(&mut log));
+        assert_eq!(held(&t), before, "no new node, no new slice");
+        assert_eq!(to_goal(t.as_ref().unwrap()), Goal::seq(vec![a("y"), a("z")]));
+        log.rewind(&mut t, 0);
+        assert_eq!(held(&t), before);
+        // A handle held elsewhere keeps its tree: the rewrite copies the
+        // children's handles once, so the rest is shared, not rebuilt.
+        let t = t.unwrap();
         let t2 = rewrite(&t, 0, None).unwrap();
         let (Node::Seq(before), Node::Seq(after)) = (&t.node, &t2.node) else {
             panic!()
         };
-        assert!(Arc::ptr_eq(&before.all, &after.all), "no new slice");
+        let (Node::Lit(z0), Node::Lit(z1)) = (&before.0[0].node, &after.0[0].node) else {
+            panic!()
+        };
+        assert!(Arc::ptr_eq(z0, z1), "the rest is shared");
         assert_eq!(to_goal(&t2), Goal::seq(vec![a("y"), a("z")]));
         assert_eq!(to_goal(&t), Goal::seq(vec![a("x"), a("y"), a("z")]));
     }
@@ -523,10 +701,11 @@ mod tests {
         let Node::Par(orig) = &snap.node else {
             panic!()
         };
-        let (Node::Seq(kept), Node::Seq(now)) = (&orig[1].node, &t2.node) else {
+        let kept = orig.iter().nth(1).unwrap();
+        let (Node::Seq(kept), Node::Seq(now)) = (&kept.node, &t2.node) else {
             panic!()
         };
-        assert!(Arc::ptr_eq(&kept.all, &now.all));
+        assert!(Arc::ptr_eq(&kept.0, &now.0));
     }
 
     #[test]
@@ -705,6 +884,115 @@ mod normal_form_properties {
                 }
                 prop_assert_eq!(removed, total);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod edit_properties {
+    use super::*;
+    use proptest::prelude::*;
+    use td_core::Goal;
+
+    /// An action over one variable, so that offsets show.
+    fn arb_leaf() -> impl Strategy<Value = Goal> {
+        prop_oneof![
+            (0u8..3, 0u32..4).prop_map(|(i, v)| Goal::atom(&format!("p{i}"), vec![Term::var(v)])),
+            (0u32..4).prop_map(|v| Goal::ins("q", vec![Term::var(v)])),
+        ]
+    }
+
+    fn arb_goal() -> impl Strategy<Value = Goal> {
+        arb_leaf().prop_recursive(3, 24, 4, |inner| {
+            prop_oneof![
+                // Raw constructors: singletons and nesting of one kind are
+                // make_node's to normalize.
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Goal::Seq),
+                proptest::collection::vec(inner, 0..4).prop_map(Goal::Par),
+            ]
+        })
+    }
+
+    /// A rule's body: a `Seq`, a `Par` or a single leaf.
+    fn arb_body() -> impl Strategy<Value = Goal> {
+        let pair = |region: fn(Vec<Goal>) -> Goal| {
+            proptest::collection::vec(arb_leaf(), 2).prop_map(region)
+        };
+        prop_oneof![
+            proptest::collection::vec(prop_oneof![arb_leaf(), pair(Goal::Par)], 2..4)
+                .prop_map(Goal::Seq),
+            proptest::collection::vec(prop_oneof![arb_leaf(), pair(Goal::Seq)], 2..4)
+                .prop_map(Goal::Par),
+            arb_leaf(),
+        ]
+    }
+
+    /// `goal`, a tree's rendering, with its `leaf`-th frontier leaf
+    /// replaced by `with`: what an edit does, as a goal for `make_node` to
+    /// normalize.
+    fn replaced(goal: &Goal, leaf: &mut usize, with: &Goal) -> Goal {
+        match goal {
+            Goal::Seq(gs) => {
+                let mut gs = gs.clone();
+                gs[0] = replaced(&gs[0], leaf, with);
+                Goal::Seq(gs)
+            }
+            Goal::Par(gs) => Goal::Par(gs.iter().map(|g| replaced(g, leaf, with)).collect()),
+            action => {
+                let hit = *leaf == 0;
+                *leaf = leaf.wrapping_sub(1);
+                if hit { with.clone() } else { action.clone() }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A run of edits in place, each against persistent `rewrite` and a
+        /// model built from the goal, then undone edit by edit: every tree
+        /// on the way back equals the one the log's length was taken at.
+        #[test]
+        fn an_edit_is_a_rewrite_and_its_undo_gives_the_tree_back(
+            g in arb_goal(),
+            off in 0u32..5,
+            bodies in proptest::collection::vec(arb_body(), 3),
+            edits in proptest::collection::vec((0usize..64, 0usize..4), 1..12),
+            share in any::<bool>(),
+        ) {
+            let program = Program::builder().build_unchecked();
+            let db = td_db::Database::new();
+            // The templates stay held here, as `Compiled` holds them.
+            let templates: Vec<_> = bodies.iter().map(|b| make_node(b, &program)).collect();
+            let mut live = make_node(&g, &program).map(|t| t.at(off));
+            let first = live.as_ref().and_then(|t| make_node(&to_goal(t), &program));
+            let (mut log, mut kept) = (Log::default(), vec![(0, first)]);
+            for (step, &(leaf, body)) in edits.iter().enumerate() {
+                let Some(tree) = live.clone() else { break };
+                let leaf = leaf % frontier_len(&tree);
+                let base = 10 * (step as u32 + 1);
+                let with = templates.get(body).and_then(|t| t.as_ref()).map(|t| t.at(base));
+                let with_goal = with.as_ref().map_or(Goal::True, to_goal);
+                let model = make_node(&replaced(&to_goal(&tree), &mut { leaf }, &with_goal), &program);
+                let persistent = rewrite(&tree, leaf, with.clone());
+                // Unshared, the root is written over; shared, copied.
+                let held = share.then_some(tree);
+                edit(&mut live, leaf, with, Some(&mut log));
+                prop_assert_eq!(&live, &model);
+                prop_assert_eq!(&live, &persistent);
+                if let (Some(t), Some(m)) = (&live, &model) {
+                    prop_assert_eq!(fingerprint(t, &db), fingerprint(m, &db));
+                }
+                if let Some(held) = held {
+                    prop_assert_eq!(Some(&held), kept.last().unwrap().1.as_ref());
+                }
+                kept.push((log.len(), model));
+            }
+            for (len, tree) in kept.into_iter().rev() {
+                log.rewind(&mut live, len);
+                prop_assert_eq!(&live, &tree);
+            }
+            prop_assert_eq!(log.len(), 0);
         }
     }
 }

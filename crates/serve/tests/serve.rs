@@ -311,6 +311,37 @@ fn a_half_closed_connection_gets_its_reply_and_is_closed() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Thread-per-connection under many idle clients: 128 connections that
+/// never send a byte hold a handler thread each, and a fresh client is
+/// still served — `ok pong`, a committed `run`, and `stats` counting it.
+/// Once the idle ones hang up, the server stops cleanly and the store
+/// verifies. (A hundred and some, never thousands: each is a thread.)
+#[test]
+fn many_idle_connections_leave_a_fresh_client_served() {
+    const IDLE: u64 = 128;
+    let dir = temp_dir("idle");
+    let (socket, handle) = start_server(&dir);
+    let idle: Vec<UnixStream> = (0..IDLE)
+        .map(|_| UnixStream::connect(&socket).unwrap())
+        .collect();
+    let mut c = Client::connect(&socket).unwrap();
+    assert!(c.ping().unwrap());
+    let committed = c.run("transfer(30, acct1, acct2)").unwrap();
+    assert!(matches!(committed, Reply::Committed { .. }), "{committed:?}");
+    let stats = c.stats().unwrap();
+    assert_eq!(counter(&stats, "commits"), 1, "{stats}");
+    // The start-up probe, the idle ones and this client.
+    assert!(counter(&stats, "connections") >= IDLE + 2, "{stats}");
+    drop(idle);
+    c.stop().unwrap();
+    let summary = handle.join().unwrap().unwrap();
+    assert_eq!(summary.stats.commits, 1);
+    drop(summary);
+    let report = Store::verify(&dir.join("db")).unwrap();
+    assert_eq!(report.wal_records, 2, "the genesis record and the transfer");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn concurrent_conflicting_transfers_conserve_balance() {
     let dir = temp_dir("conserve");

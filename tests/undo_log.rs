@@ -1,6 +1,7 @@
-//! The sequential machine edits one database in place and takes a failed
-//! branch's updates back from its log (docs/ARCHITECTURE.md, "What a step
-//! allocates, and what backtracking costs"). Each undo must give exactly
+//! The sequential machine edits one database and one process tree in
+//! place, and takes a failed branch's updates and tree edits back from its
+//! logs (docs/ARCHITECTURE.md, "What a step allocates, and what
+//! backtracking costs"). Each undo must give exactly
 //! the database a snapshot of the choicepoint's step would have kept, so
 //! every solution's database is checked against the initial one replayed
 //! with the solution's delta — equal (`==`, which sees which relations are
@@ -15,8 +16,10 @@
 //! updates in its body, failing branches, and `|`, `or` and `iso` around
 //! all of it; each goal runs on a plain engine and on one with the subgoal
 //! cache, whose replayed answers are logged and undone like any update.
-//! In a debug build every choicepoint also checks the digest it started
-//! from after each rewind.
+//! In a debug build every choicepoint also checks, after each rewind, the
+//! digest it started from and that the tree equals the one its step began
+//! from; the tree's own edits and undos are checked against persistent
+//! rewrites and a goal-level model in `tree.rs`' `edit_properties`.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
