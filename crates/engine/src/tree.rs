@@ -214,7 +214,10 @@ pub fn make_node(goal: &Goal, program: &Program) -> Option<PTree> {
     let action = |g: &Goal| !matches!(g, Goal::True | Goal::Seq(_) | Goal::Par(_));
     if goals.len() > 1 && goals.iter().all(action) {
         // One leaf per goal: the children are built in place.
-        let leaves = goals.iter().rev().map(|g| PTree::leaf(Action::new(g, program)));
+        let leaves = goals
+            .iter()
+            .rev()
+            .map(|g| PTree::leaf(Action::new(g, program)));
         return Some(region(seq, leaves.collect()));
     }
     let mut children = Vec::with_capacity(goals.len());
@@ -230,9 +233,25 @@ pub fn make_node(goal: &Goal, program: &Program) -> Option<PTree> {
 fn push_spliced(kids: &mut Vec<PTree>, tree: Option<PTree>, seq: bool) {
     let Some(tree) = tree else { return };
     match tree.kids_of(seq) {
-        Some(its) => kids.extend(its.0.iter().map(|k| k.at(tree.off))),
+        Some(its) => insert_kids(kids, kids.len(), its, tree.off),
         None => kids.push(tree),
     }
+}
+
+/// Insert the children `its`, read at `off`, at `at` in `kids`, all held
+/// last first.
+fn insert_kids(kids: &mut Vec<PTree>, at: usize, its: &Kids, off: u32) {
+    for (i, kid) in its.0.iter().enumerate() {
+        kids.insert(at + i, kid.at(off));
+    }
+}
+
+/// Put `child` back in the place of the `n` children at `at` in `kids`.
+fn put_back(kids: &mut Vec<PTree>, at: usize, n: usize, child: PTree) {
+    for _ in 0..n {
+        kids.remove(at);
+    }
+    kids.insert(at, child);
 }
 
 /// The `Seq` (or `Par`) node over `kids`, held last first, at least two.
@@ -347,8 +366,8 @@ impl Undo {
         };
         let (tree, at) = (root.as_mut().expect("an edited region"), at as usize);
         let Some((kids, _)) = self.removed.region() else {
-            let kids = own(slot(tree, above));
-            kids.splice(at..at + self.put as usize, [self.removed]);
+            let kids = own(slot(tree, above), 0);
+            put_back(kids, at, self.put as usize, self.removed);
             return;
         };
         // The leaf's region gave way to its other child: put the region
@@ -360,7 +379,7 @@ impl Undo {
         let parent = slot(tree, to_parent);
         let seq = matches!(parent.node, Node::Seq(_));
         let n = kids.0[1 - at].kids_of(seq).map_or(1, Kids::len);
-        own(parent).splice(i as usize..i as usize + n, [self.removed]);
+        put_back(own(parent, 0), i as usize, n, self.removed);
     }
 }
 
@@ -368,27 +387,24 @@ impl Undo {
 /// held, of each region on the way, each made editable ([`own`]).
 fn slot<'t>(mut tree: &'t mut PTree, path: &[u32]) -> &'t mut PTree {
     for &i in path {
-        tree = &mut own(tree)[i as usize];
+        tree = &mut own(tree, 0)[i as usize];
     }
     tree
 }
 
-/// Room a copied region gets beyond its children: an unfold at its head,
-/// which often comes next, then fits without growing it.
-const SPARE: usize = 4;
-
 /// The children of the region `tree`, to edit: written over where only
-/// this handle holds them, else copied once; either way read at offset 0
-/// from now on, the handle's offset added to each child's.
-fn own(tree: &mut PTree) -> &mut Vec<PTree> {
+/// this handle holds them, else copied once, with room for `more`; either
+/// way read at offset 0 from now on, the handle's offset added to each
+/// child's.
+fn own(tree: &mut PTree, more: usize) -> &mut Vec<PTree> {
     let off = std::mem::take(&mut tree.off);
     let (Node::Seq(kids) | Node::Par(kids)) = &mut tree.node else {
         unreachable!("a leaf has no children")
     };
     // No `Weak` is ever made of a region, so one strong count is unique.
     if Arc::strong_count(&kids.0) > 1 {
-        let mut copy = Vec::with_capacity(kids.len() + SPARE);
-        copy.extend(kids.0.iter().map(|k| k.at(off)));
+        let mut copy = Vec::with_capacity(kids.len() + more);
+        insert_kids(&mut copy, 0, kids, off);
         kids.0 = Arc::new(copy);
         return Arc::get_mut(&mut kids.0).expect("a new copy");
     }
@@ -421,7 +437,8 @@ pub(crate) fn edit(
             removed,
         }
     } else {
-        edit_region(tree, leaf, replacement, log.as_deref_mut().map(|l| &mut l.path), 1).0
+        let path = log.as_deref_mut().map(|log| &mut log.path);
+        edit_region(tree, leaf, replacement, path, 1).0
     };
     if let Some(log) = log {
         log.edits.push(undo);
@@ -449,16 +466,27 @@ fn edit_region(
         // the record keeps the region as it was.
         let only = kids.0[1 - i].at(tree.off);
         let removed = std::mem::replace(tree, only);
-        return (Undo { depth, put: 0, removed }, true);
+        return (
+            Undo {
+                depth,
+                put: 0,
+                removed,
+            },
+            true,
+        );
     }
-    let kids = own(tree);
+    // A body spliced in for the leaf needs room for all but one child.
+    let room = match &replacement {
+        Some(new) if kids.0[i].region().is_none() => new.kids_of(seq).map_or(0, |k| k.len() - 1),
+        _ => 0,
+    };
+    let kids = own(tree, room);
     if kids[i].region().is_some() {
         let (undo, collapsed) = edit_region(&mut kids[i], rest, replacement, path, depth + 1);
         if collapsed && kids[i].kids_of(seq).is_some() {
             // The child gave way to a region of this one's kind: splice it.
             let only = kids.remove(i);
-            let its = only.kids_of(seq).expect("checked");
-            kids.splice(i..i, its.0.iter().map(|k| k.at(only.off)));
+            insert_kids(kids, i, only.kids_of(seq).expect("checked"), only.off);
         }
         return (undo, false);
     }
@@ -466,20 +494,29 @@ fn edit_region(
         None => (kids.remove(i), 0),
         Some(new) => match new.kids_of(seq) {
             Some(its) => {
-                let spliced = its.0.iter().map(|k| k.at(new.off));
-                let removed = kids.splice(i..=i, spliced).next().expect("the leaf");
+                let removed = kids.remove(i);
+                insert_kids(kids, i, its, new.off);
                 (removed, its.len() as u32)
             }
             None => (std::mem::replace(&mut kids[i], new), 1),
         },
     };
-    (Undo { depth, put, removed }, false)
+    (
+        Undo {
+            depth,
+            put,
+            removed,
+        },
+        false,
+    )
 }
 
 /// Replace the `leaf`-th frontier leaf with `replacement` (`None` = the
 /// action completed): [`edit`] on a clone of the handle, which copies the
 /// path and leaves `tree` as it was. Returns the new tree (`None` = the
-/// whole execution completed).
+/// whole execution completed). Not inlined: the ground drivers call it from
+/// a dozen places.
+#[inline(never)]
 pub fn rewrite(tree: &PTree, leaf: usize, replacement: Option<PTree>) -> Option<PTree> {
     let mut tree = Some(tree.clone());
     edit(&mut tree, leaf, replacement, None);
@@ -547,7 +584,10 @@ fn map_terms_at(tree: &PTree, base: u32, f: &mut impl FnMut(Term) -> Term) -> PT
         Node::Seq(kids) => (kids, true),
         Node::Par(kids) => (kids, false),
     };
-    region(seq, kids.0.iter().map(|k| map_terms_at(k, off, f)).collect())
+    region(
+        seq,
+        kids.0.iter().map(|k| map_terms_at(k, off, f)).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -642,7 +682,10 @@ mod tests {
         let (before, mut log) = (held(&t), Log::default());
         edit(&mut t, 0, None, Some(&mut log));
         assert_eq!(held(&t), before, "no new node, no new slice");
-        assert_eq!(to_goal(t.as_ref().unwrap()), Goal::seq(vec![a("y"), a("z")]));
+        assert_eq!(
+            to_goal(t.as_ref().unwrap()),
+            Goal::seq(vec![a("y"), a("z")])
+        );
         log.rewind(&mut t, 0);
         assert_eq!(held(&t), before);
         // A handle held elsewhere keeps its tree: the rewrite copies the
@@ -941,7 +984,11 @@ mod edit_properties {
             action => {
                 let hit = *leaf == 0;
                 *leaf = leaf.wrapping_sub(1);
-                if hit { with.clone() } else { action.clone() }
+                if hit {
+                    with.clone()
+                } else {
+                    action.clone()
+                }
             }
         }
     }

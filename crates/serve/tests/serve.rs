@@ -327,7 +327,10 @@ fn many_idle_connections_leave_a_fresh_client_served() {
     let mut c = Client::connect(&socket).unwrap();
     assert!(c.ping().unwrap());
     let committed = c.run("transfer(30, acct1, acct2)").unwrap();
-    assert!(matches!(committed, Reply::Committed { .. }), "{committed:?}");
+    assert!(
+        matches!(committed, Reply::Committed { .. }),
+        "{committed:?}"
+    );
     let stats = c.stats().unwrap();
     assert_eq!(counter(&stats, "commits"), 1, "{stats}");
     // The start-up probe, the idle ones and this client.
