@@ -2,9 +2,10 @@
 //! cell (`Program::compiled`): built once per `Program` value, shared by its
 //! clones, and each part only when first asked for.
 //!
-//! * Each rule's body as a process tree, its *template*: an unfolding reads
-//!   it at the offset its fresh variables start from (`crate::tree`), so a
-//!   call builds nothing. Built the first time the rule is unfolded.
+//! * Each rule's body as a [`Template`], the one form both the machine's
+//!   arena and the ground drivers' persistent trees are built from
+//!   (docs/ARCHITECTURE.md, "A call copies a few words"). Built the first
+//!   time the rule is unfolded.
 //! * The program's one view circuit, its [`Materializer`], and beside it
 //!   the [`is_datalog`] verdict `datalog` and `magic` check: an engine with
 //!   `EngineConfig::materialize`, `datalog::query` and `td`'s refusal of
@@ -12,7 +13,7 @@
 
 use crate::datalog::{is_datalog, NotDatalog};
 use crate::incremental::{Materializer, NotMaterializable};
-use crate::tree::{make_node, PTree};
+use crate::tree::Template;
 use std::sync::{Arc, OnceLock};
 use td_core::{Program, RuleId};
 
@@ -20,7 +21,7 @@ pub(crate) struct Compiled {
     datalog: OnceLock<Result<(), NotDatalog>>,
     /// Filled by [`Materializer::of`].
     pub(crate) circuit: OnceLock<Result<Arc<Materializer>, NotMaterializable>>,
-    bodies: Box<[OnceLock<Option<PTree>>]>,
+    bodies: Box<[OnceLock<Option<Template>>]>,
 }
 
 impl Compiled {
@@ -36,10 +37,10 @@ impl Compiled {
         (compiled.downcast_ref()).expect("a program's cell holds what the engine compiled")
     }
 
-    /// The template of `rule`'s body (`None`: the body is `()`), read at
-    /// offset 0. `program` must be the program this was compiled from.
-    pub(crate) fn body(&self, program: &Program, rule: RuleId) -> Option<&PTree> {
-        let body = || make_node(&program.rule(rule).body, program);
+    /// The template of `rule`'s body (`None`: the body is `()`). `program`
+    /// must be the program this was compiled from.
+    pub(crate) fn body(&self, program: &Program, rule: RuleId) -> Option<&Template> {
+        let body = || Template::new(&program.rule(rule).body, program);
         self.bodies[rule.0 as usize].get_or_init(body).as_ref()
     }
 

@@ -9,7 +9,7 @@ use crate::machine::{Ctx, Solver};
 use crate::obs::{json_object, Observer};
 use crate::search::{Order, Search, Stop};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::make_node;
+use crate::tree::Template;
 use std::sync::Arc;
 use td_core::{Goal, Program, Term, Var};
 use td_db::{Database, Delta};
@@ -299,6 +299,7 @@ impl Engine {
                 detail: goal.to_string(),
             });
         }
+        let tree = Template::new(goal, &self.program);
         let mut ctx = Ctx::new(
             &self.program,
             &self.config,
@@ -309,7 +310,7 @@ impl Engine {
         if let Some(mat) = self.materializer() {
             mat.slot(db); // made before the clone, which then shares it
         }
-        let mut solver = Solver::new(make_node(goal, &self.program), db.clone());
+        let mut solver = Solver::new(tree.as_ref().map(|t| (t, 0)), db.clone());
         let mut out = Vec::new();
         while out.len() < limit && solver.next_solution(&mut ctx)? {
             let answer = (0..nvars)

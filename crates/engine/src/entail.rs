@@ -106,7 +106,7 @@ fn successors(
                     let rule = program.rule(rid);
                     let base = num_vars_in_tree(tree);
                     let body = Compiled::of(program).body(program, rid);
-                    let replacement = body.map(|t| t.at(base));
+                    let replacement = body.map(|t| t.tree(base));
                     if let Some(new_tree) =
                         apply_unification_n(tree, leaf, replacement, base + rule.num_vars(), |b| {
                             unify_head(b, atom, off, rule, base)

@@ -14,7 +14,7 @@ use crate::config::{EngineConfig, EngineError};
 use crate::incremental::Materializer;
 use crate::obs::subgoal_label;
 use crate::trace::{ProbeOutcome, TraceEvent};
-use crate::tree::make_node;
+use crate::tree::Template;
 use std::sync::Arc;
 use td_core::unify::unify_terms;
 use td_core::{Atom, Bindings, Goal, Program, Term, Var};
@@ -239,9 +239,10 @@ pub(crate) fn enumerate_answers(
         max_steps: CACHE_ENUM_MAX_STEPS,
         ..EngineConfig::default()
     };
+    let tree = Template::new(goal, program);
     let mut ctx = Ctx::new(program, &config, None, None);
     ctx.bindings.alloc(nvars);
-    let mut solver = Solver::new(make_node(goal, program), db.clone());
+    let mut solver = Solver::new(tree.as_ref().map(|t| (t, 0)), db.clone());
     let mut out = Vec::new();
     loop {
         match solver.next_solution(&mut ctx) {

@@ -17,9 +17,7 @@
 //! id and the tables keyed by them are never persisted, so the mixer below
 //! is not a frozen format.
 
-#[cfg(test)]
-use crate::tree::to_goal;
-use crate::tree::{Node, PTree};
+use crate::tree::{Item, Preorder};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use td_core::{Atom, Goal, Term, Value, Var};
@@ -51,7 +49,7 @@ impl Hasher for FpHasher {
     }
 }
 
-// Node tags, in the low byte of a node's first word. `PTree::Seq`/`Par`
+// Node tags, in the low byte of a node's first word. A tree's regions
 // share the tags of `Goal::Seq`/`Par`: the fingerprint is that of the goal
 // the tree renders to.
 const TRUE: u64 = 0;
@@ -115,19 +113,12 @@ impl<'v, R: Fn(Term) -> Term> Walk<'v, R> {
         self.word(tag | (n as u64) << 8);
     }
 
-    /// A subtree whose parents add `base` to its offset.
-    fn tree(&mut self, tree: &PTree, base: u32) {
-        let off = base + tree.off;
-        match &tree.node {
-            Node::Lit(action) => self.goal(action.goal(), off),
-            Node::Seq(cs) => {
-                self.node(SEQ, cs.len());
-                cs.iter().for_each(|c| self.tree(c, off));
-            }
-            Node::Par(cs) => {
-                self.node(PAR, cs.len());
-                cs.iter().for_each(|c| self.tree(c, off));
-            }
+    /// One node of a tree's pre-order walk: a region's tag and child
+    /// count come before its children.
+    fn item(&mut self, item: Item) {
+        match item {
+            Item::Leaf(action, off) => self.goal(action.goal(), off),
+            Item::Region(seq, n) => self.node(if seq { SEQ } else { PAR }, n),
         }
     }
 
@@ -185,20 +176,21 @@ impl<'v, R: Fn(Term) -> Term> Walk<'v, R> {
 
 /// The 128-bit identity of the configuration `(tree under resolve, db)`,
 /// up to renaming of the variables `resolve` leaves unbound. The machine
-/// passes its trail's `resolve`, the ground drivers the identity. `vars`
+/// passes its trail's `resolve` and its arena, the ground drivers the
+/// identity and a persistent tree: both walks feed the same words. `vars`
 /// is the caller's numbering scratch (cleared here), so a steady-state
 /// call allocates nothing.
 pub(crate) fn fingerprint(
-    tree: &PTree,
+    tree: &impl Preorder,
     resolve: impl Fn(Term) -> Term,
     db: &Database,
     vars: &mut Vec<Var>,
 ) -> u128 {
     let mut walk = Walk::new(resolve, vars);
-    walk.tree(tree, 0);
+    tree.walk(&mut |item| walk.item(item));
     let fp = walk.finish(db);
     #[cfg(test)]
-    tests::record(tests::Log::configs, || to_goal(tree), &walk.resolve, db, fp);
+    tests::record(tests::Log::configs, || tree.goal(), &walk.resolve, db, fp);
     fp
 }
 
@@ -225,7 +217,7 @@ pub(super) mod tests {
     use super::*;
     use crate::decider::{decide, DeciderConfig};
     use crate::engine::{load_init, Engine};
-    use crate::tree::make_node;
+    use crate::tree::{make_node, to_goal, PTree};
     use crate::EngineConfig;
     use proptest::prelude::*;
     use std::cell::RefCell;

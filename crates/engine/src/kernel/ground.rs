@@ -138,7 +138,7 @@ impl Kernel<'_> {
                     for &rid in action.rules() {
                         let rule = self.program.rule(rid);
                         let nvars = cfg.nvars + rule.num_vars();
-                        let body = compiled.body(self.program, rid).map(|t| t.at(cfg.nvars));
+                        let body = compiled.body(self.program, rid).map(|t| t.tree(cfg.nvars));
                         if let Some(next) = unify_project(scratch, cfg, leaf, body, nvars, |b| {
                             unify_head(b, atom, off, rule, cfg.nvars)
                         }) {

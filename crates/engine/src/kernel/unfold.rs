@@ -5,11 +5,11 @@
 //!
 //! A rule is renamed apart by an offset, never by a copy: the head is read
 //! through it argument by argument, and the body is the rule's template
-//! read at it (`crate::tree`).
+//! read at it (`crate::tree`), which the machine copies into its arena.
 
 use super::Hooks;
 use crate::compiled::Compiled;
-use crate::tree::PTree;
+use crate::tree::At;
 use td_core::unify::unify_terms;
 use td_core::{Atom, Bindings, Program, Rule, RuleId};
 
@@ -38,14 +38,14 @@ pub(crate) fn unify_head(
 /// unfold to `hooks`, the body: the rule's template read at that mark
 /// (`None` inside for a `()` body). Trail cleanup on failure is the
 /// caller's choicepoint discipline, like every trail-side primitive.
-pub(crate) fn unfold_trail(
+pub(crate) fn unfold_trail<'c>(
     program: &Program,
-    compiled: &Compiled,
+    compiled: &'c Compiled,
     bindings: &mut Bindings,
     (atom, call_off): (&Atom, u32),
     rule_id: RuleId,
     hooks: &mut Hooks<'_>,
-) -> Option<Option<PTree>> {
+) -> Option<Option<At<'c>>> {
     let rule = program.rule(rule_id);
     let base = bindings.alloc(rule.num_vars());
     if !unify_head(bindings, atom, call_off, rule, base) {
@@ -53,5 +53,5 @@ pub(crate) fn unfold_trail(
     }
     hooks.stats.unfolds += 1;
     hooks.local.observe_unfold(rule_id);
-    Some(compiled.body(program, rule_id).map(|body| body.at(base)))
+    Some(compiled.body(program, rule_id).map(|body| (body, base)))
 }

@@ -30,10 +30,10 @@
 //! for its next one. Strategies, budgets and failure memoization sit
 //! around that loop.
 //!
-//! The solver edits its one process tree in place too, and takes a failed
-//! branch's edits back from a log of its own, as it does the database's: a
-//! choicepoint holds marks, not a tree. What a step allocates is described
-//! once, in docs/ARCHITECTURE.md.
+//! The solver owns its process tree too, an [`Arena`] it edits in place and
+//! takes back from a trail, as it does the database: a choicepoint holds
+//! marks, not a tree. What a step allocates is described once, in
+//! docs/ARCHITECTURE.md.
 
 use crate::cache::{CachedAnswer, SubgoalCache};
 use crate::compiled::Compiled;
@@ -42,7 +42,7 @@ use crate::incremental::Materializer;
 use crate::kernel::{self, CallStep, FpSet, Hooks, Probe};
 use crate::obs::{subgoal_label, LocalMetrics, Observer};
 use crate::trace::{SpanPhase, TraceEvent};
-use crate::tree::{self, frontier_len, leaf_at, Action, PTree};
+use crate::tree::{Action, Arena, At, Mark as TreeMark};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -105,6 +105,11 @@ pub(crate) struct Ctx<'p> {
     pub(crate) local: LocalMetrics,
     rng: Option<StdRng>,
     rr_counter: u64,
+    /// Solvers of `iso` blocks that are done, kept with their buffers for
+    /// the next block ([`Ctx::solver`]): boxed as an `Alts::Iso` holds
+    /// them, so they move in and out of it without a copy.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Solver<'p>>>,
 }
 
 impl<'p> Ctx<'p> {
@@ -138,7 +143,28 @@ impl<'p> Ctx<'p> {
             local,
             rng,
             rr_counter: 0,
+            spare: Vec::new(),
         }
+    }
+
+    /// A solver for an `iso` block's `tree` from `db`: a spare one when
+    /// there is one, so that entering a block allocates nothing once warm.
+    fn solver(&mut self, tree: Option<At<'p>>, db: Database) -> Box<Solver<'p>> {
+        let Some(mut solver) = self.spare.pop() else {
+            return Box::new(Solver::new(tree, db));
+        };
+        solver.tree.plant(tree);
+        solver.db = db;
+        solver.pending_key = MemoKey::None;
+        solver.successes = 0;
+        solver
+    }
+
+    /// Keep the solver of an `iso` block that has nothing left to yield,
+    /// its stack empty, for the next block.
+    fn recycle(&mut self, mut solver: Box<Solver<'p>>) {
+        solver.db = Database::new();
+        self.spare.push(solver);
     }
 
     /// Record a trace event (no-op unless tracing is enabled).
@@ -183,7 +209,7 @@ impl<'p> Ctx<'p> {
     }
 
     /// Fingerprint of a configuration under the current bindings.
-    fn config_key(&mut self, tree: &PTree, db: &Database) -> u128 {
+    fn config_key(&mut self, tree: &Arena, db: &Database) -> u128 {
         let bindings = &self.bindings;
         kernel::fingerprint(tree, |t| bindings.resolve(t), db, &mut self.key_vars)
     }
@@ -191,7 +217,7 @@ impl<'p> Ctx<'p> {
     /// Record as refuted the configuration `(tree, db)` a step started
     /// from, under the current bindings (those it started with), when the
     /// step is memoized: by `key` as computed then, or computed now.
-    fn refute(&mut self, key: MemoKey, tree: &PTree, db: &Database) {
+    fn refute(&mut self, key: MemoKey, tree: &Arena, db: &Database) {
         let key = match key {
             MemoKey::None => return,
             MemoKey::Known(key) => key,
@@ -203,7 +229,7 @@ impl<'p> Ctx<'p> {
     /// Unfold `rule_id` for `atom` (read at offset `off`) on the shared
     /// trail (a kernel primitive), recording the committed-path trace event
     /// on success. The body is the rule's template at the fresh offset.
-    fn unfold(&mut self, call: (&Atom, u32), rule_id: RuleId) -> Option<Option<PTree>> {
+    fn unfold(&mut self, call: (&Atom, u32), rule_id: RuleId) -> Option<Option<At<'p>>> {
         let traced = self.traced(call);
         let body = kernel::unfold_trail(
             self.program,
@@ -260,10 +286,11 @@ enum StepErr {
 }
 
 /// What a step does to the tree: the frontier index of the leaf it
-/// rewrites, and what replaces the leaf (`None`: the leaf is done).
-type Rewrite = (usize, Option<PTree>);
+/// rewrites, and the template copied in its place (`None`: the leaf is
+/// done).
+type Rewrite<'p> = (usize, Option<At<'p>>);
 
-type StepResult = Result<Rewrite, StepErr>;
+type StepResult<'p> = Result<Rewrite<'p>, StepErr>;
 
 fn fatal(e: EngineError) -> StepErr {
     StepErr::Fatal(e)
@@ -319,46 +346,46 @@ struct Schedule {
 }
 
 /// A frontier leaf's action and the offset its variables read at.
-type Leaf = (Arc<Action>, u32);
+type Leaf<'p> = (&'p Action, u32);
 
 /// The alternatives of one step, in canonical order. Those of a leaf hold
 /// the leaf, once, and each alternative refers to it.
-enum Alts {
+enum Alts<'p> {
     /// Scheduling: the frontier leaves the step may execute.
     Sched(Schedule),
     /// The tuples a base-predicate query leaf may match.
-    Tuples(Leaf, Vec<Tuple>),
+    Tuples(Leaf<'p>, Vec<Tuple>),
     /// A call leaf, which may unfold to the rules it holds: its
     /// predicate's, in program order.
-    Rules(Leaf),
+    Rules(Leaf<'p>),
     /// The branches of an `or` leaf.
-    Branches(Leaf),
+    Branches(Leaf<'p>),
     /// The answers of a cached subgoal (replayed, not re-explored), and
     /// the variables each answer's values bind, positionally.
     Cached(Vec<Var>, Arc<Vec<CachedAnswer>>),
-    /// A live isolated sub-execution that may yield further solutions,
-    /// where the logs stood when it last yielded, and the database it
-    /// started from. Not a list: its alternatives come out of the nested
-    /// solver.
-    Iso(Box<Solver>, Marks, Database),
+    /// A live isolated sub-execution that may yield further solutions
+    /// (`None` once it has none left), where the logs stood when it last
+    /// yielded, and the database it started from. Not a list: its
+    /// alternatives come out of the nested solver.
+    Iso(Option<Box<Solver<'p>>>, Marks, Database),
 }
 
 /// One alternative, taken out of an [`Alts`] by index.
-enum Alt {
+enum Alt<'p> {
     /// A frontier leaf's index, and whether it is the only one.
     Sched(usize, bool),
     /// A query leaf and a tuple it matches.
-    Tuple(Leaf, Tuple),
+    Tuple(Leaf<'p>, Tuple),
     /// A call leaf and the index of a rule among its predicate's.
-    Rule(Leaf, usize),
-    /// The branch's index and its process tree.
-    Branch(usize, Option<PTree>),
+    Rule(Leaf<'p>, usize),
+    /// The branch's index and its template, at the leaf's offset.
+    Branch(usize, Option<At<'p>>),
     Cached(Vec<Var>, Arc<Vec<CachedAnswer>>, usize),
     /// An isolated block ran to a solution.
     Yield,
 }
 
-impl Alts {
+impl<'p> Alts<'p> {
     fn len(&self) -> usize {
         match self {
             Alts::Sched(schedule) => schedule.len,
@@ -370,16 +397,17 @@ impl Alts {
         }
     }
 
-    /// Take out the `i`-th alternative: an index and a refcount or two.
-    fn get(&mut self, i: usize) -> Option<Alt> {
+    /// Take out the `i`-th alternative: an index and a leaf, or a cached
+    /// answer set's refcount.
+    fn get(&mut self, i: usize) -> Option<Alt<'p>> {
         if i >= self.len() {
             return None;
         }
         Some(match self {
             Alts::Sched(s) => Alt::Sched(s.shuffled.get(i).copied().unwrap_or(s.first + i), s.sole),
-            Alts::Tuples(query, tuples) => Alt::Tuple(query.clone(), tuples[i].clone()),
-            Alts::Rules(call) => Alt::Rule(call.clone(), i),
-            Alts::Branches((choice, off)) => Alt::Branch(i, choice.tree(i, *off)),
+            Alts::Tuples(query, tuples) => Alt::Tuple(*query, tuples[i].clone()),
+            Alts::Rules(call) => Alt::Rule(*call, i),
+            Alts::Branches((choice, off)) => Alt::Branch(i, choice.template(i).map(|t| (t, *off))),
             Alts::Cached(vars, answers) => Alt::Cached(vars.clone(), answers.clone(), i),
             Alts::Iso(..) => unreachable!("an isolated block has no listed alternatives"),
         })
@@ -387,7 +415,7 @@ impl Alts {
 }
 
 /// The atom of a query or call leaf, and the offset it reads at.
-fn atom_of((leaf, off): &Leaf) -> (&Atom, u32) {
+fn atom_of<'p>((leaf, off): &Leaf<'p>) -> (&'p Atom, u32) {
     match leaf.goal() {
         Goal::Atom(atom) => (atom, *off),
         _ => unreachable!("a query or call leaf"),
@@ -419,7 +447,7 @@ enum MemoKey {
     Deferred,
 }
 
-struct Choicepoint {
+struct Choicepoint<'p> {
     /// Not `None` on the *first* choicepoint pushed for its step: once it
     /// is exhausted, the whole subtree under the pre-step configuration has
     /// been refuted and the key is recorded in `Ctx::failed` — unless a
@@ -436,27 +464,30 @@ struct Choicepoint {
     /// Log positions before the step: rewinding to them takes the
     /// database back to what it was.
     at: Marks,
-    /// The length of the solver's tree log before the step: rewinding to
-    /// it takes the tree back to what it was.
-    edits: usize,
+    /// The solver's tree before the step: rewinding to it takes the tree
+    /// back to what it was.
+    tree: TreeMark,
     /// The database's digest before the step, checked after every rewind.
     #[cfg(debug_assertions)]
     digest: u128,
-    /// The tree before the step, checked after every rewind: a handle, so
-    /// the solver's first edit after it copies what they share.
+    /// The tree's digest before the step, checked after every rewind.
     #[cfg(debug_assertions)]
-    tree: PTree,
-    alts: Alts,
+    shape: u128,
+    alts: Alts<'p>,
     /// Index of the next untried alternative.
     next: usize,
 }
 
-impl Choicepoint {
+impl<'p> Choicepoint<'p> {
     /// Take out the next alternative, with `db`, the solver's database, and
     /// the logs rewound to where they stood before the step. `None` =
     /// exhausted, with no residue left in the logs or the database.
-    fn next_alt(&mut self, ctx: &mut Ctx, db: &mut Database) -> Result<Option<Alt>, EngineError> {
-        if let Alts::Iso(solver, yielded, before) = &mut self.alts {
+    fn next_alt(
+        &mut self,
+        ctx: &mut Ctx<'p>,
+        db: &mut Database,
+    ) -> Result<Option<Alt<'p>>, EngineError> {
+        if let Alts::Iso(block, yielded, before) = &mut self.alts {
             // Drop what the outer execution did after the last yield, to a
             // copy of the block's solution — the copy goes too, so the
             // nested solver's undo writes over what they shared — then ask
@@ -465,11 +496,18 @@ impl Choicepoint {
             // it goes with the block's start restored.
             yielded.forget(ctx);
             *db = Database::new();
-            if solver.next_solution(ctx)? {
-                ctx.record(|| TraceEvent::IsoExit);
-                *yielded = Marks::here(ctx);
-                *db = solver.db.clone();
-                return Ok(Some(Alt::Yield));
+            if let Some(solver) = block {
+                if solver.next_solution(ctx)? {
+                    ctx.record(|| TraceEvent::IsoExit);
+                    *yielded = Marks::here(ctx);
+                    *db = solver.db.clone();
+                    if solver.stack.is_empty() {
+                        // No choicepoint left: asked again, it would yield
+                        // nothing, so its buffers go to the next block now.
+                        ctx.recycle(block.take().expect("the solver"));
+                    }
+                    return Ok(Some(Alt::Yield));
+                }
             }
             self.at.forget(ctx);
             *db = std::mem::take(before);
@@ -485,16 +523,13 @@ impl Choicepoint {
 }
 
 /// A depth-first search for successful executions of one process tree.
-pub(crate) struct Solver {
-    /// `None` = fully reduced (a solution state). Edited in place by every
-    /// step.
-    state: Option<PTree>,
-    /// How to take back the edits of `state` made while a choicepoint was
-    /// live.
-    edits: tree::Log,
+pub(crate) struct Solver<'p> {
+    /// The process tree, edited in place by every step; complete when the
+    /// state is a solution.
+    tree: Arena<'p>,
     /// Current database, edited in place by every update.
     pub db: Database,
-    stack: Vec<Choicepoint>,
+    stack: Vec<Choicepoint<'p>>,
     /// Key of the configuration the in-flight step started from; taken by
     /// the first choicepoint that step pushes.
     pending_key: MemoKey,
@@ -503,11 +538,12 @@ pub(crate) struct Solver {
     successes: u64,
 }
 
-impl Solver {
-    pub fn new(tree: Option<PTree>, db: Database) -> Solver {
+impl<'p> Solver<'p> {
+    /// A solver for `tree`, a template at its offset (`None`: the complete
+    /// tree), from `db`.
+    pub fn new(tree: Option<At<'p>>, db: Database) -> Solver<'p> {
         Solver {
-            state: tree,
-            edits: tree::Log::default(),
+            tree: Arena::new(tree),
             db,
             stack: Vec::new(),
             pending_key: MemoKey::None,
@@ -519,14 +555,14 @@ impl Solver {
     /// next distinct one (behind the newest choicepoint) on a solver that
     /// has yielded. `Ok(true)`: the solver's `db` is a solution state.
     /// `Ok(false)`: search space exhausted.
-    pub fn next_solution(&mut self, ctx: &mut Ctx) -> Result<bool, EngineError> {
+    pub fn next_solution(&mut self, ctx: &mut Ctx<'p>) -> Result<bool, EngineError> {
         if self.successes > 0 && !self.backtrack(ctx)? {
             return Ok(false);
         }
         loop {
-            // The step edits the state; a failed one leaves it to the
+            // The step edits the tree; a failed one leaves it to the
             // choicepoint that is retried.
-            if self.state.is_none() {
+            if self.tree.is_empty() {
                 self.successes += 1;
                 return Ok(true);
             }
@@ -536,8 +572,8 @@ impl Solver {
                     steps: ctx.stats.steps,
                 });
             }
-            match self.advance(ctx, |solver, ctx, tree| solver.step(ctx, tree)) {
-                Ok(()) => {}
+            match self.step(ctx) {
+                Ok((leaf, with)) => self.tree.edit(leaf, with),
                 Err(StepErr::Fail) => {
                     if !self.backtrack(ctx)? {
                         return Ok(false);
@@ -548,44 +584,28 @@ impl Solver {
         }
     }
 
-    /// Run `step` on the state, lent out of the solver while it runs, and
-    /// edit the state where it lies as the step says, logging the edit
-    /// while a choicepoint may take it back.
-    fn advance(
-        &mut self,
-        ctx: &mut Ctx,
-        step: impl FnOnce(&mut Solver, &mut Ctx, &PTree) -> StepResult,
-    ) -> Result<(), StepErr> {
-        let tree = self.state.take().expect("a step's tree");
-        let result = step(self, ctx, &tree);
-        self.state = Some(tree);
-        let (leaf, node) = result?;
-        let log = (!self.stack.is_empty()).then_some(&mut self.edits);
-        tree::edit(&mut self.state, leaf, node, log);
-        Ok(())
-    }
-
-    /// A choicepoint over `alts` for the `leaf`-th frontier leaf of `tree`,
-    /// the step having begun at `at`. The one place a choicepoint is built;
-    /// `push_cp` fills in the memo fields.
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    fn checkpoint(&self, at: Marks, tree: &PTree, leaf: usize, alts: Alts) -> Choicepoint {
+    /// A choicepoint over `alts` for the `leaf`-th frontier leaf, the step
+    /// having begun at `at`. The one place a choicepoint is built; `push_cp`
+    /// fills in the memo fields.
+    fn checkpoint(&self, at: Marks, leaf: usize, alts: Alts<'p>) -> Choicepoint<'p> {
         Choicepoint {
             step_key: MemoKey::None,
             successes_at_push: 0,
             leaf,
             at,
-            edits: self.edits.len(),
+            tree: self.tree.here(),
             #[cfg(debug_assertions)]
             digest: self.db.digest(),
             #[cfg(debug_assertions)]
-            tree: tree.clone(),
+            shape: self.tree.digest(),
             alts,
             next: 1,
         }
     }
 
-    fn push_cp(&mut self, ctx: &mut Ctx, mut cp: Choicepoint) -> Result<(), StepErr> {
+    /// Push `cp`, whose tree mark is then in force: the step's edit, made
+    /// after, is taken back from the trail.
+    fn push_cp(&mut self, ctx: &mut Ctx<'p>, mut cp: Choicepoint<'p>) -> Result<(), StepErr> {
         if self.stack.len() >= ctx.config.max_stack {
             return Err(fatal(EngineError::StackBudget {
                 depth: self.stack.len(),
@@ -593,20 +613,21 @@ impl Solver {
         }
         cp.step_key = std::mem::take(&mut self.pending_key);
         cp.successes_at_push = self.successes;
+        self.tree.guard(Some(cp.tree));
         self.stack.push(cp);
         ctx.stats.choicepoints += 1;
         ctx.stats.max_stack = ctx.stats.max_stack.max(self.stack.len());
         Ok(())
     }
 
-    /// One elementary step of `tree`, the state: pick a frontier action per
+    /// One elementary step of the tree: pick a frontier action per
     /// strategy, execute it.
-    fn step(&mut self, ctx: &mut Ctx, tree: &PTree) -> StepResult {
+    fn step(&mut self, ctx: &mut Ctx<'p>) -> StepResult<'p> {
         if ctx.memo_active() {
             // Nothing can hit an empty memo: the key waits for a refutation.
             let mut key = MemoKey::Deferred;
             if !ctx.failed.is_empty() {
-                let fp = ctx.config_key(tree, &self.db);
+                let fp = ctx.config_key(&self.tree, &self.db);
                 if ctx.failed.contains(&fp) {
                     ctx.stats.memo_hits += 1;
                     return Err(StepErr::Fail);
@@ -616,10 +637,10 @@ impl Solver {
             self.pending_key = key;
         }
         let (at, stack_before) = (Marks::here(ctx), self.stack.len());
-        let n = frontier_len(tree);
+        let n = self.tree.frontier_len();
         ctx.stats.peak_processes = ctx.stats.peak_processes.max(n);
         let schedule = ctx.schedule(n);
-        let result = self.choose(ctx, tree, 0, Alts::Sched(schedule));
+        let result = self.choose(ctx, 0, Alts::Sched(schedule));
         let pending = std::mem::take(&mut self.pending_key);
         if matches!(result, Err(StepErr::Fail)) && self.stack.len() == stack_before {
             // The step failed with no alternatives: the configuration is
@@ -629,7 +650,7 @@ impl Solver {
             if let MemoKey::Deferred = pending {
                 at.rewind(ctx, &mut self.db);
             }
-            ctx.refute(pending, tree, &self.db);
+            ctx.refute(pending, &self.tree, &self.db);
         }
         result
     }
@@ -637,23 +658,23 @@ impl Solver {
     /// Commit to the first of `alts` for the `leaf`-th frontier leaf: fail
     /// when there is none, and leave a choicepoint over the rest when there
     /// is a rest.
-    fn choose(&mut self, ctx: &mut Ctx, tree: &PTree, leaf: usize, mut alts: Alts) -> StepResult {
+    fn choose(&mut self, ctx: &mut Ctx<'p>, leaf: usize, mut alts: Alts<'p>) -> StepResult<'p> {
         let Some(first) = alts.get(0) else {
             return Err(StepErr::Fail);
         };
         if alts.len() > 1 {
-            let cp = self.checkpoint(Marks::here(ctx), tree, leaf, alts);
+            let cp = self.checkpoint(Marks::here(ctx), leaf, alts);
             self.push_cp(ctx, cp)?;
         }
-        self.take(ctx, tree, leaf, first)
+        self.take(ctx, leaf, first)
     }
 
-    /// Carry out one alternative for the `leaf`-th frontier leaf of `tree`:
-    /// the only place a scheduled leaf is executed, a tuple bound, a rule
-    /// unfolded, a branch entered or a cached answer replayed.
-    fn take(&mut self, ctx: &mut Ctx, tree: &PTree, leaf: usize, alt: Alt) -> StepResult {
-        let node = match alt {
-            Alt::Sched(leaf, sole) => return self.execute(ctx, tree, leaf, sole),
+    /// Carry out one alternative for the `leaf`-th frontier leaf: the only
+    /// place a scheduled leaf is executed, a tuple bound, a rule unfolded,
+    /// a branch entered or a cached answer replayed.
+    fn take(&mut self, ctx: &mut Ctx<'p>, leaf: usize, alt: Alt<'p>) -> StepResult<'p> {
+        let with = match alt {
+            Alt::Sched(leaf, sole) => return self.execute(ctx, leaf, sole),
             Alt::Tuple(query, tuple) => {
                 let atom = atom_of(&query);
                 let query = ctx.traced(atom);
@@ -670,9 +691,9 @@ impl Solver {
                 let rule = call.0.rules()[i];
                 ctx.unfold(atom_of(&call), rule).ok_or(StepErr::Fail)?
             }
-            Alt::Branch(index, node) => {
+            Alt::Branch(index, with) => {
                 ctx.record(|| TraceEvent::Choice { index });
-                node
+                with
             }
             Alt::Cached(vars, answers, i) => {
                 let ans = &answers[i];
@@ -686,14 +707,12 @@ impl Solver {
             }
             Alt::Yield => None,
         };
-        Ok((leaf, node))
+        Ok((leaf, with))
     }
 
-    /// Execute the `leaf`-th frontier leaf of `tree`; `sole` says it is the
-    /// only one.
-    fn execute(&mut self, ctx: &mut Ctx, tree: &PTree, leaf: usize, sole: bool) -> StepResult {
-        let (action, off) = leaf_at(tree, leaf);
-        let here = || (action.clone(), off);
+    /// Execute the `leaf`-th frontier leaf; `sole` says it is the only one.
+    fn execute(&mut self, ctx: &mut Ctx<'p>, leaf: usize, sole: bool) -> StepResult<'p> {
+        let (action, off) = self.tree.leaf_at(leaf);
         let bindings = &ctx.bindings;
         let resolve = |t: Term| bindings.resolve(t.offset(off));
         match action.goal() {
@@ -702,7 +721,7 @@ impl Solver {
                 if ctx.program.is_base(atom.pred) {
                     ctx.reads.record(atom.pred);
                     let tuples = kernel::matching_tuples(&self.db, atom, resolve);
-                    return self.choose(ctx, tree, leaf, Alts::Tuples(here(), tuples));
+                    return self.choose(ctx, leaf, Alts::Tuples((action, off), tuples));
                 }
                 let (cache, mat) = (ctx.cache.as_deref(), ctx.mat);
                 let program = ctx.program;
@@ -712,10 +731,10 @@ impl Solver {
                     CallStep::Holds(false) => return Err(StepErr::Fail),
                     CallStep::Replay { answers, vars } => {
                         let label = ctx.traced_label(|| Goal::Atom(atom.clone()), off);
-                        return self.replay(ctx, tree, leaf, label, vars, answers);
+                        return self.replay(ctx, leaf, label, vars, answers);
                     }
                     CallStep::Unfold => {
-                        return self.choose(ctx, tree, leaf, Alts::Rules(here()));
+                        return self.choose(ctx, leaf, Alts::Rules((action, off)));
                     }
                 }
             }
@@ -757,7 +776,7 @@ impl Solver {
                 });
             }
             Goal::Choice(_) => {
-                return self.choose(ctx, tree, leaf, Alts::Branches(here()));
+                return self.choose(ctx, leaf, Alts::Branches((action, off)));
             }
             Goal::Iso(inner) => {
                 // An isolated block runs as a contiguous sub-execution from
@@ -771,7 +790,7 @@ impl Solver {
                     let probe =
                         kernel::probe_subgoal(program, cache, db, inner, resolve, hooks!(ctx));
                     if let Probe::Replay { answers, vars } = probe {
-                        return self.replay(ctx, tree, leaf, label, vars, answers);
+                        return self.replay(ctx, leaf, label, vars, answers);
                     }
                 }
                 ctx.stats.iso_enters += 1;
@@ -781,18 +800,22 @@ impl Solver {
                     phase: SpanPhase::Isolation,
                     detail: String::new(),
                 });
-                let solver = Box::new(Solver::new(action.tree(0, off), self.db.clone()));
-                let iso = Alts::Iso(solver, Marks::here(ctx), self.db.clone());
-                let mut cp = self.checkpoint(at, tree, leaf, iso);
+                let block = action.template(0).map(|t| (t, off));
+                let solver = ctx.solver(block, self.db.clone());
+                let iso = Alts::Iso(Some(solver), Marks::here(ctx), self.db.clone());
+                let mut cp = self.checkpoint(at, leaf, iso);
                 let yielded = cp.next_alt(ctx, &mut self.db).map_err(fatal)?;
                 ctx.emit(|| TraceEvent::SpanExit {
                     phase: SpanPhase::Isolation,
                     detail: if yielded.is_some() { "commit" } else { "fail" }.to_owned(),
                 });
                 let Some(alt) = yielded else {
+                    if let Alts::Iso(Some(solver), ..) = cp.alts {
+                        ctx.recycle(solver);
+                    }
                     return Err(StepErr::Fail);
                 };
-                let rewrite = self.take(ctx, tree, leaf, alt)?;
+                let rewrite = self.take(ctx, leaf, alt)?;
                 // Pushed only now, behind the block's first solution: a
                 // block that never yields is a plain failed step — no
                 // choicepoint counted, and its step's memo key left for
@@ -801,7 +824,7 @@ impl Solver {
                 return Ok(rewrite);
             }
             Goal::True | Goal::Seq(_) | Goal::Par(_) => {
-                unreachable!("structural goals are expanded by make_node")
+                unreachable!("structural goals are expanded by Template::new")
             }
         }
         // A deterministic step: the leaf is done.
@@ -814,19 +837,18 @@ impl Solver {
     /// `label` is the subgoal's, present when there is an event stream.
     fn replay(
         &mut self,
-        ctx: &mut Ctx,
-        tree: &PTree,
+        ctx: &mut Ctx<'p>,
         leaf: usize,
         label: Option<String>,
         vars: Vec<Var>,
         answers: Arc<Vec<CachedAnswer>>,
-    ) -> StepResult {
+    ) -> StepResult<'p> {
         let detail = || label.clone().expect("labelled when observed");
         ctx.emit(|| TraceEvent::SpanEnter {
             phase: SpanPhase::CacheReplay,
             detail: detail(),
         });
-        let result = self.choose(ctx, tree, leaf, Alts::Cached(vars, answers));
+        let result = self.choose(ctx, leaf, Alts::Cached(vars, answers));
         ctx.emit(|| TraceEvent::SpanExit {
             phase: SpanPhase::CacheReplay,
             detail: detail(),
@@ -836,7 +858,7 @@ impl Solver {
 
     /// Retry choicepoints, newest first, until an alternative applies.
     /// `Ok(false)` = stack exhausted (overall failure).
-    fn backtrack(&mut self, ctx: &mut Ctx) -> Result<bool, EngineError> {
+    fn backtrack(&mut self, ctx: &mut Ctx<'p>) -> Result<bool, EngineError> {
         loop {
             let depth = self.stack.len();
             let Some(cp) = self.stack.last_mut() else {
@@ -844,26 +866,29 @@ impl Solver {
             };
             ctx.stats.backtracks += 1;
             ctx.local.observe_backtrack(depth);
-            self.edits.rewind(&mut self.state, cp.edits);
+            self.tree.rewind(cp.tree);
             #[cfg(debug_assertions)]
-            assert!(
-                self.state.as_ref() == Some(&cp.tree),
-                "a rewind restores the tree"
-            );
+            assert_eq!(self.tree.digest(), cp.shape, "a rewind restores the tree");
             let Some(alt) = cp.next_alt(ctx, &mut self.db)? else {
                 // Exhausted: the logs, the tree and the database are back
                 // where the choicepoint's step started, where a deferred
                 // key reads them.
                 let cp = self.stack.pop().expect("borrowed above");
+                self.tree.guard(self.stack.last().map(|cp| cp.tree));
                 if cp.successes_at_push == self.successes {
-                    let tree = self.state.as_ref().expect("a step's tree");
-                    ctx.refute(cp.step_key, tree, &self.db);
+                    ctx.refute(cp.step_key, &self.tree, &self.db);
+                }
+                if let Alts::Iso(Some(solver), ..) = cp.alts {
+                    ctx.recycle(solver);
                 }
                 continue;
             };
             let leaf = cp.leaf;
-            match self.advance(ctx, |solver, ctx, tree| solver.take(ctx, tree, leaf, alt)) {
-                Ok(()) => return Ok(true),
+            match self.take(ctx, leaf, alt) {
+                Ok((leaf, with)) => {
+                    self.tree.edit(leaf, with);
+                    return Ok(true);
+                }
                 Err(StepErr::Fail) => {}
                 Err(StepErr::Fatal(e)) => return Err(e),
             }

@@ -1,24 +1,21 @@
 //! The runtime process tree.
 //!
 //! A running TD goal is a tree of sequential and concurrent regions over
-//! *action leaves* (atoms, updates, builtins, choices, isolation blocks).
-//! A [`PTree`] is a handle whose clone is one refcount. The sequential
-//! machine owns one tree and edits it where it lies ([`edit`]), logging how
-//! to take each edit back ([`Log`]); the drivers that keep a tree per
-//! configuration call [`rewrite`], the same edit on a clone of the handle.
+//! *action leaves* (atoms, updates, builtins, choices, isolation blocks). A
+//! goal, a rule's body, an `or` branch and an `iso` block are each built
+//! once into a [`Template`]: its nodes, flat, in pre-order. The sequential
+//! machine copies templates into the [`Arena`] its solver owns and edits
+//! that tree in place; the ground drivers build a persistent [`PTree`] from
+//! the same templates and [`rewrite`] it by copying the path.
 //! docs/ARCHITECTURE.md ("What a step allocates") has the design.
 //!
-//! A handle also carries a variable offset: every variable under it reads
-//! with the offset added ([`Term::offset`]), and a child's offset adds to
-//! its parent's. That is structure sharing, the Prolog engines' alternative
-//! to copying a rule body per call: a rule's body is built into a tree once
-//! per program (its *template*, `crate::compiled`), and a call unfolding it
-//! with fresh variables from `base` on is the template's handle at offset
-//! `base` — a refcount, not a copy. Every reader of a leaf reads through the
-//! offset [`leaf_at`] returns beside it; an edit keeps the offsets of the
-//! subtrees it moves into another node.
+//! Every variable of a leaf reads with the leaf's offset added
+//! ([`Term::offset`]): a template is built from the goal as written, and a
+//! call that renames a rule apart from `base` on reads its body at offset
+//! `base` instead of copying it renamed.
 //!
-//! Invariants maintained by [`make_node`] and [`edit`]:
+//! Invariants maintained by [`Template::new`], the arena's edits and
+//! [`rewrite`]:
 //!
 //! * `Seq`/`Par` nodes have ≥ 2 children (singletons collapse to the child);
 //! * no `Seq` directly under `Seq`, no `Par` directly under `Par` (spliced);
@@ -27,34 +24,19 @@
 //! In a `Seq` only the first child is runnable; in a `Par` every child is.
 //! The executable leaves of a tree are therefore its *frontier* — the
 //! schedulable actions the paper's interleaving semantics chooses among. A
-//! leaf is addressed by its index in the frontier, left to right:
-//! [`frontier_len`] counts them, and [`leaf_at`] and [`edit`] descend to
-//! one by that count.
+//! leaf is addressed by its index in the frontier, left to right.
+
+mod arena;
+
+pub use arena::Arena;
+pub(crate) use arena::Mark;
 
 use std::fmt;
 use std::sync::Arc;
 use td_core::{Goal, Program, RuleId, Term};
 
-/// A node of the runtime process tree, held by a handle: cloning it is one
-/// refcount. Its variables read with `off` added.
-#[derive(Clone)]
-pub struct PTree {
-    pub(crate) node: Node,
-    /// Added to every variable under this handle, on top of the offsets
-    /// of the handles above it.
-    pub(crate) off: u32,
-}
-
-/// What a [`PTree`] handle holds.
-#[derive(Clone)]
-pub(crate) enum Node {
-    /// An action leaf (never `True`/`Seq`/`Par`).
-    Lit(Arc<Action>),
-    /// Serial region: children run left to right.
-    Seq(Kids),
-    /// Concurrent region: children interleave.
-    Par(Kids),
-}
+/// No node: the end of a list of children, or a leaf's children.
+const NIL: u32 = u32::MAX;
 
 /// An action leaf as built once: its goal, and what running it needs that
 /// building the leaf can already know.
@@ -63,8 +45,9 @@ pub struct Action {
     /// A call's predicate's rules, in program order (`None`: no rule
     /// defines it, or the leaf is no call).
     rules: Option<Arc<[RuleId]>>,
-    /// An `or` leaf's branches as trees, or an `iso` leaf's block (one).
-    trees: Box<[Option<PTree>]>,
+    /// An `or` leaf's branches, or an `iso` leaf's block (one), as
+    /// templates (`None`: the branch is `()`).
+    trees: Box<[Option<Template>]>,
 }
 
 impl Action {
@@ -72,10 +55,10 @@ impl Action {
         let (rules, trees) = match goal {
             Goal::Atom(atom) => (program.rule_ids(atom.pred).cloned(), Box::default()),
             Goal::Choice(branches) => {
-                let trees = branches.iter().map(|b| make_node(b, program)).collect();
+                let trees = branches.iter().map(|b| Template::new(b, program)).collect();
                 (None, trees)
             }
-            Goal::Iso(inner) => (None, Box::new([make_node(inner, program)]) as Box<[_]>),
+            Goal::Iso(inner) => (None, Box::new([Template::new(inner, program)]) as Box<[_]>),
             _ => (None, Box::default()),
         };
         Action {
@@ -96,10 +79,16 @@ impl Action {
         self.rules.as_deref().unwrap_or(&[])
     }
 
-    /// The tree of an `or` leaf's `i`-th branch, or of an `iso` leaf's
-    /// block (`i` = 0), as read at offset `off`.
+    /// The template of an `or` leaf's `i`-th branch, or of an `iso` leaf's
+    /// block (`i` = 0).
+    pub fn template(&self, i: usize) -> Option<&Template> {
+        self.trees[i].as_ref()
+    }
+
+    /// [`Action::template`] built into a persistent tree read at offset
+    /// `off`.
     pub fn tree(&self, i: usize, off: u32) -> Option<PTree> {
-        self.trees[i].as_ref().map(|t| t.at(off))
+        self.template(i).map(|t| t.tree(off))
     }
 
     /// The goal as read at offset `off`: a copy.
@@ -114,27 +103,269 @@ impl Action {
             goal: self.goal.map_terms(&mut |t| f(t.offset(off))),
             rules: self.rules.clone(),
             trees: (self.trees.iter())
-                .map(|t| t.as_ref().map(|t| map_terms_at(t, off, f)))
+                .map(|t| t.as_ref().map(|t| t.map_terms(off, f)))
                 .collect(),
         }
     }
 }
 
-/// The children of a `Seq`/`Par` node, held last first: a `Seq`'s head is
-/// the last element, so completing it is a pop and unfolding a call there
-/// a pop and an extend. A child's offset is relative to the node's.
+/// A process tree as built once from a goal, never edited: its nodes in
+/// pre-order, each region's children linked by index from its first, so
+/// that copying it into an [`Arena`] is a few words per node. Its leaves
+/// read at offset 0; a copy says at which offset they read.
+pub struct Template {
+    slots: Slots,
+}
+
+/// A template's nodes: a lone leaf is held inline.
+enum Slots {
+    Leaf(Slot),
+    Nodes(Box<[Slot]>),
+}
+
+impl From<Vec<Slot>> for Slots {
+    fn from(mut slots: Vec<Slot>) -> Slots {
+        match slots.len() {
+            1 => Slots::Leaf(slots.pop().expect("one slot")),
+            _ => Slots::Nodes(slots.into()),
+        }
+    }
+}
+
+/// A template node: an arena node before it is placed.
+struct Slot {
+    /// The action of a leaf; `None` for a region.
+    action: Option<Arc<Action>>,
+    /// A region's kind: `Seq` (true) or `Par`.
+    seq: bool,
+    /// A region's first child, `NIL` for a leaf.
+    first: u32,
+    /// A region's number of children.
+    kids: u32,
+    /// The next child of this node's region, `NIL` for the last.
+    next: u32,
+    /// The number of frontier leaves under this node.
+    front: u32,
+}
+
+/// A template read at an offset: what a step puts in place of a leaf.
+pub type At<'t> = (&'t Template, u32);
+
+/// A goal's normal form, before it is laid out.
+enum Shape<'g> {
+    Leaf(&'g Goal),
+    Region(bool, Vec<Shape<'g>>),
+}
+
+impl Shape<'_> {
+    /// The number of nodes.
+    fn len(&self) -> usize {
+        match self {
+            Shape::Leaf(_) => 1,
+            Shape::Region(_, kids) => 1 + kids.iter().map(Shape::len).sum::<usize>(),
+        }
+    }
+}
+
+/// The normal form of `goal`, expanding structural composition: `None`
+/// means the goal is already complete (`True`, or compositions of `True`).
+fn shape(goal: &Goal) -> Option<Shape<'_>> {
+    let (seq, goals) = match goal {
+        Goal::True => return None,
+        Goal::Seq(goals) => (true, goals),
+        Goal::Par(goals) => (false, goals),
+        action => return Some(Shape::Leaf(action)),
+    };
+    let mut kids = Vec::with_capacity(goals.len());
+    for g in goals {
+        match shape(g) {
+            None => {}
+            Some(Shape::Region(s, its)) if s == seq => kids.extend(its),
+            Some(kid) => kids.push(kid),
+        }
+    }
+    match kids.len() {
+        0 => None,
+        1 => kids.pop(),
+        _ => Some(Shape::Region(seq, kids)),
+    }
+}
+
+impl Template {
+    /// The template of `goal`: each action goal is copied into a leaf,
+    /// which carries its call's rules from `program` and its `or` branches
+    /// and `iso` block as templates. `None` means the goal is already
+    /// complete.
+    pub fn new(goal: &Goal, program: &Program) -> Option<Template> {
+        let action = |g: &Goal| !matches!(g, Goal::True | Goal::Seq(_) | Goal::Par(_));
+        let slots = match goal {
+            Goal::Seq(gs) | Goal::Par(gs) if gs.len() > 1 && gs.iter().all(action) => {
+                // One leaf per goal, the common rule body: laid out as is.
+                let (seq, n) = (matches!(goal, Goal::Seq(_)), gs.len() as u32);
+                let region = Slot {
+                    action: None,
+                    seq,
+                    first: 1,
+                    kids: n,
+                    next: NIL,
+                    front: if seq { 1 } else { n },
+                };
+                let leaves = (gs.iter().zip(2..))
+                    .map(|(g, next)| leaf(g, program, if next <= n { next } else { NIL }));
+                Slots::Nodes(std::iter::once(region).chain(leaves).collect())
+            }
+            _ => {
+                let shape = shape(goal)?;
+                if let Shape::Leaf(goal) = shape {
+                    let slot = leaf(goal, program, NIL);
+                    return Some(Template {
+                        slots: Slots::Leaf(slot),
+                    });
+                }
+                let mut slots = Vec::with_capacity(shape.len());
+                lay_out(&shape, program, &mut slots);
+                slots.into()
+            }
+        };
+        Some(Template { slots })
+    }
+
+    /// The nodes, in pre-order.
+    fn slots(&self) -> &[Slot] {
+        match &self.slots {
+            Slots::Leaf(slot) => std::slice::from_ref(slot),
+            Slots::Nodes(slots) => slots,
+        }
+    }
+
+    /// The number of frontier leaves.
+    fn front(&self) -> u32 {
+        self.slots()[0].front
+    }
+
+    /// The children of the region at `i`, left to right.
+    fn kids(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = self.slots()[i as usize].first;
+        std::iter::successors((first != NIL).then_some(first), |&c| {
+            let next = self.slots()[c as usize].next;
+            (next != NIL).then_some(next)
+        })
+    }
+
+    /// The template built into a persistent tree read at offset `off`.
+    pub fn tree(&self, off: u32) -> PTree {
+        PTree {
+            off,
+            ..self.tree_from(0)
+        }
+    }
+
+    fn tree_from(&self, i: u32) -> PTree {
+        let slot = &self.slots()[i as usize];
+        match &slot.action {
+            Some(action) => PTree {
+                node: Node::Lit(action.clone()),
+                off: 0,
+            },
+            None => region(slot.seq, self.kids(i).map(|k| self.tree_from(k)).collect()),
+        }
+    }
+
+    /// The template with `f` applied to every term read at offset `off`.
+    fn map_terms(&self, off: u32, f: &mut impl FnMut(Term) -> Term) -> Template {
+        let slots = self.slots().iter().map(|s| Slot {
+            action: (s.action.as_ref()).map(|a| Arc::new(a.map_terms(off, f))),
+            ..*s
+        });
+        Template {
+            slots: slots.collect::<Vec<_>>().into(),
+        }
+    }
+}
+
+/// The slot of the action leaf `goal`, followed by `next`.
+fn leaf(goal: &Goal, program: &Program, next: u32) -> Slot {
+    Slot {
+        action: Some(Arc::new(Action::new(goal, program))),
+        seq: false,
+        first: NIL,
+        kids: 0,
+        next,
+        front: 1,
+    }
+}
+
+/// Append `shape`'s nodes to `slots` in pre-order; the index of its root.
+fn lay_out(shape: &Shape, program: &Program, slots: &mut Vec<Slot>) -> u32 {
+    let at = slots.len() as u32;
+    let (seq, kids) = match shape {
+        Shape::Leaf(goal) => {
+            slots.push(leaf(goal, program, NIL));
+            return at;
+        }
+        Shape::Region(seq, kids) => (*seq, kids),
+    };
+    slots.push(Slot {
+        action: None,
+        seq,
+        first: at + 1,
+        kids: kids.len() as u32,
+        next: NIL,
+        front: 0,
+    });
+    let mut before = NIL;
+    for kid in kids {
+        let k = lay_out(kid, program, slots);
+        let front = slots[k as usize].front;
+        if before == NIL || !seq {
+            slots[at as usize].front += front;
+        }
+        if before != NIL {
+            slots[before as usize].next = k;
+        }
+        before = k;
+    }
+    at
+}
+
+/// What a pre-order walk of a process tree meets: a leaf's action and the
+/// offset its variables read at, or a region's kind (`true`: `Seq`) and
+/// its number of children, before the children.
+pub(crate) enum Item<'a> {
+    Leaf(&'a Action, u32),
+    Region(bool, usize),
+}
+
+/// A process tree as the fingerprint reads it: a [`PTree`] and an
+/// [`Arena`] feed it the same items in the same order.
+pub(crate) trait Preorder {
+    fn walk<'a>(&'a self, f: &mut impl FnMut(Item<'a>));
+
+    /// The tree as a goal, every variable read through its offset.
+    #[cfg(test)]
+    fn goal(&self) -> Goal;
+}
+
+/// A persistent process tree, for the drivers that keep a tree per
+/// configuration: a handle whose clone is one refcount. Its variables read
+/// with `off` added.
 #[derive(Clone)]
-pub(crate) struct Kids(Arc<Vec<PTree>>);
+pub struct PTree {
+    node: Node,
+    /// Added to every variable under this handle, on top of the offsets
+    /// of the handles above it.
+    off: u32,
+}
 
-impl Kids {
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The children, left to right.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &PTree> {
-        self.0.iter().rev()
-    }
+#[derive(Clone)]
+enum Node {
+    /// An action leaf (never `True`/`Seq`/`Par`).
+    Lit(Arc<Action>),
+    /// Serial region: children run left to right.
+    Seq(Arc<[PTree]>),
+    /// Concurrent region: children interleave. A child's offset is
+    /// relative to the region's.
+    Par(Arc<[PTree]>),
 }
 
 impl PTree {
@@ -146,26 +377,36 @@ impl PTree {
         }
     }
 
-    fn leaf(action: Action) -> PTree {
-        PTree {
-            node: Node::Lit(Arc::new(action)),
-            off: 0,
-        }
-    }
-
     /// The children of this node, and whether it is a `Seq`; `None` for a
     /// leaf.
-    fn region(&self) -> Option<(&Kids, bool)> {
+    fn region(&self) -> Option<(&[PTree], bool)> {
         match &self.node {
             Node::Lit(_) => None,
             Node::Seq(kids) => Some((kids, true)),
             Node::Par(kids) => Some((kids, false)),
         }
     }
+}
 
-    /// The children of this node when it is a region of `seq`'s kind.
-    fn kids_of(&self, seq: bool) -> Option<&Kids> {
-        self.region().filter(|r| r.1 == seq).map(|r| r.0)
+impl Preorder for PTree {
+    fn walk<'a>(&'a self, f: &mut impl FnMut(Item<'a>)) {
+        walk_at(self, 0, f)
+    }
+
+    #[cfg(test)]
+    fn goal(&self) -> Goal {
+        to_goal(self)
+    }
+}
+
+fn walk_at<'a>(tree: &'a PTree, base: u32, f: &mut impl FnMut(Item<'a>)) {
+    let off = base + tree.off;
+    match &tree.node {
+        Node::Lit(action) => f(Item::Leaf(action, off)),
+        Node::Seq(kids) | Node::Par(kids) => {
+            f(Item::Region(matches!(tree.node, Node::Seq(_)), kids.len()));
+            kids.iter().for_each(|k| walk_at(k, off, f));
+        }
     }
 }
 
@@ -182,12 +423,9 @@ impl Eq for PTree {}
 fn same(a: &PTree, a_base: u32, b: &PTree, b_base: u32) -> bool {
     let (ao, bo) = (a_base + a.off, b_base + b.off);
     match (&a.node, &b.node) {
-        (Node::Lit(x), Node::Lit(y)) => {
-            (Arc::ptr_eq(x, y) && ao == bo) || x.goal_at(ao) == y.goal_at(bo)
-        }
+        (Node::Lit(x), Node::Lit(y)) => x.goal_at(ao) == y.goal_at(bo),
         (Node::Seq(x), Node::Seq(y)) | (Node::Par(x), Node::Par(y)) => {
-            (Arc::ptr_eq(&x.0, &y.0) && ao == bo)
-                || (x.len() == y.len() && x.iter().zip(y.iter()).all(|(c, d)| same(c, ao, d, bo)))
+            x.len() == y.len() && x.iter().zip(y.iter()).all(|(c, d)| same(c, ao, d, bo))
         }
         _ => false,
     }
@@ -199,64 +437,14 @@ impl fmt::Debug for PTree {
     }
 }
 
-/// Convert a goal into a (possibly absent) process tree, expanding
-/// structural composition eagerly; each action goal is copied into a leaf,
-/// which carries its call's rules from `program` and its `or` branches and
-/// `iso` block as trees. `None` means the goal is already complete
-/// (`True`, or compositions of `True`).
+/// The persistent tree of `goal` ([`Template::new`], built): `None` means
+/// the goal is already complete.
 pub fn make_node(goal: &Goal, program: &Program) -> Option<PTree> {
-    let (seq, goals) = match goal {
-        Goal::True => return None,
-        Goal::Seq(goals) => (true, goals),
-        Goal::Par(goals) => (false, goals),
-        action => return Some(PTree::leaf(Action::new(action, program))),
-    };
-    let action = |g: &Goal| !matches!(g, Goal::True | Goal::Seq(_) | Goal::Par(_));
-    if goals.len() > 1 && goals.iter().all(action) {
-        // One leaf per goal: the children are built in place.
-        let leaves = goals
-            .iter()
-            .rev()
-            .map(|g| PTree::leaf(Action::new(g, program)));
-        return Some(region(seq, leaves.collect()));
-    }
-    let mut children = Vec::with_capacity(goals.len());
-    for g in goals.iter().rev() {
-        push_spliced(&mut children, make_node(g, program), seq);
-    }
-    region_over(seq, children)
+    Template::new(goal, program).map(|t| t.tree(0))
 }
 
-/// Append `tree` to `kids`, the children, last first, of a region of
-/// `seq`'s kind: nothing, its own children read at its offset when it is
-/// such a region (spliced), or itself.
-fn push_spliced(kids: &mut Vec<PTree>, tree: Option<PTree>, seq: bool) {
-    let Some(tree) = tree else { return };
-    match tree.kids_of(seq) {
-        Some(its) => insert_kids(kids, kids.len(), its, tree.off),
-        None => kids.push(tree),
-    }
-}
-
-/// Insert the children `its`, read at `off`, at `at` in `kids`, all held
-/// last first.
-fn insert_kids(kids: &mut Vec<PTree>, at: usize, its: &Kids, off: u32) {
-    for (i, kid) in its.0.iter().enumerate() {
-        kids.insert(at + i, kid.at(off));
-    }
-}
-
-/// Put `child` back in the place of the `n` children at `at` in `kids`.
-fn put_back(kids: &mut Vec<PTree>, at: usize, n: usize, child: PTree) {
-    for _ in 0..n {
-        kids.remove(at);
-    }
-    kids.insert(at, child);
-}
-
-/// The `Seq` (or `Par`) node over `kids`, held last first, at least two.
-fn region(seq: bool, kids: Vec<PTree>) -> PTree {
-    let kids = Kids(Arc::new(kids));
+/// The `Seq` (or `Par`) node over `kids`, at least two.
+fn region(seq: bool, kids: Arc<[PTree]>) -> PTree {
     let node = if seq {
         Node::Seq(kids)
     } else {
@@ -265,34 +453,49 @@ fn region(seq: bool, kids: Vec<PTree>) -> PTree {
     PTree { node, off: 0 }
 }
 
-/// The region of `seq`'s kind over `kids`, held last first: nothing, the
-/// one child, or a node.
-fn region_over(seq: bool, mut kids: Vec<PTree>) -> Option<PTree> {
-    match kids.len() {
+/// What `tree` contributes to the children of a region of `seq`'s kind:
+/// nothing, its own children when it is such a region (spliced), or itself
+/// — with the offset they are read at.
+fn spliced(tree: &Option<PTree>, seq: bool) -> (&[PTree], u32) {
+    match tree {
+        None => (&[], 0),
+        Some(t) => match t.region() {
+            Some((kids, s)) if s == seq => (kids, t.off),
+            _ => (std::slice::from_ref(t), 0),
+        },
+    }
+}
+
+/// The region of `seq`'s kind over the concatenation of `parts`, each read
+/// at its offset: nothing, the one child, or a node.
+fn concat(seq: bool, parts: [(&[PTree], u32); 3]) -> Option<PTree> {
+    let mut kids = parts
+        .iter()
+        .flat_map(|(p, off)| p.iter().map(|t| t.at(*off)));
+    match parts.iter().map(|(p, _)| p.len()).sum() {
         0 => None,
-        1 => kids.pop(),
-        _ => Some(region(seq, kids)),
+        1 => kids.next(),
+        _ => Some(region(seq, kids.collect())),
     }
 }
 
 /// The number of frontier leaves: the runnable actions. In a `Seq` only
-/// its head is runnable; in a `Par` all children are.
+/// its first child is runnable; in a `Par` all children are.
 pub fn frontier_len(tree: &PTree) -> usize {
     match &tree.node {
         Node::Lit(_) => 1,
-        Node::Seq(kids) => frontier_len(kids.0.last().expect("a region has children")),
-        Node::Par(kids) => kids.0.iter().map(frontier_len).sum(),
+        Node::Seq(kids) => frontier_len(&kids[0]),
+        Node::Par(kids) => kids.iter().map(frontier_len).sum(),
     }
 }
 
-/// The index, as held, of the child of a `Seq` (`seq`) or `Par` node
-/// holding the node's `leaf`-th frontier leaf, and that leaf's index among
-/// the child's.
+/// The child of a `Seq` (`seq`) or `Par` node holding the node's `leaf`-th
+/// frontier leaf, and that leaf's index among the child's.
 fn locate(kids: &[PTree], seq: bool, mut leaf: usize) -> (usize, usize) {
     if seq {
-        return (kids.len() - 1, leaf);
+        return (0, leaf);
     }
-    for (i, child) in kids.iter().enumerate().rev() {
+    for (i, child) in kids.iter().enumerate() {
         let n = frontier_len(child);
         if leaf < n {
             return (i, leaf);
@@ -304,223 +507,46 @@ fn locate(kids: &[PTree], seq: bool, mut leaf: usize) -> (usize, usize) {
 
 /// The action of the `leaf`-th frontier leaf, and the offset its variables
 /// read at.
-pub fn leaf_at(tree: &PTree, leaf: usize) -> (&Arc<Action>, u32) {
+pub fn leaf_at(tree: &PTree, leaf: usize) -> (&Action, u32) {
     let (mut tree, mut leaf, mut off) = (tree, leaf, tree.off);
     loop {
-        let (kids, seq) = match &tree.node {
-            Node::Lit(action) => return (action, off),
-            Node::Seq(kids) => (kids, true),
-            Node::Par(kids) => (kids, false),
+        let Some((kids, seq)) = tree.region() else {
+            let Node::Lit(action) = &tree.node else {
+                unreachable!("a leaf")
+            };
+            return (action, off);
         };
-        let (i, rest) = locate(&kids.0, seq, leaf);
-        (tree, leaf) = (&kids.0[i], rest);
+        let (i, rest) = locate(kids, seq, leaf);
+        (tree, leaf) = (&kids[i], rest);
         off += tree.off;
     }
 }
 
-/// How to take back the edits made to one tree, oldest first ([`edit`],
-/// [`Log::rewind`]).
-#[derive(Default)]
-pub(crate) struct Log {
-    edits: Vec<Undo>,
-    /// Each edit's position, after the positions of the edits before it.
-    path: Vec<u32>,
-}
-
-/// One edit's undo record: where it was (the last `depth` entries of the
-/// log's `path`: the index, as held, of the child taken in each region
-/// from the root down to the leaf), what it removed, and how many children
-/// it put in the leaf's place.
-struct Undo {
-    depth: u32,
-    put: u32,
-    /// The leaf, or the leaf's region, whole, when the region gave way to
-    /// its other child.
-    removed: PTree,
-}
-
-impl Log {
-    /// The number of edits logged: a position to rewind to.
-    pub(crate) fn len(&self) -> usize {
-        self.edits.len()
-    }
-
-    /// Take `root` back, newest edit first, to the tree it was when the log
-    /// was `len` edits long.
-    pub(crate) fn rewind(&mut self, root: &mut Option<PTree>, len: usize) {
-        while self.edits.len() > len {
-            let undo = self.edits.pop().expect("longer than `len`");
-            let from = self.path.len() - undo.depth as usize;
-            undo.apply(root, &self.path[from..]);
-            self.path.truncate(from);
-        }
-    }
-}
-
-impl Undo {
-    /// Take back the edit at `path` from `root`, the tree it left.
-    fn apply(self, root: &mut Option<PTree>, path: &[u32]) {
-        let Some((&at, above)) = path.split_last() else {
-            *root = Some(self.removed);
-            return;
-        };
-        let (tree, at) = (root.as_mut().expect("an edited region"), at as usize);
-        let Some((kids, _)) = self.removed.region() else {
-            let kids = own(slot(tree, above), 0);
-            put_back(kids, at, self.put as usize, self.removed);
-            return;
-        };
-        // The leaf's region gave way to its other child: put the region
-        // back in the place of that child, or of the children it spliced.
-        let Some((&i, to_parent)) = above.split_last() else {
-            *tree = self.removed;
-            return;
-        };
-        let parent = slot(tree, to_parent);
-        let seq = matches!(parent.node, Node::Seq(_));
-        let n = kids.0[1 - at].kids_of(seq).map_or(1, Kids::len);
-        put_back(own(parent, 0), i as usize, n, self.removed);
-    }
-}
-
-/// The handle `path` leads to from `tree`: the child at each index, as
-/// held, of each region on the way, each made editable ([`own`]).
-fn slot<'t>(mut tree: &'t mut PTree, path: &[u32]) -> &'t mut PTree {
-    for &i in path {
-        tree = &mut own(tree, 0)[i as usize];
-    }
-    tree
-}
-
-/// The children of the region `tree`, to edit: written over where only
-/// this handle holds them, else copied once, with room for `more`; either
-/// way read at offset 0 from now on, the handle's offset added to each
-/// child's.
-fn own(tree: &mut PTree, more: usize) -> &mut Vec<PTree> {
-    let off = std::mem::take(&mut tree.off);
-    let (Node::Seq(kids) | Node::Par(kids)) = &mut tree.node else {
-        unreachable!("a leaf has no children")
-    };
-    // No `Weak` is ever made of a region, so one strong count is unique.
-    if Arc::strong_count(&kids.0) > 1 {
-        let mut copy = Vec::with_capacity(kids.len() + more);
-        insert_kids(&mut copy, 0, kids, off);
-        kids.0 = Arc::new(copy);
-        return Arc::get_mut(&mut kids.0).expect("a new copy");
-    }
-    let kids = Arc::get_mut(&mut kids.0).expect("held by this handle alone");
-    if off != 0 {
-        kids.iter_mut().for_each(|k| k.off += off);
-    }
-    kids
-}
-
-/// Replace the `leaf`-th frontier leaf of `root` with `replacement`
-/// (`None` = the action completed), where the tree lies, keeping the
-/// invariants: a region left with one child gives way to it, and a region
-/// put into one of its own kind is spliced. A node only `root` holds is
-/// written over; one something else holds too (a rule's template, a
-/// caller's handle) is copied on the way down, once. With a `log`, the
-/// edit is recorded there to be taken back ([`Log::rewind`]).
-pub(crate) fn edit(
-    root: &mut Option<PTree>,
-    leaf: usize,
-    replacement: Option<PTree>,
-    mut log: Option<&mut Log>,
-) {
-    let tree = root.as_mut().expect("a leaf of a live tree");
-    let undo = if tree.region().is_none() {
-        let removed = std::mem::replace(root, replacement).expect("the leaf");
-        Undo {
-            depth: 0,
-            put: 0,
-            removed,
-        }
-    } else {
-        let path = log.as_deref_mut().map(|log| &mut log.path);
-        edit_region(tree, leaf, replacement, path, 1).0
-    };
-    if let Some(log) = log {
-        log.edits.push(undo);
-    }
-}
-
-/// [`edit`] under the region `tree`, `depth` levels below the root,
-/// appending the index taken at each level to `path`. Returns the undo
-/// record, and whether `tree` gave way to its one remaining child, which
-/// now stands in its place.
-fn edit_region(
-    tree: &mut PTree,
-    leaf: usize,
-    replacement: Option<PTree>,
-    mut path: Option<&mut Vec<u32>>,
-    depth: u32,
-) -> (Undo, bool) {
-    let (kids, seq) = tree.region().expect("a region");
-    let (i, rest) = locate(&kids.0, seq, leaf);
-    if let Some(path) = path.as_deref_mut() {
-        path.push(i as u32);
-    }
-    if replacement.is_none() && kids.len() == 2 && kids.0[i].region().is_none() {
-        // The leaf is done and the region gives way to its other child;
-        // the record keeps the region as it was.
-        let only = kids.0[1 - i].at(tree.off);
-        let removed = std::mem::replace(tree, only);
-        return (
-            Undo {
-                depth,
-                put: 0,
-                removed,
-            },
-            true,
-        );
-    }
-    // A body spliced in for the leaf needs room for all but one child.
-    let room = match &replacement {
-        Some(new) if kids.0[i].region().is_none() => new.kids_of(seq).map_or(0, |k| k.len() - 1),
-        _ => 0,
-    };
-    let kids = own(tree, room);
-    if kids[i].region().is_some() {
-        let (undo, collapsed) = edit_region(&mut kids[i], rest, replacement, path, depth + 1);
-        if collapsed && kids[i].kids_of(seq).is_some() {
-            // The child gave way to a region of this one's kind: splice it.
-            let only = kids.remove(i);
-            insert_kids(kids, i, only.kids_of(seq).expect("checked"), only.off);
-        }
-        return (undo, false);
-    }
-    let (removed, put) = match replacement {
-        None => (kids.remove(i), 0),
-        Some(new) => match new.kids_of(seq) {
-            Some(its) => {
-                let removed = kids.remove(i);
-                insert_kids(kids, i, its, new.off);
-                (removed, its.len() as u32)
-            }
-            None => (std::mem::replace(&mut kids[i], new), 1),
-        },
-    };
-    (
-        Undo {
-            depth,
-            put,
-            removed,
-        },
-        false,
-    )
-}
-
 /// Replace the `leaf`-th frontier leaf with `replacement` (`None` = the
-/// action completed): [`edit`] on a clone of the handle, which copies the
-/// path and leaves `tree` as it was. Returns the new tree (`None` = the
-/// whole execution completed). Not inlined: the ground drivers call it from
-/// a dozen places.
-#[inline(never)]
+/// action completed), copying the path to it and keeping the invariants: a
+/// region left with one child gives way to it, and a region put into one
+/// of its own kind is spliced. Returns the new tree (`None` = the whole
+/// execution completed); `tree` is left as it was.
 pub fn rewrite(tree: &PTree, leaf: usize, replacement: Option<PTree>) -> Option<PTree> {
-    let mut tree = Some(tree.clone());
-    edit(&mut tree, leaf, replacement, None);
-    tree
+    rewrite_at(tree, 0, leaf, replacement)
+}
+
+/// [`rewrite`] of a subtree whose parents add `base` to its offset.
+fn rewrite_at(tree: &PTree, base: u32, leaf: usize, replacement: Option<PTree>) -> Option<PTree> {
+    let off = base + tree.off;
+    let Some((kids, seq)) = tree.region() else {
+        return replacement;
+    };
+    let (i, leaf) = locate(kids, seq, leaf);
+    let child = rewrite_at(&kids[i], off, leaf, replacement);
+    concat(
+        seq,
+        [
+            (&kids[..i], off),
+            spliced(&child, seq),
+            (&kids[i + 1..], off),
+        ],
+    )
 }
 
 /// Sequence two (possibly absent) trees: the result runs `first` to
@@ -529,13 +555,10 @@ pub fn rewrite(tree: &PTree, leaf: usize, replacement: Option<PTree>) -> Option<
 /// an isolation leaf commits to running `g`'s block *now*, before anything
 /// else — which is exactly `Seq[g, rest-of-tree]`.
 pub fn sequence(first: Option<PTree>, rest: Option<PTree>) -> Option<PTree> {
-    let (Some(_), Some(_)) = (&first, &rest) else {
-        return first.or(rest);
-    };
-    let mut kids = Vec::new();
-    push_spliced(&mut kids, rest, true);
-    push_spliced(&mut kids, first, true);
-    region_over(true, kids)
+    concat(
+        true,
+        [spliced(&first, true), spliced(&rest, true), (&[], 0)],
+    )
 }
 
 /// The 128-bit identity of the configuration `(tree, db)` that the drivers
@@ -579,15 +602,18 @@ pub(crate) fn map_terms(tree: &PTree, f: &mut impl FnMut(Term) -> Term) -> PTree
 
 fn map_terms_at(tree: &PTree, base: u32, f: &mut impl FnMut(Term) -> Term) -> PTree {
     let off = base + tree.off;
-    let (kids, seq) = match &tree.node {
-        Node::Lit(action) => return PTree::leaf(action.map_terms(off, f)),
-        Node::Seq(kids) => (kids, true),
-        Node::Par(kids) => (kids, false),
-    };
-    region(
-        seq,
-        kids.0.iter().map(|k| map_terms_at(k, off, f)).collect(),
-    )
+    match tree.region() {
+        None => {
+            let Node::Lit(action) = &tree.node else {
+                unreachable!("a leaf")
+            };
+            PTree {
+                node: Node::Lit(Arc::new(action.map_terms(off, f))),
+                off: 0,
+            }
+        }
+        Some((kids, seq)) => region(seq, kids.iter().map(|k| map_terms_at(k, off, f)).collect()),
+    }
 }
 
 #[cfg(test)]
@@ -610,7 +636,7 @@ mod tests {
     }
 
     fn is_leaf(t: &PTree, g: &Goal) -> bool {
-        matches!(t.node, Node::Lit(_)) && to_goal(t) == *g
+        t.region().is_none() && to_goal(t) == *g
     }
 
     #[test]
@@ -630,7 +656,9 @@ mod tests {
     fn nested_seq_splices_flat() {
         let g = Goal::Seq(vec![a("x"), Goal::Seq(vec![a("y"), a("z")])]);
         let t = node(&g).unwrap();
-        let Node::Seq(cs) = &t.node else { panic!() };
+        let Some((cs, true)) = t.region() else {
+            panic!()
+        };
         assert_eq!(cs.len(), 3);
     }
 
@@ -670,32 +698,24 @@ mod tests {
 
     #[test]
     fn completing_a_head_shares_the_rest_of_the_slice() {
-        // Held by the tree alone, the children stay where they are:
-        // completing the head pops it, and the undo pushes it back.
-        let held = |t: &Option<PTree>| {
-            let Node::Seq(kids) = &t.as_ref().unwrap().node else {
-                panic!()
-            };
-            (Arc::as_ptr(&kids.0), kids.0.as_ptr())
-        };
-        let mut t = node(&Goal::seq(vec![a("x"), a("y"), a("z")]));
-        let (before, mut log) = (held(&t), Log::default());
-        edit(&mut t, 0, None, Some(&mut log));
-        assert_eq!(held(&t), before, "no new node, no new slice");
-        assert_eq!(
-            to_goal(t.as_ref().unwrap()),
-            Goal::seq(vec![a("y"), a("z")])
-        );
-        log.rewind(&mut t, 0);
-        assert_eq!(held(&t), before);
-        // A handle held elsewhere keeps its tree: the rewrite copies the
-        // children's handles once, so the rest is shared, not rebuilt.
-        let t = t.unwrap();
+        // The arena unlinks the head where it lies: no node is written
+        // anywhere else, and none is copied.
+        let program = Program::builder().build_unchecked();
+        let g = Goal::seq(vec![a("x"), a("y"), a("z")]);
+        let template = Template::new(&g, &program).unwrap();
+        let mut arena = Arena::new(Some((&template, 0)));
+        let before = arena.here();
+        arena.edit(0, None);
+        assert_eq!(arena.here(), before, "no node made, nothing saved");
+        assert_eq!(arena.to_goal(), Goal::seq(vec![a("y"), a("z")]));
+        // The persistent rewrite copies the path, and shares the rest's
+        // leaves with the tree it leaves as it was.
+        let t = template.tree(0);
         let t2 = rewrite(&t, 0, None).unwrap();
-        let (Node::Seq(before), Node::Seq(after)) = (&t.node, &t2.node) else {
+        let (Some((before, _)), Some((after, _))) = (t.region(), t2.region()) else {
             panic!()
         };
-        let (Node::Lit(z0), Node::Lit(z1)) = (&before.0[0].node, &after.0[0].node) else {
+        let (Node::Lit(z0), Node::Lit(z1)) = (&before[2].node, &after[1].node) else {
             panic!()
         };
         assert!(Arc::ptr_eq(z0, z1), "the rest is shared");
@@ -704,12 +724,39 @@ mod tests {
     }
 
     #[test]
+    fn a_deep_tree_edits_past_the_inline_path() {
+        // `Seq`s and `Par`s nested 40 deep: the path to the first leaf is
+        // longer than the part of it held inline.
+        let mut g = a("x");
+        for i in 0..40 {
+            let other = Goal::atom("p", vec![Term::var(i)]);
+            g = if i % 2 == 0 {
+                Goal::seq(vec![g, other])
+            } else {
+                Goal::par(vec![g, other])
+            };
+        }
+        let program = Program::builder().build_unchecked();
+        let template = Template::new(&g, &program).unwrap();
+        let with = Template::new(&Goal::par(vec![a("y"), a("z")]), &program).unwrap();
+        let mut arena = Arena::new(Some((&template, 0)));
+        let mut tree = Some(template.tree(0));
+        for (leaf, rep) in [(0, None), (0, Some(&with)), (1, None), (3, None)] {
+            arena.edit(leaf, rep.map(|t| (t, 0)));
+            tree = rewrite(tree.as_ref().unwrap(), leaf, rep.map(|t| t.tree(0)));
+            assert_eq!(arena.to_goal(), to_goal(tree.as_ref().unwrap()));
+        }
+    }
+
+    #[test]
     fn rewrite_replacement_splices_into_seq() {
         // x completes and is replaced by (p * q): Seq[x, y] -> Seq[p, q, y]
         let t = node(&Goal::seq(vec![a("x"), a("y")])).unwrap();
         let rep = node(&Goal::seq(vec![a("p"), a("q")]));
         let t2 = rewrite(&t, 0, rep).unwrap();
-        let Node::Seq(cs) = &t2.node else { panic!() };
+        let Some((cs, true)) = t2.region() else {
+            panic!()
+        };
         assert_eq!(cs.len(), 3);
         assert_eq!(leaf_goal(&t2, 0), a("p"));
     }
@@ -728,7 +775,9 @@ mod tests {
         let t = node(&Goal::par(vec![a("w"), a("simulate")])).unwrap();
         let rep = node(&Goal::par(vec![a("w"), a("simulate")]));
         let t2 = rewrite(&t, 1, rep).unwrap();
-        let Node::Par(cs) = &t2.node else { panic!() };
+        let Some((cs, false)) = t2.region() else {
+            panic!()
+        };
         assert_eq!(cs.len(), 3, "flattened to [w, w, simulate]");
     }
 
@@ -741,14 +790,13 @@ mod tests {
         assert_eq!(frontier_len(&snap), 2);
         assert_eq!(frontier_len(&t2), 1);
         // the untouched subtree is literally shared
-        let Node::Par(orig) = &snap.node else {
+        let Some((orig, false)) = snap.region() else {
             panic!()
         };
-        let kept = orig.iter().nth(1).unwrap();
-        let (Node::Seq(kept), Node::Seq(now)) = (&kept.node, &t2.node) else {
+        let (Node::Seq(kept), Node::Seq(now)) = (&orig[1].node, &t2.node) else {
             panic!()
         };
-        assert!(Arc::ptr_eq(&kept.0, &now.0));
+        assert!(Arc::ptr_eq(kept, now));
     }
 
     #[test]
@@ -762,10 +810,10 @@ mod tests {
     fn choice_and_iso_stay_as_leaves() {
         let g = Goal::choice(vec![a("x"), a("y")]);
         let t = node(&g).unwrap();
-        assert!(matches!(&t.node, Node::Lit(l) if matches!(l.goal(), Goal::Choice(_))));
+        assert!(matches!(leaf_at(&t, 0).0.goal(), Goal::Choice(_)) && t.region().is_none());
         let g = Goal::iso(Goal::seq(vec![a("x"), a("y")]));
         let t = node(&g).unwrap();
-        assert!(matches!(&t.node, Node::Lit(l) if matches!(l.goal(), Goal::Iso(_))));
+        assert!(matches!(leaf_at(&t, 0).0.goal(), Goal::Iso(_)) && t.region().is_none());
     }
 
     #[test]
@@ -927,119 +975,6 @@ mod normal_form_properties {
                 }
                 prop_assert_eq!(removed, total);
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod edit_properties {
-    use super::*;
-    use proptest::prelude::*;
-    use td_core::Goal;
-
-    /// An action over one variable, so that offsets show.
-    fn arb_leaf() -> impl Strategy<Value = Goal> {
-        prop_oneof![
-            (0u8..3, 0u32..4).prop_map(|(i, v)| Goal::atom(&format!("p{i}"), vec![Term::var(v)])),
-            (0u32..4).prop_map(|v| Goal::ins("q", vec![Term::var(v)])),
-        ]
-    }
-
-    fn arb_goal() -> impl Strategy<Value = Goal> {
-        arb_leaf().prop_recursive(3, 24, 4, |inner| {
-            prop_oneof![
-                // Raw constructors: singletons and nesting of one kind are
-                // make_node's to normalize.
-                proptest::collection::vec(inner.clone(), 0..4).prop_map(Goal::Seq),
-                proptest::collection::vec(inner, 0..4).prop_map(Goal::Par),
-            ]
-        })
-    }
-
-    /// A rule's body: a `Seq`, a `Par` or a single leaf.
-    fn arb_body() -> impl Strategy<Value = Goal> {
-        let pair = |region: fn(Vec<Goal>) -> Goal| {
-            proptest::collection::vec(arb_leaf(), 2).prop_map(region)
-        };
-        prop_oneof![
-            proptest::collection::vec(prop_oneof![arb_leaf(), pair(Goal::Par)], 2..4)
-                .prop_map(Goal::Seq),
-            proptest::collection::vec(prop_oneof![arb_leaf(), pair(Goal::Seq)], 2..4)
-                .prop_map(Goal::Par),
-            arb_leaf(),
-        ]
-    }
-
-    /// `goal`, a tree's rendering, with its `leaf`-th frontier leaf
-    /// replaced by `with`: what an edit does, as a goal for `make_node` to
-    /// normalize.
-    fn replaced(goal: &Goal, leaf: &mut usize, with: &Goal) -> Goal {
-        match goal {
-            Goal::Seq(gs) => {
-                let mut gs = gs.clone();
-                gs[0] = replaced(&gs[0], leaf, with);
-                Goal::Seq(gs)
-            }
-            Goal::Par(gs) => Goal::Par(gs.iter().map(|g| replaced(g, leaf, with)).collect()),
-            action => {
-                let hit = *leaf == 0;
-                *leaf = leaf.wrapping_sub(1);
-                if hit {
-                    with.clone()
-                } else {
-                    action.clone()
-                }
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// A run of edits in place, each against persistent `rewrite` and a
-        /// model built from the goal, then undone edit by edit: every tree
-        /// on the way back equals the one the log's length was taken at.
-        #[test]
-        fn an_edit_is_a_rewrite_and_its_undo_gives_the_tree_back(
-            g in arb_goal(),
-            off in 0u32..5,
-            bodies in proptest::collection::vec(arb_body(), 3),
-            edits in proptest::collection::vec((0usize..64, 0usize..4), 1..12),
-            share in any::<bool>(),
-        ) {
-            let program = Program::builder().build_unchecked();
-            let db = td_db::Database::new();
-            // The templates stay held here, as `Compiled` holds them.
-            let templates: Vec<_> = bodies.iter().map(|b| make_node(b, &program)).collect();
-            let mut live = make_node(&g, &program).map(|t| t.at(off));
-            let first = live.as_ref().and_then(|t| make_node(&to_goal(t), &program));
-            let (mut log, mut kept) = (Log::default(), vec![(0, first)]);
-            for (step, &(leaf, body)) in edits.iter().enumerate() {
-                let Some(tree) = live.clone() else { break };
-                let leaf = leaf % frontier_len(&tree);
-                let base = 10 * (step as u32 + 1);
-                let with = templates.get(body).and_then(|t| t.as_ref()).map(|t| t.at(base));
-                let with_goal = with.as_ref().map_or(Goal::True, to_goal);
-                let model = make_node(&replaced(&to_goal(&tree), &mut { leaf }, &with_goal), &program);
-                let persistent = rewrite(&tree, leaf, with.clone());
-                // Unshared, the root is written over; shared, copied.
-                let held = share.then_some(tree);
-                edit(&mut live, leaf, with, Some(&mut log));
-                prop_assert_eq!(&live, &model);
-                prop_assert_eq!(&live, &persistent);
-                if let (Some(t), Some(m)) = (&live, &model) {
-                    prop_assert_eq!(fingerprint(t, &db), fingerprint(m, &db));
-                }
-                if let Some(held) = held {
-                    prop_assert_eq!(Some(&held), kept.last().unwrap().1.as_ref());
-                }
-                kept.push((log.len(), model));
-            }
-            for (len, tree) in kept.into_iter().rev() {
-                log.rewind(&mut live, len);
-                prop_assert_eq!(&live, &tree);
-            }
-            prop_assert_eq!(log.len(), 0);
         }
     }
 }

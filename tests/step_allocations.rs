@@ -1,30 +1,35 @@
 //! Allocations per machine step, pinned.
 //!
-//! A sequential step should allocate only what it creates: the copy of a
-//! tree node something else holds (a rule's template) at its first edit,
-//! the copy of a relation an update makes when another version shares it,
-//! a choicepoint's alternatives. A choicepoint holds no database and no
-//! tree, only positions in the undo logs; the solver edits its one tree
-//! in place; and a tuple of at most two values allocates nothing
-//! (docs/ARCHITECTURE.md, "What a step allocates, and what backtracking
-//! costs"). This binary counts heap
-//! allocations with its own global allocator — per thread, so the harness's
-//! parallel tests do not pollute each other — around `Engine::solve` only
-//! (parsing and loading excluded), and divides by the steps the solve
-//! reports.
+//! A sequential step should allocate only what it creates. The solver owns
+//! one database and one process tree and edits both in place: a call
+//! copies its rule's template into the solver's node arena, a few words a
+//! node in a buffer that is warm after the first steps, and a choicepoint
+//! holds positions in the undo logs and in the arena's trail, no database
+//! and no tree. What is left is the copy of a relation an update makes
+//! when another version shares it, a choicepoint's alternatives (the
+//! tuples a query matches), the logs and stacks growing to their depth,
+//! and the database and arena of the first `iso` block a solve enters
+//! (later blocks reuse a finished block's solver). A tuple of at most two
+//! values allocates nothing (docs/ARCHITECTURE.md, "What a step
+//! allocates, and what backtracking costs"). This binary counts heap
+//! allocations with its own global allocator — per thread, so the
+//! harness's parallel tests do not pollute each other — around
+//! `Engine::solve` only (parsing and loading excluded), and divides by the
+//! steps the solve reports.
 //!
 //! The programs are tdbench's eight `search_mix` members, read from the
 //! frozen workload files, and one top-down `datalog_views` question. Each
 //! bound is the value measured when it was set plus 10 %, with that value
-//! and the earlier ones beside it: before the solver edited its one tree in
-//! place, before updates edited its one database in place and small tuples
-//! were held inline, before a call read its rule's body through a variable
-//! offset instead of copying it renamed apart, and before snapshots and
-//! trees became persistent. A debug build has bounds of its own: there each
-//! choicepoint keeps a handle on its step's tree to check every rewind
-//! against, so the first edit after it copies the path. A bound that fails
-//! means a step started allocating something it did not before — find it
-//! before moving the number.
+//! and the earlier ones beside it: before the solver owned its tree as an
+//! arena (a released build; a debug build counted more then), before the
+//! solver edited its one tree in place, before updates edited its one
+//! database in place and small tuples were held inline, before a call read
+//! its rule's body through a variable offset instead of copying it renamed
+//! apart, and before snapshots and trees became persistent. A debug build
+//! counts what a released one does: its check of every rewind hashes the
+//! live nodes and allocates nothing. A bound that fails means a step
+//! started allocating something it did not before — find it before moving
+//! the number.
 //!
 //! `parse_program` of each member, which tdbench runs once per op, is
 //! pinned the same way.
@@ -108,19 +113,14 @@ fn parse_allocations(source: &str) -> u64 {
 }
 
 /// A `search_mix` member: its workload file, whether tdbench runs it with
-/// the subgoal cache, its weight in a tdbench round, and the bounds on its
-/// allocations per step in a released and in a debug build.
+/// the subgoal cache, its weight in a tdbench round, and the bound on its
+/// allocations per step.
 struct Member {
     name: &'static str,
     source: &'static str,
     subgoal_cache: bool,
     weight: u64,
-    bound: [f64; 2],
-}
-
-/// The bound of `[released, debug]` that holds for this build.
-fn this_build(bound: [f64; 2]) -> f64 {
-    bound[usize::from(cfg!(debug_assertions))]
+    bound: f64,
 }
 
 /// A `search_mix` member's workload file and the bound on the allocations
@@ -154,32 +154,31 @@ macro_rules! member {
 }
 
 /// Names, cache flags and weights as in tdbench's `catalogue.rs`. Each
-/// comment gives the values measured when the bounds were set (released,
-/// debug), then the value before the tree was edited in place (the one
-/// figure both builds counted then), before updates were edits in place
-/// and small tuples inline, before relations were B-trees (treaps: a node
-/// per tuple), before rule bodies were shared, and before persistent
-/// snapshots. `transfers` rose with the tree edited in place: each `iso`
-/// block's solver copies the rule template at its root at the first edit
-/// (two allocations, where completing the head of a shared slice was free).
+/// comment gives the value measured when the bound was set, then the
+/// released build's value before the solver owned its tree as an arena
+/// (the debug build's in parentheses), before the tree was edited in
+/// place, before updates were edits in place and small tuples inline,
+/// before relations were B-trees (treaps: a node per tuple), before rule
+/// bodies were shared, and before persistent snapshots.
 const MEMBERS: [Member; 8] = [
-    member!("labflow", false, 11, [1.63, 5.03]), // 1.48, 4.57; was 2.26 before the tree in place, 3.55 before edits in place, 5.74 before B-tree relations, 7.85, 22.39
-    member!("agents", false, 16, [3.25, 5.53]), // 2.95, 5.02; was 2.96 before the tree in place, 3.29 before edits in place, 4.14 before B-tree relations, 6.63, 18.21
-    member!("network", false, 8, [1.70, 5.67]), // 1.55, 5.15; was 3.05 before the tree in place, 3.62 before edits in place, 4.60 before B-tree relations, 5.68, 18.44
-    member!("transfers", false, 128, [2.67, 2.75]), // 2.42, 2.50; was 2.08 before the tree in place, 2.62 before edits in place, 2.79 before B-tree relations, 4.37, 12.10
-    member!("minsky", false, 6, [1.33, 4.09]), // 1.20, 3.71; was 2.32 before the tree in place, 2.58 before edits in place (2.71 before runs), 2.91 before B-tree relations, 6.00, 23.38
-    member!("qbf", false, 5, [0.60, 1.03]), // 0.54, 0.93; was 1.20 before the tree in place, 1.38 before edits in place, 1.48 before B-tree relations, 3.91, 12.54
-    member!("refute", false, 1, [1.02, 2.91]), // 0.92, 2.64; was 1.76 before the tree in place, 2.03 before edits in place, 2.42 before B-tree relations, 5.70, 15.80
-    member!("protocol", true, 8, [1.90, 4.69]), // 1.73, 4.26; was 2.22 before the tree in place, 2.52 before edits in place, 3.15 before B-tree relations, 5.36, 17.17
+    member!("labflow", false, 11, 1.43), // 1.30; was 1.48 (4.57), 2.26, 3.55, 5.74, 7.85, 22.39
+    member!("agents", false, 16, 2.83),  // 2.57; was 2.95 (5.02), 2.96, 3.29, 4.14, 6.63, 18.21
+    member!("network", false, 8, 1.44),  // 1.31; was 1.55 (5.15), 3.05, 3.62, 4.60, 5.68, 18.44
+    member!("transfers", false, 128, 2.27), // 2.06; was 2.42 (2.50), 2.08, 2.62, 2.79, 4.37, 12.10
+    member!("minsky", false, 6, 1.13),   // 1.03; was 1.20 (3.71), 2.32, 2.58, 2.91, 6.00, 23.38
+    member!("qbf", false, 5, 0.56),      // 0.51; was 0.54 (0.93), 1.20, 1.38, 1.48, 3.91, 12.54
+    member!("refute", false, 1, 0.75),   // 0.68; was 0.92 (2.64), 1.76, 2.03, 2.42, 5.70, 15.80
+    member!("protocol", true, 8, 1.42),  // 1.29; was 1.73 (4.26), 2.22, 2.52, 3.15, 5.36, 17.17
 ];
 
 /// Round-weighted allocations per step over the eight members, each member
-/// counted as often as a tdbench round runs it, released and debug: 1.71
-/// and 3.32 when set; 2.17 before the tree was edited in place, 2.65
-/// before updates were edits in place and small tuples inline, 3.25
-/// before relations were B-trees, 5.40 before rule bodies were shared,
-/// 16.30 before persistent snapshots.
-const ROUND_BOUND: [f64; 2] = [1.88, 3.66];
+/// counted as often as a tdbench round runs it: 1.44 when set; 1.71
+/// released and 3.32 debug before the solver owned its tree as an arena,
+/// 2.17 before the tree was edited in place, 2.65 before updates were
+/// edits in place and small tuples inline, 3.25 before relations were
+/// B-trees, 5.40 before rule bodies were shared, 16.30 before persistent
+/// snapshots.
+const ROUND_BOUND: f64 = 1.58;
 
 #[test]
 fn search_mix_steps_allocate_within_their_bounds() {
@@ -190,7 +189,7 @@ fn search_mix_steps_allocate_within_their_bounds() {
         let (allocs, steps) = solve_all(m.source, m.subgoal_cache);
         assert!(steps > 0, "{}: no steps", m.name);
         let per_step = allocs as f64 / steps as f64;
-        let bound = this_build(m.bound);
+        let bound = m.bound;
         report.push_str(&format!(
             "{:>10}: {allocs} allocations / {steps} steps = {per_step:.2} (bound {bound})\n",
             m.name
@@ -201,10 +200,7 @@ fn search_mix_steps_allocate_within_their_bounds() {
         round_allocs += m.weight * allocs;
         round_steps += m.weight * steps;
     }
-    let (round, bound) = (
-        round_allocs as f64 / round_steps as f64,
-        this_build(ROUND_BOUND),
-    );
+    let (round, bound) = (round_allocs as f64 / round_steps as f64, ROUND_BOUND);
     report.push_str(&format!(
         "     round: {round:.2} per step (bound {bound})\n"
     ));
@@ -233,11 +229,11 @@ fn a_top_down_view_question_allocates_within_its_bound() {
     let (allocs, steps) = solve_all(&views_tree_source(), false);
     let per_step = allocs as f64 / steps as f64;
     println!("path(1, 200): {allocs} allocations / {steps} steps = {per_step:.2}");
-    // 0.28 when set, released and debug alike; 0.26 before the tree was
-    // edited in place, and before that once updates were edits in place;
-    // 2.90 before rule bodies were shared, 13.19 before persistent
-    // snapshots.
-    assert!(per_step <= 0.31, "{per_step:.2} per step");
+    // 0.27 when set; 0.28 before the solver owned its tree as an arena,
+    // 0.26 before the tree was edited in place, and before that once
+    // updates were edits in place; 2.90 before rule bodies were shared,
+    // 13.19 before persistent snapshots.
+    assert!(per_step <= 0.30, "{per_step:.2} per step");
 }
 
 macro_rules! parse {

@@ -1,17 +1,19 @@
 //! A call reads its rule's body through a variable offset instead of
 //! copying it renamed apart. This pins the property that rests on: over
-//! generated rules, a body built once and read at offset `k` is
+//! generated rules, a body's template built once and read at offset `k` is
 //! indistinguishable from a copy of the body renamed by `k` — the same goal
 //! (`to_goal`), the same frontier leaves, the same configuration
-//! fingerprint, before and after a rewrite moves part of it into a new node
-//! — so the search numbers variables, and memoizes configurations, exactly
-//! as it did with copies.
+//! fingerprint — whether it is copied into the machine's arena or built
+//! into a persistent tree, and for the persistent tree also after a
+//! rewrite moves part of it into a new node. So the search numbers
+//! variables, and memoizes configurations, exactly as it did with copies.
 
 use proptest::prelude::*;
 use td_core::{Builtin, Term, Var};
 use td_db::Database;
 use td_engine::tree::{
-    fingerprint, frontier_len, leaf_at, make_node, rewrite, sequence, to_goal, PTree,
+    fingerprint, frontier_len, leaf_at, make_node, rewrite, sequence, to_goal, Arena, PTree,
+    Template,
 };
 use transaction_datalog::prelude::{Atom, Goal, Program};
 
@@ -68,21 +70,29 @@ proptest! {
     fn a_template_read_at_k_is_the_body_renamed_by_k(body in arb_body(3), k in 0u32..1000) {
         let program = program_with(&body);
         let db = Database::with_schema_of(&program);
-        let template = make_node(&body, &program);
+        let template = Template::new(&body, &program);
         let copy = make_node(&renamed(&body, k), &program);
-        let read = template.as_ref().map(|t| t.at(k));
+        let read = template.as_ref().map(|t| t.tree(k));
+        let mut arena = Arena::new(template.as_ref().map(|t| (t, k)));
         let (Some(read), Some(copy)) = (read, copy) else {
             prop_assert!(template.is_none(), "one is empty, both are");
+            prop_assert!(arena.is_empty());
             return;
         };
         prop_assert_eq!(to_goal(&read), to_goal(&copy));
+        prop_assert_eq!(arena.to_goal(), to_goal(&copy));
         prop_assert_eq!(fingerprint(&read, &db), fingerprint(&copy, &db));
+        prop_assert_eq!(arena.fingerprint(&db), fingerprint(&copy, &db));
         let n = frontier_len(&read);
         prop_assert_eq!(n, frontier_len(&copy));
+        prop_assert_eq!(n, arena.frontier_len());
         for i in 0..n {
             let ((a, a_off), (b, b_off)) = (leaf_at(&read, i), leaf_at(&copy, i));
             prop_assert_eq!(a.goal_at(a_off), b.goal_at(b_off));
             prop_assert_eq!(a.rules(), b.rules());
+            let (c, c_off) = arena.leaf_at(i);
+            prop_assert_eq!(c.goal_at(c_off), b.goal_at(b_off));
+            prop_assert_eq!(c.rules(), b.rules());
             // An `or` leaf's branches and an `iso` leaf's block read at the
             // leaf's offset too.
             if let Goal::Choice(branches) = a.goal() {
@@ -101,14 +111,14 @@ proptest! {
         // second copy); the result still reads as the copies' result.
         let j = k + 5;
         let step = |t: &PTree, rep| rewrite(t, n - 1, rep);
-        let from_template = step(&read, template.as_ref().map(|t| t.at(j)));
+        let from_template = step(&read, template.as_ref().map(|t| t.tree(j)));
         let from_copies = step(&copy, make_node(&renamed(&body, j), &program));
         prop_assert_eq!(from_template.as_ref().map(to_goal), from_copies.as_ref().map(to_goal));
         let fp = |t: &Option<PTree>| t.as_ref().map(|t| fingerprint(t, &db));
         prop_assert_eq!(fp(&from_template), fp(&from_copies));
         let (a, b) = (step(&read, None), step(&copy, None));
         prop_assert_eq!(a.as_ref().map(to_goal), b.as_ref().map(to_goal));
-        let a = sequence(template.as_ref().map(|t| t.at(j)), a);
+        let a = sequence(template.as_ref().map(|t| t.tree(j)), a);
         let b = sequence(make_node(&renamed(&body, j), &program), b);
         prop_assert_eq!(a.as_ref().map(to_goal), b.as_ref().map(to_goal));
         prop_assert_eq!(fp(&a), fp(&b));

@@ -17,9 +17,9 @@
 //! all of it; each goal runs on a plain engine and on one with the subgoal
 //! cache, whose replayed answers are logged and undone like any update.
 //! In a debug build every choicepoint also checks, after each rewind, the
-//! digest it started from and that the tree equals the one its step began
-//! from; the tree's own edits and undos are checked against persistent
-//! rewrites and a goal-level model in `tree.rs`' `edit_properties`.
+//! digest it started from and the hash of the tree its step began from;
+//! the arena's own edits and rewinds are checked against persistent
+//! rewrites and a goal-level model in `tree::arena`'s `edit_properties`.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
