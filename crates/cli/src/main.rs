@@ -29,11 +29,6 @@
 //!   --seed=N               seed for --strategy=random (rejected otherwise)
 //!   --max-steps=N          step budget (default 10000000); under `decide`
 //!                          it also bounds the configuration count
-//!   --threads=N            parallel search with N workers (exhaustive
-//!                          strategy only; N<=1 keeps the sequential engine)
-//!                          — run/trace/decide
-//!   --deterministic        with --threads: report the same witness as the
-//!                          sequential engine
 //!   --subgoal-cache        memoize isolated blocks and sole-frontier ground
 //!                          calls as replayable answer sets (exhaustive
 //!                          strategy, tracing off; see docs/CACHING.md).
@@ -53,7 +48,7 @@
 //!                          metrics registry snapshot, requested+effective
 //!                          config, final-state digest) — run/trace/decide
 //!   --log-json=PATH        write the structured event stream as JSON Lines
-//!                          (span enter/exit, cache probes, worker steals) —
+//!                          (span enter/exit, cache probes) —
 //!                          run/trace/decide
 //!   --db=DIR               back the run with a durable store: open (crash-
 //!                          recovering) or create DIR, run goals from the
@@ -76,7 +71,7 @@ use td_core::{FragmentReport, Goal, Program};
 use td_db::{Database, Delta};
 use td_engine::{
     decider::DeciderConfig, load_init, Engine, EngineConfig, GoalReport, JsonObject, Materializer,
-    Observer, Outcome, RunReport, SearchBackend, Solution, Strategy,
+    Observer, Outcome, RunReport, Solution, Strategy,
 };
 use td_parser::{parse_goal, parse_program, ParsedGoal, ParsedProgram};
 use td_store::{Store, WalTail};
@@ -104,8 +99,6 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<&String>), String> 
     let mut config = EngineConfig::default();
     let mut seed: Option<u64> = None;
     let mut strategy: Option<&str> = None;
-    let mut threads: usize = 1;
-    let mut deterministic = false;
     let mut cache_capacity: Option<usize> = None;
     let mut log_json = None;
     let mut report = None;
@@ -126,12 +119,6 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<&String>), String> 
         } else if let Some(v) = a.strip_prefix("--max-steps=") {
             seen.push("--max-steps");
             config.max_steps = v.parse().map_err(|_| format!("bad step budget `{v}`"))?;
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            seen.push("--threads");
-            threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-        } else if a == "--deterministic" {
-            seen.push("--deterministic");
-            deterministic = true;
         } else if a == "--subgoal-cache" {
             seen.push("--subgoal-cache");
             config.subgoal_cache = true;
@@ -184,17 +171,6 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<&String>), String> 
         Some(n) if config.subgoal_cache => config.cache_capacity = n,
         Some(_) => return Err("--cache-capacity requires --subgoal-cache".into()),
         None => {}
-    }
-    if threads > 1 {
-        if config.strategy != Strategy::Exhaustive {
-            return Err("--threads requires --strategy=exhaustive".into());
-        }
-        config.backend = SearchBackend::Parallel {
-            threads,
-            deterministic,
-        };
-    } else if deterministic {
-        return Err("--deterministic only applies with --threads=N (N > 1)".into());
     }
     Ok((
         CliOptions {
@@ -279,8 +255,8 @@ fn main() -> ExitCode {
         [cmd, file] => (cmd.as_str(), file.as_str()),
         _ => {
             eprintln!(
-                "usage: td [--strategy=S] [--seed=N] [--max-steps=N] [--threads=N] \
-       [--deterministic] [--subgoal-cache] [--cache-capacity=N] [--materialize] \
+                "usage: td [--strategy=S] [--seed=N] [--max-steps=N] \
+       [--subgoal-cache] [--cache-capacity=N] [--materialize] \
        [--report=PATH] [--log-json=PATH] [--db=DIR] \
        <run|trace|fragment|decide|repl> <file.td>\n\
        td serve <file.td> --db=DIR [--socket=PATH] [--report=PATH]\n\
@@ -306,7 +282,7 @@ fn main() -> ExitCode {
     //   --log-json  rejected: the event stream is a per-run artifact with
     //               one timeline; concurrent connections interleave
     // (everything engine-local — --max-steps, --subgoal-cache,
-    // --cache-capacity, --materialize, --threads, --deterministic —
+    // --cache-capacity, --materialize —
     // configures the server's one engine, which every connection solves
     // through, and stays accepted.)
     if cmd == "serve" {
@@ -466,7 +442,7 @@ fn main() -> ExitCode {
     match cmd {
         "run" => run(&parsed, db, &opts, file, store.as_mut()),
         "trace" => trace(&parsed, db, &opts, file),
-        "fragment" => fragment(&parsed, &opts.config),
+        "fragment" => fragment(&parsed),
         "decide" => decide(&parsed, db, &opts, file, store.as_ref()),
         "repl" => repl(&parsed, db, opts.config, store.as_mut()),
         other => unreachable!("`{other}` is in COMMANDS and `serve` dispatched above"),
@@ -962,7 +938,7 @@ fn run(
     session.finish(Some(&db), store.as_deref())
 }
 
-fn fragment(parsed: &ParsedProgram, config: &EngineConfig) -> ExitCode {
+fn fragment(parsed: &ParsedProgram) -> ExitCode {
     let goal = parsed
         .goals
         .first()
@@ -970,16 +946,6 @@ fn fragment(parsed: &ParsedProgram, config: &EngineConfig) -> ExitCode {
         .unwrap_or(Goal::True);
     let report = FragmentReport::classify(&parsed.program, &goal);
     println!("{report}");
-    match config.backend {
-        SearchBackend::Sequential => println!("search backend: sequential"),
-        SearchBackend::Parallel {
-            threads,
-            deterministic,
-        } => println!(
-            "search backend: parallel ({threads} threads{})",
-            if deterministic { ", deterministic" } else { "" }
-        ),
-    }
     for l in td_core::validate::unsafe_rules(&parsed.program) {
         println!("lint: {l}");
     }
@@ -1133,15 +1099,11 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_without_threads_is_rejected() {
-        let err = parse(&["--deterministic"]).unwrap_err();
-        assert!(err.contains("--threads"), "{err}");
-    }
-
-    #[test]
-    fn threads_with_nonexhaustive_strategy_is_rejected() {
-        let err = parse(&["--threads=4", "--strategy=leftmost"]).unwrap_err();
-        assert!(err.contains("exhaustive"), "{err}");
+    fn search_thread_flags_are_unknown_options() {
+        for flag in ["--threads=2", "--deterministic"] {
+            let err = parse(&[flag]).unwrap_err();
+            assert_eq!(err, format!("unknown option `{flag}`"));
+        }
     }
 
     #[test]
@@ -1149,7 +1111,6 @@ mod tests {
         assert!(parse(&["--strategy=bogus"]).is_err());
         assert!(parse(&["--seed=x", "--strategy=random"]).is_err());
         assert!(parse(&["--max-steps=x"]).is_err());
-        assert!(parse(&["--threads=x"]).is_err());
         assert!(parse(&["--subgoal-cache", "--cache-capacity=0"]).is_err());
         assert!(parse(&["--no-such-flag"]).is_err());
     }
@@ -1162,11 +1123,10 @@ mod tests {
     }
 
     #[test]
-    fn materialize_composes_with_cache_and_threads() {
-        let o = parse(&["--materialize", "--subgoal-cache", "--threads=2"]).unwrap();
+    fn materialize_composes_with_cache() {
+        let o = parse(&["--materialize", "--subgoal-cache"]).unwrap();
         assert!(o.config.materialize);
         assert!(o.config.subgoal_cache);
-        assert!(matches!(o.config.backend, SearchBackend::Parallel { .. }));
     }
 
     #[test]
@@ -1216,17 +1176,5 @@ mod tests {
     #[test]
     fn empty_db_path_is_rejected() {
         assert!(parse(&["--db="]).is_err());
-    }
-
-    #[test]
-    fn threads_config_builds_parallel_backend() {
-        let o = parse(&["--threads=4", "--deterministic"]).unwrap();
-        assert_eq!(
-            o.config.backend,
-            SearchBackend::Parallel {
-                threads: 4,
-                deterministic: true
-            }
-        );
     }
 }

@@ -160,52 +160,11 @@ fn incompatible_flag_combinations_exit_2() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("--subgoal-cache"), "{stderr}");
-    // --deterministic without --threads is rejected at option parsing.
-    let out = td()
-        .args(["--deterministic", "run"])
-        .arg(&f)
-        .output()
-        .unwrap();
+    // The search runs on one thread: a thread count is no option at all.
+    let out = td().args(["--threads=2", "run"]).arg(&f).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-}
-
-/// The `executable:` verdict of each goal, without the configuration count
-/// (which is order-dependent under first-success).
-fn decide_verdicts(args: &[&str], file: &std::path::Path) -> Vec<String> {
-    let out = td().args(args).arg("decide").arg(file).output().unwrap();
-    String::from_utf8(out.stdout)
-        .unwrap()
-        .lines()
-        .filter(|l| l.starts_with("executable:"))
-        .map(|l| l.split("  (").next().unwrap().to_owned())
-        .collect()
-}
-
-/// `decide` runs on the backend the flags select, like `run`: the worker
-/// count and the deterministic stopping rule change how the space is
-/// searched, never a verdict.
-#[test]
-fn decide_verdicts_agree_across_worker_counts_on_the_corpus() {
-    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-    let mut files: Vec<_> = std::fs::read_dir(&corpus)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "td"))
-        .collect();
-    files.sort();
-    assert!(!files.is_empty());
-    for file in &files {
-        let one = decide_verdicts(&[], file);
-        assert!(!one.is_empty(), "{}", file.display());
-        for args in [&["--threads=2"][..], &["--threads=4", "--deterministic"]] {
-            assert_eq!(
-                decide_verdicts(args, file),
-                one,
-                "{} {args:?}",
-                file.display()
-            );
-        }
-    }
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown option `--threads=2`"), "{stderr}");
 }
 
 /// An unbounded counter: the configuration space is infinite, so every
@@ -726,7 +685,7 @@ fn serve_flag_matrix_rejections_exit_2() {
 fn client_flag_matrix_rejections_exit_2() {
     for flags in [
         vec!["--db=/tmp", "client", "ping"],
-        vec!["--threads=2", "client", "ping"],
+        vec!["--max-steps=5", "client", "ping"],
         vec!["--subgoal-cache", "client", "ping"],
         vec!["--report=/tmp/r.json", "client", "ping"],
     ] {

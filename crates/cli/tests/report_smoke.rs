@@ -1,9 +1,8 @@
 //! End-to-end smoke test for `td --report` / `--log-json`: runs the binary
 //! on a corpus program, validates the emitted JSON against the
-//! `td-run-report/v2` schema, and checks that the sequential and
-//! deterministic-parallel backends agree on the logical outcome counters,
-//! that a second durable run reports its recovery, and that a materialized
-//! run reports the materializer's counters.
+//! `td-run-report/v2` schema, and checks that a cached run carries the
+//! cache's section, that a second durable run reports its recovery, and
+//! that a materialized run reports the materializer's counters.
 
 #[path = "support/json.rs"]
 mod json;
@@ -53,9 +52,9 @@ fn sequential_report_is_schema_valid() {
     assert_eq!(doc.path("outcome.ok").and_then(Value::as_bool), Some(true));
     assert_eq!(doc.get("command").and_then(Value::as_str), Some("run"));
     assert_eq!(
-        doc.path("config.effective.backend.kind")
+        doc.path("config.effective.strategy")
             .and_then(Value::as_str),
-        Some("sequential")
+        Some("exhaustive")
     );
     // The search ran and committed updates.
     assert!(
@@ -80,38 +79,19 @@ fn sequential_report_is_schema_valid() {
 }
 
 #[test]
-fn deterministic_parallel_report_matches_sequential_logical_counters() {
-    let seq = run_with_report(&[], &temp("cmp_seq.json"));
-    let par = run_with_report(
-        &["--threads=4", "--deterministic", "--subgoal-cache"],
-        &temp("cmp_par.json"),
+fn cached_report_carries_the_cache_section() {
+    let plain = run_with_report(&[], &temp("plain.json"));
+    assert_eq!(plain.get("cache"), Some(&Value::Null), "{plain:?}");
+    let cached = run_with_report(&["--subgoal-cache"], &temp("cached.json"));
+    assert!(
+        matches!(cached.get("cache"), Some(Value::Obj(_))),
+        "{cached:?}"
     );
+    // The cache changes the work, not the witness: same final database.
     assert_eq!(
-        par.path("config.effective.backend.kind")
-            .and_then(Value::as_str),
-        Some("parallel")
+        plain.path("final_state.digest").and_then(Value::as_str),
+        cached.path("final_state.digest").and_then(Value::as_str),
     );
-    // Logical (backend-invariant) counters must agree between the
-    // sequential and deterministic-parallel backends.
-    for counter in ["solutions", "committed_updates", "failures"] {
-        let path = format!("metrics.counters.{counter}");
-        assert_eq!(
-            seq.path(&path).and_then(Value::as_f64).unwrap_or(0.0),
-            par.path(&path).and_then(Value::as_f64).unwrap_or(0.0),
-            "counter `{counter}` diverged between backends"
-        );
-    }
-    // Same witness → same final database.
-    assert_eq!(
-        seq.path("final_state.digest").and_then(Value::as_str),
-        par.path("final_state.digest").and_then(Value::as_str),
-    );
-    assert_eq!(
-        seq.path("final_state.tuples").and_then(Value::as_f64),
-        par.path("final_state.tuples").and_then(Value::as_f64),
-    );
-    // The parallel run attached a cache, so its report carries one.
-    assert!(matches!(par.get("cache"), Some(Value::Obj(_))), "{par:?}");
 }
 
 #[test]
@@ -138,41 +118,36 @@ fn second_durable_run_reports_recovery() {
 
 #[test]
 fn materialized_run_reports_materializer_counters() {
-    // Sequential and parallel: the per-run `mat_probes` counter is merged
-    // across workers and must still equal the materializer's own tally.
-    for (args, name) in [
-        (&["--materialize"][..], "materialized.json"),
-        (
-            &["--materialize", "--threads=4"][..],
-            "materialized_par.json",
-        ),
-    ] {
-        let doc = run_file_with_report("reachability_maintenance.td", args, &temp(name));
-        assert_eq!(
-            doc.path("config.effective.materialize")
-                .and_then(Value::as_bool),
-            Some(true)
-        );
-        // Six counters; `states` went with the store it counted.
-        let Some(Value::Obj(section)) = doc.get("materializer") else {
-            panic!("{args:?}: no materializer section");
-        };
-        let keys: Vec<&str> = section.keys().map(String::as_str).collect();
-        let expected = "delta_tuples maintain_us maintained_ops probes rebuilds state_hits";
-        assert_eq!(keys.join(" "), expected, "{args:?}");
-        for counter in ["probes", "state_hits", "maintained_ops"] {
-            let n = doc
-                .path(&format!("materializer.{counter}"))
-                .and_then(Value::as_f64);
-            assert!(n > Some(0.0), "{args:?}: materializer.{counter} = {n:?}");
-        }
-        assert_eq!(
-            doc.path("materializer.probes").and_then(Value::as_f64),
-            doc.path("metrics.counters.mat_probes")
-                .and_then(Value::as_f64),
-            "{args:?}"
-        );
+    // The per-run `mat_probes` counter must equal the materializer's own
+    // tally.
+    let doc = run_file_with_report(
+        "reachability_maintenance.td",
+        &["--materialize"],
+        &temp("materialized.json"),
+    );
+    assert_eq!(
+        doc.path("config.effective.materialize")
+            .and_then(Value::as_bool),
+        Some(true)
+    );
+    // Six counters; `states` went with the store it counted.
+    let Some(Value::Obj(section)) = doc.get("materializer") else {
+        panic!("no materializer section");
+    };
+    let keys: Vec<&str> = section.keys().map(String::as_str).collect();
+    let expected = "delta_tuples maintain_us maintained_ops probes rebuilds state_hits";
+    assert_eq!(keys.join(" "), expected);
+    for counter in ["probes", "state_hits", "maintained_ops"] {
+        let n = doc
+            .path(&format!("materializer.{counter}"))
+            .and_then(Value::as_f64);
+        assert!(n > Some(0.0), "materializer.{counter} = {n:?}");
     }
+    assert_eq!(
+        doc.path("materializer.probes").and_then(Value::as_f64),
+        doc.path("metrics.counters.mat_probes")
+            .and_then(Value::as_f64),
+    );
 }
 
 /// A `decide` that ran out of budget is not a refutation: its row carries

@@ -14,9 +14,9 @@
 //! The table is sharded: each string hashes to one of `SHARDS` independent
 //! `RwLock`-protected maps, and the overwhelmingly common case — interning a
 //! string that already exists — takes only a read lock on one shard. This
-//! keeps the interner off the contention profile of the parallel search
-//! backend, where every worker thread interns during parsing-free operation
-//! only rarely, but many threads may still race on warm-up. Symbols are
+//! keeps the interner off the contention profile of a server's connection
+//! threads, which intern during parsing-free operation only rarely, but may
+//! still race on warm-up. Symbols are
 //! `Copy + Send + Sync`; everything they point at is immortal.
 
 use std::collections::HashMap;
@@ -40,7 +40,7 @@ struct Entry {
 /// crucially — the 128-bit content digests built on `Hash` are deterministic
 /// across runs and across *processes*, regardless of interning sequence.
 /// Interner ids and entry addresses depend on what was interned first
-/// (program text vs a recovered snapshot, worker-thread races); the
+/// (program text vs a recovered snapshot, thread races); the
 /// persisted digests in `td-store` would be unverifiable in any later
 /// process if hashes leaked them.
 #[derive(Clone, Copy)]

@@ -40,8 +40,8 @@ pub use read_set::ReadSet;
 pub use relation::Relation;
 pub use tuple::Tuple;
 
-/// The parallel search backend shares snapshots across worker threads, so
-/// every storage type must be `Send + Sync`. Compile-time proof; a regression
+/// `td serve` shares snapshots across connection threads, so every storage
+/// type must be `Send + Sync`. Compile-time proof; a regression
 /// (e.g. an `Rc` or `Cell` slipping into a node type) fails the build here.
 #[allow(dead_code)]
 fn _assert_storage_is_send_sync() {

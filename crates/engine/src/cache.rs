@@ -9,8 +9,8 @@
 //! the drivers' memos use too, and stores the subgoal's complete *answer
 //! set*: one `(ground bindings, state delta)` pair per successful execution,
 //! in the engine's canonical (depth-first) yield order. On a hit, the
-//! decider/machine/parallel backends **replay** the cached deltas instead
-//! of re-exploring the subgoal.
+//! machine and the decider **replay** the cached deltas instead of
+//! re-exploring the subgoal.
 //!
 //! Only two shapes of subgoal are cached, both of which execute as a
 //! contiguous block of the overall run (see `docs/CACHING.md` for the
@@ -20,10 +20,10 @@
 //! * ground derived-atom calls that are the *sole* frontier action —
 //!   contiguous because nothing else is schedulable until they finish.
 //!
-//! The table is sharded (`CACHE_SHARDS` mutexes, the same discipline as
-//! the explicit-state search's claim table), capacity-bounded with CLOCK
-//! (second-chance) eviction, and shared across branches of the sequential
-//! search and across workers of the parallel search.
+//! The table is sharded (`CACHE_SHARDS` mutexes, by the key's high lane),
+//! capacity-bounded with CLOCK (second-chance) eviction, and shared across
+//! branches of a search, across the searches of one engine and across the
+//! connections of a `td serve` server, each solving on its own thread.
 
 use crate::kernel::FpMap;
 use std::collections::VecDeque;

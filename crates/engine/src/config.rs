@@ -38,35 +38,6 @@ impl Strategy {
     }
 }
 
-/// Which search machinery runs the executability search.
-///
-/// This is orthogonal to [`Strategy`]: the strategy fixes the *semantic*
-/// exploration order over interleavings, the backend fixes how the host
-/// machine walks that space. TD's `|` is semantic concurrency — processes
-/// interleave at elementary-step granularity regardless of backend — while
-/// the parallel backend merely searches the interleaving space with several
-/// OS threads at once.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SearchBackend {
-    /// Single-threaded backtracking machine (the default; supports every
-    /// strategy, tracing, and multi-solution enumeration).
-    #[default]
-    Sequential,
-    /// Work-stealing multi-threaded search over the configuration graph.
-    /// Used when the strategy is [`Strategy::Exhaustive`], tracing is off,
-    /// and one solution is requested; the engine silently falls back to
-    /// [`SearchBackend::Sequential`] otherwise (see `docs/PARALLELISM.md`).
-    Parallel {
-        /// Worker thread count (clamped to 1..=64).
-        threads: usize,
-        /// When set, the parallel search reports the *same* witness
-        /// execution (answer, final database, delta) as the sequential
-        /// exhaustive engine, at the cost of exploring past the first
-        /// success to prove it lexicographically minimal.
-        deterministic: bool,
-    },
-}
-
 /// Engine limits and options.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -94,9 +65,6 @@ pub struct EngineConfig {
     /// it additionally deduplicates solutions that arise from re-reaching
     /// an already exhausted configuration.
     pub memo_failures: bool,
-    /// Search machinery: sequential backtracking or the multi-threaded
-    /// work-stealing configuration-graph search.
-    pub backend: SearchBackend,
     /// Enable the shared subtransaction answer cache (TD tabling): isolated
     /// blocks and sole-frontier ground calls are memoized as
     /// `(bindings, state delta)` answer sets keyed by `(canonical subgoal,
@@ -126,7 +94,6 @@ impl Default for EngineConfig {
             max_stack: 1_000_000,
             trace: false,
             memo_failures: true,
-            backend: SearchBackend::Sequential,
             subgoal_cache: false,
             cache_capacity: 65_536,
             materialize: false,
@@ -153,12 +120,6 @@ impl EngineConfig {
         self
     }
 
-    /// Config with a search backend.
-    pub fn with_backend(mut self, b: SearchBackend) -> EngineConfig {
-        self.backend = b;
-        self
-    }
-
     /// Config with the subgoal answer cache enabled.
     pub fn with_subgoal_cache(mut self) -> EngineConfig {
         self.subgoal_cache = true;
@@ -178,45 +139,31 @@ impl EngineConfig {
         self
     }
 
-    /// Config with the parallel backend at `threads` workers
-    /// (nondeterministic witness; `threads <= 1` keeps the sequential
-    /// backend).
-    pub fn with_threads(mut self, threads: usize) -> EngineConfig {
-        self.backend = if threads <= 1 {
-            SearchBackend::Sequential
-        } else {
-            SearchBackend::Parallel {
-                threads,
-                deterministic: false,
-            }
-        };
+    /// Ignores `threads`: the search runs on one thread
+    /// (docs/ARCHITECTURE.md, "One search thread"). Kept only because the
+    /// benchmark's `engine.par2_solve_us.refute` probe calls it; it goes
+    /// when that probe is renamed.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> EngineConfig {
         self
     }
 
     /// The configuration that will *actually* run, after the engine's one
-    /// gate is applied to this requested one: parallel search, the subgoal
-    /// cache and the materializer are live only under
-    /// [`Strategy::Exhaustive`] with tracing off. The cache replays a
-    /// subgoal's answers in the canonical exhaustive depth-first order —
-    /// any other strategy would yield a different one — and neither a
-    /// replayed nor a materialized macro-step has elementary events to
-    /// trace; the parallel backend searches the exhaustive space only. A
-    /// parallel backend that survives the gate has its `threads` clamped
-    /// to `1..=64`.
+    /// gate is applied to this requested one: the subgoal cache and the
+    /// materializer are live only under [`Strategy::Exhaustive`] with
+    /// tracing off. The cache replays a subgoal's answers in the canonical
+    /// exhaustive depth-first order — any other strategy would yield a
+    /// different one — and neither a replayed nor a materialized
+    /// macro-step has elementary events to trace.
     ///
-    /// [`crate::Engine::solve`] and the sequential machine both read the
-    /// gate from here, and the run report echoes the requested and this
-    /// effective config side by side, so silent gating is visible instead
-    /// of a quiet semantics change.
+    /// The sequential machine reads the gate from here, and the run report
+    /// echoes the requested and this effective config side by side, so
+    /// silent gating is visible instead of a quiet semantics change.
     pub fn effective(&self) -> EngineConfig {
         let mut eff = self.clone();
         if self.strategy != Strategy::Exhaustive || self.trace {
-            eff.backend = SearchBackend::Sequential;
             eff.subgoal_cache = false;
             eff.materialize = false;
-        }
-        if let SearchBackend::Parallel { threads, .. } = &mut eff.backend {
-            *threads = (*threads).clamp(1, 64);
         }
         eff
     }
@@ -277,9 +224,9 @@ pub(crate) enum Fold {
     Max,
 }
 
-/// Declares [`Stats`] from its one field list, so that the struct, the
+/// Declares [`Stats`] from its one field list, so that the struct and the
 /// named rows the registry and the per-goal report read ([`Stats::rows`])
-/// and the cross-worker fold ([`Stats::merge`]) cannot drift apart.
+/// cannot drift apart.
 macro_rules! stats {
     ($($(#[$doc:meta])* $fold:ident $name:ident: $ty:ty,)*) => {
         /// Counters for one execution/search.
@@ -294,15 +241,6 @@ macro_rules! stats {
             #[allow(clippy::unnecessary_cast)]
             pub(crate) fn rows(&self) -> impl Iterator<Item = (&'static str, u64, Fold)> {
                 [$((stringify!($name), self.$name as u64, Fold::$fold),)*].into_iter()
-            }
-
-            /// Fold another search's (or parallel worker's) counters into
-            /// this one: counts add, high-water marks keep the larger.
-            pub(crate) fn merge(&mut self, other: &Stats) {
-                $(self.$name = match Fold::$fold {
-                    Fold::Sum => self.$name + other.$name,
-                    Fold::Max => self.$name.max(other.$name),
-                };)*
             }
         }
     };
@@ -390,16 +328,10 @@ mod tests {
 
     #[test]
     fn effective_says_what_runs() {
-        let parallel = |threads| SearchBackend::Parallel {
-            threads,
-            deterministic: true,
-        };
         let all = EngineConfig::default()
             .with_subgoal_cache()
-            .with_materialize()
-            .with_backend(parallel(4));
+            .with_materialize();
         let live = all.effective();
-        assert_eq!(live.backend, parallel(4));
         assert!(live.subgoal_cache && live.materialize);
         for gated in [
             all.clone().with_trace(),
@@ -408,46 +340,23 @@ mod tests {
             all.clone().with_strategy(Strategy::ExhaustiveRandom(7)),
         ] {
             let eff = gated.effective();
-            assert_eq!(eff.backend, SearchBackend::Sequential, "{gated:?}");
             assert!(!eff.subgoal_cache && !eff.materialize, "{gated:?}");
         }
-        // One requested worker is still the parallel search, and the
-        // worker count is what `parallel::solve` will spawn.
-        for (asked, runs) in [(0, 1), (1, 1), (4, 4), (1000, 64)] {
-            let eff = all.clone().with_backend(parallel(asked)).effective();
-            assert_eq!(eff.backend, parallel(runs));
-        }
-        assert_eq!(
-            EngineConfig::default().with_threads(1).backend,
-            SearchBackend::Sequential
-        );
     }
 
     #[test]
-    fn stats_merge_sums_counts_and_keeps_high_water_marks() {
-        let mut a = Stats {
-            steps: 3,
+    fn stats_rows_name_every_field_in_order_with_its_fold() {
+        let s = Stats {
+            steps: 7,
             max_stack: 9,
             mat_probes: 1,
             ..Stats::default()
         };
-        let b = Stats {
-            steps: 4,
-            max_stack: 2,
-            peak_processes: 5,
-            mat_probes: 6,
-            ..Stats::default()
-        };
-        a.merge(&b);
-        assert_eq!(
-            (a.steps, a.max_stack, a.peak_processes, a.mat_probes),
-            (7, 9, 5, 7)
-        );
-        let rows: Vec<_> = a.rows().collect();
+        let rows: Vec<_> = s.rows().collect();
         assert_eq!(rows.len(), 12);
         assert_eq!(rows[0], ("steps", 7, Fold::Sum));
         assert_eq!(rows[5], ("max_stack", 9, Fold::Max));
-        assert_eq!(rows[11], ("mat_probes", 7, Fold::Sum));
+        assert_eq!(rows[11], ("mat_probes", 1, Fold::Sum));
     }
 
     #[test]

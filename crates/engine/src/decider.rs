@@ -26,13 +26,13 @@
 //!
 //! Through [`crate::Engine::decide`] / [`crate::Engine::final_states`] the
 //! search runs with the engine's [`crate::SubgoalCache`],
-//! [`crate::Materializer`], [`crate::Observer`] and worker count: isolated
+//! [`crate::Materializer`] and [`crate::Observer`]: isolated
 //! blocks and sole-frontier ground calls become *macro-steps* — their cached
 //! `(bindings, delta)` answer sets are replayed as direct successors instead
 //! of being re-explored, which collapses the configuration chains inside
 //! contiguous subtransactions — and ground calls on materialized predicates
 //! become indexed probes. The free functions here are the plain
-//! elementary-step search on one worker.
+//! elementary-step search.
 
 use crate::config::{EngineError, Stats};
 use crate::search::{Found, Order, Search, Stop};
@@ -120,9 +120,8 @@ pub fn shortest_execution(
 ) -> Result<Option<usize>, EngineError> {
     // Uncached and unmaterialized on purpose: a cached answer replay or a
     // materialized probe is a macro-step, which would corrupt the
-    // elementary-step count this function measures. One worker, so taking
-    // the oldest node first is level order and the first success is at
-    // minimum depth.
+    // elementary-step count this function measures. Taking the oldest
+    // node first is level order, so the first success is at minimum depth.
     let mut search = Search::new(program);
     search.order = Order::ByLevel;
     let found = run_bounded(&mut search, goal, db, config)?;
@@ -145,21 +144,20 @@ fn run_bounded(
     // expanded, so it allows one expansion fewer.
     let max_configs = config.max_configs as u64;
     search.budget = search.budget.min(max_configs).saturating_sub(1);
-    search.probe_events = true;
     let found = search.run(goal, db);
     if let Some(e) = found.fault {
         return Err(e);
     }
     if let Some(o) = &search.obs {
         o.registry
-            .absorb(search.kernel.program, &Stats::default(), &found.work.local);
-        o.registry.add_counter("decider_configs", found.work.claims);
+            .absorb(search.kernel.program, &Stats::default(), &found.local);
+        o.registry.add_counter("decider_configs", found.claims);
     }
     Ok(found)
 }
 
-/// [`decide`] on `search`'s kernel, observer, worker count and step budget
-/// (what [`crate::Engine::decide`] runs). With an observer that carries an
+/// [`decide`] on `search`'s kernel, observer and step budget (what
+/// [`crate::Engine::decide`] runs). With an observer that carries an
 /// event log, the run is bracketed by `solve` span events.
 pub(crate) fn decide_in(
     mut search: Search<'_>,
@@ -167,15 +165,13 @@ pub(crate) fn decide_in(
     db: &Database,
     config: DeciderConfig,
 ) -> Result<Decision, EngineError> {
-    // Branch-and-bound keeps the order that makes its first success
-    // near-minimal; every other rule takes the order the counts are pinned in.
-    (search.stop, search.order) = match search.stop {
-        _ if config.exhaustive => (Stop::Whole, Order::LastFirst),
-        Stop::Minimal => (Stop::Minimal, Order::FirstFirst),
-        _ => (Stop::First, Order::LastFirst),
+    search.stop = if config.exhaustive {
+        Stop::Whole
+    } else {
+        Stop::First
     };
     if let Some(o) = &search.obs {
-        o.emit(None, || TraceEvent::SpanEnter {
+        o.emit(|| TraceEvent::SpanEnter {
             phase: SpanPhase::Solve,
             detail: format!("decide {goal}"),
         });
@@ -183,7 +179,7 @@ pub(crate) fn decide_in(
     let found = run_bounded(&mut search, goal, db, config)?;
     let decision = Decision {
         executable: !found.successes.is_empty(),
-        configs: found.work.claims as usize,
+        configs: found.claims as usize,
         truncated: found.exhausted,
     };
     if let Some(o) = &search.obs {
@@ -193,7 +189,7 @@ pub(crate) fn decide_in(
             (false, true) => "unknown",
             (false, false) => "false",
         };
-        o.emit(None, || TraceEvent::SpanExit {
+        o.emit(|| TraceEvent::SpanExit {
             phase: SpanPhase::Solve,
             detail: format!("decide executable={verdict} configs={}", decision.configs),
         });
@@ -201,8 +197,8 @@ pub(crate) fn decide_in(
     Ok(decision)
 }
 
-/// [`final_states`] on `search`'s kernel, observer, worker count and step
-/// budget. Caching and materialization leave the set unchanged — only the
+/// [`final_states`] on `search`'s kernel, observer and step budget.
+/// Caching and materialization leave the set unchanged — only the
 /// number of intermediate configurations explored (materialized probes are
 /// pure-query macro-steps).
 pub(crate) fn final_states_in(
@@ -211,7 +207,7 @@ pub(crate) fn final_states_in(
     db: &Database,
     config: DeciderConfig,
 ) -> Result<Vec<Database>, EngineError> {
-    (search.stop, search.order) = (Stop::Finals, Order::LastFirst);
+    search.stop = Stop::Finals;
     let found = run_bounded(&mut search, goal, db, config)?;
     Ok(found.successes.into_iter().map(|w| w.cfg.db).collect())
 }

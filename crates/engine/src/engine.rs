@@ -1,7 +1,7 @@
 //! Public execution API.
 
 use crate::cache::SubgoalCache;
-use crate::config::{EngineConfig, EngineError, SearchBackend, Stats};
+use crate::config::{EngineConfig, EngineError, Stats};
 use crate::decider::{self, DeciderConfig, Decision};
 use crate::incremental::Materializer;
 use crate::kernel::Kernel;
@@ -128,7 +128,7 @@ impl Engine {
     /// call absorbs its statistics (flat counters, per-rule expansion
     /// counts, backtrack-depth distribution, per-subgoal cache tallies)
     /// into `obs.registry`, and — when the observer carries an event log —
-    /// emits structured span events, on every backend.
+    /// emits structured span events.
     pub fn with_observer(mut self, obs: Arc<Observer>) -> Engine {
         self.obs = Some(obs);
         self
@@ -181,11 +181,9 @@ impl Engine {
     }
 
     /// Decide executability of `goal` on `db` with the explicit-state
-    /// [`crate::decider`], using this engine's subgoal cache, materializer,
-    /// observer and — like [`Engine::solve`] — the worker count and
-    /// deterministic flag of [`EngineConfig::effective`]'s backend (the
-    /// strategy does not apply: the search visits every schedule). The
-    /// search is bounded by `config.max_configs` and by
+    /// [`crate::decider`], using this engine's subgoal cache, materializer
+    /// and observer (the strategy does not apply: the search visits every
+    /// schedule). The search is bounded by `config.max_configs` and by
     /// [`EngineConfig::max_steps`], whichever is smaller: both count one
     /// claimed configuration.
     pub fn decide(
@@ -198,7 +196,7 @@ impl Engine {
     }
 
     /// [`crate::decider::final_states`] with this engine's subgoal cache,
-    /// materializer, observer, worker count and step budget.
+    /// materializer, observer and step budget.
     pub fn final_states(
         &self,
         goal: &Goal,
@@ -209,20 +207,8 @@ impl Engine {
     }
 
     /// The explicit-state search as this engine configures it: its kernel
-    /// attachments and observer, the effective backend's worker count and
-    /// stopping rule, `max_steps` as the budget, the machine's order.
+    /// attachments and observer, `max_steps` as the budget.
     fn search(&self) -> Search<'_> {
-        let (workers, stop) = match self.config.effective().backend {
-            SearchBackend::Sequential => (1, Stop::First),
-            SearchBackend::Parallel {
-                threads,
-                deterministic: false,
-            } => (threads, Stop::First),
-            SearchBackend::Parallel {
-                threads,
-                deterministic: true,
-            } => (threads, Stop::Minimal),
-        };
         Search {
             kernel: Kernel {
                 program: &self.program,
@@ -230,38 +216,21 @@ impl Engine {
                 mat: self.materializer().cloned(),
             },
             obs: self.obs.clone(),
-            workers,
-            order: Order::FirstFirst,
-            stop,
+            order: Order::LastFirst,
+            stop: Stop::First,
             budget: self.config.max_steps,
-            probe_events: false,
         }
     }
 
     /// Execute `goal` against `db`, returning the first successful
-    /// execution (the committed transaction) or failure.
-    ///
-    /// Runs on [`EngineConfig::effective`]'s backend: with
-    /// [`SearchBackend::Parallel`] the search fans out over worker threads,
-    /// provided the configuration is compatible (exhaustive strategy, no
-    /// tracing); otherwise it silently runs sequentially — see
-    /// `docs/PARALLELISM.md` for the exact rules.
+    /// execution (the committed transaction) or failure, from the
+    /// backtracking machine on the calling thread.
     pub fn solve(&self, goal: &Goal, db: &Database) -> Result<Outcome, EngineError> {
-        let outcome = match self.config.effective().backend {
-            SearchBackend::Parallel { .. } => crate::parallel::solve(self.search(), goal, db)?,
-            SearchBackend::Sequential => {
-                let mut found = self.solutions(goal, db, 1)?;
-                match found.solutions.pop() {
-                    Some(s) => Outcome::Success(Box::new(s)),
-                    None => Outcome::Failure { stats: found.stats },
-                }
-            }
+        let mut found = self.solutions(goal, db, 1)?;
+        let outcome = match found.solutions.pop() {
+            Some(s) => Outcome::Success(Box::new(s)),
+            None => Outcome::Failure { stats: found.stats },
         };
-        // Outcome-level counters are backend-invariant: in deterministic
-        // mode the parallel search reports the same witness as the
-        // sequential one, so these totals must agree across backends even
-        // though raw step counts do not (configuration expansions are
-        // coarser than elementary steps).
         if let Some(obs) = &self.obs {
             match &outcome {
                 Outcome::Success(s) => {
@@ -283,9 +252,7 @@ impl Engine {
     /// Up to `limit` distinct successful executions, in search order.
     ///
     /// Distinctness is by search path, not final state: two different
-    /// interleavings reaching the same database count twice. Always runs
-    /// on the sequential machine: multi-solution enumeration is inherently
-    /// ordered, so the parallel backend does not apply here.
+    /// interleavings reaching the same database count twice.
     pub fn solutions(
         &self,
         goal: &Goal,
@@ -294,7 +261,7 @@ impl Engine {
     ) -> Result<Solutions, EngineError> {
         let nvars = goal_num_vars(goal);
         if let Some(obs) = &self.obs {
-            obs.emit(None, || TraceEvent::SpanEnter {
+            obs.emit(|| TraceEvent::SpanEnter {
                 phase: SpanPhase::Solve,
                 detail: goal.to_string(),
             });
@@ -330,7 +297,7 @@ impl Engine {
         if let Some(obs) = &self.obs {
             obs.registry.absorb(&self.program, &ctx.stats, &ctx.local);
             let found = out.len();
-            obs.emit(None, || TraceEvent::SpanExit {
+            obs.emit(|| TraceEvent::SpanExit {
                 phase: SpanPhase::Solve,
                 detail: format!("solutions={found}"),
             });

@@ -79,7 +79,7 @@ impl std::error::Error for NotMaterializable {}
 /// The compiled delta circuit and its counters. It holds no state of any
 /// database version: a version's state is on the `Database` value
 /// (`Database::derived`). One per `Program` value ([`Materializer::of`]),
-/// shared by its engines, `datalog::query`, backends and worker threads
+/// shared by its engines, `datalog::query` and a server's connection threads
 /// behind an `Arc`; all counters are lifetime totals of every one of them.
 pub struct Materializer {
     /// Base predicates read by some materialized rule; deltas on any other
@@ -282,7 +282,7 @@ impl Materializer {
     /// The state of `db`'s version: the one on it; else, when the version
     /// is pending, the one pass that makes it ([`Materializer::maintain`]);
     /// else a from-scratch build. Made under the slot's `OnceLock`, so
-    /// workers probing one version together make it once. The slot holds
+    /// threads probing one version together make it once. The slot holds
     /// the state's one strong `Arc`: a `Weak` to it is alive exactly as
     /// long as the state.
     fn state_of<'a>(&self, db: &'a Database) -> &'a MatState {
@@ -330,7 +330,7 @@ impl Materializer {
                 events[input].run_mut(member).push(tuple.clone());
             }
         }
-        // Made, if another worker was making it when `db` was pending on it.
+        // Made, if another thread was making it when `db` was pending on it.
         self.state_of(&ancestor);
         let state = match self.take_state(&mut ancestor) {
             Some(state) => {

@@ -117,7 +117,7 @@ pub(crate) fn probe_subgoal(
         if let Some(l) = &label {
             hooks.local.observe_cache(l, outcome);
             if let Some(o) = hooks.events {
-                o.emit(None, || TraceEvent::CacheProbe {
+                o.emit(|| TraceEvent::CacheProbe {
                     subgoal: l.clone(),
                     outcome,
                 });

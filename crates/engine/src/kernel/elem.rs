@@ -1,6 +1,6 @@
 //! Elementary operations of the transition relation — base-relation
 //! queries, absence tests, `ins`/`del` updates, and builtins. These are
-//! the leaves every backend must execute identically; each helper carries
+//! the leaves both drivers must execute identically; each helper carries
 //! the semantics (including the exact failure/fault split) once.
 
 use super::Hooks;
@@ -82,7 +82,7 @@ pub(crate) fn bind_tuple(
 
 /// The elementary `not p(t̄)` test. `Ok(true)` = the (ground) atom is
 /// absent and the step proceeds; `Ok(false)` = present, the step fails;
-/// `Err` = the atom is non-ground, a fault in every backend.
+/// `Err` = the atom is non-ground, a fault in both drivers.
 pub(crate) fn check_absent(
     db: &Database,
     atom: &Atom,

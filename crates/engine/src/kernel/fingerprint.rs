@@ -322,8 +322,8 @@ pub(super) mod tests {
         }
     }
 
-    /// Drive the machine and the explicit-state search over one goal (one
-    /// worker runs on this thread, where the hook listens).
+    /// Drive the machine and the explicit-state search over one goal (both
+    /// run on this thread, where the hook listens).
     fn drive(program: &td_core::Program, goal: &Goal, db: &Database) -> Option<Database> {
         // A fault or a truncated space still leaves its keys in the log.
         let _ = decide(program, goal, db, budget());

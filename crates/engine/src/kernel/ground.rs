@@ -16,46 +16,32 @@ use crate::incremental::Materializer;
 use crate::tree::{frontier_len, leaf_at, rewrite, sequence, PTree};
 use std::sync::Arc;
 use td_core::{Bindings, Goal, Program, Term, Var};
-use td_db::{Database, DeltaOp};
+use td_db::Database;
 
 /// A scheduling-agnostic configuration of the transition system: live
-/// process tree (`None` = complete execution), current database, the
-/// variable high-water mark, and the goal's answer terms under the
-/// substitutions made so far.
+/// process tree (`None` = complete execution), current database and the
+/// variable high-water mark.
 #[derive(Clone)]
 pub(crate) struct Config {
     /// Live process tree; `None` = complete (successful) execution.
     pub tree: Option<PTree>,
     pub db: Database,
-    /// High-water mark of allocated variable ids along this path. Reading
-    /// rules at this offset (rather than at the tree's current maximum)
-    /// prevents a fresh rule variable from capturing an answer variable
-    /// that no longer occurs in the tree.
+    /// High-water mark of allocated variable ids along this path: rules
+    /// are read at this offset rather than at the tree's current maximum,
+    /// which keeps every variable id the path ever used distinct.
     pub nvars: u32,
-    /// The goal's answer terms under the substitutions made so far. Tracked
-    /// separately from the tree because an answer variable can be solved
-    /// away (vanish from the tree) long before the execution completes.
-    pub answer: Vec<Term>,
 }
 
 impl Config {
     /// The successor that differs from `self` in its tree only.
-    fn with_tree(&self, tree: Option<PTree>) -> Successor {
-        let next = Config {
+    fn with_tree(&self, tree: Option<PTree>) -> Config {
+        Config {
             tree,
             db: self.db.clone(),
             nvars: self.nvars,
-            answer: self.answer.clone(),
-        };
-        (next, Vec::new())
+        }
     }
 }
-
-/// One enabled transition, with its effects already applied: the successor
-/// configuration plus the elementary update ops the step performed (one
-/// for an update, the replayed delta for a cache macro-step, empty
-/// otherwise).
-pub(crate) type Successor = (Config, Vec<DeltaOp>);
 
 /// The transition kernel: the program plus the (optional) shared subgoal
 /// answer cache that turns contiguous subtransactions into macro-steps, and
@@ -68,19 +54,16 @@ pub(crate) struct Kernel<'p> {
 }
 
 impl Kernel<'_> {
-    /// Every configuration reachable from `cfg` in one step, across all
+    /// Every configuration reachable from `cfg` in one step, with its
+    /// effects already applied, across all
     /// schedules and all nondeterministic choices — frontier leaves left to
     /// right, per-leaf alternatives in canonical order (tuple order is
     /// `select`'s sorted order, rule order is program order, answers are
-    /// in canonical yield order). That ordering is load-bearing: the
-    /// search's path labels index into it, and they must agree with
-    /// sequential depth-first exploration.
+    /// in canonical yield order). That ordering is load-bearing: every
+    /// pinned `decide` count was taken in it.
     ///
     /// A fault (non-ground update or absence test, storage error, builtin
-    /// fault) ends enumeration: the successors produced *before* it are
-    /// returned alongside the error, positioned exactly where the failing
-    /// successor would have been — the label-minimal stopping rule needs
-    /// that index to order the error among the successors.
+    /// fault) ends enumeration and is the result.
     ///
     /// `scratch` is the caller's unification store, all-unbound between
     /// calls (see [`unify_project`]).
@@ -89,10 +72,10 @@ impl Kernel<'_> {
         cfg: &Config,
         hooks: &mut Hooks<'_>,
         scratch: &mut Bindings,
-    ) -> (Vec<Successor>, Option<EngineError>) {
-        let mut out: Vec<Successor> = Vec::new();
+    ) -> Result<Vec<Config>, EngineError> {
+        let mut out: Vec<Config> = Vec::new();
         let Some(tree) = &cfg.tree else {
-            return (out, None);
+            return Ok(out);
         };
         let n = frontier_len(tree);
         let sole = n == 1;
@@ -126,11 +109,7 @@ impl Kernel<'_> {
                             continue;
                         }
                         CallStep::Replay { answers, vars } => {
-                            if let Err(e) =
-                                self.replay(cfg, leaf, &vars, &answers, &mut out, hooks, scratch)
-                            {
-                                return (out, Some(e));
-                            }
+                            self.replay(cfg, leaf, &vars, &answers, &mut out, hooks, scratch)?;
                             continue;
                         }
                         CallStep::Unfold => {}
@@ -150,46 +129,31 @@ impl Kernel<'_> {
                 }
                 Goal::NotAtom(atom) => {
                     hooks.reads.record(atom.pred);
-                    match check_absent(&cfg.db, atom, shift) {
-                        Err(e) => return (out, Some(e)),
-                        Ok(false) => {}
-                        Ok(true) => out.push(cfg.with_tree(rewrite(tree, leaf, None))),
+                    if check_absent(&cfg.db, atom, shift)? {
+                        out.push(cfg.with_tree(rewrite(tree, leaf, None)));
                     }
                 }
                 goal @ (Goal::Ins(atom) | Goal::Del(atom)) => {
                     let is_ins = matches!(goal, Goal::Ins(_));
                     let mut db = cfg.db.clone();
-                    match update(&mut db, atom, shift, is_ins, hooks) {
-                        Err(e) => return (out, Some(e)),
-                        Ok((op, _)) => {
-                            let succ = Config {
-                                tree: rewrite(tree, leaf, None),
-                                db,
-                                nvars: cfg.nvars,
-                                answer: cfg.answer.clone(),
-                            };
-                            out.push((succ, vec![op]));
-                        }
-                    }
+                    update(&mut db, atom, shift, is_ins, hooks)?;
+                    out.push(Config {
+                        tree: rewrite(tree, leaf, None),
+                        db,
+                        nvars: cfg.nvars,
+                    });
                 }
                 Goal::Builtin(op, terms) => {
                     let args = builtin_args(terms, shift);
-                    match eval_ground_builtin(*op, &args[..terms.len()]) {
-                        Err(e) => return (out, Some(e)),
-                        Ok(BuiltinOut::Fails) => {}
-                        Ok(BuiltinOut::Succeeds) => {
+                    match eval_ground_builtin(*op, &args[..terms.len()])? {
+                        BuiltinOut::Fails => {}
+                        BuiltinOut::Succeeds => {
                             out.push(cfg.with_tree(rewrite(tree, leaf, None)));
                         }
-                        Ok(BuiltinOut::Binds(v, val)) => {
+                        BuiltinOut::Binds(v, val) => {
                             let new_tree =
                                 rewrite(tree, leaf, None).map(|t| subst_tree(&t, v, val));
-                            let (mut succ, ops) = cfg.with_tree(new_tree);
-                            for t in &mut succ.answer {
-                                if *t == Term::Var(v) {
-                                    *t = val;
-                                }
-                            }
-                            out.push((succ, ops));
+                            out.push(cfg.with_tree(new_tree));
                         }
                     }
                 }
@@ -206,11 +170,7 @@ impl Kernel<'_> {
                     if let Some(cache) = self.cache.as_deref() {
                         match probe_subgoal(self.program, cache, &cfg.db, inner, shift, hooks) {
                             Probe::Replay { answers, vars } => {
-                                if let Err(e) = self
-                                    .replay(cfg, leaf, &vars, &answers, &mut out, hooks, scratch)
-                                {
-                                    return (out, Some(e));
-                                }
+                                self.replay(cfg, leaf, &vars, &answers, &mut out, hooks, scratch)?;
                                 continue;
                             }
                             Probe::Lazy => {}
@@ -228,7 +188,7 @@ impl Kernel<'_> {
                 }
             }
         }
-        (out, None)
+        Ok(out)
     }
 
     /// One macro-step successor per cached answer: the answer's bindings
@@ -241,16 +201,16 @@ impl Kernel<'_> {
         leaf: usize,
         vars: &[Var],
         answers: &[CachedAnswer],
-        out: &mut Vec<Successor>,
+        out: &mut Vec<Config>,
         hooks: &mut Hooks<'_>,
         scratch: &mut Bindings,
     ) -> Result<(), EngineError> {
         for ans in answers {
-            if let Some((mut succ, _)) = unify_project(scratch, cfg, leaf, None, cfg.nvars, |b| {
+            if let Some(mut succ) = unify_project(scratch, cfg, leaf, None, cfg.nvars, |b| {
                 bind_answer(b, vars, ans)
             }) {
                 replay_answer(&mut succ.db, ans, hooks, |_, _| {})?;
-                out.push((succ, ans.delta.ops().to_vec()));
+                out.push(succ);
             }
         }
         Ok(())

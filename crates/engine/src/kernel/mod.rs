@@ -11,13 +11,13 @@
 //! * [`crate::machine`] — strategy-ordered depth-first search with a
 //!   choicepoint stack and a shared trail (lazy bindings);
 //! * [`crate::search`] — the explicit-state search over ground
-//!   configurations, one claim per fingerprinted configuration, on one
-//!   worker or many; [`crate::decider`] and [`crate::parallel`] are its
-//!   entry points (docs/ARCHITECTURE.md, "The explicit-state search").
+//!   configurations, one claim per fingerprinted configuration;
+//!   [`crate::decider`] is its entry point (docs/ARCHITECTURE.md, "The
+//!   explicit-state search").
 //!
 //! The search goes through [`Kernel::actions`], which enumerates every
 //! enabled transition of a [`Config`] — frontier leaves left to right,
-//! per-leaf alternatives in canonical order — as [`Successor`]s with
+//! per-leaf alternatives in canonical order — as successor [`Config`]s with
 //! effects already applied (TD states are persistent, so applying is as
 //! cheap as describing). The sequential machine keeps its trail-based
 //! representation and takes one alternative at a time, so it does not step
@@ -37,9 +37,8 @@
 //!
 //! Accounting is uniform: every kernel entry point takes [`Hooks`], and
 //! charges unfolds, database ops, isolation entries and cache hit/miss
-//! counters there, emitting per-probe observability events only when the
-//! driver supplies an event sink (`parallel::solve` passes `None` and
-//! reports aggregate worker spans instead).
+//! counters there, emitting per-probe observability events when the
+//! driver supplies an event sink.
 //!
 //! Invariants drivers may rely on are spelled out in
 //! `docs/ARCHITECTURE.md`.
@@ -57,7 +56,7 @@ pub(crate) use elem::{
     matching_tuples, resolve_atom, update, BuiltinOut,
 };
 pub(crate) use fingerprint::{fingerprint, fingerprint_goal, FpMap, FpSet};
-pub(crate) use ground::{Config, Kernel, Successor};
+pub(crate) use ground::{Config, Kernel};
 pub(crate) use subst::{
     apply_unification, apply_unification_n, num_vars_in_tree, subst_tree, unify_project,
 };
@@ -71,14 +70,13 @@ use td_db::ReadSet;
 ///
 /// The kernel charges the semantic cost of a transition here — `unfolds`,
 /// `db_ops`, `iso_enters`, `cache_hits`/`cache_misses`, per-rule and
-/// per-subgoal tallies — so every backend counts identically. Search cost
+/// per-subgoal tallies — so both drivers count identically. Search cost
 /// (steps, backtracks, choicepoints, queue depths) is scheduling, and
 /// stays with the driver.
 pub(crate) struct Hooks<'a> {
     pub stats: &'a mut Stats,
     pub local: &'a mut LocalMetrics,
-    /// Per-probe event sink. `None` suppresses kernel-level event emission
-    /// (`parallel::solve` reports aggregate worker spans instead).
+    /// Per-probe event sink. `None` suppresses kernel-level event emission.
     pub events: Option<&'a Observer>,
     /// Transaction read set: every relation this execution consults —
     /// base-predicate matches, absence tests, materialized probes, cached

@@ -1,9 +1,8 @@
 //! Structural substitution: unify under a scratch binding store, then
-//! substitute the solution through the process tree (and, for drivers that
-//! track them, the goal's answer terms). This is the ground backends'
-//! counterpart of the sequential machine's shared trail.
+//! substitute the solution through the process tree. This is the ground
+//! drivers' counterpart of the sequential machine's shared trail.
 
-use super::{Config, Successor};
+use super::Config;
 use crate::tree::{map_terms, rewrite, to_goal, PTree};
 use td_core::{Bindings, Term, Var};
 
@@ -39,8 +38,8 @@ pub(crate) fn apply_unification_n(
 }
 
 /// Unify under the caller's scratch store, then substitute the solution
-/// through both the rewritten tree and the answer terms of `cfg`, giving
-/// the successor with variable high-water mark `nvars`.
+/// through the rewritten tree of `cfg`, giving the successor with variable
+/// high-water mark `nvars`.
 ///
 /// `b` must be all-unbound on entry and is left so: it grows to the path's
 /// high-water mark once and each call undoes exactly the bindings it made,
@@ -54,7 +53,7 @@ pub(crate) fn unify_project(
     replacement: Option<PTree>,
     nvars: u32,
     unifier: impl FnOnce(&mut Bindings) -> bool,
-) -> Option<Successor> {
+) -> Option<Config> {
     let tree = cfg.tree.as_ref().expect("a leaf of a live tree");
     b.alloc(nvars.saturating_sub(b.len() as u32));
     let mark = b.mark();
@@ -62,10 +61,9 @@ pub(crate) fn unify_project(
         tree: rewrite(tree, leaf, replacement).map(|t| apply_bindings_tree(&t, b)),
         db: cfg.db.clone(),
         nvars,
-        answer: cfg.answer.iter().map(|t| b.resolve(*t)).collect(),
     });
     b.undo_to(mark);
-    next.map(|c| (c, Vec::new()))
+    next
 }
 
 /// Variables in a tree: max id + 1.

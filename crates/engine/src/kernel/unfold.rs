@@ -1,4 +1,4 @@
-//! Rule unfolding on the machine's shared trail. The ground backends'
+//! Rule unfolding on the machine's shared trail. The ground drivers'
 //! structural counterpart lives in [`super::ground`] (a rule's template is
 //! unified through [`super::unify_project`]); both match a call against a
 //! head through [`unify_head`].

@@ -19,6 +19,10 @@
 //!   this decides executability outright, reporting the number of
 //!   configurations explored — the quantity the complexity theorems bound.
 //!
+//! Both run on the calling thread: `|` is decided by searching
+//! interleavings, not by running OS threads (docs/ARCHITECTURE.md, "One
+//! search thread").
+//!
 //! The rest are oracles and baselines, which `td` never calls:
 //!
 //! * [`datalog::evaluate`] and its [`datalog::Fixpoint`] — classical
@@ -46,13 +50,12 @@ mod kernel;
 mod machine;
 pub mod magic;
 pub mod obs;
-mod parallel;
 mod search;
 pub mod trace;
 pub mod tree;
 
 pub use cache::SubgoalCache;
-pub use config::{EngineConfig, EngineError, SearchBackend, Stats, Strategy};
+pub use config::{EngineConfig, EngineError, Stats, Strategy};
 pub use engine::{load_init, Engine, Outcome, Solution, Solutions};
 pub use incremental::{Materializer, NotMaterializable};
 pub use obs::{

@@ -198,7 +198,7 @@ impl<'p> Ctx<'p> {
     /// event log; independent of the committed-path trace).
     fn emit(&self, f: impl FnOnce() -> TraceEvent) {
         if let Some(obs) = &self.obs {
-            obs.emit(None, f);
+            obs.emit(f);
         }
     }
 

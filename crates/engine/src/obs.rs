@@ -4,14 +4,14 @@
 //! The paper's §3 workflow story is explicitly about "monitoring, tracking
 //! and querying the status of workflow activities". This module is the
 //! machinery side of that story, shared by the sequential machine, by the
-//! explicit-state search behind the parallel backend and the decider, and
-//! by the layers above the engine:
+//! explicit-state search behind the decider, and by the layers above the
+//! engine:
 //!
 //! * [`MetricsRegistry`] — the one home of every published number: named
 //!   counters, max-folded gauges and [`Log2Hist`] histograms behind one
-//!   mutex. The search hot path touches no lock at all: each run (and each
-//!   parallel worker) accumulates into a private `LocalMetrics` and the
-//!   whole batch is absorbed under one short lock when the run ends. On top
+//!   mutex. The search hot path touches no lock at all: each run
+//!   accumulates into a private `LocalMetrics` and the whole batch is
+//!   absorbed under one short lock when the run ends. On top
 //!   of the flat [`crate::Stats`] counters it keeps per-rule expansion
 //!   counts, a log₂-bucketed backtrack-depth distribution, and per-subgoal
 //!   cache hit/miss/unsuitable tallies (the accounting Fodor's tabling
@@ -20,8 +20,8 @@
 //! * [`EventLog`] — a thread-safe structured event stream built from
 //!   [`TraceEvent`], including the span-like phase events
 //!   ([`TraceEvent::SpanEnter`]/[`TraceEvent::SpanExit`]) that work even
-//!   where the committed-path trace is unavailable (parallel and cached
-//!   runs emit aggregate span events). Serialized as JSON Lines.
+//!   where the committed-path trace is unavailable (cached runs and the
+//!   decider emit span events). Serialized as JSON Lines.
 //! * [`RunReport`] — a single machine-readable JSON document per CLI run:
 //!   outcome, wall time, registry snapshot, requested *and* effective
 //!   config echo, and a digest of the final state. The report owns its
@@ -32,7 +32,7 @@
 //! No external JSON dependency: everything is written through
 //! [`JsonObject`].
 
-use crate::config::{EngineConfig, Fold, SearchBackend, Stats, Strategy};
+use crate::config::{EngineConfig, Fold, Stats, Strategy};
 use crate::trace::{ProbeOutcome, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -113,7 +113,7 @@ impl CacheTally {
     }
 }
 
-/// Lock-free per-run (or per-worker) metric accumulator. Constructed
+/// Lock-free per-run metric accumulator. Constructed
 /// enabled only when an [`Observer`] is attached, so the observers-off
 /// hot path pays a single branch per observation.
 #[derive(Clone, Debug)]
@@ -166,18 +166,6 @@ impl LocalMetrics {
             }
         }
     }
-
-    /// Fold another accumulator into this one (parallel workers merge into
-    /// one batch before the registry absorbs it).
-    pub fn merge(&mut self, other: &LocalMetrics) {
-        for (r, n) in &other.rule_unfolds {
-            *self.rule_unfolds.entry(*r).or_default() += n;
-        }
-        self.backtrack_depths.merge(&other.backtrack_depths);
-        for (l, t) in &other.cache_subgoals {
-            self.cache_subgoals.entry(l.clone()).or_default().merge(t);
-        }
-    }
 }
 
 /// The subgoal-shape label used for per-subgoal cache tallies: predicate
@@ -206,7 +194,7 @@ pub struct MetricsSnapshot {
     /// Expansions per rule, keyed by `head/arity#id`.
     pub rule_unfolds: BTreeMap<String, u64>,
     /// Named histograms: `backtrack_depths` (backtracks per log₂
-    /// choicepoint-stack depth) from the search backends, plus whatever a
+    /// choicepoint-stack depth) from the searches, plus whatever a
     /// layer records with [`MetricsRegistry::record`].
     pub histograms: BTreeMap<String, Log2Hist>,
     /// Per-subgoal cache tallies.
@@ -223,8 +211,8 @@ fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut
 }
 
 /// The shared metrics registry: aggregates [`Stats`] and `LocalMetrics`
-/// batches across runs and across parallel workers (locked only at batch
-/// boundaries, never per search step), and takes the named counters and
+/// batches across runs (locked only at batch boundaries, never per search
+/// step), and takes the named counters and
 /// histogram samples of coarser-grained layers one short lock at a time.
 #[derive(Default, Debug)]
 pub struct MetricsRegistry {
@@ -241,7 +229,7 @@ impl MetricsRegistry {
         self.inner.lock().expect("metrics registry poisoned")
     }
 
-    /// Absorb one run's (or one worker's) statistics and local metrics.
+    /// Absorb one run's statistics and local metrics.
     /// Sum-like [`Stats`] fields accumulate into counters, maxima into
     /// gauges; rule ids are resolved to `head/arity#id` labels against
     /// `program`.
@@ -334,12 +322,12 @@ impl MetricsSnapshot {
 }
 
 /// Thread-safe structured event stream. Unlike the committed-path trace
-/// (which is truncated on backtracking and disabled under the parallel
-/// backend and the cache), the event log is append-only and records phase
-/// spans from every backend.
+/// (which is truncated on backtracking and disabled under the cache and
+/// the decider), the event log is append-only and records phase spans
+/// from every search.
 #[derive(Default, Debug)]
 pub struct EventLog {
-    events: Mutex<Vec<(Option<u32>, TraceEvent)>>,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl EventLog {
@@ -348,16 +336,13 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// Append an event, optionally attributed to a parallel worker.
-    pub fn emit(&self, worker: Option<u32>, ev: TraceEvent) {
-        self.events
-            .lock()
-            .expect("event log poisoned")
-            .push((worker, ev));
+    /// Append an event.
+    pub fn emit(&self, ev: TraceEvent) {
+        self.events.lock().expect("event log poisoned").push(ev);
     }
 
     /// Events recorded so far.
-    pub fn events(&self) -> Vec<(Option<u32>, TraceEvent)> {
+    pub fn events(&self) -> Vec<TraceEvent> {
         self.events.lock().expect("event log poisoned").clone()
     }
 
@@ -372,12 +357,12 @@ impl EventLog {
     }
 
     /// Serialize as JSON Lines: one event object per line, in emission
-    /// order, each carrying its sequence number and worker (if any).
+    /// order, each carrying its sequence number.
     pub fn to_json_lines(&self) -> String {
         let events = self.events.lock().expect("event log poisoned");
         let mut out = String::new();
-        for (seq, (worker, ev)) in events.iter().enumerate() {
-            out.push_str(&event_json(seq, *worker, ev));
+        for (seq, ev) in events.iter().enumerate() {
+            out.push_str(&event_json(seq, ev));
             out.push('\n');
         }
         out
@@ -385,11 +370,8 @@ impl EventLog {
 }
 
 /// One event as a JSON object (no trailing newline).
-fn event_json(seq: usize, worker: Option<u32>, ev: &TraceEvent) -> String {
-    let mut o = JsonObject::new().field("seq", seq);
-    if let Some(w) = worker {
-        o = o.field("worker", w);
-    }
+fn event_json(seq: usize, ev: &TraceEvent) -> String {
+    let o = JsonObject::new().field("seq", seq);
     let update = |o: JsonObject, kind, pred: &td_core::Pred, tuple, changed| {
         o.string("event", kind)
             .string("pred", pred.name)
@@ -431,10 +413,6 @@ fn event_json(seq: usize, worker: Option<u32>, ev: &TraceEvent) -> String {
             .string("event", "cache_probe")
             .string("subgoal", subgoal)
             .string("outcome", outcome.as_str()),
-        TraceEvent::WorkerSteal { thief, victim } => o
-            .string("event", "worker_steal")
-            .field("thief", thief)
-            .field("victim", victim),
     }
     .finish()
 }
@@ -443,7 +421,7 @@ fn event_json(seq: usize, worker: Option<u32>, ev: &TraceEvent) -> String {
 /// optionally an event log. Cheap to share behind an `Arc`.
 #[derive(Default, Debug)]
 pub struct Observer {
-    /// The metrics registry every backend absorbs into.
+    /// The metrics registry every search absorbs into.
     pub registry: MetricsRegistry,
     log: Option<EventLog>,
 }
@@ -469,9 +447,9 @@ impl Observer {
 
     /// Append an event (no-op without an event log; the closure is only
     /// evaluated when a log is attached).
-    pub fn emit(&self, worker: Option<u32>, f: impl FnOnce() -> TraceEvent) {
+    pub fn emit(&self, f: impl FnOnce() -> TraceEvent) {
         if let Some(log) = &self.log {
-            log.emit(worker, f());
+            log.emit(f());
         }
     }
 }
@@ -597,16 +575,6 @@ fn config_json(c: &EngineConfig) -> String {
         Strategy::RoundRobin => ("round-robin", None),
         Strategy::Leftmost => ("leftmost", None),
     };
-    let backend = match c.backend {
-        SearchBackend::Sequential => JsonObject::new().string("kind", "sequential"),
-        SearchBackend::Parallel {
-            threads,
-            deterministic,
-        } => JsonObject::new()
-            .string("kind", "parallel")
-            .field("threads", threads)
-            .field("deterministic", deterministic),
-    };
     JsonObject::new()
         .string("strategy", strategy)
         .field("seed", json_opt(seed))
@@ -614,7 +582,6 @@ fn config_json(c: &EngineConfig) -> String {
         .field("max_stack", c.max_stack)
         .field("trace", c.trace)
         .field("memo_failures", c.memo_failures)
-        .field("backend", backend.finish())
         .field("subgoal_cache", c.subgoal_cache)
         .field("cache_capacity", c.cache_capacity)
         .field("materialize", c.materialize)
@@ -768,7 +735,6 @@ mod tests {
         let mut b = LocalMetrics::new(true);
         b.observe_unfold(RuleId(0));
         b.observe_cache("iso", ProbeOutcome::Hit);
-        a.merge(&b);
         let stats = Stats {
             steps: 10,
             backtracks: 1,
@@ -776,7 +742,7 @@ mod tests {
             ..Stats::default()
         };
         reg.absorb(&program, &stats, &a);
-        reg.absorb(&program, &stats, &LocalMetrics::new(true));
+        reg.absorb(&program, &stats, &b);
         reg.add_counter("solutions", 1);
         reg.add_counter("registered", 0);
         reg.record("latency_us", 700);
@@ -803,20 +769,14 @@ mod tests {
     #[test]
     fn event_log_serializes_json_lines() {
         let log = EventLog::new();
-        log.emit(
-            None,
-            TraceEvent::SpanEnter {
-                phase: SpanPhase::Solve,
-                detail: "?- p".into(),
-            },
-        );
-        log.emit(
-            Some(2),
-            TraceEvent::WorkerSteal {
-                thief: 2,
-                victim: 0,
-            },
-        );
+        log.emit(TraceEvent::SpanEnter {
+            phase: SpanPhase::Solve,
+            detail: "?- p".into(),
+        });
+        log.emit(TraceEvent::CacheProbe {
+            subgoal: "iso".into(),
+            outcome: ProbeOutcome::Hit,
+        });
         let lines = log.to_json_lines();
         let mut it = lines.lines();
         assert_eq!(
@@ -828,7 +788,7 @@ mod tests {
         );
         assert_eq!(
             it.next(),
-            Some("{\"seq\": 1, \"worker\": 2, \"event\": \"worker_steal\", \"thief\": 2, \"victim\": 0}")
+            Some("{\"seq\": 1, \"event\": \"cache_probe\", \"subgoal\": \"iso\", \"outcome\": \"hit\"}")
         );
         assert_eq!(it.next(), None);
         assert_eq!(log.len(), 2);
@@ -837,10 +797,10 @@ mod tests {
     #[test]
     fn observer_emit_is_noop_without_log() {
         let obs = Observer::new();
-        obs.emit(None, || unreachable!("closure must not run without a log"));
+        obs.emit(|| unreachable!("closure must not run without a log"));
         assert!(obs.event_log().is_none());
         let obs = Observer::with_event_log();
-        obs.emit(None, || TraceEvent::IsoEnter);
+        obs.emit(|| TraceEvent::IsoEnter);
         assert_eq!(obs.event_log().unwrap().len(), 1);
     }
 

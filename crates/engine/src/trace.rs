@@ -19,8 +19,8 @@ use td_db::Tuple;
 /// A search phase bracketed by [`TraceEvent::SpanEnter`] /
 /// [`TraceEvent::SpanExit`] events in the structured event stream
 /// (`crate::obs::EventLog`). Unlike the committed-path events above the
-/// span events are emitted by *every* backend, including the parallel and
-/// cached configurations where the committed trace is unavailable.
+/// span events are emitted by *every* search, including the decider and
+/// cached runs where the committed trace is unavailable.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SpanPhase {
     /// A whole top-level search (one `?-` goal or one `solve` call).
@@ -29,9 +29,6 @@ pub enum SpanPhase {
     Isolation,
     /// Replay of a cached answer set as macro-steps.
     CacheReplay,
-    /// One parallel worker's lifetime (aggregate span: the exit detail
-    /// carries its claim/steal totals).
-    Worker,
 }
 
 impl SpanPhase {
@@ -41,7 +38,6 @@ impl SpanPhase {
             SpanPhase::Solve => "solve",
             SpanPhase::Isolation => "isolation",
             SpanPhase::CacheReplay => "cache_replay",
-            SpanPhase::Worker => "worker",
         }
     }
 }
@@ -106,9 +102,6 @@ pub enum TraceEvent {
         subgoal: String,
         outcome: ProbeOutcome,
     },
-    /// A parallel worker stole a task from another's queue (structured
-    /// event stream only).
-    WorkerSteal { thief: u32, victim: u32 },
 }
 
 impl fmt::Display for TraceEvent {
@@ -153,9 +146,6 @@ impl fmt::Display for TraceEvent {
             }
             TraceEvent::CacheProbe { subgoal, outcome } => {
                 write!(f, "cache probe {subgoal}: {}", outcome.as_str())
-            }
-            TraceEvent::WorkerSteal { thief, victim } => {
-                write!(f, "worker {thief} stole from worker {victim}")
             }
         }
     }

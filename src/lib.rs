@@ -36,7 +36,7 @@ pub mod prelude {
         Rule, Symbol, Term, Value, Var,
     };
     pub use td_db::{Database, Tuple};
-    pub use td_engine::{Engine, EngineConfig, Outcome, SearchBackend, Strategy};
+    pub use td_engine::{Engine, EngineConfig, Outcome, Strategy};
     pub use td_parser::{parse_goal, parse_program};
     pub use td_store::Store;
 }

@@ -1,16 +1,15 @@
 //! Differential tests: the subgoal answer cache must be invisible in every
 //! result — only the work changes, never the answer.
 //!
-//! Three layers of agreement, mirroring `parallel_equivalence.rs`:
+//! Three layers of agreement:
 //!
-//! 1. **Executability** — on any goal, the cached engine (sequential and
-//!    deterministic-parallel) reports the same success/failure as the
-//!    uncached sequential engine.
+//! 1. **Executability** — on any goal, the cached engine reports the same
+//!    success/failure as the uncached engine.
 //! 2. **Final-state sets** — the explicit-state decider computes the same
 //!    set of reachable final databases with and without the cache (both
 //!    directions, by content).
-//! 3. **Witness identity** — the cached engines report exactly the uncached
-//!    sequential engine's first witness: same answer substitution, same
+//! 3. **Witness identity** — the cached engine reports exactly the
+//!    uncached engine's first witness: same answer substitution, same
 //!    delta, same final database. Replayed macro-steps occupy the same
 //!    position in the search order as the lazy expansions they substitute
 //!    for (docs/CACHING.md), so even the committed path is unchanged.
@@ -24,9 +23,7 @@ mod common;
 use common::{arb_goal, assert_same_witness, corpus_files, flag_program};
 use proptest::prelude::*;
 use transaction_datalog::prelude::parse_program;
-use transaction_datalog::prelude::{
-    Database, Engine, EngineConfig, Goal, Program, SearchBackend, Term,
-};
+use transaction_datalog::prelude::{Database, Engine, EngineConfig, Goal, Program, Term};
 
 fn uncached(program: &Program) -> Engine {
     Engine::with_config(
@@ -42,19 +39,6 @@ fn cached(program: &Program, capacity: usize) -> Engine {
             .with_max_steps(200_000)
             .with_subgoal_cache()
             .with_cache_capacity(capacity),
-    )
-}
-
-fn cached_parallel(program: &Program, threads: usize) -> Engine {
-    Engine::with_config(
-        program.clone(),
-        EngineConfig::default()
-            .with_max_steps(200_000)
-            .with_subgoal_cache()
-            .with_backend(SearchBackend::Parallel {
-                threads,
-                deterministic: true,
-            }),
     )
 }
 
@@ -77,15 +61,6 @@ proptest! {
                 assert_same_witness(&plain, &got, &format!("capacity={capacity} run={run}"));
             }
         }
-    }
-
-    #[test]
-    fn cached_deterministic_parallel_reports_the_uncached_witness(g in arb_goal(3)) {
-        let p = flag_program();
-        let db = Database::with_schema_of(&p);
-        let plain = uncached(&p).solve(&g, &db).unwrap();
-        let par = cached_parallel(&p, 4).solve(&g, &db).unwrap();
-        assert_same_witness(&plain, &par, "cached 4-thread deterministic");
     }
 
     #[test]
@@ -152,8 +127,7 @@ fn cache_skips_probes_on_materialized_predicates() {
     assert_eq!(cache.len(), 0, "nothing may be double-stored");
 }
 
-/// Every corpus goal: the cached sequential engine and the cached
-/// deterministic-parallel engine reproduce the uncached sequential witness
+/// Every corpus goal: the cached engine reproduces the uncached witness
 /// exactly. Goals run in file sequence against the committed state, like
 /// `td run`; each file keeps one warm cache across its goals, and the warm
 /// solve of the iterated protocol must actually hit it (EXPERIMENTS.md E15).
@@ -167,7 +141,6 @@ fn corpus_cached_matches_uncached() {
         let mut db = td_engine::load_init(&db, &parsed.init).unwrap();
         let plain_engine = uncached(&parsed.program);
         let cached_engine = cached(&parsed.program, 65_536);
-        let par_engine = cached_parallel(&parsed.program, 4);
         for (i, g) in parsed.goals.iter().enumerate() {
             let plain = plain_engine
                 .solve(&g.goal, &db)
@@ -183,14 +156,6 @@ fn corpus_cached_matches_uncached() {
                     &format!("{} goal {i} (cached seq, {run})", path.display()),
                 );
             }
-            let par = par_engine
-                .solve(&g.goal, &db)
-                .unwrap_or_else(|e| panic!("{} goal {i} (cached par): {e}", path.display()));
-            assert_same_witness(
-                &plain,
-                &par,
-                &format!("{} goal {i} (cached 4t det)", path.display()),
-            );
             if let Some(sol) = plain.solution() {
                 db = sol.db.clone();
             }

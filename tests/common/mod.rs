@@ -1,9 +1,9 @@
 //! Shared fixtures for the differential test suites.
 //!
-//! Every equivalence suite (`parallel_equivalence`, `cache_equivalence`,
-//! `obs_equivalence`, `kernel_equivalence`) compares backends over the same
-//! two inputs: the generated flag-program goal space and the `corpus/`
-//! programs. The generators, corpus loaders, engine constructors and
+//! Every equivalence suite (`cache_equivalence`, `incremental_equivalence`,
+//! `obs_equivalence`, `kernel_equivalence`) compares drivers or engine
+//! configurations over the same two inputs: the generated flag-program
+//! goal space and the `corpus/` programs. The generators, corpus loaders, engine constructors and
 //! witness assertions live here so the suites differ only in *what* they
 //! compare, never in what they run.
 
@@ -14,9 +14,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use transaction_datalog::prelude::{
-    parse_program, Atom, Database, Engine, EngineConfig, Goal, Outcome, Program, SearchBackend,
+    parse_program, Atom, Database, Engine, EngineConfig, Goal, Outcome, Program,
 };
 
 /// Generated goal space for the differential suites: every TD connective
@@ -49,29 +48,13 @@ pub fn flag_program() -> Program {
         .unwrap()
 }
 
-/// An engine on `backend` with the differential suites' standard step
-/// budget (ample for every generated goal and corpus program).
-pub fn engine_with(program: &Program, backend: SearchBackend) -> Engine {
+/// An engine with the differential suites' standard step budget (ample
+/// for every generated goal and corpus program).
+pub fn budgeted_engine(program: &Program) -> Engine {
     Engine::with_config(
         program.clone(),
-        EngineConfig::default()
-            .with_max_steps(200_000)
-            .with_backend(backend),
+        EngineConfig::default().with_max_steps(200_000),
     )
-}
-
-pub fn parallel(threads: usize) -> SearchBackend {
-    SearchBackend::Parallel {
-        threads,
-        deterministic: false,
-    }
-}
-
-pub fn parallel_det(threads: usize) -> SearchBackend {
-    SearchBackend::Parallel {
-        threads,
-        deterministic: true,
-    }
 }
 
 /// Transitive closure `path/2` over the chain `n0 → … → n(nodes-1)` plus
@@ -147,33 +130,4 @@ pub fn assert_same_witness(a: &Outcome, b: &Outcome, context: &str) {
             "{context}: final databases differ"
         );
     }
-}
-
-/// Run every `?-` goal of a corpus source under one engine config with an
-/// observer attached, threading the database between goals as `td run`
-/// does. Returns the per-goal verdicts, the final database digest, and the
-/// observer for counter inspection.
-pub fn run_observed(
-    source: &str,
-    backend: SearchBackend,
-) -> (Vec<bool>, u128, Arc<td_engine::Observer>) {
-    let parsed = parse_program(source).expect("corpus parses");
-    let config = EngineConfig::default()
-        .with_max_steps(2_000_000)
-        .with_backend(backend);
-    let obs = Arc::new(td_engine::Observer::new());
-    let engine = Engine::with_config(parsed.program.clone(), config).with_observer(obs.clone());
-    let mut db = td_engine::load_init(&Database::with_schema_of(&parsed.program), &parsed.init)
-        .expect("corpus init loads");
-    let mut oks = Vec::new();
-    for g in &parsed.goals {
-        let outcome = engine.solve(&g.goal, &db).expect("corpus run cannot fault");
-        if let Some(sol) = outcome.solution() {
-            db = sol.db.clone();
-            oks.push(true);
-        } else {
-            oks.push(false);
-        }
-    }
-    (oks, db.digest(), obs)
 }

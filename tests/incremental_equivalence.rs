@@ -5,14 +5,13 @@
 //!
 //! Three layers of agreement, mirroring `cache_equivalence.rs`:
 //!
-//! 1. **Executability** — on any goal, the materialized engine (sequential
-//!    and deterministic-parallel) reports the same success/failure as the
-//!    plain sequential engine.
+//! 1. **Executability** — on any goal, the materialized engine reports the
+//!    same success/failure as the plain engine.
 //! 2. **Final-state sets** — the explicit-state decider computes the same
 //!    set of reachable final databases with and without the materializer
 //!    (both directions, by content).
-//! 3. **Witness identity** — the materialized engines report exactly the
-//!    plain sequential engine's first witness: same answer substitution,
+//! 3. **Witness identity** — the materialized engine reports exactly the
+//!    plain engine's first witness: same answer substitution,
 //!    same delta, same final database. A probe is a pure-query macro-step
 //!    (no bindings, no delta), so even the committed path is unchanged.
 //!
@@ -32,8 +31,8 @@ use common::{assert_same_witness, chain_closure, corpus_files};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use transaction_datalog::prelude::{
-    parse_goal, parse_program, Atom, Database, Engine, EngineConfig, Goal, Pred, Program,
-    SearchBackend, Term, Tuple, Value,
+    parse_goal, parse_program, Atom, Database, Engine, EngineConfig, Goal, Pred, Program, Term,
+    Tuple, Value,
 };
 
 /// Reachability over an integer DAG: the canonical materializable shape
@@ -65,19 +64,6 @@ fn materialized(program: &Program) -> Engine {
         EngineConfig::default()
             .with_max_steps(200_000)
             .with_materialize(),
-    )
-}
-
-fn materialized_parallel(program: &Program, threads: usize) -> Engine {
-    Engine::with_config(
-        program.clone(),
-        EngineConfig::default()
-            .with_max_steps(200_000)
-            .with_materialize()
-            .with_backend(SearchBackend::Parallel {
-                threads,
-                deterministic: true,
-            }),
     )
 }
 
@@ -129,35 +115,24 @@ proptest! {
     }
 
     #[test]
-    fn materialized_deterministic_parallel_reports_the_plain_witness(g in arb_churn_goal(3)) {
-        let (p, db) = fixture();
-        let baseline = plain(&p).solve(&g, &db).unwrap();
-        let par = materialized_parallel(&p, 4).solve(&g, &db).unwrap();
-        assert_same_witness(&baseline, &par, "materialized 4-thread deterministic");
-    }
-
-    #[test]
     fn decider_final_state_sets_agree_with_and_without_materializer(g in arb_churn_goal(2)) {
         let (p, db) = fixture();
         let cfg = td_engine::decider::DeciderConfig::default();
         let bare = td_engine::decider::final_states(&p, &g, &db, cfg).unwrap();
         let engine = materialized(&p);
         prop_assert!(engine.materializer().is_some(), "fixture must compile");
-        // One worker, then four filling the slots of shared versions.
-        for engine in [&engine, &materialized_parallel(&p, 4)] {
-            let viewed = engine.final_states(&g, &db, cfg).unwrap();
-            for d in &bare {
-                prop_assert!(
-                    viewed.iter().any(|t| t.same_content(d)),
-                    "final state lost under materialization"
-                );
-            }
-            for d in &viewed {
-                prop_assert!(
-                    bare.iter().any(|t| t.same_content(d)),
-                    "materialization invented a final state"
-                );
-            }
+        let viewed = engine.final_states(&g, &db, cfg).unwrap();
+        for d in &bare {
+            prop_assert!(
+                viewed.iter().any(|t| t.same_content(d)),
+                "final state lost under materialization"
+            );
+        }
+        for d in &viewed {
+            prop_assert!(
+                bare.iter().any(|t| t.same_content(d)),
+                "materialization invented a final state"
+            );
         }
         let pd = td_engine::decider::decide(&p, &g, &db, cfg).unwrap();
         let md = engine.decide(&g, &db, cfg).unwrap();
@@ -450,9 +425,8 @@ fn churn_sequence_threads_identical_state() {
     );
 }
 
-/// Every corpus goal: the materialized sequential engine and the
-/// materialized deterministic-parallel engine reproduce the plain
-/// sequential witness exactly. Programs without a materializable fragment
+/// Every corpus goal: the materialized engine reproduces the plain witness
+/// exactly. Programs without a materializable fragment
 /// simply run with `materializer() == None` — the flag must be a no-op
 /// there, which this sweep also checks.
 #[test]
@@ -465,7 +439,6 @@ fn corpus_materialized_matches_plain() {
         let mut db = td_engine::load_init(&db, &parsed.init).unwrap();
         let plain_engine = plain(&parsed.program);
         let mat_engine = materialized(&parsed.program);
-        let par_engine = materialized_parallel(&parsed.program, 4);
         for (i, g) in parsed.goals.iter().enumerate() {
             let baseline = plain_engine
                 .solve(&g.goal, &db)
@@ -477,14 +450,6 @@ fn corpus_materialized_matches_plain() {
                 &baseline,
                 &seq,
                 &format!("{} goal {i} (materialized seq)", path.display()),
-            );
-            let par = par_engine
-                .solve(&g.goal, &db)
-                .unwrap_or_else(|e| panic!("{} goal {i} (mat par): {e}", path.display()));
-            assert_same_witness(
-                &baseline,
-                &par,
-                &format!("{} goal {i} (materialized 4t det)", path.display()),
             );
             if let Some(sol) = baseline.solution() {
                 db = sol.db.clone();

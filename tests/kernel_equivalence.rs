@@ -1,36 +1,52 @@
 //! Differential tests for the kernel seam: the sequential machine and the
-//! explicit-state search — entered as the decider and as the work-stealing
-//! parallel backend — are *schedulers* over one shared transition relation,
-//! so on any input they must agree on everything the semantics determines.
-//! The machine shares no search code with the other two, which makes it
-//! the independent reference they are checked against here:
+//! explicit-state search — entered as the free `decider` functions and as
+//! the engine-configured `Engine::decide` — are *schedulers* over one
+//! shared transition relation, so on any input they must agree on
+//! everything the semantics determines. The machine shares no search code
+//! with the explicit-state search, which makes it the independent
+//! reference the search is checked against here:
 //!
 //! 1. **Executability** — the same success/failure verdict from the
-//!    sequential engine, the parallel backend at several thread counts,
-//!    and the decider's reachability search.
+//!    machine (`Engine::solve`), `decider::decide` and `Engine::decide`.
 //! 2. **Final-state sets** — the databases committed by exhaustive
 //!    sequential enumeration are exactly the decider's reachable final
 //!    states (both inclusions, by content).
-//! 3. **Backend-invariant obs counters** — on every corpus program, the
-//!    outcome-level counters (`solutions`, `committed_updates`,
-//!    `failures`) agree between the sequential and deterministic-parallel
-//!    drivers, and the decider (run alongside) returns the same per-goal
-//!    verdict — extending the PR 3 seq/parallel check to all three
-//!    drivers.
+//! 3. **Corpus verdicts and outcome counters** — on every corpus program
+//!    the decider returns the machine's per-goal verdict, and the observed
+//!    machine's outcome-level counters (`solutions`, `committed_updates`,
+//!    `failures`) tally those verdicts.
+//! 4. **Closed forms and edges** — whole-space counts the search must hit
+//!    exactly (`3ⁿ − 1` toggles, E13's 900), an interleaving only one
+//!    schedule finds, and a budget that runs out: `StepBudget` from the
+//!    machine, `truncated` from `decide`.
 //!
-//! `parallel_equivalence.rs` and `cache_equivalence.rs` pin *witness
+//! `cache_equivalence.rs` and `incremental_equivalence.rs` pin *witness
 //! identity* for their subsystems; this suite pins the semantic agreement
 //! that makes the kernel extraction safe.
 
 mod common;
 
-use common::{
-    arb_goal, corpus_programs, engine_with, flag_program, parallel, parallel_det, run_observed,
-};
+use common::{arb_goal, budgeted_engine, corpus_programs, flag_program, E13_REFUTATION};
 use proptest::prelude::*;
+use std::sync::Arc;
 use td_engine::decider::{decide, final_states, DeciderConfig};
+use td_engine::{EngineError, Observer};
 use transaction_datalog::prelude::parse_program;
-use transaction_datalog::prelude::{Database, SearchBackend};
+use transaction_datalog::prelude::{Database, Engine, EngineConfig, Goal, Term, Value};
+
+/// A program source, parsed, with its `init` facts loaded.
+fn load(source: &str) -> (transaction_datalog::prelude::Program, Database, Vec<Goal>) {
+    let parsed = parse_program(source).expect("parses");
+    let db = td_engine::load_init(&Database::with_schema_of(&parsed.program), &parsed.init)
+        .expect("init loads");
+    let goals = parsed.goals.iter().map(|g| g.goal.clone()).collect();
+    (parsed.program, db, goals)
+}
+
+const WHOLE: DeciderConfig = DeciderConfig {
+    max_configs: 1_000_000,
+    exhaustive: true,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -40,18 +56,15 @@ proptest! {
     fn all_three_drivers_agree_on_executability(g in arb_goal(3)) {
         let p = flag_program();
         let db = Database::with_schema_of(&p);
-        let seq = engine_with(&p, SearchBackend::Sequential)
+        let engine = budgeted_engine(&p);
+        let machine = engine
             .executable(&g, &db)
             .expect("ground goals cannot fault within budget");
-        for backend in [parallel(2), parallel(4), parallel_det(4)] {
-            let par = engine_with(&p, backend)
-                .executable(&g, &db)
-                .expect("parallel search cannot fault on ground goals");
-            prop_assert_eq!(seq, par, "backend {:?}", backend);
-        }
         let d = decide(&p, &g, &db, DeciderConfig::default()).unwrap();
         prop_assert!(!d.truncated, "flag goal space exceeded decider budget");
-        prop_assert_eq!(seq, d.executable, "decider verdict diverged");
+        prop_assert_eq!(machine, d.executable, "decider verdict diverged");
+        let e = engine.decide(&g, &db, DeciderConfig::default()).unwrap();
+        prop_assert_eq!(e, d, "Engine::decide diverged from decider::decide");
     }
 
     /// Exhaustive sequential enumeration and the decider's explicit-state
@@ -64,13 +77,13 @@ proptest! {
         // the limit must exceed the path count for the completeness
         // direction to be meaningful.
         const LIMIT: usize = 20_000;
-        let engine = engine_with(&p, SearchBackend::Sequential);
+        let engine = budgeted_engine(&p);
         let sols = match engine.solutions(&g, &db, LIMIT) {
             Ok(s) => Some(s.solutions),
             // A pathological interleaving count can exhaust the step
             // budget; soundness/completeness is then vacuous here and
             // covered by smaller cases.
-            Err(td_engine::EngineError::StepBudget { .. }) => None,
+            Err(EngineError::StepBudget { .. }) => None,
             Err(e) => panic!("unexpected fault: {e}"),
         };
         if let Some(sols) = sols {
@@ -95,11 +108,11 @@ proptest! {
     }
 }
 
-/// Every corpus goal, all three drivers: the decider's verdict matches the
-/// sequential engine's, and the outcome-level obs counters agree between
-/// the sequential and deterministic-parallel runs. Goals run in file
-/// sequence against the sequential engine's committed state, like
-/// `td run`; the decider is consulted per goal on the same database.
+/// Every corpus goal: the decider's verdict matches the machine's, and the
+/// observed machine's outcome counters tally its verdicts and committed
+/// updates. Goals run in file sequence against the machine's committed
+/// state, like `td run`; the decider is consulted per goal on the same
+/// database.
 #[test]
 fn corpus_verdicts_and_logical_counters_agree_across_drivers() {
     let decider_cfg = DeciderConfig {
@@ -107,25 +120,12 @@ fn corpus_verdicts_and_logical_counters_agree_across_drivers() {
         ..DeciderConfig::default()
     };
     for (name, source) in corpus_programs() {
-        let (seq_oks, seq_digest, seq_obs) = run_observed(&source, SearchBackend::Sequential);
-        let (par_oks, par_digest, par_obs) = run_observed(&source, parallel_det(4));
-        assert_eq!(seq_oks, par_oks, "{name}: per-goal verdicts diverged");
-        assert_eq!(seq_digest, par_digest, "{name}: final databases diverged");
-        let seq = seq_obs.registry.snapshot();
-        let par = par_obs.registry.snapshot();
-        for counter in ["solutions", "committed_updates", "failures"] {
-            assert_eq!(
-                seq.counter(counter),
-                par.counter(counter),
-                "{name}: logical counter `{counter}` diverged"
-            );
-        }
-
-        // Third driver: the decider, on the same per-goal databases.
         let parsed = parse_program(&source).expect("corpus parses");
         let mut db = td_engine::load_init(&Database::with_schema_of(&parsed.program), &parsed.init)
             .expect("corpus init loads");
-        let engine = engine_with(&parsed.program, SearchBackend::Sequential);
+        let obs = Arc::new(Observer::new());
+        let engine = budgeted_engine(&parsed.program).with_observer(obs.clone());
+        let (mut solutions, mut failures, mut updates) = (0, 0, 0);
         for (i, g) in parsed.goals.iter().enumerate() {
             let outcome = engine
                 .solve(&g.goal, &db)
@@ -142,16 +142,25 @@ fn corpus_verdicts_and_logical_counters_agree_across_drivers() {
                     );
                 }
             }
-            if let Some(sol) = outcome.solution() {
-                db = sol.db.clone();
+            match outcome.solution() {
+                Some(sol) => {
+                    solutions += 1;
+                    updates += sol.delta.len() as u64;
+                    db = sol.db.clone();
+                }
+                None => failures += 1,
             }
         }
+        let snap = obs.registry.snapshot();
+        assert_eq!(snap.counter("solutions"), solutions, "{name}");
+        assert_eq!(snap.counter("failures"), failures, "{name}");
+        assert_eq!(snap.counter("committed_updates"), updates, "{name}");
     }
 }
 
 /// A builtin's fail/fault split is written once (`kernel::elem`), so a
 /// faulting builtin is the same `EngineError` — kind and wording — from the
-/// sequential machine, the parallel backend and the decider.
+/// machine, `decider::decide` and `Engine::decide`.
 #[test]
 fn builtin_faults_are_the_same_error_from_every_driver() {
     for (what, source) in [
@@ -168,18 +177,123 @@ fn builtin_faults_are_the_same_error_from_every_driver() {
             "base p/1. init p(9223372036854775807). r <- p(X) * Y is X + 1. ?- r.",
         ),
     ] {
-        let parsed = parse_program(source).expect("parses");
-        let db = td_engine::load_init(&Database::with_schema_of(&parsed.program), &parsed.init)
-            .expect("init loads");
-        let goal = &parsed.goals[0].goal;
-        let seq = engine_with(&parsed.program, SearchBackend::Sequential)
-            .solve(goal, &db)
+        let (program, db, goals) = load(source);
+        let engine = budgeted_engine(&program);
+        let machine = engine.solve(&goals[0], &db).expect_err(what);
+        let dec = decide(&program, &goals[0], &db, DeciderConfig::default()).expect_err(what);
+        let configured = engine
+            .decide(&goals[0], &db, DeciderConfig::default())
             .expect_err(what);
-        let par = engine_with(&parsed.program, parallel(2))
-            .solve(goal, &db)
-            .expect_err(what);
-        let dec = decide(&parsed.program, goal, &db, DeciderConfig::default()).expect_err(what);
-        assert_eq!(seq, par, "{what}: --threads=2 diverged");
-        assert_eq!(seq, dec, "{what}: decide diverged");
+        assert_eq!(machine, dec, "{what}: decide diverged");
+        assert_eq!(machine, configured, "{what}: Engine::decide diverged");
     }
+}
+
+/// Two closed forms: E13's refutation visits all of its 900 configurations
+/// whatever the order (so its first-success count in `memo_golden` *is* the
+/// whole space), and n independent insert/delete toggles span `3ⁿ − 1`
+/// configurations with one final state, the one the machine commits.
+#[test]
+fn known_whole_space_counts_hold_and_the_machine_agrees() {
+    let (program, db, goals) = load(E13_REFUTATION);
+    let engine = budgeted_engine(&program);
+    let d = decide(&program, &goals[0], &db, WHOLE).unwrap();
+    assert_eq!((d.configs, d.executable, d.truncated), (900, false, false));
+    assert_eq!(engine.decide(&goals[0], &db, WHOLE).unwrap(), d);
+    assert!(!engine.executable(&goals[0], &db).unwrap(), "e13 refutes");
+
+    for n in 1..=5usize {
+        let decls: String = (0..n).map(|i| format!("base f{i}/0.\n")).collect();
+        let branches: Vec<String> = (0..n).map(|i| format!("(ins.f{i} * del.f{i})")).collect();
+        let (program, db, goals) = load(&format!("{decls}?- {}.", branches.join(" | ")));
+        let engine = budgeted_engine(&program);
+        let d = engine.decide(&goals[0], &db, WHOLE).unwrap();
+        assert_eq!(d.configs, 3usize.pow(n as u32) - 1, "n={n}");
+        assert!(d.executable && !d.truncated, "n={n}");
+        let finals = engine.final_states(&goals[0], &db, WHOLE).unwrap();
+        let out = engine.solve(&goals[0], &db).unwrap();
+        assert_eq!(finals.len(), 1, "n={n}");
+        assert!(
+            finals[0].same_content(&out.solution().expect("toggles commit").db),
+            "n={n}"
+        );
+    }
+}
+
+/// The search is not the semantics: a goal whose success depends on finding
+/// one specific interleaving succeeds on the machine and is executable to
+/// the decider (completeness), and an unsatisfiable goal fails on both
+/// (soundness).
+#[test]
+fn needle_interleaving_found_and_unsatisfiable_goal_refuted_by_machine_and_decider() {
+    let (program, db, goals) = load(
+        "base tok/1.
+         grab(X) <- tok(X) * del.tok(X).
+         put(X) <- ins.tok(X).
+         init tok(a).
+         % Succeeds only on schedules where the producer's put runs before
+         % the consumer's grab.
+         ?- (grab(a) * put(b)) | grab(b).",
+    );
+    let engine = budgeted_engine(&program);
+    let needle = goals[0].clone();
+    assert!(
+        engine.executable(&needle, &db).unwrap(),
+        "machine missed it"
+    );
+    let d = decide(&program, &needle, &db, DeciderConfig::default()).unwrap();
+    assert!(d.executable, "decider missed the needle schedule");
+
+    // After the needle goal both tokens are consumed; requiring tok(b)
+    // after it must fail everywhere.
+    let impossible = Goal::seq(vec![
+        needle,
+        Goal::atom("tok", vec![Term::Val(Value::sym("b"))]),
+    ]);
+    assert!(!engine.executable(&impossible, &db).unwrap(), "machine");
+    let d = decide(&program, &impossible, &db, DeciderConfig::default()).unwrap();
+    assert!(!d.executable && !d.truncated, "decider: {d:?}");
+}
+
+/// A budget that runs out is never misreported as a refutation: the
+/// machine returns `EngineError::StepBudget`, and `decide` says
+/// `truncated`, whether the budget is its own `max_configs` or the
+/// engine's `max_steps`.
+#[test]
+fn budget_exhaustion_is_step_budget_on_the_machine_and_truncated_from_decide() {
+    let (program, db, _) = load(
+        "base n/1.
+         init n(0).
+         spin <- n(X) * del.n(X) * Y is X + 1 * ins.n(Y) * spin.",
+    );
+    let goal = Goal::prop("spin");
+    let engine = Engine::with_config(program.clone(), EngineConfig::default().with_max_steps(500));
+    let got = engine.solve(&goal, &db);
+    assert!(
+        matches!(got, Err(EngineError::StepBudget { .. })),
+        "machine returned {got:?}"
+    );
+    let small = DeciderConfig {
+        max_configs: 500,
+        ..DeciderConfig::default()
+    };
+    let d = decide(&program, &goal, &db, small).unwrap();
+    assert!(d.truncated && !d.executable, "{d:?}");
+    let d = engine.decide(&goal, &db, DeciderConfig::default()).unwrap();
+    assert!(d.truncated && !d.executable, "{d:?}");
+}
+
+/// `peak_processes` is the peak number of concurrently schedulable
+/// actions: a leaf waiting behind a `Seq` head is not one. Here two
+/// three-update sequences run side by side, so two can run at any time.
+#[test]
+fn peak_processes_counts_runnable_leaves() {
+    let (program, db, goals) = load(
+        "base p/1.
+         w(X) <- ins.p(X) * ins.p(X) * ins.p(X).
+         ?- w(1) | w(2).",
+    );
+    let out = budgeted_engine(&program).solve(&goals[0], &db).unwrap();
+    assert!(out.is_success());
+    assert_eq!(out.stats().peak_processes, 2);
 }
