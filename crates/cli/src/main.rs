@@ -1099,14 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn search_thread_flags_are_unknown_options() {
-        for flag in ["--threads=2", "--deterministic"] {
-            let err = parse(&[flag]).unwrap_err();
-            assert_eq!(err, format!("unknown option `{flag}`"));
-        }
-    }
-
-    #[test]
     fn bad_values_are_rejected() {
         assert!(parse(&["--strategy=bogus"]).is_err());
         assert!(parse(&["--seed=x", "--strategy=random"]).is_err());

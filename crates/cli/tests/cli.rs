@@ -160,11 +160,6 @@ fn incompatible_flag_combinations_exit_2() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("--subgoal-cache"), "{stderr}");
-    // The search runs on one thread: a thread count is no option at all.
-    let out = td().args(["--threads=2", "run"]).arg(&f).output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("unknown option `--threads=2`"), "{stderr}");
 }
 
 /// An unbounded counter: the configuration space is infinite, so every

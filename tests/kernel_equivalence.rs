@@ -225,7 +225,7 @@ fn known_whole_space_counts_hold_and_the_machine_agrees() {
 /// the decider (completeness), and an unsatisfiable goal fails on both
 /// (soundness).
 #[test]
-fn needle_interleaving_found_and_unsatisfiable_goal_refuted_by_machine_and_decider() {
+fn needle_found_and_impossible_goal_refuted_by_machine_and_decider() {
     let (program, db, goals) = load(
         "base tok/1.
          grab(X) <- tok(X) * del.tok(X).
@@ -260,7 +260,7 @@ fn needle_interleaving_found_and_unsatisfiable_goal_refuted_by_machine_and_decid
 /// `truncated`, whether the budget is its own `max_configs` or the
 /// engine's `max_steps`.
 #[test]
-fn budget_exhaustion_is_step_budget_on_the_machine_and_truncated_from_decide() {
+fn exhausted_budget_is_step_budget_or_truncated_never_a_refutation() {
     let (program, db, _) = load(
         "base n/1.
          init n(0).
